@@ -67,7 +67,7 @@ func ParseGrammar(text string) (*Grammar, error) { return grammar.ParseString(te
 // MustParseGrammar is ParseGrammar that panics on error.
 func MustParseGrammar(text string) *Grammar { return grammar.MustParse(text) }
 
-// ToCNF converts a grammar to Chomsky Normal Form. Query does this
+// ToCNF converts a grammar to Chomsky Normal Form. Engine.Query does this
 // internally; convert explicitly when evaluating many queries against the
 // same grammar.
 func ToCNF(g *Grammar) (*CNF, error) { return grammar.ToCNF(g) }
@@ -76,43 +76,8 @@ func ToCNF(g *Grammar) (*CNF, error) { return grammar.ToCNF(g) }
 type Option func(*config)
 
 type config struct {
-	// backend, when set, overrides the engine's backend. Only the
-	// deprecated WithX backend options set it.
-	backend    *Backend
 	emptyPaths bool
 	engineOpts []core.Option
-}
-
-// WithDense selects bit-packed dense matrices (serial kernel).
-//
-// Deprecated: construct an engine with the Dense backend value instead:
-// NewEngine(Dense).
-func WithDense() Option {
-	return func(c *config) { b := Dense; c.backend = &b }
-}
-
-// WithDenseParallel selects dense matrices with a row-parallel kernel
-// (the paper's dGPU analogue); workers ≤ 0 means GOMAXPROCS.
-//
-// Deprecated: use NewEngine(DenseParallel(workers)).
-func WithDenseParallel(workers int) Option {
-	return func(c *config) { b := DenseParallel(workers); c.backend = &b }
-}
-
-// WithSparse selects CSR sparse matrices (the paper's sCPU analogue). This
-// is the default.
-//
-// Deprecated: use NewEngine(Sparse).
-func WithSparse() Option {
-	return func(c *config) { b := Sparse; c.backend = &b }
-}
-
-// WithSparseParallel selects CSR sparse matrices with a row-parallel SpGEMM
-// (the paper's sGPU analogue); workers ≤ 0 means GOMAXPROCS.
-//
-// Deprecated: use NewEngine(SparseParallel(workers)).
-func WithSparseParallel(workers int) Option {
-	return func(c *config) { b := SparseParallel(workers); c.backend = &b }
 }
 
 // WithEmptyPaths includes the reflexive pairs (v, v) in query results when
@@ -194,56 +159,4 @@ func buildConfig(opts []Option) *config {
 		o(c)
 	}
 	return c
-}
-
-// --- deprecated one-shot wrappers --------------------------------------
-//
-// The free functions below predate Engine. They evaluate with a default
-// (sparse) engine, a background context, and any backend chosen through
-// the deprecated WithX options. They remain so existing callers keep
-// working; new code should construct an Engine.
-
-// Query evaluates R_start on the graph under the relational semantics and
-// returns the sorted pair list.
-//
-// Deprecated: use NewEngine(backend).Do with Request{Graph: g, Grammar:
-// gram, Nonterminal: start} (or the Query sugar) with a context.
-func Query(g *Graph, gram *Grammar, start string, opts ...Option) ([]Pair, error) {
-	//lint:allow cfpqlint/ctxflow deprecated ctx-less wrapper: no caller context exists; the Engine method is the ctx-aware path
-	return NewEngine(Sparse).Query(context.Background(), g, gram, start, opts...)
-}
-
-// Evaluate runs the matrix closure and returns the full Index, from which
-// the relation of every non-terminal can be read (Relation, Has, Count).
-// It discards evaluation errors, so do not combine it with
-// WithMemoryBudget: an over-budget closure would come back as a nil
-// Index with no explanation. Budgeted callers need the Engine method,
-// whose error carries the *MemoryBudgetError.
-//
-// Deprecated: use NewEngine(backend).Evaluate with a context.
-func Evaluate(g *Graph, cnf *CNF, opts ...Option) (*Index, Stats) {
-	//lint:allow cfpqlint/ctxflow deprecated ctx-less wrapper: no caller context exists; the Engine method is the ctx-aware path
-	ix, stats, _ := NewEngine(Sparse).Evaluate(context.Background(), g, cnf, opts...)
-	return ix, stats
-}
-
-// SinglePath evaluates the single-path query semantics: the returned
-// PathIndex reports, for every pair of every relation, a witness-path
-// length (Length) and a concrete path of exactly that length (Path).
-//
-// Deprecated: use NewEngine(backend).SinglePath with a context.
-func SinglePath(g *Graph, cnf *CNF) *PathIndex {
-	//lint:allow cfpqlint/ctxflow deprecated ctx-less wrapper: no caller context exists; the Engine method is the ctx-aware path
-	px, _ := NewEngine(Sparse).SinglePath(context.Background(), g, cnf)
-	return px
-}
-
-// AllPaths enumerates distinct paths witnessing (start, i, j) in
-// nondecreasing length order, bounded by opts.
-//
-// Deprecated: use NewEngine(backend).AllPaths with a context, or the
-// streaming Prepared.Paths.
-func AllPaths(g *Graph, ix *Index, start string, i, j int, opts AllPathsOptions) ([][]Edge, error) {
-	//lint:allow cfpqlint/ctxflow deprecated ctx-less wrapper: no caller context exists; the Engine method is the ctx-aware path
-	return NewEngine(Sparse).AllPaths(context.Background(), g, ix, start, i, j, opts)
 }

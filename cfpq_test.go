@@ -7,6 +7,9 @@ import (
 	"testing"
 )
 
+// testEngine is the default engine the public-API tests evaluate with.
+var testEngine = NewEngine(Sparse)
+
 func TestQuickstartFromDoc(t *testing.T) {
 	// The doc.go example must work exactly as written.
 	eng := NewEngine(Sparse)
@@ -24,34 +27,6 @@ func TestQuickstartFromDoc(t *testing.T) {
 	if want := []Pair{{I: 0, J: 2}}; !reflect.DeepEqual(pairs, want) {
 		t.Errorf("pairs = %v, want %v", pairs, want)
 	}
-	// The deprecated free-function form keeps working.
-	legacy, err := Query(g, gram, "S")
-	if err != nil || !reflect.DeepEqual(legacy, pairs) {
-		t.Errorf("legacy Query = %v, %v", legacy, err)
-	}
-}
-
-func TestQueryBackendsAgreeViaPublicAPI(t *testing.T) {
-	g := NewGraph(0)
-	g.AddEdge(0, "a", 1)
-	g.AddEdge(1, "a", 2)
-	g.AddEdge(2, "b", 3)
-	g.AddEdge(3, "b", 0)
-	gram := MustParseGrammar("S -> a S b | a b")
-	var ref []Pair
-	for i, opt := range []Option{WithDense(), WithDenseParallel(2), WithSparse(), WithSparseParallel(2)} {
-		pairs, err := Query(g, gram, "S", opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if i == 0 {
-			ref = pairs
-			continue
-		}
-		if !reflect.DeepEqual(pairs, ref) {
-			t.Errorf("backend %d disagrees: %v vs %v", i, pairs, ref)
-		}
-	}
 }
 
 func TestEvaluateAndSinglePath(t *testing.T) {
@@ -62,14 +37,20 @@ func TestEvaluateAndSinglePath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, stats := Evaluate(g, cnf)
+	ix, stats, err := testEngine.Evaluate(context.Background(), g, cnf)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !ix.Has("S", 0, 2) {
 		t.Error("(0,2) missing")
 	}
 	if stats.Iterations == 0 {
 		t.Error("no iterations recorded")
 	}
-	px := SinglePath(g, cnf)
+	px, err := testEngine.SinglePath(context.Background(), g, cnf)
+	if err != nil {
+		t.Fatal(err)
+	}
 	path, ok := px.Path("S", 0, 2)
 	if !ok || len(path) != 2 {
 		t.Errorf("path = %v, ok=%v", path, ok)
@@ -81,12 +62,15 @@ func TestAllPathsPublicAPI(t *testing.T) {
 	g.AddEdge(0, "a", 1)
 	g.AddEdge(1, "b", 2)
 	cnf, _ := ToCNF(MustParseGrammar("S -> a b"))
-	ix, _ := Evaluate(g, cnf)
-	paths, err := AllPaths(g, ix, "S", 0, 2, AllPathsOptions{})
+	ix, _, err := testEngine.Evaluate(context.Background(), g, cnf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	paths, err := testEngine.AllPaths(context.Background(), g, ix, "S", 0, 2, AllPathsOptions{})
 	if err != nil || len(paths) != 1 {
 		t.Errorf("paths = %v, err = %v", paths, err)
 	}
-	if _, err := AllPaths(g, ix, "Nope", 0, 2, AllPathsOptions{}); err == nil {
+	if _, err := testEngine.AllPaths(context.Background(), g, ix, "Nope", 0, 2, AllPathsOptions{}); err == nil {
 		t.Error("unknown non-terminal should error")
 	}
 }
@@ -95,7 +79,7 @@ func TestWithEmptyPaths(t *testing.T) {
 	g := NewGraph(2)
 	g.AddEdge(0, "a", 1)
 	gram := MustParseGrammar("S -> a S | eps")
-	pairs, err := Query(g, gram, "S", WithEmptyPaths())
+	pairs, err := testEngine.Query(context.Background(), g, gram, "S", WithEmptyPaths())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +98,7 @@ func TestLoadNTriplesPublicAPI(t *testing.T) {
 		t.Errorf("graph = %v", g)
 	}
 	gram := MustParseGrammar("S -> p_r")
-	pairs, err := Query(g, gram, "S")
+	pairs, err := testEngine.Query(context.Background(), g, gram, "S")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +110,7 @@ func TestLoadNTriplesPublicAPI(t *testing.T) {
 func TestQueryErrors(t *testing.T) {
 	g := NewGraph(1)
 	gram := MustParseGrammar("S -> a")
-	if _, err := Query(g, gram, "Missing"); err == nil {
+	if _, err := testEngine.Query(context.Background(), g, gram, "Missing"); err == nil {
 		t.Error("unknown start non-terminal should error")
 	}
 }

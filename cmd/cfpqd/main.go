@@ -61,16 +61,17 @@
 // Query it (the first query builds and caches the closure index; later
 // queries on the same graph/grammar/backend hit the cache):
 //
-//	curl 'localhost:8080/v1/query?graph=wine&grammar=samegen&nonterminal=S&op=count'
-//	curl 'localhost:8080/v1/query?graph=wine&grammar=samegen&nonterminal=S&op=relation'
-//	curl 'localhost:8080/v1/query?graph=wine&grammar=samegen&nonterminal=S&op=has&from=n1&to=n2'
+//	curl -X POST -d '{"graph":"wine","grammar":"samegen","nonterminal":"S","output":"count"}' localhost:8080/v1/query
+//	curl -X POST -d '{"graph":"wine","grammar":"samegen","nonterminal":"S"}' localhost:8080/v1/query
+//	curl -X POST -d '{"graph":"wine","grammar":"samegen","nonterminal":"S","output":"exists","sources":["n1"],"targets":["n2"]}' \
+//	     localhost:8080/v1/query
 //
 // Single-source questions restrict the answer to pairs leaving given
 // nodes, and batches coalesce many queries against one (graph, grammar)
 // pair into one cached-index build with answers fanned out over a worker
 // pool:
 //
-//	curl 'localhost:8080/v1/query?graph=wine&grammar=samegen&nonterminal=S&op=relation&sources=n1,n2'
+//	curl -X POST -d '{"graph":"wine","grammar":"samegen","nonterminal":"S","sources":["n1","n2"]}' localhost:8080/v1/query
 //	curl -X POST -d '{"graph":"wine","grammar":"samegen","queries":[
 //	      {"op":"count","nonterminal":"S"},
 //	      {"op":"relation-from","nonterminal":"S","sources":["n1"]}]}' \
@@ -194,7 +195,7 @@ func main() {
 		}
 		ss := st.Stats()
 		log.Printf("cfpqd: warm-started from %s: %d graphs, %d grammars, %d indexes restored (replayed %d WAL records, truncated %d torn bytes)",
-			*dataDir, len(ss.Graphs), ss.Grammars, svc.Metrics().WarmStarts, ss.ReplayedRecords, ss.RecoveredBytes)
+			*dataDir, len(ss.Graphs), ss.Grammars, len(svc.Stats()), ss.ReplayedRecords, ss.RecoveredBytes)
 	}
 	for _, spec := range graphs {
 		name, path, _ := strings.Cut(spec, "=")

@@ -132,9 +132,6 @@
 //	Prepared.RelationFrom("S", srcs)      = Request{Nonterminal: "S", Sources: srcs}
 //	Prepared.Paths("S", i, j, opts)       = Request{Nonterminal: "S", Sources: []int{i}, Targets: []int{j}, Output: OutputPaths, Limit: opts.MaxPaths, MaxPathLength: opts.MaxLength}
 //
-// The free functions (Query, Evaluate, SinglePath, RPQ, Update, …) predate
-// Engine and remain as deprecated wrappers over a default sparse engine.
-//
 // # Observability
 //
 // Every evaluation can narrate itself, in the style of
@@ -175,13 +172,14 @@
 //	     localhost:8080/v1/grammars/samegen
 //	curl -X POST -d '{"graph":"wine","grammar":"samegen","nonterminal":"S","output":"count"}' \
 //	     localhost:8080/v1/query                   # declarative request; answer carries "explain"
-//	curl 'localhost:8080/v1/query?graph=wine&grammar=samegen&nonterminal=S&op=count'  # legacy shim
+//	curl -X POST -d '{"graph":"wine","grammar":"samegen","nonterminal":"S","sources":["n1","n2"]}' \
+//	     localhost:8080/v1/query                   # pairs leaving n1 or n2
 //	curl -X POST -d '{"graph":"wine","grammar":"samegen","queries":[{"op":"count","nonterminal":"S"}]}' \
 //	     localhost:8080/v1/query/batch
 //	curl -X POST -d '{"edges":[{"from":"a","label":"subClassOf","to":"b"}]}' \
 //	     localhost:8080/v1/graphs/wine/edges
-//	curl localhost:8080/v1/stats       # build vs incremental-update products
-//	curl localhost:8080/debug/vars     # includes per-strategy planner counters
+//	curl localhost:8080/v1/stats       # build vs incremental-update products, per-nonterminal counts
+//	curl localhost:8080/debug/vars     # the /metrics counters as JSON, per-strategy included
 //
 // The service itself lives in internal/server and can be embedded
 // in-process; cmd/cfpqd is a thin HTTP shell around it.

@@ -45,22 +45,13 @@ func NewEngine(b Backend, opts ...Option) *Engine {
 // Backend returns the engine's backend.
 func (e *Engine) Backend() Backend { return e.backend }
 
-// resolveBackend applies the (deprecated) per-call backend override to the
-// engine's backend.
-func (e *Engine) resolveBackend(cfg *config) Backend {
-	if cfg.backend != nil {
-		return *cfg.backend
-	}
-	return e.backend
-}
-
-// newCore resolves per-call options against the engine's backend and
-// builds the internal closure engine. This is deliberately the only place
+// newCore layers per-call options over the engine's backend and options
+// and builds the internal closure engine. This is deliberately the only place
 // in the library that constructs core.NewEngine: every evaluation path —
 // library, server, CLI, bench — funnels through it.
 func (e *Engine) newCore(cfg *config) *core.Engine {
 	opts := make([]core.Option, 0, 1+len(e.engineOpts)+len(cfg.engineOpts))
-	opts = append(opts, core.WithBackend(e.resolveBackend(cfg).mat()))
+	opts = append(opts, core.WithBackend(e.backend.mat()))
 	opts = append(opts, e.engineOpts...)
 	opts = append(opts, cfg.engineOpts...)
 	return core.NewEngine(opts...)

@@ -154,9 +154,11 @@ func TestUpdatePreservesParallelBackend(t *testing.T) {
 		if got := ix.Backend().Name(); got != be.Name() {
 			t.Fatalf("index backend = %q, want %q", got, be.Name())
 		}
-		// The deprecated free Update must also keep the kernel: it takes
-		// the backend from the index, not from its own default engine.
-		Update(context.Background(), ix, Edge{From: 1, Label: "b", To: 2})
+		// Update takes the kernel from the index, not from the engine
+		// that runs it.
+		if _, err := NewEngine(Sparse).Update(context.Background(), ix, Edge{From: 1, Label: "b", To: 2}); err != nil {
+			t.Fatal(err)
+		}
 		if got := ix.Backend().Name(); got != be.Name() {
 			t.Errorf("after Update: index backend = %q, want %q", got, be.Name())
 		}

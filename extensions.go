@@ -1,25 +1,17 @@
 package cfpq
 
 import (
-	"context"
 	"io"
 
 	"cfpq/internal/conjunctive"
 	"cfpq/internal/graph"
 )
 
-// This file exposes the extensions built on the paper's §7 research
-// directions — regular path queries by reduction to CFPQ, conjunctive
-// grammars (upper approximation), minimal-length single-path semantics,
-// and dynamic (incremental) query maintenance — as deprecated one-shot
-// wrappers over Engine, plus the grammar/graph utilities that need no
-// engine at all.
-//
-// Each wrapper runs on a fresh default engine, so engine-level
-// enforcement such as WithMemoryBudget never applies here, and the
-// error-dropping ones (ShortestPath, Update) could not report a typed
-// rejection anyway. Anything that needs enforcement — memory budgets
-// above all — must go through the Engine methods.
+// This file holds the grammar/graph/index utilities that need no engine.
+// The extensions built on the paper's §7 research directions — regular
+// path queries by reduction to CFPQ, conjunctive grammars (upper
+// approximation), minimal-length single-path semantics, and dynamic
+// (incremental) query maintenance — are Engine methods (engine.go).
 
 // ConjunctiveGrammar is a grammar with conjunctive productions
 // (`A -> B C & D E`); see ParseConjunctive.
@@ -34,70 +26,15 @@ func ParseConjunctive(text string) (*ConjunctiveGrammar, error) {
 	return conjunctive.Parse(text)
 }
 
-// RPQ evaluates a regular path query (see Engine.RPQ for the syntax).
-//
-// Deprecated: use NewEngine(backend).Do with Request{Graph: g, Expr:
-// expr} (or the RPQ sugar) — the planner then also serves restricted
-// forms via the frontier strategies.
-func RPQ(ctx context.Context, g *Graph, expr string, opts ...Option) ([]Pair, error) {
-	return NewEngine(Sparse).RPQ(ctx, g, expr, opts...)
-}
-
-// QueryConjunctive evaluates a conjunctive path query (see
-// Engine.QueryConjunctive).
-//
-// Deprecated: use NewEngine(backend).Do with Request{Graph: g,
-// Conjunctive: cg, Nonterminal: start} (or the QueryConjunctive sugar).
-func QueryConjunctive(ctx context.Context, g *Graph, cg *ConjunctiveGrammar, start string, opts ...Option) ([]Pair, error) {
-	return NewEngine(Sparse).QueryConjunctive(ctx, g, cg, start, opts...)
-}
-
-// ShortestPath is SinglePath with minimal witness lengths; see
-// Engine.ShortestPath. A cancelled ctx returns nil.
-//
-// Deprecated: use NewEngine(backend).ShortestPath, which reports the
-// cancellation error this wrapper drops.
-func ShortestPath(ctx context.Context, g *Graph, cnf *CNF) *PathIndex {
-	px, _ := NewEngine(Sparse).ShortestPath(ctx, g, cnf)
-	return px
-}
-
-// Update incorporates newly added edges into an evaluated Index without
-// recomputing the closure (dynamic CFPQ). The index remembers the backend
-// it was built with, so updates keep the original kernel — parallel
-// included — and edges that grow the node set transparently resize the
-// index in place.
-//
-// Deprecated: use NewEngine(backend).Update, which reports the
-// cancellation error this wrapper drops, or a Prepared handle, which also
-// keeps the graph in sync.
-func Update(ctx context.Context, ix *Index, edges ...Edge) Stats {
-	stats, _ := NewEngine(Sparse).Update(ctx, ix, edges...)
-	return stats
-}
-
 // ReverseGraph returns the graph with all edges flipped; together with
 // grammar reversal it transposes every relation (a structural identity the
 // test suite exploits).
 func ReverseGraph(g *Graph) *Graph { return graph.Reverse(g) }
 
 // SaveIndex serialises an evaluated index so later sessions can query it
-// without re-running the closure. Pair it with the exact grammar at load
-// time.
+// without re-running the closure (Engine.LoadIndex). Pair it with the
+// exact grammar at load time.
 func SaveIndex(w io.Writer, ix *Index) error {
 	_, err := ix.WriteTo(w)
 	return err
-}
-
-// LoadIndex reads an index previously written by SaveIndex. The CNF must
-// be the grammar the index was computed for.
-//
-// Deprecated: use NewEngine(backend).LoadIndex.
-func LoadIndex(r io.Reader, cnf *CNF, opts ...Option) (*Index, error) {
-	cfg := buildConfig(opts)
-	e := NewEngine(Sparse)
-	if cfg.backend != nil {
-		e = NewEngine(*cfg.backend)
-	}
-	return e.LoadIndex(r, cnf)
 }

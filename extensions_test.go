@@ -11,7 +11,7 @@ func TestRPQFacade(t *testing.T) {
 	g.AddEdge(0, "a", 1)
 	g.AddEdge(1, "a", 2)
 	g.AddEdge(2, "b", 3)
-	pairs, err := RPQ(context.Background(), g, "a* b")
+	pairs, err := testEngine.RPQ(context.Background(), g, "a* b")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -19,15 +19,15 @@ func TestRPQFacade(t *testing.T) {
 	if !reflect.DeepEqual(pairs, want) {
 		t.Errorf("pairs = %v, want %v", pairs, want)
 	}
-	// Backend option is honoured (same result).
-	dense, err := RPQ(context.Background(), g, "a* b", WithDenseParallel(2))
+	// Another backend gives the same result.
+	dense, err := NewEngine(DenseParallel(2)).RPQ(context.Background(), g, "a* b")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(dense, want) {
 		t.Errorf("dense pairs = %v, want %v", dense, want)
 	}
-	if _, err := RPQ(context.Background(), g, "a* ("); err == nil {
+	if _, err := testEngine.RPQ(context.Background(), g, "a* ("); err == nil {
 		t.Error("bad expression should error")
 	}
 }
@@ -35,7 +35,7 @@ func TestRPQFacade(t *testing.T) {
 func TestRPQEmptyPathsFacade(t *testing.T) {
 	g := NewGraph(2)
 	g.AddEdge(0, "a", 1)
-	pairs, err := RPQ(context.Background(), g, "a*", WithEmptyPaths())
+	pairs, err := testEngine.RPQ(context.Background(), g, "a*", WithEmptyPaths())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestConjunctiveFacade(t *testing.T) {
 	for i, l := range labels {
 		g.AddEdge(i, l, i+1)
 	}
-	pairs, err := QueryConjunctive(context.Background(), g, cg, "S")
+	pairs, err := testEngine.QueryConjunctive(context.Background(), g, cg, "S")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,10 @@ func TestShortestPathFacade(t *testing.T) {
 	g.AddEdge(0, "a", 1)
 	g.AddEdge(1, "b", 2)
 	cnf, _ := ToCNF(MustParseGrammar("S -> a S b | a b"))
-	px := ShortestPath(context.Background(), g, cnf)
+	px, err := testEngine.ShortestPath(context.Background(), g, cnf)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if l, ok := px.Length("S", 0, 2); !ok || l != 2 {
 		t.Errorf("Length = %d, %v", l, ok)
 	}
@@ -91,15 +94,21 @@ func TestShortestPathFacade(t *testing.T) {
 func TestUpdateFacade(t *testing.T) {
 	gram := MustParseGrammar("S -> a b")
 	cnf, _ := ToCNF(gram)
-	for _, opt := range []Option{WithSparse(), WithDense()} {
+	for _, be := range []Backend{Sparse, Dense} {
+		eng := NewEngine(be)
 		g := NewGraph(3)
 		g.AddEdge(0, "a", 1)
-		ix, _ := Evaluate(g, cnf, opt)
+		ix, _, err := eng.Evaluate(context.Background(), g, cnf)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if ix.Count("S") != 0 {
 			t.Fatal("premature pair")
 		}
 		g.AddEdge(1, "b", 2)
-		Update(context.Background(), ix, Edge{From: 1, Label: "b", To: 2})
+		if _, err := eng.Update(context.Background(), ix, Edge{From: 1, Label: "b", To: 2}); err != nil {
+			t.Fatal(err)
+		}
 		if !ix.Has("S", 0, 2) {
 			t.Error("(0,2) missing after Update")
 		}

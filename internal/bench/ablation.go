@@ -13,8 +13,8 @@ import (
 	"cfpq/internal/graph"
 )
 
-// RunAblations executes the three ablation studies DESIGN.md calls out and
-// writes their tables to w:
+// RunAblations executes the three ablation studies (cfpq-bench -ablation)
+// and writes their tables to w:
 //
 //  1. iteration schedule — the paper-literal snapshot iteration
 //     T ← T ∪ (T_prev × T_prev) versus the in-place schedule (passes and

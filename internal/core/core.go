@@ -13,7 +13,7 @@
 //	T_A |= T_B × T_C
 //
 // Engine is parameterised by a matrix.Backend, giving the paper's four
-// implementations (dense/sparse × serial/parallel); see DESIGN.md.
+// implementations (dense/sparse × serial/parallel).
 package core
 
 import (
@@ -45,8 +45,7 @@ func (ix *Index) Nodes() int { return ix.n }
 
 // Backend returns the matrix backend the index's matrices were allocated
 // from, so incremental updates allocate frontier matrices of the exact same
-// representation and kernel (serial/parallel included). It is nil only for
-// indexes predating backend recording.
+// representation and kernel (serial/parallel included).
 func (ix *Index) Backend() matrix.Backend { return ix.backend }
 
 // Grow resizes every relation matrix in place to n×n (no-op if n ≤ Nodes).

@@ -100,8 +100,7 @@ func NewlyDerived(cur, old *Index) *Delta {
 //
 // Frontier matrices are allocated from the index's own backend (recorded at
 // Init/ReadIndex time), so an index built with a parallel kernel keeps that
-// kernel through updates regardless of how this engine was configured; the
-// engine's backend is the fallback for indexes without one.
+// kernel through updates regardless of how this engine was configured.
 //
 // Edges that reference nodes beyond the index's node range transparently
 // grow the matrices first (Index.Grow): the old closure is unaffected by
@@ -132,9 +131,6 @@ func (e *Engine) UpdateContext(ctx context.Context, ix *Index, edges ...graph.Ed
 	start := time.Now()
 	defer func() { stats.Duration = time.Since(start) }()
 	be := ix.backend
-	if be == nil {
-		be = e.backend
-	}
 	maxNode := -1
 	for _, edge := range edges {
 		if edge.From > maxNode {

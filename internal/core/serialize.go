@@ -21,7 +21,7 @@ import (
 // Layout of the current format (all integers little-endian):
 //
 //	magic "CFPQIDX2"
-//	uint16 backendNameLen, backend name bytes ("" = unrecorded)
+//	uint16 backendNameLen, backend name bytes
 //	uint32 nodeCount
 //	uint32 nonterminalCount
 //	per non-terminal:
@@ -29,19 +29,15 @@ import (
 //	    uint32 nnz
 //	    nnz × (uint32 row, uint32 col)   in row-major order
 //
-// The previous format, magic "CFPQIDX1", is identical minus the backend
-// name and is still read transparently (it predates backend recording, so
-// indexes loaded from it fall back to the reader's backend choice).
+// Any other magic — the backend-less "CFPQIDX1" of early releases
+// included — is rejected.
 //
 // The grammar itself is NOT serialised (names only): the reader supplies
 // the CNF, and names must match exactly. This keeps the index format
 // stable under grammar-text round-trips and forces the caller to pair the
 // index with the grammar it was built from.
 
-const (
-	indexMagicV1 = "CFPQIDX1"
-	indexMagic   = "CFPQIDX2"
-)
+const indexMagic = "CFPQIDX2"
 
 // MaxIndexNodes bounds the node count ReadIndex accepts. Matrix
 // allocation is driven by the declared node count before any entry is
@@ -54,8 +50,7 @@ const (
 var MaxIndexNodes = 1 << 26
 
 // WriteTo serialises the index in the CFPQIDX2 format, recording the
-// backend the matrices were allocated from (an empty backend name when the
-// index predates backend recording).
+// backend the matrices were allocated from.
 func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 	bw := bufio.NewWriter(w)
 	var written int64
@@ -83,11 +78,7 @@ func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 		return written, err
 	}
 	written += int64(len(indexMagic))
-	backendName := ""
-	if ix.backend != nil {
-		backendName = ix.backend.Name()
-	}
-	if err := emitString(backendName); err != nil {
+	if err := emitString(ix.backend.Name()); err != nil {
 		return written, err
 	}
 	if err := emit(uint32(ix.n)); err != nil {
@@ -135,30 +126,23 @@ func readString(br *bufio.Reader) (string, error) {
 	return string(buf), nil
 }
 
-// ReadIndex deserialises an index previously written with WriteTo,
-// accepting both the current CFPQIDX2 format and the legacy CFPQIDX1. The
+// ReadIndex deserialises an index previously written with WriteTo. The
 // supplied CNF must be the grammar the index was computed for:
 // non-terminal names and count are validated. Matrices are materialised
 // with the given backend; nil means the backend recorded in the file
-// (falling back to serial sparse for legacy indexes or unknown names).
+// (falling back to serial sparse for unknown names).
 func ReadIndex(r io.Reader, cnf *grammar.CNF, be matrix.Backend) (*Index, error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, len(indexMagic))
 	if _, err := io.ReadFull(br, magic); err != nil {
 		return nil, fmt.Errorf("core: reading index magic: %w", err)
 	}
-	recorded := ""
-	switch string(magic) {
-	case indexMagic:
-		name, err := readString(br)
-		if err != nil {
-			return nil, fmt.Errorf("core: reading index backend: %w", err)
-		}
-		recorded = name
-	case indexMagicV1:
-		// Legacy format: no backend recorded.
-	default:
+	if string(magic) != indexMagic {
 		return nil, fmt.Errorf("core: bad index magic %q", magic)
+	}
+	recorded, err := readString(br)
+	if err != nil {
+		return nil, fmt.Errorf("core: reading index backend: %w", err)
 	}
 	if be == nil {
 		if rb, ok := matrix.BackendByName(recorded); ok {

@@ -29,8 +29,8 @@ func FuzzReadIndex(f *testing.F) {
 	// strangling the fuzzer's throughput without exercising anything new.
 	MaxIndexNodes = 1 << 12
 	cnf := grammar.MustParseCNF("S -> a S b | a b")
-	// Seeds: a real CFPQIDX2 image, its truncation, a legacy CFPQIDX1
-	// image, and garbage.
+	// Seeds: a real CFPQIDX2 image, its truncation, a CFPQIDX1 image
+	// (an unsupported format that must be rejected cleanly), and garbage.
 	g := graph.New(0)
 	g.AddEdge(0, "a", 1)
 	g.AddEdge(1, "b", 2)
@@ -42,7 +42,7 @@ func FuzzReadIndex(f *testing.F) {
 	good := buf.Bytes()
 	f.Add(good)
 	f.Add(good[:len(good)-3])
-	legacy := append([]byte(indexMagicV1), good[len(indexMagic)+2+len("sparse"):]...)
+	legacy := append([]byte("CFPQIDX1"), good[len(indexMagic)+2+len("sparse"):]...)
 	f.Add(legacy)
 	f.Add([]byte("CFPQIDX2 garbage follows the magic"))
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"cfpq/internal/grammar"
@@ -85,6 +86,11 @@ func TestReadIndexErrors(t *testing.T) {
 	if _, err := ReadIndex(bytes.NewReader(bad), cnf, nil); err == nil {
 		t.Error("bad magic accepted")
 	}
+	// The backend-less CFPQIDX1 format of early releases is no longer read.
+	v1 := append([]byte("CFPQIDX1"), good[len(indexMagic)+2+len(ix.Backend().Name()):]...)
+	if _, err := ReadIndex(bytes.NewReader(v1), cnf, nil); err == nil || !strings.Contains(err.Error(), "bad index magic") {
+		t.Errorf("CFPQIDX1 file: err = %v, want bad index magic", err)
+	}
 	// Wrong grammar (different non-terminal set).
 	other := grammar.MustParseCNF("Z -> a\nY -> b")
 	if _, err := ReadIndex(bytes.NewReader(good), other, nil); err == nil {
@@ -111,31 +117,6 @@ func TestIndexRecordsBackend(t *testing.T) {
 		if got.Backend() == nil || got.Backend().Name() != be.Name() {
 			t.Errorf("backend %s round-tripped as %v", be.Name(), got.Backend())
 		}
-	}
-}
-
-func TestReadIndexLegacyV1(t *testing.T) {
-	// A CFPQIDX1 file (no backend header) must still read; the reader's
-	// backend choice applies, with nil falling back to serial sparse.
-	cnf := grammar.MustParseCNF("S -> a b")
-	ix, _ := NewEngine().Run(graph.Word([]string{"a", "b"}), cnf)
-	var buf bytes.Buffer
-	if _, err := ix.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	v2 := buf.Bytes()
-	// Rewrite the header: magic "CFPQIDX1", dropping the uint16-prefixed
-	// backend name that follows the magic in v2.
-	legacy := append([]byte(indexMagicV1), v2[len(indexMagic)+2+len(ix.Backend().Name()):]...)
-	got, err := ReadIndex(bytes.NewReader(legacy), cnf, nil)
-	if err != nil {
-		t.Fatalf("legacy read: %v", err)
-	}
-	if !got.Equal(ix) {
-		t.Error("legacy index relations differ")
-	}
-	if got.Backend() == nil || got.Backend().Name() != "sparse" {
-		t.Errorf("legacy read backend = %v, want sparse fallback", got.Backend())
 	}
 }
 

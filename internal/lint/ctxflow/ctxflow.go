@@ -6,9 +6,9 @@
 //     non-test packages. A library call that manufactures its own root
 //     context swallows the caller's cancellation and deadline — the bug
 //     this repo's Prepared sugar methods shipped with until cfpqlint
-//     caught them. Deliberate ctx-less convenience wrappers (the
-//     deprecated one-shot API) carry //lint:allow suppressions stating
-//     why no caller context exists.
+//     caught them. Deliberate ctx-less convenience wrappers (internal/core's
+//     paper-faithful Run/Update surface) carry //lint:allow suppressions
+//     stating why no caller context exists.
 //
 //  2. An exported function or method that accepts a context.Context must
 //     use it. Accepting ctx and dropping it on the floor is worse than

@@ -6,9 +6,8 @@
 // a unit suffix.
 //
 // Names that reach a registration method through a local wrapper
-// function (the pattern internal/server's metrics.go uses for its
-// CounterFunc bridges) are followed one level: the wrapper's call sites
-// are vetted at the parameter position the name flows through. A name
+// function are followed one level: the wrapper's call sites are vetted at
+// the parameter position the name flows through. A name
 // the analyzer cannot resolve to a compile-time constant is flagged too:
 // a dynamic metric name defeats compile-time vetting and indicates label
 // data leaking into the name.

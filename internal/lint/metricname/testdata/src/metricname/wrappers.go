@@ -1,6 +1,6 @@
 // Wrapper-following cases: names that reach a registration method
-// through a named wrapper or the function-literal bridge pattern are
-// vetted at the wrapper's call sites.
+// through a named wrapper or a function-literal wrapper are vetted at the
+// wrapper's call sites.
 package fixture
 
 // registerCounter forwards its name parameter into a registration call,
@@ -14,8 +14,7 @@ func useNamedWrapper(reg *Registry) {
 	registerCounter(reg, "wrapped") // want `must end in _total`
 }
 
-// useLitWrapper is the function-literal bridge internal/server's
-// metrics.go uses for its CounterFunc registrations.
+// useLitWrapper registers through a function literal bound to a local.
 func useLitWrapper(reg *Registry) {
 	counter := func(name, help string) { reg.Counter(name, help) }
 	counter("bridged_total", "good")

@@ -10,8 +10,8 @@
 //
 // The Backend/Bool pair lets the query engine stay agnostic of the
 // representation; the four backends stand in for the paper's four
-// implementations (dense GPU, sparse CPU, sparse GPU — see DESIGN.md for the
-// substitution argument).
+// implementations (dense GPU, sparse CPU, sparse GPU — see the opening of
+// README.md for the substitution).
 package matrix
 
 // Bool is a square Boolean matrix. Implementations are NOT safe for

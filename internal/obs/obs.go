@@ -273,7 +273,8 @@ func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
 }
 
 // CounterFunc registers a counter whose value is read from fn at scrape
-// time — the bridge for pre-existing atomic counters owned elsewhere.
+// time, for monotone counts owned by another structure (a store's write
+// counters, a sum over live objects).
 func (r *Registry) CounterFunc(name, help string, fn func() float64) {
 	r.register(&family{name: name, help: help, kind: KindCounter, fn: fn, fnKind: true})
 }
@@ -319,6 +320,64 @@ func (r *Registry) Names() []string {
 	return out
 }
 
+// Sample is one scalar reading of a counter or gauge: the family name and
+// kind, and for a labeled child its label values.
+type Sample struct {
+	Name        string
+	Kind        Kind
+	LabelValues []string
+	Value       float64
+}
+
+// Samples reads every counter and gauge — func-backed ones included, one
+// Sample per child, in registration order with children sorted by label
+// values — so a second rendering (cfpqd's /debug/vars) shows the same
+// numbers /metrics does without keeping a copy of them. Histograms have
+// no scalar reading and are skipped.
+func (r *Registry) Samples() []Sample {
+	var out []Sample
+	for _, f := range r.snapshot() {
+		if f.kind == KindHistogram {
+			continue
+		}
+		if f.fnKind {
+			out = append(out, Sample{Name: f.name, Kind: f.kind, Value: f.fn()})
+			continue
+		}
+		for _, c := range f.sortedChildren() {
+			sm := Sample{Name: f.name, Kind: f.kind, LabelValues: c.labelValues}
+			switch m := c.metric.(type) {
+			case *Counter:
+				sm.Value = float64(m.Value())
+			case *Gauge:
+				sm.Value = m.Value()
+			}
+			out = append(out, sm)
+		}
+	}
+	return out
+}
+
+// snapshot copies the family list so rendering runs without r.mu.
+func (r *Registry) snapshot() []*family {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return append([]*family(nil), r.families...)
+}
+
+// sortedChildren returns the family's children ordered by label values.
+func (f *family) sortedChildren() []*child {
+	var children []*child
+	f.children.Range(func(_, v any) bool {
+		children = append(children, v.(*child))
+		return true
+	})
+	sort.Slice(children, func(i, j int) bool {
+		return labelKey(children[i].labelValues) < labelKey(children[j].labelValues)
+	})
+	return children
+}
+
 // CounterVec is a labeled counter family.
 type CounterVec struct{ f *family }
 
@@ -355,11 +414,8 @@ func (r *Registry) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
 // format: # HELP and # TYPE lines, then one sample line per child (or per
 // bucket, for histograms), children sorted by label values.
 func (r *Registry) WritePrometheus(w io.Writer) {
-	r.mu.Lock()
-	families := append([]*family(nil), r.families...)
-	r.mu.Unlock()
 	b := &strings.Builder{}
-	for _, f := range families {
+	for _, f := range r.snapshot() {
 		b.Reset()
 		fmt.Fprintf(b, "# HELP %s %s\n", f.name, escapeHelp(f.help))
 		fmt.Fprintf(b, "# TYPE %s %s\n", f.name, f.kind)
@@ -368,15 +424,7 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 			io.WriteString(w, b.String())
 			continue
 		}
-		var children []*child
-		f.children.Range(func(_, v any) bool {
-			children = append(children, v.(*child))
-			return true
-		})
-		sort.Slice(children, func(i, j int) bool {
-			return labelKey(children[i].labelValues) < labelKey(children[j].labelValues)
-		})
-		for _, c := range children {
+		for _, c := range f.sortedChildren() {
 			writeChild(b, f, c)
 		}
 		io.WriteString(w, b.String())

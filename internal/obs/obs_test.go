@@ -2,6 +2,7 @@ package obs
 
 import (
 	"math"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -190,4 +191,24 @@ func splitLe(name string) (series, le string) {
 	rest := name[i+len(`le="`):]
 	j := strings.IndexByte(rest, '"')
 	return name[:i] + rest[j+1:], rest[:j]
+}
+
+func TestSamples(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("a_total", "").Add(3)
+	v := r.CounterVec("b_total", "", "kind")
+	v.With("y").Inc()
+	v.With("x").Add(2)
+	r.GaugeFunc("c_bytes", "", func() float64 { return 1.5 })
+	r.Histogram("d_seconds", "", DefLatencyBuckets).Observe(1) // no scalar reading: skipped
+	got := r.Samples()
+	want := []Sample{
+		{Name: "a_total", Kind: KindCounter, Value: 3},
+		{Name: "b_total", Kind: KindCounter, LabelValues: []string{"x"}, Value: 2},
+		{Name: "b_total", Kind: KindCounter, LabelValues: []string{"y"}, Value: 1},
+		{Name: "c_bytes", Kind: KindGauge, Value: 1.5},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("Samples() = %+v, want %+v", got, want)
+	}
 }

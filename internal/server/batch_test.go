@@ -88,7 +88,7 @@ func TestServiceQueryBatchRegistryErrors(t *testing.T) {
 
 func TestServiceRelationFromAndCountFrom(t *testing.T) {
 	s := socialService(t)
-	pairs, err := s.RelationFrom(ctx, target(), "Knows", []string{"carol"})
+	pairs, err := relation(ctx, s, target(), "Knows", "carol")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,14 +96,14 @@ func TestServiceRelationFromAndCountFrom(t *testing.T) {
 	if !reflect.DeepEqual(pairs, want) {
 		t.Errorf("RelationFrom carol = %v, want %v", pairs, want)
 	}
-	n, err := s.CountFrom(ctx, target(), "Knows", []string{"alice", "bob"})
+	n, err := count(ctx, s, target(), "Knows", "alice", "bob")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != 5 {
 		t.Errorf("CountFrom alice,bob = %d, want 5", n)
 	}
-	if _, err := s.RelationFrom(ctx, target(), "Knows", []string{"nobody"}); err == nil {
+	if _, err := relation(ctx, s, target(), "Knows", "nobody"); err == nil {
 		t.Error("unknown source: expected error")
 	}
 }
@@ -150,47 +150,13 @@ func TestHTTPQueryBatchAndSources(t *testing.T) {
 		t.Errorf("batch bad query: expected per-query error, got %+v", out.Results[2])
 	}
 
-	// GET with sources restriction.
-	resp2, err := http.Get(srv.URL + "/v1/query?graph=social&grammar=reach&nonterminal=Knows&op=count&sources=alice,bob")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp2.Body.Close()
-	var cnt struct {
-		Count int `json:"count"`
-	}
-	if err := json.NewDecoder(resp2.Body).Decode(&cnt); err != nil {
-		t.Fatal(err)
-	}
-	if cnt.Count != 5 {
-		t.Errorf("GET sources count = %d, want 5", cnt.Count)
-	}
-
-	// A trailing comma is tolerated; a present-but-empty restriction is an
-	// empty frontier (zero pairs), not a silent fall-through to the
-	// unrestricted answer.
-	resp3, err := http.Get(srv.URL + "/v1/query?graph=social&grammar=reach&nonterminal=Knows&op=count&sources=alice,")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp3.Body.Close()
-	if resp3.StatusCode != http.StatusOK {
-		t.Errorf("trailing-comma sources: status %d, want 200", resp3.StatusCode)
-	}
-	for _, empty := range []string{"sources=", "sources=,", "sources=%20"} {
-		resp, err := http.Get(srv.URL + "/v1/query?graph=social&grammar=reach&nonterminal=Knows&op=count&" + empty)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var cnt struct {
-			Count int `json:"count"`
-		}
-		if err := json.NewDecoder(resp.Body).Decode(&cnt); err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK || cnt.Count != 0 {
-			t.Errorf("empty restriction %q: status %d count %d, want 200 with 0 pairs", empty, resp.StatusCode, cnt.Count)
+	// A single query with a sources restriction; a present-but-empty
+	// restriction is an empty frontier (zero pairs), not a silent
+	// fall-through to the unrestricted answer.
+	for sources, want := range map[string]float64{`["alice","bob"]`: 5, `[]`: 0} {
+		code, ans := postQuery(t, srv, "social", "reach", "Knows", `"output":"count","sources":`+sources)
+		if code != http.StatusOK || ans["count"] != want {
+			t.Errorf("sources %s: status %d answer %v, want 200 with count %v", sources, code, ans, want)
 		}
 	}
 

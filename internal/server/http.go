@@ -9,9 +9,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
-	"net/url"
 	"strconv"
-	"strings"
 	"time"
 
 	"cfpq"
@@ -52,11 +50,6 @@ func WithRequestLog(logger *slog.Logger) HandlerOption {
 //	                                     "sources":[..],"targets":[..],"output":"pairs|count|exists|paths",
 //	                                     "limit":..,"max_path_length":..}; the answer carries an
 //	                                     "explain" record naming the strategy the planner chose
-//	GET  /v1/query                       legacy form, a thin shim over the same planner path:
-//	                                     ?graph=&grammar=&nonterminal=&op=&backend=&from=&to=&sources=&targets=
-//	                                     op is has | relation | count | counts (default relation);
-//	                                     sources=a,b,c / targets=a,b,c restrict relation/count to pairs
-//	                                     leaving / entering those nodes
 //	POST /v1/subscribe                   standing query, served as Server-Sent Events:
 //	                                     {"graph":..,"grammar":..,"backend":..,"nonterminal":..,
 //	                                     "sources":[..],"targets":[..]}; each index update that
@@ -72,7 +65,8 @@ func WithRequestLog(logger *slog.Logger) HandlerOption {
 //	                                     index build: {"graph":..,"grammar":..,"backend":..,
 //	                                     "queries":[{"op":..,"nonterminal":..,"from":..,"to":..,
 //	                                     "sources":[..],"targets":[..]}]}
-//	GET  /v1/stats                       per-index closure statistics
+//	GET  /v1/stats                       per-index closure statistics and per-nonterminal
+//	                                     relation sizes ("counts")
 //	POST /v1/snapshot                    persistent mode: fold WAL + built indexes into
 //	                                     fresh snapshots; ?graph= restricts to one graph
 //	GET  /v1/store/stats                 persistent mode: durable-store statistics
@@ -97,8 +91,9 @@ func WithRequestLog(logger *slog.Logger) HandlerOption {
 //	                                     histograms by (route, strategy, backend, status),
 //	                                     replication lag gauges, subscription and WAL
 //	                                     counters, build info
-//	GET  /debug/vars                     expvar dump + cfpqd service/store/replication metrics
-//	                                     + per-subscription counters ("cfpqd_subscriptions")
+//	GET  /debug/vars                     expvar dump + the /metrics counters as JSON ("cfpqd")
+//	                                     + store/replication status + per-subscription
+//	                                     counters ("cfpqd_subscriptions")
 //	GET  /debug/pprof/                   runtime profiles (only with WithPprof / -pprof)
 //
 // Every response carries an X-Request-ID header — echoed from the request
@@ -189,81 +184,6 @@ func Handler(s *Service, opts ...HandlerOption) http.Handler {
 			return
 		}
 		writeJSON(w, http.StatusOK, ans)
-	})
-	mux.HandleFunc("GET /v1/query", func(w http.ResponseWriter, r *http.Request) {
-		// Legacy route: translate the stringly-typed params into a
-		// declarative QueryRequest and shim the answer back into the
-		// historic response shapes. Evaluation is Service.Do either way.
-		q := r.URL.Query()
-		t := Target{Graph: q.Get("graph"), Grammar: q.Get("grammar"), Backend: q.Get("backend")}
-		nt := q.Get("nonterminal")
-		op := q.Get("op")
-		if op == "" {
-			op = "relation"
-		}
-		if t.Graph == "" || t.Grammar == "" {
-			writeError(w, http.StatusBadRequest, errors.New("graph and grammar are required"))
-			return
-		}
-		if op != "counts" && nt == "" {
-			writeError(w, http.StatusBadRequest, errors.New("nonterminal is required"))
-			return
-		}
-		sources, err := restrictionParam(q, "sources")
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		targets, err := restrictionParam(q, "targets")
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		req := QueryRequest{
-			Graph: t.Graph, Grammar: t.Grammar, Backend: t.Backend,
-			Nonterminal: nt, Sources: sources, Targets: targets,
-		}
-		switch op {
-		case "has":
-			from, to := q.Get("from"), q.Get("to")
-			if from == "" || to == "" {
-				writeError(w, http.StatusBadRequest, errors.New("op=has requires from and to"))
-				return
-			}
-			req.Output = string(cfpq.OutputExists)
-			req.Sources, req.Targets = []string{from}, []string{to}
-			ans, err := s.Do(r.Context(), req)
-			if err != nil {
-				writeError(w, statusFor(err), err)
-				return
-			}
-			writeJSON(w, http.StatusOK, map[string]any{"has": *ans.Exists, "from": from, "to": to, "nonterminal": nt})
-		case "relation":
-			ans, err := s.Do(r.Context(), req)
-			if err != nil {
-				writeError(w, statusFor(err), err)
-				return
-			}
-			writeJSON(w, http.StatusOK, map[string]any{"nonterminal": nt, "count": *ans.Count, "pairs": ans.Pairs})
-		case "count":
-			req.Output = string(cfpq.OutputCount)
-			ans, err := s.Do(r.Context(), req)
-			if err != nil {
-				writeError(w, statusFor(err), err)
-				return
-			}
-			writeJSON(w, http.StatusOK, map[string]any{"nonterminal": nt, "count": *ans.Count})
-		case "counts":
-			counts, err := s.Counts(r.Context(), t)
-			if err != nil {
-				writeError(w, statusFor(err), err)
-				return
-			}
-			writeJSON(w, http.StatusOK, map[string]any{"counts": counts})
-		default:
-			writeError(w, http.StatusBadRequest,
-				fmt.Errorf("unknown op %q (want has, relation, count or counts)", op))
-		}
 	})
 	mux.HandleFunc("POST /v1/subscribe", func(w http.ResponseWriter, r *http.Request) {
 		s.serveSubscribe(w, r)
@@ -421,8 +341,9 @@ func Handler(s *Service, opts ...HandlerOption) http.Handler {
 
 // serveDebugVars renders the expvar universe — every published global
 // (cmdline, memstats, anything the embedding process added) — plus the
-// service counters under "cfpqd" and, in persistent mode, the store
-// statistics under "cfpqd_store". The service vars are injected per
+// service counters under "cfpqd" (a walk over the /metrics registry, see
+// debugCounters) and, in persistent mode, the store statistics under
+// "cfpqd_store". The service vars are injected per
 // handler rather than expvar.Publish'd because publishing is global and
 // panics on re-registration, which would forbid two Services (or two
 // tests) in one process.
@@ -440,7 +361,7 @@ func serveDebugVars(w http.ResponseWriter, s *Service) {
 	expvar.Do(func(kv expvar.KeyValue) {
 		emit(kv.Key, kv.Value.String())
 	})
-	if raw, err := json.Marshal(s.Metrics()); err == nil {
+	if raw, err := json.Marshal(s.debugCounters()); err == nil {
 		emit("cfpqd", string(raw))
 	}
 	if st, ok := s.StoreStats(); ok {
@@ -459,24 +380,6 @@ func serveDebugVars(w http.ResponseWriter, s *Service) {
 		}
 	}
 	fmt.Fprintf(w, "\n}\n")
-}
-
-// restrictionParam parses a comma-separated node-restriction parameter.
-// An absent parameter means unrestricted (nil); a present-but-empty one
-// is a non-nil empty restriction selecting nothing — the same semantics
-// as a JSON "sources": [], and never silently "everything" (the full n²
-// answer the parameter exists to avoid).
-func restrictionParam(q url.Values, name string) ([]string, error) {
-	if !q.Has(name) {
-		return nil, nil
-	}
-	out := []string{}
-	for _, tok := range strings.Split(q.Get(name), ",") {
-		if tok = strings.TrimSpace(tok); tok != "" {
-			out = append(out, tok)
-		}
-	}
-	return out, nil
 }
 
 // maxDocumentBytes bounds uploaded graph/grammar documents and edge

@@ -31,6 +31,17 @@ func httpDo(t *testing.T, srv *httptest.Server, method, path, body string) (int,
 	return resp.StatusCode, out
 }
 
+// postQuery sends one declarative request to POST /v1/query; fields is the
+// request body after the graph/grammar/nonterminal that every caller sets.
+func postQuery(t *testing.T, srv *httptest.Server, graph, grammar, nonterminal, fields string) (int, map[string]any) {
+	t.Helper()
+	body := `{"graph":"` + graph + `","grammar":"` + grammar + `","nonterminal":"` + nonterminal + `"`
+	if fields != "" {
+		body += "," + fields
+	}
+	return httpDo(t, srv, http.MethodPost, "/v1/query", body+"}")
+}
+
 func TestHTTPEndToEnd(t *testing.T) {
 	srv := httptest.NewServer(Handler(New()))
 	defer srv.Close()
@@ -60,16 +71,15 @@ func TestHTTPEndToEnd(t *testing.T) {
 	}
 
 	// Query ops.
-	base := "/v1/query?graph=social&grammar=reach&nonterminal=S"
-	code, body = httpDo(t, srv, http.MethodGet, base+"&op=count", "")
+	code, body = postQuery(t, srv, "social", "reach", "S", `"output":"count"`)
 	if code != http.StatusOK || body["count"].(float64) != 3 {
 		t.Fatalf("count: %d %v", code, body)
 	}
-	code, body = httpDo(t, srv, http.MethodGet, base+"&op=has&from=alice&to=carol", "")
-	if code != http.StatusOK || body["has"] != true {
-		t.Fatalf("has: %d %v", code, body)
+	code, body = postQuery(t, srv, "social", "reach", "S", `"output":"exists","sources":["alice"],"targets":["carol"]`)
+	if code != http.StatusOK || body["exists"] != true {
+		t.Fatalf("exists: %d %v", code, body)
 	}
-	code, body = httpDo(t, srv, http.MethodGet, base+"&op=relation", "")
+	code, body = postQuery(t, srv, "social", "reach", "S", "")
 	if code != http.StatusOK || len(body["pairs"].([]any)) != 3 {
 		t.Fatalf("relation: %d %v", code, body)
 	}
@@ -77,10 +87,9 @@ func TestHTTPEndToEnd(t *testing.T) {
 	if first["from"] != "alice" || first["to"] != "bob" {
 		t.Fatalf("relation pair names: %v", first)
 	}
-	code, body = httpDo(t, srv, http.MethodGet,
-		"/v1/query?graph=social&grammar=reach&op=counts", "")
-	if code != http.StatusOK || body["counts"].(map[string]any)["S"].(float64) != 3 {
-		t.Fatalf("counts: %d %v", code, body)
+	code, body = httpDo(t, srv, http.MethodGet, "/v1/stats", "")
+	if code != http.StatusOK || body["indexes"].([]any)[0].(map[string]any)["counts"].(map[string]any)["S"].(float64) != 3 {
+		t.Fatalf("stats counts: %d %v", code, body)
 	}
 
 	// Mutation: dora enters the graph (index invalidated, rebuilt on query).
@@ -89,9 +98,9 @@ func TestHTTPEndToEnd(t *testing.T) {
 	if code != http.StatusOK || body["added"].(float64) != 1 || body["new_nodes"].(float64) != 1 {
 		t.Fatalf("POST edges: %d %v", code, body)
 	}
-	code, body = httpDo(t, srv, http.MethodGet, base+"&op=has&from=alice&to=dora", "")
-	if code != http.StatusOK || body["has"] != true {
-		t.Fatalf("has after update: %d %v", code, body)
+	code, body = postQuery(t, srv, "social", "reach", "S", `"output":"exists","sources":["alice"],"targets":["dora"]`)
+	if code != http.StatusOK || body["exists"] != true {
+		t.Fatalf("exists after update: %d %v", code, body)
 	}
 
 	// Mutation between existing nodes: the index is patched in place.
@@ -132,9 +141,9 @@ func TestHTTPErrors(t *testing.T) {
 		method, path, body string
 		want               int
 	}{
-		{http.MethodGet, "/v1/query?graph=g&grammar=r&nonterminal=S&op=count", "", http.StatusNotFound},
-		{http.MethodGet, "/v1/query?grammar=r&nonterminal=S", "", http.StatusBadRequest},
-		{http.MethodGet, "/v1/query?graph=g&grammar=r", "", http.StatusBadRequest},
+		{http.MethodPost, "/v1/query", `{"graph":"g","grammar":"r","nonterminal":"S","output":"count"}`, http.StatusNotFound},
+		{http.MethodPost, "/v1/query", `{"grammar":"r","nonterminal":"S"}`, http.StatusBadRequest},
+		{http.MethodPost, "/v1/query", `{"graph":"g","grammar":"r"}`, http.StatusBadRequest},
 		{http.MethodGet, "/v1/graphs/missing", "", http.StatusNotFound},
 		{http.MethodPut, "/v1/graphs/g?format=weird", "x a y", http.StatusBadRequest},
 		{http.MethodPut, "/v1/grammars/g", "no arrow here", http.StatusBadRequest},
@@ -150,7 +159,18 @@ func TestHTTPErrors(t *testing.T) {
 		}
 	}
 
-	// Unknown op and unknown non-terminal on a real graph/grammar.
+	// The legacy GET form of the query route is gone: the path exists, the
+	// method does not.
+	resp, err := srv.Client().Get(srv.URL + "/v1/query?graph=g&grammar=r&nonterminal=S")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusMethodNotAllowed {
+		t.Errorf("GET /v1/query: got %d, want 405", resp.StatusCode)
+	}
+
+	// Unknown output, non-terminal and node on a real graph/grammar.
 	s := New()
 	if _, err := s.LoadGraph("g", "edgelist", strings.NewReader("x a y\n")); err != nil {
 		t.Fatal(err)
@@ -160,15 +180,15 @@ func TestHTTPErrors(t *testing.T) {
 	}
 	srv2 := httptest.NewServer(Handler(s))
 	defer srv2.Close()
-	code, _ := httpDo(t, srv2, http.MethodGet, "/v1/query?graph=g&grammar=r&nonterminal=S&op=zap", "")
+	code, _ := postQuery(t, srv2, "g", "r", "S", `"output":"zap"`)
 	if code != http.StatusBadRequest {
-		t.Fatalf("unknown op: got %d", code)
+		t.Fatalf("unknown output: got %d", code)
 	}
-	code, _ = httpDo(t, srv2, http.MethodGet, "/v1/query?graph=g&grammar=r&nonterminal=Zap&op=count", "")
+	code, _ = postQuery(t, srv2, "g", "r", "Zap", `"output":"count"`)
 	if code != http.StatusNotFound {
 		t.Fatalf("unknown non-terminal: got %d", code)
 	}
-	code, body := httpDo(t, srv2, http.MethodGet, "/v1/query?graph=g&grammar=r&nonterminal=S&op=has&from=x&to=nope", "")
+	code, body := postQuery(t, srv2, "g", "r", "S", `"output":"exists","sources":["x"],"targets":["nope"]`)
 	if code != http.StatusNotFound {
 		t.Fatalf("unknown node: got %d %v", code, body)
 	}

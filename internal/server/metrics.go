@@ -1,18 +1,19 @@
-// This file is the service's Prometheus-style instrument set, served at
-// GET /metrics. Every Service owns its own obs.Registry (the same
-// rationale as /debug/vars' per-handler injection: nothing package-global,
-// so two Services — or two tests — in one process cannot collide).
-// Counters that already exist as serviceMetrics atomics are bridged with
-// collect-on-scrape CounterFuncs rather than double-counted; replication
-// lag, store size and subscription depth are GaugeFuncs computed at scrape
-// time from the structures that own them.
+// This file is the service's one instrument set. Every Service owns its
+// own obs.Registry (nothing package-global, so two Services — or two
+// tests — in one process cannot collide); each service counter is
+// registered on it once and incremented there. GET /metrics renders the
+// registry in Prometheus text format and /debug/vars' "cfpqd" object is a
+// walk over the same registry (debugCounters), so the two cannot disagree.
+// Replication lag, store counters and subscription depth/drops are
+// collected at scrape time from the structures that own them.
 
 package server
 
 import (
-	"sync/atomic"
+	"strings"
 	"time"
 
+	"cfpq"
 	"cfpq/internal/obs"
 )
 
@@ -35,6 +36,36 @@ type obsMetrics struct {
 	// index loads, the two ways a cache slot comes to life.
 	indexBuild *obs.Histogram
 	warmStart  *obs.Histogram
+
+	// queries counts answered query operations; strategies splits the same
+	// count by the plan that answered (children resolved once, here, since
+	// cfpq.Strategies() is a closed set). answered ticks both.
+	queries    *obs.Counter
+	strategies map[cfpq.Strategy]*obs.Counter
+
+	indexBuilds      *obs.Counter
+	warmStarts       *obs.Counter
+	updates          *obs.Counter
+	edgesAdded       *obs.Counter
+	budgetRejections *obs.Counter
+	persistErrors    *obs.Counter
+	replBatches      *obs.Counter
+	replEdges        *obs.Counter
+
+	// Live-query counters (subscribe.go): subscriptions ever registered,
+	// pair batches and pairs consumed, and deliveries carrying a resync
+	// marker. Drops are collected, not counted here (see below).
+	subsTotal  *obs.Counter
+	subEvents  *obs.Counter
+	subPairs   *obs.Counter
+	subResyncs *obs.Counter
+}
+
+// answered records one successfully answered query operation under the
+// strategy that answered it, so queries == Σ strategies by construction.
+func (m *obsMetrics) answered(st cfpq.Strategy) {
+	m.queries.Inc()
+	m.strategies[st].Inc()
 }
 
 // fsyncBuckets spans the realistic WAL fsync range: fast NVMe commits sit
@@ -43,7 +74,7 @@ var fsyncBuckets = []float64{.0001, .00025, .0005, .001, .0025, .005, .01, .025,
 
 // newObsMetrics builds the Service's registry. The GaugeFunc/CounterFunc
 // closures read s at scrape time, so they must only touch fields that are
-// safe without s.mu (atomics, subMu-guarded maps, the store pointer).
+// safe without s.mu (subMu-guarded state, the store pointer).
 func newObsMetrics(s *Service) *obsMetrics {
 	reg := obs.NewRegistry()
 	m := &obsMetrics{
@@ -57,6 +88,26 @@ func newObsMetrics(s *Service) *obsMetrics {
 			"full closure index build latency", obs.DefLatencyBuckets),
 		warmStart: reg.Histogram("cfpqd_warm_start_duration_seconds",
 			"latency of restoring one saved index as a live handle at startup", obs.DefLatencyBuckets),
+
+		queries:          reg.Counter("cfpqd_queries_total", "query operations answered (batch = one per answered spec)"),
+		strategies:       map[cfpq.Strategy]*obs.Counter{},
+		indexBuilds:      reg.Counter("cfpqd_index_builds_total", "full closure index builds"),
+		warmStarts:       reg.Counter("cfpqd_warm_starts_total", "indexes restored from the store without a closure"),
+		updates:          reg.Counter("cfpqd_updates_total", "AddEdges calls"),
+		edgesAdded:       reg.Counter("cfpqd_edges_added_total", "edges inserted across updates"),
+		budgetRejections: reg.Counter("cfpqd_budget_rejections_total", "evaluations rejected by the memory budget (HTTP 413)"),
+		persistErrors:    reg.Counter("cfpqd_persist_errors_total", "best-effort index persistence failures"),
+		replBatches:      reg.Counter("cfpqd_replicated_batches_total", "replicated WAL batches applied (follower)"),
+		replEdges:        reg.Counter("cfpqd_replicated_edges_total", "edges applied from the replication stream"),
+		subsTotal:        reg.Counter("cfpqd_subscriptions_total", "standing queries ever registered"),
+		subEvents:        reg.Counter("cfpqd_subscription_events_total", "pair batches consumed by subscribers"),
+		subPairs:         reg.Counter("cfpqd_subscription_pairs_total", "pairs consumed by subscribers"),
+		subResyncs:       reg.Counter("cfpqd_subscription_resyncs_total", "consumed deliveries carrying a resync marker"),
+	}
+	strategies := reg.CounterVec("cfpqd_strategies_total",
+		"answered query operations by planner strategy (sums to cfpqd_queries_total)", "strategy")
+	for _, st := range cfpq.Strategies() {
+		m.strategies[st] = strategies.With(string(st))
 	}
 
 	version, revision := buildInfo()
@@ -90,8 +141,9 @@ func newObsMetrics(s *Service) *obsMetrics {
 		replStatus(func(_ uint64, _ int64, a float64) float64 { return a }))
 
 	// Subscriptions: live count, buffered-but-unconsumed deliveries, and
-	// drops (closed subscriptions' drops are folded into the service
-	// counter at Close, so the live+folded sum stays monotone).
+	// drops. A closing subscription's drops move into subDropsClosed in
+	// the same subMu critical section that removes it from subsLive, so
+	// the closed+live sum read here is monotone.
 	reg.GaugeFunc("cfpqd_subscriptions_active_entries",
 		"live standing queries", func() float64 {
 			s.subMu.Lock()
@@ -111,30 +163,14 @@ func newObsMetrics(s *Service) *obsMetrics {
 		})
 	reg.CounterFunc("cfpqd_subscription_dropped_total",
 		"pair batches discarded on slow subscribers", func() float64 {
-			total := s.metrics.subDrops.Load()
 			s.subMu.Lock()
+			defer s.subMu.Unlock()
+			total := s.subDropsClosed
 			for _, ss := range s.subsLive {
 				total += ss.sub.Dropped()
 			}
-			s.subMu.Unlock()
 			return float64(total)
 		})
-
-	// Bridges over the pre-existing serviceMetrics atomics.
-	counter := func(name, help string, v *atomic.Int64) {
-		reg.CounterFunc(name, help, func() float64 { return float64(v.Load()) })
-	}
-	counter("cfpqd_queries_total", "query operations answered (batch = one per spec)", &s.metrics.queries)
-	counter("cfpqd_index_builds_total", "full closure index builds", &s.metrics.indexBuilds)
-	counter("cfpqd_warm_starts_total", "indexes restored from the store without a closure", &s.metrics.warmStarts)
-	counter("cfpqd_updates_total", "AddEdges calls", &s.metrics.updates)
-	counter("cfpqd_edges_added_total", "edges inserted across updates", &s.metrics.edgesAdded)
-	counter("cfpqd_budget_rejections_total", "evaluations rejected by the memory budget (HTTP 413)", &s.metrics.budgetRejections)
-	counter("cfpqd_persist_errors_total", "best-effort index persistence failures", &s.metrics.persistErrors)
-	counter("cfpqd_replicated_batches_total", "replicated WAL batches applied (follower)", &s.metrics.replBatches)
-	counter("cfpqd_replicated_edges_total", "edges applied from the replication stream", &s.metrics.replEdges)
-	counter("cfpqd_subscriptions_total", "standing queries ever registered", &s.metrics.subsTotal)
-	counter("cfpqd_subscription_events_total", "pair batches consumed by subscribers", &s.metrics.subEvents)
 
 	// Store size and WAL write counters (zero without an attached store;
 	// the store pointer is written once before serving).
@@ -145,25 +181,59 @@ func newObsMetrics(s *Service) *obsMetrics {
 			}
 			return float64(s.store.Stats().WALBytes)
 		})
-	reg.CounterFunc("cfpqd_wal_fsyncs_total",
-		"WAL fsyncs issued this session", func() float64 {
+	walCounter := func(pick func(appends, written, fsyncs int64) int64) func() float64 {
+		return func() float64 {
 			if s.store == nil {
 				return 0
 			}
-			_, _, fsyncs := s.store.WALCounters()
-			return float64(fsyncs)
-		})
-	reg.CounterFunc("cfpqd_wal_written_bytes_total",
-		"WAL bytes written this session", func() float64 {
-			if s.store == nil {
-				return 0
-			}
-			_, written, _ := s.store.WALCounters()
-			return float64(written)
-		})
+			return float64(pick(s.store.WALCounters()))
+		}
+	}
+	reg.CounterFunc("cfpqd_wal_appends_total", "WAL batches journaled this session",
+		walCounter(func(appends, _, _ int64) int64 { return appends }))
+	reg.CounterFunc("cfpqd_wal_written_bytes_total", "WAL bytes written this session",
+		walCounter(func(_, written, _ int64) int64 { return written }))
+	reg.CounterFunc("cfpqd_wal_fsyncs_total", "WAL fsyncs issued this session",
+		walCounter(func(_, _, fsyncs int64) int64 { return fsyncs }))
 	return m
 }
 
 // MetricsRegistry exposes the service's obs registry — the Handler mounts
 // it at GET /metrics; embedding processes can add their own instruments.
 func (s *Service) MetricsRegistry() *obs.Registry { return s.obs.reg }
+
+// debugAliases maps the registry names whose /debug/vars key predates the
+// registry's naming rules to that historic key.
+var debugAliases = map[string]string{
+	"cfpqd_wal_written_bytes_total":      "wal_bytes",
+	"cfpqd_subscription_dropped_total":   "subscription_drops",
+	"cfpqd_subscriptions_active_entries": "subscriptions_active",
+}
+
+// debugCounters renders the "cfpqd" object of /debug/vars from the
+// registry: every counter under its name minus the cfpqd_ prefix and
+// _total suffix (a labeled counter becomes an object keyed by label
+// value), plus the aliased families above.
+func (s *Service) debugCounters() map[string]any {
+	out := map[string]any{}
+	for _, sm := range s.obs.reg.Samples() {
+		key, aliased := debugAliases[sm.Name]
+		if !aliased {
+			if sm.Kind != obs.KindCounter {
+				continue
+			}
+			key = strings.TrimSuffix(strings.TrimPrefix(sm.Name, "cfpqd_"), "_total")
+		}
+		if len(sm.LabelValues) == 0 {
+			out[key] = sm.Value
+			continue
+		}
+		byLabel, _ := out[key].(map[string]float64)
+		if byLabel == nil {
+			byLabel = map[string]float64{}
+			out[key] = byLabel
+		}
+		byLabel[strings.Join(sm.LabelValues, ",")] = sm.Value
+	}
+	return out
+}

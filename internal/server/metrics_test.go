@@ -1,6 +1,7 @@
 package server
 
 import (
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -282,4 +283,140 @@ func readAll(t *testing.T, resp *http.Response) string {
 		t.Fatal(err)
 	}
 	return string(raw)
+}
+
+// scalarSamples parses the counter and gauge sample lines of one /metrics
+// body into series ("name" or `name{label="v"}`) → value.
+func scalarSamples(t *testing.T, body string) map[string]float64 {
+	t.Helper()
+	out := map[string]float64{}
+	for _, line := range strings.Split(body, "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		at := strings.LastIndexByte(line, ' ')
+		v, err := strconv.ParseFloat(line[at+1:], 64)
+		if err != nil {
+			t.Fatalf("unparseable sample %q: %v", line, err)
+		}
+		out[line[:at]] = v
+	}
+	return out
+}
+
+// TestDebugVarsAgreesWithMetrics is the instrument-agreement test: after a
+// run that moves every kind of counter — a warm start from a store, a
+// cached read, a frontier expr read, a 404, a batch with one bad spec, an
+// AddEdges, a subscriber slow enough to have batches dropped while still
+// connected — every number under "cfpqd" in /debug/vars equals the
+// /metrics sample it is rendered from, and queries == Σ strategies.
+func TestDebugVarsAgreesWithMetrics(t *testing.T) {
+	dir := t.TempDir()
+	var edges strings.Builder
+	const chain = 80 // updates pushed at one subscriber; above its buffer bound (64)
+	for i := 0; i < chain; i++ {
+		fmt.Fprintf(&edges, "n%d spare n%d\n", i, i+1) // declares the nodes; "knows" edges come later
+	}
+	s := persistentService(t, dir)
+	if _, err := s.LoadGraph("g", "edgelist", strings.NewReader(edges.String())); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.RegisterGrammar("r", "S -> knows | knows S"); err != nil {
+		t.Fatal(err)
+	}
+	tgt := Target{Graph: "g", Grammar: "r"}
+	if _, err := count(ctx, s, tgt, "S"); err != nil { // builds and persists the index
+		t.Fatal(err)
+	}
+	s = reopen(t, s, dir) // counters restart from zero; the index warm-starts
+	srv := httptest.NewServer(Handler(s))
+	defer srv.Close()
+
+	if code, body := postQuery(t, srv, "g", "r", "S", `"output":"count"`); code != http.StatusOK {
+		t.Fatalf("cached read: %d %v", code, body)
+	}
+	if code, body := httpDo(t, srv, http.MethodPost, "/v1/query",
+		`{"graph":"g","expr":"spare+","output":"count","sources":["n0"]}`); code != http.StatusOK {
+		t.Fatalf("frontier read: %d %v", code, body)
+	}
+	if code, body := postQuery(t, srv, "g", "r", "Nope", ""); code != http.StatusNotFound {
+		t.Fatalf("unknown non-terminal: %d %v", code, body)
+	}
+	if code, body := httpDo(t, srv, http.MethodPost, "/v1/query/batch",
+		`{"graph":"g","grammar":"r","queries":[{"op":"count","nonterminal":"S"},{"op":"count","nonterminal":"Nope"}]}`); code != http.StatusOK {
+		t.Fatalf("batch: %d %v", code, body)
+	}
+	ss, err := s.Subscribe(ctx, SubscribeRequest{Graph: "g", Grammar: "r", Nonterminal: "S"}, false, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ss.Close()
+	// One update per batch, none consumed: the subscriber's bounded buffer
+	// overflows and the live subscription accumulates drops.
+	for i := 0; i < chain; i++ {
+		if code, body := httpDo(t, srv, http.MethodPost, "/v1/graphs/g/edges",
+			fmt.Sprintf(`{"edges":[{"from":"n%d","label":"knows","to":"n%d"}]}`, i, i+1)); code != http.StatusOK {
+			t.Fatalf("POST edges %d: %d %v", i, code, body)
+		}
+	}
+	if ss.sub.Dropped() == 0 {
+		t.Fatal("test is vacuous: the unconsumed subscriber dropped nothing")
+	}
+	ss.note(<-ss.Updates()) // one consumed delivery, so events/pairs move too
+
+	_, vars := httpDo(t, srv, http.MethodGet, "/debug/vars", "")
+	metrics := scalarSamples(t, scrape(t, srv))
+	series := map[string]string{} // /debug/vars key → /metrics family
+	for name, key := range debugAliases {
+		series[key] = name
+	}
+	cfpqd := vars["cfpqd"].(map[string]any)
+	agree := func(key, series string, got any) {
+		want, ok := metrics[series]
+		if !ok {
+			t.Errorf("cfpqd.%s: no /metrics sample %s", key, series)
+		} else if got != want {
+			t.Errorf("cfpqd.%s = %v, /metrics %s = %v", key, got, series, want)
+		}
+	}
+	for key, v := range cfpqd {
+		name := series[key]
+		if name == "" {
+			name = "cfpqd_" + key + "_total"
+		}
+		if byLabel, ok := v.(map[string]any); ok {
+			for label, lv := range byLabel {
+				agree(key+"."+label, fmt.Sprintf(`%s{strategy=%q}`, name, label), lv)
+			}
+			continue
+		}
+		agree(key, name, v)
+	}
+	for key, want := range map[string]float64{
+		"warm_starts": 1, "index_builds": 0, "wal_appends": chain, "updates": chain,
+		"subscription_drops": float64(ss.sub.Dropped()), "subscription_events": 1, "subscriptions_active": 1,
+	} {
+		if got, _ := cfpqd[key].(float64); got != want {
+			t.Errorf("cfpqd.%s = %v, want %v", key, cfpqd[key], want)
+		}
+	}
+
+	// Answered queries only — cached read, expr read, one batch spec; not
+	// the 404, the failed spec or the subscribe — and each under exactly
+	// one strategy.
+	var byStrategy float64
+	for _, n := range cfpqd["strategies"].(map[string]any) {
+		byStrategy += n.(float64)
+	}
+	if q := cfpqd["queries"]; q != 3.0 || byStrategy != 3 {
+		t.Errorf("queries = %v, Σ strategies = %v, want 3 and 3", q, byStrategy)
+	}
+
+	// Closing the subscription moves its drops to the closed-subscription
+	// total: the counter neither loses nor double-counts them.
+	const dropped = "cfpqd_subscription_dropped_total"
+	ss.Close()
+	if after := scalarSamples(t, scrape(t, srv))[dropped]; after != metrics[dropped] {
+		t.Errorf("%s = %v after Close, was %v while live", dropped, after, metrics[dropped])
+	}
 }

@@ -166,7 +166,7 @@ func (s *Service) warmStartIndex(ctx context.Context, st *store.Store, ge *graph
 	s.mu.Lock()
 	s.indexes[key] = e
 	s.mu.Unlock()
-	s.metrics.warmStarts.Add(1)
+	s.obs.warmStarts.Inc()
 	s.obs.warmStart.Observe(time.Since(warmStart).Seconds())
 }
 
@@ -182,11 +182,11 @@ func (s *Service) persistIndex(key IndexKey, seq uint64, p *cfpq.Prepared) {
 	}
 	var buf bytes.Buffer
 	if err := p.WriteIndex(&buf); err != nil {
-		s.metrics.persistErrors.Add(1)
+		s.obs.persistErrors.Inc()
 		return
 	}
 	if err := s.store.SaveIndex(key.Graph, key.Grammar, key.Backend, seq, buf.Bytes()); err != nil {
-		s.metrics.persistErrors.Add(1)
+		s.obs.persistErrors.Inc()
 	}
 }
 
@@ -250,7 +250,7 @@ func (s *Service) snapshotGraph(name string) error {
 		ge.mu.RUnlock()
 		var buf bytes.Buffer
 		if err := p.WriteIndex(&buf); err != nil {
-			s.metrics.persistErrors.Add(1)
+			s.obs.persistErrors.Inc()
 			continue
 		}
 		indexes = append(indexes, store.IndexData{
@@ -283,75 +283,3 @@ func (s *Service) StoreStats() (store.Stats, bool) {
 
 // Persistent reports whether a store is attached.
 func (s *Service) Persistent() bool { return s.store != nil }
-
-// MetricsSnapshot is a point-in-time copy of the service counters, the
-// payload behind /debug/vars.
-type MetricsSnapshot struct {
-	Queries       int64 `json:"queries"`
-	IndexBuilds   int64 `json:"index_builds"`
-	WarmStarts    int64 `json:"warm_starts"`
-	Updates       int64 `json:"updates"`
-	EdgesAdded    int64 `json:"edges_added"`
-	PersistErrors int64 `json:"persist_errors"`
-	// BudgetRejections counts evaluations rejected by the configured
-	// memory budget (SetMemoryBudget); the HTTP layer answers them 413.
-	BudgetRejections int64 `json:"budget_rejections"`
-	// WALAppends/WALBytes/WALFsyncs mirror the attached store's WAL write
-	// counters (zero without a store): journaled batches, bytes written and
-	// fsyncs issued this session. Replication lag-in-bytes is measured
-	// against these on the leader.
-	WALAppends int64 `json:"wal_appends"`
-	WALBytes   int64 `json:"wal_bytes"`
-	WALFsyncs  int64 `json:"wal_fsyncs"`
-	// ReplicatedBatches/ReplicatedEdges count the leader's WAL stream
-	// applied locally (non-zero only on followers).
-	ReplicatedBatches int64 `json:"replicated_batches"`
-	ReplicatedEdges   int64 `json:"replicated_edges"`
-	// Strategies counts answered queries per planner strategy (full,
-	// source-frontier, target-frontier, cached-read), so plan selection is
-	// observable in production.
-	Strategies map[string]int64 `json:"strategies"`
-	// Subscription counters (POST /v1/subscribe): registered ever, live
-	// now, pair batches and pairs delivered, deliveries carrying a resync
-	// marker, and batches dropped on slow consumers. Per-subscription
-	// detail lives under "cfpqd_subscriptions" in /debug/vars.
-	Subscriptions       int64 `json:"subscriptions"`
-	SubscriptionsActive int64 `json:"subscriptions_active"`
-	SubscriptionEvents  int64 `json:"subscription_events"`
-	SubscriptionPairs   int64 `json:"subscription_pairs"`
-	SubscriptionResyncs int64 `json:"subscription_resyncs"`
-	SubscriptionDrops   int64 `json:"subscription_drops"`
-}
-
-// Metrics snapshots the service counters.
-func (s *Service) Metrics() MetricsSnapshot {
-	m := MetricsSnapshot{
-		Queries:           s.metrics.queries.Load(),
-		IndexBuilds:       s.metrics.indexBuilds.Load(),
-		WarmStarts:        s.metrics.warmStarts.Load(),
-		Updates:           s.metrics.updates.Load(),
-		EdgesAdded:        s.metrics.edgesAdded.Load(),
-		PersistErrors:     s.metrics.persistErrors.Load(),
-		BudgetRejections:  s.metrics.budgetRejections.Load(),
-		ReplicatedBatches: s.metrics.replBatches.Load(),
-		ReplicatedEdges:   s.metrics.replEdges.Load(),
-		Strategies: map[string]int64{
-			string(cfpq.StrategyFull):           s.metrics.stratFull.Load(),
-			string(cfpq.StrategySourceFrontier): s.metrics.stratSourceFrontier.Load(),
-			string(cfpq.StrategyTargetFrontier): s.metrics.stratTargetFrontier.Load(),
-			string(cfpq.StrategyCachedRead):     s.metrics.stratCachedRead.Load(),
-		},
-	}
-	m.Subscriptions = s.metrics.subsTotal.Load()
-	m.SubscriptionEvents = s.metrics.subEvents.Load()
-	m.SubscriptionPairs = s.metrics.subPairs.Load()
-	m.SubscriptionResyncs = s.metrics.subResyncs.Load()
-	m.SubscriptionDrops = s.metrics.subDrops.Load()
-	s.subMu.Lock()
-	m.SubscriptionsActive = int64(len(s.subsLive))
-	s.subMu.Unlock()
-	if s.store != nil {
-		m.WALAppends, m.WALBytes, m.WALFsyncs = s.store.WALCounters()
-	}
-	return m
-}

@@ -96,7 +96,7 @@ func TestPersistRoundTripAllBackends(t *testing.T) {
 				t.Fatal(err)
 			}
 			target := Target{Graph: "onto", Grammar: "q1", Backend: be.Name()}
-			before, err := s.Relation(ctx, target, "S")
+			before, err := relation(ctx, s, target, "S")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -109,7 +109,7 @@ func TestPersistRoundTripAllBackends(t *testing.T) {
 			if _, err := s.AddEdges(ctx, "onto", added); err != nil {
 				t.Fatal(err)
 			}
-			want, err := s.Relation(ctx, target, "S")
+			want, err := relation(ctx, s, target, "S")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -117,10 +117,10 @@ func TestPersistRoundTripAllBackends(t *testing.T) {
 			// "Kill": no snapshot, no graceful anything — just reopen
 			// from the files.
 			s2 := reopen(t, s, dir)
-			if n := s2.Metrics().WarmStarts; n != 1 {
+			if n := s2.obs.warmStarts.Value(); n != 1 {
 				t.Fatalf("WarmStarts = %d, want 1", n)
 			}
-			got, err := s2.Relation(ctx, target, "S")
+			got, err := relation(ctx, s2, target, "S")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -129,7 +129,7 @@ func TestPersistRoundTripAllBackends(t *testing.T) {
 			}
 			// No closure ran: the warm handle's build stats are zero and
 			// the build counter never ticked.
-			if n := s2.Metrics().IndexBuilds; n != 0 {
+			if n := s2.obs.indexBuilds.Value(); n != 0 {
 				t.Fatalf("reopened service ran %d closures", n)
 			}
 			ixStats, ok := s2.IndexStatsFor(target)
@@ -150,7 +150,7 @@ func TestPersistRoundTripAllBackends(t *testing.T) {
 			if err := fresh.RegisterGrammar("q1", queryGrammar); err != nil {
 				t.Fatal(err)
 			}
-			oracle, err := fresh.Relation(ctx, target, "S")
+			oracle, err := relation(ctx, fresh, target, "S")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -188,7 +188,7 @@ func TestPersistSnapshotRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	target := Target{Graph: "g", Grammar: "q"}
-	if _, err := s.Relation(ctx, target, "S"); err != nil {
+	if _, err := relation(ctx, s, target, "S"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.AddEdges(ctx, "g", []EdgeSpec{{From: "a", Label: "x", To: "d"}}); err != nil {
@@ -201,20 +201,20 @@ func TestPersistSnapshotRestart(t *testing.T) {
 	if _, err := s.AddEdges(ctx, "g", []EdgeSpec{{From: "d", Label: "y", To: "c"}}); err != nil {
 		t.Fatal(err)
 	}
-	want, err := s.Relation(ctx, target, "S")
+	want, err := relation(ctx, s, target, "S")
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	s2 := reopen(t, s, dir)
-	got, err := s2.Relation(ctx, target, "S")
+	got, err := relation(ctx, s2, target, "S")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("post-snapshot restart: %v, want %v", got, want)
 	}
-	if n := s2.Metrics().IndexBuilds; n != 0 {
+	if n := s2.obs.indexBuilds.Value(); n != 0 {
 		t.Fatalf("restart after snapshot ran %d closures", n)
 	}
 	// a-x->d-y->c must be in there (the WAL-only edge mattered).
@@ -284,11 +284,11 @@ func TestPersistTornWALRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	target := Target{Graph: "g", Grammar: "q"}
-	got, err := s2.Relation(ctx, target, "S")
+	got, err := relation(ctx, s2, target, "S")
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle, err := want.Relation(ctx, target, "S")
+	oracle, err := relation(ctx, want, target, "S")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +310,7 @@ func TestPersistCompactionThenRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	target := Target{Graph: "g", Grammar: "q"}
-	if _, err := s.Relation(ctx, target, "S"); err != nil {
+	if _, err := relation(ctx, s, target, "S"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.AddEdges(ctx, "g", []EdgeSpec{{From: "2", Label: "x", To: "0"}}); err != nil {
@@ -322,23 +322,23 @@ func TestPersistCompactionThenRestart(t *testing.T) {
 	if err := s.store.Compact("g"); err != nil {
 		t.Fatal(err)
 	}
-	want, err := s.Relation(ctx, target, "S")
+	want, err := relation(ctx, s, target, "S")
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	s2 := reopen(t, s, dir)
-	if n := s2.Metrics().WarmStarts; n != 1 {
+	if n := s2.obs.warmStarts.Value(); n != 1 {
 		t.Fatalf("WarmStarts = %d, want 1 (repair path)", n)
 	}
-	got, err := s2.Relation(ctx, target, "S")
+	got, err := relation(ctx, s2, target, "S")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("repair-path relation %v, want %v", got, want)
 	}
-	if n := s2.Metrics().IndexBuilds; n != 0 {
+	if n := s2.obs.indexBuilds.Value(); n != 0 {
 		t.Fatalf("repair path ran %d full closures", n)
 	}
 }
@@ -355,7 +355,7 @@ func TestPersistGrammarReplacementDropsIndexes(t *testing.T) {
 		t.Fatal(err)
 	}
 	target := Target{Graph: "g", Grammar: "q"}
-	if _, err := s.Relation(ctx, target, "S"); err != nil {
+	if _, err := relation(ctx, s, target, "S"); err != nil {
 		t.Fatal(err)
 	}
 	// Same non-terminal set, different language: the saved index would
@@ -365,10 +365,10 @@ func TestPersistGrammarReplacementDropsIndexes(t *testing.T) {
 		t.Fatal(err)
 	}
 	s2 := reopen(t, s, dir)
-	if n := s2.Metrics().WarmStarts; n != 0 {
+	if n := s2.obs.warmStarts.Value(); n != 0 {
 		t.Fatalf("stale index warm-started after grammar replacement (%d)", n)
 	}
-	got, err := s2.Relation(ctx, target, "S")
+	got, err := relation(ctx, s2, target, "S")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -419,7 +419,7 @@ func TestPersistManyGrammarsAndBackends(t *testing.T) {
 	}
 	want := map[string]int{}
 	for _, tg := range targets {
-		n, err := s.Count(ctx, tg, "S")
+		n, err := count(ctx, s, tg, "S")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -427,11 +427,11 @@ func TestPersistManyGrammarsAndBackends(t *testing.T) {
 	}
 
 	s2 := reopen(t, s, dir)
-	if n := s2.Metrics().WarmStarts; int(n) != len(targets) {
+	if n := s2.obs.warmStarts.Value(); int(n) != len(targets) {
 		t.Fatalf("WarmStarts = %d, want %d", n, len(targets))
 	}
 	for _, tg := range targets {
-		n, err := s2.Count(ctx, tg, "S")
+		n, err := count(ctx, s2, tg, "S")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -439,7 +439,7 @@ func TestPersistManyGrammarsAndBackends(t *testing.T) {
 			t.Errorf("%v: count %d, want %d", tg, n, want[fmt.Sprintf("%v", tg)])
 		}
 	}
-	if n := s2.Metrics().IndexBuilds; n != 0 {
+	if n := s2.obs.indexBuilds.Value(); n != 0 {
 		t.Fatalf("warm start ran %d closures", n)
 	}
 }
@@ -464,7 +464,7 @@ func TestHTTPPersistenceEndpoints(t *testing.T) {
 	if code, body = httpDo(t, srv, http.MethodPut, "/v1/grammars/q", "S -> x S y | x y"); code != http.StatusOK {
 		t.Fatalf("PUT grammar: %d %v", code, body)
 	}
-	if code, body = httpDo(t, srv, http.MethodGet, "/v1/query?graph=g&grammar=q&nonterminal=S&op=count", ""); code != http.StatusOK {
+	if code, body = postQuery(t, srv, "g", "q", "S", `"output":"count"`); code != http.StatusOK {
 		t.Fatalf("query: %d %v", code, body)
 	}
 	if code, body = httpDo(t, srv, http.MethodPost, "/v1/graphs/g/edges",
@@ -553,7 +553,7 @@ func TestPersistConcurrentUpdatesAndSnapshots(t *testing.T) {
 		t.Fatal(err)
 	}
 	target := Target{Graph: "g", Grammar: "q"}
-	if _, err := s.Relation(ctx, target, "S"); err != nil {
+	if _, err := relation(ctx, s, target, "S"); err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
@@ -582,14 +582,14 @@ func TestPersistConcurrentUpdatesAndSnapshots(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			if _, err := s.Count(ctx, target, "S"); err != nil {
+			if _, err := count(ctx, s, target, "S"); err != nil {
 				t.Error(err)
 				return
 			}
 		}
 	}()
 	wg.Wait()
-	want, err := s.Relation(ctx, target, "S")
+	want, err := relation(ctx, s, target, "S")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -608,7 +608,7 @@ func TestPersistConcurrentUpdatesAndSnapshots(t *testing.T) {
 	if ge.g.EdgeCount() != wantEdges {
 		t.Fatalf("recovered %d edges, want %d", ge.g.EdgeCount(), wantEdges)
 	}
-	got, err := s2.Relation(ctx, target, "S")
+	got, err := relation(ctx, s2, target, "S")
 	if err != nil {
 		t.Fatal(err)
 	}

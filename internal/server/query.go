@@ -3,8 +3,9 @@
 // names in place of bound values), Service.Do resolves it and hands it to
 // the library planner — Prepared.Do for grammar queries (the cached-read
 // strategy), Engine.Do for RPQ expressions (planned from scratch on a
-// snapshot). Every legacy query method and route is a shim over Do, so
-// the planner is the one evaluation path of the server.
+// snapshot). Do is the service's one single-query entry point (the batch
+// route shares the cached index and the planner), so the planner is the
+// one evaluation path of the server.
 
 package server
 
@@ -71,24 +72,10 @@ type QueryAnswer struct {
 	Stats     cfpq.Stats   `json:"stats"`
 }
 
-// countStrategy ticks the per-strategy metrics counter n times.
-func (s *Service) countStrategy(strategy cfpq.Strategy, n int64) {
-	switch strategy {
-	case cfpq.StrategyFull:
-		s.metrics.stratFull.Add(n)
-	case cfpq.StrategySourceFrontier:
-		s.metrics.stratSourceFrontier.Add(n)
-	case cfpq.StrategyTargetFrontier:
-		s.metrics.stratTargetFrontier.Add(n)
-	case cfpq.StrategyCachedRead:
-		s.metrics.stratCachedRead.Add(n)
-	}
-}
-
-// Do answers one declarative query — the single evaluation path every
-// endpoint and legacy service method funnels through. Around the dispatch
-// it hangs the cross-cutting observability: the planner's strategy and the
-// resolved backend are reported to the HTTP middleware's latency labels
+// Do answers one declarative query. Around the dispatch it hangs the
+// cross-cutting observability: an answered query ticks the query and
+// strategy counters, the planner's strategy and the resolved backend are
+// reported to the HTTP middleware's latency labels
 // (QueryLabelsFromContext), and evaluations slower than the configured
 // slow-query threshold are dumped — request, strategy, pass trace — to the
 // slow-query log.
@@ -105,6 +92,7 @@ func (s *Service) Do(ctx context.Context, req QueryRequest) (QueryAnswer, error)
 	if err != nil {
 		return ans, err
 	}
+	s.obs.answered(ans.Explain.Strategy)
 	if ql := QueryLabelsFromContext(ctx); ql != nil {
 		be := req.Backend
 		if be == "" {
@@ -179,7 +167,6 @@ func (s *Service) dispatch(ctx context.Context, req QueryRequest) (QueryAnswer, 
 	if err != nil {
 		return QueryAnswer{}, s.noteErr(err)
 	}
-	s.countStrategy(res.Explain.Strategy, 1)
 	return renderAnswer(e.ge, req, res), nil
 }
 
@@ -211,7 +198,6 @@ func (s *Service) doExpr(ctx context.Context, req QueryRequest) (QueryAnswer, er
 	if errT != nil {
 		return QueryAnswer{}, errT
 	}
-	s.metrics.queries.Add(1)
 	res, err := cfpq.NewEngine(backend, cfpq.WithMemoryBudget(s.budget.Load())).Do(ctx, cfpq.Request{
 		Graph:         snapshot,
 		Expr:          req.Expr,
@@ -225,7 +211,6 @@ func (s *Service) doExpr(ctx context.Context, req QueryRequest) (QueryAnswer, er
 	if err != nil {
 		return QueryAnswer{}, s.noteErr(err)
 	}
-	s.countStrategy(res.Explain.Strategy, 1)
 	return renderAnswer(ge, req, res), nil
 }
 

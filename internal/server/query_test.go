@@ -82,14 +82,6 @@ func TestHTTPDeclarativeQuery(t *testing.T) {
 	if explain := body["explain"].(map[string]any); explain["strategy"] != "target-frontier" {
 		t.Fatalf("expr explain: %v", explain)
 	}
-
-	// The legacy GET route answers the same numbers through the shim,
-	// including the new targets= restriction.
-	code, body = httpDo(t, srv, http.MethodGet,
-		"/v1/query?graph=social&grammar=reach&nonterminal=S&op=count&targets=dave", "")
-	if code != http.StatusOK || body["count"].(float64) != 3 {
-		t.Fatalf("GET targets shim: %d %v", code, body)
-	}
 }
 
 // TestHTTPErrorEnvelope checks that every failure mode of the query
@@ -124,7 +116,6 @@ func TestHTTPErrorEnvelope(t *testing.T) {
 		{"bad backend", http.MethodPost, "/v1/query", `{"graph":"social","grammar":"reach","nonterminal":"S","backend":"gpu"}`, http.StatusBadRequest, ""},
 		{"unknown expr graph", http.MethodPost, "/v1/query", `{"graph":"nope","expr":"knows+"}`, http.StatusNotFound, ""},
 		{"bad expr", http.MethodPost, "/v1/query", `{"graph":"social","expr":"(("}`, http.StatusBadRequest, ""},
-		{"GET unknown graph", http.MethodGet, "/v1/query?graph=nope&grammar=reach&nonterminal=S", "", http.StatusNotFound, ""},
 		{"batch malformed body", http.MethodPost, "/v1/query/batch", `{"queries":`, http.StatusBadRequest, ""},
 		{"snapshot without store", http.MethodPost, "/v1/snapshot", "", http.StatusConflict, ""},
 	}
@@ -261,30 +252,20 @@ func TestServiceDoTargets(t *testing.T) {
 
 // TestHTTPDeclarativeQueryEmptyRestriction pins the declared semantics of
 // a present-but-empty restriction: it selects nothing (and does not
-// silently mean "everything"), uniformly across the POST wire form
-// ("sources": []), the GET shim (sources= / targets=,), and the uncached
-// expression path.
+// silently mean "everything"), uniformly across the cached wire form
+// ("sources": []) and the uncached expression path.
 func TestHTTPDeclarativeQueryEmptyRestriction(t *testing.T) {
 	srv := queryTestServer(t)
 	cases := []struct {
-		name   string
-		method string
-		path   string
-		body   string
+		name string
+		body string
 	}{
-		{"POST empty sources", http.MethodPost, "/v1/query",
-			`{"graph":"social","grammar":"reach","nonterminal":"S","output":"count","sources":[]}`},
-		{"POST empty targets", http.MethodPost, "/v1/query",
-			`{"graph":"social","grammar":"reach","nonterminal":"S","output":"count","targets":[]}`},
-		{"POST expr empty sources", http.MethodPost, "/v1/query",
-			`{"graph":"social","expr":"knows+","output":"count","sources":[]}`},
-		{"GET empty sources", http.MethodGet,
-			"/v1/query?graph=social&grammar=reach&nonterminal=S&op=count&sources=", ""},
-		{"GET empty targets", http.MethodGet,
-			"/v1/query?graph=social&grammar=reach&nonterminal=S&op=count&targets=,", ""},
+		{"empty sources", `{"graph":"social","grammar":"reach","nonterminal":"S","output":"count","sources":[]}`},
+		{"empty targets", `{"graph":"social","grammar":"reach","nonterminal":"S","output":"count","targets":[]}`},
+		{"expr empty sources", `{"graph":"social","expr":"knows+","output":"count","sources":[]}`},
 	}
 	for _, tc := range cases {
-		code, body := httpDo(t, srv, tc.method, tc.path, tc.body)
+		code, body := httpDo(t, srv, http.MethodPost, "/v1/query", tc.body)
 		if code != http.StatusOK {
 			t.Fatalf("%s: %d %v", tc.name, code, body)
 		}
@@ -293,9 +274,8 @@ func TestHTTPDeclarativeQueryEmptyRestriction(t *testing.T) {
 		}
 	}
 
-	// The absent parameter still means unrestricted — the full relation.
-	code, body := httpDo(t, srv, http.MethodGet,
-		"/v1/query?graph=social&grammar=reach&nonterminal=S&op=count", "")
+	// The absent field still means unrestricted — the full relation.
+	code, body := postQuery(t, srv, "social", "reach", "S", `"output":"count"`)
 	if code != http.StatusOK || body["count"].(float64) != 6 {
 		t.Fatalf("unrestricted count: %d %v", code, body)
 	}

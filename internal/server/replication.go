@@ -393,8 +393,8 @@ func (s *Service) ApplyReplicatedEdges(ctx context.Context, graphName string, ki
 	ge.seq = endSeq
 	ge.version++
 	ge.mu.Unlock()
-	s.metrics.replBatches.Add(1)
-	s.metrics.replEdges.Add(int64(len(edges)))
+	s.obs.replBatches.Inc()
+	s.obs.replEdges.Add(uint64(len(edges)))
 
 	var res UpdateResult
 	s.patchIndexes(ctx, graphName, ge, edges, maxNode, &res)

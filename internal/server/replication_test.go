@@ -153,11 +153,11 @@ func TestLeaderFollowerReplication(t *testing.T) {
 	waitFor(t, 10*time.Second, func() bool { return caughtUp(f, leader, "social") }, "initial sync")
 
 	tgt := Target{Graph: "social", Grammar: "reach"}
-	want, err := leader.Relation(ctx, tgt, "S")
+	want, err := relation(ctx, leader, tgt, "S")
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := f.svc.Relation(ctx, tgt, "S")
+	got, err := relation(ctx, f.svc, tgt, "S")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,29 +169,29 @@ func TestLeaderFollowerReplication(t *testing.T) {
 	// patch — the edge closes a cycle between existing nodes, so the
 	// follower's cached index gains the new pairs without a rebuild (a
 	// node-growing edge would invalidate it, as it does on the leader).
-	builds := f.svc.Metrics().IndexBuilds
+	builds := f.svc.obs.indexBuilds.Value()
 	if _, err := leader.AddEdges(ctx, "social", []EdgeSpec{
 		{From: "dora", Label: "knows", To: "alice"},
 	}); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, 10*time.Second, func() bool { return caughtUp(f, leader, "social") }, "live tail")
-	want, err = leader.Relation(ctx, tgt, "S")
+	want, err = relation(ctx, leader, tgt, "S")
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err = f.svc.Relation(ctx, tgt, "S")
+	got, err = relation(ctx, f.svc, tgt, "S")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("after live tail: follower relation = %v, leader = %v", got, want)
 	}
-	if n := f.svc.Metrics().IndexBuilds; n != builds {
+	if n := f.svc.obs.indexBuilds.Value(); n != builds {
 		t.Errorf("follower rebuilt an index absorbing replicated edges (%d -> %d builds)", builds, n)
 	}
-	if m := f.svc.Metrics(); m.ReplicatedBatches == 0 || m.ReplicatedEdges == 0 {
-		t.Errorf("replication counters not ticking: %+v", m)
+	if m := f.svc.obs; m.replBatches.Value() == 0 || m.replEdges.Value() == 0 {
+		t.Errorf("replication counters not ticking: %d batches, %d edges", m.replBatches.Value(), m.replEdges.Value())
 	}
 
 	// Follower-side status: applied seq == leader seq, zero lag.
@@ -243,7 +243,7 @@ func TestPartitionTolerance(t *testing.T) {
 
 			// Build the follower's index now so the restart warm-starts it.
 			tgt := Target{Graph: "social", Grammar: "reach"}
-			if _, err := f.svc.Relation(ctx, tgt, "S"); err != nil {
+			if _, err := relation(ctx, f.svc, tgt, "S"); err != nil {
 				t.Fatal(err)
 			}
 
@@ -273,11 +273,11 @@ func TestPartitionTolerance(t *testing.T) {
 			f2 := startFollower(t, reopen(t, f.svc, fdir), srv.URL, "f1")
 			waitFor(t, 10*time.Second, func() bool { return caughtUp(f2, leader, "social") }, "catch-up after restart")
 
-			want, err := leader.Relation(ctx, tgt, "S")
+			want, err := relation(ctx, leader, tgt, "S")
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := f2.svc.Relation(ctx, tgt, "S")
+			got, err := relation(ctx, f2.svc, tgt, "S")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -326,11 +326,11 @@ func TestCompactionRacingFollower(t *testing.T) {
 	waitFor(t, 10*time.Second, func() bool { return caughtUp(f, leader, "social") }, "convergence under compaction")
 
 	tgt := Target{Graph: "social", Grammar: "reach"}
-	want, err := leader.Relation(ctx, tgt, "S")
+	want, err := relation(ctx, leader, tgt, "S")
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := f.svc.Relation(ctx, tgt, "S")
+	got, err := relation(ctx, f.svc, tgt, "S")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -90,17 +90,19 @@ type Service struct {
 	readinessMaxLag atomic.Uint64
 
 	// Live-query state (subscribe.go): the registry of active
-	// subscriptions behind /debug/vars' "cfpqd_subscriptions", and the SSE
+	// subscriptions behind /debug/vars' "cfpqd_subscriptions", the drops
+	// of subscriptions already closed (the drop counter is this plus the
+	// live subscriptions' own counts, both read under subMu), and the SSE
 	// heartbeat override.
 	subMu          sync.Mutex
 	subNextID      int64
 	subsLive       map[int64]*ServerSubscription
+	subDropsClosed int64
 	subHeartbeatNs atomic.Int64
 
-	metrics serviceMetrics
-
-	// obs is the Prometheus-style instrument set behind GET /metrics
-	// (metrics.go); started anchors the uptime gauge and /healthz.
+	// obs is the service's one instrument set (metrics.go), behind both
+	// GET /metrics and /debug/vars; started anchors the uptime gauge and
+	// /healthz.
 	obs     *obsMetrics
 	started time.Time
 
@@ -151,38 +153,9 @@ func (s *Service) SetMemoryBudget(bytes int64) {
 func (s *Service) noteErr(err error) error {
 	var be *cfpq.MemoryBudgetError
 	if errors.As(err, &be) {
-		s.metrics.budgetRejections.Add(1)
+		s.obs.budgetRejections.Inc()
 	}
 	return err
-}
-
-// serviceMetrics are the monotonic counters /debug/vars exposes.
-type serviceMetrics struct {
-	queries          atomic.Int64 // query operations answered (batch = one per spec)
-	indexBuilds      atomic.Int64 // full closure builds
-	warmStarts       atomic.Int64 // Prepared handles restored from the store without a closure
-	updates          atomic.Int64 // AddEdges calls
-	edgesAdded       atomic.Int64 // edges inserted across updates
-	replBatches      atomic.Int64 // replicated WAL batches applied (follower)
-	replEdges        atomic.Int64 // edges applied from the replication stream
-	persistErrors    atomic.Int64 // best-effort index persistence failures
-	budgetRejections atomic.Int64 // evaluations rejected by the memory budget (HTTP 413)
-
-	// Live-query counters (subscribe.go): subscriptions ever registered,
-	// pair batches and pairs delivered, deliveries carrying a resync
-	// marker, and batches dropped on slow consumers.
-	subsTotal  atomic.Int64
-	subEvents  atomic.Int64
-	subPairs   atomic.Int64
-	subResyncs atomic.Int64
-	subDrops   atomic.Int64
-
-	// Per-strategy counters: which plan the library planner chose per
-	// answered query, so plan selection is observable in production.
-	stratFull           atomic.Int64
-	stratSourceFrontier atomic.Int64
-	stratTargetFrontier atomic.Int64
-	stratCachedRead     atomic.Int64
 }
 
 // New returns an empty service.
@@ -580,13 +553,9 @@ func (s *Service) index(ctx context.Context, t Target) (*indexEntry, *cfpq.Prepa
 		s.obs.indexBuild.Observe(time.Since(buildStart).Seconds())
 		e.p = p
 		e.built = true
-		s.metrics.indexBuilds.Add(1)
+		s.obs.indexBuilds.Inc()
 		s.persistIndex(key, seq, p)
 	}
-	// Every query operation resolves its index exactly once, so this is
-	// the one place the query counter ticks (batches add their fan-out in
-	// QueryBatch).
-	s.metrics.queries.Add(1)
 	return e, e.p, nil
 }
 
@@ -643,98 +612,10 @@ func checkNonterminal(p *cfpq.Prepared, nt string) error {
 	return nil
 }
 
-// Has reports whether (from, to) is in R_nt on the target. from and to are
-// node names (or decimal ids). A shim over Do.
-func (s *Service) Has(ctx context.Context, t Target, nt, from, to string) (bool, error) {
-	ans, err := s.Do(ctx, QueryRequest{
-		Graph: t.Graph, Grammar: t.Grammar, Backend: t.Backend,
-		Nonterminal: nt, Output: string(cfpq.OutputExists),
-		Sources: []string{from}, Targets: []string{to},
-	})
-	if err != nil {
-		return false, err
-	}
-	return *ans.Exists, nil
-}
-
 // NamedPair is one relation element with node names resolved.
 type NamedPair struct {
 	From string `json:"from"`
 	To   string `json:"to"`
-}
-
-// Relation returns R_nt on the target as (from, to) node-name pairs in
-// row-major node order. Names come from the registry graph the index was
-// built from. A shim over Do.
-func (s *Service) Relation(ctx context.Context, t Target, nt string) ([]NamedPair, error) {
-	ans, err := s.Do(ctx, QueryRequest{
-		Graph: t.Graph, Grammar: t.Grammar, Backend: t.Backend, Nonterminal: nt,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return ans.Pairs, nil
-}
-
-// Count returns |R_nt| on the target. A shim over Do.
-func (s *Service) Count(ctx context.Context, t Target, nt string) (int, error) {
-	ans, err := s.Do(ctx, QueryRequest{
-		Graph: t.Graph, Grammar: t.Grammar, Backend: t.Backend,
-		Nonterminal: nt, Output: string(cfpq.OutputCount),
-	})
-	if err != nil {
-		return 0, err
-	}
-	return *ans.Count, nil
-}
-
-// Counts returns |R_A| for every non-terminal A of the target's grammar —
-// a diagnostic listing over the whole cached index rather than one planned
-// query, but still a cached read.
-func (s *Service) Counts(ctx context.Context, t Target) (map[string]int, error) {
-	_, p, err := s.index(ctx, t)
-	if err != nil {
-		return nil, err
-	}
-	s.countStrategy(cfpq.StrategyCachedRead, 1)
-	return p.Counts(), nil
-}
-
-// RelationFrom returns the pairs of R_nt whose source node is in sources
-// (node names or decimal ids), answered from the cached index. A shim
-// over Do.
-func (s *Service) RelationFrom(ctx context.Context, t Target, nt string, sources []string) ([]NamedPair, error) {
-	ans, err := s.Do(ctx, QueryRequest{
-		Graph: t.Graph, Grammar: t.Grammar, Backend: t.Backend,
-		Nonterminal: nt, Sources: nonNilTokens(sources),
-	})
-	if err != nil {
-		return nil, err
-	}
-	return ans.Pairs, nil
-}
-
-// CountFrom returns the number of R_nt pairs whose source node is in
-// sources (node names or decimal ids). A shim over Do.
-func (s *Service) CountFrom(ctx context.Context, t Target, nt string, sources []string) (int, error) {
-	ans, err := s.Do(ctx, QueryRequest{
-		Graph: t.Graph, Grammar: t.Grammar, Backend: t.Backend,
-		Nonterminal: nt, Output: string(cfpq.OutputCount), Sources: nonNilTokens(sources),
-	})
-	if err != nil {
-		return 0, err
-	}
-	return *ans.Count, nil
-}
-
-// nonNilTokens keeps the legacy *From semantics: a nil source list meant
-// "no sources" (an empty answer), while a QueryRequest reads nil as
-// unrestricted.
-func nonNilTokens(tokens []string) []string {
-	if tokens == nil {
-		return []string{}
-	}
-	return tokens
 }
 
 // --- batched queries --------------------------------------------------
@@ -770,14 +651,13 @@ type BatchAnswer struct {
 // once, every query is answered from the same index state under one read
 // lock, and the answers fan back out through the library's shared worker
 // pool (Prepared.QueryBatch). This is the endpoint for callers that would
-// otherwise issue many GET /v1/query calls against the same (graph,
+// otherwise issue many POST /v1/query calls against the same (graph,
 // grammar) pair.
 func (s *Service) QueryBatch(ctx context.Context, t Target, specs []BatchQuerySpec) ([]BatchAnswer, error) {
 	e, p, err := s.index(ctx, t)
 	if err != nil {
 		return nil, err
 	}
-	s.metrics.queries.Add(int64(len(specs) - 1))
 	answers := make([]BatchAnswer, len(specs))
 	reqs := make([]cfpq.Request, 0, len(specs))
 	slot := make([]int, 0, len(specs)) // batch index → specs index
@@ -807,7 +687,7 @@ func (s *Service) QueryBatch(ctx context.Context, t Target, specs []BatchQuerySp
 			answers[i].Error = r.Err.Error()
 			continue
 		}
-		s.countStrategy(r.Result.Explain.Strategy, 1)
+		s.obs.answered(r.Result.Explain.Strategy)
 		switch answers[i].Op {
 		case "has":
 			has := r.Result.Exists
@@ -828,7 +708,7 @@ func (s *Service) QueryBatch(ctx context.Context, t Target, specs []BatchQuerySp
 	return answers, nil
 }
 
-// specRequest translates one legacy batch spec into a declarative
+// specRequest translates one batch spec into a declarative
 // Request; callers hold the graph entry's lock for name resolution.
 func specRequest(ge *graphEntry, op string, spec BatchQuerySpec) (cfpq.Request, error) {
 	req := cfpq.Request{Nonterminal: spec.Nonterminal}
@@ -847,10 +727,10 @@ func specRequest(ge *graphEntry, op string, spec BatchQuerySpec) (cfpq.Request, 
 		return req, nil
 	case "count", "relation", "count-from", "relation-from":
 		sources := spec.Sources
-		if op == "count-from" || op == "relation-from" {
-			// The -from ops historically read a missing source list as "no
-			// sources" (an empty answer), not as unrestricted.
-			sources = nonNilTokens(sources)
+		if (op == "count-from" || op == "relation-from") && sources == nil {
+			// The -from ops read a missing source list as "no sources" (an
+			// empty answer), not as unrestricted.
+			sources = []string{}
 		}
 		var err error
 		if req.Sources, err = resolveRestrictionLocked(ge, sources); err != nil {
@@ -997,8 +877,8 @@ func (s *Service) AddEdges(ctx context.Context, graphName string, specs []EdgeSp
 	ge.mu.Unlock()
 	res.Added = len(edges)
 	res.NewNodes = nodes - before
-	s.metrics.updates.Add(1)
-	s.metrics.edgesAdded.Add(int64(res.Added))
+	s.obs.updates.Inc()
+	s.obs.edgesAdded.Add(uint64(res.Added))
 
 	// Phase 2 (shared with the replication apply path): bring every cached
 	// index on this graph up to date.
@@ -1082,6 +962,9 @@ type IndexStats struct {
 	// Entries is the total number of set bits across the index's
 	// relation matrices.
 	Entries int `json:"entries"`
+	// Counts is the number of pairs in each non-terminal's relation (CNF
+	// non-terminals included); Entries is its sum.
+	Counts map[string]int `json:"counts"`
 	// Build is the closure work of the initial full fixpoint.
 	Build cfpq.Stats `json:"build"`
 	// Update accumulates the incremental closure work of every edge
@@ -1114,6 +997,7 @@ func (s *Service) Stats() []IndexStats {
 			Backend: key.Backend,
 			Nodes:   ps.Nodes,
 			Entries: ps.Entries,
+			Counts:  ps.Counts,
 			Build:   ps.Build,
 			Update:  ps.Update,
 			Updates: ps.Updates,

@@ -65,19 +65,19 @@ carol	likes	dora
 	}
 	tgt := Target{Graph: "social", Grammar: "reach"}
 
-	ok, err := s.Has(ctx, tgt, "S", "alice", "carol")
+	ok, err := has(ctx, s, tgt, "S", "alice", "carol")
 	if err != nil || !ok {
 		t.Fatalf("Has(alice,carol) = %v, %v; want true", ok, err)
 	}
-	ok, err = s.Has(ctx, tgt, "S", "carol", "alice")
+	ok, err = has(ctx, s, tgt, "S", "carol", "alice")
 	if err != nil || ok {
 		t.Fatalf("Has(carol,alice) = %v, %v; want false", ok, err)
 	}
-	n, err := s.Count(ctx, tgt, "S")
+	n, err := count(ctx, s, tgt, "S")
 	if err != nil || n != 3 {
 		t.Fatalf("Count = %d, %v; want 3 (alice→bob, alice→carol, bob→carol)", n, err)
 	}
-	pairs, err := s.Relation(ctx, tgt, "S")
+	pairs, err := relation(ctx, s, tgt, "S")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,9 +85,8 @@ carol	likes	dora
 	if !reflect.DeepEqual(pairs, want) {
 		t.Fatalf("Relation = %v, want %v", pairs, want)
 	}
-	counts, err := s.Counts(ctx, tgt)
-	if err != nil || counts["S"] != 3 {
-		t.Fatalf("Counts = %v, %v; want S:3", counts, err)
+	if st, ok := s.IndexStatsFor(tgt); !ok || st.Counts["S"] != 3 {
+		t.Fatalf("IndexStatsFor = %+v, %v; want counts S:3", st, ok)
 	}
 }
 
@@ -95,7 +94,7 @@ func TestQueryAllBackendsAgree(t *testing.T) {
 	s := anbnWordService(t, 6)
 	var counts []int
 	for _, be := range matrix.Backends() {
-		n, err := s.Count(ctx, Target{Graph: "word", Grammar: "anbn", Backend: be.Name()}, "S")
+		n, err := count(ctx, s, Target{Graph: "word", Grammar: "anbn", Backend: be.Name()}, "S")
 		if err != nil {
 			t.Fatalf("backend %s: %v", be.Name(), err)
 		}
@@ -115,22 +114,22 @@ func TestQueryAllBackendsAgree(t *testing.T) {
 func TestQueryErrors(t *testing.T) {
 	s := anbnWordService(t, 3)
 	tgt := Target{Graph: "word", Grammar: "anbn"}
-	if _, err := s.Count(ctx, Target{Graph: "nope", Grammar: "anbn"}, "S"); !errors.Is(err, ErrNotFound) {
+	if _, err := count(ctx, s, Target{Graph: "nope", Grammar: "anbn"}, "S"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("unknown graph: want ErrNotFound, got %v", err)
 	}
-	if _, err := s.Count(ctx, Target{Graph: "word", Grammar: "nope"}, "S"); !errors.Is(err, ErrNotFound) {
+	if _, err := count(ctx, s, Target{Graph: "word", Grammar: "nope"}, "S"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("unknown grammar: want ErrNotFound, got %v", err)
 	}
-	if _, err := s.Has(ctx, tgt, "S", "zzz", "0"); !errors.Is(err, ErrNotFound) {
+	if _, err := has(ctx, s, tgt, "S", "zzz", "0"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("unknown node: want ErrNotFound, got %v", err)
 	}
-	if _, err := s.Count(ctx, tgt, "Nope"); !errors.Is(err, ErrNotFound) {
+	if _, err := count(ctx, s, tgt, "Nope"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("unknown non-terminal: want ErrNotFound, got %v", err)
 	}
 	if err := s.RegisterGraph("bad", graph.New(3), map[string]int{"x": 5}); err == nil {
 		t.Error("out-of-range name table: expected error")
 	}
-	if _, err := s.Count(ctx, Target{Graph: "word", Grammar: "anbn", Backend: "gpu"}, "S"); err == nil {
+	if _, err := count(ctx, s, Target{Graph: "word", Grammar: "anbn", Backend: "gpu"}, "S"); err == nil {
 		t.Error("unknown backend: expected error")
 	}
 	if _, err := s.AddEdges(ctx, "word", []EdgeSpec{{From: "0", Label: "", To: "1"}}); err == nil {
@@ -141,7 +140,7 @@ func TestQueryErrors(t *testing.T) {
 	}
 	// A rejected batch must be atomic: the valid leading edge is NOT
 	// applied, so the graph and its cached indexes stay consistent.
-	before, _ := s.Count(ctx, tgt, "S")
+	before, _ := count(ctx, s, tgt, "S")
 	if _, err := s.AddEdges(ctx, "word", []EdgeSpec{
 		{From: "0", Label: "a", To: "1"},
 		{From: "999", Label: "a", To: "0"},
@@ -153,7 +152,7 @@ func TestQueryErrors(t *testing.T) {
 			t.Errorf("rejected batch mutated graph %q (version %d)", gi.Name, gi.Version)
 		}
 	}
-	if after, _ := s.Count(ctx, tgt, "S"); after != before {
+	if after, _ := count(ctx, s, tgt, "S"); after != before {
 		t.Errorf("rejected batch changed query results: %d -> %d", before, after)
 	}
 	if err := s.RegisterGrammar("bad", "not a grammar"); err == nil {
@@ -175,11 +174,11 @@ func TestIncrementalUpdateCheaperThanColdClosure(t *testing.T) {
 	tgt := Target{Graph: "word", Grammar: "anbn", Backend: "sparse"}
 
 	last, spare := fmt.Sprint(2*k-1), fmt.Sprint(2*k)
-	n, err := s.Count(ctx, tgt, "S") // builds and caches the index
+	n, err := count(ctx, s, tgt, "S") // builds and caches the index
 	if err != nil || n != k-1 {
 		t.Fatalf("pre-update Count = %d, %v; want %d", n, err, k-1)
 	}
-	if ok, _ := s.Has(ctx, tgt, "S", "0", spare); ok {
+	if ok, _ := has(ctx, s, tgt, "S", "0", spare); ok {
 		t.Fatalf("pair (0,%s) must not exist before the update", spare)
 	}
 
@@ -195,10 +194,10 @@ func TestIncrementalUpdateCheaperThanColdClosure(t *testing.T) {
 	}
 
 	// The patched index answers the new query without any rebuild.
-	if ok, err := s.Has(ctx, tgt, "S", "0", spare); err != nil || !ok {
+	if ok, err := has(ctx, s, tgt, "S", "0", spare); err != nil || !ok {
 		t.Fatalf("post-update Has(0,%s) = %v, %v; want true", spare, ok, err)
 	}
-	if n, _ := s.Count(ctx, tgt, "S"); n != k {
+	if n, _ := count(ctx, s, tgt, "S"); n != k {
 		t.Fatalf("post-update Count = %d, want %d", n, k)
 	}
 
@@ -243,7 +242,7 @@ func TestUpdateWithNewNodesInvalidates(t *testing.T) {
 		t.Fatal(err)
 	}
 	tgt := Target{Graph: "g", Grammar: "anbn"}
-	if n, err := s.Count(ctx, tgt, "S"); err != nil || n != 1 {
+	if n, err := count(ctx, s, tgt, "S"); err != nil || n != 1 {
 		t.Fatalf("Count = %d, %v; want 1 (x→z)", n, err)
 	}
 	res, err := s.AddEdges(ctx, "g", []EdgeSpec{
@@ -260,10 +259,10 @@ func TestUpdateWithNewNodesInvalidates(t *testing.T) {
 		t.Fatalf("invalidated index still cached: %v", s.Stats())
 	}
 	// Rebuild covers the new nodes: w a x a y b z b v adds (w,v) and (x,z).
-	if n, err := s.Count(ctx, tgt, "S"); err != nil || n != 2 {
+	if n, err := count(ctx, s, tgt, "S"); err != nil || n != 2 {
 		t.Fatalf("post-growth Count = %d, %v; want 2", n, err)
 	}
-	if ok, err := s.Has(ctx, tgt, "S", "w", "v"); err != nil || !ok {
+	if ok, err := has(ctx, s, tgt, "S", "w", "v"); err != nil || !ok {
 		t.Fatalf("Has(w,v) = %v, %v; want true", ok, err)
 	}
 	if st, ok := s.IndexStatsFor(tgt); !ok || st.Nodes != 5 {
@@ -274,7 +273,7 @@ func TestUpdateWithNewNodesInvalidates(t *testing.T) {
 func TestReplacingGrammarOrGraphDropsIndexes(t *testing.T) {
 	s := anbnWordService(t, 4)
 	tgt := Target{Graph: "word", Grammar: "anbn"}
-	if _, err := s.Count(ctx, tgt, "S"); err != nil {
+	if _, err := count(ctx, s, tgt, "S"); err != nil {
 		t.Fatal(err)
 	}
 	if len(s.Stats()) != 1 {
@@ -286,7 +285,7 @@ func TestReplacingGrammarOrGraphDropsIndexes(t *testing.T) {
 	if len(s.Stats()) != 0 {
 		t.Fatal("replacing a grammar must drop its indexes")
 	}
-	if n, err := s.Count(ctx, tgt, "S"); err != nil || n != 4+3+2+1 {
+	if n, err := count(ctx, s, tgt, "S"); err != nil || n != 4+3+2+1 {
 		t.Fatalf("Count under replaced grammar = %d, %v; want 10 (a-chain pairs)", n, err)
 	}
 	if err := s.RegisterGraph("word", graph.Word([]string{"a"}), nil); err != nil {
@@ -295,7 +294,7 @@ func TestReplacingGrammarOrGraphDropsIndexes(t *testing.T) {
 	if len(s.Stats()) != 0 {
 		t.Fatal("replacing a graph must drop its indexes")
 	}
-	if n, err := s.Count(ctx, tgt, "S"); err != nil || n != 1 {
+	if n, err := count(ctx, s, tgt, "S"); err != nil || n != 1 {
 		t.Fatalf("Count on replaced graph = %d, %v; want 1", n, err)
 	}
 }
@@ -315,7 +314,7 @@ func TestNTriplesLoadAndNames(t *testing.T) {
 	if err := s.RegisterGrammar("up", "S -> subClassOf | subClassOf S"); err != nil {
 		t.Fatal(err)
 	}
-	pairs, err := s.Relation(ctx, Target{Graph: "onto", Grammar: "up"}, "S")
+	pairs, err := relation(ctx, s, Target{Graph: "onto", Grammar: "up"}, "S")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -90,11 +90,11 @@ func (ss *ServerSubscription) note(b cfpq.PairBatch) {
 	ss.events.Add(1)
 	ss.pairs.Add(int64(len(b.Pairs)))
 	ss.lastSeq.Store(b.Seq)
-	ss.svc.metrics.subEvents.Add(1)
-	ss.svc.metrics.subPairs.Add(int64(len(b.Pairs)))
+	ss.svc.obs.subEvents.Inc()
+	ss.svc.obs.subPairs.Add(uint64(len(b.Pairs)))
 	if b.Resync {
 		ss.resyncs.Add(1)
-		ss.svc.metrics.subResyncs.Add(1)
+		ss.svc.obs.subResyncs.Inc()
 	}
 }
 
@@ -117,14 +117,17 @@ type wirePairBatch struct {
 	Pairs  []NamedPair `json:"pairs"`
 }
 
-// Close ends the subscription and deregisters it. Idempotent.
+// Close ends the subscription and deregisters it. Idempotent. Its drops
+// (final once the library subscription is closed) move to the service's
+// closed-subscription total in the same critical section that removes it
+// from the live set, so a concurrent scrape counts them exactly once.
 func (ss *ServerSubscription) Close() {
 	if ss.closed.Swap(true) {
 		return
 	}
 	ss.sub.Close()
-	ss.svc.metrics.subDrops.Add(ss.sub.Dropped())
 	ss.svc.subMu.Lock()
+	ss.svc.subDropsClosed += ss.sub.Dropped()
 	delete(ss.svc.subsLive, ss.id)
 	ss.svc.subMu.Unlock()
 }
@@ -187,7 +190,7 @@ func (s *Service) Subscribe(ctx context.Context, req SubscribeRequest, resume bo
 	}
 	s.subsLive[ss.id] = ss
 	s.subMu.Unlock()
-	s.metrics.subsTotal.Add(1)
+	s.obs.subsTotal.Inc()
 	return ss, nil
 }
 

@@ -59,7 +59,7 @@ func TestServiceSubscribeLifecycle(t *testing.T) {
 	}
 	defer ss.Close()
 	tgt := Target{Graph: "social", Grammar: "reach"}
-	before, err := s.Relation(ctx, tgt, "S")
+	before, err := relation(ctx, s, tgt, "S")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestServiceSubscribeLifecycle(t *testing.T) {
 	if _, err := s.AddEdges(ctx, "social", []EdgeSpec{{From: "dave", Label: "knows", To: "alice"}}); err != nil {
 		t.Fatal(err)
 	}
-	after, err := s.Relation(ctx, tgt, "S")
+	after, err := relation(ctx, s, tgt, "S")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,9 +109,9 @@ func TestServiceSubscribeLifecycle(t *testing.T) {
 		in.Events != 1 || in.Pairs != int64(len(want)) || in.LastSeq == 0 {
 		t.Fatalf("SubscriptionInfos[0] = %+v", in)
 	}
-	m := s.Metrics()
-	if m.Subscriptions != 1 || m.SubscriptionsActive != 1 || m.SubscriptionEvents != 1 ||
-		m.SubscriptionPairs != int64(len(want)) {
+	m := s.debugCounters()
+	if m["subscriptions"] != 1.0 || m["subscriptions_active"] != 1.0 || m["subscription_events"] != 1.0 ||
+		m["subscription_pairs"] != float64(len(want)) {
 		t.Fatalf("metrics = %+v", m)
 	}
 
@@ -120,7 +120,7 @@ func TestServiceSubscribeLifecycle(t *testing.T) {
 	if infos := s.SubscriptionInfos(); len(infos) != 0 {
 		t.Fatalf("after Close: SubscriptionInfos = %+v, want none", infos)
 	}
-	if m := s.Metrics(); m.SubscriptionsActive != 0 || m.Subscriptions != 1 {
+	if m := s.debugCounters(); m["subscriptions_active"] != 0.0 || m["subscriptions"] != 1.0 {
 		t.Fatalf("after Close: metrics = %+v", m)
 	}
 }
@@ -437,7 +437,7 @@ func TestFollowerSubscriptionPush(t *testing.T) {
 	}
 	defer ss.Close()
 	tgt := Target{Graph: "social", Grammar: "reach"}
-	initial, err := f.svc.Relation(ctx, tgt, "S")
+	initial, err := relation(ctx, f.svc, tgt, "S")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -460,7 +460,7 @@ func TestFollowerSubscriptionPush(t *testing.T) {
 	}
 	waitFor(t, 10*time.Second, func() bool { return caughtUp(f, leader, "social") }, "live tail")
 
-	final, err := f.svc.Relation(ctx, tgt, "S")
+	final, err := relation(ctx, f.svc, tgt, "S")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -504,7 +504,7 @@ func TestFollowerSubscriptionPush(t *testing.T) {
 	case <-time.After(100 * time.Millisecond):
 	}
 	// And the follower agrees with the leader, as ever.
-	want2, err := leader.Relation(ctx, tgt, "S")
+	want2, err := relation(ctx, leader, tgt, "S")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -72,7 +72,7 @@ func (e *Engine) Do(ctx context.Context, req Request) (*Result, error) {
 	}
 
 	if req.Conjunctive != nil {
-		return finish(e.doConjunctive(ctx, cfg, req))
+		return finish(e.doConjunctive(ctx, req))
 	}
 
 	gram, start := req.Grammar, req.Nonterminal
@@ -214,9 +214,9 @@ func (e *Engine) doPaths(ctx context.Context, cfg *config, req Request, gram *Gr
 // doConjunctive answers a conjunctive-grammar request: conjunctive
 // evaluation has no restricted variant, so the plan is always the full
 // closure with post-hoc filtering.
-func (e *Engine) doConjunctive(ctx context.Context, cfg *config, req Request) (*Result, error) {
+func (e *Engine) doConjunctive(ctx context.Context, req Request) (*Result, error) {
 	start := time.Now()
-	res, err := conjunctive.EvaluateContext(ctx, req.Graph, req.Conjunctive, e.resolveBackend(cfg).mat())
+	res, err := conjunctive.EvaluateContext(ctx, req.Graph, req.Conjunctive, e.backend.mat())
 	if err != nil {
 		return nil, err
 	}

@@ -502,6 +502,9 @@ type PreparedStats struct {
 	Nodes int `json:"nodes"`
 	// Entries is the total number of set bits across the relation matrices.
 	Entries int `json:"entries"`
+	// Counts is the number of pairs in each non-terminal's relation
+	// (CNF non-terminals included); Entries is its sum.
+	Counts map[string]int `json:"counts"`
 	// Build is the closure work of the initial full fixpoint.
 	Build Stats `json:"build"`
 	// Update accumulates the incremental closure work of every AddEdges.
@@ -517,13 +520,15 @@ type PreparedStats struct {
 func (p *Prepared) Stats() PreparedStats {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
+	counts := p.ix.Counts()
 	entries := 0
-	for _, c := range p.ix.Counts() {
+	for _, c := range counts {
 		entries += c
 	}
 	return PreparedStats{
 		Nodes:   p.ix.Nodes(),
 		Entries: entries,
+		Counts:  counts,
 		Build:   p.build,
 		Update:  p.update,
 		Updates: p.updates,

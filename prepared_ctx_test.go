@@ -57,33 +57,3 @@ func TestPreparedSugarCancellation(t *testing.T) {
 		t.Errorf("Count(live) = %d, want 1", n)
 	}
 }
-
-// TestExtensionWrapperCancellation pins the same contract on the
-// deprecated one-shot wrappers, which now thread the caller's ctx into
-// the fresh engine they run.
-func TestExtensionWrapperCancellation(t *testing.T) {
-	g := NewGraph(3)
-	g.AddEdge(0, "a", 1)
-	g.AddEdge(1, "b", 2)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-
-	if _, err := RPQ(ctx, g, "a b"); !errors.Is(err, context.Canceled) {
-		t.Errorf("RPQ err = %v, want context.Canceled", err)
-	}
-	cg, err := ParseConjunctive("S -> a b & a b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := QueryConjunctive(ctx, g, cg, "S"); !errors.Is(err, context.Canceled) {
-		t.Errorf("QueryConjunctive err = %v, want context.Canceled", err)
-	}
-	cnf, _ := ToCNF(MustParseGrammar("S -> a b"))
-	if px := ShortestPath(ctx, g, cnf); px != nil {
-		t.Error("ShortestPath returned an index under a cancelled ctx, want nil")
-	}
-	ix, _ := Evaluate(g, cnf)
-	if stats := Update(ctx, ix, Edge{From: 2, Label: "a", To: 0}); stats.Iterations != 0 {
-		t.Errorf("Update ran %d iterations under a cancelled ctx, want 0", stats.Iterations)
-	}
-}

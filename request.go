@@ -74,7 +74,7 @@ type Request struct {
 	Trace bool `json:"trace,omitempty"`
 
 	// Options are per-call evaluation options (iteration schedule, trace,
-	// deprecated backend overrides) applied by Engine.Do.
+	// memory budget) applied by Engine.Do.
 	Options []Option `json:"-"`
 }
 
