@@ -72,6 +72,41 @@ func TestMemoryBudgetRejects(t *testing.T) {
 	}
 }
 
+// TestAddEdgesHonoursMemoryBudget: the engine-wide budget governs
+// incremental patches too. Under a budget the finished closure of the
+// patched graph just fits, the patch's semi-naive pass (index plus two sets
+// of frontier matrices) does not: AddEdges fails with *MemoryBudgetError
+// under the cancellation contract — partial Delta published, handle dirty,
+// the next call repairs with a rebuild (which fits) — so subscribers still
+// see every derived pair exactly once.
+func TestAddEdgesHonoursMemoryBudget(t *testing.T) {
+	ctx := context.Background()
+	patched := cfpq.NewGraph(0)
+	for i := 0; i < 6; i++ {
+		patched.AddEdge(i, "a", i+1)
+	}
+	for i := 6; i < 12; i++ {
+		patched.AddEdge(i, "b", i+1)
+	}
+	cnf, err := cfpq.ToCNF(cfpq.MustParseGrammar("S -> a S b | a b"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, be := range cfpq.Backends() {
+		t.Run(be.Name(), func(t *testing.T) {
+			_, cold, err := cfpq.NewEngine(be).Evaluate(ctx, patched, cnf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng := cfpq.NewEngine(be, cfpq.WithMemoryBudget(cold.PeakBytes))
+			interruptedPatchExactlyOnce(t, eng, ctx, func(err error) bool {
+				var mbe *cfpq.MemoryBudgetError
+				return errors.As(err, &mbe) && mbe.BudgetBytes == cold.PeakBytes
+			})
+		})
+	}
+}
+
 // TestDoBoundsErrorsStructured pins satellite 3: out-of-range restriction
 // nodes on Engine.Do come back as *RequestError naming the field and the
 // valid range — the same shape Validate produces — on both Do surfaces.

@@ -72,6 +72,18 @@ func MustParseGrammar(text string) *Grammar { return grammar.MustParse(text) }
 // same grammar.
 func ToCNF(g *Grammar) (*CNF, error) { return grammar.ToCNF(g) }
 
+// Algorithm1 runs the paper's Algorithm 1 literally — initialise T, then
+// T ← T ∪ (T × T) with every product of a pass reading a snapshot of the
+// previous pass's state — and calls visit (when non-nil) with each state
+// T₀, T₁, … it passes through, the final unchanged one included; visit
+// must not retain or mutate the index. It is the reference the engine's
+// faster in-place schedule is tested against and what the quickstart
+// example prints the paper's worked example from; it takes no options,
+// budget, trace or context. Answer queries with an Engine.
+func Algorithm1(b Backend, g *Graph, cnf *CNF, visit func(k int, ix *Index)) (*Index, Stats) {
+	return core.Algorithm1(b.mat(), g, cnf, visit)
+}
+
 // Option configures one evaluation call on an Engine.
 type Option func(*config)
 
@@ -87,32 +99,9 @@ func WithEmptyPaths() Option {
 	return func(c *config) { c.emptyPaths = true }
 }
 
-// WithNaiveIteration makes the closure follow the paper's Algorithm 1
-// literally — every pass multiplies snapshots of the previous pass's state,
-// T ← T ∪ (T_prev × T_prev) — instead of the faster in-place schedule. Both
-// reach the same fixpoint; naive iteration reproduces the paper's worked
-// example states T₀, T₁, … exactly.
-func WithNaiveIteration() Option {
-	return func(c *config) { c.engineOpts = append(c.engineOpts, core.WithNaiveIteration()) }
-}
-
-// WithDeltaIteration selects the semi-naive closure schedule: each pass
-// multiplies only the frontier (the bits added by the previous pass)
-// against the full matrices. Same fixpoint, less work per pass as the
-// closure converges. Mutually exclusive with WithNaiveIteration.
-func WithDeltaIteration() Option {
-	return func(c *config) { c.engineOpts = append(c.engineOpts, core.WithDeltaIteration()) }
-}
-
-// WithTrace installs a callback invoked with the evolving index after
-// initialisation (iteration 0) and after each fixpoint pass. The callback
-// must not retain or mutate the index.
-func WithTrace(fn func(iteration int, ix *Index)) Option {
-	return func(c *config) { c.engineOpts = append(c.engineOpts, core.WithTrace(fn)) }
-}
-
-// WithTracer installs a Trace whose hooks fire with one PassEvent per
-// closure pass — pass index, products, per-nonterminal nnz before/after,
+// WithTracer installs a Trace, the library's one per-pass hook: it fires
+// with one PassEvent per closure pass — phase ("full", "frontier" or
+// "update"), pass index, products, per-nonterminal nnz before/after,
 // frontier saturation, estimated bytes, wall time. Passed to NewEngine it
 // observes every evaluation the engine runs; passed per call (via
 // Request.Options or a query method's opts) it observes that evaluation
@@ -146,9 +135,10 @@ type MemoryBudgetError = core.MemoryBudgetError
 // *MemoryBudgetError before the offending allocation instead of running
 // the process out of memory. bytes ≤ 0 means unlimited (the default).
 // Pass it to NewEngine to govern every evaluation — including Prepare's
-// index build — or per call to bound a single one. The estimate covers
-// the index matrices plus schedule-dependent working copies; transient
-// kernel scratch is not counted.
+// index build and every Prepared.AddEdges patch — or per call to bound a
+// single one. The estimate covers the index matrices plus the frontier
+// matrices of source-restricted evaluations and incremental patches;
+// transient kernel scratch is not counted.
 func WithMemoryBudget(bytes int64) Option {
 	return func(c *config) { c.engineOpts = append(c.engineOpts, core.WithMemoryBudget(bytes)) }
 }

@@ -51,7 +51,11 @@
 //
 // The algorithm reduces query evaluation to a Boolean-matrix transitive
 // closure: one |V|×|V| Boolean matrix per non-terminal, with one matrix
-// multiplication per grammar production per fixpoint pass. The familiar
+// multiplication per grammar production per fixpoint pass. Engines run one
+// closure schedule — matrices updated in place within a pass; the paper's
+// literal loop (every pass reads a snapshot of the previous state) is the
+// reference function Algorithm1, which tests, the ablation and
+// examples/quickstart use and no Engine serves with. The familiar
 // call shapes survive as one-line sugar over Do — Query (unrestricted
 // pairs), QueryFrom/QueryFromStats (source-restricted), QueryTo
 // (target-restricted), RPQ, QueryConjunctive — alongside the index-level
@@ -136,7 +140,8 @@
 //
 // Every evaluation can narrate itself, in the style of
 // httptrace.ClientTrace: WithTracer installs a Trace whose Pass hook
-// fires one PassEvent per closure pass — phase, pass index, Boolean
+// fires one PassEvent per closure pass — phase ("full", "frontier" or
+// "update"), pass index, Boolean
 // products, each non-terminal's relation size before/after (the deltas
 // telescope to exactly the pairs the evaluation derived), frontier
 // saturation, estimated matrix bytes and wall time. WithTraceContext
@@ -156,7 +161,9 @@
 // cfpq.WithMemoryBudget(n)), where it also governs Prepare and every
 // incremental patch. An evaluation that would exceed the budget fails
 // fast between passes with a typed *MemoryBudgetError instead of
-// thrashing the process; cmd/cfpqd maps the error to HTTP 413.
+// thrashing the process; an over-budget patch leaves its Prepared handle
+// as a cancelled one does (sound, repaired by the next AddEdges).
+// cmd/cfpqd maps the error to HTTP 413.
 //
 // # Serving queries
 //

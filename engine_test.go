@@ -8,8 +8,8 @@ import (
 )
 
 // chainGraph builds the word graph a^k b^k: nodes 0..2k, a-edges then
-// b-edges. With S -> a S b | a b the closure needs ~k passes under naive
-// iteration, giving cancellation something to interrupt.
+// b-edges. With S -> a S b | a b the closure needs ~k passes, giving
+// cancellation something to interrupt.
 func chainGraph(k int) *Graph {
 	g := NewGraph(2*k + 1)
 	for i := 0; i < k; i++ {
@@ -71,23 +71,22 @@ func TestEvaluateCancelledBeforeStart(t *testing.T) {
 	}
 }
 
-// TestEvaluateCancelMidClosure cancels from the trace callback after a few
+// TestEvaluateCancelMidClosure cancels from the Trace.Pass hook after a few
 // passes: the closure must abort at the next pass boundary and return
 // ctx.Err(), well before the fixpoint the chain needs.
 func TestEvaluateCancelMidClosure(t *testing.T) {
-	const k = 40 // naive iteration needs ~k passes on a^k b^k
+	const k = 40 // the closure needs ~k passes on a^k b^k
 	const stopAt = 3
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	g := chainGraph(k)
 	cnf, _ := ToCNF(MustParseGrammar("S -> a S b | a b"))
 	ix, stats, err := NewEngine(Sparse).Evaluate(ctx, g, cnf,
-		WithNaiveIteration(),
-		WithTrace(func(iteration int, _ *Index) {
-			if iteration == stopAt {
+		WithTracer(Trace{Pass: func(ev PassEvent) {
+			if ev.Pass == stopAt {
 				cancel()
 			}
-		}),
+		}}),
 	)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -95,11 +94,11 @@ func TestEvaluateCancelMidClosure(t *testing.T) {
 	if ix != nil {
 		t.Error("cancelled Evaluate must not return an index")
 	}
-	if stats.Iterations < stopAt || stats.Iterations > stopAt+1 {
+	if stats.Iterations != stopAt {
 		t.Errorf("closure ran %d passes after cancelling at %d — not prompt", stats.Iterations, stopAt)
 	}
 	// Sanity: uncancelled, the same closure needs far more passes.
-	_, full, err := NewEngine(Sparse).Evaluate(context.Background(), g, cnf, WithNaiveIteration())
+	_, full, err := NewEngine(Sparse).Evaluate(context.Background(), g, cnf)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,26 +34,21 @@ func BenchmarkClosureBackends(b *testing.B) {
 	}
 }
 
-// BenchmarkIterationSchedule is the ablation bench for the naive
-// (paper-literal, snapshot) schedule versus the in-place schedule.
+// BenchmarkIterationSchedule is the ablation bench for the paper-literal
+// snapshot loop (Algorithm1) versus the production in-place schedule.
 func BenchmarkIterationSchedule(b *testing.B) {
 	g, cnf := benchInput(300)
-	schedules := []struct {
-		name string
-		opts []Option
-	}{
-		{"in-place", []Option{WithBackend(matrix.Sparse())}},
-		{"naive", []Option{WithBackend(matrix.Sparse()), WithNaiveIteration()}},
-		{"delta", []Option{WithBackend(matrix.Sparse()), WithDeltaIteration()}},
-	}
-	for _, s := range schedules {
-		b.Run(s.name, func(b *testing.B) {
-			e := NewEngine(s.opts...)
-			for i := 0; i < b.N; i++ {
-				e.Run(g, cnf)
-			}
-		})
-	}
+	b.Run("in-place", func(b *testing.B) {
+		e := NewEngine(WithBackend(matrix.Sparse()))
+		for i := 0; i < b.N; i++ {
+			e.Run(g, cnf)
+		}
+	})
+	b.Run("algorithm1", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			Algorithm1(matrix.Sparse(), g, cnf, nil)
+		}
+	})
 }
 
 // BenchmarkAgainstBaselines pits the matrix engine against the Hellings

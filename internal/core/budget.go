@@ -8,9 +8,10 @@ import (
 
 // MemoryBudgetError reports that a closure evaluation was abandoned
 // because its estimated matrix storage outgrew the engine's memory
-// budget (WithMemoryBudget). The index under construction is discarded;
-// the error fires before the allocation that would breach the budget,
-// not after the process is already swapping.
+// budget (WithMemoryBudget). An index under construction is discarded; an
+// index being updated keeps the sound, partially propagated state
+// UpdateContext documents. The error fires before the allocation that
+// would breach the budget, not after the process is already swapping.
 type MemoryBudgetError struct {
 	// BudgetBytes is the configured allowance.
 	BudgetBytes int64
@@ -24,13 +25,13 @@ func (e *MemoryBudgetError) Error() string {
 
 // WithMemoryBudget bounds the estimated matrix bytes a single closure
 // evaluation may hold at once. The estimate covers the index matrices
-// plus schedule-dependent working copies (per-pass clones in naive mode,
-// delta/frontier matrices in the semi-naive and source-restricted
-// schedules); it is checked before matrix allocation and between fixpoint
-// passes, and a breach aborts the evaluation with a *MemoryBudgetError.
-// bytes ≤ 0 means unlimited (the default). The budget is enforced on the
-// context-taking evaluation paths (RunContext, CloseContext,
-// RunFromContext and everything built on them).
+// plus, in the source-restricted closure and in incremental updates, the
+// current and next frontier matrices of the semi-naive pass; it is checked
+// before matrix allocation and between fixpoint passes, and a breach aborts
+// the evaluation with a *MemoryBudgetError. bytes ≤ 0 means unlimited (the
+// default). The budget is enforced on the context-taking evaluation paths
+// (RunContext, CloseContext, RunFromContext, UpdateContext and everything
+// built on them).
 func WithMemoryBudget(bytes int64) Option {
 	return func(e *Engine) { e.budget = bytes }
 }

@@ -142,9 +142,9 @@ type Stats struct {
 	// real latency rather than a zero-work closure.
 	Duration time.Duration `json:"duration_ns,omitempty"`
 	// PeakBytes is the largest estimated matrix working set the
-	// evaluation held between passes (index matrices plus any
-	// schedule-dependent clones or frontiers) — the same estimate the
-	// memory budget is enforced against.
+	// evaluation held between passes (index matrices plus any frontier
+	// matrices of the semi-naive pass) — the same estimate the memory
+	// budget is enforced against.
 	PeakBytes int64 `json:"peak_bytes,omitempty"`
 }
 
@@ -171,21 +171,9 @@ func (s *Stats) observePeak(bytes int64) {
 // Engine evaluates CFPQs by matrix multiplication.
 type Engine struct {
 	backend matrix.Backend
-	// naive selects the paper-literal iteration T ← T ∪ (T_prev × T_prev):
-	// every product in a pass reads the state from the end of the previous
-	// pass. The default (false) updates matrices in place within a pass,
-	// which reaches the same fixpoint in fewer passes (every in-place pass
-	// adds a superset of the snapshot pass's additions, and every addition
-	// is justified by a derivation, so soundness and the fixpoint are
-	// unchanged). The quickstart example uses naive mode to reproduce the
-	// paper's T₀…T₆ states exactly.
-	naive bool
-	// delta selects the semi-naive schedule (see WithDeltaIteration).
-	delta bool
 	// budget bounds the estimated matrix bytes one evaluation may hold
 	// (see WithMemoryBudget); ≤ 0 means unlimited.
 	budget int64
-	trace  func(iteration int, ix *Index)
 	// tracer is the engine-wide per-pass event trace (WithTracer); a
 	// context-attached Trace (WithTraceContext) fires alongside it.
 	tracer *Trace
@@ -197,19 +185,6 @@ type Option func(*Engine)
 // WithBackend selects the matrix backend (default: sparse serial).
 func WithBackend(b matrix.Backend) Option {
 	return func(e *Engine) { e.backend = b }
-}
-
-// WithNaiveIteration makes the closure follow the paper's Algorithm 1
-// literally: each pass multiplies snapshots of the previous pass's state.
-func WithNaiveIteration() Option {
-	return func(e *Engine) { e.naive = true }
-}
-
-// WithTrace installs a callback invoked with the index state after matrix
-// initialisation (iteration 0) and after every fixpoint pass. The callback
-// must not retain or mutate the index.
-func WithTrace(fn func(iteration int, ix *Index)) Option {
-	return func(e *Engine) { e.trace = fn }
 }
 
 // NewEngine returns an engine with the given options.
@@ -258,56 +233,37 @@ func (e *Engine) Close(ix *Index) Stats {
 // checked between fixpoint passes and ctx.Err() is returned if it fires.
 // The index is left in a sound intermediate state (every bit justified by a
 // derivation) but is not a fixpoint.
+//
+// Matrices are updated in place within a pass, so a product may already read
+// bits an earlier rule of the same pass derived. Every in-place pass adds a
+// superset of what the paper's snapshot pass (Algorithm1) adds and every
+// addition is justified by a derivation, so the fixpoint is the same and is
+// reached in no more passes.
 func (e *Engine) CloseContext(ctx context.Context, ix *Index) (Stats, error) {
-	if e.naive && e.delta {
-		panic("core: WithNaiveIteration and WithDeltaIteration are mutually exclusive")
-	}
-	pt := e.newPassTracer(ctx, e.closePhase(), ix)
-	return e.closeTraced(ctx, ix, pt)
+	return e.closeTraced(ctx, ix, e.newPassTracer(ctx, "full", ix))
 }
 
-// closePhase names the schedule CloseContext will run under.
-func (e *Engine) closePhase() string {
-	switch {
-	case e.naive:
-		return "naive"
-	case e.delta:
-		return "delta"
-	default:
-		return "full"
-	}
-}
-
-// closeTraced is CloseContext under an already-resolved pass tracer, so a
-// schedule taking over mid-evaluation (frontier saturation fallback) keeps
-// one event chain. pt may be nil (tracing disabled).
+// closeTraced is CloseContext under an already-resolved pass tracer, so the
+// all-pairs loop taking over mid-evaluation (frontier saturation fallback)
+// keeps one event chain. pt may be nil (tracing disabled).
 func (e *Engine) closeTraced(ctx context.Context, ix *Index, pt *passTracer) (stats Stats, err error) {
-	pt.setPhase(e.closePhase())
+	pt.setPhase("full")
 	if !pt.started() {
 		// The entry state is this evaluation's seeding step: CloseContext
 		// runs on a freshly initialised index.
 		pt.beginPass()
 		pt.endPass(0, 0)
 	}
-	if e.delta {
-		return e.closeDelta(ctx, ix, pt)
-	}
 	start := time.Now()
 	defer func() {
 		stats.Duration = time.Since(start)
 		stats.observePeak(ix.Bytes())
 	}()
-	if e.trace != nil {
-		e.trace(0, ix)
-	}
 	for {
 		if err := ctx.Err(); err != nil {
 			return stats, err
 		}
 		est := ix.Bytes()
-		if e.naive {
-			est *= 2 // snapshot semantics clone every matrix
-		}
 		stats.observePeak(est)
 		if err := e.checkBudget(est); err != nil {
 			return stats, err
@@ -315,30 +271,13 @@ func (e *Engine) closeTraced(ctx context.Context, ix *Index, pt *passTracer) (st
 		stats.Iterations++
 		pt.beginPass()
 		changed := false
-		if e.naive {
-			// Snapshot semantics: all products read the previous state.
-			prev := make([]matrix.Bool, len(ix.mats))
-			for i, m := range ix.mats {
-				prev[i] = m.Clone()
-			}
-			for _, r := range ix.cnf.Binary {
-				stats.Products++
-				if ix.mats[r.A].AddMul(prev[r.B], prev[r.C]) {
-					changed = true
-				}
-			}
-		} else {
-			for _, r := range ix.cnf.Binary {
-				stats.Products++
-				if ix.mats[r.A].AddMul(ix.mats[r.B], ix.mats[r.C]) {
-					changed = true
-				}
+		for _, r := range ix.cnf.Binary {
+			stats.Products++
+			if ix.mats[r.A].AddMul(ix.mats[r.B], ix.mats[r.C]) {
+				changed = true
 			}
 		}
 		pt.endPass(len(ix.cnf.Binary), 0)
-		if e.trace != nil {
-			e.trace(stats.Iterations, ix)
-		}
 		if !changed {
 			return stats, nil
 		}
@@ -379,24 +318,12 @@ type QueryOptions struct {
 	IncludeEmptyPaths bool
 }
 
-// Query evaluates R_start on the graph under the relational semantics and
-// returns the sorted pair list. It is the one-call convenience API; use
-// Run/Index for repeated queries over the same closure.
-func (e *Engine) Query(g *graph.Graph, gram *grammar.Grammar, start string, opts QueryOptions) ([]matrix.Pair, error) {
-	//lint:allow cfpqlint/ctxflow ctx-less convenience API kept for the paper-faithful surface; QueryContext is the ctx-aware path
-	return e.QueryContext(context.Background(), g, gram, start, opts)
-}
-
-// QueryContext is Query with cooperative cancellation between closure
-// passes.
-func (e *Engine) QueryContext(ctx context.Context, g *graph.Graph, gram *grammar.Grammar, start string, opts QueryOptions) ([]matrix.Pair, error) {
-	pairs, _, err := e.QueryStatsContext(ctx, g, gram, start, opts)
-	return pairs, err
-}
-
-// QueryStatsContext is QueryContext additionally reporting the closure
-// work — the numbers the public planner surfaces in Result.Stats.
-func (e *Engine) QueryStatsContext(ctx context.Context, g *graph.Graph, gram *grammar.Grammar, start string, opts QueryOptions) ([]matrix.Pair, Stats, error) {
+// QueryContext evaluates R_start on the graph under the relational
+// semantics and returns the sorted pair list together with the closure
+// work — the numbers the public planner surfaces in Result.Stats. It is the
+// one-call convenience API; use Run/Index for repeated queries over the
+// same closure.
+func (e *Engine) QueryContext(ctx context.Context, g *graph.Graph, gram *grammar.Grammar, start string, opts QueryOptions) ([]matrix.Pair, Stats, error) {
 	if !gram.HasNonterminal(start) {
 		return nil, Stats{}, fmt.Errorf("core: unknown non-terminal %q", start)
 	}
@@ -410,22 +337,29 @@ func (e *Engine) QueryStatsContext(ctx context.Context, g *graph.Graph, gram *gr
 	}
 	pairs := ix.Relation(start)
 	if opts.IncludeEmptyPaths && cnf.Nullable[start] {
-		seen := make(map[matrix.Pair]bool, len(pairs))
-		for _, p := range pairs {
-			seen[p] = true
-		}
-		for v := 0; v < g.Nodes(); v++ {
-			p := matrix.Pair{I: v, J: v}
-			if !seen[p] {
-				pairs = append(pairs, p)
-			}
-		}
-		sort.Slice(pairs, func(a, b int) bool {
-			if pairs[a].I != pairs[b].I {
-				return pairs[a].I < pairs[b].I
-			}
-			return pairs[a].J < pairs[b].J
-		})
+		pairs = withEmptyPaths(pairs, g.Nodes(), nil)
 	}
 	return pairs, stats, nil
+}
+
+// withEmptyPaths merges the reflexive pairs (v, v), v < n — only those with
+// in[v] set when in is non-nil — into a pair list and returns it sorted
+// row-major.
+func withEmptyPaths(pairs []matrix.Pair, n int, in []bool) []matrix.Pair {
+	seen := make(map[matrix.Pair]bool, len(pairs))
+	for _, p := range pairs {
+		seen[p] = true
+	}
+	for v := 0; v < n; v++ {
+		if p := (matrix.Pair{I: v, J: v}); (in == nil || in[v]) && !seen[p] {
+			pairs = append(pairs, p)
+		}
+	}
+	sort.Slice(pairs, func(a, b int) bool {
+		if pairs[a].I != pairs[b].I {
+			return pairs[a].I < pairs[b].I
+		}
+		return pairs[a].J < pairs[b].J
+	})
+	return pairs
 }

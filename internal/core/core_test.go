@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -82,19 +83,16 @@ func TestBackendsAndIterationModesAgree(t *testing.T) {
 		n := 3 + rng.Intn(15)
 		g := graph.Random(rng, n, 3*n, []string{"a", "b", "subClassOf", "subClassOf_r", "type", "type_r"})
 		for gi, cnf := range grams {
-			ref, _ := NewEngine(WithBackend(matrix.Dense()), WithNaiveIteration()).Run(g, cnf)
+			ref, _ := Algorithm1(matrix.Dense(), g, cnf, nil)
 			for _, be := range matrix.Backends() {
-				for _, naive := range []bool{false, true} {
-					opts := []Option{WithBackend(be)}
-					if naive {
-						opts = append(opts, WithNaiveIteration())
-					}
-					ix, _ := NewEngine(opts...).Run(g, cnf)
+				inplace, _ := NewEngine(WithBackend(be)).Run(g, cnf)
+				snapshot, _ := Algorithm1(be, g, cnf, nil)
+				for name, ix := range map[string]*Index{"in-place": inplace, "Algorithm1": snapshot} {
 					for a := 0; a < cnf.NonterminalCount(); a++ {
 						nt := cnf.Names[a]
 						if !reflect.DeepEqual(ix.Relation(nt), ref.Relation(nt)) {
-							t.Fatalf("trial %d grammar %d: %s naive=%v disagrees on R_%s",
-								trial, gi, be.Name(), naive, nt)
+							t.Fatalf("trial %d grammar %d: %s %s disagrees on R_%s",
+								trial, gi, be.Name(), name, nt)
 						}
 					}
 				}
@@ -110,11 +108,11 @@ func TestInPlaceNeverSlowerInPasses(t *testing.T) {
 	cnf := balancedCNF(t)
 	for trial := 0; trial < 10; trial++ {
 		g := graph.Random(rng, 12, 36, []string{"a", "b"})
-		_, naive := NewEngine(WithNaiveIteration()).Run(g, cnf)
+		_, snapshot := Algorithm1(matrix.Sparse(), g, cnf, nil)
 		_, inplace := NewEngine().Run(g, cnf)
-		if inplace.Iterations > naive.Iterations {
-			t.Errorf("trial %d: in-place used %d passes, naive %d",
-				trial, inplace.Iterations, naive.Iterations)
+		if inplace.Iterations > snapshot.Iterations {
+			t.Errorf("trial %d: in-place used %d passes, Algorithm1 %d",
+				trial, inplace.Iterations, snapshot.Iterations)
 		}
 	}
 }
@@ -122,7 +120,7 @@ func TestInPlaceNeverSlowerInPasses(t *testing.T) {
 func TestQueryUnknownNonterminal(t *testing.T) {
 	g := graph.Chain(3, "a")
 	gram := grammar.MustParse("S -> a")
-	if _, err := NewEngine().Query(g, gram, "Nope", QueryOptions{}); err == nil {
+	if _, _, err := NewEngine().QueryContext(context.Background(), g, gram, "Nope", QueryOptions{}); err == nil {
 		t.Error("Query with unknown non-terminal should fail")
 	}
 }
@@ -131,7 +129,7 @@ func TestQueryIncludeEmptyPaths(t *testing.T) {
 	g := graph.Chain(3, "a") // nodes 0,1,2
 	gram := grammar.MustParse("S -> a S | eps")
 	e := NewEngine()
-	without, err := e.Query(g, gram, "S", QueryOptions{})
+	without, _, err := e.QueryContext(context.Background(), g, gram, "S", QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +138,7 @@ func TestQueryIncludeEmptyPaths(t *testing.T) {
 			t.Errorf("unexpected reflexive pair %v without IncludeEmptyPaths", p)
 		}
 	}
-	with, err := e.Query(g, gram, "S", QueryOptions{IncludeEmptyPaths: true})
+	with, _, err := e.QueryContext(context.Background(), g, gram, "S", QueryOptions{IncludeEmptyPaths: true})
 	if err != nil {
 		t.Fatal(err)
 	}

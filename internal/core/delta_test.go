@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -9,6 +10,20 @@ import (
 	"cfpq/internal/graph"
 	"cfpq/internal/matrix"
 )
+
+// coldUpdate closes g by the semi-naive path alone: UpdateContext on an
+// empty index over g's node range, seeded with every edge. The whole
+// initialised index is the first frontier, so the shared step runs on
+// full-size frontiers rather than the few bits of a typical patch.
+func coldUpdate(t *testing.T, e *Engine, g *graph.Graph, cnf *grammar.CNF) (*Index, Stats, *Delta) {
+	t.Helper()
+	ix := e.Init(graph.New(g.Nodes()), cnf)
+	stats, delta, err := e.UpdateContext(context.Background(), ix, g.Edges()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ix, stats, delta
+}
 
 func TestDeltaIterationMatchesDefault(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
@@ -24,11 +39,16 @@ func TestDeltaIterationMatchesDefault(t *testing.T) {
 		for gi, cnf := range grams {
 			ref, _ := NewEngine().Run(g, cnf)
 			for _, be := range matrix.Backends() {
-				ix, _ := NewEngine(WithBackend(be), WithDeltaIteration()).Run(g, cnf)
+				ix, _, delta := coldUpdate(t, NewEngine(WithBackend(be)), g, cnf)
 				for a := 0; a < cnf.NonterminalCount(); a++ {
 					nt := cnf.Names[a]
 					if !reflect.DeepEqual(ix.Relation(nt), ref.Relation(nt)) {
-						t.Fatalf("trial %d grammar %d backend %s: delta disagrees on R_%s",
+						t.Fatalf("trial %d grammar %d backend %s: semi-naive closure disagrees on R_%s",
+							trial, gi, be.Name(), nt)
+					}
+					// Starting from nothing, everything is newly derived.
+					if !reflect.DeepEqual(delta.Pairs(nt), ref.Relation(nt)) {
+						t.Fatalf("trial %d grammar %d backend %s: delta of R_%s is not the whole relation",
 							trial, gi, be.Name(), nt)
 					}
 				}
@@ -39,31 +59,12 @@ func TestDeltaIterationMatchesDefault(t *testing.T) {
 
 func TestDeltaIterationPaperExampleRelations(t *testing.T) {
 	cnf := grammar.MustParseCNF(paperCNF)
-	ix, stats := NewEngine(WithDeltaIteration()).Run(paperGraph(), cnf)
+	ix, stats, _ := coldUpdate(t, NewEngine(), paperGraph(), cnf)
 	want := []matrix.Pair{{I: 0, J: 0}, {I: 0, J: 2}, {I: 1, J: 2}}
 	if got := ix.Relation("S"); !reflect.DeepEqual(got, want) {
 		t.Errorf("R_S = %v, want %v", got, want)
 	}
 	if stats.Iterations == 0 || stats.Products == 0 {
 		t.Errorf("stats = %+v", stats)
-	}
-}
-
-func TestDeltaAndNaiveMutuallyExclusive(t *testing.T) {
-	e := NewEngine(WithNaiveIteration(), WithDeltaIteration())
-	defer func() {
-		if recover() == nil {
-			t.Error("combining naive and delta schedules should panic")
-		}
-	}()
-	e.Run(graph.Chain(2, "a"), grammar.MustParseCNF("S -> a"))
-}
-
-func TestDeltaTraceFires(t *testing.T) {
-	calls := 0
-	e := NewEngine(WithDeltaIteration(), WithTrace(func(int, *Index) { calls++ }))
-	e.Run(graph.Word([]string{"a", "b"}), grammar.MustParseCNF("S -> a b"))
-	if calls < 2 {
-		t.Errorf("trace fired %d times, want at least init + 1 pass", calls)
 	}
 }

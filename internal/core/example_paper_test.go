@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -54,8 +55,8 @@ func cells(spec map[[2]int][]string) [][][]string {
 	return out
 }
 
-// TestPaperExampleIterations replays Section 4.3 exactly: with the paper's
-// naive iteration T ← T ∪ (T × T), the matrix states after initialisation
+// TestPaperExampleIterations replays Section 4.3 exactly: under the paper's
+// own iteration T ← T ∪ (T × T) (Algorithm1), the matrix states after initialisation
 // and after each loop pass must equal Figures 6, 7 and 8, reaching the
 // fixpoint at T₆ = T₅.
 func TestPaperExampleIterations(t *testing.T) {
@@ -106,14 +107,12 @@ func TestPaperExampleIterations(t *testing.T) {
 	}
 
 	var got [][][][]string
-	e := NewEngine(
-		WithBackend(matrix.Dense()),
-		WithNaiveIteration(),
-		WithTrace(func(iteration int, ix *Index) {
-			got = append(got, ix.CellSets())
-		}),
-	)
-	_, stats := e.Run(paperGraph(), cnf)
+	_, stats := Algorithm1(matrix.Dense(), paperGraph(), cnf, func(k int, ix *Index) {
+		if k != len(got) {
+			t.Errorf("visit(%d) arrived as state number %d", k, len(got))
+		}
+		got = append(got, ix.CellSets())
+	})
 
 	if stats.Iterations != 6 {
 		t.Errorf("Iterations = %d, want 6 (paper: T6 = T5)", stats.Iterations)
@@ -164,7 +163,7 @@ func TestPaperExampleWithMechanicalCNF(t *testing.T) {
 		S -> type_r type
 	`)
 	e := NewEngine()
-	pairs, err := e.Query(paperGraph(), g, "S", QueryOptions{})
+	pairs, _, err := e.QueryContext(context.Background(), paperGraph(), g, "S", QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,14 +30,7 @@ func newDelta(ix *Index) *Delta {
 func (d *Delta) Nodes() int { return d.n }
 
 // Empty reports whether the update derived nothing new.
-func (d *Delta) Empty() bool {
-	for _, m := range d.mats {
-		if m != nil && m.Nnz() > 0 {
-			return false
-		}
-	}
-	return true
-}
+func (d *Delta) Empty() bool { return !anySet(d.mats) }
 
 // Pairs returns the newly derived pairs of one non-terminal in row-major
 // order; unknown non-terminals and untouched relations return nil.
@@ -120,17 +113,17 @@ func (e *Engine) Update(ix *Index, edges ...graph.Edge) Stats {
 // UpdateContext is Update with cooperative cancellation between delta
 // passes, and it additionally returns the update's Delta: the union of
 // every newly derived pair — seed bits plus each propagation pass — which
-// is exactly what a live-query subscriber must be pushed. On cancellation
-// the index is sound (every bit justified) but the consequences of the new
-// edges may be only partially propagated; the returned Delta then covers
-// precisely the bits that did land in the index, so publishing it and later
-// publishing the repair's NewlyDerived delta delivers every pair exactly
-// once. Callers that must not serve a partially propagated state should
-// rebuild.
+// is exactly what a live-query subscriber must be pushed. On cancellation,
+// or when a pass would outgrow the engine's memory budget
+// (*MemoryBudgetError), the index is sound (every bit justified) but the
+// consequences of the new edges may be only partially propagated; the
+// returned Delta then covers precisely the bits that did land in the index,
+// so publishing it and later publishing the repair's NewlyDerived delta
+// delivers every pair exactly once. Callers that must not serve a partially
+// propagated state should rebuild.
 func (e *Engine) UpdateContext(ctx context.Context, ix *Index, edges ...graph.Edge) (stats Stats, _ *Delta, _ error) {
 	start := time.Now()
 	defer func() { stats.Duration = time.Since(start) }()
-	be := ix.backend
 	maxNode := -1
 	for _, edge := range edges {
 		if edge.From > maxNode {
@@ -143,73 +136,103 @@ func (e *Engine) UpdateContext(ctx context.Context, ix *Index, edges ...graph.Ed
 	if maxNode >= ix.n {
 		ix.Grow(maxNode + 1)
 	}
-	n := ix.n
-	nn := len(ix.mats)
 	acc := newDelta(ix)
 	// The update's event chain starts from the pre-update index, so its
 	// per-pass deltas telescope to exactly the bits this update added.
 	pt := e.newPassTracer(ctx, "update", ix)
 	pt.snapshot()
-	delta := make([]matrix.Bool, nn)
+	delta := make([]matrix.Bool, len(ix.mats))
 	for a := range delta {
-		delta[a] = be.NewMatrix(n)
+		delta[a] = ix.backend.NewMatrix(ix.n)
 	}
 	pt.beginPass()
-	seeded := false
 	for _, edge := range edges {
 		for _, a := range ix.cnf.TermRules[edge.Label] {
 			if !ix.mats[a].Get(edge.From, edge.To) {
 				delta[a].Set(edge.From, edge.To)
 				ix.mats[a].Set(edge.From, edge.To)
-				seeded = true
 			}
 		}
 	}
-	if !seeded {
+	if !anySet(delta) {
 		return stats, acc, nil
 	}
 	pt.endPass(0, 0)
-	for a := range delta {
-		// The seed matrices are consumed by the first pass's products and
-		// never reassigned, so the accumulator can adopt them in place.
-		acc.or(a, delta[a])
-	}
 	for {
+		// Fold the frontier's genuinely-new bits into the returned delta.
+		// An empty slot adopts the frontier matrix itself, which is safe:
+		// the coming pass only reads it, and by the time a later fold Ors
+		// into it the frontier has moved on to a fresh matrix.
+		for a := range delta {
+			acc.or(a, delta[a])
+		}
 		if err := ctx.Err(); err != nil {
 			return stats, acc, err
 		}
-		stats.observePeak(ix.Bytes() + matsBytes(delta) + int64(nn)*be.EmptyBytes(n))
-		stats.Iterations++
 		pt.beginPass()
-		next := make([]matrix.Bool, nn)
-		for a := range next {
-			next[a] = be.NewMatrix(n)
+		next, err := e.step(ix, delta, nil, &stats)
+		if err != nil {
+			return stats, acc, err
 		}
-		for _, r := range ix.cnf.Binary {
-			stats.Products += 2
-			next[r.A].AddMul(delta[r.B], ix.mats[r.C])
-			next[r.A].AddMul(ix.mats[r.B], delta[r.C])
-		}
-		changed := false
-		for a := range next {
-			next[a].AndNot(ix.mats[a])
-			if next[a].Nnz() > 0 {
-				ix.mats[a].Or(next[a])
-				changed = true
-			}
-		}
-		delta = next
 		pt.endPass(2*len(ix.cnf.Binary), 0)
-		if !changed {
+		if !anySet(next) {
 			return stats, acc, nil
 		}
-		for a := range next {
-			// Fold this pass's genuinely-new bits into the returned delta.
-			// Or copies out of next, so the frontier matrices feeding the
-			// next pass's products are not aliased by the accumulator —
-			// except for adopted all-new slots, which the next pass only
-			// reads.
-			acc.or(a, next[a])
+		delta = next
+	}
+}
+
+// step is the one semi-naive pass every frontier-driven schedule runs: for
+// each binary rule A → B C it multiplies only the frontier Δ — the bits the
+// previous pass (or the seeding) added — against the full matrices,
+//
+//	next_A = (Δ_B × T_C  ∪  T_B × Δ_C) \ T_A
+//
+// ORs next into the index and returns it as the coming pass's frontier. Any
+// new entry must involve at least one newly added operand entry, so no
+// product the full T × T would find is missed. rows, when non-nil, masks
+// the products to the active rows of the source-restricted closure. The
+// pass's working set (index + frontier + the next-frontier matrices about
+// to be allocated) is charged to stats.PeakBytes and checked against the
+// memory budget before anything is allocated; a breach returns a
+// *MemoryBudgetError with the index untouched.
+func (e *Engine) step(ix *Index, delta []matrix.Bool, rows []bool, stats *Stats) ([]matrix.Bool, error) {
+	est := ix.Bytes() + matsBytes(delta) + int64(len(ix.mats))*ix.backend.EmptyBytes(ix.n)
+	stats.observePeak(est)
+	if err := e.checkBudget(est); err != nil {
+		return nil, err
+	}
+	stats.Iterations++
+	next := make([]matrix.Bool, len(ix.mats))
+	for a := range next {
+		next[a] = ix.backend.NewMatrix(ix.n)
+	}
+	for _, r := range ix.cnf.Binary {
+		stats.Products += 2
+		if rows == nil {
+			next[r.A].AddMul(delta[r.B], ix.mats[r.C])
+			next[r.A].AddMul(ix.mats[r.B], delta[r.C])
+		} else {
+			next[r.A].AddMulRows(delta[r.B], ix.mats[r.C], rows)
+			next[r.A].AddMulRows(ix.mats[r.B], delta[r.C], rows)
 		}
 	}
+	for a := range next {
+		next[a].AndNot(ix.mats[a]) // keep only genuinely new bits
+		if next[a].Nnz() > 0 {
+			ix.mats[a].Or(next[a])
+		}
+	}
+	return next, nil
+}
+
+// anySet reports whether any matrix of a working set holds a bit; nil
+// slots count as empty.
+func anySet(mats []matrix.Bool) bool {
+	for _, m := range mats {
+		if m != nil && m.Nnz() > 0 {
+			return true
+		}
+	}
+	return false
 }

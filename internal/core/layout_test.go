@@ -45,7 +45,7 @@ func TestHotStructLayouts(t *testing.T) {
 	}{
 		{"PassEvent", reflect.TypeOf(PassEvent{}), 88},
 		{"Delta", reflect.TypeOf(Delta{}), 40},
-		{"Engine", reflect.TypeOf(Engine{}), 48},
+		{"Engine", reflect.TypeOf(Engine{}), 32},
 		{"Stats", reflect.TypeOf(Stats{}), 32},
 	}
 	for _, c := range cases {

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
 	"time"
 
 	"cfpq/internal/grammar"
@@ -39,9 +38,9 @@ type FromStats struct {
 // corresponding row of the full all-pairs closure (in particular the source
 // rows), while rows outside the active set are left empty and unpaid-for.
 //
-// The schedule is the semi-naive delta iteration restricted to active
-// rows, with the bookkeeping proportional to the frontier, not the graph:
-// rows are seeded from a per-node out-edge index exactly once, when they
+// The schedule is the semi-naive pass (step) restricted to active rows,
+// with the bookkeeping proportional to the frontier, not the graph: rows
+// are seeded from a per-node out-edge index exactly once, when they
 // activate; each pass multiplies only the previous pass's new bits
 // (Δ_B × T_C and T_B × Δ_C, row-masked); and column activation scans only
 // those new bits, cascading through a worklist (a seeded bit can activate
@@ -57,9 +56,6 @@ type FromStats struct {
 // is set.
 //
 // Sources outside [0, g.Nodes()) are rejected; duplicate sources are fine.
-// The engine's naive/delta schedule options do not apply to the restricted
-// closure (they concern the all-pairs fixpoint only) except after
-// saturation, where the closure finishes under the engine's schedule.
 func (e *Engine) RunFromContext(ctx context.Context, g *graph.Graph, cnf *grammar.CNF, sources []int) (_ *Index, fs FromStats, _ error) {
 	n := g.Nodes()
 	for _, s := range sources {
@@ -168,36 +164,16 @@ func (e *Engine) RunFromContext(ctx context.Context, g *graph.Graph, cnf *gramma
 		if err := ctx.Err(); err != nil {
 			return nil, fs, err
 		}
-		est := ix.Bytes() + matsBytes(delta) + int64(nn)*e.backend.EmptyBytes(n)
-		fs.observePeak(est)
-		if err := e.checkBudget(est); err != nil {
-			return nil, fs, err
-		}
-		empty := true
-		for a := range delta {
-			if delta[a].Nnz() > 0 {
-				empty = false
-				break
-			}
-		}
-		if empty {
+		if !anySet(delta) {
 			fs.Frontier = count
 			return ix, fs, nil
 		}
-		fs.Iterations++
 		pt.beginPass()
-		next := make([]matrix.Bool, nn)
-		for a := range next {
-			next[a] = e.backend.NewMatrix(n)
-		}
-		for _, r := range ix.cnf.Binary {
-			fs.Products += 2
-			next[r.A].AddMulRows(delta[r.B], ix.mats[r.C], active)
-			next[r.A].AddMulRows(ix.mats[r.B], delta[r.C], active)
+		next, err := e.step(ix, delta, active, &fs.Stats)
+		if err != nil {
+			return nil, fs, err
 		}
 		for a := range next {
-			next[a].AndNot(ix.mats[a]) // keep only genuinely new bits
-			ix.mats[a].Or(next[a])
 			// Activate the columns of the new bits: those nodes head
 			// derivation fragments later products read rows of.
 			next[a].Range(func(i, j int) bool {
@@ -217,22 +193,12 @@ func (e *Engine) RunFromContext(ctx context.Context, g *graph.Graph, cnf *gramma
 }
 
 // QueryFromContext evaluates R_start restricted to the given source nodes:
-// the result is exactly Query's pair list filtered to pairs whose first
-// component is a source, computed without paying for the full n×n closure
-// when the reachable frontier is small.
-func (e *Engine) QueryFromContext(ctx context.Context, g *graph.Graph, gram *grammar.Grammar, start string, sources []int, opts QueryOptions) ([]matrix.Pair, error) {
-	pairs, _, err := e.queryFrom(ctx, g, gram, start, sources, opts)
-	return pairs, err
-}
-
-// QueryFromStatsContext is QueryFromContext, additionally reporting what
-// the restricted closure did (frontier size, saturation, closure work) —
-// the numbers the bench harness tracks.
-func (e *Engine) QueryFromStatsContext(ctx context.Context, g *graph.Graph, gram *grammar.Grammar, start string, sources []int, opts QueryOptions) ([]matrix.Pair, FromStats, error) {
-	return e.queryFrom(ctx, g, gram, start, sources, opts)
-}
-
-func (e *Engine) queryFrom(ctx context.Context, g *graph.Graph, gram *grammar.Grammar, start string, sources []int, opts QueryOptions) ([]matrix.Pair, FromStats, error) {
+// the result is exactly QueryContext's pair list filtered to pairs whose
+// first component is a source, computed without paying for the full n×n
+// closure when the reachable frontier is small. FromStats reports what the
+// restricted closure did (frontier size, saturation, closure work) — the
+// numbers the bench harness tracks.
+func (e *Engine) QueryFromContext(ctx context.Context, g *graph.Graph, gram *grammar.Grammar, start string, sources []int, opts QueryOptions) ([]matrix.Pair, FromStats, error) {
 	if !gram.HasNonterminal(start) {
 		return nil, FromStats{}, fmt.Errorf("core: unknown non-terminal %q", start)
 	}
@@ -258,21 +224,7 @@ func (e *Engine) queryFrom(ctx context.Context, g *graph.Graph, gram *grammar.Gr
 		})
 	}
 	if opts.IncludeEmptyPaths && cnf.Nullable[start] {
-		seen := make(map[matrix.Pair]bool, len(pairs))
-		for _, p := range pairs {
-			seen[p] = true
-		}
-		for v, in := range inSources {
-			if p := (matrix.Pair{I: v, J: v}); in && !seen[p] {
-				pairs = append(pairs, p)
-			}
-		}
-		sort.Slice(pairs, func(a, b int) bool {
-			if pairs[a].I != pairs[b].I {
-				return pairs[a].I < pairs[b].I
-			}
-			return pairs[a].J < pairs[b].J
-		})
+		pairs = withEmptyPaths(pairs, g.Nodes(), inSources)
 	}
 	return pairs, fs, nil
 }

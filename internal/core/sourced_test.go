@@ -31,7 +31,7 @@ func TestQueryFromAgreesWithFilteredQuery(t *testing.T) {
 		for trial := 0; trial < 8; trial++ {
 			n := 5 + rng.Intn(20)
 			g := graph.Random(rng, n, 3*n, []string{"subClassOf", "subClassOf_r", "type", "type_r"})
-			full, err := e.Query(g, gram, "S", QueryOptions{})
+			full, _, err := e.QueryContext(context.Background(), g, gram, "S", QueryOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -48,7 +48,7 @@ func TestQueryFromAgreesWithFilteredQuery(t *testing.T) {
 						sources = append(sources, s)
 					}
 				}
-				got, err := e.QueryFromContext(context.Background(), g, gram, "S", sources, QueryOptions{})
+				got, _, err := e.QueryFromContext(context.Background(), g, gram, "S", sources, QueryOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -149,16 +149,16 @@ func TestQueryFromEdgeCases(t *testing.T) {
 	g := graph.Chain(4, "a")
 	gram := grammar.MustParse("S -> a S | a | eps")
 
-	if pairs, err := e.QueryFromContext(ctx, g, gram, "S", nil, QueryOptions{}); err != nil || len(pairs) != 0 {
+	if pairs, _, err := e.QueryFromContext(ctx, g, gram, "S", nil, QueryOptions{}); err != nil || len(pairs) != 0 {
 		t.Fatalf("empty sources: got %v, %v", pairs, err)
 	}
-	if _, err := e.QueryFromContext(ctx, g, gram, "S", []int{4}, QueryOptions{}); err == nil {
+	if _, _, err := e.QueryFromContext(ctx, g, gram, "S", []int{4}, QueryOptions{}); err == nil {
 		t.Fatal("out-of-range source: expected error")
 	}
-	if _, err := e.QueryFromContext(ctx, g, gram, "Nope", []int{0}, QueryOptions{}); err == nil {
+	if _, _, err := e.QueryFromContext(ctx, g, gram, "Nope", []int{0}, QueryOptions{}); err == nil {
 		t.Fatal("unknown non-terminal: expected error")
 	}
-	pairs, err := e.QueryFromContext(ctx, g, gram, "S", []int{2}, QueryOptions{IncludeEmptyPaths: true})
+	pairs, _, err := e.QueryFromContext(ctx, g, gram, "S", []int{2}, QueryOptions{IncludeEmptyPaths: true})
 	if err != nil {
 		t.Fatal(err)
 	}

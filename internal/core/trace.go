@@ -25,11 +25,11 @@ func (z NNZ) Delta() int { return z.After - z.Before }
 // are delivered in order from the goroutine running the closure; the slices
 // they carry must not be retained or mutated after the hook returns.
 type PassEvent struct {
-	// Phase names the schedule that ran the pass: "full" (in-place
-	// all-pairs), "naive" (snapshot semantics), "delta" (semi-naive),
-	// "frontier" (source-restricted), or "update" (incremental edge
-	// propagation). A saturated source-restricted evaluation switches
-	// phase mid-stream when it falls back to the all-pairs schedule.
+	// Phase names the schedule that ran the pass: "full" (the in-place
+	// all-pairs closure), "frontier" (source-restricted), or "update"
+	// (incremental edge propagation). A saturated source-restricted
+	// evaluation switches from "frontier" to "full" mid-stream when it
+	// falls back to the all-pairs closure.
 	Phase string `json:"phase"`
 	// Pass numbers the events of one evaluation from 0 (the seeding step).
 	Pass int `json:"pass"`

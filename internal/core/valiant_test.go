@@ -17,7 +17,7 @@ func TestChainClosureConvergesLogarithmically(t *testing.T) {
 	cnf := grammar.MustParseCNF("S -> S S | a") // a⁺, maximally associative
 	for _, n := range []int{8, 64, 512} {
 		g := graph.Chain(n+1, "a")
-		_, stats := NewEngine(WithBackend(matrix.Dense()), WithNaiveIteration()).Run(g, cnf)
+		_, stats := Algorithm1(matrix.Dense(), g, cnf, nil)
 		// Height needed: ceil(log2 n) + 1; passes: that + 1 idle pass.
 		bound := 2
 		for m := 1; m < n; m *= 2 {

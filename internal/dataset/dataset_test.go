@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -125,7 +126,7 @@ func TestQuery1Semantics(t *testing.T) {
 		{Subject: "i", Predicate: "type", Object: "t1"},
 		{Subject: "i", Predicate: "type", Object: "t2"},
 	})
-	pairs, err := core.NewEngine().Query(g, Query1(), "S", core.QueryOptions{})
+	pairs, _, err := core.NewEngine().QueryContext(context.Background(), g, Query1(), "S", core.QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +157,7 @@ func TestQuery2Semantics(t *testing.T) {
 		{Subject: "grand", Predicate: "subClassOf", Object: "child"},
 		{Subject: "grand2", Predicate: "subClassOf", Object: "child"},
 	})
-	pairs, err := core.NewEngine().Query(g, Query2(), "S", core.QueryOptions{})
+	pairs, _, err := core.NewEngine().QueryContext(context.Background(), g, Query2(), "S", core.QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

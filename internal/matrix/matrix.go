@@ -45,7 +45,8 @@ type Bool interface {
 	// changed. Used by the conjunctive-grammar extension.
 	And(other Bool) bool
 	// AndNot computes m &= ¬other (set difference) and reports whether m
-	// changed. Used by the semi-naive (delta) closure schedule.
+	// changed. Used by the semi-naive pass of the source-restricted
+	// closure and of incremental updates to keep only genuinely new bits.
 	AndNot(other Bool) bool
 	// Equal reports whether m and other have identical entries.
 	Equal(other Bool) bool

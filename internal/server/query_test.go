@@ -380,3 +380,65 @@ func TestHTTPMemoryBudget(t *testing.T) {
 		t.Fatalf("unbudgeted query after lift: %d %v", code, body)
 	}
 }
+
+// TestHTTPMemoryBudgetOnPatch asserts the budget governs incremental
+// patches as it does builds: a batch whose propagation would outgrow it
+// drops the cached handle (reported invalidated, not patched), ticks
+// budget_rejections, and the next query — a cold rebuild of the now larger
+// closure — answers 413.
+func TestHTTPMemoryBudgetOnPatch(t *testing.T) {
+	svc := New()
+	srv := httptest.NewServer(Handler(svc))
+	t.Cleanup(srv.Close)
+	// Two five-node chains; joining them more than doubles the closure.
+	const chains = "a0 knows a1\na1 knows a2\na2 knows a3\na3 knows a4\n" +
+		"b0 knows b1\nb1 knows b2\nb2 knows b3\nb3 knows b4\n"
+	putGraph := func() {
+		t.Helper()
+		if code, body := httpDo(t, srv, http.MethodPut, "/v1/graphs/social?format=edgelist", chains); code != http.StatusOK {
+			t.Fatalf("PUT graph: %d %v", code, body)
+		}
+	}
+	putGraph()
+	if code, body := httpDo(t, srv, http.MethodPut, "/v1/grammars/reach", "S -> knows | knows S"); code != http.StatusOK {
+		t.Fatalf("PUT grammar: %d %v", code, body)
+	}
+	const query = `{"graph":"social","grammar":"reach","nonterminal":"S","output":"count"}`
+	rejections := func() float64 {
+		t.Helper()
+		_, body := httpDo(t, srv, http.MethodGet, "/debug/vars", "")
+		return body["cfpqd"].(map[string]any)["budget_rejections"].(float64)
+	}
+
+	// Learn the build's peak unbudgeted, then make it the budget and
+	// rebuild under it (re-registering the graph drops the index; an index
+	// keeps the budget it was built under).
+	if code, body := httpDo(t, srv, http.MethodPost, "/v1/query", query); code != http.StatusOK {
+		t.Fatalf("unbudgeted query: %d %v", code, body)
+	}
+	_, body := httpDo(t, srv, http.MethodGet, "/v1/stats", "")
+	peak := body["indexes"].([]any)[0].(map[string]any)["build"].(map[string]any)["peak_bytes"].(float64)
+	svc.SetMemoryBudget(int64(peak))
+	putGraph()
+	if code, body := httpDo(t, srv, http.MethodPost, "/v1/query", query); code != http.StatusOK {
+		t.Fatalf("query under a budget equal to the build's peak: %d %v", code, body)
+	}
+
+	code, body := httpDo(t, srv, http.MethodPost, "/v1/graphs/social/edges",
+		`{"edges":[{"from":"a4","label":"knows","to":"b0"}]}`)
+	if code != http.StatusOK || body["patched"].(float64) != 0 || body["invalidated"].(float64) != 1 {
+		t.Fatalf("over-budget patch: %d %v, want the handle invalidated", code, body)
+	}
+	if got := rejections(); got != 1 {
+		t.Fatalf("budget_rejections after the patch = %v, want 1", got)
+	}
+	if _, body := httpDo(t, srv, http.MethodGet, "/v1/stats", ""); len(body["indexes"].([]any)) != 0 {
+		t.Fatalf("over-budget patch left the index cached: %v", body)
+	}
+	if code, body := httpDo(t, srv, http.MethodPost, "/v1/query", query); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("query after the over-budget patch: %d %v, want 413", code, body)
+	}
+	if got := rejections(); got != 2 {
+		t.Fatalf("budget_rejections after the rebuild = %v, want 2", got)
+	}
+}

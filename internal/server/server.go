@@ -921,8 +921,8 @@ func (s *Service) patchIndexes(ctx context.Context, graphName string, ge *graphE
 			res.UpdateStats.Add(info.Stats)
 			if err != nil {
 				s.noteErr(err)
-				// A cancelled patch leaves the handle sound but
-				// incomplete; drop it so the next query rebuilds, and
+				// A cancelled or over-budget patch leaves the handle sound
+				// but incomplete; drop it so the next query rebuilds, and
 				// report it as invalidated, not patched.
 				e.stale = true
 				res.Invalidated++

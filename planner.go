@@ -112,14 +112,14 @@ func (e *Engine) planRelational(ctx context.Context, cfg *config, g *Graph, gram
 	qopts := core.QueryOptions{IncludeEmptyPaths: cfg.emptyPaths}
 	switch {
 	case sources == nil && targets == nil:
-		pairs, stats, err := e.newCore(cfg).QueryStatsContext(ctx, g, gram, start, qopts)
+		pairs, stats, err := e.newCore(cfg).QueryContext(ctx, g, gram, start, qopts)
 		return pairs, Explain{
 			Strategy: StrategyFull,
 			Reason:   "no restriction: every pair is wanted, so the full all-pairs closure is the only plan",
 		}, stats, err
 
 	case targets == nil, sources != nil && len(sources) <= len(targets):
-		pairs, fs, err := e.newCore(cfg).QueryFromStatsContext(ctx, g, gram, start, sources, qopts)
+		pairs, fs, err := e.newCore(cfg).QueryFromContext(ctx, g, gram, start, sources, qopts)
 		if err != nil {
 			return nil, Explain{}, fs.Stats, err
 		}
@@ -139,7 +139,7 @@ func (e *Engine) planRelational(ctx context.Context, cfg *config, g *Graph, gram
 		}, fs.Stats, nil
 
 	default: // targets restrict; sources are nil or the larger side
-		pairs, fs, err := e.newCore(cfg).QueryFromStatsContext(ctx, graph.Reverse(g), grammar.Reverse(gram), start, targets, qopts)
+		pairs, fs, err := e.newCore(cfg).QueryFromContext(ctx, graph.Reverse(g), grammar.Reverse(gram), start, targets, qopts)
 		if err != nil {
 			return nil, Explain{}, fs.Stats, err
 		}

@@ -408,9 +408,10 @@ type UpdateInfo struct {
 // up to date with the incremental delta closure; edges referencing nodes
 // beyond the current range transparently grow the graph and the index. The
 // context is checked between closure passes. If a patch is cancelled
-// mid-way the index stays sound (every answered pair has a witness) but
-// may miss consequences of the new edges; the next successful AddEdges
-// repairs it with a full rebuild.
+// mid-way — or stopped by the engine's memory budget
+// (*MemoryBudgetError) — the index stays sound (every answered pair has a
+// witness) but may miss consequences of the new edges; the next successful
+// AddEdges repairs it with a full rebuild.
 //
 // With a WAL attached (AttachWAL), the new edges are journaled before any
 // in-memory state changes; a journaling failure aborts the call cleanly.

@@ -1,9 +1,10 @@
 #!/bin/sh
-# Prints the four surface-size numbers ROADMAP open item 3 tracks, so a
+# Prints the five surface-size numbers ROADMAP open item 3 tracks, so a
 # change can record them before and after in CHANGES.md:
 #
 #   go_lines      non-test Go lines outside benchmark/ and testdata/
 #   exported      lines of `go doc -short .` (the root package's exported API)
+#   options       of those, the exported With* functions (the knob count)
 #   routes        mux.Handle registrations in internal/server/http.go
 #   suppressions  //lint:allow and //lint:file-allow lines outside internal/lint/
 set -eu
@@ -11,10 +12,12 @@ cd "$(git rev-parse --show-toplevel)"
 
 go_lines=$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path '*/testdata/*' \
 	-exec cat {} + | wc -l)
-exported=$(go doc -short . | wc -l)
+api=$(go doc -short .)
+exported=$(printf '%s\n' "$api" | wc -l)
+options=$(printf '%s\n' "$api" | grep -c '^ *func With')
 routes=$(grep -c 'mux\.Handle' internal/server/http.go)
 suppressions=$(grep -rE '^[[:space:]]*//lint:(file-)?allow' --include='*.go' . |
 	grep -vc '^\./internal/lint/')
 
-printf 'go_lines %d\nexported %d\nroutes %d\nsuppressions %d\n' \
-	"$go_lines" "$exported" "$routes" "$suppressions"
+printf 'go_lines %d\nexported %d\noptions %d\nroutes %d\nsuppressions %d\n' \
+	"$go_lines" "$exported" "$options" "$routes" "$suppressions"

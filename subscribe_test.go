@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -203,63 +204,82 @@ func setList(s map[cfpq.Pair]bool) []cfpq.Pair {
 // the two batches every subscriber sees each newly derived pair exactly
 // once, on all four backends.
 func TestSubscribeCancelledRepairExactlyOnce(t *testing.T) {
-	text := "S -> a S b | a b"
 	for _, be := range cfpq.Backends() {
 		t.Run(be.String(), func(t *testing.T) {
-			g := cfpq.NewGraph(0)
-			for i := 0; i < 6; i++ {
-				g.AddEdge(i, "a", i+1)
-			}
-			for i := 6; i < 11; i++ {
-				g.AddEdge(i, "b", i+1)
-			}
-			eng := cfpq.NewEngine(be)
-			p, err := eng.Prepare(context.Background(), g.Clone(), cfpq.MustParseGrammar(text))
-			if err != nil {
-				t.Fatal(err)
-			}
-			sub, err := p.Subscribe(context.Background(), cfpq.Request{Nonterminal: "S"})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer sub.Close()
-			before := p.Relation(context.Background(), "S")
-
 			cancelled, cancel := context.WithCancel(context.Background())
 			cancel()
-			if _, err := p.AddEdges(cancelled, cfpq.Edge{From: 11, Label: "b", To: 12}); !errors.Is(err, context.Canceled) {
-				t.Fatalf("err = %v, want context.Canceled", err)
-			}
-			// Repair with a successful (empty) update.
-			if _, err := p.AddEdges(context.Background()); err != nil {
-				t.Fatal(err)
-			}
-
-			g.AddEdge(11, "b", 12)
-			cnf, _ := cfpq.ToCNF(cfpq.MustParseGrammar(text))
-			cold, _, err := eng.Evaluate(context.Background(), g, cnf)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := diffPairs(before, cold.Relation("S"))
-
-			got := map[cfpq.Pair]bool{}
-			for {
-				b, ok := tryRecv(sub.Updates())
-				if !ok {
-					break
-				}
-				for _, pr := range b.Pairs {
-					if got[pr] {
-						t.Fatalf("pair %v delivered twice across cancel+repair", pr)
-					}
-					got[pr] = true
-				}
-			}
-			if !equalSets(got, want) {
-				t.Fatalf("cancel+repair delivered %v, want exactly %v", setList(got), setList(want))
-			}
+			interruptedPatchExactlyOnce(t, cfpq.NewEngine(be), cancelled, func(err error) bool {
+				return errors.Is(err, context.Canceled)
+			})
 		})
+	}
+}
+
+// interruptedPatchExactlyOnce prepares a^6 b^5 on eng, subscribes to S,
+// patches in the sixth b-edge under patchCtx — which must fail with an
+// error interrupted accepts — and repairs with an empty AddEdges. The
+// subscriber must have received every pair the edge derives exactly once
+// across the interrupted patch and its repair, and the handle must end up
+// answering like a cold closure of the full graph.
+func interruptedPatchExactlyOnce(t *testing.T, eng *cfpq.Engine, patchCtx context.Context, interrupted func(error) bool) {
+	t.Helper()
+	gram := cfpq.MustParseGrammar("S -> a S b | a b")
+	g := cfpq.NewGraph(0)
+	for i := 0; i < 6; i++ {
+		g.AddEdge(i, "a", i+1)
+	}
+	for i := 6; i < 11; i++ {
+		g.AddEdge(i, "b", i+1)
+	}
+	p, err := eng.Prepare(context.Background(), g.Clone(), gram)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub, err := p.Subscribe(context.Background(), cfpq.Request{Nonterminal: "S"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	before := p.Relation(context.Background(), "S")
+
+	info, err := p.AddEdges(patchCtx, cfpq.Edge{From: 11, Label: "b", To: 12})
+	if !interrupted(err) {
+		t.Fatalf("interrupted patch: err = %v", err)
+	}
+	if info.Delta == nil {
+		t.Fatal("interrupted patch reported no partial Delta")
+	}
+	// Repair with a successful (empty) update.
+	if _, err := p.AddEdges(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	g.AddEdge(11, "b", 12)
+	cnf, _ := cfpq.ToCNF(gram)
+	cold, _, err := cfpq.NewEngine(eng.Backend()).Evaluate(context.Background(), g, cnf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after := p.Relation(context.Background(), "S"); !reflect.DeepEqual(after, cold.Relation("S")) {
+		t.Fatalf("repaired handle answers %v, cold closure %v", after, cold.Relation("S"))
+	}
+	want := diffPairs(before, cold.Relation("S"))
+
+	got := map[cfpq.Pair]bool{}
+	for {
+		b, ok := tryRecv(sub.Updates())
+		if !ok {
+			break
+		}
+		for _, pr := range b.Pairs {
+			if got[pr] {
+				t.Fatalf("pair %v delivered twice across the interrupted patch and its repair", pr)
+			}
+			got[pr] = true
+		}
+	}
+	if !equalSets(got, want) {
+		t.Fatalf("interrupted patch + repair delivered %v, want exactly %v", setList(got), setList(want))
 	}
 }
 
