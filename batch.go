@@ -31,11 +31,12 @@ func batchWorkers(n int) int {
 	return w
 }
 
-// QueryBatch answers every Request of the batch from the handle's cached
-// index under ONE read-lock acquisition, fanning the work out over a
-// shared pool of one worker per processor. All answers come from the same
+// QueryBatch answers every Request of the batch from ONE pinned version of
+// the handle's cached index, fanning the work out over a shared pool of one
+// worker per processor with no lock held. All answers come from the same
 // index state: an AddEdges racing the batch is either fully visible to
-// every answer or to none, which per-request locking cannot guarantee.
+// every answer or to none, which per-request pinning cannot guarantee, and
+// it is not held up by the batch either.
 // Each request is planned like Prepared.Do plans it (the cached-read
 // strategy, with the same request restrictions), and every Result streams
 // a snapshot materialised during the batch, so answers stay consistent
@@ -47,8 +48,7 @@ func (p *Prepared) QueryBatch(ctx context.Context, reqs []Request) []BatchResult
 	if len(reqs) == 0 {
 		return nil
 	}
-	p.mu.RLock()
-	defer p.mu.RUnlock()
+	v := p.pin()
 	p.queries.Add(int64(len(reqs)))
 	results := make([]BatchResult, len(reqs))
 	answer := func(i int) {
@@ -60,7 +60,7 @@ func (p *Prepared) QueryBatch(ctx context.Context, reqs []Request) []BatchResult
 			results[i] = BatchResult{Err: err}
 			return
 		}
-		res, err := p.doLocked(ctx, reqs[i])
+		res, err := p.answer(ctx, v, reqs[i])
 		results[i] = BatchResult{Result: res, Err: err}
 	}
 	workers := batchWorkers(len(reqs))
@@ -85,10 +85,6 @@ func (p *Prepared) QueryBatch(ctx context.Context, reqs []Request) []BatchResult
 			}
 		}()
 	}
-	// The workers answer from the locked snapshot and hold no lock of
-	// their own, so the wait is bounded by this batch's own work and
-	// cannot deadlock; writers queue behind one batch, by design.
-	//lint:allow cfpqlint/lockscope waiting on own read-only workers under the read lock keeps the batch a point-in-time snapshot
 	wg.Wait()
 	return results
 }

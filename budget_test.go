@@ -75,10 +75,12 @@ func TestMemoryBudgetRejects(t *testing.T) {
 // TestAddEdgesHonoursMemoryBudget: the engine-wide budget governs
 // incremental patches too. Under a budget the finished closure of the
 // patched graph just fits, the patch's semi-naive pass (index plus two sets
-// of frontier matrices) does not: AddEdges fails with *MemoryBudgetError
-// under the cancellation contract — partial Delta published, handle dirty,
-// the next call repairs with a rebuild (which fits) — so subscribers still
-// see every derived pair exactly once.
+// of frontier matrices, beside the version readers still hold) does not:
+// AddEdges fails with *MemoryBudgetError under the cancellation contract —
+// the update is abandoned, nothing is published or pushed, every answer
+// stays as it was. A handle's budget is its engine's, so the retry is
+// abandoned the same way: the handle serves its last version until it is
+// re-prepared under a larger budget.
 func TestAddEdgesHonoursMemoryBudget(t *testing.T) {
 	ctx := context.Background()
 	patched := cfpq.NewGraph(0)
@@ -102,7 +104,7 @@ func TestAddEdgesHonoursMemoryBudget(t *testing.T) {
 			interruptedPatchExactlyOnce(t, eng, ctx, func(err error) bool {
 				var mbe *cfpq.MemoryBudgetError
 				return errors.As(err, &mbe) && mbe.BudgetBytes == cold.PeakBytes
-			})
+			}, false)
 		})
 	}
 }

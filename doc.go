@@ -83,16 +83,31 @@
 // For repeated requests against one (graph, grammar) pair, Prepare binds
 // the compiled grammar to the graph and caches the evaluated closure in a
 // Prepared handle; Prepared.Do answers any number of concurrent requests
-// from it (the cached-read strategy) under a read lock, and AddEdges
-// absorbs edge updates with the incremental delta closure instead of
-// re-evaluating — transparently resizing its matrices when edges grow the
-// node set:
+// from it (the cached-read strategy), and AddEdges absorbs edge updates
+// with the incremental delta closure instead of re-evaluating —
+// transparently resizing its matrices when edges grow the node set:
 //
 //	p, _ := eng.Prepare(ctx, g, gram)
 //	res, _ := p.Do(ctx, cfpq.Request{Nonterminal: "S", Sources: []int{0, 1}})
 //	p.Has("S", 0, 2)                       // sugar over Do, like the other readers
 //	for pair := range p.Pairs("S") { ... } // iter.Seq snapshot
 //	p.AddEdges(ctx, cfpq.Edge{From: 2, Label: "a", To: 7}) // patched, not rebuilt
+//
+// Concurrency: one writer, readers pin a version, publish by swap. The
+// handle holds one published version — an edge set and the index that is
+// its closure — immutable once published. Do, QueryBatch (one version for
+// the whole batch), WriteIndex and Stats pin it with a pointer load and
+// read it without a lock. AddEdges calls serialise on a writers-only
+// mutex: journal to the WAL, fork the current index copy-on-write (sparse
+// matrices share their rows; a matrix's row list is copied when the update
+// first writes it), run the update closure on the fork, and swap the
+// result in under the lock readers pin through — held for the pointer, the
+// statistics and the subscription publish, microseconds. The closure only
+// ever adds bits, so the version a reader holds stays a sound,
+// self-consistent relation for as long as it holds it. Readers never wait
+// for a closure; a cancelled or over-budget update is abandoned — nothing
+// published, nothing pushed, answers unchanged — and its journaled edges
+// are propagated by the next AddEdges together with that call's own.
 //
 // # Live queries
 //
@@ -112,9 +127,10 @@
 // consumers never block AddEdges: each subscription
 // buffers a bounded number of batches, and one that falls behind has
 // batches dropped with the gap reported in-band (PairBatch.Resync) —
-// drop-with-resync, not backpressure. After a cancelled patch, the
-// repairing rebuild's new-minus-old difference is pushed, so across a
-// cancellation and its repair every pair arrives exactly once.
+// drop-with-resync, not backpressure. An abandoned update (cancelled, or
+// over the memory budget) pushes nothing; the AddEdges that absorbs its
+// edges pushes their pairs, so across a cancellation and its retry every
+// pair arrives exactly once.
 // SubscribeFrom resumes after a known sequence number (the Last-Event-ID
 // contract of cfpqd's POST /v1/subscribe SSE route, which followers serve
 // too — fed by the replicated-apply path); Prepared.Close ends every
@@ -161,9 +177,13 @@
 // cfpq.WithMemoryBudget(n)), where it also governs Prepare and every
 // incremental patch. An evaluation that would exceed the budget fails
 // fast between passes with a typed *MemoryBudgetError instead of
-// thrashing the process; an over-budget patch leaves its Prepared handle
-// as a cancelled one does (sound, repaired by the next AddEdges).
-// cmd/cfpqd maps the error to HTTP 413.
+// thrashing the process. An update's estimate counts both live versions
+// (the fork's unshared storage beside the one readers hold); an
+// over-budget update is abandoned like a cancelled one — the handle keeps
+// serving its last version, and since a handle's budget is its engine's,
+// it takes a re-Prepare under a larger budget to move on (cmd/cfpqd drops
+// the handle, answers the next query's rebuild with HTTP 413 if that does
+// not fit either).
 //
 // # Serving queries
 //

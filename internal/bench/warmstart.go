@@ -55,6 +55,12 @@ type WarmStartRow struct {
 	ColdMS  float64 `json:"cold_ms"`
 	WarmMS  float64 `json:"warm_ms"`
 	Speedup float64 `json:"speedup"`
+	// ColdProducts and WarmProducts are the Boolean matrix products each
+	// start ran before its first answer — the closure work a warm start
+	// exists to skip, and (unlike the two clocks on a sub-millisecond
+	// closure) the same on every run: a warm start reports 0.
+	ColdProducts int `json:"cold_products"`
+	WarmProducts int `json:"warm_products"`
 }
 
 // RunWarmStart measures, per dataset, answering the first query (a) cold —
@@ -105,7 +111,7 @@ func RunWarmStart(cfg WarmStartConfig) ([]WarmStartRow, error) {
 		g := d.Build()
 
 		// Cold: the closure runs before the first answer.
-		var coldCount int
+		var coldCount, coldProducts int
 		bestCold := time.Duration(0)
 		for r := 0; r < repeats; r++ {
 			start := time.Now()
@@ -117,6 +123,7 @@ func RunWarmStart(cfg WarmStartConfig) ([]WarmStartRow, error) {
 			if dt := time.Since(start); bestCold == 0 || dt < bestCold {
 				bestCold = dt
 			}
+			coldProducts = p.Stats().Build.Products
 		}
 
 		// Populate a store the way cfpqd's persistent mode would: graph
@@ -158,7 +165,7 @@ func RunWarmStart(cfg WarmStartConfig) ([]WarmStartRow, error) {
 		}
 
 		// Warm: open the store, load the index, bind, answer.
-		var warmCount int
+		var warmCount, warmProducts int
 		bestWarm := time.Duration(0)
 		for r := 0; r < repeats; r++ {
 			start := time.Now()
@@ -193,6 +200,11 @@ func RunWarmStart(cfg WarmStartConfig) ([]WarmStartRow, error) {
 			if dt := time.Since(start); bestWarm == 0 || dt < bestWarm {
 				bestWarm = dt
 			}
+			ps := p.Stats()
+			if ps.Entries != entries {
+				return rows, fmt.Errorf("bench: %s: warm-started index holds %d entries, the saved one %d", name, ps.Entries, entries)
+			}
+			warmProducts = ps.Build.Products + ps.Update.Products
 		}
 		if warmCount != coldCount {
 			return rows, fmt.Errorf("bench: %s: warm answer %d != cold answer %d", name, warmCount, coldCount)
@@ -209,6 +221,9 @@ func RunWarmStart(cfg WarmStartConfig) ([]WarmStartRow, error) {
 			ColdMS:     msFloat(bestCold),
 			WarmMS:     msFloat(bestWarm),
 			Speedup:    float64(bestCold) / float64(bestWarm),
+
+			ColdProducts: coldProducts,
+			WarmProducts: warmProducts,
 		})
 	}
 	return rows, nil
@@ -221,11 +236,11 @@ func FormatWarmStart(w io.Writer, rows []WarmStartRow) {
 		backend = rows[0].Backend
 	}
 	fmt.Fprintf(w, "Warm start (load persisted index) vs cold start (run closure), %s backend\n\n", backend)
-	fmt.Fprintf(w, "%-14s %-10s %8s %8s %9s %10s %10s %9s\n",
-		"Ontology", "grammar", "nodes", "entries", "idx(KiB)", "cold(ms)", "warm(ms)", "speedup")
+	fmt.Fprintf(w, "%-14s %-10s %8s %8s %9s %10s %10s %9s %14s\n",
+		"Ontology", "grammar", "nodes", "entries", "idx(KiB)", "cold(ms)", "warm(ms)", "speedup", "products c/w")
 	for _, r := range rows {
-		fmt.Fprintf(w, "%-14s %-10s %8d %8d %9.1f %10.2f %10.2f %8.1fx\n",
+		fmt.Fprintf(w, "%-14s %-10s %8d %8d %9.1f %10.2f %10.2f %8.1fx %10d / %d\n",
 			r.Dataset, r.Grammar, r.Nodes, r.Entries, float64(r.IndexBytes)/1024,
-			r.ColdMS, r.WarmMS, r.Speedup)
+			r.ColdMS, r.WarmMS, r.Speedup, r.ColdProducts, r.WarmProducts)
 	}
 }

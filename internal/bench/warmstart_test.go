@@ -24,9 +24,13 @@ func TestRunWarmStart(t *testing.T) {
 	if r.Entries == 0 || r.IndexBytes == 0 || r.ColdMS <= 0 || r.WarmMS <= 0 {
 		t.Errorf("empty measurements: %+v", r)
 	}
-	// The whole point: loading an index beats re-running the closure.
-	if r.Speedup <= 1 {
-		t.Errorf("warm start slower than cold (%.2fx): %+v", r.Speedup, r)
+	// The whole point: a warm start answers without re-running the
+	// closure. Asserted on the work, which is the same on every run — on
+	// skos the closure is 0.6 ms, and warm < cold on two sub-millisecond
+	// wall clocks is not (the timing columns are output, not a verdict).
+	if r.ColdProducts == 0 || r.WarmProducts != 0 {
+		t.Errorf("closure work before the first answer: cold %d products, warm %d; want some and none: %+v",
+			r.ColdProducts, r.WarmProducts, r)
 	}
 
 	var buf bytes.Buffer

@@ -26,7 +26,9 @@ func (e *MemoryBudgetError) Error() string {
 // WithMemoryBudget bounds the estimated matrix bytes a single closure
 // evaluation may hold at once. The estimate covers the index matrices
 // plus, in the source-restricted closure and in incremental updates, the
-// current and next frontier matrices of the semi-naive pass; it is checked
+// current and next frontier matrices of the semi-naive pass — and, for an
+// update run on a Fork, the storage of the version forked from that the
+// fork does not share (two versions are live); it is checked
 // before matrix allocation and between fixpoint passes, and a breach aborts
 // the evaluation with a *MemoryBudgetError. bytes ≤ 0 means unlimited (the
 // default). The budget is enforced on the context-taking evaluation paths
@@ -36,9 +38,11 @@ func WithMemoryBudget(bytes int64) Option {
 	return func(e *Engine) { e.budget = bytes }
 }
 
-// Bytes estimates the heap bytes of the index's relation matrices.
+// Bytes estimates the heap bytes of the index's relation matrices — plus,
+// on a fork not yet detached, the unshared storage of the version it was
+// forked from (see Fork).
 func (ix *Index) Bytes() int64 {
-	var total int64
+	total := ix.beside
 	for _, m := range ix.mats {
 		total += m.Bytes()
 	}

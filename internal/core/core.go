@@ -35,6 +35,10 @@ type Index struct {
 	n       int
 	mats    []matrix.Bool  // indexed by non-terminal index
 	backend matrix.Backend // the backend the matrices were allocated from
+	// beside is the storage of the version this index was forked from
+	// that the fork does not share, charged to Bytes until Detach: while
+	// the fork is being updated both versions are live.
+	beside int64
 }
 
 // CNF returns the grammar the index was built for.
@@ -114,6 +118,28 @@ func (ix *Index) Clone() *Index {
 	}
 	return cp
 }
+
+// Fork returns the index a writer builds the next version in while readers
+// keep answering from ix: every matrix is forked (matrix.Bool.Fork — the
+// sparse backends copy a row list when the matrix is first written, the
+// dense ones clone), so nothing done to the fork is visible through ix.
+// Until Detach, the fork's Bytes — and so the memory budget and
+// Stats.PeakBytes of an update run on it — also counts what the two live
+// versions may not share: one empty matrix per non-terminal (the sparse
+// row headers; a dense matrix's whole bitmap).
+// ix must not be mutated concurrently with Fork itself.
+func (ix *Index) Fork() *Index {
+	cp := &Index{cnf: ix.cnf, n: ix.n, backend: ix.backend, mats: make([]matrix.Bool, len(ix.mats)),
+		beside: int64(len(ix.mats)) * ix.backend.EmptyBytes(ix.n)}
+	for i, m := range ix.mats {
+		cp.mats[i] = m.Fork()
+	}
+	return cp
+}
+
+// Detach declares the version a fork was taken from released — the fork
+// has been published in its place — so Bytes stops charging for it.
+func (ix *Index) Detach() { ix.beside = 0 }
 
 // Equal reports whether two indexes (over the same grammar) hold identical
 // relations.

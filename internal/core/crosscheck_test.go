@@ -101,7 +101,10 @@ func TestRandomCNFGrammarsAgainstHellings(t *testing.T) {
 // TestRandomGrammarsIncrementalAgreement checks the dynamic path on random
 // inputs: withhold a slice of a random graph's edges, close the rest, then
 // feed the withheld edges through Engine.Update — the patched index must
-// equal a cold closure of the full graph, on every backend.
+// equal a cold closure of the full graph, on every backend. The same update
+// run on a Fork must arrive at the same index and leave the index it was
+// forked from exactly as it was (the version readers would still hold), and
+// so must a second generation forked from the fork and grown by a node.
 func TestRandomGrammarsIncrementalAgreement(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	cfg := grammar.DefaultRandomConfig()
@@ -128,10 +131,23 @@ func TestRandomGrammarsIncrementalAgreement(t *testing.T) {
 		for _, be := range matrix.Backends() {
 			e := NewEngine(WithBackend(be))
 			ix, _ := e.Run(partial, cnf)
+			published := ix.Clone()
+			fork := ix.Fork()
+			e.Update(fork, edges[len(edges)-hold:]...)
+			if !ix.Equal(published) {
+				t.Fatalf("trial %d backend %s: an update on a fork changed the index it was forked from\ngrammar:\n%s",
+					trial, be.Name(), gram)
+			}
 			e.Update(ix, edges[len(edges)-hold:]...)
 			want, _ := NewEngine(WithBackend(be)).Run(full, cnf)
-			if !ix.Equal(want) {
-				t.Fatalf("trial %d backend %s: incremental update disagrees with cold closure\ngrammar:\n%s",
+			if !ix.Equal(want) || !fork.Equal(want) {
+				t.Fatalf("trial %d backend %s: incremental update disagrees with cold closure (in place %v, on a fork %v)\ngrammar:\n%s",
+					trial, be.Name(), ix.Equal(want), fork.Equal(want), gram)
+			}
+			grown := fork.Fork()
+			e.Update(grown, graph.Edge{From: rng.Intn(n), Label: edges[0].Label, To: n})
+			if !fork.Equal(want) || grown.Nodes() != n+1 {
+				t.Fatalf("trial %d backend %s: a growing update on a second-generation fork changed its origin\ngrammar:\n%s",
 					trial, be.Name(), gram)
 			}
 		}

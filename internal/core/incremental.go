@@ -12,17 +12,18 @@ import (
 // Delta is the per-nonterminal relation of newly derived pairs of one
 // index update: exactly the bits the update added that were not in the
 // index before. UpdateContext returns the union of its seed frontier and
-// every propagation pass; NewlyDerived synthesises the same shape from a
-// full rebuild by subtracting the old index. A Delta is immutable once
-// returned and safe to read concurrently.
+// every propagation pass. A Delta is immutable once returned and safe to
+// read concurrently.
 type Delta struct {
 	cnf  *grammar.CNF
 	n    int
 	mats []matrix.Bool // indexed like Index.mats; nil or empty = nothing new
 }
 
-// newDelta allocates an empty delta over the index's current shape.
-func newDelta(ix *Index) *Delta {
+// EmptyDelta returns the delta of an update that derived nothing, over the
+// index's current shape — also what a serving layer reports for an update
+// it abandoned before publishing.
+func EmptyDelta(ix *Index) *Delta {
 	return &Delta{cnf: ix.cnf, n: ix.n, mats: make([]matrix.Bool, len(ix.mats))}
 }
 
@@ -67,23 +68,6 @@ func (d *Delta) or(a int, src matrix.Bool) {
 	d.mats[a].Or(src)
 }
 
-// NewlyDerived computes cur minus old per nonterminal — the delta a full
-// rebuild implies. Both indexes must share the grammar and node range (grow
-// old first); it is the repair-path substitute for an incremental delta,
-// so subscribers to an index that had to be rebuilt still see exactly the
-// pairs the rebuild added.
-func NewlyDerived(cur, old *Index) *Delta {
-	d := newDelta(cur)
-	for a := range cur.mats {
-		diff := cur.mats[a].Clone()
-		diff.AndNot(old.mats[a])
-		if diff.Nnz() > 0 {
-			d.mats[a] = diff
-		}
-	}
-	return d
-}
-
 // Update incorporates newly added graph edges into an already-closed index
 // without recomputing the closure from scratch (dynamic CFPQ). It is the
 // semi-naive delta step seeded with just the new edges: the initial
@@ -117,10 +101,10 @@ func (e *Engine) Update(ix *Index, edges ...graph.Edge) Stats {
 // or when a pass would outgrow the engine's memory budget
 // (*MemoryBudgetError), the index is sound (every bit justified) but the
 // consequences of the new edges may be only partially propagated; the
-// returned Delta then covers precisely the bits that did land in the index,
-// so publishing it and later publishing the repair's NewlyDerived delta
-// delivers every pair exactly once. Callers that must not serve a partially
-// propagated state should rebuild.
+// returned Delta then covers precisely the bits that did land in the index.
+// Callers that must not serve a partially propagated state run the update
+// on a Fork and publish it only on success (what cfpq.Prepared does), or
+// rebuild.
 func (e *Engine) UpdateContext(ctx context.Context, ix *Index, edges ...graph.Edge) (stats Stats, _ *Delta, _ error) {
 	start := time.Now()
 	defer func() { stats.Duration = time.Since(start) }()
@@ -136,7 +120,7 @@ func (e *Engine) UpdateContext(ctx context.Context, ix *Index, edges ...graph.Ed
 	if maxNode >= ix.n {
 		ix.Grow(maxNode + 1)
 	}
-	acc := newDelta(ix)
+	acc := EmptyDelta(ix)
 	// The update's event chain starts from the pre-update index, so its
 	// per-pass deltas telescope to exactly the bits this update added.
 	pt := e.newPassTracer(ctx, "update", ix)

@@ -46,6 +46,7 @@ func TestHotStructLayouts(t *testing.T) {
 		{"PassEvent", reflect.TypeOf(PassEvent{}), 88},
 		{"Delta", reflect.TypeOf(Delta{}), 40},
 		{"Engine", reflect.TypeOf(Engine{}), 32},
+		{"Index", reflect.TypeOf(Index{}), 64},
 		{"Stats", reflect.TypeOf(Stats{}), 32},
 	}
 	for _, c := range cases {

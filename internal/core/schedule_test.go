@@ -210,8 +210,7 @@ func TestTracePhases(t *testing.T) {
 // TestUpdateHonoursMemoryBudget: an incremental update whose semi-naive
 // pass would outgrow the engine's budget stops with *MemoryBudgetError
 // before allocating it. The index keeps the seed bits (sound, not closed)
-// and the returned Delta holds exactly those, so a rebuild's NewlyDerived
-// completes the history without repeating a pair.
+// and the returned Delta holds exactly those.
 func TestUpdateHonoursMemoryBudget(t *testing.T) {
 	cnf := grammar.MustParseCNF("S -> S S | a")
 	const n = 200
@@ -253,11 +252,18 @@ func TestUpdateHonoursMemoryBudget(t *testing.T) {
 				be.Name(), ix.Count("S"), old.Count("S"))
 		}
 
-		// Repair: the rebuild's new-minus-stale delta is exactly the rest.
-		rest := NewlyDerived(want, ix)
-		if got := len(rest.Pairs("S")) + len(delta.Pairs("S")); got != want.Count("S")-old.Count("S") {
-			t.Errorf("%s: partial + repair deltas hold %d pairs, the patch derives %d",
-				be.Name(), got, want.Count("S")-old.Count("S"))
+		// On a fork two versions are live: the same rejected pass is charged
+		// the storage the version forked from does not share on top, and
+		// that version stays exactly as it was.
+		beside := int64(cnf.NonterminalCount()) * be.EmptyBytes(n)
+		pristine := old.Clone()
+		_, _, err = e.UpdateContext(context.Background(), old.Fork(), last)
+		var forked *MemoryBudgetError
+		if !errors.As(err, &forked) || forked.EstimatedBytes != mbe.EstimatedBytes+beside {
+			t.Errorf("%s: rejected update on a fork: err = %v, want an estimate of %d + %d", be.Name(), err, mbe.EstimatedBytes, beside)
+		}
+		if !old.Equal(pristine) {
+			t.Errorf("%s: a rejected update on a fork changed the version forked from", be.Name())
 		}
 
 		// With no budget the same update runs to the cold closure.

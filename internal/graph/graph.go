@@ -6,6 +6,7 @@ package graph
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 )
 
@@ -120,6 +121,17 @@ func (g *Graph) Clone() *Graph {
 		out.edges += len(es)
 	}
 	return out
+}
+
+// Fork returns a graph with g's nodes and edges that may be extended while
+// other goroutines keep reading g, in O(labels): the per-label edge lists
+// are append-only, so the fork shares them and its appends land beyond the
+// lengths g reads (or in a reallocated list). g must not be mutated after
+// it has been forked — its own appends could claim the slots the fork's
+// did — which is exactly how a serving layer uses it: g is the published
+// version, the fork the next one.
+func (g *Graph) Fork() *Graph {
+	return &Graph{n: g.n, byLabel: maps.Clone(g.byLabel), edges: g.edges}
 }
 
 // DisjointUnion appends a copy of other to g, shifting other's node ids by

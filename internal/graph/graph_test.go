@@ -388,3 +388,29 @@ func TestStatsAndString(t *testing.T) {
 		t.Errorf("String = %q", str)
 	}
 }
+
+// TestForkExtendsBesideTheOriginal: edges added to a fork — into shared
+// spare capacity, a reallocated list, a new label, new nodes — never show
+// through the graph it was forked from, and the fork holds both.
+func TestForkExtendsBesideTheOriginal(t *testing.T) {
+	g := New(3)
+	for i := 0; i < 5; i++ { // leaves spare capacity behind the "a" list
+		g.AddEdge(i%3, "a", (i+1)%3)
+	}
+	g.AddEdge(0, "b", 1)
+	before := g.Clone()
+	fork := g.Fork()
+	for i := 0; i < 20; i++ {
+		fork.AddEdge(i%3, "a", 3+i)
+	}
+	fork.AddEdge(2, "c", 0)
+	if g.Nodes() != before.Nodes() || g.EdgeCount() != before.EdgeCount() || !reflect.DeepEqual(g.Edges(), before.Edges()) {
+		t.Fatalf("extending a fork changed its origin: %v, was %v", g, before)
+	}
+	if g.HasEdge(2, "c", 0) || g.HasEdge(0, "a", 3) {
+		t.Fatal("the origin sees the fork's edges")
+	}
+	if fork.EdgeCount() != before.EdgeCount()+21 || fork.Nodes() != 23 || !fork.HasEdge(0, "b", 1) || !fork.HasEdge(1, "a", 22) {
+		t.Fatalf("fork = %v, want the origin's %d edges plus 21", fork, before.EdgeCount())
+	}
+}

@@ -11,10 +11,12 @@
 // stalls every other request behind the lock, or deadlocks outright when
 // the callback re-enters the same handle.
 //
-// Write-ahead journaling is the deliberate exception: the WAL append and
-// fsync MUST happen under the write lock (that ordering is the
-// durability protocol), so those sites carry //lint:allow suppressions
-// with their justification instead of being special-cased here.
+// Write-ahead journaling is the deliberate exception: where a WAL append
+// and fsync MUST happen under a lock readers share (that ordering is the
+// durability protocol), the site carries a //lint:allow suppression with
+// its justification instead of being special-cased here. Prepared.writer,
+// which only serialises writers — no read path ever takes it — is not such
+// a lock (see mutexCall).
 package lockscope
 
 import (
@@ -221,6 +223,11 @@ func (s *scanner) mutexCall(call *ast.CallExpr, names ...string) (string, bool) 
 	}
 	if tv, ok := s.pass.TypesInfo.Types[field.X]; ok {
 		if owner := lint.TypeName(tv.Type); guardedTypes[owner] {
+			if owner == "Prepared" && field.Sel.Name == "writer" {
+				// Serialises AddEdges calls among themselves; no read path
+				// takes it, so blocking under it stalls no query.
+				return "", false
+			}
 			if isSyncMutex(s.pass.TypesInfo.Types[field].Type) {
 				return owner, true
 			}

@@ -10,9 +10,23 @@ import (
 )
 
 type Prepared struct {
-	mu  sync.RWMutex
-	n   int
-	log *os.File
+	writer sync.Mutex // serialises writers only; exempt by name
+	mu     sync.RWMutex
+	n      int
+	log    *os.File
+}
+
+// WriterOnly blocks under the writers' mutex, which no reader takes:
+// clean. The same send under the lock readers share is not.
+func (p *Prepared) WriterOnly(ch chan int) {
+	p.writer.Lock()
+	defer p.writer.Unlock()
+	ch <- p.n
+	p.log.Sync()
+	p.mu.Lock()
+	ch <- p.n // want `channel send while holding Prepared lock`
+	p.mu.Unlock()
+	ch <- p.n
 }
 
 // Yield hands a caller-supplied callback control under the read lock —

@@ -123,6 +123,10 @@ func (m *DenseMatrix) Clone() Bool {
 	return &cp
 }
 
+// Fork is Clone: the bit-packed words are edited in place by every
+// mutator, so a dense fork shares nothing with its origin.
+func (m *DenseMatrix) Fork() Bool { return m.Clone() }
+
 // Or computes m |= other.
 func (m *DenseMatrix) Or(other Bool) bool {
 	o := mustDense(other, m.n)
@@ -188,6 +192,20 @@ func (m *DenseMatrix) Range(fn func(i, j int) bool) {
 			}
 		}
 	}
+}
+
+// RangeRow iterates the set entries of row i in column order.
+func (m *DenseMatrix) RangeRow(i int, fn func(j int) bool) bool {
+	m.check(i, 0)
+	for wi, w := range m.words[i*m.stride : (i+1)*m.stride] {
+		for w != 0 {
+			if !fn(wi*64 + bits.TrailingZeros64(w)) {
+				return false
+			}
+			w &= w - 1
+		}
+	}
+	return true
 }
 
 // AddMul computes m |= a × b. The product is accumulated into a scratch

@@ -17,6 +17,14 @@ package matrix
 // Bool is a square Boolean matrix. Implementations are NOT safe for
 // concurrent mutation; the closure loop mutates one matrix at a time.
 //
+// Versions. Fork is how a serving layer derives the next version of a
+// matrix beside readers of the current one, and it rests on one invariant:
+// a row slice reachable from a published version is never written again.
+// The sparse mutators keep it by construction — Or, And, AndNot, AddMul,
+// AddMulRows and Grow replace a row (or the row list) with a fresh or an
+// untouched slice, never edit one — and Set, the one mutator that inserts
+// in place, replaces the row too on a matrix that has been forked.
+//
 // Mixing matrices from different backends in AddMul/Or/Equal is a
 // programming error and panics: the CFPQ engine allocates every matrix from
 // a single backend.
@@ -57,9 +65,24 @@ type Bool interface {
 	Grow(n int)
 	// Clone returns an independent copy.
 	Clone() Bool
+	// Fork returns a matrix with the receiver's entries that may be
+	// mutated while other goroutines keep reading the receiver: no
+	// mutation of the fork is visible through, or races with reads of, the
+	// receiver. The sparse backends share every row slice, and the row
+	// list too until the fork is first written — that write copies the
+	// list, O(n) whatever the matrix holds, and a fork never written costs
+	// nothing (see the invariant in the type comment); the dense backends,
+	// the paper's reference rather than serving options, Clone. The
+	// receiver must not be mutated concurrently with Fork itself.
+	Fork() Bool
 	// Range calls fn for every set entry in row-major order; fn returning
 	// false stops the iteration.
 	Range(fn func(i, j int) bool)
+	// RangeRow calls fn for the set entries of row i in column order and
+	// reports whether it ran to the end of the row (fn returning false
+	// stops it). The cost is the row's, not the matrix's: it is how a
+	// source-restricted read avoids scanning the relation.
+	RangeRow(i int, fn func(j int) bool) bool
 	// Bytes estimates the heap bytes this matrix currently occupies
 	// (backing storage, not Go object headers beyond the per-row ones).
 	// The closure memory budget sums these estimates to fail fast before

@@ -3,6 +3,7 @@ package matrix
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -19,11 +20,20 @@ import (
 // CUSPARSE distributes them across thread blocks, which is why
 // SparseParallel serves as the paper's sGPU stand-in.
 type SparseMatrix struct {
-	n        int
-	rows     [][]int32
-	nnz      int
+	n       int
+	rows    [][]int32
+	nnz     int
+	workers int
+	// parallel selects the row-parallel kernel.
 	parallel bool
-	workers  int
+	// shared marks a matrix whose row slices another matrix may also hold
+	// (it was forked, or is a fork): Set then replaces the row it inserts
+	// into instead of shifting it in place. It stays set for good.
+	shared bool
+	// borrowed marks a matrix whose row list itself is still the one its
+	// fork (or origin) reads: setRow copies the list before the first row
+	// is replaced, so a fork that is never written costs nothing.
+	borrowed bool
 }
 
 type sparseBackend struct {
@@ -85,7 +95,10 @@ func (m *SparseMatrix) Get(i, j int) bool {
 	return k < len(row) && row[k] == int32(j)
 }
 
-// Set inserts entry (i, j), keeping the row sorted.
+// Set inserts entry (i, j), keeping the row sorted. The row is shifted in
+// place — the cold build's Init pays no allocation per edge — unless the
+// matrix shares its rows with a fork, in which case the row is replaced by
+// a copy and the shared slice stays as its other holders see it.
 func (m *SparseMatrix) Set(i, j int) {
 	m.check(i, j)
 	row := m.rows[i]
@@ -93,11 +106,31 @@ func (m *SparseMatrix) Set(i, j int) {
 	if k < len(row) && row[k] == int32(j) {
 		return
 	}
+	if m.shared {
+		grown := make([]int32, len(row)+1)
+		copy(grown, row[:k])
+		grown[k] = int32(j)
+		copy(grown[k+1:], row[k:])
+		m.setRow(i, grown)
+		return
+	}
 	row = append(row, 0)
 	copy(row[k+1:], row[k:])
 	row[k] = int32(j)
 	m.rows[i] = row
 	m.nnz++
+}
+
+// setRow replaces row i — how every mutator but the in-place Set writes a
+// row — first taking a private copy of the row list if a fork still reads
+// this one.
+func (m *SparseMatrix) setRow(i int, row []int32) {
+	if m.borrowed {
+		m.rows = slices.Clone(m.rows)
+		m.borrowed = false
+	}
+	m.nnz += len(row) - len(m.rows[i])
+	m.rows[i] = row
 }
 
 // Nnz returns the number of set entries.
@@ -117,7 +150,7 @@ func (m *SparseMatrix) Grow(n int) {
 	}
 	rows := make([][]int32, n)
 	copy(rows, m.rows)
-	m.rows = rows
+	m.rows, m.borrowed = rows, false
 	m.n = n
 }
 
@@ -138,6 +171,16 @@ func (m *SparseMatrix) Clone() Bool {
 		}
 	}
 	return cp
+}
+
+// Fork returns a matrix over the same rows in O(1): row slices and row
+// list are shared, and both sides are marked so — whichever is mutated
+// next copies the list (O(n), once) before replacing its first row and
+// leaves every shared row slice as the other reads it.
+func (m *SparseMatrix) Fork() Bool {
+	m.shared, m.borrowed = true, true
+	cp := *m
+	return &cp
 }
 
 // Equal reports entry-wise equality.
@@ -171,6 +214,17 @@ func (m *SparseMatrix) Range(fn func(i, j int) bool) {
 	}
 }
 
+// RangeRow iterates the set entries of row i in column order.
+func (m *SparseMatrix) RangeRow(i int, fn func(j int) bool) bool {
+	m.check(i, 0)
+	for _, j := range m.rows[i] {
+		if !fn(int(j)) {
+			return false
+		}
+	}
+	return true
+}
+
 // Or computes m |= other.
 func (m *SparseMatrix) Or(other Bool) bool {
 	o := mustSparse(other, m.n)
@@ -178,8 +232,7 @@ func (m *SparseMatrix) Or(other Bool) bool {
 	for i := range m.rows {
 		merged, grew := unionSorted(m.rows[i], o.rows[i])
 		if grew {
-			m.nnz += len(merged) - len(m.rows[i])
-			m.rows[i] = merged
+			m.setRow(i, merged)
 			changed = true
 		}
 	}
@@ -193,8 +246,7 @@ func (m *SparseMatrix) And(other Bool) bool {
 	for i := range m.rows {
 		kept := intersectSorted(m.rows[i], o.rows[i])
 		if len(kept) != len(m.rows[i]) {
-			m.nnz += len(kept) - len(m.rows[i])
-			m.rows[i] = kept
+			m.setRow(i, kept)
 			changed = true
 		}
 	}
@@ -208,8 +260,7 @@ func (m *SparseMatrix) AndNot(other Bool) bool {
 	for i := range m.rows {
 		kept := differenceSorted(m.rows[i], o.rows[i])
 		if len(kept) != len(m.rows[i]) {
-			m.nnz += len(kept) - len(m.rows[i])
-			m.rows[i] = kept
+			m.setRow(i, kept)
 			changed = true
 		}
 	}
@@ -304,8 +355,7 @@ func (m *SparseMatrix) AddMul(a, b Bool) bool {
 		}
 		merged, grew := unionSorted(m.rows[i], prod[i])
 		if grew {
-			m.nnz += len(merged) - len(m.rows[i])
-			m.rows[i] = merged
+			m.setRow(i, merged)
 			changed = true
 		}
 	}
@@ -347,8 +397,7 @@ func (m *SparseMatrix) AddMulRows(a, b Bool, rows []bool) bool {
 		}
 		merged, grew := unionSorted(m.rows[i], prod[ri])
 		if grew {
-			m.nnz += len(merged) - len(m.rows[i])
-			m.rows[i] = merged
+			m.setRow(i, merged)
 			changed = true
 		}
 	}

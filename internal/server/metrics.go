@@ -37,6 +37,12 @@ type obsMetrics struct {
 	indexBuild *obs.Histogram
 	warmStart  *obs.Histogram
 
+	// indexSwap observes, per incremental patch, how long the handle's
+	// version lock was held to publish the result (UpdateInfo.Swap) — the
+	// only part of an update a reader can wait for; the closure beside it
+	// is in the update stats and the request histogram.
+	indexSwap *obs.Histogram
+
 	// queries counts answered query operations; strategies splits the same
 	// count by the plan that answered (children resolved once, here, since
 	// cfpq.Strategies() is a closed set). answered ticks both.
@@ -68,6 +74,11 @@ func (m *obsMetrics) answered(st cfpq.Strategy) {
 	m.strategies[st].Inc()
 }
 
+// swapBuckets spans a pointer swap plus a subscription publish: single
+// microseconds when nobody subscribes, up to milliseconds for a large delta
+// filtered for many subscribers.
+var swapBuckets = []float64{.000001, .0000025, .000005, .00001, .000025, .00005, .0001, .00025, .0005, .001, .005, .025}
+
 // fsyncBuckets spans the realistic WAL fsync range: fast NVMe commits sit
 // near 100µs, a contended spinning disk near 100ms.
 var fsyncBuckets = []float64{.0001, .00025, .0005, .001, .0025, .005, .01, .025, .05, .1, .25, 1}
@@ -88,6 +99,8 @@ func newObsMetrics(s *Service) *obsMetrics {
 			"full closure index build latency", obs.DefLatencyBuckets),
 		warmStart: reg.Histogram("cfpqd_warm_start_duration_seconds",
 			"latency of restoring one saved index as a live handle at startup", obs.DefLatencyBuckets),
+		indexSwap: reg.Histogram("cfpqd_index_swap_duration_seconds",
+			"per incremental patch, how long readers were locked out to publish the new index version", swapBuckets),
 
 		queries:          reg.Counter("cfpqd_queries_total", "query operations answered (batch = one per answered spec)"),
 		strategies:       map[cfpq.Strategy]*obs.Counter{},

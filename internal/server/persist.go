@@ -82,7 +82,7 @@ func (s *Service) AttachStore(ctx context.Context, st *store.Store) error {
 				nameMap[n] = id
 			}
 		}
-		ge := &graphEntry{g: g, names: nameMap, byID: byID, seq: seq}
+		ge := &graphEntry{g: g, names: nameMap, byID: byID, seq: seq, indexed: seq}
 		if _, epoch, err := st.GraphPos(name); err == nil {
 			// The persisted stream epoch survives restarts, so a restarted
 			// follower resumes tailing the same leader stream it left.
@@ -163,6 +163,7 @@ func (s *Service) warmStartIndex(ctx context.Context, st *store.Store, ge *graph
 	}
 	key := IndexKey{Graph: info.Graph, Grammar: info.Grammar, Backend: info.Backend}
 	e := &indexEntry{key: key, ge: ge, eng: eng, built: true, p: p}
+	e.ready.Store(p)
 	s.mu.Lock()
 	s.indexes[key] = e
 	s.mu.Unlock()
@@ -233,21 +234,23 @@ func (s *Service) snapshotGraph(name string) error {
 		return notFoundf("server: unknown graph %q", name)
 	}
 
+	// The watermark comes first, and is ge.indexed rather than ge.seq: a
+	// mutation bumps seq before its patch has run the update closure, and
+	// WriteIndex does not wait for a patch — it serialises the version
+	// published before it. Saved under seq, such a file would claim edges
+	// its bytes never saw, and a restart would serve it unpatched for good.
+	// Every handle found ready from here on covers at least ge.indexed; what
+	// it holds beyond that is extra consequences under an understated
+	// watermark, which recovery re-applies idempotently.
+	ge.mu.RLock()
+	seq := ge.indexed
+	ge.mu.RUnlock()
 	var indexes []store.IndexData
 	for _, e := range entries {
-		e.mu.Lock()
-		built, stale, p, key := e.built, e.stale, e.p, e.key
-		e.mu.Unlock()
-		if !built || stale {
-			continue
+		p, key := e.ready.Load(), e.key
+		if p == nil {
+			continue // unbuilt or stale
 		}
-		// Capture seq before serialising: a patch landing in between
-		// leaves the file with extra consequences under an understated
-		// watermark, which recovery re-applies idempotently. The reverse
-		// order could claim coverage of edges the bytes never saw.
-		ge.mu.RLock()
-		seq := ge.seq
-		ge.mu.RUnlock()
 		var buf bytes.Buffer
 		if err := p.WriteIndex(&buf); err != nil {
 			s.obs.persistErrors.Inc()

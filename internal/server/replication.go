@@ -282,7 +282,7 @@ func (s *Service) BootstrapGraph(name string, g *graph.Graph, names []string, se
 			nameMap[n] = id
 		}
 	}
-	ge := &graphEntry{g: g, names: nameMap, byID: byID, seq: seq, epoch: epoch}
+	ge := &graphEntry{g: g, names: nameMap, byID: byID, seq: seq, indexed: seq, epoch: epoch}
 	// Same replacement protocol as RegisterGraph: hold the old entry's
 	// write lock across the store replacement and the registry swap so no
 	// replicated batch can journal into the new WAL while mutating the
@@ -392,6 +392,7 @@ func (s *Service) ApplyReplicatedEdges(ctx context.Context, graphName string, ki
 	}
 	ge.seq = endSeq
 	ge.version++
+	ge.patching++
 	ge.mu.Unlock()
 	s.obs.replBatches.Inc()
 	s.obs.replEdges.Add(uint64(len(edges)))

@@ -1,19 +1,25 @@
 // Package server turns the CFPQ library into an in-process query service:
 // a registry of named graphs and grammars, with closure indexes built
-// lazily and cached per (graph, grammar, backend). The caching, locking
+// lazily and cached per (graph, grammar, backend). The caching, versioning
 // and incremental-update machinery itself lives in the public API — each
 // cache slot holds a cfpq.Prepared handle, which answers concurrent
-// queries under its own read lock and absorbs edge updates with the
-// incremental delta closure — so this package keeps only registry and
+// queries from a pinned, immutable index version and absorbs edge updates
+// by publishing the next one — so this package keeps only registry and
 // naming concerns.
 //
-// Concurrency design. Three locks with a fixed nesting order:
+// Concurrency design. Readers never wait for a closure: a query resolves a
+// built slot through indexEntry.ready (an atomic pointer, no entry lock)
+// and the Prepared answers it from the version it pins, whatever a writer
+// is building beside it. Three locks with a fixed nesting order:
 //
 //   - Service.mu (plain Mutex) guards only registry map membership. It is
-//     never held while acquiring an entry lock.
-//   - indexEntry.mu (Mutex) guards one cache slot's build-once and
-//     staleness state; the cfpq.Prepared inside carries its own RWMutex
-//     for queries versus patches.
+//     never held while acquiring an entry lock, or across anything slow.
+//   - indexEntry.mu (Mutex) is a slot's writer-side lock: it serialises
+//     the build-once closure, each incremental patch (patchIndexes holds
+//     it through Prepared.AddEdges, on the leader and on the follower's
+//     replicated-apply path alike) and invalidation. Only a query that
+//     finds the slot not ready takes it; the cfpq.Prepared inside has its
+//     own writer mutex, and an RWMutex held just to pin or swap a version.
 //   - graphEntry.mu (RWMutex) guards one graph's edge set and name table.
 //     It MAY be acquired while holding an indexEntry.mu (the build path
 //     does, to snapshot the graph), NEVER the other way around.
@@ -203,6 +209,13 @@ type graphEntry struct {
 	version int            // bumped on every successful mutation
 	seq     uint64         // durable edge-stream position (store attached)
 	epoch   uint64         // edge-stream identity (replication); 0 when untracked
+
+	// patching counts mutations that have bumped seq but whose patchIndexes
+	// has not returned; indexed is seq as of the last moment it was zero —
+	// the position every ready index on this graph is known to cover, and
+	// the watermark a snapshot may save one under (see snapshotGraph).
+	patching int
+	indexed  uint64
 }
 
 type grammarEntry struct {
@@ -229,6 +242,19 @@ type indexEntry struct {
 	built bool
 	stale bool // invalidated (node growth or replacement); off the cache map
 	p     *cfpq.Prepared
+
+	// ready is p once the slot is built and for as long as it is not
+	// stale — what readers resolve the slot through, without mu, so a
+	// patch holding mu across an update closure stops nobody. Stored by
+	// whoever sets built, cleared by invalidate.
+	ready atomic.Pointer[cfpq.Prepared]
+}
+
+// invalidate marks the slot stale and takes it off the readers' fast path;
+// callers hold e.mu.
+func (e *indexEntry) invalidate() {
+	e.stale = true
+	e.ready.Store(nil)
 }
 
 // BackendByName resolves one of the four paper backends by its Name(); the
@@ -406,7 +432,7 @@ func (s *Service) removeIndexesLocked(match func(IndexKey) bool) []*indexEntry {
 func markStale(dropped []*indexEntry) {
 	for _, e := range dropped {
 		e.mu.Lock()
-		e.stale = true
+		e.invalidate()
 		p := e.p
 		e.mu.Unlock()
 		if p != nil {
@@ -497,8 +523,10 @@ func (t Target) key() IndexKey {
 }
 
 // index returns the cache entry and its built Prepared handle for the
-// target, building on first use. The handle answers queries under its own
-// read lock, so many queries share an index while updates wait.
+// target, building on first use. A built, non-stale slot is resolved
+// without its lock, and the handle answers from a pinned version, so
+// queries share an index and wait for neither a build of another slot nor
+// an update of this one.
 func (s *Service) index(ctx context.Context, t Target) (*indexEntry, *cfpq.Prepared, error) {
 	key := t.key()
 	be, err := BackendByName(key.Backend)
@@ -525,6 +553,9 @@ func (s *Service) index(ctx context.Context, t Target) (*indexEntry, *cfpq.Prepa
 	}
 	s.mu.Unlock()
 
+	if p := e.ready.Load(); p != nil {
+		return e, p, nil
+	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if !e.built {
@@ -553,6 +584,7 @@ func (s *Service) index(ctx context.Context, t Target) (*indexEntry, *cfpq.Prepa
 		s.obs.indexBuild.Observe(time.Since(buildStart).Seconds())
 		e.p = p
 		e.built = true
+		e.ready.Store(p)
 		s.obs.indexBuilds.Inc()
 		s.persistIndex(key, seq, p)
 	}
@@ -873,6 +905,7 @@ func (s *Service) AddEdges(ctx context.Context, graphName string, specs []EdgeSp
 		}
 	}
 	ge.version++
+	ge.patching++
 	nodes := ge.g.Nodes()
 	ge.mu.Unlock()
 	res.Added = len(edges)
@@ -892,7 +925,10 @@ func (s *Service) AddEdges(ctx context.Context, graphName string, specs []EdgeSp
 // the same handle serialise inside Prepared; the delta closure only ever
 // adds bits and re-applying present edges is a no-op, so the closure is
 // confluent. Both AddEdges and the follower's replicated-apply path end
-// here — a follower never runs a cold closure to absorb the stream.
+// here — a follower never runs a cold closure to absorb the stream. The
+// caller counted itself into ge.patching when it mutated the graph;
+// returning counts it out and, when nobody else is between the two, advances
+// ge.indexed to the stream position the indexes now cover.
 func (s *Service) patchIndexes(ctx context.Context, graphName string, ge *graphEntry, edges []graph.Edge, maxNode int, res *UpdateResult) {
 	s.mu.Lock()
 	var entries []*indexEntry
@@ -906,6 +942,13 @@ func (s *Service) patchIndexes(ctx context.Context, graphName string, ge *graphE
 		}
 	}
 	s.mu.Unlock()
+	defer func() {
+		ge.mu.Lock()
+		if ge.patching--; ge.patching == 0 {
+			ge.indexed = ge.seq
+		}
+		ge.mu.Unlock()
+	}()
 
 	for _, e := range entries {
 		e.mu.Lock()
@@ -914,17 +957,22 @@ func (s *Service) patchIndexes(ctx context.Context, graphName string, ge *graphE
 			// Unbuilt entries will snapshot the post-mutation graph when
 			// they build; stale ones are already off the cache.
 		case maxNode >= e.p.Nodes():
-			e.stale = true
+			e.invalidate()
 			res.Invalidated++
 		default:
+			// Held across the update closure on purpose: e.mu orders this
+			// patch against the slot's build and other patches. Readers
+			// come in through e.ready and are not behind it.
 			info, err := e.p.AddEdges(ctx, edges...)
 			res.UpdateStats.Add(info.Stats)
+			s.obs.indexSwap.Observe(info.Swap.Seconds())
 			if err != nil {
 				s.noteErr(err)
-				// A cancelled or over-budget patch leaves the handle sound
-				// but incomplete; drop it so the next query rebuilds, and
-				// report it as invalidated, not patched.
-				e.stale = true
+				// A cancelled or over-budget update was abandoned: the
+				// handle still serves its last version, which lacks these
+				// edges. Drop it so the next query rebuilds, and report it
+				// as invalidated, not patched.
+				e.invalidate()
 				res.Invalidated++
 			} else {
 				res.Patched++
@@ -971,7 +1019,10 @@ type IndexStats struct {
 	// update patched into this index since it was built.
 	Update  cfpq.Stats `json:"update"`
 	Updates int        `json:"updates"`
-	Queries int64      `json:"queries"`
+	// Version is the number of index versions published since the index
+	// was built or warm-started (one per successful non-empty patch).
+	Version uint64 `json:"version"`
+	Queries int64  `json:"queries"`
 }
 
 // Stats reports every cached index, sorted by (graph, grammar, backend).
@@ -984,23 +1035,22 @@ func (s *Service) Stats() []IndexStats {
 	s.mu.Unlock()
 	out := make([]IndexStats, 0, len(entries))
 	for _, e := range entries {
-		e.mu.Lock()
-		built, p, key := e.built, e.p, e.key
-		e.mu.Unlock()
-		if !built {
+		p := e.ready.Load()
+		if p == nil {
 			continue
 		}
 		ps := p.Stats()
 		out = append(out, IndexStats{
-			Graph:   key.Graph,
-			Grammar: key.Grammar,
-			Backend: key.Backend,
+			Graph:   e.key.Graph,
+			Grammar: e.key.Grammar,
+			Backend: e.key.Backend,
 			Nodes:   ps.Nodes,
 			Entries: ps.Entries,
 			Counts:  ps.Counts,
 			Build:   ps.Build,
 			Update:  ps.Update,
 			Updates: ps.Updates,
+			Version: ps.Version,
 			Queries: ps.Queries,
 		})
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"iter"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -14,26 +15,51 @@ import (
 
 // Prepared is a compiled grammar bound to a graph with a cached,
 // incrementally-maintained closure index — the unit a serving layer caches
-// per (graph, grammar, backend). It is safe for concurrent use: queries
-// run under a read lock and proceed in parallel; AddEdges takes the write
-// lock, patches the index with the semi-naive delta closure, and
-// transparently grows the matrices when edges enlarge the node set. This
-// is the same caching/locking discipline cfpqd's query service uses —
-// the service now holds Prepared handles instead of private machinery.
+// per (graph, grammar, backend). It is safe for concurrent use, and readers
+// never wait for a closure: the handle holds one published version (an
+// edge set and the index that is its closure), immutable once published.
+// A query pins the current version — the read lock is held for the pointer
+// load only — and answers from it without any lock. AddEdges is the one
+// writer at a time: it journals, builds the next version on a copy-on-write
+// fork beside the readers (the closure only ever adds bits, so the version
+// they hold stays a sound, self-consistent relation), and publishes it by a
+// pointer swap under the write lock, transparently growing the matrices
+// when edges enlarge the node set. This is the same caching/locking
+// discipline cfpqd's query service uses — the service holds Prepared
+// handles instead of private machinery.
 type Prepared struct {
 	eng *Engine
 	cnf *CNF
 
+	// writer serialises AddEdges: one call at a time builds the next
+	// version. No reader takes it, so the WAL append and the update closure
+	// run under it without stalling a query. It guards wal and pending.
+	writer sync.Mutex
+	wal    WAL // journal AddEdges tees into before anything else; may be nil
+	// pending holds the edges of abandoned updates: journaled and in the
+	// graph, but in no published index yet. The next update that succeeds
+	// empties it; on an over-budget handle none does (see AddEdges).
+	pending []Edge
+
+	// mu guards the fields below. It is held to pin the current version or
+	// to swap in the next one — never across a closure, a WAL append or a
+	// worker fan-out.
 	mu      sync.RWMutex
-	g       *Graph // owned by the Prepared; mutate only through AddEdges
-	ix      *Index
-	wal     WAL     // journal AddEdges tees into before mutating; may be nil
+	cur     *version
 	subs    *subHub // live-query fan-out; created on first Subscribe/Close
 	build   Stats   // the initial closure
-	update  Stats   // accumulated incremental patches
-	updates int     // number of AddEdges calls that patched
-	dirty   bool    // a cancelled patch left consequences unpropagated
+	update  Stats   // accumulated incremental updates
+	updates int     // number of AddEdges calls absorbed
 	queries atomic.Int64
+}
+
+// version is one published state of a handle: immutable, so whoever holds
+// the pointer reads it without a lock for as long as it likes. The next
+// version is built on Graph.Fork and Index.Fork of this one's parts.
+type version struct {
+	g   *Graph // the edge set
+	ix  *Index // the closure of g's edges minus the handle's pending ones
+	num uint64 // indexes published before this one
 }
 
 // WAL is an append-only durability log a Prepared tees its mutations into
@@ -46,13 +72,15 @@ type WAL interface {
 
 // AttachWAL tees every subsequent AddEdges into w, write-ahead: the batch
 // of genuinely new edges is journaled (and fsynced, for a durable log)
-// before the graph or index is touched, and a journaling error fails the
-// call with no in-memory effect. Attach at most one mutating handle per
-// log — the log is a single edge stream and replay assumes one interning
-// history. A nil w detaches.
+// before the next version is even started, and a journaling error fails the
+// call with no in-memory effect. Readers are not held up by the append —
+// it runs under the writers' mutex only, and nothing un-journaled is ever
+// published. Attach at most one mutating handle per log — the log is a
+// single edge stream and replay assumes one interning history. A nil w
+// detaches.
 func (p *Prepared) AttachWAL(w WAL) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	p.writer.Lock()
+	defer p.writer.Unlock()
 	p.wal = w
 }
 
@@ -62,12 +90,16 @@ func (p *Prepared) CNF() *CNF { return p.cnf }
 // Backend returns the backend the cached index evaluates with.
 func (p *Prepared) Backend() Backend { return p.eng.Backend() }
 
-// Nodes returns the current node count of the bound graph.
-func (p *Prepared) Nodes() int {
+// pin returns the current version. The caller reads it lock-free; an
+// AddEdges publishing meanwhile does not disturb it.
+func (p *Prepared) pin() *version {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	return p.g.Nodes()
+	return p.cur
 }
+
+// Nodes returns the current node count of the bound graph.
+func (p *Prepared) Nodes() int { return p.pin().g.Nodes() }
 
 // Do answers a declarative Request from the handle's cached closure index
 // — the cached-read strategy, which performs no closure work at all; the
@@ -82,9 +114,10 @@ func (p *Prepared) Nodes() int {
 // mirroring the handle's historic read methods under concurrent graph
 // growth. Unknown non-terminals are an error.
 //
-// The returned Result's Pairs/Paths stream a point-in-time snapshot
-// materialised under the read lock, so iterating them needs no lock and
-// cannot deadlock against a concurrent AddEdges.
+// The answer is read from the version current when Do pinned it: a
+// concurrent AddEdges neither delays it nor shows through it, and the
+// returned Result's Pairs/Paths stream a materialised snapshot of that
+// version, so iterating them needs no lock either.
 func (p *Prepared) Do(ctx context.Context, req Request) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -93,13 +126,12 @@ func (p *Prepared) Do(ctx context.Context, req Request) (*Result, error) {
 		return nil, err
 	}
 	start := time.Now()
-	p.mu.RLock()
-	defer p.mu.RUnlock()
+	v := p.pin()
 	p.queries.Add(1)
-	res, err := p.doLocked(ctx, req)
+	res, err := p.answer(ctx, v, req)
 	if res != nil {
-		// A cached read runs no closure, but it still took time (lock wait
-		// plus scan); stamp it so warm reads report their real latency.
+		// A cached read runs no closure, but it still took time (the pin
+		// plus the scan); stamp it so warm reads report their real latency.
 		res.Stats.Duration = time.Since(start)
 	}
 	return res, err
@@ -137,15 +169,14 @@ func cachedReadExplain() Explain {
 	}
 }
 
-// doLocked answers one checked request; callers hold p.mu (read side
-// suffices: only the index is consulted).
-func (p *Prepared) doLocked(ctx context.Context, req Request) (*Result, error) {
+// answer answers one checked request from a pinned version.
+func (p *Prepared) answer(ctx context.Context, v *version, req Request) (*Result, error) {
 	nt := req.Nonterminal
 	if _, ok := p.cnf.Index(nt); !ok {
 		return nil, fmt.Errorf("cfpq: unknown non-terminal %q", nt)
 	}
 	res := &Result{Explain: cachedReadExplain()}
-	n := p.ix.Nodes()
+	n := v.ix.Nodes()
 	switch req.normOutput() {
 	case OutputPaths:
 		i, j := req.Sources[0], req.Targets[0]
@@ -160,7 +191,7 @@ func (p *Prepared) doLocked(ctx context.Context, req Request) (*Result, error) {
 		if req.Limit > 0 {
 			opts.MaxPaths++
 		}
-		paths, err := p.ix.AllPathsContext(ctx, p.g, nt, i, j, opts)
+		paths, err := v.ix.AllPathsContext(ctx, v.g, nt, i, j, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -174,14 +205,22 @@ func (p *Prepared) doLocked(ctx context.Context, req Request) (*Result, error) {
 		if len(req.Sources) == 1 && len(req.Targets) == 1 {
 			// The point lookup the serving hot path issues; O(1)-ish.
 			i, j := req.Sources[0], req.Targets[0]
-			res.Exists = i < n && j < n && p.ix.Has(nt, i, j)
+			res.Exists = i < n && j < n && v.ix.Has(nt, i, j)
 			return res, nil
 		}
-		res.Exists = p.scanLocked(nt, req.Sources, req.Targets, 1) > 0
+		// Stopping at the first entry is finding one.
+		res.Exists = !scan(v.ix, nt, req.Sources, req.Targets, func(int, int) bool { return false })
 	case OutputCount:
-		res.Count = p.scanLocked(nt, req.Sources, req.Targets, 0)
+		if req.Sources == nil && req.Targets == nil {
+			res.Count = v.ix.Count(nt)
+			return res, nil
+		}
+		scan(v.ix, nt, req.Sources, req.Targets, func(int, int) bool {
+			res.Count++
+			return true
+		})
 	default: // OutputPairs
-		// Materialised under the held lock: the streamed pairs are a
+		// Materialised from the pinned version: the streamed pairs are a
 		// consistent point-in-time snapshot (batch answers must all read
 		// one index state), and iterating the Result needs no lock.
 		// The scan looks one pair past the limit so a clipped answer can
@@ -190,7 +229,11 @@ func (p *Prepared) doLocked(ctx context.Context, req Request) (*Result, error) {
 		if lookahead > 0 {
 			lookahead++
 		}
-		pairs := p.pairsLocked(nt, req.Sources, req.Targets, lookahead)
+		var pairs []Pair
+		scan(v.ix, nt, req.Sources, req.Targets, func(i, j int) bool {
+			pairs = append(pairs, Pair{I: i, J: j})
+			return lookahead == 0 || len(pairs) < lookahead
+		})
 		if req.Limit > 0 && len(pairs) > req.Limit {
 			pairs = pairs[:req.Limit]
 			res.Truncated = true
@@ -201,70 +244,47 @@ func (p *Prepared) doLocked(ctx context.Context, req Request) (*Result, error) {
 	return res, nil
 }
 
-// restrictionMask turns a restriction into a membership mask over the
-// index's node range; nil stays nil (unrestricted) and out-of-range nodes
-// are dropped (they can have no pairs).
-func restrictionMask(n int, nodes []int) []bool {
-	if nodes == nil {
-		return nil
-	}
-	mask := make([]bool, n)
-	for _, v := range nodes {
-		if v >= 0 && v < n {
-			mask[v] = true
-		}
-	}
-	return mask
-}
-
-// inMask reports membership under an optional mask; nil means everything.
-func inMask(mask []bool, v int) bool {
-	return mask == nil || (v < len(mask) && mask[v])
-}
-
-// scanLocked counts the entries of R_nt satisfying the restriction,
-// stopping early at limit when limit > 0; callers hold p.mu.
-func (p *Prepared) scanLocked(nt string, sources, targets []int, limit int) int {
-	m := p.ix.Matrix(nt)
-	if m == nil {
-		return 0
-	}
-	if sources == nil && targets == nil && limit == 0 {
-		return p.ix.Count(nt)
-	}
-	srcMask := restrictionMask(p.ix.Nodes(), sources)
-	tgtMask := restrictionMask(p.ix.Nodes(), targets)
-	count := 0
-	m.Range(func(i, j int) bool {
-		if inMask(srcMask, i) && inMask(tgtMask, j) {
-			count++
-			if limit > 0 && count >= limit {
-				return false
+// scan calls visit for the entries of R_nt satisfying the restriction, in
+// row-major order, until visit returns false; it reports whether it ran to
+// the end. A source restriction reads
+// just the rows of its sorted, de-duplicated in-range sources — the cost of
+// "what does this node reach" is that node's row, not the relation; only a
+// read without one ranges over the whole matrix. nil restrictions are
+// unrestricted; out-of-range nodes can have no pairs and are dropped.
+func scan(ix *Index, nt string, sources, targets []int, visit func(i, j int) bool) bool {
+	m := ix.Matrix(nt)
+	n := ix.Nodes()
+	var inTargets []bool // nil = every column
+	if targets != nil {
+		inTargets = make([]bool, n)
+		for _, j := range targets {
+			if j < n {
+				inTargets[j] = true
 			}
 		}
-		return true
-	})
-	return count
-}
-
-// pairsLocked materialises the restricted relation in row-major order,
-// stopping at limit when limit > 0; callers hold p.mu.
-func (p *Prepared) pairsLocked(nt string, sources, targets []int, limit int) []Pair {
-	m := p.ix.Matrix(nt)
-	if m == nil {
-		return nil
 	}
-	srcMask := restrictionMask(p.ix.Nodes(), sources)
-	tgtMask := restrictionMask(p.ix.Nodes(), targets)
-	var out []Pair
-	m.Range(func(i, j int) bool {
-		if !inMask(srcMask, i) || !inMask(tgtMask, j) {
-			return true
+	each := func(i, j int) bool { return (inTargets != nil && !inTargets[j]) || visit(i, j) }
+	if sources == nil {
+		done := true
+		m.Range(func(i, j int) bool {
+			done = each(i, j)
+			return done
+		})
+		return done
+	}
+	rows := make([]int, 0, len(sources))
+	for _, i := range sources {
+		if i < n {
+			rows = append(rows, i)
 		}
-		out = append(out, Pair{I: i, J: j})
-		return limit == 0 || len(out) < limit
-	})
-	return out
+	}
+	slices.Sort(rows)
+	for _, i := range slices.Compact(rows) {
+		if !m.RangeRow(i, func(j int) bool { return each(i, j) }) {
+			return false
+		}
+	}
+	return true
 }
 
 // Has reports whether (i, j) ∈ R_nt. Unknown non-terminals,
@@ -288,10 +308,8 @@ func (p *Prepared) Count(ctx context.Context, nt string) int {
 
 // Counts returns |R_A| for every non-terminal A, keyed by name.
 func (p *Prepared) Counts() map[string]int {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
 	p.queries.Add(1)
-	return p.ix.Counts()
+	return p.pin().ix.Counts()
 }
 
 // Relation returns R_nt as a sorted pair list. Sugar for an OutputPairs
@@ -305,9 +323,9 @@ func (p *Prepared) Relation(ctx context.Context, nt string) []Pair {
 }
 
 // Pairs streams R_nt in row-major order. The sequence is a point-in-time
-// snapshot taken under the read lock; iteration itself holds no lock, so
-// (unlike earlier versions of this API) methods of this Prepared may be
-// called from inside the loop. Sugar for an OutputPairs Request.
+// snapshot of one version; iteration itself holds no lock, so (unlike
+// earlier versions of this API) methods of this Prepared may be called
+// from inside the loop. Sugar for an OutputPairs Request.
 func (p *Prepared) Pairs(ctx context.Context, nt string) iter.Seq[Pair] {
 	res, err := p.Do(ctx, Request{Nonterminal: nt})
 	if err != nil {
@@ -388,41 +406,68 @@ type UpdateInfo struct {
 	// Added is the number of edges genuinely new to the graph (duplicates
 	// of existing edges are skipped).
 	Added int `json:"added"`
-	// Grown reports that the edges enlarged the node set and the index
-	// matrices were resized in place.
+	// Grown reports that the edges enlarged the node set and the next
+	// version's index matrices were resized to it.
 	Grown bool `json:"grown,omitempty"`
-	// Stats is the incremental closure work of the patch (or of the full
-	// rebuild, when one was needed to repair a previously cancelled patch).
+	// Stats is the incremental closure work of the call, whether or not
+	// its result was published.
 	Stats Stats `json:"stats"`
-	// Delta is the per-nonterminal relation of pairs this call newly
-	// derived — the incremental closure's own frontier union, or, when the
-	// call repaired a cancelled patch by rebuilding, the rebuild's
-	// new-minus-old difference. A cancelled call reports the pairs that did
-	// land before cancellation; the repairing call reports exactly the
-	// rest, so the concatenation of Deltas is always the exact history of
-	// the relation. Nil only when the call errored before patching.
+	// Delta is the per-nonterminal relation of pairs the version this call
+	// published holds beyond the previous one — the incremental closure's
+	// own frontier union, and exactly what subscribers were pushed. A call
+	// that published nothing (every edge a duplicate; or the update was
+	// cancelled or stopped by the memory budget and abandoned) reports an
+	// empty, non-nil Delta; the successful call that later absorbs an
+	// abandoned update's edges reports their pairs too, so the
+	// concatenation of Deltas is always the exact history of the relation.
+	// Nil only when the call failed before journaling.
 	Delta *Delta `json:"-"`
+	// Swap is how long the call held the lock readers pin a version under
+	// — the pointer swap, the statistics and the subscription publish. It
+	// is the only part of an update a reader can wait for.
+	Swap time.Duration `json:"-"`
 }
 
-// AddEdges inserts edges into the bound graph and brings the cached index
-// up to date with the incremental delta closure; edges referencing nodes
-// beyond the current range transparently grow the graph and the index. The
-// context is checked between closure passes. If a patch is cancelled
-// mid-way — or stopped by the engine's memory budget
-// (*MemoryBudgetError) — the index stays sound (every answered pair has a
-// witness) but may miss consequences of the new edges; the next successful
-// AddEdges repairs it with a full rebuild.
+// AddEdges inserts edges into the bound graph and publishes the version
+// that holds them: the new edges are journaled (AttachWAL), the current
+// index is forked, the fork is grown if the edges enlarge the node set and
+// brought up to date with the incremental delta closure, and the result
+// replaces the current version in one swap. Calls serialise among
+// themselves; queries, batches, WriteIndex and Stats proceed against the
+// version they pinned throughout and see the update all at once or not at
+// all.
 //
-// With a WAL attached (AttachWAL), the new edges are journaled before any
-// in-memory state changes; a journaling failure aborts the call cleanly.
+// The context is checked between closure passes. An update that is
+// cancelled — or stopped by the engine's memory budget
+// (*MemoryBudgetError), which counts both live versions — is abandoned:
+// the call returns the error with an empty Delta, nothing is pushed to
+// subscribers, and every answer stays bit-identical to before the call.
+// The edges are not lost (they were journaled): they join the graph and
+// wait, and the next AddEdges — an empty one will do — runs the
+// incremental update for them together with its own edges, publishing and
+// pushing every pair exactly once.
+//
+// That retry recovers a cancelled update, not an over-budget one: the
+// budget is the engine's and fixed for the handle's life, and the retry
+// propagates a superset of the edges that did not fit. Such a handle keeps
+// serving its last version while every later call journals its edges, adds
+// them to the graph and to the waiting list — which grows without bound,
+// one entry per edge accepted since — re-runs the update as far as the
+// budget allows and returns the budget error again. Treat the first
+// *MemoryBudgetError as final for the handle and re-Prepare the graph under
+// a larger budget (cfpqd drops such a handle and rebuilds on the next
+// query).
+//
+// With a WAL attached, a journaling failure aborts the call cleanly.
 func (p *Prepared) AddEdges(ctx context.Context, edges ...Edge) (UpdateInfo, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	p.writer.Lock()
+	defer p.writer.Unlock()
+	cur := p.pin()
 	info := UpdateInfo{}
 	fresh := make([]Edge, 0, len(edges))
 	var seen map[Edge]bool
 	for _, ed := range edges {
-		if ed.From < p.g.Nodes() && ed.To < p.g.Nodes() && p.g.HasEdge(ed.From, ed.Label, ed.To) {
+		if ed.From < cur.g.Nodes() && ed.To < cur.g.Nodes() && cur.g.HasEdge(ed.From, ed.Label, ed.To) {
 			continue
 		}
 		if seen[ed] {
@@ -435,65 +480,65 @@ func (p *Prepared) AddEdges(ctx context.Context, edges ...Edge) (UpdateInfo, err
 		fresh = append(fresh, ed)
 	}
 	if p.wal != nil && len(fresh) > 0 {
-		// Write-ahead: journal before mutating, so an acknowledged batch
-		// is always recoverable and a failed one leaves no trace.
-		//lint:allow cfpqlint/lockscope write-ahead protocol: the fsynced append MUST happen under the write lock so no reader sees un-journaled state
+		// Write-ahead: journal before building anything, so an acknowledged
+		// batch is always recoverable and a failed one leaves no trace.
 		if err := p.wal.AppendEdges(fresh); err != nil {
 			return info, err
 		}
 	}
-	for _, ed := range fresh {
-		p.g.AddEdge(ed.From, ed.Label, ed.To)
-	}
 	info.Added = len(fresh)
-	if p.g.Nodes() > p.ix.Nodes() {
-		info.Grown = true
-	}
-	if p.dirty {
-		// Repair: a cancelled patch left unpropagated consequences that a
-		// delta seeded only with the new edges would never recover. Grow
-		// the stale index first so the rebuild can be diffed against it:
-		// subscribers must still see exactly the pairs the repair adds.
-		p.ix.Grow(p.g.Nodes())
-		old := p.ix
-		ix, build, err := p.eng.newCore(&config{}).RunContext(ctx, p.g, p.cnf)
-		if err != nil {
-			return info, err
+	info.Delta = core.EmptyDelta(cur.ix)
+	next := &version{g: cur.g, ix: cur.ix, num: cur.num}
+	if len(fresh) > 0 {
+		next.g = cur.g.Fork()
+		for _, ed := range fresh {
+			next.g.AddEdge(ed.From, ed.Label, ed.To)
 		}
-		p.ix, p.dirty = ix, false
-		p.update.Add(build)
-		p.updates++
-		info.Stats = build
-		info.Delta = core.NewlyDerived(ix, old)
-		p.publishLocked(info.Delta)
-		return info, nil
 	}
-	p.ix.Grow(p.g.Nodes())
-	st, delta, err := p.eng.newCore(&config{}).UpdateContext(ctx, p.ix, fresh...)
-	p.update.Add(st)
+	info.Grown = next.g.Nodes() > cur.ix.Nodes()
+	seeds := append(p.pending, fresh...)
+	var err error
+	if len(seeds) > 0 {
+		ix := cur.ix.Fork()
+		ix.Grow(next.g.Nodes())
+		var delta *Delta
+		info.Stats, delta, err = p.eng.newCore(&config{}).UpdateContext(ctx, ix, seeds...)
+		if err == nil {
+			ix.Detach()
+			next.ix, next.num = ix, cur.num+1
+			info.Delta, seeds = delta, nil
+		}
+		// On error the fork is dropped: the graph moves on (its edges are
+		// journaled), the index does not, and seeds stay pending.
+	}
+	p.pending = seeds
+	// Materialise what subscribers are owed ahead of the swap — readers
+	// must not wait for it — whether or not anyone is subscribed yet: the
+	// first subscriber may arrive while the update runs.
+	var pairs map[string][]Pair
+	if !info.Delta.Empty() {
+		pairs = deltaPairs(info.Delta)
+	}
+	locked := time.Now()
+	p.mu.Lock()
+	p.cur = next
+	p.update.Add(info.Stats)
 	p.updates++
-	info.Stats = st
-	info.Delta = delta
-	// Publish even on cancellation: the partial delta's pairs are in the
-	// index (the update is sound, just unfinished), and the repair's
-	// new-minus-old delta will exclude them — so subscribers see every
-	// pair exactly once across the cancelled patch and its repair.
-	p.publishLocked(delta)
-	if err != nil {
-		p.dirty = true
-		return info, err
+	if p.subs != nil && pairs != nil {
+		p.subs.publish(pairs)
 	}
-	return info, nil
+	p.mu.Unlock()
+	info.Swap = time.Since(locked)
+	return info, err
 }
 
-// WriteIndex serialises the handle's cached index in the CFPQIDX2 format
-// under the read lock — a consistent point-in-time image a store can
-// persist for warm-starting a later session (LoadIndex +
-// PrepareFromIndex). Concurrent queries proceed; updates wait.
+// WriteIndex serialises the handle's cached index in the CFPQIDX2 format —
+// a consistent image of the version current when it was called, which a
+// store can persist for warm-starting a later session (LoadIndex +
+// PrepareFromIndex). It holds no lock while writing: queries and updates
+// proceed.
 func (p *Prepared) WriteIndex(w io.Writer) error {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	_, err := p.ix.WriteTo(w)
+	_, err := p.pin().ix.WriteTo(w)
 	return err
 }
 
@@ -508,11 +553,16 @@ type PreparedStats struct {
 	Counts map[string]int `json:"counts"`
 	// Build is the closure work of the initial full fixpoint.
 	Build Stats `json:"build"`
-	// Update accumulates the incremental closure work of every AddEdges.
+	// Update accumulates the incremental closure work of every AddEdges,
+	// abandoned updates included.
 	Update Stats `json:"update"`
 	// Updates is the number of AddEdges calls absorbed (including calls
 	// whose edges were all duplicates and needed no closure work).
 	Updates int `json:"updates"`
+	// Version is the number of index versions published since the handle
+	// was prepared: one per AddEdges that had edges to propagate and
+	// succeeded. Nodes, Entries and Counts describe this version.
+	Version uint64 `json:"version"`
 	// Queries counts queries answered from the cached index.
 	Queries int64 `json:"queries"`
 }
@@ -520,19 +570,21 @@ type PreparedStats struct {
 // Stats returns a snapshot of the handle's statistics.
 func (p *Prepared) Stats() PreparedStats {
 	p.mu.RLock()
-	defer p.mu.RUnlock()
-	counts := p.ix.Counts()
+	v, build, update, updates := p.cur, p.build, p.update, p.updates
+	p.mu.RUnlock()
+	counts := v.ix.Counts()
 	entries := 0
 	for _, c := range counts {
 		entries += c
 	}
 	return PreparedStats{
-		Nodes:   p.ix.Nodes(),
+		Nodes:   v.ix.Nodes(),
 		Entries: entries,
 		Counts:  counts,
-		Build:   p.build,
-		Update:  p.update,
-		Updates: p.updates,
+		Build:   build,
+		Update:  update,
+		Updates: updates,
+		Version: v.num,
 		Queries: p.queries.Load(),
 	}
 }

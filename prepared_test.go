@@ -194,9 +194,9 @@ func TestPreparedConcurrentQueriesRaceUpdates(t *testing.T) {
 	}
 }
 
-// TestPreparedCancelledPatchRepairs: a cancelled AddEdges leaves the handle
-// sound but flagged dirty; the next successful AddEdges repairs it with a
-// full rebuild, after which it agrees with a cold closure.
+// TestPreparedCancelledPatchRepairs: a cancelled AddEdges publishes nothing
+// and keeps its edges pending; the next successful AddEdges propagates them
+// incrementally, after which the handle agrees with a cold closure.
 func TestPreparedCancelledPatchRepairs(t *testing.T) {
 	text := "S -> a S b | a b"
 	g := NewGraph(0)

@@ -119,8 +119,10 @@ type histEntry struct {
 }
 
 // subHub fans index-update deltas out to subscribers. One per Prepared,
-// created on first use; publish runs under the Prepared's write lock, so
-// batch order equals index mutation order.
+// created on first use; publish runs inside the version swap, under the
+// Prepared's write lock, so batch order equals publication order and a
+// query issued after Subscribe returns sees every version whose delta the
+// subscription missed.
 type subHub struct {
 	mu     sync.Mutex
 	closed bool
@@ -245,10 +247,10 @@ func (p *Prepared) hub() *subHub {
 }
 
 // Subscribe registers a standing Request and returns a Subscription that
-// receives the newly derived pairs of every subsequent AddEdges, computed
-// from the incremental closure's per-update delta (or, after a cancelled
-// patch, from the repair rebuild's synthesized new-minus-old delta) —
-// never by diffing full results. Deliveries start strictly after the pairs
+// receives the newly derived pairs of every subsequently published version,
+// computed from the incremental closure's per-update delta — never by
+// diffing full results (an abandoned update pushes nothing; the update
+// that absorbs its edges pushes their pairs). Deliveries start strictly after the pairs
 // visible to a query issued now; to seed state, run the same Request
 // through Do first and then apply batches on top.
 //
@@ -312,17 +314,12 @@ func (p *Prepared) Close() {
 	p.hub().closeAll()
 }
 
-// publishLocked fans an update's delta out to subscribers; callers hold
-// p.mu (write side). Without subscribers ever having existed there is no
-// hub and no materialisation cost; an empty delta publishes nothing (and
-// consumes no sequence number).
-func (p *Prepared) publishLocked(d *Delta) {
-	if p.subs == nil || d == nil || d.Empty() {
-		return
-	}
+// deltaPairs materialises an update's delta in the shape the hub retains
+// and filters: the newly derived pairs per non-terminal.
+func deltaPairs(d *Delta) map[string][]Pair {
 	pairs := make(map[string][]Pair)
 	for _, nt := range d.Nonterminals() {
 		pairs[nt] = d.Pairs(nt)
 	}
-	p.subs.publish(pairs)
+	return pairs
 }

@@ -198,31 +198,48 @@ func setList(s map[cfpq.Pair]bool) []cfpq.Pair {
 	return out
 }
 
-// TestSubscribeCancelledRepairExactlyOnce: a cancelled AddEdges publishes
-// the pairs that did land before cancellation; the repairing rebuild
-// publishes exactly the rest (its synthesized new-minus-old delta). Across
-// the two batches every subscriber sees each newly derived pair exactly
-// once, on all four backends.
+// TestSubscribeCancelledRepairExactlyOnce: a cancelled AddEdges — before
+// its first pass, or mid-closure with part of the patch already derived on
+// the fork — publishes nothing; the retry publishes the whole patch. Every
+// subscriber sees each newly derived pair exactly once, on all four
+// backends.
 func TestSubscribeCancelledRepairExactlyOnce(t *testing.T) {
+	isCancelled := func(err error) bool { return errors.Is(err, context.Canceled) }
 	for _, be := range cfpq.Backends() {
 		t.Run(be.String(), func(t *testing.T) {
 			cancelled, cancel := context.WithCancel(context.Background())
 			cancel()
-			interruptedPatchExactlyOnce(t, cfpq.NewEngine(be), cancelled, func(err error) bool {
-				return errors.Is(err, context.Canceled)
-			})
+			interruptedPatchExactlyOnce(t, cfpq.NewEngine(be), cancelled, isCancelled, true)
+		})
+		t.Run(be.String()+"/mid-closure", func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			derived := 0
+			ctx = cfpq.WithTraceContext(ctx, &cfpq.Trace{Pass: func(ev cfpq.PassEvent) {
+				if derived += ev.TotalDelta(); ev.Pass == 2 {
+					cancel()
+				}
+			}})
+			interruptedPatchExactlyOnce(t, cfpq.NewEngine(be), ctx, isCancelled, true)
+			if derived < 2 {
+				t.Fatalf("the update was cancelled with %d bits derived; the case wants a partly propagated fork", derived)
+			}
 		})
 	}
 }
 
-// interruptedPatchExactlyOnce prepares a^6 b^5 on eng, subscribes to S,
-// patches in the sixth b-edge under patchCtx — which must fail with an
-// error interrupted accepts — and repairs with an empty AddEdges. The
-// subscriber must have received every pair the edge derives exactly once
-// across the interrupted patch and its repair, and the handle must end up
-// answering like a cold closure of the full graph.
-func interruptedPatchExactlyOnce(t *testing.T, eng *cfpq.Engine, patchCtx context.Context, interrupted func(error) bool) {
+// interruptedPatchExactlyOnce prepares a^6 b^5 on eng, subscribes to S and
+// adds the sixth b-edge under patchCtx — which must fail with an error
+// interrupted accepts. The abandoned update must publish nothing: an empty
+// non-nil Delta, no push, the same version number, and every answer
+// bit-identical to before the call. An empty AddEdges then retries the
+// edge. When the retry fits (a cancellation is gone, an engine-wide budget
+// is not) the subscriber must have received every pair the edge derives
+// exactly once and the handle must answer like a cold closure of the full
+// graph; when it does not, it must be abandoned exactly like the first.
+func interruptedPatchExactlyOnce(t *testing.T, eng *cfpq.Engine, patchCtx context.Context, interrupted func(error) bool, retryFits bool) {
 	t.Helper()
+	ctx := context.Background()
 	gram := cfpq.MustParseGrammar("S -> a S b | a b")
 	g := cfpq.NewGraph(0)
 	for i := 0; i < 6; i++ {
@@ -231,39 +248,74 @@ func interruptedPatchExactlyOnce(t *testing.T, eng *cfpq.Engine, patchCtx contex
 	for i := 6; i < 11; i++ {
 		g.AddEdge(i, "b", i+1)
 	}
-	p, err := eng.Prepare(context.Background(), g.Clone(), gram)
+	p, err := eng.Prepare(ctx, g.Clone(), gram)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub, err := p.Subscribe(context.Background(), cfpq.Request{Nonterminal: "S"})
+	sub, err := p.Subscribe(ctx, cfpq.Request{Nonterminal: "S"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sub.Close()
-	before := p.Relation(context.Background(), "S")
+	type answers struct {
+		Relation, From []cfpq.Pair
+		Counts         map[string]int
+		Exists         bool
+	}
+	ask := func() answers {
+		return answers{p.Relation(ctx, "S"), p.RelationFrom(ctx, "S", []int{0, 5}), p.Counts(), p.Has(ctx, "S", 0, 12)}
+	}
+	before := ask()
+	abandoned := func(step string, info cfpq.UpdateInfo, err error) {
+		t.Helper()
+		if !interrupted(err) {
+			t.Fatalf("%s: err = %v", step, err)
+		}
+		if info.Delta == nil || !info.Delta.Empty() {
+			t.Fatalf("%s: Delta = %v, want empty and non-nil", step, info.Delta)
+		}
+		if b, ok := tryRecv(sub.Updates()); ok {
+			t.Fatalf("%s pushed %v; an abandoned update publishes nothing", step, b)
+		}
+		if after := ask(); !reflect.DeepEqual(after, before) {
+			t.Fatalf("%s changed the answers: %+v, before %+v", step, after, before)
+		}
+		if v := p.Stats().Version; v != 0 {
+			t.Fatalf("%s published version %d", step, v)
+		}
+	}
 
 	info, err := p.AddEdges(patchCtx, cfpq.Edge{From: 11, Label: "b", To: 12})
-	if !interrupted(err) {
-		t.Fatalf("interrupted patch: err = %v", err)
+	abandoned("interrupted update", info, err)
+	if info.Added != 1 {
+		t.Fatalf("interrupted update: Added = %d, want the journaled edge counted", info.Added)
 	}
-	if info.Delta == nil {
-		t.Fatal("interrupted patch reported no partial Delta")
+	// Retry with an empty update: the edge is pending, not lost.
+	info, err = p.AddEdges(ctx)
+	if !retryFits {
+		abandoned("retry", info, err)
+		return
 	}
-	// Repair with a successful (empty) update.
-	if _, err := p.AddEdges(context.Background()); err != nil {
+	if err != nil {
 		t.Fatal(err)
+	}
+	if v := p.Stats().Version; v != 1 {
+		t.Fatalf("retry published version %d, want 1", v)
 	}
 
 	g.AddEdge(11, "b", 12)
 	cnf, _ := cfpq.ToCNF(gram)
-	cold, _, err := cfpq.NewEngine(eng.Backend()).Evaluate(context.Background(), g, cnf)
+	cold, _, err := cfpq.NewEngine(eng.Backend()).Evaluate(ctx, g, cnf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if after := p.Relation(context.Background(), "S"); !reflect.DeepEqual(after, cold.Relation("S")) {
-		t.Fatalf("repaired handle answers %v, cold closure %v", after, cold.Relation("S"))
+	if after := p.Relation(ctx, "S"); !reflect.DeepEqual(after, cold.Relation("S")) {
+		t.Fatalf("retried handle answers %v, cold closure %v", after, cold.Relation("S"))
 	}
-	want := diffPairs(before, cold.Relation("S"))
+	want := diffPairs(before.Relation, cold.Relation("S"))
+	if got := pairSet(info.Delta.Pairs("S")); !equalSets(got, want) {
+		t.Fatalf("retry's Delta holds %v, want the whole patch %v", setList(got), setList(want))
+	}
 
 	got := map[cfpq.Pair]bool{}
 	for {
@@ -273,13 +325,13 @@ func interruptedPatchExactlyOnce(t *testing.T, eng *cfpq.Engine, patchCtx contex
 		}
 		for _, pr := range b.Pairs {
 			if got[pr] {
-				t.Fatalf("pair %v delivered twice across the interrupted patch and its repair", pr)
+				t.Fatalf("pair %v delivered twice across the interrupted update and its retry", pr)
 			}
 			got[pr] = true
 		}
 	}
 	if !equalSets(got, want) {
-		t.Fatalf("interrupted patch + repair delivered %v, want exactly %v", setList(got), setList(want))
+		t.Fatalf("interrupted update + retry delivered %v, want exactly %v", setList(got), setList(want))
 	}
 }
 
