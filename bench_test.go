@@ -5,8 +5,9 @@
 //	go test -bench BenchmarkTable1 -benchmem        # Table 1 (Query 1)
 //	go test -bench BenchmarkTable2 -benchmem        # Table 2 (Query 2)
 //
-// For the formatted tables in the paper's layout (with #results columns and
-// result-agreement checking), run ./cmd/cfpq-bench instead.
+// For the formatted tables in the paper's layout (with #results columns,
+// result-agreement checking and the ablations), run ./cmd/cfpq-bench
+// instead; BENCH_paper.json is one committed run of it.
 //
 // This file is an external test package: internal/bench evaluates through
 // the public cfpq API, so an in-package test would be an import cycle.

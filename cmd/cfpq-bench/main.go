@@ -1,192 +1,80 @@
-// Command cfpq-bench regenerates the paper's evaluation tables and the
-// ablation studies.
+// Command cfpq-bench regenerates the paper's evaluation — Table 1, Table 2
+// — and the ablation studies; the committed BENCH_paper.json is one run of
+// it.
 //
 // Usage:
 //
-//	cfpq-bench -table 1              # Table 1 (Query 1, all 14 graphs)
-//	cfpq-bench -table 2              # Table 2 (Query 2)
-//	cfpq-bench -table 1 -max 1000    # only graphs with ≤ 1000 triples
-//	cfpq-bench -ablation             # iteration/crossover/scaling ablations
-//	cfpq-bench -singlesource         # single-source vs all-pairs scenario
-//	cfpq-bench -singlesource -sources 4 -json BENCH_singlesource.json
-//	cfpq-bench -warmstart            # cold closure vs store warm start
-//	cfpq-bench -warmstart -json BENCH_warmstart.json
-//	cfpq-bench -planner              # planner strategies (source/target frontier) vs all-pairs
-//	cfpq-bench -planner -json BENCH_planner.json
-//	cfpq-bench -livequery            # subscription delta push vs poll-and-diff
-//	cfpq-bench -livequery -json BENCH_livequery.json
-//	cfpq-bench -scale                # synthetic big-graph topologies, sparse vs dense
-//	cfpq-bench -scale -short         # CI smoke tier (2048 nodes, finishes in seconds)
-//	cfpq-bench -scale -json BENCH_scale.json
+//	cfpq-bench                       # both tables, then the ablations
+//	cfpq-bench -table 1              # Table 1 only (Query 1, all 14 graphs)
+//	cfpq-bench -table 2 -max 1000    # Table 2, only graphs with ≤ 1000 triples
+//	cfpq-bench -ablation             # the ablations only
+//	cfpq-bench -json BENCH_paper.json
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"cfpq/internal/bench"
 )
 
 func main() {
-	table := flag.Int("table", 0, "regenerate table 1 or 2 (0 = both)")
-	repeats := flag.Int("repeats", 3, "timed runs per cell; minimum is reported")
-	maxTriples := flag.Int("max", 0, "skip graphs with more paper-triples (0 = no limit)")
-	ablation := flag.Bool("ablation", false, "run the ablation studies instead of the tables")
-	single := flag.Bool("singlesource", false, "run the single-source vs all-pairs serving scenario")
-	warm := flag.Bool("warmstart", false, "run the cold-start vs warm-start (persisted index) scenario")
-	planner := flag.Bool("planner", false, "run the planner-strategy (source/target frontier) scenario")
-	livequery := flag.Bool("livequery", false, "run the live-query scenario: subscription delta push vs poll-and-diff")
-	scale := flag.Bool("scale", false, "run the scale-tier scenario: synthetic topologies, sparse vs dense")
-	short := flag.Bool("short", false, "shrink the scale tier to its CI smoke size")
-	nodes := flag.Int("nodes", 0, "matrix dimension for the scale scenario (0 = 10000)")
-	seed := flag.Int64("seed", 0, "scale-free topology seed for the scale scenario (0 = 1)")
-	sourceCount := flag.Int("sources", 1, "restriction nodes per query in the single-source/planner scenarios")
-	jsonPath := flag.String("json", "", "also write scenario results as JSON to this file (BENCH_*.json artifact)")
-	backend := flag.String("backend", "sparse", "matrix backend for the single-source/warm-start scenarios")
-	grammars := flag.String("grammars", "", "comma-separated single-source grammars: query1, query2, ancestors (default \"query1,ancestors\")")
-	csvOut := flag.Bool("csv", false, "emit CSV instead of the formatted table")
+	table := flag.Int("table", 0, "run only table 1 or 2 (0 = both)")
+	ablation := flag.Bool("ablation", false, "run only the ablation studies")
+	repeats := flag.Int("repeats", 3, "timed runs per cell; the text prints the minimum, -json records min/median/max")
+	maxTriples := flag.Int("max", 0, "skip graphs with more paper-triples in the tables (0 = no limit)")
+	jsonPath := flag.String("json", "", "also write everything that ran, with its environment, as JSON to this file")
 	verbose := flag.Bool("v", false, "print per-cell progress")
 	flag.Parse()
-
-	if *ablation {
-		bench.RunAblations(os.Stdout)
-		return
-	}
-	if *warm {
-		rows, err := bench.RunWarmStart(bench.WarmStartConfig{
-			Repeats: *repeats,
-			Backend: *backend,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cfpq-bench: %v\n", err)
-			os.Exit(1)
-		}
-		bench.FormatWarmStart(os.Stdout, rows)
-		if *jsonPath != "" {
-			writeJSON(*jsonPath, rows)
-		}
-		return
-	}
-	if *livequery {
-		rows, err := bench.RunLiveQuery(bench.LiveQueryConfig{
-			Repeats: *repeats,
-			Backend: *backend,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cfpq-bench: %v\n", err)
-			os.Exit(1)
-		}
-		bench.FormatLiveQuery(os.Stdout, rows)
-		if *jsonPath != "" {
-			writeJSON(*jsonPath, rows)
-		}
-		return
-	}
-	if *scale {
-		rows, err := bench.RunScale(bench.ScaleConfig{
-			Nodes:   *nodes,
-			Seed:    *seed,
-			Repeats: *repeats,
-			Short:   *short,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cfpq-bench: %v\n", err)
-			os.Exit(1)
-		}
-		bench.FormatScale(os.Stdout, rows)
-		if *jsonPath != "" {
-			writeJSON(*jsonPath, rows)
-		}
-		return
-	}
-	if *planner {
-		var gramNames []string
-		if *grammars != "" {
-			gramNames = strings.Split(*grammars, ",")
-		}
-		rows, err := bench.RunPlanner(bench.PlannerConfig{
-			Grammars: gramNames,
-			Nodes:    *sourceCount,
-			Repeats:  *repeats,
-			Backend:  *backend,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cfpq-bench: %v\n", err)
-			os.Exit(1)
-		}
-		bench.FormatPlanner(os.Stdout, rows)
-		if *jsonPath != "" {
-			writeJSON(*jsonPath, rows)
-		}
-		return
-	}
-	if *single {
-		var gramNames []string
-		if *grammars != "" {
-			gramNames = strings.Split(*grammars, ",")
-		}
-		rows, err := bench.RunSingleSource(bench.SingleSourceConfig{
-			Grammars: gramNames,
-			Sources:  *sourceCount,
-			Repeats:  *repeats,
-			Backend:  *backend,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cfpq-bench: %v\n", err)
-			os.Exit(1)
-		}
-		bench.FormatSingleSource(os.Stdout, rows)
-		if *jsonPath != "" {
-			writeJSON(*jsonPath, rows)
-		}
-		return
-	}
-
-	tables := []int{1, 2}
-	if *table == 1 || *table == 2 {
-		tables = []int{*table}
-	} else if *table != 0 {
-		fmt.Fprintf(os.Stderr, "cfpq-bench: -table must be 1 or 2\n")
+	if *table < 0 || *table > 2 || *repeats < 1 {
+		fmt.Fprintf(os.Stderr, "cfpq-bench: -table must be 1 or 2 and -repeats at least 1\n")
 		os.Exit(2)
 	}
-	for _, q := range tables {
+
+	report := bench.Report{Environment: bench.CurrentEnvironment(*repeats)}
+	add := func(tables ...bench.Table) {
+		bench.Format(os.Stdout, tables...)
+		report.Tables = append(report.Tables, tables...)
+	}
+	everything := *table == 0 && !*ablation
+	for _, q := range []int{1, 2} {
+		if !everything && *table != q {
+			continue
+		}
 		cfg := bench.Config{Query: q, Repeats: *repeats, MaxTriples: *maxTriples}
 		if *verbose {
 			cfg.Log = os.Stderr
 		}
-		rows, err := bench.RunTable(cfg)
+		t, err := bench.RunTable(cfg)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "cfpq-bench: %v\n", err)
-			os.Exit(1)
+			fatal(err)
 		}
-		if *csvOut {
-			if err := bench.WriteCSV(os.Stdout, rows); err != nil {
-				fmt.Fprintf(os.Stderr, "cfpq-bench: %v\n", err)
-				os.Exit(1)
-			}
-			continue
+		add(t)
+	}
+	if everything || *ablation {
+		add(bench.RunAblations(*repeats)...)
+	}
+	if *jsonPath != "" {
+		if err := writeReport(*jsonPath, report); err != nil {
+			fatal(err)
 		}
-		bench.FormatTable(os.Stdout, q, rows)
-		fmt.Println()
 	}
 }
 
-// writeJSON writes a scenario's rows as a BENCH_*.json artifact, exiting
-// on failure like the rest of the tool.
-func writeJSON(path string, rows any) {
+func writeReport(path string, report bench.Report) error {
 	f, err := os.Create(path)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "cfpq-bench: %v\n", err)
-		os.Exit(1)
+		return err
 	}
-	if err := bench.WriteBenchJSON(f, rows); err != nil {
-		fmt.Fprintf(os.Stderr, "cfpq-bench: %v\n", err)
-		os.Exit(1)
+	if err := bench.WriteJSON(f, report); err != nil {
+		f.Close()
+		return err
 	}
-	if err := f.Close(); err != nil {
-		fmt.Fprintf(os.Stderr, "cfpq-bench: %v\n", err)
-		os.Exit(1)
-	}
+	return f.Close()
+}
+
+func fatal(err error) {
+	fmt.Fprintf(os.Stderr, "cfpq-bench: %v\n", err)
+	os.Exit(1)
 }

@@ -49,16 +49,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		w := io.Writer(os.Stdout)
-		if *out != "" {
-			f, err := os.Create(*out)
-			if err != nil {
-				fatal(err)
-			}
-			defer f.Close()
-			w = f
-		}
-		if err := graph.WriteEdgeList(w, g, nil); err != nil {
+		if err := emit(*out, func(w io.Writer) error { return graph.WriteEdgeList(w, g, nil) }); err != nil {
 			fatal(err)
 		}
 	case *list:
@@ -73,7 +64,7 @@ func main() {
 	case *all:
 		for _, d := range dataset.Graphs() {
 			path := filepath.Join(*dir, d.Name+".nt")
-			if err := writeDataset(d, path); err != nil {
+			if err := emitDataset(d, path); err != nil {
 				fatal(err)
 			}
 			fmt.Fprintf(os.Stderr, "wrote %s (%d triples)\n", path, d.Triples)
@@ -83,13 +74,7 @@ func main() {
 		if !ok {
 			fatal(fmt.Errorf("unknown dataset %q (try -list)", *name))
 		}
-		if *out == "" {
-			if err := graph.WriteNTriples(os.Stdout, d.TripleSet()); err != nil {
-				fatal(err)
-			}
-			return
-		}
-		if err := writeDataset(d, *out); err != nil {
+		if err := emitDataset(d, *out); err != nil {
 			fatal(err)
 		}
 	default:
@@ -98,12 +83,23 @@ func main() {
 	}
 }
 
-func writeDataset(d dataset.Dataset, path string) error {
+func emitDataset(d dataset.Dataset, path string) error {
+	return emit(path, func(w io.Writer) error { return graph.WriteNTriples(w, d.TripleSet()) })
+}
+
+// emit runs write against the file at path, or against standard output when
+// path is empty. A file is complete only once Close has succeeded — a full
+// disk or an exceeded quota can surface there — so that error is reported
+// like a failed write.
+func emit(path string, write func(io.Writer) error) error {
+	if path == "" {
+		return write(os.Stdout)
+	}
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := graph.WriteNTriples(f, d.TripleSet()); err != nil {
+	if err := write(f); err != nil {
 		f.Close()
 		return err
 	}

@@ -57,11 +57,10 @@
 // reference function Algorithm1, which tests, the ablation and
 // examples/quickstart use and no Engine serves with. The familiar
 // call shapes survive as one-line sugar over Do — Query (unrestricted
-// pairs), QueryFrom/QueryFromStats (source-restricted), QueryTo
-// (target-restricted), RPQ, QueryConjunctive — alongside the index-level
-// APIs: Evaluate (the full Index), witness paths (SinglePath,
-// ShortestPath, AllPaths), incremental maintenance (Update) and index
-// persistence (LoadIndex with SaveIndex).
+// pairs), QueryFrom (source-restricted), QueryTo (target-restricted), RPQ,
+// QueryConjunctive — alongside the index-level APIs: Evaluate (the full
+// Index), witness paths (SinglePath, ShortestPath, AllPaths), incremental
+// maintenance (Update) and index persistence (LoadIndex with SaveIndex).
 //
 // # Batched requests
 //
@@ -224,8 +223,8 @@
 // (truncating a torn tail to the last good record) and restores every
 // saved index as a live Prepared handle — indexes behind the recovered
 // stream are patched forward with the incremental delta closure, so no
-// closure re-runs from scratch (see BENCH_warmstart.json for the cold
-// versus warm gap).
+// closure re-runs from scratch (go run ./benchmark times the restart as
+// recovery_s beside the cold build's setup_s).
 //
 // Library users compose the same pieces directly:
 //
@@ -270,6 +269,7 @@
 // (internal/server), the durable store — WAL, snapshots, compaction
 // (internal/store), WAL shipping and follower apply (internal/replica),
 // the Hellings and GLL baselines (internal/baseline),
-// the paper's evaluation datasets (internal/dataset) and the table harness
-// (internal/bench) — all of which evaluate through the public Engine.
+// the paper's evaluation datasets (internal/dataset) and the table and
+// ablation harness (internal/bench) — all of which evaluate through the
+// public Engine.
 package cfpq

@@ -81,27 +81,14 @@ func (e *Engine) Query(ctx context.Context, g *Graph, gram *Grammar, start strin
 // node range are an error; duplicates are deduplicated. It is sugar for a
 // source-restricted Request evaluated by Do.
 func (e *Engine) QueryFrom(ctx context.Context, g *Graph, gram *Grammar, start string, sources []int, opts ...Option) ([]Pair, error) {
-	pairs, _, err := e.QueryFromStats(ctx, g, gram, start, sources, opts...)
-	return pairs, err
-}
-
-// FromStats reports what a source-restricted evaluation did: closure work,
-// the final frontier size, and whether the frontier saturated (forcing a
-// full-closure fallback).
-type FromStats = core.FromStats
-
-// QueryFromStats is QueryFrom, additionally reporting the restricted
-// closure's work — the numbers the bench harness tracks when comparing
-// single-source against all-pairs evaluation.
-func (e *Engine) QueryFromStats(ctx context.Context, g *Graph, gram *Grammar, start string, sources []int, opts ...Option) ([]Pair, FromStats, error) {
 	if sources == nil {
 		sources = []int{} // a Request distinguishes nil (unrestricted) from empty
 	}
 	res, err := e.Do(ctx, Request{Graph: g, Grammar: gram, Nonterminal: start, Sources: sources, Options: opts})
 	if err != nil {
-		return nil, FromStats{}, err
+		return nil, err
 	}
-	return res.AllPairs(), FromStats{Stats: res.Stats, Frontier: res.Explain.Frontier, Saturated: res.Explain.Saturated}, nil
+	return res.AllPairs(), nil
 }
 
 // QueryTo evaluates R_start restricted to the given target nodes: the

@@ -3,18 +3,15 @@ package bench
 
 import (
 	"context"
-	"fmt"
-	"io"
 	"runtime"
-	"time"
 
 	"cfpq"
 	"cfpq/internal/dataset"
 	"cfpq/internal/graph"
 )
 
-// RunAblations executes the three ablation studies (cfpq-bench -ablation)
-// and writes their tables to w:
+// RunAblations executes the four ablation studies (cfpq-bench -ablation),
+// each cell timed repeats times:
 //
 //  1. iteration schedule — the paper-literal snapshot iteration
 //     T ← T ∪ (T_prev × T_prev) (cfpq.Algorithm1) versus the production
@@ -23,35 +20,36 @@ import (
 //     size, justifying the paper's omission of dGPU on g1–g3;
 //  3. parallel scaling — sparse SpGEMM speed-up with worker count, the
 //     effect the paper attributes to the GPU ("acceleration from the GPU
-//     increases with the graph size growth").
-func RunAblations(w io.Writer) {
-	ablationIterationSchedule(w)
-	ablationDenseSparseCrossover(w)
-	ablationParallelScaling(w)
-}
-
-// bestOfThree times run three times and reports the fastest, to damp
-// scheduler noise, with the closure statistics of that run.
-func bestOfThree(run func() cfpq.Stats) (time.Duration, cfpq.Stats) {
-	var best time.Duration
-	var stats cfpq.Stats
-	for r := 0; r < 3; r++ {
-		start := time.Now()
-		s := run()
-		if d := time.Since(start); best == 0 || d < best {
-			best = d
-			stats = s
-		}
+//     increases with the graph size growth");
+//  4. saturated frontier — what the planner's frontier strategies win over
+//     the full closure on a directed grammar, and lose on the paper's
+//     same-generation query, whose frontier saturates.
+func RunAblations(repeats int) []Table {
+	return []Table{
+		ablationIterationSchedule(repeats),
+		ablationDenseSparseCrossover(repeats),
+		ablationParallelScaling(repeats),
+		ablationSaturatedFrontier(repeats),
 	}
-	return best, stats
 }
 
-// timeClosure times the production closure of Query q. Like the table
-// harness, it evaluates through the public cfpq.Engine.
-func timeClosure(g *graph.Graph, q int, be cfpq.Backend) (time.Duration, cfpq.Stats) {
+// ablationOntologies are five real ontologies spanning the paper's sizes.
+var ablationOntologies = []string{"skos", "foaf", "funding", "wine", "pizza"}
+
+func buildDataset(name string) *graph.Graph {
+	d, ok := dataset.ByName(name)
+	if !ok {
+		panic("bench: no dataset " + name) // names are this file's constants
+	}
+	return d.Build()
+}
+
+// timeClosure times the production closure of Query q — like the table
+// harness, through the public cfpq.Engine — and returns its statistics.
+func timeClosure(repeats int, g *graph.Graph, q int, be cfpq.Backend) (Timing, cfpq.Stats) {
 	cnf := dataset.QueryCNF(q)
 	eng := cfpq.NewEngine(be)
-	return bestOfThree(func() cfpq.Stats {
+	return measure(repeats, func() cfpq.Stats {
 		_, s, err := eng.Evaluate(context.Background(), g, cnf)
 		if err != nil {
 			panic(err) // background context: unreachable
@@ -60,58 +58,103 @@ func timeClosure(g *graph.Graph, q int, be cfpq.Backend) (time.Duration, cfpq.St
 	})
 }
 
-func ablationIterationSchedule(w io.Writer) {
-	fmt.Fprintf(w, "Ablation 1: iteration schedule (Query 1, sparse backend)\n\n")
-	fmt.Fprintf(w, "%-14s %10s %8s %14s %12s\n",
-		"Ontology", "algorithm1", "inplace", "algorithm1(ms)", "inplace(ms)")
+func ablationIterationSchedule(repeats int) Table {
+	t := Table{
+		Title:  "Ablation 1: iteration schedule (Query 1, sparse backend)",
+		Header: []string{"Ontology", "algorithm1", "inplace", "algorithm1(ms)", "inplace(ms)"},
+	}
 	cnf := dataset.QueryCNF(1)
-	for _, name := range []string{"skos", "foaf", "funding", "wine", "pizza"} {
-		d, _ := dataset.ByName(name)
-		g := d.Build()
-		tRef, sRef := bestOfThree(func() cfpq.Stats {
+	for _, name := range ablationOntologies {
+		g := buildDataset(name)
+		tRef, sRef := measure(repeats, func() cfpq.Stats {
 			_, s := cfpq.Algorithm1(cfpq.Sparse, g, cnf, nil)
 			return s
 		})
-		tIn, sIn := timeClosure(g, 1, cfpq.Sparse)
-		fmt.Fprintf(w, "%-14s %10d %8d %14.2f %12.2f\n",
-			name, sRef.Iterations, sIn.Iterations,
-			float64(tRef.Microseconds())/1000,
-			float64(tIn.Microseconds())/1000)
+		tIn, sIn := timeClosure(repeats, g, 1, cfpq.Sparse)
+		t.Rows = append(t.Rows, []Cell{text(name), num(sRef.Iterations), num(sIn.Iterations), timed(tRef), timed(tIn)})
 	}
-	fmt.Fprintln(w)
+	return t
 }
 
-func ablationDenseSparseCrossover(w io.Writer) {
-	fmt.Fprintf(w, "Ablation 2: dense vs sparse with graph size (Query 1, funding × k)\n\n")
-	fmt.Fprintf(w, "%-8s %8s %12s %12s %12s\n", "copies", "nodes", "dense(ms)", "sparse(ms)", "ratio")
-	d, _ := dataset.ByName("funding")
-	base := d.Build()
+func ablationDenseSparseCrossover(repeats int) Table {
+	t := Table{
+		Title:  "Ablation 2: dense vs sparse with graph size (Query 1, funding × k)",
+		Header: []string{"copies", "nodes", "dense(ms)", "sparse(ms)", "ratio"},
+	}
+	base := buildDataset("funding")
 	for _, k := range []int{1, 2, 4, 8} {
 		g := graph.Repeat(base, k)
-		tDense, _ := timeClosure(g, 1, cfpq.DenseParallel(0))
-		tSparse, _ := timeClosure(g, 1, cfpq.SparseParallel(0))
-		ratio := float64(tDense) / float64(tSparse)
-		fmt.Fprintf(w, "%-8d %8d %12.2f %12.2f %12.1fx\n",
-			k, g.Nodes(),
-			float64(tDense.Microseconds())/1000, float64(tSparse.Microseconds())/1000, ratio)
+		tDense, _ := timeClosure(repeats, g, 1, cfpq.DenseParallel(0))
+		tSparse, _ := timeClosure(repeats, g, 1, cfpq.SparseParallel(0))
+		t.Rows = append(t.Rows, []Cell{num(k), num(g.Nodes()), timed(tDense), timed(tSparse), ratio(tDense, tSparse)})
 	}
-	fmt.Fprintln(w)
+	return t
 }
 
-func ablationParallelScaling(w io.Writer) {
-	fmt.Fprintf(w, "Ablation 3: sparse SpGEMM scaling with workers (Query 1, g3)\n\n")
-	fmt.Fprintf(w, "%-8s %12s %10s\n", "workers", "time(ms)", "speedup")
-	d, _ := dataset.ByName("g3")
-	g := d.Build()
-	var base time.Duration
-	maxW := runtime.GOMAXPROCS(0)
-	for workers := 1; workers <= maxW; workers *= 2 {
-		t, _ := timeClosure(g, 1, cfpq.SparseParallel(workers))
-		if workers == 1 {
-			base = t
-		}
-		fmt.Fprintf(w, "%-8d %12.2f %9.2fx\n",
-			workers, float64(t.Microseconds())/1000, float64(base)/float64(t))
+func ablationParallelScaling(repeats int) Table {
+	t := Table{
+		Title:  "Ablation 3: sparse SpGEMM scaling with workers (Query 1, g3)",
+		Header: []string{"workers", "time(ms)", "speedup"},
 	}
-	fmt.Fprintln(w)
+	g := buildDataset("g3")
+	var base Timing
+	for workers := 1; workers <= runtime.GOMAXPROCS(0); workers *= 2 {
+		tw, _ := timeClosure(repeats, g, 1, cfpq.SparseParallel(workers))
+		if workers == 1 {
+			base = tw
+		}
+		t.Rows = append(t.Rows, []Cell{num(workers), timed(tw), ratio(base, tw)})
+	}
+	return t
+}
+
+// ablationSaturatedFrontier asks Engine.Do for the pairs leaving a class
+// that has a superclass (sources) or entering that superclass (targets),
+// and times it against the unrestricted closure the restriction is meant
+// to avoid. The directed "ancestors" walk keeps a small frontier
+// and wins; Query 1's inverse edges connect the whole hierarchy, so its
+// frontier saturates ("sat"), the evaluation falls back to the full closure
+// and the frontier passes already run are lost.
+func ablationSaturatedFrontier(repeats int) Table {
+	t := Table{
+		Title:  "Ablation 4: frontier vs full closure for a one-node restriction (sparse backend)",
+		Header: []string{"Ontology", "grammar", "restrict", "strategy", "frontier", "full(ms)", "planned(ms)"},
+	}
+	eng := cfpq.NewEngine(cfpq.Sparse)
+	do := func(req cfpq.Request) *cfpq.Result {
+		res, err := eng.Do(context.Background(), req)
+		if err != nil {
+			panic(err) // background context, in-range node: unreachable
+		}
+		return res
+	}
+	grammars := map[string]*cfpq.Grammar{
+		"ancestors": cfpq.MustParseGrammar("S -> subClassOf S | subClassOf"),
+		"query1":    dataset.Query(1),
+	}
+	for _, name := range ablationOntologies {
+		g := buildDataset(name)
+		edges := g.EdgesWithLabel("subClassOf")
+		edge := edges[len(edges)-1]
+		for _, gramName := range []string{"ancestors", "query1"} {
+			full := cfpq.Request{Graph: g, Grammar: grammars[gramName], Nonterminal: "S"}
+			tFull, _ := measure(repeats, func() *cfpq.Result { return do(full) })
+			for _, side := range []string{"sources", "targets"} {
+				req := full
+				if side == "sources" {
+					req.Sources = []int{edge.From}
+				} else {
+					req.Targets = []int{edge.To}
+				}
+				tPlan, res := measure(repeats, func() *cfpq.Result { return do(req) })
+				frontier := num(res.Explain.Frontier)
+				if res.Explain.Saturated {
+					frontier = text("sat")
+				}
+				t.Rows = append(t.Rows, []Cell{text(name), text(gramName), text(side),
+					text(string(res.Explain.Strategy)), frontier, timed(tFull), timed(tPlan)})
+			}
+		}
+	}
+	return t
 }

@@ -11,14 +11,15 @@
 //
 // — checking along the way that every implementation returns the same
 // #results, exactly as the paper reports ("All implementations ... have the
-// same #results").
+// same #results"), plus the ablation studies (RunAblations). Both produce
+// Tables; cmd/cfpq-bench prints them and the committed BENCH_paper.json is
+// one run of it.
 package bench
 
 import (
 	"context"
 	"fmt"
 	"io"
-	"time"
 
 	"cfpq"
 	"cfpq/internal/baseline"
@@ -69,95 +70,60 @@ func Implementations(q int) []Impl {
 	}
 }
 
-// Row is one table line.
-type Row struct {
-	Ontology string
-	Triples  int
-	Results  int
-	// Times maps implementation name → best-of-Repeats wall time; absent
-	// for skipped implementations.
-	Times map[string]time.Duration
-}
-
 // Config drives RunTable.
 type Config struct {
 	// Query selects Table 1 (1) or Table 2 (2).
 	Query int
-	// Repeats is the number of timed runs per cell; the minimum is
-	// reported. Zero means 3.
+	// Repeats is the number of timed runs per cell. Zero means 3.
 	Repeats int
 	// MaxTriples, when positive, skips graphs with more paper-triples (for
 	// quick runs).
 	MaxTriples int
-	// Verbose, with a non-nil Log, prints per-cell progress.
+	// Log, when non-nil, receives per-cell progress.
 	Log io.Writer
 }
 
 // RunTable measures every implementation over every dataset graph and
-// returns the rows of the requested table. It returns an error if two
-// implementations disagree on #results for any graph.
-func RunTable(cfg Config) ([]Row, error) {
+// returns the requested table in the paper's layout: ontology, #triples,
+// #results, then one timed column per implementation (left empty where the
+// paper omits it). It returns an error if two implementations disagree on
+// #results for any graph.
+func RunTable(cfg Config) (Table, error) {
 	if cfg.Query != 1 && cfg.Query != 2 {
-		return nil, fmt.Errorf("bench: query must be 1 or 2, got %d", cfg.Query)
-	}
-	repeats := cfg.Repeats
-	if repeats <= 0 {
-		repeats = 3
+		return Table{}, fmt.Errorf("bench: query must be 1 or 2, got %d", cfg.Query)
 	}
 	impls := Implementations(cfg.Query)
-	var rows []Row
+	t := Table{
+		Title:  fmt.Sprintf("Table %d: Evaluation results for Query %d", cfg.Query, cfg.Query),
+		Header: []string{"Ontology", "#triples", "#results"},
+	}
+	for _, impl := range impls {
+		t.Header = append(t.Header, impl.Name+"(ms)")
+	}
 	for _, d := range dataset.Graphs() {
 		if cfg.MaxTriples > 0 && d.Triples > cfg.MaxTriples {
 			continue
 		}
 		g := d.Build()
-		row := Row{Ontology: d.Name, Triples: d.Triples, Results: -1, Times: map[string]time.Duration{}}
-		for _, impl := range impls {
+		results := -1
+		times := make([]Cell, len(impls))
+		for i, impl := range impls {
 			if impl.SkipSynthetic && d.Synthetic {
 				continue
 			}
-			best := time.Duration(0)
-			results := 0
-			for r := 0; r < repeats; r++ {
-				start := time.Now()
-				results = impl.Run(g)
-				elapsed := time.Since(start)
-				if best == 0 || elapsed < best {
-					best = elapsed
-				}
+			timing, got := measure(cfg.Repeats, func() int { return impl.Run(g) })
+			if results == -1 {
+				results = got
+			} else if got != results {
+				return t, fmt.Errorf("bench: %s on %s: #results %d disagrees with %d",
+					impl.Name, d.Name, got, results)
 			}
-			if row.Results == -1 {
-				row.Results = results
-			} else if results != row.Results {
-				return rows, fmt.Errorf("bench: %s on %s: #results %d disagrees with %d",
-					impl.Name, d.Name, results, row.Results)
-			}
-			row.Times[impl.Name] = best
+			times[i] = timed(timing)
 			if cfg.Log != nil {
-				fmt.Fprintf(cfg.Log, "  %s/%s: %d results in %v\n", d.Name, impl.Name, results, best)
+				fmt.Fprintf(cfg.Log, "  %s/%s: %d results, %+v\n", d.Name, impl.Name, got, timing)
 			}
 		}
-		rows = append(rows, row)
+		t.Rows = append(t.Rows, append([]Cell{text(d.Name), num(d.Triples), num(results)}, times...))
 	}
-	return rows, nil
-}
-
-// FormatTable renders rows in the paper's layout.
-func FormatTable(w io.Writer, q int, rows []Row) {
-	fmt.Fprintf(w, "Table %d: Evaluation results for Query %d\n\n", q, q)
-	fmt.Fprintf(w, "%-30s %9s %9s %10s %10s %10s %10s\n",
-		"Ontology", "#triples", "#results", "GLL(ms)", "dGPU(ms)", "sCPU(ms)", "sGPU(ms)")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-30s %9d %9d %10s %10s %10s %10s\n",
-			r.Ontology, r.Triples, r.Results,
-			ms(r.Times, "GLL"), ms(r.Times, "dGPU"), ms(r.Times, "sCPU"), ms(r.Times, "sGPU"))
-	}
-}
-
-func ms(times map[string]time.Duration, name string) string {
-	d, ok := times[name]
-	if !ok {
-		return "—"
-	}
-	return fmt.Sprintf("%.2f", float64(d.Microseconds())/1000.0)
+	return t, nil
 }

@@ -5,10 +5,11 @@ import (
 
 	"cfpq/internal/core"
 	"cfpq/internal/grammar"
+	"cfpq/internal/matrix"
 )
 
 // dyckCount evaluates the scale-tier grammar S → a S b | a b on the spec's
-// graph and returns |R_S|.
+// graph and returns |R_S|, on which every matrix backend must agree.
 func dyckCount(t *testing.T, s Spec) int {
 	t.Helper()
 	g, err := Generate(s)
@@ -16,8 +17,16 @@ func dyckCount(t *testing.T, s Spec) int {
 		t.Fatal(err)
 	}
 	cnf := grammar.MustCNF(grammar.MustParse("S -> a S b | a b"))
-	ix, _ := core.NewEngine().Run(g, cnf)
-	return ix.Count("S")
+	count := -1
+	for _, be := range matrix.Backends() {
+		ix, _ := core.NewEngine(core.WithBackend(be)).Run(g, cnf)
+		if got := ix.Count("S"); count == -1 {
+			count = got
+		} else if got != count {
+			t.Fatalf("%s %+v: |R_S| = %d, other backends say %d", be.Name(), s, got, count)
+		}
+	}
+	return count
 }
 
 // TestChainRelation pins the chain construction: the word a^(n-1-d) b^d
@@ -43,6 +52,14 @@ func TestGridRelation(t *testing.T) {
 	// k = 4: 3² + 2² + 1² = 14.
 	if got := dyckCount(t, Spec{Kind: KindGrid, Nodes: 16}); got != 14 {
 		t.Fatalf("grid(16) |R_S| = %d, want 14", got)
+	}
+}
+
+// TestScaleFreeRelation has no closed form to pin: the relation is
+// non-empty and (inside dyckCount) the same on every backend.
+func TestScaleFreeRelation(t *testing.T) {
+	if got := dyckCount(t, Spec{Kind: KindScaleFree, Nodes: 300, Degree: 3, Seed: 7}); got == 0 {
+		t.Fatal("scale-free(300) |R_S| = 0")
 	}
 }
 

@@ -1,5 +1,5 @@
 #!/bin/sh
-# Prints the five surface-size numbers ROADMAP open item 3 tracks, so a
+# Prints the six surface-size numbers ROADMAP open item 5 tracks, so a
 # change can record them before and after in CHANGES.md:
 #
 #   go_lines      non-test Go lines outside benchmark/ and testdata/
@@ -7,6 +7,8 @@
 #   options       of those, the exported With* functions (the knob count)
 #   routes        mux.Handle registrations in internal/server/http.go
 #   suppressions  //lint:allow and //lint:file-allow lines outside internal/lint/
+#   flags         command-line flag definitions of the cmd/ binaries (cmd/cfpq's
+#                 live in internal/cli/cli.go)
 set -eu
 cd "$(git rev-parse --show-toplevel)"
 
@@ -18,6 +20,8 @@ options=$(printf '%s\n' "$api" | grep -c '^ *func With')
 routes=$(grep -c 'mux\.Handle' internal/server/http.go)
 suppressions=$(grep -rE '^[[:space:]]*//lint:(file-)?allow' --include='*.go' . |
 	grep -vc '^\./internal/lint/')
+flags=$(cat cmd/*/main.go internal/cli/cli.go |
+	grep -E '(^|[^[:alnum:]_])(flag|fs)\.[A-Z][[:alnum:]]*\((&[^,]+, *)?"' | grep -vc NewFlagSet)
 
-printf 'go_lines %d\nexported %d\noptions %d\nroutes %d\nsuppressions %d\n' \
-	"$go_lines" "$exported" "$options" "$routes" "$suppressions"
+printf 'go_lines %d\nexported %d\noptions %d\nroutes %d\nsuppressions %d\nflags %d\n' \
+	"$go_lines" "$exported" "$options" "$routes" "$suppressions" "$flags"
