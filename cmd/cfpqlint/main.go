@@ -1,6 +1,6 @@
 // Command cfpqlint is the repo's multichecker: it runs the custom
-// analyzers in internal/lint (lockscope, ctxflow, walorder, metricname,
-// tracealloc) over the module's packages and prints findings in the
+// analyzers in internal/lint (lockscope, ctxflow, walorder, tracealloc)
+// over the module's packages and prints findings in the
 // compiler's file:line:col format, one per line, exiting non-zero when
 // any survive //lint:allow suppression filtering.
 //

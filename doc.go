@@ -251,10 +251,9 @@
 //
 // The engine's cross-cutting invariants — no blocking work under a
 // guarded mutex, caller contexts threaded end to end, write-ahead
-// journaling before in-memory mutation, compile-time metric-name
-// hygiene, an allocation-free nil-tracer fast path — are enforced by
-// five custom analyzers in internal/lint, packaged as the cmd/cfpqlint
-// multichecker and run in CI:
+// journaling before in-memory mutation, an allocation-free nil-tracer
+// fast path — are enforced by four custom analyzers in internal/lint,
+// packaged as the cmd/cfpqlint multichecker and run in CI:
 //
 //	go run ./cmd/cfpqlint ./...
 //

@@ -8,6 +8,7 @@ package cli
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -93,25 +94,20 @@ func ParseArgs(args []string, stderr io.Writer) (*Config, error) {
 	return cfg, nil
 }
 
-// resolveNodes parses a comma-separated -sources/-targets value: each
-// token is an IRI from the graph's name table or a decimal node id.
-func resolveNodes(flagName, spec string, ids map[string]int, nodes int) ([]int, error) {
+// lookupNodes resolves a comma-separated -sources/-targets value through
+// the graph's name table: each token is an IRI or a decimal node id.
+func lookupNodes(flagName, spec string, names *graph.Names) ([]int, error) {
 	var out []int
 	for _, tok := range strings.Split(spec, ",") {
 		tok = strings.TrimSpace(tok)
 		if tok == "" {
 			continue
 		}
-		if id, ok := ids[tok]; ok {
-			out = append(out, id)
-			continue
-		}
-		id, err := strconv.Atoi(tok)
-		if err != nil {
+		id, err := names.Lookup(tok)
+		if errors.Is(err, graph.ErrUnknownNode) {
 			return nil, fmt.Errorf("cfpq: unknown %s node %q", flagName, tok)
-		}
-		if id < 0 || id >= nodes {
-			return nil, fmt.Errorf("cfpq: %s node id %d out of range [0,%d)", flagName, id, nodes)
+		} else if err != nil {
+			return nil, fmt.Errorf("cfpq: %s %w", flagName, err)
 		}
 		out = append(out, id)
 	}
@@ -121,16 +117,10 @@ func resolveNodes(flagName, spec string, ids map[string]int, nodes int) ([]int, 
 	return out, nil
 }
 
-// BackendByName resolves a backend name; the library error already names
-// the valid choices.
-func BackendByName(name string) (cfpq.Backend, error) {
-	return cfpq.BackendByName(name)
-}
-
 // Run executes the query described by cfg, writing results to out. The
 // context cancels the closure between passes (e.g. on SIGINT).
 func Run(ctx context.Context, cfg *Config, out io.Writer) error {
-	backend, err := BackendByName(cfg.Backend)
+	backend, err := cfpq.BackendByName(cfg.Backend)
 	if err != nil {
 		return err
 	}
@@ -162,10 +152,10 @@ func Run(ctx context.Context, cfg *Config, out io.Writer) error {
 // Execute runs the already-loaded query. Split from Run so tests can drive
 // it without touching the filesystem.
 func Execute(ctx context.Context, cfg *Config, g *cfpq.Graph, ids map[string]int, gram *cfpq.Grammar, backend cfpq.Backend, out io.Writer) error {
-	nodeName := func(v int) string { return fmt.Sprintf("%d", v) }
-	if cfg.Names {
-		table := graph.NodeNames(g.Nodes(), ids)
-		nodeName = func(v int) string { return table[v] }
+	names := graph.NewNames(g.Nodes(), graph.NodeNames(g.Nodes(), ids))
+	nodeName := names.Name
+	if !cfg.Names {
+		nodeName = strconv.Itoa
 	}
 	eng := cfpq.NewEngine(backend)
 	if (cfg.Sources != "" || cfg.Targets != "" || cfg.Explain || cfg.Trace || cfg.Limit != 0) && cfg.Semantics != "relational" {
@@ -180,7 +170,7 @@ func Execute(ctx context.Context, cfg *Config, g *cfpq.Graph, ids map[string]int
 			// query-time decoration the saved form does not carry.
 			return fmt.Errorf("cfpq: -empty-paths cannot be combined with -save-index/-load-index")
 		}
-		return executeWithIndex(ctx, cfg, g, ids, gram, eng, out, nodeName)
+		return executeWithIndex(ctx, cfg, g, names, gram, eng, out, nodeName)
 	}
 	switch cfg.Semantics {
 	case "relational":
@@ -197,7 +187,7 @@ func Execute(ctx context.Context, cfg *Config, g *cfpq.Graph, ids map[string]int
 			// Request rejects the meaningless combination.
 			req.Output, req.Limit = cfpq.OutputCount, 0
 		}
-		if err := restrictRequest(&req, cfg, ids, g.Nodes()); err != nil {
+		if err := restrictRequest(&req, cfg, names); err != nil {
 			return err
 		}
 		res, err := eng.Do(ctx, req)
@@ -242,16 +232,16 @@ func Execute(ctx context.Context, cfg *Config, g *cfpq.Graph, ids map[string]int
 }
 
 // restrictRequest applies the -sources/-targets flags to a request.
-func restrictRequest(req *cfpq.Request, cfg *Config, ids map[string]int, nodes int) error {
+func restrictRequest(req *cfpq.Request, cfg *Config, names *graph.Names) error {
 	if cfg.Sources != "" {
-		sources, err := resolveNodes("sources", cfg.Sources, ids, nodes)
+		sources, err := lookupNodes("sources", cfg.Sources, names)
 		if err != nil {
 			return err
 		}
 		req.Sources = sources
 	}
 	if cfg.Targets != "" {
-		targets, err := resolveNodes("targets", cfg.Targets, ids, nodes)
+		targets, err := lookupNodes("targets", cfg.Targets, names)
 		if err != nil {
 			return err
 		}
@@ -320,7 +310,7 @@ func printRelational(cfg *Config, out io.Writer, res *cfpq.Result, nodeName func
 // executeWithIndex answers through an evaluated index: loaded from
 // -load-index (skipping the closure — the warm-start path) or computed
 // fresh and optionally persisted to -save-index.
-func executeWithIndex(ctx context.Context, cfg *Config, g *cfpq.Graph, ids map[string]int, gram *cfpq.Grammar, eng *cfpq.Engine, out io.Writer, nodeName func(int) string) error {
+func executeWithIndex(ctx context.Context, cfg *Config, g *cfpq.Graph, names *graph.Names, gram *cfpq.Grammar, eng *cfpq.Engine, out io.Writer, nodeName func(int) string) error {
 	cnf, err := cfpq.ToCNF(gram)
 	if err != nil {
 		return err
@@ -365,7 +355,7 @@ func executeWithIndex(ctx context.Context, cfg *Config, g *cfpq.Graph, ids map[s
 	if cfg.CountOnly {
 		req.Output, req.Limit = cfpq.OutputCount, 0
 	}
-	if err := restrictRequest(&req, cfg, ids, g.Nodes()); err != nil {
+	if err := restrictRequest(&req, cfg, names); err != nil {
 		return err
 	}
 	res, err := p.Do(ctx, req)

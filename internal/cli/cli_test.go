@@ -67,11 +67,11 @@ func TestParseArgsMissingRequired(t *testing.T) {
 
 func TestBackendByName(t *testing.T) {
 	for _, name := range []string{"dense", "dense-parallel", "sparse", "sparse-parallel"} {
-		if _, err := BackendByName(name); err != nil {
-			t.Errorf("BackendByName(%s): %v", name, err)
+		if _, err := cfpq.BackendByName(name); err != nil {
+			t.Errorf("cfpq.BackendByName(%s): %v", name, err)
 		}
 	}
-	if _, err := BackendByName("gpu"); err == nil {
+	if _, err := cfpq.BackendByName("gpu"); err == nil {
 		t.Error("unknown backend should fail")
 	}
 }
@@ -207,7 +207,7 @@ func TestExecuteDirect(t *testing.T) {
 	g := graph.New(2)
 	g.AddEdge(0, "x", 1)
 	gram := grammar.MustParse("S -> x")
-	be, _ := BackendByName("dense")
+	be, _ := cfpq.BackendByName("dense")
 	var out bytes.Buffer
 	cfg := &Config{Start: "S", Semantics: "relational"}
 	if err := Execute(ctx, cfg, g, nil, gram, be, &out); err != nil {
@@ -318,7 +318,7 @@ func TestIndexFlagsRejectBadCombos(t *testing.T) {
 // BackendMust resolves a backend or fails the test.
 func BackendMust(t *testing.T, name string) cfpq.Backend {
 	t.Helper()
-	be, err := BackendByName(name)
+	be, err := cfpq.BackendByName(name)
 	if err != nil {
 		t.Fatal(err)
 	}

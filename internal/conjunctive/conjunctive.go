@@ -292,16 +292,10 @@ func (r *Result) Has(nt string, i, j int) bool {
 	return ok && r.mats[a].Get(i, j)
 }
 
-// Evaluate runs the conjunctive matrix closure on the graph with the given
-// backend (nil selects the serial sparse backend). Per fixpoint pass, each
-// conjunctive rule contributes the intersection of its conjunct products.
-func Evaluate(g *graph.Graph, cg *Grammar, be matrix.Backend) (*Result, error) {
-	//lint:allow cfpqlint/ctxflow ctx-less convenience API kept for the paper-faithful surface; EvaluateContext is the ctx-aware path
-	return EvaluateContext(context.Background(), g, cg, be)
-}
-
-// EvaluateContext is Evaluate with cooperative cancellation between
-// fixpoint passes.
+// EvaluateContext runs the conjunctive matrix closure on the graph with the
+// given backend (nil selects the serial sparse backend), with cooperative
+// cancellation between fixpoint passes. Per fixpoint pass, each conjunctive
+// rule contributes the intersection of its conjunct products.
 func EvaluateContext(ctx context.Context, g *graph.Graph, cg *Grammar, be matrix.Backend) (*Result, error) {
 	nm, err := cg.compile()
 	if err != nil {
@@ -356,8 +350,8 @@ func EvaluateContext(ctx context.Context, g *graph.Graph, cg *Grammar, be matrix
 // Recognize reports whether the word derives from start under the
 // conjunctive grammar, by evaluating on the word's chain graph (exact on
 // linear inputs per Okhotin's matrix parsing).
-func Recognize(cg *Grammar, start string, word []string) (bool, error) {
-	res, err := Evaluate(graph.Word(word), cg, nil)
+func Recognize(ctx context.Context, cg *Grammar, start string, word []string) (bool, error) {
+	res, err := EvaluateContext(ctx, graph.Word(word), cg, nil)
 	if err != nil {
 		return false, err
 	}

@@ -1,6 +1,7 @@
 package conjunctive
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -121,7 +122,7 @@ func TestAnBnCn(t *testing.T) {
 	}
 	for _, c := range cases {
 		word := strings.Fields(c.word)
-		got, err := Recognize(g, "S", word)
+		got, err := Recognize(context.Background(), g, "S", word)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,7 +148,7 @@ func TestContextFreeSubsetBehavesAsCFG(t *testing.T) {
 		{"a a b b", true},
 		{"a b b", false},
 	} {
-		got, err := Recognize(g, "S", strings.Fields(c.word))
+		got, err := Recognize(context.Background(), g, "S", strings.Fields(c.word))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,7 +172,7 @@ func TestUpperApproximationOnGraphs(t *testing.T) {
 		A -> a
 		B -> b
 	`)
-	res, err := Evaluate(g, cg, nil)
+	res, err := EvaluateContext(context.Background(), g, cg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +182,7 @@ func TestUpperApproximationOnGraphs(t *testing.T) {
 	// On the chain graph (a single path), the same grammar is exact: no
 	// word is in L(S), so the relation is empty.
 	for _, w := range [][]string{{"a"}, {"b"}, {"a", "b"}} {
-		got, err := Recognize(cg, "S", w)
+		got, err := Recognize(context.Background(), cg, "S", w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -200,7 +201,7 @@ func TestEvaluateBackendsAgree(t *testing.T) {
 	cg := MustParse(anbncn)
 	var ref []matrix.Pair
 	for i, be := range matrix.Backends() {
-		res, err := Evaluate(g, cg, be)
+		res, err := EvaluateContext(context.Background(), g, cg, be)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -247,7 +248,7 @@ func TestRandomWordsAgainstReference(t *testing.T) {
 	}
 	for gi, g := range grammars {
 		for _, w := range words {
-			got, err := Recognize(g, "S", w)
+			got, err := Recognize(context.Background(), g, "S", w)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -264,7 +265,7 @@ func TestRandomWordsAgainstReference(t *testing.T) {
 func TestCFOnlyAgainstCoreEngine(t *testing.T) {
 	cg := MustParse("S -> a S b | a b")
 	g := graph.TwoCycles(2, 3, "a", "b")
-	res, err := Evaluate(g, cg, nil)
+	res, err := EvaluateContext(context.Background(), g, cg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +298,7 @@ func TestProductionString(t *testing.T) {
 }
 
 func TestUnknownNonterminalRelation(t *testing.T) {
-	res, err := Evaluate(graph.Chain(2, "a"), MustParse("S -> a"), nil)
+	res, err := EvaluateContext(context.Background(), graph.Chain(2, "a"), MustParse("S -> a"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +319,7 @@ func TestUnitConjunct(t *testing.T) {
 		S -> A & b
 		A -> a | b
 	`)
-	res, err := Evaluate(g, cg, nil)
+	res, err := EvaluateContext(context.Background(), g, cg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +332,7 @@ func TestUnitConjunct(t *testing.T) {
 		S -> A & b
 		A -> a
 	`)
-	res2, err := Evaluate(g2, cg2, nil)
+	res2, err := EvaluateContext(context.Background(), g2, cg2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

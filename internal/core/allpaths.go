@@ -41,7 +41,7 @@ func pathKey(p []graph.Edge) string {
 	return b.String()
 }
 
-// AllPaths enumerates distinct paths i π j with nt ⇒* l(π), in
+// AllPathsContext enumerates distinct paths i π j with nt ⇒* l(π), in
 // nondecreasing length order, up to the given bounds. This is the all-path
 // query semantics extension the paper lists as future work (Section 7); it
 // reuses the Boolean closure index as the derivation oracle: a path exists
@@ -51,15 +51,10 @@ func pathKey(p []graph.Edge) string {
 // Enumeration cost can be exponential in path length for ambiguous
 // grammars; an internal work budget proportional to MaxPaths keeps calls
 // bounded, at the price of possible incompleteness on adversarial inputs.
-func (ix *Index) AllPaths(g *graph.Graph, nt string, i, j int, opts AllPathsOptions) [][]graph.Edge {
-	//lint:allow cfpqlint/ctxflow ctx-less convenience API kept for the paper-faithful surface; AllPathsContext is the ctx-aware path
-	paths, _ := ix.AllPathsContext(context.Background(), g, nt, i, j, opts)
-	return paths
-}
-
-// AllPathsContext is AllPaths with cooperative cancellation: the context is
-// checked between length levels of the iterative deepening, so a cancelled
-// enumeration returns the (complete) prefix found so far plus ctx.Err().
+//
+// Cancellation is cooperative: the context is checked between length
+// levels of the iterative deepening, so a cancelled enumeration returns the
+// (complete) prefix found so far plus ctx.Err().
 func (ix *Index) AllPathsContext(ctx context.Context, g *graph.Graph, nt string, i, j int, opts AllPathsOptions) ([][]graph.Edge, error) {
 	a, ok := ix.cnf.Index(nt)
 	if !ok {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"cfpq/internal/grammar"
@@ -11,8 +12,8 @@ func TestAllPathsOnWordGraph(t *testing.T) {
 	// Unambiguous grammar, acyclic graph: exactly one path per pair.
 	cnf := grammar.MustParseCNF("S -> a S b | a b")
 	g := graph.Word([]string{"a", "a", "b", "b"})
-	ix, _ := NewEngine().Run(g, cnf)
-	paths := ix.AllPaths(g, "S", 0, 4, AllPathsOptions{})
+	ix, _, _ := NewEngine().RunContext(context.Background(), g, cnf)
+	paths, _ := ix.AllPathsContext(context.Background(), g, "S", 0, 4, AllPathsOptions{})
 	if len(paths) != 1 {
 		t.Fatalf("got %d paths, want 1: %v", len(paths), paths)
 	}
@@ -23,7 +24,7 @@ func TestAllPathsOnWordGraph(t *testing.T) {
 		t.Errorf("labels = %v", got)
 	}
 	// Inner pair too.
-	inner := ix.AllPaths(g, "S", 1, 3, AllPathsOptions{})
+	inner, _ := ix.AllPathsContext(context.Background(), g, "S", 1, 3, AllPathsOptions{})
 	if len(inner) != 1 || len(inner[0]) != 2 {
 		t.Errorf("inner paths = %v", inner)
 	}
@@ -35,8 +36,8 @@ func TestAllPathsCycleBounded(t *testing.T) {
 	// length-ordered paths.
 	g := graph.TwoCycles(2, 3, "a", "b")
 	cnf := grammar.MustParseCNF("S -> a S b | a b")
-	ix, _ := NewEngine().Run(g, cnf)
-	paths := ix.AllPaths(g, "S", 0, 0, AllPathsOptions{MaxPaths: 5, MaxLength: 40})
+	ix, _, _ := NewEngine().RunContext(context.Background(), g, cnf)
+	paths, _ := ix.AllPathsContext(context.Background(), g, "S", 0, 0, AllPathsOptions{MaxPaths: 5, MaxLength: 40})
 	if len(paths) == 0 {
 		t.Fatal("expected paths for (S,0,0)")
 	}
@@ -69,9 +70,9 @@ func TestAllPathsAmbiguousGrammarDistinct(t *testing.T) {
 	// distinct paths from 0 to n is exactly one per n.
 	cnf := grammar.MustParseCNF("S -> S S | a")
 	g := graph.Chain(5, "a")
-	ix, _ := NewEngine().Run(g, cnf)
+	ix, _, _ := NewEngine().RunContext(context.Background(), g, cnf)
 	for end := 1; end <= 4; end++ {
-		paths := ix.AllPaths(g, "S", 0, end, AllPathsOptions{MaxLength: 6})
+		paths, _ := ix.AllPathsContext(context.Background(), g, "S", 0, end, AllPathsOptions{MaxLength: 6})
 		if len(paths) != 1 {
 			t.Errorf("(0,%d): got %d distinct paths, want 1", end, len(paths))
 		}
@@ -81,11 +82,11 @@ func TestAllPathsAmbiguousGrammarDistinct(t *testing.T) {
 func TestAllPathsAbsentPair(t *testing.T) {
 	cnf := grammar.MustParseCNF("S -> a b")
 	g := graph.Word([]string{"a", "b"})
-	ix, _ := NewEngine().Run(g, cnf)
-	if got := ix.AllPaths(g, "S", 1, 0, AllPathsOptions{}); got != nil {
+	ix, _, _ := NewEngine().RunContext(context.Background(), g, cnf)
+	if got, _ := ix.AllPathsContext(context.Background(), g, "S", 1, 0, AllPathsOptions{}); got != nil {
 		t.Errorf("paths for absent pair: %v", got)
 	}
-	if got := ix.AllPaths(g, "Zed", 0, 2, AllPathsOptions{}); got != nil {
+	if got, _ := ix.AllPathsContext(context.Background(), g, "Zed", 0, 2, AllPathsOptions{}); got != nil {
 		t.Errorf("paths for unknown non-terminal: %v", got)
 	}
 }
@@ -99,8 +100,8 @@ func TestAllPathsMultipleWitnesses(t *testing.T) {
 	g.AddEdge(1, "b", 3)
 	g.AddEdge(2, "b", 3)
 	cnf := grammar.MustParseCNF("S -> a b")
-	ix, _ := NewEngine().Run(g, cnf)
-	paths := ix.AllPaths(g, "S", 0, 3, AllPathsOptions{})
+	ix, _, _ := NewEngine().RunContext(context.Background(), g, cnf)
+	paths, _ := ix.AllPathsContext(context.Background(), g, "S", 0, 3, AllPathsOptions{})
 	if len(paths) != 2 {
 		t.Fatalf("got %d paths, want 2: %v", len(paths), paths)
 	}

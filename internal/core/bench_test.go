@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -27,7 +28,7 @@ func BenchmarkClosureBackends(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/n=%d", be.Name(), n), func(b *testing.B) {
 				e := NewEngine(WithBackend(be))
 				for i := 0; i < b.N; i++ {
-					e.Run(g, cnf)
+					e.RunContext(context.Background(), g, cnf)
 				}
 			})
 		}
@@ -41,7 +42,7 @@ func BenchmarkIterationSchedule(b *testing.B) {
 	b.Run("in-place", func(b *testing.B) {
 		e := NewEngine(WithBackend(matrix.Sparse()))
 		for i := 0; i < b.N; i++ {
-			e.Run(g, cnf)
+			e.RunContext(context.Background(), g, cnf)
 		}
 	})
 	b.Run("algorithm1", func(b *testing.B) {
@@ -59,7 +60,7 @@ func BenchmarkAgainstBaselines(b *testing.B) {
 	b.Run("matrix-sparse", func(b *testing.B) {
 		e := NewEngine(WithBackend(matrix.Sparse()))
 		for i := 0; i < b.N; i++ {
-			e.Run(g, cnf)
+			e.RunContext(context.Background(), g, cnf)
 		}
 	})
 	b.Run("hellings", func(b *testing.B) {
@@ -80,7 +81,7 @@ func BenchmarkAgainstBaselines(b *testing.B) {
 func BenchmarkSinglePathClosure(b *testing.B) {
 	g, cnf := benchInput(150)
 	for i := 0; i < b.N; i++ {
-		NewPathIndex(g, cnf)
+		NewPathIndexContext(context.Background(), g, cnf)
 	}
 }
 
@@ -88,7 +89,7 @@ func BenchmarkSinglePathClosure(b *testing.B) {
 // pairs of the relation.
 func BenchmarkPathExtraction(b *testing.B) {
 	g, cnf := benchInput(150)
-	px := NewPathIndex(g, cnf)
+	px, _ := NewPathIndexContext(context.Background(), g, cnf)
 	rel := px.Relation("S")
 	if len(rel) == 0 {
 		b.Skip("empty relation")

@@ -28,8 +28,9 @@ import (
 )
 
 // Index is the result of the closure: one Boolean reachability matrix per
-// non-terminal. After Close, M_A[i][j] is set iff (i, j) ∈ R_A — node j is
-// reachable from node i along a path deriving from A (paper Theorem 2).
+// non-terminal. After CloseContext, M_A[i][j] is set iff (i, j) ∈ R_A —
+// node j is reachable from node i along a path deriving from A (paper
+// Theorem 2).
 type Index struct {
 	cnf     *grammar.CNF
 	n       int
@@ -54,8 +55,8 @@ func (ix *Index) Backend() matrix.Backend { return ix.backend }
 
 // Grow resizes every relation matrix in place to n×n (no-op if n ≤ Nodes).
 // The closure property is preserved: new nodes are isolated until edges
-// touching them are propagated with Update, so an in-place Grow followed by
-// Update is exactly the closure of the enlarged graph.
+// touching them are propagated with UpdateContext, so an in-place Grow
+// followed by UpdateContext is exactly the closure of the enlarged graph.
 func (ix *Index) Grow(n int) {
 	if n <= ix.n {
 		return
@@ -245,20 +246,13 @@ func (e *Engine) Init(g *graph.Graph, cnf *grammar.CNF) *Index {
 	return ix
 }
 
-// Close runs the fixpoint loop of Algorithm 1 (lines 8–9) until no matrix
-// changes, mutating ix. Termination is guaranteed because every pass only
-// adds bits and the total bit count is bounded by |V|²·|N| (paper
-// Theorem 3).
-func (e *Engine) Close(ix *Index) Stats {
-	//lint:allow cfpqlint/ctxflow ctx-less convenience API kept for the paper-faithful surface; CloseContext is the ctx-aware path
-	stats, _ := e.CloseContext(context.Background(), ix)
-	return stats
-}
-
-// CloseContext is Close with cooperative cancellation: the context is
-// checked between fixpoint passes and ctx.Err() is returned if it fires.
-// The index is left in a sound intermediate state (every bit justified by a
-// derivation) but is not a fixpoint.
+// CloseContext runs the fixpoint loop of Algorithm 1 (lines 8–9) until no
+// matrix changes, mutating ix. Termination is guaranteed because every pass
+// only adds bits and the total bit count is bounded by |V|²·|N| (paper
+// Theorem 3). Cancellation is cooperative: the context is checked between
+// fixpoint passes and ctx.Err() is returned if it fires. The index is then
+// left in a sound intermediate state (every bit justified by a derivation)
+// but is not a fixpoint.
 //
 // Matrices are updated in place within a pass, so a product may already read
 // bits an earlier rule of the same pass derived. Every in-place pass adds a
@@ -310,17 +304,11 @@ func (e *Engine) closeTraced(ctx context.Context, ix *Index, pt *passTracer) (st
 	}
 }
 
-// Run evaluates the query end to end: Init then Close.
-func (e *Engine) Run(g *graph.Graph, cnf *grammar.CNF) (*Index, Stats) {
-	ix := e.Init(g, cnf)
-	stats := e.Close(ix)
-	return ix, stats
-}
-
-// RunContext is Run with cooperative cancellation between closure passes
-// and, when the engine carries a memory budget, a pre-allocation check:
-// an instance whose empty index alone breaches the budget is rejected
-// before any matrix is allocated.
+// RunContext evaluates the query end to end — Init then CloseContext — with
+// cooperative cancellation between closure passes and, when the engine
+// carries a memory budget, a pre-allocation check: an instance whose empty
+// index alone breaches the budget is rejected before any matrix is
+// allocated.
 func (e *Engine) RunContext(ctx context.Context, g *graph.Graph, cnf *grammar.CNF) (*Index, Stats, error) {
 	if err := e.checkBudget(int64(cnf.NonterminalCount()) * e.backend.EmptyBytes(g.Nodes())); err != nil {
 		return nil, Stats{}, err
@@ -347,8 +335,8 @@ type QueryOptions struct {
 // QueryContext evaluates R_start on the graph under the relational
 // semantics and returns the sorted pair list together with the closure
 // work — the numbers the public planner surfaces in Result.Stats. It is the
-// one-call convenience API; use Run/Index for repeated queries over the
-// same closure.
+// one-call convenience API; use RunContext/Index for repeated queries over
+// the same closure.
 func (e *Engine) QueryContext(ctx context.Context, g *graph.Graph, gram *grammar.Grammar, start string, opts QueryOptions) ([]matrix.Pair, Stats, error) {
 	if !gram.HasNonterminal(start) {
 		return nil, Stats{}, fmt.Errorf("core: unknown non-terminal %q", start)

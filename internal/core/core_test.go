@@ -35,7 +35,7 @@ func TestQueryOnWordGraph(t *testing.T) {
 	}
 	for _, c := range cases {
 		g := graph.Word(c.word)
-		ix, _ := e.Run(g, cnf)
+		ix, _, _ := e.RunContext(context.Background(), g, cnf)
 		if got := ix.Has("S", 0, len(c.word)); got != c.want {
 			t.Errorf("word %v: recognised=%v, want %v", c.word, got, c.want)
 		}
@@ -51,7 +51,7 @@ func TestQueryOnTwoCycles(t *testing.T) {
 	cnf := balancedCNF(t)
 	for _, be := range matrix.Backends() {
 		e := NewEngine(WithBackend(be))
-		ix, stats := e.Run(g, cnf)
+		ix, stats, _ := e.RunContext(context.Background(), g, cnf)
 		// Known result for this instance: every a-cycle node relates to
 		// every b-cycle node (including shared node 0) — aⁿbⁿ paths exist
 		// for suitable n since gcd(2,3)=1.
@@ -85,7 +85,7 @@ func TestBackendsAndIterationModesAgree(t *testing.T) {
 		for gi, cnf := range grams {
 			ref, _ := Algorithm1(matrix.Dense(), g, cnf, nil)
 			for _, be := range matrix.Backends() {
-				inplace, _ := NewEngine(WithBackend(be)).Run(g, cnf)
+				inplace, _, _ := NewEngine(WithBackend(be)).RunContext(context.Background(), g, cnf)
 				snapshot, _ := Algorithm1(be, g, cnf, nil)
 				for name, ix := range map[string]*Index{"in-place": inplace, "Algorithm1": snapshot} {
 					for a := 0; a < cnf.NonterminalCount(); a++ {
@@ -109,7 +109,7 @@ func TestInPlaceNeverSlowerInPasses(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		g := graph.Random(rng, 12, 36, []string{"a", "b"})
 		_, snapshot := Algorithm1(matrix.Sparse(), g, cnf, nil)
-		_, inplace := NewEngine().Run(g, cnf)
+		_, inplace, _ := NewEngine().RunContext(context.Background(), g, cnf)
 		if inplace.Iterations > snapshot.Iterations {
 			t.Errorf("trial %d: in-place used %d passes, Algorithm1 %d",
 				trial, inplace.Iterations, snapshot.Iterations)
@@ -169,7 +169,7 @@ func TestQueryIncludeEmptyPaths(t *testing.T) {
 func TestIndexAccessors(t *testing.T) {
 	cnf := balancedCNF(t)
 	g := graph.Word([]string{"a", "b"})
-	ix, stats := NewEngine().Run(g, cnf)
+	ix, stats, _ := NewEngine().RunContext(context.Background(), g, cnf)
 	if ix.Nodes() != 3 {
 		t.Errorf("Nodes = %d", ix.Nodes())
 	}
@@ -201,8 +201,8 @@ func TestIndexAccessors(t *testing.T) {
 
 func TestIndexEqualShapeMismatch(t *testing.T) {
 	cnf := balancedCNF(t)
-	a, _ := NewEngine().Run(graph.Word([]string{"a", "b"}), cnf)
-	b, _ := NewEngine().Run(graph.Word([]string{"a", "b", "b"}), cnf)
+	a, _, _ := NewEngine().RunContext(context.Background(), graph.Word([]string{"a", "b"}), cnf)
+	b, _, _ := NewEngine().RunContext(context.Background(), graph.Word([]string{"a", "b", "b"}), cnf)
 	if a.Equal(b) {
 		t.Error("indexes over different node counts must differ")
 	}
@@ -225,7 +225,7 @@ func TestFormatMatrixPaperStyle(t *testing.T) {
 func TestEmptyGraph(t *testing.T) {
 	cnf := balancedCNF(t)
 	for _, be := range matrix.Backends() {
-		ix, stats := NewEngine(WithBackend(be)).Run(graph.New(0), cnf)
+		ix, stats, _ := NewEngine(WithBackend(be)).RunContext(context.Background(), graph.New(0), cnf)
 		if ix.Count("S") != 0 {
 			t.Errorf("%s: non-empty relation on empty graph", be.Name())
 		}
@@ -241,7 +241,7 @@ func TestGraphWithIrrelevantLabels(t *testing.T) {
 	g.AddEdge(0, "x", 1) // label not in grammar
 	g.AddEdge(0, "a", 1)
 	g.AddEdge(1, "b", 2)
-	ix, _ := NewEngine().Run(g, cnf)
+	ix, _, _ := NewEngine().RunContext(context.Background(), g, cnf)
 	if !ix.Has("S", 0, 2) {
 		t.Error("(0,2) should be in R_S")
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -38,7 +39,7 @@ func TestMatrixEngineAgreesWithOracles(t *testing.T) {
 					trial, gi, oracle["S"], gll)
 			}
 			for _, be := range matrix.Backends() {
-				ix, _ := NewEngine(WithBackend(be)).Run(g, cnf)
+				ix, _, _ := NewEngine(WithBackend(be)).RunContext(context.Background(), g, cnf)
 				for a := 0; a < cnf.NonterminalCount(); a++ {
 					nt := cnf.Names[a]
 					got := ix.Relation(nt)
@@ -82,7 +83,7 @@ func TestRandomCNFGrammarsAgainstHellings(t *testing.T) {
 		g := graph.Random(rng, n, 3*n, gram.Terminals())
 		oracle := baseline.Hellings(g, cnf)
 		for _, be := range matrix.Backends() {
-			ix, _ := NewEngine(WithBackend(be)).Run(g, cnf)
+			ix, _, _ := NewEngine(WithBackend(be)).RunContext(context.Background(), g, cnf)
 			for a := 0; a < cnf.NonterminalCount(); a++ {
 				nt := cnf.Names[a]
 				got, want := ix.Relation(nt), oracle[nt]
@@ -130,22 +131,22 @@ func TestRandomGrammarsIncrementalAgreement(t *testing.T) {
 		}
 		for _, be := range matrix.Backends() {
 			e := NewEngine(WithBackend(be))
-			ix, _ := e.Run(partial, cnf)
+			ix, _, _ := e.RunContext(context.Background(), partial, cnf)
 			published := ix.Clone()
 			fork := ix.Fork()
-			e.Update(fork, edges[len(edges)-hold:]...)
+			e.UpdateContext(context.Background(), fork, edges[len(edges)-hold:]...)
 			if !ix.Equal(published) {
 				t.Fatalf("trial %d backend %s: an update on a fork changed the index it was forked from\ngrammar:\n%s",
 					trial, be.Name(), gram)
 			}
-			e.Update(ix, edges[len(edges)-hold:]...)
-			want, _ := NewEngine(WithBackend(be)).Run(full, cnf)
+			e.UpdateContext(context.Background(), ix, edges[len(edges)-hold:]...)
+			want, _, _ := NewEngine(WithBackend(be)).RunContext(context.Background(), full, cnf)
 			if !ix.Equal(want) || !fork.Equal(want) {
 				t.Fatalf("trial %d backend %s: incremental update disagrees with cold closure (in place %v, on a fork %v)\ngrammar:\n%s",
 					trial, be.Name(), ix.Equal(want), fork.Equal(want), gram)
 			}
 			grown := fork.Fork()
-			e.Update(grown, graph.Edge{From: rng.Intn(n), Label: edges[0].Label, To: n})
+			e.UpdateContext(context.Background(), grown, graph.Edge{From: rng.Intn(n), Label: edges[0].Label, To: n})
 			if !fork.Equal(want) || grown.Nodes() != n+1 {
 				t.Fatalf("trial %d backend %s: a growing update on a second-generation fork changed its origin\ngrammar:\n%s",
 					trial, be.Name(), gram)

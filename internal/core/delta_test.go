@@ -37,7 +37,7 @@ func TestDeltaIterationMatchesDefault(t *testing.T) {
 		n := 3 + rng.Intn(15)
 		g := graph.Random(rng, n, 3*n, labels)
 		for gi, cnf := range grams {
-			ref, _ := NewEngine().Run(g, cnf)
+			ref, _, _ := NewEngine().RunContext(context.Background(), g, cnf)
 			for _, be := range matrix.Backends() {
 				ix, _, delta := coldUpdate(t, NewEngine(WithBackend(be)), g, cnf)
 				for a := 0; a < cnf.NonterminalCount(); a++ {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -30,8 +31,8 @@ func TestReversalDuality(t *testing.T) {
 		for gi, gram := range grammars {
 			cnf := grammar.MustCNF(gram)
 			rcnf := grammar.MustCNF(grammar.Reverse(gram))
-			fwd, _ := NewEngine().Run(g, cnf)
-			bwd, _ := NewEngine().Run(rg, rcnf)
+			fwd, _, _ := NewEngine().RunContext(context.Background(), g, cnf)
+			bwd, _, _ := NewEngine().RunContext(context.Background(), rg, rcnf)
 			for _, nt := range []string{"S", "A", "B"} {
 				if _, ok := cnf.Index(nt); !ok {
 					continue

@@ -133,7 +133,7 @@ func TestPaperExampleRelations(t *testing.T) {
 	cnf := grammar.MustParseCNF(paperCNF)
 	for _, be := range matrix.Backends() {
 		e := NewEngine(WithBackend(be))
-		ix, _ := e.Run(paperGraph(), cnf)
+		ix, _, _ := e.RunContext(context.Background(), paperGraph(), cnf)
 		want := map[string][]matrix.Pair{
 			"S":  {{I: 0, J: 0}, {I: 0, J: 2}, {I: 1, J: 2}},
 			"S1": {{I: 0, J: 0}},
@@ -179,7 +179,7 @@ func TestPaperExampleWithMechanicalCNF(t *testing.T) {
 func TestPaperExampleSinglePath(t *testing.T) {
 	cnf := grammar.MustParseCNF(paperCNF)
 	g := paperGraph()
-	px := NewPathIndex(g, cnf)
+	px, _ := NewPathIndexContext(context.Background(), g, cnf)
 	for _, pair := range [][2]int{{0, 0}, {0, 2}, {1, 2}} {
 		path, ok := px.Path("S", pair[0], pair[1])
 		if !ok {

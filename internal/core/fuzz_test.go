@@ -13,6 +13,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -58,7 +59,7 @@ func FuzzClosureAgreement(f *testing.F) {
 		g := graph.Random(rng, n, e, terms)
 		oracle := baseline.Hellings(g, cnf)
 		for _, be := range matrix.Backends() {
-			ix, _ := NewEngine(WithBackend(be)).Run(g, cnf)
+			ix, _, _ := NewEngine(WithBackend(be)).RunContext(context.Background(), g, cnf)
 			for a := 0; a < cnf.NonterminalCount(); a++ {
 				nt := cnf.Names[a]
 				got, want := ix.Relation(nt), oracle[nt]
@@ -82,9 +83,9 @@ func FuzzClosureAgreement(f *testing.F) {
 			partial.AddEdge(ed.From, ed.Label, ed.To)
 		}
 		eng := NewEngine()
-		ix, _ := eng.Run(partial, cnf)
-		eng.Update(ix, all[len(all)-1])
-		want, _ := NewEngine().Run(g, cnf)
+		ix, _, _ := eng.RunContext(context.Background(), partial, cnf)
+		eng.UpdateContext(context.Background(), ix, all[len(all)-1])
+		want, _, _ := NewEngine().RunContext(context.Background(), g, cnf)
 		if !ix.Equal(want) {
 			t.Fatalf("incremental update disagrees with cold closure\ngrammar:\n%s", gram)
 		}

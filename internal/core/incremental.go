@@ -68,9 +68,9 @@ func (d *Delta) or(a int, src matrix.Bool) {
 	d.mats[a].Or(src)
 }
 
-// Update incorporates newly added graph edges into an already-closed index
-// without recomputing the closure from scratch (dynamic CFPQ). It is the
-// semi-naive delta step seeded with just the new edges: the initial
+// UpdateContext incorporates newly added graph edges into an already-closed
+// index without recomputing the closure from scratch (dynamic CFPQ). It is
+// the semi-naive delta step seeded with just the new edges: the initial
 // frontier contains the bits the new edges contribute through terminal
 // rules, and each pass propagates only frontier bits through the binary
 // rules until nothing new appears.
@@ -83,22 +83,15 @@ func (d *Delta) or(a int, src matrix.Bool) {
 // grow the matrices first (Index.Grow): the old closure is unaffected by
 // isolated new nodes, so grow-then-propagate is exactly the closure of the
 // enlarged graph. The caller must have added the edges to the graph as well
-// if it intends to keep using graph-dependent APIs (AllPaths, PathIndex);
-// Update itself needs only the edge list.
+// if it intends to keep using graph-dependent APIs (AllPathsContext,
+// PathIndex); UpdateContext itself needs only the edge list.
 //
-// Update returns closure statistics for the incremental run; zero
-// iterations of change means the edges added nothing new.
-func (e *Engine) Update(ix *Index, edges ...graph.Edge) Stats {
-	//lint:allow cfpqlint/ctxflow ctx-less convenience API kept for the paper-faithful surface; UpdateContext is the ctx-aware path
-	stats, _, _ := e.UpdateContext(context.Background(), ix, edges...)
-	return stats
-}
-
-// UpdateContext is Update with cooperative cancellation between delta
-// passes, and it additionally returns the update's Delta: the union of
-// every newly derived pair — seed bits plus each propagation pass — which
-// is exactly what a live-query subscriber must be pushed. On cancellation,
-// or when a pass would outgrow the engine's memory budget
+// UpdateContext returns closure statistics for the incremental run (zero
+// iterations of change means the edges added nothing new) and the update's
+// Delta: the union of every newly derived pair — seed bits plus each
+// propagation pass — which is exactly what a live-query subscriber must be
+// pushed. Cancellation is cooperative, between delta passes. On
+// cancellation, or when a pass would outgrow the engine's memory budget
 // (*MemoryBudgetError), the index is sound (every bit justified) but the
 // consequences of the new edges may be only partially propagated; the
 // returned Delta then covers precisely the bits that did land in the index.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -34,10 +35,10 @@ func TestUpdateMatchesRecompute(t *testing.T) {
 		for gi, cnf := range grams {
 			for _, be := range matrix.Backends() {
 				e := NewEngine(WithBackend(be))
-				want, _ := e.Run(full, cnf)
-				got, _ := e.Run(prefix, cnf)
+				want, _, _ := e.RunContext(context.Background(), full, cnf)
+				got, _, _ := e.RunContext(context.Background(), prefix, cnf)
 				for _, ed := range edges[split:] {
-					e.Update(got, ed)
+					e.UpdateContext(context.Background(), got, ed)
 				}
 				for a := 0; a < cnf.NonterminalCount(); a++ {
 					nt := cnf.Names[a]
@@ -58,11 +59,11 @@ func TestUpdateBatch(t *testing.T) {
 	e := NewEngine()
 	// Start from an empty graph of the same size.
 	empty := graph.New(g.Nodes())
-	batch, _ := e.Run(empty, cnf)
-	single, _ := e.Run(empty, cnf)
-	e.Update(batch, g.Edges()...)
+	batch, _, _ := e.RunContext(context.Background(), empty, cnf)
+	single, _, _ := e.RunContext(context.Background(), empty, cnf)
+	e.UpdateContext(context.Background(), batch, g.Edges()...)
 	for _, ed := range g.Edges() {
-		e.Update(single, ed)
+		e.UpdateContext(context.Background(), single, ed)
 	}
 	if !batch.Equal(single) {
 		t.Error("batch and single-edge updates disagree")
@@ -76,15 +77,15 @@ func TestUpdateNoOp(t *testing.T) {
 	cnf := grammar.MustParseCNF("S -> a b")
 	g := graph.Word([]string{"a", "b"})
 	e := NewEngine()
-	ix, _ := e.Run(g, cnf)
+	ix, _, _ := e.RunContext(context.Background(), g, cnf)
 	before := ix.Clone()
 	// Re-adding an existing edge changes nothing.
-	stats := e.Update(ix, graph.Edge{From: 0, Label: "a", To: 1})
+	stats, _, _ := e.UpdateContext(context.Background(), ix, graph.Edge{From: 0, Label: "a", To: 1})
 	if stats.Iterations != 0 {
 		t.Errorf("re-adding an existing edge ran %d passes", stats.Iterations)
 	}
 	// Adding an edge with an irrelevant label changes nothing.
-	stats = e.Update(ix, graph.Edge{From: 1, Label: "zzz", To: 2})
+	stats, _, _ = e.UpdateContext(context.Background(), ix, graph.Edge{From: 1, Label: "zzz", To: 2})
 	if stats.Iterations != 0 {
 		t.Errorf("irrelevant label ran %d passes", stats.Iterations)
 	}
@@ -104,11 +105,11 @@ func TestUpdateCreatesLongRangePairs(t *testing.T) {
 	g.AddEdge(3, "b", 4)
 	g.AddEdge(4, "b", 5)
 	e := NewEngine()
-	ix, _ := e.Run(g, cnf)
+	ix, _, _ := e.RunContext(context.Background(), g, cnf)
 	if ix.Count("S") != 0 {
 		t.Fatalf("no pairs expected before the bridge, got %v", ix.Relation("S"))
 	}
-	stats := e.Update(ix, graph.Edge{From: 2, Label: "b", To: 3})
+	stats, _, _ := e.UpdateContext(context.Background(), ix, graph.Edge{From: 2, Label: "b", To: 3})
 	if stats.Iterations == 0 {
 		t.Fatal("bridge edge should trigger propagation")
 	}

@@ -44,7 +44,7 @@ func TestSchedulesAgreeProperty(t *testing.T) {
 		for _, be := range matrix.Backends() {
 			var ref []*Index
 			final, _ := Algorithm1(be, g, cnf, func(_ int, ix *Index) { ref = append(ref, ix.Clone()) })
-			prod, _ := NewEngine(WithBackend(be)).Run(g, cnf)
+			prod, _, _ := NewEngine(WithBackend(be)).RunContext(context.Background(), g, cnf)
 			if !prod.Equal(final) {
 				t.Fatalf("trial %d backend %s: in-place closure differs from Algorithm1\ngrammar:\n%s",
 					trial, be.Name(), gram)
@@ -222,7 +222,7 @@ func TestUpdateHonoursMemoryBudget(t *testing.T) {
 		partial.AddEdge(ed.From, ed.Label, ed.To)
 	}
 	for _, be := range matrix.Backends() {
-		want, cold := NewEngine(WithBackend(be)).Run(g, cnf)
+		want, cold, _ := NewEngine(WithBackend(be)).RunContext(context.Background(), g, cnf)
 		// The finished closure fits, the update's extra frontier matrices
 		// on top of the nearly finished one do not.
 		e := NewEngine(WithBackend(be), WithMemoryBudget(cold.PeakBytes))

@@ -12,6 +12,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"cfpq/internal/grammar"
@@ -34,7 +35,7 @@ func FuzzReadIndex(f *testing.F) {
 	g := graph.New(0)
 	g.AddEdge(0, "a", 1)
 	g.AddEdge(1, "b", 2)
-	ix, _ := NewEngine().Run(g, cnf)
+	ix, _, _ := NewEngine().RunContext(context.Background(), g, cnf)
 	var buf bytes.Buffer
 	if _, err := ix.WriteTo(&buf); err != nil {
 		f.Fatal(err)

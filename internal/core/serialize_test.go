@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -16,7 +17,7 @@ func TestIndexRoundTrip(t *testing.T) {
 	cnf := grammar.MustParseCNF(paperCNF)
 	g := graph.Random(rng, 12, 40, []string{"subClassOf", "subClassOf_r", "type", "type_r"})
 	for _, writeBE := range matrix.Backends() {
-		ix, _ := NewEngine(WithBackend(writeBE)).Run(g, cnf)
+		ix, _, _ := NewEngine(WithBackend(writeBE)).RunContext(context.Background(), g, cnf)
 		var buf bytes.Buffer
 		if _, err := ix.WriteTo(&buf); err != nil {
 			t.Fatal(err)
@@ -50,7 +51,7 @@ func TestIndexRoundTripSupportsUpdate(t *testing.T) {
 	cnf := grammar.MustParseCNF("S -> a S b | a b")
 	g := graph.New(4)
 	g.AddEdge(0, "a", 1)
-	ix, _ := NewEngine().Run(g, cnf)
+	ix, _, _ := NewEngine().RunContext(context.Background(), g, cnf)
 	var buf bytes.Buffer
 	if _, err := ix.WriteTo(&buf); err != nil {
 		t.Fatal(err)
@@ -59,7 +60,7 @@ func TestIndexRoundTripSupportsUpdate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	NewEngine().Update(got, graph.Edge{From: 1, Label: "b", To: 2})
+	NewEngine().UpdateContext(context.Background(), got, graph.Edge{From: 1, Label: "b", To: 2})
 	if !got.Has("S", 0, 2) {
 		t.Error("(0,2) missing after update on reloaded index")
 	}
@@ -67,7 +68,7 @@ func TestIndexRoundTripSupportsUpdate(t *testing.T) {
 
 func TestReadIndexErrors(t *testing.T) {
 	cnf := grammar.MustParseCNF("S -> a b")
-	ix, _ := NewEngine().Run(graph.Word([]string{"a", "b"}), cnf)
+	ix, _, _ := NewEngine().RunContext(context.Background(), graph.Word([]string{"a", "b"}), cnf)
 	var buf bytes.Buffer
 	if _, err := ix.WriteTo(&buf); err != nil {
 		t.Fatal(err)
@@ -105,7 +106,7 @@ func TestIndexRecordsBackend(t *testing.T) {
 	g := graph.Cycle(6, "a")
 	g.AddEdge(0, "b", 1)
 	for _, be := range matrix.Backends() {
-		ix, _ := NewEngine(WithBackend(be)).Run(g, cnf)
+		ix, _, _ := NewEngine(WithBackend(be)).RunContext(context.Background(), g, cnf)
 		var buf bytes.Buffer
 		if _, err := ix.WriteTo(&buf); err != nil {
 			t.Fatal(err)
@@ -122,7 +123,7 @@ func TestIndexRecordsBackend(t *testing.T) {
 
 func TestReadIndexNodeLimit(t *testing.T) {
 	cnf := grammar.MustParseCNF("S -> a b")
-	ix, _ := NewEngine().Run(graph.Word([]string{"a", "b"}), cnf)
+	ix, _, _ := NewEngine().RunContext(context.Background(), graph.Word([]string{"a", "b"}), cnf)
 	var buf bytes.Buffer
 	if _, err := ix.WriteTo(&buf); err != nil {
 		t.Fatal(err)
@@ -141,7 +142,7 @@ func TestReadIndexNodeLimit(t *testing.T) {
 
 func TestWriteToReportsBytes(t *testing.T) {
 	cnf := grammar.MustParseCNF("S -> a b")
-	ix, _ := NewEngine().Run(graph.Word([]string{"a", "b"}), cnf)
+	ix, _, _ := NewEngine().RunContext(context.Background(), graph.Word([]string{"a", "b"}), cnf)
 	var buf bytes.Buffer
 	n, err := ix.WriteTo(&buf)
 	if err != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -14,8 +15,8 @@ func TestShortestPathNeverLongerThanFirstFound(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		n := 3 + rng.Intn(8)
 		g := graph.Random(rng, n, 3*n, []string{"a", "b"})
-		first := NewPathIndex(g, cnf)
-		short := NewShortestPathIndex(g, cnf)
+		first, _ := NewPathIndexContext(context.Background(), g, cnf)
+		short, _ := NewShortestPathIndexContext(context.Background(), g, cnf)
 		for _, lp := range first.Relation("S") {
 			sl, ok := short.Length("S", lp.I, lp.J)
 			if !ok {
@@ -41,10 +42,10 @@ func TestShortestPathIsMinimal(t *testing.T) {
 	for trial := 0; trial < 6; trial++ {
 		n := 3 + rng.Intn(5)
 		g := graph.Random(rng, n, 3*n, []string{"a", "b"})
-		ix, _ := NewEngine().Run(g, cnf)
-		short := NewShortestPathIndex(g, cnf)
+		ix, _, _ := NewEngine().RunContext(context.Background(), g, cnf)
+		short, _ := NewShortestPathIndexContext(context.Background(), g, cnf)
 		for _, lp := range short.Relation("S") {
-			paths := ix.AllPaths(g, "S", lp.I, lp.J, AllPathsOptions{MaxPaths: 1, MaxLength: 64})
+			paths, _ := ix.AllPathsContext(context.Background(), g, "S", lp.I, lp.J, AllPathsOptions{MaxPaths: 1, MaxLength: 64})
 			if len(paths) == 0 {
 				t.Fatalf("trial %d: no enumerated path for %v", trial, lp)
 			}
@@ -61,7 +62,7 @@ func TestShortestPathExtraction(t *testing.T) {
 	// valid minimal-length paths.
 	g := graph.TwoCycles(2, 3, "a", "b")
 	cnf := grammar.MustParseCNF("S -> a S b | a b")
-	px := NewShortestPathIndex(g, cnf)
+	px, _ := NewShortestPathIndexContext(context.Background(), g, cnf)
 	for _, lp := range px.Relation("S") {
 		path, ok := px.Path("S", lp.I, lp.J)
 		if !ok {
@@ -83,8 +84,8 @@ func TestShortestOnWordGraphEqualsFirstFound(t *testing.T) {
 	// On an unambiguous acyclic instance both indexes coincide.
 	cnf := grammar.MustParseCNF("S -> a S b | a b")
 	g := graph.Word([]string{"a", "a", "a", "b", "b", "b"})
-	first := NewPathIndex(g, cnf)
-	short := NewShortestPathIndex(g, cnf)
+	first, _ := NewPathIndexContext(context.Background(), g, cnf)
+	short, _ := NewShortestPathIndexContext(context.Background(), g, cnf)
 	for _, lp := range first.Relation("S") {
 		sl, _ := short.Length("S", lp.I, lp.J)
 		if sl != lp.Length {

@@ -27,38 +27,23 @@ type PathIndex struct {
 	lengths []map[int32]uint32 // flat [a*n + i] → column → length
 }
 
-// NewPathIndex evaluates the single-path closure for the graph and grammar.
-// The closure is the same fixpoint as Algorithm 1, with the scalar semiring
+// NewPathIndexContext evaluates the single-path closure for the graph and
+// grammar, with cooperative cancellation between fixpoint passes. The
+// closure is the same fixpoint as Algorithm 1, with the scalar semiring
 // replaced by length bookkeeping. Lengths are fixed at first derivation, as
 // in the paper.
-func NewPathIndex(g *graph.Graph, cnf *grammar.CNF) *PathIndex {
-	//lint:allow cfpqlint/ctxflow ctx-less convenience API kept for the paper-faithful surface; newPathIndex threads the caller ctx
-	p, _ := newPathIndex(context.Background(), g, cnf, false)
-	return p
-}
-
-// NewPathIndexContext is NewPathIndex with cooperative cancellation between
-// fixpoint passes.
 func NewPathIndexContext(ctx context.Context, g *graph.Graph, cnf *grammar.CNF) (*PathIndex, error) {
 	return newPathIndex(ctx, g, cnf, false)
 }
 
-// NewShortestPathIndexContext is NewShortestPathIndex with cooperative
-// cancellation between fixpoint passes.
+// NewShortestPathIndexContext is NewPathIndexContext over the min-plus
+// relaxation: the recorded length of every pair is the *minimum*
+// witness-path length, as in Hellings' single-path algorithm (which the
+// paper contrasts with: "the length of these paths is not necessarily upper
+// bounded" — here it is minimal, at the cost of more fixpoint work). Path
+// extraction works unchanged and returns a shortest witness.
 func NewShortestPathIndexContext(ctx context.Context, g *graph.Graph, cnf *grammar.CNF) (*PathIndex, error) {
 	return newPathIndex(ctx, g, cnf, true)
-}
-
-// NewShortestPathIndex is NewPathIndex over the min-plus relaxation: the
-// recorded length of every pair is the *minimum* witness-path length, as in
-// Hellings' single-path algorithm (which the paper contrasts with: "the
-// length of these paths is not necessarily upper bounded" — here it is
-// minimal, at the cost of more fixpoint work). Path extraction works
-// unchanged and returns a shortest witness.
-func NewShortestPathIndex(g *graph.Graph, cnf *grammar.CNF) *PathIndex {
-	//lint:allow cfpqlint/ctxflow ctx-less convenience API kept for the paper-faithful surface; newPathIndex threads the caller ctx
-	p, _ := newPathIndex(context.Background(), g, cnf, true)
-	return p
 }
 
 func newPathIndex(ctx context.Context, g *graph.Graph, cnf *grammar.CNF, shortest bool) (*PathIndex, error) {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -22,8 +23,8 @@ func TestPathIndexMatchesBooleanClosure(t *testing.T) {
 		n := 3 + rng.Intn(10)
 		g := graph.Random(rng, n, 3*n, labels)
 		for gi, cnf := range grams {
-			ix, _ := NewEngine().Run(g, cnf)
-			px := NewPathIndex(g, cnf)
+			ix, _, _ := NewEngine().RunContext(context.Background(), g, cnf)
+			px, _ := NewPathIndexContext(context.Background(), g, cnf)
 			for a := 0; a < cnf.NonterminalCount(); a++ {
 				nt := cnf.Names[a]
 				for i := 0; i < n; i++ {
@@ -48,7 +49,7 @@ func TestPathWitnessesAreValid(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		n := 3 + rng.Intn(8)
 		g := graph.Random(rng, n, 3*n, []string{"a", "b"})
-		px := NewPathIndex(g, cnf)
+		px, _ := NewPathIndexContext(context.Background(), g, cnf)
 		for _, lp := range px.Relation("S") {
 			path, ok := px.Path("S", lp.I, lp.J)
 			if !ok {
@@ -72,7 +73,7 @@ func TestPathOnCycle(t *testing.T) {
 	// still finite and paths valid.
 	g := graph.TwoCycles(2, 3, "a", "b")
 	cnf := grammar.MustParseCNF("S -> a S b | a b")
-	px := NewPathIndex(g, cnf)
+	px, _ := NewPathIndexContext(context.Background(), g, cnf)
 	rel := px.Relation("S")
 	if len(rel) == 0 {
 		t.Fatal("empty relation on two-cycles")
@@ -98,7 +99,7 @@ func TestPathOnCycle(t *testing.T) {
 func TestPathIndexUnknownNonterminal(t *testing.T) {
 	g := graph.Chain(2, "a")
 	cnf := grammar.MustParseCNF("S -> a")
-	px := NewPathIndex(g, cnf)
+	px, _ := NewPathIndexContext(context.Background(), g, cnf)
 	if _, ok := px.Length("Z", 0, 1); ok {
 		t.Error("unknown non-terminal should have no lengths")
 	}
@@ -113,7 +114,7 @@ func TestPathIndexUnknownNonterminal(t *testing.T) {
 func TestPathLengthOneIsEdge(t *testing.T) {
 	g := graph.Chain(2, "a")
 	cnf := grammar.MustParseCNF("S -> a")
-	px := NewPathIndex(g, cnf)
+	px, _ := NewPathIndexContext(context.Background(), g, cnf)
 	path, ok := px.Path("S", 0, 1)
 	if !ok || len(path) != 1 || path[0].Label != "a" {
 		t.Fatalf("Path = %v, %v", path, ok)

@@ -82,7 +82,7 @@ func TestRunFromActiveRowsMatchFullClosure(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		n := 8 + rng.Intn(16)
 		g := graph.Random(rng, n, 2*n, []string{"subClassOf", "subClassOf_r", "type", "type_r"})
-		fullIx, _ := e.Run(g, cnf)
+		fullIx, _, _ := e.RunContext(context.Background(), g, cnf)
 		src := []int{rng.Intn(n)}
 		ix, fs, err := e.RunFromContext(context.Background(), g, cnf, src)
 		if err != nil {
@@ -124,7 +124,7 @@ func TestRunFromSaturationFallsBack(t *testing.T) {
 	cnf := grammar.MustCNF(gram)
 	g := graph.TwoCycles(5, 4, "a", "b")
 	e := NewEngine()
-	fullIx, _ := e.Run(g, cnf)
+	fullIx, _, _ := e.RunContext(context.Background(), g, cnf)
 	sources := make([]int, g.Nodes())
 	for i := range sources {
 		sources[i] = i
@@ -231,7 +231,7 @@ func TestRunFromSaturationThreshold(t *testing.T) {
 			for i := 0; i < edges; i++ {
 				g.AddEdge(i, "a", i+1)
 			}
-			fullIx, _ := e.Run(g, cnf)
+			fullIx, _, _ := e.RunContext(context.Background(), g, cnf)
 			ix, fs, err := e.RunFromContext(context.Background(), g, cnf, []int{0})
 			if err != nil {
 				t.Fatal(err)

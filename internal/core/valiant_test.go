@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"cfpq/internal/grammar"
@@ -41,7 +42,7 @@ func TestChainRecognitionMatchesCYK(t *testing.T) {
 	cnf := grammar.MustParseCNF("S -> a S b | a b | S S")
 	word := []string{"a", "a", "b", "b", "a", "b", "a", "b"}
 	g := graph.Word(word)
-	ix, _ := NewEngine().Run(g, cnf)
+	ix, _, _ := NewEngine().RunContext(context.Background(), g, cnf)
 	for i := 0; i <= len(word); i++ {
 		for j := i + 1; j <= len(word); j++ {
 			want := cnf.Derives("S", word[i:j])

@@ -203,7 +203,7 @@ func TestDatasetResultsNonTrivial(t *testing.T) {
 			continue // covered via their base graphs
 		}
 		g := d.Build()
-		ix, _ := core.NewEngine().Run(g, cnf)
+		ix, _, _ := core.NewEngine().RunContext(context.Background(), g, cnf)
 		if ix.Count("S") == 0 {
 			t.Errorf("%s: Query 1 returned no results", d.Name)
 		}
@@ -215,8 +215,8 @@ func TestRepeatedGraphResultsScale(t *testing.T) {
 	cnf := QueryCNF(1)
 	base, _ := ByName("funding")
 	rep, _ := ByName("g1")
-	ixBase, _ := core.NewEngine().Run(base.Build(), cnf)
-	ixRep, _ := core.NewEngine().Run(rep.Build(), cnf)
+	ixBase, _, _ := core.NewEngine().RunContext(context.Background(), base.Build(), cnf)
+	ixRep, _, _ := core.NewEngine().RunContext(context.Background(), rep.Build(), cnf)
 	if got, want := ixRep.Count("S"), 8*ixBase.Count("S"); got != want {
 		t.Errorf("g1 results = %d, want 8×funding = %d", got, want)
 	}

@@ -72,14 +72,9 @@ func LoadEdgeList(r io.Reader) (*Graph, map[string]int, error) {
 // table, fall back to the decimal id).
 func WriteEdgeList(w io.Writer, g *Graph, names []string) error {
 	bw := bufio.NewWriter(w)
-	render := func(v int) string {
-		if v < len(names) && names[v] != "" {
-			return names[v]
-		}
-		return fmt.Sprintf("%d", v)
-	}
+	t := Names{byID: names} // rendering reads only the id → name side
 	for _, e := range g.Edges() {
-		if _, err := fmt.Fprintf(bw, "%s\t%s\t%s\n", render(e.From), e.Label, render(e.To)); err != nil {
+		if _, err := fmt.Fprintf(bw, "%s\t%s\t%s\n", t.Name(e.From), e.Label, t.Name(e.To)); err != nil {
 			return err
 		}
 	}

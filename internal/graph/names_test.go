@@ -1,0 +1,116 @@
+package graph
+
+import (
+	"errors"
+	"reflect"
+	"testing"
+)
+
+// namesFixture is a 9-node graph whose node 2 is *named* "7" — the case
+// that separates name resolution from id resolution.
+func namesFixture() (*Graph, *Names) {
+	g := New(9)
+	return g, NewNames(g.Nodes(), []string{"a", "b", "7"})
+}
+
+func TestNamesLookup(t *testing.T) {
+	_, names := namesFixture()
+	before := append([]string(nil), names.ByID()...)
+	for _, c := range []struct {
+		tok     string
+		want    int
+		unknown bool // want ErrUnknownNode
+		outside bool // want *RangeError
+	}{
+		{tok: "a", want: 0},
+		{tok: "7", want: 2}, // the node named "7", not id 7
+		{tok: "8", want: 8},
+		{tok: "+5", want: 5},
+		{tok: "007", want: 7}, // a numeral, and not the name "7"
+		{tok: "9", outside: true},
+		{tok: "-1", outside: true},
+		{tok: "99999999999999999999", unknown: true}, // overflows int: not a numeral
+		{tok: "nobody", unknown: true},
+		{tok: "", unknown: true},
+	} {
+		id, err := names.Lookup(c.tok)
+		var re *RangeError
+		switch {
+		case c.unknown:
+			if !errors.Is(err, ErrUnknownNode) {
+				t.Errorf("Lookup(%q) = %d, %v; want ErrUnknownNode", c.tok, id, err)
+			}
+		case c.outside:
+			if !errors.As(err, &re) || re.Nodes != 9 {
+				t.Errorf("Lookup(%q) = %d, %v; want a RangeError over 9 nodes", c.tok, id, err)
+			}
+		case err != nil || id != c.want:
+			t.Errorf("Lookup(%q) = %d, %v; want %d", c.tok, id, err, c.want)
+		}
+	}
+	if !reflect.DeepEqual(names.ByID(), before) {
+		t.Errorf("Lookup changed the table: %q -> %q", before, names.ByID())
+	}
+}
+
+func TestNamesIntern(t *testing.T) {
+	g, names := namesFixture()
+	for _, c := range []struct {
+		tok       string
+		idsOnly   bool
+		want      int
+		wantNodes int
+	}{
+		{"a", false, 0, 9},
+		{"7", false, 2, 9},   // name beats numeral
+		{"7", true, 7, 9},    // ids-only never consults names
+		{"11", true, 11, 12}, // ... and grows the range
+		{"3", false, 3, 12},
+		{"14", false, 14, 15}, // out of range: Lookup fails, Intern grows
+		{"-1", false, 15, 16}, // a negative numeral is a fresh name
+		{"-1", false, 15, 16},
+		{"+5", false, 5, 16},
+		{"007", false, 7, 16},
+		{"99999999999999999999", false, 16, 17}, // overflow: a fresh name
+		{"x", false, 17, 18},
+		{"x", false, 17, 18}, // repeated fresh name, as within one batch
+		{"20", false, 20, 21},
+		{"y", false, 21, 22}, // a fresh node lands past a numeral-grown gap
+	} {
+		if _, err := names.Lookup(c.tok); c.tok == "14" && err == nil {
+			t.Errorf("Lookup(%q) succeeded before Intern grew the range", c.tok)
+		}
+		got := names.Intern(g, c.tok, c.idsOnly)
+		if got != c.want || g.Nodes() != c.wantNodes {
+			t.Errorf("Intern(%q, idsOnly=%v) = %d with %d nodes; want %d with %d",
+				c.tok, c.idsOnly, got, g.Nodes(), c.want, c.wantNodes)
+		}
+		if len(names.ByID()) != g.Nodes() {
+			t.Fatalf("after Intern(%q): table covers %d nodes, graph has %d", c.tok, len(names.ByID()), g.Nodes())
+		}
+		if !c.idsOnly {
+			if id, err := names.Lookup(c.tok); err != nil || id != got {
+				t.Errorf("Lookup(%q) after Intern = %d, %v; want %d", c.tok, id, err, got)
+			}
+		}
+	}
+	for id, want := range map[int]string{0: "a", 2: "7", 7: "7", 15: "-1", 16: "99999999999999999999", 17: "x", 19: "19", 21: "y", 99: "99"} {
+		if got := names.Name(id); got != want {
+			t.Errorf("Name(%d) = %q, want %q", id, got, want)
+		}
+	}
+}
+
+func TestNewNamesFitsTheGraph(t *testing.T) {
+	short := NewNames(3, []string{"a"})
+	long := NewNames(1, []string{"a", "b"})
+	if got := short.ByID(); !reflect.DeepEqual(got, []string{"a", "", ""}) {
+		t.Errorf("padded table = %q", got)
+	}
+	if got := long.ByID(); !reflect.DeepEqual(got, []string{"a"}) {
+		t.Errorf("truncated table = %q", got)
+	}
+	if _, err := long.Lookup("b"); !errors.Is(err, ErrUnknownNode) {
+		t.Errorf("a name beyond the node range resolved: %v", err)
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 )
 
@@ -159,18 +158,9 @@ func LoadNTriples(r io.Reader) (*Graph, map[string]int, error) {
 // a name (none, when the map came from FromTriples) get empty strings.
 func NodeNames(n int, ids map[string]int) []string {
 	names := make([]string, n)
-	type pair struct {
-		name string
-		id   int
-	}
-	pairs := make([]pair, 0, len(ids))
 	for name, id := range ids {
-		pairs = append(pairs, pair{name, id})
-	}
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].id < pairs[j].id })
-	for _, p := range pairs {
-		if p.id >= 0 && p.id < n {
-			names[p.id] = p.name
+		if id >= 0 && id < n {
+			names[id] = name
 		}
 	}
 	return names

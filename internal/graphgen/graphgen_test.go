@@ -1,6 +1,7 @@
 package graphgen
 
 import (
+	"context"
 	"testing"
 
 	"cfpq/internal/core"
@@ -19,7 +20,7 @@ func dyckCount(t *testing.T, s Spec) int {
 	cnf := grammar.MustCNF(grammar.MustParse("S -> a S b | a b"))
 	count := -1
 	for _, be := range matrix.Backends() {
-		ix, _ := core.NewEngine(core.WithBackend(be)).Run(g, cnf)
+		ix, _, _ := core.NewEngine(core.WithBackend(be)).RunContext(context.Background(), g, cnf)
 		if got := ix.Count("S"); count == -1 {
 			count = got
 		} else if got != count {

@@ -6,9 +6,9 @@
 //     non-test packages. A library call that manufactures its own root
 //     context swallows the caller's cancellation and deadline — the bug
 //     this repo's Prepared sugar methods shipped with until cfpqlint
-//     caught them. Deliberate ctx-less convenience wrappers (internal/core's
-//     paper-faithful Run/Update surface) carry //lint:allow suppressions
-//     stating why no caller context exists.
+//     caught them. Code with no caller to inherit from (internal/bench's
+//     standalone harness) carries a //lint:file-allow suppression stating
+//     why no caller context exists.
 //
 //  2. An exported function or method that accepts a context.Context must
 //     use it. Accepting ctx and dropping it on the floor is worse than

@@ -7,7 +7,7 @@
 // through //lint:allow suppression comments.
 //
 // The analyzers themselves live in the subpackages lockscope, ctxflow,
-// walorder, metricname and tracealloc; cmd/cfpqlint is the multichecker
+// walorder and tracealloc; cmd/cfpqlint is the multichecker
 // that runs them all. See the "Static analysis" section of the repository
 // README for what each one enforces and how to suppress a finding.
 package lint

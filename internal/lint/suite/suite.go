@@ -7,7 +7,6 @@ import (
 	"cfpq/internal/lint"
 	"cfpq/internal/lint/ctxflow"
 	"cfpq/internal/lint/lockscope"
-	"cfpq/internal/lint/metricname"
 	"cfpq/internal/lint/tracealloc"
 	"cfpq/internal/lint/walorder"
 )
@@ -17,7 +16,6 @@ func All() []*lint.Analyzer {
 	return []*lint.Analyzer{
 		ctxflow.Analyzer,
 		lockscope.Analyzer,
-		metricname.Analyzer,
 		tracealloc.Analyzer,
 		walorder.Analyzer,
 	}
@@ -48,7 +46,7 @@ func ByName(spec string) ([]*lint.Analyzer, error) {
 type UnknownAnalyzerError struct{ Name string }
 
 func (e *UnknownAnalyzerError) Error() string {
-	return "unknown analyzer " + e.Name + " (have: ctxflow, lockscope, metricname, tracealloc, walorder)"
+	return "unknown analyzer " + e.Name + " (have: ctxflow, lockscope, tracealloc, walorder)"
 }
 
 func splitComma(s string) []string {

@@ -17,58 +17,42 @@ type graphEntry struct {
 
 func (g *graphEntry) AddEdge(a, b int) { g.edges = append(g.edges, a, b) }
 
-// Prepared.AddEdges journals before mutating: the good path, clean.
+// Prepared.AddEdges never journals at all: flagged at the name.
 type Prepared struct {
-	wal   *WAL
-	g     *graphEntry
-	count int
+	g *graphEntry
 }
 
-func (p *Prepared) AddEdges(batch []int) error {
-	if err := p.wal.AppendEdges(batch); err != nil {
-		return err
-	}
+func (p *Prepared) AddEdges(batch []int) { // want `mutation entry point AddEdges never journals`
 	p.g.edges = append(p.g.edges, batch...)
-	p.count += len(batch)
-	return nil
 }
 
-// Service.AddEdges mutates shared state before the journal write: each
-// early mutation is flagged.
+// Service.applyBatch mutates shared state before the journal write: each
+// early mutation is flagged — an assignment, an update, and a mutating
+// method call on a shared entry.
 type Service struct {
-	wal     *WAL
-	entries map[string]*graphEntry
+	wal      *WAL
+	entries  map[string]*graphEntry
+	installs int
 }
 
-func (s *Service) AddEdges(name string, batch []int) error {
+func (s *Service) applyBatch(name string, batch []int) error {
 	ge := s.entries[name]
 	ge.edges = append(ge.edges, batch...) // want `assignment to ge\.edges mutates in-memory state before the journal write`
 	ge.version++                          // want `update of ge\.version mutates in-memory state before the journal write`
+	ge.AddEdge(1, 2)                      // want `ge\.AddEdge mutates in-memory state before the journal write`
 	return s.wal.AppendEdges(batch)
 }
 
-// ApplyReplicatedEdges calls a mutating method on a shared entry before
-// journaling: flagged.
-func (s *Service) ApplyReplicatedEdges(batch []int) error {
-	g := s.entries["default"]
-	g.AddEdge(1, 2) // want `g\.AddEdge mutates in-memory state before the journal write`
-	return s.wal.AppendEdges(batch)
-}
-
-// RegisterGraph populates a freshly allocated entry before the journal
-// write — private until installed, so clean; the install itself happens
-// after the journal call.
-func (s *Service) RegisterGraph(name string) error {
+// installGraph populates a freshly allocated entry before the journal
+// write — private until installed, so clean; the install itself and the
+// receiver's own bookkeeping happen after the journal call.
+func (s *Service) installGraph(name string) error {
 	ge := &graphEntry{}
 	ge.edges = append(ge.edges, 0)
 	if err := s.wal.AppendEdges(nil); err != nil {
 		return err
 	}
 	s.entries[name] = ge
+	s.installs++
 	return nil
-}
-
-// BootstrapGraph never journals at all: flagged at the name.
-func (s *Service) BootstrapGraph(name string) { // want `mutation entry point BootstrapGraph never journals`
-	s.entries[name] = &graphEntry{}
 }

@@ -28,14 +28,16 @@ var Analyzer = &lint.Analyzer{
 }
 
 // entryPoints are the mutation entry points, matched by method name on
-// the given receiver type names. They are the paths PR 4 (durable store)
-// and PR 7 (replication) established the write-ahead protocol on.
+// the given receiver type names: the library handle's AddEdges and the
+// service's one batch-apply, one graph install and one grammar install
+// (its exported mutators all funnel into those). They are the paths PR 4
+// (durable store) and PR 7 (replication) established the write-ahead
+// protocol on.
 var entryPoints = map[string]map[string]bool{
-	"AddEdges":             {"Prepared": true, "Service": true},
-	"ApplyReplicatedEdges": {"Service": true},
-	"RegisterGraph":        {"Service": true},
-	"registerGrammar":      {"Service": true},
-	"BootstrapGraph":       {"Service": true},
+	"AddEdges":        {"Prepared": true},
+	"applyBatch":      {"Service": true},
+	"installGraph":    {"Service": true},
+	"registerGrammar": {"Service": true},
 }
 
 // journalMethods are the calls that constitute the durable write.
@@ -55,13 +57,13 @@ var journalReceivers = map[string]bool{"WAL": true, "Store": true, "Log": true}
 
 // mutMethods are method names that mutate a graph, index or matrix.
 var mutMethods = map[string]bool{
-	"AddEdge":          true,
-	"EnsureNode":       true,
-	"Set":              true,
-	"Or":               true,
-	"AddMul":           true,
-	"Grow":             true,
-	"internReplicated": true,
+	"AddEdge":    true,
+	"EnsureNode": true,
+	"Set":        true,
+	"Or":         true,
+	"AddMul":     true,
+	"Grow":       true,
+	"Intern":     true,
 }
 
 // sharedEntryTypes are per-name state entries: a value of one of these

@@ -85,8 +85,7 @@ func CheckName(kind Kind, name string) error {
 }
 
 // CheckLabel validates a label name: lowercase snake_case, the same rule
-// registration enforces with a panic. Exported so the metricname
-// analyzer applies the registry's exact rule at compile time.
+// registration enforces with a panic.
 func CheckLabel(name string) error {
 	if !labelRe.MatchString(name) {
 		return fmt.Errorf("obs: invalid label name %q", name)

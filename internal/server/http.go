@@ -112,13 +112,12 @@ func Handler(s *Service, opts ...HandlerOption) http.Handler {
 	})
 	mux.HandleFunc("GET /v1/graphs/{name}", func(w http.ResponseWriter, r *http.Request) {
 		name := r.PathValue("name")
-		for _, gi := range s.Graphs() {
-			if gi.Name == name {
-				writeJSON(w, http.StatusOK, gi)
-				return
-			}
+		ge, err := s.graphEntry(name)
+		if err != nil {
+			writeError(w, http.StatusNotFound, fmt.Errorf("unknown graph %q", name))
+			return
 		}
-		writeError(w, http.StatusNotFound, fmt.Errorf("unknown graph %q", name))
+		writeJSON(w, http.StatusOK, ge.info(name))
 	})
 	mux.HandleFunc("PUT /v1/graphs/{name}", func(w http.ResponseWriter, r *http.Request) {
 		name := r.PathValue("name")

@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -64,6 +65,11 @@ func TestHTTPEndToEnd(t *testing.T) {
 	code, body = httpDo(t, srv, http.MethodGet, "/v1/graphs", "")
 	if code != http.StatusOK || len(body["graphs"].([]any)) != 1 {
 		t.Fatalf("GET graphs: %d %v", code, body)
+	}
+	listed := body["graphs"].([]any)[0]
+	code, body = httpDo(t, srv, http.MethodGet, "/v1/graphs/social", "")
+	if code != http.StatusOK || body["name"] != "social" || !reflect.DeepEqual(listed, any(body)) {
+		t.Fatalf("GET graphs/social: %d %v, want the listing's entry %v", code, body, listed)
 	}
 	code, body = httpDo(t, srv, http.MethodGet, "/v1/grammars", "")
 	if code != http.StatusOK || len(body["grammars"].([]any)) != 1 {

@@ -192,7 +192,7 @@ func newObsMetrics(s *Service) *obsMetrics {
 			if s.store == nil {
 				return 0
 			}
-			return float64(s.store.Stats().WALBytes)
+			return float64(s.store.WALBytes())
 		})
 	walCounter := func(pick func(appends, written, fsyncs int64) int64) func() float64 {
 		return func() float64 {

@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -180,12 +181,51 @@ func TestMetricsEndpointUnderConcurrentQueries(t *testing.T) {
 	}
 }
 
+// TestMetricNamesAreVetted pins the registered metric catalogue to a golden
+// list, so a renamed, added or dynamically built metric shows up in review
+// as an edit to this test. (Registration already panics on a malformed name
+// — every test that calls New() trips it — and the walk below keeps the
+// catalogue honest against the same rules: snake_case, _total counters,
+// unit suffixes elsewhere.)
 func TestMetricNamesAreVetted(t *testing.T) {
-	// Registration already panics on a malformed name; this walk keeps the
-	// whole catalogue honest against the naming rules (snake_case, _total
-	// counters, unit suffixes elsewhere) as metrics are added.
-	svc := New()
-	for _, name := range svc.MetricsRegistry().Names() {
+	want := []string{
+		"cfpqd_http_request_duration_seconds",
+		"cfpqd_wal_fsync_duration_seconds",
+		"cfpqd_index_build_duration_seconds",
+		"cfpqd_warm_start_duration_seconds",
+		"cfpqd_index_swap_duration_seconds",
+		"cfpqd_queries_total",
+		"cfpqd_index_builds_total",
+		"cfpqd_warm_starts_total",
+		"cfpqd_updates_total",
+		"cfpqd_edges_added_total",
+		"cfpqd_budget_rejections_total",
+		"cfpqd_persist_errors_total",
+		"cfpqd_replicated_batches_total",
+		"cfpqd_replicated_edges_total",
+		"cfpqd_subscriptions_total",
+		"cfpqd_subscription_events_total",
+		"cfpqd_subscription_pairs_total",
+		"cfpqd_subscription_resyncs_total",
+		"cfpqd_strategies_total",
+		"cfpqd_build_info",
+		"cfpqd_process_uptime_seconds",
+		"cfpqd_replication_lag_records",
+		"cfpqd_replication_lag_bytes",
+		"cfpqd_replication_lag_age_seconds",
+		"cfpqd_subscriptions_active_entries",
+		"cfpqd_subscription_buffer_entries",
+		"cfpqd_subscription_dropped_total",
+		"cfpqd_store_wal_bytes",
+		"cfpqd_wal_appends_total",
+		"cfpqd_wal_written_bytes_total",
+		"cfpqd_wal_fsyncs_total",
+	}
+	got := New().MetricsRegistry().Names()
+	if !slices.Equal(got, want) {
+		t.Errorf("registered metrics differ from the golden list:\n got  %q\n want %q", got, want)
+	}
+	for _, name := range got {
 		kind := obs.KindGauge
 		if strings.HasSuffix(name, "_total") {
 			kind = obs.KindCounter

@@ -57,18 +57,12 @@ func (s *Service) AttachStore(ctx context.Context, st *store.Store) error {
 		names = append(names, name)
 	}
 	sort.Strings(names)
+	// No store is attached yet, so the two installs below write nothing
+	// back to the files they are restoring from.
 	for _, name := range names {
-		gram, err := cfpq.ParseGrammar(grammars[name])
-		if err != nil {
+		if err := s.registerGrammar(name, grammars[name]); err != nil {
 			return fmt.Errorf("server: stored grammar %q: %w", name, err)
 		}
-		cnf, err := cfpq.ToCNF(gram)
-		if err != nil {
-			return fmt.Errorf("server: stored grammar %q: %w", name, err)
-		}
-		s.mu.Lock()
-		s.grammars[name] = &grammarEntry{gram: gram, cnf: cnf, src: grammars[name]}
-		s.mu.Unlock()
 	}
 
 	for _, name := range st.GraphNames() {
@@ -76,27 +70,20 @@ func (s *Service) AttachStore(ctx context.Context, st *store.Store) error {
 		if err != nil {
 			return fmt.Errorf("server: restoring graph %q: %w", name, err)
 		}
-		nameMap := make(map[string]int)
-		for id, n := range byID {
-			if n != "" {
-				nameMap[n] = id
-			}
+		// The persisted stream epoch survives restarts, so a restarted
+		// follower resumes tailing the same leader stream it left.
+		_, epoch, err := st.GraphPos(name)
+		if err != nil {
+			return fmt.Errorf("server: restoring graph %q: %w", name, err)
 		}
-		ge := &graphEntry{g: g, names: nameMap, byID: byID, seq: seq, indexed: seq}
-		if _, epoch, err := st.GraphPos(name); err == nil {
-			// The persisted stream epoch survives restarts, so a restarted
-			// follower resumes tailing the same leader stream it left.
-			ge.epoch = epoch
+		if err := s.installGraph(name, g, byID, seq, epoch); err != nil {
+			return err
 		}
-		s.mu.Lock()
-		s.graphs[name] = ge
-		s.mu.Unlock()
-
 		for _, info := range st.Indexes(name) {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			s.warmStartIndex(ctx, st, ge, info)
+			s.warmStartIndex(ctx, st, info)
 		}
 	}
 
@@ -114,12 +101,13 @@ func (s *Service) AttachStore(ctx context.Context, st *store.Store) error {
 // warmStartIndex restores one saved index as a built cache entry,
 // patching it forward to the graph's recovered seq when the file's
 // watermark is behind. Failures are silent skips (see AttachStore).
-func (s *Service) warmStartIndex(ctx context.Context, st *store.Store, ge *graphEntry, info store.IndexInfo) {
+func (s *Service) warmStartIndex(ctx context.Context, st *store.Store, info store.IndexInfo) {
 	warmStart := time.Now()
 	s.mu.Lock()
+	ge := s.graphs[info.Graph]
 	re := s.grammars[info.Grammar]
 	s.mu.Unlock()
-	if re == nil {
+	if ge == nil || re == nil {
 		return
 	}
 	be, err := cfpq.BackendByName(info.Backend)

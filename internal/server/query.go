@@ -118,117 +118,50 @@ func (s *Service) Do(ctx context.Context, req QueryRequest) (QueryAnswer, error)
 	return ans, nil
 }
 
-// dispatch validates and routes one query to its evaluation path.
+// dispatch validates one query, resolves it and hands it to the planner:
+// Prepared.Do on the cached handle for a grammar query; for an RPQ
+// expression — no registry grammar to cache an index under — a one-shot
+// engine plans from scratch against the request's point-in-time snapshot
+// (restrictions still pick the frontier strategies).
 func (s *Service) dispatch(ctx context.Context, req QueryRequest) (QueryAnswer, error) {
 	if req.Graph == "" {
 		return QueryAnswer{}, errors.New("server: graph is required")
 	}
-	if req.Expr != "" {
+	t := Target{Graph: req.Graph, Grammar: req.Grammar, Backend: req.Backend}
+	var rpq *cfpq.Engine
+	switch {
+	case req.Expr != "":
 		if req.Grammar != "" || req.Nonterminal != "" {
 			return QueryAnswer{}, errors.New("server: expr excludes grammar and nonterminal")
 		}
-		return s.doExpr(ctx, req)
-	}
-	if req.Grammar == "" {
+		backend, err := cfpq.BackendByName(t.key().Backend)
+		if err != nil {
+			return QueryAnswer{}, err
+		}
+		rpq = cfpq.NewEngine(backend, cfpq.WithMemoryBudget(s.budget.Load()))
+	case req.Grammar == "":
 		return QueryAnswer{}, errors.New("server: grammar is required for nonterminal queries")
-	}
-	if req.Nonterminal == "" {
+	case req.Nonterminal == "":
 		return QueryAnswer{}, errors.New("server: one of nonterminal or expr is required")
 	}
-	t := Target{Graph: req.Graph, Grammar: req.Grammar, Backend: req.Backend}
-	e, p, err := s.index(ctx, t)
+	ge, p, creq, err := s.resolve(ctx, t, req.Nonterminal, req.Expr, req.Sources, req.Targets)
 	if err != nil {
 		return QueryAnswer{}, err
 	}
-	// Prepared answers unknown non-terminals with a plain error; the
-	// service contract is 404.
-	if err := checkNonterminal(p, req.Nonterminal); err != nil {
-		return QueryAnswer{}, err
+	creq.Output = cfpq.Output(req.Output)
+	creq.Limit = req.Limit
+	creq.MaxPathLength = req.MaxPathLength
+	creq.Trace = req.Trace
+	var res *cfpq.Result
+	if rpq != nil {
+		res, err = rpq.Do(ctx, creq)
+	} else {
+		res, err = p.Do(ctx, creq)
 	}
-	e.ge.mu.RLock()
-	sources, errS := resolveRestrictionLocked(e.ge, req.Sources)
-	targets, errT := resolveRestrictionLocked(e.ge, req.Targets)
-	e.ge.mu.RUnlock()
-	if errS != nil {
-		return QueryAnswer{}, errS
-	}
-	if errT != nil {
-		return QueryAnswer{}, errT
-	}
-	res, err := p.Do(ctx, cfpq.Request{
-		Nonterminal:   req.Nonterminal,
-		Sources:       sources,
-		Targets:       targets,
-		Output:        cfpq.Output(req.Output),
-		Limit:         req.Limit,
-		MaxPathLength: req.MaxPathLength,
-		Trace:         req.Trace,
-	})
-	if err != nil {
-		return QueryAnswer{}, s.noteErr(err)
-	}
-	return renderAnswer(e.ge, req, res), nil
-}
-
-// doExpr answers an RPQ request: expressions have no registry grammar to
-// cache an index under, so the engine plans them from scratch against a
-// point-in-time snapshot of the graph (restrictions still pick the
-// frontier strategies).
-func (s *Service) doExpr(ctx context.Context, req QueryRequest) (QueryAnswer, error) {
-	be := req.Backend
-	if be == "" {
-		be = DefaultBackend
-	}
-	backend, err := BackendByName(be)
-	if err != nil {
-		return QueryAnswer{}, err
-	}
-	ge, err := s.graphEntry(req.Graph)
-	if err != nil {
-		return QueryAnswer{}, err
-	}
-	ge.mu.RLock()
-	snapshot := ge.g.Clone()
-	sources, errS := resolveRestrictionLocked(ge, req.Sources)
-	targets, errT := resolveRestrictionLocked(ge, req.Targets)
-	ge.mu.RUnlock()
-	if errS != nil {
-		return QueryAnswer{}, errS
-	}
-	if errT != nil {
-		return QueryAnswer{}, errT
-	}
-	res, err := cfpq.NewEngine(backend, cfpq.WithMemoryBudget(s.budget.Load())).Do(ctx, cfpq.Request{
-		Graph:         snapshot,
-		Expr:          req.Expr,
-		Sources:       sources,
-		Targets:       targets,
-		Output:        cfpq.Output(req.Output),
-		Limit:         req.Limit,
-		MaxPathLength: req.MaxPathLength,
-		Trace:         req.Trace,
-	})
 	if err != nil {
 		return QueryAnswer{}, s.noteErr(err)
 	}
 	return renderAnswer(ge, req, res), nil
-}
-
-// resolveRestrictionLocked maps restriction node names to ids; nil stays
-// nil (unrestricted). Callers hold the graph entry's lock.
-func resolveRestrictionLocked(ge *graphEntry, tokens []string) ([]int, error) {
-	if tokens == nil {
-		return nil, nil
-	}
-	out := make([]int, 0, len(tokens))
-	for _, tok := range tokens {
-		id, err := ge.resolveNode(tok)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, id)
-	}
-	return out, nil
 }
 
 // renderAnswer shapes a planner Result into the wire answer, resolving
@@ -256,7 +189,7 @@ func renderAnswer(ge *graphEntry, req QueryRequest, res *cfpq.Result) QueryAnswe
 		for k, path := range paths {
 			steps := make([]PathStep, len(path))
 			for x, e := range path {
-				steps[x] = PathStep{From: ge.nodeName(e.From), Label: e.Label, To: ge.nodeName(e.To)}
+				steps[x] = PathStep{From: ge.names.Name(e.From), Label: e.Label, To: ge.names.Name(e.To)}
 			}
 			ans.Paths[k] = steps
 		}
@@ -269,7 +202,7 @@ func renderAnswer(ge *graphEntry, req QueryRequest, res *cfpq.Result) QueryAnswe
 		ge.mu.RLock()
 		ans.Pairs = make([]NamedPair, len(pairs))
 		for k, pr := range pairs {
-			ans.Pairs[k] = NamedPair{From: ge.nodeName(pr.I), To: ge.nodeName(pr.J)}
+			ans.Pairs[k] = NamedPair{From: ge.names.Name(pr.I), To: ge.names.Name(pr.J)}
 		}
 		ge.mu.RUnlock()
 	}

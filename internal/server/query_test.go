@@ -141,6 +141,51 @@ func TestHTTPErrorEnvelope(t *testing.T) {
 	}
 }
 
+// TestSameErrorOnEveryRoute: one resolve stands behind /v1/query,
+// /v1/subscribe and /v1/query/batch, so the same bad name draws the same
+// status and the same error text whichever route carried it. The batch
+// route fails the whole call only for its target (graph, grammar, backend);
+// what one spec names wrongly is that spec's "error", with the same text.
+func TestSameErrorOnEveryRoute(t *testing.T) {
+	srv := queryTestServer(t)
+	for _, tc := range []struct {
+		name      string
+		target    string // graph, grammar and backend fields
+		rest      string // nonterminal and sources fields
+		status    int
+		wholeCall bool // the batch route fails as a whole
+	}{
+		{"unknown graph", `"graph":"nope","grammar":"reach"`, `"nonterminal":"S"`, http.StatusNotFound, true},
+		{"unknown grammar", `"graph":"social","grammar":"nope"`, `"nonterminal":"S"`, http.StatusNotFound, true},
+		{"unknown backend", `"graph":"social","grammar":"reach","backend":"gpu"`, `"nonterminal":"S"`, http.StatusBadRequest, true},
+		{"unknown non-terminal", `"graph":"social","grammar":"reach"`, `"nonterminal":"Nope"`, http.StatusNotFound, false},
+		{"unknown node", `"graph":"social","grammar":"reach"`, `"nonterminal":"S","sources":["nobody"]`, http.StatusNotFound, false},
+		{"node id out of range", `"graph":"social","grammar":"reach"`, `"nonterminal":"S","sources":["99"]`, http.StatusBadRequest, false},
+	} {
+		single := "{" + tc.target + "," + tc.rest + "}"
+		code, body := httpDo(t, srv, http.MethodPost, "/v1/query", single)
+		want, _ := body["error"].(string)
+		if code != tc.status || want == "" {
+			t.Errorf("%s: /v1/query answered %d %v, want %d with an error", tc.name, code, body, tc.status)
+			continue
+		}
+		if code, body := httpDo(t, srv, http.MethodPost, "/v1/subscribe", single); code != tc.status || body["error"] != want {
+			t.Errorf("%s: /v1/subscribe answered %d %v, want %d %q", tc.name, code, body["error"], tc.status, want)
+		}
+		code, body = httpDo(t, srv, http.MethodPost, "/v1/query/batch", "{"+tc.target+`,"queries":[{`+tc.rest+"}]}")
+		if tc.wholeCall {
+			if code != tc.status || body["error"] != want {
+				t.Errorf("%s: /v1/query/batch answered %d %v, want %d %q", tc.name, code, body["error"], tc.status, want)
+			}
+			continue
+		}
+		results, _ := body["results"].([]any)
+		if code != http.StatusOK || len(results) != 1 || results[0].(map[string]any)["error"] != want {
+			t.Errorf("%s: /v1/query/batch answered %d %v, want 200 with the spec's error %q", tc.name, code, body, want)
+		}
+	}
+}
+
 // TestDebugVarsStrategyCounters asserts the per-strategy counters are
 // exposed and move with the plans the service executes.
 func TestDebugVarsStrategyCounters(t *testing.T) {

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -122,7 +123,7 @@ func TestConcurrentQueriesDuringUpdates(t *testing.T) {
 	}
 	gFinal := graph.Word(finalWord)
 	cnf := mustCNF(t, anbnGrammar)
-	coldIx, coldStats := core.NewEngine(core.WithBackend(matrix.Sparse())).Run(gFinal, cnf)
+	coldIx, coldStats, _ := core.NewEngine(core.WithBackend(matrix.Sparse())).RunContext(context.Background(), gFinal, cnf)
 	wantCount := coldIx.Count("S")
 	if wantCount <= k-1 {
 		t.Fatalf("test is vacuous: updates added no pairs (count %d)", wantCount)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strconv"
 	"time"
 
 	"cfpq/internal/graph"
@@ -268,48 +267,7 @@ func (s *Service) ApplyGrammar(name, text string) error {
 // durable follower the snapshot is persisted via the same write-ahead
 // ordering RegisterGraph uses.
 func (s *Service) BootstrapGraph(name string, g *graph.Graph, names []string, seq, epoch uint64) error {
-	if name == "" {
-		return fmt.Errorf("server: empty graph name")
-	}
-	if g == nil {
-		return fmt.Errorf("server: nil graph")
-	}
-	byID := make([]string, g.Nodes())
-	copy(byID, names)
-	nameMap := make(map[string]int)
-	for id, n := range byID {
-		if n != "" {
-			nameMap[n] = id
-		}
-	}
-	ge := &graphEntry{g: g, names: nameMap, byID: byID, seq: seq, indexed: seq, epoch: epoch}
-	// Same replacement protocol as RegisterGraph: hold the old entry's
-	// write lock across the store replacement and the registry swap so no
-	// replicated batch can journal into the new WAL while mutating the
-	// orphaned entry.
-	s.mu.Lock()
-	old := s.graphs[name]
-	s.mu.Unlock()
-	if old != nil {
-		old.mu.Lock()
-	}
-	if s.store != nil {
-		if err := s.store.CreateGraphAt(name, g, byID, seq, epoch); err != nil {
-			if old != nil {
-				old.mu.Unlock()
-			}
-			return err
-		}
-	}
-	s.mu.Lock()
-	s.graphs[name] = ge
-	dropped := s.removeIndexesLocked(func(k IndexKey) bool { return k.Graph == name })
-	s.mu.Unlock()
-	if old != nil {
-		old.mu.Unlock()
-	}
-	markStale(dropped)
-	return nil
+	return s.installGraph(name, g, names, seq, epoch)
 }
 
 // GraphPos reports a graph's local stream position and epoch — the pair
@@ -326,13 +284,14 @@ func (s *Service) GraphPos(name string) (seq, epoch uint64, ok bool) {
 	return ge.seq, ge.epoch, true
 }
 
-// ApplyReplicatedEdges applies one WAL batch from the replication stream:
-// journaled write-ahead into the follower's own store (durable followers)
-// with the leader's record kind, folded into the in-memory graph with the
-// store-mirror interning rules, and patched into every cached index via
-// the incremental delta closure. endSeq is the leader's seq after the
-// batch; a position mismatch returns an error wrapping store.ErrSeqMismatch
-// and the replicator re-bootstraps instead of diverging.
+// ApplyReplicatedEdges applies one WAL batch from the replication stream
+// through applyBatch, the path AddEdges takes: journaled write-ahead into
+// the follower's own store (durable followers) with the leader's record
+// kind, folded into the in-memory graph by the same name table the leader's
+// store mirror interns through, and patched into every cached index via the
+// incremental delta closure. endSeq is the leader's seq after the batch; a
+// position mismatch returns an error wrapping store.ErrSeqMismatch and the
+// replicator re-bootstraps instead of diverging.
 func (s *Service) ApplyReplicatedEdges(ctx context.Context, graphName string, kind store.RecordKind, recs []store.EdgeRecord, endSeq uint64) error {
 	if !kind.Valid() {
 		return fmt.Errorf("server: unknown WAL record kind %d", byte(kind))
@@ -341,100 +300,15 @@ func (s *Service) ApplyReplicatedEdges(ctx context.Context, graphName string, ki
 		return fmt.Errorf("server: batch of %d records cannot end at seq %d: %w",
 			len(recs), endSeq, store.ErrSeqMismatch)
 	}
-	start := endSeq - uint64(len(recs))
-	ge, err := s.graphEntry(graphName)
-	if err != nil {
-		return err
-	}
-
-	ge.mu.Lock()
-	s.mu.Lock()
-	current := s.graphs[graphName] == ge
-	s.mu.Unlock()
-	if !current {
-		ge.mu.Unlock()
-		return fmt.Errorf("server: graph %q was replaced during the apply; retry", graphName)
-	}
-	if ge.seq != start {
-		ge.mu.Unlock()
-		return fmt.Errorf("server: graph %q: replicated batch starts at seq %d but the local stream is at %d: %w",
-			graphName, start, ge.seq, store.ErrSeqMismatch)
-	}
 	for _, r := range recs {
 		if r.Label == "" || r.From == "" || r.To == "" {
-			ge.mu.Unlock()
 			return fmt.Errorf("server: replicated record %+v has an empty token", r)
 		}
 	}
-	if s.store != nil {
-		// Write-ahead, like AddEdges: the frame lands fsynced in the local
-		// WAL (with the leader's kind, so local replay reproduces the exact
-		// id assignment) before the first in-memory mutation.
-		//lint:allow cfpqlint/lockscope write-ahead protocol: the replicated frame MUST be journaled under the entry lock before the in-memory apply
-		if err := s.store.AppendReplicated(graphName, kind, recs, endSeq); err != nil {
-			ge.mu.Unlock()
-			return fmt.Errorf("server: journaling replicated batch: %w", err)
-		}
+	res, err := s.applyBatch(ctx, graphName, kind, recs, true, endSeq)
+	if err == nil {
+		s.obs.replBatches.Inc()
+		s.obs.replEdges.Add(uint64(res.Added))
 	}
-	edges := make([]graph.Edge, 0, len(recs))
-	maxNode := -1
-	for _, r := range recs {
-		from := ge.internReplicated(r.From, kind)
-		to := ge.internReplicated(r.To, kind)
-		ge.g.AddEdge(from, r.Label, to)
-		edges = append(edges, graph.Edge{From: from, Label: r.Label, To: to})
-		if from > maxNode {
-			maxNode = from
-		}
-		if to > maxNode {
-			maxNode = to
-		}
-	}
-	ge.seq = endSeq
-	ge.version++
-	ge.patching++
-	ge.mu.Unlock()
-	s.obs.replBatches.Inc()
-	s.obs.replEdges.Add(uint64(len(edges)))
-
-	var res UpdateResult
-	s.patchIndexes(ctx, graphName, ge, edges, maxNode, &res)
-	return nil
-}
-
-// internReplicated resolves one replicated endpoint token with the store
-// mirror's rules — names first, then numeric ids growing the node range,
-// then intern-as-new — so a follower's in-memory graph evolves exactly as
-// the leader's mirror (and its own WAL replay) does. RecordIDs tokens
-// resolve as canonical ids and never consult the name table. Callers hold
-// ge.mu for writing.
-func (ge *graphEntry) internReplicated(tok string, kind store.RecordKind) int {
-	if kind == store.RecordIDs {
-		id, _ := strconv.Atoi(tok)
-		ge.growNodes(id + 1)
-		return id
-	}
-	if id, ok := ge.names[tok]; ok {
-		return id
-	}
-	if id, err := strconv.Atoi(tok); err == nil && id >= 0 {
-		ge.growNodes(id + 1)
-		return id
-	}
-	id := ge.g.Nodes()
-	ge.growNodes(id + 1)
-	ge.byID[id] = tok
-	ge.names[tok] = id
-	return id
-}
-
-// growNodes extends the node range to at least n and pads the id→name
-// table to match. Callers hold ge.mu for writing.
-func (ge *graphEntry) growNodes(n int) {
-	if n > ge.g.Nodes() {
-		ge.g.EnsureNode(n - 1)
-	}
-	for len(ge.byID) < ge.g.Nodes() {
-		ge.byID = append(ge.byID, "")
-	}
+	return err
 }

@@ -4,8 +4,21 @@
 // and incremental-update machinery itself lives in the public API — each
 // cache slot holds a cfpq.Prepared handle, which answers concurrent
 // queries from a pinned, immutable index version and absorbs edge updates
-// by publishing the next one — so this package keeps only registry and
-// naming concerns.
+// by publishing the next one — and which node a token names is decided by
+// graph.Names, so this package keeps only registry concerns, one path each:
+//
+//   - installGraph builds a graphEntry and swaps it into the registry,
+//     behind RegisterGraph, BootstrapGraph (follower) and AttachStore
+//     (recovery).
+//   - applyBatch takes an edge batch into a graph — lock, registry-identity
+//     re-check, validate, journal write-ahead, intern, add, advance seq —
+//     and ends in patchIndexes, behind AddEdges (the leader's write gate and
+//     its rejection of out-of-range numeric ids) and ApplyReplicatedEdges
+//     (the leader's record kind, seq continuity). A follower therefore
+//     interns, journals and patches exactly as the leader did.
+//   - resolve binds a request's registry names, non-terminal and node tokens
+//     to the graph entry, the cached handle and a cfpq.Request, behind
+//     POST /v1/query (grammar and RPQ), /v1/query/batch and /v1/subscribe.
 //
 // Concurrency design. Readers never wait for a closure: a query resolves a
 // built slot through indexEntry.ready (an atomic pointer, no entry lock)
@@ -16,24 +29,26 @@
 //     never held while acquiring an entry lock, or across anything slow.
 //   - indexEntry.mu (Mutex) is a slot's writer-side lock: it serialises
 //     the build-once closure, each incremental patch (patchIndexes holds
-//     it through Prepared.AddEdges, on the leader and on the follower's
-//     replicated-apply path alike) and invalidation. Only a query that
+//     it through Prepared.AddEdges) and invalidation. Only a query that
 //     finds the slot not ready takes it; the cfpq.Prepared inside has its
 //     own writer mutex, and an RWMutex held just to pin or swap a version.
 //   - graphEntry.mu (RWMutex) guards one graph's edge set and name table.
 //     It MAY be acquired while holding an indexEntry.mu (the build path
-//     does, to snapshot the graph), NEVER the other way around.
+//     does, to snapshot the graph), NEVER the other way around. The one
+//     slow thing done under it is applyBatch's fsynced WAL append: the
+//     write-ahead protocol needs journal order to equal apply order.
 //
 // Every Prepared owns a private snapshot of its graph, taken at build
-// time; AddEdges patches each cached handle with the same edges it applied
+// time; applyBatch patches each cached handle with the same edges it applied
 // to the registry graph. A query registers its index entry in the cache
-// *before* snapshotting the graph, and AddEdges walks the cache *after*
+// *before* snapshotting the graph, and applyBatch walks the cache *after*
 // mutating the graph; the two orderings together guarantee every cached
 // index either saw the new edges when it was built or is patched by the
 // update — no lost updates (re-applying edges a build already saw is a
-// no-op: graphs deduplicate and the delta seeds only missing bits).
-// Updates whose edges grow the node set invalidate the affected slots;
-// they rebuild at the larger dimension on next use.
+// no-op: the registry graph is a multigraph and keeps parallel edges, but
+// Prepared.AddEdges skips edges its snapshot holds and the delta seeds only
+// missing bits). Updates whose edges grow the node set invalidate the
+// affected slots; they rebuild at the larger dimension on next use.
 package server
 
 import (
@@ -43,7 +58,6 @@ import (
 	"io"
 	"log/slog"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -204,11 +218,10 @@ func (s *Service) slowQueryLogger() *slog.Logger {
 type graphEntry struct {
 	mu      sync.RWMutex
 	g       *graph.Graph
-	names   map[string]int // node name → id; may be empty for id-only graphs
-	byID    []string       // node id → name, grown lazily with names
-	version int            // bumped on every successful mutation
-	seq     uint64         // durable edge-stream position (store attached)
-	epoch   uint64         // edge-stream identity (replication); 0 when untracked
+	names   *graph.Names // which node a token names; all-unnamed for id-only graphs
+	version int          // bumped on every successful mutation
+	seq     uint64       // edge-stream position: edges applied since the stream began
+	epoch   uint64       // edge-stream identity (replication); 0 when untracked
 
 	// patching counts mutations that have bumped seq but whose patchIndexes
 	// has not returned; indexed is seq as of the last moment it was zero —
@@ -257,12 +270,6 @@ func (e *indexEntry) invalidate() {
 	e.ready.Store(nil)
 }
 
-// BackendByName resolves one of the four paper backends by its Name(); the
-// library error already names the valid choices.
-func BackendByName(name string) (cfpq.Backend, error) {
-	return cfpq.BackendByName(name)
-}
-
 // DefaultBackend is used when a query names no backend.
 const DefaultBackend = "sparse"
 
@@ -275,30 +282,40 @@ func (s *Service) RegisterGraph(name string, g *graph.Graph, names map[string]in
 	if err := s.writable(); err != nil {
 		return err
 	}
+	if g == nil {
+		return fmt.Errorf("server: nil graph")
+	}
+	for n, id := range names {
+		if id < 0 || id >= g.Nodes() {
+			// An out-of-range mapping has no row in the name table: the
+			// name would be dropped and silently intern as a different,
+			// fresh node on the first AddEdges through it.
+			return fmt.Errorf("server: name %q maps to node %d, outside [0,%d)", n, id, g.Nodes())
+		}
+	}
+	return s.installGraph(name, g, graph.NodeNames(g.Nodes(), names), 0, 0)
+}
+
+// installGraph is the one place a graphEntry is built and swapped into the
+// registry — behind RegisterGraph (seq 0, epoch 0 = mint a fresh stream),
+// BootstrapGraph (the leader's position and epoch) and AttachStore (the
+// recovered ones; no store is attached yet, so nothing is written back).
+// names is the id → name table. Every cached index on a replaced graph is
+// dropped: its node-id namespace died with the old copy.
+func (s *Service) installGraph(name string, g *graph.Graph, names []string, seq, epoch uint64) error {
 	if name == "" {
 		return fmt.Errorf("server: empty graph name")
 	}
 	if g == nil {
 		return fmt.Errorf("server: nil graph")
 	}
-	if names == nil {
-		names = map[string]int{}
-	}
-	for n, id := range names {
-		if id < 0 || id >= g.Nodes() {
-			// An out-of-range mapping would silently grow the graph on
-			// the first AddEdges through it and desynchronise the
-			// id→name table; reject it up front.
-			return fmt.Errorf("server: name %q maps to node %d, outside [0,%d)", n, id, g.Nodes())
-		}
-	}
-	ge := &graphEntry{g: g, names: names, byID: invertNames(g.Nodes(), names)}
+	ge := &graphEntry{g: g, names: graph.NewNames(g.Nodes(), names), seq: seq, indexed: seq, epoch: epoch}
 	// Hold the replaced entry's write lock across the store replacement
-	// AND the registry swap: an AddEdges on the old entry either finishes
-	// entirely before this (its WAL record lands in the old log, removed
-	// with it) or re-checks registry identity after we are done and
-	// rejects — no batch can be journaled into the replacement's WAL
-	// while its in-memory mutation lands on the orphaned entry.
+	// AND the registry swap: a batch applied to the old entry either
+	// finishes entirely before this (its WAL record lands in the old log,
+	// removed with it) or re-checks registry identity after we are done and
+	// rejects — no batch can be journaled into the replacement's WAL while
+	// its in-memory mutation lands on the orphaned entry.
 	s.mu.Lock()
 	old := s.graphs[name]
 	s.mu.Unlock()
@@ -309,16 +326,16 @@ func (s *Service) RegisterGraph(name string, g *graph.Graph, names map[string]in
 		// Persist before installing (write-ahead): a failed snapshot write
 		// leaves neither side registered. Replacing a stored graph drops
 		// its WAL and saved indexes along with the old snapshot.
-		if err := s.store.CreateGraph(name, g, ge.byID); err != nil {
+		if err := s.store.CreateGraphAt(name, g, names, seq, epoch); err != nil {
 			if old != nil {
 				old.mu.Unlock()
 			}
 			return err
 		}
-		// Mirror the freshly minted stream epoch so followers attached to
-		// this node can pin their positions to it.
-		if _, epoch, err := s.store.GraphPos(name); err == nil {
-			ge.epoch = epoch
+		// Mirror the stream epoch (freshly minted when ours was 0) so
+		// followers attached to this node can pin their positions to it.
+		if _, minted, err := s.store.GraphPos(name); err == nil {
+			ge.epoch = minted
 		}
 	}
 	s.mu.Lock()
@@ -465,13 +482,17 @@ func (s *Service) Graphs() []GraphInfo {
 	s.mu.Unlock()
 	out := make([]GraphInfo, 0, len(entries))
 	for n, e := range entries {
-		e.mu.RLock()
-		st := e.g.Stats()
-		out = append(out, GraphInfo{Name: n, Nodes: st.Nodes, Edges: st.Edges, Labels: st.Labels, Version: e.version})
-		e.mu.RUnlock()
+		out = append(out, e.info(n))
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
+}
+
+func (ge *graphEntry) info(name string) GraphInfo {
+	ge.mu.RLock()
+	defer ge.mu.RUnlock()
+	st := ge.g.Stats()
+	return GraphInfo{Name: name, Nodes: st.Nodes, Edges: st.Edges, Labels: st.Labels, Version: ge.version}
 }
 
 // GrammarInfo describes one registered grammar.
@@ -529,7 +550,7 @@ func (t Target) key() IndexKey {
 // an update of this one.
 func (s *Service) index(ctx context.Context, t Target) (*indexEntry, *cfpq.Prepared, error) {
 	key := t.key()
-	be, err := BackendByName(key.Backend)
+	be, err := cfpq.BackendByName(key.Backend)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -591,40 +612,6 @@ func (s *Service) index(ctx context.Context, t Target) (*indexEntry, *cfpq.Prepa
 	return e, e.p, nil
 }
 
-// resolveNode maps a node name (or decimal id, for graphs without a name
-// table entry) to its id. Callers hold the graph entry's lock.
-func (ge *graphEntry) resolveNode(tok string) (int, error) {
-	if id, ok := ge.names[tok]; ok {
-		return id, nil
-	}
-	if id, err := strconv.Atoi(tok); err == nil {
-		if id < 0 || id >= ge.g.Nodes() {
-			return 0, fmt.Errorf("server: node id %d out of range [0,%d)", id, ge.g.Nodes())
-		}
-		return id, nil
-	}
-	return 0, notFoundf("server: unknown node %q", tok)
-}
-
-// nodeName renders a node id through the graph's name table, falling back
-// to the decimal id. Callers hold the graph entry's lock.
-func (ge *graphEntry) nodeName(id int) string {
-	if id < len(ge.byID) && ge.byID[id] != "" {
-		return ge.byID[id]
-	}
-	return strconv.Itoa(id)
-}
-
-func invertNames(n int, names map[string]int) []string {
-	byID := make([]string, n)
-	for name, id := range names {
-		if id >= 0 && id < n {
-			byID[id] = name
-		}
-	}
-	return byID
-}
-
 func (s *Service) graphEntry(name string) (*graphEntry, error) {
 	s.mu.Lock()
 	ge := s.graphs[name]
@@ -635,13 +622,79 @@ func (s *Service) graphEntry(name string) (*graphEntry, error) {
 	return ge, nil
 }
 
-// checkNonterminal guards query errors: Prepared answers unknown
-// non-terminals with empty relations, but the service contract is 404.
-func checkNonterminal(p *cfpq.Prepared, nt string) error {
-	if _, ok := p.CNF().Index(nt); !ok {
-		return notFoundf("server: unknown non-terminal %q", nt)
+// resolve is the service's one request-resolve: it binds what a request
+// names — the (graph, grammar, backend) target, a non-terminal or an RPQ
+// expression, restriction node tokens — to the graph entry, the cached
+// handle and a cfpq.Request. POST /v1/query (both branches) and
+// /v1/subscribe go through it, and /v1/query/batch through its two halves
+// (index once, request per spec), so one bad name gets one error whichever
+// route carried it. An expression has no registry grammar to cache an index
+// under: the handle is nil and the request carries the expression and a
+// point-in-time snapshot of the graph for an engine to plan from scratch.
+func (s *Service) resolve(ctx context.Context, t Target, nonterminal, expr string, sources, targets []string) (*graphEntry, *cfpq.Prepared, cfpq.Request, error) {
+	var (
+		ge *graphEntry
+		p  *cfpq.Prepared
+	)
+	if expr != "" {
+		var err error
+		if ge, err = s.graphEntry(t.Graph); err != nil {
+			return nil, nil, cfpq.Request{}, err
+		}
+	} else {
+		e, built, err := s.index(ctx, t)
+		if err != nil {
+			return nil, nil, cfpq.Request{}, err
+		}
+		ge, p = e.ge, built
 	}
-	return nil
+	ge.mu.RLock()
+	defer ge.mu.RUnlock()
+	req, err := ge.request(p, nonterminal, sources, targets)
+	if err == nil && expr != "" {
+		req.Expr, req.Graph = expr, ge.g.Clone()
+	}
+	return ge, p, req, err
+}
+
+// request resolves what a request names inside its target: the non-terminal
+// against the handle's grammar (Prepared answers an unknown one with an
+// empty relation or a plain error; the service contract is 404) and the
+// restriction tokens against the graph's name table — nil stays nil
+// (unrestricted), an empty list stays an empty restriction. p is nil for an
+// RPQ expression, which names no non-terminal. Callers hold ge.mu.
+func (ge *graphEntry) request(p *cfpq.Prepared, nonterminal string, sources, targets []string) (cfpq.Request, error) {
+	req := cfpq.Request{Nonterminal: nonterminal}
+	if p != nil {
+		if _, ok := p.CNF().Index(nonterminal); !ok {
+			return req, notFoundf("server: unknown non-terminal %q", nonterminal)
+		}
+	}
+	var err error
+	if req.Sources, err = ge.nodeIDs(sources); err != nil {
+		return req, err
+	}
+	req.Targets, err = ge.nodeIDs(targets)
+	return req, err
+}
+
+// nodeIDs maps node tokens to ids through the graph's name table; nil
+// stays nil. Callers hold ge.mu.
+func (ge *graphEntry) nodeIDs(tokens []string) ([]int, error) {
+	if tokens == nil {
+		return nil, nil
+	}
+	out := make([]int, 0, len(tokens))
+	for _, tok := range tokens {
+		id, err := ge.names.Lookup(tok)
+		if errors.Is(err, graph.ErrUnknownNode) {
+			return nil, notFoundf("server: unknown node %q", tok)
+		} else if err != nil {
+			return nil, fmt.Errorf("server: %w", err)
+		}
+		out = append(out, id)
+	}
+	return out, nil
 }
 
 // NamedPair is one relation element with node names resolved.
@@ -700,7 +753,7 @@ func (s *Service) QueryBatch(ctx context.Context, t Target, specs []BatchQuerySp
 			op = "relation"
 		}
 		answers[i] = BatchAnswer{Op: op, Nonterminal: spec.Nonterminal}
-		req, err := specRequest(e.ge, op, spec)
+		req, err := specRequest(e.ge, p, op, spec)
 		if err != nil {
 			answers[i].Error = err.Error()
 			continue
@@ -732,7 +785,7 @@ func (s *Service) QueryBatch(ctx context.Context, t Target, specs []BatchQuerySp
 			answers[i].Count = &count
 			pairs := make([]NamedPair, 0, count)
 			for pr := range r.Result.Pairs() {
-				pairs = append(pairs, NamedPair{From: e.ge.nodeName(pr.I), To: e.ge.nodeName(pr.J)})
+				pairs = append(pairs, NamedPair{From: e.ge.names.Name(pr.I), To: e.ge.names.Name(pr.J)})
 			}
 			answers[i].Pairs = pairs
 		}
@@ -742,21 +795,12 @@ func (s *Service) QueryBatch(ctx context.Context, t Target, specs []BatchQuerySp
 
 // specRequest translates one batch spec into a declarative
 // Request; callers hold the graph entry's lock for name resolution.
-func specRequest(ge *graphEntry, op string, spec BatchQuerySpec) (cfpq.Request, error) {
-	req := cfpq.Request{Nonterminal: spec.Nonterminal}
+func specRequest(ge *graphEntry, p *cfpq.Prepared, op string, spec BatchQuerySpec) (cfpq.Request, error) {
 	switch op {
 	case "has":
-		from, err := ge.resolveNode(spec.From)
-		if err != nil {
-			return req, err
-		}
-		to, err := ge.resolveNode(spec.To)
-		if err != nil {
-			return req, err
-		}
+		req, err := ge.request(p, spec.Nonterminal, []string{spec.From}, []string{spec.To})
 		req.Output = cfpq.OutputExists
-		req.Sources, req.Targets = []int{from}, []int{to}
-		return req, nil
+		return req, err
 	case "count", "relation", "count-from", "relation-from":
 		sources := spec.Sources
 		if (op == "count-from" || op == "relation-from") && sources == nil {
@@ -764,19 +808,13 @@ func specRequest(ge *graphEntry, op string, spec BatchQuerySpec) (cfpq.Request, 
 			// empty answer), not as unrestricted.
 			sources = []string{}
 		}
-		var err error
-		if req.Sources, err = resolveRestrictionLocked(ge, sources); err != nil {
-			return req, err
-		}
-		if req.Targets, err = resolveRestrictionLocked(ge, spec.Targets); err != nil {
-			return req, err
-		}
+		req, err := ge.request(p, spec.Nonterminal, sources, spec.Targets)
 		if op == "count" || op == "count-from" {
 			req.Output = cfpq.OutputCount
 		}
-		return req, nil
+		return req, err
 	default:
-		return req, fmt.Errorf("server: unknown batch op %q", op)
+		return cfpq.Request{}, fmt.Errorf("server: unknown batch op %q", op)
 	}
 }
 
@@ -811,20 +849,90 @@ type UpdateResult struct {
 // the graph are patched with the incremental delta closure
 // (Prepared.AddEdges); handles outgrown by new nodes are invalidated.
 func (s *Service) AddEdges(ctx context.Context, graphName string, specs []EdgeSpec) (UpdateResult, error) {
-	var res UpdateResult
 	if err := s.writable(); err != nil {
-		return res, err
+		return UpdateResult{}, err
 	}
+	recs := make([]store.EdgeRecord, len(specs))
+	for i, spec := range specs {
+		if spec.Label == "" {
+			return UpdateResult{}, fmt.Errorf("server: edge %v has empty label", spec)
+		}
+		if spec.From == "" || spec.To == "" {
+			// An empty token would intern as a node whose "name" cannot
+			// round-trip through the durable store's name table.
+			return UpdateResult{}, fmt.Errorf("server: edge %v has an empty endpoint", spec)
+		}
+		recs[i] = store.EdgeRecord{From: spec.From, Label: spec.Label, To: spec.To}
+	}
+	res, err := s.applyBatch(ctx, graphName, store.RecordTokens, recs, false, 0)
+	if err == nil {
+		s.obs.updates.Inc()
+		s.obs.edgesAdded.Add(uint64(res.Added))
+	}
+	return res, err
+}
+
+// applyBatch is the one path an edge batch takes into a graph, whoever
+// sent it: AddEdges (a local write: token records that land wherever the
+// stream is) and ApplyReplicatedEdges (replicated: the leader's frame, which
+// must land exactly at endSeq-len(recs)). Under the graph's write lock it
+// re-checks registry identity, validates the whole batch before the first
+// mutation — a bad batch cannot leave the graph half-updated and cached
+// indexes permanently out of sync with it — journals write-ahead, interns
+// and adds the edges, and advances seq; then patchIndexes brings every
+// cached index on the graph up to date. The callers have already rejected
+// empty tokens.
+func (s *Service) applyBatch(ctx context.Context, graphName string, kind store.RecordKind, recs []store.EdgeRecord, replicated bool, endSeq uint64) (UpdateResult, error) {
 	ge, err := s.graphEntry(graphName)
 	if err != nil {
-		return res, err
+		return UpdateResult{}, err
 	}
-
-	// Phase 1: mutate the graph. The whole batch is validated before the
-	// first mutation so a bad spec cannot leave the graph half-updated
-	// (and cached indexes permanently out of sync with it).
 	ge.mu.Lock()
-	// Re-check registry identity under the entry lock: RegisterGraph
+	start := ge.seq
+	if replicated {
+		start = endSeq - uint64(len(recs))
+	}
+	if err := s.admitBatch(graphName, ge, recs, replicated, start); err != nil {
+		ge.mu.Unlock()
+		return UpdateResult{}, err
+	}
+	if s.store != nil {
+		// Write-ahead: the frame lands fsynced in the WAL — with the batch's
+		// record kind, at the position this entry holds — before the first
+		// in-memory mutation, still under the graph lock so the WAL's record
+		// order matches the order mutations were applied in: the store's
+		// replay re-runs the interning this call performs below and must see
+		// the same starting state.
+		//lint:allow cfpqlint/lockscope write-ahead protocol: the fsynced append MUST happen under the entry lock so no reader sees un-journaled state
+		if err := s.store.AppendReplicated(graphName, kind, recs, start+uint64(len(recs))); err != nil {
+			ge.mu.Unlock()
+			return UpdateResult{}, fmt.Errorf("server: journaling edges: %w", err)
+		}
+	}
+	before := ge.g.Nodes()
+	edges := make([]graph.Edge, len(recs))
+	maxNode := -1
+	idsOnly := kind == store.RecordIDs
+	for i, r := range recs {
+		from := ge.names.Intern(ge.g, r.From, idsOnly)
+		to := ge.names.Intern(ge.g, r.To, idsOnly)
+		ge.g.AddEdge(from, r.Label, to)
+		edges[i] = graph.Edge{From: from, Label: r.Label, To: to}
+		maxNode = max(maxNode, from, to)
+	}
+	ge.seq = start + uint64(len(recs))
+	ge.version++
+	ge.patching++
+	res := UpdateResult{Added: len(edges), NewNodes: ge.g.Nodes() - before}
+	ge.mu.Unlock()
+
+	s.patchIndexes(ctx, graphName, ge, edges, maxNode, &res)
+	return res, nil
+}
+
+// admitBatch is applyBatch's validation, read-only under ge.mu.
+func (s *Service) admitBatch(graphName string, ge *graphEntry, recs []store.EdgeRecord, replicated bool, start uint64) error {
+	// Re-check registry identity under the entry lock: installGraph
 	// replaces entries while holding the old entry's write lock, so once
 	// we own ge.mu either ge is still current or it never will be again —
 	// journaling into the replacement's WAL while mutating the orphaned
@@ -835,88 +943,28 @@ func (s *Service) AddEdges(ctx context.Context, graphName string, specs []EdgeSp
 	current := s.graphs[graphName] == ge
 	s.mu.Unlock()
 	if !current {
-		ge.mu.Unlock()
-		return UpdateResult{}, fmt.Errorf("server: graph %q was replaced during the update; retry", graphName)
+		return fmt.Errorf("server: graph %q was replaced during the update; retry", graphName)
 	}
-	for _, spec := range specs {
-		if spec.Label == "" {
-			ge.mu.Unlock()
-			return UpdateResult{}, fmt.Errorf("server: edge %v has empty label", spec)
+	if replicated {
+		if ge.seq != start {
+			return fmt.Errorf("server: graph %q: replicated batch starts at seq %d but the local stream is at %d: %w",
+				graphName, start, ge.seq, store.ErrSeqMismatch)
 		}
-		if spec.From == "" || spec.To == "" {
-			// An empty token would intern as a node whose "name" cannot
-			// round-trip through the durable store's name table.
-			ge.mu.Unlock()
-			return UpdateResult{}, fmt.Errorf("server: edge %v has an empty endpoint", spec)
-		}
-		for _, tok := range []string{spec.From, spec.To} {
-			if _, err := ge.resolveNode(tok); err == nil {
-				continue
+		return nil
+	}
+	// Leader only: a numeral outside the node range is a typo'd id, not a
+	// new node, and is rejected here — so it never reaches a WAL, where the
+	// name table's Intern (the replay and follower rule) would grow the
+	// graph to cover it.
+	for _, r := range recs {
+		for _, tok := range []string{r.From, r.To} {
+			var re *graph.RangeError
+			if _, err := ge.names.Lookup(tok); errors.As(err, &re) {
+				return fmt.Errorf("server: node id %s out of range [0,%d)", tok, re.Nodes)
 			}
-			if _, err := strconv.Atoi(tok); err == nil {
-				// A numeric token resolveNode rejected is an
-				// out-of-range id, not a new node name.
-				ge.mu.Unlock()
-				return UpdateResult{}, fmt.Errorf("server: node id %s out of range [0,%d)", tok, ge.g.Nodes())
-			}
-			// A non-numeric unknown token interns as a new node below.
 		}
 	}
-	if s.store != nil {
-		// Write-ahead: journal the batch (fsynced) before the first
-		// in-memory mutation, still under the graph lock so the WAL's
-		// record order matches the order mutations were applied in — the
-		// store's replay re-runs the same interning this call performs
-		// below and must see the same starting state.
-		recs := make([]store.EdgeRecord, len(specs))
-		for i, spec := range specs {
-			recs[i] = store.EdgeRecord{From: spec.From, Label: spec.Label, To: spec.To}
-		}
-		//lint:allow cfpqlint/lockscope write-ahead protocol: the fsynced append MUST happen under the entry lock so no reader sees un-journaled state
-		seq, err := s.store.Append(graphName, recs)
-		if err != nil {
-			ge.mu.Unlock()
-			return UpdateResult{}, fmt.Errorf("server: journaling edges: %w", err)
-		}
-		ge.seq = seq
-	}
-	before := ge.g.Nodes()
-	edges := make([]graph.Edge, 0, len(specs))
-	intern := func(tok string) int {
-		if id, err := ge.resolveNode(tok); err == nil {
-			return id
-		}
-		id := ge.g.Nodes()
-		ge.g.EnsureNode(id)
-		ge.names[tok] = id
-		ge.byID = append(ge.byID, tok)
-		return id
-	}
-	maxNode := -1
-	for _, spec := range specs {
-		from, to := intern(spec.From), intern(spec.To)
-		ge.g.AddEdge(from, spec.Label, to)
-		edges = append(edges, graph.Edge{From: from, Label: spec.Label, To: to})
-		if from > maxNode {
-			maxNode = from
-		}
-		if to > maxNode {
-			maxNode = to
-		}
-	}
-	ge.version++
-	ge.patching++
-	nodes := ge.g.Nodes()
-	ge.mu.Unlock()
-	res.Added = len(edges)
-	res.NewNodes = nodes - before
-	s.obs.updates.Inc()
-	s.obs.edgesAdded.Add(uint64(res.Added))
-
-	// Phase 2 (shared with the replication apply path): bring every cached
-	// index on this graph up to date.
-	s.patchIndexes(ctx, graphName, ge, edges, maxNode, &res)
-	return res, nil
+	return nil
 }
 
 // patchIndexes walks the cache after a mutation (the ordering that, paired
@@ -1035,24 +1083,9 @@ func (s *Service) Stats() []IndexStats {
 	s.mu.Unlock()
 	out := make([]IndexStats, 0, len(entries))
 	for _, e := range entries {
-		p := e.ready.Load()
-		if p == nil {
-			continue
+		if st, ok := e.stats(); ok {
+			out = append(out, st)
 		}
-		ps := p.Stats()
-		out = append(out, IndexStats{
-			Graph:   e.key.Graph,
-			Grammar: e.key.Grammar,
-			Backend: e.key.Backend,
-			Nodes:   ps.Nodes,
-			Entries: ps.Entries,
-			Counts:  ps.Counts,
-			Build:   ps.Build,
-			Update:  ps.Update,
-			Updates: ps.Updates,
-			Version: ps.Version,
-			Queries: ps.Queries,
-		})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
@@ -1069,11 +1102,34 @@ func (s *Service) Stats() []IndexStats {
 
 // IndexStatsFor returns the stats of one cached index, if it is built.
 func (s *Service) IndexStatsFor(t Target) (IndexStats, bool) {
-	key := t.key()
-	for _, st := range s.Stats() {
-		if st.Graph == key.Graph && st.Grammar == key.Grammar && st.Backend == key.Backend {
-			return st, true
-		}
+	s.mu.Lock()
+	e := s.indexes[t.key()]
+	s.mu.Unlock()
+	if e == nil {
+		return IndexStats{}, false
 	}
-	return IndexStats{}, false
+	return e.stats()
+}
+
+// stats describes the slot's handle; ok is false while it is unbuilt or
+// stale.
+func (e *indexEntry) stats() (IndexStats, bool) {
+	p := e.ready.Load()
+	if p == nil {
+		return IndexStats{}, false
+	}
+	ps := p.Stats()
+	return IndexStats{
+		Graph:   e.key.Graph,
+		Grammar: e.key.Grammar,
+		Backend: e.key.Backend,
+		Nodes:   ps.Nodes,
+		Entries: ps.Entries,
+		Counts:  ps.Counts,
+		Build:   ps.Build,
+		Update:  ps.Update,
+		Updates: ps.Updates,
+		Version: ps.Version,
+		Queries: ps.Queries,
+	}, true
 }

@@ -212,7 +212,7 @@ func TestIncrementalUpdateCheaperThanColdClosure(t *testing.T) {
 	g := graph.Word(word)
 	g.EnsureNode(2 * k)
 	cnf := mustCNF(t, anbnGrammar)
-	coldIx, coldStats := core.NewEngine(core.WithBackend(matrix.Sparse())).Run(g, cnf)
+	coldIx, coldStats, _ := core.NewEngine(core.WithBackend(matrix.Sparse())).RunContext(context.Background(), g, cnf)
 
 	st, ok := s.IndexStatsFor(tgt)
 	if !ok {

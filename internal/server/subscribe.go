@@ -104,7 +104,7 @@ func (ss *ServerSubscription) render(b cfpq.PairBatch) wirePairBatch {
 	out := wirePairBatch{Seq: b.Seq, Resync: b.Resync, Pairs: make([]NamedPair, len(b.Pairs))}
 	ss.ge.mu.RLock()
 	for i, p := range b.Pairs {
-		out.Pairs[i] = NamedPair{From: ss.ge.nodeName(p.I), To: ss.ge.nodeName(p.J)}
+		out.Pairs[i] = NamedPair{From: ss.ge.names.Name(p.I), To: ss.ge.names.Name(p.J)}
 	}
 	ss.ge.mu.RUnlock()
 	return out
@@ -151,24 +151,10 @@ func (s *Service) Subscribe(ctx context.Context, req SubscribeRequest, resume bo
 		return nil, fmt.Errorf("server: nonterminal is required")
 	}
 	t := Target{Graph: req.Graph, Grammar: req.Grammar, Backend: req.Backend}
-	e, p, err := s.index(ctx, t)
+	ge, p, creq, err := s.resolve(ctx, t, req.Nonterminal, "", req.Sources, req.Targets)
 	if err != nil {
 		return nil, err
 	}
-	if err := checkNonterminal(p, req.Nonterminal); err != nil {
-		return nil, err
-	}
-	e.ge.mu.RLock()
-	sources, errS := resolveRestrictionLocked(e.ge, req.Sources)
-	targets, errT := resolveRestrictionLocked(e.ge, req.Targets)
-	e.ge.mu.RUnlock()
-	if errS != nil {
-		return nil, errS
-	}
-	if errT != nil {
-		return nil, errT
-	}
-	creq := cfpq.Request{Nonterminal: req.Nonterminal, Sources: sources, Targets: targets}
 	var sub *cfpq.Subscription
 	if resume {
 		sub, err = p.SubscribeFrom(ctx, creq, afterSeq)
@@ -179,7 +165,7 @@ func (s *Service) Subscribe(ctx context.Context, req SubscribeRequest, resume bo
 		return nil, err
 	}
 	ss := &ServerSubscription{
-		svc: s, sub: sub, ge: e.ge,
+		svc: s, sub: sub, ge: ge,
 		key: t.key(), nonterminal: req.Nonterminal, started: time.Now(),
 	}
 	s.subMu.Lock()

@@ -51,6 +51,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -176,17 +177,19 @@ type graphLog struct {
 	dir  string
 	wal  *os.File
 
-	g       *graph.Graph
-	names   []string // node id → name ("" = unnamed)
-	nameIDs map[string]int
+	g     *graph.Graph
+	names *graph.Names
 
 	baseSeq  uint64       // seq covered by the on-disk snapshot
 	seq      uint64       // seq after the last record
 	epoch    uint64       // edge-stream identity; changes when the graph is replaced
 	pending  []graph.Edge // id-resolved edges of (baseSeq, seq]
 	tail     []TailBatch  // the WAL batches of (baseSeq, seq], original tokens kept for replication
-	walSize  int64
 	snapTime time.Time
+
+	// walSize is the WAL's length in bytes. Written under mu; atomic so
+	// WALBytes can sum it without taking any graph's lock.
+	walSize atomic.Int64
 }
 
 // TailBatch is one WAL batch as the replication stream ships it: the
@@ -293,8 +296,7 @@ func (s *Store) openGraphLog(name string) (*graphLog, error) {
 		name:     name,
 		dir:      gdir,
 		g:        g,
-		names:    names,
-		nameIDs:  invertNames(names),
+		names:    graph.NewNames(g.Nodes(), names),
 		baseSeq:  baseSeq,
 		seq:      baseSeq,
 		epoch:    epoch,
@@ -339,76 +341,22 @@ func (s *Store) openGraphLog(name string) (*graphLog, error) {
 		return nil, err
 	}
 	gl.wal = wal
-	gl.walSize = goodBytes
+	gl.walSize.Store(goodBytes)
 	return gl, nil
 }
 
-// invertNames builds the token→id table from the id→name slice.
-func invertNames(names []string) map[string]int {
-	out := make(map[string]int)
-	for id, name := range names {
-		if name != "" {
-			out[name] = id
-		}
-	}
-	return out
-}
-
-// resolveToken maps a node token to an id against the mirror, interning
-// new names and growing the node range for out-of-range numeric ids — the
-// rules the serving layer's own interning follows, so replay reproduces
-// the exact id assignment of the original mutations.
-func (gl *graphLog) resolveToken(tok string) int {
-	if id, ok := gl.nameIDs[tok]; ok {
-		return id
-	}
-	if id, err := strconv.Atoi(tok); err == nil && id >= 0 {
-		if id >= gl.g.Nodes() {
-			gl.g.EnsureNode(id)
-			gl.syncNames()
-		}
-		return id
-	}
-	id := gl.g.Nodes()
-	gl.g.EnsureNode(id)
-	gl.syncNames()
-	gl.names[id] = tok
-	gl.nameIDs[tok] = id
-	return id
-}
-
-// resolveID maps a canonical decimal id token (validated at decode/append
-// time) straight to its id, never consulting the name table: an
-// id-addressed writer means id 7 even when some node is *named* "7".
-func (gl *graphLog) resolveID(tok string) int {
-	id, _ := strconv.Atoi(tok)
-	if id >= gl.g.Nodes() {
-		gl.g.EnsureNode(id)
-		gl.syncNames()
-	}
-	return id
-}
-
-// syncNames keeps the name slice as long as the node range.
-func (gl *graphLog) syncNames() {
-	for len(gl.names) < gl.g.Nodes() {
-		gl.names = append(gl.names, "")
-	}
-}
-
-// apply folds one decoded frame into the mirror, advancing seq, and keeps
-// the original tokens in the replication tail so followers can be served
+// apply folds one decoded frame into the mirror through the name table —
+// the interning every other holder of this stream performs, so replay
+// reproduces the exact id assignment of the original mutations — advancing
+// seq, and keeps the original tokens in the replication tail so followers can be served
 // the exact frame the leader journaled. frameBytes is the frame's on-disk
 // size (replication lag in bytes is computed from these).
 func (gl *graphLog) apply(b walBatch, frameBytes int64) {
-	resolve := gl.resolveToken
-	if b.kind == recIDs {
-		resolve = gl.resolveID
-	}
+	idsOnly := b.kind == recIDs
 	for _, r := range b.recs {
-		from, to := resolve(r.From), resolve(r.To)
+		from := gl.names.Intern(gl.g, r.From, idsOnly)
+		to := gl.names.Intern(gl.g, r.To, idsOnly)
 		gl.g.AddEdge(from, r.Label, to)
-		gl.syncNames()
 		gl.pending = append(gl.pending, graph.Edge{From: from, Label: r.Label, To: to})
 	}
 	gl.seq += uint64(len(b.recs))
@@ -466,21 +414,18 @@ func (s *Store) CreateGraphAt(name string, g *graph.Graph, names []string, seq, 
 		epoch = mintEpoch()
 	}
 	mirror := g.Clone()
-	mnames := make([]string, mirror.Nodes())
-	copy(mnames, names)
 	gl := &graphLog{
 		name:     name,
 		dir:      gdir,
 		g:        mirror,
-		names:    mnames,
-		nameIDs:  invertNames(mnames),
+		names:    graph.NewNames(mirror.Nodes(), names),
 		baseSeq:  seq,
 		seq:      seq,
 		epoch:    epoch,
 		snapTime: time.Now(),
 	}
 	if err := writeFileAtomic(filepath.Join(gdir, "snapshot"), !s.opts.NoSync, func(w io.Writer) error {
-		return writeSnapshot(w, gl.g, gl.names, seq)
+		return writeSnapshot(w, gl.g, gl.names.ByID(), seq)
 	}); err != nil {
 		return err
 	}
@@ -520,11 +465,14 @@ func (s *Store) Append(name string, recs []EdgeRecord) (uint64, error) {
 // the leader's stream and must re-bootstrap from a snapshot.
 var ErrSeqMismatch = errors.New("store: replicated batch out of sequence")
 
-// AppendReplicated journals one batch received from a replication stream,
-// preserving the leader's resolution kind. endSeq is the leader's seq
+// AppendReplicated journals one batch at an explicit stream position,
+// preserving its resolution kind: a frame received from a replication
+// stream, or — the serving layer journals every batch through here — a
+// local write at the position its in-memory graph holds. endSeq is the seq
 // after the batch; the append is rejected with ErrSeqMismatch unless the
 // batch lands exactly at the graph's current position, so a follower can
-// never silently skip or double-apply records.
+// never silently skip or double-apply records and a serving layer can never
+// journal past a log it has drifted from.
 func (s *Store) AppendReplicated(name string, kind RecordKind, recs []EdgeRecord, endSeq uint64) error {
 	if !kind.Valid() {
 		return fmt.Errorf("store: unknown WAL record kind %d", byte(kind))
@@ -585,11 +533,11 @@ func (s *Store) append(name string, kind byte, recs []EdgeRecord, expectStart in
 			(*obs)(time.Since(syncStart))
 		}
 	}
-	gl.walSize += n
+	size := gl.walSize.Add(n)
 	gl.apply(walBatch{kind: kind, recs: recs}, n)
 	s.appends.Add(1)
 	s.walWritten.Add(n)
-	if s.opts.CompactBytes > 0 && gl.walSize > s.opts.CompactBytes {
+	if s.opts.CompactBytes > 0 && size > s.opts.CompactBytes {
 		select {
 		case s.compactCh <- name:
 		default:
@@ -606,8 +554,9 @@ func (s *Store) append(name string, kind byte, recs []EdgeRecord, expectStart in
 // would make recovery silently discard acknowledged records that follow
 // the tear, which is worse than rejecting writes. Callers hold gl.mu.
 func (gl *graphLog) rewindOrFail() {
-	if pos, err := gl.wal.Seek(gl.walSize, io.SeekStart); err == nil && pos == gl.walSize {
-		if gl.wal.Truncate(gl.walSize) == nil {
+	size := gl.walSize.Load()
+	if pos, err := gl.wal.Seek(size, io.SeekStart); err == nil && pos == size {
+		if gl.wal.Truncate(size) == nil {
 			return
 		}
 	}
@@ -676,7 +625,7 @@ func (s *Store) Snapshot(name string, indexes []IndexData) error {
 		}
 	}
 	if err := writeFileAtomic(filepath.Join(gl.dir, "snapshot"), !s.opts.NoSync, func(w io.Writer) error {
-		return writeSnapshot(w, gl.g, gl.names, gl.seq)
+		return writeSnapshot(w, gl.g, gl.names.ByID(), gl.seq)
 	}); err != nil {
 		return err
 	}
@@ -696,7 +645,7 @@ func (s *Store) Snapshot(name string, indexes []IndexData) error {
 	gl.baseSeq = gl.seq
 	gl.pending = nil
 	gl.tail = nil
-	gl.walSize = 0
+	gl.walSize.Store(0)
 	gl.snapTime = time.Now()
 	s.snapshots.Add(1)
 	// Followers parked on the truncated tail wake, see their position fall
@@ -747,7 +696,7 @@ func (s *Store) compactEligible(name string) bool {
 		return false
 	}
 	gl.mu.Lock()
-	oversized := gl.walSize > s.opts.CompactBytes
+	oversized := gl.walSize.Load() > s.opts.CompactBytes
 	seq := gl.seq
 	gl.mu.Unlock()
 	if !oversized {
@@ -848,17 +797,6 @@ func (s *Store) Changed() <-chan struct{} {
 // resets across restarts — a spurious re-sync is idempotent and cheap.
 func (s *Store) ConfigVersion() uint64 { return s.configVersion.Load() }
 
-// GraphSeq returns a graph's current edge-stream position.
-func (s *Store) GraphSeq(name string) (uint64, error) {
-	gl, err := s.lookup(name)
-	if err != nil {
-		return 0, err
-	}
-	gl.mu.Lock()
-	defer gl.mu.Unlock()
-	return gl.seq, nil
-}
-
 // GraphPos returns a graph's current edge-stream position together with
 // the stream's epoch — the pair replication positions are expressed in.
 func (s *Store) GraphPos(name string) (seq, epoch uint64, err error) {
@@ -908,7 +846,7 @@ func (s *Store) ReplicaSnapshot(name string) (data []byte, seq, epoch uint64, er
 	gl.mu.Lock()
 	defer gl.mu.Unlock()
 	var buf bytes.Buffer
-	if err := writeSnapshot(&buf, gl.g, gl.names, gl.seq); err != nil {
+	if err := writeSnapshot(&buf, gl.g, gl.names.ByID(), gl.seq); err != nil {
 		return nil, 0, 0, err
 	}
 	return buf.Bytes(), gl.seq, gl.epoch, nil
@@ -1092,9 +1030,7 @@ func (s *Store) GraphState(name string) (*graph.Graph, []string, uint64, error) 
 	}
 	gl.mu.Lock()
 	defer gl.mu.Unlock()
-	names := make([]string, len(gl.names))
-	copy(names, gl.names)
-	return gl.g.Clone(), names, gl.seq, nil
+	return gl.g.Clone(), slices.Clone(gl.names.ByID()), gl.seq, nil
 }
 
 // EdgesSince returns the id-resolved edges journaled after seq, provided
@@ -1128,20 +1064,20 @@ type IndexInfo struct {
 // Indexes lists the saved indexes of a graph, sorted by (grammar,
 // backend). Only the fixed-size header (magic + seq) of each file is
 // read — payload CRC validation happens at LoadIndex — so the listing
-// stays cheap under the graph lock no matter how large the indexes are.
-// Files with unreadable headers are skipped: a lost index only costs a
-// rebuild.
+// stays cheap no matter how large the indexes are. Files with unreadable
+// headers are skipped: a lost index only costs a rebuild.
 func (s *Store) Indexes(name string) []IndexInfo {
 	gl, err := s.lookup(name)
 	if err != nil {
 		return nil
 	}
-	gl.mu.Lock()
-	defer gl.mu.Unlock()
-	return indexInfosLocked(gl)
+	return indexInfos(gl)
 }
 
-func indexInfosLocked(gl *graphLog) []IndexInfo {
+// indexInfos reads the index directory without gl.mu — it touches only the
+// log's immutable name and dir, and index files appear by atomic rename —
+// so a listing never makes a WAL append wait for file I/O.
+func indexInfos(gl *graphLog) []IndexInfo {
 	entries, err := os.ReadDir(filepath.Join(gl.dir, indexesDir))
 	if err != nil {
 		return nil
@@ -1198,7 +1134,7 @@ func (s *Store) LoadIndex(info IndexInfo, cnf *grammar.CNF, be matrix.Backend) (
 	if err != nil {
 		return nil, 0, err
 	}
-	ix, err := core.ReadIndex(strings.NewReader(string(payload)), cnf, be)
+	ix, err := core.ReadIndex(bytes.NewReader(payload), cnf, be)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -1267,17 +1203,21 @@ func (s *Store) Stats() Stats {
 			Edges:              gl.g.EdgeCount(),
 			Seq:                gl.seq,
 			BaseSeq:            gl.baseSeq,
-			WALBytes:           gl.walSize,
+			WALBytes:           gl.walSize.Load(),
 			SnapshotAgeSeconds: now.Sub(gl.snapTime).Seconds(),
-			Indexes:            len(indexInfosLocked(gl)),
 		}
 		gl.mu.Unlock()
+		gs.Indexes = len(indexInfos(gl))
 		st.Graphs = append(st.Graphs, gs)
 		st.WALBytes += gs.WALBytes
 	}
 	sort.Slice(st.Graphs, func(i, j int) bool { return st.Graphs[i].Graph < st.Graphs[j].Graph })
-	if grams, err := s.Grammars(); err == nil {
-		st.Grammars = len(grams)
+	if entries, err := os.ReadDir(filepath.Join(s.dir, grammarsDir)); err == nil {
+		for _, ent := range entries {
+			if !ent.IsDir() && strings.HasSuffix(ent.Name(), grammarExt) {
+				st.Grammars++
+			}
+		}
 	}
 	return st
 }
@@ -1287,6 +1227,18 @@ func (s *Store) Stats() Stats {
 // lock or the filesystem, so metrics endpoints can poll them freely.
 func (s *Store) WALCounters() (appends, bytesWritten, fsyncs int64) {
 	return s.appends.Load(), s.walWritten.Load(), s.fsyncs.Load()
+}
+
+// WALBytes returns the bytes across all live WALs (Stats().WALBytes), read
+// like WALCounters: no per-graph lock, no filesystem.
+func (s *Store) WALBytes() int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var total int64
+	for _, gl := range s.graphs {
+		total += gl.walSize.Load()
+	}
+	return total
 }
 
 // Close stops the background compactor and closes every WAL. The store

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -258,7 +259,7 @@ func TestIndexSaveLoadRoundTrip(t *testing.T) {
 	if err := s.CreateGraph("g", g, nil); err != nil {
 		t.Fatal(err)
 	}
-	ix, _ := core.NewEngine(core.WithBackend(matrix.DenseParallel(0))).Run(g, cnf)
+	ix, _, _ := core.NewEngine(core.WithBackend(matrix.DenseParallel(0))).RunContext(context.Background(), g, cnf)
 	var buf bytes.Buffer
 	if _, err := ix.WriteTo(&buf); err != nil {
 		t.Fatal(err)
@@ -503,6 +504,61 @@ func TestOpenRejectsForeignDir(t *testing.T) {
 	if _, err := Open(dir, testOpts); err == nil {
 		t.Error("foreign manifest accepted")
 	}
+}
+
+// TestWALBytesNeedsNoLogLock: the /metrics gauge's source agrees with
+// Stats().WALBytes through append, reopen, snapshot and replacement, and is
+// readable while a graph's log lock is held (as it is across every fsync) —
+// a scrape must never queue behind, or do file I/O under, the append lock.
+func TestWALBytesNeedsNoLogLock(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir)
+	g, names := sampleGraph()
+	for _, name := range []string{"g", "h"} {
+		if err := s.CreateGraph(name, g, names); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.SaveGrammar("q", "S -> a"); err != nil {
+		t.Fatal(err)
+	}
+	check := func(s *Store, when string, wantZero bool) {
+		t.Helper()
+		st := s.Stats()
+		if got := s.WALBytes(); got != st.WALBytes || (got == 0) != wantZero {
+			t.Errorf("%s: WALBytes() = %d, Stats().WALBytes = %d (want zero: %v)", when, got, st.WALBytes, wantZero)
+		}
+		if st.Grammars != 1 {
+			t.Errorf("%s: Stats().Grammars = %d, want 1", when, st.Grammars)
+		}
+	}
+	check(s, "fresh", true)
+	appendBatches(t, s, "g", 3)
+	appendBatches(t, s, "h", 2)
+	check(s, "after appends", false)
+
+	gl, err := s.lookup("g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gl.mu.Lock()
+	held := s.WALBytes()
+	gl.mu.Unlock()
+	if held != s.Stats().WALBytes {
+		t.Errorf("WALBytes() under the log lock = %d, want %d", held, s.Stats().WALBytes)
+	}
+
+	s.Close()
+	s = mustOpen(t, dir)
+	check(s, "after reopen", false)
+	if err := s.Snapshot("g", nil); err != nil {
+		t.Fatal(err)
+	}
+	check(s, "after snapshotting g", false)
+	if err := s.CreateGraph("h", g, names); err != nil {
+		t.Fatal(err)
+	}
+	check(s, "after replacing h", true)
 }
 
 func TestStatsReportsRecovery(t *testing.T) {

@@ -33,7 +33,8 @@ import (
 // EdgeRecord is one journaled edge, endpoints addressed by node token:
 // a node name, or the decimal id of an unnamed node. On replay, unknown
 // non-numeric tokens intern as new nodes and numeric tokens beyond the
-// node range grow the graph — the same rules the serving layer applies.
+// node range grow the graph — graph.Names.Intern, the same code the
+// serving layer applies them with.
 type EdgeRecord struct {
 	From  string
 	Label string

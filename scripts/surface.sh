@@ -1,6 +1,9 @@
 #!/bin/sh
 # Prints the six surface-size numbers ROADMAP open item 5 tracks, so a
-# change can record them before and after in CHANGES.md:
+# change can record them before and after in CHANGES.md, and fails when any
+# of them exceeds its ceiling in scripts/surface.ceilings — the numbers are
+# a ratchet: a PR that earns a lower number lowers the ceiling (a one-line
+# edit), and nothing grows without raising one in review.
 #
 #   go_lines      non-test Go lines outside benchmark/ and testdata/
 #   exported      lines of `go doc -short .` (the root package's exported API)
@@ -25,3 +28,13 @@ flags=$(cat cmd/*/main.go internal/cli/cli.go |
 
 printf 'go_lines %d\nexported %d\noptions %d\nroutes %d\nsuppressions %d\nflags %d\n' \
 	"$go_lines" "$exported" "$options" "$routes" "$suppressions" "$flags"
+
+status=0
+while read -r name ceiling; do
+	eval "value=\$$name"
+	if [ "$value" -gt "$ceiling" ]; then
+		echo "surface: $name is $value, above its ceiling of $ceiling (scripts/surface.ceilings)" >&2
+		status=1
+	fi
+done <scripts/surface.ceilings
+exit $status
