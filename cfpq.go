@@ -77,9 +77,10 @@ func ToCNF(g *Grammar) (*CNF, error) { return grammar.ToCNF(g) }
 // previous pass's state — and calls visit (when non-nil) with each state
 // T₀, T₁, … it passes through, the final unchanged one included; visit
 // must not retain or mutate the index. It is the reference the engine's
-// faster in-place schedule is tested against and what the quickstart
-// example prints the paper's worked example from; it takes no options,
-// budget, trace or context. Answer queries with an Engine.
+// semi-naive loop — same states, a fraction of the multiplying — is tested
+// against and what the quickstart example prints the paper's worked
+// example from; it takes no options, budget, trace or context. Answer
+// queries with an Engine.
 func Algorithm1(b Backend, g *Graph, cnf *CNF, visit func(k int, ix *Index)) (*Index, Stats) {
 	return core.Algorithm1(b.mat(), g, cnf, visit)
 }
@@ -136,9 +137,14 @@ type MemoryBudgetError = core.MemoryBudgetError
 // the process out of memory. bytes ≤ 0 means unlimited (the default).
 // Pass it to NewEngine to govern every evaluation — including Prepare's
 // index build and every Prepared.AddEdges patch — or per call to bound a
-// single one. The estimate covers the index matrices plus the frontier
-// matrices of source-restricted evaluations and incremental patches;
-// transient kernel scratch is not counted.
+// single one. Every evaluation — cold build, source-restricted query and
+// incremental patch alike — runs the same semi-naive loop, so the estimate
+// always covers the index matrices plus the loop's two frontier sets (the
+// bits the last pass added and the ones the coming pass adds): two more
+// empty matrices per non-terminal, 48 bytes per node each on the sparse
+// backends, two bitmaps on the dense ones. A budget that fits the finished
+// index alone therefore does not fit its build. Transient kernel scratch
+// is not counted.
 func WithMemoryBudget(bytes int64) Option {
 	return func(c *config) { c.engineOpts = append(c.engineOpts, core.WithMemoryBudget(bytes)) }
 }

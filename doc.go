@@ -52,8 +52,11 @@
 // The algorithm reduces query evaluation to a Boolean-matrix transitive
 // closure: one |V|×|V| Boolean matrix per non-terminal, with one matrix
 // multiplication per grammar production per fixpoint pass. Engines run one
-// closure schedule — matrices updated in place within a pass; the paper's
-// literal loop (every pass reads a snapshot of the previous state) is the
+// closure loop — the semi-naive pass, which multiplies only the pairs the
+// previous pass added against the full matrices and so walks exactly the
+// paper's states T₀, T₁, …, whether it is seeded with a whole graph, a
+// batch of new edges or a set of source rows; the paper's literal loop
+// (every pass multiplies a full snapshot of the previous state) is the
 // reference function Algorithm1, which tests, the ablation and
 // examples/quickstart use and no Engine serves with. The familiar
 // call shapes survive as one-line sugar over Do — Query (unrestricted

@@ -63,8 +63,8 @@ func run(w io.Writer) error {
 
 	// Algorithm1 is the paper's loop verbatim — every pass multiplies a
 	// snapshot of the previous state, T ← T ∪ (T × T) — so the states it
-	// visits are exactly the paper's Tᵢ (Figures 6–8). Engines reach the
-	// same fixpoint in fewer passes by updating T in place.
+	// visits are exactly the paper's Tᵢ (Figures 6–8). Engines walk the
+	// same states, multiplying only what the previous pass added.
 	ix, stats := cfpq.Algorithm1(cfpq.Dense, g, cnf, func(k int, ix *cfpq.Index) {
 		fmt.Fprintf(w, "T%d =\n%s\n", k, ix.FormatMatrix())
 	})

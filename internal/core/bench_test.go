@@ -36,10 +36,10 @@ func BenchmarkClosureBackends(b *testing.B) {
 }
 
 // BenchmarkIterationSchedule is the ablation bench for the paper-literal
-// snapshot loop (Algorithm1) versus the production in-place schedule.
+// snapshot loop (Algorithm1) versus the production semi-naive loop.
 func BenchmarkIterationSchedule(b *testing.B) {
 	g, cnf := benchInput(300)
-	b.Run("in-place", func(b *testing.B) {
+	b.Run("semi-naive", func(b *testing.B) {
 		e := NewEngine(WithBackend(matrix.Sparse()))
 		for i := 0; i < b.N; i++ {
 			e.RunContext(context.Background(), g, cnf)

@@ -24,14 +24,17 @@ func (e *MemoryBudgetError) Error() string {
 }
 
 // WithMemoryBudget bounds the estimated matrix bytes a single closure
-// evaluation may hold at once. The estimate covers the index matrices
-// plus, in the source-restricted closure and in incremental updates, the
-// current and next frontier matrices of the semi-naive pass — and, for an
-// update run on a Fork, the storage of the version forked from that the
-// fork does not share (two versions are live); it is checked
-// before matrix allocation and between fixpoint passes, and a breach aborts
-// the evaluation with a *MemoryBudgetError. bytes ≤ 0 means unlimited (the
-// default). The budget is enforced on the context-taking evaluation paths
+// evaluation may hold at once. The estimate covers the index matrices plus
+// the two frontier sets the one fixpoint loop keeps beside them for every
+// evaluation — cold build, source-restricted closure and incremental
+// update alike: the bits the last pass added and the ones the coming pass
+// adds, 2·|N| matrices that cost 48·n bytes per non-terminal on the sparse
+// backends and two bitmaps per non-terminal on the dense ones even while
+// empty — and, for an update run on a Fork, the storage of the version
+// forked from that the fork does not share (two versions are live). It is
+// checked before matrix allocation and between fixpoint passes, and a
+// breach aborts the evaluation with a *MemoryBudgetError. bytes ≤ 0 means
+// unlimited (the default). The budget is enforced on the context-taking evaluation paths
 // (RunContext, CloseContext, RunFromContext, UpdateContext and everything
 // built on them).
 func WithMemoryBudget(bytes int64) Option {
@@ -58,8 +61,8 @@ func (e *Engine) checkBudget(estimated int64) error {
 	return nil
 }
 
-// matsBytes sums the byte estimates of a working matrix set (a delta or
-// next frontier slice).
+// matsBytes sums the byte estimates of a working matrix set (one of the
+// two frontier sets).
 func matsBytes(mats []matrix.Bool) int64 {
 	var total int64
 	for _, m := range mats {

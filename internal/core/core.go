@@ -8,9 +8,17 @@
 //
 //	while T is changing:  T ← T ∪ (T × T)
 //
-// becomes, per iteration, one Boolean AddMul per binary production A → B C:
+// becomes, per iteration and binary production A → B C,
 //
 //	T_A |= T_B × T_C
+//
+// evaluated semi-naively: a pass multiplies only Δ, the bits the previous
+// pass added, against the full matrices (Δ_B × T_C ∪ T_B × Δ_C), which
+// finds exactly what the full product would and walks the same states
+// T₀, T₁, … (Engine.step). The engine has one such loop (Engine.closure);
+// the cold build, the incremental update and the source-restricted closure
+// are that loop under three different seeds. Algorithm1 keeps the paper's
+// loop verbatim, with full products, as the reference.
 //
 // Engine is parameterised by a matrix.Backend, giving the paper's four
 // implementations (dense/sparse × serial/parallel).
@@ -159,9 +167,12 @@ func (ix *Index) Equal(other *Index) bool {
 // Stats reports what the closure did.
 type Stats struct {
 	// Iterations is the number of outer fixpoint passes, including the
-	// final pass that made no change.
+	// final pass that made no change; an update or a source-restricted
+	// evaluation with nothing to seed runs none.
 	Iterations int `json:"iterations"`
-	// Products is the number of Boolean matrix multiplications performed.
+	// Products is the number of Boolean matrix multiplications actually
+	// run: a product whose frontier operand is empty is skipped and not
+	// counted.
 	Products int `json:"products"`
 	// Duration is the wall time of the evaluation. The context-taking
 	// evaluation paths populate it on success and on error; serving
@@ -169,9 +180,9 @@ type Stats struct {
 	// real latency rather than a zero-work closure.
 	Duration time.Duration `json:"duration_ns,omitempty"`
 	// PeakBytes is the largest estimated matrix working set the
-	// evaluation held between passes (index matrices plus any frontier
-	// matrices of the semi-naive pass) — the same estimate the memory
-	// budget is enforced against.
+	// evaluation held between passes (index matrices plus the two frontier
+	// sets of the semi-naive pass) — the same estimate the memory budget
+	// is enforced against.
 	PeakBytes int64 `json:"peak_bytes,omitempty"`
 }
 
@@ -254,63 +265,33 @@ func (e *Engine) Init(g *graph.Graph, cnf *grammar.CNF) *Index {
 // left in a sound intermediate state (every bit justified by a derivation)
 // but is not a fixpoint.
 //
-// Matrices are updated in place within a pass, so a product may already read
-// bits an earlier rule of the same pass derived. Every in-place pass adds a
-// superset of what the paper's snapshot pass (Algorithm1) adds and every
-// addition is justified by a derivation, so the fixpoint is the same and is
-// reached in no more passes.
-func (e *Engine) CloseContext(ctx context.Context, ix *Index) (Stats, error) {
-	return e.closeTraced(ctx, ix, e.newPassTracer(ctx, "full", ix))
-}
-
-// closeTraced is CloseContext under an already-resolved pass tracer, so the
-// all-pairs loop taking over mid-evaluation (frontier saturation fallback)
-// keeps one event chain. pt may be nil (tracing disabled).
-func (e *Engine) closeTraced(ctx context.Context, ix *Index, pt *passTracer) (stats Stats, err error) {
-	pt.setPhase("full")
-	if !pt.started() {
-		// The entry state is this evaluation's seeding step: CloseContext
-		// runs on a freshly initialised index.
-		pt.beginPass()
-		pt.endPass(0, 0)
-	}
+// The loop is the engine's one fixpoint (closure) with the whole index as
+// its first frontier, so the states it passes through are exactly the
+// paper's T₀, T₁, … (Algorithm1 walks the same ones with full products):
+// Stats.Iterations counts Algorithm 1's passes, the last of which finds
+// nothing new.
+func (e *Engine) CloseContext(ctx context.Context, ix *Index) (stats Stats, err error) {
 	start := time.Now()
-	defer func() {
-		stats.Duration = time.Since(start)
-		stats.observePeak(ix.Bytes())
-	}()
-	for {
-		if err := ctx.Err(); err != nil {
-			return stats, err
-		}
-		est := ix.Bytes()
-		stats.observePeak(est)
-		if err := e.checkBudget(est); err != nil {
-			return stats, err
-		}
-		stats.Iterations++
-		pt.beginPass()
-		changed := false
-		for _, r := range ix.cnf.Binary {
-			stats.Products++
-			if ix.mats[r.A].AddMul(ix.mats[r.B], ix.mats[r.C]) {
-				changed = true
-			}
-		}
-		pt.endPass(len(ix.cnf.Binary), 0)
-		if !changed {
-			return stats, nil
-		}
+	defer func() { stats.Duration = time.Since(start) }()
+	f, err := e.newFrontier(ix, &stats)
+	if err != nil {
+		return stats, err
 	}
+	f.whole = true
+	pt := e.newPassTracer(ctx, "full", ix)
+	pt.beginPass()
+	pt.endPass(0, 0) // the entry state is the seeding: ix is freshly initialised
+	err = e.closure(ctx, ix, f, pt, &stats, nil)
+	return stats, err
 }
 
 // RunContext evaluates the query end to end — Init then CloseContext — with
 // cooperative cancellation between closure passes and, when the engine
 // carries a memory budget, a pre-allocation check: an instance whose empty
-// index alone breaches the budget is rejected before any matrix is
-// allocated.
+// index and two empty frontier sets alone breach the budget is rejected
+// before any matrix is allocated.
 func (e *Engine) RunContext(ctx context.Context, g *graph.Graph, cnf *grammar.CNF) (*Index, Stats, error) {
-	if err := e.checkBudget(int64(cnf.NonterminalCount()) * e.backend.EmptyBytes(g.Nodes())); err != nil {
+	if err := e.checkBudget(3 * int64(cnf.NonterminalCount()) * e.backend.EmptyBytes(g.Nodes())); err != nil {
 		return nil, Stats{}, err
 	}
 	start := time.Now()

@@ -56,7 +56,8 @@ func cells(spec map[[2]int][]string) [][][]string {
 }
 
 // TestPaperExampleIterations replays Section 4.3 exactly: under the paper's
-// own iteration T ← T ∪ (T × T) (Algorithm1), the matrix states after initialisation
+// own iteration T ← T ∪ (T × T) — Algorithm1, and the engine's semi-naive
+// loop, which must not skip a state — the matrix states after initialisation
 // and after each loop pass must equal Figures 6, 7 and 8, reaching the
 // fixpoint at T₆ = T₅.
 func TestPaperExampleIterations(t *testing.T) {
@@ -106,6 +107,21 @@ func TestPaperExampleIterations(t *testing.T) {
 		}),
 	}
 
+	check := func(name string, got [][][][]string, stats Stats) {
+		t.Helper()
+		if stats.Iterations != 6 {
+			t.Errorf("%s: Iterations = %d, want 6 (paper: T6 = T5)", name, stats.Iterations)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%s: traced %d states, want %d", name, len(got), len(want))
+		}
+		for k := range want {
+			if !reflect.DeepEqual(got[k], want[k]) {
+				t.Errorf("%s: T%d mismatch:\ngot  %v\nwant %v", name, k, got[k], want[k])
+			}
+		}
+	}
+
 	var got [][][][]string
 	_, stats := Algorithm1(matrix.Dense(), paperGraph(), cnf, func(k int, ix *Index) {
 		if k != len(got) {
@@ -113,17 +129,25 @@ func TestPaperExampleIterations(t *testing.T) {
 		}
 		got = append(got, ix.CellSets())
 	})
+	check("Algorithm1", got, stats)
 
-	if stats.Iterations != 6 {
-		t.Errorf("Iterations = %d, want 6 (paper: T6 = T5)", stats.Iterations)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("traced %d states, want %d", len(got), len(want))
-	}
-	for k := range want {
-		if !reflect.DeepEqual(got[k], want[k]) {
-			t.Errorf("T%d mismatch:\ngot  %v\nwant %v", k, got[k], want[k])
+	// The production engine passes through the same figures, one trace
+	// event per state, on every backend.
+	for _, be := range matrix.Backends() {
+		e := NewEngine(WithBackend(be))
+		ix := e.Init(paperGraph(), cnf)
+		var got [][][][]string
+		ctx := WithTraceContext(context.Background(), &Trace{Pass: func(ev PassEvent) {
+			if ev.Pass != len(got) {
+				t.Errorf("%s: event %d arrived as state number %d", be.Name(), ev.Pass, len(got))
+			}
+			got = append(got, ix.CellSets())
+		}})
+		stats, err := e.CloseContext(ctx, ix)
+		if err != nil {
+			t.Fatal(err)
 		}
+		check("engine on "+be.Name(), got, stats)
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"time"
 
 	"cfpq/internal/grammar"
@@ -55,14 +56,11 @@ func (d *Delta) Nonterminals() []string {
 	return out
 }
 
-// or folds src into the accumulated delta, adopting src when the slot is
-// still empty (the caller hands over ownership of src).
+// or folds src into the accumulated delta. An empty slot takes a copy, not
+// src itself: src is a frontier matrix the coming passes clear and refill.
 func (d *Delta) or(a int, src matrix.Bool) {
-	if src.Nnz() == 0 {
-		return
-	}
 	if d.mats[a] == nil {
-		d.mats[a] = src
+		d.mats[a] = src.Clone()
 		return
 	}
 	d.mats[a].Or(src)
@@ -70,10 +68,10 @@ func (d *Delta) or(a int, src matrix.Bool) {
 
 // UpdateContext incorporates newly added graph edges into an already-closed
 // index without recomputing the closure from scratch (dynamic CFPQ). It is
-// the semi-naive delta step seeded with just the new edges: the initial
-// frontier contains the bits the new edges contribute through terminal
-// rules, and each pass propagates only frontier bits through the binary
-// rules until nothing new appears.
+// the engine's one fixpoint loop seeded with just the new edges: the
+// initial frontier contains the bits the new edges contribute through
+// terminal rules, and each pass propagates only frontier bits through the
+// binary rules until nothing new appears.
 //
 // Frontier matrices are allocated from the index's own backend (recorded at
 // Init/ReadIndex time), so an index built with a parallel kernel keeps that
@@ -87,120 +85,194 @@ func (d *Delta) or(a int, src matrix.Bool) {
 // PathIndex); UpdateContext itself needs only the edge list.
 //
 // UpdateContext returns closure statistics for the incremental run (zero
-// iterations of change means the edges added nothing new) and the update's
-// Delta: the union of every newly derived pair — seed bits plus each
-// propagation pass — which is exactly what a live-query subscriber must be
-// pushed. Cancellation is cooperative, between delta passes. On
-// cancellation, or when a pass would outgrow the engine's memory budget
+// iterations means the edges added nothing new) and the update's Delta: the
+// union of every newly derived pair — seed bits plus each propagation pass
+// — which is exactly what a live-query subscriber must be pushed.
+// Cancellation is cooperative, between passes. On cancellation, or when the
+// frontier matrices or a pass would outgrow the engine's memory budget
 // (*MemoryBudgetError), the index is sound (every bit justified) but the
-// consequences of the new edges may be only partially propagated; the
-// returned Delta then covers precisely the bits that did land in the index.
-// Callers that must not serve a partially propagated state run the update
-// on a Fork and publish it only on success (what cfpq.Prepared does), or
-// rebuild.
-func (e *Engine) UpdateContext(ctx context.Context, ix *Index, edges ...graph.Edge) (stats Stats, _ *Delta, _ error) {
+// consequences of the new edges may be only partially propagated — not at
+// all, when the frontier matrices themselves do not fit; the returned Delta
+// then covers precisely the bits that did land in the index. Callers that
+// must not serve a partially propagated state run the update on a Fork and
+// publish it only on success (what cfpq.Prepared does), or rebuild.
+func (e *Engine) UpdateContext(ctx context.Context, ix *Index, edges ...graph.Edge) (stats Stats, _ *Delta, err error) {
 	start := time.Now()
 	defer func() { stats.Duration = time.Since(start) }()
 	maxNode := -1
 	for _, edge := range edges {
-		if edge.From > maxNode {
-			maxNode = edge.From
-		}
-		if edge.To > maxNode {
-			maxNode = edge.To
-		}
+		maxNode = max(maxNode, edge.From, edge.To)
 	}
 	if maxNode >= ix.n {
 		ix.Grow(maxNode + 1)
 	}
 	acc := EmptyDelta(ix)
+	f, err := e.newFrontier(ix, &stats)
+	if err != nil {
+		return stats, acc, err
+	}
 	// The update's event chain starts from the pre-update index, so its
 	// per-pass deltas telescope to exactly the bits this update added.
 	pt := e.newPassTracer(ctx, "update", ix)
 	pt.snapshot()
-	delta := make([]matrix.Bool, len(ix.mats))
-	for a := range delta {
-		delta[a] = ix.backend.NewMatrix(ix.n)
-	}
 	pt.beginPass()
 	for _, edge := range edges {
 		for _, a := range ix.cnf.TermRules[edge.Label] {
 			if !ix.mats[a].Get(edge.From, edge.To) {
-				delta[a].Set(edge.From, edge.To)
 				ix.mats[a].Set(edge.From, edge.To)
+				f.set(a, edge.From, edge.To)
 			}
 		}
 	}
-	if !anySet(delta) {
+	if !f.any() {
 		return stats, acc, nil
 	}
-	pt.endPass(0, 0)
-	for {
-		// Fold the frontier's genuinely-new bits into the returned delta.
-		// An empty slot adopts the frontier matrix itself, which is safe:
-		// the coming pass only reads it, and by the time a later fold Ors
-		// into it the frontier has moved on to a fresh matrix.
-		for a := range delta {
-			acc.or(a, delta[a])
+	// fold adds the frontier's genuinely-new bits to the returned delta.
+	fold := func() int {
+		for a, m := range f.delta {
+			if f.live[a] {
+				acc.or(a, m)
+			}
 		}
-		if err := ctx.Err(); err != nil {
-			return stats, acc, err
-		}
-		pt.beginPass()
-		next, err := e.step(ix, delta, nil, &stats)
-		if err != nil {
-			return stats, acc, err
-		}
-		pt.endPass(2*len(ix.cnf.Binary), 0)
-		if !anySet(next) {
-			return stats, acc, nil
-		}
-		delta = next
+		return 0
 	}
+	pt.endPass(0, fold())
+	err = e.closure(ctx, ix, f, pt, &stats, fold)
+	return stats, acc, err
 }
 
-// step is the one semi-naive pass every frontier-driven schedule runs: for
-// each binary rule A → B C it multiplies only the frontier Δ — the bits the
-// previous pass (or the seeding) added — against the full matrices,
-//
-//	next_A = (Δ_B × T_C  ∪  T_B × Δ_C) \ T_A
-//
-// ORs next into the index and returns it as the coming pass's frontier. Any
-// new entry must involve at least one newly added operand entry, so no
-// product the full T × T would find is missed. rows, when non-nil, masks
-// the products to the active rows of the source-restricted closure. The
-// pass's working set (index + frontier + the next-frontier matrices about
-// to be allocated) is charged to stats.PeakBytes and checked against the
-// memory budget before anything is allocated; a breach returns a
-// *MemoryBudgetError with the index untouched.
-func (e *Engine) step(ix *Index, delta []matrix.Bool, rows []bool, stats *Stats) ([]matrix.Bool, error) {
-	est := ix.Bytes() + matsBytes(delta) + int64(len(ix.mats))*ix.backend.EmptyBytes(ix.n)
+// frontier is the working state of the fixpoint loop: delta, the bits the
+// previous pass (or the seeding) added to the index, and next, the empty
+// set the coming pass fills. Both sets are allocated once per evaluation
+// and cleared and swapped from pass to pass. live[a] records that delta[a]
+// holds a bit; it is kept from what Set and AddMul report, never from an
+// Nnz sweep — on the dense backends a popcount of the whole bitmap.
+type frontier struct {
+	delta, next []matrix.Bool
+	live, grown []bool // grown is live's counterpart for next
+	// whole says the frontier is the whole index — a cold build's first
+	// pass, where everything is new — without delta holding a copy of it.
+	whole bool
+}
+
+// newFrontier allocates the loop's two matrix sets beside ix, from the
+// index's own backend, after charging them to stats.PeakBytes and checking
+// that index and both sets fit the memory budget.
+func (e *Engine) newFrontier(ix *Index, stats *Stats) (*frontier, error) {
+	nn := len(ix.mats)
+	est := ix.Bytes() + 2*int64(nn)*ix.backend.EmptyBytes(ix.n)
 	stats.observePeak(est)
 	if err := e.checkBudget(est); err != nil {
 		return nil, err
 	}
+	f := &frontier{
+		delta: make([]matrix.Bool, nn), next: make([]matrix.Bool, nn),
+		live: make([]bool, nn), grown: make([]bool, nn),
+	}
+	for a := range f.delta {
+		f.delta[a], f.next[a] = ix.backend.NewMatrix(ix.n), ix.backend.NewMatrix(ix.n)
+	}
+	return f, nil
+}
+
+// set seeds bit (i, j) of delta[a].
+func (f *frontier) set(a, i, j int) {
+	f.delta[a].Set(i, j)
+	f.live[a] = true
+}
+
+// any reports whether the frontier holds a bit — or is the whole index,
+// whose one pass runs whatever it holds, as Algorithm 1's first does.
+func (f *frontier) any() bool {
+	return f.whole || slices.Contains(f.live, true)
+}
+
+// closure is the engine's one fixpoint loop — Algorithm 1's "while T is
+// changing", run semi-naively: while the frontier holds a bit, one step.
+// Every evaluation reaches it and they differ only in the seed: the whole
+// initialised index (CloseContext), the bits of new edges (UpdateContext),
+// the rows of an active set (RunFromContext). Seeded with T₀ it walks
+// exactly the paper's states T₀, T₁, … pass for pass, the last pass being
+// the one that finds nothing new; with no bit seeded it runs no pass.
+// Cancellation lands between passes. each, when non-nil, runs after every
+// pass on the new frontier — the evaluation's own bookkeeping — and returns
+// the active-row count the pass's trace event reports.
+func (e *Engine) closure(ctx context.Context, ix *Index, f *frontier, pt *passTracer, stats *Stats, each func() int) error {
+	for f.any() {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		pt.beginPass()
+		products, err := e.step(ix, f, stats)
+		if err != nil {
+			return err
+		}
+		rows := 0
+		if each != nil {
+			rows = each()
+		}
+		pt.endPass(products, rows)
+	}
+	return nil
+}
+
+// step is one semi-naive pass: for each binary rule A → B C it multiplies
+// only the frontier Δ — the bits the previous pass (or the seeding) added —
+// against the full matrices,
+//
+//	next_A = (Δ_B × T_C  ∪  T_B × Δ_C) \ T_A
+//
+// ORs next into the index and makes it the coming pass's frontier. Any new
+// entry must involve at least one newly added operand entry, so no product
+// the full T × T would find is missed; a product whose Δ operand is empty
+// is not run, and not counted, and while Δ is the whole index the two
+// products of a rule are one and the same, T_B × T_C. Products are driven
+// by their left operand's non-empty rows (matrix.Bool.AddMul), so an
+// evaluation that keeps the rows outside an active set empty — the
+// source-restricted closure — never touches them. The pass's working set
+// (index + both frontier sets) is charged to stats.PeakBytes and checked
+// against the memory budget before the pass allocates anything; a breach
+// returns a *MemoryBudgetError with the index untouched. step returns the
+// number of products it ran.
+func (e *Engine) step(ix *Index, f *frontier, stats *Stats) (products int, _ error) {
+	est := ix.Bytes() + matsBytes(f.delta) + matsBytes(f.next)
+	stats.observePeak(est)
+	if err := e.checkBudget(est); err != nil {
+		return 0, err
+	}
 	stats.Iterations++
-	next := make([]matrix.Bool, len(ix.mats))
-	for a := range next {
-		next[a] = ix.backend.NewMatrix(ix.n)
+	mul := func(a int, x, y matrix.Bool) {
+		products++
+		if f.next[a].AddMul(x, y) {
+			f.grown[a] = true
+		}
 	}
 	for _, r := range ix.cnf.Binary {
-		stats.Products += 2
-		if rows == nil {
-			next[r.A].AddMul(delta[r.B], ix.mats[r.C])
-			next[r.A].AddMul(ix.mats[r.B], delta[r.C])
-		} else {
-			next[r.A].AddMulRows(delta[r.B], ix.mats[r.C], rows)
-			next[r.A].AddMulRows(ix.mats[r.B], delta[r.C], rows)
+		if f.whole {
+			mul(r.A, ix.mats[r.B], ix.mats[r.C]) // Δ = T: both products below are this one
+			continue
+		}
+		if f.live[r.B] {
+			mul(r.A, f.delta[r.B], ix.mats[r.C])
+		}
+		if f.live[r.C] {
+			mul(r.A, ix.mats[r.B], f.delta[r.C])
 		}
 	}
-	for a := range next {
-		next[a].AndNot(ix.mats[a]) // keep only genuinely new bits
-		if next[a].Nnz() > 0 {
-			ix.mats[a].Or(next[a])
+	stats.Products += products
+	for a, m := range f.next {
+		if f.grown[a] {
+			m.AndNot(ix.mats[a]) // keep only genuinely new bits
+			f.grown[a] = ix.mats[a].Or(m)
+		}
+		if f.live[a] {
+			f.delta[a].Clear()
+			f.live[a] = false
 		}
 	}
-	return next, nil
+	f.delta, f.next = f.next, f.delta
+	f.live, f.grown, f.whole = f.grown, f.live, false
+	return products, nil
 }
 
 // anySet reports whether any matrix of a working set holds a bit; nil

@@ -13,13 +13,14 @@ import (
 	"cfpq/internal/matrix"
 )
 
-// TestSchedulesAgreeProperty ties the three closure loops core keeps
-// together on random grammars × random graphs × all four backends: the
-// production in-place closure, the reference Algorithm1 and the Hellings
-// worklist oracle compute the same relations, and the semi-naive step — run
-// as UpdateContext on an empty index seeded with every edge — walks through
-// exactly Algorithm1's states T₀…T_k, pass for pass (both read only the
-// state the previous pass ended with).
+// TestSchedulesAgreeProperty ties the engine's one loop to its references
+// on random grammars × random graphs × all four backends: the production
+// closure, the reference Algorithm1 and the Hellings worklist oracle compute
+// the same relations, and the loop — seeded with the initialised index
+// (CloseContext) or, as UpdateContext on an empty index, with every edge —
+// walks through exactly Algorithm1's states T₀…T_k, pass for pass and with
+// the same pass count (both read only the state the previous pass ended
+// with), reporting each state's sizes in its trace event.
 func TestSchedulesAgreeProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	cfg := grammar.RandomConfig{
@@ -43,11 +44,35 @@ func TestSchedulesAgreeProperty(t *testing.T) {
 		oracle := baseline.Hellings(g, cnf)
 		for _, be := range matrix.Backends() {
 			var ref []*Index
-			final, _ := Algorithm1(be, g, cnf, func(_ int, ix *Index) { ref = append(ref, ix.Clone()) })
-			prod, _, _ := NewEngine(WithBackend(be)).RunContext(context.Background(), g, cnf)
+			final, refStats := Algorithm1(be, g, cnf, func(_ int, ix *Index) { ref = append(ref, ix.Clone()) })
+			e := NewEngine(WithBackend(be))
+			prod := e.Init(g, cnf)
+			var cold []*Index
+			prodStats, err := e.CloseContext(WithTraceContext(context.Background(), &Trace{Pass: func(ev PassEvent) {
+				for _, z := range ev.NNZ {
+					if z.After != prod.Count(z.Nonterminal) {
+						t.Fatalf("trial %d backend %s: event %d reports |R_%s| = %d, the index holds %d",
+							trial, be.Name(), ev.Pass, z.Nonterminal, z.After, prod.Count(z.Nonterminal))
+					}
+				}
+				cold = append(cold, prod.Clone())
+			}}), prod)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if !prod.Equal(final) {
-				t.Fatalf("trial %d backend %s: in-place closure differs from Algorithm1\ngrammar:\n%s",
+				t.Fatalf("trial %d backend %s: production closure differs from Algorithm1\ngrammar:\n%s",
 					trial, be.Name(), gram)
+			}
+			if len(cold) != len(ref) || prodStats.Iterations != refStats.Iterations {
+				t.Fatalf("trial %d backend %s: production closure went through %d states in %d passes, Algorithm1 through %d in %d",
+					trial, be.Name(), len(cold), prodStats.Iterations, len(ref), refStats.Iterations)
+			}
+			for k := range ref {
+				if !cold[k].Equal(ref[k]) {
+					t.Fatalf("trial %d backend %s: state T%d of the production closure differs from Algorithm1's",
+						trial, be.Name(), k)
+				}
 			}
 			for a, nt := range cnf.Names {
 				// Hellings reports empty relations as absent.
@@ -57,7 +82,6 @@ func TestSchedulesAgreeProperty(t *testing.T) {
 				}
 			}
 
-			e := NewEngine(WithBackend(be))
 			ix := e.Init(graph.New(n), cnf)
 			var states []*Index
 			ctx := WithTraceContext(context.Background(), &Trace{Pass: func(PassEvent) {
@@ -71,8 +95,7 @@ func TestSchedulesAgreeProperty(t *testing.T) {
 			}
 			if len(states) == 0 {
 				// No edge matched a terminal rule: the update had nothing to
-				// seed and ran no pass, while Algorithm1 still visits its
-				// empty T₀ and the one pass that confirms it.
+				// seed and fired no event, not even for the empty T₀.
 				if anySet(final.mats) {
 					t.Fatalf("trial %d backend %s: no update pass fired on a non-empty closure", trial, be.Name())
 				}
@@ -207,10 +230,15 @@ func TestTracePhases(t *testing.T) {
 	}
 }
 
-// TestUpdateHonoursMemoryBudget: an incremental update whose semi-naive
-// pass would outgrow the engine's budget stops with *MemoryBudgetError
-// before allocating it. The index keeps the seed bits (sound, not closed)
-// and the returned Delta holds exactly those.
+// TestUpdateHonoursMemoryBudget: an incremental update that would outgrow
+// the engine's budget stops with *MemoryBudgetError before the allocation
+// that breaches it. The budgets are taken from the update's own first
+// estimate — the index plus the two frontier sets it is about to allocate:
+// one byte less and nothing is allocated or seeded; exactly that much and
+// the seed bits land, whose 8 bytes on a sparse backend the first pass no
+// longer fits (the index keeps the seed — sound, not closed — and the
+// returned Delta holds exactly it), while a dense bitmap's estimate never
+// moves, so a dense update that was let start finishes.
 func TestUpdateHonoursMemoryBudget(t *testing.T) {
 	cnf := grammar.MustParseCNF("S -> S S | a")
 	const n = 200
@@ -221,55 +249,106 @@ func TestUpdateHonoursMemoryBudget(t *testing.T) {
 	for _, ed := range edges[:len(edges)-1] {
 		partial.AddEdge(ed.From, ed.Label, ed.To)
 	}
+	ctx := context.Background()
 	for _, be := range matrix.Backends() {
-		want, cold, _ := NewEngine(WithBackend(be)).RunContext(context.Background(), g, cnf)
-		// The finished closure fits, the update's extra frontier matrices
-		// on top of the nearly finished one do not.
-		e := NewEngine(WithBackend(be), WithMemoryBudget(cold.PeakBytes))
-		ix, _, err := e.RunContext(context.Background(), partial, cnf)
+		free := NewEngine(WithBackend(be))
+		want, _, _ := free.RunContext(ctx, g, cnf)
+		old, _, err := free.RunContext(ctx, partial, cnf)
 		if err != nil {
-			t.Fatalf("%s: cold build under its own peak: %v", be.Name(), err)
+			t.Fatal(err)
 		}
-		old := ix.Clone()
+		beside := int64(cnf.NonterminalCount()) * be.EmptyBytes(n)
+		first := old.Bytes() + 2*beside
 
-		stats, delta, err := e.UpdateContext(context.Background(), ix, last)
+		// One byte short of the frontier sets: rejected before they exist.
+		ix := old.Clone()
+		stats, delta, err := NewEngine(WithBackend(be), WithMemoryBudget(first-1)).UpdateContext(ctx, ix, last)
 		var mbe *MemoryBudgetError
-		if !errors.As(err, &mbe) {
-			t.Fatalf("%s: update under budget %d: err = %v, want *MemoryBudgetError", be.Name(), cold.PeakBytes, err)
+		if !errors.As(err, &mbe) || mbe.BudgetBytes != first-1 || mbe.EstimatedBytes != first {
+			t.Fatalf("%s: update under budget %d: err = %v, want *MemoryBudgetError for %d bytes", be.Name(), first-1, err, first)
 		}
-		if mbe.BudgetBytes != cold.PeakBytes || mbe.EstimatedBytes <= cold.PeakBytes {
-			t.Errorf("%s: error payload %+v", be.Name(), mbe)
+		if stats.Iterations != 0 || stats.Products != 0 || stats.PeakBytes != first {
+			t.Errorf("%s: update rejected at allocation reports %+v", be.Name(), stats)
 		}
-		if stats.Iterations != 0 || stats.Products != 0 {
-			t.Errorf("%s: rejected pass was counted: %+v", be.Name(), stats)
-		}
-		seed := []matrix.Pair{{I: last.From, J: last.To}}
-		if got := delta.Pairs("S"); !reflect.DeepEqual(got, seed) {
-			t.Errorf("%s: partial delta = %v, want the seed %v", be.Name(), got, seed)
-		}
-		if !ix.Has("S", last.From, last.To) || ix.Count("S") != old.Count("S")+1 {
-			t.Errorf("%s: index holds %d S-pairs after the rejected update, want the old %d plus the seed",
-				be.Name(), ix.Count("S"), old.Count("S"))
+		if !delta.Empty() || !ix.Equal(old) {
+			t.Errorf("%s: update rejected at allocation touched the index (delta %v)", be.Name(), delta.Nonterminals())
 		}
 
-		// On a fork two versions are live: the same rejected pass is charged
+		// The frontier sets fit exactly: what the seed adds decides.
+		e := NewEngine(WithBackend(be), WithMemoryBudget(first))
+		stats, delta, err = e.UpdateContext(ctx, ix, last)
+		probe := be.NewMatrix(n)
+		probe.Set(0, 0)
+		if probe.Bytes() == be.EmptyBytes(n) {
+			if err != nil || !ix.Equal(want) {
+				t.Errorf("%s: update under the budget its estimate never leaves: err=%v closed=%v", be.Name(), err, ix.Equal(want))
+			}
+		} else {
+			if !errors.As(err, &mbe) || mbe.BudgetBytes != first || mbe.EstimatedBytes <= first {
+				t.Fatalf("%s: update under budget %d: err = %v, want *MemoryBudgetError", be.Name(), first, err)
+			}
+			if stats.Iterations != 0 || stats.Products != 0 {
+				t.Errorf("%s: rejected pass was counted: %+v", be.Name(), stats)
+			}
+			seed := []matrix.Pair{{I: last.From, J: last.To}}
+			if got := delta.Pairs("S"); !reflect.DeepEqual(got, seed) {
+				t.Errorf("%s: partial delta = %v, want the seed %v", be.Name(), got, seed)
+			}
+			if !ix.Has("S", last.From, last.To) || ix.Count("S") != old.Count("S")+1 {
+				t.Errorf("%s: index holds %d S-pairs after the rejected update, want the old %d plus the seed",
+					be.Name(), ix.Count("S"), old.Count("S"))
+			}
+		}
+
+		// On a fork two versions are live: the same allocation is charged
 		// the storage the version forked from does not share on top, and
 		// that version stays exactly as it was.
-		beside := int64(cnf.NonterminalCount()) * be.EmptyBytes(n)
 		pristine := old.Clone()
-		_, _, err = e.UpdateContext(context.Background(), old.Fork(), last)
-		var forked *MemoryBudgetError
-		if !errors.As(err, &forked) || forked.EstimatedBytes != mbe.EstimatedBytes+beside {
-			t.Errorf("%s: rejected update on a fork: err = %v, want an estimate of %d + %d", be.Name(), err, mbe.EstimatedBytes, beside)
+		_, _, err = e.UpdateContext(ctx, old.Fork(), last)
+		if !errors.As(err, &mbe) || mbe.EstimatedBytes != first+beside {
+			t.Errorf("%s: rejected update on a fork: err = %v, want an estimate of %d + %d", be.Name(), err, first, beside)
 		}
 		if !old.Equal(pristine) {
 			t.Errorf("%s: a rejected update on a fork changed the version forked from", be.Name())
 		}
 
 		// With no budget the same update runs to the cold closure.
-		free := NewEngine(WithBackend(be))
-		if _, _, err := free.UpdateContext(context.Background(), old, last); err != nil || !old.Equal(want) {
+		if _, _, err := free.UpdateContext(ctx, old, last); err != nil || !old.Equal(want) {
 			t.Errorf("%s: unbudgeted update: err=%v equal=%v", be.Name(), err, old.Equal(want))
+		}
+	}
+}
+
+// TestColdBuildBudgetCountsFrontier: a cold build holds the frontier's two
+// matrix sets beside the index for as long as it runs, so a budget between
+// the empty index (T) and T + Δ + next rejects it — before any matrix is
+// allocated, which on these dimensions would show as megabytes.
+func TestColdBuildBudgetCountsFrontier(t *testing.T) {
+	cnf := grammar.MustParseCNF("S -> a S b | a b")
+	const n = 1 << 13
+	g := graph.Chain(n, "a")
+	for _, be := range matrix.Backends() {
+		one := int64(cnf.NonterminalCount()) * be.EmptyBytes(n)
+		for _, budget := range []int64{one, 3*one - 1} {
+			e := NewEngine(WithBackend(be), WithMemoryBudget(budget))
+			var ix *Index
+			var stats Stats
+			var err error
+			got := allocated(func() { ix, stats, err = e.RunContext(context.Background(), g, cnf) })
+			var mbe *MemoryBudgetError
+			if !errors.As(err, &mbe) || mbe.BudgetBytes != budget || mbe.EstimatedBytes != 3*one {
+				t.Fatalf("%s: cold build under budget %d: err = %v, want *MemoryBudgetError for %d bytes", be.Name(), budget, err, 3*one)
+			}
+			if ix != nil || stats != (Stats{}) {
+				t.Errorf("%s: rejected cold build returned an index or stats %+v", be.Name(), stats)
+			}
+			if got >= be.EmptyBytes(n) {
+				t.Errorf("%s: rejected cold build allocated %d bytes, a matrix is %d", be.Name(), got, be.EmptyBytes(n))
+			}
+		}
+		fits := 3 * int64(cnf.NonterminalCount()) * be.EmptyBytes(64)
+		if _, _, err := NewEngine(WithBackend(be), WithMemoryBudget(fits)).RunContext(context.Background(), graph.New(64), cnf); err != nil {
+			t.Errorf("%s: cold build of an empty graph under exactly its three empty sets: %v", be.Name(), err)
 		}
 	}
 }

@@ -54,25 +54,29 @@ var MaxIndexNodes = 1 << 26
 func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 	bw := bufio.NewWriter(w)
 	var written int64
-	emit := func(data any) error {
-		if err := binary.Write(bw, binary.LittleEndian, data); err != nil {
-			return err
-		}
-		written += int64(binary.Size(data))
-		return nil
+	// Every integer goes through one stack buffer: an entry is one 8-byte
+	// record, with no reflection and no allocation per value.
+	var rec [8]byte
+	emit := func(b []byte) error {
+		n, err := bw.Write(b)
+		written += int64(n)
+		return err
+	}
+	emitUint32 := func(v uint32) error {
+		binary.LittleEndian.PutUint32(rec[:4], v)
+		return emit(rec[:4])
 	}
 	emitString := func(s string) error {
 		if len(s) > 1<<16-1 {
 			return fmt.Errorf("core: string too long for index header: %d bytes", len(s))
 		}
-		if err := emit(uint16(len(s))); err != nil {
+		binary.LittleEndian.PutUint16(rec[:2], uint16(len(s)))
+		if err := emit(rec[:2]); err != nil {
 			return err
 		}
-		if _, err := bw.WriteString(s); err != nil {
-			return err
-		}
-		written += int64(len(s))
-		return nil
+		n, err := bw.WriteString(s)
+		written += int64(n)
+		return err
 	}
 	if _, err := bw.WriteString(indexMagic); err != nil {
 		return written, err
@@ -81,30 +85,25 @@ func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 	if err := emitString(ix.backend.Name()); err != nil {
 		return written, err
 	}
-	if err := emit(uint32(ix.n)); err != nil {
+	if err := emitUint32(uint32(ix.n)); err != nil {
 		return written, err
 	}
-	if err := emit(uint32(len(ix.mats))); err != nil {
+	if err := emitUint32(uint32(len(ix.mats))); err != nil {
 		return written, err
 	}
 	for a, m := range ix.mats {
 		if err := emitString(ix.cnf.Names[a]); err != nil {
 			return written, err
 		}
-		if err := emit(uint32(m.Nnz())); err != nil {
+		if err := emitUint32(uint32(m.Nnz())); err != nil {
 			return written, err
 		}
 		var rangeErr error
 		m.Range(func(i, j int) bool {
-			if err := emit(uint32(i)); err != nil {
-				rangeErr = err
-				return false
-			}
-			if err := emit(uint32(j)); err != nil {
-				rangeErr = err
-				return false
-			}
-			return true
+			binary.LittleEndian.PutUint32(rec[:4], uint32(i))
+			binary.LittleEndian.PutUint32(rec[4:], uint32(j))
+			rangeErr = emit(rec[:])
+			return rangeErr == nil
 		})
 		if rangeErr != nil {
 			return written, rangeErr
@@ -113,17 +112,24 @@ func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 	return written, bw.Flush()
 }
 
+// readUint32 reads one little-endian uint32 through buf.
+func readUint32(br *bufio.Reader, buf *[8]byte) (uint32, error) {
+	if _, err := io.ReadFull(br, buf[:4]); err != nil {
+		return 0, err
+	}
+	return binary.LittleEndian.Uint32(buf[:4]), nil
+}
+
 // readString reads a uint16-length-prefixed string.
-func readString(br *bufio.Reader) (string, error) {
-	var n uint16
-	if err := binary.Read(br, binary.LittleEndian, &n); err != nil {
+func readString(br *bufio.Reader, buf *[8]byte) (string, error) {
+	if _, err := io.ReadFull(br, buf[:2]); err != nil {
 		return "", err
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(br, buf); err != nil {
+	name := make([]byte, binary.LittleEndian.Uint16(buf[:2]))
+	if _, err := io.ReadFull(br, name); err != nil {
 		return "", err
 	}
-	return string(buf), nil
+	return string(name), nil
 }
 
 // ReadIndex deserialises an index previously written with WriteTo. The
@@ -140,7 +146,8 @@ func ReadIndex(r io.Reader, cnf *grammar.CNF, be matrix.Backend) (*Index, error)
 	if string(magic) != indexMagic {
 		return nil, fmt.Errorf("core: bad index magic %q", magic)
 	}
-	recorded, err := readString(br)
+	var rec [8]byte // every integer, and each 8-byte entry, is decoded through it
+	recorded, err := readString(br, &rec)
 	if err != nil {
 		return nil, fmt.Errorf("core: reading index backend: %w", err)
 	}
@@ -151,11 +158,12 @@ func ReadIndex(r io.Reader, cnf *grammar.CNF, be matrix.Backend) (*Index, error)
 			be = matrix.Sparse()
 		}
 	}
-	var n32, nn32 uint32
-	if err := binary.Read(br, binary.LittleEndian, &n32); err != nil {
+	n32, err := readUint32(br, &rec)
+	if err != nil {
 		return nil, err
 	}
-	if err := binary.Read(br, binary.LittleEndian, &nn32); err != nil {
+	nn32, err := readUint32(br, &rec)
+	if err != nil {
 		return nil, err
 	}
 	if int64(n32) > int64(MaxIndexNodes) {
@@ -168,7 +176,7 @@ func ReadIndex(r io.Reader, cnf *grammar.CNF, be matrix.Backend) (*Index, error)
 	}
 	ix := &Index{cnf: cnf, n: n, backend: be, mats: make([]matrix.Bool, cnf.NonterminalCount())}
 	for k := 0; k < int(nn32); k++ {
-		name, err := readString(br)
+		name, err := readString(br, &rec)
 		if err != nil {
 			return nil, err
 		}
@@ -180,18 +188,15 @@ func ReadIndex(r io.Reader, cnf *grammar.CNF, be matrix.Backend) (*Index, error)
 			return nil, fmt.Errorf("core: duplicate non-terminal %q in index", name)
 		}
 		m := be.NewMatrix(n)
-		var nnz uint32
-		if err := binary.Read(br, binary.LittleEndian, &nnz); err != nil {
+		nnz, err := readUint32(br, &rec)
+		if err != nil {
 			return nil, err
 		}
 		for e := uint32(0); e < nnz; e++ {
-			var i, j uint32
-			if err := binary.Read(br, binary.LittleEndian, &i); err != nil {
+			if _, err := io.ReadFull(br, rec[:]); err != nil {
 				return nil, err
 			}
-			if err := binary.Read(br, binary.LittleEndian, &j); err != nil {
-				return nil, err
-			}
+			i, j := binary.LittleEndian.Uint32(rec[:4]), binary.LittleEndian.Uint32(rec[4:])
 			if int(i) >= n || int(j) >= n {
 				return nil, fmt.Errorf("core: entry (%d,%d) out of range for %d nodes", i, j, n)
 			}

@@ -12,9 +12,8 @@ import (
 
 // saturationNum/saturationDen is the frontier-saturation threshold of the
 // source-restricted closure: once more than half of all rows are active,
-// masked products no longer save work over the plain closure (they scan the
-// same operand rows and add mask bookkeeping), so the evaluation falls back
-// to the full fixpoint.
+// tracking activation no longer pays for itself, so the evaluation seeds
+// every remaining row at once and carries on as the all-pairs closure.
 const (
 	saturationNum = 1
 	saturationDen = 2
@@ -27,7 +26,7 @@ type FromStats struct {
 	// node that became reachable through a derivation fragment.
 	Frontier int `json:"frontier"`
 	// Saturated reports that the frontier outgrew the saturation threshold
-	// and the evaluation fell back to the full all-pairs closure.
+	// and the evaluation finished as the full all-pairs closure.
 	Saturated bool `json:"saturated"`
 }
 
@@ -38,22 +37,24 @@ type FromStats struct {
 // corresponding row of the full all-pairs closure (in particular the source
 // rows), while rows outside the active set are left empty and unpaid-for.
 //
-// The schedule is the semi-naive pass (step) restricted to active rows,
-// with the bookkeeping proportional to the frontier, not the graph: rows
-// are seeded from a per-node out-edge index exactly once, when they
-// activate; each pass multiplies only the previous pass's new bits
-// (Δ_B × T_C and T_B × Δ_C, row-masked); and column activation scans only
-// those new bits, cascading through a worklist (a seeded bit can activate
-// the row its column names, whose seeds activate further rows, …).
+// The schedule is the engine's one fixpoint loop (closure), seeded with the
+// active rows only, with the bookkeeping proportional to the frontier, not
+// the graph: rows are seeded from a per-node out-edge index exactly once,
+// when they activate; each pass multiplies only the previous pass's new
+// bits (Δ_B × T_C and T_B × Δ_C), and since a product is driven by its left
+// operand's non-empty rows and only active rows ever hold a bit, no
+// inactive row is computed; column activation scans only those new bits,
+// cascading through a worklist (a seeded bit can activate the row its
+// column names, whose seeds activate further rows, …).
 // Completeness is the standard semi-naive argument plus: a missing pair
 // (i, A, j) with i active would need a smaller missing pair in an active
 // row, or a column never activated — both impossible at the fixpoint,
 // since every added bit's column is activated when the bit is added.
 //
 // When the active set outgrows the saturation threshold (half of all
-// rows), the remaining rows are seeded and the plain closure finishes the
-// job; the result is then the full all-pairs index and FromStats.Saturated
-// is set.
+// rows), every remaining row is activated and seeded and activation is no
+// longer tracked; the same loop carries on, the result is then the full
+// all-pairs index and FromStats.Saturated is set.
 //
 // Sources outside [0, g.Nodes()) are rejected; duplicate sources are fine.
 func (e *Engine) RunFromContext(ctx context.Context, g *graph.Graph, cnf *grammar.CNF, sources []int) (_ *Index, fs FromStats, _ error) {
@@ -65,8 +66,8 @@ func (e *Engine) RunFromContext(ctx context.Context, g *graph.Graph, cnf *gramma
 	}
 	nn := cnf.NonterminalCount()
 	// Pre-allocation budget check: the restricted closure starts with the
-	// index matrices plus an equal set of delta matrices.
-	if err := e.checkBudget(2 * int64(nn) * e.backend.EmptyBytes(n)); err != nil {
+	// index matrices plus the two frontier sets.
+	if err := e.checkBudget(3 * int64(nn) * e.backend.EmptyBytes(n)); err != nil {
 		return nil, FromStats{}, err
 	}
 	start := time.Now()
@@ -75,9 +76,13 @@ func (e *Engine) RunFromContext(ctx context.Context, g *graph.Graph, cnf *gramma
 	for a := range ix.mats {
 		ix.mats[a] = e.backend.NewMatrix(n)
 	}
-	fs.observePeak(2 * ix.Bytes())
 	if len(sources) == 0 || n == 0 {
+		fs.observePeak(ix.Bytes())
 		return ix, fs, nil
+	}
+	f, err := e.newFrontier(ix, &fs.Stats)
+	if err != nil {
+		return nil, fs, err
 	}
 	pt := e.newPassTracer(ctx, "frontier", ix)
 
@@ -96,19 +101,18 @@ func (e *Engine) RunFromContext(ctx context.Context, g *graph.Graph, cnf *gramma
 	}
 
 	active := make([]bool, n)
-	count := 0
 	var queue []int // activated rows waiting to be seeded
 	activate := func(j int) {
 		if !active[j] {
 			active[j] = true
-			count++
+			fs.Frontier++
 			queue = append(queue, j)
 		}
 	}
-	// drain seeds every queued row into the index and into delta (the
-	// seeded bits are new, so they must multiply next pass), activating
-	// the columns they name — which can queue further rows.
-	drain := func(delta []matrix.Bool) {
+	// drain seeds every queued row into the index and into the frontier
+	// (the seeded bits are new, so they must multiply next pass),
+	// activating the columns they name — which can queue further rows.
+	drain := func() {
 		for len(queue) > 0 {
 			i := queue[len(queue)-1]
 			queue = queue[:len(queue)-1]
@@ -116,80 +120,52 @@ func (e *Engine) RunFromContext(ctx context.Context, g *graph.Graph, cnf *gramma
 				for _, a := range sd.as {
 					if !ix.mats[a].Get(i, sd.to) {
 						ix.mats[a].Set(i, sd.to)
-						delta[a].Set(i, sd.to)
+						f.set(a, i, sd.to)
 					}
 				}
 				activate(sd.to)
 			}
 		}
 	}
-	// fallback activates and seeds every remaining row and finishes with
-	// the plain all-pairs closure from the current (sound) state. The pass
-	// tracer is handed through, so the event chain continues across the
-	// schedule switch (the fallback's seeding rows are one more "frontier"
-	// event, then events carry the all-pairs phase).
-	fallback := func(delta []matrix.Bool) (*Index, FromStats, error) {
-		pt.beginPass()
-		for i := 0; i < n; i++ {
-			activate(i)
+	// grow runs after the seeding and after every pass: it activates the
+	// columns of the frontier's bits — those nodes head derivation
+	// fragments later products read rows of — and seeds the rows that
+	// activates. Once the active set outgrows the threshold it seeds every
+	// remaining row instead, and from the next event on there is nothing
+	// left to track: the loop is the all-pairs closure, and says so.
+	grow := func() int {
+		if fs.Saturated {
+			pt.setPhase("full")
+			return 0
 		}
-		drain(delta)
-		pt.endPass(0, count)
-		fs.Frontier = n
-		fs.Saturated = true
-		st, err := e.closeTraced(ctx, ix, pt)
-		fs.Stats.Add(st)
-		if err != nil {
-			return nil, fs, err
+		for a, m := range f.delta {
+			if f.live[a] {
+				m.Range(func(_, j int) bool {
+					activate(j)
+					return true
+				})
+			}
 		}
-		return ix, fs, nil
+		drain()
+		if fs.Frontier*saturationDen > n*saturationNum {
+			fs.Saturated = true
+			for i := 0; i < n; i++ {
+				activate(i)
+			}
+			drain()
+		}
+		return fs.Frontier
 	}
-	saturated := func() bool { return count*saturationDen > n*saturationNum }
 
-	delta := make([]matrix.Bool, nn)
-	for a := range delta {
-		delta[a] = e.backend.NewMatrix(n)
-	}
 	pt.beginPass()
 	for _, s := range sources {
 		activate(s)
 	}
-	drain(delta)
-	pt.endPass(0, count)
-	if saturated() {
-		return fallback(delta)
+	pt.endPass(0, grow())
+	if err := e.closure(ctx, ix, f, pt, &fs.Stats, grow); err != nil {
+		return nil, fs, err
 	}
-
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, fs, err
-		}
-		if !anySet(delta) {
-			fs.Frontier = count
-			return ix, fs, nil
-		}
-		pt.beginPass()
-		next, err := e.step(ix, delta, active, &fs.Stats)
-		if err != nil {
-			return nil, fs, err
-		}
-		for a := range next {
-			// Activate the columns of the new bits: those nodes head
-			// derivation fragments later products read rows of.
-			next[a].Range(func(i, j int) bool {
-				activate(j)
-				return true
-			})
-		}
-		// Seed the rows those columns activated; seeded bits join next so
-		// they multiply in the coming pass.
-		drain(next)
-		pt.endPass(2*len(ix.cnf.Binary), count)
-		if saturated() {
-			return fallback(next)
-		}
-		delta = next
-	}
+	return ix, fs, nil
 }
 
 // QueryFromContext evaluates R_start restricted to the given source nodes:

@@ -174,46 +174,6 @@ func TestQueryFromEdgeCases(t *testing.T) {
 	}
 }
 
-// TestAddMulRowsMatchesMaskedAddMul cross-checks the masked kernel against
-// the unmasked one row by row, across backends.
-func TestAddMulRowsMatchesMaskedAddMul(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for _, be := range matrix.Backends() {
-		for trial := 0; trial < 6; trial++ {
-			n := 3 + rng.Intn(20)
-			newRand := func() matrix.Bool {
-				m := be.NewMatrix(n)
-				for k := 0; k < 2*n; k++ {
-					m.Set(rng.Intn(n), rng.Intn(n))
-				}
-				return m
-			}
-			a, b := newRand(), newRand()
-			dst := newRand()
-			mask := make([]bool, n)
-			for i := range mask {
-				mask[i] = rng.Intn(2) == 0
-			}
-			full := dst.Clone()
-			full.AddMul(a, b)
-			masked := dst.Clone()
-			masked.AddMulRows(a, b, mask)
-			for i := 0; i < n; i++ {
-				for j := 0; j < n; j++ {
-					want := dst.Get(i, j)
-					if mask[i] {
-						want = full.Get(i, j)
-					}
-					if masked.Get(i, j) != want {
-						t.Fatalf("%s n=%d (%d,%d): masked=%v want=%v mask=%v",
-							be.Name(), n, i, j, masked.Get(i, j), want, mask[i])
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestRunFromSaturationThreshold drives the restricted closure exactly
 // across the ½-row saturation threshold: an a-chain of k edges from the
 // single source reaches k+1 rows, so on a 10-node graph a 4-edge chain

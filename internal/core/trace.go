@@ -25,16 +25,19 @@ func (z NNZ) Delta() int { return z.After - z.Before }
 // are delivered in order from the goroutine running the closure; the slices
 // they carry must not be retained or mutated after the hook returns.
 type PassEvent struct {
-	// Phase names the schedule that ran the pass: "full" (the in-place
-	// all-pairs closure), "frontier" (source-restricted), or "update"
-	// (incremental edge propagation). A saturated source-restricted
-	// evaluation switches from "frontier" to "full" mid-stream when it
-	// falls back to the all-pairs closure.
+	// Phase names what the one fixpoint loop was seeded with when it ran
+	// the pass: "full" (the whole index — the all-pairs closure),
+	// "frontier" (the rows of an active set — source-restricted), or
+	// "update" (the bits of new edges — incremental propagation). A
+	// saturated source-restricted evaluation switches from "frontier" to
+	// "full" mid-stream: the event in which it seeded every remaining row
+	// is its last "frontier" one.
 	Phase string `json:"phase"`
 	// Pass numbers the events of one evaluation from 0 (the seeding step).
 	Pass int `json:"pass"`
 	// Products is the number of Boolean matrix multiplications this pass
-	// executed (0 for the seeding step).
+	// actually ran (0 for the seeding step); a product whose frontier
+	// operand was empty is skipped and not counted.
 	Products int `json:"products"`
 	// NNZ reports every non-terminal relation's size before/after the
 	// pass, in grammar order.
@@ -54,7 +57,7 @@ type PassEvent struct {
 // Saturation is the frontier saturation ratio Frontier/Nodes — how much of
 // the graph the source-restricted closure is actively maintaining. It is 0
 // outside the "frontier" phase and reaches 1 when a saturated evaluation
-// falls back to the all-pairs closure.
+// seeds every remaining row and carries on as the all-pairs closure.
 func (ev PassEvent) Saturation() float64 {
 	if ev.Nodes == 0 {
 		return 0
@@ -119,7 +122,7 @@ type passTracer struct {
 	ix           *Index
 	// before holds each relation's nnz as of the previous event, indexed
 	// like Index.mats; events chain from it so deltas telescope even when
-	// an evaluation switches schedules (frontier saturation fallback).
+	// an evaluation switches phase (frontier saturation).
 	before    []int
 	pass      int
 	passStart time.Time
@@ -147,7 +150,7 @@ func (e *Engine) newPassTracer(ctx context.Context, phase string, ix *Index) *pa
 	}
 }
 
-// setPhase renames the phase of subsequent events (saturation fallback).
+// setPhase renames the phase of subsequent events (frontier saturation).
 func (pt *passTracer) setPhase(phase string) {
 	if pt == nil {
 		return
@@ -203,8 +206,3 @@ func (pt *passTracer) endPass(products, frontier int) {
 		pt.contextTrace.Pass(ev)
 	}
 }
-
-// started reports whether the tracer has already emitted its seeding event,
-// so a schedule taking over mid-evaluation (saturation fallback) does not
-// emit a second one.
-func (pt *passTracer) started() bool { return pt != nil && pt.pass > 0 }

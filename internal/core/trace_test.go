@@ -46,7 +46,6 @@ func TestDisabledTracerCostsNoAllocations(t *testing.T) {
 		pt.setPhase("full")
 		pt.beginPass()
 		pt.endPass(3, 0)
-		_ = pt.started()
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled tracer allocated %.1f per pass, want 0", allocs)

@@ -5,6 +5,7 @@ import (
 	"math/bits"
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // DenseMatrix is a bit-packed n×n Boolean matrix: row i occupies words
@@ -208,150 +209,92 @@ func (m *DenseMatrix) RangeRow(i int, fn func(j int) bool) bool {
 	return true
 }
 
-// AddMul computes m |= a × b. The product is accumulated into a scratch
-// buffer first, so m may alias a or b.
-func (m *DenseMatrix) AddMul(a, b Bool) bool {
-	return m.addMul(a, b)
-}
+// Clear zeroes the bitmap in place.
+func (m *DenseMatrix) Clear() { clear(m.words) }
 
-// AddMulRows is AddMul restricted to the masked rows: only rows i with
-// rows[i] set are multiplied and merged. Scratch space and the merge scan
-// are sized to the masked rows, not the whole matrix, so a small frontier
-// pays for its own rows only.
-func (m *DenseMatrix) AddMulRows(a, b Bool, rows []bool) bool {
-	if len(rows) != m.n {
-		panic(fmt.Sprintf("matrix: row mask length %d for %d×%d", len(rows), m.n, m.n))
-	}
+// AddMul computes m |= a × b, ORing product rows straight into m — unless
+// m is one of the operands: then the product is accumulated into a scratch
+// bitmap first, which is what lets m alias a or b. Rows of b that hold no
+// bit are found once, up front, and never ORed; if there are none the
+// product is empty and nothing else runs.
+func (m *DenseMatrix) AddMul(a, b Bool) bool {
 	da := mustDense(a, m.n)
 	db := mustDense(b, m.n)
-	idx := make([]int, 0, len(rows))
-	for i, on := range rows {
-		if on {
-			idx = append(idx, i)
+	stride := m.stride
+	// bRows has bit k set iff row k of b holds a bit: ANDed into a word of
+	// a's row i it leaves exactly the k whose b-row contributes to row i.
+	bRows := make([]uint64, stride)
+	empty := true
+	for k := 0; k < m.n; k++ {
+		for _, w := range db.words[k*stride : (k+1)*stride] {
+			if w != 0 {
+				bRows[k/64] |= 1 << (uint(k) % 64)
+				empty = false
+				break
+			}
 		}
 	}
-	if len(idx) == 0 {
+	if empty {
 		return false
 	}
-	stride := m.stride
-	prod := make([]uint64, len(idx)*stride)
-	compute := func(lo, hi int) {
-		for ri := lo; ri < hi; ri++ {
-			mulRowInto(da, db, idx[ri], prod[ri*stride:(ri+1)*stride])
-		}
+	if m != da && m != db {
+		return m.parallelRows(func(lo, hi int) bool { return mulRows(da, db, bRows, m.words, lo, hi) })
 	}
-	if m.parallel {
-		m.parallelRows(len(idx), compute)
-	} else {
-		compute(0, len(idx))
-	}
-	changed := false
-	for ri, i := range idx {
-		orow := prod[ri*stride : (ri+1)*stride]
-		mrow := m.words[i*stride : (i+1)*stride]
-		for x, w := range orow {
-			if nw := mrow[x] | w; nw != mrow[x] {
-				mrow[x] = nw
-				changed = true
-			}
-		}
-	}
-	return changed
-}
-
-// addMul is the full (unmasked) AddMul kernel.
-func (m *DenseMatrix) addMul(a, b Bool) bool {
-	da := mustDense(a, m.n)
-	db := mustDense(b, m.n)
 	prod := make([]uint64, len(m.words))
-	compute := func(lo, hi int) { mulRows(da, db, prod, lo, hi) }
-	if m.parallel {
-		m.parallelRows(m.n, compute)
-	} else {
-		compute(0, m.n)
+	if !m.parallelRows(func(lo, hi int) bool { return mulRows(da, db, bRows, prod, lo, hi) }) {
+		return false
 	}
-	changed := false
-	for i, w := range prod {
-		if nw := m.words[i] | w; nw != m.words[i] {
-			m.words[i] = nw
-			changed = true
-		}
-	}
-	return changed
+	return m.Or(&DenseMatrix{n: m.n, stride: stride, words: prod})
 }
 
-// mulRowInto computes row i of a×b into the given stride-sized word slice.
-func mulRowInto(a, b *DenseMatrix, i int, orow []uint64) {
+// mulRows ORs rows [lo, hi) of a×b into the same rows of dst and reports
+// whether that set a bit; bRows masks out the k whose row of b is empty.
+func mulRows(a, b *DenseMatrix, bRows, dst []uint64, lo, hi int) bool {
 	stride := a.stride
-	arow := a.words[i*stride : (i+1)*stride]
-	for wi, w := range arow {
-		for w != 0 {
-			k := wi*64 + bits.TrailingZeros64(w)
-			w &= w - 1
-			brow := b.words[k*stride : (k+1)*stride]
-			for x, bw := range brow {
-				orow[x] |= bw
+	var grew uint64
+	for i := lo; i < hi; i++ {
+		orow := dst[i*stride : (i+1)*stride]
+		for wi, w := range a.words[i*stride : (i+1)*stride] {
+			for w &= bRows[wi]; w != 0; w &= w - 1 {
+				k := wi*64 + bits.TrailingZeros64(w)
+				for x, bw := range b.words[k*stride : (k+1)*stride] {
+					grew |= bw &^ orow[x]
+					orow[x] |= bw
+				}
 			}
 		}
 	}
+	return grew != 0
 }
 
-// mulRows computes rows [lo, hi) of a×b into prod.
-func mulRows(a, b *DenseMatrix, prod []uint64, lo, hi int) {
-	stride := a.stride
-	for i := lo; i < hi; i++ {
-		mulRowInto(a, b, i, prod[i*stride:(i+1)*stride])
-	}
-}
-
-// parallelRows splits [0, n) across the backend's workers and runs compute
-// on each chunk.
-func (m *DenseMatrix) parallelRows(n int, compute func(lo, hi int)) {
-	workers := m.workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
+// parallelRows runs compute over the rows [0, n), split across the
+// backend's workers when it is a parallel one, and reports whether any
+// chunk did: chunks own disjoint rows of the destination.
+func (m *DenseMatrix) parallelRows(compute func(lo, hi int) bool) bool {
+	workers := 1
+	if m.parallel {
+		if workers = m.workers; workers <= 0 {
+			workers = runtime.GOMAXPROCS(0)
+		}
+		workers = min(workers, m.n)
 	}
 	if workers <= 1 {
-		compute(0, n)
-		return
+		return compute(0, m.n)
 	}
 	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
+	var grew atomic.Bool
+	chunk := (m.n + workers - 1) / workers
+	for lo := 0; lo < m.n; lo += chunk {
 		wg.Add(1)
-		go func(lo, hi int) {
+		go func() {
 			defer wg.Done()
-			compute(lo, hi)
-		}(lo, hi)
+			if compute(lo, min(lo+chunk, m.n)) {
+				grew.Store(true)
+			}
+		}()
 	}
 	wg.Wait()
-}
-
-// Transpose returns the transposed matrix (same backend flavour).
-func (m *DenseMatrix) Transpose() *DenseMatrix {
-	t := &DenseMatrix{
-		n:        m.n,
-		stride:   m.stride,
-		words:    make([]uint64, len(m.words)),
-		parallel: m.parallel,
-		workers:  m.workers,
-	}
-	m.Range(func(i, j int) bool {
-		t.words[j*t.stride+i/64] |= 1 << (uint(i) % 64)
-		return true
-	})
-	return t
+	return grew.Load()
 }
 
 func mustDense(b Bool, n int) *DenseMatrix {

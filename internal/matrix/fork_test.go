@@ -27,13 +27,7 @@ func TestForkLeavesOriginUntouched(t *testing.T) {
 		{"AndNot", func(m, x, _ Bool, _ *rand.Rand) { m.AndNot(x) }},
 		{"AddMul", func(m, x, y Bool, _ *rand.Rand) { m.AddMul(x, y) }},
 		{"AddMulSelf", func(m, _, _ Bool, _ *rand.Rand) { m.AddMul(m, m) }},
-		{"AddMulRows", func(m, x, y Bool, rng *rand.Rand) {
-			rows := make([]bool, m.Dim())
-			for i := range rows {
-				rows[i] = rng.Intn(2) == 0
-			}
-			m.AddMulRows(x, y, rows)
-		}},
+		{"Clear", func(m, _, _ Bool, _ *rand.Rand) { m.Clear() }},
 	}
 	for _, be := range allBackends() {
 		for trial := 0; trial < 40; trial++ {

@@ -47,7 +47,7 @@ func TestHotStructLayouts(t *testing.T) {
 		typ  reflect.Type
 		size uintptr
 	}{
-		{"SparseMatrix", reflect.TypeOf(SparseMatrix{}), 56},
+		{"SparseMatrix", reflect.TypeOf(SparseMatrix{}), 80},
 		{"DenseMatrix", reflect.TypeOf(DenseMatrix{}), 56},
 		{"Pair", reflect.TypeOf(Pair{}), 16},
 	}

@@ -21,9 +21,18 @@ package matrix
 // matrix beside readers of the current one, and it rests on one invariant:
 // a row slice reachable from a published version is never written again.
 // The sparse mutators keep it by construction — Or, And, AndNot, AddMul,
-// AddMulRows and Grow replace a row (or the row list) with a fresh or an
+// Clear and Grow replace a row (or the row list) with a fresh or an
 // untouched slice, never edit one — and Set, the one mutator that inserts
-// in place, replaces the row too on a matrix that has been forked.
+// in place, replaces the row too on a matrix that has been forked. The
+// reads of a published version (Get, Range, RangeRow, Nnz, Bytes, Dim)
+// touch no field Fork or a writer writes.
+//
+// Live rows. A sparse matrix lists its non-empty rows — each exactly once,
+// kept where rows are written — and every operation that only concerns
+// rows holding a bit (AddMul over its left operand, Or over its argument,
+// And, AndNot, Clear, Clone, Equal) walks that list, not all n row
+// headers: an operation on a nearly empty matrix costs what the matrix
+// holds, whatever its dimension.
 //
 // Mixing matrices from different backends in AddMul/Or/Equal is a
 // programming error and panics: the CFPQ engine allocates every matrix from
@@ -39,14 +48,16 @@ type Bool interface {
 	Nnz() int
 	// AddMul computes m |= a × b over the Boolean semiring and reports
 	// whether m changed. a and b must come from the same backend as m;
-	// m may alias a and/or b (the product is computed before merging).
+	// m may alias a and/or b (the product is then computed before
+	// merging). Only rows in which a holds a bit can change, which is what
+	// confines the source-restricted closure to its active rows without a
+	// mask.
 	AddMul(a, b Bool) bool
-	// AddMulRows is AddMul restricted to the rows i with rows[i] set: only
-	// those rows of the product are computed and merged, the rest of m is
-	// untouched. len(rows) must equal Dim. This is the kernel of the
-	// source-restricted closure, where only the rows of an active frontier
-	// need to be maintained.
-	AddMulRows(a, b Bool, rows []bool) bool
+	// Clear empties the matrix, keeping its storage for the next fill, in
+	// time proportional to what it holds (the dense backends hold their
+	// whole bitmap). It is how the closure reuses its frontier matrices
+	// from pass to pass.
+	Clear()
 	// Or computes m |= other and reports whether m changed.
 	Or(other Bool) bool
 	// And computes m &= other (intersection) and reports whether m

@@ -431,59 +431,6 @@ func sortInt32(xs []int32) {
 	}
 }
 
-func TestDenseTranspose(t *testing.T) {
-	m := NewDense(67)
-	m.Set(0, 66)
-	m.Set(66, 0)
-	m.Set(5, 13)
-	tr := m.Transpose()
-	if !tr.Get(66, 0) || !tr.Get(0, 66) || !tr.Get(13, 5) {
-		t.Error("transpose entries wrong")
-	}
-	if tr.Nnz() != m.Nnz() {
-		t.Errorf("transpose Nnz = %d, want %d", tr.Nnz(), m.Nnz())
-	}
-}
-
-func TestSparseTranspose(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for trial := 0; trial < 10; trial++ {
-		n := 1 + rng.Intn(50)
-		g := randGrid(rng, n, 0.15)
-		s := NewSparse(n)
-		fill(s, g)
-		tr := s.Transpose()
-		if tr.Nnz() != s.Nnz() {
-			t.Fatalf("transpose Nnz = %d, want %d", tr.Nnz(), s.Nnz())
-		}
-		s.Range(func(i, j int) bool {
-			if !tr.Get(j, i) {
-				t.Fatalf("(%d,%d) set but transpose (%d,%d) missing", i, j, j, i)
-			}
-			return true
-		})
-		// Double transpose is identity.
-		if !tr.Transpose().Equal(s) {
-			t.Fatal("double transpose != original")
-		}
-	}
-}
-
-func TestDenseSparseConversion(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	g := randGrid(rng, 33, 0.2)
-	d := NewDense(33)
-	fill(d, g)
-	s := FromDense(d)
-	if !reflect.DeepEqual(toBool(s), g) {
-		t.Error("FromDense wrong")
-	}
-	d2 := s.ToDense()
-	if !d.Equal(d2) {
-		t.Error("ToDense(FromDense) != original")
-	}
-}
-
 func TestPairs(t *testing.T) {
 	m := NewSparse(4)
 	m.Set(1, 2)

@@ -20,8 +20,13 @@ import (
 // CUSPARSE distributes them across thread blocks, which is why
 // SparseParallel serves as the paper's sGPU stand-in.
 type SparseMatrix struct {
-	n       int
-	rows    [][]int32
+	n    int
+	rows [][]int32
+	// live lists the non-empty rows, each exactly once, in no particular
+	// order: what a product, a union or a Clear walks in place of all n row
+	// headers. Set and setRow append a row when it gains its first entry;
+	// And, AndNot and Clear, the mutators that can empty one, drop it.
+	live    []int32
 	nnz     int
 	workers int
 	// parallel selects the row-parallel kernel.
@@ -30,9 +35,10 @@ type SparseMatrix struct {
 	// (it was forked, or is a fork): Set then replaces the row it inserts
 	// into instead of shifting it in place. It stays set for good.
 	shared bool
-	// borrowed marks a matrix whose row list itself is still the one its
-	// fork (or origin) reads: setRow copies the list before the first row
-	// is replaced, so a fork that is never written costs nothing.
+	// borrowed marks a matrix whose row list and live list are still the
+	// ones its fork (or origin) reads: setRow copies both before the first
+	// write, so a fork that is never written costs nothing and the two
+	// sides never append into one backing array.
 	borrowed bool
 }
 
@@ -114,6 +120,9 @@ func (m *SparseMatrix) Set(i, j int) {
 		m.setRow(i, grown)
 		return
 	}
+	if len(row) == 0 {
+		m.live = append(m.live, int32(i))
+	}
 	row = append(row, 0)
 	copy(row[k+1:], row[k:])
 	row[k] = int32(j)
@@ -122,15 +131,33 @@ func (m *SparseMatrix) Set(i, j int) {
 }
 
 // setRow replaces row i — how every mutator but the in-place Set writes a
-// row — first taking a private copy of the row list if a fork still reads
-// this one.
+// row — first taking private copies of the row list and the live list if a
+// fork still reads these ones. A row that gains its first entry joins the
+// live list; one that loses its last stays listed until the caller (And,
+// AndNot) drops it.
 func (m *SparseMatrix) setRow(i int, row []int32) {
 	if m.borrowed {
-		m.rows = slices.Clone(m.rows)
+		m.rows, m.live = slices.Clone(m.rows), slices.Clone(m.live)
 		m.borrowed = false
+	}
+	if len(m.rows[i]) == 0 && len(row) > 0 {
+		m.live = append(m.live, int32(i))
 	}
 	m.nnz += len(row) - len(m.rows[i])
 	m.rows[i] = row
+}
+
+// Clear empties the matrix in time proportional to the rows it holds,
+// keeping the row list and the live list's capacity for the next fill.
+func (m *SparseMatrix) Clear() {
+	if m.borrowed {
+		// The lists are a fork's to read: leave them, start fresh ones.
+		m.rows, m.live, m.borrowed = make([][]int32, m.n), nil, false
+	}
+	for _, i := range m.live {
+		m.rows[i] = nil
+	}
+	m.live, m.nnz = m.live[:0], 0
 }
 
 // Nnz returns the number of set entries.
@@ -150,6 +177,9 @@ func (m *SparseMatrix) Grow(n int) {
 	}
 	rows := make([][]int32, n)
 	copy(rows, m.rows)
+	if m.borrowed {
+		m.live = slices.Clone(m.live)
+	}
 	m.rows, m.borrowed = rows, false
 	m.n = n
 }
@@ -159,23 +189,20 @@ func (m *SparseMatrix) Clone() Bool {
 	cp := &SparseMatrix{
 		n:        m.n,
 		rows:     make([][]int32, m.n),
+		live:     slices.Clone(m.live),
 		nnz:      m.nnz,
 		parallel: m.parallel,
 		workers:  m.workers,
 	}
-	for i, row := range m.rows {
-		if len(row) > 0 {
-			nr := make([]int32, len(row))
-			copy(nr, row)
-			cp.rows[i] = nr
-		}
+	for _, i := range m.live {
+		cp.rows[i] = slices.Clone(m.rows[i])
 	}
 	return cp
 }
 
-// Fork returns a matrix over the same rows in O(1): row slices and row
-// list are shared, and both sides are marked so — whichever is mutated
-// next copies the list (O(n), once) before replacing its first row and
+// Fork returns a matrix over the same rows in O(1): row slices, row list
+// and live list are shared, and both sides are marked so — whichever is
+// mutated next copies the lists (O(n), once) before its first write and
 // leaves every shared row slice as the other reads it.
 func (m *SparseMatrix) Fork() Bool {
 	m.shared, m.borrowed = true, true
@@ -189,15 +216,10 @@ func (m *SparseMatrix) Equal(other Bool) bool {
 	if m.nnz != o.nnz {
 		return false
 	}
-	for i := range m.rows {
-		a, b := m.rows[i], o.rows[i]
-		if len(a) != len(b) {
+	// Equal counts make m's rows all of o's: no other row of o holds a bit.
+	for _, i := range m.live {
+		if !slices.Equal(m.rows[i], o.rows[i]) {
 			return false
-		}
-		for k := range a {
-			if a[k] != b[k] {
-				return false
-			}
 		}
 	}
 	return true
@@ -229,10 +251,9 @@ func (m *SparseMatrix) RangeRow(i int, fn func(j int) bool) bool {
 func (m *SparseMatrix) Or(other Bool) bool {
 	o := mustSparse(other, m.n)
 	changed := false
-	for i := range m.rows {
-		merged, grew := unionSorted(m.rows[i], o.rows[i])
-		if grew {
-			m.setRow(i, merged)
+	for _, i := range o.live {
+		if merged, grew := unionSorted(m.rows[i], o.rows[i]); grew {
+			m.setRow(int(i), merged)
 			changed = true
 		}
 	}
@@ -241,28 +262,26 @@ func (m *SparseMatrix) Or(other Bool) bool {
 
 // And computes m &= other.
 func (m *SparseMatrix) And(other Bool) bool {
-	o := mustSparse(other, m.n)
-	changed := false
-	for i := range m.rows {
-		kept := intersectSorted(m.rows[i], o.rows[i])
-		if len(kept) != len(m.rows[i]) {
-			m.setRow(i, kept)
-			changed = true
-		}
-	}
-	return changed
+	return m.keepRows(mustSparse(other, m.n), intersectSorted)
 }
 
 // AndNot computes m &= ¬other.
 func (m *SparseMatrix) AndNot(other Bool) bool {
-	o := mustSparse(other, m.n)
+	return m.keepRows(mustSparse(other, m.n), differenceSorted)
+}
+
+// keepRows replaces every live row by keep(row, o's row) — a subset of it,
+// returned as-is when nothing is dropped — and unlists the rows it emptied.
+func (m *SparseMatrix) keepRows(o *SparseMatrix, keep func(a, b []int32) []int32) bool {
 	changed := false
-	for i := range m.rows {
-		kept := differenceSorted(m.rows[i], o.rows[i])
-		if len(kept) != len(m.rows[i]) {
-			m.setRow(i, kept)
+	for _, i := range m.live {
+		if kept := keep(m.rows[i], o.rows[i]); len(kept) != len(m.rows[i]) {
+			m.setRow(int(i), kept)
 			changed = true
 		}
+	}
+	if changed {
+		m.live = slices.DeleteFunc(m.live, func(i int32) bool { return len(m.rows[i]) == 0 })
 	}
 	return changed
 }
@@ -334,137 +353,107 @@ func differenceSorted(a, b []int32) []int32 {
 	return out
 }
 
-// AddMul computes m |= a × b with merge-based row products. All product
-// rows are materialised before merging, so m may alias a or b.
+// AddMul computes m |= a × b with merge-based row products, driven by the
+// left operand: only a's live rows can have a product row, so only they are
+// visited, and an empty operand returns at once. A row that grew is written
+// straight into m — unless m is one of the operands, or the rows are split
+// across workers: then every grown row is computed before the first is
+// written, which is what lets m alias a or b.
 func (m *SparseMatrix) AddMul(a, b Bool) bool {
 	sa := mustSparse(a, m.n)
 	sb := mustSparse(b, m.n)
-	prod := make([][]int32, m.n)
-	if m.parallel {
-		m.spgemmParallel(sa, sb, prod)
-	} else {
-		var rm rowMerger
-		for i := 0; i < m.n; i++ {
-			prod[i] = rm.productRow(sa, sb, i)
-		}
-	}
-	changed := false
-	for i := range m.rows {
-		if len(prod[i]) == 0 {
-			continue
-		}
-		merged, grew := unionSorted(m.rows[i], prod[i])
-		if grew {
-			m.setRow(i, merged)
-			changed = true
-		}
-	}
-	return changed
-}
-
-// AddMulRows is AddMul restricted to the masked rows: only rows i with
-// rows[i] set are multiplied and merged. The row list, scratch space and
-// merge scan are sized to the masked rows, so a small frontier pays for
-// its own rows only (plus one O(n) sweep to collect them).
-func (m *SparseMatrix) AddMulRows(a, b Bool, rows []bool) bool {
-	if len(rows) != m.n {
-		panic(fmt.Sprintf("matrix: row mask length %d for %d×%d", len(rows), m.n, m.n))
-	}
-	sa := mustSparse(a, m.n)
-	sb := mustSparse(b, m.n)
-	idx := make([]int, 0, len(rows))
-	for i, on := range rows {
-		if on {
-			idx = append(idx, i)
-		}
-	}
-	if len(idx) == 0 {
+	if sa.nnz == 0 || sb.nnz == 0 {
 		return false
 	}
-	prod := make([][]int32, len(idx))
-	if m.parallel && len(idx) > 1 {
-		m.spgemmParallelRows(sa, sb, prod, idx)
-	} else {
-		var rm rowMerger
-		for ri, i := range idx {
-			prod[ri] = rm.productRow(sa, sb, i)
+	rows := sa.live
+	workers := 1
+	if m.parallel {
+		if workers = m.workers; workers <= 0 {
+			workers = runtime.GOMAXPROCS(0)
 		}
+		workers = min(workers, (len(rows)+rowGrain-1)/rowGrain)
 	}
+	var next atomic.Int64 // the first row not yet claimed
 	changed := false
-	for ri, i := range idx {
-		if len(prod[ri]) == 0 {
-			continue
-		}
-		merged, grew := unionSorted(m.rows[i], prod[ri])
-		if grew {
-			m.setRow(i, merged)
+	if workers == 1 && m != sa && m != sb {
+		m.mulRows(sa, sb, rows, &next, func(i int32, grown []int32) {
+			m.setRow(int(i), grown)
 			changed = true
-		}
+		})
+		return changed
 	}
-	return changed
-}
-
-// spgemmParallelRows distributes the listed rows across workers; prod is
-// indexed like idx.
-func (m *SparseMatrix) spgemmParallelRows(a, b *SparseMatrix, prod [][]int32, idx []int) {
-	workers := m.workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	type grownRow struct {
+		i    int32
+		cols []int32
 	}
-	if workers > len(idx) {
-		workers = len(idx)
-	}
-	if workers <= 1 {
-		var rm rowMerger
-		for ri, i := range idx {
-			prod[ri] = rm.productRow(a, b, i)
-		}
-		return
-	}
-	var next atomic.Int64
+	parts := make([][]grownRow, workers)
 	var wg sync.WaitGroup
-	const grain = 16 // masked row lists are short; keep chunks small
-	for w := 0; w < workers; w++ {
+	for w := range parts {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var rm rowMerger
-			for {
-				lo := int(next.Add(grain)) - grain
-				if lo >= len(idx) {
-					return
-				}
-				hi := lo + grain
-				if hi > len(idx) {
-					hi = len(idx)
-				}
-				for ri := lo; ri < hi; ri++ {
-					prod[ri] = rm.productRow(a, b, idx[ri])
-				}
-			}
+			var part []grownRow
+			m.mulRows(sa, sb, rows, &next, func(i int32, grown []int32) {
+				part = append(part, grownRow{i, grown})
+			})
+			parts[w] = part
 		}()
 	}
 	wg.Wait()
+	for _, part := range parts {
+		for _, r := range part {
+			m.setRow(int(r.i), r.cols)
+			changed = true
+		}
+	}
+	return changed
+}
+
+// rowGrain is how many left-operand rows a worker claims per fetch: large
+// enough to keep contention on the shared counter low, small enough that a
+// few hub rows do not leave the other workers idle. A product over no more
+// rows than this is not split.
+const rowGrain = 64
+
+// mulRows is the product kernel: claiming rowGrain of the listed rows at a
+// time through next — alone or beside other workers — it computes row i of
+// m ∪ a×b for each and hands the rows that grew, freshly allocated, to
+// emit. It only reads m itself.
+func (m *SparseMatrix) mulRows(a, b *SparseMatrix, rows []int32, next *atomic.Int64, emit func(i int32, grown []int32)) {
+	var rm rowMerger
+	for {
+		lo := int(next.Add(rowGrain)) - rowGrain
+		if lo >= len(rows) {
+			return
+		}
+		for _, i := range rows[lo:min(lo+rowGrain, len(rows))] {
+			if grown, grew := unionSorted(m.rows[i], rm.productRow(a, b, int(i))); grew {
+				emit(i, grown)
+			}
+		}
+	}
 }
 
 // rowMerger is the per-worker scratch of the merge-based SpGEMM kernel:
 // two reusable [][]int32 list buffers plus two ping-pong arenas backing
 // the intermediate merge rounds. The zero value is ready to use; capacity
 // grows to the working set of the largest row and is then reused, so the
-// steady-state kernel allocates only the final product rows.
+// steady-state kernel allocates nothing: the caller copies what it keeps.
 type rowMerger struct {
 	cand, next     [][]int32
 	arenaA, arenaB []int32
 }
 
-// productRow computes row i of a×b as a freshly allocated sorted column
-// list (nil when empty). The candidate rows b.rows[k] for k ∈ a.rows[i]
-// are merged pairwise in balanced rounds — a merge tree of depth
-// log₂(fan-in) — so the cost is O(output·log fan-in) with no n-sized
-// scratch and no sort. Each round writes into the arena its inputs do NOT
-// occupy; an odd leftover list is copied into the round's arena rather
-// than carried by reference, so every list read in round r+1 lives in
-// memory written in round r and arena writes never alias arena reads.
+// productRow computes row i of a×b as a sorted column list (nil when
+// empty) that lives in the merger's scratch or in b itself: it is valid
+// until the next call and must be copied, not kept or written. The
+// candidate rows b.rows[k] for k ∈ a.rows[i] are merged pairwise in
+// balanced rounds — a merge tree of depth log₂(fan-in) — so the cost is
+// O(output·log fan-in) with no n-sized scratch and no sort. Each round
+// writes into the arena its inputs do NOT occupy; an odd leftover list is
+// copied into the round's arena rather than carried by reference, so every
+// list read in round r+1 lives in memory written in round r and arena
+// writes never alias arena reads.
 func (rm *rowMerger) productRow(a, b *SparseMatrix, i int) []int32 {
 	rm.cand = rm.cand[:0]
 	for _, k := range a.rows[i] {
@@ -502,9 +491,7 @@ func (rm *rowMerger) productRow(a, b *SparseMatrix, i int) []int32 {
 		useA = !useA
 	}
 	rm.cand, rm.next = cur, free
-	out := make([]int32, len(cur[0]))
-	copy(out, cur[0])
-	return out
+	return cur[0]
 }
 
 // mergeRowsInto appends the sorted union of x and y (sorted unique
@@ -527,47 +514,6 @@ func mergeRowsInto(dst, x, y []int32) []int32 {
 	}
 	dst = append(dst, x[i:]...)
 	return append(dst, y[j:]...)
-}
-
-func (m *SparseMatrix) spgemmParallel(a, b *SparseMatrix, prod [][]int32) {
-	workers := m.workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > m.n {
-		workers = m.n
-	}
-	if workers <= 1 {
-		var rm rowMerger
-		for i := 0; i < m.n; i++ {
-			prod[i] = rm.productRow(a, b, i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	const grain = 64 // rows claimed per fetch, keeps contention low
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var rm rowMerger
-			for {
-				lo := int(next.Add(grain)) - grain
-				if lo >= m.n {
-					return
-				}
-				hi := lo + grain
-				if hi > m.n {
-					hi = m.n
-				}
-				for i := lo; i < hi; i++ {
-					prod[i] = rm.productRow(a, b, i)
-				}
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // unionSorted merges two sorted unique slices; grew reports whether the
@@ -614,58 +560,6 @@ func unionSorted(a, b []int32) (merged []int32, grew bool) {
 	out = append(out, a[i:]...)
 	out = append(out, b[j:]...)
 	return out, true
-}
-
-// Transpose returns the transposed matrix (same backend flavour).
-func (m *SparseMatrix) Transpose() *SparseMatrix {
-	t := &SparseMatrix{
-		n:        m.n,
-		rows:     make([][]int32, m.n),
-		nnz:      m.nnz,
-		parallel: m.parallel,
-		workers:  m.workers,
-	}
-	// Count per-column first so each transposed row is allocated once.
-	counts := make([]int, m.n)
-	for _, row := range m.rows {
-		for _, j := range row {
-			counts[j]++
-		}
-	}
-	for j, c := range counts {
-		if c > 0 {
-			t.rows[j] = make([]int32, 0, c)
-		}
-	}
-	// Row-major iteration appends column indices in increasing i, so the
-	// transposed rows come out sorted.
-	for i, row := range m.rows {
-		for _, j := range row {
-			t.rows[j] = append(t.rows[j], int32(i))
-		}
-	}
-	return t
-}
-
-// ToDense converts to a dense matrix (serial backend).
-func (m *SparseMatrix) ToDense() *DenseMatrix {
-	d := NewDense(m.n)
-	m.Range(func(i, j int) bool {
-		d.Set(i, j)
-		return true
-	})
-	return d
-}
-
-// FromDense converts a dense matrix to a sparse one (serial backend).
-func FromDense(d *DenseMatrix) *SparseMatrix {
-	s := NewSparse(d.Dim())
-	d.Range(func(i, j int) bool {
-		s.rows[i] = append(s.rows[i], int32(j))
-		s.nnz++
-		return true
-	})
-	return s
 }
 
 func mustSparse(b Bool, n int) *SparseMatrix {

@@ -108,10 +108,11 @@ func TestTraceDeltasEqualRelationSizeProperty(t *testing.T) {
 }
 
 func TestTraceChainsAcrossFrontierFallback(t *testing.T) {
-	// A long chain queried from its head keeps the frontier strategy; a
-	// dense source set saturates and falls back to the full schedule. In
-	// both cases — and especially across the fallback's phase switch —
-	// events must chain so the summed deltas stay meaningful.
+	// Every node of a chain is a source, so the frontier saturates while
+	// it is still seeding: the seeding — the rows saturation adds included
+	// — is one "frontier" event, the evaluation's first, and only then
+	// does the phase turn "full". Across that switch events must chain, so
+	// the summed deltas stay meaningful.
 	ctx := context.Background()
 	gram := cfpq.MustParseGrammar("S -> a S | a")
 	for _, be := range cfpq.Backends() {
@@ -153,6 +154,16 @@ func TestTraceChainsAcrossFrontierFallback(t *testing.T) {
 		}
 		if res.Explain.Strategy == cfpq.StrategySourceFrontier && !sawFrontier {
 			t.Errorf("%s: source-frontier plan but no frontier-phase events", be)
+		}
+		if !res.Explain.Saturated {
+			t.Fatalf("%s: all %d nodes as sources did not saturate the frontier", be, n)
+		}
+		for k, ev := range res.Explain.Passes {
+			seed := k == 0
+			if (ev.Phase == "frontier") != seed || (ev.Products == 0) != seed || (ev.Frontier == n) != seed {
+				t.Errorf("%s: event %d is %q with %d products and frontier %d; want one frontier seed event of %d rows, then full passes",
+					be, k, ev.Phase, ev.Products, ev.Frontier, n)
+			}
 		}
 	}
 }
