@@ -179,7 +179,8 @@
 // cfpq.WithMemoryBudget(n)), where it also governs Prepare and every
 // incremental patch. An evaluation that would exceed the budget fails
 // fast between passes with a typed *MemoryBudgetError instead of
-// thrashing the process. An update's estimate counts both live versions
+// thrashing the process — QueryConjunctive, SinglePath and ShortestPath
+// included: they run the same closure. An update's estimate counts both live versions
 // (the fork's unshared storage beside the one readers hold); an
 // over-budget update is abandoned like a cancelled one — the handle keeps
 // serving its last version, and since a handle's budget is its engine's,

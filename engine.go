@@ -118,16 +118,21 @@ func (e *Engine) Evaluate(ctx context.Context, g *Graph, cnf *CNF, opts ...Optio
 
 // SinglePath evaluates the single-path query semantics: the returned
 // PathIndex reports, for every pair of every relation, a witness-path
-// length (Length) and a concrete path of exactly that length (Path).
+// length (Length) and a concrete path of exactly that length (Path). It is
+// the engine's closure (its backend, memory budget and tracer apply); a
+// length is fixed in the pass that derives the pair, the same on every run.
 func (e *Engine) SinglePath(ctx context.Context, g *Graph, cnf *CNF) (*PathIndex, error) {
-	return core.NewPathIndexContext(ctx, g, cnf)
+	px, _, err := e.newCore(&config{}).SinglePathContext(ctx, g, cnf)
+	return px, err
 }
 
 // ShortestPath is SinglePath with minimal witness lengths: the recorded
 // length (and the extracted path) of every pair is the shortest possible,
-// as in Hellings' single-path algorithm.
+// as in Hellings' single-path algorithm — SinglePath's index, then a
+// min-plus relaxation of its lengths.
 func (e *Engine) ShortestPath(ctx context.Context, g *Graph, cnf *CNF) (*PathIndex, error) {
-	return core.NewShortestPathIndexContext(ctx, g, cnf)
+	px, _, err := e.newCore(&config{}).ShortestPathContext(ctx, g, cnf)
+	return px, err
 }
 
 // AllPaths enumerates distinct paths witnessing (start, i, j) in
@@ -159,7 +164,8 @@ func (e *Engine) RPQ(ctx context.Context, g *Graph, expr string, opts ...Option)
 // Section 7 hypothesis (verified by this package's tests), the result is
 // an upper approximation of the single-path relation on cyclic graphs and
 // exact on linear inputs. It is sugar for a Conjunctive Request evaluated
-// by Do.
+// by Do: the engine's closure with the grammar's intersection rules, under
+// this engine's backend, memory budget and tracer.
 func (e *Engine) QueryConjunctive(ctx context.Context, g *Graph, cg *ConjunctiveGrammar, start string, opts ...Option) ([]Pair, error) {
 	res, err := e.Do(ctx, Request{Graph: g, Conjunctive: cg, Nonterminal: start, Options: opts})
 	if err != nil {

@@ -2,6 +2,7 @@ package cfpq
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"testing"
 )
@@ -74,6 +75,55 @@ func TestConjunctiveFacade(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("aabbcc not recognised: %v", pairs)
+	}
+}
+
+// TestExtensionsRunTheEngine: conjunctive and single-path evaluation are the
+// engine's closure, so on every backend a traced conjunctive request
+// reports its passes and real Stats (all zero while it ran a loop of its
+// own), and the memory budget — per call or engine-wide — governs both.
+func TestExtensionsRunTheEngine(t *testing.T) {
+	ctx := context.Background()
+	cg, err := ParseConjunctive("S -> A B & D C\nA -> a A | a\nB -> b B c | b c\nC -> c C | c\nD -> a D b | a b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := NewGraph(0)
+	for i, l := range []string{"a", "a", "b", "b", "c", "c"} {
+		g.AddEdge(i, l, i+1)
+	}
+	cnf, _ := ToCNF(MustParseGrammar("S -> a S b | a b"))
+	for _, be := range Backends() {
+		req := Request{Graph: g, Conjunctive: cg, Nonterminal: "S", Trace: true}
+		res, err := NewEngine(be).Do(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := []Pair{{I: 0, J: 6}}; !reflect.DeepEqual(res.AllPairs(), want) {
+			t.Errorf("%s: pairs = %v, want %v", be.Name(), res.AllPairs(), want)
+		}
+		if st := res.Stats; st.Iterations == 0 || st.Products == 0 || st.PeakBytes == 0 || st.Duration == 0 {
+			t.Errorf("%s: conjunctive Stats = %+v, want the closure's work", be.Name(), st)
+		}
+		if ps := res.Explain.Passes; len(ps) != res.Stats.Iterations+1 || ps[0].Phase != "full" {
+			t.Errorf("%s: %d pass events for %d passes (first %+v)", be.Name(), len(ps), res.Stats.Iterations, ps)
+		}
+
+		var mbe *MemoryBudgetError
+		req.Options = []Option{WithMemoryBudget(16)}
+		if _, err := NewEngine(be).Do(ctx, req); !errors.As(err, &mbe) {
+			t.Errorf("%s: conjunctive Do under 16 bytes: %v, want *MemoryBudgetError", be.Name(), err)
+		}
+		tight := NewEngine(be, WithMemoryBudget(16))
+		if _, err := tight.QueryConjunctive(ctx, g, cg, "S"); !errors.As(err, &mbe) {
+			t.Errorf("%s: QueryConjunctive under an engine budget: %v, want *MemoryBudgetError", be.Name(), err)
+		}
+		if _, err := tight.SinglePath(ctx, g, cnf); !errors.As(err, &mbe) {
+			t.Errorf("%s: SinglePath under an engine budget: %v, want *MemoryBudgetError", be.Name(), err)
+		}
+		if _, err := tight.ShortestPath(ctx, g, cnf); !errors.As(err, &mbe) {
+			t.Errorf("%s: ShortestPath under an engine budget: %v, want *MemoryBudgetError", be.Name(), err)
+		}
 	}
 }
 

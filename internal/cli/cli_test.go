@@ -156,6 +156,32 @@ func TestRunSinglePath(t *testing.T) {
 	}
 }
 
+// TestRunSinglePathBackendsAgree: -semantics single-path honours -backend,
+// and the witnesses do not depend on it.
+func TestRunSinglePathBackendsAgree(t *testing.T) {
+	dir := t.TempDir()
+	cfg := &Config{
+		GraphPath: writeFile(t, dir, "g.nt", sampleNT),
+		QueryPath: writeFile(t, dir, "q.g", sampleGrammar),
+		Start:     "S",
+		Semantics: "single-path",
+	}
+	var want string
+	for _, be := range cfpq.Backends() {
+		cfg.Backend = be.Name()
+		var out bytes.Buffer
+		if err := Run(ctx, cfg, &out); err != nil {
+			t.Fatalf("%s: %v", be.Name(), err)
+		}
+		if want == "" {
+			want = out.String()
+		}
+		if out.String() != want || want == "" {
+			t.Errorf("%s printed\n%s\nwant\n%s", be.Name(), out.String(), want)
+		}
+	}
+}
+
 func TestRunErrors(t *testing.T) {
 	dir := t.TempDir()
 	good := &Config{

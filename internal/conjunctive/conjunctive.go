@@ -10,9 +10,16 @@
 //	A → α₁ & α₂ & … & αₖ
 //
 // meaning a string derives from A only if it derives from *every* conjunct
-// αᵢ. In the matrix closure this becomes an intersection of products:
+// αᵢ. In the matrix closure this becomes an intersection of products,
 //
 //	T_A |= (T_B₁ × T_C₁) ∩ (T_B₂ × T_C₂) ∩ …
+//
+// which this package does not evaluate itself: compile names every
+// conjunct by one non-terminal of an ordinary CNF (a helper Pᵢ → Bᵢ Cᵢ for
+// a product), and the core engine's one loop runs the products as the
+// context-free rules they are and the rules A → P₁ & … & Pₘ left over
+// semi-naively beside them, next_A |= ⋃_c (Δ_Pc ∩ ⋂_{d≠c} T_Pd) — with the
+// caller's backend, memory budget, trace and Stats.
 //
 // On linear inputs (string/chain graphs) this computes exactly the
 // conjunctive language (Okhotin's matrix parsing). On graphs with cycles
@@ -25,12 +32,11 @@ package conjunctive
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
 
+	"cfpq/internal/core"
 	"cfpq/internal/grammar"
 	"cfpq/internal/graph"
-	"cfpq/internal/matrix"
 )
 
 // Production is one conjunctive rule: every conjunct is an alternative-free
@@ -107,15 +113,6 @@ func Parse(text string) (*Grammar, error) {
 	return g, nil
 }
 
-// MustParse is Parse that panics on error.
-func MustParse(text string) *Grammar {
-	g, err := Parse(text)
-	if err != nil {
-		panic(err)
-	}
-	return g
-}
-
 func isUpper(c byte) bool { return c >= 'A' && c <= 'Z' }
 
 func parseSymbols(s string) ([]grammar.Symbol, error) {
@@ -133,227 +130,102 @@ func parseSymbols(s string) ([]grammar.Symbol, error) {
 	return out, nil
 }
 
-// normal is the compiled binary normal form: terminal rules plus
-// conjunctive binary rules (each conjunct exactly two non-terminals).
-type normal struct {
-	names     []string
-	index     map[string]int
-	termRules map[string][]int
-	// rules[i] = conjunctive rule: lhs plus one (B, C) pair per conjunct.
-	rules []conjRule
-}
-
-type conjRule struct {
-	a         int
-	conjuncts [][2]int
-}
-
-// compile lowers the grammar to binary normal form. Each conjunct is
-// binarised independently with fresh helper non-terminals (helpers are
-// plain context-free single-conjunct rules).
-func (g *Grammar) compile() (*normal, error) {
-	n := &normal{index: map[string]int{}, termRules: map[string][]int{}}
+// compile lowers the grammar to what the core engine evaluates: an ordinary
+// CNF plus intersection rules over its non-terminals. Every conjunct
+// becomes one non-terminal — itself when it is one, a lifted terminal, or
+// a fresh helper H → X Y binarising a longer string — so a production with
+// a single conjunct is a plain terminal or binary rule, and only unit
+// rules and real conjunctions A → P₁ & … & Pₘ are left to the meets.
+func (g *Grammar) compile() (*grammar.CNF, []core.Meet, error) {
+	var (
+		names     []string
+		index     = map[string]int{}
+		termRules = map[string][]int{}
+		binary    []grammar.BinaryRule
+		meets     []core.Meet
+	)
 	intern := func(name string) int {
-		if i, ok := n.index[name]; ok {
+		if i, ok := index[name]; ok {
 			return i
 		}
-		i := len(n.names)
-		n.names = append(n.names, name)
-		n.index[name] = i
-		return i
+		index[name] = len(names)
+		names = append(names, name)
+		return len(names) - 1
 	}
-	used := map[string]bool{}
+	// The grammar's own names first, so no helper can take one.
 	for _, p := range g.Productions {
-		used[p.Lhs] = true
+		intern(p.Lhs)
+		if len(p.Conjuncts) == 0 {
+			return nil, nil, fmt.Errorf("conjunctive: %s has no conjunct", p.Lhs)
+		}
 		for _, c := range p.Conjuncts {
+			if len(c) == 0 {
+				return nil, nil, fmt.Errorf("conjunctive: empty conjunct in %s", p)
+			}
 			for _, s := range c {
 				if !s.Terminal {
-					used[s.Name] = true
+					intern(s.Name)
 				}
 			}
 		}
 	}
 	freshID := 0
-	fresh := func(base string) string {
+	fresh := func(base string) int {
 		for {
 			freshID++
 			name := fmt.Sprintf("%s&%d", base, freshID)
-			if !used[name] {
-				used[name] = true
-				return name
+			if _, taken := index[name]; !taken {
+				return intern(name)
 			}
 		}
 	}
-	// lower reduces a symbol string to a single non-terminal index,
-	// emitting helper rules as needed.
-	var lower func(lhsBase string, syms []grammar.Symbol) (int, error)
-	liftTerm := map[string]int{}
-	termNT := func(t string) int {
-		if i, ok := liftTerm[t]; ok {
-			return i
+	lifted := map[string]int{}
+	// nt reduces a symbol string to a single non-terminal, emitting the
+	// helper rules it needs.
+	var nt func(base string, syms []grammar.Symbol) int
+	nt = func(base string, syms []grammar.Symbol) int {
+		if len(syms) > 1 {
+			h := fresh(base)
+			binary = append(binary, grammar.BinaryRule{A: h, B: nt(base, syms[:1]), C: nt(base, syms[1:])})
+			return h
 		}
-		name := fresh("T")
-		i := intern(name)
-		liftTerm[t] = i
-		n.termRules[t] = append(n.termRules[t], i)
-		return i
-	}
-	emitBinary := func(a, b, c int) {
-		n.rules = append(n.rules, conjRule{a: a, conjuncts: [][2]int{{b, c}}})
-	}
-	lower = func(lhsBase string, syms []grammar.Symbol) (int, error) {
-		switch len(syms) {
-		case 0:
-			return 0, fmt.Errorf("conjunctive: empty conjunct")
-		case 1:
-			s := syms[0]
-			if s.Terminal {
-				return termNT(s.Name), nil
-			}
-			return intern(s.Name), nil
-		default:
-			first, err := lower(lhsBase, syms[:1])
-			if err != nil {
-				return 0, err
-			}
-			rest, err := lower(lhsBase, syms[1:])
-			if err != nil {
-				return 0, err
-			}
-			helper := intern(fresh(lhsBase))
-			emitBinary(helper, first, rest)
-			return helper, nil
+		s := syms[0]
+		if !s.Terminal {
+			return intern(s.Name)
 		}
+		if _, ok := lifted[s.Name]; !ok {
+			lifted[s.Name] = fresh("T")
+			termRules[s.Name] = append(termRules[s.Name], lifted[s.Name])
+		}
+		return lifted[s.Name]
 	}
 	for _, p := range g.Productions {
-		a := intern(p.Lhs)
-		if len(p.Conjuncts) == 1 && len(p.Conjuncts[0]) == 1 && p.Conjuncts[0][0].Terminal {
-			t := p.Conjuncts[0][0].Name
-			n.termRules[t] = append(n.termRules[t], a)
-			continue
+		a, first := intern(p.Lhs), p.Conjuncts[0]
+		switch {
+		case len(p.Conjuncts) == 1 && len(first) > 1:
+			binary = append(binary, grammar.BinaryRule{A: a, B: nt(p.Lhs, first[:1]), C: nt(p.Lhs, first[1:])})
+		case len(p.Conjuncts) == 1 && first[0].Terminal:
+			termRules[first[0].Name] = append(termRules[first[0].Name], a)
+		default:
+			m := core.Meet{A: a}
+			for _, c := range p.Conjuncts {
+				m.P = append(m.P, nt(p.Lhs, c))
+			}
+			meets = append(meets, m)
 		}
-		rule := conjRule{a: a}
-		for _, c := range p.Conjuncts {
-			if len(c) == 1 {
-				if c[0].Terminal {
-					// Single-terminal conjunct inside a multi-conjunct rule.
-					lifted := termNT(c[0].Name)
-					// Pair it with nothing? A length-1 conjunct constrains
-					// the fragment to a single edge; model it as the
-					// non-terminal itself by a unit trick: X & … where X
-					// must span the same fragment. Represent as the pair
-					// (lifted, ·) is impossible in binary form, so wrap:
-					// treat the conjunct as the non-terminal `lifted`
-					// directly via a marker pair {-1, lifted}.
-					rule.conjuncts = append(rule.conjuncts, [2]int{-1, lifted})
-					continue
-				}
-				rule.conjuncts = append(rule.conjuncts, [2]int{-1, intern(c[0].Name)})
-				continue
-			}
-			// Binarise to exactly one (B, C) pair.
-			b, err := lower(p.Lhs, c[:1])
-			if err != nil {
-				return nil, err
-			}
-			cc, err := lower(p.Lhs, c[1:])
-			if err != nil {
-				return nil, err
-			}
-			rule.conjuncts = append(rule.conjuncts, [2]int{b, cc})
-		}
-		n.rules = append(n.rules, rule)
 	}
-	for t := range n.termRules {
-		sort.Ints(n.termRules[t])
-	}
-	return n, nil
+	cnf, err := grammar.NewCNF(names, termRules, binary)
+	return cnf, meets, err
 }
 
-// Result holds the evaluated (upper-approximation) relations.
-type Result struct {
-	nm   *normal
-	n    int
-	mats []matrix.Bool
-}
-
-// Relation returns the computed relation of the named non-terminal, sorted.
-func (r *Result) Relation(nt string) []matrix.Pair {
-	a, ok := r.nm.index[nt]
-	if !ok {
-		return nil
-	}
-	return matrix.Pairs(r.mats[a])
-}
-
-// Has reports membership.
-func (r *Result) Has(nt string, i, j int) bool {
-	a, ok := r.nm.index[nt]
-	return ok && r.mats[a].Get(i, j)
-}
-
-// EvaluateContext runs the conjunctive matrix closure on the graph with the
-// given backend (nil selects the serial sparse backend), with cooperative
-// cancellation between fixpoint passes. Per fixpoint pass, each conjunctive
-// rule contributes the intersection of its conjunct products.
-func EvaluateContext(ctx context.Context, g *graph.Graph, cg *Grammar, be matrix.Backend) (*Result, error) {
-	nm, err := cg.compile()
+// EvaluateContext evaluates the conjunctive grammar on the graph with the
+// given engine — its backend, memory budget and tracer, cancellation
+// between passes — and returns the index of every non-terminal's
+// (upper-approximation) relation with the closure's statistics.
+func EvaluateContext(ctx context.Context, eng *core.Engine, g *graph.Graph, cg *Grammar) (*core.Index, core.Stats, error) {
+	cnf, meets, err := cg.compile()
 	if err != nil {
-		return nil, err
+		return nil, core.Stats{}, err
 	}
-	if be == nil {
-		be = matrix.Sparse()
-	}
-	n := g.Nodes()
-	res := &Result{nm: nm, n: n, mats: make([]matrix.Bool, len(nm.names))}
-	for a := range res.mats {
-		res.mats[a] = be.NewMatrix(n)
-	}
-	for t, as := range nm.termRules {
-		for _, e := range g.EdgesWithLabel(t) {
-			for _, a := range as {
-				res.mats[a].Set(e.From, e.To)
-			}
-		}
-	}
-	for changed := true; changed; {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		changed = false
-		for _, rule := range nm.rules {
-			acc := be.NewMatrix(n)
-			for ci, c := range rule.conjuncts {
-				var prod matrix.Bool
-				if c[0] < 0 {
-					// Unit conjunct: the fragment must itself derive from
-					// the single non-terminal c[1].
-					prod = res.mats[c[1]].Clone()
-				} else {
-					prod = be.NewMatrix(n)
-					prod.AddMul(res.mats[c[0]], res.mats[c[1]])
-				}
-				if ci == 0 {
-					acc.Or(prod)
-				} else {
-					acc.And(prod)
-				}
-			}
-			if res.mats[rule.a].Or(acc) {
-				changed = true
-			}
-		}
-	}
-	return res, nil
-}
-
-// Recognize reports whether the word derives from start under the
-// conjunctive grammar, by evaluating on the word's chain graph (exact on
-// linear inputs per Okhotin's matrix parsing).
-func Recognize(ctx context.Context, cg *Grammar, start string, word []string) (bool, error) {
-	res, err := EvaluateContext(ctx, graph.Word(word), cg, nil)
-	if err != nil {
-		return false, err
-	}
-	return res.Has(start, 0, len(word)), nil
+	return eng.RunContext(ctx, g, cnf, meets...)
 }

@@ -2,9 +2,15 @@ package conjunctive
 
 import (
 	"context"
+	"errors"
+	"math/rand"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
+	"cfpq/internal/core"
+	"cfpq/internal/grammar"
 	"cfpq/internal/graph"
 	"cfpq/internal/matrix"
 )
@@ -19,6 +25,26 @@ B -> b B c | b c
 C -> c C | c
 D -> a D b | a b
 `
+
+// MustParse is Parse that panics on error.
+func MustParse(text string) *Grammar {
+	g, err := Parse(text)
+	if err != nil {
+		panic(err)
+	}
+	return g
+}
+
+// Recognize reports whether the word derives from start under the
+// conjunctive grammar, by evaluating on the word's chain graph (exact on
+// linear inputs per Okhotin's matrix parsing).
+func Recognize(ctx context.Context, cg *Grammar, start string, word []string) (bool, error) {
+	ix, _, err := EvaluateContext(ctx, core.NewEngine(), graph.Word(word), cg)
+	if err != nil {
+		return false, err
+	}
+	return ix.Has(start, 0, len(word)), nil
+}
 
 // refDerives is an independent reference recogniser for conjunctive
 // grammars on strings: a bottom-up Kleene iteration over spans. A span
@@ -172,7 +198,7 @@ func TestUpperApproximationOnGraphs(t *testing.T) {
 		A -> a
 		B -> b
 	`)
-	res, err := EvaluateContext(context.Background(), g, cg, nil)
+	res, _, err := EvaluateContext(context.Background(), core.NewEngine(), g, cg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +227,7 @@ func TestEvaluateBackendsAgree(t *testing.T) {
 	cg := MustParse(anbncn)
 	var ref []matrix.Pair
 	for i, be := range matrix.Backends() {
-		res, err := EvaluateContext(context.Background(), g, cg, be)
+		res, _, err := EvaluateContext(context.Background(), core.NewEngine(core.WithBackend(be)), g, cg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -265,13 +291,164 @@ func TestRandomWordsAgainstReference(t *testing.T) {
 func TestCFOnlyAgainstCoreEngine(t *testing.T) {
 	cg := MustParse("S -> a S b | a b")
 	g := graph.TwoCycles(2, 3, "a", "b")
-	res, err := EvaluateContext(context.Background(), g, cg, nil)
+	res, _, err := EvaluateContext(context.Background(), core.NewEngine(), g, cg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Known facts from the core tests: (0,0) ∈ R_S on two-cycles(2,3).
 	if !res.Has("S", 0, 0) {
 		t.Error("(0,0) missing on two-cycles")
+	}
+	// No &, no intersection rule: the evaluation is the context-free one.
+	if _, meets, err := cg.compile(); err != nil || len(meets) != 0 {
+		t.Errorf("conjunct-free grammar compiled to meets %v (err %v), want none", meets, err)
+	}
+}
+
+// refEvaluate is the loop EvaluateContext ran before evaluation became the
+// core engine's, kept as the oracle: every pass recomputes every production
+// as the intersection of its conjuncts' products, in fresh matrices, until
+// no relation grows. It reads the source productions — a conjunct is the
+// chain product of its symbols' matrices — so compile is under test too.
+func refEvaluate(g *graph.Graph, cg *Grammar) map[string][]matrix.Pair {
+	be, n := matrix.Dense(), g.Nodes()
+	rel := map[string]matrix.Bool{}
+	of := func(s grammar.Symbol) matrix.Bool {
+		m, ok := rel[s.String()]
+		if !ok {
+			m = be.NewMatrix(n)
+			rel[s.String()] = m
+			if s.Terminal {
+				for _, e := range g.EdgesWithLabel(s.Name) {
+					m.Set(e.From, e.To)
+				}
+			}
+		}
+		return m
+	}
+	for changed := true; changed; {
+		changed = false
+		for _, p := range cg.Productions {
+			var acc matrix.Bool
+			for _, conj := range p.Conjuncts {
+				prod := of(conj[0]).Clone()
+				for _, s := range conj[1:] {
+					next := be.NewMatrix(n)
+					next.AddMul(prod, of(s))
+					prod = next
+				}
+				if acc == nil {
+					acc = prod
+				} else {
+					acc.And(prod)
+				}
+			}
+			if of(grammar.NT(p.Lhs)).Or(acc) {
+				changed = true
+			}
+		}
+	}
+	out := map[string][]matrix.Pair{}
+	for _, p := range cg.Productions {
+		out[p.Lhs] = matrix.Pairs(rel[p.Lhs])
+	}
+	return out
+}
+
+// randomGrammar draws a conjunctive grammar over S, A, B, C and a, b, c:
+// unit and terminal conjuncts, heads that are other rules' conjuncts and
+// cyclic dependencies all come up within a few seeds.
+func randomGrammar(rng *rand.Rand) *Grammar {
+	nts, terms := []string{"S", "A", "B", "C"}, []string{"a", "b", "c"}
+	cg := &Grammar{}
+	for _, lhs := range nts {
+		cg.Productions = append(cg.Productions, Production{Lhs: lhs, Conjuncts: [][]grammar.Symbol{{grammar.T(terms[rng.Intn(3)])}}})
+		for k := rng.Intn(3); k >= 0; k-- {
+			p := Production{Lhs: lhs}
+			for c := 1 + rng.Intn(3); c > 0; c-- {
+				var conj []grammar.Symbol
+				for s := 1 + rng.Intn(3); s > 0; s-- {
+					if rng.Intn(3) == 0 {
+						conj = append(conj, grammar.T(terms[rng.Intn(3)]))
+					} else {
+						conj = append(conj, grammar.NT(nts[rng.Intn(4)]))
+					}
+				}
+				p.Conjuncts = append(p.Conjuncts, conj)
+			}
+			cg.Productions = append(cg.Productions, p)
+		}
+	}
+	return cg
+}
+
+// TestRandomGrammarsAgainstReference: the engine's semi-naive evaluation of
+// the lowered grammar equals the naive loop over the source productions, on
+// random cyclic graphs and every backend.
+func TestRandomGrammarsAgainstReference(t *testing.T) {
+	meets := 0
+	for seed := int64(0); seed < 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		cg := randomGrammar(rng)
+		n := 2 + rng.Intn(9)
+		g := graph.Random(rng, n, 3*n, []string{"a", "b", "c"})
+		want := refEvaluate(g, cg)
+		_, ms, _ := cg.compile()
+		meets += len(ms)
+		for _, be := range matrix.Backends() {
+			ix, _, err := EvaluateContext(context.Background(), core.NewEngine(core.WithBackend(be)), g, cg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for nt, pairs := range want {
+				if got := ix.Relation(nt); !reflect.DeepEqual(got, pairs) {
+					t.Fatalf("seed %d, %s: R_%s = %v, reference %v\n%v", seed, be.Name(), nt, got, pairs, cg.Productions)
+				}
+			}
+		}
+	}
+	if meets < 40 {
+		t.Errorf("only %d intersection rules over all seeds: the generator no longer exercises them", meets)
+	}
+}
+
+// TestEvaluateHonoursBudgetAndCancellation: what conjunctive evaluation
+// gained by running the engine's loop. A budget below the working set
+// rejects it before a matrix is allocated; a cancellation lands between
+// passes.
+func TestEvaluateHonoursBudgetAndCancellation(t *testing.T) {
+	cg := MustParse(anbncn)
+	const n = 1 << 12
+	g := graph.Chain(n, "a")
+	for _, be := range matrix.Backends() {
+		eng := core.NewEngine(core.WithBackend(be), core.WithMemoryBudget(be.EmptyBytes(n)))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _, err := EvaluateContext(context.Background(), eng, g, cg)
+		runtime.ReadMemStats(&after)
+		var mbe *core.MemoryBudgetError
+		if !errors.As(err, &mbe) {
+			t.Fatalf("%s: under one matrix's budget: %v, want *MemoryBudgetError", be.Name(), err)
+		}
+		if got := int64(after.TotalAlloc - before.TotalAlloc); got >= be.EmptyBytes(n) {
+			t.Errorf("%s: rejected evaluation allocated %d bytes, a matrix is %d", be.Name(), got, be.EmptyBytes(n))
+		}
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	events := 0
+	eng := core.NewEngine(core.WithTracer(&core.Trace{Pass: func(ev core.PassEvent) {
+		if events++; ev.Pass == 1 {
+			cancel()
+		}
+	}}))
+	word := graph.Word(strings.Fields("a a a b b b c c c"))
+	ix, stats, err := EvaluateContext(ctx, eng, word, cg)
+	if !errors.Is(err, context.Canceled) || ix != nil {
+		t.Fatalf("cancelled evaluation: index %v, err %v", ix, err)
+	}
+	if events != 2 || stats.Iterations != 1 {
+		t.Errorf("cancelled in pass 1: %d events, %d passes; want the seeding, one pass, and a stop", events, stats.Iterations)
 	}
 }
 
@@ -298,7 +475,7 @@ func TestProductionString(t *testing.T) {
 }
 
 func TestUnknownNonterminalRelation(t *testing.T) {
-	res, err := EvaluateContext(context.Background(), graph.Chain(2, "a"), MustParse("S -> a"), nil)
+	res, _, err := EvaluateContext(context.Background(), core.NewEngine(), graph.Chain(2, "a"), MustParse("S -> a"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +496,7 @@ func TestUnitConjunct(t *testing.T) {
 		S -> A & b
 		A -> a | b
 	`)
-	res, err := EvaluateContext(context.Background(), g, cg, nil)
+	res, _, err := EvaluateContext(context.Background(), core.NewEngine(), g, cg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +509,7 @@ func TestUnitConjunct(t *testing.T) {
 		S -> A & b
 		A -> a
 	`)
-	res2, err := EvaluateContext(context.Background(), g2, cg2, nil)
+	res2, _, err := EvaluateContext(context.Background(), core.NewEngine(), g2, cg2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 
 	"cfpq/internal/graph"
@@ -106,7 +107,7 @@ func (ix *Index) enumLength(st *enumState, a, i, j, l int, yield func([]graph.Ed
 	st.budget--
 	if l == 1 {
 		for t, as := range ix.cnf.TermRules {
-			if !containsInt(as, a) {
+			if !slices.Contains(as, a) {
 				continue
 			}
 			for _, e := range st.g.EdgesWithLabel(t) {

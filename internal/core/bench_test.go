@@ -81,7 +81,7 @@ func BenchmarkAgainstBaselines(b *testing.B) {
 func BenchmarkSinglePathClosure(b *testing.B) {
 	g, cnf := benchInput(150)
 	for i := 0; i < b.N; i++ {
-		NewPathIndexContext(context.Background(), g, cnf)
+		NewEngine().SinglePathContext(context.Background(), g, cnf)
 	}
 }
 
@@ -89,7 +89,7 @@ func BenchmarkSinglePathClosure(b *testing.B) {
 // pairs of the relation.
 func BenchmarkPathExtraction(b *testing.B) {
 	g, cnf := benchInput(150)
-	px, _ := NewPathIndexContext(context.Background(), g, cnf)
+	px, _, _ := NewEngine().SinglePathContext(context.Background(), g, cnf)
 	rel := px.Relation("S")
 	if len(rel) == 0 {
 		b.Skip("empty relation")

@@ -16,9 +16,13 @@
 // pass added, against the full matrices (Δ_B × T_C ∪ T_B × Δ_C), which
 // finds exactly what the full product would and walks the same states
 // T₀, T₁, … (Engine.step). The engine has one such loop (Engine.closure);
-// the cold build, the incremental update and the source-restricted closure
-// are that loop under three different seeds. Algorithm1 keeps the paper's
-// loop verbatim, with full products, as the reference.
+// the cold build, the incremental update, the source-restricted closure and
+// the paper's two extensions — conjunctive grammars (§7: intersection rules
+// beside the products) and single-path semantics (§5: a hook stamping each
+// pass's new bits with a witness length) — are that loop under five seeds
+// and hooks, tabulated at closure. Algorithm1 keeps the paper's loop
+// verbatim, with full products, as the reference; PathIndex.shorten, the
+// min-plus relaxation behind ShortestPathContext, derives no pair.
 //
 // Engine is parameterised by a matrix.Backend, giving the paper's four
 // implementations (dense/sparse × serial/parallel).
@@ -44,9 +48,10 @@ type Index struct {
 	n       int
 	mats    []matrix.Bool  // indexed by non-terminal index
 	backend matrix.Backend // the backend the matrices were allocated from
-	// beside is the storage of the version this index was forked from
-	// that the fork does not share, charged to Bytes until Detach: while
-	// the fork is being updated both versions are live.
+	// beside is matrix storage an evaluation holds beside the index's
+	// own, charged to Bytes until Detach: what a fork does not share with
+	// the version it was forked from (both are live while it is updated),
+	// or a conjunctive evaluation's scratch matrix.
 	beside int64
 }
 
@@ -270,18 +275,39 @@ func (e *Engine) Init(g *graph.Graph, cnf *grammar.CNF) *Index {
 // paper's T₀, T₁, … (Algorithm1 walks the same ones with full products):
 // Stats.Iterations counts Algorithm 1's passes, the last of which finds
 // nothing new.
-func (e *Engine) CloseContext(ctx context.Context, ix *Index) (stats Stats, err error) {
+func (e *Engine) CloseContext(ctx context.Context, ix *Index) (Stats, error) {
+	return e.closeWhole(ctx, ix, nil, nil)
+}
+
+// closeWhole is CloseContext plus what the paper's two extensions add: a
+// conjunctive grammar's intersection rules, run by step after the products,
+// and the single-path hook, called on T₀ and then on every pass's Δ.
+func (e *Engine) closeWhole(ctx context.Context, ix *Index, meets []Meet, each func(*Index, *frontier)) (stats Stats, err error) {
 	start := time.Now()
 	defer func() { stats.Duration = time.Since(start) }()
+	if meets != nil {
+		// The rules' scratch matrix, empty between passes, is budgeted
+		// and reported as storage held beside the index.
+		ix.beside = ix.backend.EmptyBytes(ix.n)
+		defer ix.Detach()
+	}
 	f, err := e.newFrontier(ix, &stats)
 	if err != nil {
 		return stats, err
 	}
 	f.whole = true
+	if meets != nil {
+		f.meets, f.meet = meets, ix.backend.NewMatrix(ix.n)
+	}
 	pt := e.newPassTracer(ctx, "full", ix)
 	pt.beginPass()
+	var hook func() int
+	if each != nil {
+		hook = func() int { each(ix, f); return 0 }
+		hook()
+	}
 	pt.endPass(0, 0) // the entry state is the seeding: ix is freshly initialised
-	err = e.closure(ctx, ix, f, pt, &stats, nil)
+	err = e.closure(ctx, ix, f, pt, &stats, hook)
 	return stats, err
 }
 
@@ -289,14 +315,20 @@ func (e *Engine) CloseContext(ctx context.Context, ix *Index) (stats Stats, err 
 // cooperative cancellation between closure passes and, when the engine
 // carries a memory budget, a pre-allocation check: an instance whose empty
 // index and two empty frontier sets alone breach the budget is rejected
-// before any matrix is allocated.
-func (e *Engine) RunContext(ctx context.Context, g *graph.Graph, cnf *grammar.CNF) (*Index, Stats, error) {
+// before any matrix is allocated. meets are the intersection rules of a
+// conjunctive grammar lowered to cnf (internal/conjunctive): same loop,
+// budget, trace and backend, with step's one extra rule.
+func (e *Engine) RunContext(ctx context.Context, g *graph.Graph, cnf *grammar.CNF, meets ...Meet) (*Index, Stats, error) {
+	return e.run(ctx, g, cnf, meets, nil)
+}
+
+func (e *Engine) run(ctx context.Context, g *graph.Graph, cnf *grammar.CNF, meets []Meet, each func(*Index, *frontier)) (*Index, Stats, error) {
 	if err := e.checkBudget(3 * int64(cnf.NonterminalCount()) * e.backend.EmptyBytes(g.Nodes())); err != nil {
 		return nil, Stats{}, err
 	}
 	start := time.Now()
 	ix := e.Init(g, cnf)
-	stats, err := e.CloseContext(ctx, ix)
+	stats, err := e.closeWhole(ctx, ix, meets, each)
 	stats.Duration = time.Since(start) // fold the Init time in
 	if err != nil {
 		return nil, stats, err

@@ -203,7 +203,7 @@ func TestPaperExampleWithMechanicalCNF(t *testing.T) {
 func TestPaperExampleSinglePath(t *testing.T) {
 	cnf := grammar.MustParseCNF(paperCNF)
 	g := paperGraph()
-	px, _ := NewPathIndexContext(context.Background(), g, cnf)
+	px, _, _ := NewEngine().SinglePathContext(context.Background(), g, cnf)
 	for _, pair := range [][2]int{{0, 0}, {0, 2}, {1, 2}} {
 		path, ok := px.Path("S", pair[0], pair[1])
 		if !ok {

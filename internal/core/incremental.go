@@ -153,6 +153,18 @@ type frontier struct {
 	// whole says the frontier is the whole index — a cold build's first
 	// pass, where everything is new — without delta holding a copy of it.
 	whole bool
+	// meets are a conjunctive evaluation's intersection rules, meet the
+	// scratch matrix step computes them in; both nil otherwise.
+	meets []Meet
+	meet  matrix.Bool
+}
+
+// Meet is an intersection rule A → P₁ & … & Pₘ over a CNF's non-terminal
+// indices: R_A ⊇ ⋂ R_P. internal/conjunctive lowers a grammar to a CNF plus
+// these; they ride on the evaluation, not on the CNF or the Index.
+type Meet struct {
+	A int
+	P []int
 }
 
 // newFrontier allocates the loop's two matrix sets beside ix, from the
@@ -189,14 +201,19 @@ func (f *frontier) any() bool {
 
 // closure is the engine's one fixpoint loop — Algorithm 1's "while T is
 // changing", run semi-naively: while the frontier holds a bit, one step.
-// Every evaluation reaches it and they differ only in the seed: the whole
-// initialised index (CloseContext), the bits of new edges (UpdateContext),
-// the rows of an active set (RunFromContext). Seeded with T₀ it walks
-// exactly the paper's states T₀, T₁, … pass for pass, the last pass being
-// the one that finds nothing new; with no bit seeded it runs no pass.
-// Cancellation lands between passes. each, when non-nil, runs after every
-// pass on the new frontier — the evaluation's own bookkeeping — and returns
-// the active-row count the pass's trace event reports.
+// Every evaluation reaches it and they differ only in the seed and in each,
+// the evaluation's own bookkeeping, run after every pass on the new
+// frontier (its result is the active-row count the trace event reports):
+//
+//	RunContext         the whole initialised index   —
+//	  … with meets     the same; step's meet rule    —
+//	SinglePathContext  the same                      stamp Δ with lengths
+//	UpdateContext      the bits of new edges         fold Δ into the Delta
+//	RunFromContext     the rows of an active set     activate Δ's columns
+//
+// Seeded with T₀ it walks exactly the paper's states T₀, T₁, … pass for
+// pass, the last pass being the one that finds nothing new; with no bit
+// seeded it runs no pass. Cancellation lands between passes.
 func (e *Engine) closure(ctx context.Context, ix *Index, f *frontier, pt *passTracer, stats *Stats, each func() int) error {
 	for f.any() {
 		if err := ctx.Err(); err != nil {
@@ -229,7 +246,15 @@ func (e *Engine) closure(ctx context.Context, ix *Index, f *frontier, pt *passTr
 // products of a rule are one and the same, T_B × T_C. Products are driven
 // by their left operand's non-empty rows (matrix.Bool.AddMul), so an
 // evaluation that keeps the rows outside an active set empty — the
-// source-restricted closure — never touches them. The pass's working set
+// source-restricted closure — never touches them. A conjunctive
+// evaluation's rules A → P₁ & … & Pₘ (frontier.meets; nil otherwise) follow
+// the products, on the same argument: a pair is new to ⋂ T_P only if it is
+// new to some T_P, so
+//
+//	next_A |= ⋃_c (Δ_Pc ∩ ⋂_{d≠c} T_Pd)
+//
+// — ⋂ T_P, once, while Δ is the whole index — each term computed in the one
+// scratch matrix and cleared out of it. The pass's working set
 // (index + both frontier sets) is charged to stats.PeakBytes and checked
 // against the memory budget before the pass allocates anything; a breach
 // returns a *MemoryBudgetError with the index untouched. step returns the
@@ -260,6 +285,29 @@ func (e *Engine) step(ix *Index, f *frontier, stats *Stats) (products int, _ err
 		}
 	}
 	stats.Products += products
+	for _, r := range f.meets {
+		for c, p := range r.P {
+			src := f.delta[p]
+			if f.whole {
+				src = ix.mats[p]
+			} else if !f.live[p] {
+				continue
+			}
+			f.meet.Or(src)
+			for d, q := range r.P {
+				if d != c {
+					f.meet.And(ix.mats[q])
+				}
+			}
+			if f.next[r.A].Or(f.meet) {
+				f.grown[r.A] = true
+			}
+			f.meet.Clear()
+			if f.whole {
+				break
+			}
+		}
+	}
 	for a, m := range f.next {
 		if f.grown[a] {
 			m.AndNot(ix.mats[a]) // keep only genuinely new bits

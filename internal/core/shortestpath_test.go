@@ -15,8 +15,8 @@ func TestShortestPathNeverLongerThanFirstFound(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		n := 3 + rng.Intn(8)
 		g := graph.Random(rng, n, 3*n, []string{"a", "b"})
-		first, _ := NewPathIndexContext(context.Background(), g, cnf)
-		short, _ := NewShortestPathIndexContext(context.Background(), g, cnf)
+		first, _, _ := NewEngine().SinglePathContext(context.Background(), g, cnf)
+		short, _, _ := NewEngine().ShortestPathContext(context.Background(), g, cnf)
 		for _, lp := range first.Relation("S") {
 			sl, ok := short.Length("S", lp.I, lp.J)
 			if !ok {
@@ -43,7 +43,7 @@ func TestShortestPathIsMinimal(t *testing.T) {
 		n := 3 + rng.Intn(5)
 		g := graph.Random(rng, n, 3*n, []string{"a", "b"})
 		ix, _, _ := NewEngine().RunContext(context.Background(), g, cnf)
-		short, _ := NewShortestPathIndexContext(context.Background(), g, cnf)
+		short, _, _ := NewEngine().ShortestPathContext(context.Background(), g, cnf)
 		for _, lp := range short.Relation("S") {
 			paths, _ := ix.AllPathsContext(context.Background(), g, "S", lp.I, lp.J, AllPathsOptions{MaxPaths: 1, MaxLength: 64})
 			if len(paths) == 0 {
@@ -62,7 +62,7 @@ func TestShortestPathExtraction(t *testing.T) {
 	// valid minimal-length paths.
 	g := graph.TwoCycles(2, 3, "a", "b")
 	cnf := grammar.MustParseCNF("S -> a S b | a b")
-	px, _ := NewShortestPathIndexContext(context.Background(), g, cnf)
+	px, _, _ := NewEngine().ShortestPathContext(context.Background(), g, cnf)
 	for _, lp := range px.Relation("S") {
 		path, ok := px.Path("S", lp.I, lp.J)
 		if !ok {
@@ -84,8 +84,8 @@ func TestShortestOnWordGraphEqualsFirstFound(t *testing.T) {
 	// On an unambiguous acyclic instance both indexes coincide.
 	cnf := grammar.MustParseCNF("S -> a S b | a b")
 	g := graph.Word([]string{"a", "a", "a", "b", "b", "b"})
-	first, _ := NewPathIndexContext(context.Background(), g, cnf)
-	short, _ := NewShortestPathIndexContext(context.Background(), g, cnf)
+	first, _, _ := NewEngine().SinglePathContext(context.Background(), g, cnf)
+	short, _, _ := NewEngine().ShortestPathContext(context.Background(), g, cnf)
 	for _, lp := range first.Relation("S") {
 		sl, _ := short.Length("S", lp.I, lp.J)
 		if sl != lp.Length {

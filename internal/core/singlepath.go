@@ -3,15 +3,15 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"cfpq/internal/grammar"
 	"cfpq/internal/graph"
 )
 
 // PathIndex implements the paper's Section 5: the closure over matrices
-// whose entries are (non-terminal, path length) pairs. Entry lengths[a][i]
-// maps column j → l_A, the length of some path i π j with A ⇒* l(π).
+// whose entries are (non-terminal, path length) pairs — the Boolean index
+// plus, per set bit, l_A, the length of some path i π j with A ⇒* l(π).
 //
 // As in the paper, the length is fixed the first time a non-terminal is
 // derived for a cell and never overwritten ("if some non-terminal A with an
@@ -21,113 +21,138 @@ import (
 // Theorem 5 guarantees a path of exactly that length exists, which Path
 // recovers by the paper's "simple search".
 type PathIndex struct {
-	cnf     *grammar.CNF
+	ix      *Index
 	g       *graph.Graph
-	n       int
-	lengths []map[int32]uint32 // flat [a*n + i] → column → length
+	lengths map[[3]int]uint32 // (a, i, j) → l_A(i, j), for exactly the set bits of ix
 }
 
-// NewPathIndexContext evaluates the single-path closure for the graph and
-// grammar, with cooperative cancellation between fixpoint passes. The
-// closure is the same fixpoint as Algorithm 1, with the scalar semiring
-// replaced by length bookkeeping. Lengths are fixed at first derivation, as
-// in the paper.
-func NewPathIndexContext(ctx context.Context, g *graph.Graph, cnf *grammar.CNF) (*PathIndex, error) {
-	return newPathIndex(ctx, g, cnf, false)
-}
-
-// NewShortestPathIndexContext is NewPathIndexContext over the min-plus
-// relaxation: the recorded length of every pair is the *minimum*
-// witness-path length, as in Hellings' single-path algorithm (which the
-// paper contrasts with: "the length of these paths is not necessarily upper
-// bounded" — here it is minimal, at the cost of more fixpoint work). Path
-// extraction works unchanged and returns a shortest witness.
-func NewShortestPathIndexContext(ctx context.Context, g *graph.Graph, cnf *grammar.CNF) (*PathIndex, error) {
-	return newPathIndex(ctx, g, cnf, true)
-}
-
-func newPathIndex(ctx context.Context, g *graph.Graph, cnf *grammar.CNF, shortest bool) (*PathIndex, error) {
-	n := g.Nodes()
-	p := &PathIndex{
-		cnf:     cnf,
-		g:       g,
-		n:       n,
-		lengths: make([]map[int32]uint32, cnf.NonterminalCount()*n),
+// SinglePathContext evaluates the single-path closure for the graph and
+// grammar. It is RunContext — the engine's one loop, with its backend,
+// memory budget, trace and cancellation between passes — plus a per-pass
+// hook: every bit of T₀ is stamped with length 1, and every bit a pass adds
+// with l_B + l_C of the first split, in rule then column order, among the
+// entries stamped by earlier passes (one exists: the pass derived the bit
+// from them). Lengths are thus fixed at first derivation, in Algorithm 1's
+// state order, and the same on every run and backend.
+func (e *Engine) SinglePathContext(ctx context.Context, g *graph.Graph, cnf *grammar.CNF) (*PathIndex, Stats, error) {
+	p := &PathIndex{g: g, lengths: map[[3]int]uint32{}}
+	_, stats, err := e.run(ctx, g, cnf, nil, p.stamp)
+	if err != nil {
+		return nil, stats, err
 	}
-	row := func(a, i int) map[int32]uint32 {
-		r := p.lengths[a*n+i]
-		if r == nil {
-			r = map[int32]uint32{}
-			p.lengths[a*n+i] = r
+	return p, stats, nil
+}
+
+// ShortestPathContext is SinglePathContext followed by a min-plus
+// relaxation over the relation it fixed: the recorded length of every pair
+// becomes the *minimum* witness-path length, as in Hellings' single-path
+// algorithm (which the paper contrasts with: "the length of these paths is
+// not necessarily upper bounded" — here it is minimal, at the cost of more
+// fixpoint work). Path extraction works unchanged and returns a shortest
+// witness.
+func (e *Engine) ShortestPathContext(ctx context.Context, g *graph.Graph, cnf *grammar.CNF) (*PathIndex, Stats, error) {
+	p, stats, err := e.SinglePathContext(ctx, g, cnf)
+	if err == nil {
+		err = p.shorten(ctx)
+	}
+	if err != nil {
+		return nil, stats, err
+	}
+	return p, stats, nil
+}
+
+// stamp is the single-path hook: it records a length for every bit of the
+// frontier. Lengths found in a pass are committed together after it, so a
+// split only ever reads entries of the state the pass multiplied.
+func (p *PathIndex) stamp(ix *Index, f *frontier) {
+	p.ix = ix
+	type entry struct {
+		cell [3]int
+		l    uint32
+	}
+	var found []entry
+	for a, m := range f.delta {
+		if f.whole {
+			m = ix.mats[a]
+		} else if !f.live[a] {
+			continue
 		}
-		return r
+		m.Range(func(i, j int) bool {
+			l := uint32(1) // a bit of T₀ is an edge
+			if !f.whole {
+				_, _, l = p.split(a, i, j, 0)
+			}
+			found = append(found, entry{[3]int{a, i, j}, l})
+			return true
+		})
 	}
-	// Initialisation: every matching edge contributes length 1.
-	for t, as := range cnf.TermRules {
-		for _, e := range g.EdgesWithLabel(t) {
-			for _, a := range as {
-				r := row(a, e.From)
-				if _, ok := r[int32(e.To)]; !ok {
-					r[int32(e.To)] = 1
+	for _, e := range found {
+		p.lengths[e.cell] = e.l
+	}
+}
+
+// split searches the rules A → B C, in order, and row i of T_B, in column
+// order, for the first middle node k with recorded lengths l_B(i,k) and
+// l_C(k,j) — summing to want, when want is non-zero — and returns the
+// rule, k and l_B + l_C; l = 0 when there is none.
+func (p *PathIndex) split(a, i, j int, want uint32) (r grammar.BinaryRule, k int, l uint32) {
+	for _, r = range p.ix.cnf.Binary {
+		if r.A != a {
+			continue
+		}
+		p.ix.mats[r.B].RangeRow(i, func(mid int) bool {
+			if p.ix.mats[r.C].Get(mid, j) { // a bit test, before two map lookups
+				lb, lc := p.lengths[[3]int{r.B, i, mid}], p.lengths[[3]int{r.C, mid, j}]
+				if lb != 0 && lc != 0 && (want == 0 || lb+lc == want) {
+					k, l = mid, lb+lc
 				}
 			}
+			return l == 0
+		})
+		if l != 0 {
+			break
 		}
 	}
-	// Fixpoint: for A → B C, (i,k,l_B) and (k,j,l_C) yield (i,j,l_B+l_C).
-	// First-found mode never overwrites (the paper's rule); shortest mode
-	// relaxes with min until no length decreases (lengths are positive
-	// integers bounded below, so this terminates). The context is checked
-	// between passes.
+	return r, k, l
+}
+
+// shorten lowers every recorded length to the minimum over all derivations
+// by min-plus relaxation: for A → B C, l_A(i,j) ← min(l_A(i,j), l_B(i,k) +
+// l_C(k,j)) until no length decreases (positive integers, so it
+// terminates), checking the context between passes. It inserts no pair: the
+// relation is closed, so every (i, j) it reaches has a length. It is not
+// the engine's loop because a length can fall many passes after its pair
+// was derived.
+func (p *PathIndex) shorten(ctx context.Context) error {
 	for changed := true; changed; {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return err
 		}
 		changed = false
-		for _, r := range cnf.Binary {
-			for i := 0; i < n; i++ {
-				brow := p.lengths[r.B*n+i]
-				if len(brow) == 0 {
-					continue
-				}
-				for k, lb := range brow {
-					crow := p.lengths[r.C*n+int(k)]
-					if len(crow) == 0 {
-						continue
+		for _, r := range p.ix.cnf.Binary {
+			p.ix.mats[r.B].Range(func(i, k int) bool {
+				lb := p.lengths[[3]int{r.B, i, k}]
+				return p.ix.mats[r.C].RangeRow(k, func(j int) bool {
+					if l := lb + p.lengths[[3]int{r.C, k, j}]; l < p.lengths[[3]int{r.A, i, j}] {
+						p.lengths[[3]int{r.A, i, j}] = l
+						changed = true
 					}
-					var arow map[int32]uint32
-					for j, lc := range crow {
-						if arow == nil {
-							arow = row(r.A, i)
-						}
-						cur, ok := arow[j]
-						switch {
-						case !ok:
-							arow[j] = lb + lc
-							changed = true
-						case shortest && lb+lc < cur:
-							arow[j] = lb + lc
-							changed = true
-						}
-					}
-				}
-			}
+					return true
+				})
+			})
 		}
 	}
-	return p, nil
+	return nil
 }
 
 // Length returns the recorded witness-path length for (nt, i, j), or false
-// when (i, j) ∉ R_nt.
+// when (i, j) ∉ R_nt — as for any node outside the graph.
 func (p *PathIndex) Length(nt string, i, j int) (int, bool) {
-	a, ok := p.cnf.Index(nt)
+	a, ok := p.ix.cnf.Index(nt)
 	if !ok {
 		return 0, false
 	}
-	r := p.lengths[a*p.n+i]
-	if r == nil {
-		return 0, false
-	}
-	l, ok := r[int32(j)]
+	l, ok := p.lengths[[3]int{a, i, j}]
 	return int(l), ok
 }
 
@@ -141,22 +166,14 @@ func (p *PathIndex) Has(nt string, i, j int) bool {
 // Relation returns R_nt as a sorted pair list together with the recorded
 // witness length of each pair.
 func (p *PathIndex) Relation(nt string) []LengthPair {
-	a, ok := p.cnf.Index(nt)
+	a, ok := p.ix.cnf.Index(nt)
 	if !ok {
 		return nil
 	}
 	var out []LengthPair
-	for i := 0; i < p.n; i++ {
-		r := p.lengths[a*p.n+i]
-		for j, l := range r {
-			out = append(out, LengthPair{I: i, J: int(j), Length: int(l)})
-		}
-	}
-	sort.Slice(out, func(x, y int) bool {
-		if out[x].I != out[y].I {
-			return out[x].I < out[y].I
-		}
-		return out[x].J < out[y].J
+	p.ix.mats[a].Range(func(i, j int) bool {
+		out = append(out, LengthPair{I: i, J: j, Length: int(p.lengths[[3]int{a, i, j}])})
+		return true
 	})
 	return out
 }
@@ -173,7 +190,7 @@ type LengthPair struct {
 // at some middle node r through a binary rule A → B C with
 // l_B(i,r) + l_C(r,j) = l_A(i,j). Returns false when (i, j) ∉ R_nt.
 func (p *PathIndex) Path(nt string, i, j int) ([]graph.Edge, bool) {
-	a, ok := p.cnf.Index(nt)
+	a, ok := p.ix.cnf.Index(nt)
 	if !ok {
 		return nil, false
 	}
@@ -181,17 +198,14 @@ func (p *PathIndex) Path(nt string, i, j int) ([]graph.Edge, bool) {
 }
 
 func (p *PathIndex) path(a, i, j int) ([]graph.Edge, bool) {
-	r := p.lengths[a*p.n+i]
-	if r == nil {
-		return nil, false
-	}
-	la, ok := r[int32(j)]
+	la, ok := p.lengths[[3]int{a, i, j}]
 	if !ok {
 		return nil, false
 	}
+	name := p.ix.cnf.Names[a]
 	if la == 1 {
-		for t, as := range p.cnf.TermRules {
-			if !containsInt(as, a) {
+		for t, as := range p.ix.cnf.TermRules {
+			if !slices.Contains(as, a) {
 				continue
 			}
 			for _, e := range p.g.EdgesWithLabel(t) {
@@ -201,41 +215,15 @@ func (p *PathIndex) path(a, i, j int) ([]graph.Edge, bool) {
 			}
 		}
 		// Unreachable if the index is consistent.
-		panic(fmt.Sprintf("core: no edge witnesses (%s, %d, %d) of length 1", p.cnf.Names[a], i, j))
+		panic(fmt.Sprintf("core: no edge witnesses (%s, %d, %d) of length 1", name, i, j))
 	}
-	for _, rule := range p.cnf.Binary {
-		if rule.A != a {
-			continue
-		}
-		brow := p.lengths[rule.B*p.n+i]
-		for k, lb := range brow {
-			if lb >= la {
-				continue
-			}
-			crow := p.lengths[rule.C*p.n+int(k)]
-			if lc, ok := crow[int32(j)]; ok && lb+lc == la {
-				left, okL := p.path(rule.B, i, int(k))
-				if !okL {
-					continue
-				}
-				right, okR := p.path(rule.C, int(k), j)
-				if !okR {
-					continue
-				}
-				return append(left, right...), true
-			}
-		}
+	r, k, l := p.split(a, i, j, la)
+	if l == 0 {
+		panic(fmt.Sprintf("core: no split witnesses (%s, %d, %d) of length %d", name, i, j, la))
 	}
-	panic(fmt.Sprintf("core: no split witnesses (%s, %d, %d) of length %d", p.cnf.Names[a], i, j, la))
-}
-
-func containsInt(xs []int, x int) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
+	left, _ := p.path(r.B, i, k)
+	right, _ := p.path(r.C, k, j)
+	return append(left, right...), true
 }
 
 // Labels extracts the label word of a path.

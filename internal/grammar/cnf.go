@@ -388,24 +388,17 @@ func dedupe(g *Grammar) {
 }
 
 func compileCNF(g *Grammar, nullable map[string]bool) (*CNF, error) {
-	c := &CNF{
-		index:     map[string]int{},
-		TermRules: map[string][]int{},
-		Nullable:  map[string]bool{},
-	}
-	for nt := range nullable {
-		if nullable[nt] {
-			c.Nullable[nt] = true
-		}
-	}
+	var names []string
+	index := map[string]int{}
+	termRules := map[string][]int{}
+	var binary []BinaryRule
 	intern := func(name string) int {
-		if i, ok := c.index[name]; ok {
+		if i, ok := index[name]; ok {
 			return i
 		}
-		i := len(c.Names)
-		c.Names = append(c.Names, name)
-		c.index[name] = i
-		return i
+		index[name] = len(names)
+		names = append(names, name)
+		return len(names) - 1
 	}
 	// Intern left-hand sides in first-appearance order for stable output.
 	for _, p := range g.Productions {
@@ -418,29 +411,45 @@ func compileCNF(g *Grammar, nullable map[string]bool) (*CNF, error) {
 			if !s.Terminal {
 				return nil, fmt.Errorf("cnf: internal error: unit rule %s survived", p)
 			}
-			c.TermRules[s.Name] = append(c.TermRules[s.Name], intern(p.Lhs))
+			termRules[s.Name] = append(termRules[s.Name], intern(p.Lhs))
 		case 2:
 			b, cs := p.Rhs[0], p.Rhs[1]
 			if b.Terminal || cs.Terminal {
 				return nil, fmt.Errorf("cnf: internal error: terminal in binary rule %s", p)
 			}
-			c.Binary = append(c.Binary, BinaryRule{
+			binary = append(binary, BinaryRule{
 				A: intern(p.Lhs), B: intern(b.Name), C: intern(cs.Name),
 			})
 		default:
 			return nil, fmt.Errorf("cnf: internal error: rule of length %d survived: %s", len(p.Rhs), p)
 		}
 	}
-	for t := range c.TermRules {
-		as := c.TermRules[t]
-		sort.Ints(as)
-		as = uniqInts(as)
-		c.TermRules[t] = as
-	}
-	if err := c.Validate(); err != nil {
+	c, err := NewCNF(names, termRules, binary)
+	if err != nil {
 		return nil, err
 	}
+	for nt := range nullable {
+		if nullable[nt] {
+			c.Nullable[nt] = true
+		}
+	}
 	return c, nil
+}
+
+// NewCNF assembles a CNF from rules already over non-terminal indices into
+// names — for a front end that lowers to the normal form itself (the
+// conjunctive grammars do). It sorts and dedupes the terminal rules in
+// place and validates the result; no non-terminal is nullable.
+func NewCNF(names []string, termRules map[string][]int, binary []BinaryRule) (*CNF, error) {
+	c := &CNF{Names: names, index: make(map[string]int, len(names)), TermRules: termRules, Binary: binary, Nullable: map[string]bool{}}
+	for i, name := range names {
+		c.index[name] = i
+	}
+	for t, as := range termRules {
+		sort.Ints(as)
+		termRules[t] = uniqInts(as)
+	}
+	return c, c.Validate()
 }
 
 func uniqInts(xs []int) []int {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"time"
 
 	"cfpq/internal/conjunctive"
 	"cfpq/internal/core"
@@ -72,7 +71,7 @@ func (e *Engine) Do(ctx context.Context, req Request) (*Result, error) {
 	}
 
 	if req.Conjunctive != nil {
-		return finish(e.doConjunctive(ctx, req))
+		return finish(e.doConjunctive(ctx, cfg, req))
 	}
 
 	gram, start := req.Grammar, req.Nonterminal
@@ -211,21 +210,21 @@ func (e *Engine) doPaths(ctx context.Context, cfg *config, req Request, gram *Gr
 	}, nil
 }
 
-// doConjunctive answers a conjunctive-grammar request: conjunctive
-// evaluation has no restricted variant, so the plan is always the full
-// closure with post-hoc filtering.
-func (e *Engine) doConjunctive(ctx context.Context, req Request) (*Result, error) {
-	start := time.Now()
-	res, err := conjunctive.EvaluateContext(ctx, req.Graph, req.Conjunctive, e.backend.mat())
+// doConjunctive answers a conjunctive-grammar request: the request's engine
+// (backend, budget, tracer) runs the one closure with the grammar's
+// intersection rules; there is no restricted variant, so the plan is always
+// the full closure with post-hoc filtering.
+func (e *Engine) doConjunctive(ctx context.Context, cfg *config, req Request) (*Result, error) {
+	ix, stats, err := conjunctive.EvaluateContext(ctx, e.newCore(cfg), req.Graph, req.Conjunctive)
 	if err != nil {
 		return nil, err
 	}
-	pairs := filterPairs(res.Relation(req.Nonterminal), req.Sources, req.Targets)
+	pairs := filterPairs(ix.Relation(req.Nonterminal), req.Sources, req.Targets)
 	ex := Explain{
 		Strategy: StrategyFull,
 		Reason:   "conjunctive grammars evaluate only under the full closure; restrictions filter the result",
 	}
-	return shapePairs(req, pairs, ex, Stats{Duration: time.Since(start)}), nil
+	return shapePairs(req, pairs, ex, stats), nil
 }
 
 // degenerateRPQ answers an expression whose language is empty or {ε} —
