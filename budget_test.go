@@ -8,6 +8,8 @@ package cfpq_test
 import (
 	"context"
 	"errors"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -105,6 +107,56 @@ func TestAddEdgesHonoursMemoryBudget(t *testing.T) {
 				var mbe *cfpq.MemoryBudgetError
 				return errors.As(err, &mbe) && mbe.BudgetBytes == cold.PeakBytes
 			}, false)
+		})
+	}
+}
+
+// TestGrowingUpdateRejectedBeforeItAllocates: the budget is checked against
+// the grown working set before the index is grown. A 64-node chain's handle
+// under a 1 MiB budget is handed an edge to node 20000 — 20001² bits per
+// dense matrix, 480 KB of row headers per sparse one; the update is rejected
+// with *MemoryBudgetError having allocated less than the budget it enforces
+// (the check used to follow Index.Grow: 95 MiB on the dense backend), and
+// the handle answers exactly as before.
+func TestGrowingUpdateRejectedBeforeItAllocates(t *testing.T) {
+	ctx := context.Background()
+	const n, budget = 64, 1 << 20
+	g := cfpq.NewGraph(n)
+	for i := 0; i+1 < n; i++ {
+		g.AddEdge(i, "a", i+1)
+	}
+	gram := cfpq.MustParseGrammar("S -> a S | a")
+	for _, name := range []string{"dense", "sparse"} {
+		t.Run(name, func(t *testing.T) {
+			be, err := cfpq.BackendByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := cfpq.NewEngine(be, cfpq.WithMemoryBudget(budget)).Prepare(ctx, g, gram)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := p.Relation(ctx, "S")
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			info, err := p.AddEdges(ctx, cfpq.Edge{From: n - 1, Label: "a", To: 20000})
+			runtime.ReadMemStats(&after)
+			var mbe *cfpq.MemoryBudgetError
+			if !errors.As(err, &mbe) || mbe.EstimatedBytes <= budget {
+				t.Fatalf("AddEdges to node 20000 under %d bytes: %v, want *MemoryBudgetError", budget, err)
+			}
+			if got := after.TotalAlloc - before.TotalAlloc; got >= budget {
+				t.Errorf("the rejected update allocated %d bytes, its budget is %d", got, budget)
+			}
+			if info.Grown || !info.Delta.Empty() {
+				t.Errorf("rejected update reports grown=%v, delta %v", info.Grown, info.Delta.Nonterminals())
+			}
+			if got := p.Relation(ctx, "S"); !slices.Equal(got, want) {
+				t.Errorf("answers changed under a rejected update: %d pairs, had %d", len(got), len(want))
+			}
+			if st := p.Stats(); st.Nodes != n || st.Version != 0 {
+				t.Errorf("index after the rejected update: %d nodes, version %d; want it untouched", st.Nodes, st.Version)
+			}
 		})
 	}
 }

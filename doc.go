@@ -28,8 +28,8 @@
 //
 //   - full: the all-pairs closure (unrestricted queries, path
 //     enumeration, conjunctive grammars);
-//   - source-frontier: only the matrix rows reachable from the sources,
-//     with a transparent fallback to the full closure on saturation;
+//   - source-frontier: only the matrix rows reachable from the sources
+//     (Explain.Saturated when that turns out to be all of them);
 //   - target-frontier: the source frontier of the reversed graph under
 //     the reversed grammar — the CFPQ duality (i,j) ∈ R(G,D) ⟺
 //     (j,i) ∈ R(rev G, rev D) — answering "what reaches these nodes?";
@@ -86,8 +86,8 @@
 // the compiled grammar to the graph and caches the evaluated closure in a
 // Prepared handle; Prepared.Do answers any number of concurrent requests
 // from it (the cached-read strategy), and AddEdges absorbs edge updates
-// with the incremental delta closure instead of re-evaluating —
-// transparently resizing its matrices when edges grow the node set:
+// with the incremental delta closure instead of re-evaluating — edges that
+// grow the node set included: the update resizes the matrices itself:
 //
 //	p, _ := eng.Prepare(ctx, g, gram)
 //	res, _ := p.Do(ctx, cfpq.Request{Nonterminal: "S", Sources: []int{0, 1}})
@@ -180,13 +180,15 @@
 // incremental patch. An evaluation that would exceed the budget fails
 // fast between passes with a typed *MemoryBudgetError instead of
 // thrashing the process — QueryConjunctive, SinglePath and ShortestPath
-// included: they run the same closure. An update's estimate counts both live versions
-// (the fork's unshared storage beside the one readers hold); an
-// over-budget update is abandoned like a cancelled one — the handle keeps
-// serving its last version, and since a handle's budget is its engine's,
-// it takes a re-Prepare under a larger budget to move on (cmd/cfpqd drops
-// the handle, answers the next query's rebuild with HTTP 413 if that does
-// not fit either).
+// included: they run the same closure. An update's estimate counts both
+// live versions (the fork's unshared storage beside the one readers hold)
+// and is taken at the dimension its edges grow the index to, before it is
+// grown — a refused update has allocated nothing. An over-budget update is
+// abandoned like a cancelled one — the handle keeps serving its last
+// version, and since a handle's budget is its engine's, it takes a
+// re-Prepare under a larger budget to move on (cmd/cfpqd drops the handle,
+// answers the next query's rebuild with HTTP 413 if that does not fit
+// either).
 //
 // # Serving queries
 //

@@ -72,10 +72,10 @@ func (e *Engine) Query(ctx context.Context, g *Graph, gram *Grammar, start strin
 // result is exactly Query's pair list filtered to pairs (i, j) with i ∈
 // sources. Instead of paying for the full n×n closure, the evaluation
 // maintains only the matrix rows of the reachable frontier — the sources
-// plus every node heading a derivation fragment they reach — and falls back
-// to the full closure only when that frontier saturates (more than half of
-// all nodes). This is the right call shape for the dominant serving
-// workload, "what can these nodes reach via S?".
+// plus every node heading a derivation fragment they reach — however large
+// that frontier grows; when it reaches every node the work is the full
+// closure's (Explain.Saturated). This is the right call shape for the
+// dominant serving workload, "what can these nodes reach via S?".
 //
 // An empty source set yields an empty result. Sources outside the graph's
 // node range are an error; duplicates are deduplicated. It is sugar for a
@@ -94,10 +94,9 @@ func (e *Engine) QueryFrom(ctx context.Context, g *Graph, gram *Grammar, start s
 // QueryTo evaluates R_start restricted to the given target nodes: the
 // result is exactly Query's pair list filtered to pairs (i, j) with j ∈
 // targets, evaluated by the target-frontier strategy (the source frontier
-// of the reversed graph under the reversed grammar) with the same
-// saturation fallback as QueryFrom — the call shape of "what reaches these
-// nodes via S?". It is sugar for a target-restricted Request evaluated by
-// Do.
+// of the reversed graph under the reversed grammar) — the call shape of
+// "what reaches these nodes via S?". It is sugar for a target-restricted
+// Request evaluated by Do.
 func (e *Engine) QueryTo(ctx context.Context, g *Graph, gram *Grammar, start string, targets []int, opts ...Option) ([]Pair, error) {
 	if targets == nil {
 		targets = []int{}

@@ -24,7 +24,7 @@ import (
 //     increases with the graph size growth");
 //  4. saturated frontier — what the planner's frontier strategies win over
 //     the full closure on a directed grammar, and lose on the paper's
-//     same-generation query, whose frontier saturates.
+//     same-generation query, whose frontier reaches every row.
 func RunAblations(repeats int) []Table {
 	return []Table{
 		ablationIterationSchedule(repeats),
@@ -114,8 +114,8 @@ func ablationParallelScaling(repeats int) Table {
 // and times it against the unrestricted closure the restriction is meant
 // to avoid. The directed "ancestors" walk keeps a small frontier
 // and wins; Query 1's inverse edges connect the whole hierarchy, so its
-// frontier saturates ("sat"), the evaluation falls back to the full closure
-// and the frontier passes already run are lost.
+// frontier ends up being every row ("sat"): the lazily seeded evaluation
+// does the full closure's work with the activation bookkeeping on top.
 func ablationSaturatedFrontier(repeats int) Table {
 	t := Table{
 		Title:  "Ablation 4: frontier vs full closure for a one-node restriction (sparse backend)",

@@ -26,8 +26,8 @@ func TestRunAblationsSmoke(t *testing.T) {
 		}
 	}
 
-	// The finding ablation 4 exists for: Query 1 saturates the frontier on
-	// both restriction sides, the directed ancestors walk on neither.
+	// The finding ablation 4 exists for: Query 1's frontier reaches every
+	// row on both restriction sides, the directed ancestors walk's on neither.
 	a4 := tables[3]
 	grammar, side, frontier := column(t, a4, "grammar"), column(t, a4, "restrict"), column(t, a4, "frontier")
 	strategy, planned := column(t, a4, "strategy"), map[string]string{"sources": "source-frontier", "targets": "target-frontier"}

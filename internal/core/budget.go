@@ -32,11 +32,12 @@ func (e *MemoryBudgetError) Error() string {
 // backends and two bitmaps per non-terminal on the dense ones even while
 // empty — and, for an update run on a Fork, the storage of the version
 // forked from that the fork does not share (two versions are live). It is
-// checked before matrix allocation and between fixpoint passes, and a
-// breach aborts the evaluation with a *MemoryBudgetError. bytes ≤ 0 means
-// unlimited (the default). The budget is enforced on the context-taking evaluation paths
-// (RunContext, CloseContext, RunFromContext, UpdateContext and everything
-// built on them).
+// checked before matrix allocation — for an update whose edges name new
+// nodes, at the dimension they grow the index to, before it is grown — and
+// between fixpoint passes, and a breach aborts the evaluation with a
+// *MemoryBudgetError. bytes ≤ 0 means unlimited (the default). The budget is
+// enforced on the context-taking evaluation paths (RunContext, CloseContext,
+// RunFromContext, UpdateContext and everything built on them).
 func WithMemoryBudget(bytes int64) Option {
 	return func(e *Engine) { e.budget = bytes }
 }

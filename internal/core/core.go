@@ -291,10 +291,10 @@ func (e *Engine) closeWhole(ctx context.Context, ix *Index, meets []Meet, each f
 		ix.beside = ix.backend.EmptyBytes(ix.n)
 		defer ix.Detach()
 	}
-	f, err := e.newFrontier(ix, &stats)
-	if err != nil {
+	if err := e.admit(ix, ix.n, &stats); err != nil {
 		return stats, err
 	}
+	f := newFrontier(ix)
 	f.whole = true
 	if meets != nil {
 		f.meets, f.meet = meets, ix.backend.NewMatrix(ix.n)

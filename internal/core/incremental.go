@@ -77,23 +77,25 @@ func (d *Delta) or(a int, src matrix.Bool) {
 // Init/ReadIndex time), so an index built with a parallel kernel keeps that
 // kernel through updates regardless of how this engine was configured.
 //
-// Edges that reference nodes beyond the index's node range transparently
-// grow the matrices first (Index.Grow): the old closure is unaffected by
-// isolated new nodes, so grow-then-propagate is exactly the closure of the
-// enlarged graph. The caller must have added the edges to the graph as well
-// if it intends to keep using graph-dependent APIs (AllPathsContext,
-// PathIndex); UpdateContext itself needs only the edge list.
+// Edges that reference nodes beyond the index's node range grow the
+// matrices first (Index.Grow) — here and nowhere else: the old closure is
+// unaffected by isolated new nodes, so grow-then-propagate is exactly the
+// closure of the enlarged graph, and no caller resizes, rebuilds or refuses
+// on growth. The caller must have added the edges to the graph as well if it
+// intends to keep using graph-dependent APIs (AllPathsContext, PathIndex);
+// UpdateContext itself needs only the edge list.
 //
 // UpdateContext returns closure statistics for the incremental run (zero
 // iterations means the edges added nothing new) and the update's Delta: the
 // union of every newly derived pair — seed bits plus each propagation pass
 // — which is exactly what a live-query subscriber must be pushed.
-// Cancellation is cooperative, between passes. On cancellation, or when the
-// frontier matrices or a pass would outgrow the engine's memory budget
-// (*MemoryBudgetError), the index is sound (every bit justified) but the
-// consequences of the new edges may be only partially propagated — not at
-// all, when the frontier matrices themselves do not fit; the returned Delta
-// then covers precisely the bits that did land in the index. Callers that
+// Cancellation is cooperative, between passes. On cancellation, or when a
+// pass would outgrow the engine's memory budget (*MemoryBudgetError), the
+// index is sound (every bit justified) but the consequences of the new edges
+// may be only partially propagated; the returned Delta then covers precisely
+// the bits that did land in the index. When the grown index and the two
+// frontier sets do not fit to begin with, the update is rejected before
+// anything is allocated: the index is untouched, not even grown. Callers that
 // must not serve a partially propagated state run the update on a Fork and
 // publish it only on success (what cfpq.Prepared does), or rebuild.
 func (e *Engine) UpdateContext(ctx context.Context, ix *Index, edges ...graph.Edge) (stats Stats, _ *Delta, err error) {
@@ -103,14 +105,13 @@ func (e *Engine) UpdateContext(ctx context.Context, ix *Index, edges ...graph.Ed
 	for _, edge := range edges {
 		maxNode = max(maxNode, edge.From, edge.To)
 	}
-	if maxNode >= ix.n {
-		ix.Grow(maxNode + 1)
+	n := max(ix.n, maxNode+1)
+	if err := e.admit(ix, n, &stats); err != nil {
+		return stats, EmptyDelta(ix), err
 	}
+	ix.Grow(n)
 	acc := EmptyDelta(ix)
-	f, err := e.newFrontier(ix, &stats)
-	if err != nil {
-		return stats, acc, err
-	}
+	f := newFrontier(ix)
 	// The update's event chain starts from the pre-update index, so its
 	// per-pass deltas telescope to exactly the bits this update added.
 	pt := e.newPassTracer(ctx, "update", ix)
@@ -167,16 +168,23 @@ type Meet struct {
 	P []int
 }
 
-// newFrontier allocates the loop's two matrix sets beside ix, from the
-// index's own backend, after charging them to stats.PeakBytes and checking
-// that index and both sets fit the memory budget.
-func (e *Engine) newFrontier(ix *Index, stats *Stats) (*frontier, error) {
-	nn := len(ix.mats)
-	est := ix.Bytes() + 2*int64(nn)*ix.backend.EmptyBytes(ix.n)
+// admit charges the starting working set of an evaluation over ix at
+// dimension n ≥ ix.n — the index, grown to n, plus the loop's two frontier
+// sets — to stats.PeakBytes and checks it against the memory budget. It
+// estimates from the backend's own figures and allocates nothing, so a
+// rejected evaluation has cost no memory: callers run it before they grow
+// the index or allocate the frontier.
+func (e *Engine) admit(ix *Index, n int, stats *Stats) error {
+	empty, grown := ix.backend.EmptyBytes(ix.n), ix.backend.EmptyBytes(n)
+	est := ix.Bytes() + int64(len(ix.mats))*(3*grown-empty)
 	stats.observePeak(est)
-	if err := e.checkBudget(est); err != nil {
-		return nil, err
-	}
+	return e.checkBudget(est)
+}
+
+// newFrontier allocates the loop's two matrix sets beside ix, from the
+// index's own backend; admit has budgeted them.
+func newFrontier(ix *Index) *frontier {
+	nn := len(ix.mats)
 	f := &frontier{
 		delta: make([]matrix.Bool, nn), next: make([]matrix.Bool, nn),
 		live: make([]bool, nn), grown: make([]bool, nn),
@@ -184,7 +192,7 @@ func (e *Engine) newFrontier(ix *Index, stats *Stats) (*frontier, error) {
 	for a := range f.delta {
 		f.delta[a], f.next[a] = ix.backend.NewMatrix(ix.n), ix.backend.NewMatrix(ix.n)
 	}
-	return f, nil
+	return f
 }
 
 // set seeds bit (i, j) of delta[a].

@@ -10,23 +10,15 @@ import (
 	"cfpq/internal/matrix"
 )
 
-// saturationNum/saturationDen is the frontier-saturation threshold of the
-// source-restricted closure: once more than half of all rows are active,
-// tracking activation no longer pays for itself, so the evaluation seeds
-// every remaining row at once and carries on as the all-pairs closure.
-const (
-	saturationNum = 1
-	saturationDen = 2
-)
-
 // FromStats extends Stats with what the source-restricted closure did.
 type FromStats struct {
 	Stats
 	// Frontier is the final number of active rows — the sources plus every
 	// node that became reachable through a derivation fragment.
 	Frontier int `json:"frontier"`
-	// Saturated reports that the frontier outgrew the saturation threshold
-	// and the evaluation finished as the full all-pairs closure.
+	// Saturated reports that every row became active (Frontier equals the
+	// node count): the restriction saved nothing, and the index is the full
+	// all-pairs closure.
 	Saturated bool `json:"saturated"`
 }
 
@@ -51,10 +43,9 @@ type FromStats struct {
 // row, or a column never activated — both impossible at the fixpoint,
 // since every added bit's column is activated when the bit is added.
 //
-// When the active set outgrows the saturation threshold (half of all
-// rows), every remaining row is activated and seeded and activation is no
-// longer tracked; the same loop carries on, the result is then the full
-// all-pairs index and FromStats.Saturated is set.
+// Activation is tracked to the end, whatever share of the rows it reaches;
+// when it reaches all of them the index is the full all-pairs closure and
+// FromStats.Saturated says so.
 //
 // Sources outside [0, g.Nodes()) are rejected; duplicate sources are fine.
 func (e *Engine) RunFromContext(ctx context.Context, g *graph.Graph, cnf *grammar.CNF, sources []int) (_ *Index, fs FromStats, _ error) {
@@ -66,8 +57,9 @@ func (e *Engine) RunFromContext(ctx context.Context, g *graph.Graph, cnf *gramma
 	}
 	nn := cnf.NonterminalCount()
 	// Pre-allocation budget check: the restricted closure starts with the
-	// index matrices plus the two frontier sets.
-	if err := e.checkBudget(3 * int64(nn) * e.backend.EmptyBytes(n)); err != nil {
+	// index matrices plus the two frontier sets, all empty.
+	est := 3 * int64(nn) * e.backend.EmptyBytes(n)
+	if err := e.checkBudget(est); err != nil {
 		return nil, FromStats{}, err
 	}
 	start := time.Now()
@@ -80,10 +72,8 @@ func (e *Engine) RunFromContext(ctx context.Context, g *graph.Graph, cnf *gramma
 		fs.observePeak(ix.Bytes())
 		return ix, fs, nil
 	}
-	f, err := e.newFrontier(ix, &fs.Stats)
-	if err != nil {
-		return nil, fs, err
-	}
+	fs.observePeak(est)
+	f := newFrontier(ix)
 	pt := e.newPassTracer(ctx, "frontier", ix)
 
 	// Per-row seeds: for every node, the terminal-rule bits its out-edges
@@ -130,14 +120,8 @@ func (e *Engine) RunFromContext(ctx context.Context, g *graph.Graph, cnf *gramma
 	// grow runs after the seeding and after every pass: it activates the
 	// columns of the frontier's bits — those nodes head derivation
 	// fragments later products read rows of — and seeds the rows that
-	// activates. Once the active set outgrows the threshold it seeds every
-	// remaining row instead, and from the next event on there is nothing
-	// left to track: the loop is the all-pairs closure, and says so.
+	// activates.
 	grow := func() int {
-		if fs.Saturated {
-			pt.setPhase("full")
-			return 0
-		}
 		for a, m := range f.delta {
 			if f.live[a] {
 				m.Range(func(_, j int) bool {
@@ -147,13 +131,6 @@ func (e *Engine) RunFromContext(ctx context.Context, g *graph.Graph, cnf *gramma
 			}
 		}
 		drain()
-		if fs.Frontier*saturationDen > n*saturationNum {
-			fs.Saturated = true
-			for i := 0; i < n; i++ {
-				activate(i)
-			}
-			drain()
-		}
 		return fs.Frontier
 	}
 
@@ -165,6 +142,7 @@ func (e *Engine) RunFromContext(ctx context.Context, g *graph.Graph, cnf *gramma
 	if err := e.closure(ctx, ix, f, pt, &fs.Stats, grow); err != nil {
 		return nil, fs, err
 	}
+	fs.Saturated = fs.Frontier == n
 	return ix, fs, nil
 }
 

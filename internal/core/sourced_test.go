@@ -174,12 +174,12 @@ func TestQueryFromEdgeCases(t *testing.T) {
 	}
 }
 
-// TestRunFromSaturationThreshold drives the restricted closure exactly
-// across the ½-row saturation threshold: an a-chain of k edges from the
-// single source reaches k+1 rows, so on a 10-node graph a 4-edge chain
-// (frontier 5, 5·2 = n) stays restricted while a 5-edge chain (frontier
-// 6, 6·2 > n) saturates and falls back to the full closure — for every
-// backend, with the source row agreeing with the full closure either way.
+// TestRunFromSaturationThreshold pins that there is none: an a-chain of k
+// edges from the single source reaches k+1 rows, and on a 10-node graph the
+// restricted closure tracks exactly those rows whatever share of the graph
+// they are — Saturated is set if and only if they are all of it, in which
+// case the index is the full closure's — for every backend, with the source
+// row agreeing with the full closure either way.
 func TestRunFromSaturationThreshold(t *testing.T) {
 	const n = 10
 	gram := grammar.MustParse("S -> a S | a")
@@ -196,22 +196,12 @@ func TestRunFromSaturationThreshold(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			reach := edges + 1
-			wantSat := reach*saturationDen > n*saturationNum
-			if fs.Saturated != wantSat {
-				t.Fatalf("%s %d-edge chain: Saturated=%v, want %v (frontier %d of %d)",
-					be.Name(), edges, fs.Saturated, wantSat, reach, n)
+			if reach := edges + 1; fs.Frontier != reach || fs.Saturated != (reach == n) {
+				t.Fatalf("%s %d-edge chain: Frontier=%d Saturated=%v, want %d and %v",
+					be.Name(), edges, fs.Frontier, fs.Saturated, reach, reach == n)
 			}
-			wantFrontier := reach
-			if wantSat {
-				wantFrontier = n
-			}
-			if fs.Frontier != wantFrontier {
-				t.Fatalf("%s %d-edge chain: Frontier=%d, want %d",
-					be.Name(), edges, fs.Frontier, wantFrontier)
-			}
-			if wantSat && !ix.Equal(fullIx) {
-				t.Fatalf("%s %d-edge chain: saturated fallback differs from full closure", be.Name(), edges)
+			if fs.Saturated && !ix.Equal(fullIx) {
+				t.Fatalf("%s %d-edge chain: every row active, yet the index differs from the full closure", be.Name(), edges)
 			}
 			m, fm := ix.Matrix("S"), fullIx.Matrix("S")
 			for j := 0; j < n; j++ {

@@ -28,10 +28,8 @@ type PassEvent struct {
 	// Phase names what the one fixpoint loop was seeded with when it ran
 	// the pass: "full" (the whole index — the all-pairs closure),
 	// "frontier" (the rows of an active set — source-restricted), or
-	// "update" (the bits of new edges — incremental propagation). A
-	// saturated source-restricted evaluation switches from "frontier" to
-	// "full" mid-stream: the event in which it seeded every remaining row
-	// is its last "frontier" one.
+	// "update" (the bits of new edges — incremental propagation). Every
+	// event of one evaluation carries the same phase.
 	Phase string `json:"phase"`
 	// Pass numbers the events of one evaluation from 0 (the seeding step).
 	Pass int `json:"pass"`
@@ -56,8 +54,7 @@ type PassEvent struct {
 
 // Saturation is the frontier saturation ratio Frontier/Nodes — how much of
 // the graph the source-restricted closure is actively maintaining. It is 0
-// outside the "frontier" phase and reaches 1 when a saturated evaluation
-// seeds every remaining row and carries on as the all-pairs closure.
+// outside the "frontier" phase and reaches 1 when every row is active.
 func (ev PassEvent) Saturation() float64 {
 	if ev.Nodes == 0 {
 		return 0
@@ -121,8 +118,7 @@ type passTracer struct {
 	phase        string
 	ix           *Index
 	// before holds each relation's nnz as of the previous event, indexed
-	// like Index.mats; events chain from it so deltas telescope even when
-	// an evaluation switches phase (frontier saturation).
+	// like Index.mats; events chain from it so deltas telescope.
 	before    []int
 	pass      int
 	passStart time.Time
@@ -148,14 +144,6 @@ func (e *Engine) newPassTracer(ctx context.Context, phase string, ix *Index) *pa
 		ix:           ix,
 		before:       make([]int, len(ix.mats)),
 	}
-}
-
-// setPhase renames the phase of subsequent events (frontier saturation).
-func (pt *passTracer) setPhase(phase string) {
-	if pt == nil {
-		return
-	}
-	pt.phase = phase
 }
 
 // snapshot re-bases the before counts on the index's current state, so the

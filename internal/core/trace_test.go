@@ -43,7 +43,6 @@ func TestDisabledTracerCostsNoAllocations(t *testing.T) {
 	var pt *passTracer
 	allocs := testing.AllocsPerRun(1000, func() {
 		pt.snapshot()
-		pt.setPhase("full")
 		pt.beginPass()
 		pt.endPass(3, 0)
 	})

@@ -9,7 +9,10 @@ import (
 	"strings"
 	"testing"
 
+	"cfpq/internal/baseline"
+	"cfpq/internal/grammar"
 	"cfpq/internal/graph"
+	"cfpq/internal/matrix"
 	"cfpq/internal/store"
 )
 
@@ -19,7 +22,11 @@ import (
 // reopening a data dir, must end in the same edge multiset, the same
 // id → name table and the same seq — also for tokens that look like ids,
 // ids that look like names, numerals outside the node range and names that
-// repeat inside one batch.
+// repeat inside one batch. Every node holds a cached index and a live
+// subscription on the graph throughout, and the leader's batches intern
+// fresh names: growth is an ordinary update, so the answers equal an
+// independent oracle's on the same edge set, the subscribers are pushed
+// exactly the oracle's new pairs, and no node pays a second index build.
 
 // streamState is what the property compares.
 type streamState struct {
@@ -140,18 +147,115 @@ func requireAgreement(t *testing.T, what string, want streamState, got map[strin
 	}
 }
 
+// agreementGrammar is the query the nodes keep an index for, over the
+// batches' two labels.
+const agreementGrammar = "S -> k S l | S S | k"
+
+var agreementTarget = Target{Graph: "g", Grammar: "q"}
+
+// oracleRelation is R_S of the service's current edge set according to
+// baseline.Hellings, in row-major order.
+func oracleRelation(t *testing.T, s *Service) []matrix.Pair {
+	t.Helper()
+	ge, err := s.graphEntry("g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ge.mu.RLock()
+	g := ge.g
+	ge.mu.RUnlock()
+	return baseline.Hellings(g, grammar.MustCNF(grammar.MustParse(agreementGrammar)))["S"]
+}
+
+// namedPairs renders id pairs the way the service does.
+func namedPairs(t *testing.T, s *Service, pairs []matrix.Pair) []NamedPair {
+	t.Helper()
+	ge, err := s.graphEntry("g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ge.mu.RLock()
+	defer ge.mu.RUnlock()
+	out := make([]NamedPair, len(pairs))
+	for i, p := range pairs {
+		out[i] = NamedPair{From: ge.names.Name(p.I), To: ge.names.Name(p.J)}
+	}
+	return out
+}
+
+// servedIndex is one node holding a cached index on the graph and a
+// subscription to it.
+type servedIndex struct {
+	who string
+	svc *Service
+	sub *ServerSubscription
+}
+
+// serveIndex registers the grammar the way the node's role allows, pays the
+// node's one index build and subscribes.
+func serveIndex(t *testing.T, who string, s *Service) servedIndex {
+	t.Helper()
+	if err := s.ApplyGrammar("q", agreementGrammar); err != nil {
+		t.Fatal(err)
+	}
+	sub, err := s.Subscribe(ctx, SubscribeRequest{Graph: "g", Grammar: "q", Nonterminal: "S"}, false, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(sub.Close)
+	return servedIndex{who: who, svc: s, sub: sub}
+}
+
+// requireServed checks one node after a batch: its answer is the oracle's
+// relation, its subscription was pushed exactly the oracle's new pairs — one
+// batch, or none when the relation did not grow — and it still serves the
+// index it built first.
+func (n servedIndex) requireServed(t *testing.T, what string, want, grown []NamedPair) {
+	t.Helper()
+	got, err := relation(ctx, n.svc, agreementTarget, "S")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("%s: %s answers %v, the oracle %v", what, n.who, got, want)
+	}
+	var pushed []NamedPair
+	select {
+	case b, ok := <-n.sub.Updates():
+		if !ok || b.Resync {
+			t.Fatalf("%s: %s's stream lost continuity (open=%v, %+v)", what, n.who, ok, b)
+		}
+		pushed = n.sub.render(b).Pairs
+	default:
+	}
+	if !slices.Equal(pushed, grown) {
+		t.Fatalf("%s: %s was pushed %v, the relation grew by %v", what, n.who, pushed, grown)
+	}
+	if builds := n.svc.obs.indexBuilds.Value(); builds != 1 {
+		t.Fatalf("%s: %s has run %d index builds, want the one it paid on first use", what, n.who, builds)
+	}
+}
+
 // TestAgreementLeaderWrites drives token batches through the leader's
 // AddEdges (which rejects what only a typo can produce — a numeral outside
 // the node range — and journals the rest) and ships its WAL to the
-// followers after every batch.
+// followers after every batch. Every batch also interns a name no node has
+// seen, so every accepted write grows the node set under the cached indexes.
 func TestAgreementLeaderWrites(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			leader, durable, memory, leaderDir, followerDir := agreementNodes(t)
+			nodes := []servedIndex{
+				serveIndex(t, "leader", leader),
+				serveIndex(t, "durable follower", durable),
+				serveIndex(t, "memory follower", memory),
+			}
+			relationNow := oracleRelation(t, leader)
 			accepted := 0
 			for step := 0; step < 40; step++ {
 				recs := randomBatch(rng)
+				recs = append(recs, store.EdgeRecord{From: fmt.Sprintf("fresh%d", step), Label: "k", To: recs[0].From})
 				specs := make([]EdgeSpec, len(recs))
 				for i, r := range recs {
 					specs[i] = EdgeSpec{From: r.From, Label: r.Label, To: r.To}
@@ -167,21 +271,55 @@ func TestAgreementLeaderWrites(t *testing.T) {
 				}
 				accepted++
 				shipTail(t, leader, durable, memory)
-				requireAgreement(t, fmt.Sprintf("step %d, batch %v", step, recs), serviceState(t, leader, "g"), map[string]streamState{
+				what := fmt.Sprintf("step %d, batch %v", step, recs)
+				requireAgreement(t, what, serviceState(t, leader, "g"), map[string]streamState{
 					"leader store":     storeState(t, leader.store, "g"),
 					"durable follower": serviceState(t, durable, "g"),
 					"follower store":   storeState(t, durable.store, "g"),
 					"memory follower":  serviceState(t, memory, "g"),
 				})
+				// Equal streams, so one oracle serves all three nodes — and
+				// their answers are each other's at equal (epoch, seq).
+				prev := relationNow
+				relationNow = oracleRelation(t, leader)
+				var grown []matrix.Pair
+				for _, p := range relationNow {
+					if _, had := slices.BinarySearchFunc(prev, p, func(a, b matrix.Pair) int {
+						return cmp.Or(cmp.Compare(a.I, b.I), cmp.Compare(a.J, b.J))
+					}); !had {
+						grown = append(grown, p)
+					}
+				}
+				want, pushed := namedPairs(t, leader, relationNow), namedPairs(t, leader, grown)
+				for _, n := range nodes {
+					n.requireServed(t, what, want, pushed)
+				}
 			}
-			if accepted == 0 {
-				t.Fatal("the leader accepted no batch; the property checked nothing")
+			if accepted < 10 {
+				t.Fatalf("the leader accepted %d growing batches; the property wants at least 10", accepted)
 			}
 			want := serviceState(t, leader, "g")
+			leaderReplay, followerReplay := reopen(t, leader, leaderDir), reopen(t, durable, followerDir)
 			requireAgreement(t, "after reopening both data dirs", want, map[string]streamState{
-				"leader replay":   serviceState(t, reopen(t, leader, leaderDir), "g"),
-				"follower replay": serviceState(t, reopen(t, durable, followerDir), "g"),
+				"leader replay":   serviceState(t, leaderReplay, "g"),
+				"follower replay": serviceState(t, followerReplay, "g"),
 			})
+			// Each data dir holds the index as first built, on the 9-node
+			// graph: the restart warm-starts it and patches it forward through
+			// every growing batch, without a build.
+			answers := namedPairs(t, leaderReplay, relationNow)
+			for who, s := range map[string]*Service{"leader replay": leaderReplay, "follower replay": followerReplay} {
+				got, err := relation(ctx, s, agreementTarget, "S")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(got, answers) {
+					t.Fatalf("%s answers %v, the oracle %v", who, got, answers)
+				}
+				if m := s.obs; m.indexBuilds.Value() != 0 || m.warmStarts.Value() != 1 {
+					t.Fatalf("%s: %d index builds and %d warm starts, want 0 and 1", who, m.indexBuilds.Value(), m.warmStarts.Value())
+				}
+			}
 		})
 	}
 }

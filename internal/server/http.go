@@ -59,8 +59,10 @@ func WithRequestLog(logger *slog.Logger) HandlerOption {
 //	                                     comments keep idle streams alive; reconnecting with
 //	                                     Last-Event-ID resumes within a bounded window (a wider
 //	                                     gap answers one event with "resync":true); a terminal
-//	                                     "resync" event means the served index was invalidated —
-//	                                     re-query and reconnect. Followers push replicated writes
+//	                                     "resync" event means the served index was invalidated
+//	                                     (graph or grammar replaced, or an over-budget update;
+//	                                     never a write that merely adds nodes) — re-query and
+//	                                     reconnect. Followers push replicated writes the same way.
 //	POST /v1/query/batch                 evaluate many queries against one target from one cached
 //	                                     index build: {"graph":..,"grammar":..,"backend":..,
 //	                                     "queries":[{"op":..,"nonterminal":..,"from":..,"to":..,

@@ -98,10 +98,11 @@ func TestHTTPEndToEnd(t *testing.T) {
 		t.Fatalf("stats counts: %d %v", code, body)
 	}
 
-	// Mutation: dora enters the graph (index invalidated, rebuilt on query).
+	// Mutation: dora enters the graph — a new node is patched like any edge.
 	code, body = httpDo(t, srv, http.MethodPost, "/v1/graphs/social/edges",
 		`{"edges":[{"from":"carol","label":"knows","to":"dora"}]}`)
-	if code != http.StatusOK || body["added"].(float64) != 1 || body["new_nodes"].(float64) != 1 {
+	if code != http.StatusOK || body["added"].(float64) != 1 || body["new_nodes"].(float64) != 1 ||
+		body["patched"].(float64) != 1 || body["invalidated"].(float64) != 0 {
 		t.Fatalf("POST edges: %d %v", code, body)
 	}
 	code, body = postQuery(t, srv, "social", "reach", "S", `"output":"exists","sources":["alice"],"targets":["dora"]`)
@@ -116,7 +117,7 @@ func TestHTTPEndToEnd(t *testing.T) {
 		t.Fatalf("POST edges (patch): %d %v", code, body)
 	}
 
-	// Stats reflect the build and the incremental patch.
+	// Stats reflect the one build and the two incremental patches.
 	code, body = httpDo(t, srv, http.MethodGet, "/v1/stats", "")
 	if code != http.StatusOK {
 		t.Fatalf("stats: %d %v", code, body)
@@ -132,7 +133,7 @@ func TestHTTPEndToEnd(t *testing.T) {
 	if ix["build"].(map[string]any)["products"].(float64) <= 0 {
 		t.Fatalf("stats build products: %v", ix)
 	}
-	if ix["updates"].(float64) != 1 {
+	if ix["updates"].(float64) != 2 || ix["nodes"].(float64) != 4 {
 		t.Fatalf("stats updates: %v", ix)
 	}
 	if ix["queries"].(float64) <= 0 {

@@ -142,15 +142,14 @@ func (s *Service) warmStartIndex(ctx context.Context, st *store.Store, info stor
 		// serve; let the first query rebuild.
 		return
 	}
-	if ge.g.Nodes() > ix.Nodes() {
-		ix.Grow(ge.g.Nodes())
-	}
+	// The handle's private copy of the graph (see the package comment);
+	// nothing serves yet, so no lock is needed to pin it.
 	p, err := eng.PrepareFromIndex(ge.g.Clone(), re.cnf, ix)
 	if err != nil {
 		return
 	}
 	key := IndexKey{Graph: info.Graph, Grammar: info.Grammar, Backend: info.Backend}
-	e := &indexEntry{key: key, ge: ge, eng: eng, built: true, p: p}
+	e := &indexEntry{key: key, ge: ge, p: p}
 	e.ready.Store(p)
 	s.mu.Lock()
 	s.indexes[key] = e

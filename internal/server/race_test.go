@@ -3,6 +3,8 @@ package server
 import (
 	"context"
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -149,4 +151,84 @@ func TestConcurrentQueriesDuringUpdates(t *testing.T) {
 		}
 	}
 	t.Logf("update products across backends %d; one cold closure = %d products", totalUpdates, coldStats.Products)
+}
+
+// TestRPQReadersPinTheGraphBesideAWriter races uncached readers — RPQ
+// requests, which evaluate against the registry graph itself, and graph
+// listings — against a writer that extends a chain by one fresh node per
+// batch while a cached index on the graph is patched along. A reader pins
+// the published version and reads it without a lock or a copy; what it
+// answers must be the oracle's answer on some prefix of the batches (on a
+// chain n0 → n1 → …, "a+" from n0 is n1 … nj after j batches), and never
+// one it has already moved past. Run under `go test -race`.
+func TestRPQReadersPinTheGraphBesideAWriter(t *testing.T) {
+	const (
+		batches = 48
+		readers = 4
+	)
+	s := New()
+	if _, err := s.LoadGraph("chain", "edgelist", strings.NewReader("n0 a n1\n")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.RegisterGrammar("plus", "S -> a S | a"); err != nil {
+		t.Fatal(err)
+	}
+	tgt := Target{Graph: "chain", Grammar: "plus"}
+	if _, err := count(ctx, s, tgt, "S"); err != nil { // a handle to patch beside the readers
+		t.Fatal(err)
+	}
+	prefix := []NamedPair{{From: "n0", To: "n1"}} // prefix[:j+1] is the oracle after j batches
+	for j := 1; j <= batches; j++ {
+		prefix = append(prefix, NamedPair{From: "n0", To: fmt.Sprintf("n%d", j+1)})
+	}
+
+	var wg sync.WaitGroup
+	done := make(chan struct{})
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			seen := 0
+			for stop := false; !stop; {
+				select {
+				case <-done:
+					stop = true // one more read, of the final version
+				default:
+				}
+				if r%2 == 0 {
+					ans, err := s.Do(ctx, QueryRequest{Graph: "chain", Expr: "a+", Sources: []string{"n0"}})
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if len(ans.Pairs) < seen || len(ans.Pairs) > len(prefix) || !slices.Equal(ans.Pairs, prefix[:len(ans.Pairs)]) {
+						t.Errorf("reader %d: %v is no prefix of the chain at or past %d pairs", r, ans.Pairs, seen)
+						return
+					}
+					seen = len(ans.Pairs)
+				} else {
+					info := s.Graphs()[0]
+					if info.Edges < seen || info.Nodes != info.Edges+1 || info.Version != info.Edges-1 {
+						t.Errorf("reader %d: listing %+v is no version of the chain at or past %d edges", r, info, seen)
+						return
+					}
+					seen = info.Edges
+				}
+			}
+			if seen != batches+1 {
+				t.Errorf("reader %d: the final read saw %d of %d edges", r, seen, batches+1)
+			}
+		}(r)
+	}
+	for j := 1; j <= batches; j++ {
+		res, err := s.AddEdges(ctx, "chain", []EdgeSpec{{From: fmt.Sprintf("n%d", j), Label: "a", To: fmt.Sprintf("n%d", j+1)}})
+		if err != nil || res.NewNodes != 1 || res.Patched != 1 {
+			t.Fatalf("batch %d: %+v, %v; want one new node patched into the index", j, res, err)
+		}
+	}
+	close(done)
+	wg.Wait()
+	if n, err := count(ctx, s, tgt, "S"); err != nil || n != (batches+1)*(batches+2)/2 {
+		t.Fatalf("cached index after the race: %d pairs, %v; want %d", n, err, (batches+1)*(batches+2)/2)
+	}
 }

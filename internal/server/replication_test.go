@@ -166,12 +166,13 @@ func TestLeaderFollowerReplication(t *testing.T) {
 	}
 
 	// A write on the leader streams over and lands via the incremental
-	// patch — the edge closes a cycle between existing nodes, so the
-	// follower's cached index gains the new pairs without a rebuild (a
-	// node-growing edge would invalidate it, as it does on the leader).
+	// patch — one edge closes a cycle between existing nodes, the other
+	// interns a fresh one — so the follower's cached index gains the new
+	// pairs without a rebuild, as the leader's does.
 	builds := f.svc.obs.indexBuilds.Value()
 	if _, err := leader.AddEdges(ctx, "social", []EdgeSpec{
 		{From: "dora", Label: "knows", To: "alice"},
+		{From: "alice", Label: "knows", To: "erin"},
 	}); err != nil {
 		t.Fatal(err)
 	}

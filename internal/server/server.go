@@ -11,11 +11,12 @@
 //     behind RegisterGraph, BootstrapGraph (follower) and AttachStore
 //     (recovery).
 //   - applyBatch takes an edge batch into a graph — lock, registry-identity
-//     re-check, validate, journal write-ahead, intern, add, advance seq —
-//     and ends in patchIndexes, behind AddEdges (the leader's write gate and
-//     its rejection of out-of-range numeric ids) and ApplyReplicatedEdges
-//     (the leader's record kind, seq continuity). A follower therefore
-//     interns, journals and patches exactly as the leader did.
+//     re-check, validate, journal write-ahead, intern and add on a fork of
+//     the published edge set, publish it, advance seq — and ends in
+//     patchIndexes, behind AddEdges (the leader's write gate and its
+//     rejection of out-of-range numeric ids) and ApplyReplicatedEdges (the
+//     leader's record kind, seq continuity). A follower therefore interns,
+//     journals and patches exactly as the leader did.
 //   - resolve binds a request's registry names, non-terminal and node tokens
 //     to the graph entry, the cached handle and a cfpq.Request, behind
 //     POST /v1/query (grammar and RPQ), /v1/query/batch and /v1/subscribe.
@@ -32,23 +33,34 @@
 //     it through Prepared.AddEdges) and invalidation. Only a query that
 //     finds the slot not ready takes it; the cfpq.Prepared inside has its
 //     own writer mutex, and an RWMutex held just to pin or swap a version.
-//   - graphEntry.mu (RWMutex) guards one graph's edge set and name table.
-//     It MAY be acquired while holding an indexEntry.mu (the build path
-//     does, to snapshot the graph), NEVER the other way around. The one
-//     slow thing done under it is applyBatch's fsynced WAL append: the
-//     write-ahead protocol needs journal order to equal apply order.
+//   - graphEntry.mu (RWMutex) guards one graph's name table, its stream
+//     position and the pointer to its edge set. It MAY be acquired while
+//     holding an indexEntry.mu (the build path does, to pin the graph),
+//     NEVER the other way around. The one slow thing done under it is
+//     applyBatch's fsynced WAL append: the write-ahead protocol needs
+//     journal order to equal apply order.
 //
-// Every Prepared owns a private snapshot of its graph, taken at build
-// time; applyBatch patches each cached handle with the same edges it applied
-// to the registry graph. A query registers its index entry in the cache
-// *before* snapshotting the graph, and applyBatch walks the cache *after*
-// mutating the graph; the two orderings together guarantee every cached
-// index either saw the new edges when it was built or is patched by the
-// update — no lost updates (re-applying edges a build already saw is a
+// The registry graph is a published version, like everything beneath it:
+// graphEntry.g is never mutated, only replaced — by applyBatch, under the
+// write lock, with a fork of itself that holds the batch (graph.Fork allows
+// one appender per line of versions, and the holder of the write lock is
+// that one). Whoever loads the pointer under the read lock has pinned an
+// immutable edge set and reads it lock-free for as long as it likes: an RPQ
+// request evaluates against it as it is, GraphInfo counts it. Nothing else
+// may Fork it — a second appender would write into the slots the next
+// batch claims — so a Prepared, which forks its own graph on every update,
+// owns a private copy: the cold build and the warm start each take one
+// Clone of a pinned version, outside the lock, and applyBatch patches each
+// cached handle with the same edges it published. A query registers its
+// index entry in the cache *before* pinning the graph, and applyBatch walks
+// the cache *after* publishing; the two orderings together guarantee every
+// cached index either saw the new edges when it was built or is patched by
+// the update — no lost updates (re-applying edges a build already saw is a
 // no-op: the registry graph is a multigraph and keeps parallel edges, but
-// Prepared.AddEdges skips edges its snapshot holds and the delta seeds only
-// missing bits). Updates whose edges grow the node set invalidate the
-// affected slots; they rebuild at the larger dimension on next use.
+// Prepared.AddEdges skips edges its copy holds and the delta seeds only
+// missing bits). Edges that name new nodes are patched like any others: what
+// happens when the node set grows is the engine's decision
+// (core.UpdateContext), not the registry's.
 package server
 
 import (
@@ -216,7 +228,9 @@ func (s *Service) slowQueryLogger() *slog.Logger {
 }
 
 type graphEntry struct {
-	mu      sync.RWMutex
+	mu sync.RWMutex
+	// g is the published edge set: immutable, replaced under mu by a fork of
+	// itself (applyBatch) and by nothing else; load it under mu to pin it.
 	g       *graph.Graph
 	names   *graph.Names // which node a token names; all-unnamed for id-only graphs
 	version int          // bumped on every successful mutation
@@ -250,16 +264,14 @@ type IndexKey struct {
 type indexEntry struct {
 	mu    sync.Mutex
 	key   IndexKey
-	ge    *graphEntry // the registry graph the handle is (being) built from
-	eng   *cfpq.Engine
-	built bool
-	stale bool // invalidated (node growth or replacement); off the cache map
-	p     *cfpq.Prepared
+	ge    *graphEntry    // the registry graph the handle is (being) built from
+	stale bool           // invalidated (replacement or an abandoned update); off the cache map
+	p     *cfpq.Prepared // nil until the slot is built
 
 	// ready is p once the slot is built and for as long as it is not
 	// stale — what readers resolve the slot through, without mu, so a
 	// patch holding mu across an update closure stops nobody. Stored by
-	// whoever sets built, cleared by invalidate.
+	// whoever sets p, cleared by invalidate.
 	ready atomic.Pointer[cfpq.Prepared]
 }
 
@@ -490,9 +502,10 @@ func (s *Service) Graphs() []GraphInfo {
 
 func (ge *graphEntry) info(name string) GraphInfo {
 	ge.mu.RLock()
-	defer ge.mu.RUnlock()
-	st := ge.g.Stats()
-	return GraphInfo{Name: name, Nodes: st.Nodes, Edges: st.Edges, Labels: st.Labels, Version: ge.version}
+	g, version := ge.g, ge.version
+	ge.mu.RUnlock()
+	st := g.Stats()
+	return GraphInfo{Name: name, Nodes: st.Nodes, Edges: st.Edges, Labels: st.Labels, Version: version}
 }
 
 // GrammarInfo describes one registered grammar.
@@ -564,9 +577,9 @@ func (s *Service) index(ctx context.Context, t Target) (*indexEntry, *cfpq.Prepa
 		}
 		return nil, nil, notFoundf("server: unknown grammar %q", key.Grammar)
 	}
-	// Register the entry before snapshotting the graph (see package
-	// comment: this ordering, with AddEdges walking the cache after
-	// mutation, excludes lost updates).
+	// Register the entry before pinning the graph (see package comment:
+	// this ordering, with applyBatch walking the cache after publishing,
+	// excludes lost updates).
 	e := s.indexes[key]
 	if e == nil {
 		e = &indexEntry{key: key, ge: ge}
@@ -579,32 +592,30 @@ func (s *Service) index(ctx context.Context, t Target) (*indexEntry, *cfpq.Prepa
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if !e.built {
+	if e.p == nil {
 		// The engine is constructed at build time (not entry-creation
 		// time) so it carries the memory budget in force when the closure
 		// actually runs: a build rejected under one budget retries under
 		// the current one, while a built index keeps its engine — and its
 		// budget — for every incremental patch.
-		e.eng = cfpq.NewEngine(be, cfpq.WithMemoryBudget(s.budget.Load()))
-		// The Prepared owns a private snapshot of the graph, so the graph
-		// lock is held only for the clone, not the (potentially long)
-		// closure. An AddEdges racing this build either sees built=false
-		// and skips — in which case its mutation finished before our clone
-		// and the edges are in the snapshot — or serialises behind us on
-		// e.mu and patches the finished handle (a no-op for edges the
-		// build saw).
+		eng := cfpq.NewEngine(be, cfpq.WithMemoryBudget(s.budget.Load()))
+		// The graph lock is held only to pin the published version; the
+		// handle's private copy (see package comment) and the potentially
+		// long closure run outside it. An applyBatch racing this build
+		// either finds the slot unbuilt and skips it — in which case it
+		// published before our pin and the edges are in the copy — or
+		// serialises behind us on e.mu and patches the finished handle (a
+		// no-op for edges the build saw).
 		e.ge.mu.RLock()
-		snapshot := e.ge.g.Clone()
-		seq := e.ge.seq
+		pinned, seq := e.ge.g, e.ge.seq
 		e.ge.mu.RUnlock()
 		buildStart := time.Now()
-		p, err := e.eng.PrepareCNF(ctx, snapshot, re.cnf)
+		p, err := eng.PrepareCNF(ctx, pinned.Clone(), re.cnf)
 		if err != nil {
 			return nil, nil, s.noteErr(err)
 		}
 		s.obs.indexBuild.Observe(time.Since(buildStart).Seconds())
 		e.p = p
-		e.built = true
 		e.ready.Store(p)
 		s.obs.indexBuilds.Inc()
 		s.persistIndex(key, seq, p)
@@ -629,8 +640,8 @@ func (s *Service) graphEntry(name string) (*graphEntry, error) {
 // /v1/subscribe go through it, and /v1/query/batch through its two halves
 // (index once, request per spec), so one bad name gets one error whichever
 // route carried it. An expression has no registry grammar to cache an index
-// under: the handle is nil and the request carries the expression and a
-// point-in-time snapshot of the graph for an engine to plan from scratch.
+// under: the handle is nil and the request carries the expression and the
+// pinned version of the graph for an engine to plan from scratch.
 func (s *Service) resolve(ctx context.Context, t Target, nonterminal, expr string, sources, targets []string) (*graphEntry, *cfpq.Prepared, cfpq.Request, error) {
 	var (
 		ge *graphEntry
@@ -652,7 +663,7 @@ func (s *Service) resolve(ctx context.Context, t Target, nonterminal, expr strin
 	defer ge.mu.RUnlock()
 	req, err := ge.request(p, nonterminal, sources, targets)
 	if err == nil && expr != "" {
-		req.Expr, req.Graph = expr, ge.g.Clone()
+		req.Expr, req.Graph = expr, ge.g
 	}
 	return ge, p, req, err
 }
@@ -836,8 +847,8 @@ type UpdateResult struct {
 	NewNodes int `json:"new_nodes"`
 	// Patched counts cached indexes brought up to date incrementally.
 	Patched int `json:"patched"`
-	// Invalidated counts cached indexes dropped because the update grew
-	// the node set past their matrix dimension; they rebuild on next use.
+	// Invalidated counts cached indexes dropped because their update was
+	// abandoned (the memory budget); they rebuild on next use.
 	Invalidated int `json:"invalidated"`
 	// UpdateStats accumulates the incremental closure work across all
 	// patched indexes.
@@ -845,9 +856,8 @@ type UpdateResult struct {
 }
 
 // AddEdges inserts edges into the named graph and brings every cached
-// index on that graph up to date: handles whose node range still covers
-// the graph are patched with the incremental delta closure
-// (Prepared.AddEdges); handles outgrown by new nodes are invalidated.
+// index on that graph up to date with the incremental delta closure
+// (Prepared.AddEdges) — edges that intern new nodes included.
 func (s *Service) AddEdges(ctx context.Context, graphName string, specs []EdgeSpec) (UpdateResult, error) {
 	if err := s.writable(); err != nil {
 		return UpdateResult{}, err
@@ -879,9 +889,9 @@ func (s *Service) AddEdges(ctx context.Context, graphName string, specs []EdgeSp
 // re-checks registry identity, validates the whole batch before the first
 // mutation — a bad batch cannot leave the graph half-updated and cached
 // indexes permanently out of sync with it — journals write-ahead, interns
-// and adds the edges, and advances seq; then patchIndexes brings every
-// cached index on the graph up to date. The callers have already rejected
-// empty tokens.
+// and adds the edges on a fork of the published edge set, publishes the
+// fork and advances seq; then patchIndexes brings every cached index on the
+// graph up to date. The callers have already rejected empty tokens.
 func (s *Service) applyBatch(ctx context.Context, graphName string, kind store.RecordKind, recs []store.EdgeRecord, replicated bool, endSeq uint64) (UpdateResult, error) {
 	ge, err := s.graphEntry(graphName)
 	if err != nil {
@@ -909,24 +919,28 @@ func (s *Service) applyBatch(ctx context.Context, graphName string, kind store.R
 			return UpdateResult{}, fmt.Errorf("server: journaling edges: %w", err)
 		}
 	}
-	before := ge.g.Nodes()
+	next := ge.g.Fork()
 	edges := make([]graph.Edge, len(recs))
-	maxNode := -1
 	idsOnly := kind == store.RecordIDs
 	for i, r := range recs {
-		from := ge.names.Intern(ge.g, r.From, idsOnly)
-		to := ge.names.Intern(ge.g, r.To, idsOnly)
-		ge.g.AddEdge(from, r.Label, to)
+		from := ge.names.Intern(next, r.From, idsOnly)
+		to := ge.names.Intern(next, r.To, idsOnly)
+		next.AddEdge(from, r.Label, to)
 		edges[i] = graph.Edge{From: from, Label: r.Label, To: to}
-		maxNode = max(maxNode, from, to)
 	}
+	res := UpdateResult{Added: len(edges), NewNodes: next.Nodes() - ge.g.Nodes()}
+	ge.g = next
 	ge.seq = start + uint64(len(recs))
 	ge.version++
 	ge.patching++
-	res := UpdateResult{Added: len(edges), NewNodes: ge.g.Nodes() - before}
 	ge.mu.Unlock()
 
-	s.patchIndexes(ctx, graphName, ge, edges, maxNode, &res)
+	// The batch is durable and published, whatever becomes of the request
+	// that carried it: the patch runs to the end even if the client has
+	// gone (the request's trace values still ride along), so the memory
+	// budget is the only reason an update is abandoned and its handle
+	// dropped.
+	s.patchIndexes(context.WithoutCancel(ctx), graphName, ge, edges, &res)
 	return res, nil
 }
 
@@ -968,16 +982,17 @@ func (s *Service) admitBatch(graphName string, ge *graphEntry, recs []store.Edge
 }
 
 // patchIndexes walks the cache after a mutation (the ordering that, paired
-// with index() registering entries before snapshotting the graph, excludes
-// lost updates) and patches or invalidates each slot. Updates racing on
-// the same handle serialise inside Prepared; the delta closure only ever
-// adds bits and re-applying present edges is a no-op, so the closure is
-// confluent. Both AddEdges and the follower's replicated-apply path end
-// here — a follower never runs a cold closure to absorb the stream. The
+// with index() registering entries before pinning the graph, excludes lost
+// updates) and patches each built slot — with edges that name new nodes as
+// with any others: the update grows the index. Updates racing on the same
+// handle serialise inside Prepared; the delta closure only ever adds bits
+// and re-applying present edges is a no-op, so the closure is confluent.
+// Both AddEdges and the follower's replicated-apply path end here — a
+// follower never runs a cold closure to absorb the stream. The
 // caller counted itself into ge.patching when it mutated the graph;
 // returning counts it out and, when nobody else is between the two, advances
 // ge.indexed to the stream position the indexes now cover.
-func (s *Service) patchIndexes(ctx context.Context, graphName string, ge *graphEntry, edges []graph.Edge, maxNode int, res *UpdateResult) {
+func (s *Service) patchIndexes(ctx context.Context, graphName string, ge *graphEntry, edges []graph.Edge, res *UpdateResult) {
 	s.mu.Lock()
 	var entries []*indexEntry
 	for k, e := range s.indexes {
@@ -1000,14 +1015,9 @@ func (s *Service) patchIndexes(ctx context.Context, graphName string, ge *graphE
 
 	for _, e := range entries {
 		e.mu.Lock()
-		switch {
-		case e.stale || !e.built:
-			// Unbuilt entries will snapshot the post-mutation graph when
-			// they build; stale ones are already off the cache.
-		case maxNode >= e.p.Nodes():
-			e.invalidate()
-			res.Invalidated++
-		default:
+		// Unbuilt entries will pin the post-mutation graph when they build;
+		// stale ones are already off the cache.
+		if !e.stale && e.p != nil {
 			// Held across the update closure on purpose: e.mu orders this
 			// patch against the slot's build and other patches. Readers
 			// come in through e.ready and are not behind it.
@@ -1016,10 +1026,10 @@ func (s *Service) patchIndexes(ctx context.Context, graphName string, ge *graphE
 			s.obs.indexSwap.Observe(info.Swap.Seconds())
 			if err != nil {
 				s.noteErr(err)
-				// A cancelled or over-budget update was abandoned: the
-				// handle still serves its last version, which lacks these
-				// edges. Drop it so the next query rebuilds, and report it
-				// as invalidated, not patched.
+				// An over-budget update was abandoned: the handle still
+				// serves its last version, which lacks these edges. Drop
+				// it so the next query rebuilds, and report it as
+				// invalidated, not patched.
 				e.invalidate()
 				res.Invalidated++
 			} else {
@@ -1054,23 +1064,8 @@ type IndexStats struct {
 	Graph   string `json:"graph"`
 	Grammar string `json:"grammar"`
 	Backend string `json:"backend"`
-	Nodes   int    `json:"nodes"`
-	// Entries is the total number of set bits across the index's
-	// relation matrices.
-	Entries int `json:"entries"`
-	// Counts is the number of pairs in each non-terminal's relation (CNF
-	// non-terminals included); Entries is its sum.
-	Counts map[string]int `json:"counts"`
-	// Build is the closure work of the initial full fixpoint.
-	Build cfpq.Stats `json:"build"`
-	// Update accumulates the incremental closure work of every edge
-	// update patched into this index since it was built.
-	Update  cfpq.Stats `json:"update"`
-	Updates int        `json:"updates"`
-	// Version is the number of index versions published since the index
-	// was built or warm-started (one per successful non-empty patch).
-	Version uint64 `json:"version"`
-	Queries int64  `json:"queries"`
+	// The handle's own statistics; Build is zero for a warm-started index.
+	cfpq.PreparedStats
 }
 
 // Stats reports every cached index, sorted by (graph, grammar, backend).
@@ -1118,18 +1113,8 @@ func (e *indexEntry) stats() (IndexStats, bool) {
 	if p == nil {
 		return IndexStats{}, false
 	}
-	ps := p.Stats()
 	return IndexStats{
-		Graph:   e.key.Graph,
-		Grammar: e.key.Grammar,
-		Backend: e.key.Backend,
-		Nodes:   ps.Nodes,
-		Entries: ps.Entries,
-		Counts:  ps.Counts,
-		Build:   ps.Build,
-		Update:  ps.Update,
-		Updates: ps.Updates,
-		Version: ps.Version,
-		Queries: ps.Queries,
+		Graph: e.key.Graph, Grammar: e.key.Grammar, Backend: e.key.Backend,
+		PreparedStats: p.Stats(),
 	}, true
 }

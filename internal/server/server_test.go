@@ -230,10 +230,10 @@ func TestIncrementalUpdateCheaperThanColdClosure(t *testing.T) {
 	}
 }
 
-// TestUpdateWithNewNodesInvalidates: an edge that interns a fresh node
-// cannot be patched into fixed-size matrices; the cached index is dropped
-// and the next query rebuilds at the larger dimension.
-func TestUpdateWithNewNodesInvalidates(t *testing.T) {
+// TestUpdateWithNewNodesGrowsInPlace: an edge that interns a fresh node is
+// an ordinary patched update — the incremental closure grows the index to
+// the larger dimension; the cached handle stays and nothing is rebuilt.
+func TestUpdateWithNewNodesGrowsInPlace(t *testing.T) {
 	s := New()
 	if _, err := s.LoadGraph("g", "edgelist", strings.NewReader("x a y\ny b z\n")); err != nil {
 		t.Fatal(err)
@@ -252,21 +252,21 @@ func TestUpdateWithNewNodesInvalidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.NewNodes != 2 || res.Invalidated != 1 || res.Patched != 0 {
+	if res.NewNodes != 2 || res.Patched != 1 || res.Invalidated != 0 {
 		t.Fatalf("unexpected update result %+v", res)
 	}
-	if len(s.Stats()) != 0 {
-		t.Fatalf("invalidated index still cached: %v", s.Stats())
-	}
-	// Rebuild covers the new nodes: w a x a y b z b v adds (w,v) and (x,z).
+	// The patch covers the new nodes: w a x a y b z b v adds (w,v) beside (x,z).
 	if n, err := count(ctx, s, tgt, "S"); err != nil || n != 2 {
 		t.Fatalf("post-growth Count = %d, %v; want 2", n, err)
 	}
 	if ok, err := has(ctx, s, tgt, "S", "w", "v"); err != nil || !ok {
 		t.Fatalf("Has(w,v) = %v, %v; want true", ok, err)
 	}
-	if st, ok := s.IndexStatsFor(tgt); !ok || st.Nodes != 5 {
-		t.Fatalf("rebuilt index stats = %+v, %v; want 5 nodes", st, ok)
+	if st, ok := s.IndexStatsFor(tgt); !ok || st.Nodes != 5 || st.Version != 1 {
+		t.Fatalf("grown index stats = %+v, %v; want 5 nodes at version 1", st, ok)
+	}
+	if builds := s.obs.indexBuilds.Value(); builds != 1 {
+		t.Fatalf("%d index builds; the growing update must not cost a second one", builds)
 	}
 }
 

@@ -80,8 +80,9 @@ type ServerSubscription struct {
 // Updates is the delivery channel (see cfpq.Subscription.Updates): one
 // PairBatch per index update that derived new matching pairs, closed when
 // the subscription ends — including when the served handle is invalidated
-// (graph replaced or outgrown), which a consumer should treat as "re-query
-// and resubscribe".
+// (graph or grammar replaced, or an over-budget update), which a consumer
+// should treat as "re-query and resubscribe". Writes that intern new nodes
+// are updates like any other and arrive here as batches.
 func (ss *ServerSubscription) Updates() <-chan cfpq.PairBatch { return ss.sub.Updates() }
 
 // note records one consumed delivery in the per-subscription and service
@@ -293,10 +294,10 @@ func (s *Service) serveSubscribe(w http.ResponseWriter, r *http.Request) {
 		case b, ok := <-ss.Updates():
 			if !ok {
 				// The handle was closed under the subscription — the cache
-				// entry was invalidated (graph replaced or outgrown by new
-				// nodes). Resume state died with it: tell the client to
-				// start over rather than trust a Last-Event-ID replay
-				// against a different handle generation.
+				// entry was invalidated (graph or grammar replaced, or an
+				// over-budget update). Resume state died with it: tell the
+				// client to start over rather than trust a Last-Event-ID
+				// replay against a different handle generation.
 				fmt.Fprint(w, "event: resync\ndata: {\"reason\":\"index handle closed; re-query and reconnect\"}\n\n")
 				fl.Flush()
 				return

@@ -147,9 +147,9 @@ func TestServiceSubscribeErrors(t *testing.T) {
 	}
 }
 
-// TestServiceSubscribeInvalidationCloses: a write that grows the node set
-// invalidates the cached index entry, and the registry closes the handle —
-// every subscription's channel closes, telling consumers to re-query.
+// TestServiceSubscribeInvalidationCloses: replacing the graph drops the
+// cached index entry, and the registry closes the handle — every
+// subscription's channel closes, telling consumers to re-query.
 func TestServiceSubscribeInvalidationCloses(t *testing.T) {
 	s, _ := subTestService(t)
 	ss, err := s.Subscribe(ctx, SubscribeRequest{
@@ -159,13 +159,13 @@ func TestServiceSubscribeInvalidationCloses(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ss.Close()
-	if _, err := s.AddEdges(ctx, "social", []EdgeSpec{{From: "dave", Label: "knows", To: "eve"}}); err != nil {
+	if _, err := s.LoadGraph("social", "edgelist", strings.NewReader("alice knows bob\n")); err != nil {
 		t.Fatal(err)
 	}
 	select {
 	case _, ok := <-ss.Updates():
 		if ok {
-			t.Fatal("node-growing write pushed a batch instead of invalidating")
+			t.Fatal("replacing the graph pushed a batch instead of invalidating")
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("subscription not closed by the invalidated handle")
@@ -317,9 +317,22 @@ func TestHTTPSubscribeSSE(t *testing.T) {
 		t.Fatalf("subscription var = %v", info)
 	}
 
-	// A node-growing write invalidates the served handle: the stream ends
+	// A node-growing write is one more pairs event on the same stream:
+	// eve reaches alice through dave.
+	if _, err := s.AddEdges(ctx, "social", []EdgeSpec{{From: "eve", Label: "knows", To: "dave"}}); err != nil {
+		t.Fatal(err)
+	}
+	f, ok = c.event()
+	if err := json.Unmarshal([]byte(f.data), &batch); !ok || f.event != "pairs" || err != nil {
+		t.Fatalf("after the growing write: %+v %v %v, want a pairs event", f, ok, err)
+	}
+	if batch.Resync || len(batch.Pairs) != 1 || batch.Pairs[0] != (NamedPair{From: "eve", To: "alice"}) {
+		t.Fatalf("growing write pushed %+v, want exactly eve→alice", batch)
+	}
+
+	// Replacing the graph invalidates the served handle: the stream ends
 	// with the terminal resync event.
-	if _, err := s.AddEdges(ctx, "social", []EdgeSpec{{From: "dave", Label: "knows", To: "eve"}}); err != nil {
+	if _, err := s.LoadGraph("social", "edgelist", strings.NewReader("alice knows bob\n")); err != nil {
 		t.Fatal(err)
 	}
 	f, ok = c.event()

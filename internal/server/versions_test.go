@@ -96,6 +96,55 @@ func TestServiceReadsDoNotWaitForPatch(t *testing.T) {
 	}
 }
 
+// TestDisconnectMidPatchKeepsTheIndex: a client that goes away between the
+// journal append and the end of the patch — here its context is cancelled
+// from the update's own pass hook, with two passes still to run — costs
+// nothing. The batch is durable and published by then, so the patch runs to
+// the end: the handle is patched, not dropped for a rebuild, and the
+// subscribers on it keep their stream and are pushed the pair.
+func TestDisconnectMidPatchKeepsTheIndex(t *testing.T) {
+	const k = 6
+	s := anbnWordService(t, k)
+	tgt := Target{Graph: "word", Grammar: "anbn", Backend: "sparse"}
+	ss, err := s.Subscribe(ctx, SubscribeRequest{Graph: "word", Grammar: "anbn", Backend: "sparse", Nonterminal: "S"}, false, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ss.Close()
+
+	passes := 0
+	writeCtx, disconnect := context.WithCancel(ctx)
+	defer disconnect()
+	writeCtx = cfpq.WithTraceContext(writeCtx, &cfpq.Trace{Pass: func(ev cfpq.PassEvent) {
+		if ev.Phase == "update" && ev.Pass == 1 {
+			disconnect()
+		}
+		passes++
+	}})
+	last, spare := fmt.Sprint(2*k-1), fmt.Sprint(2*k)
+	res, err := s.AddEdges(writeCtx, "word", []EdgeSpec{{From: last, Label: "b", To: spare}})
+	if err != nil || res.Patched != 1 || res.Invalidated != 0 {
+		t.Fatalf("update under a cancelled request: %+v, %v; want one patched index", res, err)
+	}
+	if passes < 3 {
+		t.Fatalf("the update ran %d trace events; the cancellation came too late to matter", passes)
+	}
+	select {
+	case b, ok := <-ss.Updates():
+		if want := []NamedPair{{From: "0", To: spare}}; !ok || b.Resync || !reflect.DeepEqual(ss.render(b).Pairs, want) {
+			t.Fatalf("subscriber got %+v (open=%v), want %v pushed", b, ok, want)
+		}
+	default:
+		t.Fatal("the patch pushed nothing to the subscriber")
+	}
+	if ok, err := has(ctx, s, tgt, "S", "0", spare); err != nil || !ok {
+		t.Fatalf("Has(0,%s) = %v, %v after the patch", spare, ok, err)
+	}
+	if st, ok := s.IndexStatsFor(tgt); !ok || st.Version != 1 || s.obs.indexBuilds.Value() != 1 {
+		t.Fatalf("index %+v (present=%v) after %d builds, want version 1 of the one build", st, ok, s.obs.indexBuilds.Value())
+	}
+}
+
 // TestIndexVersionAndSwapMetricAreTruthful pins the two instruments of the
 // versioned index: IndexStats.Version counts exactly the patches that
 // published (new edges, propagated successfully) and the swap histogram

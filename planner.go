@@ -128,7 +128,7 @@ func (e *Engine) planRelational(ctx context.Context, cfg *config, g *Graph, gram
 			reason = fmt.Sprintf("both sides restricted; the %d source(s) are the smaller frontier seed, targets filter the result", len(sources))
 		}
 		if fs.Saturated {
-			reason += "; the frontier saturated and fell back to the full closure"
+			reason += "; the frontier reached every row, so this was the full closure"
 		}
 		return pairs, Explain{
 			Strategy:  StrategySourceFrontier,
@@ -157,7 +157,7 @@ func (e *Engine) planRelational(ctx context.Context, cfg *config, g *Graph, gram
 			reason = fmt.Sprintf("both sides restricted; the %d target(s) are the smaller frontier seed on the reversed instance, sources filter the result", len(targets))
 		}
 		if fs.Saturated {
-			reason += "; the frontier saturated and fell back to the full closure"
+			reason += "; the frontier reached every row, so this was the full closure"
 		}
 		return pairs, Explain{
 			Strategy:  StrategyTargetFrontier,

@@ -23,10 +23,10 @@ import (
 // writer at a time: it journals, builds the next version on a copy-on-write
 // fork beside the readers (the closure only ever adds bits, so the version
 // they hold stays a sound, self-consistent relation), and publishes it by a
-// pointer swap under the write lock, transparently growing the matrices
-// when edges enlarge the node set. This is the same caching/locking
-// discipline cfpqd's query service uses — the service holds Prepared
-// handles instead of private machinery.
+// pointer swap under the write lock; edges that enlarge the node set are an
+// ordinary update (the incremental closure grows the matrices itself). This
+// is the same caching/locking discipline cfpqd's query service uses — the
+// service holds Prepared handles instead of private machinery.
 type Prepared struct {
 	eng *Engine
 	cnf *CNF
@@ -406,8 +406,8 @@ type UpdateInfo struct {
 	// Added is the number of edges genuinely new to the graph (duplicates
 	// of existing edges are skipped).
 	Added int `json:"added"`
-	// Grown reports that the edges enlarged the node set and the next
-	// version's index matrices were resized to it.
+	// Grown reports that the edges enlarged the node set and the published
+	// version's index matrices were resized to it by the update.
 	Grown bool `json:"grown,omitempty"`
 	// Stats is the incremental closure work of the call, whether or not
 	// its result was published.
@@ -430,9 +430,9 @@ type UpdateInfo struct {
 
 // AddEdges inserts edges into the bound graph and publishes the version
 // that holds them: the new edges are journaled (AttachWAL), the current
-// index is forked, the fork is grown if the edges enlarge the node set and
-// brought up to date with the incremental delta closure, and the result
-// replaces the current version in one swap. Calls serialise among
+// index is forked, the fork is brought up to date with the incremental delta
+// closure (which grows it first when the edges enlarge the node set), and
+// the result replaces the current version in one swap. Calls serialise among
 // themselves; queries, batches, WriteIndex and Stats proceed against the
 // version they pinned throughout and see the update all at once or not at
 // all.
@@ -495,18 +495,17 @@ func (p *Prepared) AddEdges(ctx context.Context, edges ...Edge) (UpdateInfo, err
 			next.g.AddEdge(ed.From, ed.Label, ed.To)
 		}
 	}
-	info.Grown = next.g.Nodes() > cur.ix.Nodes()
 	seeds := append(p.pending, fresh...)
 	var err error
 	if len(seeds) > 0 {
 		ix := cur.ix.Fork()
-		ix.Grow(next.g.Nodes())
 		var delta *Delta
 		info.Stats, delta, err = p.eng.newCore(&config{}).UpdateContext(ctx, ix, seeds...)
 		if err == nil {
 			ix.Detach()
 			next.ix, next.num = ix, cur.num+1
 			info.Delta, seeds = delta, nil
+			info.Grown = ix.Nodes() > cur.ix.Nodes()
 		}
 		// On error the fork is dropped: the graph moves on (its edges are
 		// journaled), the index does not, and seeds stay pending.

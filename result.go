@@ -13,8 +13,7 @@ const (
 	// queries, path enumeration and conjunctive grammars.
 	StrategyFull Strategy = "full"
 	// StrategySourceFrontier evaluates only the matrix rows reachable from
-	// the source restriction, falling back to the full closure on
-	// saturation.
+	// the source restriction.
 	StrategySourceFrontier Strategy = "source-frontier"
 	// StrategyTargetFrontier evaluates the source frontier of the reversed
 	// graph under the reversed grammar — the CFPQ duality
@@ -42,8 +41,9 @@ type Explain struct {
 	// Frontier is the number of active rows a frontier strategy ended up
 	// maintaining (0 for full and cached-read).
 	Frontier int `json:"frontier,omitempty"`
-	// Saturated reports that a frontier strategy outgrew the saturation
-	// threshold and fell back to the full closure mid-evaluation.
+	// Saturated reports that a frontier strategy's active rows ended up
+	// being every row (Frontier equals the node count): the restriction
+	// saved nothing and the evaluation was the full closure's work.
 	Saturated bool `json:"saturated,omitempty"`
 	// Passes is the evaluation's per-pass trace, collected only when the
 	// Request set Trace: one event per closure pass carrying products,

@@ -2,9 +2,9 @@ package cfpq_test
 
 // Property tests for the per-pass trace at the public API. The trace's
 // load-bearing invariant is that per-nonterminal nnz deltas telescope:
-// each pass's Before counts equal the previous pass's After counts — even
-// across a mid-evaluation schedule switch (frontier saturation fallback)
-// — so the summed deltas of the start nonterminal equal the bits the
+// each pass's Before counts equal the previous pass's After counts — also
+// through a source-restricted evaluation whose frontier reaches every row —
+// so the summed deltas of the start nonterminal equal the bits the
 // evaluation added to its relation. For a fresh unrestricted run that sum
 // is exactly the final relation size; for an incremental update it is
 // exactly the pairs the update derived.
@@ -108,11 +108,10 @@ func TestTraceDeltasEqualRelationSizeProperty(t *testing.T) {
 }
 
 func TestTraceChainsAcrossFrontierFallback(t *testing.T) {
-	// Every node of a chain is a source, so the frontier saturates while
-	// it is still seeding: the seeding — the rows saturation adds included
-	// — is one "frontier" event, the evaluation's first, and only then
-	// does the phase turn "full". Across that switch events must chain, so
-	// the summed deltas stay meaningful.
+	// Every node of a chain is a source, so the frontier holds every row
+	// from the seeding on. There is no fallback to hand over to: the
+	// evaluation stays in the one "frontier" phase to the end, its events
+	// chain, and Saturated says the restriction saved nothing.
 	ctx := context.Background()
 	gram := cfpq.MustParseGrammar("S -> a S | a")
 	for _, be := range cfpq.Backends() {
@@ -143,25 +142,12 @@ func TestTraceChainsAcrossFrontierFallback(t *testing.T) {
 		if got := startDelta(res.Explain.Passes, "S"); got != want {
 			t.Errorf("%s: summed deltas = %d, want %d", be, got, want)
 		}
-		sawFrontier := false
-		for _, ev := range res.Explain.Passes {
-			if ev.Phase == "frontier" {
-				sawFrontier = true
-				if s := ev.Saturation(); s < 0 || s > 1 {
-					t.Errorf("%s: saturation %f out of range", be, s)
-				}
-			}
-		}
-		if res.Explain.Strategy == cfpq.StrategySourceFrontier && !sawFrontier {
-			t.Errorf("%s: source-frontier plan but no frontier-phase events", be)
-		}
-		if !res.Explain.Saturated {
-			t.Fatalf("%s: all %d nodes as sources did not saturate the frontier", be, n)
+		if !res.Explain.Saturated || res.Explain.Frontier != n {
+			t.Fatalf("%s: all %d nodes as sources: saturated=%v frontier=%d", be, n, res.Explain.Saturated, res.Explain.Frontier)
 		}
 		for k, ev := range res.Explain.Passes {
-			seed := k == 0
-			if (ev.Phase == "frontier") != seed || (ev.Products == 0) != seed || (ev.Frontier == n) != seed {
-				t.Errorf("%s: event %d is %q with %d products and frontier %d; want one frontier seed event of %d rows, then full passes",
+			if ev.Phase != "frontier" || (ev.Products == 0) != (k == 0) || ev.Frontier != n || ev.Saturation() != 1 {
+				t.Errorf("%s: event %d is %q with %d products and frontier %d; want a seed event and then passes, all \"frontier\" over %d rows",
 					be, k, ev.Phase, ev.Products, ev.Frontier, n)
 			}
 		}
