@@ -142,9 +142,10 @@ type MemoryBudgetError = core.MemoryBudgetError
 // always covers the index matrices plus the loop's two frontier sets (the
 // bits the last pass added and the ones the coming pass adds): two more
 // empty matrices per non-terminal, 48 bytes per node each on the sparse
-// backends, two bitmaps on the dense ones. A budget that fits the finished
-// index alone therefore does not fit its build. Transient kernel scratch
-// is not counted.
+// backends, which also count the column indexes held and the one a pass
+// may build per matrix its products take as left operand, two bitmaps on
+// the dense ones. A budget that fits the finished index alone therefore
+// does not fit its build. Kernel scratch is not counted.
 func WithMemoryBudget(bytes int64) Option {
 	return func(c *config) { c.engineOpts = append(c.engineOpts, core.WithMemoryBudget(bytes)) }
 }

@@ -4,11 +4,14 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
+	"time"
 
 	"cfpq/internal/baseline"
 	"cfpq/internal/grammar"
 	"cfpq/internal/graph"
+	"cfpq/internal/graphgen"
 	"cfpq/internal/matrix"
 )
 
@@ -32,6 +35,40 @@ func BenchmarkClosureBackends(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkClosureDeepChain closes graphgen's chain a^(n−513) b^512 under
+// S → a S b | a b at two sizes: 1024 passes either way, each deriving one
+// pair. A pass that costs what its Δ holds takes the same median µs/pass
+// at both sizes; what still grows with n is the evaluation's setup (the
+// frontier sets' row headers, the column index of T_a), in ns/op only.
+func BenchmarkClosureDeepChain(b *testing.B) {
+	cnf := grammar.MustParseCNF("S -> a S b | a b")
+	for _, n := range []int{10_000, 100_000} {
+		g, err := graphgen.Generate(graphgen.Spec{Kind: graphgen.KindChain, Nodes: n, Depth: 512})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			var passes []time.Duration
+			e := NewEngine(WithTracer(&Trace{Pass: func(ev PassEvent) {
+				if ev.Pass > 0 {
+					passes = append(passes, ev.Duration)
+				}
+			}}))
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				ix := e.Init(g, cnf)
+				b.StartTimer()
+				if _, err := e.CloseContext(context.Background(), ix); err != nil {
+					b.Fatal(err)
+				}
+			}
+			slices.Sort(passes)
+			b.ReportMetric(float64(len(passes))/float64(b.N), "passes")
+			b.ReportMetric(float64(passes[len(passes)/2].Nanoseconds())/1e3, "µs/pass")
+		})
 	}
 }
 

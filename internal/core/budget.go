@@ -30,11 +30,14 @@ func (e *MemoryBudgetError) Error() string {
 // update alike: the bits the last pass added and the ones the coming pass
 // adds, 2·|N| matrices that cost 48·n bytes per non-terminal on the sparse
 // backends and two bitmaps per non-terminal on the dense ones even while
-// empty — and, for an update run on a Fork, the storage of the version
-// forked from that the fork does not share (two versions are live). It is
-// checked before matrix allocation — for an update whose edges name new
-// nodes, at the dimension they grow the index to, before it is grown — and
-// between fixpoint passes, and a breach aborts the evaluation with a
+// empty — plus, on the sparse backends, the column indexes the index holds
+// and those a pass's products may build (one per distinct left operand
+// that holds none), and, for an update run on a Fork, the storage of the
+// version forked from that the fork does not share (two versions are
+// live). It is checked before matrix allocation — for an update whose
+// edges name new nodes, at the dimension they grow the index to, before it
+// is grown — and between fixpoint passes, and a breach aborts the
+// evaluation with a
 // *MemoryBudgetError. bytes ≤ 0 means unlimited (the default). The budget is
 // enforced on the context-taking evaluation paths (RunContext, CloseContext,
 // RunFromContext, UpdateContext and everything built on them).
@@ -60,6 +63,31 @@ func (e *Engine) checkBudget(estimated int64) error {
 		return &MemoryBudgetError{BudgetBytes: e.budget, EstimatedBytes: estimated}
 	}
 	return nil
+}
+
+// productBytes bounds what the coming pass's products may add to their
+// left operands (matrix.Bool.ProductBytes), charging each distinct operand
+// once however many rules multiply it: T_B where some rule B C runs
+// T_B × Δ_C (T_B × T_C on the whole-index pass), Δ_B where some rule runs
+// Δ_B × T_C.
+func (f *frontier) productBytes(ix *Index) (total int64) {
+	nn := len(ix.mats)
+	for _, r := range ix.cnf.Binary {
+		f.left[r.B] = f.left[r.B] || f.whole || f.live[r.C]
+		f.left[nn+r.B] = f.left[nn+r.B] || f.live[r.B]
+	}
+	for b, left := range f.left {
+		switch {
+		case !left:
+			continue
+		case b < nn:
+			total += ix.mats[b].ProductBytes()
+		default:
+			total += f.delta[b-nn].ProductBytes()
+		}
+		f.left[b] = false
+	}
+	return total
 }
 
 // matsBytes sums the byte estimates of a working matrix set (one of the

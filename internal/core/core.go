@@ -186,8 +186,8 @@ type Stats struct {
 	Duration time.Duration `json:"duration_ns,omitempty"`
 	// PeakBytes is the largest estimated matrix working set the
 	// evaluation held between passes (index matrices plus the two frontier
-	// sets of the semi-naive pass) — the same estimate the memory budget
-	// is enforced against.
+	// sets of the semi-naive pass and the column indexes a pass may build)
+	// — the same estimate the memory budget is enforced against.
 	PeakBytes int64 `json:"peak_bytes,omitempty"`
 }
 

@@ -151,6 +151,9 @@ func (e *Engine) UpdateContext(ctx context.Context, ix *Index, edges ...graph.Ed
 type frontier struct {
 	delta, next []matrix.Bool
 	live, grown []bool // grown is live's counterpart for next
+	// left is productBytes' scratch: T_B at B, Δ_B at |N| + B, set while it
+	// marks the coming pass's left operands, all false between passes.
+	left []bool
 	// whole says the frontier is the whole index — a cold build's first
 	// pass, where everything is new — without delta holding a copy of it.
 	whole bool
@@ -187,7 +190,7 @@ func newFrontier(ix *Index) *frontier {
 	nn := len(ix.mats)
 	f := &frontier{
 		delta: make([]matrix.Bool, nn), next: make([]matrix.Bool, nn),
-		live: make([]bool, nn), grown: make([]bool, nn),
+		live: make([]bool, nn), grown: make([]bool, nn), left: make([]bool, 2*nn),
 	}
 	for a := range f.delta {
 		f.delta[a], f.next[a] = ix.backend.NewMatrix(ix.n), ix.backend.NewMatrix(ix.n)
@@ -251,24 +254,27 @@ func (e *Engine) closure(ctx context.Context, ix *Index, f *frontier, pt *passTr
 // entry must involve at least one newly added operand entry, so no product
 // the full T × T would find is missed; a product whose Δ operand is empty
 // is not run, and not counted, and while Δ is the whole index the two
-// products of a rule are one and the same, T_B × T_C. Products are driven
-// by their left operand's non-empty rows (matrix.Bool.AddMul), so an
-// evaluation that keeps the rows outside an active set empty — the
-// source-restricted closure — never touches them. A conjunctive
-// evaluation's rules A → P₁ & … & Pₘ (frontier.meets; nil otherwise) follow
-// the products, on the same argument: a pair is new to ⋂ T_P only if it is
-// new to some T_P, so
+// products of a rule are one and the same, T_B × T_C. A product computes
+// only rows in which its left operand holds a bit (matrix.Bool.AddMul), so
+// an evaluation that keeps the rows outside an active set empty — the
+// source-restricted closure — never touches them; and the sparse kernel
+// finds the rows of T_B × Δ_C through T_B's column index when Δ_C is the
+// thinner operand, so a pass costs what Δ holds, not what T_B does. A
+// conjunctive evaluation's rules A → P₁ & … & Pₘ (frontier.meets; nil
+// otherwise) follow the products, on the same argument: a pair is new to
+// ⋂ T_P only if it is new to some T_P, so
 //
 //	next_A |= ⋃_c (Δ_Pc ∩ ⋂_{d≠c} T_Pd)
 //
 // — ⋂ T_P, once, while Δ is the whole index — each term computed in the one
 // scratch matrix and cleared out of it. The pass's working set
-// (index + both frontier sets) is charged to stats.PeakBytes and checked
-// against the memory budget before the pass allocates anything; a breach
-// returns a *MemoryBudgetError with the index untouched. step returns the
-// number of products it ran.
+// (index + both frontier sets + the column indexes its products may build)
+// is charged to stats.PeakBytes and checked against the memory budget
+// before the pass allocates anything; a breach returns a
+// *MemoryBudgetError with the index untouched. step returns the number of
+// products it ran.
 func (e *Engine) step(ix *Index, f *frontier, stats *Stats) (products int, _ error) {
-	est := ix.Bytes() + matsBytes(f.delta) + matsBytes(f.next)
+	est := ix.Bytes() + matsBytes(f.delta) + matsBytes(f.next) + f.productBytes(ix)
 	stats.observePeak(est)
 	if err := e.checkBudget(est); err != nil {
 		return 0, err

@@ -92,6 +92,9 @@ func (m *DenseMatrix) Bytes() int64 {
 	return 8 * int64(len(m.words))
 }
 
+// ProductBytes is 0: a dense product allocates nothing beside its operands.
+func (m *DenseMatrix) ProductBytes() int64 { return 0 }
+
 // Nnz counts set entries.
 func (m *DenseMatrix) Nnz() int {
 	total := 0

@@ -25,14 +25,19 @@ package matrix
 // untouched slice, never edit one — and Set, the one mutator that inserts
 // in place, replaces the row too on a matrix that has been forked. The
 // reads of a published version (Get, Range, RangeRow, Nnz, Bytes, Dim)
-// touch no field Fork or a writer writes.
+// touch no field Fork or a writer writes. A sparse fork also shares its
+// origin's column index (below), which every writer of the line appends
+// to: sound because a line of versions has one writer at a time, and
+// those reads never look at the index.
 //
 // Live rows. A sparse matrix lists its non-empty rows — each exactly once,
 // kept where rows are written — and every operation that only concerns
 // rows holding a bit (AddMul over its left operand, Or over its argument,
 // And, AndNot, Clear, Clone, Equal) walks that list, not all n row
 // headers: an operation on a nearly empty matrix costs what the matrix
-// holds, whatever its dimension.
+// holds, whatever its dimension. A product whose right operand holds fewer
+// live rows walks instead the left operand's column → rows index, once
+// walking has paid for building it: T_B × a thin Δ_C costs what Δ_C holds.
 //
 // Mixing matrices from different backends in AddMul/Or/Equal is a
 // programming error and panics: the CFPQ engine allocates every matrix from
@@ -51,7 +56,9 @@ type Bool interface {
 	// m may alias a and/or b (the product is then computed before
 	// merging). Only rows in which a holds a bit can change, which is what
 	// confines the source-restricted closure to its active rows without a
-	// mask.
+	// mask. b is only read. So is a, unless it is sparse and b holds fewer
+	// live rows: then a may rent, build or use its column index (see Live
+	// rows), so it is written and must not be in a concurrent product.
 	AddMul(a, b Bool) bool
 	// Clear empties the matrix, keeping its storage for the next fill, in
 	// time proportional to what it holds (the dense backends hold their
@@ -82,9 +89,10 @@ type Bool interface {
 	// receiver. The sparse backends share every row slice, and the row
 	// list too until the fork is first written — that write copies the
 	// list, O(n) whatever the matrix holds, and a fork never written costs
-	// nothing (see the invariant in the type comment); the dense backends,
-	// the paper's reference rather than serving options, Clone. The
-	// receiver must not be mutated concurrently with Fork itself.
+	// nothing (see the invariant in the type comment) — and the column
+	// index for good, so one side is written at a time; the dense
+	// backends, the paper's reference rather than serving options, Clone.
+	// The receiver must not be mutated concurrently with Fork itself.
 	Fork() Bool
 	// Range calls fn for every set entry in row-major order; fn returning
 	// false stops the iteration.
@@ -99,6 +107,11 @@ type Bool interface {
 	// The closure memory budget sums these estimates to fail fast before
 	// an evaluation outgrows its allowance.
 	Bytes() int64
+	// ProductBytes estimates the most an AddMul taking the matrix as its
+	// left operand may add to Bytes: a sparse matrix's column index (see
+	// Live rows) while it holds a bit and no index, 0 otherwise and on the
+	// dense backends. The closure memory budget charges it before a pass.
+	ProductBytes() int64
 }
 
 // Backend allocates matrices of one representation.

@@ -85,8 +85,14 @@ func runMatrixModel(t *testing.T, be Backend, data []byte) {
 			}
 			d.g = want
 		}
+		// The mutators that can drop a bit drop the column index with it.
+		dropsIndex := func(name string, changed bool) {
+			if sm, ok := d.m.(*SparseMatrix); ok && changed && sm.cols != nil {
+				t.Fatalf("%s step %d: %s dropped a bit and kept the column index", be.Name(), step, name)
+			}
+		}
 		var name string
-		switch p.next(10) {
+		switch p.next(11) {
 		case 0:
 			name = "Set"
 			for k := 1 + p.next(6); k > 0; k-- {
@@ -101,11 +107,15 @@ func runMatrixModel(t *testing.T, be Backend, data []byte) {
 		case 2:
 			name = "And"
 			want := andGrid(d.g, x.g)
-			changes(name, d.m.And(x.m), want)
+			changed := d.m.And(x.m)
+			changes(name, changed, want)
+			dropsIndex(name, changed)
 		case 3:
 			name = "AndNot"
 			want := andNotGrid(d.g, x.g)
-			changes(name, d.m.AndNot(x.m), want)
+			changed := d.m.AndNot(x.m)
+			changes(name, changed, want)
+			dropsIndex(name, changed)
 		case 4, 5:
 			// Any of d, x, y may be one matrix: m.AddMul(m, x), m.AddMul(x, m)
 			// and m.AddMul(m, m) all read the operands as they were.
@@ -116,6 +126,7 @@ func runMatrixModel(t *testing.T, be Backend, data []byte) {
 			name = "Clear"
 			d.m.Clear()
 			d.g = growGrid(nil, n)
+			dropsIndex(name, true)
 		case 7:
 			name = "Grow"
 			if grown := n + 1 + p.next(24); grown <= maxModelDim {
@@ -133,6 +144,12 @@ func runMatrixModel(t *testing.T, be Backend, data []byte) {
 			// fork of a fork starts the next generation.
 			name = "Fork"
 			*d = modelSlot{x.m.Fork(), growGrid(x.g, n)}
+		case 10:
+			// What a product does once its walks have paid for the index.
+			name = "Index"
+			if sm, ok := d.m.(*SparseMatrix); ok && sm.cols == nil && sm.nnz > 0 {
+				sm.cols = sm.buildCols()
+			}
 		}
 		for s, sl := range slots {
 			if !equalGrid(toBool(sl.m), sl.g) {
@@ -155,6 +172,7 @@ func runMatrixModel(t *testing.T, be Backend, data []byte) {
 			}
 			if sm, ok := sl.m.(*SparseMatrix); ok {
 				checkLiveRows(t, sm)
+				checkColumnIndex(t, sm)
 			}
 		}
 	}
@@ -175,6 +193,26 @@ func checkLiveRows(t *testing.T, m *SparseMatrix) {
 		}
 		if listed[int32(i)] != want {
 			t.Fatalf("row %d holds %d entries and is listed %d times in live rows %v", i, len(row), listed[int32(i)], m.live)
+		}
+	}
+}
+
+// checkColumnIndex asserts the column index invariant of a sparse matrix
+// holding one: every set (i, j) is listed under column j — extra rows,
+// another holder's, are allowed — and there is a list for every column.
+func checkColumnIndex(t *testing.T, m *SparseMatrix) {
+	t.Helper()
+	if m.cols == nil {
+		return
+	}
+	if len(m.cols.cols) < m.n {
+		t.Fatalf("column index covers %d columns of %d", len(m.cols.cols), m.n)
+	}
+	for i, row := range m.rows {
+		for _, j := range row {
+			if !slices.Contains(m.cols.cols[j], int32(i)) {
+				t.Fatalf("entry (%d,%d) is not listed under its column: %v", i, j, m.cols.cols[j])
+			}
 		}
 	}
 }

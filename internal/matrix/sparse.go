@@ -26,9 +26,18 @@ type SparseMatrix struct {
 	// order: what a product, a union or a Clear walks in place of all n row
 	// headers. Set and setRow append a row when it gains its first entry;
 	// And, AndNot and Clear, the mutators that can empty one, drop it.
-	live    []int32
+	live []int32
+	// cols is the column → rows companion, nil until a product builds it
+	// (productRows). It may list rows that do not hold the column but never
+	// misses one that does: Set and setRow append to it, And, AndNot and
+	// Clear drop it, Clone leaves it behind and Fork shares it, so every
+	// holder's writes land in one superset of each holder's entries.
+	cols *colIndex
+	// walked counts the live rows products walked where cols could have
+	// served, until they pay for building it.
+	walked  int
 	nnz     int
-	workers int
+	workers int32
 	// parallel selects the row-parallel kernel.
 	parallel bool
 	// shared marks a matrix whose row slices another matrix may also hold
@@ -68,7 +77,7 @@ func (s sparseBackend) NewMatrix(n int) Bool {
 		n:        n,
 		rows:     make([][]int32, n),
 		parallel: s.parallel,
-		workers:  s.workers,
+		workers:  int32(s.workers),
 	}
 }
 
@@ -128,22 +137,29 @@ func (m *SparseMatrix) Set(i, j int) {
 	row[k] = int32(j)
 	m.rows[i] = row
 	m.nnz++
+	if c := m.cols; c != nil {
+		c.cols[j] = append(c.cols[j], int32(i))
+	}
 }
 
 // setRow replaces row i — how every mutator but the in-place Set writes a
 // row — first taking private copies of the row list and the live list if a
 // fork still reads these ones. A row that gains its first entry joins the
 // live list; one that loses its last stays listed until the caller (And,
-// AndNot) drops it.
+// AndNot) drops it. A row that grows is listed under its new columns.
 func (m *SparseMatrix) setRow(i int, row []int32) {
 	if m.borrowed {
 		m.rows, m.live = slices.Clone(m.rows), slices.Clone(m.live)
 		m.borrowed = false
 	}
-	if len(m.rows[i]) == 0 && len(row) > 0 {
+	old := m.rows[i]
+	if len(old) == 0 && len(row) > 0 {
 		m.live = append(m.live, int32(i))
 	}
-	m.nnz += len(row) - len(m.rows[i])
+	if m.cols != nil && len(row) > len(old) {
+		m.cols.list(int32(i), row, old)
+	}
+	m.nnz += len(row) - len(old)
 	m.rows[i] = row
 }
 
@@ -158,19 +174,37 @@ func (m *SparseMatrix) Clear() {
 		m.rows[i] = nil
 	}
 	m.live, m.nnz = m.live[:0], 0
+	m.cols, m.walked = nil, 0
 }
 
 // Nnz returns the number of set entries.
 func (m *SparseMatrix) Nnz() int { return m.nnz }
 
-// Bytes estimates the heap bytes of the row storage: 24 bytes per row
-// slice header plus 4 bytes per stored column index.
+// Bytes estimates the heap bytes of the row storage — 24 bytes per row
+// slice header plus 4 bytes per stored column index — and as much again
+// for a companion the matrix holds (what other holders listed is theirs).
 func (m *SparseMatrix) Bytes() int64 {
-	return 24*int64(m.n) + 4*int64(m.nnz)
+	if m.cols != nil {
+		return 2 * m.rowBytes()
+	}
+	return m.rowBytes()
 }
 
+// ProductBytes is the companion a product may build (productRows), the size
+// of the rows it indexes — nothing once the matrix holds one, or while it
+// is empty.
+func (m *SparseMatrix) ProductBytes() int64 {
+	if m.cols != nil || m.nnz == 0 {
+		return 0
+	}
+	return m.rowBytes()
+}
+
+func (m *SparseMatrix) rowBytes() int64 { return 24*int64(m.n) + 4*int64(m.nnz) }
+
 // Grow resizes the matrix to n×n in place, keeping every entry. The CSR
-// row list simply gains empty rows; column indices need no translation.
+// row list simply gains empty rows, the companion empty columns; column
+// indices need no translation.
 func (m *SparseMatrix) Grow(n int) {
 	if n <= m.n {
 		return
@@ -182,9 +216,12 @@ func (m *SparseMatrix) Grow(n int) {
 	}
 	m.rows, m.borrowed = rows, false
 	m.n = n
+	if c := m.cols; c != nil && len(c.cols) < n {
+		c.cols = append(c.cols, make([][]int32, n-len(c.cols))...)
+	}
 }
 
-// Clone returns an independent copy.
+// Clone returns an independent copy, without the companion.
 func (m *SparseMatrix) Clone() Bool {
 	cp := &SparseMatrix{
 		n:        m.n,
@@ -203,7 +240,8 @@ func (m *SparseMatrix) Clone() Bool {
 // Fork returns a matrix over the same rows in O(1): row slices, row list
 // and live list are shared, and both sides are marked so — whichever is
 // mutated next copies the lists (O(n), once) before its first write and
-// leaves every shared row slice as the other reads it.
+// leaves every shared row slice as the other reads it. Both sides append
+// to the one companion.
 func (m *SparseMatrix) Fork() Bool {
 	m.shared, m.borrowed = true, true
 	cp := *m
@@ -282,6 +320,7 @@ func (m *SparseMatrix) keepRows(o *SparseMatrix, keep func(a, b []int32) []int32
 	}
 	if changed {
 		m.live = slices.DeleteFunc(m.live, func(i int32) bool { return len(m.rows[i]) == 0 })
+		m.cols, m.walked = nil, 0 // dropped bits would stay listed
 	}
 	return changed
 }
@@ -353,9 +392,9 @@ func differenceSorted(a, b []int32) []int32 {
 	return out
 }
 
-// AddMul computes m |= a × b with merge-based row products, driven by the
-// left operand: only a's live rows can have a product row, so only they are
-// visited, and an empty operand returns at once. A row that grew is written
+// AddMul computes m |= a × b with merge-based row products over the rows
+// productRows picks — a's live rows, or fewer found through a's companion —
+// and an empty operand returns at once. A row that grew is written
 // straight into m — unless m is one of the operands, or the rows are split
 // across workers: then every grown row is computed before the first is
 // written, which is what lets m alias a or b.
@@ -365,10 +404,10 @@ func (m *SparseMatrix) AddMul(a, b Bool) bool {
 	if sa.nnz == 0 || sb.nnz == 0 {
 		return false
 	}
-	rows := sa.live
+	rows := sa.productRows(sb)
 	workers := 1
 	if m.parallel {
-		if workers = m.workers; workers <= 0 {
+		if workers = int(m.workers); workers <= 0 {
 			workers = runtime.GOMAXPROCS(0)
 		}
 		workers = min(workers, (len(rows)+rowGrain-1)/rowGrain)
@@ -407,6 +446,93 @@ func (m *SparseMatrix) AddMul(a, b Bool) bool {
 		}
 	}
 	return changed
+}
+
+// productRows returns the rows of a that can hold a row of a × b: a's live
+// rows, or — when b has fewer live rows than a — the rows a's companion
+// lists under b's live rows, if those are fewer still. A listed row a no
+// longer holds costs an empty row product; one beyond a's dimension
+// (another holder's) is skipped. The candidates are sorted and
+// deduplicated in the companion's scratch, valid until a's next product.
+//
+// The companion is rented before it is bought: a builds it once the live
+// rows it walked in this position add up to what building costs, n + nnz.
+// A one-shot product never pays; a T_B meeting a thin Δ every pass pays once.
+func (a *SparseMatrix) productRows(b *SparseMatrix) []int32 {
+	if len(b.live) >= len(a.live) {
+		return a.live
+	}
+	if a.cols == nil {
+		if a.walked < a.n+a.nnz {
+			a.walked += len(a.live)
+			return a.live
+		}
+		a.cols = a.buildCols()
+	}
+	c := a.cols
+	listed := 0
+	for _, k := range b.live {
+		if listed += len(c.cols[k]); listed >= len(a.live) {
+			return a.live
+		}
+	}
+	cand := c.cand[:0]
+	for _, k := range b.live {
+		for _, i := range c.cols[k] {
+			if int(i) < a.n {
+				cand = append(cand, i)
+			}
+		}
+	}
+	slices.Sort(cand)
+	c.cand = slices.Compact(cand)
+	return c.cand
+}
+
+// colIndex is a sparse matrix's column → rows companion: cols[j] lists rows
+// that hold column j, unordered, maybe more than once (see
+// SparseMatrix.cols). cand is productRows' scratch.
+type colIndex struct {
+	cols [][]int32
+	cand []int32
+}
+
+// buildCols indexes m's entries by column in O(n + nnz), each column a
+// capped window of one backing array, so that appending to one column
+// moves it out rather than overrunning the next. The counting pass counts
+// in the headers' lengths, over flat: no column is longer than nnz.
+func (m *SparseMatrix) buildCols() *colIndex {
+	flat := make([]int32, m.nnz)
+	cols := make([][]int32, m.n)
+	for _, i := range m.live {
+		for _, j := range m.rows[i] {
+			cols[j] = flat[:len(cols[j])+1]
+		}
+	}
+	off := 0
+	for j, list := range cols {
+		cols[j] = flat[off : off : off+len(list)]
+		off += len(list)
+	}
+	for _, i := range m.live {
+		for _, j := range m.rows[i] {
+			cols[j] = append(cols[j], i)
+		}
+	}
+	return &colIndex{cols: cols}
+}
+
+// list lists row i under the columns of row beyond old, the row it
+// replaces (both sorted, old ⊆ row).
+func (c *colIndex) list(i int32, row, old []int32) {
+	k := 0
+	for _, j := range row {
+		if k < len(old) && old[k] == j {
+			k++
+			continue
+		}
+		c.cols[j] = append(c.cols[j], i)
+	}
 }
 
 // rowGrain is how many left-operand rows a worker claims per fetch: large

@@ -122,7 +122,7 @@ func (s *Service) warmStartIndex(ctx context.Context, st *store.Store, info stor
 	if err != nil {
 		return
 	}
-	eng := cfpq.NewEngine(be)
+	eng := s.engine(be)
 	if seq < ge.seq {
 		// The index is behind the recovered edge stream. If the WAL still
 		// holds the tail, patch exactly the missing edges; if compaction

@@ -343,6 +343,81 @@ func TestPersistCompactionThenRestart(t *testing.T) {
 	}
 }
 
+// TestWarmStartedIndexHonoursMemoryBudget: an index restored from disk is
+// patched under the service's memory budget exactly as a built one is. Both
+// live under a budget equal to the build's peak, which an update joining the
+// graph's two chains cannot fit: on either, the write answers invalidated:1
+// and ticks budget_rejections, and the handle it abandoned still serves its
+// published version.
+func TestWarmStartedIndexHonoursMemoryBudget(t *testing.T) {
+	chains := graph.New(10)
+	for i := 0; i < 4; i++ {
+		chains.AddEdge(i, "knows", i+1)
+		chains.AddEdge(5+i, "knows", 5+i+1)
+	}
+	target := Target{Graph: "social", Grammar: "reach", Backend: "sparse"}
+	register := func(s *Service) {
+		t.Helper()
+		if err := s.RegisterGraph("social", chains.Clone(), nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.RegisterGrammar("reach", "S -> knows | knows S"); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// The index is built, and saved, unbudgeted: its peak is the budget.
+	dir := t.TempDir()
+	s := persistentService(t, dir)
+	register(s)
+	want, err := relation(ctx, s, target, "S")
+	if err != nil {
+		t.Fatal(err)
+	}
+	built, _ := s.IndexStatsFor(target)
+	budget := built.Build.PeakBytes
+	s.store.Close()
+
+	warm := New()
+	warm.SetMemoryBudget(budget)
+	if err := warm.AttachStore(ctx, openTestStore(t, dir)); err != nil {
+		t.Fatal(err)
+	}
+	if n := warm.obs.warmStarts.Value(); n != 1 {
+		t.Fatalf("WarmStarts = %d, want 1", n)
+	}
+	cold := New()
+	cold.SetMemoryBudget(budget)
+	register(cold)
+	if _, err := relation(ctx, cold, target, "S"); err != nil {
+		t.Fatalf("build under a budget equal to its peak: %v", err)
+	}
+
+	for name, svc := range map[string]*Service{"warm-started": warm, "built": cold} {
+		svc.mu.Lock()
+		p := svc.indexes[target.key()].p
+		svc.mu.Unlock()
+		version := p.Stats().Version
+		res, err := svc.AddEdges(ctx, "social", []EdgeSpec{{From: "4", Label: "knows", To: "5"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Patched != 0 || res.Invalidated != 1 {
+			t.Errorf("%s index: over-budget patch answered patched:%d invalidated:%d, want 0 and 1",
+				name, res.Patched, res.Invalidated)
+		}
+		if n := svc.obs.budgetRejections.Value(); n != 1 {
+			t.Errorf("%s index: budget_rejections = %d, want 1", name, n)
+		}
+		if got := p.Stats().Version; got != version {
+			t.Errorf("%s index: the abandoned handle moved from version %d to %d", name, version, got)
+		}
+		if got := p.Count(ctx, "S"); got != len(want) {
+			t.Errorf("%s index: the abandoned handle counts %d S-pairs, published %d", name, got, len(want))
+		}
+	}
+}
+
 // TestPersistGrammarReplacementDropsIndexes: a re-registered grammar must
 // not warm-start the old grammar's relations.
 func TestPersistGrammarReplacementDropsIndexes(t *testing.T) {

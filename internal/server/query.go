@@ -138,7 +138,7 @@ func (s *Service) dispatch(ctx context.Context, req QueryRequest) (QueryAnswer, 
 		if err != nil {
 			return QueryAnswer{}, err
 		}
-		rpq = cfpq.NewEngine(backend, cfpq.WithMemoryBudget(s.budget.Load()))
+		rpq = s.engine(backend)
 	case req.Grammar == "":
 		return QueryAnswer{}, errors.New("server: grammar is required for nonterminal queries")
 	case req.Nonterminal == "":

@@ -102,10 +102,9 @@ type Service struct {
 	// serving; read without s.mu on the hot paths.
 	store *store.Store
 
-	// budget is the per-closure memory budget in bytes applied to every
-	// engine this service constructs (index builds, incremental patches,
-	// uncached RPQ evaluations); 0 means unlimited. Atomic so it can be
-	// set after serving started.
+	// budget is the per-closure memory budget in bytes every engine this
+	// service constructs carries (Service.engine); 0 means unlimited.
+	// Atomic so it can be set after serving started.
 	budget atomic.Int64
 
 	// readOnly, when set, rejects every locally-originated mutation with
@@ -168,16 +167,20 @@ func (s *Service) writable() error {
 
 // SetMemoryBudget bounds the estimated matrix bytes any single closure
 // evaluation run by this service may hold (cfpq.WithMemoryBudget): index
-// builds, incremental update patches and uncached RPQ evaluations alike.
-// A breach answers the offending request with a typed error the HTTP
-// layer maps to 413 and ticks the budget_rejections counter. bytes ≤ 0
-// means unlimited. Engines already cached keep the budget they were
-// built with; set the budget before serving for uniform behaviour.
+// builds, warm starts, patches and uncached RPQ evaluations alike. A breach
+// answers with a typed error the HTTP layer maps to 413, ticking
+// budget_rejections. bytes ≤ 0 means unlimited. Cached engines keep the
+// budget they were built with: set it before serving for uniform behaviour.
 func (s *Service) SetMemoryBudget(bytes int64) {
 	if bytes < 0 {
 		bytes = 0
 	}
 	s.budget.Store(bytes)
+}
+
+// engine returns an engine over be under the memory budget in force now.
+func (s *Service) engine(be cfpq.Backend) *cfpq.Engine {
+	return cfpq.NewEngine(be, cfpq.WithMemoryBudget(s.budget.Load()))
 }
 
 // noteErr classifies an evaluation error into the error counters —
@@ -593,12 +596,9 @@ func (s *Service) index(ctx context.Context, t Target) (*indexEntry, *cfpq.Prepa
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.p == nil {
-		// The engine is constructed at build time (not entry-creation
-		// time) so it carries the memory budget in force when the closure
-		// actually runs: a build rejected under one budget retries under
-		// the current one, while a built index keeps its engine — and its
-		// budget — for every incremental patch.
-		eng := cfpq.NewEngine(be, cfpq.WithMemoryBudget(s.budget.Load()))
+		// Built now, the engine carries the budget in force when the closure
+		// runs (a rejected build retries under a new one) into every patch.
+		eng := s.engine(be)
 		// The graph lock is held only to pin the published version; the
 		// handle's private copy (see package comment) and the potentially
 		// long closure run outside it. An applyBatch racing this build

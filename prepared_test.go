@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"reflect"
 	"sync"
 	"testing"
@@ -191,6 +192,97 @@ func TestPreparedConcurrentQueriesRaceUpdates(t *testing.T) {
 	}
 	if !reflect.DeepEqual(p.Relation(context.Background(), "S"), cold.Relation("S")) {
 		t.Fatal("post-race relation disagrees with cold rebuild")
+	}
+}
+
+// TestPreparedReadersBesideColumnIndexWrites races readers of the published
+// versions against a writer whose forks write to the column index they
+// share with those versions. The cold build of a deep chain a…ab…b leaves
+// T_a with a column index (its passes meet a one-row Δ far more often than
+// the index costs to build). Every update forks the index, sets a fresh
+// a-edge at the front of the chain in T_a's fork, which lists it in the
+// shared column index, and lengthens the b-run, whose propagation drives
+// T_a × Δ through that index. Run under -race; afterwards the handle
+// equals a cold closure of the final graph.
+func TestPreparedReadersBesideColumnIndexWrites(t *testing.T) {
+	const n, depth, updates = 3000, 200, 16
+	text := "S -> a S b | a b"
+	g := NewGraph(n)
+	for i := 0; i+1 < n; i++ {
+		label := "a"
+		if i >= n-1-depth {
+			label = "b"
+		}
+		g.AddEdge(i, label, i+1)
+	}
+	p := mustPrepare(t, NewEngine(Sparse), g.Clone(), text)
+
+	var edges []Edge
+	front, back := 0, n-1
+	for i := 0; i < updates; i++ {
+		next := n + 2*i
+		edges = append(edges, Edge{From: next, Label: "a", To: front}, Edge{From: back, Label: "b", To: next + 1})
+		front, back = next, next+1
+	}
+	done := make(chan struct{})
+	errs := make(chan error, 1)
+	go func() {
+		defer close(done)
+		for i := 0; i < len(edges); i += 2 {
+			if _, err := p.AddEdges(context.Background(), edges[i:i+2]...); err != nil {
+				errs <- err
+				return
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				switch (i + r) % 5 {
+				case 0:
+					p.Has(context.Background(), "S", n-1-depth-1, n)
+				case 1:
+					p.Count(context.Background(), "S")
+				case 2:
+					for range p.Pairs(context.Background(), "S") {
+					}
+				case 3:
+					p.Stats()
+				case 4:
+					if err := p.WriteIndex(io.Discard); err != nil {
+						t.Error(err)
+					}
+				}
+			}
+		}(r)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+
+	for _, ed := range edges {
+		g.AddEdge(ed.From, ed.Label, ed.To)
+	}
+	cnf, _ := ToCNF(MustParseGrammar(text))
+	cold, _, err := NewEngine(Sparse).Evaluate(context.Background(), g, cnf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := p.Count(context.Background(), "S"), cold.Count("S"); got != want || got <= depth {
+		t.Fatalf("after the race the handle counts %d S-pairs, a cold closure %d (the chain alone has %d)", got, want, depth)
+	}
+	if !reflect.DeepEqual(p.Relation(context.Background(), "S"), cold.Relation("S")) {
+		t.Fatal("after the race the handle's relation differs from a cold closure")
 	}
 }
 
