@@ -2,49 +2,32 @@ package cfpq
 
 import (
 	"fmt"
-	"strings"
 
 	"cfpq/internal/matrix"
 )
 
-// Backend selects the matrix representation and multiplication kernel an
-// Engine evaluates with — the paper's four implementations. It is a small
-// value type: pass it around, compare it by Name, store it in configs. The
-// zero value is the serial sparse backend (the paper's sCPU and this
-// library's default).
+// Backend selects the matrix representation, and with it the
+// multiplication kernel, an Engine evaluates with. It is a small value type:
+// pass it around, compare it by Name, store it in configs. The zero value is
+// the sparse backend (the paper's sCPU and this library's default).
 //
-//	cfpq.NewEngine(cfpq.Sparse)            // CSR sparse, serial  (sCPU)
-//	cfpq.NewEngine(cfpq.Dense)             // bit-packed dense, serial
-//	cfpq.NewEngine(cfpq.SparseParallel(0)) // CSR sparse, row-parallel (sGPU)
-//	cfpq.NewEngine(cfpq.DenseParallel(0))  // dense, row-parallel     (dGPU)
+//	cfpq.NewEngine(cfpq.Sparse) // CSR sparse (sCPU)
+//	cfpq.NewEngine(cfpq.Dense)  // bit-packed dense (dGPU)
 type Backend struct {
 	m matrix.Backend
 }
 
-// Sparse and Dense are the two serial backends. They are values, not
-// options: hand them to NewEngine.
+// Sparse and Dense are the two backends. They are values, not options:
+// hand them to NewEngine.
 var (
-	// Sparse is the serial CSR sparse backend (the paper's sCPU analogue
-	// and the default).
+	// Sparse is the CSR sparse backend (the paper's sCPU analogue and the
+	// default).
 	Sparse = Backend{m: matrix.Sparse()}
-	// Dense is the serial bit-packed dense backend.
+	// Dense is the bit-packed dense backend (the paper's dGPU analogue).
 	Dense = Backend{m: matrix.Dense()}
 )
 
-// SparseParallel is the row-parallel CSR sparse backend (the paper's sGPU
-// analogue); workers ≤ 0 means GOMAXPROCS.
-func SparseParallel(workers int) Backend {
-	return Backend{m: matrix.SparseParallel(workers)}
-}
-
-// DenseParallel is the row-parallel dense backend (the paper's dGPU
-// analogue); workers ≤ 0 means GOMAXPROCS.
-func DenseParallel(workers int) Backend {
-	return Backend{m: matrix.DenseParallel(workers)}
-}
-
-// Name identifies the backend: "sparse", "sparse-parallel", "dense" or
-// "dense-parallel".
+// Name identifies the backend: "sparse" or "dense".
 func (b Backend) Name() string { return b.mat().Name() }
 
 // String implements fmt.Stringer.
@@ -58,23 +41,20 @@ func (b Backend) mat() matrix.Backend {
 	return b.m
 }
 
-// Backends returns one backend of each kind, in the order the paper's
-// tables report them.
+// Backends returns both backends, in the order the paper's tables report
+// them.
 func Backends() []Backend {
-	return []Backend{Dense, DenseParallel(0), Sparse, SparseParallel(0)}
+	return []Backend{Dense, Sparse}
 }
 
-// BackendByName resolves one of the four backends by its Name — the form
-// CLIs and HTTP APIs receive backend choices in.
+// BackendByName resolves a backend by its Name — the form CLIs and HTTP
+// APIs receive backend choices in. The names of the retired row-parallel
+// kernels, "dense-parallel" and "sparse-parallel", resolve to Dense and
+// Sparse, so flags, requests and stored indexes that carry them keep
+// working.
 func BackendByName(name string) (Backend, error) {
-	for _, b := range Backends() {
-		if b.Name() == name {
-			return b, nil
-		}
+	if m, ok := matrix.BackendByName(name); ok {
+		return Backend{m: m}, nil
 	}
-	names := make([]string, 0, 4)
-	for _, b := range Backends() {
-		names = append(names, b.Name())
-	}
-	return Backend{}, fmt.Errorf("cfpq: unknown backend %q (want %s)", name, strings.Join(names, ", "))
+	return Backend{}, fmt.Errorf("cfpq: unknown backend %q (want dense or sparse)", name)
 }

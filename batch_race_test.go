@@ -20,7 +20,7 @@ func TestQueryBatchRacesAddEdges(t *testing.T) {
 	}
 	g.AddEdge(7, "b", 0)
 	gram := cfpq.MustParseGrammar("S -> a S b | a b")
-	p, err := cfpq.NewEngine(cfpq.SparseParallel(0)).Prepare(ctx, g, gram)
+	p, err := cfpq.NewEngine(cfpq.Sparse).Prepare(ctx, g, gram)
 	if err != nil {
 		t.Fatal(err)
 	}

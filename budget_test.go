@@ -24,8 +24,9 @@ func TestMemoryBudgetRejects(t *testing.T) {
 	g, gram := figure5()
 	const tiny = 16 // bytes: below even one empty 3-node matrix
 
-	for _, be := range cfpq.Backends() {
-		t.Run(be.Name(), func(t *testing.T) {
+	for _, name := range backendNames {
+		be := mustBackend(t, name)
+		t.Run(name, func(t *testing.T) {
 			eng := cfpq.NewEngine(be)
 
 			// Per-call option on the eager evaluation path.
@@ -96,8 +97,9 @@ func TestAddEdgesHonoursMemoryBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, be := range cfpq.Backends() {
-		t.Run(be.Name(), func(t *testing.T) {
+	for _, name := range backendNames {
+		be := mustBackend(t, name)
+		t.Run(name, func(t *testing.T) {
 			_, cold, err := cfpq.NewEngine(be).Evaluate(ctx, patched, cnf)
 			if err != nil {
 				t.Fatal(err)

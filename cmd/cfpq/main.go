@@ -11,7 +11,7 @@
 //
 //	cfpq -graph wine.nt -query samegen.g -start S                # relational
 //	cfpq -graph wine.nt -query samegen.g -start S -semantics single-path
-//	cfpq -graph wine.nt -query samegen.g -start S -backend dense-parallel
+//	cfpq -graph wine.nt -query samegen.g -start S -backend dense
 //	cfpq -graph wine.nt -query samegen.g -start S -count         # count only
 //	cfpq -graph wine.nt -query samegen.g -start S -sources n1,n2 # pairs leaving n1/n2
 //	cfpq -graph wine.nt -query samegen.g -start S -targets n3    # pairs entering n3

@@ -38,7 +38,7 @@
 // The Result streams pairs/paths as iter.Seq, carries the closure Stats,
 // and records the chosen plan in Explain:
 //
-//	eng := cfpq.NewEngine(cfpq.Sparse) // or Dense, SparseParallel(n), DenseParallel(n)
+//	eng := cfpq.NewEngine(cfpq.Sparse) // or cfpq.Dense
 //	g := cfpq.NewGraph(3)
 //	g.AddEdge(0, "a", 1)
 //	g.AddEdge(1, "b", 2)

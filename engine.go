@@ -34,7 +34,7 @@ type Engine struct {
 }
 
 // NewEngine returns an engine evaluating with the given backend. The zero
-// Backend value selects serial sparse. Options passed here apply to every
+// Backend value selects sparse. Options passed here apply to every
 // evaluation the engine runs (the typical use is WithMemoryBudget, which
 // must also govern Prepare's index build); per-call options are applied on
 // top of them.
@@ -176,8 +176,8 @@ func (e *Engine) QueryConjunctive(ctx context.Context, g *Graph, cg *Conjunctive
 // Update incorporates newly added edges into an evaluated Index without
 // recomputing the closure (dynamic CFPQ): only the consequences of the new
 // edges are propagated. Frontier matrices come from the index's own
-// backend, so an index built with a parallel kernel keeps it. Edges that
-// grow the node set transparently resize the index in place first.
+// backend, whatever backend this engine was built with. Edges that grow
+// the node set transparently resize the index in place first.
 func (e *Engine) Update(ctx context.Context, ix *Index, edges ...Edge) (Stats, error) {
 	st, _, err := e.newCore(&config{}).UpdateContext(ctx, ix, edges...)
 	return st, err

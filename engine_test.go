@@ -41,11 +41,16 @@ func TestEngineBackendsAgree(t *testing.T) {
 	}
 }
 
+// TestBackendByName: the names of the retired row-parallel kernels decode
+// to the backend of the same representation.
 func TestBackendByName(t *testing.T) {
-	for _, want := range []string{"dense", "dense-parallel", "sparse", "sparse-parallel"} {
-		be, err := BackendByName(want)
+	for name, want := range map[string]string{
+		"dense": "dense", "dense-parallel": "dense",
+		"sparse": "sparse", "sparse-parallel": "sparse",
+	} {
+		be, err := BackendByName(name)
 		if err != nil || be.Name() != want {
-			t.Errorf("BackendByName(%q) = %v, %v", want, be.Name(), err)
+			t.Errorf("BackendByName(%q) = %v, %v; want %s", name, be.Name(), err, want)
 		}
 	}
 	if _, err := BackendByName("gpu"); err == nil {
@@ -136,14 +141,12 @@ func TestCancelledQuerySurfaces(t *testing.T) {
 	}
 }
 
-// TestUpdatePreservesParallelBackend is the regression test for the old
-// backendOf type switch, which silently downgraded parallel indexes to the
-// serial kernel on Update: the index records its backend at build time and
-// updates must keep it.
-func TestUpdatePreservesParallelBackend(t *testing.T) {
+// TestUpdatePreservesBackend: the index records its backend at build time
+// and updates keep it, whatever backend the updating engine was built with.
+func TestUpdatePreservesBackend(t *testing.T) {
 	gram := MustParseGrammar("S -> a b")
 	cnf, _ := ToCNF(gram)
-	for _, be := range []Backend{SparseParallel(2), DenseParallel(2), Sparse, Dense} {
+	for _, be := range []Backend{Sparse, Dense} {
 		g := NewGraph(3)
 		g.AddEdge(0, "a", 1)
 		ix, _, err := NewEngine(be).Evaluate(context.Background(), g, cnf)

@@ -1,6 +1,6 @@
 // Ontology runs the paper's two evaluation queries — same-layer (Query 1,
 // Figure 10) and adjacent-layer (Query 2, Figure 11) — on one of the
-// synthetic ontology graphs, comparing all four backends through the
+// synthetic ontology graphs, comparing both matrix backends through the
 // public Engine API and showing single-path witnesses, i.e. the
 // navigation-query workload the paper's evaluation section is built on.
 //
@@ -49,9 +49,7 @@ func run(w io.Writer, name string) error {
 		cnf := dataset.QueryCNF(q)
 		fmt.Fprintf(w, "Query %d grammar:\n%s\n", q, gram)
 
-		for _, be := range []cfpq.Backend{
-			cfpq.DenseParallel(0), cfpq.Sparse, cfpq.SparseParallel(0),
-		} {
+		for _, be := range cfpq.Backends() {
 			start := time.Now()
 			ix, stats, err := cfpq.NewEngine(be).Evaluate(ctx, g, cnf)
 			if err != nil {

@@ -16,7 +16,8 @@ func TestRun(t *testing.T) {
 	for _, want := range []string{
 		"Dataset skos: 252 triples",
 		"Query 1 grammar:",
-		"sparse-parallel",
+		"dense",
+		"sparse",
 		"GLL baseline",
 		"Query 2 single-path witnesses",
 	} {

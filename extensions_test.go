@@ -21,7 +21,7 @@ func TestRPQFacade(t *testing.T) {
 		t.Errorf("pairs = %v, want %v", pairs, want)
 	}
 	// Another backend gives the same result.
-	dense, err := NewEngine(DenseParallel(2)).RPQ(context.Background(), g, "a* b")
+	dense, err := NewEngine(Dense).RPQ(context.Background(), g, "a* b")
 	if err != nil {
 		t.Fatal(err)
 	}

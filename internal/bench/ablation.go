@@ -3,14 +3,13 @@ package bench
 
 import (
 	"context"
-	"runtime"
 
 	"cfpq"
 	"cfpq/internal/dataset"
 	"cfpq/internal/graph"
 )
 
-// RunAblations executes the four ablation studies (cfpq-bench -ablation),
+// RunAblations executes the three ablation studies (cfpq-bench -ablation),
 // each cell timed repeats times:
 //
 //  1. iteration schedule — the paper-literal snapshot iteration
@@ -19,17 +18,13 @@ import (
 //     previous one added (passes and time);
 //  2. dense/sparse crossover — how the dense kernel degrades with graph
 //     size, justifying the paper's omission of dGPU on g1–g3;
-//  3. parallel scaling — sparse SpGEMM speed-up with worker count, the
-//     effect the paper attributes to the GPU ("acceleration from the GPU
-//     increases with the graph size growth");
-//  4. saturated frontier — what the planner's frontier strategies win over
+//  3. saturated frontier — what the planner's frontier strategies win over
 //     the full closure on a directed grammar, and lose on the paper's
 //     same-generation query, whose frontier reaches every row.
 func RunAblations(repeats int) []Table {
 	return []Table{
 		ablationIterationSchedule(repeats),
 		ablationDenseSparseCrossover(repeats),
-		ablationParallelScaling(repeats),
 		ablationSaturatedFrontier(repeats),
 	}
 }
@@ -85,26 +80,9 @@ func ablationDenseSparseCrossover(repeats int) Table {
 	base := buildDataset("funding")
 	for _, k := range []int{1, 2, 4, 8} {
 		g := graph.Repeat(base, k)
-		tDense, _ := timeClosure(repeats, g, 1, cfpq.DenseParallel(0))
-		tSparse, _ := timeClosure(repeats, g, 1, cfpq.SparseParallel(0))
+		tDense, _ := timeClosure(repeats, g, 1, cfpq.Dense)
+		tSparse, _ := timeClosure(repeats, g, 1, cfpq.Sparse)
 		t.Rows = append(t.Rows, []Cell{num(k), num(g.Nodes()), timed(tDense), timed(tSparse), ratio(tDense, tSparse)})
-	}
-	return t
-}
-
-func ablationParallelScaling(repeats int) Table {
-	t := Table{
-		Title:  "Ablation 3: sparse SpGEMM scaling with workers (Query 1, g3)",
-		Header: []string{"workers", "time(ms)", "speedup"},
-	}
-	g := buildDataset("g3")
-	var base Timing
-	for workers := 1; workers <= runtime.GOMAXPROCS(0); workers *= 2 {
-		tw, _ := timeClosure(repeats, g, 1, cfpq.SparseParallel(workers))
-		if workers == 1 {
-			base = tw
-		}
-		t.Rows = append(t.Rows, []Cell{num(workers), timed(tw), ratio(base, tw)})
 	}
 	return t
 }
@@ -118,7 +96,7 @@ func ablationParallelScaling(repeats int) Table {
 // does the full closure's work with the activation bookkeeping on top.
 func ablationSaturatedFrontier(repeats int) Table {
 	t := Table{
-		Title:  "Ablation 4: frontier vs full closure for a one-node restriction (sparse backend)",
+		Title:  "Ablation 3: frontier vs full closure for a one-node restriction (sparse backend)",
 		Header: []string{"Ontology", "grammar", "restrict", "strategy", "frontier", "full(ms)", "planned(ms)"},
 	}
 	eng := cfpq.NewEngine(cfpq.Sparse)

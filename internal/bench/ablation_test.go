@@ -17,22 +17,21 @@ func TestRunAblationsSmoke(t *testing.T) {
 	for _, want := range []string{
 		"Ablation 1: iteration schedule",
 		"Ablation 2: dense vs sparse",
-		"Ablation 3: sparse SpGEMM scaling",
-		"Ablation 4: frontier vs full closure",
-		"funding", "copies", "workers", "strategy",
+		"Ablation 3: frontier vs full closure",
+		"funding", "copies", "strategy",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("ablation output missing %q", want)
 		}
 	}
 
-	// The finding ablation 4 exists for: Query 1's frontier reaches every
+	// The finding ablation 3 exists for: Query 1's frontier reaches every
 	// row on both restriction sides, the directed ancestors walk's on neither.
-	a4 := tables[3]
-	grammar, side, frontier := column(t, a4, "grammar"), column(t, a4, "restrict"), column(t, a4, "frontier")
-	strategy, planned := column(t, a4, "strategy"), map[string]string{"sources": "source-frontier", "targets": "target-frontier"}
+	a3 := tables[2]
+	grammar, side, frontier := column(t, a3, "grammar"), column(t, a3, "restrict"), column(t, a3, "frontier")
+	strategy, planned := column(t, a3, "strategy"), map[string]string{"sources": "source-frontier", "targets": "target-frontier"}
 	seen := map[string]int{}
-	for _, r := range a4.Rows {
+	for _, r := range a3.Rows {
 		seen[r[grammar].Text+"/"+r[side].Text]++
 		if got := r[strategy].Text; got != planned[r[side].Text] {
 			t.Errorf("%s %s %s: planned %q", r[0], r[grammar], r[side], got)

@@ -52,8 +52,8 @@ func ParseArgs(args []string, stderr io.Writer) (*Config, error) {
 	fs.StringVar(&cfg.GraphPath, "graph", "", "N-Triples graph file (required)")
 	fs.StringVar(&cfg.QueryPath, "query", "", "grammar file (required)")
 	fs.StringVar(&cfg.Start, "start", "S", "start non-terminal")
-	fs.StringVar(&cfg.Backend, "backend", "sparse-parallel",
-		"matrix backend, for either semantics: dense, dense-parallel, sparse, sparse-parallel")
+	fs.StringVar(&cfg.Backend, "backend", "sparse",
+		"matrix backend, for either semantics: dense or sparse")
 	fs.StringVar(&cfg.Semantics, "semantics", "relational",
 		"query semantics: relational or single-path")
 	fs.StringVar(&cfg.Sources, "sources", "",

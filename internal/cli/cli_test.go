@@ -50,7 +50,7 @@ func TestParseArgsDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Start != "S" || cfg.Backend != "sparse-parallel" || cfg.Semantics != "relational" {
+	if cfg.Start != "S" || cfg.Backend != "sparse" || cfg.Semantics != "relational" {
 		t.Errorf("defaults wrong: %+v", cfg)
 	}
 }
@@ -65,6 +65,8 @@ func TestParseArgsMissingRequired(t *testing.T) {
 	}
 }
 
+// TestBackendByName: every value -backend accepts resolves, the legacy
+// names of the retired row-parallel kernels included.
 func TestBackendByName(t *testing.T) {
 	for _, name := range []string{"dense", "dense-parallel", "sparse", "sparse-parallel"} {
 		if _, err := cfpq.BackendByName(name); err != nil {

@@ -24,8 +24,8 @@
 // verbatim, with full products, as the reference; PathIndex.shorten, the
 // min-plus relaxation behind ShortestPathContext, derives no pair.
 //
-// Engine is parameterised by a matrix.Backend, giving the paper's four
-// implementations (dense/sparse × serial/parallel).
+// Engine is parameterised by a matrix.Backend, dense or sparse, the
+// stand-ins for the paper's dGPU and sCPU implementations.
 package core
 
 import (
@@ -63,7 +63,7 @@ func (ix *Index) Nodes() int { return ix.n }
 
 // Backend returns the matrix backend the index's matrices were allocated
 // from, so incremental updates allocate frontier matrices of the exact same
-// representation and kernel (serial/parallel included).
+// representation.
 func (ix *Index) Backend() matrix.Backend { return ix.backend }
 
 // Grow resizes every relation matrix in place to n×n (no-op if n ≤ Nodes).
@@ -225,7 +225,7 @@ type Engine struct {
 // Option configures an Engine.
 type Option func(*Engine)
 
-// WithBackend selects the matrix backend (default: sparse serial).
+// WithBackend selects the matrix backend (default: sparse).
 func WithBackend(b matrix.Backend) Option {
 	return func(e *Engine) { e.backend = b }
 }

@@ -59,7 +59,7 @@ func TestMatrixEngineAgreesWithOracles(t *testing.T) {
 
 // TestRandomCNFGrammarsAgainstHellings drives every matrix backend with
 // fully random CNF grammars (not just hand-picked ones) on random graphs
-// against the worklist oracle: all four backends must produce exactly the
+// against the worklist oracle: both backends must produce exactly the
 // relations Hellings computes, for every non-terminal.
 func TestRandomCNFGrammarsAgainstHellings(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))

@@ -25,7 +25,7 @@ import (
 )
 
 // FuzzClosureAgreement derives a random graph and a random CNF grammar
-// from the fuzzed seed and checks that all four matrix backends compute
+// from the fuzzed seed and checks that both matrix backends compute
 // exactly the relations of the Hellings worklist oracle — and that the
 // incremental update path (closing a partial graph, then feeding the rest
 // through Update) reaches the same fixpoint.

@@ -74,8 +74,8 @@ func (d *Delta) or(a int, src matrix.Bool) {
 // binary rules until nothing new appears.
 //
 // Frontier matrices are allocated from the index's own backend (recorded at
-// Init/ReadIndex time), so an index built with a parallel kernel keeps that
-// kernel through updates regardless of how this engine was configured.
+// Init/ReadIndex time), so an index keeps its representation through
+// updates regardless of how this engine was configured.
 //
 // Edges that reference nodes beyond the index's node range grow the
 // matrices first (Index.Grow) — here and nowhere else: the old closure is

@@ -14,7 +14,7 @@ import (
 )
 
 // TestSchedulesAgreeProperty ties the engine's one loop to its references
-// on random grammars × random graphs × all four backends: the production
+// on random grammars × random graphs × both backends: the production
 // closure, the reference Algorithm1 and the Hellings worklist oracle compute
 // the same relations, and the loop — seeded with the initialised index
 // (CloseContext) or, as UpdateContext on an empty index, with every edge —

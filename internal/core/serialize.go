@@ -15,8 +15,9 @@ import (
 // format is a compact row-sparse binary encoding; the payload is
 // independent of the backend the index was computed with, but the header
 // records the backend's identity so a reload can materialise the exact
-// same representation and kernel (serial/parallel included) without the
-// caller having to remember it out of band.
+// same representation without the caller having to remember it out of
+// band. Files that name a retired row-parallel backend load on the backend
+// of the same representation (matrix.BackendByName).
 //
 // Layout of the current format (all integers little-endian):
 //
@@ -136,7 +137,7 @@ func readString(br *bufio.Reader, buf *[8]byte) (string, error) {
 // supplied CNF must be the grammar the index was computed for:
 // non-terminal names and count are validated. Matrices are materialised
 // with the given backend; nil means the backend recorded in the file
-// (falling back to serial sparse for unknown names).
+// (falling back to sparse for unknown names).
 func ReadIndex(r io.Reader, cnf *grammar.CNF, be matrix.Backend) (*Index, error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, len(indexMagic))

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"math/rand"
 	"strings"
 	"testing"
@@ -111,12 +112,25 @@ func TestIndexRecordsBackend(t *testing.T) {
 		if _, err := ix.WriteTo(&buf); err != nil {
 			t.Fatal(err)
 		}
-		got, err := ReadIndex(&buf, cnf, nil)
+		raw := buf.Bytes()
+		got, err := ReadIndex(bytes.NewReader(raw), cnf, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", be.Name(), err)
 		}
 		if got.Backend() == nil || got.Backend().Name() != be.Name() {
 			t.Errorf("backend %s round-tripped as %v", be.Name(), got.Backend())
+		}
+		// A file stamped with the retired row-parallel kernel of the same
+		// representation loads on this backend, entries unchanged.
+		legacy := be.Name() + "-parallel"
+		stamped := binary.LittleEndian.AppendUint16([]byte(indexMagic), uint16(len(legacy)))
+		stamped = append(append(stamped, legacy...), raw[len(indexMagic)+2+len(be.Name()):]...)
+		old, err := ReadIndex(bytes.NewReader(stamped), cnf, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", legacy, err)
+		}
+		if old.Backend() == nil || old.Backend().Name() != be.Name() || !old.Equal(ix) {
+			t.Errorf("a %s file loaded as %v, equal entries %v; want %s", legacy, old.Backend(), old.Equal(ix), be.Name())
 		}
 	}
 }

@@ -85,8 +85,8 @@ func Random(rng *rand.Rand, n, e int, labels []string) *Graph {
 // PreferentialAttachment generates a scale-free directed graph: nodes
 // arrive one at a time and attach m edges to existing nodes with
 // probability proportional to their current degree (Barabási–Albert).
-// Labels are drawn uniformly. Scale-free degree distributions are the
-// stress case for row-parallel SpGEMM: a few rows carry most of the work.
+// Labels are drawn uniformly. Scale-free degree distributions skew SpGEMM
+// work: a few rows carry most of it.
 func PreferentialAttachment(rng *rand.Rand, n, m int, labels []string) *Graph {
 	if n < 2 || m < 1 || len(labels) == 0 {
 		panic("graph: PreferentialAttachment requires n ≥ 2, m ≥ 1 and labels")

@@ -37,7 +37,7 @@ const (
 	KindGrid Kind = "grid"
 	// KindScaleFree is a seeded Barabási–Albert preferential-attachment
 	// graph with labels drawn uniformly from {a, b}: a few hub rows carry
-	// most of the SpGEMM work, the stress case for row-parallel kernels.
+	// most of the SpGEMM work.
 	KindScaleFree Kind = "scale-free"
 )
 

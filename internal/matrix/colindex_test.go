@@ -22,72 +22,70 @@ func thinGrid(rng *rand.Rand, n, k int) [][]bool {
 // such product. From then on the rows it picks through the index include
 // every row the product can reach, and the product equals the grid product —
 // into a fresh matrix, into one already holding bits, and into the left
-// operand itself — on both sparse backends.
+// operand itself.
 func TestAddMulThroughColumnIndex(t *testing.T) {
 	rng := rand.New(rand.NewSource(28))
-	for _, be := range []Backend{Sparse(), SparseParallel(3)} {
-		served := 0
-		for trial := 0; trial < 40; trial++ {
-			n := 2 + rng.Intn(80)
-			ag := randGrid(rng, n, 0.02+0.3*rng.Float64())
-			a := be.NewMatrix(n).(*SparseMatrix)
-			fill(a, ag)
-			if len(a.live) < 2 {
-				continue
-			}
-			thin := func() ([][]bool, *SparseMatrix) {
-				bg := thinGrid(rng, n, rng.Intn(len(a.live)))
-				b := be.NewMatrix(n).(*SparseMatrix)
-				fill(b, bg)
-				return bg, b
-			}
+	served := 0
+	for trial := 0; trial < 40; trial++ {
+		n := 2 + rng.Intn(80)
+		ag := randGrid(rng, n, 0.02+0.3*rng.Float64())
+		a := NewSparse(n)
+		fill(a, ag)
+		if len(a.live) < 2 {
+			continue
+		}
+		thin := func() ([][]bool, *SparseMatrix) {
+			bg := thinGrid(rng, n, rng.Intn(len(a.live)))
+			b := NewSparse(n)
+			fill(b, bg)
+			return bg, b
+		}
 
-			for walked := 0; a.cols == nil; walked += len(a.live) {
-				bg, b := thin()
-				m := be.NewMatrix(n)
-				m.AddMul(a, b)
-				if !equalGrid(toBool(m), refMul(ag, bg)) {
-					t.Fatalf("%s trial %d: product walking the live rows differs from the grid", be.Name(), trial)
-				}
-				if built := a.cols != nil; built != (walked >= n+a.nnz) {
-					t.Fatalf("%s trial %d: column index built=%v after %d walked rows, building costs %d",
-						be.Name(), trial, built, walked, n+a.nnz)
-				}
-			}
-			checkColumnIndex(t, a)
-
-			for product := 0; product < 8; product++ {
-				bg, b := thin()
-				want := refMul(ag, bg)
-				rows := a.productRows(b)
-				for i := range want {
-					if slices.Contains(want[i], true) && !slices.Contains(rows, int32(i)) {
-						t.Fatalf("%s trial %d: row %d of the product is not among the rows picked %v", be.Name(), trial, i, rows)
-					}
-				}
-				if len(rows) < len(a.live) {
-					served++
-				}
-				pre := randGrid(rng, n, 0.05)
-				m := be.NewMatrix(n)
-				fill(m, pre)
-				m.AddMul(a, b)
-				if !equalGrid(toBool(m), orGrid(pre, want)) {
-					t.Fatalf("%s trial %d: product through the column index differs from the grid", be.Name(), trial)
-				}
-			}
-
+		for walked := 0; a.cols == nil; walked += len(a.live) {
 			bg, b := thin()
-			a.AddMul(a, b)
-			ag = orGrid(ag, refMul(ag, bg))
-			if !equalGrid(toBool(a), ag) {
-				t.Fatalf("%s trial %d: a |= a × b through the column index differs from the grid", be.Name(), trial)
+			m := NewSparse(n)
+			m.AddMul(a, b)
+			if !equalGrid(toBool(m), refMul(ag, bg)) {
+				t.Fatalf("trial %d: product walking the live rows differs from the grid", trial)
 			}
-			checkColumnIndex(t, a)
+			if built := a.cols != nil; built != (walked >= n+a.nnz) {
+				t.Fatalf("trial %d: column index built=%v after %d walked rows, building costs %d",
+					trial, built, walked, n+a.nnz)
+			}
 		}
-		if served == 0 {
-			t.Fatalf("%s: no product was driven through a column index", be.Name())
+		checkColumnIndex(t, a)
+
+		for product := 0; product < 8; product++ {
+			bg, b := thin()
+			want := refMul(ag, bg)
+			rows := a.productRows(b)
+			for i := range want {
+				if slices.Contains(want[i], true) && !slices.Contains(rows, int32(i)) {
+					t.Fatalf("trial %d: row %d of the product is not among the rows picked %v", trial, i, rows)
+				}
+			}
+			if len(rows) < len(a.live) {
+				served++
+			}
+			pre := randGrid(rng, n, 0.05)
+			m := NewSparse(n)
+			fill(m, pre)
+			m.AddMul(a, b)
+			if !equalGrid(toBool(m), orGrid(pre, want)) {
+				t.Fatalf("trial %d: product through the column index differs from the grid", trial)
+			}
 		}
+
+		bg, b := thin()
+		a.AddMul(a, b)
+		ag = orGrid(ag, refMul(ag, bg))
+		if !equalGrid(toBool(a), ag) {
+			t.Fatalf("trial %d: a |= a × b through the column index differs from the grid", trial)
+		}
+		checkColumnIndex(t, a)
+	}
+	if served == 0 {
+		t.Fatal("no product was driven through a column index")
 	}
 }
 

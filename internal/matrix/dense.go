@@ -3,9 +3,6 @@ package matrix
 import (
 	"fmt"
 	"math/bits"
-	"runtime"
-	"sync"
-	"sync/atomic"
 )
 
 // DenseMatrix is a bit-packed n×n Boolean matrix: row i occupies words
@@ -13,54 +10,34 @@ import (
 // classic bitset kernel — for every set a[i][k], OR row k of b into row i of
 // the result — which runs at 64 columns per machine instruction. This is
 // the same data-parallel inner loop a dense GPU kernel executes, which is
-// why DenseParallel serves as the paper's dGPU stand-in.
+// why the dense backend stands in for the paper's dGPU: the point of that
+// column is the representation, not the device.
 type DenseMatrix struct {
-	n        int
-	stride   int // words per row
-	words    []uint64
-	parallel bool
-	workers  int
+	n      int
+	stride int // words per row
+	words  []uint64
 }
 
-type denseBackend struct {
-	parallel bool
-	workers  int
-}
+type denseBackend struct{}
 
-// Dense returns the serial dense backend.
+// Dense returns the dense backend (paper: dGPU).
 func Dense() Backend { return denseBackend{} }
 
-// DenseParallel returns the row-parallel dense backend; workers ≤ 0 means
-// GOMAXPROCS.
-func DenseParallel(workers int) Backend {
-	return denseBackend{parallel: true, workers: workers}
-}
+func (denseBackend) Name() string { return "dense" }
 
-func (d denseBackend) Name() string {
-	if d.parallel {
-		return "dense-parallel"
-	}
-	return "dense"
-}
-
-func (d denseBackend) NewMatrix(n int) Bool {
-	return &DenseMatrix{
-		n:        n,
-		stride:   (n + 63) / 64,
-		words:    make([]uint64, n*((n+63)/64)),
-		parallel: d.parallel,
-		workers:  d.workers,
-	}
+func (denseBackend) NewMatrix(n int) Bool {
+	stride := (n + 63) / 64
+	return &DenseMatrix{n: n, stride: stride, words: make([]uint64, n*stride)}
 }
 
 // EmptyBytes estimates the word storage of an empty n×n bit-packed matrix:
 // dense matrices pay their full footprint up front.
-func (d denseBackend) EmptyBytes(n int) int64 {
+func (denseBackend) EmptyBytes(n int) int64 {
 	return 8 * int64(n) * int64((n+63)/64)
 }
 
-// NewDense returns an empty serial n×n dense matrix (convenience for tests
-// and direct use).
+// NewDense returns an empty n×n dense matrix (convenience for tests and
+// direct use).
 func NewDense(n int) *DenseMatrix {
 	return Dense().NewMatrix(n).(*DenseMatrix)
 }
@@ -241,21 +218,21 @@ func (m *DenseMatrix) AddMul(a, b Bool) bool {
 		return false
 	}
 	if m != da && m != db {
-		return m.parallelRows(func(lo, hi int) bool { return mulRows(da, db, bRows, m.words, lo, hi) })
+		return mulRows(da, db, bRows, m.words)
 	}
 	prod := make([]uint64, len(m.words))
-	if !m.parallelRows(func(lo, hi int) bool { return mulRows(da, db, bRows, prod, lo, hi) }) {
+	if !mulRows(da, db, bRows, prod) {
 		return false
 	}
 	return m.Or(&DenseMatrix{n: m.n, stride: stride, words: prod})
 }
 
-// mulRows ORs rows [lo, hi) of a×b into the same rows of dst and reports
-// whether that set a bit; bRows masks out the k whose row of b is empty.
-func mulRows(a, b *DenseMatrix, bRows, dst []uint64, lo, hi int) bool {
+// mulRows ORs a×b into dst, a bitmap of a's shape, and reports whether
+// that set a bit; bRows masks out the k whose row of b is empty.
+func mulRows(a, b *DenseMatrix, bRows, dst []uint64) bool {
 	stride := a.stride
 	var grew uint64
-	for i := lo; i < hi; i++ {
+	for i := range a.n {
 		orow := dst[i*stride : (i+1)*stride]
 		for wi, w := range a.words[i*stride : (i+1)*stride] {
 			for w &= bRows[wi]; w != 0; w &= w - 1 {
@@ -268,36 +245,6 @@ func mulRows(a, b *DenseMatrix, bRows, dst []uint64, lo, hi int) bool {
 		}
 	}
 	return grew != 0
-}
-
-// parallelRows runs compute over the rows [0, n), split across the
-// backend's workers when it is a parallel one, and reports whether any
-// chunk did: chunks own disjoint rows of the destination.
-func (m *DenseMatrix) parallelRows(compute func(lo, hi int) bool) bool {
-	workers := 1
-	if m.parallel {
-		if workers = m.workers; workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		workers = min(workers, m.n)
-	}
-	if workers <= 1 {
-		return compute(0, m.n)
-	}
-	var wg sync.WaitGroup
-	var grew atomic.Bool
-	chunk := (m.n + workers - 1) / workers
-	for lo := 0; lo < m.n; lo += chunk {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if compute(lo, min(lo+chunk, m.n)) {
-				grew.Store(true)
-			}
-		}()
-	}
-	wg.Wait()
-	return grew.Load()
 }
 
 func mustDense(b Bool, n int) *DenseMatrix {

@@ -9,7 +9,7 @@ import (
 // TestForkLeavesOriginUntouched is the copy-on-write contract a published
 // index version rests on: after Fork, whatever is done to one side — every
 // mutator of the interface, in random order, on random matrices — the other
-// side still equals a deep Clone taken before, on all four backends, and
+// side still equals a deep Clone taken before, on both backends, and
 // the mutated side computes what an independent deep copy would.
 func TestForkLeavesOriginUntouched(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))

@@ -1,17 +1,20 @@
 // Package matrix provides hand-rolled Boolean matrix kernels for the
 // matrix-based CFPQ algorithm: bit-packed dense matrices and CSR sparse
-// matrices, each with serial and row-parallel multiplication. Go has no
-// mature sparse linear algebra ecosystem, so everything here is implemented
-// from scratch against the small surface the closure loop needs:
+// matrices, one multiplication kernel each. Go has no mature sparse linear
+// algebra ecosystem, so everything here is implemented from scratch against
+// the small surface the closure loop needs:
 //
 //	dst |= a × b   (Boolean semiring: AND for ×, OR for +)
 //	dst |= src
 //	nnz, equality, iteration
 //
 // The Backend/Bool pair lets the query engine stay agnostic of the
-// representation; the four backends stand in for the paper's four
-// implementations (dense GPU, sparse CPU, sparse GPU — see the opening of
-// README.md for the substitution).
+// representation; the two backends stand in for the paper's matrix
+// implementations (dense for dGPU, sparse for sCPU). The paper's sparse GPU
+// kernel has none: goroutine drivers that split a product's rows across
+// cores measured slower than these kernels alone on nearly every input
+// (2-vCPU Xeon), so each representation has one kernel, and a product runs
+// on its caller's goroutine.
 package matrix
 
 // Bool is a square Boolean matrix. Implementations are NOT safe for
@@ -61,8 +64,8 @@ type Bool interface {
 	// rows), so it is written and must not be in a concurrent product.
 	AddMul(a, b Bool) bool
 	// Clear empties the matrix, keeping its storage for the next fill, in
-	// time proportional to what it holds (the dense backends hold their
-	// whole bitmap). It is how the closure reuses its frontier matrices
+	// time proportional to what it holds (a dense matrix holds its whole
+	// bitmap). It is how the closure reuses its frontier matrices
 	// from pass to pass.
 	Clear()
 	// Or computes m |= other and reports whether m changed.
@@ -86,12 +89,12 @@ type Bool interface {
 	// Fork returns a matrix with the receiver's entries that may be
 	// mutated while other goroutines keep reading the receiver: no
 	// mutation of the fork is visible through, or races with reads of, the
-	// receiver. The sparse backends share every row slice, and the row
+	// receiver. A sparse fork shares every row slice, and the row
 	// list too until the fork is first written — that write copies the
 	// list, O(n) whatever the matrix holds, and a fork never written costs
 	// nothing (see the invariant in the type comment) — and the column
-	// index for good, so one side is written at a time; the dense
-	// backends, the paper's reference rather than serving options, Clone.
+	// index for good, so one side is written at a time; a dense matrix,
+	// the paper's reference rather than a serving option, Clones.
 	// The receiver must not be mutated concurrently with Fork itself.
 	Fork() Bool
 	// Range calls fn for every set entry in row-major order; fn returning
@@ -110,14 +113,14 @@ type Bool interface {
 	// ProductBytes estimates the most an AddMul taking the matrix as its
 	// left operand may add to Bytes: a sparse matrix's column index (see
 	// Live rows) while it holds a bit and no index, 0 otherwise and on the
-	// dense backends. The closure memory budget charges it before a pass.
+	// dense backend. The closure memory budget charges it before a pass.
 	ProductBytes() int64
 }
 
 // Backend allocates matrices of one representation.
 type Backend interface {
-	// Name identifies the backend in benchmark output ("dense",
-	// "dense-parallel", "sparse", "sparse-parallel").
+	// Name identifies the backend in benchmark output, serialised indexes
+	// and store files: "dense" or "sparse".
 	Name() string
 	// NewMatrix returns an empty n×n matrix.
 	NewMatrix(n int) Bool
@@ -147,26 +150,24 @@ func Pairs(m Bool) []Pair {
 	return out
 }
 
-// Backends returns one backend of each kind, in the order the paper's
-// tables report them (dense parallel = dGPU stand-in, sparse serial = sCPU,
-// sparse parallel = sGPU) plus the serial dense reference.
+// Backends returns both backends, in the order the paper's tables report
+// them: dense (dGPU), then sparse (sCPU).
 func Backends() []Backend {
-	return []Backend{
-		Dense(),
-		DenseParallel(0),
-		Sparse(),
-		SparseParallel(0),
-	}
+	return []Backend{Dense(), Sparse()}
 }
 
 // BackendByName resolves a backend by its Name() — the form backend
 // identity is recorded in on serialised indexes (CFPQIDX2) and store
-// files. Parallel backends resolve with GOMAXPROCS workers.
+// files. The names of the retired row-parallel kernels, "dense-parallel"
+// and "sparse-parallel", resolve to the backend of the same
+// representation, so indexes, store files and clients that carry them
+// keep working.
 func BackendByName(name string) (Backend, bool) {
-	for _, be := range Backends() {
-		if be.Name() == name {
-			return be, true
-		}
+	switch name {
+	case "dense", "dense-parallel":
+		return Dense(), true
+	case "sparse", "sparse-parallel":
+		return Sparse(), true
 	}
 	return nil, false
 }

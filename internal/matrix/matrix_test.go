@@ -72,12 +72,27 @@ func orGrid(a, b [][]bool) [][]bool {
 }
 
 func allBackends() []Backend {
-	return []Backend{Dense(), DenseParallel(4), Sparse(), SparseParallel(4)}
+	return []Backend{Dense(), Sparse()}
 }
 
+// acceptedNames lists every name BackendByName accepts with the backend it
+// resolves to: the names of the retired row-parallel kernels decode to the
+// kernel of the same representation.
+var acceptedNames = []struct{ name, backend string }{
+	{"dense", "dense"},
+	{"dense-parallel", "dense"},
+	{"sparse", "sparse"},
+	{"sparse-parallel", "sparse"},
+}
+
+// TestSetGetBasics runs once under every accepted backend name.
 func TestSetGetBasics(t *testing.T) {
-	for _, be := range allBackends() {
-		t.Run(be.Name(), func(t *testing.T) {
+	for _, c := range acceptedNames {
+		be, ok := BackendByName(c.name)
+		if !ok {
+			t.Fatalf("BackendByName(%q) failed", c.name)
+		}
+		t.Run(c.name, func(t *testing.T) {
 			m := be.NewMatrix(70) // spans more than one 64-bit word
 			if m.Dim() != 70 {
 				t.Fatalf("Dim = %d", m.Dim())
@@ -443,18 +458,20 @@ func TestPairs(t *testing.T) {
 }
 
 func TestBackendNames(t *testing.T) {
-	want := map[string]bool{
-		"dense": true, "dense-parallel": true,
-		"sparse": true, "sparse-parallel": true,
-	}
+	var names []string
 	for _, be := range Backends() {
-		if !want[be.Name()] {
-			t.Errorf("unexpected backend name %q", be.Name())
-		}
-		delete(want, be.Name())
+		names = append(names, be.Name())
 	}
-	if len(want) != 0 {
-		t.Errorf("missing backends: %v", want)
+	if want := []string{"dense", "sparse"}; !reflect.DeepEqual(names, want) {
+		t.Errorf("Backends() = %v, want %v", names, want)
+	}
+	for _, c := range acceptedNames {
+		if be, ok := BackendByName(c.name); !ok || be.Name() != c.backend {
+			t.Errorf("BackendByName(%q) = %v, %v; want %s", c.name, be, ok, c.backend)
+		}
+	}
+	if be, ok := BackendByName("gpu"); ok {
+		t.Errorf("BackendByName(gpu) = %v, want none", be.Name())
 	}
 }
 

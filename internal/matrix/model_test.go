@@ -217,7 +217,7 @@ func checkColumnIndex(t *testing.T, m *SparseMatrix) {
 	}
 }
 
-// TestMatrixModel runs seeded random programs on all four backends.
+// TestMatrixModel runs seeded random programs on both backends.
 func TestMatrixModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	for trial := 0; trial < 60; trial++ {

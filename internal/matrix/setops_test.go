@@ -112,7 +112,8 @@ func TestAndNotSemantics(t *testing.T) {
 func TestQuickSetAlgebra(t *testing.T) {
 	f := func(seedA, seedB int64, nRaw uint8, backendPick uint8) bool {
 		n := int(nRaw%30) + 1
-		be := allBackends()[int(backendPick)%4]
+		backends := allBackends()
+		be := backends[int(backendPick)%len(backends)]
 		ga := randGrid(rand.New(rand.NewSource(seedA)), n, 0.2)
 		gb := randGrid(rand.New(rand.NewSource(seedB)), n, 0.2)
 		mk := func(g [][]bool) Bool {

@@ -2,11 +2,8 @@ package matrix
 
 import (
 	"fmt"
-	"runtime"
 	"slices"
 	"sort"
-	"sync"
-	"sync/atomic"
 )
 
 // SparseMatrix is a row-compressed sparse Boolean matrix: each row stores
@@ -16,9 +13,7 @@ import (
 // selected by the a-row, computed by a balanced tree of sorted-list merges
 // (see rowMerger) — O(nnz·log fan-in) per row with no n-sized scratch and
 // no sort, so the cost tracks the output size rather than the dimension.
-// The parallel flavour distributes rows across goroutines exactly the way
-// CUSPARSE distributes them across thread blocks, which is why
-// SparseParallel serves as the paper's sGPU stand-in.
+// The sparse backend stands in for the paper's sCPU.
 type SparseMatrix struct {
 	n    int
 	rows [][]int32
@@ -35,11 +30,8 @@ type SparseMatrix struct {
 	cols *colIndex
 	// walked counts the live rows products walked where cols could have
 	// served, until they pay for building it.
-	walked  int
-	nnz     int
-	workers int32
-	// parallel selects the row-parallel kernel.
-	parallel bool
+	walked int
+	nnz    int
 	// shared marks a matrix whose row slices another matrix may also hold
 	// (it was forked, or is a fork): Set then replaces the row it inserts
 	// into instead of shifting it in place. It stays set for good.
@@ -51,44 +43,25 @@ type SparseMatrix struct {
 	borrowed bool
 }
 
-type sparseBackend struct {
-	parallel bool
-	workers  int
-}
+type sparseBackend struct{}
 
-// Sparse returns the serial sparse backend (paper: sCPU).
+// Sparse returns the sparse backend (paper: sCPU).
 func Sparse() Backend { return sparseBackend{} }
 
-// SparseParallel returns the row-parallel sparse backend (paper: sGPU);
-// workers ≤ 0 means GOMAXPROCS.
-func SparseParallel(workers int) Backend {
-	return sparseBackend{parallel: true, workers: workers}
-}
+func (sparseBackend) Name() string { return "sparse" }
 
-func (s sparseBackend) Name() string {
-	if s.parallel {
-		return "sparse-parallel"
-	}
-	return "sparse"
-}
-
-func (s sparseBackend) NewMatrix(n int) Bool {
-	return &SparseMatrix{
-		n:        n,
-		rows:     make([][]int32, n),
-		parallel: s.parallel,
-		workers:  int32(s.workers),
-	}
+func (sparseBackend) NewMatrix(n int) Bool {
+	return &SparseMatrix{n: n, rows: make([][]int32, n)}
 }
 
 // EmptyBytes estimates the row-header storage of an empty n×n sparse
 // matrix (24 bytes per row slice header).
-func (s sparseBackend) EmptyBytes(n int) int64 {
+func (sparseBackend) EmptyBytes(n int) int64 {
 	return 24 * int64(n)
 }
 
-// NewSparse returns an empty serial n×n sparse matrix (convenience for
-// tests and direct use).
+// NewSparse returns an empty n×n sparse matrix (convenience for tests and
+// direct use).
 func NewSparse(n int) *SparseMatrix {
 	return Sparse().NewMatrix(n).(*SparseMatrix)
 }
@@ -224,12 +197,10 @@ func (m *SparseMatrix) Grow(n int) {
 // Clone returns an independent copy, without the companion.
 func (m *SparseMatrix) Clone() Bool {
 	cp := &SparseMatrix{
-		n:        m.n,
-		rows:     make([][]int32, m.n),
-		live:     slices.Clone(m.live),
-		nnz:      m.nnz,
-		parallel: m.parallel,
-		workers:  m.workers,
+		n:    m.n,
+		rows: make([][]int32, m.n),
+		live: slices.Clone(m.live),
+		nnz:  m.nnz,
 	}
 	for _, i := range m.live {
 		cp.rows[i] = slices.Clone(m.rows[i])
@@ -395,55 +366,38 @@ func differenceSorted(a, b []int32) []int32 {
 // AddMul computes m |= a × b with merge-based row products over the rows
 // productRows picks — a's live rows, or fewer found through a's companion —
 // and an empty operand returns at once. A row that grew is written
-// straight into m — unless m is one of the operands, or the rows are split
-// across workers: then every grown row is computed before the first is
-// written, which is what lets m alias a or b.
+// straight into m — unless m is one of the operands: then every grown row
+// is computed before the first is written, which is what lets m alias a or b.
 func (m *SparseMatrix) AddMul(a, b Bool) bool {
 	sa := mustSparse(a, m.n)
 	sb := mustSparse(b, m.n)
 	if sa.nnz == 0 || sb.nnz == 0 {
 		return false
 	}
-	rows := sa.productRows(sb)
-	workers := 1
-	if m.parallel {
-		if workers = int(m.workers); workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		workers = min(workers, (len(rows)+rowGrain-1)/rowGrain)
-	}
-	var next atomic.Int64 // the first row not yet claimed
-	changed := false
-	if workers == 1 && m != sa && m != sb {
-		m.mulRows(sa, sb, rows, &next, func(i int32, grown []int32) {
-			m.setRow(int(i), grown)
-			changed = true
-		})
-		return changed
-	}
 	type grownRow struct {
 		i    int32
 		cols []int32
 	}
-	parts := make([][]grownRow, workers)
-	var wg sync.WaitGroup
-	for w := range parts {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var part []grownRow
-			m.mulRows(sa, sb, rows, &next, func(i int32, grown []int32) {
-				part = append(part, grownRow{i, grown})
-			})
-			parts[w] = part
-		}()
-	}
-	wg.Wait()
-	for _, part := range parts {
-		for _, r := range part {
-			m.setRow(int(r.i), r.cols)
-			changed = true
+	aliased := m == sa || m == sb
+	var (
+		rm      rowMerger
+		pending []grownRow
+		changed bool
+	)
+	for _, i := range sa.productRows(sb) {
+		grown, grew := unionSorted(m.rows[i], rm.productRow(sa, sb, int(i)))
+		if !grew {
+			continue
 		}
+		changed = true
+		if aliased {
+			pending = append(pending, grownRow{i, grown})
+		} else {
+			m.setRow(int(i), grown)
+		}
+	}
+	for _, r := range pending {
+		m.setRow(int(r.i), r.cols)
 	}
 	return changed
 }
@@ -535,32 +489,7 @@ func (c *colIndex) list(i int32, row, old []int32) {
 	}
 }
 
-// rowGrain is how many left-operand rows a worker claims per fetch: large
-// enough to keep contention on the shared counter low, small enough that a
-// few hub rows do not leave the other workers idle. A product over no more
-// rows than this is not split.
-const rowGrain = 64
-
-// mulRows is the product kernel: claiming rowGrain of the listed rows at a
-// time through next — alone or beside other workers — it computes row i of
-// m ∪ a×b for each and hands the rows that grew, freshly allocated, to
-// emit. It only reads m itself.
-func (m *SparseMatrix) mulRows(a, b *SparseMatrix, rows []int32, next *atomic.Int64, emit func(i int32, grown []int32)) {
-	var rm rowMerger
-	for {
-		lo := int(next.Add(rowGrain)) - rowGrain
-		if lo >= len(rows) {
-			return
-		}
-		for _, i := range rows[lo:min(lo+rowGrain, len(rows))] {
-			if grown, grew := unionSorted(m.rows[i], rm.productRow(a, b, int(i))); grew {
-				emit(i, grown)
-			}
-		}
-	}
-}
-
-// rowMerger is the per-worker scratch of the merge-based SpGEMM kernel:
+// rowMerger is the per-product scratch of the merge-based SpGEMM kernel:
 // two reusable [][]int32 list buffers plus two ping-pong arenas backing
 // the intermediate merge rounds. The zero value is ready to use; capacity
 // grows to the working set of the largest row and is then reused, so the

@@ -1,6 +1,8 @@
 package server
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -52,12 +54,14 @@ func reopen(t *testing.T, old *Service, dir string) *Service {
 }
 
 // TestPersistRoundTripAllBackends is the subsystem's acceptance
-// invariant: for every backend, build → save → "kill" → reopen → replay
-// yields an index whose relation equals a freshly computed one, and the
-// reopened service answers without re-running any closure.
+// invariant: for every backend name a client may send — the retired
+// row-parallel kernels' included, since a slot and its index file are
+// keyed by the name sent — build → save → "kill" → reopen → replay yields
+// an index whose relation equals a freshly computed one, and the reopened
+// service answers without re-running any closure.
 func TestPersistRoundTripAllBackends(t *testing.T) {
 	// The ontology datasets the conformance suite pins, at a size that
-	// keeps four backends × restart affordable, plus the paper's query.
+	// keeps four backend names × restart affordable, plus the paper's query.
 	ds, ok := dataset.ByName("skos")
 	if !ok {
 		t.Fatal("skos dataset missing")
@@ -85,8 +89,8 @@ func TestPersistRoundTripAllBackends(t *testing.T) {
 		t.Fatal("no childless node in skos")
 	}
 	u := (v + 1) % g.Nodes()
-	for _, be := range cfpq.Backends() {
-		t.Run(be.Name(), func(t *testing.T) {
+	for _, name := range []string{"dense", "dense-parallel", "sparse", "sparse-parallel"} {
+		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
 			s := persistentService(t, dir)
 			if err := s.RegisterGraph("onto", g.Clone(), nil); err != nil {
@@ -95,7 +99,7 @@ func TestPersistRoundTripAllBackends(t *testing.T) {
 			if err := s.RegisterGrammar("q1", queryGrammar); err != nil {
 				t.Fatal(err)
 			}
-			target := Target{Graph: "onto", Grammar: "q1", Backend: be.Name()}
+			target := Target{Graph: "onto", Grammar: "q1", Backend: name}
 			before, err := relation(ctx, s, target, "S")
 			if err != nil {
 				t.Fatal(err)
@@ -516,6 +520,65 @@ func TestPersistManyGrammarsAndBackends(t *testing.T) {
 	}
 	if n := s2.obs.indexBuilds.Value(); n != 0 {
 		t.Fatalf("warm start ran %d closures", n)
+	}
+}
+
+// TestWarmStartFromLegacyBackendName: a data directory written while
+// "sparse-parallel" named a kernel of its own — the index saved as
+// q@sparse-parallel.idx, its CFPQIDX2 header naming that backend — still
+// warm-starts without a closure, and a backend=sparse-parallel query
+// answers from the restored slot what a backend=sparse cold build computes.
+func TestWarmStartFromLegacyBackendName(t *testing.T) {
+	const legacy, text = "sparse-parallel", "S -> x S y | x y"
+	g := graph.Word([]string{"x", "x", "y", "y"})
+	dir := t.TempDir()
+	s := persistentService(t, dir)
+	if err := s.RegisterGraph("g", g.Clone(), nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.RegisterGrammar("q", text); err != nil {
+		t.Fatal(err)
+	}
+	p, err := cfpq.NewEngine(cfpq.Sparse).Prepare(ctx, g, cfpq.MustParseGrammar(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := p.WriteIndex(&buf); err != nil {
+		t.Fatal(err)
+	}
+	// Restamp the header (magic, uint16 name length, name) with the legacy name.
+	const magic = "CFPQIDX2"
+	raw := buf.Bytes()
+	if got := string(raw[len(magic)+2 : len(magic)+2+len("sparse")]); got != "sparse" {
+		t.Fatalf("index header names %q, want sparse", got)
+	}
+	stamped := binary.LittleEndian.AppendUint16([]byte(magic), uint16(len(legacy)))
+	stamped = append(append(stamped, legacy...), raw[len(magic)+2+len("sparse"):]...)
+	if err := s.store.SaveIndex("g", "q", legacy, 0, stamped); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := reopen(t, s, dir)
+	if n := s2.obs.warmStarts.Value(); n != 1 {
+		t.Fatalf("WarmStarts = %d, want 1", n)
+	}
+	got, err := relation(ctx, s2, Target{Graph: "g", Grammar: "q", Backend: legacy}, "S")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := s2.obs.indexBuilds.Value(); n != 0 {
+		t.Fatalf("a %s query ran %d closures, want an answer from the restored slot", legacy, n)
+	}
+	want, err := relation(ctx, s2, Target{Graph: "g", Grammar: "q", Backend: "sparse"}, "S")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := s2.obs.indexBuilds.Value(); n != 1 {
+		t.Fatalf("the sparse query ran %d closures, want its own cold build", n)
+	}
+	if len(want) == 0 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("restored %s slot answers %v, a sparse cold build %v", legacy, got, want)
 	}
 }
 

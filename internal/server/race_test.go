@@ -44,7 +44,7 @@ func TestConcurrentQueriesDuringUpdates(t *testing.T) {
 	if err := s.RegisterGrammar("anbn", anbnGrammar); err != nil {
 		t.Fatal(err)
 	}
-	backends := []string{"sparse", "dense-parallel"}
+	backends := []string{"sparse", "dense"}
 	targets := make([]Target, len(backends))
 	for i, be := range backends {
 		targets[i] = Target{Graph: "word", Grammar: "anbn", Backend: be}

@@ -133,7 +133,7 @@ func TestPreparedConcurrentQueriesRaceUpdates(t *testing.T) {
 	for i := k; i < 2*k-1; i++ {
 		g.AddEdge(i, "b", i+1)
 	}
-	eng := NewEngine(SparseParallel(2))
+	eng := NewEngine(Sparse)
 	p := mustPrepare(t, eng, g.Clone(), text)
 
 	var wg sync.WaitGroup

@@ -201,17 +201,18 @@ func setList(s map[cfpq.Pair]bool) []cfpq.Pair {
 // TestSubscribeCancelledRepairExactlyOnce: a cancelled AddEdges — before
 // its first pass, or mid-closure with part of the patch already derived on
 // the fork — publishes nothing; the retry publishes the whole patch. Every
-// subscriber sees each newly derived pair exactly once, on all four
-// backends.
+// subscriber sees each newly derived pair exactly once, under every
+// backend name.
 func TestSubscribeCancelledRepairExactlyOnce(t *testing.T) {
 	isCancelled := func(err error) bool { return errors.Is(err, context.Canceled) }
-	for _, be := range cfpq.Backends() {
-		t.Run(be.String(), func(t *testing.T) {
+	for _, name := range backendNames {
+		be := mustBackend(t, name)
+		t.Run(name, func(t *testing.T) {
 			cancelled, cancel := context.WithCancel(context.Background())
 			cancel()
 			interruptedPatchExactlyOnce(t, cfpq.NewEngine(be), cancelled, isCancelled, true)
 		})
-		t.Run(be.String()+"/mid-closure", func(t *testing.T) {
+		t.Run(name+"/mid-closure", func(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			derived := 0
@@ -649,7 +650,7 @@ func TestSubscribeRaceUpdates(t *testing.T) {
 	for i := 0; i < k; i++ {
 		g.AddEdge(i, "a", i+1)
 	}
-	p, err := cfpq.NewEngine(cfpq.SparseParallel(2)).Prepare(ctx, g, cfpq.MustParseGrammar("S -> a | a S"))
+	p, err := cfpq.NewEngine(cfpq.Sparse).Prepare(ctx, g, cfpq.MustParseGrammar("S -> a | a S"))
 	if err != nil {
 		t.Fatal(err)
 	}
