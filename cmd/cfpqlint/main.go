@@ -1,13 +1,13 @@
 // Command cfpqlint is the repo's multichecker: it runs the custom
-// analyzers in internal/lint (lockscope, ctxflow, walorder, tracealloc)
-// over the module's packages and prints findings in the
-// compiler's file:line:col format, one per line, exiting non-zero when
-// any survive //lint:allow suppression filtering.
+// analyzers in internal/lint (lockscope, ctxflow) over the module's
+// packages and prints findings in the compiler's file:line:col format, one
+// per line, exiting non-zero when any survive //lint:allow suppression
+// filtering.
 //
 // Usage:
 //
 //	go run ./cmd/cfpqlint ./...
-//	go run ./cmd/cfpqlint -only lockscope,walorder ./internal/server
+//	go run ./cmd/cfpqlint -only lockscope ./internal/server
 //
 // See the "Static analysis" section of the README for what each analyzer
 // enforces and how to suppress a deliberate exception.

@@ -100,16 +100,16 @@
 // its closure — immutable once published. Do, QueryBatch (one version for
 // the whole batch), WriteIndex and Stats pin it with a pointer load and
 // read it without a lock. AddEdges calls serialise on a writers-only
-// mutex: journal to the WAL, fork the current index copy-on-write (sparse
-// matrices share their rows; a matrix's row list is copied when the update
-// first writes it), run the update closure on the fork, and swap the
-// result in under the lock readers pin through — held for the pointer, the
-// statistics and the subscription publish, microseconds. The closure only
+// mutex: fork the current index copy-on-write (sparse matrices share their
+// rows; a matrix's row list is copied when the update first writes it), run
+// the update closure on the fork, and swap the result in under the lock
+// readers pin through — held for the pointer, the statistics and the
+// subscription publish, microseconds. The closure only
 // ever adds bits, so the version a reader holds stays a sound,
 // self-consistent relation for as long as it holds it. Readers never wait
 // for a closure; a cancelled or over-budget update is abandoned — nothing
-// published, nothing pushed, answers unchanged — and its journaled edges
-// are propagated by the next AddEdges together with that call's own.
+// published, nothing pushed, answers unchanged — and its edges wait in the
+// handle's graph for the next AddEdges to propagate with its own.
 //
 // # Live queries
 //
@@ -237,7 +237,7 @@
 //	p.WriteIndex(w)                         // persist a handle's index (CFPQIDX2)
 //	ix, _ := eng.LoadIndex(r, cnf)          // reload it (backend recorded in the header)
 //	p, _ := eng.PrepareFromIndex(g, cnf, ix) // serve it — Build stats stay zero
-//	p.AttachWAL(log)                        // tee AddEdges into a durable log, write-ahead
+//	st.Log(name).AppendEdges(edges)         // journal a batch before p.AddEdges
 //
 // # Replication
 //
@@ -255,17 +255,19 @@
 //
 // # Static analysis
 //
-// The engine's cross-cutting invariants — no blocking work under a
-// guarded mutex, caller contexts threaded end to end, write-ahead
-// journaling before in-memory mutation, an allocation-free nil-tracer
-// fast path — are enforced by four custom analyzers in internal/lint,
-// packaged as the cmd/cfpqlint multichecker and run in CI:
+// Two cross-cutting invariants — no blocking work under a guarded mutex,
+// caller contexts threaded end to end — are enforced by two custom
+// analyzers in internal/lint, packaged as the cmd/cfpqlint multichecker and
+// run in CI:
 //
 //	go run ./cmd/cfpqlint ./...
 //
 // Deliberate exceptions carry an in-source justification via
 // `//lint:allow cfpqlint/<name> <why>`; the README's "Static analysis"
-// section documents each analyzer and the directive's scope.
+// section documents each analyzer and the directive's scope. Two more are
+// measured by tests rather than checked by syntax: write-ahead journaling
+// (a failed journal leaves no trace in the service) and an allocation-free
+// disabled trace (a per-pass malloc bound on the closure).
 //
 // Subpackages under internal/ implement the machinery: grammars and CNF
 // (internal/grammar), graphs, N-Triples and edge lists (internal/graph),

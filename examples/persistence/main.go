@@ -88,11 +88,14 @@ func run(w io.Writer) error {
 	}
 	fmt.Fprintf(w, "Persisted index: %d bytes\n", buf.Len())
 
-	// Tee subsequent mutations into the store's WAL, write-ahead: the
-	// fsync happens before the in-memory patch.
-	prep.AttachWAL(st.Log("deps"))
+	// Journal each mutation into the store's WAL write-ahead, as cfpqd
+	// does: the fsync happens before the in-memory patch.
 	fmt.Fprintln(w, "\nIncident! db starts importing vuln (journaled to the WAL):")
-	if _, err := prep.AddEdges(ctx, cfpq.Edge{From: id["db"], Label: "imports", To: id["vuln"]}); err != nil {
+	incident := []cfpq.Edge{{From: id["db"], Label: "imports", To: id["vuln"]}}
+	if err := st.Log("deps").AppendEdges(incident); err != nil {
+		return err
+	}
+	if _, err := prep.AddEdges(ctx, incident...); err != nil {
 		return err
 	}
 	for p := range prep.Pairs(ctx, "Dep") {

@@ -10,13 +10,14 @@ import (
 	"cfpq/internal/graphgen"
 )
 
-// allocated returns the heap bytes fn allocated, live or not.
-func allocated(fn func()) int64 {
+// allocated returns the heap bytes fn allocated, live or not, and the
+// number of heap objects it allocated them in.
+func allocated(fn func()) (bytes, mallocs int64) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	fn()
 	runtime.ReadMemStats(&after)
-	return int64(after.TotalAlloc - before.TotalAlloc)
+	return int64(after.TotalAlloc - before.TotalAlloc), int64(after.Mallocs - before.Mallocs)
 }
 
 // TestClosureAllocatesNothingPerPass guards the fixed cost of the fixpoint
@@ -25,8 +26,13 @@ func allocated(fn func()) int64 {
 // allocate what it holds — the two frontier sets, once, and the rows of the
 // pairs it derives — but nothing the size of the node range per pass or per
 // product: one n-row list per pass is 245 MB here (the in-place loop this
-// one replaced allocated 380 MB for the same 1 MB index). The bounds leave
-// a few times what the loop needs today.
+// one replaced allocated 380 MB for the same 1 MB index). The byte bounds
+// leave a few times what the loop needs today.
+//
+// The malloc bounds pin the count of heap objects instead, at today's
+// count plus half an object per pass: about three per pass go to the rows
+// of the derived pairs, and one more per pass — a trace argument built
+// while tracing is off, say fmt.Sprintf at the pass hook — breaks them.
 func TestClosureAllocatesNothingPerPass(t *testing.T) {
 	const n = 10_000
 	full, err := graphgen.Generate(graphgen.Spec{Kind: graphgen.KindChain, Nodes: n})
@@ -39,8 +45,12 @@ func TestClosureAllocatesNothingPerPass(t *testing.T) {
 
 	ix := e.Init(full, cnf)
 	var stats Stats
-	if got := allocated(func() { stats, err = e.CloseContext(ctx, ix) }); err != nil || got >= 16<<20 {
+	got, mallocs := allocated(func() { stats, err = e.CloseContext(ctx, ix) })
+	if err != nil || got >= 16<<20 {
 		t.Errorf("cold closure allocated %d bytes over %d passes (err %v), want < 16 MB", got, stats.Iterations, err)
+	}
+	if bound := int64(3124 + stats.Iterations/2); mallocs >= bound {
+		t.Errorf("cold closure made %d mallocs over %d passes, want < %d", mallocs, stats.Iterations, bound)
 	}
 	if stats.Iterations < 1000 {
 		t.Fatalf("the chain closed in %d passes: not the deep input this guard needs", stats.Iterations)
@@ -67,8 +77,12 @@ func TestClosureAllocatesNothingPerPass(t *testing.T) {
 	matrixBytes := int64(cnf.NonterminalCount()) * 24 * n
 	bound := 3*matrixBytes + 256<<10
 	var delta *Delta
-	if got := allocated(func() { stats, delta, err = e.UpdateContext(ctx, ix, joint) }); err != nil || got >= bound {
+	got, mallocs = allocated(func() { stats, delta, err = e.UpdateContext(ctx, ix, joint) })
+	if err != nil || got >= bound {
 		t.Errorf("one-edge update allocated %d bytes over %d passes (err %v), want < %d", got, stats.Iterations, err, bound)
+	}
+	if bound := int64(4170 + stats.Iterations/2); mallocs >= bound {
+		t.Errorf("one-edge update made %d mallocs over %d passes, want < %d", mallocs, stats.Iterations, bound)
 	}
 	if stats.Iterations < 1000 || len(delta.Pairs("S")) != ix.Count("S") || ix.Count("S") == 0 {
 		t.Fatalf("the joining edge derived %d of %d S-pairs in %d passes: not the deep update this guard needs",

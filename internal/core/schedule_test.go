@@ -330,7 +330,7 @@ func TestColdBuildBudgetCountsFrontier(t *testing.T) {
 			var ix *Index
 			var stats Stats
 			var err error
-			got := allocated(func() { ix, stats, err = e.RunContext(context.Background(), g, cnf) })
+			got, _ := allocated(func() { ix, stats, err = e.RunContext(context.Background(), g, cnf) })
 			var mbe *MemoryBudgetError
 			if !errors.As(err, &mbe) || mbe.BudgetBytes != budget || mbe.EstimatedBytes != 3*one {
 				t.Fatalf("%s: cold build under budget %d: err = %v, want *MemoryBudgetError for %d bytes", be.Name(), budget, err, 3*one)

@@ -240,7 +240,7 @@ func TestSinglePathHonoursBudgetAndCancellation(t *testing.T) {
 	for _, be := range matrix.Backends() {
 		e := NewEngine(WithBackend(be), WithMemoryBudget(be.EmptyBytes(n)))
 		var err error
-		got := allocated(func() { _, _, err = e.SinglePathContext(context.Background(), g, cnf) })
+		got, _ := allocated(func() { _, _, err = e.SinglePathContext(context.Background(), g, cnf) })
 		var mbe *MemoryBudgetError
 		if !errors.As(err, &mbe) {
 			t.Fatalf("%s: single-path build under one matrix's budget: %v, want *MemoryBudgetError", be.Name(), err)

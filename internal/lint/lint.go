@@ -6,10 +6,10 @@
 // data), runs Analyzers over the typed syntax, and filters diagnostics
 // through //lint:allow suppression comments.
 //
-// The analyzers themselves live in the subpackages lockscope, ctxflow,
-// walorder and tracealloc; cmd/cfpqlint is the multichecker
-// that runs them all. See the "Static analysis" section of the repository
-// README for what each one enforces and how to suppress a finding.
+// The analyzers themselves live in the subpackages lockscope and ctxflow;
+// cmd/cfpqlint is the multichecker that runs them both. See the "Static
+// analysis" section of the repository README for what each one enforces
+// and how to suppress a finding.
 package lint
 
 import (
@@ -86,26 +86,4 @@ func TypeName(t types.Type) string {
 		return n.Obj().Name()
 	}
 	return ""
-}
-
-// ReceiverBase peels a selector chain down to its base expression:
-// p.wal.AppendEdges -> p.wal -> p. It returns the innermost *ast.Ident,
-// or nil for non-identifier bases (function results, index expressions).
-func ReceiverBase(e ast.Expr) *ast.Ident {
-	for {
-		switch x := e.(type) {
-		case *ast.Ident:
-			return x
-		case *ast.SelectorExpr:
-			e = x.X
-		case *ast.ParenExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		default:
-			return nil
-		}
-	}
 }

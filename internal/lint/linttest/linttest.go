@@ -217,15 +217,3 @@ func splitQuoted(s string) ([]string, error) {
 	}
 	return out, nil
 }
-
-// CheckFixture type-checks the fixture without running any analyzer —
-// used to assert fixtures stay compilable as the tree's APIs move.
-func CheckFixture(t *testing.T, dir string) {
-	t.Helper()
-	fset := token.NewFileSet()
-	files, _ := parseFixture(t, fset, dir)
-	imp := lint.NewImporter(fset, exportData(t))
-	if _, _, err := lint.CheckFiles(fset, imp, "fixture/"+filepath.Base(dir), files); err != nil {
-		t.Fatalf("linttest: fixture %s does not type-check: %v", dir, err)
-	}
-}

@@ -58,7 +58,6 @@ var guardedTypes = map[string]bool{
 var journalReceivers = map[string]bool{
 	"Store": true,
 	"Log":   true,
-	"WAL":   true,
 }
 
 // journalMethods are the durable-I/O method names matched on

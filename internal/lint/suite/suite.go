@@ -4,11 +4,12 @@
 package suite
 
 import (
+	"slices"
+	"strings"
+
 	"cfpq/internal/lint"
 	"cfpq/internal/lint/ctxflow"
 	"cfpq/internal/lint/lockscope"
-	"cfpq/internal/lint/tracealloc"
-	"cfpq/internal/lint/walorder"
 )
 
 // All returns every analyzer, in diagnostic-stable order.
@@ -16,8 +17,6 @@ func All() []*lint.Analyzer {
 	return []*lint.Analyzer{
 		ctxflow.Analyzer,
 		lockscope.Analyzer,
-		tracealloc.Analyzer,
-		walorder.Analyzer,
 	}
 }
 
@@ -27,17 +26,17 @@ func ByName(spec string) ([]*lint.Analyzer, error) {
 	if spec == "" {
 		return All(), nil
 	}
-	byName := make(map[string]*lint.Analyzer)
-	for _, a := range All() {
-		byName[a.Name] = a
-	}
+	all := All()
 	var out []*lint.Analyzer
-	for _, name := range splitComma(spec) {
-		a, ok := byName[name]
-		if !ok {
+	for _, name := range strings.Split(spec, ",") {
+		if name == "" {
+			continue
+		}
+		i := slices.IndexFunc(all, func(a *lint.Analyzer) bool { return a.Name == name })
+		if i < 0 {
 			return nil, &UnknownAnalyzerError{Name: name}
 		}
-		out = append(out, a)
+		out = append(out, all[i])
 	}
 	return out, nil
 }
@@ -46,19 +45,9 @@ func ByName(spec string) ([]*lint.Analyzer, error) {
 type UnknownAnalyzerError struct{ Name string }
 
 func (e *UnknownAnalyzerError) Error() string {
-	return "unknown analyzer " + e.Name + " (have: ctxflow, lockscope, tracealloc, walorder)"
-}
-
-func splitComma(s string) []string {
-	var out []string
-	start := 0
-	for i := 0; i <= len(s); i++ {
-		if i == len(s) || s[i] == ',' {
-			if i > start {
-				out = append(out, s[start:i])
-			}
-			start = i + 1
-		}
+	names := make([]string, 0, len(All()))
+	for _, a := range All() {
+		names = append(names, a.Name)
 	}
-	return out
+	return "unknown analyzer " + e.Name + " (have: " + strings.Join(names, ", ") + ")"
 }

@@ -237,9 +237,10 @@ func (s *Service) subscribeHeartbeat() time.Duration {
 //	                                the client's Last-Event-ID on reconnect
 //	event: pairs                    one index update's new matching pairs:
 //	data: {"seq":..,"pairs":[{"from":..,"to":..}],"resync":true?}
-//	event: resync                   the served index handle went away
-//	                                (graph replaced/outgrown); re-query and
-//	                                reconnect without Last-Event-ID
+//	event: resync                   the served index was invalidated (graph
+//	                                or grammar replaced, or an over-budget
+//	                                update); re-query and reconnect without
+//	                                Last-Event-ID
 //	: hb                            heartbeat comment on an idle stream
 //
 // A reconnect carrying Last-Event-ID resumes within the handle's retained

@@ -15,6 +15,7 @@
 //	        wal                               CRC-framed AddEdges batches after baseSeq
 //	        epoch                             edge-stream identity (minted at create/replace)
 //	        indexes/<grammar>@<backend>.idx   evaluated index at a seq watermark
+//	    graphs/.new-<name>.*, .old-<name>/    a replacement mid-swap (see CreateGraphAt)
 //
 // Registry names are escaped for the filesystem (see encodeName); every
 // snapshot artifact carries a CRC trailer and is written atomically
@@ -77,6 +78,11 @@ const (
 	indexesDir      = "indexes"
 	grammarExt      = ".grammar"
 	indexExt        = ".idx"
+	// A graph replacement stages the new directory under stagedPrefix and
+	// retires the old one under retiredPrefix; encodeName never emits a
+	// leading '.', so neither can name a live graph.
+	stagedPrefix  = ".new-"
+	retiredPrefix = ".old-"
 )
 
 // Options tunes a Store.
@@ -204,8 +210,9 @@ type TailBatch struct {
 }
 
 // Open opens (creating if needed) a store rooted at dir and recovers its
-// state: every graph's snapshot is loaded and its WAL replayed, with torn
-// tails truncated to the last good record.
+// state: graph replacements a crash cut short are settled, every graph's
+// snapshot is loaded and its WAL replayed, with torn tails truncated to the
+// last good record.
 func Open(dir string, opts Options) (*Store, error) {
 	if opts.CompactBytes == 0 {
 		opts.CompactBytes = defaultCompactBytes
@@ -242,6 +249,9 @@ func Open(dir string, opts Options) (*Store, error) {
 		closed:       make(chan struct{}),
 		watchCh:      make(chan struct{}),
 		reservations: map[string]map[string]reservation{},
+	}
+	if err := settleSwaps(filepath.Join(dir, graphsDir)); err != nil {
+		return nil, err
 	}
 	entries, err := os.ReadDir(filepath.Join(dir, graphsDir))
 	if err != nil {
@@ -388,28 +398,21 @@ func (s *Store) CreateGraph(name string, g *graph.Graph, names []string) error {
 // leader's seq and epoch so its local edge-stream position and identity
 // line up with the leader's WAL; epoch 0 mints a fresh identity (the
 // leader/standalone case).
+//
+// The new graph is written and synced in a staging directory beside the
+// graph it replaces, then swapped in by two renames — the old directory to
+// .old-<enc>, the staged one to <enc> — and a sync of graphs/; only then is
+// the old WAL closed and .old-<enc> removed. A call that fails leaves the
+// old graph as it was, registered and writable, and Open settles a swap a
+// crash cut short (settleSwaps).
 func (s *Store) CreateGraphAt(name string, g *graph.Graph, names []string, seq, epoch uint64) error {
 	if name == "" {
 		return fmt.Errorf("store: empty graph name")
 	}
-	gdir := filepath.Join(s.dir, graphsDir, encodeName(name))
-	s.mu.Lock()
-	old := s.graphs[name]
-	s.mu.Unlock()
-	if old != nil {
-		old.mu.Lock()
-		defer old.mu.Unlock()
-		if old.wal != nil {
-			old.wal.Close()
-			old.wal = nil
-		}
-	}
-	if err := os.RemoveAll(gdir); err != nil {
-		return err
-	}
-	if err := os.MkdirAll(gdir, 0o755); err != nil {
-		return err
-	}
+	enc := encodeName(name)
+	graphs := filepath.Join(s.dir, graphsDir)
+	gdir := filepath.Join(graphs, enc)
+	retired := filepath.Join(graphs, retiredPrefix+enc)
 	if epoch == 0 {
 		epoch = mintEpoch()
 	}
@@ -424,30 +427,106 @@ func (s *Store) CreateGraphAt(name string, g *graph.Graph, names []string, seq, 
 		epoch:    epoch,
 		snapTime: time.Now(),
 	}
-	if err := writeFileAtomic(filepath.Join(gdir, "snapshot"), !s.opts.NoSync, func(w io.Writer) error {
-		return writeSnapshot(w, gl.g, gl.names.ByID(), seq)
-	}); err != nil {
-		return err
-	}
-	if err := writeEpochFile(gdir, epoch, !s.opts.NoSync); err != nil {
-		return err
-	}
-	wal, err := os.OpenFile(filepath.Join(gdir, "wal"), os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	sync := !s.opts.NoSync
+	stage, err := os.MkdirTemp(graphs, stagedPrefix+enc+".")
 	if err != nil {
 		return err
 	}
-	gl.wal = wal
-	if !s.opts.NoSync {
-		if err := syncDir(gdir); err != nil {
-			return err
+	var wal *os.File
+	// abort drops the staged graph. Its cleanup is best effort: Open removes
+	// a staging directory left behind.
+	abort := func(err error) error {
+		if wal != nil {
+			wal.Close()
+		}
+		os.RemoveAll(stage)
+		return err
+	}
+	if err := os.Chmod(stage, 0o755); err != nil {
+		return abort(err)
+	}
+	// The WAL comes first: the directory sync of the last atomic write then
+	// makes all three entries durable.
+	if wal, err = os.OpenFile(filepath.Join(stage, "wal"), os.O_RDWR|os.O_CREATE, 0o644); err != nil {
+		return abort(err)
+	}
+	if err := writeFileAtomic(filepath.Join(stage, "snapshot"), sync, func(w io.Writer) error {
+		return writeSnapshot(w, gl.g, gl.names.ByID(), seq)
+	}); err != nil {
+		return abort(err)
+	}
+	if err := writeEpochFile(stage, epoch, sync); err != nil {
+		return abort(err)
+	}
+
+	s.mu.Lock()
+	old := s.graphs[name]
+	s.mu.Unlock()
+	if old != nil {
+		old.mu.Lock()
+		defer old.mu.Unlock()
+	}
+	// A .old-<enc> found here is garbage of a finished swap whose removal
+	// failed; the graph at <enc> is the live one.
+	if err := os.RemoveAll(retired); err != nil {
+		return abort(err)
+	}
+	if err := os.Rename(gdir, retired); err != nil && !os.IsNotExist(err) {
+		return abort(err)
+	}
+	// On a failure from here the renames are undone, best effort: whatever
+	// state they leave, Open settles to the old graph or the new one.
+	err = os.Rename(stage, gdir)
+	if err == nil && sync {
+		if err = syncDir(graphs); err != nil {
+			os.Rename(gdir, stage)
 		}
 	}
+	if err != nil {
+		os.Rename(retired, gdir)
+		return abort(err)
+	}
+	if old != nil && old.wal != nil {
+		old.wal.Close()
+		old.wal = nil
+	}
+	os.RemoveAll(retired) // best effort: Open removes a leftover
+	gl.wal = wal
 	s.mu.Lock()
 	s.graphs[name] = gl
 	s.mu.Unlock()
 	s.snapshots.Add(1)
 	s.configVersion.Add(1)
 	s.changed()
+	return nil
+}
+
+// settleSwaps finishes or undoes the graph replacements a crash cut short
+// (see CreateGraphAt). A staging directory was never acknowledged and goes.
+// A retired directory goes when its replacement is in place, and moves
+// back when the crash came between the two renames.
+func settleSwaps(graphs string) error {
+	entries, err := os.ReadDir(graphs)
+	if err != nil {
+		return err
+	}
+	for _, ent := range entries {
+		path := filepath.Join(graphs, ent.Name())
+		live, retired := strings.CutPrefix(ent.Name(), retiredPrefix)
+		switch {
+		case strings.HasPrefix(ent.Name(), stagedPrefix):
+			err = os.RemoveAll(path)
+		case retired:
+			if _, err = os.Stat(filepath.Join(graphs, live)); err == nil {
+				err = os.RemoveAll(path)
+			} else if os.IsNotExist(err) {
+				err = os.Rename(path, filepath.Join(graphs, live))
+			}
+		}
+		if err != nil {
+			return err
+		}
+	}
 	return nil
 }
 
@@ -564,9 +643,8 @@ func (gl *graphLog) rewindOrFail() {
 	gl.wal = nil
 }
 
-// Log is an append handle bound to one graph, satisfying the cfpq
-// package's Prepared WAL interface: id-addressed edges are journaled as
-// decimal tokens.
+// Log is an append handle bound to one graph for library callers that
+// address nodes by id: edges are journaled as decimal tokens.
 type Log struct {
 	s    *Store
 	name string

@@ -590,3 +590,85 @@ func TestStatsReportsRecovery(t *testing.T) {
 		t.Errorf("graph stats: %+v", st.Graphs)
 	}
 }
+
+// TestInterruptedReplacementReopens builds by hand each on-disk state a
+// graph replacement passes through (see CreateGraphAt) and reopens it: the
+// store must come back with the old graph or the new one — the new one only
+// once its directory sits under the live name — never with an error, and
+// with no staging or retired directory left behind.
+func TestInterruptedReplacementReopens(t *testing.T) {
+	src := t.TempDir()
+	s := mustOpen(t, src)
+	g, names := sampleGraph()
+	if err := s.CreateGraph("old", g, names); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Append("old", []EdgeRecord{{From: "c", Label: "z", To: "d"}}); err != nil {
+		t.Fatal(err)
+	}
+	ng := graph.New(2)
+	ng.AddEdge(0, "w", 1)
+	if err := s.CreateGraph("new", ng, []string{"p", "q"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	type shape struct{ nodes, edges, seq int }
+	old, fresh := shape{4, 3, 1}, shape{2, 1, 0}
+
+	const live, staged, retired = "g", stagedPrefix + "g.123", retiredPrefix + "g"
+	for _, tc := range []struct {
+		name   string
+		layout map[string]string // graphs/ entry → source graph; "partial" is new's snapshot alone
+		want   shape
+	}{
+		{"staging", map[string]string{live: "old", staged: "partial"}, old},
+		{"staged", map[string]string{live: "old", staged: "new"}, old},
+		{"retired", map[string]string{retired: "old", staged: "new"}, old},
+		{"swapped", map[string]string{retired: "old", live: "new"}, fresh},
+		{"done", map[string]string{live: "new"}, fresh},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			for entry, from := range tc.layout {
+				dst := filepath.Join(dir, graphsDir, entry)
+				if from == "partial" {
+					raw, err := os.ReadFile(filepath.Join(src, graphsDir, "new", "snapshot"))
+					if err == nil {
+						err = os.MkdirAll(dst, 0o755)
+					}
+					if err == nil {
+						err = os.WriteFile(filepath.Join(dst, "snapshot"), raw, 0o644)
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					continue
+				}
+				if err := os.CopyFS(dst, os.DirFS(filepath.Join(src, graphsDir, from))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			s, err := Open(dir, testOpts)
+			if err != nil {
+				t.Fatalf("reopen: %v", err)
+			}
+			defer s.Close()
+			g, _, seq, err := s.GraphState("g")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := (shape{g.Nodes(), g.EdgeCount(), int(seq)}); got != tc.want {
+				t.Errorf("recovered %+v, want %+v", got, tc.want)
+			}
+			entries, err := os.ReadDir(filepath.Join(dir, graphsDir))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(entries) != 1 || entries[0].Name() != live {
+				t.Errorf("graphs/ holds %v after reopen, want only %q", entries, live)
+			}
+		})
+	}
+}

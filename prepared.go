@@ -20,7 +20,7 @@ import (
 // edge set and the index that is its closure), immutable once published.
 // A query pins the current version — the read lock is held for the pointer
 // load only — and answers from it without any lock. AddEdges is the one
-// writer at a time: it journals, builds the next version on a copy-on-write
+// writer at a time: it builds the next version on a copy-on-write
 // fork beside the readers (the closure only ever adds bits, so the version
 // they hold stays a sound, self-consistent relation), and publishes it by a
 // pointer swap under the write lock; edges that enlarge the node set are an
@@ -32,18 +32,16 @@ type Prepared struct {
 	cnf *CNF
 
 	// writer serialises AddEdges: one call at a time builds the next
-	// version. No reader takes it, so the WAL append and the update closure
-	// run under it without stalling a query. It guards wal and pending.
+	// version. No reader takes it, so the update closure runs under it
+	// without stalling a query. It guards pending.
 	writer sync.Mutex
-	wal    WAL // journal AddEdges tees into before anything else; may be nil
-	// pending holds the edges of abandoned updates: journaled and in the
-	// graph, but in no published index yet. The next update that succeeds
+	// pending holds the edges of abandoned updates: in the handle's graph,
+	// but in no published index yet. The next update that succeeds
 	// empties it; on an over-budget handle none does (see AddEdges).
 	pending []Edge
 
 	// mu guards the fields below. It is held to pin the current version or
-	// to swap in the next one — never across a closure, a WAL append or a
-	// worker fan-out.
+	// to swap in the next one — never across a closure.
 	mu      sync.RWMutex
 	cur     *version
 	subs    *subHub // live-query fan-out; created on first Subscribe/Close
@@ -60,28 +58,6 @@ type version struct {
 	g   *Graph // the edge set
 	ix  *Index // the closure of g's edges minus the handle's pending ones
 	num uint64 // indexes published before this one
-}
-
-// WAL is an append-only durability log a Prepared tees its mutations into
-// (see AttachWAL). The store package's per-graph Log satisfies it.
-type WAL interface {
-	// AppendEdges journals edges durably; an error means nothing may be
-	// considered persisted.
-	AppendEdges(edges []Edge) error
-}
-
-// AttachWAL tees every subsequent AddEdges into w, write-ahead: the batch
-// of genuinely new edges is journaled (and fsynced, for a durable log)
-// before the next version is even started, and a journaling error fails the
-// call with no in-memory effect. Readers are not held up by the append —
-// it runs under the writers' mutex only, and nothing un-journaled is ever
-// published. Attach at most one mutating handle per log — the log is a
-// single edge stream and replay assumes one interning history. A nil w
-// detaches.
-func (p *Prepared) AttachWAL(w WAL) {
-	p.writer.Lock()
-	defer p.writer.Unlock()
-	p.wal = w
 }
 
 // CNF returns the compiled grammar the handle was prepared with.
@@ -420,7 +396,6 @@ type UpdateInfo struct {
 	// empty, non-nil Delta; the successful call that later absorbs an
 	// abandoned update's edges reports their pairs too, so the
 	// concatenation of Deltas is always the exact history of the relation.
-	// Nil only when the call failed before journaling.
 	Delta *Delta `json:"-"`
 	// Swap is how long the call held the lock readers pin a version under
 	// — the pointer swap, the statistics and the subscription publish. It
@@ -429,10 +404,10 @@ type UpdateInfo struct {
 }
 
 // AddEdges inserts edges into the bound graph and publishes the version
-// that holds them: the new edges are journaled (AttachWAL), the current
-// index is forked, the fork is brought up to date with the incremental delta
-// closure (which grows it first when the edges enlarge the node set), and
-// the result replaces the current version in one swap. Calls serialise among
+// that holds them: the current index is forked, the fork is brought up to
+// date with the incremental delta closure (which grows it first when the
+// edges enlarge the node set), and the result replaces the current version
+// in one swap. Calls serialise among
 // themselves; queries, batches, WriteIndex and Stats proceed against the
 // version they pinned throughout and see the update all at once or not at
 // all.
@@ -442,23 +417,24 @@ type UpdateInfo struct {
 // (*MemoryBudgetError), which counts both live versions — is abandoned:
 // the call returns the error with an empty Delta, nothing is pushed to
 // subscribers, and every answer stays bit-identical to before the call.
-// The edges are not lost (they were journaled): they join the graph and
-// wait, and the next AddEdges — an empty one will do — runs the
-// incremental update for them together with its own edges, publishing and
-// pushing every pair exactly once.
+// The edges are not lost: they wait in the handle's graph, and the next
+// AddEdges — an empty one will do — runs the incremental update for them
+// together with its own edges, publishing and pushing every pair exactly
+// once.
 //
 // That retry recovers a cancelled update, not an over-budget one: the
 // budget is the engine's and fixed for the handle's life, and the retry
 // propagates a superset of the edges that did not fit. Such a handle keeps
-// serving its last version while every later call journals its edges, adds
-// them to the graph and to the waiting list — which grows without bound,
-// one entry per edge accepted since — re-runs the update as far as the
-// budget allows and returns the budget error again. Treat the first
+// serving its last version while every later call adds its edges to the
+// graph and to the waiting list — which grows without bound, one entry per
+// edge accepted since — re-runs the update as far as the budget allows and
+// returns the budget error again. Treat the first
 // *MemoryBudgetError as final for the handle and re-Prepare the graph under
 // a larger budget (cfpqd drops such a handle and rebuilds on the next
 // query).
 //
-// With a WAL attached, a journaling failure aborts the call cleanly.
+// Durability is the caller's: cfpqd journals a batch to its store before it
+// calls AddEdges.
 func (p *Prepared) AddEdges(ctx context.Context, edges ...Edge) (UpdateInfo, error) {
 	p.writer.Lock()
 	defer p.writer.Unlock()
@@ -478,13 +454,6 @@ func (p *Prepared) AddEdges(ctx context.Context, edges ...Edge) (UpdateInfo, err
 		}
 		seen[ed] = true
 		fresh = append(fresh, ed)
-	}
-	if p.wal != nil && len(fresh) > 0 {
-		// Write-ahead: journal before building anything, so an acknowledged
-		// batch is always recoverable and a failed one leaves no trace.
-		if err := p.wal.AppendEdges(fresh); err != nil {
-			return info, err
-		}
 	}
 	info.Added = len(fresh)
 	info.Delta = core.EmptyDelta(cur.ix)
@@ -507,8 +476,8 @@ func (p *Prepared) AddEdges(ctx context.Context, edges ...Edge) (UpdateInfo, err
 			info.Delta, seeds = delta, nil
 			info.Grown = ix.Nodes() > cur.ix.Nodes()
 		}
-		// On error the fork is dropped: the graph moves on (its edges are
-		// journaled), the index does not, and seeds stay pending.
+		// On error the fork is dropped: the graph moves on, the index does
+		// not, and seeds stay pending.
 	}
 	p.pending = seeds
 	// Materialise what subscribers are owed ahead of the swap — readers

@@ -321,60 +321,6 @@ func TestPreparedCancelledPatchRepairs(t *testing.T) {
 	}
 }
 
-// fakeWAL records journaled batches and can be told to fail.
-type fakeWAL struct {
-	batches [][]Edge
-	fail    error
-}
-
-func (f *fakeWAL) AppendEdges(edges []Edge) error {
-	if f.fail != nil {
-		return f.fail
-	}
-	cp := make([]Edge, len(edges))
-	copy(cp, edges)
-	f.batches = append(f.batches, cp)
-	return nil
-}
-
-func TestPreparedAttachWALTeesFreshEdges(t *testing.T) {
-	ctx := context.Background()
-	g := NewGraph(0)
-	g.AddEdge(0, "a", 1)
-	p := mustPrepare(t, NewEngine(Sparse), g, "S -> a S b | a b")
-	wal := &fakeWAL{}
-	p.AttachWAL(wal)
-
-	// Duplicates of existing edges and within-batch repeats must not be
-	// journaled: replaying the WAL over the original graph has to rebuild
-	// exactly the final edge multiset.
-	dup := Edge{From: 0, Label: "a", To: 1}
-	fresh := Edge{From: 1, Label: "b", To: 2}
-	if _, err := p.AddEdges(ctx, dup, fresh, fresh); err != nil {
-		t.Fatal(err)
-	}
-	if len(wal.batches) != 1 || !reflect.DeepEqual(wal.batches[0], []Edge{fresh}) {
-		t.Fatalf("journaled %v, want [[%v]]", wal.batches, fresh)
-	}
-	if !p.Has(context.Background(), "S", 0, 2) {
-		t.Error("patch missing after journaled AddEdges")
-	}
-
-	// A journal failure is write-ahead: no in-memory effect.
-	wal.fail = errors.New("disk gone")
-	if _, err := p.AddEdges(ctx, Edge{From: 2, Label: "a", To: 3}); err == nil {
-		t.Fatal("AddEdges succeeded with failing WAL")
-	}
-	if p.Nodes() != 3 {
-		t.Errorf("failed journal mutated the graph: %d nodes, want 3", p.Nodes())
-	}
-	// An all-duplicates batch journals nothing even while failing.
-	wal.fail = errors.New("still down")
-	if _, err := p.AddEdges(ctx, dup); err != nil {
-		t.Errorf("no-op batch hit the WAL: %v", err)
-	}
-}
-
 func TestPrepareFromIndexWarmStart(t *testing.T) {
 	ctx := context.Background()
 	g := NewGraph(0)
