@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math/rand"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"cfpq/internal/baseline"
+	"cfpq/internal/dataset"
 	"cfpq/internal/grammar"
 	"cfpq/internal/graph"
 	"cfpq/internal/graphgen"
@@ -137,5 +139,83 @@ func BenchmarkPathExtraction(b *testing.B) {
 		if _, ok := px.Path("S", lp.I, lp.J); !ok {
 			b.Fatal("missing path")
 		}
+	}
+}
+
+// coldWideCases are the cold builds of the end-to-end benchmark's
+// cold_wide workload, built in process: graphgen's 4096-node grid and
+// seeded 10⁵-node scale-free graph under S → a S b | a b, and the paper's
+// g3 under Query 1.
+func coldWideCases(tb testing.TB) []struct {
+	name string
+	g    *graph.Graph
+	cnf  *grammar.CNF
+} {
+	dyck := grammar.MustParseCNF("S -> a S b | a b")
+	grid, err := graphgen.Generate(graphgen.Spec{Kind: graphgen.KindGrid, Nodes: 4096})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	sf, err := graphgen.Generate(graphgen.Spec{Kind: graphgen.KindScaleFree, Nodes: 100_000, Degree: 3, Seed: 1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	g3, ok := dataset.ByName("g3")
+	if !ok {
+		tb.Fatal("no g3 dataset")
+	}
+	return []struct {
+		name string
+		g    *graph.Graph
+		cnf  *grammar.CNF
+	}{
+		{"grid4096", grid, dyck},
+		{"sf100k", sf, dyck},
+		{"g3q1", g3.Build(), grammar.MustCNF(dataset.Query1())},
+	}
+}
+
+// BenchmarkColdWide measures, per cold_wide case on the sparse backend, a
+// cold RunContext, the index's CFPQIDX2 encode into a bytes.Buffer, and
+// its decode with ReadIndex. Run with -benchmem: the allocation columns
+// are what a cold build costs the server's heap.
+func BenchmarkColdWide(b *testing.B) {
+	ctx := context.Background()
+	e := NewEngine()
+	for _, c := range coldWideCases(b) {
+		b.Run("run/"+c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := e.RunContext(ctx, c.g, c.cnf); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		ix, _, err := e.RunContext(ctx, c.g, c.cnf)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var file bytes.Buffer
+		if _, err := ix.WriteTo(&file); err != nil {
+			b.Fatal(err)
+		}
+		b.Run("write/"+c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.ReportMetric(float64(file.Len()), "file_B")
+			for i := 0; i < b.N; i++ {
+				var buf bytes.Buffer
+				if _, err := ix.WriteTo(&buf); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run("read/"+c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := ReadIndex(bytes.NewReader(file.Bytes()), c.cnf, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -31,6 +31,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -245,19 +246,25 @@ func (e *Engine) Backend() matrix.Backend { return e.backend }
 // Init builds the initial index: the matrix-initialisation step of
 // Algorithm 1 (lines 6–7). For every edge (i, x, j) and production A → x,
 // bit (i, j) of T_A is set. Multiple edges between the same nodes
-// contribute the union of their head non-terminals.
+// contribute the union of their head non-terminals. Each T_A is built in
+// one piece (matrix.Build) from the edges of every label it heads.
 func (e *Engine) Init(g *graph.Graph, cnf *grammar.CNF) *Index {
 	n := g.Nodes()
 	ix := &Index{cnf: cnf, n: n, backend: e.backend, mats: make([]matrix.Bool, cnf.NonterminalCount())}
 	for a := range ix.mats {
-		ix.mats[a] = e.backend.NewMatrix(n)
-	}
-	for t, as := range cnf.TermRules {
-		for _, edge := range g.EdgesWithLabel(t) {
-			for _, a := range as {
-				ix.mats[a].Set(edge.From, edge.To)
+		var labelled [][]graph.Edge
+		for t, as := range cnf.TermRules {
+			if slices.Contains(as, a) {
+				labelled = append(labelled, g.EdgesWithLabel(t))
 			}
 		}
+		ix.mats[a] = matrix.Build(e.backend, n, func(emit func(i, j int)) {
+			for _, edges := range labelled {
+				for _, edge := range edges {
+					emit(edge.From, edge.To)
+				}
+			}
+		})
 	}
 	return ix
 }

@@ -146,8 +146,8 @@ func (e *Engine) UpdateContext(ctx context.Context, ix *Index, edges ...graph.Ed
 // previous pass (or the seeding) added to the index, and next, the empty
 // set the coming pass fills. Both sets are allocated once per evaluation
 // and cleared and swapped from pass to pass. live[a] records that delta[a]
-// holds a bit; it is kept from what Set and AddMul report, never from an
-// Nnz sweep — on the dense backends a popcount of the whole bitmap.
+// holds a bit; it is kept from what Set, AddMul and Absorb report, never
+// from an Nnz sweep — on the dense backends a popcount of the whole bitmap.
 type frontier struct {
 	delta, next []matrix.Bool
 	live, grown []bool // grown is live's counterpart for next
@@ -185,7 +185,10 @@ func (e *Engine) admit(ix *Index, n int, stats *Stats) error {
 }
 
 // newFrontier allocates the loop's two matrix sets beside ix, from the
-// index's own backend; admit has budgeted them.
+// index's own backend; admit has budgeted them. Each matrix is cleared
+// once up front: a cleared matrix writes the rows of its next fill into
+// storage it keeps (matrix.Bool.Clear), so from the first pass on the
+// frontier's rows are not garbage of their own.
 func newFrontier(ix *Index) *frontier {
 	nn := len(ix.mats)
 	f := &frontier{
@@ -194,6 +197,8 @@ func newFrontier(ix *Index) *frontier {
 	}
 	for a := range f.delta {
 		f.delta[a], f.next[a] = ix.backend.NewMatrix(ix.n), ix.backend.NewMatrix(ix.n)
+		f.delta[a].Clear()
+		f.next[a].Clear()
 	}
 	return f
 }
@@ -250,7 +255,11 @@ func (e *Engine) closure(ctx context.Context, ix *Index, f *frontier, pt *passTr
 //
 //	next_A = (Δ_B × T_C  ∪  T_B × Δ_C) \ T_A
 //
-// ORs next into the index and makes it the coming pass's frontier. Any new
+// in one merge per row at the end (T_A.Absorb(next_A): T_A gains the
+// products, next_A keeps what was new to it), and makes next the coming
+// pass's frontier. The old Δ is cleared, and its storage holds the pass
+// after next's products: nothing outside the frontier keeps a row of it
+// — Absorb, Delta.or and the meet rule copy what they keep. Any new
 // entry must involve at least one newly added operand entry, so no product
 // the full T × T would find is missed; a product whose Δ operand is empty
 // is not run, and not counted, and while Δ is the whole index the two
@@ -324,8 +333,7 @@ func (e *Engine) step(ix *Index, f *frontier, stats *Stats) (products int, _ err
 	}
 	for a, m := range f.next {
 		if f.grown[a] {
-			m.AndNot(ix.mats[a]) // keep only genuinely new bits
-			f.grown[a] = ix.mats[a].Or(m)
+			f.grown[a] = ix.mats[a].Absorb(m)
 		}
 		if f.live[a] {
 			f.delta[a].Clear()

@@ -51,8 +51,12 @@ const indexMagic = "CFPQIDX2"
 var MaxIndexNodes = 1 << 26
 
 // WriteTo serialises the index in the CFPQIDX2 format, recording the
-// backend the matrices were allocated from.
+// backend the matrices were allocated from. A destination that can grow
+// (bytes.Buffer) is grown once, by the exact encoded length (encodedLen).
 func (ix *Index) WriteTo(w io.Writer) (int64, error) {
+	if g, ok := w.(interface{ Grow(int) }); ok {
+		g.Grow(int(ix.encodedLen()))
+	}
 	bw := bufio.NewWriter(w)
 	var written int64
 	// Every integer goes through one stack buffer: an entry is one 8-byte
@@ -113,6 +117,16 @@ func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 	return written, bw.Flush()
 }
 
+// encodedLen returns the length of the index's CFPQIDX2 encoding, computed
+// from the header fields and each relation's Nnz: 8 bytes an entry.
+func (ix *Index) encodedLen() int64 {
+	size := int64(len(indexMagic) + 2 + len(ix.backend.Name()) + 4 + 4)
+	for a, m := range ix.mats {
+		size += int64(2+len(ix.cnf.Names[a])+4) + 8*int64(m.Nnz())
+	}
+	return size
+}
+
 // readUint32 reads one little-endian uint32 through buf.
 func readUint32(br *bufio.Reader, buf *[8]byte) (uint32, error) {
 	if _, err := io.ReadFull(br, buf[:4]); err != nil {
@@ -137,8 +151,14 @@ func readString(br *bufio.Reader, buf *[8]byte) (string, error) {
 // supplied CNF must be the grammar the index was computed for:
 // non-terminal names and count are validated. Matrices are materialised
 // with the given backend; nil means the backend recorded in the file
-// (falling back to sparse for unknown names).
+// (falling back to sparse for unknown names). Each relation is decoded in
+// one piece (matrix.Load), and entries out of row-major order or repeated
+// — which WriteTo never writes — are rejected. A reader that reports its
+// unread length (bytes.Reader) vouches for each relation's entry count,
+// which is then allocated up front; a count its bytes cannot hold is
+// rejected before anything is allocated for it.
 func ReadIndex(r io.Reader, cnf *grammar.CNF, be matrix.Backend) (*Index, error) {
+	sized, _ := r.(interface{ Len() int })
 	br := bufio.NewReader(r)
 	magic := make([]byte, len(indexMagic))
 	if _, err := io.ReadFull(br, magic); err != nil {
@@ -188,20 +208,25 @@ func ReadIndex(r io.Reader, cnf *grammar.CNF, be matrix.Backend) (*Index, error)
 		if ix.mats[a] != nil {
 			return nil, fmt.Errorf("core: duplicate non-terminal %q in index", name)
 		}
-		m := be.NewMatrix(n)
-		nnz, err := readUint32(br, &rec)
+		nnz32, err := readUint32(br, &rec)
 		if err != nil {
 			return nil, err
 		}
-		for e := uint32(0); e < nnz; e++ {
+		nnz, reserve := int(nnz32), min(int(nnz32), 1<<16)
+		if sized != nil {
+			if left := sized.Len() + br.Buffered(); nnz > left/8 {
+				return nil, fmt.Errorf("core: %q declares %d entries, %d bytes remain", name, nnz, left)
+			}
+			reserve = nnz
+		}
+		m, err := matrix.Load(be, n, nnz, reserve, func() (int, int, error) {
 			if _, err := io.ReadFull(br, rec[:]); err != nil {
-				return nil, err
+				return 0, 0, err
 			}
-			i, j := binary.LittleEndian.Uint32(rec[:4]), binary.LittleEndian.Uint32(rec[4:])
-			if int(i) >= n || int(j) >= n {
-				return nil, fmt.Errorf("core: entry (%d,%d) out of range for %d nodes", i, j, n)
-			}
-			m.Set(int(i), int(j))
+			return int(binary.LittleEndian.Uint32(rec[:4])), int(binary.LittleEndian.Uint32(rec[4:])), nil
+		})
+		if err != nil {
+			return nil, fmt.Errorf("core: %q: %w", name, err)
 		}
 		ix.mats[a] = m
 	}

@@ -3,7 +3,10 @@ package core
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
+	"io"
 	"math/rand"
 	"strings"
 	"testing"
@@ -42,6 +45,47 @@ func TestIndexRoundTrip(t *testing.T) {
 						t.Fatalf("%s→%s: R_%s differs at %d", writeBE.Name(), readBE.Name(), nt, k)
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestIndexBytesPinned pins the CFPQIDX2 encoding of the paper's Figure 5
+// example, closed on each backend: however the relations are built and
+// held in memory, the bytes on disk do not move. The encoding also reads
+// back, through a reader that reports its length and through one that
+// does not, to an index that encodes to the same bytes.
+func TestIndexBytesPinned(t *testing.T) {
+	pins := map[string]string{
+		"dense":  "272378d27a67777bbb087bace35d6aa50c4eccfbccef9123414587154f9c1b1b",
+		"sparse": "b717781ffa1d313b88cfab433719492bee4e9496b9a573784bd3ab26caca5c5b",
+	}
+	cnf := grammar.MustParseCNF(paperCNF)
+	for _, be := range matrix.Backends() {
+		ix, _, err := NewEngine(WithBackend(be)).RunContext(context.Background(), paperGraph(), cnf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		n, err := ix.WriteTo(&buf)
+		if err != nil || n != int64(buf.Len()) || n != ix.encodedLen() {
+			t.Fatalf("%s: wrote %d bytes (err %v), buffer holds %d, encodedLen %d", be.Name(), n, err, buf.Len(), ix.encodedLen())
+		}
+		sum := sha256.Sum256(buf.Bytes())
+		if got := hex.EncodeToString(sum[:]); got != pins[be.Name()] {
+			t.Errorf("%s: CFPQIDX2 bytes hash to %s, pinned %s", be.Name(), got, pins[be.Name()])
+		}
+		for name, r := range map[string]io.Reader{
+			"sized":   bytes.NewReader(buf.Bytes()),
+			"unsized": io.MultiReader(bytes.NewReader(buf.Bytes())),
+		} {
+			got, err := ReadIndex(r, cnf, nil)
+			if err != nil {
+				t.Fatalf("%s %s: %v", be.Name(), name, err)
+			}
+			var again bytes.Buffer
+			if _, err := got.WriteTo(&again); err != nil || !bytes.Equal(again.Bytes(), buf.Bytes()) {
+				t.Errorf("%s %s: the decoded index encodes to other bytes (err %v)", be.Name(), name, err)
 			}
 		}
 	}

@@ -134,17 +134,21 @@ func (m *DenseMatrix) And(other Bool) bool {
 	return changed
 }
 
-// AndNot computes m &= ¬other.
-func (m *DenseMatrix) AndNot(other Bool) bool {
-	o := mustDense(other, m.n)
-	changed := false
-	for i, w := range o.words {
-		if nw := m.words[i] &^ w; nw != m.words[i] {
-			m.words[i] = nw
-			changed = true
-		}
+// Absorb computes m |= next and leaves next \ m (as it was) in next, a
+// word at a time.
+func (m *DenseMatrix) Absorb(next Bool) bool {
+	x := mustDense(next, m.n)
+	if x == m {
+		panic("matrix: Absorb of a matrix into itself")
 	}
-	return changed
+	var grew uint64
+	for k, w := range x.words {
+		fresh := w &^ m.words[k]
+		m.words[k] |= fresh
+		x.words[k] = fresh
+		grew |= fresh
+	}
+	return grew != 0
 }
 
 // Equal reports entry-wise equality.

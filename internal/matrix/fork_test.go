@@ -24,7 +24,8 @@ func TestForkLeavesOriginUntouched(t *testing.T) {
 		}},
 		{"Or", func(m, x, _ Bool, _ *rand.Rand) { m.Or(x) }},
 		{"And", func(m, x, _ Bool, _ *rand.Rand) { m.And(x) }},
-		{"AndNot", func(m, x, _ Bool, _ *rand.Rand) { m.AndNot(x) }},
+		{"Absorb", func(m, x, _ Bool, _ *rand.Rand) { m.Absorb(x.Clone()) }},
+		{"AbsorbInto", func(m, x, _ Bool, _ *rand.Rand) { x.Clone().Absorb(m) }},
 		{"AddMul", func(m, x, y Bool, _ *rand.Rand) { m.AddMul(x, y) }},
 		{"AddMulSelf", func(m, _, _ Bool, _ *rand.Rand) { m.AddMul(m, m) }},
 		{"Clear", func(m, _, _ Bool, _ *rand.Rand) { m.Clear() }},
@@ -65,7 +66,7 @@ func TestForkLeavesOriginUntouched(t *testing.T) {
 			// A fork of the written side starts the next generation.
 			next := written.Fork()
 			next.Set(0, 0)
-			next.AndNot(written)
+			written.Clone().Absorb(next)
 			if !written.Equal(reference) {
 				t.Fatalf("%s trial %d: second-generation fork wrote through", be.Name(), trial)
 			}

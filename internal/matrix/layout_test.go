@@ -38,9 +38,9 @@ func optimalStructSize(t reflect.Type) uintptr {
 // a test so a future field landing in the wrong slot fails here instead
 // of silently bloating every row header.
 //
-// SparseMatrix audit: n, rows, live, cols, walked, nnz (80 bytes of
-// word-sized fields) + two flags = 82, padded to 88; six more flags would
-// still fit. DenseMatrix audit: n, stride, words = 40, no padding.
+// SparseMatrix audit: n, rows, live, spare, cols, walked, nnz (104 bytes
+// of word-sized fields) + two flags = 106, padded to 112; six more flags
+// would still fit. DenseMatrix audit: n, stride, words = 40, no padding.
 func TestHotStructLayouts(t *testing.T) {
 	// The pins below assume a 64-bit platform; skip loudly elsewhere.
 	if ptr := unsafe.Sizeof(uintptr(0)); ptr != 8 {
@@ -51,7 +51,7 @@ func TestHotStructLayouts(t *testing.T) {
 		typ  reflect.Type
 		size uintptr
 	}{
-		{"SparseMatrix", reflect.TypeOf(SparseMatrix{}), 88},
+		{"SparseMatrix", reflect.TypeOf(SparseMatrix{}), 112},
 		{"DenseMatrix", reflect.TypeOf(DenseMatrix{}), 40},
 		{"Pair", reflect.TypeOf(Pair{}), 16},
 	}

@@ -5,8 +5,8 @@
 // the small surface the closure loop needs:
 //
 //	dst |= a × b   (Boolean semiring: AND for ×, OR for +)
-//	dst |= src
-//	nnz, equality, iteration
+//	dst |= src, and src \= dst beforehand (Absorb)
+//	nnz, equality, iteration, bulk construction (Build, Load)
 //
 // The Backend/Bool pair lets the query engine stay agnostic of the
 // representation; the two backends stand in for the paper's matrix
@@ -23,20 +23,22 @@ package matrix
 // Versions. Fork is how a serving layer derives the next version of a
 // matrix beside readers of the current one, and it rests on one invariant:
 // a row slice reachable from a published version is never written again.
-// The sparse mutators keep it by construction — Or, And, AndNot, AddMul,
+// The sparse mutators keep it by construction — Or, And, Absorb, AddMul,
 // Clear and Grow replace a row (or the row list) with a fresh or an
-// untouched slice, never edit one — and Set, the one mutator that inserts
-// in place, replaces the row too on a matrix that has been forked. The
-// reads of a published version (Get, Range, RangeRow, Nnz, Bytes, Dim)
-// touch no field Fork or a writer writes. A sparse fork also shares its
-// origin's column index (below), which every writer of the line appends
-// to: sound because a line of versions has one writer at a time, and
-// those reads never look at the index.
+// untouched slice — and the three that write in place do so only on a
+// matrix nobody else reads: Set, which inserts in place, replaces the row
+// too on a matrix that has been forked; Absorb trims its argument in place
+// and Clear hands its rows' storage to the next fill, which Fork takes
+// away from both sides. The reads of a published version (Get, Range, RangeRow,
+// Nnz, Bytes, Dim) touch no field Fork or a writer writes. A sparse fork
+// also shares its origin's column index (below), which every writer of the
+// line appends to: sound because a line of versions has one writer at a
+// time, and those reads never look at the index.
 //
 // Live rows. A sparse matrix lists its non-empty rows — each exactly once,
 // kept where rows are written — and every operation that only concerns
-// rows holding a bit (AddMul over its left operand, Or over its argument,
-// And, AndNot, Clear, Clone, Equal) walks that list, not all n row
+// rows holding a bit (AddMul over its left operand, Or and Absorb over
+// their argument, And, Clear, Clone, Equal) walks that list, not all n row
 // headers: an operation on a nearly empty matrix costs what the matrix
 // holds, whatever its dimension. A product whose right operand holds fewer
 // live rows walks instead the left operand's column → rows index, once
@@ -65,18 +67,24 @@ type Bool interface {
 	AddMul(a, b Bool) bool
 	// Clear empties the matrix, keeping its storage for the next fill, in
 	// time proportional to what it holds (a dense matrix holds its whole
-	// bitmap). It is how the closure reuses its frontier matrices
-	// from pass to pass.
+	// bitmap): a sparse matrix writes the rows of its next fill into the
+	// storage of the rows it held since its last Fork, if any. So a row
+	// taken from a matrix is dead once the matrix is cleared, and whatever
+	// keeps one — Absorb, Or, Clone — copies it. It is how the closure
+	// reuses its frontier matrices from pass to pass.
 	Clear()
 	// Or computes m |= other and reports whether m changed.
 	Or(other Bool) bool
 	// And computes m &= other (intersection) and reports whether m
 	// changed. Used by the conjunctive-grammar extension.
 	And(other Bool) bool
-	// AndNot computes m &= ¬other (set difference) and reports whether m
-	// changed. Used by the semi-naive pass of the source-restricted
-	// closure and of incremental updates to keep only genuinely new bits.
-	AndNot(other Bool) bool
+	// Absorb computes m |= next and leaves in next only the bits that were
+	// new to m (next \ m, taken before the union), in one pass over next's
+	// rows; it reports whether m grew. It is the tail of every semi-naive
+	// pass: T_A absorbs the pass's products, and what is left of them is
+	// the next pass's Δ_A. next must not be m; it is written, so it must
+	// not be in a concurrent product either.
+	Absorb(next Bool) bool
 	// Equal reports whether m and other have identical entries.
 	Equal(other Bool) bool
 	// Grow resizes the matrix in place to n×n (n ≥ Dim), preserving every
@@ -145,6 +153,45 @@ func Pairs(m Bool) []Pair {
 	out := make([]Pair, 0, m.Nnz())
 	m.Range(func(i, j int) bool {
 		out = append(out, Pair{i, j})
+		return true
+	})
+	return out
+}
+
+// Build returns an n×n matrix of backend be holding the entries each
+// reports through emit, in any order and with repeats allowed. each runs
+// more than once — a sparse matrix counts its entries before it places
+// them, in one exactly sized array with each row a capped window of it —
+// and must report the same entries every time. It is how the cold build's
+// Init fills a relation from the edges of several labels.
+func Build(be Backend, n int, each func(emit func(i, j int))) Bool {
+	return convert(be, buildSparse(n, each))
+}
+
+// Load returns an n×n matrix of backend be holding the nnz entries next
+// returns, which must come in row-major order without repeats: an entry
+// out of order, repeated or out of range is an error, as is one next
+// fails to return. A sparse matrix stores them in one array, each row a
+// capped window of it, allocated up front for reserve entries (at most
+// nnz) and grown past them as entries arrive: a caller that cannot vouch
+// for nnz — an index file's header, say — reserves less. It is how
+// ReadIndex decodes a relation.
+func Load(be Backend, n, nnz, reserve int, next func() (i, j int, err error)) (Bool, error) {
+	m, err := loadSparse(n, nnz, reserve, next)
+	if err != nil {
+		return nil, err
+	}
+	return convert(be, m), nil
+}
+
+// convert returns m, or a copy of it on another backend.
+func convert(be Backend, m *SparseMatrix) Bool {
+	if _, ok := be.(sparseBackend); ok {
+		return m
+	}
+	out := be.NewMatrix(m.n)
+	m.Range(func(i, j int) bool {
+		out.Set(i, j)
 		return true
 	})
 	return out

@@ -384,12 +384,16 @@ func TestQuickDenseSparseMulEquivalence(t *testing.T) {
 }
 
 // TestQuickUnionSorted checks the sparse row-merge helper on arbitrary
-// sorted inputs.
+// sorted inputs, on a matrix with and without spare storage.
 func TestQuickUnionSorted(t *testing.T) {
 	f := func(xs, ys []uint16) bool {
 		a := uniqSorted(xs)
 		b := uniqSorted(ys)
-		merged, grew := unionSorted(a, b)
+		var m SparseMatrix
+		if len(xs)%2 == 1 {
+			m.Clear() // rows go into spare storage from here on
+		}
+		merged, grew := m.union(a, b)
 		// Reference: set union.
 		set := map[int32]bool{}
 		for _, x := range a {

@@ -49,6 +49,19 @@ func equalGrid(a, b [][]bool) bool {
 	return slices.EqualFunc(a, b, func(x, y []bool) bool { return slices.Equal(x, y) })
 }
 
+// countGrid returns the number of set entries of a grid.
+func countGrid(g [][]bool) int {
+	count := 0
+	for _, row := range g {
+		for _, on := range row {
+			if on {
+				count++
+			}
+		}
+	}
+	return count
+}
+
 // growGrid returns a copy of g padded with empty rows and columns to n×n.
 func growGrid(g [][]bool, n int) [][]bool {
 	out := make([][]bool, n)
@@ -76,7 +89,7 @@ func runMatrixModel(t *testing.T, be Backend, data []byte) {
 	}
 	for step := 0; !p.done(); step++ {
 		d := &slots[p.next(len(slots))]
-		x, y := slots[p.next(len(slots))], slots[p.next(len(slots))]
+		x, y := &slots[p.next(len(slots))], &slots[p.next(len(slots))]
 		// Mutators that report a change: d's grid becomes want, and the
 		// matrix's answer is held against whether that moved it.
 		changes := func(name string, got bool, want [][]bool) {
@@ -86,13 +99,13 @@ func runMatrixModel(t *testing.T, be Backend, data []byte) {
 			d.g = want
 		}
 		// The mutators that can drop a bit drop the column index with it.
-		dropsIndex := func(name string, changed bool) {
-			if sm, ok := d.m.(*SparseMatrix); ok && changed && sm.cols != nil {
+		dropsIndex := func(name string, m Bool, changed bool) {
+			if sm, ok := m.(*SparseMatrix); ok && changed && sm.cols != nil {
 				t.Fatalf("%s step %d: %s dropped a bit and kept the column index", be.Name(), step, name)
 			}
 		}
 		var name string
-		switch p.next(11) {
+		switch p.next(13) {
 		case 0:
 			name = "Set"
 			for k := 1 + p.next(6); k > 0; k-- {
@@ -109,13 +122,22 @@ func runMatrixModel(t *testing.T, be Backend, data []byte) {
 			want := andGrid(d.g, x.g)
 			changed := d.m.And(x.m)
 			changes(name, changed, want)
-			dropsIndex(name, changed)
+			dropsIndex(name, d.m, changed)
 		case 3:
-			name = "AndNot"
-			want := andNotGrid(d.g, x.g)
-			changed := d.m.AndNot(x.m)
-			changes(name, changed, want)
-			dropsIndex(name, changed)
+			// d absorbs x: d's grid gains x's, x keeps what was new to d.
+			name = "Absorb"
+			if x == d {
+				break
+			}
+			fresh := andNotGrid(x.g, d.g)
+			want := orGrid(d.g, x.g)
+			grew := d.m.Absorb(x.m)
+			changes(name, grew, want)
+			if grew != (countGrid(fresh) > 0) {
+				t.Fatalf("%s step %d: Absorb reported grew=%v, leaving %d new bits", be.Name(), step, grew, countGrid(fresh))
+			}
+			dropsIndex(name, x.m, !equalGrid(x.g, fresh))
+			x.g = fresh
 		case 4, 5:
 			// Any of d, x, y may be one matrix: m.AddMul(m, x), m.AddMul(x, m)
 			// and m.AddMul(m, m) all read the operands as they were.
@@ -126,7 +148,7 @@ func runMatrixModel(t *testing.T, be Backend, data []byte) {
 			name = "Clear"
 			d.m.Clear()
 			d.g = growGrid(nil, n)
-			dropsIndex(name, true)
+			dropsIndex(name, d.m, true)
 		case 7:
 			name = "Grow"
 			if grown := n + 1 + p.next(24); grown <= maxModelDim {
@@ -150,22 +172,26 @@ func runMatrixModel(t *testing.T, be Backend, data []byte) {
 			if sm, ok := d.m.(*SparseMatrix); ok && sm.cols == nil && sm.nnz > 0 {
 				sm.cols = sm.buildCols()
 			}
+		case 11, 12:
+			// A cleared matrix writes its next fill over its old rows'
+			// storage: every matrix that took bits from them — by Absorb,
+			// Or, Clone or a product — must have copied them, which the
+			// comparison below checks for all four.
+			name = "Refill"
+			d.m.Clear()
+			d.g = growGrid(nil, n)
+			want := orGrid(refMul(x.g, y.g), y.g)
+			d.m.AddMul(x.m, y.m)
+			d.m.Or(y.m)
+			d.g = want
 		}
 		for s, sl := range slots {
 			if !equalGrid(toBool(sl.m), sl.g) {
 				t.Fatalf("%s step %d: after %s matrix %d differs from the model\ngot  %v\nwant %v",
 					be.Name(), step, name, s, toBool(sl.m), sl.g)
 			}
-			count := 0
-			for _, row := range sl.g {
-				for _, on := range row {
-					if on {
-						count++
-					}
-				}
-			}
-			if sl.m.Nnz() != count {
-				t.Fatalf("%s step %d: after %s matrix %d has Nnz %d, the model %d", be.Name(), step, name, s, sl.m.Nnz(), count)
+			if count := countGrid(sl.g); sl.m.Nnz() != count {
+				t.Fatalf("%s step %d: after %s matrix %d has Nnz %d, the model %d", be.Name(), step, name, s, sl.m.Nnz(), countGrid(sl.g))
 			}
 			if eq := equalGrid(sl.g, slots[0].g); sl.m.Equal(slots[0].m) != eq {
 				t.Fatalf("%s step %d: after %s matrix %d Equal matrix 0 = %v, the model %v", be.Name(), step, name, s, !eq, eq)

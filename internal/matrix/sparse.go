@@ -20,13 +20,19 @@ type SparseMatrix struct {
 	// live lists the non-empty rows, each exactly once, in no particular
 	// order: what a product, a union or a Clear walks in place of all n row
 	// headers. Set and setRow append a row when it gains its first entry;
-	// And, AndNot and Clear, the mutators that can empty one, drop it.
+	// And, Absorb (of its argument) and Clear, the mutators that can empty
+	// one, drop it.
 	live []int32
+	// spare is the row storage a Clear kept: rows the next fill writes are
+	// capped windows of it (newRow), and once it is full of a larger one.
+	// nil until the first Clear, and again after a Fork.
+	spare []int32
 	// cols is the column → rows companion, nil until a product builds it
 	// (productRows). It may list rows that do not hold the column but never
-	// misses one that does: Set and setRow append to it, And, AndNot and
-	// Clear drop it, Clone leaves it behind and Fork shares it, so every
-	// holder's writes land in one superset of each holder's entries.
+	// misses one that does: Set and setRow append to it, And, Absorb (of
+	// its argument) and Clear drop it, Clone leaves it behind and Fork
+	// shares it, so every holder's writes land in one superset of each
+	// holder's entries.
 	cols *colIndex
 	// walked counts the live rows products walked where cols could have
 	// served, until they pay for building it.
@@ -84,9 +90,10 @@ func (m *SparseMatrix) Get(i, j int) bool {
 }
 
 // Set inserts entry (i, j), keeping the row sorted. The row is shifted in
-// place — the cold build's Init pays no allocation per edge — unless the
-// matrix shares its rows with a fork, in which case the row is replaced by
-// a copy and the shared slice stays as its other holders see it.
+// place, or moved out of a capped window (Build, Load, Clone, newRow) into
+// a slice of its own, unless the matrix shares its rows with a fork: then
+// the row is replaced by a copy and the shared slice stays as its other
+// holders see it.
 func (m *SparseMatrix) Set(i, j int) {
 	m.check(i, j)
 	row := m.rows[i]
@@ -103,7 +110,7 @@ func (m *SparseMatrix) Set(i, j int) {
 		return
 	}
 	if len(row) == 0 {
-		m.live = append(m.live, int32(i))
+		m.list(int32(i))
 	}
 	row = append(row, 0)
 	copy(row[k+1:], row[k:])
@@ -119,7 +126,7 @@ func (m *SparseMatrix) Set(i, j int) {
 // row — first taking private copies of the row list and the live list if a
 // fork still reads these ones. A row that gains its first entry joins the
 // live list; one that loses its last stays listed until the caller (And,
-// AndNot) drops it. A row that grows is listed under its new columns.
+// Absorb) drops it. A row that grows is listed under its new columns.
 func (m *SparseMatrix) setRow(i int, row []int32) {
 	if m.borrowed {
 		m.rows, m.live = slices.Clone(m.rows), slices.Clone(m.live)
@@ -127,7 +134,7 @@ func (m *SparseMatrix) setRow(i int, row []int32) {
 	}
 	old := m.rows[i]
 	if len(old) == 0 && len(row) > 0 {
-		m.live = append(m.live, int32(i))
+		m.list(int32(i))
 	}
 	if m.cols != nil && len(row) > len(old) {
 		m.cols.list(int32(i), row, old)
@@ -136,8 +143,22 @@ func (m *SparseMatrix) setRow(i int, row []int32) {
 	m.rows[i] = row
 }
 
+// list appends row i to the live list, doubling the list when it is full:
+// append grows a long list by a quarter, copying it every few rows that
+// join it, and a closure's T_A gains rows pass after pass.
+func (m *SparseMatrix) list(i int32) {
+	if len(m.live) == cap(m.live) {
+		m.live = slices.Grow(m.live, min(max(len(m.live), 8), m.n-len(m.live)))
+	}
+	m.live = append(m.live, i)
+}
+
 // Clear empties the matrix in time proportional to the rows it holds,
-// keeping the row list and the live list's capacity for the next fill.
+// keeping the row list, the live list's capacity and the spare storage of
+// its rows for the next fill: the first Clear starts a spare array the
+// size of what the matrix held, later ones reuse it. Rows of the matrix
+// taken before a Clear are dead after it: their storage is written again.
+// Rows a fork shares are not: Fork drops the spare storage of both sides.
 func (m *SparseMatrix) Clear() {
 	if m.borrowed {
 		// The lists are a fork's to read: leave them, start fresh ones.
@@ -146,6 +167,10 @@ func (m *SparseMatrix) Clear() {
 	for _, i := range m.live {
 		m.rows[i] = nil
 	}
+	if m.spare == nil {
+		m.spare = make([]int32, 0, m.nnz) // non-nil even when empty
+	}
+	m.spare = m.spare[:0]
 	m.live, m.nnz = m.live[:0], 0
 	m.cols, m.walked = nil, 0
 }
@@ -156,6 +181,7 @@ func (m *SparseMatrix) Nnz() int { return m.nnz }
 // Bytes estimates the heap bytes of the row storage — 24 bytes per row
 // slice header plus 4 bytes per stored column index — and as much again
 // for a companion the matrix holds (what other holders listed is theirs).
+// Spare storage a Clear kept counts only as far as rows fill it.
 func (m *SparseMatrix) Bytes() int64 {
 	if m.cols != nil {
 		return 2 * m.rowBytes()
@@ -194,7 +220,8 @@ func (m *SparseMatrix) Grow(n int) {
 	}
 }
 
-// Clone returns an independent copy, without the companion.
+// Clone returns an independent copy, without the companion, its rows
+// capped windows of one array.
 func (m *SparseMatrix) Clone() Bool {
 	cp := &SparseMatrix{
 		n:    m.n,
@@ -202,8 +229,10 @@ func (m *SparseMatrix) Clone() Bool {
 		live: slices.Clone(m.live),
 		nnz:  m.nnz,
 	}
+	flat := make([]int32, 0, m.nnz)
 	for _, i := range m.live {
-		cp.rows[i] = slices.Clone(m.rows[i])
+		flat = append(flat, m.rows[i]...)
+		cp.rows[i] = flat[len(flat)-len(m.rows[i]) : len(flat) : len(flat)]
 	}
 	return cp
 }
@@ -212,9 +241,10 @@ func (m *SparseMatrix) Clone() Bool {
 // and live list are shared, and both sides are marked so — whichever is
 // mutated next copies the lists (O(n), once) before its first write and
 // leaves every shared row slice as the other reads it. Both sides append
-// to the one companion.
+// to the one companion; neither keeps spare storage, which both would
+// write.
 func (m *SparseMatrix) Fork() Bool {
-	m.shared, m.borrowed = true, true
+	m.shared, m.borrowed, m.spare = true, true, nil
 	cp := *m
 	return &cp
 }
@@ -261,7 +291,7 @@ func (m *SparseMatrix) Or(other Bool) bool {
 	o := mustSparse(other, m.n)
 	changed := false
 	for _, i := range o.live {
-		if merged, grew := unionSorted(m.rows[i], o.rows[i]); grew {
+		if merged, grew := m.union(m.rows[i], o.rows[i]); grew {
 			m.setRow(int(i), merged)
 			changed = true
 		}
@@ -269,22 +299,12 @@ func (m *SparseMatrix) Or(other Bool) bool {
 	return changed
 }
 
-// And computes m &= other.
+// And computes m &= other, and unlists the rows it emptied.
 func (m *SparseMatrix) And(other Bool) bool {
-	return m.keepRows(mustSparse(other, m.n), intersectSorted)
-}
-
-// AndNot computes m &= ¬other.
-func (m *SparseMatrix) AndNot(other Bool) bool {
-	return m.keepRows(mustSparse(other, m.n), differenceSorted)
-}
-
-// keepRows replaces every live row by keep(row, o's row) — a subset of it,
-// returned as-is when nothing is dropped — and unlists the rows it emptied.
-func (m *SparseMatrix) keepRows(o *SparseMatrix, keep func(a, b []int32) []int32) bool {
+	o := mustSparse(other, m.n)
 	changed := false
 	for _, i := range m.live {
-		if kept := keep(m.rows[i], o.rows[i]); len(kept) != len(m.rows[i]) {
+		if kept := intersectSorted(m.rows[i], o.rows[i]); len(kept) != len(m.rows[i]) {
 			m.setRow(int(i), kept)
 			changed = true
 		}
@@ -294,6 +314,76 @@ func (m *SparseMatrix) keepRows(o *SparseMatrix, keep func(a, b []int32) []int32
 		m.cols, m.walked = nil, 0 // dropped bits would stay listed
 	}
 	return changed
+}
+
+// Absorb computes m |= next and leaves in next only the bits that were new
+// to m, in one merge per row of next (absorbRow); it reports whether m
+// grew — whether next still holds a bit. m's grown rows are fresh copies,
+// as every mutator but Set writes them (see Bool's invariant); next's are
+// trimmed in place, unless next shares them with a fork. next must not be
+// m.
+func (m *SparseMatrix) Absorb(next Bool) bool {
+	x := mustSparse(next, m.n)
+	if x == m {
+		panic("matrix: Absorb of a matrix into itself")
+	}
+	dropped := false
+	for _, i := range x.live {
+		row := x.rows[i]
+		if x.shared {
+			row = slices.Clone(row)
+		}
+		union, fresh := absorbRow(m.rows[i], row)
+		if union != nil {
+			m.setRow(int(i), union)
+		}
+		if len(fresh) != len(x.rows[i]) {
+			x.setRow(int(i), fresh)
+			dropped = true
+		}
+	}
+	if dropped {
+		x.live = slices.DeleteFunc(x.live, func(i int32) bool { return len(x.rows[i]) == 0 })
+		x.cols, x.walked = nil, 0
+	}
+	return x.nnz > 0
+}
+
+// absorbRow merges x into t (sorted unique slices) in one pass. It returns
+// t ∪ x in a fresh slice — nil when x adds nothing to t — and x \ t,
+// written over x's own prefix. The union is allocated at the first bit of
+// x missing from t, sized for the rest of x to be new as well.
+func absorbRow(t, x []int32) (union, fresh []int32) {
+	if len(t) == 0 {
+		return slices.Clone(x), x
+	}
+	w, ti := 0, 0
+	for xi, c := range x {
+		for ti < len(t) && t[ti] < c {
+			if union != nil {
+				union = append(union, t[ti])
+			}
+			ti++
+		}
+		if ti < len(t) && t[ti] == c {
+			if union != nil {
+				union = append(union, c)
+			}
+			ti++
+			continue
+		}
+		if union == nil {
+			union = make([]int32, ti, len(t)+len(x)-xi)
+			copy(union, t)
+		}
+		union = append(union, c)
+		x[w] = c
+		w++
+	}
+	if union == nil {
+		return nil, x[:0]
+	}
+	return append(union, t[ti:]...), x[:w]
 }
 
 // intersectSorted returns a ∩ b for sorted unique slices. When nothing is
@@ -333,36 +423,6 @@ func intersectSorted(a, b []int32) []int32 {
 	return out
 }
 
-// differenceSorted returns a \ b for sorted unique slices. When nothing is
-// dropped, a is returned as-is.
-func differenceSorted(a, b []int32) []int32 {
-	dropped := 0
-	j := 0
-	for _, x := range a {
-		for j < len(b) && b[j] < x {
-			j++
-		}
-		if j < len(b) && b[j] == x {
-			dropped++
-		}
-	}
-	if dropped == 0 {
-		return a
-	}
-	out := make([]int32, 0, len(a)-dropped)
-	j = 0
-	for _, x := range a {
-		for j < len(b) && b[j] < x {
-			j++
-		}
-		if j < len(b) && b[j] == x {
-			continue
-		}
-		out = append(out, x)
-	}
-	return out
-}
-
 // AddMul computes m |= a × b with merge-based row products over the rows
 // productRows picks — a's live rows, or fewer found through a's companion —
 // and an empty operand returns at once. A row that grew is written
@@ -385,7 +445,7 @@ func (m *SparseMatrix) AddMul(a, b Bool) bool {
 		changed bool
 	)
 	for _, i := range sa.productRows(sb) {
-		grown, grew := unionSorted(m.rows[i], rm.productRow(sa, sb, int(i)))
+		grown, grew := m.union(m.rows[i], rm.productRow(sa, sb, int(i)))
 		if !grew {
 			continue
 		}
@@ -441,6 +501,76 @@ func (a *SparseMatrix) productRows(b *SparseMatrix) []int32 {
 	slices.Sort(cand)
 	c.cand = slices.Compact(cand)
 	return c.cand
+}
+
+// buildSparse is Build on the sparse backend: one pass counts the entries,
+// one counts each row's in its header's length over the backing array and
+// lists the rows it reaches, one places them; then each row is sorted and
+// its repeats dropped. Only listed rows are visited after the counting, so
+// the cost past the header allocation is the entries', not n's. The live
+// list, like loadSparse's, is sized for the most rows the entries can
+// fill.
+func buildSparse(n int, each func(emit func(i, j int))) *SparseMatrix {
+	m := &SparseMatrix{n: n, rows: make([][]int32, n)}
+	total := 0
+	each(func(i, j int) {
+		m.check(i, j)
+		total++
+	})
+	flat, rows := make([]int32, total), m.rows
+	m.live = make([]int32, 0, min(total, n))
+	each(func(i, _ int) {
+		if len(rows[i]) == 0 {
+			m.live = append(m.live, int32(i))
+		}
+		rows[i] = flat[:len(rows[i])+1]
+	})
+	off := 0
+	for _, i := range m.live {
+		k := len(rows[i])
+		rows[i] = flat[off:off]
+		off += k
+	}
+	each(func(i, j int) { rows[i] = append(rows[i], int32(j)) })
+	for _, i := range m.live {
+		r := rows[i]
+		slices.Sort(r)
+		r = slices.Compact(r)
+		rows[i] = r[:len(r):len(r)]
+		m.nnz += len(r)
+	}
+	return m
+}
+
+// loadSparse is Load on the sparse backend: the entries go into one array
+// of reserve capacity, in order, each row closed as a capped window of it
+// when the next begins.
+func loadSparse(n, nnz, reserve int, next func() (i, j int, err error)) (*SparseMatrix, error) {
+	m := &SparseMatrix{n: n, rows: make([][]int32, n), live: make([]int32, 0, min(reserve, nnz, n)), nnz: nnz}
+	flat := make([]int32, 0, min(reserve, nnz))
+	row, start := -1, 0
+	for range nnz {
+		i, j, err := next()
+		switch {
+		case err != nil:
+			return nil, err
+		case i < 0 || i >= n || j < 0 || j >= n:
+			return nil, fmt.Errorf("matrix: entry (%d,%d) out of range for %d nodes", i, j, n)
+		case i < row || i == row && int32(j) <= flat[len(flat)-1]:
+			return nil, fmt.Errorf("matrix: entry (%d,%d) out of row-major order or repeated", i, j)
+		case i != row:
+			if row >= 0 {
+				m.rows[row] = flat[start:len(flat):len(flat)]
+			}
+			row, start = i, len(flat)
+			m.live = append(m.live, int32(i))
+		}
+		flat = append(flat, int32(j))
+	}
+	if row >= 0 {
+		m.rows[row] = flat[start:len(flat):len(flat)]
+	}
+	return m, nil
 }
 
 // colIndex is a sparse matrix's column → rows companion: cols[j] lists rows
@@ -571,14 +701,15 @@ func mergeRowsInto(dst, x, y []int32) []int32 {
 	return append(dst, y[j:]...)
 }
 
-// unionSorted merges two sorted unique slices; grew reports whether the
-// result has entries beyond a. When nothing is added, a is returned as-is.
-func unionSorted(a, b []int32) (merged []int32, grew bool) {
+// union merges two sorted unique slices; grew reports whether the result
+// has entries beyond a. When nothing is added, a is returned as-is;
+// otherwise the result is a new row of m (newRow).
+func (m *SparseMatrix) union(a, b []int32) (merged []int32, grew bool) {
 	if len(b) == 0 {
 		return a, false
 	}
 	if len(a) == 0 {
-		out := make([]int32, len(b))
+		out := m.newRow(len(b))
 		copy(out, b)
 		return out, true
 	}
@@ -596,7 +727,7 @@ func unionSorted(a, b []int32) (merged []int32, grew bool) {
 	if extra == 0 {
 		return a, false
 	}
-	out := make([]int32, 0, len(a)+extra)
+	out := m.newRow(len(a) + extra)[:0]
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		switch {
@@ -615,6 +746,21 @@ func unionSorted(a, b []int32) (merged []int32, grew bool) {
 	out = append(out, a[i:]...)
 	out = append(out, b[j:]...)
 	return out, true
+}
+
+// newRow returns a row of k entries for the caller to fill: a capped window
+// of the spare storage a Clear kept — a larger spare array once it is
+// full — or, before any Clear, a fresh slice.
+func (m *SparseMatrix) newRow(k int) []int32 {
+	s := m.spare
+	if s == nil {
+		return make([]int32, k)
+	}
+	if cap(s)-len(s) < k {
+		s = make([]int32, 0, max(2*cap(s), k))
+	}
+	m.spare = s[:len(s)+k]
+	return s[len(s) : len(s)+k : len(s)+k]
 }
 
 func mustSparse(b Bool, n int) *SparseMatrix {

@@ -100,18 +100,22 @@ func (s *Service) AttachStore(ctx context.Context, st *store.Store) error {
 
 // warmStartIndex restores one saved index as a built cache entry,
 // patching it forward to the graph's recovered seq when the file's
-// watermark is behind. Failures are silent skips (see AttachStore).
+// watermark is behind. The slot is its backend's canonical one (see
+// Target.key), so a file saved under a retired backend name restores the
+// slot its kernel's queries read — unless another file already did: the
+// store lists the canonical name, where every save now goes, first.
+// Failures are silent skips (see AttachStore).
 func (s *Service) warmStartIndex(ctx context.Context, st *store.Store, info store.IndexInfo) {
 	warmStart := time.Now()
-	s.mu.Lock()
-	ge := s.graphs[info.Graph]
-	re := s.grammars[info.Grammar]
-	s.mu.Unlock()
-	if ge == nil || re == nil {
-		return
-	}
 	be, err := cfpq.BackendByName(info.Backend)
 	if err != nil {
+		return
+	}
+	key := IndexKey{Graph: info.Graph, Grammar: info.Grammar, Backend: be.Name()}
+	s.mu.Lock()
+	ge, re, restored := s.graphs[info.Graph], s.grammars[info.Grammar], s.indexes[key] != nil
+	s.mu.Unlock()
+	if ge == nil || re == nil || restored {
 		return
 	}
 	mbe, ok := matrix.BackendByName(info.Backend)
@@ -148,7 +152,6 @@ func (s *Service) warmStartIndex(ctx context.Context, st *store.Store, info stor
 	if err != nil {
 		return
 	}
-	key := IndexKey{Graph: info.Graph, Grammar: info.Grammar, Backend: info.Backend}
 	e := &indexEntry{key: key, ge: ge, p: p}
 	e.ready.Store(p)
 	s.mu.Lock()
@@ -163,14 +166,25 @@ func (s *Service) warmStartIndex(ctx context.Context, st *store.Store, info stor
 // failures only tick a counter. seq is the graph's edge-stream position
 // captured when the build snapshotted the graph; the saved file may
 // contain consequences of later patches, which is sound — recovery
-// re-applies the tail and re-applying present bits is a no-op.
-func (s *Service) persistIndex(key IndexKey, seq uint64, p *cfpq.Prepared) {
+// re-applies the tail and re-applying present bits is a no-op. An index
+// whose graph or grammar was replaced during the build is not saved:
+// SaveIndex finds the graph by name, so the old graph's index would land
+// among the replacement's and warm-start against it (the check
+// snapshotGraph makes).
+func (s *Service) persistIndex(e *indexEntry, re *grammarEntry, seq uint64, p *cfpq.Prepared) {
 	if s.store == nil {
 		return
 	}
 	var buf bytes.Buffer
 	if err := p.WriteIndex(&buf); err != nil {
 		s.obs.persistErrors.Inc()
+		return
+	}
+	key := e.key
+	s.mu.Lock()
+	current := s.graphs[key.Graph] == e.ge && s.grammars[key.Grammar] == re
+	s.mu.Unlock()
+	if !current {
 		return
 	}
 	if err := s.store.SaveIndex(key.Graph, key.Grammar, key.Backend, seq, buf.Bytes()); err != nil {

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"cfpq"
 	"cfpq/internal/dataset"
@@ -55,8 +56,8 @@ func reopen(t *testing.T, old *Service, dir string) *Service {
 
 // TestPersistRoundTripAllBackends is the subsystem's acceptance
 // invariant: for every backend name a client may send — the retired
-// row-parallel kernels' included, since a slot and its index file are
-// keyed by the name sent — build → save → "kill" → reopen → replay yields
+// row-parallel kernels' included, which key their kernel's slot and index
+// file — build → save → "kill" → reopen → replay yields
 // an index whose relation equals a freshly computed one, and the reopened
 // service answers without re-running any closure.
 func TestPersistRoundTripAllBackends(t *testing.T) {
@@ -526,8 +527,9 @@ func TestPersistManyGrammarsAndBackends(t *testing.T) {
 // TestWarmStartFromLegacyBackendName: a data directory written while
 // "sparse-parallel" named a kernel of its own — the index saved as
 // q@sparse-parallel.idx, its CFPQIDX2 header naming that backend — still
-// warm-starts without a closure, and a backend=sparse-parallel query
-// answers from the restored slot what a backend=sparse cold build computes.
+// warm-starts without a closure, into the one slot of the sparse kernel:
+// a backend=sparse-parallel query and a backend=sparse one both answer
+// from it, and neither runs a closure.
 func TestWarmStartFromLegacyBackendName(t *testing.T) {
 	const legacy, text = "sparse-parallel", "S -> x S y | x y"
 	g := graph.Word([]string{"x", "x", "y", "y"})
@@ -574,11 +576,145 @@ func TestWarmStartFromLegacyBackendName(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := s2.obs.indexBuilds.Value(); n != 1 {
-		t.Fatalf("the sparse query ran %d closures, want its own cold build", n)
+	if n := s2.obs.indexBuilds.Value(); n != 0 {
+		t.Fatalf("the sparse query ran %d closures, want an answer from the restored slot", n)
 	}
 	if len(want) == 0 || !reflect.DeepEqual(got, want) {
-		t.Fatalf("restored %s slot answers %v, a sparse cold build %v", legacy, got, want)
+		t.Fatalf("restored slot answers %v to a %s query, %v to a sparse one", got, legacy, want)
+	}
+	if n := p.Count(ctx, "S"); len(got) != n {
+		t.Fatalf("restored slot answers %d pairs, a sparse cold build %d", len(got), n)
+	}
+}
+
+// TestWarmStartPrefersTheCanonicalFile: when a file saved under a retired
+// backend name and one saved under its kernel's canonical name could both
+// restore one slot, the canonical one does, and the other is skipped. The
+// retired-name file here is stale on purpose — another graph's relation
+// under watermark 0, whose edge tail the snapshot has folded away — so a
+// restart that restored it would answer pairs the graph does not derive.
+func TestWarmStartPrefersTheCanonicalFile(t *testing.T) {
+	const text = "S -> x S y | x y"
+	dir := t.TempDir()
+	s := persistentService(t, dir)
+	if err := s.RegisterGraph("g", graph.Word([]string{"x", "x", "y", "y"}), nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.RegisterGrammar("q", text); err != nil {
+		t.Fatal(err)
+	}
+	target := Target{Graph: "g", Grammar: "q"}
+	if _, err := relation(ctx, s, target, "S"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.AddEdges(ctx, "g", []EdgeSpec{{From: "4", Label: "x", To: "0"}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Snapshot("g"); err != nil {
+		t.Fatal(err)
+	}
+	want, err := relation(ctx, s, target, "S")
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := cfpq.NewEngine(cfpq.Sparse).Prepare(ctx, graph.Word([]string{"x", "y", "x", "y"}), cfpq.MustParseGrammar(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stale bytes.Buffer
+	if err := other.WriteIndex(&stale); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.store.SaveIndex("g", "q", "sparse-parallel", 0, stale.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	s2 := reopen(t, s, dir)
+	got, err := relation(ctx, s2, target, "S")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("restarted service answers %v, want %v", got, want)
+	}
+}
+
+// TestBackendNamesShareOneSlot: the names of one kernel key one index
+// slot — one build, one index file under the canonical name.
+func TestBackendNamesShareOneSlot(t *testing.T) {
+	dir := t.TempDir()
+	s := persistentService(t, dir)
+	if err := s.RegisterGraph("g", graph.Word([]string{"x", "x", "y", "y"}), nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.RegisterGrammar("q", "S -> x S y | x y"); err != nil {
+		t.Fatal(err)
+	}
+	for _, be := range []string{"sparse-parallel", "sparse", ""} {
+		if _, err := relation(ctx, s, Target{Graph: "g", Grammar: "q", Backend: be}, "S"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := s.obs.indexBuilds.Value(); n != 1 {
+		t.Fatalf("three names of the sparse kernel ran %d builds, want 1", n)
+	}
+	infos := s.store.Indexes("g")
+	if len(infos) != 1 || infos[0].Backend != "sparse" {
+		t.Fatalf("saved indexes %+v, want one under the name sparse", infos)
+	}
+}
+
+// TestReplacedGraphGetsNoStaleIndex: a graph replaced while an index on
+// it is being built must not receive that index among its own saved ones
+// — a restart would warm-start the old graph's relation against the new
+// graph's nodes. The pass hook replaces the graph mid-build.
+func TestReplacedGraphGetsNoStaleIndex(t *testing.T) {
+	dir := t.TempDir()
+	s := persistentService(t, dir)
+	old := graph.Word([]string{"x", "x", "y", "y"})
+	if err := s.RegisterGraph("g", old, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.RegisterGrammar("q", "S -> x S y | x y"); err != nil {
+		t.Fatal(err)
+	}
+	replaced := make(chan error, 1)
+	var once sync.Once
+	buildCtx := cfpq.WithTraceContext(ctx, &cfpq.Trace{Pass: func(cfpq.PassEvent) {
+		once.Do(func() {
+			// The replacement waits for this build to finish before it
+			// marks the slot stale; the swap itself is done when the
+			// registry no longer names the old entry.
+			s.mu.Lock()
+			oldEntry := s.graphs["g"]
+			s.mu.Unlock()
+			go func() { replaced <- s.RegisterGraph("g", graph.Word([]string{"x", "y", "y", "y", "y"}), nil) }()
+			for {
+				s.mu.Lock()
+				swapped := s.graphs["g"] != oldEntry
+				s.mu.Unlock()
+				if swapped {
+					return
+				}
+				time.Sleep(time.Millisecond)
+			}
+		})
+	}})
+	if _, _, err := s.index(buildCtx, Target{Graph: "g", Grammar: "q"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-replaced; err != nil {
+		t.Fatal(err)
+	}
+	if infos := s.store.Indexes("g"); len(infos) != 0 {
+		t.Fatalf("the replacement holds saved indexes %+v, want none", infos)
+	}
+	s2 := reopen(t, s, dir)
+	if n := s2.obs.warmStarts.Value(); n != 0 {
+		t.Fatalf("restart warm-started %d indexes, want none", n)
+	}
+	// x y y y y: no x^k y^k path longer than one pair.
+	if n, err := count(ctx, s2, Target{Graph: "g", Grammar: "q"}, "S"); err != nil || n != 1 {
+		t.Fatalf("restarted service counts %d S-pairs (err %v), want 1", n, err)
 	}
 }
 

@@ -551,10 +551,17 @@ type Target struct {
 	Backend string `json:"backend,omitempty"`
 }
 
+// key is the target's index slot. The backend is keyed by its canonical
+// name, so the names of one kernel ("sparse", "sparse-parallel") share one
+// build, one budget charge and one index file; an unknown name stays as
+// sent, for index to reject.
 func (t Target) key() IndexKey {
 	be := t.Backend
 	if be == "" {
 		be = DefaultBackend
+	}
+	if b, err := cfpq.BackendByName(be); err == nil {
+		be = b.Name()
 	}
 	return IndexKey{Graph: t.Graph, Grammar: t.Grammar, Backend: be}
 }
@@ -618,7 +625,7 @@ func (s *Service) index(ctx context.Context, t Target) (*indexEntry, *cfpq.Prepa
 		e.p = p
 		e.ready.Store(p)
 		s.obs.indexBuilds.Inc()
-		s.persistIndex(key, seq, p)
+		s.persistIndex(e, re, seq, p)
 	}
 	return e, e.p, nil
 }
