@@ -140,12 +140,14 @@ type MemoryBudgetError = core.MemoryBudgetError
 // single one. Every evaluation — cold build, source-restricted query and
 // incremental patch alike — runs the same semi-naive loop, so the estimate
 // always covers the index matrices plus the loop's two frontier sets (the
-// bits the last pass added and the ones the coming pass adds): two more
-// empty matrices per non-terminal, 48 bytes per node each on the sparse
-// backends, which also count the column indexes held and the one a pass
-// may build per matrix its products take as left operand, two bitmaps on
-// the dense ones. A budget that fits the finished index alone therefore
-// does not fit its build. Kernel scratch is not counted.
+// bits the last pass added and the ones the coming pass adds): up to two
+// more empty matrices per non-terminal — charged in full when an
+// evaluation starts, as held (two per rule head) by each pass — 24 bytes
+// per node each on the sparse backends, which also count the column
+// indexes held and the one a pass may build per matrix its products take
+// as left operand, a bitmap each on the dense ones. A budget that fits the
+// finished index alone therefore does not fit its build. Kernel scratch
+// is not counted.
 func WithMemoryBudget(bytes int64) Option {
 	return func(c *config) { c.engineOpts = append(c.engineOpts, core.WithMemoryBudget(bytes)) }
 }

@@ -193,7 +193,10 @@ func (e *Engine) LoadIndex(r io.Reader, cnf *CNF) (*Index, error) {
 // Prepare compiles the grammar and binds it to the graph: the closure is
 // evaluated once and cached in the returned Prepared handle, which answers
 // any number of concurrent queries and absorbs edge updates incrementally.
-// Prepare takes ownership of g — mutate it only through Prepared.AddEdges.
+// The handle never writes g: its first AddEdges that adds an edge copies
+// the graph, and later ones extend that copy. The caller still must not
+// mutate g while the handle reads it; a Fork of g, extended beside the
+// handle, is fine.
 func (e *Engine) Prepare(ctx context.Context, g *Graph, gram *Grammar) (*Prepared, error) {
 	cnf, err := ToCNF(gram)
 	if err != nil {
@@ -221,8 +224,9 @@ func (e *Engine) PrepareCNF(ctx context.Context, g *Graph, cnf *CNF) (*Prepared,
 // graph silently serves wrong answers, exactly like pairing LoadIndex
 // with the wrong grammar would.
 //
-// The handle takes ownership of g. An index smaller than g's node range
-// is grown in place; a cnf mismatch is an error. The returned handle's
+// The handle never writes g, as with Prepare; the caller must not mutate
+// it while the handle reads it. An index smaller than g's node range is
+// grown in place; a cnf mismatch is an error. The returned handle's
 // Build stats are zero — no closure ran — which is how serving layers
 // distinguish warm starts from cold ones.
 func (e *Engine) PrepareFromIndex(g *Graph, cnf *CNF, ix *Index) (*Prepared, error) {

@@ -91,7 +91,7 @@ func run(w io.Writer) error {
 
 	// 2. A review batch: one Prepared handle, one closure build, every
 	// per-service question answered from the same index state by the
-	// shared worker pool. (Prepare takes ownership of the graph.)
+	// shared worker pool. (The handle never writes the graph.)
 	prep, err := eng.Prepare(ctx, g, gram)
 	if err != nil {
 		return err

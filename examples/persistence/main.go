@@ -15,7 +15,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -70,7 +69,8 @@ func run(w io.Writer) error {
 		return err
 	}
 	eng := cfpq.NewEngine(cfpq.Sparse)
-	prep, err := eng.PrepareCNF(ctx, g.Clone(), cnf)
+	// The handle never writes g: its first update works on a copy.
+	prep, err := eng.PrepareCNF(ctx, g, cnf)
 	if err != nil {
 		return err
 	}
@@ -78,15 +78,13 @@ func run(w io.Writer) error {
 		len(mods), prep.Count(ctx, "Dep"), prep.Stats().Build.Iterations)
 
 	// Persist the evaluated index at the current WAL position (seq 0: no
-	// edges journaled yet).
-	var buf bytes.Buffer
-	if err := prep.WriteIndex(&buf); err != nil {
+	// edges journaled yet). WriteIndex streams it into the index file.
+	if err := st.SaveIndexFrom("deps", "dep", "sparse", 0, prep.WriteIndex); err != nil {
 		return err
 	}
-	if err := st.SaveIndex("deps", "dep", "sparse", 0, buf.Bytes()); err != nil {
-		return err
+	for _, info := range st.Indexes("deps") {
+		fmt.Fprintf(w, "Persisted index: %s@%s at seq %d\n", info.Grammar, info.Backend, info.Seq)
 	}
-	fmt.Fprintf(w, "Persisted index: %d bytes\n", buf.Len())
 
 	// Journal each mutation into the store's WAL write-ahead, as cfpqd
 	// does: the fsync happens before the in-memory patch.

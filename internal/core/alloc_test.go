@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"io"
 	"runtime"
 	"testing"
 
@@ -53,7 +54,7 @@ func TestClosureAllocatesNothingPerPass(t *testing.T) {
 	if err != nil || got >= 16<<20 {
 		t.Errorf("cold closure allocated %d bytes over %d passes (err %v), want < 16 MB", got, stats.Iterations, err)
 	}
-	if bound := int64(2099 + stats.Iterations/2); mallocs >= bound {
+	if bound := int64(2092 + stats.Iterations/2); mallocs >= bound {
 		t.Errorf("cold closure made %d mallocs over %d passes, want < %d", mallocs, stats.Iterations, bound)
 	}
 	if stats.Iterations < 1000 {
@@ -85,7 +86,7 @@ func TestClosureAllocatesNothingPerPass(t *testing.T) {
 	if err != nil || got >= bound {
 		t.Errorf("one-edge update allocated %d bytes over %d passes (err %v), want < %d", got, stats.Iterations, err, bound)
 	}
-	if bound := int64(3144 + stats.Iterations/2); mallocs >= bound {
+	if bound := int64(3140 + stats.Iterations/2); mallocs >= bound {
 		t.Errorf("one-edge update made %d mallocs over %d passes, want < %d", mallocs, stats.Iterations, bound)
 	}
 	if stats.Iterations < 1000 || len(delta.Pairs("S")) != ix.Count("S") || ix.Count("S") == 0 {
@@ -99,23 +100,28 @@ func TestClosureAllocatesNothingPerPass(t *testing.T) {
 // seeded 10⁴-node scale-free graph may allocate at most 5 % over the bytes
 // and heap objects it took when this guard was set (the counts before
 // Absorb, reused frontier storage and one-array relations were 14.18 MB /
-// 345 675 objects and 5.27 MB / 90 910). What it allocates: the relations,
-// each built in one array; the frontier sets' row headers, and storage for
-// their rows that they keep from pass to pass; a fresh copy of each row of
-// T that grows; the column indexes products build.
+// 345 675 objects and 5.27 MB / 90 910; before frontier sets only for rule
+// heads, 13.47 MB / 168 936 and 4.77 MB / 31 318). What it allocates: the
+// relations, each built in one array; the row headers of the frontier sets
+// of the two non-terminals a rule writes, and storage for their rows that
+// they keep from pass to pass; a fresh copy of each row of T that grows;
+// the column indexes products build.
 //
 // The index's encoding and decoding are held to what they keep as well:
-// WriteTo into a bytes.Buffer allocates the buffer once, at the encoded
-// length; ReadIndex allocates a fixed number of objects per relation,
-// whatever it holds.
+// WriteTo streams in O(1) memory — into io.Discard it allocates at most
+// 32 KiB — and into a bytes.Buffer it grows the buffer once, at the
+// encoded length; ReadIndex allocates a fixed number of objects per
+// relation, whatever it holds.
 func TestColdBuildAllocatesWhatItKeeps(t *testing.T) {
 	cnf := grammar.MustCNF(grammar.MustParse("S -> a S b | a b"))
 	for _, c := range []struct {
 		spec           graphgen.Spec
 		bytes, mallocs int64
 	}{
-		{graphgen.Spec{Kind: graphgen.KindGrid, Nodes: 4096}, 13_473_216, 168_936},
-		{graphgen.Spec{Kind: graphgen.KindScaleFree, Nodes: 10_000, Degree: 3, Seed: 1}, 4_767_768, 31_318},
+		{graphgen.Spec{Kind: graphgen.KindGrid, Nodes: 4096}, 13_079_560, 168_928},
+		// The byte count is the -race reading, which the race detector's
+		// own objects put 0.19 MB above the plain 3 784 320, past its 5 %.
+		{graphgen.Spec{Kind: graphgen.KindScaleFree, Nodes: 10_000, Degree: 3, Seed: 1}, 3_974_400, 31_311},
 	} {
 		g, err := graphgen.Generate(c.spec)
 		if err != nil {
@@ -133,6 +139,9 @@ func TestColdBuildAllocatesWhatItKeeps(t *testing.T) {
 			t.Errorf("%s: cold build made %d mallocs, want ≤ %d", c.spec.Kind, mallocs, bound)
 		}
 
+		if got, _ = allocated(func() { _, err = ix.WriteTo(io.Discard) }); err != nil || got > 32<<10 {
+			t.Errorf("%s: WriteTo into io.Discard allocated %d bytes (err %v), want ≤ 32 KiB", c.spec.Kind, got, err)
+		}
 		var buf bytes.Buffer
 		got, _ = allocated(func() { _, err = ix.WriteTo(&buf) })
 		if err != nil || int64(buf.Len()) != ix.encodedLen() {

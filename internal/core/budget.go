@@ -28,19 +28,20 @@ func (e *MemoryBudgetError) Error() string {
 // the two frontier sets the one fixpoint loop keeps beside them for every
 // evaluation — cold build, source-restricted closure and incremental
 // update alike: the bits the last pass added and the ones the coming pass
-// adds, 2·|N| matrices that cost 48·n bytes per non-terminal on the sparse
-// backends and two bitmaps per non-terminal on the dense ones even while
-// empty — plus, on the sparse backends, the column indexes the index holds
-// and those a pass's products may build (one per distinct left operand
-// that holds none), and, for an update run on a Fork, the storage of the
+// adds, two matrices for each non-terminal a rule writes and one for a
+// seeded other, 24·n bytes each on the sparse backends and a bitmap each
+// on the dense ones even while empty (admit charges all 2·|N| up front) —
+// plus, on the sparse backends, the column indexes the index holds and
+// those a pass's products may build (one per distinct left operand that
+// holds none), and, for an update run on a Fork, the storage of the
 // version forked from that the fork does not share (two versions are
 // live). It is checked before matrix allocation — for an update whose
 // edges name new nodes, at the dimension they grow the index to, before it
 // is grown — and between fixpoint passes, and a breach aborts the
-// evaluation with a
-// *MemoryBudgetError. bytes ≤ 0 means unlimited (the default). The budget is
-// enforced on the context-taking evaluation paths (RunContext, CloseContext,
-// RunFromContext, UpdateContext and everything built on them).
+// evaluation with a *MemoryBudgetError. bytes ≤ 0 means unlimited (the
+// default). The budget is enforced on the context-taking evaluation paths
+// (RunContext, CloseContext, RunFromContext, UpdateContext and everything
+// built on them).
 func WithMemoryBudget(bytes int64) Option {
 	return func(e *Engine) { e.budget = bytes }
 }
@@ -91,11 +92,13 @@ func (f *frontier) productBytes(ix *Index) (total int64) {
 }
 
 // matsBytes sums the byte estimates of a working matrix set (one of the
-// two frontier sets).
+// two frontier sets); a nil slot holds nothing.
 func matsBytes(mats []matrix.Bool) int64 {
 	var total int64
 	for _, m := range mats {
-		total += m.Bytes()
+		if m != nil {
+			total += m.Bytes()
+		}
 	}
 	return total
 }

@@ -14,8 +14,9 @@ import (
 // rules whose right operands all grow pass after pass, so T_S meets a thin Δ
 // three times a pass and comes to build its column index. The estimate a
 // pass is checked against may exceed what the same state costs without
-// column indexes — every matrix's rows, index and both frontier sets — by at
-// most one index per distinct left operand, T_B's and Δ_B's, each no larger
+// column indexes — every matrix's rows, index and both frontier sets, an
+// absent frontier slot at 0 bytes — by at most one index per distinct left
+// operand, T_B's and Δ_B's, each no larger
 // than its rows: a held index is counted once, in Bytes, and an operand
 // multiplied by several rules is charged once.
 func TestPeakBytesChargesEachLeftOperandOnce(t *testing.T) {
@@ -34,7 +35,12 @@ func TestPeakBytesChargesEachLeftOperandOnce(t *testing.T) {
 	for _, r := range cnf.Binary {
 		lefts[r.B] = true
 	}
-	rowBytes := func(m matrix.Bool) int64 { return 24*int64(n) + 4*int64(m.Nnz()) }
+	rowBytes := func(m matrix.Bool) int64 {
+		if m == nil {
+			return 0 // a frontier slot no rule writes and nothing seeded
+		}
+		return 24*int64(n) + 4*int64(m.Nnz())
+	}
 	sum := func(mats []matrix.Bool) (total int64) {
 		for _, m := range mats {
 			total += rowBytes(m)

@@ -301,11 +301,8 @@ func (e *Engine) closeWhole(ctx context.Context, ix *Index, meets []Meet, each f
 	if err := e.admit(ix, ix.n, &stats); err != nil {
 		return stats, err
 	}
-	f := newFrontier(ix)
+	f := newFrontier(ix, meets)
 	f.whole = true
-	if meets != nil {
-		f.meets, f.meet = meets, ix.backend.NewMatrix(ix.n)
-	}
 	pt := e.newPassTracer(ctx, "full", ix)
 	pt.beginPass()
 	var hook func() int

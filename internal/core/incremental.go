@@ -111,7 +111,7 @@ func (e *Engine) UpdateContext(ctx context.Context, ix *Index, edges ...graph.Ed
 	}
 	ix.Grow(n)
 	acc := EmptyDelta(ix)
-	f := newFrontier(ix)
+	f := newFrontier(ix, nil)
 	// The update's event chain starts from the pre-update index, so its
 	// per-pass deltas telescope to exactly the bits this update added.
 	pt := e.newPassTracer(ctx, "update", ix)
@@ -144,10 +144,12 @@ func (e *Engine) UpdateContext(ctx context.Context, ix *Index, edges ...graph.Ed
 
 // frontier is the working state of the fixpoint loop: delta, the bits the
 // previous pass (or the seeding) added to the index, and next, the empty
-// set the coming pass fills. Both sets are allocated once per evaluation
-// and cleared and swapped from pass to pass. live[a] records that delta[a]
-// holds a bit; it is kept from what Set, AddMul and Absorb report, never
-// from an Nnz sweep — on the dense backends a popcount of the whole bitmap.
+// set the coming pass fills. A pass writes only the heads of binary rules
+// and meets, so only those get both matrices, allocated once per
+// evaluation and cleared and swapped from pass to pass; any other slot is
+// nil (empty) until set seeds it. live[a] records that delta[a] holds a
+// bit; it is kept from what Set, AddMul and Absorb report, never from an
+// Nnz sweep — on the dense backends a popcount of the whole bitmap.
 type frontier struct {
 	delta, next []matrix.Bool
 	live, grown []bool // grown is live's counterpart for next
@@ -161,6 +163,9 @@ type frontier struct {
 	// scratch matrix step computes them in; both nil otherwise.
 	meets []Meet
 	meet  matrix.Bool
+	// be and n are what set allocates a seeded slot's matrix from.
+	be matrix.Backend
+	n  int
 }
 
 // Meet is an intersection rule A → P₁ & … & Pₘ over a CNF's non-terminal
@@ -185,26 +190,47 @@ func (e *Engine) admit(ix *Index, n int, stats *Stats) error {
 }
 
 // newFrontier allocates the loop's two matrix sets beside ix, from the
-// index's own backend; admit has budgeted them. Each matrix is cleared
-// once up front: a cleared matrix writes the rows of its next fill into
-// storage it keeps (matrix.Bool.Clear), so from the first pass on the
-// frontier's rows are not garbage of their own.
-func newFrontier(ix *Index) *frontier {
+// index's own backend, for the heads of the binary rules and meets; admit
+// has budgeted them. Each matrix is cleared once up front: a cleared matrix
+// writes the rows of its next fill into storage it keeps
+// (matrix.Bool.Clear), so from the first pass on the frontier's rows are
+// not garbage of their own.
+func newFrontier(ix *Index, meets []Meet) *frontier {
 	nn := len(ix.mats)
 	f := &frontier{
 		delta: make([]matrix.Bool, nn), next: make([]matrix.Bool, nn),
 		live: make([]bool, nn), grown: make([]bool, nn), left: make([]bool, 2*nn),
+		meets: meets, be: ix.backend, n: ix.n,
 	}
-	for a := range f.delta {
-		f.delta[a], f.next[a] = ix.backend.NewMatrix(ix.n), ix.backend.NewMatrix(ix.n)
-		f.delta[a].Clear()
-		f.next[a].Clear()
+	head := func(a int) {
+		if f.delta[a] == nil {
+			f.delta[a], f.next[a] = f.be.NewMatrix(f.n), f.be.NewMatrix(f.n)
+			f.delta[a].Clear()
+			f.next[a].Clear()
+		}
+	}
+	for _, r := range ix.cnf.Binary {
+		head(r.A)
+	}
+	for _, r := range meets {
+		head(r.A)
+	}
+	if meets != nil {
+		f.meet = f.be.NewMatrix(f.n)
 	}
 	return f
 }
 
-// set seeds bit (i, j) of delta[a].
+// set seeds bit (i, j) of delta[a]. A slot no rule writes has no matrix
+// until its first seed, and keeps the one it gets: a pass swaps it into
+// next, where no product writes, and set takes it back.
 func (f *frontier) set(a, i, j int) {
+	if f.delta[a] == nil {
+		f.delta[a], f.next[a] = f.next[a], nil
+		if f.delta[a] == nil {
+			f.delta[a] = f.be.NewMatrix(f.n)
+		}
+	}
 	f.delta[a].Set(i, j)
 	f.live[a] = true
 }

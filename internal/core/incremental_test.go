@@ -120,3 +120,41 @@ func TestUpdateCreatesLongRangePairs(t *testing.T) {
 		t.Errorf("R_S = %v, want %v", got, want)
 	}
 }
+
+// TestFrontierOnlyForRuleHeads: S → a S b | a b lowers to two binary rules,
+// S → A S' | A B and S' → S B, whose heads S and S' are the only
+// non-terminals a pass writes; A and B are only read. A cold build — whose
+// frontier is the whole index, seeded nowhere — holds frontier matrices for
+// S and its helper only, on every pass and on each backend.
+func TestFrontierOnlyForRuleHeads(t *testing.T) {
+	cnf := grammar.MustCNF(grammar.MustParse("S -> a S b | a b"))
+	heads := map[int]bool{}
+	for _, r := range cnf.Binary {
+		heads[r.A] = true
+	}
+	if s, _ := cnf.Index("S"); len(heads) != 2 || !heads[s] || cnf.NonterminalCount() != 4 {
+		t.Fatalf("the grammar lowered to %v: not the shape this test needs", cnf)
+	}
+	g := graph.New(8)
+	for i := range 4 {
+		g.AddEdge(i, "a", i+1)
+		g.AddEdge(i+4, "b", (i+5)%8)
+	}
+	for _, be := range matrix.Backends() {
+		e := NewEngine(WithBackend(be))
+		ix := e.Init(g, cnf)
+		passes := 0
+		stats, err := e.closeWhole(context.Background(), ix, nil, func(_ *Index, f *frontier) {
+			passes++
+			for a := range f.delta {
+				if want := heads[a]; (f.delta[a] != nil) != want || (f.next[a] != nil) != want {
+					t.Errorf("%s: pass %d: frontier matrices for %s: delta %v, next %v; want both iff a rule writes it",
+						be.Name(), passes, cnf.Names[a], f.delta[a] != nil, f.next[a] != nil)
+				}
+			}
+		})
+		if err != nil || stats.Iterations < 3 || ix.Count("S") == 0 {
+			t.Fatalf("%s: %d passes, %d S-pairs, err %v: not the build this test needs", be.Name(), stats.Iterations, ix.Count("S"), err)
+		}
+	}
+}

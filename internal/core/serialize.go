@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 
 	"cfpq/internal/grammar"
 	"cfpq/internal/matrix"
@@ -50,71 +51,64 @@ const indexMagic = "CFPQIDX2"
 // indexes may raise it (fuzzing lowers it for throughput).
 var MaxIndexNodes = 1 << 26
 
+// indexChunk is the size of the one buffer WriteTo encodes into: an index
+// streams through it in O(1) memory, whatever it holds.
+const indexChunk = 16 << 10
+
 // WriteTo serialises the index in the CFPQIDX2 format, recording the
-// backend the matrices were allocated from. A destination that can grow
-// (bytes.Buffer) is grown once, by the exact encoded length (encodedLen).
-func (ix *Index) WriteTo(w io.Writer) (int64, error) {
+// backend the matrices were allocated from. It encodes a row at a time,
+// straight from the matrices' row storage (matrix.RangeRows), into one
+// indexChunk-sized buffer written out whenever it fills. A destination
+// that can grow (bytes.Buffer) is first grown once, by the exact encoded
+// length (encodedLen).
+func (ix *Index) WriteTo(w io.Writer) (written int64, err error) {
+	long := func(s string) bool { return len(s) > 1<<16-1 }
+	if long(ix.backend.Name()) || slices.ContainsFunc(ix.cnf.Names, long) {
+		return 0, fmt.Errorf("core: a name is too long for the index header (over 65535 bytes)")
+	}
 	if g, ok := w.(interface{ Grow(int) }); ok {
 		g.Grow(int(ix.encodedLen()))
 	}
-	bw := bufio.NewWriter(w)
-	var written int64
-	// Every integer goes through one stack buffer: an entry is one 8-byte
-	// record, with no reflection and no allocation per value.
-	var rec [8]byte
-	emit := func(b []byte) error {
-		n, err := bw.Write(b)
-		written += int64(n)
+	le := binary.LittleEndian
+	buf := make([]byte, 0, indexChunk)
+	// room writes buf out unless k more bytes fit in it.
+	room := func(k int) error {
+		if len(buf)+k <= cap(buf) {
+			return nil
+		}
+		n, err := w.Write(buf)
+		written, buf = written+int64(n), buf[:0]
 		return err
 	}
-	emitUint32 := func(v uint32) error {
-		binary.LittleEndian.PutUint32(rec[:4], v)
-		return emit(rec[:4])
-	}
-	emitString := func(s string) error {
-		if len(s) > 1<<16-1 {
-			return fmt.Errorf("core: string too long for index header: %d bytes", len(s))
-		}
-		binary.LittleEndian.PutUint16(rec[:2], uint16(len(s)))
-		if err := emit(rec[:2]); err != nil {
-			return err
-		}
-		n, err := bw.WriteString(s)
-		written += int64(n)
-		return err
-	}
-	if _, err := bw.WriteString(indexMagic); err != nil {
-		return written, err
-	}
-	written += int64(len(indexMagic))
-	if err := emitString(ix.backend.Name()); err != nil {
-		return written, err
-	}
-	if err := emitUint32(uint32(ix.n)); err != nil {
-		return written, err
-	}
-	if err := emitUint32(uint32(len(ix.mats))); err != nil {
-		return written, err
-	}
+	str := func(b []byte, s string) []byte { return append(le.AppendUint16(b, uint16(len(s))), s...) }
+	buf = str(append(buf, indexMagic...), ix.backend.Name())
+	buf = le.AppendUint32(le.AppendUint32(buf, uint32(ix.n)), uint32(len(ix.mats)))
 	for a, m := range ix.mats {
-		if err := emitString(ix.cnf.Names[a]); err != nil {
+		if err = room(6 + len(ix.cnf.Names[a])); err != nil {
 			return written, err
 		}
-		if err := emitUint32(uint32(m.Nnz())); err != nil {
-			return written, err
-		}
-		var rangeErr error
-		m.Range(func(i, j int) bool {
-			binary.LittleEndian.PutUint32(rec[:4], uint32(i))
-			binary.LittleEndian.PutUint32(rec[4:], uint32(j))
-			rangeErr = emit(rec[:])
-			return rangeErr == nil
+		buf = le.AppendUint32(str(buf, ix.cnf.Names[a]), uint32(m.Nnz()))
+		matrix.RangeRows(m, func(i int, cols []int32) bool {
+			for len(cols) > 0 && err == nil {
+				if err = room(8); err == nil {
+					// As many of the row's entries as buf has room for.
+					k := min(len(cols), (cap(buf)-len(buf))/8)
+					out := buf[len(buf) : len(buf)+8*k]
+					for x, j := range cols[:k] {
+						le.PutUint32(out[8*x:], uint32(i))
+						le.PutUint32(out[8*x+4:], uint32(j))
+					}
+					buf, cols = buf[:len(buf)+8*k], cols[k:]
+				}
+			}
+			return err == nil
 		})
-		if rangeErr != nil {
-			return written, rangeErr
+		if err != nil {
+			return written, err
 		}
 	}
-	return written, bw.Flush()
+	n, err := w.Write(buf)
+	return written + int64(n), err
 }
 
 // encodedLen returns the length of the index's CFPQIDX2 encoding, computed
@@ -167,7 +161,8 @@ func ReadIndex(r io.Reader, cnf *grammar.CNF, be matrix.Backend) (*Index, error)
 	if string(magic) != indexMagic {
 		return nil, fmt.Errorf("core: bad index magic %q", magic)
 	}
-	var rec [8]byte // every integer, and each 8-byte entry, is decoded through it
+	var rec [8]byte // every header integer is decoded through it
+	var raw []byte  // and each chunk of entries through this one buffer
 	recorded, err := readString(br, &rec)
 	if err != nil {
 		return nil, fmt.Errorf("core: reading index backend: %w", err)
@@ -219,11 +214,16 @@ func ReadIndex(r io.Reader, cnf *grammar.CNF, be matrix.Backend) (*Index, error)
 			}
 			reserve = nnz
 		}
-		m, err := matrix.Load(be, n, nnz, reserve, func() (int, int, error) {
-			if _, err := io.ReadFull(br, rec[:]); err != nil {
-				return 0, 0, err
+		m, err := matrix.Load(be, n, nnz, reserve, func(entries []matrix.Pair) error {
+			raw = slices.Grow(raw[:0], 8*len(entries))[:8*len(entries)]
+			if _, err := io.ReadFull(br, raw); err != nil {
+				return err
 			}
-			return int(binary.LittleEndian.Uint32(rec[:4])), int(binary.LittleEndian.Uint32(rec[4:])), nil
+			for k := range entries {
+				e := raw[8*k : 8*k+8]
+				entries[k] = matrix.Pair{I: int(binary.LittleEndian.Uint32(e)), J: int(binary.LittleEndian.Uint32(e[4:]))}
+			}
+			return nil
 		})
 		if err != nil {
 			return nil, fmt.Errorf("core: %q: %w", name, err)

@@ -73,7 +73,7 @@ func (e *Engine) RunFromContext(ctx context.Context, g *graph.Graph, cnf *gramma
 		return ix, fs, nil
 	}
 	fs.observePeak(est)
-	f := newFrontier(ix)
+	f := newFrontier(ix, nil)
 	pt := e.newPassTracer(ctx, "frontier", ix)
 
 	// Per-row seeds: for every node, the terminal-rule bits its out-edges

@@ -158,6 +158,33 @@ func Pairs(m Bool) []Pair {
 	return out
 }
 
+// RangeRows calls fn for each non-empty row of m, in row order, with the
+// row's set columns in ascending order, and stops when fn returns false. A
+// sparse row is passed as the matrix's own storage — fn must neither keep
+// nor write it — and a dense one decoded into a scratch slice reused from
+// row to row. It is how an index is encoded a row at a time.
+func RangeRows(m Bool, fn func(i int, cols []int32) bool) {
+	if s, ok := m.(*SparseMatrix); ok {
+		for i, row := range s.rows {
+			if len(row) > 0 && !fn(i, row) {
+				return
+			}
+		}
+		return
+	}
+	var cols []int32
+	for i := range m.Dim() {
+		cols = cols[:0]
+		m.RangeRow(i, func(j int) bool {
+			cols = append(cols, int32(j))
+			return true
+		})
+		if len(cols) > 0 && !fn(i, cols) {
+			return
+		}
+	}
+}
+
 // Build returns an n×n matrix of backend be holding the entries each
 // reports through emit, in any order and with repeats allowed. each runs
 // more than once — a sparse matrix counts its entries before it places
@@ -168,15 +195,16 @@ func Build(be Backend, n int, each func(emit func(i, j int))) Bool {
 	return convert(be, buildSparse(n, each))
 }
 
-// Load returns an n×n matrix of backend be holding the nnz entries next
-// returns, which must come in row-major order without repeats: an entry
-// out of order, repeated or out of range is an error, as is one next
-// fails to return. A sparse matrix stores them in one array, each row a
+// Load returns an n×n matrix of backend be holding nnz entries, which
+// next writes a chunk at a time into the slice it is passed, filling all
+// of it. They must come in row-major order without repeats: an entry out
+// of order, repeated or out of range is an error, as is an error next
+// returns. A sparse matrix stores them in one array, each row a
 // capped window of it, allocated up front for reserve entries (at most
 // nnz) and grown past them as entries arrive: a caller that cannot vouch
 // for nnz — an index file's header, say — reserves less. It is how
 // ReadIndex decodes a relation.
-func Load(be Backend, n, nnz, reserve int, next func() (i, j int, err error)) (Bool, error) {
+func Load(be Backend, n, nnz, reserve int, next func(entries []Pair) error) (Bool, error) {
 	m, err := loadSparse(n, nnz, reserve, next)
 	if err != nil {
 		return nil, err

@@ -545,33 +545,41 @@ func buildSparse(n int, each func(emit func(i, j int))) *SparseMatrix {
 // loadSparse is Load on the sparse backend: the entries go into one array
 // of reserve capacity, in order, each row closed as a capped window of it
 // when the next begins.
-func loadSparse(n, nnz, reserve int, next func() (i, j int, err error)) (*SparseMatrix, error) {
+func loadSparse(n, nnz, reserve int, next func(entries []Pair) error) (*SparseMatrix, error) {
 	m := &SparseMatrix{n: n, rows: make([][]int32, n), live: make([]int32, 0, min(reserve, nnz, n)), nnz: nnz}
 	flat := make([]int32, 0, min(reserve, nnz))
+	chunk := make([]Pair, min(nnz, loadChunk))
 	row, start := -1, 0
-	for range nnz {
-		i, j, err := next()
-		switch {
-		case err != nil:
+	for left := nnz; left > 0; left -= len(chunk) {
+		chunk = chunk[:min(left, len(chunk))]
+		if err := next(chunk); err != nil {
 			return nil, err
-		case i < 0 || i >= n || j < 0 || j >= n:
-			return nil, fmt.Errorf("matrix: entry (%d,%d) out of range for %d nodes", i, j, n)
-		case i < row || i == row && int32(j) <= flat[len(flat)-1]:
-			return nil, fmt.Errorf("matrix: entry (%d,%d) out of row-major order or repeated", i, j)
-		case i != row:
-			if row >= 0 {
-				m.rows[row] = flat[start:len(flat):len(flat)]
-			}
-			row, start = i, len(flat)
-			m.live = append(m.live, int32(i))
 		}
-		flat = append(flat, int32(j))
+		for _, p := range chunk {
+			i, j := p.I, p.J
+			switch {
+			case i < 0 || i >= n || j < 0 || j >= n:
+				return nil, fmt.Errorf("matrix: entry (%d,%d) out of range for %d nodes", i, j, n)
+			case i < row || i == row && int32(j) <= flat[len(flat)-1]:
+				return nil, fmt.Errorf("matrix: entry (%d,%d) out of row-major order or repeated", i, j)
+			case i != row:
+				if row >= 0 {
+					m.rows[row] = flat[start:len(flat):len(flat)]
+				}
+				row, start = i, len(flat)
+				m.live = append(m.live, int32(i))
+			}
+			flat = append(flat, int32(j))
+		}
 	}
 	if row >= 0 {
 		m.rows[row] = flat[start:len(flat):len(flat)]
 	}
 	return m, nil
 }
+
+// loadChunk is the most entries Load asks its source for at once.
+const loadChunk = 1024
 
 // colIndex is a sparse matrix's column → rows companion: cols[j] lists rows
 // that hold column j, unordered, maybe more than once (see

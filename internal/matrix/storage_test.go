@@ -23,13 +23,12 @@ func gridEntries(grid [][]bool) []Pair {
 
 // loadPairs is Load over a pair list, reserving reserve entries.
 func loadPairs(be Backend, n, reserve int, pairs []Pair) (Bool, error) {
-	k := 0
-	return Load(be, n, len(pairs), reserve, func() (int, int, error) {
-		if k == len(pairs) {
-			return 0, 0, io.ErrUnexpectedEOF
+	return Load(be, n, len(pairs), reserve, func(entries []Pair) error {
+		if len(entries) > len(pairs) {
+			return io.ErrUnexpectedEOF
 		}
-		k++
-		return pairs[k-1].I, pairs[k-1].J, nil
+		pairs = pairs[copy(entries, pairs):]
+		return nil
 	})
 }
 
@@ -105,13 +104,11 @@ func TestLoadRejects(t *testing.T) {
 			}
 		}
 		short := []Pair{{0, 1}}
-		if _, err := Load(be, 4, 2, 2, func() (int, int, error) {
-			if len(short) == 0 {
-				return 0, 0, io.ErrUnexpectedEOF
+		if _, err := Load(be, 4, 2, 2, func(entries []Pair) error {
+			if len(entries) > len(short) {
+				return io.ErrUnexpectedEOF
 			}
-			p := short[0]
-			short = short[1:]
-			return p.I, p.J, nil
+			return nil
 		}); !errors.Is(err, io.ErrUnexpectedEOF) {
 			t.Errorf("%s: short input: err = %v, want io.ErrUnexpectedEOF", be.Name(), err)
 		}

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"sort"
@@ -146,9 +145,9 @@ func (s *Service) warmStartIndex(ctx context.Context, st *store.Store, info stor
 		// serve; let the first query rebuild.
 		return
 	}
-	// The handle's private copy of the graph (see the package comment);
-	// nothing serves yet, so no lock is needed to pin it.
-	p, err := eng.PrepareFromIndex(ge.g.Clone(), re.cnf, ix)
+	// The handle binds the published version as it is (see the package
+	// comment); nothing serves yet, so no lock is needed to pin it.
+	p, err := eng.PrepareFromIndex(ge.g, re.cnf, ix)
 	if err != nil {
 		return
 	}
@@ -168,16 +167,11 @@ func (s *Service) warmStartIndex(ctx context.Context, st *store.Store, info stor
 // contain consequences of later patches, which is sound — recovery
 // re-applies the tail and re-applying present bits is a no-op. An index
 // whose graph or grammar was replaced during the build is not saved:
-// SaveIndex finds the graph by name, so the old graph's index would land
-// among the replacement's and warm-start against it (the check
+// SaveIndexFrom finds the graph by name, so the old graph's index would
+// land among the replacement's and warm-start against it (the check
 // snapshotGraph makes).
 func (s *Service) persistIndex(e *indexEntry, re *grammarEntry, seq uint64, p *cfpq.Prepared) {
 	if s.store == nil {
-		return
-	}
-	var buf bytes.Buffer
-	if err := p.WriteIndex(&buf); err != nil {
-		s.obs.persistErrors.Inc()
 		return
 	}
 	key := e.key
@@ -187,7 +181,7 @@ func (s *Service) persistIndex(e *indexEntry, re *grammarEntry, seq uint64, p *c
 	if !current {
 		return
 	}
-	if err := s.store.SaveIndex(key.Graph, key.Grammar, key.Backend, seq, buf.Bytes()); err != nil {
+	if err := s.store.SaveIndexFrom(key.Graph, key.Grammar, key.Backend, seq, p.WriteIndex); err != nil {
 		s.obs.persistErrors.Inc()
 	}
 }
@@ -252,16 +246,11 @@ func (s *Service) snapshotGraph(name string) error {
 		if p == nil {
 			continue // unbuilt or stale
 		}
-		var buf bytes.Buffer
-		if err := p.WriteIndex(&buf); err != nil {
-			s.obs.persistErrors.Inc()
-			continue
-		}
 		indexes = append(indexes, store.IndexData{
 			Grammar: key.Grammar,
 			Backend: key.Backend,
 			Seq:     seq,
-			Data:    buf.Bytes(),
+			Write:   p.WriteIndex,
 		})
 	}
 	// A graph replaced since we captured ge would receive index files

@@ -621,11 +621,7 @@ func TestWarmStartPrefersTheCanonicalFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var stale bytes.Buffer
-	if err := other.WriteIndex(&stale); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.store.SaveIndex("g", "q", "sparse-parallel", 0, stale.Bytes()); err != nil {
+	if err := s.store.SaveIndexFrom("g", "q", "sparse-parallel", 0, other.WriteIndex); err != nil {
 		t.Fatal(err)
 	}
 	s2 := reopen(t, s, dir)

@@ -46,18 +46,19 @@
 // one appender per line of versions, and the holder of the write lock is
 // that one). Whoever loads the pointer under the read lock has pinned an
 // immutable edge set and reads it lock-free for as long as it likes: an RPQ
-// request evaluates against it as it is, GraphInfo counts it. Nothing else
-// may Fork it — a second appender would write into the slots the next
-// batch claims — so a Prepared, which forks its own graph on every update,
-// owns a private copy: the cold build and the warm start each take one
-// Clone of a pinned version, outside the lock, and applyBatch patches each
-// cached handle with the same edges it published. A query registers its
-// index entry in the cache *before* pinning the graph, and applyBatch walks
+// request evaluates against it as it is, GraphInfo counts it, and the cold
+// build and the warm start bind a cfpq.Prepared to it as it is. Nothing
+// else may Fork it — a second appender would write into the slots the next
+// batch claims — and a Prepared never does: it never writes a graph it was
+// given, and its first update that adds an edge Clones the version it
+// holds, starting a line of its own. applyBatch patches each cached handle
+// with the same edges it published. A query registers its index entry in
+// the cache *before* pinning the graph, and applyBatch walks
 // the cache *after* publishing; the two orderings together guarantee every
 // cached index either saw the new edges when it was built or is patched by
 // the update — no lost updates (re-applying edges a build already saw is a
 // no-op: the registry graph is a multigraph and keeps parallel edges, but
-// Prepared.AddEdges skips edges its copy holds and the delta seeds only
+// Prepared.AddEdges skips edges its graph holds and the delta seeds only
 // missing bits). Edges that name new nodes are patched like any others: what
 // happens when the node set grows is the engine's decision
 // (core.UpdateContext), not the registry's.
@@ -606,18 +607,18 @@ func (s *Service) index(ctx context.Context, t Target) (*indexEntry, *cfpq.Prepa
 		// Built now, the engine carries the budget in force when the closure
 		// runs (a rejected build retries under a new one) into every patch.
 		eng := s.engine(be)
-		// The graph lock is held only to pin the published version; the
-		// handle's private copy (see package comment) and the potentially
-		// long closure run outside it. An applyBatch racing this build
+		// The graph lock is held only to pin the published version, which
+		// the handle binds as it is (see package comment); the potentially
+		// long closure runs outside it. An applyBatch racing this build
 		// either finds the slot unbuilt and skips it — in which case it
-		// published before our pin and the edges are in the copy — or
+		// published before our pin and the edges are in the version — or
 		// serialises behind us on e.mu and patches the finished handle (a
 		// no-op for edges the build saw).
 		e.ge.mu.RLock()
 		pinned, seq := e.ge.g, e.ge.seq
 		e.ge.mu.RUnlock()
 		buildStart := time.Now()
-		p, err := eng.PrepareCNF(ctx, pinned.Clone(), re.cnf)
+		p, err := eng.PrepareCNF(ctx, pinned, re.cnf)
 		if err != nil {
 			return nil, nil, s.noteErr(err)
 		}

@@ -173,23 +173,21 @@ func readSnapshot(raw []byte) (g *graph.Graph, names []string, baseSeq uint64, e
 	return g, names, baseSeq, nil
 }
 
-// writeIndexFile wraps an already-serialised CFPQIDX2 payload with the
-// store's seq watermark and CRC trailer.
-func writeIndexFile(w io.Writer, seq uint64, payload []byte) error {
+// writeIndexFile wraps the CFPQIDX2 payload that payload writes with the
+// store's seq watermark and CRC trailer; the CRC accumulates as the
+// payload streams through.
+func writeIndexFile(w io.Writer, seq uint64, payload func(io.Writer) error) error {
 	if _, err := io.WriteString(w, indexFileMagic); err != nil {
 		return err
 	}
-	var seqBuf [8]byte
-	binary.LittleEndian.PutUint64(seqBuf[:], seq)
-	if _, err := w.Write(seqBuf[:]); err != nil {
+	cw := &crcWriter{w: w}
+	if err := binary.Write(cw, binary.LittleEndian, seq); err != nil {
 		return err
 	}
-	if _, err := w.Write(payload); err != nil {
+	if err := payload(cw); err != nil {
 		return err
 	}
-	crc := crc32.ChecksumIEEE(seqBuf[:])
-	crc = crc32.Update(crc, crc32.IEEETable, payload)
-	return binary.Write(w, binary.LittleEndian, crc)
+	return binary.Write(w, binary.LittleEndian, cw.crc)
 }
 
 // readIndexFileHeader reads just the magic and seq watermark of an index

@@ -674,13 +674,14 @@ func (l *Log) AppendEdges(edges []graph.Edge) error {
 	return err
 }
 
-// IndexData is one evaluated index to persist alongside a snapshot: the
-// CFPQIDX2 bytes of a closure over the graph's first Seq edges.
+// IndexData is one evaluated index to persist alongside a snapshot: a
+// closure over the graph's first Seq edges, whose CFPQIDX2 payload Write
+// streams into the index file as SaveIndexFrom's write does.
 type IndexData struct {
 	Grammar string
 	Backend string
 	Seq     uint64
-	Data    []byte
+	Write   func(io.Writer) error
 }
 
 // Snapshot folds a graph's WAL into a fresh snapshot of the mirror and
@@ -991,16 +992,28 @@ func (s *Store) TailSince(name string, seq uint64, maxBytes int64) (batches []Ta
 	return batches, gl.seq, remainingBytes, true
 }
 
-// SaveIndex persists one evaluated index for (graph, grammar, backend):
-// CFPQIDX2 payload bytes covering the graph's first seq edges.
+// SaveIndex is SaveIndexFrom for CFPQIDX2 payload bytes already in memory.
 func (s *Store) SaveIndex(graphName, grammarName, backend string, seq uint64, data []byte) error {
+	return s.SaveIndexFrom(graphName, grammarName, backend, seq, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
+}
+
+// SaveIndexFrom persists one evaluated index for (graph, grammar,
+// backend), covering the graph's first seq edges: write streams its
+// CFPQIDX2 payload (core.Index.WriteTo) into a temp file that replaces the
+// previous index file only once complete — a failed write leaves that
+// file as it was. write runs under the graph's log lock and must not call
+// back into the store.
+func (s *Store) SaveIndexFrom(graphName, grammarName, backend string, seq uint64, write func(io.Writer) error) error {
 	gl, err := s.lookup(graphName)
 	if err != nil {
 		return err
 	}
 	gl.mu.Lock()
 	defer gl.mu.Unlock()
-	return s.saveIndexLocked(gl, IndexData{Grammar: grammarName, Backend: backend, Seq: seq, Data: data})
+	return s.saveIndexLocked(gl, IndexData{Grammar: grammarName, Backend: backend, Seq: seq, Write: write})
 }
 
 func (s *Store) saveIndexLocked(gl *graphLog, ix IndexData) error {
@@ -1010,7 +1023,7 @@ func (s *Store) saveIndexLocked(gl *graphLog, ix IndexData) error {
 	}
 	path := filepath.Join(dir, encodeName(ix.Grammar)+"@"+ix.Backend+indexExt)
 	return writeFileAtomic(path, !s.opts.NoSync, func(w io.Writer) error {
-		return writeIndexFile(w, ix.Seq, ix.Data)
+		return writeIndexFile(w, ix.Seq, ix.Write)
 	})
 }
 

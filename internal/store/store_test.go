@@ -3,6 +3,10 @@ package store
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -249,6 +253,126 @@ func TestCreateGraphReplacesEverything(t *testing.T) {
 	}
 }
 
+// encoded is the SaveIndexFrom payload writer of an index's CFPQIDX2 encoding.
+func encoded(ix *core.Index) func(io.Writer) error {
+	return func(w io.Writer) error {
+		_, err := ix.WriteTo(w)
+		return err
+	}
+}
+
+// TestIndexFileBytesPinned pins the index file (CFPQSIDX1 framing around
+// the CFPQIDX2 payload) of the paper's Figure 5 example at seq 5, on each
+// backend. The three ways an index file is written — SaveIndexFrom
+// streaming the encoding, SaveIndex with it in memory, and Snapshot — are
+// one save path and write the same bytes.
+func TestIndexFileBytesPinned(t *testing.T) {
+	pins := map[string]string{
+		"dense":  "cbea50406b51ea9c094f2806c00cb68380c80f139450fd4c0ce540048c83f601",
+		"sparse": "4d8c78454f9061d0e332da1305fe76851206e6c39111cf51ccd5f5d66cd52cfd",
+	}
+	cnf := grammar.MustParseCNF(`
+S -> S1 S5 | S3 S6 | S1 S2 | S3 S4
+S5 -> S S2
+S6 -> S S4
+S1 -> subClassOf_r
+S2 -> subClassOf
+S3 -> type_r
+S4 -> type`)
+	g := graph.New(3) // paper Figure 5
+	g.AddEdge(0, "subClassOf_r", 0)
+	g.AddEdge(0, "type_r", 1)
+	g.AddEdge(1, "type_r", 2)
+	g.AddEdge(2, "subClassOf", 0)
+	g.AddEdge(2, "type", 2)
+	for _, be := range matrix.Backends() {
+		ix, _, err := core.NewEngine(core.WithBackend(be)).RunContext(context.Background(), g, cnf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var encoding bytes.Buffer
+		if _, err := ix.WriteTo(&encoding); err != nil {
+			t.Fatal(err)
+		}
+		for _, via := range []string{"SaveIndexFrom", "SaveIndex", "Snapshot"} {
+			dir := t.TempDir()
+			s := mustOpen(t, dir)
+			if err := s.CreateGraph("fig5", g, nil); err != nil {
+				t.Fatal(err)
+			}
+			switch via {
+			case "SaveIndexFrom":
+				err = s.SaveIndexFrom("fig5", "q", be.Name(), 5, encoded(ix))
+			case "SaveIndex":
+				err = s.SaveIndex("fig5", "q", be.Name(), 5, encoding.Bytes())
+			default:
+				err = s.Snapshot("fig5", []IndexData{{Grammar: "q", Backend: be.Name(), Seq: 5, Write: encoded(ix)}})
+			}
+			if err != nil {
+				t.Fatalf("%s %s: %v", be.Name(), via, err)
+			}
+			raw, err := os.ReadFile(filepath.Join(dir, graphsDir, "fig5", indexesDir, "q@"+be.Name()+indexExt))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(raw)
+			if got := hex.EncodeToString(sum[:]); got != pins[be.Name()] {
+				t.Errorf("%s %s: index file hashes to %s, pinned %s", be.Name(), via, got, pins[be.Name()])
+			}
+		}
+	}
+}
+
+// TestFailedIndexWriteKeepsPreviousFile: a payload writer that fails
+// mid-stream fails the save, through SaveIndexFrom and through Snapshot, and
+// leaves the index file saved before it in place and no temp file behind.
+func TestFailedIndexWriteKeepsPreviousFile(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir)
+	g, names := sampleGraph()
+	if err := s.CreateGraph("g", g, names); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SaveIndex("g", "q", "sparse", 1, []byte("previous")); err != nil {
+		t.Fatal(err)
+	}
+	indexes := filepath.Join(dir, graphsDir, "g", indexesDir)
+	before, err := os.ReadFile(filepath.Join(indexes, "q@sparse"+indexExt))
+	if err != nil {
+		t.Fatal(err)
+	}
+	broken := errors.New("disk gone")
+	failing := func(w io.Writer) error {
+		if _, err := w.Write(bytes.Repeat([]byte("new"), 10_000)); err != nil {
+			return err
+		}
+		return broken
+	}
+	for via, save := range map[string]func() error{
+		"SaveIndexFrom": func() error { return s.SaveIndexFrom("g", "q", "sparse", 2, failing) },
+		"Snapshot": func() error {
+			return s.Snapshot("g", []IndexData{{Grammar: "q", Backend: "sparse", Seq: 2, Write: failing}})
+		},
+	} {
+		if err := save(); !errors.Is(err, broken) {
+			t.Fatalf("%s: err = %v, want the writer's", via, err)
+		}
+		entries, err := os.ReadDir(indexes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(entries) != 1 || entries[0].Name() != "q@sparse"+indexExt {
+			t.Errorf("%s: indexes/ holds %v, want the previous file only", via, entries)
+		}
+		if after, err := os.ReadFile(filepath.Join(indexes, "q@sparse"+indexExt)); err != nil || !bytes.Equal(after, before) {
+			t.Errorf("%s: the previous index file changed (err %v)", via, err)
+		}
+	}
+	if infos := s.Indexes("g"); len(infos) != 1 || infos[0].Seq != 1 {
+		t.Errorf("Indexes = %+v, want the previous file at seq 1", infos)
+	}
+}
+
 func TestIndexSaveLoadRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir)
@@ -262,11 +386,7 @@ func TestIndexSaveLoadRoundTrip(t *testing.T) {
 	// Stamped with the name of the retired row-parallel dense kernel, as a
 	// store written before it went holds; it must load on the dense one.
 	ix, _, _ := core.NewEngine(core.WithBackend(matrix.Dense())).RunContext(context.Background(), g, cnf)
-	var buf bytes.Buffer
-	if _, err := ix.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.SaveIndex("g", "q", "dense-parallel", 0, buf.Bytes()); err != nil {
+	if err := s.SaveIndexFrom("g", "q", "dense-parallel", 0, encoded(ix)); err != nil {
 		t.Fatal(err)
 	}
 

@@ -39,6 +39,9 @@ type Prepared struct {
 	// but in no published index yet. The next update that succeeds
 	// empties it; on an over-budget handle none does (see AddEdges).
 	pending []Edge
+	// owned: the current graph is the handle's own, to Fork and append
+	// to — not the one it was given. Guarded by writer.
+	owned bool
 
 	// mu guards the fields below. It is held to pin the current version or
 	// to swap in the next one — never across a closure.
@@ -53,7 +56,8 @@ type Prepared struct {
 
 // version is one published state of a handle: immutable, so whoever holds
 // the pointer reads it without a lock for as long as it likes. The next
-// version is built on Graph.Fork and Index.Fork of this one's parts.
+// version is built on Graph.Fork (Clone, see Prepared.owned) and
+// Index.Fork of this one's parts.
 type version struct {
 	g   *Graph // the edge set
 	ix  *Index // the closure of g's edges minus the handle's pending ones
@@ -459,7 +463,12 @@ func (p *Prepared) AddEdges(ctx context.Context, edges ...Edge) (UpdateInfo, err
 	info.Delta = core.EmptyDelta(cur.ix)
 	next := &version{g: cur.g, ix: cur.ix, num: cur.num}
 	if len(fresh) > 0 {
-		next.g = cur.g.Fork()
+		// The given graph's owner may Fork it too: one appender per line.
+		if p.owned {
+			next.g = cur.g.Fork()
+		} else {
+			next.g, p.owned = cur.g.Clone(), true
+		}
 		for _, ed := range fresh {
 			next.g.AddEdge(ed.From, ed.Label, ed.To)
 		}

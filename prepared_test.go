@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -366,5 +367,92 @@ func TestPrepareFromIndexWarmStart(t *testing.T) {
 	}
 	if _, err := eng.PrepareFromIndex(NewGraph(1), otherCNF, ix); err == nil {
 		t.Error("foreign CNF accepted")
+	}
+}
+
+// TestPreparedNeverWritesItsGraph: a handle never appends to the graph it
+// was given, so its owner may extend a Fork of that graph beside it — as
+// cfpqd's registry extends the version its handles were built on. The
+// a-edges of g sit in a list with room for one more, the slot the owner's
+// fork appends into; a handle that forked g too would append into the same
+// slot, and one side would see the other's edge (under -race, the two
+// writes race). The owner's fork and the handle then each see exactly
+// their own edges, for a handle from Prepare and from PrepareFromIndex,
+// through a first update and a second one.
+func TestPreparedNeverWritesItsGraph(t *testing.T) {
+	ctx := context.Background()
+	eng := NewEngine(Sparse)
+	gram := MustParseGrammar("S -> a S b | a b")
+	cnf, err := ToCNF(gram)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, via := range []string{"Prepare", "PrepareFromIndex"} {
+		g := NewGraph(6)
+		for i := range 3 { // len 3, cap 4
+			g.AddEdge(i, "a", i+1)
+		}
+		g.AddEdge(3, "b", 4)
+		g.AddEdge(4, "b", 5)
+		base := g.Edges()
+
+		var p *Prepared
+		if via == "Prepare" {
+			p, err = eng.PrepareCNF(ctx, g, cnf)
+		} else {
+			var ix *Index
+			if ix, _, err = eng.newCore(&config{}).RunContext(ctx, g, cnf); err == nil {
+				p, err = eng.PrepareFromIndex(g, cnf, ix)
+			}
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		owner := []Edge{{From: 5, Label: "a", To: 0}, {From: 5, Label: "b", To: 2}}
+		handle := []Edge{{From: 1, Label: "a", To: 1}, {From: 2, Label: "b", To: 0}}
+		var wg sync.WaitGroup
+		var forks [2]*Graph
+		wg.Add(1)
+		go func() { // the registry: one fork per batch, along its own line
+			defer wg.Done()
+			line := g
+			for k, ed := range owner {
+				line = line.Fork()
+				line.AddEdge(ed.From, ed.Label, ed.To)
+				forks[k] = line
+			}
+		}()
+		for _, ed := range handle {
+			if _, err := p.AddEdges(ctx, ed); err != nil {
+				t.Fatal(err)
+			}
+			p.Count(ctx, "S")
+		}
+		wg.Wait()
+
+		want := func(extra ...Edge) []Edge {
+			out := NewGraph(6)
+			for _, ed := range append(slices.Clone(base), extra...) {
+				out.AddEdge(ed.From, ed.Label, ed.To)
+			}
+			return out.Edges()
+		}
+		if got := g.Edges(); !reflect.DeepEqual(got, base) {
+			t.Errorf("%s: the given graph changed: %v", via, got)
+		}
+		if got := forks[1].Edges(); !reflect.DeepEqual(got, want(owner...)) {
+			t.Errorf("%s: the owner's fork holds %v, want %v", via, got, want(owner...))
+		}
+		if got := p.pin().g.Edges(); !reflect.DeepEqual(got, want(handle...)) {
+			t.Errorf("%s: the handle's graph holds %v, want %v", via, got, want(handle...))
+		}
+		fresh, err := eng.PrepareCNF(ctx, p.pin().g, cnf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := p.Count(ctx, "S"), fresh.Count(ctx, "S"); got != want {
+			t.Errorf("%s: the handle counts %d S-pairs, a cold build of its graph %d", via, got, want)
+		}
 	}
 }
