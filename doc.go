@@ -194,8 +194,8 @@
 //
 // cmd/cfpqd serves CFPQs over HTTP: it registers named graphs (N-Triples
 // or edge-list documents) and grammars, and caches one Prepared handle per
-// (graph, grammar, backend) combination — the HTTP layer is registry and
-// naming only; caching, locking and incremental updates are the public
+// (graph, grammar, backend) combination — an RPQ expression's right-linear
+// grammar included — the HTTP layer is registry and naming only; caching, locking and incremental updates are the public
 // Prepared machinery. A typical session:
 //
 //	cfpqd -addr :8080 &

@@ -104,3 +104,30 @@ func TestGrammarReductionShape(t *testing.T) {
 		}
 	}
 }
+
+// TestCanonicalFormIsAFixpoint pins two properties a cache keyed by
+// Regex.String relies on, over expressions composed from nullable,
+// repeated and alternated atoms: the canonical form parses back to itself,
+// and the lowered grammar always holds its start symbol — the parser
+// accepts no expression whose language is empty or {ε}, since every one
+// holds a label and so a non-empty word.
+func TestCanonicalFormIsAFixpoint(t *testing.T) {
+	atoms := []string{"a", "(b)", "a*", "b?", "a+", "(a|b)*", "(a?)*", "((a*)*)+", "(a* | b?)", "a? b?"}
+	var srcs []string
+	for _, x := range atoms {
+		srcs = append(srcs, x)
+		for _, y := range atoms {
+			srcs = append(srcs, x+" "+y, x+"|"+y, "("+x+" "+y+")*", "( "+x+"|"+y+" )?")
+		}
+	}
+	for _, src := range srcs {
+		canon := MustParseRegex(src).String()
+		r, err := ParseRegex(canon)
+		if err != nil || r.String() != canon {
+			t.Fatalf("%q: canonical form %q parses to %v, %v", src, canon, r, err)
+		}
+		if g, start, _ := Grammar(r); !g.HasNonterminal(start) {
+			t.Fatalf("%q lowers to a grammar without its start symbol %s", src, start)
+		}
+	}
+}

@@ -13,6 +13,7 @@ import (
 	"cfpq/internal/grammar"
 	"cfpq/internal/graph"
 	"cfpq/internal/matrix"
+	"cfpq/internal/rpq"
 	"cfpq/internal/store"
 )
 
@@ -27,6 +28,9 @@ import (
 // fresh names: growth is an ordinary update, so the answers equal an
 // independent oracle's on the same edge set, the subscribers are pushed
 // exactly the oracle's new pairs, and no node pays a second index build.
+// Beside it every node answers RPQ expressions from expr slots built before
+// the first batch and patched by every one, against a second oracle,
+// rpq.EvaluateBFS.
 
 // streamState is what the property compares.
 type streamState struct {
@@ -236,6 +240,86 @@ func (n servedIndex) requireServed(t *testing.T, what string, want, grown []Name
 	}
 }
 
+// agreementExprs are the RPQs every node answers from its expr slots, over
+// the batches' labels: a plus, a nullable star (the service asks for no
+// empty paths, so ε adds no pair), a concatenation after an alternation,
+// and a label no batch writes. The parser accepts no expression whose
+// language is empty or {ε} — every one holds a non-empty word — so the last
+// is the nearest thing to a degenerate expression: it answers the empty
+// relation.
+var agreementExprs = []string{"k+", "l*", "(k | l) l", "m+"}
+
+// exprRestrictions are the source and target lists each expression is asked
+// under: none, sources, targets, and both.
+var exprRestrictions = [][2][]string{
+	{nil, nil},
+	{{"a", "7"}, nil},
+	{nil, {"b", "7"}},
+	{{"a", "b"}, {"b", "7"}},
+}
+
+// requireExprs checks every node's answers to agreementExprs against
+// rpq.EvaluateBFS on the leader's edge set, restricted to the request's
+// sources and targets. The nodes are at the leader's seq.
+func requireExprs(t *testing.T, what string, leader *Service, nodes []servedIndex) {
+	t.Helper()
+	ge, err := leader.graphEntry("g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ge.mu.RLock()
+	g := ge.g
+	ids := func(tokens []string) map[int]bool {
+		if tokens == nil {
+			return nil
+		}
+		out := map[int]bool{}
+		for _, tok := range tokens {
+			id, err := ge.names.Lookup(tok)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[id] = true
+		}
+		return out
+	}
+	type restricted struct {
+		sources, targets map[int]bool
+	}
+	sets := make([]restricted, len(exprRestrictions))
+	for i, r := range exprRestrictions {
+		sets[i] = restricted{ids(r[0]), ids(r[1])}
+	}
+	ge.mu.RUnlock()
+	for _, expr := range agreementExprs {
+		all := rpq.EvaluateBFS(g, rpq.MustParseRegex(expr), rpq.Options{})
+		for i, r := range exprRestrictions {
+			var oracle []matrix.Pair
+			for _, p := range all {
+				if (sets[i].sources == nil || sets[i].sources[p.I]) && (sets[i].targets == nil || sets[i].targets[p.J]) {
+					oracle = append(oracle, p)
+				}
+			}
+			want := namedPairs(t, leader, oracle)
+			for _, n := range nodes {
+				ans, err := n.svc.Do(ctx, QueryRequest{Graph: "g", Expr: expr, Sources: r[0], Targets: r[1]})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(ans.Pairs, want) || ans.Explain.Strategy != "cached-read" {
+					t.Fatalf("%s: %s answers %q (sources %q, targets %q) with %v by %s, BFS %v",
+						what, n.who, expr, r[0], r[1], ans.Pairs, ans.Explain.Strategy, want)
+				}
+			}
+		}
+	}
+	for _, n := range nodes {
+		if builds := n.svc.obs.exprIndexBuilds.Value(); builds != uint64(len(agreementExprs)) {
+			t.Fatalf("%s: %s has run %d expr builds, want one per expression", what, n.who, builds)
+		}
+	}
+}
+
 // TestAgreementLeaderWrites drives token batches through the leader's
 // AddEdges (which rejects what only a typo can produce — a numeral outside
 // the node range — and journals the rest) and ships its WAL to the
@@ -252,6 +336,7 @@ func TestAgreementLeaderWrites(t *testing.T) {
 				serveIndex(t, "memory follower", memory),
 			}
 			relationNow := oracleRelation(t, leader)
+			requireExprs(t, "before the first batch", leader, nodes)
 			accepted := 0
 			for step := 0; step < 40; step++ {
 				recs := randomBatch(rng)
@@ -294,6 +379,7 @@ func TestAgreementLeaderWrites(t *testing.T) {
 				for _, n := range nodes {
 					n.requireServed(t, what, want, pushed)
 				}
+				requireExprs(t, what, leader, nodes)
 			}
 			if accepted < 10 {
 				t.Fatalf("the leader accepted %d growing batches; the property wants at least 10", accepted)
@@ -307,6 +393,11 @@ func TestAgreementLeaderWrites(t *testing.T) {
 			// Each data dir holds the index as first built, on the 9-node
 			// graph: the restart warm-starts it and patches it forward through
 			// every growing batch, without a build.
+			// Expr slots are not saved: each replay builds its own and
+			// answers what the leader answered.
+			requireExprs(t, "after reopening both data dirs", leaderReplay, []servedIndex{
+				{who: "leader replay", svc: leaderReplay}, {who: "follower replay", svc: followerReplay},
+			})
 			answers := namedPairs(t, leaderReplay, relationNow)
 			for who, s := range map[string]*Service{"leader replay": leaderReplay, "follower replay": followerReplay} {
 				got, err := relation(ctx, s, agreementTarget, "S")

@@ -48,8 +48,11 @@ func WithRequestLog(logger *slog.Logger) HandlerOption {
 //	POST /v1/query                       evaluate one declarative request through the planner:
 //	                                     {"graph":..,"grammar":..,"backend":..,"nonterminal":..|"expr":..,
 //	                                     "sources":[..],"targets":[..],"output":"pairs|count|exists|paths",
-//	                                     "limit":..,"max_path_length":..}; the answer carries an
-//	                                     "explain" record naming the strategy the planner chose
+//	                                     "limit":..,"max_path_length":..,"trace":..}; answered from
+//	                                     the cached index slot of the grammar, or of the "expr"'s
+//	                                     right-linear lowering (built on first use, patched by
+//	                                     writes); "explain" names the strategy (cached-read) and,
+//	                                     with "trace", the passes of a slot build the request ran
 //	POST /v1/subscribe                   standing query, served as Server-Sent Events:
 //	                                     {"graph":..,"grammar":..,"backend":..,"nonterminal":..,
 //	                                     "sources":[..],"targets":[..]}; each index update that
@@ -68,7 +71,8 @@ func WithRequestLog(logger *slog.Logger) HandlerOption {
 //	                                     "queries":[{"op":..,"nonterminal":..,"from":..,"to":..,
 //	                                     "sources":[..],"targets":[..]}]}
 //	GET  /v1/stats                       per-index closure statistics and per-nonterminal
-//	                                     relation sizes ("counts")
+//	                                     relation sizes ("counts"); an expr slot names its
+//	                                     canonical "expr" in place of a grammar
 //	POST /v1/snapshot                    persistent mode: fold WAL + built indexes into
 //	                                     fresh snapshots; ?graph= restricts to one graph
 //	GET  /v1/store/stats                 persistent mode: durable-store statistics

@@ -32,8 +32,9 @@ type obsMetrics struct {
 	// store.SetFsyncObserver when a store is attached).
 	walFsync *obs.Histogram
 
-	// indexBuild/warmStart observe full closure builds and store-restored
-	// index loads, the two ways a cache slot comes to life.
+	// indexBuild/warmStart observe full closure builds (of grammar and expr
+	// slots alike) and store-restored index loads, the two ways a cache
+	// slot comes to life.
 	indexBuild *obs.Histogram
 	warmStart  *obs.Histogram
 
@@ -49,7 +50,8 @@ type obsMetrics struct {
 	queries    *obs.Counter
 	strategies map[cfpq.Strategy]*obs.Counter
 
-	indexBuilds      *obs.Counter
+	indexBuilds      *obs.Counter // registry-grammar slots only
+	exprIndexBuilds  *obs.Counter
 	warmStarts       *obs.Counter
 	updates          *obs.Counter
 	edgesAdded       *obs.Counter
@@ -104,7 +106,8 @@ func newObsMetrics(s *Service) *obsMetrics {
 
 		queries:          reg.Counter("cfpqd_queries_total", "query operations answered (batch = one per answered spec)"),
 		strategies:       map[cfpq.Strategy]*obs.Counter{},
-		indexBuilds:      reg.Counter("cfpqd_index_builds_total", "full closure index builds"),
+		indexBuilds:      reg.Counter("cfpqd_index_builds_total", "full closure index builds of registry grammars"),
+		exprIndexBuilds:  reg.Counter("cfpqd_expr_index_builds_total", "full closure index builds of RPQ expressions"),
 		warmStarts:       reg.Counter("cfpqd_warm_starts_total", "indexes restored from the store without a closure"),
 		updates:          reg.Counter("cfpqd_updates_total", "AddEdges calls"),
 		edgesAdded:       reg.Counter("cfpqd_edges_added_total", "edges inserted across updates"),

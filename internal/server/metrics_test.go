@@ -196,6 +196,7 @@ func TestMetricNamesAreVetted(t *testing.T) {
 		"cfpqd_index_swap_duration_seconds",
 		"cfpqd_queries_total",
 		"cfpqd_index_builds_total",
+		"cfpqd_expr_index_builds_total",
 		"cfpqd_warm_starts_total",
 		"cfpqd_updates_total",
 		"cfpqd_edges_added_total",
@@ -301,17 +302,25 @@ func TestQueryStatsDurationOverTheWire(t *testing.T) {
 		}
 	}
 
-	// trace:true returns the per-pass table for a real evaluation — an RPQ
-	// expression always evaluates fresh (grammar queries against a cached
-	// index are pass-less cached reads).
-	code, body := httpDo(t, srv, http.MethodPost, "/v1/query",
-		`{"graph":"g","expr":"knows+","trace":true}`)
-	if code != http.StatusOK {
-		t.Fatalf("traced query: %d %v", code, body)
-	}
-	explain, _ := body["explain"].(map[string]any)
-	if passes, _ := explain["passes"].([]any); len(passes) == 0 {
-		t.Errorf("traced query returned no passes: %v", body)
+	// trace:true returns the passes of the closure the request itself ran:
+	// the first query of a fresh expression (or grammar) builds its slot and
+	// reports that build's passes; the next one is a pass-less cached read.
+	for _, q := range []string{`"expr":"knows+"`, `"grammar":"r2","nonterminal":"S"`} {
+		if code, body := httpDo(t, srv, http.MethodPut, "/v1/grammars/r2", "S -> knows S | knows"); code != http.StatusOK {
+			t.Fatalf("PUT grammar: %d %v", code, body)
+		}
+		for i, wantPasses := range []bool{true, false} {
+			code, body := httpDo(t, srv, http.MethodPost, "/v1/query", `{"graph":"g",`+q+`,"trace":true}`)
+			if code != http.StatusOK {
+				t.Fatalf("traced query %s #%d: %d %v", q, i, code, body)
+			}
+			explain, _ := body["explain"].(map[string]any)
+			passes, _ := explain["passes"].([]any)
+			if (len(passes) > 0) != wantPasses || explain["strategy"] != "cached-read" {
+				t.Errorf("traced query %s #%d: %d passes, strategy %v; want passes=%v and cached-read",
+					q, i, len(passes), explain["strategy"], wantPasses)
+			}
+		}
 	}
 }
 
@@ -346,9 +355,9 @@ func scalarSamples(t *testing.T, body string) map[string]float64 {
 
 // TestDebugVarsAgreesWithMetrics is the instrument-agreement test: after a
 // run that moves every kind of counter — a warm start from a store, a
-// cached read, a frontier expr read, a 404, a batch with one bad spec, an
-// AddEdges, a subscriber slow enough to have batches dropped while still
-// connected — every number under "cfpqd" in /debug/vars equals the
+// cached read, an expr read (which builds its slot), a 404, a batch with
+// one bad spec, an AddEdges, a subscriber slow enough to have batches
+// dropped while still connected — every number under "cfpqd" in /debug/vars equals the
 // /metrics sample it is rendered from, and queries == Σ strategies.
 func TestDebugVarsAgreesWithMetrics(t *testing.T) {
 	dir := t.TempDir()
@@ -377,7 +386,7 @@ func TestDebugVarsAgreesWithMetrics(t *testing.T) {
 	}
 	if code, body := httpDo(t, srv, http.MethodPost, "/v1/query",
 		`{"graph":"g","expr":"spare+","output":"count","sources":["n0"]}`); code != http.StatusOK {
-		t.Fatalf("frontier read: %d %v", code, body)
+		t.Fatalf("expr read: %d %v", code, body)
 	}
 	if code, body := postQuery(t, srv, "g", "r", "Nope", ""); code != http.StatusNotFound {
 		t.Fatalf("unknown non-terminal: %d %v", code, body)

@@ -15,8 +15,9 @@ import (
 // restarts. Every mutation is teed into the store write-ahead — graph
 // registrations become snapshots, grammar registrations become grammar
 // files, AddEdges batches become fsynced WAL records — and every closure
-// the service builds is saved as an index file with the edge-stream
-// position (seq) it covers. AttachStore runs the other direction: it
+// the service builds for a registry grammar is saved as an index file with
+// the edge-stream position (seq) it covers (an RPQ expression's slot is
+// not: it is rebuilt on demand). AttachStore runs the other direction: it
 // warm-starts an empty service from the recovered store, restoring the
 // registry and rebuilding every saved index as a live Prepared handle
 // without running a single closure — indexes whose watermark is behind
@@ -220,7 +221,8 @@ func (s *Service) snapshotGraph(name string) error {
 	ge := s.graphs[name]
 	var entries []*indexEntry
 	for k, e := range s.indexes {
-		if k.Graph == name && e.ge == ge {
+		// Expr slots are derived data, rebuilt on demand: never saved.
+		if k.Graph == name && k.Expr == "" && e.ge == ge {
 			entries = append(entries, e)
 		}
 	}

@@ -695,7 +695,7 @@ func TestReplacedGraphGetsNoStaleIndex(t *testing.T) {
 			}
 		})
 	}})
-	if _, _, err := s.index(buildCtx, Target{Graph: "g", Grammar: "q"}); err != nil {
+	if _, _, err := s.index(buildCtx, Target{Graph: "g", Grammar: "q"}.key()); err != nil {
 		t.Fatal(err)
 	}
 	if err := <-replaced; err != nil {

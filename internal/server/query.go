@@ -1,11 +1,11 @@
 // This file is the service's declarative query path: QueryRequest is the
 // JSON wire form of a cfpq.Request (node names in place of ids, registry
-// names in place of bound values), Service.Do resolves it and hands it to
-// the library planner — Prepared.Do for grammar queries (the cached-read
-// strategy), Engine.Do for RPQ expressions (planned from scratch on a
-// snapshot). Do is the service's one single-query entry point (the batch
-// route shares the cached index and the planner), so the planner is the
-// one evaluation path of the server.
+// names in place of bound values), Service.Do resolves it to a cached index
+// slot — a registry grammar's, or an RPQ expression's right-linear lowering
+// — and answers it with Prepared.Do, the cached-read strategy. Do is the
+// service's one single-query entry point (the batch route shares the cached
+// index), so no request plans a closure of its own: the only closure a
+// query can run is its slot's first build.
 
 package server
 
@@ -28,7 +28,9 @@ type QueryRequest struct {
 	Backend string `json:"backend,omitempty"`
 
 	// Nonterminal queries R_Nonterminal of the named grammar; Expr is an
-	// RPQ expression (no grammar; evaluated uncached on a graph snapshot).
+	// RPQ expression (no grammar): it is lowered to a right-linear grammar
+	// and answered from a cached index slot of its canonical form, built on
+	// first use and patched on every write like a grammar's.
 	Nonterminal string `json:"nonterminal,omitempty"`
 	Expr        string `json:"expr,omitempty"`
 
@@ -42,9 +44,9 @@ type QueryRequest struct {
 	Limit         int    `json:"limit,omitempty"`
 	MaxPathLength int    `json:"max_path_length,omitempty"`
 
-	// Trace asks the evaluation to collect its per-pass trace; the answer
-	// carries it as explain.passes (empty for cached reads, which run no
-	// closure passes).
+	// Trace asks for the per-pass trace of the closure this request ran:
+	// explain.passes carries the passes of the slot build the request
+	// itself paid for, and is empty for reads of a built slot.
 	Trace bool `json:"trace,omitempty"`
 }
 
@@ -118,32 +120,33 @@ func (s *Service) Do(ctx context.Context, req QueryRequest) (QueryAnswer, error)
 	return ans, nil
 }
 
-// dispatch validates one query, resolves it and hands it to the planner:
-// Prepared.Do on the cached handle for a grammar query; for an RPQ
-// expression — no registry grammar to cache an index under — a one-shot
-// engine plans from scratch against the request's point-in-time snapshot
-// (restrictions still pick the frontier strategies).
+// dispatch validates one query, resolves it to its slot and answers it
+// with Prepared.Do on the cached handle, grammar and RPQ expression alike.
+// With Trace set the request runs under a pass trace, which sees the
+// passes of a slot build this request runs (cfpq.WithTraceContext reaches
+// PrepareCNF) and nothing else.
 func (s *Service) dispatch(ctx context.Context, req QueryRequest) (QueryAnswer, error) {
-	if req.Graph == "" {
-		return QueryAnswer{}, errors.New("server: graph is required")
-	}
-	t := Target{Graph: req.Graph, Grammar: req.Grammar, Backend: req.Backend}
-	var rpq *cfpq.Engine
 	switch {
+	case req.Graph == "":
+		return QueryAnswer{}, errors.New("server: graph is required")
 	case req.Expr != "":
 		if req.Grammar != "" || req.Nonterminal != "" {
 			return QueryAnswer{}, errors.New("server: expr excludes grammar and nonterminal")
 		}
-		backend, err := cfpq.BackendByName(t.key().Backend)
-		if err != nil {
-			return QueryAnswer{}, err
-		}
-		rpq = s.engine(backend)
 	case req.Grammar == "":
 		return QueryAnswer{}, errors.New("server: grammar is required for nonterminal queries")
 	case req.Nonterminal == "":
 		return QueryAnswer{}, errors.New("server: one of nonterminal or expr is required")
 	}
+	var passes []cfpq.PassEvent
+	if req.Trace {
+		ctx = cfpq.WithTraceContext(ctx, &cfpq.Trace{Pass: func(ev cfpq.PassEvent) {
+			// Events' slices are only valid during the hook; copy.
+			ev.NNZ = append([]cfpq.NNZ(nil), ev.NNZ...)
+			passes = append(passes, ev)
+		}})
+	}
+	t := Target{Graph: req.Graph, Grammar: req.Grammar, Backend: req.Backend}
 	ge, p, creq, err := s.resolve(ctx, t, req.Nonterminal, req.Expr, req.Sources, req.Targets)
 	if err != nil {
 		return QueryAnswer{}, err
@@ -151,16 +154,11 @@ func (s *Service) dispatch(ctx context.Context, req QueryRequest) (QueryAnswer, 
 	creq.Output = cfpq.Output(req.Output)
 	creq.Limit = req.Limit
 	creq.MaxPathLength = req.MaxPathLength
-	creq.Trace = req.Trace
-	var res *cfpq.Result
-	if rpq != nil {
-		res, err = rpq.Do(ctx, creq)
-	} else {
-		res, err = p.Do(ctx, creq)
-	}
+	res, err := p.Do(ctx, creq)
 	if err != nil {
 		return QueryAnswer{}, s.noteErr(err)
 	}
+	res.Explain.Passes = passes
 	return renderAnswer(ge, req, res), nil
 }
 

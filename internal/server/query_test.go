@@ -72,14 +72,14 @@ func TestHTTPDeclarativeQuery(t *testing.T) {
 		t.Fatalf("path step: %v", step)
 	}
 
-	// An RPQ expression, target-restricted: planned from scratch, so the
-	// explain record names the target-frontier strategy.
+	// An RPQ expression, target-restricted: answered from its own cached
+	// slot, like a grammar query.
 	code, body = httpDo(t, srv, http.MethodPost, "/v1/query",
 		`{"graph":"social","expr":"knows+","output":"count","targets":["dave"]}`)
 	if code != http.StatusOK || body["count"].(float64) != 3 {
 		t.Fatalf("expr: %d %v", code, body)
 	}
-	if explain := body["explain"].(map[string]any); explain["strategy"] != "target-frontier" {
+	if explain := body["explain"].(map[string]any); explain["strategy"] != "cached-read" {
 		t.Fatalf("expr explain: %v", explain)
 	}
 }
@@ -210,8 +210,9 @@ func TestDebugVarsStrategyCounters(t *testing.T) {
 		}
 	}
 
-	// One cached read (grammar query), one source-frontier and one
-	// target-frontier (restricted RPQs), one full (unrestricted RPQ).
+	// One grammar query and three RPQs — source-restricted,
+	// target-restricted, unrestricted: every one is a cached read, the RPQs
+	// from their expression's slot. No request plans a closure.
 	posts := []string{
 		`{"graph":"social","grammar":"reach","nonterminal":"S","output":"count"}`,
 		`{"graph":"social","expr":"knows+","output":"count","sources":["alice"]}`,
@@ -225,10 +226,10 @@ func TestDebugVarsStrategyCounters(t *testing.T) {
 	}
 	after := strategies()
 	wantDelta := map[string]float64{
-		"cached-read":     1,
-		"source-frontier": 1,
-		"target-frontier": 1,
-		"full":            1,
+		"cached-read":     4,
+		"source-frontier": 0,
+		"target-frontier": 0,
+		"full":            0,
 	}
 	for key, want := range wantDelta {
 		if got := after[key] - before[key]; got != want {
@@ -298,7 +299,7 @@ func TestServiceDoTargets(t *testing.T) {
 // TestHTTPDeclarativeQueryEmptyRestriction pins the declared semantics of
 // a present-but-empty restriction: it selects nothing (and does not
 // silently mean "everything"), uniformly across the cached wire form
-// ("sources": []) and the uncached expression path.
+// ("sources": []) and the expression path.
 func TestHTTPDeclarativeQueryEmptyRestriction(t *testing.T) {
 	srv := queryTestServer(t)
 	cases := []struct {
@@ -350,7 +351,7 @@ func TestHTTPTruncatedFlag(t *testing.T) {
 		t.Fatalf("unclipped answer carries truncated: %v", body)
 	}
 
-	// The uncached expression path (Engine.Do → shapePairs) reports it too.
+	// The expression path reports it too.
 	code, body = httpDo(t, srv, http.MethodPost, "/v1/query",
 		`{"graph":"social","expr":"knows+","limit":1}`)
 	if code != http.StatusOK || body["truncated"] != true {

@@ -17,9 +17,11 @@
 //     rejection of out-of-range numeric ids) and ApplyReplicatedEdges (the
 //     leader's record kind, seq continuity). A follower therefore interns,
 //     journals and patches exactly as the leader did.
-//   - resolve binds a request's registry names, non-terminal and node tokens
-//     to the graph entry, the cached handle and a cfpq.Request, behind
-//     POST /v1/query (grammar and RPQ), /v1/query/batch and /v1/subscribe.
+//   - resolve binds a request's registry names, non-terminal or RPQ
+//     expression (a grammar too: its right-linear lowering has a slot of
+//     its own) and node tokens to the graph entry, the cached handle and a
+//     cfpq.Request, behind POST /v1/query, /v1/query/batch and
+//     /v1/subscribe. The only closure a request can run is a slot's build.
 //
 // Concurrency design. Readers never wait for a closure: a query resolves a
 // built slot through indexEntry.ready (an atomic pointer, no entry lock)
@@ -45,13 +47,13 @@
 // write lock, with a fork of itself that holds the batch (graph.Fork allows
 // one appender per line of versions, and the holder of the write lock is
 // that one). Whoever loads the pointer under the read lock has pinned an
-// immutable edge set and reads it lock-free for as long as it likes: an RPQ
-// request evaluates against it as it is, GraphInfo counts it, and the cold
-// build and the warm start bind a cfpq.Prepared to it as it is. Nothing
-// else may Fork it — a second appender would write into the slots the next
-// batch claims — and a Prepared never does: it never writes a graph it was
-// given, and its first update that adds an edge Clones the version it
-// holds, starting a line of its own. applyBatch patches each cached handle
+// immutable edge set and reads it lock-free for as long as it likes:
+// GraphInfo counts it, and the cold build and the warm start bind a
+// cfpq.Prepared to it as it is. Nothing else may Fork it — a second
+// appender would write into the slots the next batch claims — and a
+// Prepared never does: it never writes a graph it was given, and its first
+// update that adds an edge Clones the version it holds, starting a line of
+// its own. applyBatch patches each cached handle
 // with the same edges it published. A query registers its index entry in
 // the cache *before* pinning the graph, and applyBatch walks
 // the cache *after* publishing; the two orderings together guarantee every
@@ -65,18 +67,22 @@
 package server
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"io"
 	"log/slog"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"cfpq"
 	"cfpq/internal/graph"
+	"cfpq/internal/rpq"
 	"cfpq/internal/store"
 )
 
@@ -102,6 +108,11 @@ type Service struct {
 	// (see AttachStore in persist.go). Written once at attach time, before
 	// serving; read without s.mu on the hot paths.
 	store *store.Store
+
+	// exprClock stamps slots as they are resolved (indexEntry.used), so
+	// that past maxExprSlots the least recently used expr slot is evicted.
+	// Guarded by mu.
+	exprClock uint64
 
 	// budget is the per-closure memory budget in bytes every engine this
 	// service constructs carries (Service.engine); 0 means unlimited.
@@ -168,7 +179,7 @@ func (s *Service) writable() error {
 
 // SetMemoryBudget bounds the estimated matrix bytes any single closure
 // evaluation run by this service may hold (cfpq.WithMemoryBudget): index
-// builds, warm starts, patches and uncached RPQ evaluations alike. A breach
+// builds of grammar and expr slots, warm starts and patches alike. A breach
 // answers with a typed error the HTTP layer maps to 413, ticking
 // budget_rejections. bytes ≤ 0 means unlimited. Cached engines keep the
 // budget they were built with: set it before serving for uniform behaviour.
@@ -255,12 +266,20 @@ type grammarEntry struct {
 	src  string
 }
 
-// IndexKey identifies one cached closure index.
+// IndexKey identifies one cached closure index: a registry grammar's, or
+// an RPQ expression's — Expr holds its canonical form (rpq.Regex.String)
+// and Grammar is empty, so the two kinds never collide.
 type IndexKey struct {
 	Graph   string
 	Grammar string
+	Expr    string
 	Backend string
 }
+
+// maxExprSlots bounds the expr slots the service holds; resolving one more
+// evicts the least recently used. Expr slots are derived data: never
+// persisted, never warm-started, rebuilt on demand.
+const maxExprSlots = 16
 
 // indexEntry is one cache slot: build-once state around a public
 // cfpq.Prepared handle, which does the actual caching, locking and
@@ -269,8 +288,10 @@ type indexEntry struct {
 	mu    sync.Mutex
 	key   IndexKey
 	ge    *graphEntry    // the registry graph the handle is (being) built from
-	stale bool           // invalidated (replacement or an abandoned update); off the cache map
+	stale bool           // invalidated (replacement, eviction or an abandoned update); off the cache map
 	p     *cfpq.Prepared // nil until the slot is built
+	start string         // an expr slot's non-terminal (its lowering's start); set with p
+	used  uint64         // Service.exprClock at the last resolve; guarded by Service.mu
 
 	// ready is p once the slot is built and for as long as it is not
 	// stale — what readers resolve the slot through, without mu, so a
@@ -568,12 +589,12 @@ func (t Target) key() IndexKey {
 }
 
 // index returns the cache entry and its built Prepared handle for the
-// target, building on first use. A built, non-stale slot is resolved
-// without its lock, and the handle answers from a pinned version, so
-// queries share an index and wait for neither a build of another slot nor
-// an update of this one.
-func (s *Service) index(ctx context.Context, t Target) (*indexEntry, *cfpq.Prepared, error) {
-	key := t.key()
+// slot key (canonical, see Target.key), building on first use. A built,
+// non-stale slot is resolved without its lock, and the handle answers from
+// a pinned version, so queries share an index and wait for neither a build
+// of another slot nor an update of this one. A new expr slot past
+// maxExprSlots evicts the least recently used one.
+func (s *Service) index(ctx context.Context, key IndexKey) (*indexEntry, *cfpq.Prepared, error) {
 	be, err := cfpq.BackendByName(key.Backend)
 	if err != nil {
 		return nil, nil, err
@@ -581,7 +602,7 @@ func (s *Service) index(ctx context.Context, t Target) (*indexEntry, *cfpq.Prepa
 	s.mu.Lock()
 	ge := s.graphs[key.Graph]
 	re := s.grammars[key.Grammar]
-	if ge == nil || re == nil {
+	if ge == nil || (re == nil && key.Expr == "") {
 		s.mu.Unlock()
 		if ge == nil {
 			return nil, nil, notFoundf("server: unknown graph %q", key.Graph)
@@ -592,11 +613,18 @@ func (s *Service) index(ctx context.Context, t Target) (*indexEntry, *cfpq.Prepa
 	// this ordering, with applyBatch walking the cache after publishing,
 	// excludes lost updates).
 	e := s.indexes[key]
+	var evicted []*indexEntry
 	if e == nil {
+		if key.Expr != "" {
+			evicted = s.evictExprLocked()
+		}
 		e = &indexEntry{key: key, ge: ge}
 		s.indexes[key] = e
 	}
+	s.exprClock++
+	e.used = s.exprClock
 	s.mu.Unlock()
+	markStale(evicted)
 
 	if p := e.ready.Load(); p != nil {
 		return e, p, nil
@@ -604,6 +632,12 @@ func (s *Service) index(ctx context.Context, t Target) (*indexEntry, *cfpq.Prepa
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.p == nil {
+		cnf, start := (*cfpq.CNF)(nil), ""
+		if re != nil {
+			cnf = re.cnf
+		} else if cnf, start, err = exprCNF(key.Expr); err != nil {
+			return nil, nil, err
+		}
 		// Built now, the engine carries the budget in force when the closure
 		// runs (a rejected build retries under a new one) into every patch.
 		eng := s.engine(be)
@@ -618,17 +652,57 @@ func (s *Service) index(ctx context.Context, t Target) (*indexEntry, *cfpq.Prepa
 		pinned, seq := e.ge.g, e.ge.seq
 		e.ge.mu.RUnlock()
 		buildStart := time.Now()
-		p, err := eng.PrepareCNF(ctx, pinned, re.cnf)
+		p, err := eng.PrepareCNF(ctx, pinned, cnf)
 		if err != nil {
 			return nil, nil, s.noteErr(err)
 		}
 		s.obs.indexBuild.Observe(time.Since(buildStart).Seconds())
-		e.p = p
+		e.p, e.start = p, start
 		e.ready.Store(p)
-		s.obs.indexBuilds.Inc()
-		s.persistIndex(e, re, seq, p)
+		if re == nil {
+			s.obs.exprIndexBuilds.Inc()
+		} else {
+			s.obs.indexBuilds.Inc()
+			s.persistIndex(e, re, seq, p)
+		}
 	}
 	return e, e.p, nil
+}
+
+// exprCNF lowers a canonical RPQ expression to the CNF of its right-linear
+// grammar and names the non-terminal whose relation answers it. Every
+// expression the parser accepts holds a non-empty word, so the start
+// symbol always survives the lowering (rpq's TestCanonicalFormIsAFixpoint).
+func exprCNF(expr string) (*cfpq.CNF, string, error) {
+	r, err := rpq.ParseRegex(expr)
+	if err != nil {
+		return nil, "", err
+	}
+	gram, start, _ := rpq.Grammar(r)
+	cnf, err := cfpq.ToCNF(gram)
+	return cnf, start, err
+}
+
+// evictExprLocked makes room for one more expr slot: holding maxExprSlots
+// already, it takes the least recently resolved one off the map and
+// returns it for markStale. Callers hold s.mu.
+func (s *Service) evictExprLocked() []*indexEntry {
+	var lru *indexEntry
+	held := 0
+	for k, e := range s.indexes {
+		if k.Expr == "" {
+			continue
+		}
+		held++
+		if lru == nil || e.used < lru.used {
+			lru = e
+		}
+	}
+	if held < maxExprSlots {
+		return nil
+	}
+	delete(s.indexes, lru.key)
+	return []*indexEntry{lru}
 }
 
 func (s *Service) graphEntry(name string) (*graphEntry, error) {
@@ -644,50 +718,43 @@ func (s *Service) graphEntry(name string) (*graphEntry, error) {
 // resolve is the service's one request-resolve: it binds what a request
 // names — the (graph, grammar, backend) target, a non-terminal or an RPQ
 // expression, restriction node tokens — to the graph entry, the cached
-// handle and a cfpq.Request. POST /v1/query (both branches) and
+// handle and a cfpq.Request. POST /v1/query (both languages) and
 // /v1/subscribe go through it, and /v1/query/batch through its two halves
 // (index once, request per spec), so one bad name gets one error whichever
-// route carried it. An expression has no registry grammar to cache an index
-// under: the handle is nil and the request carries the expression and the
-// pinned version of the graph for an engine to plan from scratch.
+// route carried it. An expression resolves to the expr slot of its
+// canonical form, and the request to that slot's start non-terminal.
 func (s *Service) resolve(ctx context.Context, t Target, nonterminal, expr string, sources, targets []string) (*graphEntry, *cfpq.Prepared, cfpq.Request, error) {
-	var (
-		ge *graphEntry
-		p  *cfpq.Prepared
-	)
+	key := t.key()
 	if expr != "" {
-		var err error
-		if ge, err = s.graphEntry(t.Graph); err != nil {
-			return nil, nil, cfpq.Request{}, err
-		}
-	} else {
-		e, built, err := s.index(ctx, t)
+		r, err := rpq.ParseRegex(expr)
 		if err != nil {
 			return nil, nil, cfpq.Request{}, err
 		}
-		ge, p = e.ge, built
+		key.Expr = r.String()
 	}
-	ge.mu.RLock()
-	defer ge.mu.RUnlock()
-	req, err := ge.request(p, nonterminal, sources, targets)
-	if err == nil && expr != "" {
-		req.Expr, req.Graph = expr, ge.g
+	e, p, err := s.index(ctx, key)
+	if err != nil {
+		return nil, nil, cfpq.Request{}, err
 	}
-	return ge, p, req, err
+	if expr != "" {
+		nonterminal = e.start
+	}
+	e.ge.mu.RLock()
+	defer e.ge.mu.RUnlock()
+	req, err := e.ge.request(p, nonterminal, sources, targets)
+	return e.ge, p, req, err
 }
 
 // request resolves what a request names inside its target: the non-terminal
 // against the handle's grammar (Prepared answers an unknown one with an
 // empty relation or a plain error; the service contract is 404) and the
 // restriction tokens against the graph's name table — nil stays nil
-// (unrestricted), an empty list stays an empty restriction. p is nil for an
-// RPQ expression, which names no non-terminal. Callers hold ge.mu.
+// (unrestricted), an empty list stays an empty restriction. Callers hold
+// ge.mu.
 func (ge *graphEntry) request(p *cfpq.Prepared, nonterminal string, sources, targets []string) (cfpq.Request, error) {
 	req := cfpq.Request{Nonterminal: nonterminal}
-	if p != nil {
-		if _, ok := p.CNF().Index(nonterminal); !ok {
-			return req, notFoundf("server: unknown non-terminal %q", nonterminal)
-		}
+	if _, ok := p.CNF().Index(nonterminal); !ok {
+		return req, notFoundf("server: unknown non-terminal %q", nonterminal)
 	}
 	var err error
 	if req.Sources, err = ge.nodeIDs(sources); err != nil {
@@ -758,7 +825,7 @@ type BatchAnswer struct {
 // otherwise issue many POST /v1/query calls against the same (graph,
 // grammar) pair.
 func (s *Service) QueryBatch(ctx context.Context, t Target, specs []BatchQuerySpec) ([]BatchAnswer, error) {
-	e, p, err := s.index(ctx, t)
+	e, p, err := s.index(ctx, t.key())
 	if err != nil {
 		return nil, err
 	}
@@ -847,7 +914,10 @@ type EdgeSpec struct {
 	To    string `json:"to"`
 }
 
-// UpdateResult reports what an AddEdges call did.
+// UpdateResult reports what an AddEdges call did. Its index counts and
+// stats cover the registry's grammar indexes: the expr slots patched beside
+// them are the service's own cache, and what other clients happened to ask
+// does not show in a write's answer.
 type UpdateResult struct {
 	// Added is the number of edges inserted into the graph.
 	Added int `json:"added"`
@@ -1030,7 +1100,6 @@ func (s *Service) patchIndexes(ctx context.Context, graphName string, ge *graphE
 			// patch against the slot's build and other patches. Readers
 			// come in through e.ready and are not behind it.
 			info, err := e.p.AddEdges(ctx, edges...)
-			res.UpdateStats.Add(info.Stats)
 			s.obs.indexSwap.Observe(info.Swap.Seconds())
 			if err != nil {
 				s.noteErr(err)
@@ -1039,9 +1108,14 @@ func (s *Service) patchIndexes(ctx context.Context, graphName string, ge *graphE
 				// it so the next query rebuilds, and report it as
 				// invalidated, not patched.
 				e.invalidate()
-				res.Invalidated++
-			} else {
-				res.Patched++
+			}
+			if e.key.Expr == "" {
+				res.UpdateStats.Add(info.Stats)
+				if err != nil {
+					res.Invalidated++
+				} else {
+					res.Patched++
+				}
 			}
 		}
 		stale := e.stale
@@ -1071,12 +1145,14 @@ func (s *Service) patchIndexes(ctx context.Context, graphName string, ge *graphE
 type IndexStats struct {
 	Graph   string `json:"graph"`
 	Grammar string `json:"grammar"`
+	Expr    string `json:"expr,omitempty"` // an expr slot's canonical expression
 	Backend string `json:"backend"`
 	// The handle's own statistics; Build is zero for a warm-started index.
 	cfpq.PreparedStats
 }
 
-// Stats reports every cached index, sorted by (graph, grammar, backend).
+// Stats reports every cached index, sorted by (graph, grammar, expr,
+// backend).
 func (s *Service) Stats() []IndexStats {
 	s.mu.Lock()
 	entries := make([]*indexEntry, 0, len(s.indexes))
@@ -1090,15 +1166,9 @@ func (s *Service) Stats() []IndexStats {
 			out = append(out, st)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Graph != b.Graph {
-			return a.Graph < b.Graph
-		}
-		if a.Grammar != b.Grammar {
-			return a.Grammar < b.Grammar
-		}
-		return a.Backend < b.Backend
+	slices.SortFunc(out, func(a, b IndexStats) int {
+		return cmp.Or(strings.Compare(a.Graph, b.Graph), strings.Compare(a.Grammar, b.Grammar),
+			strings.Compare(a.Expr, b.Expr), strings.Compare(a.Backend, b.Backend))
 	})
 	return out
 }
@@ -1122,7 +1192,7 @@ func (e *indexEntry) stats() (IndexStats, bool) {
 		return IndexStats{}, false
 	}
 	return IndexStats{
-		Graph: e.key.Graph, Grammar: e.key.Grammar, Backend: e.key.Backend,
+		Graph: e.key.Graph, Grammar: e.key.Grammar, Expr: e.key.Expr, Backend: e.key.Backend,
 		PreparedStats: p.Stats(),
 	}, true
 }
