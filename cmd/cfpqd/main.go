@@ -84,10 +84,9 @@
 //	curl -X POST -d '{"edges":[{"from":"a","label":"subClassOf","to":"b"}]}' \
 //	     localhost:8080/v1/graphs/wine/edges
 //	curl localhost:8080/v1/stats
-//	curl -X POST localhost:8080/v1/snapshot
-//	curl localhost:8080/v1/store/stats
+//	curl -X POST localhost:8080/v1/snapshot   # answers with the store statistics
 //	curl localhost:8080/healthz
-//	curl localhost:8080/debug/vars
+//	curl localhost:8080/metrics
 //
 // Live queries: POST /v1/subscribe holds the same JSON request open as a
 // Server-Sent Events stream, pushing one "pairs" event per edge batch that
@@ -104,8 +103,10 @@
 // GET /metrics serves Prometheus text format: request-latency histograms
 // labeled by (route, strategy, backend, status), WAL fsync / index build /
 // warm start latency histograms, replication lag gauges (records, bytes,
-// age), subscription buffer depth and drop counters, store sizes, and a
-// build_info gauge. GET /healthz and /readyz report build version/revision
+// age), live subscriptions with their buffer depth and drop counters (the
+// only view of them; there are no per-subscription rows), store sizes, and
+// a build_info gauge. GET /debug/vars renders the same counters as JSON,
+// beside the store statistics that POST /v1/snapshot also answers with. GET /healthz and /readyz report build version/revision
 // and uptime. Every request is logged one structured line to stderr (slog)
 // with an X-Request-ID that is echoed from the client or freshly minted,
 // and set on the response either way.

@@ -135,8 +135,9 @@
 // pair arrives exactly once.
 // SubscribeFrom resumes after a known sequence number (the Last-Event-ID
 // contract of cfpqd's POST /v1/subscribe SSE route, which followers serve
-// too — fed by the replicated-apply path); Prepared.Close ends every
-// subscription so consumers learn their handle is gone.
+// too — fed by the replicated-apply path, and which streams this
+// Subscription as it is, its counts aggregated on /metrics); Prepared.Close
+// ends every subscription so consumers learn their handle is gone.
 //
 // # Old → new call shapes
 //

@@ -102,13 +102,3 @@ func EvaluateBFS(g *graph.Graph, r Regex, opts Options) []matrix.Pair {
 	})
 	return pairs
 }
-
-// ReflexivePairs is the relation {(v, v) | v ∈ V}: the answer to an
-// ε-accepting expression whose language is otherwise empty.
-func ReflexivePairs(n int) []matrix.Pair {
-	out := make([]matrix.Pair, n)
-	for v := 0; v < n; v++ {
-		out[v] = matrix.Pair{I: v, J: v}
-	}
-	return out
-}

@@ -2,6 +2,7 @@ package server
 
 import (
 	"cmp"
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -9,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"cfpq"
 	"cfpq/internal/baseline"
 	"cfpq/internal/grammar"
 	"cfpq/internal/graph"
@@ -178,13 +180,7 @@ func namedPairs(t *testing.T, s *Service, pairs []matrix.Pair) []NamedPair {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ge.mu.RLock()
-	defer ge.mu.RUnlock()
-	out := make([]NamedPair, len(pairs))
-	for i, p := range pairs {
-		out[i] = NamedPair{From: ge.names.Name(p.I), To: ge.names.Name(p.J)}
-	}
-	return out
+	return ge.named(pairs)
 }
 
 // servedIndex is one node holding a cached index on the graph and a
@@ -192,7 +188,8 @@ func namedPairs(t *testing.T, s *Service, pairs []matrix.Pair) []NamedPair {
 type servedIndex struct {
 	who string
 	svc *Service
-	sub *ServerSubscription
+	sub *cfpq.Subscription
+	ge  *graphEntry
 }
 
 // serveIndex registers the grammar the way the node's role allows, pays the
@@ -202,12 +199,13 @@ func serveIndex(t *testing.T, who string, s *Service) servedIndex {
 	if err := s.ApplyGrammar("q", agreementGrammar); err != nil {
 		t.Fatal(err)
 	}
-	sub, err := s.Subscribe(ctx, SubscribeRequest{Graph: "g", Grammar: "q", Nonterminal: "S"}, false, 0)
+	subCtx, cancel := context.WithCancel(ctx)
+	t.Cleanup(cancel)
+	sub, ge, err := s.subscribe(subCtx, SubscribeRequest{Graph: "g", Grammar: "q", Nonterminal: "S"}, false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(sub.Close)
-	return servedIndex{who: who, svc: s, sub: sub}
+	return servedIndex{who: who, svc: s, sub: sub, ge: ge}
 }
 
 // requireServed checks one node after a batch: its answer is the oracle's
@@ -229,7 +227,7 @@ func (n servedIndex) requireServed(t *testing.T, what string, want, grown []Name
 		if !ok || b.Resync {
 			t.Fatalf("%s: %s's stream lost continuity (open=%v, %+v)", what, n.who, ok, b)
 		}
-		pushed = n.sub.render(b).Pairs
+		pushed = n.ge.named(b.Pairs)
 	default:
 	}
 	if !slices.Equal(pushed, grown) {

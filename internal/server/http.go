@@ -74,8 +74,8 @@ func WithRequestLog(logger *slog.Logger) HandlerOption {
 //	                                     relation sizes ("counts"); an expr slot names its
 //	                                     canonical "expr" in place of a grammar
 //	POST /v1/snapshot                    persistent mode: fold WAL + built indexes into
-//	                                     fresh snapshots; ?graph= restricts to one graph
-//	GET  /v1/store/stats                 persistent mode: durable-store statistics
+//	                                     fresh snapshots; ?graph= restricts to one graph;
+//	                                     answers with the durable-store statistics
 //	GET  /v1/replica/snapshot            leader: JSON manifest (grammars, graphs with
 //	                                     seq+epoch, config version); ?graph= instead
 //	                                     returns that graph's binary snapshot with
@@ -98,8 +98,8 @@ func WithRequestLog(logger *slog.Logger) HandlerOption {
 //	                                     replication lag gauges, subscription and WAL
 //	                                     counters, build info
 //	GET  /debug/vars                     expvar dump + the /metrics counters as JSON ("cfpqd")
-//	                                     + store/replication status + per-subscription
-//	                                     counters ("cfpqd_subscriptions")
+//	                                     + store statistics ("cfpqd_store") and replication
+//	                                     status ("cfpqd_replication")
 //	GET  /debug/pprof/                   runtime profiles (only with WithPprof / -pprof)
 //
 // Every response carries an X-Request-ID header — echoed from the request
@@ -236,14 +236,6 @@ func Handler(s *Service, opts ...HandlerOption) http.Handler {
 		st, _ := s.StoreStats()
 		writeJSON(w, http.StatusOK, map[string]any{"snapshotted": true, "store": st})
 	})
-	mux.HandleFunc("GET /v1/store/stats", func(w http.ResponseWriter, r *http.Request) {
-		st, ok := s.StoreStats()
-		if !ok {
-			writeError(w, http.StatusConflict, errors.New("no store attached (start cfpqd with -data-dir)"))
-			return
-		}
-		writeJSON(w, http.StatusOK, st)
-	})
 	mux.HandleFunc("GET /v1/replica/snapshot", func(w http.ResponseWriter, r *http.Request) {
 		if name := r.URL.Query().Get("graph"); name != "" {
 			data, seq, epoch, err := s.ReplicaGraphSnapshot(name)
@@ -377,11 +369,6 @@ func serveDebugVars(w http.ResponseWriter, s *Service) {
 	if rc := s.replicationController(); rc != nil {
 		if raw, err := json.Marshal(rc.Status()); err == nil {
 			emit("cfpqd_replication", string(raw))
-		}
-	}
-	if subs := s.SubscriptionInfos(); len(subs) > 0 {
-		if raw, err := json.Marshal(subs); err == nil {
-			emit("cfpqd_subscriptions", string(raw))
 		}
 	}
 	fmt.Fprintf(w, "\n}\n")

@@ -176,6 +176,15 @@ func TestHTTPErrors(t *testing.T) {
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET /v1/query: got %d, want 405", resp.StatusCode)
 	}
+	// So is the store-statistics route: the snapshot's answer and
+	// /debug/vars serve those numbers.
+	if resp, err = srv.Client().Get(srv.URL + "/v1/store/stats"); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("GET /v1/store/stats: got %d, want 404", resp.StatusCode)
+	}
 
 	// Unknown output, non-terminal and node on a real graph/grammar.
 	s := New()

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
@@ -8,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"cfpq"
 	"cfpq/internal/graph"
 )
 
@@ -17,7 +19,7 @@ import (
 type journalFixture struct {
 	s   *Service
 	dir string
-	sub *ServerSubscription
+	sub *cfpq.Subscription
 
 	graphs  []GraphInfo
 	grammar GrammarInfo
@@ -41,10 +43,11 @@ func newJournalFixture(t *testing.T) *journalFixture {
 	if f.pairs, err = relation(ctx, f.s, journalTarget, "S"); err != nil {
 		t.Fatal(err)
 	}
-	if f.sub, err = f.s.Subscribe(ctx, SubscribeRequest{Graph: "social", Grammar: "reach", Nonterminal: "S"}, false, 0); err != nil {
+	subCtx, cancel := context.WithCancel(ctx)
+	t.Cleanup(cancel)
+	if f.sub, _, err = f.s.subscribe(subCtx, SubscribeRequest{Graph: "social", Grammar: "reach", Nonterminal: "S"}, false, 0); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(f.sub.Close)
 	f.graphs = f.s.Graphs()
 	if f.grammar, err = f.s.GrammarInfoFor("reach"); err != nil {
 		t.Fatal(err)

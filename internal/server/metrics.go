@@ -172,8 +172,8 @@ func newObsMetrics(s *Service) *obsMetrics {
 			s.subMu.Lock()
 			defer s.subMu.Unlock()
 			depth := 0
-			for _, ss := range s.subsLive {
-				depth += len(ss.Updates())
+			for sub := range s.subsLive {
+				depth += len(sub.Updates())
 			}
 			return float64(depth)
 		})
@@ -182,8 +182,8 @@ func newObsMetrics(s *Service) *obsMetrics {
 			s.subMu.Lock()
 			defer s.subMu.Unlock()
 			total := s.subDropsClosed
-			for _, ss := range s.subsLive {
-				total += ss.sub.Dropped()
+			for sub := range s.subsLive {
+				total += sub.Dropped()
 			}
 			return float64(total)
 		})

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -10,6 +11,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"cfpq/internal/obs"
 )
@@ -395,11 +397,12 @@ func TestDebugVarsAgreesWithMetrics(t *testing.T) {
 		`{"graph":"g","grammar":"r","queries":[{"op":"count","nonterminal":"S"},{"op":"count","nonterminal":"Nope"}]}`); code != http.StatusOK {
 		t.Fatalf("batch: %d %v", code, body)
 	}
-	ss, err := s.Subscribe(ctx, SubscribeRequest{Graph: "g", Grammar: "r", Nonterminal: "S"}, false, 0)
+	subCtx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	sub, _, err := s.subscribe(subCtx, SubscribeRequest{Graph: "g", Grammar: "r", Nonterminal: "S"}, false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ss.Close()
 	// One update per batch, none consumed: the subscriber's bounded buffer
 	// overflows and the live subscription accumulates drops.
 	for i := 0; i < chain; i++ {
@@ -408,10 +411,9 @@ func TestDebugVarsAgreesWithMetrics(t *testing.T) {
 			t.Fatalf("POST edges %d: %d %v", i, code, body)
 		}
 	}
-	if ss.sub.Dropped() == 0 {
+	if sub.Dropped() == 0 {
 		t.Fatal("test is vacuous: the unconsumed subscriber dropped nothing")
 	}
-	ss.note(<-ss.Updates()) // one consumed delivery, so events/pairs move too
 
 	_, vars := httpDo(t, srv, http.MethodGet, "/debug/vars", "")
 	metrics := scalarSamples(t, scrape(t, srv))
@@ -443,7 +445,7 @@ func TestDebugVarsAgreesWithMetrics(t *testing.T) {
 	}
 	for key, want := range map[string]float64{
 		"warm_starts": 1, "index_builds": 0, "wal_appends": chain, "updates": chain,
-		"subscription_drops": float64(ss.sub.Dropped()), "subscription_events": 1, "subscriptions_active": 1,
+		"subscription_drops": float64(sub.Dropped()), "subscriptions_active": 1,
 	} {
 		if got, _ := cfpqd[key].(float64); got != want {
 			t.Errorf("cfpqd.%s = %v, want %v", key, cfpqd[key], want)
@@ -461,10 +463,13 @@ func TestDebugVarsAgreesWithMetrics(t *testing.T) {
 		t.Errorf("queries = %v, Σ strategies = %v, want 3 and 3", q, byStrategy)
 	}
 
-	// Closing the subscription moves its drops to the closed-subscription
+	// Ending the subscription moves its drops to the closed-subscription
 	// total: the counter neither loses nor double-counts them.
 	const dropped = "cfpqd_subscription_dropped_total"
-	ss.Close()
+	cancel()
+	waitFor(t, 5*time.Second, func() bool {
+		return scalarSamples(t, scrape(t, srv))["cfpqd_subscriptions_active_entries"] == 0
+	}, "subscription deregistration")
 	if after := scalarSamples(t, scrape(t, srv))[dropped]; after != metrics[dropped] {
 		t.Errorf("%s = %v after Close, was %v while live", dropped, after, metrics[dropped])
 	}

@@ -714,8 +714,9 @@ func TestReplacedGraphGetsNoStaleIndex(t *testing.T) {
 	}
 }
 
-// TestHTTPPersistenceEndpoints drives /healthz, /debug/vars, /v1/snapshot
-// and /v1/store/stats over HTTP against a persistent service.
+// TestHTTPPersistenceEndpoints drives /healthz, /debug/vars and
+// /v1/snapshot over HTTP against a persistent service; the store statistics
+// are read where they are served, in /debug/vars and the snapshot's answer.
 func TestHTTPPersistenceEndpoints(t *testing.T) {
 	dir := t.TempDir()
 	s := persistentService(t, dir)
@@ -761,13 +762,9 @@ func TestHTTPPersistenceEndpoints(t *testing.T) {
 	if !ok {
 		t.Fatalf("debug/vars misses cfpqd_store: %v", body)
 	}
-	if storeVars["wal_bytes"].(float64) == 0 || storeVars["appends"].(float64) != 1 {
+	if storeVars["wal_bytes"].(float64) == 0 || storeVars["appends"].(float64) != 1 ||
+		len(storeVars["graphs"].([]any)) != 1 {
 		t.Errorf("cfpqd_store vars: %v", storeVars)
-	}
-
-	code, body = httpDo(t, srv, http.MethodGet, "/v1/store/stats", "")
-	if code != http.StatusOK || len(body["graphs"].([]any)) != 1 {
-		t.Fatalf("store/stats: %d %v", code, body)
 	}
 
 	// Snapshot over HTTP folds the WAL.
@@ -775,10 +772,7 @@ func TestHTTPPersistenceEndpoints(t *testing.T) {
 	if code != http.StatusOK || body["snapshotted"] != true {
 		t.Fatalf("snapshot: %d %v", code, body)
 	}
-	if code, body = httpDo(t, srv, http.MethodGet, "/v1/store/stats", ""); code != http.StatusOK {
-		t.Fatalf("store/stats: %d %v", code, body)
-	}
-	gs := body["graphs"].([]any)[0].(map[string]any)
+	gs := body["store"].(map[string]any)["graphs"].([]any)[0].(map[string]any)
 	if gs["wal_bytes"].(float64) != 0 || gs["base_seq"].(float64) != 1 {
 		t.Errorf("post-snapshot graph stats: %v", gs)
 	}
@@ -795,9 +789,6 @@ func TestHTTPStoreEndpointsWithoutStore(t *testing.T) {
 	defer srv.Close()
 	if code, _ := httpDo(t, srv, http.MethodPost, "/v1/snapshot", ""); code != http.StatusConflict {
 		t.Errorf("snapshot without store: %d", code)
-	}
-	if code, _ := httpDo(t, srv, http.MethodGet, "/v1/store/stats", ""); code != http.StatusConflict {
-		t.Errorf("store/stats without store: %d", code)
 	}
 	if code, body := httpDo(t, srv, http.MethodGet, "/healthz", ""); code != http.StatusOK {
 		t.Errorf("healthz: %d %v", code, body)

@@ -196,13 +196,7 @@ func renderAnswer(ge *graphEntry, req QueryRequest, res *cfpq.Result) QueryAnswe
 		count := res.Count
 		ans.Count = &count
 		ans.Truncated = res.Truncated
-		pairs := res.AllPairs()
-		ge.mu.RLock()
-		ans.Pairs = make([]NamedPair, len(pairs))
-		for k, pr := range pairs {
-			ans.Pairs[k] = NamedPair{From: ge.names.Name(pr.I), To: ge.names.Name(pr.J)}
-		}
-		ge.mu.RUnlock()
+		ans.Pairs = ge.named(res.AllPairs())
 	}
 	return ans
 }

@@ -153,11 +153,12 @@ func TestConcurrentQueriesDuringUpdates(t *testing.T) {
 	t.Logf("update products across backends %d; one cold closure = %d products", totalUpdates, coldStats.Products)
 }
 
-// TestRPQReadersPinTheGraphBesideAWriter races uncached readers — RPQ
-// requests, which evaluate against the registry graph itself, and graph
-// listings — against a writer that extends a chain by one fresh node per
-// batch while a cached index on the graph is patched along. A reader pins
-// the published version and reads it without a lock or a copy; what it
+// TestRPQReadersPinTheGraphBesideAWriter races readers — RPQ requests,
+// answered from the expression's cached slot, and graph listings, which
+// count the registry graph itself — against a writer that extends a chain
+// by one fresh node per batch while the grammar's and the expression's
+// cached indexes on the graph are patched along. A reader pins the
+// published version and reads it without a lock or a copy; what it
 // answers must be the oracle's answer on some prefix of the batches (on a
 // chain n0 → n1 → …, "a+" from n0 is n1 … nj after j batches), and never
 // one it has already moved past. Run under `go test -race`.

@@ -22,6 +22,11 @@
 //     its own) and node tokens to the graph entry, the cached handle and a
 //     cfpq.Request, behind POST /v1/query, /v1/query/batch and
 //     /v1/subscribe. The only closure a request can run is a slot's build.
+//   - graphEntry.named resolves result pairs to node names, for query
+//     answers, batch answers and SSE events alike. A live subscription is
+//     the library's cfpq.Subscription, streamed as it is; its one record
+//     here is its entry in the live set behind the /metrics gauges, removed
+//     when its request ends.
 //
 // Concurrency design. Readers never wait for a closure: a query resolves a
 // built slot through indexEntry.ready (an atomic pointer, no entry lock)
@@ -132,14 +137,12 @@ type Service struct {
 	replication     ReplicationController
 	readinessMaxLag atomic.Uint64
 
-	// Live-query state (subscribe.go): the registry of active
-	// subscriptions behind /debug/vars' "cfpqd_subscriptions", the drops
-	// of subscriptions already closed (the drop counter is this plus the
-	// live subscriptions' own counts, both read under subMu), and the SSE
-	// heartbeat override.
+	// Live-query state (subscribe.go): the live subscriptions behind the
+	// /metrics subscription gauges, the drops of subscriptions already
+	// closed (the drop counter is this plus the live subscriptions' own
+	// counts, both read under subMu), and the SSE heartbeat override.
 	subMu          sync.Mutex
-	subNextID      int64
-	subsLive       map[int64]*ServerSubscription
+	subsLive       map[*cfpq.Subscription]struct{}
 	subDropsClosed int64
 	subHeartbeatNs atomic.Int64
 
@@ -789,6 +792,18 @@ type NamedPair struct {
 	To   string `json:"to"`
 }
 
+// named resolves pairs' node names under the read lock; callers must not
+// hold ge.mu.
+func (ge *graphEntry) named(pairs []cfpq.Pair) []NamedPair {
+	out := make([]NamedPair, len(pairs))
+	ge.mu.RLock()
+	defer ge.mu.RUnlock()
+	for i, p := range pairs {
+		out[i] = NamedPair{From: ge.names.Name(p.I), To: ge.names.Name(p.J)}
+	}
+	return out
+}
+
 // --- batched queries --------------------------------------------------
 
 // BatchQuerySpec is one query of a batch, addressed by node names (or
@@ -850,8 +865,6 @@ func (s *Service) QueryBatch(ctx context.Context, t Target, specs []BatchQuerySp
 	e.ge.mu.RUnlock()
 
 	results := p.QueryBatch(ctx, reqs)
-	e.ge.mu.RLock()
-	defer e.ge.mu.RUnlock()
 	for k, r := range results {
 		i := slot[k]
 		if r.Err != nil {
@@ -869,11 +882,7 @@ func (s *Service) QueryBatch(ctx context.Context, t Target, specs []BatchQuerySp
 		default: // relation, relation-from
 			count := r.Result.Count
 			answers[i].Count = &count
-			pairs := make([]NamedPair, 0, count)
-			for pr := range r.Result.Pairs() {
-				pairs = append(pairs, NamedPair{From: e.ge.names.Name(pr.I), To: e.ge.names.Name(pr.J)})
-			}
-			answers[i].Pairs = pairs
+			answers[i].Pairs = e.ge.named(r.Result.AllPairs())
 		}
 	}
 	return answers, nil

@@ -14,9 +14,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"sort"
 	"strconv"
-	"sync/atomic"
 	"time"
 
 	"cfpq"
@@ -36,81 +34,6 @@ type SubscribeRequest struct {
 	Targets     []string `json:"targets"`
 }
 
-// SubscriptionInfo is one live subscription's observable state, rendered
-// under "cfpqd_subscriptions" in /debug/vars.
-type SubscriptionInfo struct {
-	ID          int64  `json:"id"`
-	Graph       string `json:"graph"`
-	Grammar     string `json:"grammar"`
-	Backend     string `json:"backend"`
-	Nonterminal string `json:"nonterminal"`
-	// Events/Pairs count deliveries consumed by the subscriber so far;
-	// Resyncs counts deliveries that carried a lost-continuity marker.
-	Events  int64 `json:"events"`
-	Pairs   int64 `json:"pairs"`
-	Resyncs int64 `json:"resyncs"`
-	// Dropped counts update batches discarded because the subscriber's
-	// bounded buffer was full (each surfaces as a later Resync).
-	Dropped int64 `json:"dropped"`
-	// LastSeq is the sequence number of the newest delivered update.
-	LastSeq uint64 `json:"last_seq"`
-	// AgeSeconds is how long the subscription has been connected.
-	AgeSeconds float64 `json:"age_seconds"`
-}
-
-// ServerSubscription is one registered standing query: the library
-// subscription plus the naming and accounting the serving layer adds.
-type ServerSubscription struct {
-	svc *Service
-	sub *cfpq.Subscription
-	ge  *graphEntry
-
-	id          int64
-	key         IndexKey
-	nonterminal string
-	started     time.Time
-
-	events  atomic.Int64
-	pairs   atomic.Int64
-	resyncs atomic.Int64
-	lastSeq atomic.Uint64
-	closed  atomic.Bool
-}
-
-// Updates is the delivery channel (see cfpq.Subscription.Updates): one
-// PairBatch per index update that derived new matching pairs, closed when
-// the subscription ends — including when the served handle is invalidated
-// (graph or grammar replaced, or an over-budget update), which a consumer
-// should treat as "re-query and resubscribe". Writes that intern new nodes
-// are updates like any other and arrive here as batches.
-func (ss *ServerSubscription) Updates() <-chan cfpq.PairBatch { return ss.sub.Updates() }
-
-// note records one consumed delivery in the per-subscription and service
-// counters.
-func (ss *ServerSubscription) note(b cfpq.PairBatch) {
-	ss.events.Add(1)
-	ss.pairs.Add(int64(len(b.Pairs)))
-	ss.lastSeq.Store(b.Seq)
-	ss.svc.obs.subEvents.Inc()
-	ss.svc.obs.subPairs.Add(uint64(len(b.Pairs)))
-	if b.Resync {
-		ss.resyncs.Add(1)
-		ss.svc.obs.subResyncs.Inc()
-	}
-}
-
-// render shapes one delivery into the wire event payload, resolving node
-// names under the graph entry's read lock.
-func (ss *ServerSubscription) render(b cfpq.PairBatch) wirePairBatch {
-	out := wirePairBatch{Seq: b.Seq, Resync: b.Resync, Pairs: make([]NamedPair, len(b.Pairs))}
-	ss.ge.mu.RLock()
-	for i, p := range b.Pairs {
-		out.Pairs[i] = NamedPair{From: ss.ge.names.Name(p.I), To: ss.ge.names.Name(p.J)}
-	}
-	ss.ge.mu.RUnlock()
-	return out
-}
-
 // wirePairBatch is the data payload of one SSE "pairs" event.
 type wirePairBatch struct {
 	Seq    uint64      `json:"seq"`
@@ -118,43 +41,34 @@ type wirePairBatch struct {
 	Pairs  []NamedPair `json:"pairs"`
 }
 
-// Close ends the subscription and deregisters it. Idempotent. Its drops
-// (final once the library subscription is closed) move to the service's
-// closed-subscription total in the same critical section that removes it
-// from the live set, so a concurrent scrape counts them exactly once.
-func (ss *ServerSubscription) Close() {
-	if ss.closed.Swap(true) {
-		return
-	}
-	ss.sub.Close()
-	ss.svc.subMu.Lock()
-	ss.svc.subDropsClosed += ss.sub.Dropped()
-	delete(ss.svc.subsLive, ss.id)
-	ss.svc.subMu.Unlock()
-}
-
-// Subscribe registers a standing query against the target's cached index
+// subscribe registers a standing query against the target's cached index
 // (building it on first use, exactly like a query would) and returns the
-// live subscription. Deliveries start strictly after the pairs a query
-// issued now would see. With resume set, updates retained since afterSeq
-// are replayed first; a gap wider than the retained window delivers a
-// single Resync marker instead (the Last-Event-ID contract of the SSE
-// route). Subscribing is a read: followers serve subscriptions — fed by
-// the replicated apply path — exactly like leaders.
-func (s *Service) Subscribe(ctx context.Context, req SubscribeRequest, resume bool, afterSeq uint64) (*ServerSubscription, error) {
+// library subscription with the graph entry that names its pairs.
+// Deliveries start strictly after the pairs a query issued now would see.
+// With resume set, updates retained since afterSeq are replayed first; a
+// gap wider than the retained window delivers a single Resync marker
+// instead (the Last-Event-ID contract of the SSE route). Subscribing is a
+// read: followers serve subscriptions — fed by the replicated apply path —
+// exactly like leaders.
+//
+// The subscription lives as long as ctx: when ctx is done it is closed and
+// deregistered, its drops (final once it is closed) moving to the closed
+// total in the same critical section that removes it from the live set,
+// so a concurrent scrape counts them exactly once.
+func (s *Service) subscribe(ctx context.Context, req SubscribeRequest, resume bool, afterSeq uint64) (*cfpq.Subscription, *graphEntry, error) {
 	if req.Graph == "" {
-		return nil, fmt.Errorf("server: graph is required")
+		return nil, nil, fmt.Errorf("server: graph is required")
 	}
 	if req.Grammar == "" {
-		return nil, fmt.Errorf("server: grammar is required")
+		return nil, nil, fmt.Errorf("server: grammar is required")
 	}
 	if req.Nonterminal == "" {
-		return nil, fmt.Errorf("server: nonterminal is required")
+		return nil, nil, fmt.Errorf("server: nonterminal is required")
 	}
 	t := Target{Graph: req.Graph, Grammar: req.Grammar, Backend: req.Backend}
 	ge, p, creq, err := s.resolve(ctx, t, req.Nonterminal, "", req.Sources, req.Targets)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	var sub *cfpq.Subscription
 	if resume {
@@ -163,50 +77,23 @@ func (s *Service) Subscribe(ctx context.Context, req SubscribeRequest, resume bo
 		sub, err = p.Subscribe(ctx, creq)
 	}
 	if err != nil {
-		return nil, err
-	}
-	ss := &ServerSubscription{
-		svc: s, sub: sub, ge: ge,
-		key: t.key(), nonterminal: req.Nonterminal, started: time.Now(),
+		return nil, nil, err
 	}
 	s.subMu.Lock()
-	s.subNextID++
-	ss.id = s.subNextID
 	if s.subsLive == nil {
-		s.subsLive = map[int64]*ServerSubscription{}
+		s.subsLive = map[*cfpq.Subscription]struct{}{}
 	}
-	s.subsLive[ss.id] = ss
+	s.subsLive[sub] = struct{}{}
 	s.subMu.Unlock()
 	s.obs.subsTotal.Inc()
-	return ss, nil
-}
-
-// SubscriptionInfos snapshots every live subscription, sorted by id.
-func (s *Service) SubscriptionInfos() []SubscriptionInfo {
-	s.subMu.Lock()
-	subs := make([]*ServerSubscription, 0, len(s.subsLive))
-	for _, ss := range s.subsLive {
-		subs = append(subs, ss)
-	}
-	s.subMu.Unlock()
-	sort.Slice(subs, func(i, j int) bool { return subs[i].id < subs[j].id })
-	out := make([]SubscriptionInfo, len(subs))
-	for i, ss := range subs {
-		out[i] = SubscriptionInfo{
-			ID:          ss.id,
-			Graph:       ss.key.Graph,
-			Grammar:     ss.key.Grammar,
-			Backend:     ss.key.Backend,
-			Nonterminal: ss.nonterminal,
-			Events:      ss.events.Load(),
-			Pairs:       ss.pairs.Load(),
-			Resyncs:     ss.resyncs.Load(),
-			Dropped:     ss.sub.Dropped(),
-			LastSeq:     ss.lastSeq.Load(),
-			AgeSeconds:  time.Since(ss.started).Seconds(),
-		}
-	}
-	return out
+	context.AfterFunc(ctx, func() {
+		sub.Close()
+		s.subMu.Lock()
+		s.subDropsClosed += sub.Dropped()
+		delete(s.subsLive, sub)
+		s.subMu.Unlock()
+	})
+	return sub, ge, nil
 }
 
 // defaultHeartbeat is the SSE keep-alive comment interval: frequent enough
@@ -267,12 +154,13 @@ func (s *Service) serveSubscribe(w http.ResponseWriter, r *http.Request) {
 		}
 		resume, afterSeq = true, v
 	}
-	ss, err := s.Subscribe(r.Context(), req, resume, afterSeq)
+	// The request context ends the subscription: it is done once this
+	// handler returns.
+	sub, ge, err := s.subscribe(r.Context(), req, resume, afterSeq)
 	if err != nil {
 		writeError(w, statusFor(err), err)
 		return
 	}
-	defer ss.Close()
 
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
@@ -292,7 +180,7 @@ func (s *Service) serveSubscribe(w http.ResponseWriter, r *http.Request) {
 		case <-hb.C:
 			fmt.Fprint(w, ": hb\n\n")
 			fl.Flush()
-		case b, ok := <-ss.Updates():
+		case b, ok := <-sub.Updates():
 			if !ok {
 				// The handle was closed under the subscription — the cache
 				// entry was invalidated (graph or grammar replaced, or an
@@ -303,8 +191,12 @@ func (s *Service) serveSubscribe(w http.ResponseWriter, r *http.Request) {
 				fl.Flush()
 				return
 			}
-			ss.note(b)
-			payload, err := json.Marshal(ss.render(b))
+			s.obs.subEvents.Inc()
+			s.obs.subPairs.Add(uint64(len(b.Pairs)))
+			if b.Resync {
+				s.obs.subResyncs.Inc()
+			}
+			payload, err := json.Marshal(wirePairBatch{Seq: b.Seq, Resync: b.Resync, Pairs: ge.named(b.Pairs)})
 			if err != nil {
 				return
 			}

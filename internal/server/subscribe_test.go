@@ -1,11 +1,11 @@
 package server
 
-// Tests of the live-query serving layer: the service-level Subscribe
-// lifecycle and counters, the SSE wire protocol of POST /v1/subscribe
-// (prelude, pairs events, heartbeats, Last-Event-ID resume, the terminal
-// resync on handle invalidation), /debug/vars observability, and the
-// tentpole acceptance property on a follower — pairs pushed from the
-// replicated-apply path equal the relation growth, exactly once.
+// Tests of the live-query serving layer: the service-level subscribe
+// lifecycle, the SSE wire protocol of POST /v1/subscribe (prelude, pairs
+// events, heartbeats, Last-Event-ID resume, the terminal resync on handle
+// invalidation), the /metrics subscription gauges across a slow client's
+// disconnect, and the acceptance property on a follower — pairs pushed
+// from the replicated-apply path equal the relation growth, exactly once.
 
 import (
 	"bufio"
@@ -13,6 +13,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -46,18 +47,29 @@ func namedPairSet(pairs []NamedPair) map[NamedPair]bool {
 	return out
 }
 
+// subGauges scrapes the three subscription instruments of /metrics: live
+// subscriptions, buffered-but-unconsumed batches, and drops.
+func subGauges(t *testing.T, srv *httptest.Server) (active, buffered, dropped float64) {
+	t.Helper()
+	m := scalarSamples(t, scrape(t, srv))
+	return m["cfpqd_subscriptions_active_entries"], m["cfpqd_subscription_buffer_entries"],
+		m["cfpqd_subscription_dropped_total"]
+}
+
 // TestServiceSubscribeLifecycle drives a subscription at the Go level: it
 // registers, receives exactly the newly derived pairs of a leader write,
-// shows up in SubscriptionInfos, and deregisters on Close.
+// shows in the active gauge, and is closed and deregistered when its
+// context ends.
 func TestServiceSubscribeLifecycle(t *testing.T) {
-	s, _ := subTestService(t)
-	ss, err := s.Subscribe(ctx, SubscribeRequest{
+	s, srv := subTestService(t)
+	subCtx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	sub, ge, err := s.subscribe(subCtx, SubscribeRequest{
 		Graph: "social", Grammar: "reach", Nonterminal: "S",
 	}, false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ss.Close()
 	tgt := Target{Graph: "social", Grammar: "reach"}
 	before, err := relation(ctx, s, tgt, "S")
 	if err != nil {
@@ -82,12 +94,11 @@ func TestServiceSubscribeLifecycle(t *testing.T) {
 	}
 
 	select {
-	case batch, ok := <-ss.Updates():
+	case batch, ok := <-sub.Updates():
 		if !ok {
 			t.Fatal("subscription closed unexpectedly")
 		}
-		ss.note(batch)
-		got := namedPairSet(ss.render(batch).Pairs)
+		got := namedPairSet(ge.named(batch.Pairs))
 		if len(got) != len(want) {
 			t.Fatalf("pushed %d pairs, relation grew by %d", len(got), len(want))
 		}
@@ -100,35 +111,25 @@ func TestServiceSubscribeLifecycle(t *testing.T) {
 		t.Fatal("no batch pushed for the leader write")
 	}
 
-	infos := s.SubscriptionInfos()
-	if len(infos) != 1 {
-		t.Fatalf("SubscriptionInfos = %+v, want one entry", infos)
-	}
-	in := infos[0]
-	if in.Graph != "social" || in.Grammar != "reach" || in.Nonterminal != "S" ||
-		in.Events != 1 || in.Pairs != int64(len(want)) || in.LastSeq == 0 {
-		t.Fatalf("SubscriptionInfos[0] = %+v", in)
-	}
-	m := s.debugCounters()
-	if m["subscriptions"] != 1.0 || m["subscriptions_active"] != 1.0 || m["subscription_events"] != 1.0 ||
-		m["subscription_pairs"] != float64(len(want)) {
-		t.Fatalf("metrics = %+v", m)
+	if active, _, _ := subGauges(t, srv); active != 1 {
+		t.Fatalf("active subscriptions = %v, want 1", active)
 	}
 
-	ss.Close()
-	ss.Close() // idempotent
-	if infos := s.SubscriptionInfos(); len(infos) != 0 {
-		t.Fatalf("after Close: SubscriptionInfos = %+v, want none", infos)
+	cancel()
+	if _, ok := <-sub.Updates(); ok {
+		t.Fatal("subscription still delivering after its context ended")
 	}
-	if m := s.debugCounters(); m["subscriptions_active"] != 0.0 || m["subscriptions"] != 1.0 {
-		t.Fatalf("after Close: metrics = %+v", m)
+	waitFor(t, 5*time.Second, func() bool { active, _, _ := subGauges(t, srv); return active == 0 },
+		"subscription deregistration")
+	if m := s.debugCounters(); m["subscriptions"] != 1.0 {
+		t.Fatalf("after teardown: metrics = %+v", m)
 	}
 }
 
 // TestServiceSubscribeErrors pins the request validation of the service
 // layer: missing names, unknown registry entries, unknown non-terminals.
 func TestServiceSubscribeErrors(t *testing.T) {
-	s, _ := subTestService(t)
+	s, srv := subTestService(t)
 	for name, req := range map[string]SubscribeRequest{
 		"no graph":        {Grammar: "reach", Nonterminal: "S"},
 		"no grammar":      {Graph: "social", Nonterminal: "S"},
@@ -138,12 +139,12 @@ func TestServiceSubscribeErrors(t *testing.T) {
 		"unknown nt":      {Graph: "social", Grammar: "reach", Nonterminal: "Nope"},
 		"unknown node":    {Graph: "social", Grammar: "reach", Nonterminal: "S", Sources: []string{"nobody"}},
 	} {
-		if _, err := s.Subscribe(ctx, req, false, 0); err == nil {
-			t.Errorf("%s: Subscribe succeeded", name)
+		if _, _, err := s.subscribe(ctx, req, false, 0); err == nil {
+			t.Errorf("%s: subscribe succeeded", name)
 		}
 	}
-	if n := len(s.SubscriptionInfos()); n != 0 {
-		t.Errorf("failed subscribes left %d registered", n)
+	if active, _, _ := subGauges(t, srv); active != 0 {
+		t.Errorf("failed subscribes left %v registered", active)
 	}
 }
 
@@ -152,18 +153,19 @@ func TestServiceSubscribeErrors(t *testing.T) {
 // subscription's channel closes, telling consumers to re-query.
 func TestServiceSubscribeInvalidationCloses(t *testing.T) {
 	s, _ := subTestService(t)
-	ss, err := s.Subscribe(ctx, SubscribeRequest{
+	subCtx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	sub, _, err := s.subscribe(subCtx, SubscribeRequest{
 		Graph: "social", Grammar: "reach", Nonterminal: "S",
 	}, false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ss.Close()
 	if _, err := s.LoadGraph("social", "edgelist", strings.NewReader("alice knows bob\n")); err != nil {
 		t.Fatal(err)
 	}
 	select {
-	case _, ok := <-ss.Updates():
+	case _, ok := <-sub.Updates():
 		if ok {
 			t.Fatal("replacing the graph pushed a batch instead of invalidating")
 		}
@@ -261,7 +263,7 @@ func (c *sseConn) event() (sseFrame, bool) {
 
 // TestHTTPSubscribeSSE is the wire protocol end to end: prelude, a pairs
 // event for a leader write (with id for resume and resolved node names),
-// heartbeat comments, per-subscription /debug/vars counters, and the
+// heartbeat comments, the /metrics subscription counters, and the
 // terminal resync event when the served handle is invalidated.
 func TestHTTPSubscribeSSE(t *testing.T) {
 	s, srv := subTestService(t)
@@ -306,15 +308,17 @@ func TestHTTPSubscribeSSE(t *testing.T) {
 		t.Fatalf("idle frame = %+v %v, want a heartbeat comment", f, ok)
 	}
 
-	// The live subscription is observable.
-	_, dvars := httpDo(t, srv, http.MethodGet, "/debug/vars", "")
-	subs, ok := dvars["cfpqd_subscriptions"].([]any)
-	if !ok || len(subs) != 1 {
-		t.Fatalf("/debug/vars cfpqd_subscriptions = %v", dvars["cfpqd_subscriptions"])
-	}
-	info := subs[0].(map[string]any)
-	if info["graph"] != "social" || info["events"].(float64) != 1 || info["pairs"].(float64) != 4 {
-		t.Fatalf("subscription var = %v", info)
+	// The live subscription and what it streamed are observable.
+	m := scalarSamples(t, scrape(t, srv))
+	for series, want := range map[string]float64{
+		"cfpqd_subscriptions_active_entries": 1,
+		"cfpqd_subscription_events_total":    1,
+		"cfpqd_subscription_pairs_total":     4,
+		"cfpqd_subscription_resyncs_total":   0,
+	} {
+		if m[series] != want {
+			t.Fatalf("%s = %v, want %v", series, m[series], want)
+		}
 	}
 
 	// A node-growing write is one more pairs event on the same stream:
@@ -342,8 +346,8 @@ func TestHTTPSubscribeSSE(t *testing.T) {
 	if _, ok := c.frame(); ok {
 		t.Fatal("stream continued past the terminal resync")
 	}
-	// The handler's deferred Close deregisters the subscription.
-	waitFor(t, 5*time.Second, func() bool { return len(s.SubscriptionInfos()) == 0 },
+	// The request context's end closes and deregisters the subscription.
+	waitFor(t, 5*time.Second, func() bool { active, _, _ := subGauges(t, srv); return active == 0 },
 		"subscription deregistration")
 }
 
@@ -442,13 +446,14 @@ func TestFollowerSubscriptionPush(t *testing.T) {
 	f := startFollower(t, persistentService(t, t.TempDir()), srv.URL, "f1")
 	waitFor(t, 10*time.Second, func() bool { return caughtUp(f, leader, "social") }, "initial sync")
 
-	ss, err := f.svc.Subscribe(ctx, SubscribeRequest{
+	subCtx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	sub, ge, err := f.svc.subscribe(subCtx, SubscribeRequest{
 		Graph: "social", Grammar: "reach", Nonterminal: "S",
 	}, false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ss.Close()
 	tgt := Target{Graph: "social", Grammar: "reach"}
 	initial, err := relation(ctx, f.svc, tgt, "S")
 	if err != nil {
@@ -488,14 +493,14 @@ func TestFollowerSubscriptionPush(t *testing.T) {
 	received := map[NamedPair]bool{}
 	for len(received) < len(want) {
 		select {
-		case b, ok := <-ss.Updates():
+		case b, ok := <-sub.Updates():
 			if !ok {
 				t.Fatal("follower subscription closed mid-stream")
 			}
 			if b.Resync {
 				t.Fatalf("follower consumer fell behind: %+v", b)
 			}
-			for _, p := range ss.render(b).Pairs {
+			for _, p := range ge.named(b.Pairs) {
 				if received[p] {
 					t.Fatalf("pair %+v pushed twice", p)
 				}
@@ -510,7 +515,7 @@ func TestFollowerSubscriptionPush(t *testing.T) {
 	}
 	// No trailing over-delivery.
 	select {
-	case b, ok := <-ss.Updates():
+	case b, ok := <-sub.Updates():
 		if ok && len(b.Pairs) > 0 {
 			t.Fatalf("extra batch after full delivery: %+v", b)
 		}
@@ -524,4 +529,85 @@ func TestFollowerSubscriptionPush(t *testing.T) {
 	if len(want2) != len(final) {
 		t.Fatalf("follower relation %d pairs, leader %d", len(final), len(want2))
 	}
+}
+
+// smallSendBuffers caps the kernel send buffer of every accepted
+// connection, so a client that stops reading stalls the SSE handler after a
+// few kilobytes instead of after whatever the socket autotunes to.
+type smallSendBuffers struct{ net.Listener }
+
+func (l smallSendBuffers) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if tc, ok := c.(*net.TCPConn); ok {
+		_ = tc.SetWriteBuffer(4 << 10)
+	}
+	return c, err
+}
+
+// TestHTTPSubscribeTeardown: a subscription's one record is its entry in the
+// live set, and the end of its request removes it. A client that stops
+// reading while far more than the buffer bound (64) of updates land has
+// batches dropped; once it disconnects, the active and buffer gauges read 0
+// again and the drop counter keeps exactly the drops it counted while the
+// subscription was live. Replacing the graph under a stream ends it with
+// the terminal resync event and deregisters it the same way.
+func TestHTTPSubscribeTeardown(t *testing.T) {
+	// fan sources all reach n0; every update extends the chain n0 → n1 → …
+	// by one edge, so each pushes one pair per node before it: a few
+	// kilobytes per event.
+	const fan, updates = 100, 200
+	var doc strings.Builder
+	for i := 0; i < fan; i++ {
+		fmt.Fprintf(&doc, "s%d knows n0\n", i)
+	}
+	s := New()
+	if _, err := s.LoadGraph("social", "edgelist", strings.NewReader(doc.String())); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.RegisterGrammar("reach", reachGrammar); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewUnstartedServer(Handler(s))
+	srv.Listener = smallSendBuffers{srv.Listener}
+	srv.Start()
+	t.Cleanup(srv.Close)
+	body := `{"graph":"social","grammar":"reach","nonterminal":"S"}`
+
+	c := dialSSE(t, srv, body, "")
+	if f, ok := c.frame(); !ok || f.comment != "subscribed" {
+		t.Fatalf("prelude = %+v %v", f, ok)
+	}
+	// The client reads nothing more from here on.
+	for i := 0; i < updates; i++ {
+		e := EdgeSpec{From: fmt.Sprintf("n%d", i), Label: "knows", To: fmt.Sprintf("n%d", i+1)}
+		if _, err := s.AddEdges(ctx, "social", []EdgeSpec{e}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	active, buffered, dropped := subGauges(t, srv)
+	if active != 1 || buffered == 0 || dropped == 0 {
+		t.Fatalf("stalled client: active %v, buffered %v, dropped %v; want 1 and both > 0", active, buffered, dropped)
+	}
+
+	c.close()
+	waitFor(t, 5*time.Second, func() bool {
+		active, buffered, _ := subGauges(t, srv)
+		return active == 0 && buffered == 0
+	}, "the disconnected subscription's deregistration")
+	if _, _, after := subGauges(t, srv); after != dropped {
+		t.Fatalf("cfpqd_subscription_dropped_total = %v after the disconnect, was %v while live", after, dropped)
+	}
+
+	c = dialSSE(t, srv, body, "")
+	if f, ok := c.frame(); !ok || f.comment != "subscribed" {
+		t.Fatalf("prelude = %+v %v", f, ok)
+	}
+	if code, resp := httpDo(t, srv, http.MethodPut, "/v1/graphs/social?format=edgelist", "a knows b\n"); code != http.StatusOK {
+		t.Fatalf("PUT graph: %d %v", code, resp)
+	}
+	if f, ok := c.event(); !ok || f.event != "resync" {
+		t.Fatalf("after the graph PUT: %+v %v, want the resync event", f, ok)
+	}
+	waitFor(t, 5*time.Second, func() bool { active, _, _ := subGauges(t, srv); return active == 0 },
+		"the resynced subscription's deregistration")
 }

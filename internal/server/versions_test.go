@@ -106,11 +106,12 @@ func TestDisconnectMidPatchKeepsTheIndex(t *testing.T) {
 	const k = 6
 	s := anbnWordService(t, k)
 	tgt := Target{Graph: "word", Grammar: "anbn", Backend: "sparse"}
-	ss, err := s.Subscribe(ctx, SubscribeRequest{Graph: "word", Grammar: "anbn", Backend: "sparse", Nonterminal: "S"}, false, 0)
+	subCtx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	sub, ge, err := s.subscribe(subCtx, SubscribeRequest{Graph: "word", Grammar: "anbn", Backend: "sparse", Nonterminal: "S"}, false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ss.Close()
 
 	passes := 0
 	writeCtx, disconnect := context.WithCancel(ctx)
@@ -130,8 +131,8 @@ func TestDisconnectMidPatchKeepsTheIndex(t *testing.T) {
 		t.Fatalf("the update ran %d trace events; the cancellation came too late to matter", passes)
 	}
 	select {
-	case b, ok := <-ss.Updates():
-		if want := []NamedPair{{From: "0", To: spare}}; !ok || b.Resync || !reflect.DeepEqual(ss.render(b).Pairs, want) {
+	case b, ok := <-sub.Updates():
+		if want := []NamedPair{{From: "0", To: spare}}; !ok || b.Resync || !reflect.DeepEqual(ge.named(b.Pairs), want) {
 			t.Fatalf("subscriber got %+v (open=%v), want %v pushed", b, ok, want)
 		}
 	default:

@@ -81,13 +81,8 @@ func (e *Engine) Do(ctx context.Context, req Request) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		var nfa *rpq.NFA
-		gram, start, nfa = rpq.Grammar(r)
+		gram, start, _ = rpq.Grammar(r)
 		rpqPrefix = "RPQ compiled to a right-linear grammar; "
-		if !gram.HasNonterminal(start) {
-			// Degenerate expression: the language is empty or {ε}.
-			return degenerateRPQ(req, cfg, nfa, n), nil
-		}
 	}
 	if gram == nil {
 		return nil, reqErr("grammar", "a nonterminal request needs a Grammar (or a Prepared handle)")
@@ -225,24 +220,6 @@ func (e *Engine) doConjunctive(ctx context.Context, cfg *config, req Request) (*
 		Reason:   "conjunctive grammars evaluate only under the full closure; restrictions filter the result",
 	}
 	return shapePairs(req, pairs, ex, stats), nil
-}
-
-// degenerateRPQ answers an expression whose language is empty or {ε} —
-// the compiled grammar has no start non-terminal to query.
-func degenerateRPQ(req Request, cfg *config, nfa *rpq.NFA, n int) *Result {
-	var pairs []Pair
-	if nfa.AcceptsEmpty && cfg.emptyPaths {
-		pairs = filterPairs(rpq.ReflexivePairs(n), req.Sources, req.Targets)
-	}
-	ex := Explain{
-		Strategy: StrategyFull,
-		Reason:   "degenerate RPQ: the expression's language is empty or {ε}, no closure needed",
-	}
-	if req.normOutput() == OutputPaths {
-		// Only empty paths could witness ε; the enumeration yields none.
-		return &Result{Explain: ex}
-	}
-	return shapePairs(req, pairs, ex, Stats{})
 }
 
 // filterPairs keeps the pairs whose endpoints satisfy the (optional)

@@ -78,8 +78,6 @@ echo "checking the leader write reached the follower subscription..."
 # pairs event — no polling, no full-result diffing.
 sse_pushed() { grep -q 'event: pairs' "$workdir/sse.log" && grep -q '"from":"dora","to":"alice"' "$workdir/sse.log"; }
 wait_until 15 sse_pushed
-curl -sf "$FOLLOWER/debug/vars" | grep -q 'cfpqd_subscriptions' ||
-  die "follower /debug/vars missing cfpqd_subscriptions"
 
 echo "scraping /metrics on both nodes..."
 # The leader has served queries, so its scrape must carry the request
@@ -98,6 +96,8 @@ lag_zero() {
 wait_until 15 lag_zero
 grep -q '^cfpqd_subscription_dropped_total' "$workdir/follower_metrics" ||
   die "follower /metrics missing subscription drop counter"
+grep -q '^cfpqd_subscriptions_active_entries 1$' "$workdir/follower_metrics" ||
+  die "follower /metrics does not show its one live subscription"
 
 echo "checking the follower's write gate and status..."
 code=$(curl -s -o /dev/null -w '%{http_code}' -X POST \
