@@ -15,10 +15,11 @@ import (
 // three times a pass and comes to build its column index. The estimate a
 // pass is checked against may exceed what the same state costs without
 // column indexes — every matrix's rows, index and both frontier sets, an
-// absent frontier slot at 0 bytes — by at most one index per distinct left
-// operand, T_B's and Δ_B's, each no larger
-// than its rows: a held index is counted once, in Bytes, and an operand
-// multiplied by several rules is charged once.
+// absent frontier slot and a matrix no pass has written yet at 0 bytes, a
+// row at its capacity — by at most one index per distinct left operand,
+// T_B's and Δ_B's, each no larger than its rows: a held index is counted
+// once, in Bytes, and an operand multiplied by several rules is charged
+// once.
 func TestPeakBytesChargesEachLeftOperandOnce(t *testing.T) {
 	cnf := grammar.MustCNF(grammar.MustParse("S -> S S | S T | S U | a\nT -> b T | b\nU -> c U | c"))
 	const n = 400
@@ -36,10 +37,15 @@ func TestPeakBytesChargesEachLeftOperandOnce(t *testing.T) {
 		lefts[r.B] = true
 	}
 	rowBytes := func(m matrix.Bool) int64 {
-		if m == nil {
-			return 0 // a frontier slot no rule writes and nothing seeded
+		if m == nil || m.Bytes() == 0 {
+			return 0 // a frontier slot no rule writes, or one no pass wrote yet
 		}
-		return 24*int64(n) + 4*int64(m.Nnz())
+		held := 24 * int64(n)
+		matrix.RangeRows(m, func(_ int, cols []int32) bool {
+			held += 4 * int64(cap(cols))
+			return true
+		})
+		return held
 	}
 	sum := func(mats []matrix.Bool) (total int64) {
 		for _, m := range mats {

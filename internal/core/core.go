@@ -140,8 +140,10 @@ func (ix *Index) Clone() *Index {
 // dense ones clone), so nothing done to the fork is visible through ix.
 // Until Detach, the fork's Bytes — and so the memory budget and
 // Stats.PeakBytes of an update run on it — also counts what the two live
-// versions may not share: one empty matrix per non-terminal (the sparse
-// row headers; a dense matrix's whole bitmap).
+// versions may not share: one written empty matrix per non-terminal
+// (EmptyBytes: the sparse row list a first write copies; a dense matrix's
+// whole bitmap). The rows a fork grows are its own and exactly sized: a
+// forked matrix never grows a row in place.
 // ix must not be mutated concurrently with Fork itself.
 func (ix *Index) Fork() *Index {
 	cp := &Index{cnf: ix.cnf, n: ix.n, backend: ix.backend, mats: make([]matrix.Bool, len(ix.mats)),
@@ -186,9 +188,13 @@ type Stats struct {
 	// real latency rather than a zero-work closure.
 	Duration time.Duration `json:"duration_ns,omitempty"`
 	// PeakBytes is the largest estimated matrix working set the
-	// evaluation held between passes (index matrices plus the two frontier
-	// sets of the semi-naive pass and the column indexes a pass may build)
-	// — the same estimate the memory budget is enforced against.
+	// evaluation held between passes (index matrices, headroom of their
+	// rows included, plus the two frontier sets of the semi-naive pass and
+	// the column indexes a pass may build) — the same estimate the memory
+	// budget is enforced against. It is never below the starting estimate,
+	// which charges both frontier sets as written; a sparse frontier
+	// matrix no pass has written yet holds no row list and is charged
+	// nothing between passes.
 	PeakBytes int64 `json:"peak_bytes,omitempty"`
 }
 

@@ -146,8 +146,10 @@ func (e *Engine) UpdateContext(ctx context.Context, ix *Index, edges ...graph.Ed
 // previous pass (or the seeding) added to the index, and next, the empty
 // set the coming pass fills. A pass writes only the heads of binary rules
 // and meets, so only those get both matrices, allocated once per
-// evaluation and cleared and swapped from pass to pass; any other slot is
-// nil (empty) until set seeds it. live[a] records that delta[a] holds a
+// evaluation and cleared and swapped from pass to pass — a sparse one
+// holds no row list until a pass first writes it, so a head written only
+// every other pass pays for one of the two; any other slot is nil
+// (empty) until set seeds it. live[a] records that delta[a] holds a
 // bit; it is kept from what Set, AddMul and Absorb report, never from an
 // Nnz sweep — on the dense backends a popcount of the whole bitmap.
 type frontier struct {
@@ -178,7 +180,8 @@ type Meet struct {
 
 // admit charges the starting working set of an evaluation over ix at
 // dimension n ≥ ix.n — the index, grown to n, plus the loop's two frontier
-// sets — to stats.PeakBytes and checks it against the memory budget. It
+// sets, as if every matrix of both were written — to stats.PeakBytes and
+// checks it against the memory budget. It
 // estimates from the backend's own figures and allocates nothing, so a
 // rejected evaluation has cost no memory: callers run it before they grow
 // the index or allocate the frontier.

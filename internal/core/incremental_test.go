@@ -125,7 +125,11 @@ func TestUpdateCreatesLongRangePairs(t *testing.T) {
 // S → A S' | A B and S' → S B, whose heads S and S' are the only
 // non-terminals a pass writes; A and B are only read. A cold build — whose
 // frontier is the whole index, seeded nowhere — holds frontier matrices for
-// S and its helper only, on every pass and on each backend.
+// S and its helper only, on every pass and on each backend. And a sparse
+// frontier matrix holds a row list — reports bytes — exactly when some pass
+// wrote it: when a product of a rule it is the head of came out non-empty,
+// replayed here from the state each pass started in. The heads alternate,
+// so some frontier matrix no pass writes holds none for the whole build.
 func TestFrontierOnlyForRuleHeads(t *testing.T) {
 	cnf := grammar.MustCNF(grammar.MustParse("S -> a S b | a b"))
 	heads := map[int]bool{}
@@ -140,21 +144,60 @@ func TestFrontierOnlyForRuleHeads(t *testing.T) {
 		g.AddEdge(i, "a", i+1)
 		g.AddEdge(i+4, "b", (i+5)%8)
 	}
+	clones := func(mats []matrix.Bool) []matrix.Bool {
+		out := make([]matrix.Bool, len(mats))
+		for a, m := range mats {
+			if m != nil {
+				out[a] = m.Clone()
+			}
+		}
+		return out
+	}
 	for _, be := range matrix.Backends() {
 		e := NewEngine(WithBackend(be))
 		ix := e.Init(g, cnf)
+		// The state the coming pass starts in, and which frontier matrices
+		// — by identity: delta and next swap — some pass wrote.
+		var prevT, prevDelta []matrix.Bool
+		whole := true
+		wrote := map[matrix.Bool]bool{}
+		nonEmpty := func(x, y matrix.Bool) bool {
+			p := be.NewMatrix(ix.n)
+			p.AddMul(x, y)
+			return p.Nnz() > 0
+		}
 		passes := 0
 		stats, err := e.closeWhole(context.Background(), ix, nil, func(_ *Index, f *frontier) {
 			passes++
+			if prevT != nil { // the pass just run wrote its products into what is now delta
+				for _, r := range cnf.Binary {
+					switch {
+					case whole && nonEmpty(prevT[r.B], prevT[r.C]),
+						!whole && prevDelta[r.B] != nil && nonEmpty(prevDelta[r.B], prevT[r.C]),
+						!whole && prevDelta[r.C] != nil && nonEmpty(prevT[r.B], prevDelta[r.C]):
+						wrote[f.delta[r.A]] = true
+					}
+				}
+			}
 			for a := range f.delta {
 				if want := heads[a]; (f.delta[a] != nil) != want || (f.next[a] != nil) != want {
 					t.Errorf("%s: pass %d: frontier matrices for %s: delta %v, next %v; want both iff a rule writes it",
 						be.Name(), passes, cnf.Names[a], f.delta[a] != nil, f.next[a] != nil)
 				}
+				for side, m := range map[string]matrix.Bool{"delta": f.delta[a], "next": f.next[a]} {
+					if m != nil && be.Name() == "sparse" && (m.Bytes() > 0) != wrote[m] {
+						t.Errorf("%s: pass %d: %s of %s reports %d bytes, written by a pass: %v",
+							be.Name(), passes, side, cnf.Names[a], m.Bytes(), wrote[m])
+					}
+				}
 			}
+			prevT, prevDelta, whole = clones(ix.mats), clones(f.delta), f.whole
 		})
 		if err != nil || stats.Iterations < 3 || ix.Count("S") == 0 {
 			t.Fatalf("%s: %d passes, %d S-pairs, err %v: not the build this test needs", be.Name(), stats.Iterations, ix.Count("S"), err)
+		}
+		if len(wrote) == 0 || len(wrote) >= 2*len(heads) {
+			t.Errorf("%s: passes wrote %d of the %d frontier matrices, want some but not all", be.Name(), len(wrote), 2*len(heads))
 		}
 	}
 }

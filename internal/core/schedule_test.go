@@ -229,12 +229,15 @@ func TestTracePhases(t *testing.T) {
 // TestUpdateHonoursMemoryBudget: an incremental update that would outgrow
 // the engine's budget stops with *MemoryBudgetError before the allocation
 // that breaches it. The budgets are taken from the update's own first
-// estimate — the index plus the two frontier sets it is about to allocate:
-// one byte less and nothing is allocated or seeded; exactly that much and
-// the seed bits land, whose 8 bytes on a sparse backend the first pass no
-// longer fits (the index keeps the seed — sound, not closed — and the
-// returned Delta holds exactly it), while a dense bitmap's estimate never
-// moves, so a dense update that was let start finishes.
+// estimate — the index plus the two frontier sets it may allocate: one
+// byte less and nothing is allocated or seeded; exactly that much and the
+// seed bits land. A sparse first pass no longer fits — besides the seed it
+// is charged the column index its products may build, which the budgeted
+// index, a Clone, does not hold — so the index keeps the seed (sound, not
+// closed) and the returned Delta holds exactly it; a dense bitmap's
+// estimate never moves, so a dense update that was let start finishes.
+// The budgets come from the clone's own bytes: the closed index it is
+// cloned from holds headroom its rows grew into, which the clone drops.
 func TestUpdateHonoursMemoryBudget(t *testing.T) {
 	cnf := grammar.MustParseCNF("S -> S S | a")
 	const n = 200
@@ -254,10 +257,10 @@ func TestUpdateHonoursMemoryBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 		beside := int64(cnf.NonterminalCount()) * be.EmptyBytes(n)
-		first := old.Bytes() + 2*beside
+		ix := old.Clone()
+		first := ix.Bytes() + 2*beside
 
 		// One byte short of the frontier sets: rejected before they exist.
-		ix := old.Clone()
 		stats, delta, err := NewEngine(WithBackend(be), WithMemoryBudget(first-1)).UpdateContext(ctx, ix, last)
 		var mbe *MemoryBudgetError
 		if !errors.As(err, &mbe) || mbe.BudgetBytes != first-1 || mbe.EstimatedBytes != first {
@@ -301,8 +304,8 @@ func TestUpdateHonoursMemoryBudget(t *testing.T) {
 		// that version stays exactly as it was.
 		pristine := old.Clone()
 		_, _, err = e.UpdateContext(ctx, old.Fork(), last)
-		if !errors.As(err, &mbe) || mbe.EstimatedBytes != first+beside {
-			t.Errorf("%s: rejected update on a fork: err = %v, want an estimate of %d + %d", be.Name(), err, first, beside)
+		if forked := old.Bytes() + 3*beside; !errors.As(err, &mbe) || mbe.EstimatedBytes != forked {
+			t.Errorf("%s: rejected update on a fork: err = %v, want an estimate of %d", be.Name(), err, forked)
 		}
 		if !old.Equal(pristine) {
 			t.Errorf("%s: a rejected update on a fork changed the version forked from", be.Name())

@@ -155,3 +155,55 @@ func TestColumnIndexAcrossForks(t *testing.T) {
 		}
 	}
 }
+
+// TestInPlaceGrowthListsColumns: a row Absorb grows in place, into the room
+// an earlier growth left it, is listed under each of its fresh columns in
+// the matrix's column index, so products driven through the index still
+// reach it.
+func TestInPlaceGrowthListsColumns(t *testing.T) {
+	rng := rand.New(rand.NewSource(34))
+	inPlace := 0
+	for trial := 0; trial < 40; trial++ {
+		n := 8 + rng.Intn(40)
+		m, g, ok := grownWithRoom(rng, n)
+		if !ok {
+			t.Fatalf("trial %d: Absorb left no row with room: not the matrix this test needs", trial)
+		}
+		m.cols = m.buildCols()
+		type held struct {
+			first *int32
+			n     int
+		}
+		storage := map[int32]held{}
+		for _, i := range m.live {
+			if cap(m.rows[i]) > len(m.rows[i]) {
+				storage[i] = held{&m.rows[i][0], len(m.rows[i])}
+			}
+		}
+		xg := thinGrid(rng, n, 2*n)
+		x := NewSparse(n)
+		fill(x, xg)
+		m.Absorb(x)
+		g = orGrid(g, xg)
+		for i, h := range storage {
+			if &m.rows[i][0] == h.first && len(m.rows[i]) > h.n {
+				inPlace++
+			}
+		}
+		if !equalGrid(toBool(m), g) {
+			t.Fatalf("trial %d: the grown matrix differs from its grid", trial)
+		}
+		checkColumnIndex(t, m)
+		bg := thinGrid(rng, n, 2)
+		b := NewSparse(n)
+		fill(b, bg)
+		prod := NewSparse(n)
+		prod.AddMul(m, b)
+		if !equalGrid(toBool(prod), refMul(g, bg)) {
+			t.Fatalf("trial %d: a product through the column index misses rows grown in place", trial)
+		}
+	}
+	if inPlace == 0 {
+		t.Fatal("no row grew in place: the test is vacuous")
+	}
+}

@@ -105,3 +105,75 @@ func TestRangeRow(t *testing.T) {
 		}
 	}
 }
+
+// grownWithRoom returns an unshared n×n sparse matrix whose rows Absorb
+// grew a few random bits at a time, so that they hold capacity past their
+// lengths, and its grid; ok is false when no row was left with room.
+func grownWithRoom(rng *rand.Rand, n int) (m *SparseMatrix, g [][]bool, ok bool) {
+	m, g = NewSparse(n), growGrid(nil, n)
+	for range 12 {
+		xg := thinGrid(rng, n, n)
+		x := NewSparse(n)
+		fill(x, xg)
+		m.Absorb(x)
+		g = orGrid(g, xg)
+	}
+	for _, i := range m.live {
+		if cap(m.rows[i]) > len(m.rows[i]) {
+			ok = true
+		}
+	}
+	return m, g, ok && m.slack > 0
+}
+
+// TestForkNeverSeesInPlaceGrowth: rows Absorb grew hold room to grow into,
+// which Absorb and Set use while the matrix is unshared. Once it is forked,
+// Absorb, AddMul and Set on either side — bits landing in the middle of
+// rows with room, where a growth in place would move the bits the other
+// side reads — leave the other side as it was, entry for entry, and
+// compute what they would on an unshared copy.
+func TestForkNeverSeesInPlaceGrowth(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	for trial := 0; trial < 60; trial++ {
+		n := 8 + rng.Intn(40)
+		origin, og, ok := grownWithRoom(rng, n)
+		if !ok {
+			t.Fatalf("trial %d: Absorb left no row with room: not the matrix this test needs", trial)
+		}
+		written, kept := Bool(origin.Fork()), Bool(origin)
+		if trial%2 == 1 {
+			written, kept = kept, written
+		}
+		wg := growGrid(og, n)
+		for step := 0; step < 6; step++ {
+			switch step % 3 {
+			case 0:
+				xg := thinGrid(rng, n, n)
+				x := NewSparse(n)
+				fill(x, xg)
+				written.Absorb(x)
+				wg = orGrid(wg, xg)
+			case 1:
+				ag, bg := thinGrid(rng, n, n/2), thinGrid(rng, n, n)
+				a, b := NewSparse(n), NewSparse(n)
+				fill(a, ag)
+				fill(b, bg)
+				written.AddMul(a, b)
+				wg = orGrid(wg, refMul(ag, bg))
+			case 2:
+				for k := 0; k < n; k++ {
+					i, j := rng.Intn(n), rng.Intn(n)
+					written.Set(i, j)
+					wg[i][j] = true
+				}
+			}
+			if got := toBool(kept); !equalGrid(got, og) || kept.Nnz() != countGrid(og) {
+				t.Fatalf("trial %d step %d: writing one side of a fork changed the other\ngot  %v\nwant %v", trial, step, got, og)
+			}
+			if !equalGrid(toBool(written), wg) || written.Nnz() != countGrid(wg) {
+				t.Fatalf("trial %d step %d: the written side of a fork differs from its grid", trial, step)
+			}
+			checkLiveRows(t, written.(*SparseMatrix))
+		}
+	}
+}

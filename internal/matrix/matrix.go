@@ -23,13 +23,14 @@ package matrix
 // Versions. Fork is how a serving layer derives the next version of a
 // matrix beside readers of the current one, and it rests on one invariant:
 // a row slice reachable from a published version is never written again.
-// The sparse mutators keep it by construction — Or, And, Absorb, AddMul,
-// Clear and Grow replace a row (or the row list) with a fresh or an
-// untouched slice — and the three that write in place do so only on a
-// matrix nobody else reads: Set, which inserts in place, replaces the row
-// too on a matrix that has been forked; Absorb trims its argument in place
-// and Clear hands its rows' storage to the next fill, which Fork takes
-// away from both sides. The reads of a published version (Get, Range, RangeRow,
+// The sparse mutators keep it by construction — Or, And, AddMul, Clear and
+// Grow replace a row (or the row list) with a fresh or an untouched slice
+// — and the ones that write in place do so only on a matrix nobody else
+// reads: Set and Absorb grow m's rows in place while m is unshared, and
+// replace a row they grow on a matrix that has ever been forked;
+// Absorb trims its argument in place, copying a row it shares first; and
+// Clear hands its rows' storage to the next fill, which Fork takes away
+// from both sides. The reads of a published version (Get, Range, RangeRow,
 // Nnz, Bytes, Dim) touch no field Fork or a writer writes. A sparse fork
 // also shares its origin's column index (below), which every writer of the
 // line appends to: sound because a line of versions has one writer at a
@@ -114,7 +115,9 @@ type Bool interface {
 	// source-restricted read avoids scanning the relation.
 	RangeRow(i int, fn func(j int) bool) bool
 	// Bytes estimates the heap bytes this matrix currently occupies
-	// (backing storage, not Go object headers beyond the per-row ones).
+	// (backing storage, not Go object headers beyond the per-row ones):
+	// a sparse matrix charges the headroom its rows hold as well, and one
+	// nothing has written, which holds no row list yet, reports 0.
 	// The closure memory budget sums these estimates to fail fast before
 	// an evaluation outgrows its allowance.
 	Bytes() int64
@@ -130,12 +133,14 @@ type Backend interface {
 	// Name identifies the backend in benchmark output, serialised indexes
 	// and store files: "dense" or "sparse".
 	Name() string
-	// NewMatrix returns an empty n×n matrix.
+	// NewMatrix returns an empty n×n matrix. A sparse one allocates its
+	// row list at its first write.
 	NewMatrix(n int) Bool
 	// EmptyBytes estimates the heap bytes an empty n×n matrix of this
-	// backend occupies — what NewMatrix(n).Bytes() would report, without
-	// allocating. Budget checks use it to reject an evaluation whose
-	// empty index alone exceeds the allowance.
+	// backend costs once written — a dense bitmap, a sparse row list (a
+	// sparse matrix nothing has written reports 0) — without allocating.
+	// Budget checks use it to reject an evaluation whose empty index alone
+	// exceeds the allowance.
 	EmptyBytes(n int) int64
 }
 

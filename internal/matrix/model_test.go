@@ -105,7 +105,7 @@ func runMatrixModel(t *testing.T, be Backend, data []byte) {
 			}
 		}
 		var name string
-		switch p.next(13) {
+		switch p.next(14) {
 		case 0:
 			name = "Set"
 			for k := 1 + p.next(6); k > 0; k-- {
@@ -184,6 +184,14 @@ func runMatrixModel(t *testing.T, be Backend, data []byte) {
 			d.m.AddMul(x.m, y.m)
 			d.m.Or(y.m)
 			d.g = want
+		case 13:
+			// A matrix nothing has written: a sparse one holds no row list
+			// until its first write, whichever method — or none — that is.
+			name = "Fresh"
+			*d = modelSlot{be.NewMatrix(n), growGrid(nil, n)}
+			if sm, ok := d.m.(*SparseMatrix); ok && (sm.rows != nil || sm.Bytes() != 0) {
+				t.Fatalf("%s step %d: NewMatrix allocated a row list (Bytes %d)", be.Name(), step, sm.Bytes())
+			}
 		}
 		for s, sl := range slots {
 			if !equalGrid(toBool(sl.m), sl.g) {
@@ -259,6 +267,20 @@ func TestMatrixModel(t *testing.T) {
 func FuzzMatrixModel(f *testing.F) {
 	f.Add([]byte{3, 0, 0, 0, 0, 2, 1, 1, 2, 2, 1, 0, 9, 0, 0, 0, 0, 0, 1, 3, 3, 1, 0, 0, 3, 0, 1, 0, 0, 0, 0, 1, 2, 2})
 	f.Add([]byte{11, 0, 1, 2, 0, 5, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 0, 0, 0, 4, 1, 0, 0, 6, 0, 0, 0, 7, 70, 2, 0, 0, 9, 0, 2, 1, 3})
+	// Fresh matrices as receiver and operand of every kind of write: a
+	// product's left and right operand, And's receiver and operand,
+	// Absorb's receiver and argument, a fork's origin, Grow, Clear and
+	// Refill, and a Clone.
+	f.Add([]byte{5,
+		0, 1, 2, 0, 3, 0, 1, 0, 3, 2, 2, 5, 0, // matrix 0 gets four bits
+		1, 0, 0, 13, // matrix 1 fresh
+		2, 1, 0, 4, 2, 0, 1, 5, // 2 |= 1×0, 2 |= 0×1
+		1, 0, 0, 2, 1, 0, 0, 3, // 1 &= 0, 1 absorbs 0
+		3, 0, 0, 13, 0, 3, 0, 3, // matrix 3 fresh, 0 absorbs it
+		2, 3, 0, 9, 2, 1, 0, 1, // 2 = fork of 3, 2 |= 1
+		3, 0, 0, 7, 2, 3, 0, 0, 6, 3, 1, 1, 11, // grow all, clear and refill 3
+		3, 0, 0, 13, 0, 3, 0, 2, 1, 3, 0, 8, // 3 fresh, 0 &= 3, 1 = clone of 3
+	})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<10 {
 			t.Skip("long programs add time, not cases")

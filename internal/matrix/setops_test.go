@@ -155,7 +155,7 @@ func TestSortedSliceHelpers(t *testing.T) {
 	cases := []struct {
 		a, b  []int32
 		inter []int32
-		diff  []int32 // b \ a, what absorbRow leaves of b
+		diff  []int32 // b \ a, what subtractRow leaves of b
 	}{
 		{nil, nil, nil, nil},
 		{[]int32{1, 2, 3}, nil, nil, nil},
@@ -164,6 +164,7 @@ func TestSortedSliceHelpers(t *testing.T) {
 		{[]int32{2}, []int32{1, 2, 3}, []int32{2}, []int32{1, 3}},
 		{[]int32{1, 2, 3}, []int32{1, 2, 3}, []int32{1, 2, 3}, nil},
 		{[]int32{5}, []int32{1, 9}, nil, []int32{1, 9}},
+		{[]int32{3, 7}, []int32{1, 4, 5, 8}, nil, []int32{1, 4, 5, 8}},
 	}
 	for _, c := range cases {
 		gotI := intersectSorted(c.a, c.b)
@@ -171,12 +172,12 @@ func TestSortedSliceHelpers(t *testing.T) {
 			t.Errorf("intersect(%v,%v) = %v, want %v", c.a, c.b, gotI, c.inter)
 		}
 		x := slices.Clone(c.b)
-		union, fresh := absorbRow(c.a, x)
+		fresh := subtractRow(c.a, x)
 		if !slices.Equal(fresh, c.diff) {
-			t.Errorf("absorbRow(%v,%v) left %v, want %v", c.a, c.b, fresh, c.diff)
+			t.Errorf("subtractRow(%v,%v) left %v, want %v", c.a, c.b, fresh, c.diff)
 		}
 		if len(fresh) > 0 && &fresh[0] != &x[0] {
-			t.Errorf("absorbRow(%v,%v) moved the new bits out of the row", c.a, c.b)
+			t.Errorf("subtractRow(%v,%v) moved the new bits out of the row", c.a, c.b)
 		}
 		want := slices.Clone(c.a)
 		for _, v := range c.b {
@@ -185,14 +186,40 @@ func TestSortedSliceHelpers(t *testing.T) {
 			}
 		}
 		slices.Sort(want)
-		switch {
-		case len(c.diff) == 0 && union != nil:
-			t.Errorf("absorbRow(%v,%v) allocated a union %v that adds nothing", c.a, c.b, union)
-		case len(c.diff) > 0 && !slices.Equal(union, want):
-			t.Errorf("absorbRow(%v,%v) union = %v, want %v", c.a, c.b, union, want)
-		case len(union) > 0 && len(c.a) > 0 && &union[0] == &c.a[0]:
-			t.Errorf("absorbRow(%v,%v) wrote the union over the old row", c.a, c.b)
+		if len(fresh) == 0 {
+			continue
 		}
+		// Not owned: an exactly sized copy, the old row untouched.
+		old := slices.Clone(c.a)
+		if got := growRow(old, fresh, false); !slices.Equal(got, want) || cap(got) != len(got) {
+			t.Errorf("growRow(%v,%v) of a shared row = %v (cap %d), want %v exactly sized", c.a, fresh, got, cap(got), want)
+		} else if !slices.Equal(old, c.a) || len(old) > 0 && &got[0] == &old[0] {
+			t.Errorf("growRow(%v,%v) wrote over a shared row", c.a, fresh)
+		}
+		// Owned without room: a new slice with headroom to grow into.
+		moved := growRow(slices.Clip(slices.Clone(c.a)), fresh, true)
+		if !slices.Equal(moved, want) {
+			t.Errorf("growRow(%v,%v) of an owned full row = %v, want %v", c.a, fresh, moved, want)
+		}
+		// Owned with room: merged in place, whatever the room held before.
+		room := append(slices.Clone(c.a), slices.Repeat([]int32{-1}, len(fresh)+1)...)[:len(c.a)]
+		inPlace := growRow(room, fresh, true)
+		if !slices.Equal(inPlace, want) || &inPlace[:1][0] != &room[:1][0] {
+			t.Errorf("growRow(%v,%v) of an owned row with room = %v, want %v in its storage", c.a, fresh, inPlace, want)
+		}
+	}
+	// Doubling: growth by a bit at a time moves the row O(log n) times.
+	var row []int32
+	moves := 0
+	for v := range int32(1000) {
+		grown := growRow(row, []int32{v}, true)
+		if len(row) == 0 || &grown[0] != &row[0] {
+			moves++
+		}
+		row = grown
+	}
+	if moves > 20 {
+		t.Errorf("growing a row a bit at a time to 1000 moved it %d times, want O(log n)", moves)
 	}
 	// The no-drop fast path must return the original slice (no copy).
 	a := []int32{1, 2, 3}

@@ -15,13 +15,17 @@ import (
 // no sort, so the cost tracks the output size rather than the dimension.
 // The sparse backend stands in for the paper's sCPU.
 type SparseMatrix struct {
-	n    int
+	n int
+	// rows is the row list, nil until the first write (own): a matrix
+	// nothing has written costs only this struct, and reads take a nil
+	// list for n empty rows. A row may hold capacity past its length: Set and Absorb
+	// grow into it in place while the matrix is unshared (growRow).
 	rows [][]int32
 	// live lists the non-empty rows, each exactly once, in no particular
 	// order: what a product, a union or a Clear walks in place of all n row
-	// headers. Set and setRow append a row when it gains its first entry;
-	// And, Absorb (of its argument) and Clear, the mutators that can empty
-	// one, drop it.
+	// headers. Set, Absorb and setRow append a row when it gains its first
+	// entry; And, Absorb (of its argument) and Clear, the mutators that can
+	// empty one, drop it.
 	live []int32
 	// spare is the row storage a Clear kept: rows the next fill writes are
 	// capped windows of it (newRow), and once it is full of a larger one.
@@ -29,21 +33,26 @@ type SparseMatrix struct {
 	spare []int32
 	// cols is the column → rows companion, nil until a product builds it
 	// (productRows). It may list rows that do not hold the column but never
-	// misses one that does: Set and setRow append to it, And, Absorb (of
-	// its argument) and Clear drop it, Clone leaves it behind and Fork
-	// shares it, so every holder's writes land in one superset of each
-	// holder's entries.
+	// misses one that does: Set, Absorb and setRow append to it, And,
+	// Absorb (of its argument) and Clear drop it, Clone leaves it behind
+	// and Fork shares it, so every holder's writes land in one superset of
+	// each holder's entries.
 	cols *colIndex
 	// walked counts the live rows products walked where cols could have
 	// served, until they pay for building it.
 	walked int
 	nnz    int
+	// slack is the headroom growth keeps, Σ cap − len over the rows (every
+	// other row is capped at its length). Bytes charges it with the
+	// entries.
+	slack int
 	// shared marks a matrix whose row slices another matrix may also hold
-	// (it was forked, or is a fork): Set then replaces the row it inserts
-	// into instead of shifting it in place. It stays set for good.
+	// (it was forked, or is a fork): Set and Absorb then replace a row they
+	// grow, exactly sized, instead of growing it in place. It stays set for
+	// good.
 	shared bool
 	// borrowed marks a matrix whose row list and live list are still the
-	// ones its fork (or origin) reads: setRow copies both before the first
+	// ones its fork (or origin) reads: own copies both before the first
 	// write, so a fork that is never written costs nothing and the two
 	// sides never append into one backing array.
 	borrowed bool
@@ -57,11 +66,12 @@ func Sparse() Backend { return sparseBackend{} }
 func (sparseBackend) Name() string { return "sparse" }
 
 func (sparseBackend) NewMatrix(n int) Bool {
-	return &SparseMatrix{n: n, rows: make([][]int32, n)}
+	return &SparseMatrix{n: n}
 }
 
-// EmptyBytes estimates the row-header storage of an empty n×n sparse
-// matrix (24 bytes per row slice header).
+// EmptyBytes estimates the row list an n×n sparse matrix allocates at its
+// first write (24 bytes per row slice header); before it, the matrix holds
+// none.
 func (sparseBackend) EmptyBytes(n int) int64 {
 	return 24 * int64(n)
 }
@@ -81,57 +91,50 @@ func (m *SparseMatrix) check(i, j int) {
 	}
 }
 
+// row returns row i, empty while the matrix has no row list.
+func (m *SparseMatrix) row(i int) []int32 {
+	if m.rows == nil {
+		return nil
+	}
+	return m.rows[i]
+}
+
 // Get reports entry (i, j) by binary search within the row.
 func (m *SparseMatrix) Get(i, j int) bool {
 	m.check(i, j)
-	row := m.rows[i]
+	row := m.row(i)
 	k := sort.Search(len(row), func(x int) bool { return row[x] >= int32(j) })
 	return k < len(row) && row[k] == int32(j)
 }
 
-// Set inserts entry (i, j), keeping the row sorted. The row is shifted in
-// place, or moved out of a capped window (Build, Load, Clone, newRow) into
-// a slice of its own, unless the matrix shares its rows with a fork: then
-// the row is replaced by a copy and the shared slice stays as its other
-// holders see it.
+// Set inserts entry (i, j), keeping the row sorted: the row grows as
+// Absorb grows one (grow), in place while the matrix is unshared and the
+// row has room.
 func (m *SparseMatrix) Set(i, j int) {
-	m.check(i, j)
-	row := m.rows[i]
-	k := sort.Search(len(row), func(x int) bool { return row[x] >= int32(j) })
-	if k < len(row) && row[k] == int32(j) {
-		return
-	}
-	if m.shared {
-		grown := make([]int32, len(row)+1)
-		copy(grown, row[:k])
-		grown[k] = int32(j)
-		copy(grown[k+1:], row[k:])
-		m.setRow(i, grown)
-		return
-	}
-	if len(row) == 0 {
-		m.list(int32(i))
-	}
-	row = append(row, 0)
-	copy(row[k+1:], row[k:])
-	row[k] = int32(j)
-	m.rows[i] = row
-	m.nnz++
-	if c := m.cols; c != nil {
-		c.cols[j] = append(c.cols[j], int32(i))
+	if !m.Get(i, j) {
+		m.grow(int32(i), []int32{int32(j)})
 	}
 }
 
-// setRow replaces row i — how every mutator but the in-place Set writes a
-// row — first taking private copies of the row list and the live list if a
-// fork still reads these ones. A row that gains its first entry joins the
-// live list; one that loses its last stays listed until the caller (And,
-// Absorb) drops it. A row that grows is listed under its new columns.
-func (m *SparseMatrix) setRow(i int, row []int32) {
+// own readies the row list for a write: it allocates the list at the
+// first, and takes private copies of it and of the live list while a fork
+// still reads them.
+func (m *SparseMatrix) own() {
 	if m.borrowed {
 		m.rows, m.live = slices.Clone(m.rows), slices.Clone(m.live)
 		m.borrowed = false
 	}
+	if m.rows == nil {
+		m.rows = make([][]int32, m.n)
+	}
+}
+
+// setRow replaces row i — how every mutator but Set and Absorb writes a
+// row of its receiver. A row that gains its first entry joins the live
+// list; one that loses its last stays listed until the caller (And,
+// Absorb) drops it. A row that grows is listed under its new columns.
+func (m *SparseMatrix) setRow(i int, row []int32) {
+	m.own()
 	old := m.rows[i]
 	if len(old) == 0 && len(row) > 0 {
 		m.list(int32(i))
@@ -140,6 +143,28 @@ func (m *SparseMatrix) setRow(i int, row []int32) {
 		m.cols.list(int32(i), row, old)
 	}
 	m.nnz += len(row) - len(old)
+	m.slack += cap(row) - len(row) - (cap(old) - len(old))
+	m.rows[i] = row
+}
+
+// grow adds fresh — sorted columns row i lacks — to row i: in place while
+// the matrix is unshared and the row has room, otherwise into a new row,
+// with headroom unless a fork may read the old one (growRow). The row is
+// listed under the fresh columns.
+func (m *SparseMatrix) grow(i int32, fresh []int32) {
+	m.own()
+	old := m.rows[i]
+	row := growRow(old, fresh, !m.shared)
+	if len(old) == 0 {
+		m.list(i)
+	}
+	if c := m.cols; c != nil {
+		for _, j := range fresh {
+			c.cols[j] = append(c.cols[j], i)
+		}
+	}
+	m.nnz += len(fresh)
+	m.slack += cap(row) - len(row) - (cap(old) - len(old))
 	m.rows[i] = row
 }
 
@@ -161,8 +186,9 @@ func (m *SparseMatrix) list(i int32) {
 // Rows a fork shares are not: Fork drops the spare storage of both sides.
 func (m *SparseMatrix) Clear() {
 	if m.borrowed {
-		// The lists are a fork's to read: leave them, start fresh ones.
-		m.rows, m.live, m.borrowed = make([][]int32, m.n), nil, false
+		// The lists are a fork's to read: leave them, and let the next
+		// write start fresh ones.
+		m.rows, m.live, m.borrowed = nil, nil, false
 	}
 	for _, i := range m.live {
 		m.rows[i] = nil
@@ -171,7 +197,7 @@ func (m *SparseMatrix) Clear() {
 		m.spare = make([]int32, 0, m.nnz) // non-nil even when empty
 	}
 	m.spare = m.spare[:0]
-	m.live, m.nnz = m.live[:0], 0
+	m.live, m.nnz, m.slack = m.live[:0], 0, 0
 	m.cols, m.walked = nil, 0
 }
 
@@ -179,56 +205,62 @@ func (m *SparseMatrix) Clear() {
 func (m *SparseMatrix) Nnz() int { return m.nnz }
 
 // Bytes estimates the heap bytes of the row storage — 24 bytes per row
-// slice header plus 4 bytes per stored column index — and as much again
-// for a companion the matrix holds (what other holders listed is theirs).
-// Spare storage a Clear kept counts only as far as rows fill it.
+// slice header, once the row list exists, plus 4 bytes per stored column
+// index and per slot of headroom the rows hold — and the size of the
+// entries again for a companion the matrix holds (what other holders
+// listed is theirs). Spare storage a Clear kept counts only as far as
+// rows took it. A matrix nothing has written reports 0.
 func (m *SparseMatrix) Bytes() int64 {
+	b := 24*int64(len(m.rows)) + 4*int64(m.nnz+m.slack)
 	if m.cols != nil {
-		return 2 * m.rowBytes()
+		b += m.indexBytes()
 	}
-	return m.rowBytes()
+	return b
 }
 
 // ProductBytes is the companion a product may build (productRows), the size
-// of the rows it indexes — nothing once the matrix holds one, or while it
-// is empty.
+// of the entries it indexes — nothing once the matrix holds one, or while
+// it is empty.
 func (m *SparseMatrix) ProductBytes() int64 {
 	if m.cols != nil || m.nnz == 0 {
 		return 0
 	}
-	return m.rowBytes()
+	return m.indexBytes()
 }
 
-func (m *SparseMatrix) rowBytes() int64 { return 24*int64(m.n) + 4*int64(m.nnz) }
+// indexBytes is the size of a companion: a list header per column and an
+// entry per row it lists.
+func (m *SparseMatrix) indexBytes() int64 { return 24*int64(m.n) + 4*int64(m.nnz) }
 
 // Grow resizes the matrix to n×n in place, keeping every entry. The CSR
-// row list simply gains empty rows, the companion empty columns; column
-// indices need no translation.
+// row list, if there is one yet, simply gains empty rows, the companion
+// empty columns; column indices need no translation.
 func (m *SparseMatrix) Grow(n int) {
 	if n <= m.n {
 		return
 	}
-	rows := make([][]int32, n)
-	copy(rows, m.rows)
+	if m.rows != nil {
+		rows := make([][]int32, n)
+		copy(rows, m.rows)
+		m.rows = rows
+	}
 	if m.borrowed {
 		m.live = slices.Clone(m.live)
 	}
-	m.rows, m.borrowed = rows, false
-	m.n = n
+	m.n, m.borrowed = n, false
 	if c := m.cols; c != nil && len(c.cols) < n {
 		c.cols = append(c.cols, make([][]int32, n-len(c.cols))...)
 	}
 }
 
 // Clone returns an independent copy, without the companion, its rows
-// capped windows of one array.
+// capped windows of one array; an empty matrix's copy holds no row list.
 func (m *SparseMatrix) Clone() Bool {
-	cp := &SparseMatrix{
-		n:    m.n,
-		rows: make([][]int32, m.n),
-		live: slices.Clone(m.live),
-		nnz:  m.nnz,
+	cp := &SparseMatrix{n: m.n, live: slices.Clone(m.live), nnz: m.nnz}
+	if m.nnz == 0 {
+		return cp
 	}
+	cp.rows = make([][]int32, m.n)
 	flat := make([]int32, 0, m.nnz)
 	for _, i := range m.live {
 		flat = append(flat, m.rows[i]...)
@@ -240,9 +272,9 @@ func (m *SparseMatrix) Clone() Bool {
 // Fork returns a matrix over the same rows in O(1): row slices, row list
 // and live list are shared, and both sides are marked so — whichever is
 // mutated next copies the lists (O(n), once) before its first write and
-// leaves every shared row slice as the other reads it. Both sides append
-// to the one companion; neither keeps spare storage, which both would
-// write.
+// leaves every shared row slice as the other reads it: neither grows a row
+// into the room it holds, which both would write. Both sides append to the
+// one companion; neither keeps spare storage, for the same reason.
 func (m *SparseMatrix) Fork() Bool {
 	m.shared, m.borrowed, m.spare = true, true, nil
 	cp := *m
@@ -278,7 +310,7 @@ func (m *SparseMatrix) Range(fn func(i, j int) bool) {
 // RangeRow iterates the set entries of row i in column order.
 func (m *SparseMatrix) RangeRow(i int, fn func(j int) bool) bool {
 	m.check(i, 0)
-	for _, j := range m.rows[i] {
+	for _, j := range m.row(i) {
 		if !fn(int(j)) {
 			return false
 		}
@@ -291,7 +323,7 @@ func (m *SparseMatrix) Or(other Bool) bool {
 	o := mustSparse(other, m.n)
 	changed := false
 	for _, i := range o.live {
-		if merged, grew := m.union(m.rows[i], o.rows[i]); grew {
+		if merged, grew := m.union(m.row(int(i)), o.rows[i]); grew {
 			m.setRow(int(i), merged)
 			changed = true
 		}
@@ -304,7 +336,7 @@ func (m *SparseMatrix) And(other Bool) bool {
 	o := mustSparse(other, m.n)
 	changed := false
 	for _, i := range m.live {
-		if kept := intersectSorted(m.rows[i], o.rows[i]); len(kept) != len(m.rows[i]) {
+		if kept := intersectSorted(m.rows[i], o.row(int(i))); len(kept) != len(m.rows[i]) {
 			m.setRow(int(i), kept)
 			changed = true
 		}
@@ -317,11 +349,12 @@ func (m *SparseMatrix) And(other Bool) bool {
 }
 
 // Absorb computes m |= next and leaves in next only the bits that were new
-// to m, in one merge per row of next (absorbRow); it reports whether m
-// grew — whether next still holds a bit. m's grown rows are fresh copies,
-// as every mutator but Set writes them (see Bool's invariant); next's are
-// trimmed in place, unless next shares them with a fork. next must not be
-// m.
+// to m; it reports whether m grew — whether next still holds a bit. Each
+// row of next is trimmed to what m's row lacks, in place unless next
+// shares it with a fork (subtractRow), and m's row grows by what is left
+// (grow): in place while m is unshared and the row has room — the rows of
+// a closure's T_A gain a few bits a pass — otherwise into a new row, with
+// headroom unless a fork may read the old one. next must not be m.
 func (m *SparseMatrix) Absorb(next Bool) bool {
 	x := mustSparse(next, m.n)
 	if x == m {
@@ -333,12 +366,12 @@ func (m *SparseMatrix) Absorb(next Bool) bool {
 		if x.shared {
 			row = slices.Clone(row)
 		}
-		union, fresh := absorbRow(m.rows[i], row)
-		if union != nil {
-			m.setRow(int(i), union)
+		fresh := subtractRow(m.row(int(i)), row)
+		if len(fresh) > 0 {
+			m.grow(i, fresh)
 		}
 		if len(fresh) != len(x.rows[i]) {
-			x.setRow(int(i), fresh)
+			x.setRow(int(i), slices.Clip(fresh)) // the trimmed tail is no headroom
 			dropped = true
 		}
 	}
@@ -349,41 +382,54 @@ func (m *SparseMatrix) Absorb(next Bool) bool {
 	return x.nnz > 0
 }
 
-// absorbRow merges x into t (sorted unique slices) in one pass. It returns
-// t ∪ x in a fresh slice — nil when x adds nothing to t — and x \ t,
-// written over x's own prefix. The union is allocated at the first bit of
-// x missing from t, sized for the rest of x to be new as well.
-func absorbRow(t, x []int32) (union, fresh []int32) {
+// subtractRow writes x \ t over x's own prefix and returns it (t and x
+// sorted unique slices).
+func subtractRow(t, x []int32) []int32 {
 	if len(t) == 0 {
-		return slices.Clone(x), x
+		return x
 	}
 	w, ti := 0, 0
-	for xi, c := range x {
+	for _, c := range x {
 		for ti < len(t) && t[ti] < c {
-			if union != nil {
-				union = append(union, t[ti])
-			}
 			ti++
 		}
 		if ti < len(t) && t[ti] == c {
-			if union != nil {
-				union = append(union, c)
-			}
 			ti++
 			continue
 		}
-		if union == nil {
-			union = make([]int32, ti, len(t)+len(x)-xi)
-			copy(union, t)
-		}
-		union = append(union, c)
 		x[w] = c
 		w++
 	}
-	if union == nil {
-		return nil, x[:0]
+	return x[:w]
+}
+
+// growRow returns t ∪ fresh for sorted unique t and fresh, fresh disjoint
+// from t, merged from the back. An owned t — one no other matrix may read
+// — grows in place when its capacity holds the union, and otherwise moves
+// to a new slice with append's headroom; one that is not owned moves to an
+// exactly sized copy and is left as it was.
+func growRow(t, fresh []int32, owned bool) []int32 {
+	k := len(t) + len(fresh)
+	var row []int32
+	switch {
+	case owned && cap(t) >= k:
+		row = t[:k]
+	case owned:
+		row = append(t[:len(t):len(t)], fresh...) // the merge writes over fresh's copy
+	default:
+		row = append(make([]int32, 0, k), t...)[:k]
 	}
-	return append(union, t[ti:]...), x[:w]
+	i, j := len(t)-1, len(fresh)-1
+	for w := k - 1; j >= 0; w-- {
+		if i >= 0 && row[i] > fresh[j] {
+			row[w] = row[i]
+			i--
+		} else {
+			row[w] = fresh[j]
+			j--
+		}
+	}
+	return row
 }
 
 // intersectSorted returns a ∩ b for sorted unique slices. When nothing is
@@ -445,7 +491,7 @@ func (m *SparseMatrix) AddMul(a, b Bool) bool {
 		changed bool
 	)
 	for _, i := range sa.productRows(sb) {
-		grown, grew := m.union(m.rows[i], rm.productRow(sa, sb, int(i)))
+		grown, grew := m.union(m.row(int(i)), rm.productRow(sa, sb, int(i)))
 		if !grew {
 			continue
 		}
