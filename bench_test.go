@@ -86,8 +86,8 @@ func BenchmarkEvaluateTraceOff(b *testing.B) {
 func BenchmarkEvaluateTraceOn(b *testing.B) {
 	g, gram := benchTraceGraph()
 	events := 0
-	eng := cfpq.NewEngine(cfpq.Sparse, cfpq.WithTracer(cfpq.Trace{Pass: func(cfpq.PassEvent) { events++ }}))
-	ctx := context.Background()
+	eng := cfpq.NewEngine(cfpq.Sparse)
+	ctx := cfpq.WithTraceContext(context.Background(), &cfpq.Trace{Pass: func(cfpq.PassEvent) { events++ }})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -35,8 +35,7 @@ type (
 	// AllPathsOptions bounds all-path enumeration.
 	AllPathsOptions = core.AllPathsOptions
 	// Trace is a set of per-evaluation hooks in the style of
-	// httptrace.ClientTrace; install one with WithTracer or attach it to a
-	// context with WithTraceContext.
+	// httptrace.ClientTrace; attach one to a context with WithTraceContext.
 	Trace = core.Trace
 	// PassEvent describes one closure pass delivered to a Trace.
 	PassEvent = core.PassEvent
@@ -100,30 +99,18 @@ func WithEmptyPaths() Option {
 	return func(c *config) { c.emptyPaths = true }
 }
 
-// WithTracer installs a Trace, the library's one per-pass hook: it fires
-// with one PassEvent per closure pass — phase ("full", "frontier" or
-// "update"), pass index, products, per-nonterminal nnz before/after,
-// frontier saturation, estimated bytes, wall time. Passed to NewEngine it
-// observes every evaluation the engine runs; passed per call (via
-// Request.Options or a query method's opts) it observes that evaluation
-// only. A disabled trace costs evaluations one pointer test and no
-// allocations. For a collected per-pass table instead of callbacks, set
-// Request.Trace and read Result.Explain.Passes.
-func WithTracer(t Trace) Option {
-	return func(c *config) { c.engineOpts = append(c.engineOpts, core.WithTracer(&t)) }
-}
-
-// WithTraceContext returns a context carrying the trace: every evaluation
-// run under the returned context fires its hooks, whichever engine or
-// Prepared handle runs it — the httptrace.ClientTrace idiom.
+// WithTraceContext returns a context carrying the trace, the library's one
+// per-pass hook: every evaluation run under the returned context, whichever
+// engine or Prepared handle runs it — Prepare's build, Do, Evaluate and
+// AddEdges' patch alike — fires it with one PassEvent per closure pass:
+// phase ("full", "frontier" or "update"), pass index, products,
+// per-nonterminal nnz before/after, frontier saturation, estimated bytes,
+// wall time. It is the httptrace.ClientTrace idiom. A disabled trace costs
+// evaluations one pointer test and no allocations. For a collected per-pass
+// table instead of callbacks, set Request.Trace and read
+// Result.Explain.Passes.
 func WithTraceContext(ctx context.Context, t *Trace) context.Context {
 	return core.WithTraceContext(ctx, t)
-}
-
-// ContextTrace returns the trace attached to ctx by WithTraceContext, or
-// nil.
-func ContextTrace(ctx context.Context) *Trace {
-	return core.ContextTrace(ctx)
 }
 
 // MemoryBudgetError reports that an evaluation was abandoned because its

@@ -101,7 +101,7 @@
 // # Observability
 //
 // GET /metrics serves Prometheus text format: request-latency histograms
-// labeled by (route, strategy, backend, status), WAL fsync / index build /
+// labeled by (route, backend, status), WAL fsync / index build /
 // warm start latency histograms, replication lag gauges (records, bytes,
 // age), live subscriptions with their buffer depth and drop counters (the
 // only view of them; there are no per-subscription rows), store sizes, and
@@ -112,16 +112,12 @@
 // and set on the response either way.
 //
 //	cfpqd -pprof                     # also mount /debug/pprof/ (off by default)
-//	cfpqd -slow-query 250ms          # log any query slower than 250ms, with its
-//	                                 # full request and per-pass closure trace
 //
-// The -slow-query log captures the evaluation's per-pass trace (pass index,
-// products, per-nonterminal nnz deltas, frontier saturation, wall time) even
-// when the client did not ask for one, so a one-off stall is diagnosable
-// after the fact. Query responses carry "stats" (iterations, products,
-// duration_ns, peak_bytes) on every path, cached reads included; adding
-// "trace": true to a POST /v1/query body returns the per-pass table as
-// explain.passes.
+// Query responses carry "stats" (iterations, products, duration_ns,
+// peak_bytes) on every path, cached reads included; adding "trace": true
+// to a POST /v1/query body returns, as explain.passes, the per-pass table
+// (pass index, products, per-nonterminal nnz deltas, frontier saturation,
+// wall time) of the slot build that request ran.
 package main
 
 import (
@@ -164,7 +160,6 @@ func main() {
 	maxLag := flag.Uint64("max-lag", 0, "follower staleness (records behind the leader) beyond which /readyz answers 503 (0 = any finite lag)")
 	followerID := flag.String("follower-id", "", "identity reported to the leader's WAL retention (default hostname-pid)")
 	pprofOn := flag.Bool("pprof", false, "mount net/http/pprof profiling handlers under /debug/pprof/")
-	slowQuery := flag.Duration("slow-query", 0, "log queries slower than this threshold with their request and per-pass trace (0 = off)")
 	var graphs, grammars namedFiles
 	flag.Var(&graphs, "graph", "preload a graph as name=path (repeatable)")
 	flag.Var(&grammars, "grammar", "preload a grammar as name=path (repeatable)")
@@ -178,9 +173,6 @@ func main() {
 	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
 	svc := server.New()
 	svc.SetMemoryBudget(*memoryBudget)
-	if *slowQuery > 0 {
-		svc.SetSlowQueryLog(*slowQuery, logger)
-	}
 	var st *store.Store
 	if *dataDir != "" {
 		var err error

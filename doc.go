@@ -158,20 +158,20 @@
 // # Observability
 //
 // Every evaluation can narrate itself, in the style of
-// httptrace.ClientTrace: WithTracer installs a Trace whose Pass hook
-// fires one PassEvent per closure pass — phase ("full", "frontier" or
-// "update"), pass index, Boolean
-// products, each non-terminal's relation size before/after (the deltas
-// telescope to exactly the pairs the evaluation derived), frontier
-// saturation, estimated matrix bytes and wall time. WithTraceContext
-// attaches a Trace to one call instead of the whole engine; setting
-// Request.Trace collects the events onto Result.Explain.Passes. A
-// disabled trace costs the closure loop one nil test per pass and no
+// httptrace.ClientTrace: WithTraceContext attaches a Trace to a context,
+// and its Pass hook fires one PassEvent per closure pass of every
+// evaluation run under that context — Prepare's build and AddEdges'
+// patches included — carrying phase ("full", "frontier" or "update"),
+// pass index, Boolean products, each non-terminal's relation size
+// before/after (the deltas telescope to exactly the pairs the evaluation
+// derived), frontier saturation, estimated matrix bytes and wall time.
+// Setting Request.Trace collects the events onto Result.Explain.Passes.
+// A disabled trace costs the closure loop one nil test per pass and no
 // allocations. Result.Stats reports Duration and PeakBytes on every
 // path, cached reads included. cmd/cfpq prints the pass table with
 // -trace; cmd/cfpqd serves Prometheus metrics at GET /metrics, tags
-// every request with an X-Request-ID, and dumps slow queries — request
-// plus pass trace — past a -slow-query threshold.
+// every request with an X-Request-ID, and returns a slot build's pass
+// table to a query that sets "trace".
 //
 // # Memory budgets
 //

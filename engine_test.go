@@ -86,13 +86,12 @@ func TestEvaluateCancelMidClosure(t *testing.T) {
 	defer cancel()
 	g := chainGraph(k)
 	cnf, _ := ToCNF(MustParseGrammar("S -> a S b | a b"))
-	ix, stats, err := NewEngine(Sparse).Evaluate(ctx, g, cnf,
-		WithTracer(Trace{Pass: func(ev PassEvent) {
-			if ev.Pass == stopAt {
-				cancel()
-			}
-		}}),
-	)
+	traced := WithTraceContext(ctx, &Trace{Pass: func(ev PassEvent) {
+		if ev.Pass == stopAt {
+			cancel()
+		}
+	}})
+	ix, stats, err := NewEngine(Sparse).Evaluate(traced, g, cnf)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

@@ -437,13 +437,13 @@ func TestEvaluateHonoursBudgetAndCancellation(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	events := 0
-	eng := core.NewEngine(core.WithTracer(&core.Trace{Pass: func(ev core.PassEvent) {
+	traced := core.WithTraceContext(ctx, &core.Trace{Pass: func(ev core.PassEvent) {
 		if events++; ev.Pass == 1 {
 			cancel()
 		}
-	}}))
+	}})
 	word := graph.Word(strings.Fields("a a a b b b c c c"))
-	ix, stats, err := EvaluateContext(ctx, eng, word, cg)
+	ix, stats, err := EvaluateContext(traced, core.NewEngine(), word, cg)
 	if !errors.Is(err, context.Canceled) || ix != nil {
 		t.Fatalf("cancelled evaluation: index %v, err %v", ix, err)
 	}

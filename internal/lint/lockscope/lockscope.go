@@ -39,13 +39,12 @@ var Analyzer = &lint.Analyzer{
 // own stand-ins; the set mirrors the lock owners in the tree: the
 // Prepared handle, the query Service and its per-graph/per-index entries,
 // the durable Store and its per-graph logs, the read replica, and the
-// subscription hubs.
+// Prepared handle's subscription hub.
 var guardedTypes = map[string]bool{
 	"Prepared":   true,
 	"Service":    true,
 	"Store":      true,
 	"Replicator": true,
-	"hub":        true,
 	"subHub":     true,
 	"graphEntry": true,
 	"indexEntry": true,

@@ -1,6 +1,6 @@
 // Package obs is the process-local metrics substrate of the serving stack:
-// labeled counters and gauges, fixed-bucket histograms, and a Prometheus
-// text-format encoder.
+// counters, gauges and fixed-bucket histograms (the last two labeled or
+// not), and a Prometheus text-format encoder.
 //
 // The hot paths are lock-free: a Counter or Gauge is one atomic word, a
 // Histogram Observe is two atomic adds (bucket + sum) after a bounds scan,
@@ -120,9 +120,6 @@ type Gauge struct {
 
 // Set replaces the gauge's value.
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Add shifts the gauge by v (CAS loop).
-func (g *Gauge) Add(v float64) { addFloat(&g.bits, v) }
 
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
@@ -266,22 +263,11 @@ func (r *Registry) Counter(name, help string) *Counter {
 	return f.child(nil).metric.(*Counter)
 }
 
-// CounterVec registers a labeled counter family.
-func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
-	return &CounterVec{r.register(&family{name: name, help: help, kind: KindCounter, labels: labels})}
-}
-
 // CounterFunc registers a counter whose value is read from fn at scrape
 // time, for monotone counts owned by another structure (a store's write
 // counters, a sum over live objects).
 func (r *Registry) CounterFunc(name, help string, fn func() float64) {
 	r.register(&family{name: name, help: help, kind: KindCounter, fn: fn, fnKind: true})
-}
-
-// Gauge registers an unlabeled gauge.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	f := r.register(&family{name: name, help: help, kind: KindGauge})
-	return f.child(nil).metric.(*Gauge)
 }
 
 // GaugeVec registers a labeled gauge family.
@@ -375,15 +361,6 @@ func (f *family) sortedChildren() []*child {
 		return labelKey(children[i].labelValues) < labelKey(children[j].labelValues)
 	})
 	return children
-}
-
-// CounterVec is a labeled counter family.
-type CounterVec struct{ f *family }
-
-// With returns the counter of one label-value combination, creating it on
-// first use.
-func (v *CounterVec) With(labelValues ...string) *Counter {
-	return v.f.child(labelValues).metric.(*Counter)
 }
 
 // GaugeVec is a labeled gauge family.

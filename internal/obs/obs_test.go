@@ -46,8 +46,8 @@ func TestRegisterPanics(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("dup_total", "")
 	mustPanic("duplicate", func() { r.Counter("dup_total", "") })
-	mustPanic("bad name", func() { r.Gauge("camelCase_bytes", "") })
-	mustPanic("bad label", func() { r.CounterVec("x_total", "", "BadLabel") })
+	mustPanic("bad name", func() { r.GaugeVec("camelCase_bytes", "") })
+	mustPanic("bad label", func() { r.GaugeVec("x_bytes", "", "BadLabel") })
 	mustPanic("bad buckets", func() { r.Histogram("h_seconds", "", []float64{1, 1}) })
 }
 
@@ -59,11 +59,15 @@ func TestCounterGauge(t *testing.T) {
 	if got := c.Value(); got != 5 {
 		t.Fatalf("counter = %d, want 5", got)
 	}
-	g := r.Gauge("depth_entries", "depth")
-	g.Set(3)
-	g.Add(-1.5)
-	if got := g.Value(); got != 1.5 {
-		t.Fatalf("gauge = %v, want 1.5", got)
+	v := r.GaugeVec("depth_entries", "depth", "queue")
+	v.With("a").Set(3)
+	v.With("a").Set(1.5)
+	v.With("b").Set(2)
+	if got := v.With("a").Value(); got != 1.5 {
+		t.Fatalf("gauge a = %v, want 1.5", got)
+	}
+	if got := v.With("b").Value(); got != 2 {
+		t.Fatalf("gauge b = %v, want 2", got)
 	}
 }
 
@@ -92,7 +96,7 @@ func TestHistogramBuckets(t *testing.T) {
 func TestEncoder(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("plain_total", "a plain counter").Add(7)
-	r.CounterVec("labeled_total", "labeled", "route", "status").With(`/v1/"q"`, "200").Inc()
+	r.GaugeVec("labeled_bytes", "labeled", "route", "status").With(`/v1/"q"`, "200").Set(1)
 	r.GaugeFunc("scraped_bytes", "computed at scrape", func() float64 { return 42 })
 	h := r.Histogram("lat_seconds", "latency", []float64{0.1, 1})
 	h.Observe(0.05)
@@ -104,7 +108,7 @@ func TestEncoder(t *testing.T) {
 	out := sb.String()
 	for _, want := range []string{
 		"# TYPE plain_total counter\nplain_total 7\n",
-		"# TYPE labeled_total counter\n" + `labeled_total{route="/v1/\"q\"",status="200"} 1` + "\n",
+		"# TYPE labeled_bytes gauge\n" + `labeled_bytes{route="/v1/\"q\"",status="200"} 1` + "\n",
 		"# TYPE scraped_bytes gauge\nscraped_bytes 42\n",
 		`lat_seconds_bucket{le="0.1"} 1`,
 		`lat_seconds_bucket{le="1"} 2`,
@@ -196,16 +200,16 @@ func splitLe(name string) (series, le string) {
 func TestSamples(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("a_total", "").Add(3)
-	v := r.CounterVec("b_total", "", "kind")
-	v.With("y").Inc()
-	v.With("x").Add(2)
+	v := r.GaugeVec("b_bytes", "", "kind")
+	v.With("y").Set(1)
+	v.With("x").Set(2)
 	r.GaugeFunc("c_bytes", "", func() float64 { return 1.5 })
 	r.Histogram("d_seconds", "", DefLatencyBuckets).Observe(1) // no scalar reading: skipped
 	got := r.Samples()
 	want := []Sample{
 		{Name: "a_total", Kind: KindCounter, Value: 3},
-		{Name: "b_total", Kind: KindCounter, LabelValues: []string{"x"}, Value: 2},
-		{Name: "b_total", Kind: KindCounter, LabelValues: []string{"y"}, Value: 1},
+		{Name: "b_bytes", Kind: KindGauge, LabelValues: []string{"x"}, Value: 2},
+		{Name: "b_bytes", Kind: KindGauge, LabelValues: []string{"y"}, Value: 1},
 		{Name: "c_bytes", Kind: KindGauge, Value: 1.5},
 	}
 	if !reflect.DeepEqual(got, want) {

@@ -94,12 +94,15 @@ func WithRequestLog(logger *slog.Logger) HandlerOption {
 //	                                     lost its leader, or exceeds the -max-lag bound;
 //	                                     detail carries build info and uptime
 //	GET  /metrics                        Prometheus text format: request-latency
-//	                                     histograms by (route, strategy, backend, status),
-//	                                     replication lag gauges, subscription and WAL
-//	                                     counters, build info
-//	GET  /debug/vars                     expvar dump + the /metrics counters as JSON ("cfpqd")
-//	                                     + store statistics ("cfpqd_store") and replication
-//	                                     status ("cfpqd_replication")
+//	                                     histograms by (route, backend, status) — backend is
+//	                                     the canonical one of the slot a query, batch or
+//	                                     subscribe resolved — replication lag gauges,
+//	                                     subscription and WAL counters, build info
+//	GET  /debug/vars                     expvar dump (memstats, cmdline) + the /metrics
+//	                                     counters as JSON ("cfpqd": queries, index_builds,
+//	                                     warm_starts, wal_appends, wal_bytes, wal_fsyncs, ...)
+//	                                     + store statistics ("cfpqd_store": replayed_records,
+//	                                     ...) and replication status ("cfpqd_replication")
 //	GET  /debug/pprof/                   runtime profiles (only with WithPprof / -pprof)
 //
 // Every response carries an X-Request-ID header — echoed from the request

@@ -13,7 +13,6 @@ import (
 	"strings"
 	"time"
 
-	"cfpq"
 	"cfpq/internal/obs"
 )
 
@@ -24,8 +23,9 @@ type obsMetrics struct {
 	reg *obs.Registry
 
 	// httpRequests is the per-route latency histogram behind every HTTP
-	// request: route is the mux pattern, strategy/backend are filled by the
-	// query paths (empty for non-query routes), status the response code.
+	// request: route is the mux pattern, backend the canonical backend of
+	// the slot the request resolved (empty for routes that resolve none),
+	// status the response code.
 	httpRequests *obs.HistogramVec
 
 	// walFsync observes append-path WAL fsync latency (fed through
@@ -44,11 +44,9 @@ type obsMetrics struct {
 	// is in the update stats and the request histogram.
 	indexSwap *obs.Histogram
 
-	// queries counts answered query operations; strategies splits the same
-	// count by the plan that answered (children resolved once, here, since
-	// cfpq.Strategies() is a closed set). answered ticks both.
-	queries    *obs.Counter
-	strategies map[cfpq.Strategy]*obs.Counter
+	// queries counts answered query operations (a batch, one per answered
+	// spec).
+	queries *obs.Counter
 
 	indexBuilds      *obs.Counter // registry-grammar slots only
 	exprIndexBuilds  *obs.Counter
@@ -69,13 +67,6 @@ type obsMetrics struct {
 	subResyncs *obs.Counter
 }
 
-// answered records one successfully answered query operation under the
-// strategy that answered it, so queries == Σ strategies by construction.
-func (m *obsMetrics) answered(st cfpq.Strategy) {
-	m.queries.Inc()
-	m.strategies[st].Inc()
-}
-
 // swapBuckets spans a pointer swap plus a subscription publish: single
 // microseconds when nobody subscribes, up to milliseconds for a large delta
 // filtered for many subscribers.
@@ -93,8 +84,8 @@ func newObsMetrics(s *Service) *obsMetrics {
 	m := &obsMetrics{
 		reg: reg,
 		httpRequests: reg.HistogramVec("cfpqd_http_request_duration_seconds",
-			"HTTP request latency by route, planner strategy, matrix backend and status code",
-			obs.DefLatencyBuckets, "route", "strategy", "backend", "status"),
+			"HTTP request latency by route, matrix backend and status code",
+			obs.DefLatencyBuckets, "route", "backend", "status"),
 		walFsync: reg.Histogram("cfpqd_wal_fsync_duration_seconds",
 			"append-path WAL fsync latency", fsyncBuckets),
 		indexBuild: reg.Histogram("cfpqd_index_build_duration_seconds",
@@ -105,7 +96,6 @@ func newObsMetrics(s *Service) *obsMetrics {
 			"per incremental patch, how long readers were locked out to publish the new index version", swapBuckets),
 
 		queries:          reg.Counter("cfpqd_queries_total", "query operations answered (batch = one per answered spec)"),
-		strategies:       map[cfpq.Strategy]*obs.Counter{},
 		indexBuilds:      reg.Counter("cfpqd_index_builds_total", "full closure index builds of registry grammars"),
 		exprIndexBuilds:  reg.Counter("cfpqd_expr_index_builds_total", "full closure index builds of RPQ expressions"),
 		warmStarts:       reg.Counter("cfpqd_warm_starts_total", "indexes restored from the store without a closure"),
@@ -120,12 +110,6 @@ func newObsMetrics(s *Service) *obsMetrics {
 		subPairs:         reg.Counter("cfpqd_subscription_pairs_total", "pairs consumed by subscribers"),
 		subResyncs:       reg.Counter("cfpqd_subscription_resyncs_total", "consumed deliveries carrying a resync marker"),
 	}
-	strategies := reg.CounterVec("cfpqd_strategies_total",
-		"answered query operations by planner strategy (sums to cfpqd_queries_total)", "strategy")
-	for _, st := range cfpq.Strategies() {
-		m.strategies[st] = strategies.With(string(st))
-	}
-
 	version, revision := buildInfo()
 	reg.GaugeVec("cfpqd_build_info",
 		"always 1, labeled with the binary's module version and VCS revision",
@@ -228,8 +212,7 @@ var debugAliases = map[string]string{
 
 // debugCounters renders the "cfpqd" object of /debug/vars from the
 // registry: every counter under its name minus the cfpqd_ prefix and
-// _total suffix (a labeled counter becomes an object keyed by label
-// value), plus the aliased families above.
+// _total suffix, plus the aliased families above.
 func (s *Service) debugCounters() map[string]any {
 	out := map[string]any{}
 	for _, sm := range s.obs.reg.Samples() {
@@ -240,16 +223,7 @@ func (s *Service) debugCounters() map[string]any {
 			}
 			key = strings.TrimSuffix(strings.TrimPrefix(sm.Name, "cfpqd_"), "_total")
 		}
-		if len(sm.LabelValues) == 0 {
-			out[key] = sm.Value
-			continue
-		}
-		byLabel, _ := out[key].(map[string]float64)
-		if byLabel == nil {
-			byLabel = map[string]float64{}
-			out[key] = byLabel
-		}
-		byLabel[strings.Join(sm.LabelValues, ",")] = sm.Value
+		out[key] = sm.Value
 	}
 	return out
 }

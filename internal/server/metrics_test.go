@@ -162,10 +162,9 @@ func TestMetricsEndpointUnderConcurrentQueries(t *testing.T) {
 
 	final := scrape(t, srv)
 	assertScrapeWellFormed(t, final)
-	// The query route's latency series carries the planner's strategy and
-	// the resolved backend as labels (grammar queries against a cached
-	// index answer as cached reads).
-	wantSeries := `cfpqd_http_request_duration_seconds_bucket{route="POST /v1/query",strategy="cached-read",backend="` + DefaultBackend + `",status="200"`
+	// The query route's latency series carries the resolved slot's backend
+	// as a label.
+	wantSeries := `cfpqd_http_request_duration_seconds_bucket{route="POST /v1/query",backend="` + DefaultBackend + `",status="200"`
 	if !strings.Contains(final, wantSeries) {
 		t.Errorf("scrape missing query latency series %q", wantSeries)
 	}
@@ -179,6 +178,48 @@ func TestMetricsEndpointUnderConcurrentQueries(t *testing.T) {
 	} {
 		if !strings.Contains(final, want) {
 			t.Errorf("scrape missing %q", want)
+		}
+	}
+}
+
+// TestRequestHistogramBackendIsCanonical: every route that resolves an
+// index slot labels its latency series with the slot's canonical backend —
+// an alias ("sparse-parallel") lands in the "sparse" series, and the batch
+// and subscribe routes carry the label too.
+func TestRequestHistogramBackendIsCanonical(t *testing.T) {
+	srv := queryTestServer(t)
+	for _, be := range []string{"sparse-parallel", "sparse", ""} {
+		body := `{"graph":"social","grammar":"reach","nonterminal":"S","output":"count","backend":"` + be + `"}`
+		if code, resp := httpDo(t, srv, http.MethodPost, "/v1/query", body); code != http.StatusOK {
+			t.Fatalf("query on backend %q: %d %v", be, code, resp)
+		}
+	}
+	if code, resp := httpDo(t, srv, http.MethodPost, "/v1/query/batch",
+		`{"graph":"social","grammar":"reach","backend":"sparse-parallel","queries":[{"op":"count","nonterminal":"S"}]}`); code != http.StatusOK {
+		t.Fatalf("batch: %d %v", code, resp)
+	}
+	dialSSE(t, srv, `{"graph":"social","grammar":"reach","nonterminal":"S"}`, "").close()
+
+	const family = "cfpqd_http_request_duration_seconds_count"
+	series := func(route string) string {
+		return fmt.Sprintf(`%s{route=%q,backend="sparse",status="200"}`, family, route)
+	}
+	// The subscribe handler returns, and its request is observed, only
+	// once the closed stream's context ends.
+	var samples map[string]float64
+	waitFor(t, 5*time.Second, func() bool {
+		samples = scalarSamples(t, scrape(t, srv))
+		return samples[series("POST /v1/subscribe")] == 1
+	}, "the closed subscribe stream's latency sample")
+	if got := samples[series("POST /v1/query")]; got != 3 {
+		t.Errorf("%s = %v, want 3 (sparse-parallel, sparse and the default in one series)", series("POST /v1/query"), got)
+	}
+	if got := samples[series("POST /v1/query/batch")]; got != 1 {
+		t.Errorf("%s = %v, want 1", series("POST /v1/query/batch"), got)
+	}
+	for name := range samples {
+		if strings.HasPrefix(name, family) && strings.Contains(name, `backend="sparse-parallel"`) {
+			t.Errorf("alias backend opened its own series: %s", name)
 		}
 	}
 }
@@ -210,7 +251,6 @@ func TestMetricNamesAreVetted(t *testing.T) {
 		"cfpqd_subscription_events_total",
 		"cfpqd_subscription_pairs_total",
 		"cfpqd_subscription_resyncs_total",
-		"cfpqd_strategies_total",
 		"cfpqd_build_info",
 		"cfpqd_process_uptime_seconds",
 		"cfpqd_replication_lag_records",
@@ -360,7 +400,7 @@ func scalarSamples(t *testing.T, body string) map[string]float64 {
 // cached read, an expr read (which builds its slot), a 404, a batch with
 // one bad spec, an AddEdges, a subscriber slow enough to have batches
 // dropped while still connected — every number under "cfpqd" in /debug/vars equals the
-// /metrics sample it is rendered from, and queries == Σ strategies.
+// /metrics sample it is rendered from.
 func TestDebugVarsAgreesWithMetrics(t *testing.T) {
 	dir := t.TempDir()
 	var edges strings.Builder
@@ -435,12 +475,6 @@ func TestDebugVarsAgreesWithMetrics(t *testing.T) {
 		if name == "" {
 			name = "cfpqd_" + key + "_total"
 		}
-		if byLabel, ok := v.(map[string]any); ok {
-			for label, lv := range byLabel {
-				agree(key+"."+label, fmt.Sprintf(`%s{strategy=%q}`, name, label), lv)
-			}
-			continue
-		}
 		agree(key, name, v)
 	}
 	for key, want := range map[string]float64{
@@ -453,14 +487,9 @@ func TestDebugVarsAgreesWithMetrics(t *testing.T) {
 	}
 
 	// Answered queries only — cached read, expr read, one batch spec; not
-	// the 404, the failed spec or the subscribe — and each under exactly
-	// one strategy.
-	var byStrategy float64
-	for _, n := range cfpqd["strategies"].(map[string]any) {
-		byStrategy += n.(float64)
-	}
-	if q := cfpqd["queries"]; q != 3.0 || byStrategy != 3 {
-		t.Errorf("queries = %v, Σ strategies = %v, want 3 and 3", q, byStrategy)
+	// the 404, the failed spec or the subscribe.
+	if q := cfpqd["queries"]; q != 3.0 {
+		t.Errorf("queries = %v, want 3", q)
 	}
 
 	// Ending the subscription moves its drops to the closed-subscription

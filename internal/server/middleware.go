@@ -1,10 +1,11 @@
 // This file is the HTTP observability layer Handler wraps around the route
 // mux: per-request latency recorded into the service's histogram labeled
-// (route, strategy, backend, status), structured slog request logging, and
-// X-Request-ID propagation. The strategy/backend labels travel backwards —
-// the middleware plants a QueryLabels carrier in the request context and
-// Service.Do fills it in — so one wrapper instruments every route without
-// each handler knowing about metrics.
+// (route, backend, status), structured slog request logging, and
+// X-Request-ID propagation. The backend label travels backwards — the
+// middleware plants a QueryLabels carrier in the request context and the
+// service fills it in when the request resolves an index slot — so one
+// wrapper instruments every route without each handler knowing about
+// metrics.
 
 package server
 
@@ -18,20 +19,19 @@ import (
 	"time"
 )
 
-// QueryLabels carries the planner's strategy and the resolved backend from
-// Service.Do back to the HTTP middleware's latency labels. Non-query
-// routes leave it empty.
+// QueryLabels carries the canonical backend of the index slot a request
+// resolved back to the HTTP middleware's latency labels. Routes that
+// resolve no slot leave it empty.
 type QueryLabels struct {
-	strategy string
-	backend  string
+	backend string
 }
 
-// Set records the labels; the last query of a batch-style handler wins.
-func (ql *QueryLabels) Set(strategy, backend string) {
+// Set records the backend label.
+func (ql *QueryLabels) Set(backend string) {
 	if ql == nil {
 		return
 	}
-	ql.strategy, ql.backend = strategy, backend
+	ql.backend = backend
 }
 
 type queryLabelsKey struct{}
@@ -107,7 +107,7 @@ func instrument(s *Service, mux *http.ServeMux, logger *slog.Logger) http.Handle
 		}
 		elapsed := time.Since(start)
 		s.obs.httpRequests.
-			With(route, ql.strategy, ql.backend, strconv.Itoa(sw.status)).
+			With(route, ql.backend, strconv.Itoa(sw.status)).
 			Observe(elapsed.Seconds())
 		if logger != nil {
 			logger.Info("request",

@@ -11,9 +11,7 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
-	"time"
 
 	"cfpq"
 )
@@ -74,58 +72,13 @@ type QueryAnswer struct {
 	Stats     cfpq.Stats   `json:"stats"`
 }
 
-// Do answers one declarative query. Around the dispatch it hangs the
-// cross-cutting observability: an answered query ticks the query and
-// strategy counters, the planner's strategy and the resolved backend are
-// reported to the HTTP middleware's latency labels
-// (QueryLabelsFromContext), and evaluations slower than the configured
-// slow-query threshold are dumped — request, strategy, pass trace — to the
-// slow-query log.
-func (s *Service) Do(ctx context.Context, req QueryRequest) (QueryAnswer, error) {
-	slow := time.Duration(s.slowQueryNs.Load())
-	forcedTrace := false
-	if slow > 0 && !req.Trace {
-		// Collect the trace unconditionally while the slow-query log is on:
-		// whether a query was slow is only known after it ran.
-		req.Trace, forcedTrace = true, true
-	}
-	start := time.Now()
-	ans, err := s.dispatch(ctx, req)
-	if err != nil {
-		return ans, err
-	}
-	s.obs.answered(ans.Explain.Strategy)
-	if ql := QueryLabelsFromContext(ctx); ql != nil {
-		be := req.Backend
-		if be == "" {
-			be = DefaultBackend
-		}
-		ql.Set(string(ans.Explain.Strategy), be)
-	}
-	if elapsed := time.Since(start); slow > 0 && elapsed >= slow {
-		reqJSON, _ := json.Marshal(req)
-		passJSON, _ := json.Marshal(ans.Explain.Passes)
-		s.slowQueryLogger().Warn("slow query",
-			"duration", elapsed,
-			"threshold", slow,
-			"strategy", string(ans.Explain.Strategy),
-			"request", string(reqJSON),
-			"passes", string(passJSON),
-		)
-	}
-	if forcedTrace {
-		// The trace was collected for the log only; the caller did not ask.
-		ans.Explain.Passes = nil
-	}
-	return ans, nil
-}
-
-// dispatch validates one query, resolves it to its slot and answers it
-// with Prepared.Do on the cached handle, grammar and RPQ expression alike.
+// Do answers one declarative query: it validates the request, resolves it
+// to its slot and answers it with Prepared.Do on the cached handle, grammar
+// and RPQ expression alike; an answered query ticks the query counter.
 // With Trace set the request runs under a pass trace, which sees the
 // passes of a slot build this request runs (cfpq.WithTraceContext reaches
 // PrepareCNF) and nothing else.
-func (s *Service) dispatch(ctx context.Context, req QueryRequest) (QueryAnswer, error) {
+func (s *Service) Do(ctx context.Context, req QueryRequest) (QueryAnswer, error) {
 	switch {
 	case req.Graph == "":
 		return QueryAnswer{}, errors.New("server: graph is required")
@@ -158,6 +111,7 @@ func (s *Service) dispatch(ctx context.Context, req QueryRequest) (QueryAnswer, 
 	if err != nil {
 		return QueryAnswer{}, s.noteErr(err)
 	}
+	s.obs.queries.Inc()
 	res.Explain.Passes = passes
 	return renderAnswer(ge, req, res), nil
 }

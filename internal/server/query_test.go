@@ -2,13 +2,15 @@ package server
 
 // Tests of the declarative query path: POST /v1/query across outputs and
 // languages, the uniform {"error": ...} envelope with correct status
-// codes, and the per-strategy /debug/vars counters.
+// codes, and the /debug/vars query counter.
 
 import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"cfpq"
 )
 
 // queryTestServer builds a service with the social graph and reach
@@ -186,29 +188,20 @@ func TestSameErrorOnEveryRoute(t *testing.T) {
 	}
 }
 
-// TestDebugVarsStrategyCounters asserts the per-strategy counters are
-// exposed and move with the plans the service executes.
-func TestDebugVarsStrategyCounters(t *testing.T) {
+// TestDebugVarsQueriesCounter asserts cfpqd.queries in /debug/vars moves
+// with answered query operations only: every POST /v1/query answer and
+// every answered batch spec counts; a 404 and a failed spec do not.
+func TestDebugVarsQueriesCounter(t *testing.T) {
 	srv := queryTestServer(t)
 
-	strategies := func() map[string]float64 {
+	queries := func() float64 {
 		code, body := httpDo(t, srv, http.MethodGet, "/debug/vars", "")
 		if code != http.StatusOK {
 			t.Fatalf("debug/vars: %d", code)
 		}
-		raw := body["cfpqd"].(map[string]any)["strategies"].(map[string]any)
-		out := map[string]float64{}
-		for k, v := range raw {
-			out[k] = v.(float64)
-		}
-		return out
+		return body["cfpqd"].(map[string]any)["queries"].(float64)
 	}
-	before := strategies()
-	for _, key := range []string{"full", "source-frontier", "target-frontier", "cached-read"} {
-		if _, ok := before[key]; !ok {
-			t.Fatalf("strategies misses %q: %v", key, before)
-		}
-	}
+	before := queries()
 
 	// One grammar query and three RPQs — source-restricted,
 	// target-restricted, unrestricted: every one is a cached read, the RPQs
@@ -220,34 +213,34 @@ func TestDebugVarsStrategyCounters(t *testing.T) {
 		`{"graph":"social","expr":"knows+","output":"count"}`,
 	}
 	for _, body := range posts {
-		if code, resp := httpDo(t, srv, http.MethodPost, "/v1/query", body); code != http.StatusOK {
+		code, resp := httpDo(t, srv, http.MethodPost, "/v1/query", body)
+		if code != http.StatusOK {
 			t.Fatalf("query %s: %d %v", body, code, resp)
 		}
-	}
-	after := strategies()
-	wantDelta := map[string]float64{
-		"cached-read":     4,
-		"source-frontier": 0,
-		"target-frontier": 0,
-		"full":            0,
-	}
-	for key, want := range wantDelta {
-		if got := after[key] - before[key]; got != want {
-			t.Errorf("strategy %q moved by %v, want %v (before %v, after %v)", key, got, want, before, after)
+		if st := resp["explain"].(map[string]any)["strategy"]; st != string(cfpq.StrategyCachedRead) {
+			t.Errorf("query %s: strategy %v, want cached-read", body, st)
 		}
 	}
+	if code, resp := httpDo(t, srv, http.MethodPost, "/v1/query",
+		`{"graph":"social","grammar":"reach","nonterminal":"Nope"}`); code != http.StatusNotFound {
+		t.Fatalf("unknown non-terminal: %d %v, want 404", code, resp)
+	}
+	after := queries()
+	if got := after - before; got != 4 {
+		t.Errorf("queries moved by %v over four answers and a 404, want 4", got)
+	}
 
-	// Batch queries count as cached reads, one per answered request.
+	// A batch counts one per answered spec; its failed spec does not.
 	batch := `{"graph":"social","grammar":"reach","queries":[` +
 		`{"op":"count","nonterminal":"S"},` +
 		`{"op":"has","nonterminal":"S","from":"alice","to":"bob"},` +
-		`{"op":"relation-from","nonterminal":"S","sources":["bob"]}]}`
+		`{"op":"relation-from","nonterminal":"S","sources":["bob"]},` +
+		`{"op":"count","nonterminal":"Nope"}]}`
 	if code, resp := httpDo(t, srv, http.MethodPost, "/v1/query/batch", batch); code != http.StatusOK {
 		t.Fatalf("batch: %d %v", code, resp)
 	}
-	final := strategies()
-	if got := final["cached-read"] - after["cached-read"]; got != 3 {
-		t.Errorf("batch cached-read delta %v, want 3", got)
+	if got := queries() - after; got != 3 {
+		t.Errorf("batch of three answered specs and one failed moved queries by %v, want 3", got)
 	}
 }
 

@@ -77,7 +77,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"log/slog"
 	"slices"
 	"sort"
 	"strings"
@@ -151,13 +150,6 @@ type Service struct {
 	// /healthz.
 	obs     *obsMetrics
 	started time.Time
-
-	// Slow-query log (SetSlowQueryLog): queries slower than slowQueryNs
-	// are dumped — request, strategy and collected pass trace — to
-	// slowLogger. 0 disables; collection is forced only while enabled.
-	slowQueryNs atomic.Int64
-	slowMu      sync.Mutex
-	slowLogger  *slog.Logger
 }
 
 // ErrReadOnly marks mutations rejected because this node is a read-only
@@ -218,31 +210,6 @@ func New() *Service {
 	}
 	s.obs = newObsMetrics(s)
 	return s
-}
-
-// SetSlowQueryLog enables the slow-query log: every Do slower than
-// threshold is dumped to logger — the request, the chosen strategy, the
-// wall time, and the evaluation's per-pass trace (collection is forced
-// while the log is enabled, so the trace is there even when the caller did
-// not ask for one). threshold <= 0 disables; a nil logger uses
-// slog.Default.
-func (s *Service) SetSlowQueryLog(threshold time.Duration, logger *slog.Logger) {
-	if threshold < 0 {
-		threshold = 0
-	}
-	s.slowMu.Lock()
-	s.slowLogger = logger
-	s.slowMu.Unlock()
-	s.slowQueryNs.Store(int64(threshold))
-}
-
-func (s *Service) slowQueryLogger() *slog.Logger {
-	s.slowMu.Lock()
-	defer s.slowMu.Unlock()
-	if s.slowLogger != nil {
-		return s.slowLogger
-	}
-	return slog.Default()
 }
 
 type graphEntry struct {
@@ -596,7 +563,9 @@ func (t Target) key() IndexKey {
 // non-stale slot is resolved without its lock, and the handle answers from
 // a pinned version, so queries share an index and wait for neither a build
 // of another slot nor an update of this one. A new expr slot past
-// maxExprSlots evicts the least recently used one.
+// maxExprSlots evicts the least recently used one. The slot's canonical
+// backend labels the request's latency series (QueryLabels), whichever
+// route resolved it.
 func (s *Service) index(ctx context.Context, key IndexKey) (*indexEntry, *cfpq.Prepared, error) {
 	be, err := cfpq.BackendByName(key.Backend)
 	if err != nil {
@@ -628,6 +597,7 @@ func (s *Service) index(ctx context.Context, key IndexKey) (*indexEntry, *cfpq.P
 	e.used = s.exprClock
 	s.mu.Unlock()
 	markStale(evicted)
+	QueryLabelsFromContext(ctx).Set(be.Name())
 
 	if p := e.ready.Load(); p != nil {
 		return e, p, nil
@@ -871,7 +841,7 @@ func (s *Service) QueryBatch(ctx context.Context, t Target, specs []BatchQuerySp
 			answers[i].Error = r.Err.Error()
 			continue
 		}
-		s.obs.answered(r.Result.Explain.Strategy)
+		s.obs.queries.Inc()
 		switch answers[i].Op {
 		case "has":
 			has := r.Result.Exists

@@ -120,10 +120,22 @@ type Store struct {
 	mu     sync.Mutex
 	graphs map[string]*graphLog
 
-	compactCh chan string
 	closed    chan struct{}
 	closeOnce sync.Once
 	wg        sync.WaitGroup
+
+	// compactWake wakes the background compactor. It holds at most one
+	// pending wake, so an append never blocks on it and loses none: a wake
+	// that finds one pending is covered by the scan that one starts.
+	// compactArmed counts appends that left a WAL above CompactBytes, each
+	// of which wakes the compactor; compactScanned is compactArmed as of
+	// the start of the compactor's last finished scan. Once compactScanned
+	// reaches a value compactArmed held, every tail the appends up to then
+	// left above CompactBytes has been folded or held back by a follower
+	// reservation — the point tests wait for.
+	compactWake    chan struct{}
+	compactArmed   atomic.Uint64
+	compactScanned atomic.Uint64
 
 	// watchCh is the change-broadcast channel: closed and replaced on
 	// every append and registry change, so replication long-polls wake
@@ -245,7 +257,7 @@ func Open(dir string, opts Options) (*Store, error) {
 		dir:          dir,
 		opts:         opts,
 		graphs:       map[string]*graphLog{},
-		compactCh:    make(chan string, 64),
+		compactWake:  make(chan struct{}, 1),
 		closed:       make(chan struct{}),
 		watchCh:      make(chan struct{}),
 		reservations: map[string]map[string]reservation{},
@@ -617,8 +629,9 @@ func (s *Store) append(name string, kind byte, recs []EdgeRecord, expectStart in
 	s.appends.Add(1)
 	s.walWritten.Add(n)
 	if s.opts.CompactBytes > 0 && size > s.opts.CompactBytes {
+		s.compactArmed.Add(1)
 		select {
-		case s.compactCh <- name:
+		case s.compactWake <- struct{}{}:
 		default:
 		}
 	}
@@ -744,19 +757,26 @@ func (s *Store) Compact(name string) error {
 	return err
 }
 
-// compactor is the background goroutine folding oversized WALs.
+// compactor is the background goroutine folding oversized WALs: each wake
+// scans every graph and folds the eligible ones, so the tail an append
+// leaves above CompactBytes is folded by the scan its wake starts or by
+// the one already pending.
 func (s *Store) compactor() {
 	defer s.wg.Done()
 	for {
 		select {
 		case <-s.closed:
 			return
-		case name := <-s.compactCh:
-			if s.compactEligible(name) {
-				// Best effort: a failed background compaction leaves the
-				// WAL long but the store correct; the next append re-arms.
-				_ = s.Compact(name)
+		case <-s.compactWake:
+			armed := s.compactArmed.Load()
+			for _, name := range s.GraphNames() {
+				if s.compactEligible(name) {
+					// Best effort: a failed background compaction leaves the
+					// WAL long but the store correct; the next append re-arms.
+					_ = s.Compact(name)
+				}
 			}
+			s.compactScanned.Store(armed)
 		}
 	}
 }

@@ -585,36 +585,80 @@ func TestLogIgnoresNumericNames(t *testing.T) {
 	}
 }
 
+// compactorCaughtUp waits until the background compactor has finished a
+// scan started after every append that armed it so far: from then on each
+// WAL those appends left above CompactBytes is folded, or held back by a
+// follower reservation, and the compactor stays idle until the next append
+// arms it again.
+func compactorCaughtUp(t *testing.T, s *Store) {
+	t.Helper()
+	armed := s.compactArmed.Load()
+	deadline := time.Now().Add(5 * time.Second)
+	for s.compactScanned.Load() < armed {
+		if time.Now().After(deadline) {
+			t.Fatalf("background compactor never scanned after append %d (scanned up to %d)", armed, s.compactScanned.Load())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestBackgroundCompaction: appends to two graphs, the compactor caught up
+// after each — every tail an append left above CompactBytes folds (the
+// WAL is never seen above it), each fold is one compaction, and the
+// folded state is intact.
 func TestBackgroundCompaction(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, Options{NoSync: true, CompactBytes: 64})
+	const compactBytes = 64
+	s, err := Open(dir, Options{NoSync: true, CompactBytes: compactBytes})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
 	g, names := sampleGraph()
-	if err := s.CreateGraph("g", g, names); err != nil {
-		t.Fatal(err)
-	}
-	appendBatches(t, s, "g", 8) // well past 64 bytes of frames
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		st := s.Stats()
-		if len(st.Graphs) == 1 && st.Graphs[0].WALBytes == 0 && st.Graphs[0].BaseSeq == 8 {
-			break
+	for _, name := range []string{"g", "h"} {
+		if err := s.CreateGraph(name, g, names); err != nil {
+			t.Fatal(err)
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("background compaction never folded the WAL: %+v", st.Graphs)
+	}
+	const batches = 8
+	baseSeq := map[string]uint64{}
+	folds := int64(0)
+	for i := 0; i < batches; i++ {
+		for _, name := range []string{"g", "h"} {
+			if _, err := s.Append(name, []EdgeRecord{{From: "a", Label: "l" + string(rune('0'+i)), To: "b"}}); err != nil {
+				t.Fatal(err)
+			}
+			compactorCaughtUp(t, s)
+			st := s.Stats()
+			for _, gs := range st.Graphs {
+				if gs.WALBytes > compactBytes {
+					t.Errorf("after batch %d to %s: %s's WAL holds %d bytes, above CompactBytes %d", i, name, gs.Graph, gs.WALBytes, compactBytes)
+				}
+				if gs.BaseSeq != baseSeq[gs.Graph] {
+					if gs.Graph != name || gs.BaseSeq != gs.Seq || gs.WALBytes != 0 {
+						t.Errorf("after batch %d to %s: %s folded to %+v, want the appended graph folded to its head", i, name, gs.Graph, gs)
+					}
+					baseSeq[gs.Graph] = gs.BaseSeq
+					folds++
+				}
+			}
+			if st.Compactions != folds {
+				t.Errorf("after batch %d to %s: %d compactions, %d folds seen", i, name, st.Compactions, folds)
+			}
 		}
-		time.Sleep(10 * time.Millisecond)
 	}
-	// State is intact after the fold.
-	g2, _, seq, err := s.GraphState("g")
-	if err != nil {
-		t.Fatal(err)
+	if baseSeq["g"] == 0 || baseSeq["h"] == 0 {
+		t.Fatalf("test is vacuous: %d batches of frames past %d bytes folded nothing (%v)", batches, compactBytes, baseSeq)
 	}
-	if seq != 8 || g2.EdgeCount() != 2+8 {
-		t.Errorf("post-compaction state: seq %d, %v", seq, g2)
+	// State is intact after the folds.
+	for _, name := range []string{"g", "h"} {
+		g2, _, seq, err := s.GraphState(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if seq != batches || g2.EdgeCount() != 2+batches {
+			t.Errorf("%s post-compaction state: seq %d, %v", name, seq, g2)
+		}
 	}
 }
 

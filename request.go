@@ -73,8 +73,8 @@ type Request struct {
 	// non-terminals; leave it off on hot paths.
 	Trace bool `json:"trace,omitempty"`
 
-	// Options are per-call evaluation options (iteration schedule, trace,
-	// memory budget) applied by Engine.Do.
+	// Options are per-call evaluation options (empty paths, memory
+	// budget) applied by Engine.Do.
 	Options []Option `json:"-"`
 }
 

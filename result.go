@@ -3,7 +3,7 @@ package cfpq
 import "iter"
 
 // Strategy names one of the planner's evaluation strategies — the value
-// Result.Explain records and serving layers count per query.
+// Result.Explain records.
 type Strategy string
 
 // The planner strategies.
@@ -24,12 +24,6 @@ const (
 	// index with no closure work at all.
 	StrategyCachedRead Strategy = "cached-read"
 )
-
-// Strategies lists every planner strategy, in the order serving layers
-// report their counters.
-func Strategies() []Strategy {
-	return []Strategy{StrategyFull, StrategySourceFrontier, StrategyTargetFrontier, StrategyCachedRead}
-}
 
 // Explain records which plan answered a Request and why — the query
 // surface's analogue of EXPLAIN output.

@@ -157,20 +157,20 @@ func TestTraceChainsAcrossFrontierFallback(t *testing.T) {
 func TestTraceUpdateDeltasEqualDerivedPairs(t *testing.T) {
 	// Incremental updates re-base the trace on the pre-update index, so the
 	// summed start-nonterminal deltas of the update's events are exactly
-	// the pairs the update derived. The engine-wide tracer (WithTracer)
-	// observes them; Prepared.AddEdges has no Request to set Trace on.
-	ctx := context.Background()
+	// the pairs the update derived. A context trace observes them;
+	// Prepared.AddEdges has no Request to set Trace on.
 	gram := cfpq.MustParseGrammar("S -> a S b | a b")
 	for _, be := range cfpq.Backends() {
 		var events []cfpq.PassEvent
-		eng := cfpq.NewEngine(be, cfpq.WithTracer(cfpq.Trace{
+		ctx := cfpq.WithTraceContext(context.Background(), &cfpq.Trace{
 			Pass: func(ev cfpq.PassEvent) {
 				// Copy: the hook's slices are not retained by contract.
 				cp := ev
 				cp.NNZ = append([]cfpq.NNZ(nil), ev.NNZ...)
 				events = append(events, cp)
 			},
-		}))
+		})
+		eng := cfpq.NewEngine(be)
 		g := cfpq.NewGraph(8)
 		g.AddEdge(0, "a", 1)
 		g.AddEdge(1, "b", 2)
@@ -207,6 +207,68 @@ func TestTraceUpdateDeltasEqualDerivedPairs(t *testing.T) {
 		}
 		if after.Count <= before.Count {
 			t.Fatalf("%s: update derived nothing (%d -> %d)", be, before.Count, after.Count)
+		}
+	}
+}
+
+// TestOneContextTraceSeesBuildAndUpdate: one Trace on one context, handed
+// to Prepare and then to AddEdges, sees the build's passes and then the
+// update's — a handle's whole life on one hook — while the cached reads
+// between them fire nothing.
+func TestOneContextTraceSeesBuildAndUpdate(t *testing.T) {
+	gram := cfpq.MustParseGrammar("S -> a S b | a b")
+	for _, be := range cfpq.Backends() {
+		var events []cfpq.PassEvent
+		ctx := cfpq.WithTraceContext(context.Background(), &cfpq.Trace{
+			Pass: func(ev cfpq.PassEvent) {
+				cp := ev
+				cp.NNZ = append([]cfpq.NNZ(nil), ev.NNZ...)
+				events = append(events, cp)
+			},
+		})
+		g := cfpq.NewGraph(6)
+		g.AddEdge(0, "a", 1)
+		g.AddEdge(1, "b", 2)
+		p, err := cfpq.NewEngine(be).Prepare(ctx, g, gram)
+		if err != nil {
+			t.Fatalf("%s: %v", be, err)
+		}
+		built := len(events)
+		before, err := p.Do(ctx, cfpq.Request{Nonterminal: "S", Output: cfpq.OutputCount})
+		if err != nil {
+			t.Fatalf("%s: %v", be, err)
+		}
+		if built == 0 || len(events) != built {
+			t.Fatalf("%s: build fired %d events, the cached read %d; want some, then none", be, built, len(events)-built)
+		}
+		if got := startDelta(events, "S"); got != before.Count {
+			t.Errorf("%s: build deltas sum to %d, the relation holds %d", be, got, before.Count)
+		}
+		if _, err := p.AddEdges(ctx,
+			cfpq.Edge{From: 1, Label: "a", To: 3},
+			cfpq.Edge{From: 3, Label: "b", To: 4},
+			cfpq.Edge{From: 4, Label: "b", To: 5},
+		); err != nil {
+			t.Fatalf("%s: %v", be, err)
+		}
+		after, err := p.Do(ctx, cfpq.Request{Nonterminal: "S", Output: cfpq.OutputCount})
+		if err != nil {
+			t.Fatalf("%s: %v", be, err)
+		}
+		if len(events) == built {
+			t.Fatalf("%s: the update fired no events on the build's trace", be)
+		}
+		for k, ev := range events {
+			want := "full"
+			if k >= built {
+				want = "update"
+			}
+			if ev.Phase != want {
+				t.Errorf("%s: event %d in phase %q, want %q", be, k, ev.Phase, want)
+			}
+		}
+		if got, want := startDelta(events[built:], "S"), after.Count-before.Count; got != want || want <= 0 {
+			t.Errorf("%s: update deltas sum to %d, derived pairs %d (want > 0)", be, got, want)
 		}
 	}
 }
