@@ -226,9 +226,10 @@
 // edge-stream position they cover, and an append-only WAL of edge
 // additions with CRC-framed, fsynced records. Mutations are write-ahead:
 // the WAL record is durable before the in-memory graph or any cached
-// index changes. On restart the service loads snapshots, replays WALs
-// (truncating a torn tail to the last good record) and restores every
-// saved index as a live Prepared handle — indexes behind the recovered
+// index changes; the service holds the one graph in memory, the store
+// only its journal. On restart each graph is folded once from its snapshot
+// and WAL (a torn tail truncated to the last good record), and every saved
+// index restored as a live Prepared handle — indexes behind the recovered
 // stream are patched forward with the incremental delta closure, so no
 // closure re-runs from scratch (go run ./benchmark times the restart as
 // recovery_s beside the cold build's setup_s).

@@ -62,6 +62,10 @@ func run(w io.Writer) error {
 	if err := st.CreateGraph("deps", g, mods); err != nil {
 		return err
 	}
+	_, epoch, err := st.GraphPos("deps")
+	if err != nil {
+		return err
+	}
 
 	gram := cfpq.MustParseGrammar("Dep -> imports Dep | imports")
 	cnf, err := cfpq.ToCNF(gram)
@@ -78,8 +82,10 @@ func run(w io.Writer) error {
 		len(mods), prep.Count(ctx, "Dep"), prep.Stats().Build.Iterations)
 
 	// Persist the evaluated index at the current WAL position (seq 0: no
-	// edges journaled yet). WriteIndex streams it into the index file.
-	if err := st.SaveIndexFrom("deps", "dep", "sparse", 0, prep.WriteIndex); err != nil {
+	// edges journaled yet) of this graph's stream (its epoch: a replaced
+	// graph refuses the save). WriteIndex streams it into the index file.
+	ix := store.IndexData{Grammar: "dep", Backend: "sparse", Seq: 0, Epoch: epoch, Write: prep.WriteIndex}
+	if err := st.SaveIndexFrom("deps", ix); err != nil {
 		return err
 	}
 	for _, info := range st.Indexes("deps") {
@@ -112,7 +118,8 @@ func run(w io.Writer) error {
 		return err
 	}
 	defer st2.Close()
-	g2, names, seq, err := st2.GraphState("deps")
+	// GraphState folds the graph from the files: the snapshot, then the WAL.
+	g2, fold, seq, err := st2.GraphState("deps")
 	if err != nil {
 		return err
 	}
@@ -120,27 +127,27 @@ func run(w io.Writer) error {
 		"deps", g2.Nodes(), g2.EdgeCount(), seq)
 
 	infos := st2.Indexes("deps")
-	ix, idxSeq, err := st2.LoadIndex(infos[0], cnf, nil)
+	saved, idxSeq, err := st2.LoadIndex(infos[0], cnf, nil)
 	if err != nil {
 		return err
 	}
 	// The saved index predates the journaled edge; patch the difference
 	// with the incremental delta closure — not a full re-evaluation.
-	tail, ok := st2.EdgesSince("deps", idxSeq)
-	if !ok {
-		tail = g2.Edges() // compacted away: repair from the full edge set
+	tail := g2.Edges() // compacted away: repair from the full edge set
+	if idxSeq >= fold.BaseSeq {
+		tail = fold.Tail[idxSeq-fold.BaseSeq:]
 	}
-	stats, err := eng.Update(ctx, ix, tail...)
+	stats, err := eng.Update(ctx, saved, tail...)
 	if err != nil {
 		return err
 	}
-	warm, err := eng.PrepareFromIndex(g2, cnf, ix)
+	warm, err := eng.PrepareFromIndex(g2, cnf, saved)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "Patched %d WAL edge(s) in %d passes; warm handle ran %d closure passes\n",
 		len(tail), stats.Iterations, warm.Stats().Build.Iterations)
 	fmt.Fprintf(w, "After restart, Has(app -> vuln) = %v (name table intact: node %d = %q)\n",
-		warm.Has(ctx, "Dep", id["app"], id["vuln"]), id["vuln"], names[id["vuln"]])
+		warm.Has(ctx, "Dep", id["app"], id["vuln"]), id["vuln"], fold.Names[id["vuln"]])
 	return nil
 }

@@ -8,10 +8,10 @@ import (
 
 // Names is a graph's node name table, and the only code that turns a node
 // token — a name, or the decimal id of an unnamed node — into the matrix
-// row it stands for. The serving layer, the store's mirror (WAL replay
-// included), followers and the CLI all resolve through it, which is what
-// keeps a follower and a recovered store equal to the leader at equal seq:
-// the same token stream assigns the same ids everywhere.
+// row it stands for. The serving layer, the store's fold of its journal
+// (snapshot plus WAL tail), followers and the CLI all resolve through it,
+// which is what keeps a follower and a recovered store equal to the leader
+// at equal seq: the same token stream assigns the same ids everywhere.
 //
 // The table covers node ids [0, len(ByID())), and Intern keeps that equal
 // to g.Nodes(). It has no lock of its own: callers hold whatever guards the

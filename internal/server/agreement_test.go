@@ -65,11 +65,11 @@ func serviceState(t *testing.T, s *Service, name string) streamState {
 
 func storeState(t *testing.T, st *store.Store, name string) streamState {
 	t.Helper()
-	g, names, seq, err := st.GraphState(name)
+	g, fold, seq, err := st.GraphState(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return newStreamState(g, names, seq)
+	return newStreamState(g, fold.Names, seq)
 }
 
 // adversarialTokens is the pool batches draw endpoints from. The graph
@@ -416,7 +416,7 @@ func TestAgreementLeaderWrites(t *testing.T) {
 // TestAgreementMixedFrames journals token frames *and* id-addressed frames
 // (what a Store.Log writer produces) straight into the leader's store —
 // past AddEdges' validation, so out-of-range numerals and "-1" reach the
-// stream too — and checks the followers against the leader's store mirror.
+// stream too — and checks the followers against the leader's store fold.
 func TestAgreementMixedFrames(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {

@@ -66,24 +66,21 @@ func (s *Service) AttachStore(ctx context.Context, st *store.Store) error {
 	}
 
 	for _, name := range st.GraphNames() {
-		g, byID, seq, err := st.GraphState(name)
+		// One fold per graph: the registry keeps the graph, the warm starts
+		// patch from its tail, and the persisted epoch lets a restarted
+		// follower resume the leader stream it left.
+		g, fold, seq, err := st.GraphState(name)
 		if err != nil {
 			return fmt.Errorf("server: restoring graph %q: %w", name, err)
 		}
-		// The persisted stream epoch survives restarts, so a restarted
-		// follower resumes tailing the same leader stream it left.
-		_, epoch, err := st.GraphPos(name)
-		if err != nil {
-			return fmt.Errorf("server: restoring graph %q: %w", name, err)
-		}
-		if err := s.installGraph(name, g, byID, seq, epoch); err != nil {
+		if err := s.installGraph(name, g, fold.Names, seq, fold.Epoch); err != nil {
 			return err
 		}
 		for _, info := range st.Indexes(name) {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			s.warmStartIndex(ctx, st, info)
+			s.warmStartIndex(ctx, st, info, fold)
 		}
 	}
 
@@ -99,13 +96,13 @@ func (s *Service) AttachStore(ctx context.Context, st *store.Store) error {
 }
 
 // warmStartIndex restores one saved index as a built cache entry,
-// patching it forward to the graph's recovered seq when the file's
-// watermark is behind. The slot is its backend's canonical one (see
-// Target.key), so a file saved under a retired backend name restores the
-// slot its kernel's queries read — unless another file already did: the
-// store lists the canonical name, where every save now goes, first.
+// patching it forward from fold's tail when the file's watermark is
+// behind. The slot is its backend's canonical one (see Target.key), so a
+// file saved under a retired backend name restores the slot its kernel's
+// queries read — unless another file already did: the store lists the
+// canonical name, where every save now goes, first.
 // Failures are silent skips (see AttachStore).
-func (s *Service) warmStartIndex(ctx context.Context, st *store.Store, info store.IndexInfo) {
+func (s *Service) warmStartIndex(ctx context.Context, st *store.Store, info store.IndexInfo, fold store.Fold) {
 	warmStart := time.Now()
 	be, err := cfpq.BackendByName(info.Backend)
 	if err != nil {
@@ -133,9 +130,9 @@ func (s *Service) warmStartIndex(ctx context.Context, st *store.Store, info stor
 		// folded them into the snapshot, repair by re-seeding the delta
 		// closure with the full edge set — idempotent for everything the
 		// index already covers, and still no from-scratch closure.
-		tail, ok := st.EdgesSince(info.Graph, seq)
-		if !ok {
-			tail = ge.g.Edges()
+		tail := ge.g.Edges()
+		if seq >= fold.BaseSeq {
+			tail = fold.Tail[seq-fold.BaseSeq:]
 		}
 		if _, err := eng.Update(ctx, ix, tail...); err != nil {
 			return
@@ -167,10 +164,9 @@ func (s *Service) warmStartIndex(ctx context.Context, st *store.Store, info stor
 // captured when the build snapshotted the graph; the saved file may
 // contain consequences of later patches, which is sound — recovery
 // re-applies the tail and re-applying present bits is a no-op. An index
-// whose graph or grammar was replaced during the build is not saved:
-// SaveIndexFrom finds the graph by name, so the old graph's index would
-// land among the replacement's and warm-start against it (the check
-// snapshotGraph makes).
+// whose graph or grammar was replaced during the build is not saved, or it
+// would warm-start against the replacement: the registry check skips it,
+// and the store refuses one whose graph was replaced after (the epoch).
 func (s *Service) persistIndex(e *indexEntry, re *grammarEntry, seq uint64, p *cfpq.Prepared) {
 	if s.store == nil {
 		return
@@ -182,7 +178,8 @@ func (s *Service) persistIndex(e *indexEntry, re *grammarEntry, seq uint64, p *c
 	if !current {
 		return
 	}
-	if err := s.store.SaveIndexFrom(key.Graph, key.Grammar, key.Backend, seq, p.WriteIndex); err != nil {
+	ix := store.IndexData{Grammar: key.Grammar, Backend: key.Backend, Seq: seq, Epoch: e.ge.epoch, Write: p.WriteIndex}
+	if err := s.store.SaveIndexFrom(key.Graph, ix); err != nil {
 		s.obs.persistErrors.Inc()
 	}
 }
@@ -252,12 +249,14 @@ func (s *Service) snapshotGraph(name string) error {
 			Grammar: key.Grammar,
 			Backend: key.Backend,
 			Seq:     seq,
+			Epoch:   ge.epoch,
 			Write:   p.WriteIndex,
 		})
 	}
 	// A graph replaced since we captured ge would receive index files
 	// from the old graph's node namespace; skip — the replacement was
-	// snapshotted by its own registration.
+	// snapshotted by its own registration (and the store refuses the
+	// indexes of one replaced after this check: the epoch).
 	s.mu.Lock()
 	current := s.graphs[name] == ge
 	s.mu.Unlock()

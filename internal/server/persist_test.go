@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -621,7 +622,9 @@ func TestWarmStartPrefersTheCanonicalFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.store.SaveIndexFrom("g", "q", "sparse-parallel", 0, other.WriteIndex); err != nil {
+	_, epoch, _ := s.store.GraphPos("g")
+	ix := store.IndexData{Grammar: "q", Backend: "sparse-parallel", Epoch: epoch, Write: other.WriteIndex}
+	if err := s.store.SaveIndexFrom("g", ix); err != nil {
 		t.Fatal(err)
 	}
 	s2 := reopen(t, s, dir)
@@ -875,5 +878,69 @@ func TestPersistConcurrentUpdatesAndSnapshots(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("recovered relation differs (%d vs %d pairs)", len(got), len(want))
+	}
+}
+
+// TestDamagedGraphStateIsAnError: a snapshot with a flipped CRC byte, and
+// a CRC-valid one whose edge lies outside its node range, are errors — at
+// Open (the CRC) or at the fold GraphState runs (the range), and from
+// AttachStore in both cases, whether the damage was there at Open or came
+// after it. A service never starts serving without a stored graph.
+func TestDamagedGraphStateIsAnError(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		damage    func(raw []byte)
+		openFails bool
+	}{
+		{"flipped CRC byte", func(raw []byte) { raw[len(raw)-1] ^= 0xff }, true},
+		{"edge outside the node range", func(raw []byte) {
+			// CFPQSNAP1, baseSeq, then the node count: one node left for
+			// the edge 0 → 2, and the CRC made to match.
+			binary.LittleEndian.PutUint32(raw[len("CFPQSNAP1")+8:], 1)
+			binary.LittleEndian.PutUint32(raw[len(raw)-4:], crc32.ChecksumIEEE(raw[len("CFPQSNAP1"):len(raw)-4]))
+		}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			st := openTestStore(t, dir)
+			g := graph.New(3)
+			g.AddEdge(0, "x", 2)
+			if err := st.CreateGraph("g", g, nil); err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(dir, "graphs", "g", "snapshot")
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.damage(raw)
+			if err := os.WriteFile(path, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			requireBroken := func(st *store.Store, when string) {
+				t.Helper()
+				if _, _, _, err := st.GraphState("g"); err == nil {
+					t.Errorf("%s: GraphState folded a damaged snapshot", when)
+				}
+				if err := New().AttachStore(ctx, st); err == nil {
+					t.Errorf("%s: AttachStore served a damaged snapshot", when)
+				}
+			}
+			requireBroken(st, "damaged after Open")
+			st.Close()
+			st2, err := store.Open(dir, store.Options{NoSync: true, CompactBytes: -1})
+			if tc.openFails {
+				if err == nil {
+					st2.Close()
+					t.Fatal("Open accepted a snapshot with a bad CRC")
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st2.Close()
+			requireBroken(st2, "damaged before Open")
+		})
 	}
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -178,17 +179,25 @@ func (s *Service) ReplicaManifest() (*replica.Manifest, error) {
 }
 
 // ReplicaGraphSnapshot serialises one graph's bootstrap payload at its
-// current stream position.
+// current stream position from the published version, pinned under the
+// read lock and encoded outside it: the version is immutable, and the
+// name table only appends, so its first g.Nodes() names stay put.
 func (s *Service) ReplicaGraphSnapshot(name string) (data []byte, seq, epoch uint64, err error) {
-	st, err := s.leaderStore()
+	if _, err := s.leaderStore(); err != nil {
+		return nil, 0, 0, err
+	}
+	ge, err := s.graphEntry(name)
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	data, seq, epoch, err = st.ReplicaSnapshot(name)
-	if errors.Is(err, store.ErrNotFound) {
-		return nil, 0, 0, notFoundf("server: unknown graph %q", name)
+	ge.mu.RLock()
+	g, names, seq, epoch := ge.g, ge.names.ByID()[:ge.g.Nodes()], ge.seq, ge.epoch
+	ge.mu.RUnlock()
+	var buf bytes.Buffer
+	if err := store.EncodeSnapshot(&buf, g, names, seq); err != nil {
+		return nil, 0, 0, err
 	}
-	return data, seq, epoch, err
+	return buf.Bytes(), seq, epoch, nil
 }
 
 // ReplicaTail serves one long-poll of a graph's WAL tail: batches after
@@ -287,11 +296,12 @@ func (s *Service) GraphPos(name string) (seq, epoch uint64, ok bool) {
 // ApplyReplicatedEdges applies one WAL batch from the replication stream
 // through applyBatch, the path AddEdges takes: journaled write-ahead into
 // the follower's own store (durable followers) with the leader's record
-// kind, folded into the in-memory graph by the same name table the leader's
-// store mirror interns through, and patched into every cached index via the
-// incremental delta closure. endSeq is the leader's seq after the batch; a
-// position mismatch returns an error wrapping store.ErrSeqMismatch and the
-// replicator re-bootstraps instead of diverging.
+// kind, interned into the in-memory graph by the rule the leader applied
+// (graph.Names, which the store's fold of its journal applies too), and
+// patched into every cached index via the incremental delta closure.
+// endSeq is the leader's seq after the batch; a position mismatch returns
+// an error wrapping store.ErrSeqMismatch and the replicator re-bootstraps
+// instead of diverging.
 func (s *Service) ApplyReplicatedEdges(ctx context.Context, graphName string, kind store.RecordKind, recs []store.EdgeRecord, endSeq uint64) error {
 	if !kind.Valid() {
 		return fmt.Errorf("server: unknown WAL record kind %d", byte(kind))

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"cfpq/internal/replica"
+	"cfpq/internal/store"
 )
 
 // Integration tests for the replication subsystem: a leader Service served
@@ -399,5 +400,51 @@ func TestReadyzStates(t *testing.T) {
 	}
 	if code, _ := httpDo(t, fsrv, "GET", "/healthz", ""); code != 200 {
 		t.Errorf("bootstrapping follower /healthz = %d, want 200 (liveness is not readiness)", code)
+	}
+}
+
+// TestReplicaGraphSnapshotBesideWrites: a bootstrap payload is encoded
+// from the published version outside the graph lock while batches that
+// intern fresh names publish the next ones. Every payload must decode to
+// one consistent version: its edges are the three loaded plus one per
+// journaled record up to its seq, and every node has its name.
+func TestReplicaGraphSnapshotBesideWrites(t *testing.T) {
+	s, _ := leaderService(t)
+	const batches = 200
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; i < batches; i++ {
+			if _, err := s.AddEdges(ctx, "social", []EdgeSpec{{From: "alice", Label: "knows", To: fmt.Sprintf("n%d", i)}}); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	for writing := true; writing; {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			writing = false
+		default:
+		}
+		data, seq, _, err := s.ReplicaGraphSnapshot("social")
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, names, decoded, err := store.DecodeSnapshot(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if decoded != seq || g.EdgeCount() != 3+int(seq) || g.Nodes() != 4+int(seq) {
+			t.Fatalf("payload at seq %d decodes to seq %d with %d nodes and %d edges", seq, decoded, g.Nodes(), g.EdgeCount())
+		}
+		for id, name := range names {
+			if name == "" {
+				t.Fatalf("payload at seq %d: node %d has no name", seq, id)
+			}
+		}
 	}
 }

@@ -53,13 +53,14 @@
 // one appender per line of versions, and the holder of the write lock is
 // that one). Whoever loads the pointer under the read lock has pinned an
 // immutable edge set and reads it lock-free for as long as it likes:
-// GraphInfo counts it, and the cold build and the warm start bind a
-// cfpq.Prepared to it as it is. Nothing else may Fork it — a second
-// appender would write into the slots the next batch claims — and a
-// Prepared never does: it never writes a graph it was given, and its first
-// update that adds an edge Clones the version it holds, starting a line of
-// its own. applyBatch patches each cached handle
-// with the same edges it published. A query registers its index entry in
+// GraphInfo counts it, the cold build and the warm start bind a
+// cfpq.Prepared to it as it is, and a follower's bootstrap is encoded from
+// it: an attached store keeps only the journal. Nothing else may Fork it —
+// a second appender would write into the slots the next batch claims — and
+// a Prepared never does: it never writes a graph it was given, and its
+// first update that adds an edge Clones the version it holds, starting a
+// line of its own. applyBatch patches each cached handle with the same
+// edges it published. A query registers its index entry in
 // the cache *before* pinning the graph, and applyBatch walks
 // the cache *after* publishing; the two orderings together guarantee every
 // cached index either saw the new edges when it was built or is patched by

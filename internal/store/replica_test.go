@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"errors"
 	"reflect"
 	"testing"
@@ -202,7 +203,7 @@ func TestAppendReplicated(t *testing.T) {
 
 	// Replay: "7" grew the node range as an id (no interning as a name).
 	s2 := mustOpen(t, dir)
-	g2, names2, seq, err := s2.GraphState("g")
+	g2, fold, seq, err := s2.GraphState("g")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,8 +213,8 @@ func TestAppendReplicated(t *testing.T) {
 	if g2.Nodes() != 8 {
 		t.Errorf("replayed nodes = %d, want 8 (id 7 grows the range)", g2.Nodes())
 	}
-	if len(names2) != 8 || names2[7] != "" {
-		t.Errorf("names = %v, want 8 entries with id 7 unnamed", names2)
+	if len(fold.Names) != 8 || fold.Names[7] != "" {
+		t.Errorf("names = %v, want 8 entries with id 7 unnamed", fold.Names)
 	}
 	if !g2.HasEdge(7, "z", 0) || !g2.HasEdge(0, "x", 2) {
 		t.Error("replayed graph is missing replicated edges")
@@ -285,15 +286,15 @@ func TestReplicaSnapshotRoundTrip(t *testing.T) {
 	if _, err := s.Append("g", []EdgeRecord{{From: "a", Label: "w", To: "e"}}); err != nil {
 		t.Fatal(err)
 	}
-	raw, seq, epoch, err := s.ReplicaSnapshot("g")
+	g, fold, seq, err := s.GraphState("g")
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantSeq, wantEpoch, _ := s.GraphPos("g")
-	if seq != wantSeq || epoch != wantEpoch {
-		t.Fatalf("snapshot pos = (%d, %d), want (%d, %d)", seq, epoch, wantSeq, wantEpoch)
+	var raw bytes.Buffer
+	if err := EncodeSnapshot(&raw, g, fold.Names, seq); err != nil {
+		t.Fatal(err)
 	}
-	g2, names2, seq2, err := DecodeSnapshot(raw)
+	g2, names2, seq2, err := DecodeSnapshot(raw.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +307,7 @@ func TestReplicaSnapshotRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(names2, []string{"a", "b", "c", "e"}) {
 		t.Errorf("decoded names = %v", names2)
 	}
-	if _, _, _, err := s.ReplicaSnapshot("nope"); !errors.Is(err, ErrNotFound) {
+	if _, _, _, err := s.GraphState("nope"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("unknown graph: err = %v, want ErrNotFound", err)
 	}
 	if got := len(g2.Edges()); got != 3 {

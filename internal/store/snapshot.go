@@ -49,8 +49,10 @@ const (
 	maxSnapshotNodes = 1 << 26
 )
 
-// writeSnapshot encodes the graph + name table at baseSeq.
-func writeSnapshot(w io.Writer, g *graph.Graph, names []string, baseSeq uint64) error {
+// EncodeSnapshot writes a graph, its id → name table and the seq its edges
+// cover as a CFPQSNAP1 snapshot: a graph directory's "snapshot" file, and
+// the bootstrap payload a leader serves to followers.
+func EncodeSnapshot(w io.Writer, g *graph.Graph, names []string, baseSeq uint64) error {
 	cw := &crcWriter{w: w}
 	var err error
 	emit := func(data any) {
@@ -99,15 +101,25 @@ func writeSnapshot(w io.Writer, g *graph.Graph, names []string, baseSeq uint64) 
 	return binary.Write(w, binary.LittleEndian, cw.crc)
 }
 
-// readSnapshot decodes and CRC-checks a graph snapshot.
-func readSnapshot(raw []byte) (g *graph.Graph, names []string, baseSeq uint64, err error) {
-	if len(raw) < len(snapshotMagic)+4 || string(raw[:len(snapshotMagic)]) != snapshotMagic {
-		return nil, nil, 0, fmt.Errorf("store: bad snapshot magic")
+// checkFile checks the magic and CRC trailer of a snapshot or index file
+// (what names it in errors) and returns the seq its body leads with and
+// the rest of the body — all Open needs of a snapshot.
+func checkFile(raw []byte, magic, what string) (uint64, []byte, error) {
+	if len(raw) < len(magic)+8+4 || string(raw[:len(magic)]) != magic {
+		return 0, nil, fmt.Errorf("store: bad %s magic", what)
 	}
-	body := raw[len(snapshotMagic) : len(raw)-4]
-	want := binary.LittleEndian.Uint32(raw[len(raw)-4:])
-	if crc32.ChecksumIEEE(body) != want {
-		return nil, nil, 0, fmt.Errorf("store: snapshot CRC mismatch")
+	body := raw[len(magic) : len(raw)-4]
+	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(raw[len(raw)-4:]) {
+		return 0, nil, fmt.Errorf("store: %s CRC mismatch", what)
+	}
+	return binary.LittleEndian.Uint64(body), body[8:], nil
+}
+
+// DecodeSnapshot decodes and CRC-checks a CFPQSNAP1 snapshot.
+func DecodeSnapshot(raw []byte) (g *graph.Graph, names []string, baseSeq uint64, err error) {
+	baseSeq, body, err := checkFile(raw, snapshotMagic, "snapshot")
+	if err != nil {
+		return nil, nil, 0, err
 	}
 	br := bufio.NewReader(bytes.NewReader(body))
 	read := func(data any) {
@@ -128,7 +140,6 @@ func readSnapshot(raw []byte) (g *graph.Graph, names []string, baseSeq uint64, e
 		}
 		return string(buf)
 	}
-	read(&baseSeq)
 	var nodes, named uint32
 	read(&nodes)
 	read(&named)
@@ -207,20 +218,6 @@ func readIndexFileHeader(path string) (uint64, error) {
 		return 0, fmt.Errorf("store: bad index file magic")
 	}
 	return binary.LittleEndian.Uint64(head[len(indexFileMagic):]), nil
-}
-
-// readIndexFile validates the wrapper and returns the seq watermark and
-// the embedded CFPQIDX2 payload.
-func readIndexFile(raw []byte) (seq uint64, payload []byte, err error) {
-	if len(raw) < len(indexFileMagic)+12 || string(raw[:len(indexFileMagic)]) != indexFileMagic {
-		return 0, nil, fmt.Errorf("store: bad index file magic")
-	}
-	body := raw[len(indexFileMagic) : len(raw)-4]
-	want := binary.LittleEndian.Uint32(raw[len(raw)-4:])
-	if crc32.ChecksumIEEE(body) != want {
-		return 0, nil, fmt.Errorf("store: index file CRC mismatch")
-	}
-	return binary.LittleEndian.Uint64(body[:8]), body[8:], nil
 }
 
 // crcWriter accumulates an IEEE CRC-32 over everything written through it.

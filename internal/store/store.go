@@ -27,22 +27,22 @@
 // Each graph has a monotonically increasing seq: the number of edges ever
 // journaled for it. The snapshot records baseSeq (edges folded in), each
 // index file records the seq its relations cover, and WAL frames carry the
-// edges of (baseSeq, seq]. Open replays the WAL over the snapshot,
-// truncating at the first torn or corrupt frame — a crash mid-append loses
-// at most the batch being written, never earlier records. An index whose
-// watermark is behind the final seq is patched forward by the caller with
-// the incremental delta closure (EdgesSince supplies the exact tail while
-// it is still in the WAL; older indexes are repaired by re-seeding with
-// the full edge set), so recovery never re-runs a closure from scratch.
+// edges of (baseSeq, seq]. Open reads the WAL after each CRC-checked
+// snapshot, truncating at the first torn or corrupt frame — a crash
+// mid-append loses at most the batch being written, never earlier records.
+// The store holds no graph; GraphState folds one from the files. An index
+// whose watermark is behind the final seq is patched forward by the caller
+// with the incremental delta closure (the fold's tail while it is still in
+// the WAL; older indexes are repaired by re-seeding with the full edge
+// set), so recovery never re-runs a closure from scratch.
 //
 // # Compaction
 //
-// A long WAL makes recovery slow; Compact folds a graph's WAL into a
-// fresh snapshot of the store's in-memory mirror and truncates the log.
-// Index files survive compaction untouched: their seq watermark stays
-// meaningful because the repair path above covers watermarks older than
-// the snapshot base. A background goroutine compacts any graph whose WAL
-// exceeds Options.CompactBytes.
+// A long WAL makes recovery slow; Compact writes the fold as a fresh
+// snapshot and truncates the log. Index files survive compaction
+// untouched: their seq watermark stays meaningful because the repair path
+// above covers watermarks older than the snapshot base. A background
+// goroutine compacts any graph whose WAL exceeds Options.CompactBytes.
 package store
 
 import (
@@ -185,24 +185,18 @@ type reservation struct {
 	seen time.Time
 }
 
-// graphLog is one graph's durable state: the open WAL plus an in-memory
-// mirror (graph, name table, seq) maintained from snapshot + replay +
-// appends, from which snapshots and compactions are written without
-// consulting the serving layer.
+// graphLog is one graph's journal: the open WAL, the stream position and
+// the WAL's batches. It holds no graph: fold reads one from its files.
 type graphLog struct {
 	mu   sync.Mutex
 	name string
 	dir  string
 	wal  *os.File
 
-	g     *graph.Graph
-	names *graph.Names
-
-	baseSeq  uint64       // seq covered by the on-disk snapshot
-	seq      uint64       // seq after the last record
-	epoch    uint64       // edge-stream identity; changes when the graph is replaced
-	pending  []graph.Edge // id-resolved edges of (baseSeq, seq]
-	tail     []TailBatch  // the WAL batches of (baseSeq, seq], original tokens kept for replication
+	baseSeq  uint64      // seq covered by the on-disk snapshot
+	seq      uint64      // seq after the last record
+	epoch    uint64      // edge-stream identity; changes when the graph is replaced
+	tail     []TailBatch // the WAL batches of (baseSeq, seq], original tokens kept
 	snapTime time.Time
 
 	// walSize is the WAL's length in bytes. Written under mu; atomic so
@@ -223,8 +217,8 @@ type TailBatch struct {
 
 // Open opens (creating if needed) a store rooted at dir and recovers its
 // state: graph replacements a crash cut short are settled, every graph's
-// snapshot is loaded and its WAL replayed, with torn tails truncated to the
-// last good record.
+// snapshot is CRC-checked and its WAL read, with torn tails truncated to
+// the last good record.
 func Open(dir string, opts Options) (*Store, error) {
 	if opts.CompactBytes == 0 {
 		opts.CompactBytes = defaultCompactBytes
@@ -288,7 +282,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	return s, nil
 }
 
-// openGraphLog loads one graph's snapshot, replays and truncates its WAL,
+// openGraphLog checks one graph's snapshot, reads and truncates its WAL,
 // and leaves the WAL open for appending.
 func (s *Store) openGraphLog(name string) (*graphLog, error) {
 	gdir := filepath.Join(s.dir, graphsDir, encodeName(name))
@@ -296,7 +290,7 @@ func (s *Store) openGraphLog(name string) (*graphLog, error) {
 	if err != nil {
 		return nil, err
 	}
-	g, names, baseSeq, err := readSnapshot(raw)
+	baseSeq, _, err := checkFile(raw, snapshotMagic, "snapshot")
 	if err != nil {
 		return nil, err
 	}
@@ -317,8 +311,6 @@ func (s *Store) openGraphLog(name string) (*graphLog, error) {
 	gl := &graphLog{
 		name:     name,
 		dir:      gdir,
-		g:        g,
-		names:    graph.NewNames(g.Nodes(), names),
 		baseSeq:  baseSeq,
 		seq:      baseSeq,
 		epoch:    epoch,
@@ -328,9 +320,6 @@ func (s *Store) openGraphLog(name string) (*graphLog, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Streamed replay: each decoded batch is folded into the mirror as it
-	// is read, so opening a graph holds one batch in memory at a time, not
-	// the whole WAL.
 	goodBytes, err := replayWAL(wal, func(b walBatch, frameBytes int64) error {
 		gl.apply(b, frameBytes)
 		s.replayed.Add(int64(len(b.recs)))
@@ -367,22 +356,39 @@ func (s *Store) openGraphLog(name string) (*graphLog, error) {
 	return gl, nil
 }
 
-// apply folds one decoded frame into the mirror through the name table —
-// the interning every other holder of this stream performs, so replay
-// reproduces the exact id assignment of the original mutations — advancing
-// seq, and keeps the original tokens in the replication tail so followers can be served
-// the exact frame the leader journaled. frameBytes is the frame's on-disk
-// size (replication lag in bytes is computed from these).
+// apply advances seq past one frame and keeps its records — the log's own
+// copy: snapshots are folded from them — in the tail served to followers.
+// frameBytes is the frame's on-disk size (the unit of replication lag).
 func (gl *graphLog) apply(b walBatch, frameBytes int64) {
-	idsOnly := b.kind == recIDs
-	for _, r := range b.recs {
-		from := gl.names.Intern(gl.g, r.From, idsOnly)
-		to := gl.names.Intern(gl.g, r.To, idsOnly)
-		gl.g.AddEdge(from, r.Label, to)
-		gl.pending = append(gl.pending, graph.Edge{From: from, Label: r.Label, To: to})
-	}
 	gl.seq += uint64(len(b.recs))
 	gl.tail = append(gl.tail, TailBatch{Seq: gl.seq, Kind: RecordKind(b.kind), Recs: b.recs, Bytes: frameBytes})
+}
+
+// fold decodes the snapshot and interns the tail over it through
+// graph.Names, as every holder of the stream does, so it assigns the ids
+// the original mutations did. Callers hold gl.mu.
+func (gl *graphLog) fold() (*graph.Graph, Fold, error) {
+	raw, err := os.ReadFile(filepath.Join(gl.dir, "snapshot"))
+	if err != nil {
+		return nil, Fold{}, err
+	}
+	g, byID, _, err := DecodeSnapshot(raw)
+	if err != nil {
+		return nil, Fold{}, fmt.Errorf("store: graph %q: %w", gl.name, err)
+	}
+	names := graph.NewNames(g.Nodes(), byID)
+	f := Fold{BaseSeq: gl.baseSeq, Epoch: gl.epoch, Tail: make([]graph.Edge, 0, gl.seq-gl.baseSeq)}
+	for _, b := range gl.tail {
+		idsOnly := b.Kind == RecordIDs
+		for _, r := range b.Recs {
+			from := names.Intern(g, r.From, idsOnly)
+			to := names.Intern(g, r.To, idsOnly)
+			g.AddEdge(from, r.Label, to)
+			f.Tail = append(f.Tail, graph.Edge{From: from, Label: r.Label, To: to})
+		}
+	}
+	f.Names = names.ByID()
+	return g, f, nil
 }
 
 // lookup returns the graphLog for a registered graph.
@@ -409,7 +415,7 @@ func (s *Store) CreateGraph(name string, g *graph.Graph, names []string) error {
 // records. A follower bootstrapping from a leader snapshot passes the
 // leader's seq and epoch so its local edge-stream position and identity
 // line up with the leader's WAL; epoch 0 mints a fresh identity (the
-// leader/standalone case).
+// leader/standalone case). g and names are written, not kept.
 //
 // The new graph is written and synced in a staging directory beside the
 // graph it replaces, then swapped in by two renames — the old directory to
@@ -428,12 +434,9 @@ func (s *Store) CreateGraphAt(name string, g *graph.Graph, names []string, seq, 
 	if epoch == 0 {
 		epoch = mintEpoch()
 	}
-	mirror := g.Clone()
 	gl := &graphLog{
 		name:     name,
 		dir:      gdir,
-		g:        mirror,
-		names:    graph.NewNames(mirror.Nodes(), names),
 		baseSeq:  seq,
 		seq:      seq,
 		epoch:    epoch,
@@ -463,7 +466,7 @@ func (s *Store) CreateGraphAt(name string, g *graph.Graph, names []string, seq, 
 		return abort(err)
 	}
 	if err := writeFileAtomic(filepath.Join(stage, "snapshot"), sync, func(w io.Writer) error {
-		return writeSnapshot(w, gl.g, gl.names.ByID(), seq)
+		return EncodeSnapshot(w, g, names, seq)
 	}); err != nil {
 		return abort(err)
 	}
@@ -544,9 +547,8 @@ func settleSwaps(graphs string) error {
 
 // Append journals one batch of edges for a graph: the frame is written
 // and fsynced (the write-ahead contract — callers apply the mutation
-// in memory only after Append returns), the in-memory mirror advances,
-// and the new seq is returned. Batches from concurrent callers serialise
-// per graph.
+// in memory only after Append returns), the log's tail grows, and the
+// new seq is returned. Batches from concurrent callers serialise per graph.
 func (s *Store) Append(name string, recs []EdgeRecord) (uint64, error) {
 	return s.append(name, recTokens, recs, -1)
 }
@@ -625,7 +627,7 @@ func (s *Store) append(name string, kind byte, recs []EdgeRecord, expectStart in
 		}
 	}
 	size := gl.walSize.Add(n)
-	gl.apply(walBatch{kind: kind, recs: recs}, n)
+	gl.apply(walBatch{kind: kind, recs: slices.Clone(recs)}, n)
 	s.appends.Add(1)
 	s.walWritten.Add(n)
 	if s.opts.CompactBytes > 0 && size > s.opts.CompactBytes {
@@ -687,17 +689,19 @@ func (l *Log) AppendEdges(edges []graph.Edge) error {
 	return err
 }
 
-// IndexData is one evaluated index to persist alongside a snapshot: a
-// closure over the graph's first Seq edges, whose CFPQIDX2 payload Write
-// streams into the index file as SaveIndexFrom's write does.
+// IndexData is one evaluated index to persist: a closure over the first
+// Seq edges of stream Epoch, whose CFPQIDX2 payload Write streams into the
+// index file. It is refused unless Epoch is the graph's: an index of a
+// replaced graph speaks of another node namespace.
 type IndexData struct {
 	Grammar string
 	Backend string
 	Seq     uint64
+	Epoch   uint64
 	Write   func(io.Writer) error
 }
 
-// Snapshot folds a graph's WAL into a fresh snapshot of the mirror and
+// Snapshot folds a graph's WAL into a fresh snapshot (see fold) and
 // truncates the log; the optional indexes are written alongside. Appends
 // to the graph block for the duration, so the snapshot is consistent: it
 // covers exactly the records the truncation discards.
@@ -711,13 +715,17 @@ func (s *Store) Snapshot(name string, indexes []IndexData) error {
 	if gl.wal == nil {
 		return fmt.Errorf("store: graph %q: store closed", name)
 	}
+	g, f, err := gl.fold()
+	if err != nil {
+		return err
+	}
 	for _, ix := range indexes {
 		if err := s.saveIndexLocked(gl, ix); err != nil {
 			return err
 		}
 	}
 	if err := writeFileAtomic(filepath.Join(gl.dir, "snapshot"), !s.opts.NoSync, func(w io.Writer) error {
-		return writeSnapshot(w, gl.g, gl.names.ByID(), gl.seq)
+		return EncodeSnapshot(w, g, f.Names, gl.seq)
 	}); err != nil {
 		return err
 	}
@@ -735,7 +743,6 @@ func (s *Store) Snapshot(name string, indexes []IndexData) error {
 		}
 	}
 	gl.baseSeq = gl.seq
-	gl.pending = nil
 	gl.tail = nil
 	gl.walSize.Store(0)
 	gl.snapTime = time.Now()
@@ -933,31 +940,6 @@ func writeEpochFile(gdir string, epoch uint64, sync bool) error {
 	})
 }
 
-// ReplicaSnapshot serialises a consistent snapshot of a graph's mirror at
-// its current seq — the bootstrap payload a leader serves to followers —
-// along with the stream position and epoch it captures. Unlike Snapshot it
-// does not touch the on-disk state or the WAL.
-func (s *Store) ReplicaSnapshot(name string) (data []byte, seq, epoch uint64, err error) {
-	gl, err := s.lookup(name)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	gl.mu.Lock()
-	defer gl.mu.Unlock()
-	var buf bytes.Buffer
-	if err := writeSnapshot(&buf, gl.g, gl.names.ByID(), gl.seq); err != nil {
-		return nil, 0, 0, err
-	}
-	return buf.Bytes(), gl.seq, gl.epoch, nil
-}
-
-// DecodeSnapshot decodes a snapshot produced by ReplicaSnapshot (the same
-// CRC-trailed format the on-disk graph snapshots use) into the graph, its
-// id→name table and the seq the snapshot covers.
-func DecodeSnapshot(raw []byte) (*graph.Graph, []string, uint64, error) {
-	return readSnapshot(raw)
-}
-
 // TailSince returns up to maxBytes worth of WAL batches after seq, the
 // graph's current head seq, and the tail bytes remaining beyond the
 // returned batches. ok is false when the position cannot be served — seq
@@ -965,6 +947,7 @@ func DecodeSnapshot(raw []byte) (*graph.Graph, []string, uint64, error) {
 // graph was replaced), or splits a batch — and the caller must re-bootstrap
 // from a snapshot instead of silently diverging. maxBytes ≤ 0 means
 // unbounded; at least one batch is always returned when any is pending.
+// The batches are the log's own: read them, do not modify them.
 func (s *Store) TailSince(name string, seq uint64, maxBytes int64) (batches []TailBatch, headSeq uint64, remainingBytes int64, ok bool) {
 	gl, err := s.lookup(name)
 	if err != nil {
@@ -997,46 +980,52 @@ func (s *Store) TailSince(name string, seq uint64, maxBytes int64) (batches []Ta
 	var taken int64
 	i := start
 	for ; i < len(gl.tail); i++ {
-		b := gl.tail[i]
-		if len(batches) > 0 && maxBytes > 0 && taken+b.Bytes > maxBytes {
+		if i > start && maxBytes > 0 && taken+gl.tail[i].Bytes > maxBytes {
 			break // the stream is contiguous: nothing after the first cut ships
 		}
-		recs := make([]EdgeRecord, len(b.Recs))
-		copy(recs, b.Recs)
-		batches = append(batches, TailBatch{Seq: b.Seq, Kind: b.Kind, Recs: recs, Bytes: b.Bytes})
-		taken += b.Bytes
+		taken += gl.tail[i].Bytes
 	}
+	batches = gl.tail[start:i:i] // capped: the log's later appends stay out of view
 	for ; i < len(gl.tail); i++ {
 		remainingBytes += gl.tail[i].Bytes
 	}
 	return batches, gl.seq, remainingBytes, true
 }
 
-// SaveIndex is SaveIndexFrom for CFPQIDX2 payload bytes already in memory.
+// SaveIndex is SaveIndexFrom for CFPQIDX2 payload bytes already in memory,
+// saved under the epoch GraphPos reports.
 func (s *Store) SaveIndex(graphName, grammarName, backend string, seq uint64, data []byte) error {
-	return s.SaveIndexFrom(graphName, grammarName, backend, seq, func(w io.Writer) error {
+	_, epoch, err := s.GraphPos(graphName)
+	if err != nil {
+		return err
+	}
+	return s.SaveIndexFrom(graphName, IndexData{Grammar: grammarName, Backend: backend, Seq: seq, Epoch: epoch, Write: func(w io.Writer) error {
 		_, err := w.Write(data)
 		return err
-	})
+	}})
 }
 
-// SaveIndexFrom persists one evaluated index for (graph, grammar,
-// backend), covering the graph's first seq edges: write streams its
-// CFPQIDX2 payload (core.Index.WriteTo) into a temp file that replaces the
-// previous index file only once complete — a failed write leaves that
-// file as it was. write runs under the graph's log lock and must not call
-// back into the store.
-func (s *Store) SaveIndexFrom(graphName, grammarName, backend string, seq uint64, write func(io.Writer) error) error {
+// SaveIndexFrom persists one evaluated index of a graph (see IndexData):
+// ix.Write streams its CFPQIDX2 payload (core.Index.WriteTo) into a temp
+// file that replaces the previous index file only once complete — a
+// failed write leaves that file as it was. The epoch is checked and the
+// payload written under the graph's log lock, so a replacement cannot land
+// between the two; ix.Write must not call back into the store.
+func (s *Store) SaveIndexFrom(graphName string, ix IndexData) error {
 	gl, err := s.lookup(graphName)
 	if err != nil {
 		return err
 	}
 	gl.mu.Lock()
 	defer gl.mu.Unlock()
-	return s.saveIndexLocked(gl, IndexData{Grammar: grammarName, Backend: backend, Seq: seq, Write: write})
+	return s.saveIndexLocked(gl, ix)
 }
 
 func (s *Store) saveIndexLocked(gl *graphLog, ix IndexData) error {
+	if ix.Epoch != gl.epoch {
+		return fmt.Errorf("store: graph %q: index %s@%s was built on stream epoch %d, the graph's is %d",
+			gl.name, ix.Grammar, ix.Backend, ix.Epoch, gl.epoch)
+	}
 	dir := filepath.Join(gl.dir, indexesDir)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -1131,37 +1120,28 @@ func (s *Store) GraphNames() []string {
 	return out
 }
 
-// GraphState returns an independent copy of a graph's recovered state —
-// the graph, its id→name table and its current seq — safe to hand to a
-// serving layer that will mutate it.
-func (s *Store) GraphState(name string) (*graph.Graph, []string, uint64, error) {
-	gl, err := s.lookup(name)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	gl.mu.Lock()
-	defer gl.mu.Unlock()
-	return gl.g.Clone(), slices.Clone(gl.names.ByID()), gl.seq, nil
+// Fold is what GraphState recovers beside a graph and its seq.
+type Fold struct {
+	Names   []string     // node id → name, "" = unnamed
+	BaseSeq uint64       // the seq the snapshot covers
+	Epoch   uint64       // the stream's identity
+	Tail    []graph.Edge // the id-resolved edges of (BaseSeq, seq], in journal order
 }
 
-// EdgesSince returns the id-resolved edges journaled after seq, provided
-// they are still in the WAL (seq at or above the snapshot base). A false
-// second result means the tail was compacted away and the caller must
-// repair from the full edge set instead.
-func (s *Store) EdgesSince(name string, seq uint64) ([]graph.Edge, bool) {
+// GraphState folds a graph from the store's files (see fold) into a fresh
+// graph owned by the caller; a damaged snapshot is an error.
+func (s *Store) GraphState(name string) (*graph.Graph, Fold, uint64, error) {
 	gl, err := s.lookup(name)
 	if err != nil {
-		return nil, false
+		return nil, Fold{}, 0, err
 	}
 	gl.mu.Lock()
 	defer gl.mu.Unlock()
-	if seq < gl.baseSeq || seq > gl.seq {
-		return nil, false
+	g, f, err := gl.fold()
+	if err != nil {
+		return nil, Fold{}, 0, err
 	}
-	tail := gl.pending[seq-gl.baseSeq:]
-	out := make([]graph.Edge, len(tail))
-	copy(out, tail)
-	return out, true
+	return g, f, gl.seq, nil
 }
 
 // IndexInfo names one saved index and its seq watermark.
@@ -1241,7 +1221,7 @@ func (s *Store) LoadIndex(info IndexInfo, cnf *grammar.CNF, be matrix.Backend) (
 		}
 		return nil, 0, err
 	}
-	seq, payload, err := readIndexFile(raw)
+	seq, payload, err := checkFile(raw, indexFileMagic, "index file")
 	if err != nil {
 		return nil, 0, err
 	}
@@ -1255,8 +1235,6 @@ func (s *Store) LoadIndex(info IndexInfo, cnf *grammar.CNF, be matrix.Backend) (
 // GraphStats describes one graph's durable state.
 type GraphStats struct {
 	Graph    string `json:"graph"`
-	Nodes    int    `json:"nodes"`
-	Edges    int    `json:"edges"`
 	Seq      uint64 `json:"seq"`
 	BaseSeq  uint64 `json:"base_seq"`
 	WALBytes int64  `json:"wal_bytes"`
@@ -1310,8 +1288,6 @@ func (s *Store) Stats() Stats {
 		gl.mu.Lock()
 		gs := GraphStats{
 			Graph:              gl.name,
-			Nodes:              gl.g.Nodes(),
-			Edges:              gl.g.EdgeCount(),
 			Seq:                gl.seq,
 			BaseSeq:            gl.baseSeq,
 			WALBytes:           gl.walSize.Load(),

@@ -7,9 +7,12 @@ import (
 	"encoding/hex"
 	"errors"
 	"io"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"strconv"
 	"testing"
 	"time"
 
@@ -66,7 +69,7 @@ func TestGraphStateRoundTrip(t *testing.T) {
 
 	// Reopen: snapshot + WAL replay must rebuild the same state.
 	s2 := mustOpen(t, dir)
-	g2, names2, seq2, err := s2.GraphState("g")
+	g2, fold, seq2, err := s2.GraphState("g")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,8 +80,8 @@ func TestGraphStateRoundTrip(t *testing.T) {
 		t.Errorf("recovered graph %v, want 5 nodes / 5 edges", g2)
 	}
 	wantNames := []string{"a", "b", "c", "d", "e"}
-	if !reflect.DeepEqual(names2, wantNames) {
-		t.Errorf("names = %v, want %v", names2, wantNames)
+	if !reflect.DeepEqual(fold.Names, wantNames) {
+		t.Errorf("names = %v, want %v", fold.Names, wantNames)
 	}
 	for _, e := range []graph.Edge{
 		{From: 0, Label: "x", To: 1},
@@ -91,11 +94,10 @@ func TestGraphStateRoundTrip(t *testing.T) {
 			t.Errorf("recovered graph missing %v", e)
 		}
 	}
-	if tail, ok := s2.EdgesSince("g", 0); !ok || len(tail) != 3 {
-		t.Errorf("EdgesSince(0) = %v, %v", tail, ok)
-	}
-	if tail, ok := s2.EdgesSince("g", 2); !ok || len(tail) != 1 {
-		t.Errorf("EdgesSince(2) = %v, %v", tail, ok)
+	if fold.BaseSeq != 0 || !reflect.DeepEqual(fold.Tail, []graph.Edge{
+		{From: 0, Label: "x", To: 3}, {From: 3, Label: "y", To: 0}, {From: 4, Label: "z", To: 4},
+	}) {
+		t.Errorf("fold tail after base %d = %v, want the three journaled edges", fold.BaseSeq, fold.Tail)
 	}
 }
 
@@ -201,15 +203,12 @@ func TestSnapshotFoldsWAL(t *testing.T) {
 	if err := s.Snapshot("g", nil); err != nil {
 		t.Fatal(err)
 	}
-	// WAL is empty, state intact, EdgesSince now needs repair below base.
+	// WAL is empty, state intact, and the fold's tail starts at the new base.
 	if fi, err := os.Stat(filepath.Join(dir, graphsDir, "g", "wal")); err != nil || fi.Size() != 0 {
 		t.Errorf("wal size after snapshot: %v, %v", fi, err)
 	}
-	if _, ok := s.EdgesSince("g", 2); ok {
-		t.Error("EdgesSince below the snapshot base reported ok")
-	}
-	if tail, ok := s.EdgesSince("g", 4); !ok || len(tail) != 0 {
-		t.Errorf("EdgesSince(base) = %v, %v", tail, ok)
+	if _, fold, _, err := s.GraphState("g"); err != nil || fold.BaseSeq != 4 || len(fold.Tail) != 0 {
+		t.Errorf("fold after snapshot: base %d, tail %v (err %v), want base 4 and no tail", fold.BaseSeq, fold.Tail, err)
 	}
 	appendBatches(t, s, "g", 1)
 	if err := s.Close(); err != nil {
@@ -300,13 +299,15 @@ S4 -> type`)
 			if err := s.CreateGraph("fig5", g, nil); err != nil {
 				t.Fatal(err)
 			}
+			_, epoch, _ := s.GraphPos("fig5")
+			data := IndexData{Grammar: "q", Backend: be.Name(), Seq: 5, Epoch: epoch, Write: encoded(ix)}
 			switch via {
 			case "SaveIndexFrom":
-				err = s.SaveIndexFrom("fig5", "q", be.Name(), 5, encoded(ix))
+				err = s.SaveIndexFrom("fig5", data)
 			case "SaveIndex":
 				err = s.SaveIndex("fig5", "q", be.Name(), 5, encoding.Bytes())
 			default:
-				err = s.Snapshot("fig5", []IndexData{{Grammar: "q", Backend: be.Name(), Seq: 5, Write: encoded(ix)}})
+				err = s.Snapshot("fig5", []IndexData{data})
 			}
 			if err != nil {
 				t.Fatalf("%s %s: %v", be.Name(), via, err)
@@ -320,6 +321,58 @@ S4 -> type`)
 				t.Errorf("%s %s: index file hashes to %s, pinned %s", be.Name(), via, got, pins[be.Name()])
 			}
 		}
+	}
+}
+
+// TestSnapshotFileBytesPinned pins the CFPQSNAP1 graph snapshot encoding:
+// the file CreateGraph writes for a graph with named and unnamed nodes and
+// two labels, and the one Snapshot writes after token and id-addressed
+// appends have grown it, must hash to the recorded values.
+func TestSnapshotFileBytesPinned(t *testing.T) {
+	const (
+		created = "3c22ebb9c14b2fc873c774de4192504fd68485089f51eece1056024ad18d6802"
+		folded  = "27a7150709f021634b8e5349045d81b9607285e7449970dc8d3657ac01753298"
+	)
+	dir := t.TempDir()
+	s := mustOpen(t, dir)
+	g := graph.New(5)
+	g.AddEdge(0, "x", 1)
+	g.AddEdge(1, "y", 2)
+	g.AddEdge(3, "x", 4)
+	g.AddEdge(4, "y", 0)
+	g.AddEdge(2, "x", 2)
+	if err := s.CreateGraph("g", g, []string{"a", "", "c", "", "e"}); err != nil {
+		t.Fatal(err)
+	}
+	hash := func() string {
+		t.Helper()
+		raw, err := os.ReadFile(filepath.Join(dir, graphsDir, "g", "snapshot"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(raw)
+		return hex.EncodeToString(sum[:])
+	}
+	if got := hash(); got != created {
+		t.Errorf("created snapshot hashes to %s, pinned %s", got, created)
+	}
+	if _, err := s.Append("g", []EdgeRecord{
+		{From: "a", Label: "y", To: "f"}, // interns f as node 5
+		{From: "1", Label: "x", To: "7"}, // numeric: grows the range to 8
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Log("g").AppendEdges([]graph.Edge{{From: 6, Label: "y", To: 3}, {From: 5, Label: "x", To: 9}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Append("g", []EdgeRecord{{From: "g", Label: "x", To: "e"}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Snapshot("g", nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := hash(); got != folded {
+		t.Errorf("folded snapshot hashes to %s, pinned %s", got, folded)
 	}
 }
 
@@ -348,11 +401,11 @@ func TestFailedIndexWriteKeepsPreviousFile(t *testing.T) {
 		}
 		return broken
 	}
+	_, epoch, _ := s.GraphPos("g")
+	data := IndexData{Grammar: "q", Backend: "sparse", Seq: 2, Epoch: epoch, Write: failing}
 	for via, save := range map[string]func() error{
-		"SaveIndexFrom": func() error { return s.SaveIndexFrom("g", "q", "sparse", 2, failing) },
-		"Snapshot": func() error {
-			return s.Snapshot("g", []IndexData{{Grammar: "q", Backend: "sparse", Seq: 2, Write: failing}})
-		},
+		"SaveIndexFrom": func() error { return s.SaveIndexFrom("g", data) },
+		"Snapshot":      func() error { return s.Snapshot("g", []IndexData{data}) },
 	} {
 		if err := save(); !errors.Is(err, broken) {
 			t.Fatalf("%s: err = %v, want the writer's", via, err)
@@ -386,7 +439,8 @@ func TestIndexSaveLoadRoundTrip(t *testing.T) {
 	// Stamped with the name of the retired row-parallel dense kernel, as a
 	// store written before it went holds; it must load on the dense one.
 	ix, _, _ := core.NewEngine(core.WithBackend(matrix.Dense())).RunContext(context.Background(), g, cnf)
-	if err := s.SaveIndexFrom("g", "q", "dense-parallel", 0, encoded(ix)); err != nil {
+	_, epoch, _ := s.GraphPos("g")
+	if err := s.SaveIndexFrom("g", IndexData{Grammar: "q", Backend: "dense-parallel", Epoch: epoch, Write: encoded(ix)}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -563,7 +617,7 @@ func TestLogIgnoresNumericNames(t *testing.T) {
 				when, g2.HasEdge(7, "x", 7), g2.HasEdge(0, "x", 0))
 		}
 	}
-	check(s, "live mirror")
+	check(s, "before reopening")
 	s.Close()
 	check(mustOpen(t, dir), "after replay")
 
@@ -834,5 +888,92 @@ func TestInterruptedReplacementReopens(t *testing.T) {
 				t.Errorf("graphs/ holds %v after reopen, want only %q", entries, live)
 			}
 		})
+	}
+}
+
+// TestStaleEpochIndexIsRefused: an index saved under the stream epoch of a
+// graph since replaced is refused — through SaveIndexFrom and Snapshot —
+// and the replacement lists no saved index.
+func TestStaleEpochIndexIsRefused(t *testing.T) {
+	s := mustOpen(t, t.TempDir())
+	g, names := sampleGraph()
+	if err := s.CreateGraph("g", g, names); err != nil {
+		t.Fatal(err)
+	}
+	_, stale, _ := s.GraphPos("g")
+	if err := s.CreateGraph("g", g, names); err != nil {
+		t.Fatal(err)
+	}
+	if _, epoch, _ := s.GraphPos("g"); epoch == stale {
+		t.Fatalf("replacement kept epoch %d", epoch)
+	}
+	ix := IndexData{Grammar: "q", Backend: "sparse", Epoch: stale, Write: func(w io.Writer) error {
+		_, err := w.Write([]byte("old graph's index"))
+		return err
+	}}
+	if err := s.SaveIndexFrom("g", ix); err == nil {
+		t.Error("SaveIndexFrom accepted an index of the replaced graph")
+	}
+	if err := s.Snapshot("g", []IndexData{ix}); err == nil {
+		t.Error("Snapshot accepted an index of the replaced graph")
+	}
+	if infos := s.Indexes("g"); len(infos) != 0 {
+		t.Errorf("Indexes = %+v, want none", infos)
+	}
+}
+
+// allocatedBytes reports the heap bytes f allocates.
+func allocatedBytes(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestOpenDecodesNoSnapshot: Open checks a snapshot's CRC and reads the
+// WAL, and decodes no graph — opening a store that holds a 10k-node
+// scale-free graph allocates under a quarter of what decoding its
+// snapshot does. GraphState decodes it, and agrees with the graph written.
+func TestOpenDecodesNoSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir)
+	g := graph.PreferentialAttachment(rand.New(rand.NewSource(1)), 10_000, 3, []string{"a", "b"})
+	if err := s.CreateGraph("sf", g, nil); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		if _, err := s.Append("sf", []EdgeRecord{{From: strconv.Itoa(i), Label: "a", To: strconv.Itoa(9_999 - i)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, graphsDir, "sf", "snapshot"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	decode := allocatedBytes(func() {
+		if _, _, _, err := DecodeSnapshot(raw); err != nil {
+			t.Fatal(err)
+		}
+	})
+	var s2 *Store
+	open := allocatedBytes(func() { s2, err = Open(dir, testOpts) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if open*4 >= decode {
+		t.Errorf("Open allocated %d bytes, decoding the snapshot %d: want under a quarter", open, decode)
+	}
+	g2, _, seq, err := s2.GraphState("sf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seq != 10 || g2.EdgeCount() != g.EdgeCount()+10 || g2.Nodes() != g.Nodes() {
+		t.Errorf("folded %d nodes, %d edges at seq %d; want %d, %d at 10", g2.Nodes(), g2.EdgeCount(), seq, g.Nodes(), g.EdgeCount()+10)
 	}
 }
