@@ -88,21 +88,3 @@ func (p *Prepared) QueryBatch(ctx context.Context, reqs []Request) []BatchResult
 	wg.Wait()
 	return results
 }
-
-// QueryBatch evaluates a batch of Requests sharing one (graph, grammar)
-// pair: the closure is built exactly once, then every request is answered
-// from it by the shared worker pool. The requests must not carry their own
-// Graph or Grammar — the batch's pair is the one queried. This is the
-// one-shot form; a serving layer holding a Prepared handle should call
-// Prepared.QueryBatch, which reuses the cached index instead of building
-// one per batch. The graph is only read.
-func (e *Engine) QueryBatch(ctx context.Context, g *Graph, gram *Grammar, reqs []Request) ([]BatchResult, error) {
-	if len(reqs) == 0 {
-		return nil, nil
-	}
-	p, err := e.Prepare(ctx, g, gram)
-	if err != nil {
-		return nil, err
-	}
-	return p.QueryBatch(ctx, reqs), nil
-}

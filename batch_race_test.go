@@ -49,7 +49,7 @@ func TestQueryBatchRacesAddEdges(t *testing.T) {
 					}
 				}
 				// The streamed reader participates in the race too.
-				for range p.PairsFrom(context.Background(), "S", []int{i % 8}) {
+				for range read(t, p, cfpq.Request{Nonterminal: "S", Sources: []int{i % 8}}).Pairs() {
 					break
 				}
 			}
@@ -79,7 +79,7 @@ func TestQueryBatchRacesAddEdges(t *testing.T) {
 	if res[0].Err != nil {
 		t.Fatal(res[0].Err)
 	}
-	if got, want := res[0].Result.Count, p.Count(context.Background(), "S"); got != want {
+	if got, want := res[0].Result.Count, countOf(t, p, "S"); got != want {
 		t.Fatalf("post-race count: batch %d, single %d", got, want)
 	}
 }

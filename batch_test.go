@@ -11,7 +11,7 @@ import (
 
 // testPrepared builds a small prepared handle over the chain
 // 0 -a-> 1 -a-> 2 -b-> 3 -b-> 4 with S -> a S b | a b; the tests below
-// compare batch answers against the handle's own single-query methods
+// compare batch answers against the handle's own single-request answers
 // rather than assuming the relation.
 func testPrepared(t *testing.T, be cfpq.Backend) *cfpq.Prepared {
 	t.Helper()
@@ -26,6 +26,30 @@ func testPrepared(t *testing.T, be cfpq.Backend) *cfpq.Prepared {
 		t.Fatal(err)
 	}
 	return p
+}
+
+// read answers req from p. An error is reported with t.Error — so read is
+// safe off the test goroutine — and answered with an empty Result.
+func read(t testing.TB, p *cfpq.Prepared, req cfpq.Request) *cfpq.Result {
+	t.Helper()
+	res, err := p.Do(context.Background(), req)
+	if err != nil {
+		t.Errorf("Do(%+v): %v", req, err)
+		return &cfpq.Result{}
+	}
+	return res
+}
+
+// relationOf reads R_nt from p: an unrestricted OutputPairs request.
+func relationOf(t testing.TB, p *cfpq.Prepared, nt string) []cfpq.Pair {
+	t.Helper()
+	return read(t, p, cfpq.Request{Nonterminal: nt}).AllPairs()
+}
+
+// countOf reads |R_nt| from p: an unrestricted OutputCount request.
+func countOf(t testing.TB, p *cfpq.Prepared, nt string) int {
+	t.Helper()
+	return read(t, p, cfpq.Request{Nonterminal: nt, Output: cfpq.OutputCount}).Count
 }
 
 func TestPreparedQueryBatchMatchesSingleQueries(t *testing.T) {
@@ -53,29 +77,15 @@ func TestPreparedQueryBatchMatchesSingleQueries(t *testing.T) {
 				t.Fatalf("%s: request %d: strategy %q, want %q", be, i, got, want)
 			}
 		}
-		if got, want := res[0].Result.Exists, p.Has(context.Background(), "S", 1, 3); got != want {
-			t.Errorf("%s: exists(1,3) = %v, want %v", be, got, want)
-		}
-		if got, want := res[1].Result.Exists, p.Has(context.Background(), "S", 0, 3); got != want {
-			t.Errorf("%s: exists(0,3) = %v, want %v", be, got, want)
+		for i, r := range res {
+			single := read(t, p, reqs[i])
+			if r.Result.Exists != single.Exists || r.Result.Count != single.Count ||
+				!slices.Equal(r.Result.AllPairs(), single.AllPairs()) {
+				t.Errorf("%s: request %d: batch %+v, single Do %+v", be, i, r.Result, single)
+			}
 		}
 		if res[2].Result.Exists {
 			t.Errorf("%s: out-of-range exists answered true", be)
-		}
-		if got, want := res[3].Result.Count, p.Count(context.Background(), "S"); got != want {
-			t.Errorf("%s: count = %d, want %d", be, got, want)
-		}
-		if !slices.Equal(res[4].Result.AllPairs(), p.Relation(context.Background(), "S")) {
-			t.Errorf("%s: pairs = %v, want %v", be, res[4].Result.AllPairs(), p.Relation(context.Background(), "S"))
-		}
-		if !slices.Equal(res[5].Result.AllPairs(), p.Relation(context.Background(), "S")) {
-			t.Errorf("%s: default-output pairs = %v, want %v", be, res[5].Result.AllPairs(), p.Relation(context.Background(), "S"))
-		}
-		if got, want := res[6].Result.Count, p.CountFrom(context.Background(), "S", []int{0}); got != want {
-			t.Errorf("%s: restricted count = %d, want %d", be, got, want)
-		}
-		if !slices.Equal(res[7].Result.AllPairs(), p.RelationFrom(context.Background(), "S", []int{0, 1})) {
-			t.Errorf("%s: restricted pairs = %v, want %v", be, res[7].Result.AllPairs(), p.RelationFrom(context.Background(), "S", []int{0, 1}))
 		}
 	}
 }
@@ -117,6 +127,8 @@ func TestQueryBatchCancelledContext(t *testing.T) {
 	}
 }
 
+// TestEngineQueryBatchOneShot: a one-shot batch is Prepare followed by
+// Prepared.QueryBatch, and answers what Engine.Do evaluates from scratch.
 func TestEngineQueryBatchOneShot(t *testing.T) {
 	g := cfpq.NewGraph(4)
 	g.AddEdge(0, "a", 1)
@@ -124,32 +136,34 @@ func TestEngineQueryBatchOneShot(t *testing.T) {
 	g.AddEdge(2, "b", 3)
 	gram := cfpq.MustParseGrammar("S -> a S b | a b")
 	eng := cfpq.NewEngine(cfpq.Sparse)
-	res, err := eng.QueryBatch(context.Background(), g, gram, []cfpq.Request{
+	p, err := eng.Prepare(context.Background(), g, gram)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := p.QueryBatch(context.Background(), []cfpq.Request{
 		{Nonterminal: "S", Output: cfpq.OutputCount},
 		{Nonterminal: "S"},
 	})
+	full, err := eng.Do(context.Background(), cfpq.Request{Graph: g, Grammar: gram, Nonterminal: "S"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pairs, err := eng.Query(context.Background(), g, gram, "S")
-	if err != nil {
-		t.Fatal(err)
-	}
+	pairs := full.AllPairs()
 	if res[0].Result.Count != len(pairs) {
-		t.Errorf("batch count %d, query returned %d pairs", res[0].Result.Count, len(pairs))
+		t.Errorf("batch count %d, Do returned %d pairs", res[0].Result.Count, len(pairs))
 	}
 	if !slices.Equal(res[1].Result.AllPairs(), pairs) {
-		t.Errorf("batch pairs %v, query %v", res[1].Result.AllPairs(), pairs)
+		t.Errorf("batch pairs %v, Do %v", res[1].Result.AllPairs(), pairs)
 	}
-	if empty, err := eng.QueryBatch(context.Background(), g, gram, nil); err != nil || empty != nil {
-		t.Errorf("empty batch: got %v, %v", empty, err)
+	if empty := p.QueryBatch(context.Background(), nil); empty != nil {
+		t.Errorf("empty batch: got %v", empty)
 	}
 }
 
 func TestPreparedSourceFilteredReads(t *testing.T) {
 	for _, be := range cfpq.Backends() {
 		p := testPrepared(t, be)
-		full := p.Relation(context.Background(), "S")
+		full := relationOf(t, p, "S")
 		if len(full) == 0 {
 			t.Fatalf("%s: empty relation, test graph broken", be)
 		}
@@ -161,21 +175,22 @@ func TestPreparedSourceFilteredReads(t *testing.T) {
 				want = append(want, pr)
 			}
 		}
-		if got := p.RelationFrom(context.Background(), "S", sources); !slices.Equal(got, want) {
-			t.Errorf("%s: RelationFrom = %v, want %v", be, got, want)
+		from := read(t, p, cfpq.Request{Nonterminal: "S", Sources: sources})
+		if got := from.AllPairs(); !slices.Equal(got, want) {
+			t.Errorf("%s: source-restricted pairs = %v, want %v", be, got, want)
 		}
-		if got := p.CountFrom(context.Background(), "S", sources); got != len(want) {
-			t.Errorf("%s: CountFrom = %d, want %d", be, got, len(want))
+		if got := read(t, p, cfpq.Request{Nonterminal: "S", Sources: sources, Output: cfpq.OutputCount}).Count; got != len(want) {
+			t.Errorf("%s: source-restricted count = %d, want %d", be, got, len(want))
 		}
 		var streamed []cfpq.Pair
-		for pr := range p.PairsFrom(context.Background(), "S", sources) {
+		for pr := range from.Pairs() {
 			streamed = append(streamed, pr)
 		}
 		if !slices.Equal(streamed, want) {
-			t.Errorf("%s: PairsFrom = %v, want %v", be, streamed, want)
+			t.Errorf("%s: streamed source-restricted pairs = %v, want %v", be, streamed, want)
 		}
-		if got := p.RelationFrom(context.Background(), "Nope", sources); got != nil {
-			t.Errorf("%s: unknown non-terminal RelationFrom = %v, want nil", be, got)
+		if _, err := p.Do(context.Background(), cfpq.Request{Nonterminal: "Nope", Sources: sources}); err == nil {
+			t.Errorf("%s: unknown non-terminal: no error", be)
 		}
 	}
 }
@@ -185,7 +200,7 @@ func TestPreparedSourceFilteredReads(t *testing.T) {
 func TestPreparedPairsFromEarlyBreak(t *testing.T) {
 	p := testPrepared(t, cfpq.Sparse)
 	count := 0
-	for range p.PairsFrom(context.Background(), "S", []int{0, 1, 2, 3, 4}) {
+	for range read(t, p, cfpq.Request{Nonterminal: "S", Sources: []int{0, 1, 2, 3, 4}}).Pairs() {
 		count++
 		break
 	}

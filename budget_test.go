@@ -17,8 +17,8 @@ import (
 )
 
 // TestMemoryBudgetRejects asserts a budget far below the index footprint
-// fails fast with the typed error on each evaluation path, per-call and
-// engine-wide, and that a generous budget changes nothing.
+// fails fast with the typed error on each evaluation path of an engine
+// built with it, and that a generous budget changes nothing.
 func TestMemoryBudgetRejects(t *testing.T) {
 	ctx := context.Background()
 	g, gram := figure5()
@@ -27,14 +27,14 @@ func TestMemoryBudgetRejects(t *testing.T) {
 	for _, name := range backendNames {
 		be := mustBackend(t, name)
 		t.Run(name, func(t *testing.T) {
-			eng := cfpq.NewEngine(be)
+			tight := cfpq.NewEngine(be, cfpq.WithMemoryBudget(tiny))
 
-			// Per-call option on the eager evaluation path.
+			// The eager evaluation path.
 			cnf, err := cfpq.ToCNF(gram)
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, _, err = eng.Evaluate(ctx, g, cnf, cfpq.WithMemoryBudget(tiny))
+			_, _, err = tight.Evaluate(ctx, g, cnf)
 			var mbe *cfpq.MemoryBudgetError
 			if !errors.As(err, &mbe) {
 				t.Fatalf("Evaluate under %d bytes: %v, want *MemoryBudgetError", tiny, err)
@@ -43,21 +43,19 @@ func TestMemoryBudgetRejects(t *testing.T) {
 				t.Fatalf("error payload %+v, want budget %d and a larger estimate", mbe, tiny)
 			}
 
-			// The declarative path carries per-call options too, for both
-			// the full-closure and source-frontier strategies.
+			// The declarative path, for both the full-closure and
+			// source-frontier strategies.
 			for _, req := range []cfpq.Request{
 				{Graph: g, Grammar: gram, Nonterminal: "S"},
 				{Graph: g, Grammar: gram, Nonterminal: "S", Sources: []int{0}},
 			} {
-				req.Options = []cfpq.Option{cfpq.WithMemoryBudget(tiny)}
-				if _, err := eng.Do(ctx, req); !errors.As(err, &mbe) {
+				if _, err := tight.Do(ctx, req); !errors.As(err, &mbe) {
 					t.Fatalf("Do (sources %v) under budget: %v, want *MemoryBudgetError", req.Sources, err)
 				}
 			}
 
-			// An engine-wide budget governs Prepare (and would govern every
-			// later patch through the same engine).
-			tight := cfpq.NewEngine(be, cfpq.WithMemoryBudget(tiny))
+			// The budget governs Prepare too (and would govern every later
+			// patch through the same engine).
 			if _, err := tight.Prepare(ctx, g.Clone(), gram); !errors.As(err, &mbe) {
 				t.Fatalf("Prepare under engine budget: %v, want *MemoryBudgetError", err)
 			}
@@ -68,8 +66,8 @@ func TestMemoryBudgetRejects(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Prepare under 64MiB budget: %v", err)
 			}
-			if p.Count(context.Background(), "S") != 3 {
-				t.Fatalf("budgeted Prepare count = %d, want 3", p.Count(context.Background(), "S"))
+			if n := countOf(t, p, "S"); n != 3 {
+				t.Fatalf("budgeted Prepare count = %d, want 3", n)
 			}
 		})
 	}
@@ -138,7 +136,7 @@ func TestGrowingUpdateRejectedBeforeItAllocates(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := p.Relation(ctx, "S")
+			want := relationOf(t, p, "S")
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			info, err := p.AddEdges(ctx, cfpq.Edge{From: n - 1, Label: "a", To: 20000})
@@ -153,7 +151,7 @@ func TestGrowingUpdateRejectedBeforeItAllocates(t *testing.T) {
 			if info.Grown || !info.Delta.Empty() {
 				t.Errorf("rejected update reports grown=%v, delta %v", info.Grown, info.Delta.Nonterminals())
 			}
-			if got := p.Relation(ctx, "S"); !slices.Equal(got, want) {
+			if got := relationOf(t, p, "S"); !slices.Equal(got, want) {
 				t.Errorf("answers changed under a rejected update: %d pairs, had %d", len(got), len(want))
 			}
 			if st := p.Stats(); st.Nodes != n || st.Version != 0 {
@@ -188,8 +186,7 @@ func TestDoBoundsErrorsStructured(t *testing.T) {
 		{"targets negative", cfpq.Request{Nonterminal: "S", Targets: []int{-7}}, "targets", "negative node id", true},
 		// Too-large ids are checked against the bound graph's size on
 		// Engine.Do; Prepared.Do deliberately tolerates them (its graph
-		// can grow under AddEdges, and Has/Relation already answer false
-		// for unknown nodes).
+		// can grow under AddEdges, and an unknown node has no pairs).
 		{"sources high", cfpq.Request{Nonterminal: "S", Sources: []int{99}}, "sources", "out of range [0,", false},
 		{"targets high", cfpq.Request{Nonterminal: "S", Targets: []int{0, 99}}, "targets", "out of range [0,", false},
 	}
@@ -295,6 +292,7 @@ func TestDoEmptyRestrictionStrategy(t *testing.T) {
 	}
 	for _, req := range []cfpq.Request{
 		{Nonterminal: "S", Sources: []int{}},
+		{Nonterminal: "S", Sources: []int{}, Output: cfpq.OutputCount},
 		{Nonterminal: "S", Targets: []int{}},
 		{Nonterminal: "S", Sources: []int{}, Targets: []int{0, 1, 2}},
 	} {

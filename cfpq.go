@@ -66,7 +66,7 @@ func ParseGrammar(text string) (*Grammar, error) { return grammar.ParseString(te
 // MustParseGrammar is ParseGrammar that panics on error.
 func MustParseGrammar(text string) *Grammar { return grammar.MustParse(text) }
 
-// ToCNF converts a grammar to Chomsky Normal Form. Engine.Query does this
+// ToCNF converts a grammar to Chomsky Normal Form. Engine.Do does this
 // internally; convert explicitly when evaluating many queries against the
 // same grammar.
 func ToCNF(g *Grammar) (*CNF, error) { return grammar.ToCNF(g) }
@@ -84,20 +84,8 @@ func Algorithm1(b Backend, g *Graph, cnf *CNF, visit func(k int, ix *Index)) (*I
 	return core.Algorithm1(b.mat(), g, cnf, visit)
 }
 
-// Option configures one evaluation call on an Engine.
-type Option func(*config)
-
-type config struct {
-	emptyPaths bool
-	engineOpts []core.Option
-}
-
-// WithEmptyPaths includes the reflexive pairs (v, v) in query results when
-// the queried non-terminal derives the empty string (only empty paths are
-// labelled ε).
-func WithEmptyPaths() Option {
-	return func(c *config) { c.emptyPaths = true }
-}
+// Option configures an Engine (NewEngine).
+type Option func(*Engine)
 
 // WithTraceContext returns a context carrying the trace, the library's one
 // per-pass hook: every evaluation run under the returned context, whichever
@@ -122,10 +110,10 @@ type MemoryBudgetError = core.MemoryBudgetError
 // evaluation may hold at once; a breach fails fast with a
 // *MemoryBudgetError before the offending allocation instead of running
 // the process out of memory. bytes ≤ 0 means unlimited (the default).
-// Pass it to NewEngine to govern every evaluation — including Prepare's
-// index build and every Prepared.AddEdges patch — or per call to bound a
-// single one. Every evaluation — cold build, source-restricted query and
-// incremental patch alike — runs the same semi-naive loop, so the estimate
+// It governs every evaluation of the engine it is passed to — including
+// Prepare's index build and every Prepared.AddEdges patch. Every
+// evaluation — cold build, source-restricted query and incremental patch
+// alike — runs the same semi-naive loop, so the estimate
 // always covers the index matrices plus the loop's two frontier sets (the
 // bits the last pass added and the ones the coming pass adds): up to two
 // more empty matrices per non-terminal — charged in full when an
@@ -136,13 +124,5 @@ type MemoryBudgetError = core.MemoryBudgetError
 // finished index alone therefore does not fit its build. Kernel scratch
 // is not counted.
 func WithMemoryBudget(bytes int64) Option {
-	return func(c *config) { c.engineOpts = append(c.engineOpts, core.WithMemoryBudget(bytes)) }
-}
-
-func buildConfig(opts []Option) *config {
-	c := &config{}
-	for _, o := range opts {
-		o(c)
-	}
-	return c
+	return func(e *Engine) { e.coreOpts = append(e.coreOpts, core.WithMemoryBudget(bytes)) }
 }

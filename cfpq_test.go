@@ -20,11 +20,11 @@ func TestQuickstartFromDoc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pairs, err := eng.Query(context.Background(), g, gram, "S")
+	res, err := eng.Do(context.Background(), Request{Graph: g, Grammar: gram, Nonterminal: "S"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := []Pair{{I: 0, J: 2}}; !reflect.DeepEqual(pairs, want) {
+	if pairs, want := res.AllPairs(), []Pair{{I: 0, J: 2}}; !reflect.DeepEqual(pairs, want) {
 		t.Errorf("pairs = %v, want %v", pairs, want)
 	}
 }
@@ -79,12 +79,12 @@ func TestWithEmptyPaths(t *testing.T) {
 	g := NewGraph(2)
 	g.AddEdge(0, "a", 1)
 	gram := MustParseGrammar("S -> a S | eps")
-	pairs, err := testEngine.Query(context.Background(), g, gram, "S", WithEmptyPaths())
+	res, err := testEngine.Do(context.Background(), Request{Graph: g, Grammar: gram, Nonterminal: "S", EmptyPaths: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := []Pair{{I: 0, J: 0}, {I: 0, J: 1}, {I: 1, J: 1}}
-	if !reflect.DeepEqual(pairs, want) {
+	if pairs := res.AllPairs(); !reflect.DeepEqual(pairs, want) {
 		t.Errorf("pairs = %v, want %v", pairs, want)
 	}
 }
@@ -98,11 +98,11 @@ func TestLoadNTriplesPublicAPI(t *testing.T) {
 		t.Errorf("graph = %v", g)
 	}
 	gram := MustParseGrammar("S -> p_r")
-	pairs, err := testEngine.Query(context.Background(), g, gram, "S")
+	res, err := testEngine.Do(context.Background(), Request{Graph: g, Grammar: gram, Nonterminal: "S"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pairs) != 1 || pairs[0].I != ids["y"] || pairs[0].J != ids["x"] {
+	if pairs := res.AllPairs(); len(pairs) != 1 || pairs[0].I != ids["y"] || pairs[0].J != ids["x"] {
 		t.Errorf("inverse-edge query = %v (ids %v)", pairs, ids)
 	}
 }
@@ -110,7 +110,7 @@ func TestLoadNTriplesPublicAPI(t *testing.T) {
 func TestQueryErrors(t *testing.T) {
 	g := NewGraph(1)
 	gram := MustParseGrammar("S -> a")
-	if _, err := testEngine.Query(context.Background(), g, gram, "Missing"); err == nil {
+	if _, err := testEngine.Do(context.Background(), Request{Graph: g, Grammar: gram, Nonterminal: "Missing"}); err == nil {
 		t.Error("unknown start non-terminal should error")
 	}
 }

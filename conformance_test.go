@@ -1,9 +1,10 @@
 package cfpq_test
 
 // The golden cross-backend conformance suite: fixed graphs and grammars
-// with committed expected results for every query method — Query,
-// QueryFrom, SinglePath, ShortestPath, AllPaths, RPQ and QueryConjunctive
-// — run under every backend name BackendByName accepts. These goldens pin the observable
+// with committed expected results for every query shape — Requests to
+// Engine.Do (a Grammar non-terminal, unrestricted or source-restricted, an
+// Expr, a Conjunctive grammar), SinglePath, ShortestPath and AllPaths —
+// run under every backend name BackendByName accepts. These goldens pin the observable
 // semantics of the library so the evaluation internals (in particular the
 // source-restricted closure and any future kernel work) can be refactored
 // aggressively: any behavioural drift fails here first, with the exact
@@ -90,11 +91,11 @@ func TestConformanceDatasetCounts(t *testing.T) {
 					row.dataset, g.Nodes(), row.nodes)
 			}
 			for q, want := range map[int]int{1: row.q1Count, 2: row.q2Count} {
-				pairs, err := eng.Query(ctx, g, dataset.Query(q), "S")
+				res, err := eng.Do(ctx, cfpq.Request{Graph: g, Grammar: dataset.Query(q), Nonterminal: "S"})
 				if err != nil {
 					t.Fatal(err)
 				}
-				if len(pairs) != want {
+				if pairs := res.AllPairs(); len(pairs) != want {
 					t.Errorf("%s query %d: %d pairs, want %d", row.dataset, q, len(pairs), want)
 				}
 			}
@@ -102,7 +103,7 @@ func TestConformanceDatasetCounts(t *testing.T) {
 	})
 }
 
-// TestConformanceFigure5 pins every query method's exact answer on the
+// TestConformanceFigure5 pins every query shape's exact answer on the
 // paper's worked example.
 func TestConformanceFigure5(t *testing.T) {
 	ctx := context.Background()
@@ -115,22 +116,22 @@ func TestConformanceFigure5(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		// Query (relational semantics).
-		pairs, err := eng.Query(ctx, g, gram, "S")
+		// Unrestricted pairs (relational semantics).
+		res, err := eng.Do(ctx, cfpq.Request{Graph: g, Grammar: gram, Nonterminal: "S"})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !slices.Equal(pairs, wantS) {
-			t.Errorf("Query = %v, want %v", pairs, wantS)
+		if pairs := res.AllPairs(); !slices.Equal(pairs, wantS) {
+			t.Errorf("Do = %v, want %v", pairs, wantS)
 		}
 
-		// QueryFrom: filtered to source node 1.
-		from, err := eng.QueryFrom(ctx, g, gram, "S", []int{1})
+		// Source-restricted pairs: filtered to source node 1.
+		res, err = eng.Do(ctx, cfpq.Request{Graph: g, Grammar: gram, Nonterminal: "S", Sources: []int{1}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := []cfpq.Pair{{I: 1, J: 2}}; !slices.Equal(from, want) {
-			t.Errorf("QueryFrom([1]) = %v, want %v", from, want)
+		if from, want := res.AllPairs(), []cfpq.Pair{{I: 1, J: 2}}; !slices.Equal(from, want) {
+			t.Errorf("Do(Sources: [1]) = %v, want %v", from, want)
 		}
 
 		// SinglePath and ShortestPath: same relation, pinned witness
@@ -202,12 +203,12 @@ func TestConformanceRPQ(t *testing.T) {
 		h.AddEdge(3, "subClassOf", 1)
 		h.AddEdge(4, "type", 3)
 		h.AddEdge(5, "type", 2)
-		pairs, err := eng.RPQ(ctx, h, "type subClassOf*")
+		res, err := eng.Do(ctx, cfpq.Request{Graph: h, Expr: "type subClassOf*"})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !slices.Equal(pairs, want) {
-			t.Errorf("RPQ = %v, want %v", pairs, want)
+		if pairs := res.AllPairs(); !slices.Equal(pairs, want) {
+			t.Errorf("Do(Expr) = %v, want %v", pairs, want)
 		}
 	})
 }
@@ -232,12 +233,12 @@ func TestConformanceConjunctive(t *testing.T) {
 		for i, l := range []string{"a", "a", "b", "b", "c", "c"} {
 			w.AddEdge(i, l, i+1)
 		}
-		pairs, err := eng.QueryConjunctive(ctx, w, cg, "S")
+		res, err := eng.Do(ctx, cfpq.Request{Graph: w, Conjunctive: cg, Nonterminal: "S"})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !slices.Equal(pairs, want) {
-			t.Errorf("QueryConjunctive = %v, want %v", pairs, want)
+		if pairs := res.AllPairs(); !slices.Equal(pairs, want) {
+			t.Errorf("Do(Conjunctive) = %v, want %v", pairs, want)
 		}
 	})
 }

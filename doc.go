@@ -58,20 +58,17 @@
 // batch of new edges or a set of source rows; the paper's literal loop
 // (every pass multiplies a full snapshot of the previous state) is the
 // reference function Algorithm1, which tests, the ablation and
-// examples/quickstart use and no Engine serves with. The familiar
-// call shapes survive as one-line sugar over Do — Query (unrestricted
-// pairs), QueryFrom (source-restricted), QueryTo (target-restricted), RPQ,
-// QueryConjunctive — alongside the index-level APIs: Evaluate (the full
-// Index), witness paths (SinglePath, ShortestPath, AllPaths), incremental
-// maintenance (Update) and index persistence (LoadIndex with SaveIndex).
+// examples/quickstart use and no Engine serves with. Beside Do stand the
+// index-level APIs: Evaluate (the full Index), witness paths (SinglePath,
+// ShortestPath, AllPaths), incremental maintenance (Update) and index
+// persistence (LoadIndex with SaveIndex).
 //
 // # Batched requests
 //
-// QueryBatch evaluates []Request against one (graph, grammar) pair from a
-// single index build; answers fan out over a worker pool, and all of them
-// read the same index state, so a racing update is visible to the whole
-// batch or none of it. Engine.QueryBatch is the one-shot form;
-// Prepared.QueryBatch answers from the cached index:
+// Prepared.QueryBatch answers []Request from the handle's cached index;
+// answers fan out over a worker pool, and all of them read the same index
+// state, so a racing update is visible to the whole batch or none of it.
+// A one-shot batch is Prepare followed by QueryBatch:
 //
 //	results := p.QueryBatch(ctx, []cfpq.Request{
 //		{Nonterminal: "S", Output: cfpq.OutputCount},
@@ -91,8 +88,10 @@
 //
 //	p, _ := eng.Prepare(ctx, g, gram)
 //	res, _ := p.Do(ctx, cfpq.Request{Nonterminal: "S", Sources: []int{0, 1}})
-//	p.Has("S", 0, 2)                       // sugar over Do, like the other readers
-//	for pair := range p.Pairs("S") { ... } // iter.Seq snapshot
+//	for pair := range res.Pairs() { ... } // iter.Seq snapshot
+//	ok, _ := p.Do(ctx, cfpq.Request{
+//		Nonterminal: "S", Sources: []int{0}, Targets: []int{2}, Output: cfpq.OutputExists,
+//	}) // ok.Exists
 //	p.AddEdges(ctx, cfpq.Edge{From: 2, Label: "a", To: 7}) // patched, not rebuilt
 //
 // Concurrency: one writer, readers pin a version, publish by swap. The
@@ -139,21 +138,30 @@
 // Subscription as it is, its counts aggregated on /metrics); Prepared.Close
 // ends every subscription so consumers learn their handle is gone.
 //
-// # Old → new call shapes
+// # Removed methods → Request
 //
-// Pre-planner methods map onto Requests one for one (all remain and are
-// sugar over Do):
+// The methods that once stood beside Do are gone; each is one Request:
 //
-//	Engine.Query(g, gram, "S")            = Request{Graph: g, Grammar: gram, Nonterminal: "S"}
-//	Engine.QueryFrom(..., srcs)           = Request{..., Sources: srcs}
-//	Engine.QueryTo(..., tgts)             = Request{..., Targets: tgts}
-//	Engine.RPQ(g, expr)                   = Request{Graph: g, Expr: expr}
-//	Engine.QueryConjunctive(g, cg, "S")   = Request{Graph: g, Conjunctive: cg, Nonterminal: "S"}
-//	Prepared.Has("S", i, j)               = Request{Nonterminal: "S", Sources: []int{i}, Targets: []int{j}, Output: OutputExists}
-//	Prepared.Count("S")                   = Request{Nonterminal: "S", Output: OutputCount}
-//	Prepared.Relation/Pairs("S")          = Request{Nonterminal: "S"}
-//	Prepared.RelationFrom("S", srcs)      = Request{Nonterminal: "S", Sources: srcs}
-//	Prepared.Paths("S", i, j, opts)       = Request{Nonterminal: "S", Sources: []int{i}, Targets: []int{j}, Output: OutputPaths, Limit: opts.MaxPaths, MaxPathLength: opts.MaxLength}
+//	Engine.Query(g, gram, "S")            = Engine.Do(Request{Graph: g, Grammar: gram, Nonterminal: "S"})
+//	Engine.QueryFrom(..., srcs)           = Engine.Do(Request{..., Sources: srcs})
+//	Engine.QueryTo(..., tgts)             = Engine.Do(Request{..., Targets: tgts})
+//	Engine.RPQ(g, expr)                   = Engine.Do(Request{Graph: g, Expr: expr})
+//	Engine.QueryConjunctive(g, cg, "S")   = Engine.Do(Request{Graph: g, Conjunctive: cg, Nonterminal: "S"})
+//	Engine.QueryBatch(g, gram, reqs)      = Prepare(g, gram), then Prepared.QueryBatch(reqs)
+//	Prepared.Has("S", i, j)               = Prepared.Do(Request{Nonterminal: "S", Sources: []int{i}, Targets: []int{j}, Output: OutputExists})
+//	Prepared.Count/CountFrom("S", srcs)   = Prepared.Do(Request{Nonterminal: "S", Sources: srcs, Output: OutputCount})
+//	Prepared.Relation/Pairs("S")          = Prepared.Do(Request{Nonterminal: "S"})
+//	Prepared.RelationFrom/PairsFrom(srcs) = Prepared.Do(Request{Nonterminal: "S", Sources: srcs})
+//	Prepared.Paths("S", i, j, opts)       = Prepared.Do(Request{Nonterminal: "S", Sources: []int{i}, Targets: []int{j}, Output: OutputPaths, Limit: opts.MaxPaths, MaxPathLength: opts.MaxLength})
+//	Prepared.Counts()                     = Prepared.Stats().Counts
+//	WithEmptyPaths()                      = Request.EmptyPaths
+//
+// Three behaviours differ from the removed readers. Do returns errors they
+// swallowed (Count answered 0 and Has false for an unknown non-terminal or
+// a cancelled context). A nil Sources is unrestricted, so the "no sources"
+// the From readers read nil as is Sources: []int{}. A negative node id is
+// a *RequestError, not silently dropped. Evaluation options belong to the
+// engine: a call that needs another memory budget runs on a second Engine.
 //
 // # Observability
 //
@@ -175,13 +183,13 @@
 //
 // # Memory budgets
 //
-// WithMemoryBudget bounds the estimated matrix footprint of a closure —
-// per call as an Option, or engine-wide via NewEngine(backend,
-// cfpq.WithMemoryBudget(n)), where it also governs Prepare and every
-// incremental patch. An evaluation that would exceed the budget fails
-// fast between passes with a typed *MemoryBudgetError instead of
-// thrashing the process — QueryConjunctive, SinglePath and ShortestPath
-// included: they run the same closure. An update's estimate counts both
+// WithMemoryBudget bounds the estimated matrix footprint of every closure
+// an engine runs — NewEngine(backend, cfpq.WithMemoryBudget(n)) — Do,
+// Prepare and every incremental patch alike. An evaluation that would
+// exceed the budget fails fast between passes with a typed
+// *MemoryBudgetError instead of thrashing the process — conjunctive
+// requests, SinglePath and ShortestPath included: they run the same
+// closure. An update's estimate counts both
 // live versions (the fork's unshared storage beside the one readers hold)
 // and is taken at the dimension its edges grow the index to, before it is
 // grown — a refused update has allocated nothing. An over-budget update is

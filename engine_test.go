@@ -27,10 +27,11 @@ func TestEngineBackendsAgree(t *testing.T) {
 	gram := MustParseGrammar("S -> a S b | a b")
 	var ref []Pair
 	for i, be := range Backends() {
-		pairs, err := NewEngine(be).Query(ctx, g, gram, "S")
+		res, err := NewEngine(be).Do(ctx, Request{Graph: g, Grammar: gram, Nonterminal: "S"})
 		if err != nil {
 			t.Fatalf("backend %s: %v", be.Name(), err)
 		}
+		pairs := res.AllPairs()
 		if i == 0 {
 			ref = pairs
 			continue
@@ -117,8 +118,8 @@ func TestCancelledQuerySurfaces(t *testing.T) {
 	g := chainGraph(3)
 	gram := MustParseGrammar("S -> a S b | a b")
 	eng := NewEngine(Sparse)
-	if _, err := eng.Query(ctx, g, gram, "S"); !errors.Is(err, context.Canceled) {
-		t.Errorf("Query err = %v", err)
+	if _, err := eng.Do(ctx, Request{Graph: g, Grammar: gram, Nonterminal: "S"}); !errors.Is(err, context.Canceled) {
+		t.Errorf("Do err = %v", err)
 	}
 	cnf, _ := ToCNF(gram)
 	if _, err := eng.SinglePath(ctx, g, cnf); !errors.Is(err, context.Canceled) {
@@ -127,12 +128,12 @@ func TestCancelledQuerySurfaces(t *testing.T) {
 	if _, err := eng.ShortestPath(ctx, g, cnf); !errors.Is(err, context.Canceled) {
 		t.Errorf("ShortestPath err = %v", err)
 	}
-	if _, err := eng.RPQ(ctx, g, "a+ b"); !errors.Is(err, context.Canceled) {
-		t.Errorf("RPQ err = %v", err)
+	if _, err := eng.Do(ctx, Request{Graph: g, Expr: "a+ b"}); !errors.Is(err, context.Canceled) {
+		t.Errorf("expr Do err = %v", err)
 	}
 	cg, _ := ParseConjunctive("S -> A A & A A\nA -> a | a A")
-	if _, err := eng.QueryConjunctive(ctx, g, cg, "S"); !errors.Is(err, context.Canceled) {
-		t.Errorf("QueryConjunctive err = %v", err)
+	if _, err := eng.Do(ctx, Request{Graph: g, Conjunctive: cg, Nonterminal: "S"}); !errors.Is(err, context.Canceled) {
+		t.Errorf("conjunctive Do err = %v", err)
 	}
 	ix, _, _ := eng.Evaluate(context.Background(), g, cnf)
 	if _, err := eng.Update(ctx, ix, Edge{From: 0, Label: "a", To: 2}); !errors.Is(err, context.Canceled) {

@@ -54,12 +54,12 @@ func run(w io.Writer) error {
 	imports("db", "log")
 
 	// 1. RPQ: transitive dependencies are `imports+`.
-	pairs, err := eng.RPQ(ctx, g, "imports+")
+	deps, err := eng.Do(ctx, cfpq.Request{Graph: g, Expr: "imports+"})
 	if err != nil {
 		return err
 	}
 	fmt.Fprintln(w, "Transitive dependencies (RPQ `imports+`):")
-	for _, p := range pairs {
+	for p := range deps.Pairs() {
 		fmt.Fprintf(w, "  %s -> %s\n", mods[p.I], mods[p.J])
 	}
 
@@ -72,8 +72,12 @@ func run(w io.Writer) error {
 	if err != nil {
 		return err
 	}
+	count, err := prep.Do(ctx, cfpq.Request{Nonterminal: "Dep", Output: cfpq.OutputCount})
+	if err != nil {
+		return err
+	}
 	fmt.Fprintf(w, "\nPrepared closure: %d pairs in %d passes\n",
-		prep.Count(ctx, "Dep"), prep.Stats().Build.Iterations)
+		count.Count, prep.Stats().Build.Iterations)
 
 	// 3. Dynamic update: db starts importing vuln; only the consequences
 	// of the new edge are propagated — no full re-evaluation. The edge
@@ -85,8 +89,12 @@ func run(w io.Writer) error {
 	}
 	fmt.Fprintf(w, "Incremental update: %d passes, %d matrix products\n",
 		info.Stats.Iterations, info.Stats.Products)
+	dep, err := prep.Do(ctx, cfpq.Request{Nonterminal: "Dep"})
+	if err != nil {
+		return err
+	}
 	fmt.Fprintln(w, "Modules now depending on vuln (streamed):")
-	for p := range prep.Pairs(ctx, "Dep") {
+	for p := range dep.Pairs() {
 		if mods[p.J] == "vuln" {
 			fmt.Fprintf(w, "  %s\n", mods[p.I])
 		}

@@ -123,8 +123,12 @@ func run(w io.Writer) error {
 	if _, err := prep.AddEdges(ctx, cfpq.Edge{From: id["mail"], Label: "calls", To: id["auth"]}); err != nil {
 		return err
 	}
+	billing, err := prep.Do(ctx, cfpq.Request{Nonterminal: "Reach", Sources: []int{id["billing"]}})
+	if err != nil {
+		return err
+	}
 	fmt.Fprintf(w, "\nafter mail -> auth is added, billing reaches:\n")
-	for p := range prep.PairsFrom(ctx, "Reach", []int{id["billing"]}) {
+	for p := range billing.Pairs() {
 		fmt.Fprintf(w, "  %s\n", services[p.J])
 	}
 	return nil

@@ -78,8 +78,12 @@ func run(w io.Writer) error {
 	if err != nil {
 		return err
 	}
+	count, err := prep.Do(ctx, cfpq.Request{Nonterminal: "Dep", Output: cfpq.OutputCount})
+	if err != nil {
+		return err
+	}
 	fmt.Fprintf(w, "Session 1: closure over %d modules: %d Dep pairs in %d passes\n",
-		len(mods), prep.Count(ctx, "Dep"), prep.Stats().Build.Iterations)
+		len(mods), count.Count, prep.Stats().Build.Iterations)
 
 	// Persist the evaluated index at the current WAL position (seq 0: no
 	// edges journaled yet) of this graph's stream (its epoch: a replaced
@@ -102,7 +106,11 @@ func run(w io.Writer) error {
 	if _, err := prep.AddEdges(ctx, incident...); err != nil {
 		return err
 	}
-	for p := range prep.Pairs(ctx, "Dep") {
+	dep, err := prep.Do(ctx, cfpq.Request{Nonterminal: "Dep"})
+	if err != nil {
+		return err
+	}
+	for p := range dep.Pairs() {
 		if mods[p.J] == "vuln" {
 			fmt.Fprintf(w, "  %s now depends on vuln\n", mods[p.I])
 		}
@@ -147,7 +155,13 @@ func run(w io.Writer) error {
 	}
 	fmt.Fprintf(w, "Patched %d WAL edge(s) in %d passes; warm handle ran %d closure passes\n",
 		len(tail), stats.Iterations, warm.Stats().Build.Iterations)
+	has, err := warm.Do(ctx, cfpq.Request{
+		Nonterminal: "Dep", Sources: []int{id["app"]}, Targets: []int{id["vuln"]}, Output: cfpq.OutputExists,
+	})
+	if err != nil {
+		return err
+	}
 	fmt.Fprintf(w, "After restart, Has(app -> vuln) = %v (name table intact: node %d = %q)\n",
-		warm.Has(ctx, "Dep", id["app"], id["vuln"]), id["vuln"], fold.Names[id["vuln"]])
+		has.Exists, id["vuln"], fold.Names[id["vuln"]])
 	return nil
 }

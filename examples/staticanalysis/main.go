@@ -83,21 +83,21 @@ func run(w io.Writer) error {
 		Alias    -> PointsTo FlowsTo
 	`)
 
-	pt, err := eng.Query(ctx, g, gram, "PointsTo")
+	pt, err := eng.Do(ctx, cfpq.Request{Graph: g, Grammar: gram, Nonterminal: "PointsTo"})
 	if err != nil {
 		return err
 	}
 	fmt.Fprintln(w, "PointsTo relation (variable → allocation site):")
-	for _, p := range pt {
+	for p := range pt.Pairs() {
 		fmt.Fprintf(w, "  %s → %s\n", vars[p.I], vars[p.J])
 	}
 
-	al, err := eng.Query(ctx, g, gram, "Alias")
+	al, err := eng.Do(ctx, cfpq.Request{Graph: g, Grammar: gram, Nonterminal: "Alias"})
 	if err != nil {
 		return err
 	}
 	fmt.Fprintln(w, "\nMay-alias pairs:")
-	for _, p := range al {
+	for p := range al.Pairs() {
 		if p.I < p.J { // symmetric; print each unordered pair once
 			fmt.Fprintf(w, "  %s ~ %s\n", vars[p.I], vars[p.J])
 		}

@@ -12,23 +12,24 @@ func TestRPQFacade(t *testing.T) {
 	g.AddEdge(0, "a", 1)
 	g.AddEdge(1, "a", 2)
 	g.AddEdge(2, "b", 3)
-	pairs, err := testEngine.RPQ(context.Background(), g, "a* b")
+	req := Request{Graph: g, Expr: "a* b"}
+	res, err := testEngine.Do(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := []Pair{{I: 0, J: 3}, {I: 1, J: 3}, {I: 2, J: 3}}
-	if !reflect.DeepEqual(pairs, want) {
+	if pairs := res.AllPairs(); !reflect.DeepEqual(pairs, want) {
 		t.Errorf("pairs = %v, want %v", pairs, want)
 	}
 	// Another backend gives the same result.
-	dense, err := NewEngine(Dense).RPQ(context.Background(), g, "a* b")
+	dense, err := NewEngine(Dense).Do(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(dense, want) {
-		t.Errorf("dense pairs = %v, want %v", dense, want)
+	if pairs := dense.AllPairs(); !reflect.DeepEqual(pairs, want) {
+		t.Errorf("dense pairs = %v, want %v", pairs, want)
 	}
-	if _, err := testEngine.RPQ(context.Background(), g, "a* ("); err == nil {
+	if _, err := testEngine.Do(context.Background(), Request{Graph: g, Expr: "a* ("}); err == nil {
 		t.Error("bad expression should error")
 	}
 }
@@ -36,12 +37,12 @@ func TestRPQFacade(t *testing.T) {
 func TestRPQEmptyPathsFacade(t *testing.T) {
 	g := NewGraph(2)
 	g.AddEdge(0, "a", 1)
-	pairs, err := testEngine.RPQ(context.Background(), g, "a*", WithEmptyPaths())
+	res, err := testEngine.Do(context.Background(), Request{Graph: g, Expr: "a*", EmptyPaths: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := []Pair{{I: 0, J: 0}, {I: 0, J: 1}, {I: 1, J: 1}}
-	if !reflect.DeepEqual(pairs, want) {
+	if pairs := res.AllPairs(); !reflect.DeepEqual(pairs, want) {
 		t.Errorf("pairs = %v, want %v", pairs, want)
 	}
 }
@@ -63,10 +64,11 @@ func TestConjunctiveFacade(t *testing.T) {
 	for i, l := range labels {
 		g.AddEdge(i, l, i+1)
 	}
-	pairs, err := testEngine.QueryConjunctive(context.Background(), g, cg, "S")
+	res, err := testEngine.Do(context.Background(), Request{Graph: g, Conjunctive: cg, Nonterminal: "S"})
 	if err != nil {
 		t.Fatal(err)
 	}
+	pairs := res.AllPairs()
 	found := false
 	for _, p := range pairs {
 		if p.I == 0 && p.J == len(labels) {
@@ -81,7 +83,7 @@ func TestConjunctiveFacade(t *testing.T) {
 // TestExtensionsRunTheEngine: conjunctive and single-path evaluation are the
 // engine's closure, so on every backend a traced conjunctive request
 // reports its passes and real Stats (all zero while it ran a loop of its
-// own), and the memory budget — per call or engine-wide — governs both.
+// own), and the engine's memory budget governs both.
 func TestExtensionsRunTheEngine(t *testing.T) {
 	ctx := context.Background()
 	cg, err := ParseConjunctive("S -> A B & D C\nA -> a A | a\nB -> b B c | b c\nC -> c C | c\nD -> a D b | a b")
@@ -110,13 +112,9 @@ func TestExtensionsRunTheEngine(t *testing.T) {
 		}
 
 		var mbe *MemoryBudgetError
-		req.Options = []Option{WithMemoryBudget(16)}
-		if _, err := NewEngine(be).Do(ctx, req); !errors.As(err, &mbe) {
-			t.Errorf("%s: conjunctive Do under 16 bytes: %v, want *MemoryBudgetError", be.Name(), err)
-		}
 		tight := NewEngine(be, WithMemoryBudget(16))
-		if _, err := tight.QueryConjunctive(ctx, g, cg, "S"); !errors.As(err, &mbe) {
-			t.Errorf("%s: QueryConjunctive under an engine budget: %v, want *MemoryBudgetError", be.Name(), err)
+		if _, err := tight.Do(ctx, req); !errors.As(err, &mbe) {
+			t.Errorf("%s: conjunctive Do under a 16-byte engine budget: %v, want *MemoryBudgetError", be.Name(), err)
 		}
 		if _, err := tight.SinglePath(ctx, g, cnf); !errors.As(err, &mbe) {
 			t.Errorf("%s: SinglePath under an engine budget: %v, want *MemoryBudgetError", be.Name(), err)

@@ -21,7 +21,8 @@ type Options struct {
 // Qᵢ → x Qⱼ per transition and Qᵢ → x when Qⱼ accepts. The start
 // non-terminal is Q<Start>. This is the reduction that lets the matrix
 // CFPQ engine answer RPQs; the evaluation itself lives in the public cfpq
-// package (Engine.RPQ), so this package holds no query engine of its own.
+// package (an Expr Request to Engine.Do), so this package holds no query
+// engine of its own.
 func Grammar(r Regex) (*grammar.Grammar, string, *NFA) {
 	nfa := CompileNFA(r)
 	g := grammar.New()

@@ -418,7 +418,7 @@ func TestWarmStartedIndexHonoursMemoryBudget(t *testing.T) {
 		if got := p.Stats().Version; got != version {
 			t.Errorf("%s index: the abandoned handle moved from version %d to %d", name, version, got)
 		}
-		if got := p.Count(ctx, "S"); got != len(want) {
+		if got := p.Stats().Counts["S"]; got != len(want) {
 			t.Errorf("%s index: the abandoned handle counts %d S-pairs, published %d", name, got, len(want))
 		}
 	}
@@ -583,7 +583,7 @@ func TestWarmStartFromLegacyBackendName(t *testing.T) {
 	if len(want) == 0 || !reflect.DeepEqual(got, want) {
 		t.Fatalf("restored slot answers %v to a %s query, %v to a sparse one", got, legacy, want)
 	}
-	if n := p.Count(ctx, "S"); len(got) != n {
+	if n := p.Stats().Counts["S"]; len(got) != n {
 		t.Fatalf("restored slot answers %d pairs, a sparse cold build %d", len(got), n)
 	}
 }
@@ -714,6 +714,50 @@ func TestReplacedGraphGetsNoStaleIndex(t *testing.T) {
 	// x y y y y: no x^k y^k path longer than one pair.
 	if n, err := count(ctx, s2, Target{Graph: "g", Grammar: "q"}, "S"); err != nil || n != 1 {
 		t.Fatalf("restarted service counts %d S-pairs (err %v), want 1", n, err)
+	}
+}
+
+// TestConcurrentRegistrationsAgree races two registrations of each new
+// graph name on a persistent service, a 10-node and a 20-node graph.
+// Installs of one name are serialised, so the order of store writes is the
+// order of registry swaps: after every round the store journals the graph
+// and epoch the registry serves, and neither call fails on the other's
+// staging directory. Run under -race.
+func TestConcurrentRegistrationsAgree(t *testing.T) {
+	s := persistentService(t, t.TempDir())
+	small, large := graph.Chain(10, "a"), graph.Chain(20, "a")
+	for round := range 300 {
+		name := fmt.Sprintf("g%d", round)
+		var wg sync.WaitGroup
+		errs := make([]error, 2)
+		for i, g := range []*graph.Graph{small, large} {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				errs[i] = s.RegisterGraph(name, g, nil)
+			}()
+		}
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				t.Fatalf("round %d: %v", round, err)
+			}
+		}
+		ge, err := s.graphEntry(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ge.mu.RLock()
+		nodes, epoch := ge.g.Nodes(), ge.epoch
+		ge.mu.RUnlock()
+		stored, fold, _, err := s.store.GraphState(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stored.Nodes() != nodes || fold.Epoch != epoch {
+			t.Fatalf("round %d: the store holds %d nodes at epoch %d, the registry serves %d at epoch %d",
+				round, stored.Nodes(), fold.Epoch, nodes, epoch)
+		}
 	}
 }
 

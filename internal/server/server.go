@@ -318,46 +318,77 @@ func (s *Service) installGraph(name string, g *graph.Graph, names []string, seq,
 		return fmt.Errorf("server: nil graph")
 	}
 	ge := &graphEntry{g: g, names: graph.NewNames(g.Nodes(), names), seq: seq, indexed: seq, epoch: epoch}
-	// Hold the replaced entry's write lock across the store replacement
-	// AND the registry swap: a batch applied to the old entry either
+	// Installs of one name are serialised: each holds the write lock of the
+	// entry it replaces — or, for a new name, of ge, published locked —
+	// across the store write AND the registry swap, so the order of store
+	// writes is the order of swaps, and a second installer queues on the
+	// entry as a batch does. A batch applied to the replaced entry either
 	// finishes entirely before this (its WAL record lands in the old log,
 	// removed with it) or re-checks registry identity after we are done and
 	// rejects — no batch can be journaled into the replacement's WAL while
 	// its in-memory mutation lands on the orphaned entry.
-	s.mu.Lock()
-	old := s.graphs[name]
-	s.mu.Unlock()
-	if old != nil {
-		old.mu.Lock()
-	}
+	old := s.lockInstall(name, ge)
+	var err error
 	if s.store != nil {
 		// Persist before installing (write-ahead): a failed snapshot write
 		// leaves neither side registered. Replacing a stored graph drops
 		// its WAL and saved indexes along with the old snapshot.
-		if err := s.store.CreateGraphAt(name, g, names, seq, epoch); err != nil {
-			if old != nil {
-				old.mu.Unlock()
+		if err = s.store.CreateGraphAt(name, g, names, seq, epoch); err == nil {
+			// Mirror the stream epoch (freshly minted when ours was 0) so
+			// followers attached to this node can pin their positions to it.
+			if _, minted, perr := s.store.GraphPos(name); perr == nil {
+				ge.epoch = minted
 			}
-			return err
-		}
-		// Mirror the stream epoch (freshly minted when ours was 0) so
-		// followers attached to this node can pin their positions to it.
-		if _, minted, err := s.store.GraphPos(name); err == nil {
-			ge.epoch = minted
 		}
 	}
+	var dropped []*indexEntry
 	s.mu.Lock()
-	s.graphs[name] = ge
-	dropped := s.removeIndexesLocked(func(k IndexKey) bool { return k.Graph == name })
+	switch {
+	case err == nil && old != nil: // a replacement: the old copy's indexes go with it
+		s.graphs[name] = ge
+		dropped = s.removeIndexesLocked(func(k IndexKey) bool { return k.Graph == name })
+	case err != nil && old == nil: // a new name the store refused: unpublish it
+		delete(s.graphs, name)
+		dropped = s.removeIndexesLocked(func(k IndexKey) bool { return k.Graph == name })
+	}
 	s.mu.Unlock()
+	// Released before markStale: flagging entries takes each
+	// indexEntry.mu, and the documented order is indexEntry.mu →
+	// graphEntry.mu, never the reverse.
+	ge.mu.Unlock()
 	if old != nil {
-		// Released before markStale: flagging entries takes each
-		// indexEntry.mu, and the documented order is indexEntry.mu →
-		// graphEntry.mu, never the reverse.
 		old.mu.Unlock()
 	}
 	markStale(dropped)
-	return nil
+	return err
+}
+
+// lockInstall write-locks ge, waits for the turn of an install of name and
+// returns the entry it replaces, write-locked — or nil, having published
+// ge under the new name, so that a racing installer queues on it. An entry
+// replaced while this waited for its lock is let go, and its successor
+// waited on instead. The caller releases both locks.
+func (s *Service) lockInstall(name string, ge *graphEntry) *graphEntry {
+	ge.mu.Lock() // unpublished: nobody else can hold it
+	for {
+		s.mu.Lock()
+		cur := s.graphs[name]
+		if cur == nil {
+			s.graphs[name] = ge
+		}
+		s.mu.Unlock()
+		if cur == nil {
+			return nil
+		}
+		cur.mu.Lock()
+		s.mu.Lock()
+		current := s.graphs[name] == cur
+		s.mu.Unlock()
+		if current {
+			return cur
+		}
+		cur.mu.Unlock()
+	}
 }
 
 // GraphFormats lists the formats LoadGraph accepts.

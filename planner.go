@@ -21,15 +21,14 @@ import (
 // — then shapes the answer to the requested Output. Result.Explain records
 // the choice; Result.Stats the closure work performed.
 //
-// Do is the one evaluation entry point of the engine: Query, QueryFrom,
-// RPQ, QueryConjunctive and QueryBatch are sugar over it. For repeated
+// Do is the one evaluation entry point of the engine. For repeated
 // requests against one (graph, grammar) pair, Prepare a handle and use
 // Prepared.Do, which answers from the cached index instead.
 //
 // Restriction nodes outside [0, Graph.Nodes()) are an error — evaluating
 // from scratch, a node the graph does not have is a caller mistake, not an
-// empty answer. (Prepared.Do, reading a cached index, mirrors the historic
-// read-method behaviour and ignores them.)
+// empty answer. (Prepared.Do, reading a cached index whose graph may grow
+// under it, ignores them.)
 func (e *Engine) Do(ctx context.Context, req Request) (*Result, error) {
 	if err := req.Validate(); err != nil {
 		return nil, err
@@ -47,10 +46,6 @@ func (e *Engine) Do(ctx context.Context, req Request) (*Result, error) {
 		if t >= n {
 			return nil, reqErr("targets", "node %d out of range [0,%d)", t, n)
 		}
-	}
-	cfg := buildConfig(req.Options)
-	if req.EmptyPaths {
-		cfg.emptyPaths = true
 	}
 
 	// Request.Trace: collect the evaluation's per-pass events through a
@@ -71,7 +66,7 @@ func (e *Engine) Do(ctx context.Context, req Request) (*Result, error) {
 	}
 
 	if req.Conjunctive != nil {
-		return finish(e.doConjunctive(ctx, cfg, req))
+		return finish(e.doConjunctive(ctx, req))
 	}
 
 	gram, start := req.Grammar, req.Nonterminal
@@ -89,10 +84,10 @@ func (e *Engine) Do(ctx context.Context, req Request) (*Result, error) {
 	}
 
 	if req.normOutput() == OutputPaths {
-		return finish(e.doPaths(ctx, cfg, req, gram, start))
+		return finish(e.doPaths(ctx, req, gram, start))
 	}
 
-	pairs, ex, stats, err := e.planRelational(ctx, cfg, req.Graph, gram, start, req.Sources, req.Targets)
+	pairs, ex, stats, err := e.planRelational(ctx, req, gram, start)
 	if err != nil {
 		return nil, err
 	}
@@ -102,18 +97,19 @@ func (e *Engine) Do(ctx context.Context, req Request) (*Result, error) {
 
 // planRelational runs the strategy selection for exists/count/pairs
 // outputs and returns the restricted pair relation, sorted row-major.
-func (e *Engine) planRelational(ctx context.Context, cfg *config, g *Graph, gram *Grammar, start string, sources, targets []int) ([]Pair, Explain, Stats, error) {
-	qopts := core.QueryOptions{IncludeEmptyPaths: cfg.emptyPaths}
+func (e *Engine) planRelational(ctx context.Context, req Request, gram *Grammar, start string) ([]Pair, Explain, Stats, error) {
+	g, sources, targets := req.Graph, req.Sources, req.Targets
+	qopts := core.QueryOptions{IncludeEmptyPaths: req.EmptyPaths}
 	switch {
 	case sources == nil && targets == nil:
-		pairs, stats, err := e.newCore(cfg).QueryContext(ctx, g, gram, start, qopts)
+		pairs, stats, err := e.newCore().QueryContext(ctx, g, gram, start, qopts)
 		return pairs, Explain{
 			Strategy: StrategyFull,
 			Reason:   "no restriction: every pair is wanted, so the full all-pairs closure is the only plan",
 		}, stats, err
 
 	case targets == nil, sources != nil && len(sources) <= len(targets):
-		pairs, fs, err := e.newCore(cfg).QueryFromContext(ctx, g, gram, start, sources, qopts)
+		pairs, fs, err := e.newCore().QueryFromContext(ctx, g, gram, start, sources, qopts)
 		if err != nil {
 			return nil, Explain{}, fs.Stats, err
 		}
@@ -133,7 +129,7 @@ func (e *Engine) planRelational(ctx context.Context, cfg *config, g *Graph, gram
 		}, fs.Stats, nil
 
 	default: // targets restrict; sources are nil or the larger side
-		pairs, fs, err := e.newCore(cfg).QueryFromContext(ctx, graph.Reverse(g), grammar.Reverse(gram), start, targets, qopts)
+		pairs, fs, err := e.newCore().QueryFromContext(ctx, graph.Reverse(g), grammar.Reverse(gram), start, targets, qopts)
 		if err != nil {
 			return nil, Explain{}, fs.Stats, err
 		}
@@ -165,7 +161,7 @@ func (e *Engine) planRelational(ctx context.Context, cfg *config, g *Graph, gram
 
 // doPaths answers an OutputPaths request: witness enumeration reads the
 // full closure index, so the plan is always the full closure.
-func (e *Engine) doPaths(ctx context.Context, cfg *config, req Request, gram *Grammar, start string) (*Result, error) {
+func (e *Engine) doPaths(ctx context.Context, req Request, gram *Grammar, start string) (*Result, error) {
 	if !gram.HasNonterminal(start) {
 		return nil, fmt.Errorf("core: unknown non-terminal %q", start)
 	}
@@ -173,7 +169,7 @@ func (e *Engine) doPaths(ctx context.Context, cfg *config, req Request, gram *Gr
 	if err != nil {
 		return nil, err
 	}
-	ix, stats, err := e.newCore(cfg).RunContext(ctx, req.Graph, cnf)
+	ix, stats, err := e.newCore().RunContext(ctx, req.Graph, cnf)
 	if err != nil {
 		return nil, err
 	}
@@ -209,8 +205,8 @@ func (e *Engine) doPaths(ctx context.Context, cfg *config, req Request, gram *Gr
 // (backend, budget, tracer) runs the one closure with the grammar's
 // intersection rules; there is no restricted variant, so the plan is always
 // the full closure with post-hoc filtering.
-func (e *Engine) doConjunctive(ctx context.Context, cfg *config, req Request) (*Result, error) {
-	ix, stats, err := conjunctive.EvaluateContext(ctx, e.newCore(cfg), req.Graph, req.Conjunctive)
+func (e *Engine) doConjunctive(ctx context.Context, req Request) (*Result, error) {
+	ix, stats, err := conjunctive.EvaluateContext(ctx, e.newCore(), req.Graph, req.Conjunctive)
 	if err != nil {
 		return nil, err
 	}

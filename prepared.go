@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"iter"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -85,14 +84,14 @@ func (p *Prepared) Nodes() int { return p.pin().g.Nodes() }
 // — the cached-read strategy, which performs no closure work at all; the
 // planner's other strategies evaluate from scratch and belong to
 // Engine.Do. The request must not carry its own Graph, Grammar,
-// Conjunctive, Expr, Options or EmptyPaths: the handle is bound to one
-// compiled CFG and serves exactly its closure relation.
+// Conjunctive, Expr or EmptyPaths: the handle is bound to one compiled CFG
+// and serves exactly its closure relation.
 //
 // Unlike Engine.Do (which rejects restriction nodes the graph does not
 // have — a caller mistake when evaluating from scratch), restriction
-// nodes outside the index's node range simply contribute no pairs,
-// mirroring the handle's historic read methods under concurrent graph
-// growth. Unknown non-terminals are an error.
+// nodes outside the index's node range simply contribute no pairs: the
+// graph may grow under concurrent AddEdges. Unknown non-terminals and a
+// cancelled context are errors.
 //
 // The answer is read from the version current when Do pinned it: a
 // concurrent AddEdges neither delays it nor shows through it, and the
@@ -135,9 +134,6 @@ func (p *Prepared) checkRequest(req Request) error {
 	if req.EmptyPaths {
 		return reqErr("empty_paths", "the cached index holds the closure relation only; evaluate ε-decorated queries with Engine.Do")
 	}
-	if len(req.Options) > 0 {
-		return reqErr("options", "per-call evaluation options do not apply to cached-index reads")
-	}
 	return nil
 }
 
@@ -166,7 +162,7 @@ func (p *Prepared) answer(ctx context.Context, v *version, req Request) (*Result
 		// Enumerate one path past the limit so a clipped answer reports
 		// Truncated — the same lookahead the pairs output uses. (Without a
 		// Limit the enumerator's own default cap applies; hitting it is
-		// not reported, matching Paths' documented contract.)
+		// not reported.)
 		opts := AllPathsOptions{MaxLength: req.MaxPathLength, MaxPaths: req.Limit}
 		if req.Limit > 0 {
 			opts.MaxPaths++
@@ -267,120 +263,6 @@ func scan(ix *Index, nt string, sources, targets []int, visit func(i, j int) boo
 	return true
 }
 
-// Has reports whether (i, j) ∈ R_nt. Unknown non-terminals,
-// out-of-range nodes and a cancelled ctx answer false. Sugar for an
-// OutputExists Request.
-func (p *Prepared) Has(ctx context.Context, nt string, i, j int) bool {
-	res, err := p.Do(ctx, Request{
-		Nonterminal: nt, Sources: []int{i}, Targets: []int{j}, Output: OutputExists,
-	})
-	return err == nil && res.Exists
-}
-
-// Count returns |R_nt|. Sugar for an OutputCount Request.
-func (p *Prepared) Count(ctx context.Context, nt string) int {
-	res, err := p.Do(ctx, Request{Nonterminal: nt, Output: OutputCount})
-	if err != nil {
-		return 0
-	}
-	return res.Count
-}
-
-// Counts returns |R_A| for every non-terminal A, keyed by name.
-func (p *Prepared) Counts() map[string]int {
-	p.queries.Add(1)
-	return p.pin().ix.Counts()
-}
-
-// Relation returns R_nt as a sorted pair list. Sugar for an OutputPairs
-// Request; Pairs streams the same materialised snapshot.
-func (p *Prepared) Relation(ctx context.Context, nt string) []Pair {
-	res, err := p.Do(ctx, Request{Nonterminal: nt})
-	if err != nil {
-		return nil
-	}
-	return res.AllPairs()
-}
-
-// Pairs streams R_nt in row-major order. The sequence is a point-in-time
-// snapshot of one version; iteration itself holds no lock, so (unlike
-// earlier versions of this API) methods of this Prepared may be called
-// from inside the loop. Sugar for an OutputPairs Request.
-func (p *Prepared) Pairs(ctx context.Context, nt string) iter.Seq[Pair] {
-	res, err := p.Do(ctx, Request{Nonterminal: nt})
-	if err != nil {
-		return func(func(Pair) bool) {}
-	}
-	return res.Pairs()
-}
-
-// RelationFrom returns the pairs of R_nt whose first component is one of
-// the given source nodes, in row-major order — the cached-index answer to
-// the single-/few-source question Engine.QueryFrom evaluates from scratch.
-// Out-of-range sources contribute nothing. Sugar for a source-restricted
-// OutputPairs Request.
-func (p *Prepared) RelationFrom(ctx context.Context, nt string, sources []int) []Pair {
-	res, err := p.Do(ctx, Request{Nonterminal: nt, Sources: nonNilNodes(sources)})
-	if err != nil {
-		return nil
-	}
-	return res.AllPairs()
-}
-
-// CountFrom returns the number of pairs of R_nt whose first component is
-// one of the given source nodes. Sugar for a source-restricted
-// OutputCount Request.
-func (p *Prepared) CountFrom(ctx context.Context, nt string, sources []int) int {
-	res, err := p.Do(ctx, Request{
-		Nonterminal: nt, Sources: nonNilNodes(sources), Output: OutputCount,
-	})
-	if err != nil {
-		return 0
-	}
-	return res.Count
-}
-
-// PairsFrom streams the pairs of R_nt whose first component is one of the
-// given source nodes, in row-major order — a point-in-time snapshot, like
-// Pairs. Sugar for a source-restricted OutputPairs Request.
-func (p *Prepared) PairsFrom(ctx context.Context, nt string, sources []int) iter.Seq[Pair] {
-	res, err := p.Do(ctx, Request{Nonterminal: nt, Sources: nonNilNodes(sources)})
-	if err != nil {
-		return func(func(Pair) bool) {}
-	}
-	return res.Pairs()
-}
-
-// Paths yields distinct paths witnessing (nt, i, j) in nondecreasing
-// length order, bounded by opts. The bounded enumeration runs up front
-// (path extraction needs a consistent index), so breaking early saves only
-// the consumer's work; keep MaxPaths tight. Sugar for an OutputPaths
-// Request.
-func (p *Prepared) Paths(ctx context.Context, nt string, i, j int, opts AllPathsOptions) iter.Seq[[]Edge] {
-	res, err := p.Do(ctx, Request{
-		Nonterminal: nt, Sources: []int{i}, Targets: []int{j}, Output: OutputPaths,
-		Limit: opts.MaxPaths, MaxPathLength: opts.MaxLength,
-	})
-	if err != nil {
-		return func(func([]Edge) bool) {}
-	}
-	return res.Paths()
-}
-
-// nonNilNodes normalises a restriction list for the sugar methods: they
-// historically treated nil as "no sources" (an empty answer), while a
-// Request reads nil as unrestricted, and they silently ignored negative
-// ids, which a Request rejects.
-func nonNilNodes(nodes []int) []int {
-	out := make([]int, 0, len(nodes))
-	for _, v := range nodes {
-		if v >= 0 {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
 // UpdateInfo reports what one AddEdges call did.
 type UpdateInfo struct {
 	// Added is the number of edges genuinely new to the graph (duplicates
@@ -478,7 +360,7 @@ func (p *Prepared) AddEdges(ctx context.Context, edges ...Edge) (UpdateInfo, err
 	if len(seeds) > 0 {
 		ix := cur.ix.Fork()
 		var delta *Delta
-		info.Stats, delta, err = p.eng.newCore(&config{}).UpdateContext(ctx, ix, seeds...)
+		info.Stats, delta, err = p.eng.newCore().UpdateContext(ctx, ix, seeds...)
 		if err == nil {
 			ix.Detach()
 			next.ix, next.num = ix, cur.num+1

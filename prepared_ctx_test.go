@@ -6,10 +6,11 @@ import (
 	"testing"
 )
 
-// TestPreparedSugarCancellation pins the contract the ctx-first sugar
-// signatures promise: a cancelled context yields the documented zero
-// answers without touching the index, and Do reports the cancellation as
-// a typed error.
+// TestPreparedSugarCancellation pins the cancellation contract of the
+// handle's read surface: under a cancelled context every Request shape —
+// exists, count, pairs, source-restricted pairs and counts, paths — fails
+// with context.Canceled from Do without touching the index, and so does
+// every answer of a QueryBatch.
 func TestPreparedSugarCancellation(t *testing.T) {
 	g := NewGraph(0)
 	g.AddEdge(0, "a", 1)
@@ -19,41 +20,32 @@ func TestPreparedSugarCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 
-	if _, err := p.Do(ctx, Request{Nonterminal: "S"}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Do err = %v, want context.Canceled", err)
+	reqs := []Request{
+		{Nonterminal: "S"},
+		{Nonterminal: "S", Sources: []int{0}, Targets: []int{2}, Output: OutputExists},
+		{Nonterminal: "S", Output: OutputCount},
+		{Nonterminal: "S", Sources: []int{0}},
+		{Nonterminal: "S", Sources: []int{0}, Output: OutputCount},
+		{Nonterminal: "S", Sources: []int{0}, Targets: []int{2}, Output: OutputPaths},
 	}
-	if p.Has(ctx, "S", 0, 2) {
-		t.Error("Has answered true under a cancelled ctx")
+	for _, req := range reqs {
+		if _, err := p.Do(ctx, req); !errors.Is(err, context.Canceled) {
+			t.Errorf("Do(%+v) err = %v, want context.Canceled", req, err)
+		}
 	}
-	if n := p.Count(ctx, "S"); n != 0 {
-		t.Errorf("Count = %d under a cancelled ctx, want 0", n)
-	}
-	if pairs := p.Relation(ctx, "S"); pairs != nil {
-		t.Errorf("Relation = %v under a cancelled ctx, want nil", pairs)
-	}
-	if pairs := p.RelationFrom(ctx, "S", []int{0}); pairs != nil {
-		t.Errorf("RelationFrom = %v under a cancelled ctx, want nil", pairs)
-	}
-	if n := p.CountFrom(ctx, "S", []int{0}); n != 0 {
-		t.Errorf("CountFrom = %d under a cancelled ctx, want 0", n)
-	}
-	for range p.Pairs(ctx, "S") {
-		t.Error("Pairs streamed a pair under a cancelled ctx")
-	}
-	for range p.PairsFrom(ctx, "S", []int{0}) {
-		t.Error("PairsFrom streamed a pair under a cancelled ctx")
-	}
-	for range p.Paths(ctx, "S", 0, 2, AllPathsOptions{}) {
-		t.Error("Paths streamed a path under a cancelled ctx")
+	for i, br := range p.QueryBatch(ctx, reqs) {
+		if br.Result != nil || !errors.Is(br.Err, context.Canceled) {
+			t.Errorf("QueryBatch[%d] = %+v, want context.Canceled", i, br)
+		}
 	}
 
-	// A live ctx still answers: cancellation is the only thing the new
-	// parameter changes.
+	// A live ctx still answers: cancellation is the only thing the
+	// context changes.
 	live := context.Background()
-	if !p.Has(live, "S", 0, 2) {
-		t.Error("Has(live) = false, want true")
+	if res, err := p.Do(live, reqs[1]); err != nil || !res.Exists {
+		t.Errorf("exists(live) = %+v, %v, want true", res, err)
 	}
-	if n := p.Count(live, "S"); n != 1 {
-		t.Errorf("Count(live) = %d, want 1", n)
+	if res, err := p.Do(live, reqs[2]); err != nil || res.Count != 1 {
+		t.Errorf("count(live) = %+v, %v, want 1", res, err)
 	}
 }

@@ -20,6 +20,36 @@ func mustPrepare(t *testing.T, eng *Engine, g *Graph, text string) *Prepared {
 	return p
 }
 
+// read answers req from p. An error is reported with t.Error — so read is
+// safe off the test goroutine — and answered with an empty Result.
+func read(t testing.TB, p *Prepared, req Request) *Result {
+	t.Helper()
+	res, err := p.Do(context.Background(), req)
+	if err != nil {
+		t.Errorf("Do(%+v): %v", req, err)
+		return &Result{}
+	}
+	return res
+}
+
+// relationOf reads R_nt from p: an unrestricted OutputPairs request.
+func relationOf(t testing.TB, p *Prepared, nt string) []Pair {
+	t.Helper()
+	return read(t, p, Request{Nonterminal: nt}).AllPairs()
+}
+
+// hasPair reads whether (i, j) ∈ R_nt from p: a one-pair OutputExists request.
+func hasPair(t testing.TB, p *Prepared, nt string, i, j int) bool {
+	t.Helper()
+	return read(t, p, Request{Nonterminal: nt, Sources: []int{i}, Targets: []int{j}, Output: OutputExists}).Exists
+}
+
+// countOf reads |R_nt| from p: an unrestricted OutputCount request.
+func countOf(t testing.TB, p *Prepared, nt string) int {
+	t.Helper()
+	return read(t, p, Request{Nonterminal: nt, Output: OutputCount}).Count
+}
+
 func TestPreparedBasics(t *testing.T) {
 	g := NewGraph(0)
 	g.AddEdge(0, "a", 1)
@@ -28,39 +58,41 @@ func TestPreparedBasics(t *testing.T) {
 	g.AddEdge(3, "b", 4)
 	p := mustPrepare(t, NewEngine(Sparse), g, "S -> a S b | a b")
 
-	if !p.Has(context.Background(), "S", 1, 3) || !p.Has(context.Background(), "S", 0, 4) {
+	if !hasPair(t, p, "S", 1, 3) || !hasPair(t, p, "S", 0, 4) {
 		t.Error("expected pairs missing")
 	}
-	if p.Has(context.Background(), "S", 0, 1) || p.Has(context.Background(), "S", -1, 0) || p.Has(context.Background(), "S", 0, 99) || p.Has(context.Background(), "Nope", 0, 1) {
+	if hasPair(t, p, "S", 0, 1) || hasPair(t, p, "S", 0, 99) {
 		t.Error("unexpected pair answered true")
 	}
-	if n := p.Count(context.Background(), "S"); n != 2 {
-		t.Errorf("Count = %d, want 2", n)
+	if n := countOf(t, p, "S"); n != 2 {
+		t.Errorf("count = %d, want 2", n)
 	}
-	if c := p.Counts(); c["S"] != 2 {
-		t.Errorf("Counts = %v", c)
+	if c := p.Stats().Counts; c["S"] != 2 {
+		t.Errorf("Stats().Counts = %v", c)
 	}
 	want := []Pair{{I: 0, J: 4}, {I: 1, J: 3}}
-	if rel := p.Relation(context.Background(), "S"); !reflect.DeepEqual(rel, want) {
-		t.Errorf("Relation = %v, want %v", rel, want)
+	if rel := relationOf(t, p, "S"); !reflect.DeepEqual(rel, want) {
+		t.Errorf("relation = %v, want %v", rel, want)
 	}
 
 	// Streaming agrees with the materialised relation, and early break
-	// releases the lock (the follow-up Count would deadlock otherwise).
+	// holds nothing (the follow-up read would deadlock otherwise).
+	res := read(t, p, Request{Nonterminal: "S"})
 	var streamed []Pair
-	for pr := range p.Pairs(context.Background(), "S") {
+	for pr := range res.Pairs() {
 		streamed = append(streamed, pr)
 	}
 	if !reflect.DeepEqual(streamed, want) {
 		t.Errorf("Pairs = %v, want %v", streamed, want)
 	}
-	for range p.Pairs(context.Background(), "S") {
+	for range res.Pairs() {
 		break
 	}
-	_ = p.Count(context.Background(), "S")
+	_ = countOf(t, p, "S")
 
 	var paths [][]Edge
-	for path := range p.Paths(context.Background(), "S", 1, 3, AllPathsOptions{MaxPaths: 4}) {
+	res = read(t, p, Request{Nonterminal: "S", Sources: []int{1}, Targets: []int{3}, Output: OutputPaths, Limit: 4})
+	for path := range res.Paths() {
 		paths = append(paths, path)
 	}
 	if len(paths) != 1 || len(paths[0]) != 2 {
@@ -111,7 +143,7 @@ func TestPreparedPatchAgreesWithColdRebuild(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := p.Relation(context.Background(), "S"), cold.Relation("S"); !reflect.DeepEqual(got, want) {
+		if got, want := relationOf(t, p, "S"), cold.Relation("S"); !reflect.DeepEqual(got, want) {
 			t.Fatalf("batch %d: patched relation %v != cold rebuild %v", bi, got, want)
 		}
 	}
@@ -160,14 +192,14 @@ func TestPreparedConcurrentQueriesRaceUpdates(t *testing.T) {
 			for i := 0; i < 50; i++ {
 				switch i % 4 {
 				case 0:
-					p.Has(context.Background(), "S", 0, 2*k)
+					hasPair(t, p, "S", 0, 2*k)
 				case 1:
-					p.Count(context.Background(), "S")
+					countOf(t, p, "S")
 				case 2:
-					for range p.Pairs(context.Background(), "S") {
+					for range read(t, p, Request{Nonterminal: "S"}).Pairs() {
 					}
 				case 3:
-					p.Counts()
+					p.Stats()
 				}
 			}
 		}(r)
@@ -188,10 +220,10 @@ func TestPreparedConcurrentQueriesRaceUpdates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := p.Count(context.Background(), "S"), cold.Count("S"); got != want {
-		t.Fatalf("post-race Count = %d, cold rebuild = %d", got, want)
+	if got, want := countOf(t, p, "S"), cold.Count("S"); got != want {
+		t.Fatalf("post-race count = %d, cold rebuild = %d", got, want)
 	}
-	if !reflect.DeepEqual(p.Relation(context.Background(), "S"), cold.Relation("S")) {
+	if !reflect.DeepEqual(relationOf(t, p, "S"), cold.Relation("S")) {
 		t.Fatal("post-race relation disagrees with cold rebuild")
 	}
 }
@@ -249,11 +281,11 @@ func TestPreparedReadersBesideColumnIndexWrites(t *testing.T) {
 				}
 				switch (i + r) % 5 {
 				case 0:
-					p.Has(context.Background(), "S", n-1-depth-1, n)
+					hasPair(t, p, "S", n-1-depth-1, n)
 				case 1:
-					p.Count(context.Background(), "S")
+					countOf(t, p, "S")
 				case 2:
-					for range p.Pairs(context.Background(), "S") {
+					for range read(t, p, Request{Nonterminal: "S"}).Pairs() {
 					}
 				case 3:
 					p.Stats()
@@ -279,10 +311,10 @@ func TestPreparedReadersBesideColumnIndexWrites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := p.Count(context.Background(), "S"), cold.Count("S"); got != want || got <= depth {
+	if got, want := countOf(t, p, "S"), cold.Count("S"); got != want || got <= depth {
 		t.Fatalf("after the race the handle counts %d S-pairs, a cold closure %d (the chain alone has %d)", got, want, depth)
 	}
-	if !reflect.DeepEqual(p.Relation(context.Background(), "S"), cold.Relation("S")) {
+	if !reflect.DeepEqual(relationOf(t, p, "S"), cold.Relation("S")) {
 		t.Fatal("after the race the handle's relation differs from a cold closure")
 	}
 }
@@ -317,8 +349,8 @@ func TestPreparedCancelledPatchRepairs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(p.Relation(context.Background(), "S"), cold.Relation("S")) {
-		t.Fatalf("repaired relation %v != cold rebuild %v", p.Relation(context.Background(), "S"), cold.Relation("S"))
+	if got := relationOf(t, p, "S"); !reflect.DeepEqual(got, cold.Relation("S")) {
+		t.Fatalf("repaired relation %v != cold rebuild %v", got, cold.Relation("S"))
 	}
 }
 
@@ -346,7 +378,7 @@ func TestPrepareFromIndexWarmStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(warm.Relation(context.Background(), "S"), cold.Relation(context.Background(), "S")) {
+	if !reflect.DeepEqual(relationOf(t, warm, "S"), relationOf(t, cold, "S")) {
 		t.Error("warm handle answers differ from cold")
 	}
 	if st := warm.Stats(); st.Build.Products != 0 || st.Build.Iterations != 0 {
@@ -357,7 +389,7 @@ func TestPrepareFromIndexWarmStart(t *testing.T) {
 	if _, err := warm.AddEdges(ctx, Edge{From: 3, Label: "b", To: 4}); err != nil {
 		t.Fatal(err)
 	}
-	if !warm.Has(context.Background(), "S", 0, 4) {
+	if !hasPair(t, warm, "S", 0, 4) {
 		t.Error("warm handle missed incremental consequence")
 	}
 	// CNF identity is enforced.
@@ -401,7 +433,7 @@ func TestPreparedNeverWritesItsGraph(t *testing.T) {
 			p, err = eng.PrepareCNF(ctx, g, cnf)
 		} else {
 			var ix *Index
-			if ix, _, err = eng.newCore(&config{}).RunContext(ctx, g, cnf); err == nil {
+			if ix, _, err = eng.newCore().RunContext(ctx, g, cnf); err == nil {
 				p, err = eng.PrepareFromIndex(g, cnf, ix)
 			}
 		}
@@ -427,7 +459,7 @@ func TestPreparedNeverWritesItsGraph(t *testing.T) {
 			if _, err := p.AddEdges(ctx, ed); err != nil {
 				t.Fatal(err)
 			}
-			p.Count(ctx, "S")
+			countOf(t, p, "S")
 		}
 		wg.Wait()
 
@@ -451,7 +483,7 @@ func TestPreparedNeverWritesItsGraph(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := p.Count(ctx, "S"), fresh.Count(ctx, "S"); got != want {
+		if got, want := countOf(t, p, "S"), countOf(t, fresh, "S"); got != want {
 			t.Errorf("%s: the handle counts %d S-pairs, a cold build of its graph %d", via, got, want)
 		}
 	}

@@ -1,9 +1,10 @@
 package cfpq_test
 
 // Property test for the source-restricted evaluation at the public API:
-// on random grammars and random graphs, for every backend,
-// Engine.QueryFrom(sources) must equal Engine.Query filtered to pairs
-// leaving the sources — with and without empty-path inclusion.
+// on random grammars and random graphs, for every backend, a
+// source-restricted Engine.Do must equal the unrestricted Engine.Do
+// filtered to pairs leaving the sources — with and without empty-path
+// inclusion.
 
 import (
 	"context"
@@ -45,21 +46,20 @@ func TestQueryFromEqualsFilteredQueryProperty(t *testing.T) {
 			}
 
 			for _, empty := range []bool{false, true} {
-				var opts []cfpq.Option
-				if empty {
-					opts = append(opts, cfpq.WithEmptyPaths())
-				}
-				full, errFull := eng.Query(ctx, g, gram, start, opts...)
-				got, errFrom := eng.QueryFrom(ctx, g, gram, start, sources, opts...)
+				req := cfpq.Request{Graph: g, Grammar: gram, Nonterminal: start, EmptyPaths: empty}
+				full, errFull := eng.Do(ctx, req)
+				req.Sources = sources
+				from, errFrom := eng.Do(ctx, req)
 				if (errFull == nil) != (errFrom == nil) {
-					t.Fatalf("%s trial %d empty=%v: error mismatch: Query=%v QueryFrom=%v",
+					t.Fatalf("%s trial %d empty=%v: error mismatch: unrestricted=%v sources=%v",
 						be, trial, empty, errFull, errFrom)
 				}
 				if errFull != nil {
 					continue // e.g. a grammar the CNF conversion rejects
 				}
+				got := from.AllPairs()
 				var want []cfpq.Pair
-				for _, p := range full {
+				for _, p := range full.AllPairs() {
 					if inSrc[p.I] {
 						want = append(want, p)
 					}

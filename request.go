@@ -14,17 +14,21 @@ import "fmt"
 //
 // The plain-data fields carry JSON tags, so a Request round-trips through
 // encoding/json — the wire shape cfpqd's POST /v1/query speaks (with node
-// names in place of ids). Graph, Grammar, Conjunctive and Options are
-// call-site bindings and are never serialised.
+// names in place of ids). Graph, Grammar and Conjunctive are call-site
+// bindings and are never serialised.
 type Request struct {
 	// Nonterminal queries the relation R_Nonterminal of a context-free
 	// grammar — Grammar for Engine.Do, the bound grammar for Prepared.Do,
 	// or Conjunctive when that is set. Exactly one of Nonterminal and Expr
 	// must be set.
 	Nonterminal string `json:"nonterminal,omitempty"`
-	// Expr queries a regular path query expression (see Engine.RPQ for the
-	// syntax); it is compiled to a right-linear grammar and planned like
-	// any other CFG query, so restrictions apply to it too.
+	// Expr queries a regular path query expression — the syntax is
+	//
+	//	subClassOf_r* type (a | b)+ c?
+	//
+	// — by compiling the expression to an NFA, the NFA to a right-linear
+	// grammar, and planning that grammar like any other CFG query, so
+	// restrictions apply to it too.
 	Expr string `json:"expr,omitempty"`
 
 	// Grammar is the context-free grammar a Nonterminal request evaluates
@@ -72,10 +76,6 @@ type Request struct {
 	// table. Collection costs allocations proportional to passes ×
 	// non-terminals; leave it off on hot paths.
 	Trace bool `json:"trace,omitempty"`
-
-	// Options are per-call evaluation options (empty paths, memory
-	// budget) applied by Engine.Do.
-	Options []Option `json:"-"`
 }
 
 // Output selects what a Request computes.

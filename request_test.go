@@ -2,7 +2,7 @@ package cfpq_test
 
 // Tests of the declarative Request → planner → Result surface: the
 // target-restricted property (Do with Targets equals the target-filtered
-// full Query — the mirror of queryfrom_test.go), the pair-restriction
+// unrestricted Do — the mirror of queryfrom_test.go), the pair-restriction
 // property, Explain strategy pins for every plan, output shaping, and
 // request validation.
 
@@ -20,9 +20,9 @@ import (
 
 // TestQueryToEqualsFilteredQueryProperty is the target-side mirror of
 // TestQueryFromEqualsFilteredQueryProperty: on random grammars and random
-// graphs, for every backend, a target-restricted Do must equal the full
-// Query filtered to pairs entering the targets — with and without
-// empty-path inclusion.
+// graphs, for every backend, a target-restricted Do must equal the
+// unrestricted Do filtered to pairs entering the targets — with and
+// without empty-path inclusion.
 func TestQueryToEqualsFilteredQueryProperty(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(43))
@@ -52,21 +52,20 @@ func TestQueryToEqualsFilteredQueryProperty(t *testing.T) {
 			}
 
 			for _, empty := range []bool{false, true} {
-				var opts []cfpq.Option
-				if empty {
-					opts = append(opts, cfpq.WithEmptyPaths())
-				}
-				full, errFull := eng.Query(ctx, g, gram, start, opts...)
-				got, errTo := eng.QueryTo(ctx, g, gram, start, targets, opts...)
+				req := cfpq.Request{Graph: g, Grammar: gram, Nonterminal: start, EmptyPaths: empty}
+				full, errFull := eng.Do(ctx, req)
+				req.Targets = targets
+				to, errTo := eng.Do(ctx, req)
 				if (errFull == nil) != (errTo == nil) {
-					t.Fatalf("%s trial %d empty=%v: error mismatch: Query=%v QueryTo=%v",
+					t.Fatalf("%s trial %d empty=%v: error mismatch: unrestricted=%v targets=%v",
 						be, trial, empty, errFull, errTo)
 				}
 				if errFull != nil {
 					continue // e.g. a grammar the CNF conversion rejects
 				}
+				got := to.AllPairs()
 				var want []cfpq.Pair
-				for _, p := range full {
+				for _, p := range full.AllPairs() {
 					if inTgt[p.J] {
 						want = append(want, p)
 					}
@@ -82,7 +81,7 @@ func TestQueryToEqualsFilteredQueryProperty(t *testing.T) {
 
 // TestPairRestrictedDoEqualsFilteredQueryProperty checks the both-sides
 // restriction (the planner picks the smaller frontier seed and filters the
-// other side) against the doubly filtered full Query.
+// other side) against the doubly filtered unrestricted Do.
 func TestPairRestrictedDoEqualsFilteredQueryProperty(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(44))
@@ -112,19 +111,19 @@ func TestPairRestrictedDoEqualsFilteredQueryProperty(t *testing.T) {
 			inTgt[v] = true
 		}
 
-		full, errFull := eng.Query(ctx, g, gram, start)
+		full, errFull := eng.Do(ctx, cfpq.Request{Graph: g, Grammar: gram, Nonterminal: start})
 		res, errDo := eng.Do(ctx, cfpq.Request{
 			Graph: g, Grammar: gram, Nonterminal: start,
 			Sources: sources, Targets: targets,
 		})
 		if (errFull == nil) != (errDo == nil) {
-			t.Fatalf("trial %d: error mismatch: Query=%v Do=%v", trial, errFull, errDo)
+			t.Fatalf("trial %d: error mismatch: unrestricted=%v restricted=%v", trial, errFull, errDo)
 		}
 		if errFull != nil {
 			continue
 		}
 		var want []cfpq.Pair
-		for _, p := range full {
+		for _, p := range full.AllPairs() {
 			if inSrc[p.I] && inTgt[p.J] {
 				want = append(want, p)
 			}
@@ -303,7 +302,7 @@ func TestDoRPQAndConjunctive(t *testing.T) {
 	g.AddEdge(1, "a", 2)
 	g.AddEdge(2, "a", 3)
 
-	full, err := eng.RPQ(ctx, g, "a+")
+	full, err := eng.Do(ctx, cfpq.Request{Graph: g, Expr: "a+"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +314,7 @@ func TestDoRPQAndConjunctive(t *testing.T) {
 		t.Errorf("restricted RPQ: strategy %q, want target-frontier", res.Explain.Strategy)
 	}
 	var want []cfpq.Pair
-	for _, p := range full {
+	for _, p := range full.AllPairs() {
 		if p.J == 3 {
 			want = append(want, p)
 		}
@@ -376,11 +375,10 @@ func TestRequestValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	badPrepared := []cfpq.Request{
-		{Graph: cfpq.NewGraph(1), Nonterminal: "S"},                       // own graph
-		{Grammar: gram, Nonterminal: "S"},                                 // own grammar
-		{Expr: "a"},                                                       // RPQ on a handle
-		{Nonterminal: "S", EmptyPaths: true},                              // ε-decoration on a cached index
-		{Nonterminal: "S", Options: []cfpq.Option{cfpq.WithEmptyPaths()}}, // per-call options
+		{Graph: cfpq.NewGraph(1), Nonterminal: "S"}, // own graph
+		{Grammar: gram, Nonterminal: "S"},           // own grammar
+		{Expr: "a"},                                 // RPQ on a handle
+		{Nonterminal: "S", EmptyPaths: true},        // ε-decoration on a cached index
 	}
 	for i, req := range badPrepared {
 		if _, err := prep.Do(ctx, req); err == nil {

@@ -12,22 +12,22 @@ import (
 
 // These tests moved here from internal/rpq when RPQ evaluation was folded
 // into the public Engine (the reduction lives in internal/rpq; evaluating
-// the reduced grammar is Engine.RPQ). The BFS product-graph oracle stays
-// in internal/rpq.
+// the reduced grammar is an Expr Request to Engine.Do). The BFS
+// product-graph oracle stays in internal/rpq.
 
-func rpqEval(t *testing.T, g *Graph, expr string, opts ...Option) []Pair {
+func rpqEval(t *testing.T, g *Graph, expr string, emptyPaths bool) []Pair {
 	t.Helper()
-	pairs, err := NewEngine(Sparse).RPQ(context.Background(), g, expr, opts...)
+	res, err := NewEngine(Sparse).Do(context.Background(), Request{Graph: g, Expr: expr, EmptyPaths: emptyPaths})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return pairs
+	return res.AllPairs()
 }
 
 func TestRPQChain(t *testing.T) {
 	g := graph.Chain(5, "a") // 0→1→2→3→4
 	want := []Pair{{I: 0, J: 2}, {I: 1, J: 3}, {I: 2, J: 4}}
-	if pairs := rpqEval(t, g, "a a"); !reflect.DeepEqual(pairs, want) {
+	if pairs := rpqEval(t, g, "a a", false); !reflect.DeepEqual(pairs, want) {
 		t.Errorf("pairs = %v, want %v", pairs, want)
 	}
 }
@@ -40,10 +40,10 @@ func TestRPQStar(t *testing.T) {
 		{I: 1, J: 2}, {I: 1, J: 3},
 		{I: 2, J: 3},
 	}
-	if pairs := rpqEval(t, g, "a*"); !reflect.DeepEqual(pairs, want) {
+	if pairs := rpqEval(t, g, "a*", false); !reflect.DeepEqual(pairs, want) {
 		t.Errorf("pairs = %v, want %v", pairs, want)
 	}
-	if withEmpty := rpqEval(t, g, "a*", WithEmptyPaths()); len(withEmpty) != len(want)+4 {
+	if withEmpty := rpqEval(t, g, "a*", true); len(withEmpty) != len(want)+4 {
 		t.Errorf("with empty paths: %v", withEmpty)
 	}
 }
@@ -51,12 +51,12 @@ func TestRPQStar(t *testing.T) {
 func TestRPQEmptyLanguageAndEpsilonOnly(t *testing.T) {
 	g := graph.Chain(3, "a")
 	// `b` never matches on an a-chain.
-	if pairs := rpqEval(t, g, "b"); pairs != nil {
+	if pairs := rpqEval(t, g, "b", false); pairs != nil {
 		t.Errorf("pairs = %v, want nil", pairs)
 	}
 	// `b?` matches only ε here.
 	want := []Pair{{I: 0, J: 0}, {I: 1, J: 1}, {I: 2, J: 2}}
-	if pairs := rpqEval(t, g, "b?", WithEmptyPaths()); !reflect.DeepEqual(pairs, want) {
+	if pairs := rpqEval(t, g, "b?", true); !reflect.DeepEqual(pairs, want) {
 		t.Errorf("pairs = %v, want %v", pairs, want)
 	}
 }
@@ -65,13 +65,13 @@ func TestRPQOnCycle(t *testing.T) {
 	g := graph.Cycle(3, "a")
 	// Three a-steps on a 3-cycle return to the start: exactly (v, v).
 	want := []Pair{{I: 0, J: 0}, {I: 1, J: 1}, {I: 2, J: 2}}
-	if pairs := rpqEval(t, g, "a a a"); !reflect.DeepEqual(pairs, want) {
+	if pairs := rpqEval(t, g, "a a a", false); !reflect.DeepEqual(pairs, want) {
 		t.Errorf("pairs = %v, want %v", pairs, want)
 	}
 }
 
 // TestRPQReductionAgainstBFS is the headline property: the CFPQ reduction
-// (Engine.RPQ) and the product-graph BFS must agree on random graphs and a
+// (an Expr Request to Engine.Do) and the product-graph BFS must agree on random graphs and a
 // spread of expressions, with and without empty paths, on every backend.
 func TestRPQReductionAgainstBFS(t *testing.T) {
 	exprs := []string{
@@ -90,15 +90,11 @@ func TestRPQReductionAgainstBFS(t *testing.T) {
 			for _, includeEmpty := range []bool{false, true} {
 				want := rpq.EvaluateBFS(g, r, rpq.Options{IncludeEmptyPaths: includeEmpty})
 				for _, be := range Backends() {
-					var opts []Option
-					if includeEmpty {
-						opts = append(opts, WithEmptyPaths())
-					}
-					got, err := NewEngine(be).RPQ(ctx, g, expr, opts...)
+					res, err := NewEngine(be).Do(ctx, Request{Graph: g, Expr: expr, EmptyPaths: includeEmpty})
 					if err != nil {
 						t.Fatal(err)
 					}
-					if !reflect.DeepEqual(got, want) {
+					if got := res.AllPairs(); !reflect.DeepEqual(got, want) {
 						t.Fatalf("trial %d expr %q empty=%v backend %s:\ncfpq %v\nbfs  %v",
 							trial, expr, includeEmpty, be.Name(), got, want)
 					}

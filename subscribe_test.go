@@ -117,7 +117,7 @@ func TestSubscribeDeltaMatchesDiffProperty(t *testing.T) {
 				}
 				defer s.Close()
 				subs[nt] = s
-				before[nt] = p.Relation(context.Background(), nt)
+				before[nt] = relationOf(t, p, nt)
 			}
 
 			lastSeq := uint64(0)
@@ -134,7 +134,7 @@ func TestSubscribeDeltaMatchesDiffProperty(t *testing.T) {
 					t.Fatalf("%s trial %d: AddEdges: %v", be, trial, err)
 				}
 				for nt, s := range subs {
-					after := p.Relation(context.Background(), nt)
+					after := relationOf(t, p, nt)
 					want := diffPairs(before[nt], after)
 					before[nt] = after
 
@@ -264,7 +264,12 @@ func interruptedPatchExactlyOnce(t *testing.T, eng *cfpq.Engine, patchCtx contex
 		Exists         bool
 	}
 	ask := func() answers {
-		return answers{p.Relation(ctx, "S"), p.RelationFrom(ctx, "S", []int{0, 5}), p.Counts(), p.Has(ctx, "S", 0, 12)}
+		return answers{
+			relationOf(t, p, "S"),
+			read(t, p, cfpq.Request{Nonterminal: "S", Sources: []int{0, 5}}).AllPairs(),
+			p.Stats().Counts,
+			read(t, p, cfpq.Request{Nonterminal: "S", Sources: []int{0}, Targets: []int{12}, Output: cfpq.OutputExists}).Exists,
+		}
 	}
 	before := ask()
 	abandoned := func(step string, info cfpq.UpdateInfo, err error) {
@@ -310,7 +315,7 @@ func interruptedPatchExactlyOnce(t *testing.T, eng *cfpq.Engine, patchCtx contex
 	if err != nil {
 		t.Fatal(err)
 	}
-	if after := p.Relation(ctx, "S"); !reflect.DeepEqual(after, cold.Relation("S")) {
+	if after := relationOf(t, p, "S"); !reflect.DeepEqual(after, cold.Relation("S")) {
 		t.Fatalf("retried handle answers %v, cold closure %v", after, cold.Relation("S"))
 	}
 	want := diffPairs(before.Relation, cold.Relation("S"))
@@ -568,7 +573,7 @@ func TestSubscribeTeardown(t *testing.T) {
 	if _, err := p.AddEdges(context.Background(), cfpq.Edge{From: 1, Label: "a", To: 2}); err != nil {
 		t.Fatal(err)
 	}
-	if !p.Has(context.Background(), "S", 0, 2) {
+	if !read(t, p, cfpq.Request{Nonterminal: "S", Sources: []int{0}, Targets: []int{2}, Output: cfpq.OutputExists}).Exists {
 		t.Fatal("closed handle stopped answering")
 	}
 }
@@ -654,7 +659,7 @@ func TestSubscribeRaceUpdates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := p.Relation(context.Background(), "S")
+	before := relationOf(t, p, "S")
 	sub, err := p.Subscribe(ctx, cfpq.Request{Nonterminal: "S"})
 	if err != nil {
 		t.Fatal(err)
@@ -711,7 +716,7 @@ func TestSubscribeRaceUpdates(t *testing.T) {
 		defer writers.Done()
 		<-start
 		for i := 0; i < 20; i++ {
-			p.Count(context.Background(), "S")
+			countOf(t, p, "S")
 			if err := p.WriteIndex(io.Discard); err != nil {
 				errs <- fmt.Errorf("WriteIndex: %w", err)
 				return
@@ -736,7 +741,7 @@ func TestSubscribeRaceUpdates(t *testing.T) {
 	if d := sub.Dropped(); d != 0 {
 		t.Fatalf("audited consumer dropped %d batches", d)
 	}
-	want := diffPairs(before, p.Relation(context.Background(), "S"))
+	want := diffPairs(before, relationOf(t, p, "S"))
 	mu.Lock()
 	defer mu.Unlock()
 	if !equalSets(received, want) {

@@ -291,7 +291,11 @@ func runVersionsModel(t *testing.T, seed int64) {
 					// writer extending it: every witness must be a real
 					// i→j walk over edges the script adds at some point.
 					dst := (src + i/4) % nodes
-					for path := range p.Paths(ctx, "S", src, dst, cfpq.AllPathsOptions{MaxPaths: 3, MaxLength: 6}) {
+					paths := read(t, p, cfpq.Request{
+						Nonterminal: "S", Sources: []int{src}, Targets: []int{dst},
+						Output: cfpq.OutputPaths, Limit: 3, MaxPathLength: 6,
+					})
+					for path := range paths.Paths() {
 						at := src
 						for _, e := range path {
 							if e.From != at || !oracle.HasEdge(e.From, e.Label, e.To) {
@@ -307,13 +311,13 @@ func runVersionsModel(t *testing.T, seed int64) {
 					}
 					continue
 				case 0:
-					all := p.Relation(ctx, "S")
+					all := relationOf(t, p, "S")
 					answers = func(v int) bool { return same(all, rel[v]) }
 				case 1:
-					row := p.RelationFrom(ctx, "S", []int{src})
+					row := read(t, p, cfpq.Request{Nonterminal: "S", Sources: []int{src}}).AllPairs()
 					answers = func(v int) bool { return same(row, from(rel[v], src)) }
 				case 2:
-					count := p.Count(ctx, "S")
+					count := countOf(t, p, "S")
 					answers = func(v int) bool { return count == len(rel[v]) }
 				}
 				if hi := int(sent.Load()); !someVersion(lo, hi, answers) {
@@ -366,7 +370,7 @@ func runVersionsModel(t *testing.T, seed int64) {
 			joined <- nil
 			return
 		}
-		view.seed = p.Relation(ctx, "S")
+		view.seed = relationOf(t, p, "S")
 		joined <- view
 	}
 
@@ -391,7 +395,7 @@ func runVersionsModel(t *testing.T, seed int64) {
 	wg.Wait()
 	view := <-joined
 
-	if got := p.Relation(ctx, "S"); !same(got, final) {
+	if got := relationOf(t, p, "S"); !same(got, final) {
 		t.Fatalf("seed %d: final relation %v, Hellings %v", seed, got, final)
 	}
 	if st := p.Stats(); st.Version != published || st.Updates != steps {
