@@ -162,6 +162,6 @@ func run(w io.Writer) error {
 		return err
 	}
 	fmt.Fprintf(w, "After restart, Has(app -> vuln) = %v (name table intact: node %d = %q)\n",
-		has.Exists, id["vuln"], fold.Names[id["vuln"]])
+		has.Exists, id["vuln"], fold.Names.Name(id["vuln"]))
 	return nil
 }

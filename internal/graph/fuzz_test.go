@@ -55,18 +55,27 @@ func FuzzParseNTriples(f *testing.F) {
 	})
 }
 
+// edgeListSeeds seed FuzzParseEdgeList and TestLoadEdgeListMatchesOracle.
+var edgeListSeeds = []string{
+	"a knows b\nb knows c\n",
+	"# comment\n\nx\ty\tz\n",
+	"1 p 2\n2 p 1\n",
+	"too many fields here now",
+}
+
 // FuzzParseEdgeList feeds arbitrary text to the edge-list loader: it must
-// never panic, and accepted input must round-trip through WriteEdgeList —
-// the rendered form of the reloaded graph must be byte-identical to the
-// rendered form of the first load (node names are whitespace-free by
-// construction, so the written file is always re-readable).
+// never panic, it must agree with loadEdgeListOracle, and accepted input
+// must round-trip through WriteEdgeList — the rendered form of the
+// reloaded graph must be byte-identical to the rendered form of the first
+// load (node names are whitespace-free by construction, so the written
+// file is always re-readable).
 func FuzzParseEdgeList(f *testing.F) {
-	f.Add("a knows b\nb knows c\n")
-	f.Add("# comment\n\nx\ty\tz\n")
-	f.Add("1 p 2\n2 p 1\n")
-	f.Add("too many fields here now")
+	for _, seed := range edgeListSeeds {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, input string) {
 		g, ids, err := LoadEdgeList(strings.NewReader(input)) // must not panic
+		agreeWithOracle(t, input, g, ids, err)
 		if err != nil {
 			return
 		}

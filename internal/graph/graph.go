@@ -7,6 +7,7 @@ package graph
 import (
 	"fmt"
 	"maps"
+	"slices"
 	"sort"
 )
 
@@ -32,6 +33,18 @@ func New(n int) *Graph {
 		panic("graph: negative node count")
 	}
 	return &Graph{n: n, byLabel: map[string][]Edge{}}
+}
+
+// FromLabelLists returns an n-node graph that adopts lists, without a
+// copy, as its per-label edge lists. Each list is non-empty, its edges
+// carry one label, no two lists share it, and endpoints lie in [0, n).
+func FromLabelLists(n int, lists [][]Edge) *Graph {
+	g := New(n)
+	for _, es := range lists {
+		g.byLabel[es[0].Label] = es
+		g.edges += len(es)
+	}
+	return g
 }
 
 // Nodes returns the number of nodes.
@@ -113,14 +126,11 @@ func (g *Graph) OutEdges(v int) []Edge {
 
 // Clone returns a deep copy.
 func (g *Graph) Clone() *Graph {
-	out := New(g.n)
-	for l, es := range g.byLabel {
-		cp := make([]Edge, len(es))
-		copy(cp, es)
-		out.byLabel[l] = cp
-		out.edges += len(es)
+	lists := make([][]Edge, 0, len(g.byLabel))
+	for _, es := range g.byLabel {
+		lists = append(lists, slices.Clone(es))
 	}
-	return out
+	return FromLabelLists(g.n, lists)
 }
 
 // Fork returns a graph with g's nodes and edges that may be extended while

@@ -15,7 +15,7 @@ import (
 //
 // The table covers node ids [0, len(ByID())), and Intern keeps that equal
 // to g.Nodes(). It has no lock of its own: callers hold whatever guards the
-// graph.
+// graph. Recovery hands the store fold's table (Fold.Names) to the registry.
 type Names struct {
 	byID []string       // node id → name, "" = unnamed
 	ids  map[string]int // name → node id

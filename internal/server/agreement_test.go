@@ -69,7 +69,7 @@ func storeState(t *testing.T, st *store.Store, name string) streamState {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return newStreamState(g, fold.Names, seq)
+	return newStreamState(g, fold.Names.ByID(), seq)
 }
 
 // adversarialTokens is the pool batches draw endpoints from. The graph

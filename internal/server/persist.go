@@ -66,9 +66,9 @@ func (s *Service) AttachStore(ctx context.Context, st *store.Store) error {
 	}
 
 	for _, name := range st.GraphNames() {
-		// One fold per graph: the registry keeps the graph, the warm starts
-		// patch from its tail, and the persisted epoch lets a restarted
-		// follower resume the leader stream it left.
+		// One fold per graph: the registry keeps the graph and its name
+		// table, the warm starts patch from its tail, and the persisted
+		// epoch lets a restarted follower resume the leader stream it left.
 		g, fold, seq, err := st.GraphState(name)
 		if err != nil {
 			return fmt.Errorf("server: restoring graph %q: %w", name, err)

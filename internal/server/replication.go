@@ -276,7 +276,7 @@ func (s *Service) ApplyGrammar(name, text string) error {
 // durable follower the snapshot is persisted via the same write-ahead
 // ordering RegisterGraph uses.
 func (s *Service) BootstrapGraph(name string, g *graph.Graph, names []string, seq, epoch uint64) error {
-	return s.installGraph(name, g, names, seq, epoch)
+	return s.installGraph(name, g, graph.NewNames(g.Nodes(), names), seq, epoch)
 }
 
 // GraphPos reports a graph's local stream position and epoch — the pair

@@ -301,23 +301,23 @@ func (s *Service) RegisterGraph(name string, g *graph.Graph, names map[string]in
 			return fmt.Errorf("server: name %q maps to node %d, outside [0,%d)", n, id, g.Nodes())
 		}
 	}
-	return s.installGraph(name, g, graph.NodeNames(g.Nodes(), names), 0, 0)
+	return s.installGraph(name, g, graph.NewNames(g.Nodes(), graph.NodeNames(g.Nodes(), names)), 0, 0)
 }
 
 // installGraph is the one place a graphEntry is built and swapped into the
 // registry — behind RegisterGraph (seq 0, epoch 0 = mint a fresh stream),
 // BootstrapGraph (the leader's position and epoch) and AttachStore (the
 // recovered ones; no store is attached yet, so nothing is written back).
-// names is the id → name table. Every cached index on a replaced graph is
-// dropped: its node-id namespace died with the old copy.
-func (s *Service) installGraph(name string, g *graph.Graph, names []string, seq, epoch uint64) error {
+// names is g's name table, which the entry keeps. Every cached index on a
+// replaced graph is dropped: its node-id namespace died with the old copy.
+func (s *Service) installGraph(name string, g *graph.Graph, names *graph.Names, seq, epoch uint64) error {
 	if name == "" {
 		return fmt.Errorf("server: empty graph name")
 	}
 	if g == nil {
 		return fmt.Errorf("server: nil graph")
 	}
-	ge := &graphEntry{g: g, names: graph.NewNames(g.Nodes(), names), seq: seq, indexed: seq, epoch: epoch}
+	ge := &graphEntry{g: g, names: names, seq: seq, indexed: seq, epoch: epoch}
 	// Installs of one name are serialised: each holds the write lock of the
 	// entry it replaces — or, for a new name, of ge, published locked —
 	// across the store write AND the registry swap, so the order of store
@@ -333,7 +333,7 @@ func (s *Service) installGraph(name string, g *graph.Graph, names []string, seq,
 		// Persist before installing (write-ahead): a failed snapshot write
 		// leaves neither side registered. Replacing a stored graph drops
 		// its WAL and saved indexes along with the old snapshot.
-		if err = s.store.CreateGraphAt(name, g, names, seq, epoch); err == nil {
+		if err = s.store.CreateGraphAt(name, g, names.ByID(), seq, epoch); err == nil {
 			// Mirror the stream epoch (freshly minted when ours was 0) so
 			// followers attached to this node can pin their positions to it.
 			if _, minted, perr := s.store.GraphPos(name); perr == nil {

@@ -1,10 +1,11 @@
-// Native fuzz target for WAL crash recovery. Like the rest of the fuzz
-// suite it is gated on go1.18 (native fuzzing) and runs only its seed
-// corpus under plain `go test`.
+// Native fuzz targets for WAL crash recovery and the snapshot decoder.
+// Like the rest of the fuzz suite they are gated on go1.18 (native
+// fuzzing) and run only their seed corpus under plain `go test`.
 //
 // Run with:
 //
 //	go test -fuzz=FuzzWALReplay -fuzztime=30s ./internal/store
+//	go test -fuzz=FuzzSnapshotDecode -fuzztime=30s ./internal/store
 
 //go:build go1.18
 
@@ -12,9 +13,12 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"reflect"
 	"testing"
+
+	"cfpq/internal/graph"
 )
 
 // FuzzWALReplay throws arbitrary bytes at the WAL reader and checks the
@@ -79,6 +83,67 @@ func FuzzWALReplay(f *testing.F) {
 		}
 		if !bytes.Equal(re.Bytes(), data[:good]) {
 			t.Fatalf("re-encoded prefix differs from recovered prefix")
+		}
+	})
+}
+
+// FuzzSnapshotDecode throws arbitrary snapshot bodies, framed with a valid
+// CRC so they reach the decoder proper, at DecodeSnapshot: it must never
+// panic; a body it accepts must re-encode and decode back to the same
+// nodes, edges, names and seq; and the encoder's output must come back
+// byte for byte through decode → encode.
+func FuzzSnapshotDecode(f *testing.F) {
+	body := func(g *graph.Graph, names []string, seq uint64) []byte {
+		var buf bytes.Buffer
+		if err := EncodeSnapshot(&buf, g, names, seq); err != nil {
+			f.Fatal(err)
+		}
+		return buf.Bytes()[len(snapshotMagic) : buf.Len()-4]
+	}
+	g := graph.New(5)
+	g.AddEdge(0, "x", 1)
+	g.AddEdge(1, "y", 2)
+	g.AddEdge(3, "x", 4)
+	g.AddEdge(2, "", 2)
+	f.Add(body(g, []string{"a", "", "c", "", "e"}, 9))
+	f.Add(body(g, nil, 0))
+	f.Add(body(graph.New(0), nil, 0))
+	f.Add(append(body(g, nil, 1), 0)) // trailing byte
+	f.Add(snapshotBody(4, 3, 2))      // an edge short
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		_, _, _, _ = DecodeSnapshot(data) // unframed: the magic and CRC checks must not panic
+		// A header may declare up to maxSnapshotNodes nodes, whose name
+		// table the decoder allocates: keep the fuzzer's to 64k.
+		if len(data) >= 12 {
+			if n := binary.LittleEndian.Uint32(data[8:]); n > 1<<16 && n <= maxSnapshotNodes {
+				return
+			}
+		}
+		g, names, seq, err := DecodeSnapshot(snapshotFile(data))
+		if err != nil {
+			return
+		}
+		if len(names) != g.Nodes() {
+			t.Fatalf("%d names for %d nodes", len(names), g.Nodes())
+		}
+		var first bytes.Buffer
+		if err := EncodeSnapshot(&first, g, names, seq); err != nil {
+			t.Fatalf("re-encoding an accepted snapshot: %v", err)
+		}
+		g2, names2, seq2, err := DecodeSnapshot(first.Bytes())
+		if err != nil {
+			t.Fatalf("decoding the encoder's output: %v", err)
+		}
+		if g2.Nodes() != g.Nodes() || !reflect.DeepEqual(g2.Edges(), g.Edges()) || !reflect.DeepEqual(names2, names) || seq2 != seq {
+			t.Fatalf("round trip changed the snapshot: %v %q seq %d -> %v %q seq %d", g, names, seq, g2, names2, seq2)
+		}
+		var second bytes.Buffer
+		if err := EncodeSnapshot(&second, g2, names2, seq2); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("decode → encode changed the encoder's bytes")
 		}
 	})
 }

@@ -213,8 +213,8 @@ func TestAppendReplicated(t *testing.T) {
 	if g2.Nodes() != 8 {
 		t.Errorf("replayed nodes = %d, want 8 (id 7 grows the range)", g2.Nodes())
 	}
-	if len(fold.Names) != 8 || fold.Names[7] != "" {
-		t.Errorf("names = %v, want 8 entries with id 7 unnamed", fold.Names)
+	if names := fold.Names.ByID(); len(names) != 8 || names[7] != "" {
+		t.Errorf("names = %v, want 8 entries with id 7 unnamed", names)
 	}
 	if !g2.HasEdge(7, "z", 0) || !g2.HasEdge(0, "x", 2) {
 		t.Error("replayed graph is missing replicated edges")
@@ -291,7 +291,7 @@ func TestReplicaSnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var raw bytes.Buffer
-	if err := EncodeSnapshot(&raw, g, fold.Names, seq); err != nil {
+	if err := EncodeSnapshot(&raw, g, fold.Names.ByID(), seq); err != nil {
 		t.Fatal(err)
 	}
 	g2, names2, seq2, err := DecodeSnapshot(raw.Bytes())

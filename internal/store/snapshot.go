@@ -2,7 +2,6 @@ package store
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -38,6 +37,11 @@ import (
 // and validated by their CRC trailer on read, so a torn snapshot write is
 // detected and the previous snapshot — replaced only by the rename — is
 // never lost.
+//
+// The snapshot decoder refuses, before it allocates, a CRC-valid body the
+// encoder cannot have written: over maxSnapshotNodes nodes, more named
+// nodes (6+ bytes each) or edges (10+) than the bytes left can hold, a node
+// outside [0, nodeCount), or bytes after the last edge.
 
 const (
 	snapshotMagic  = "CFPQSNAP1"
@@ -47,141 +51,181 @@ const (
 	// (CRC-colliding or hand-corrupted) header cannot drive an unbounded
 	// allocation before the first edge is validated.
 	maxSnapshotNodes = 1 << 26
+
+	crc32Residue = 0x2144df1c // the IEEE CRC-32 of any data followed by its own CRC
 )
 
 // EncodeSnapshot writes a graph, its id → name table and the seq its edges
 // cover as a CFPQSNAP1 snapshot: a graph directory's "snapshot" file, and
-// the bootstrap payload a leader serves to followers.
+// the bootstrap payload a leader serves to followers, through one buffer.
 func EncodeSnapshot(w io.Writer, g *graph.Graph, names []string, baseSeq uint64) error {
+	if _, err := io.WriteString(w, snapshotMagic); err != nil {
+		return err
+	}
 	cw := &crcWriter{w: w}
+	buf := make([]byte, 0, 64<<10)
 	var err error
-	emit := func(data any) {
-		if err == nil {
-			err = binary.Write(cw, binary.LittleEndian, data)
+	flush := func(room int) {
+		if len(buf)+room > cap(buf) {
+			if err == nil {
+				_, err = cw.Write(buf)
+			}
+			buf = buf[:0]
 		}
 	}
-	emitString := func(s string) {
-		if err == nil && len(s) > 1<<16-1 {
+	str := func(s string) {
+		if len(s) > 1<<16-1 && err == nil {
 			err = fmt.Errorf("store: string too long for snapshot: %d bytes", len(s))
 		}
-		emit(uint16(len(s)))
-		if err == nil {
-			_, err = io.WriteString(cw, s)
-		}
+		buf = append(binary.LittleEndian.AppendUint16(buf, uint16(len(s))), s...)
 	}
-	if _, werr := io.WriteString(w, snapshotMagic); werr != nil {
-		return werr
-	}
-	emit(baseSeq)
-	emit(uint32(g.Nodes()))
-	named := 0
+	n, named := g.Nodes(), 0
 	for id := range names {
-		if id < g.Nodes() && names[id] != "" {
+		if id < n && names[id] != "" {
 			named++
 		}
 	}
-	emit(uint32(named))
+	buf = binary.LittleEndian.AppendUint64(buf, baseSeq)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(n))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(named))
 	for id, name := range names {
-		if id >= g.Nodes() || name == "" {
-			continue
+		if id < n && name != "" {
+			flush(6 + len(name))
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(id))
+			str(name)
 		}
-		emit(uint32(id))
-		emitString(name)
 	}
-	edges := g.Edges()
-	emit(uint32(len(edges)))
-	for _, e := range edges {
-		emit(uint32(e.From))
-		emit(uint32(e.To))
-		emitString(e.Label)
+	flush(4)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(g.EdgeCount()))
+	for _, l := range g.Labels() {
+		for _, e := range g.EdgesWithLabel(l) {
+			flush(10 + len(l))
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(e.From))
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(e.To))
+			str(l)
+		}
 	}
+	flush(cap(buf)) // all of it
 	if err != nil {
 		return err
 	}
-	return binary.Write(w, binary.LittleEndian, cw.crc)
+	_, err = w.Write(binary.LittleEndian.AppendUint32(buf, cw.crc))
+	return err
 }
 
 // checkFile checks the magic and CRC trailer of a snapshot or index file
 // (what names it in errors) and returns the seq its body leads with and
-// the rest of the body — all Open needs of a snapshot.
+// the rest of the body.
 func checkFile(raw []byte, magic, what string) (uint64, []byte, error) {
 	if len(raw) < len(magic)+8+4 || string(raw[:len(magic)]) != magic {
 		return 0, nil, fmt.Errorf("store: bad %s magic", what)
 	}
-	body := raw[len(magic) : len(raw)-4]
-	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(raw[len(raw)-4:]) {
+	if crc32.ChecksumIEEE(raw[len(magic):]) != crc32Residue {
 		return 0, nil, fmt.Errorf("store: %s CRC mismatch", what)
 	}
-	return binary.LittleEndian.Uint64(body), body[8:], nil
+	return binary.LittleEndian.Uint64(raw[len(magic):]), raw[len(magic)+8 : len(raw)-4], nil
 }
 
-// DecodeSnapshot decodes and CRC-checks a CFPQSNAP1 snapshot.
-func DecodeSnapshot(raw []byte) (g *graph.Graph, names []string, baseSeq uint64, err error) {
+// DecodeSnapshot decodes and CRC-checks a CFPQSNAP1 snapshot, in place: a
+// first pass checks every field and counts each label's edges; only then
+// does it allocate the name table, one string the names are cut from, and
+// each label's edge list, exactly sized and adopted by the graph.
+func DecodeSnapshot(raw []byte) (*graph.Graph, []string, uint64, error) {
 	baseSeq, body, err := checkFile(raw, snapshotMagic, "snapshot")
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	br := bufio.NewReader(bytes.NewReader(body))
-	read := func(data any) {
-		if err == nil {
-			err = binary.Read(br, binary.LittleEndian, data)
+	in := &bodyReader{b: body}
+	// One string per label, looked up only when an edge's differs from the last (the encoder groups them).
+	index, labels, counts, last := map[string]int{}, []string{}, []int{}, -1
+	intern := func(l []byte) int {
+		if _, ok := index[string(l)]; !ok {
+			index[string(l)], labels, counts = len(labels), append(labels, string(l)), append(counts, 0)
 		}
+		return index[string(l)]
 	}
-	readString := func() string {
-		var n uint16
-		read(&n)
-		if err != nil {
-			return ""
-		}
-		buf := make([]byte, n)
-		if _, rerr := io.ReadFull(br, buf); rerr != nil {
-			err = rerr
-			return ""
-		}
-		return string(buf)
-	}
-	var nodes, named uint32
-	read(&nodes)
-	read(&named)
-	if err != nil {
-		return nil, nil, 0, err
-	}
+	nodes, named := in.u32(), in.u32()
 	if nodes > maxSnapshotNodes {
 		return nil, nil, 0, fmt.Errorf("store: snapshot declares %d nodes, above the %d limit", nodes, maxSnapshotNodes)
 	}
-	g = graph.New(int(nodes))
-	names = make([]string, nodes)
-	for k := uint32(0); k < named; k++ {
-		var id uint32
-		read(&id)
-		name := readString()
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		if id >= nodes {
+	if uint64(named)*6 > uint64(in.left()) {
+		return nil, nil, 0, fmt.Errorf("store: snapshot declares %d named nodes in %d bytes", named, in.left())
+	}
+	namesAt := in.off
+	for range named {
+		if id, _ := in.u32(), in.str(); id >= nodes && in.left() >= 0 {
 			return nil, nil, 0, fmt.Errorf("store: snapshot names node %d outside [0,%d)", id, nodes)
 		}
-		names[id] = name
 	}
-	var edgeCount uint32
-	read(&edgeCount)
-	if err != nil {
-		return nil, nil, 0, err
+	namesEnd := in.off
+	edgeCount := in.u32()
+	if uint64(edgeCount)*10 > uint64(in.left()) {
+		return nil, nil, 0, fmt.Errorf("store: snapshot declares %d edges in %d bytes", edgeCount, in.left())
 	}
-	for k := uint32(0); k < edgeCount; k++ {
-		var from, to uint32
-		read(&from)
-		read(&to)
-		label := readString()
-		if err != nil {
-			return nil, nil, 0, err
+	edgesAt := in.off
+	for range edgeCount {
+		from, to, l := in.u32(), in.u32(), in.str()
+		if last < 0 || string(l) != labels[last] {
+			last = intern(l)
 		}
-		if from >= nodes || to >= nodes {
+		if (from >= nodes || to >= nodes) && in.left() >= 0 {
 			return nil, nil, 0, fmt.Errorf("store: snapshot edge (%d,%d) outside [0,%d)", from, to, nodes)
 		}
-		g.AddEdge(int(from), label, int(to))
+		counts[last]++
 	}
-	return g, names, baseSeq, nil
+	if in.left() < 0 {
+		return nil, nil, 0, fmt.Errorf("store: snapshot truncated")
+	}
+	if in.left() > 0 {
+		return nil, nil, 0, fmt.Errorf("store: snapshot has %d bytes after its last edge", in.left())
+	}
+
+	names := make([]string, nodes)
+	shared := string(body[namesAt:namesEnd]) // the named section: ids and lengths stay between the names
+	for in.off = namesAt; in.off < namesEnd; {
+		id, name := in.u32(), in.str()
+		names[id] = shared[in.off-namesAt-len(name) : in.off-namesAt]
+	}
+	lists := make([][]graph.Edge, len(labels))
+	for k, n := range counts {
+		lists[k] = make([]graph.Edge, 0, n)
+	}
+	for in.off = edgesAt; in.left() > 0; {
+		from, to, l := in.u32(), in.u32(), in.str()
+		if string(l) != labels[last] {
+			last = intern(l)
+		}
+		lists[last] = append(lists[last], graph.Edge{From: int(from), Label: labels[last], To: int(to)})
+	}
+	return graph.FromLabelLists(int(nodes), lists), names, baseSeq, nil
+}
+
+// bodyReader reads a snapshot body or a WAL payload in place. A read past
+// its end leaves left() negative and yields zeros.
+type bodyReader struct {
+	b   []byte
+	off int
+}
+
+func (r *bodyReader) left() int { return len(r.b) - r.off }
+
+func (r *bodyReader) u32() uint32 {
+	if r.off += 4; r.off > len(r.b) {
+		return 0
+	}
+	return binary.LittleEndian.Uint32(r.b[r.off-4:])
+}
+
+// str reads a uint16-length-prefixed string.
+func (r *bodyReader) str() []byte {
+	n := 0
+	if r.left() >= 2 {
+		n = int(binary.LittleEndian.Uint16(r.b[r.off:]))
+	}
+	if r.off += 2 + n; r.off > len(r.b) {
+		return nil
+	}
+	return r.b[r.off-n : r.off]
 }
 
 // writeIndexFile wraps the CFPQIDX2 payload that payload writes with the
@@ -201,23 +245,31 @@ func writeIndexFile(w io.Writer, seq uint64, payload func(io.Writer) error) erro
 	return binary.Write(w, binary.LittleEndian, cw.crc)
 }
 
-// readIndexFileHeader reads just the magic and seq watermark of an index
-// file — the cheap form listings use; the payload CRC is validated only
-// when the index is actually loaded.
-func readIndexFileHeader(path string) (uint64, error) {
+// readFileHead reads the seq after a snapshot or index file's magic (what
+// names it in errors). With check set it streams the rest through the CRC
+// without holding it: all Open needs of a snapshot.
+func readFileHead(path, magic, what string, check bool) (uint64, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, err
 	}
 	defer f.Close()
-	var head [len(indexFileMagic) + 8]byte
-	if _, err := io.ReadFull(f, head[:]); err != nil {
-		return 0, err
+	head := make([]byte, len(magic)+8+4) // the magic, the seq, and the fewest bytes a CRC trailer takes
+	if _, err := io.ReadFull(f, head); err != nil || string(head[:len(magic)]) != magic {
+		return 0, fmt.Errorf("store: bad %s magic", what)
 	}
-	if string(head[:len(indexFileMagic)]) != indexFileMagic {
-		return 0, fmt.Errorf("store: bad index file magic")
+	if check {
+		// The trailer is the CRC of the body before it, so the two end at crc32Residue.
+		crc := crc32.NewIEEE()
+		crc.Write(head[len(magic):])
+		if _, err := io.Copy(crc, f); err != nil {
+			return 0, err
+		}
+		if crc.Sum32() != crc32Residue {
+			return 0, fmt.Errorf("store: %s CRC mismatch", what)
+		}
 	}
-	return binary.LittleEndian.Uint64(head[len(indexFileMagic):]), nil
+	return binary.LittleEndian.Uint64(head[len(magic):]), nil
 }
 
 // crcWriter accumulates an IEEE CRC-32 over everything written through it.

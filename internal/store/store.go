@@ -286,11 +286,7 @@ func Open(dir string, opts Options) (*Store, error) {
 // and leaves the WAL open for appending.
 func (s *Store) openGraphLog(name string) (*graphLog, error) {
 	gdir := filepath.Join(s.dir, graphsDir, encodeName(name))
-	raw, err := os.ReadFile(filepath.Join(gdir, "snapshot"))
-	if err != nil {
-		return nil, err
-	}
-	baseSeq, _, err := checkFile(raw, snapshotMagic, "snapshot")
+	baseSeq, err := readFileHead(filepath.Join(gdir, "snapshot"), snapshotMagic, "snapshot", true)
 	if err != nil {
 		return nil, err
 	}
@@ -376,18 +372,16 @@ func (gl *graphLog) fold() (*graph.Graph, Fold, error) {
 	if err != nil {
 		return nil, Fold{}, fmt.Errorf("store: graph %q: %w", gl.name, err)
 	}
-	names := graph.NewNames(g.Nodes(), byID)
-	f := Fold{BaseSeq: gl.baseSeq, Epoch: gl.epoch, Tail: make([]graph.Edge, 0, gl.seq-gl.baseSeq)}
+	f := Fold{Names: graph.NewNames(g.Nodes(), byID), BaseSeq: gl.baseSeq, Epoch: gl.epoch, Tail: make([]graph.Edge, 0, gl.seq-gl.baseSeq)}
 	for _, b := range gl.tail {
 		idsOnly := b.Kind == RecordIDs
 		for _, r := range b.Recs {
-			from := names.Intern(g, r.From, idsOnly)
-			to := names.Intern(g, r.To, idsOnly)
+			from := f.Names.Intern(g, r.From, idsOnly)
+			to := f.Names.Intern(g, r.To, idsOnly)
 			g.AddEdge(from, r.Label, to)
 			f.Tail = append(f.Tail, graph.Edge{From: from, Label: r.Label, To: to})
 		}
 	}
-	f.Names = names.ByID()
 	return g, f, nil
 }
 
@@ -725,7 +719,7 @@ func (s *Store) Snapshot(name string, indexes []IndexData) error {
 		}
 	}
 	if err := writeFileAtomic(filepath.Join(gl.dir, "snapshot"), !s.opts.NoSync, func(w io.Writer) error {
-		return EncodeSnapshot(w, g, f.Names, gl.seq)
+		return EncodeSnapshot(w, g, f.Names.ByID(), gl.seq)
 	}); err != nil {
 		return err
 	}
@@ -1122,7 +1116,7 @@ func (s *Store) GraphNames() []string {
 
 // Fold is what GraphState recovers beside a graph and its seq.
 type Fold struct {
-	Names   []string     // node id → name, "" = unnamed
+	Names   *graph.Names // the caller's to keep: recovery hands it to the registry
 	BaseSeq uint64       // the seq the snapshot covers
 	Epoch   uint64       // the stream's identity
 	Tail    []graph.Edge // the id-resolved edges of (BaseSeq, seq], in journal order
@@ -1187,7 +1181,7 @@ func indexInfos(gl *graphLog) []IndexInfo {
 		if err != nil {
 			continue
 		}
-		seq, err := readIndexFileHeader(filepath.Join(gl.dir, indexesDir, ent.Name()))
+		seq, err := readFileHead(filepath.Join(gl.dir, indexesDir, ent.Name()), indexFileMagic, "index file", false)
 		if err != nil {
 			continue
 		}

@@ -80,8 +80,8 @@ func TestGraphStateRoundTrip(t *testing.T) {
 		t.Errorf("recovered graph %v, want 5 nodes / 5 edges", g2)
 	}
 	wantNames := []string{"a", "b", "c", "d", "e"}
-	if !reflect.DeepEqual(fold.Names, wantNames) {
-		t.Errorf("names = %v, want %v", fold.Names, wantNames)
+	if !reflect.DeepEqual(fold.Names.ByID(), wantNames) {
+		t.Errorf("names = %v, want %v", fold.Names.ByID(), wantNames)
 	}
 	for _, e := range []graph.Edge{
 		{From: 0, Label: "x", To: 1},

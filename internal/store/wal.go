@@ -158,37 +158,17 @@ func decodeFrame(payload []byte) (walBatch, error) {
 		return walBatch{}, fmt.Errorf("store: unknown WAL record kind %d", kind)
 	}
 	count := binary.LittleEndian.Uint32(payload[1:5])
-	off := 5
-	token := func() (string, error) {
-		if off+2 > len(payload) {
-			return "", fmt.Errorf("store: WAL payload truncated at token length")
-		}
-		n := int(binary.LittleEndian.Uint16(payload[off : off+2]))
-		off += 2
-		if off+n > len(payload) {
-			return "", fmt.Errorf("store: WAL payload truncated inside token")
-		}
-		tok := string(payload[off : off+n])
-		off += n
-		return tok, nil
-	}
 	// Each edge needs at least 6 bytes (three empty tokens), bounding the
 	// allocation by the payload actually present.
 	if int64(count) > int64(len(payload))/6+1 {
 		return walBatch{}, fmt.Errorf("store: WAL payload declares %d edges in %d bytes", count, len(payload))
 	}
+	in := &bodyReader{b: payload, off: 5}
 	recs := make([]EdgeRecord, 0, count)
-	for k := uint32(0); k < count; k++ {
-		var r EdgeRecord
-		var err error
-		if r.From, err = token(); err != nil {
-			return walBatch{}, err
-		}
-		if r.Label, err = token(); err != nil {
-			return walBatch{}, err
-		}
-		if r.To, err = token(); err != nil {
-			return walBatch{}, err
+	for range count {
+		r := EdgeRecord{From: string(in.str()), Label: string(in.str()), To: string(in.str())}
+		if in.left() < 0 {
+			return walBatch{}, fmt.Errorf("store: WAL payload truncated")
 		}
 		if r.Label == "" || r.From == "" || r.To == "" {
 			// An empty node token would be indistinguishable from
@@ -202,8 +182,8 @@ func decodeFrame(payload []byte) (walBatch, error) {
 		}
 		recs = append(recs, r)
 	}
-	if off != len(payload) {
-		return walBatch{}, fmt.Errorf("store: %d trailing bytes in WAL payload", len(payload)-off)
+	if in.left() != 0 {
+		return walBatch{}, fmt.Errorf("store: %d trailing bytes in WAL payload", in.left())
 	}
 	return walBatch{kind: kind, recs: recs}, nil
 }
