@@ -28,8 +28,8 @@
 // mutation is journaled write-ahead (AddEdges batches are fsynced to a
 // per-graph WAL before they are applied), so a crash — kill -9 included —
 // loses at most the batch being written. POST /v1/snapshot folds WALs and
-// built indexes into fresh snapshots on demand; a background compactor
-// does the same for any graph whose WAL outgrows its threshold; a clean
+// built indexes into fresh snapshots on demand; the edge batch that takes
+// a graph's WAL past -compact-bytes folds that WAL before it answers; a clean
 // shutdown (SIGINT/SIGTERM) snapshots everything so the next start
 // replays nothing.
 //
@@ -154,7 +154,7 @@ func (f *namedFiles) Set(v string) error {
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	dataDir := flag.String("data-dir", "", "durable store directory; empty serves purely in memory")
-	compactBytes := flag.Int64("compact-bytes", 0, "WAL size that triggers background compaction (0 = 4 MiB default)")
+	compactBytes := flag.Int64("compact-bytes", 0, "WAL size past which the edge batch that crosses it folds the WAL into a fresh snapshot (0 = 4 MiB default, negative = never)")
 	memoryBudget := flag.Int64("memory-budget", 0, "per-closure matrix memory budget in bytes; over-budget queries answer 413 (0 = unlimited)")
 	follow := flag.String("follow", "", "leader URL to replicate from; this node serves reads only until promoted")
 	maxLag := flag.Uint64("max-lag", 0, "follower staleness (records behind the leader) beyond which /readyz answers 503 (0 = any finite lag)")

@@ -235,7 +235,8 @@
 // additions with CRC-framed, fsynced records. Mutations are write-ahead:
 // the WAL record is durable before the in-memory graph or any cached
 // index changes; the service holds the one graph in memory, the store
-// only its journal. On restart each graph is folded once from its snapshot
+// only its journal, which the batch that takes it past -compact-bytes
+// folds into a fresh snapshot before it returns. On restart each graph is folded once from its snapshot
 // and WAL (a torn tail truncated to the last good record), and every saved
 // index restored as a live Prepared handle — indexes behind the recovered
 // stream are patched forward with the incremental delta closure, so no

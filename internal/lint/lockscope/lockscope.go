@@ -70,6 +70,7 @@ var journalMethods = map[string]bool{
 	"SaveGrammar":      true,
 	"Snapshot":         true,
 	"Compact":          true,
+	"CompactIfDue":     true,
 	"Sync":             true,
 }
 

@@ -108,8 +108,9 @@ func WithRequestLog(logger *slog.Logger) HandlerOption {
 // Every response carries an X-Request-ID header — echoed from the request
 // when the client sent one, freshly minted otherwise — and every request is
 // recorded in the /metrics latency histogram. Errors are {"error": "..."}
-// with a 4xx/5xx status. On a follower every local mutation route answers
-// 403; writes go to the leader.
+// with a 4xx/5xx status (statusFor): a body over maxDocumentBytes answers
+// 413 on every route that reads one, and a failed store write 500. On a
+// follower every local mutation route answers 403; writes go to the leader.
 func Handler(s *Service, opts ...HandlerOption) http.Handler {
 	var hc handlerConfig
 	for _, opt := range opts {
@@ -145,7 +146,7 @@ func Handler(s *Service, opts ...HandlerOption) http.Handler {
 			Edges []EdgeSpec `json:"edges"`
 		}
 		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxDocumentBytes)).Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("decoding edges: %w", err))
+			writeError(w, statusFor(err), fmt.Errorf("decoding edges: %w", err))
 			return
 		}
 		if len(req.Edges) == 0 {
@@ -165,7 +166,7 @@ func Handler(s *Service, opts ...HandlerOption) http.Handler {
 	mux.HandleFunc("PUT /v1/grammars/{name}", func(w http.ResponseWriter, r *http.Request) {
 		text, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxDocumentBytes))
 		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
+			writeError(w, statusFor(err), err)
 			return
 		}
 		name := r.PathValue("name")
@@ -183,7 +184,7 @@ func Handler(s *Service, opts ...HandlerOption) http.Handler {
 	mux.HandleFunc("POST /v1/query", func(w http.ResponseWriter, r *http.Request) {
 		var req QueryRequest
 		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxDocumentBytes)).Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+			writeError(w, statusFor(err), fmt.Errorf("decoding request: %w", err))
 			return
 		}
 		ans, err := s.Do(r.Context(), req)
@@ -204,7 +205,7 @@ func Handler(s *Service, opts ...HandlerOption) http.Handler {
 			Queries []BatchQuerySpec `json:"queries"`
 		}
 		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxDocumentBytes)).Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("decoding batch: %w", err))
+			writeError(w, statusFor(err), fmt.Errorf("decoding batch: %w", err))
 			return
 		}
 		if req.Graph == "" || req.Grammar == "" {
@@ -369,7 +370,7 @@ func serveDebugVars(w http.ResponseWriter, s *Service) {
 			emit("cfpqd_store", string(raw))
 		}
 	}
-	if rc := s.replicationController(); rc != nil {
+	if rc := s.replication.Load(); rc != nil {
 		if raw, err := json.Marshal(rc.Status()); err == nil {
 			emit("cfpqd_replication", string(raw))
 		}
@@ -400,20 +401,26 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, body)
 }
 
-// statusFor maps service errors to HTTP statuses: lookups of unregistered
-// names are 404, writes rejected by a read-only follower 403,
-// memory-budget rejections 413 (the request names an instance too large
-// for the configured allowance), everything else a client error.
+// statusFor maps service and request-body errors to HTTP statuses: lookups
+// of unregistered names are 404, writes rejected by a read-only follower
+// 403, a body over maxDocumentBytes and memory-budget rejections (the
+// request names an instance too large for the configured allowance) 413, a
+// failed store write 500 (the server's fault), everything else a client
+// error.
 func statusFor(err error) int {
-	if errors.Is(err, ErrNotFound) {
+	var (
+		be *cfpq.MemoryBudgetError
+		me *http.MaxBytesError
+	)
+	switch {
+	case errors.Is(err, ErrNotFound):
 		return http.StatusNotFound
-	}
-	if errors.Is(err, ErrReadOnly) {
+	case errors.Is(err, ErrReadOnly):
 		return http.StatusForbidden
-	}
-	var be *cfpq.MemoryBudgetError
-	if errors.As(err, &be) {
+	case errors.As(err, &be), errors.As(err, &me):
 		return http.StatusRequestEntityTooLarge
+	case errors.Is(err, errStore):
+		return http.StatusInternalServerError
 	}
 	return http.StatusBadRequest
 }

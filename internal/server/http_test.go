@@ -12,7 +12,13 @@ import (
 
 func httpDo(t *testing.T, srv *httptest.Server, method, path, body string) (int, map[string]any) {
 	t.Helper()
-	req, err := http.NewRequest(method, srv.URL+path, strings.NewReader(body))
+	return httpSend(t, srv, method, path, strings.NewReader(body))
+}
+
+// httpSend is httpDo with the body streamed from a reader.
+func httpSend(t *testing.T, srv *httptest.Server, method, path string, body io.Reader) (int, map[string]any) {
+	t.Helper()
+	req, err := http.NewRequest(method, srv.URL+path, body)
 	if err != nil {
 		t.Fatal(err)
 	}

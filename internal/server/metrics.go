@@ -102,7 +102,7 @@ func newObsMetrics(s *Service) *obsMetrics {
 		updates:          reg.Counter("cfpqd_updates_total", "AddEdges calls"),
 		edgesAdded:       reg.Counter("cfpqd_edges_added_total", "edges inserted across updates"),
 		budgetRejections: reg.Counter("cfpqd_budget_rejections_total", "evaluations rejected by the memory budget (HTTP 413)"),
-		persistErrors:    reg.Counter("cfpqd_persist_errors_total", "best-effort index persistence failures"),
+		persistErrors:    reg.Counter("cfpqd_persist_errors_total", "best-effort persistence failures: index saves and WAL folds"),
 		replBatches:      reg.Counter("cfpqd_replicated_batches_total", "replicated WAL batches applied (follower)"),
 		replEdges:        reg.Counter("cfpqd_replicated_edges_total", "edges applied from the replication stream"),
 		subsTotal:        reg.Counter("cfpqd_subscriptions_total", "standing queries ever registered"),
@@ -122,7 +122,7 @@ func newObsMetrics(s *Service) *obsMetrics {
 	// leaders and standalone nodes).
 	replStatus := func(pick func(records uint64, bytes int64, age float64) float64) func() float64 {
 		return func() float64 {
-			rc := s.replicationController()
+			rc := s.replication.Load()
 			if rc == nil {
 				return 0
 			}

@@ -263,7 +263,7 @@ func (s *Service) snapshotGraph(name string) error {
 	if !current {
 		return nil
 	}
-	return s.store.Snapshot(name, indexes)
+	return storeFault(s.store.Snapshot(name, indexes))
 }
 
 // StoreStats reports the attached store's statistics; ok is false when

@@ -349,6 +349,101 @@ func TestPersistCompactionThenRestart(t *testing.T) {
 	}
 }
 
+// TestBatchFoldsOversizedWAL: the batch that takes a graph's WAL past
+// CompactBytes folds it before AddEdges — or, on a durable follower,
+// ApplyReplicatedEdges — returns, so the WAL is never seen above the
+// threshold; a restart of either node then answers what it answered before.
+func TestBatchFoldsOversizedWAL(t *testing.T) {
+	const compactBytes = 64
+	open := func(old *Service, dir string) *Service {
+		t.Helper()
+		if old != nil {
+			old.store.Close()
+		}
+		st, err := store.Open(dir, store.Options{NoSync: true, CompactBytes: compactBytes})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { st.Close() })
+		s := New()
+		if err := s.AttachStore(ctx, st); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	leaderDir, followerDir := t.TempDir(), t.TempDir()
+	leader, follower := open(nil, leaderDir), open(nil, followerDir)
+	if err := leader.RegisterGraph("g", graph.Word([]string{"x", "y"}), nil); err != nil {
+		t.Fatal(err)
+	}
+	raw, seq, epoch, err := leader.ReplicaGraphSnapshot("g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, names, _, err := store.DecodeSnapshot(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := follower.BootstrapGraph("g", g, names, seq, epoch); err != nil {
+		t.Fatal(err)
+	}
+	target := Target{Graph: "g", Grammar: "q"}
+	for _, s := range []*Service{leader, follower} {
+		if err := s.RegisterGrammar("q", "S -> x S y | x y | S S"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := relation(ctx, s, target, "S"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	nodes := []struct {
+		who string
+		s   *Service
+		dir string
+	}{{"leader", leader, leaderDir}, {"follower", follower, followerDir}}
+	const batches = 8
+	for i := range batches {
+		n := fmt.Sprintf("n%d", i)
+		specs := []EdgeSpec{{From: n, Label: "x", To: "0"}, {From: "1", Label: "y", To: n}}
+		if _, err := leader.AddEdges(ctx, "g", specs); err != nil {
+			t.Fatal(err)
+		}
+		recs := make([]store.EdgeRecord, len(specs))
+		for j, e := range specs {
+			recs[j] = store.EdgeRecord(e)
+		}
+		head, _, _ := leader.GraphPos("g")
+		if err := follower.ApplyReplicatedEdges(ctx, "g", store.RecordTokens, recs, head); err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range nodes {
+			if st, _ := n.s.StoreStats(); st.WALBytes > compactBytes {
+				t.Errorf("after batch %d: the %s's WAL holds %d bytes, above CompactBytes %d", i, n.who, st.WALBytes, compactBytes)
+			}
+		}
+	}
+	for _, n := range nodes {
+		if st, _ := n.s.StoreStats(); st.Compactions == 0 {
+			t.Fatalf("test is vacuous: %d batches past %d bytes folded nothing on the %s", batches, compactBytes, n.who)
+		}
+		want, err := relation(ctx, n.s, target, "S")
+		if err != nil {
+			t.Fatal(err)
+		}
+		s2 := open(n.s, n.dir)
+		got, err := relation(ctx, s2, target, "S")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) || len(want) == 0 {
+			t.Errorf("%s after a restart: %v, want %v", n.who, got, want)
+		}
+		if builds := s2.obs.indexBuilds.Value(); builds != 0 {
+			t.Errorf("%s's restart ran %d full closures", n.who, builds)
+		}
+	}
+}
+
 // TestWarmStartedIndexHonoursMemoryBudget: an index restored from disk is
 // patched under the service's memory budget exactly as a built one is. Both
 // live under a budget equal to the build's peak, which an update joining the

@@ -5,12 +5,18 @@ package server
 // codes, and the /debug/vars query counter.
 
 import (
+	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"cfpq"
+	"cfpq/internal/graph"
 )
 
 // queryTestServer builds a service with the social graph and reach
@@ -121,26 +127,128 @@ func TestHTTPErrorEnvelope(t *testing.T) {
 		{"batch malformed body", http.MethodPost, "/v1/query/batch", `{"queries":`, http.StatusBadRequest, ""},
 		{"snapshot without store", http.MethodPost, "/v1/snapshot", "", http.StatusConflict, ""},
 	}
-	for _, tc := range cases {
-		code, body := httpDo(t, srv, tc.method, tc.path, tc.body)
-		if code != tc.status {
-			t.Errorf("%s: status %d, want %d (%v)", tc.name, code, tc.status, body)
+	check := func(name string, code int, body map[string]any, status int, field string) {
+		t.Helper()
+		if code != status {
+			t.Errorf("%s: status %d, want %d (%v)", name, code, status, body)
 		}
 		msg, ok := body["error"].(string)
 		if !ok || msg == "" {
-			t.Errorf("%s: missing error envelope: %v", tc.name, body)
+			t.Errorf("%s: missing error envelope: %v", name, body)
 		}
 		want := 1
-		if tc.field != "" {
+		if field != "" {
 			want = 2
-			if body["field"] != tc.field {
-				t.Errorf("%s: field %v, want %q", tc.name, body["field"], tc.field)
+			if body["field"] != field {
+				t.Errorf("%s: field %v, want %q", name, body["field"], field)
 			}
 		}
 		if len(body) != want {
-			t.Errorf("%s: envelope carries extra fields: %v", tc.name, body)
+			t.Errorf("%s: envelope carries extra fields: %v", name, body)
 		}
 	}
+	for _, tc := range cases {
+		code, body := httpDo(t, srv, tc.method, tc.path, tc.body)
+		check(tc.name, code, body, tc.status, tc.field)
+	}
+
+	// A failed store write is the server's fault: 500 on every route that
+	// writes the store.
+	broken := brokenStoreServer(t)
+	for _, tc := range []struct{ name, method, path, body string }{
+		{"edges, store broken", http.MethodPost, "/v1/graphs/social/edges", `{"edges":[{"from":"alice","label":"knows","to":"carol"}]}`},
+		{"graph, store broken", http.MethodPut, "/v1/graphs/other?format=edgelist", "x knows y\n"},
+		{"grammar, store broken", http.MethodPut, "/v1/grammars/other", "S -> knows"},
+		{"snapshot, store broken", http.MethodPost, "/v1/snapshot", ""},
+	} {
+		code, body := httpDo(t, broken, tc.method, tc.path, tc.body)
+		check(tc.name, code, body, http.StatusInternalServerError, "")
+	}
+
+	// Input the store cannot frame is still the request's fault: 400.
+	durable := httptest.NewServer(Handler(persistentService(t, t.TempDir())))
+	t.Cleanup(durable.Close)
+	if code, body := httpDo(t, durable, http.MethodPut, "/v1/graphs/social?format=edgelist", "alice knows bob\n"); code != http.StatusOK {
+		t.Fatalf("PUT graph: %d %v", code, body)
+	}
+	long := strings.Repeat("n", 1<<16)
+	for _, tc := range []struct{ name, method, path, body string }{
+		{"graph, name too long for the store", http.MethodPut, "/v1/graphs/long?format=edgelist", long + " knows bob\n"},
+		{"edges, token too long for the store", http.MethodPost, "/v1/graphs/social/edges", `{"edges":[{"from":"` + long + `","label":"knows","to":"bob"}]}`},
+	} {
+		code, body := httpDo(t, durable, tc.method, tc.path, tc.body)
+		check(tc.name, code, body, http.StatusBadRequest, "")
+	}
+
+	// A body over maxDocumentBytes is 413 on every route that reads one.
+	// The edge-list upload streams past the limit for real, over the wire:
+	// its loader holds a line at a time. The routes that buffer their body
+	// are driven in process with a body that ends in the error the limit
+	// reader stops at, so the test holds no 64 MiB buffer.
+	code, resp := httpSend(t, srv, http.MethodPut, "/v1/graphs/big?format=edgelist",
+		io.LimitReader(commentLines{}, maxDocumentBytes+1<<10))
+	check("edge-list upload over the body limit", code, resp, http.StatusRequestEntityTooLarge, "")
+	h := Handler(New())
+	for _, tc := range []struct{ method, path, prefix string }{
+		{http.MethodPost, "/v1/graphs/social/edges", `{"edges":`},
+		{http.MethodPut, "/v1/grammars/big", "S -> "},
+		{http.MethodPost, "/v1/query", `{"graph":`},
+		{http.MethodPost, "/v1/query/batch", `{"graph":`},
+		{http.MethodPost, "/v1/subscribe", `{"graph":`},
+	} {
+		body := io.MultiReader(strings.NewReader(tc.prefix), iotest.ErrReader(&http.MaxBytesError{Limit: maxDocumentBytes}))
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(tc.method, tc.path, body))
+		var resp map[string]any
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatalf("%s %s: non-JSON response %q: %v", tc.method, tc.path, rec.Body, err)
+		}
+		check(tc.method+" "+tc.path+" over the body limit", rec.Code, resp, http.StatusRequestEntityTooLarge, "")
+	}
+}
+
+// commentLines is an endless edge-list document of comment lines, none
+// longer than 1 KiB.
+type commentLines struct{}
+
+func (commentLines) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = 'x'
+		switch i % 1024 {
+		case 0:
+			p[i] = '#'
+		case 1023:
+			p[i] = '\n'
+		}
+	}
+	return len(p), nil
+}
+
+// brokenStoreServer serves the social graph and reach grammar from a
+// persistent service whose store can write nothing: its WALs are closed
+// and a plain file stands where its directory was.
+func brokenStoreServer(t *testing.T) *httptest.Server {
+	t.Helper()
+	dir := filepath.Join(t.TempDir(), "data")
+	s := persistentService(t, dir)
+	if err := s.RegisterGraph("social", graph.Word([]string{"knows", "knows"}), nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.RegisterGrammar("reach", "S -> knows | knows S"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(dir, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(Handler(s))
+	t.Cleanup(srv.Close)
+	return srv
 }
 
 // TestSameErrorOnEveryRoute: one resolve stands behind /v1/query,

@@ -39,26 +39,9 @@ var ErrSnapshotNeeded = errors.New("server: WAL tail unavailable; bootstrap from
 // still pending.
 const tailPageBytes int64 = 4 << 20
 
-// ReplicationController is the follower-side handle the HTTP layer talks
-// to: *replica.Replicator implements it.
-type ReplicationController interface {
-	Status() replica.Status
-	Promote(ctx context.Context) error
-}
-
-// SetReplication attaches the follower's replicator handle so the HTTP
-// layer can serve /v1/replication/status, /readyz and /v1/promote.
-func (s *Service) SetReplication(rc ReplicationController) {
-	s.replMu.Lock()
-	s.replication = rc
-	s.replMu.Unlock()
-}
-
-func (s *Service) replicationController() ReplicationController {
-	s.replMu.Lock()
-	defer s.replMu.Unlock()
-	return s.replication
-}
+// SetReplication attaches the follower's replicator so the HTTP layer can
+// serve /v1/replication/status, /readyz and /v1/promote.
+func (s *Service) SetReplication(rep *replica.Replicator) { s.replication.Store(rep) }
 
 // SetReadinessMaxLag bounds the staleness (in records behind the leader)
 // up to which /readyz still reports this follower routable; 0 accepts any
@@ -69,7 +52,7 @@ func (s *Service) SetReadinessMaxLag(records uint64) { s.readinessMaxLag.Store(r
 // drains and stops, the write gate opens, and the node serves writes as a
 // leader from its consistent prefix of the old leader's stream.
 func (s *Service) Promote(ctx context.Context) (replica.Status, error) {
-	rc := s.replicationController()
+	rc := s.replication.Load()
 	if rc == nil {
 		return replica.Status{}, errors.New("server: this node is not a follower")
 	}
@@ -87,7 +70,7 @@ func (s *Service) Promote(ctx context.Context) (replica.Status, error) {
 // follower reports as a leader.
 func (s *Service) ReplicationStatus() any {
 	promoted := false
-	if rc := s.replicationController(); rc != nil {
+	if rc := s.replication.Load(); rc != nil {
 		st := rc.Status()
 		if st.State != replica.StatePromoted {
 			return st
@@ -121,7 +104,7 @@ func (s *Service) ReplicationStatus() any {
 // (leader unreachable beyond StaleAfter) followers report unready so load
 // balancers stop routing to them.
 func (s *Service) Ready() (bool, map[string]any) {
-	rc := s.replicationController()
+	rc := s.replication.Load()
 	if rc == nil {
 		return true, map[string]any{"status": "ready"}
 	}
@@ -203,9 +186,10 @@ func (s *Service) ReplicaGraphSnapshot(name string) (data []byte, seq, epoch uin
 // ReplicaTail serves one long-poll of a graph's WAL tail: batches after
 // seq `from` of stream `epoch`, waiting up to `wait` for new writes before
 // answering an empty page. Each poll refreshes the follower's tail
-// reservation, which holds background compaction away from the records it
-// still needs (Compact/Snapshot called explicitly ignore reservations and
-// lagging followers get ErrSnapshotNeeded instead). An unservable
+// reservation, which holds the write path's fold (store.CompactIfDue) away
+// from the records it still needs (Compact/Snapshot called explicitly
+// ignore reservations and lagging followers get ErrSnapshotNeeded
+// instead). An unservable
 // position — compacted away, past the head, a dead epoch — returns
 // ErrSnapshotNeeded; an unknown graph returns ErrNotFound.
 func (s *Service) ReplicaTail(ctx context.Context, graphName, follower string, from, epoch uint64, wait time.Duration) (*replica.TailResponse, error) {

@@ -101,15 +101,23 @@ func waitFor(t *testing.T, d time.Duration, cond func() bool, msg string) {
 }
 
 // caughtUp reports whether the follower has applied everything the leader
-// has journaled for the graph, on a live stream.
+// has journaled for the graph, on a live stream, and patched it into its
+// cached indexes: a batch advances seq before its patch runs, and indexed
+// follows once no patch is in flight, so a query from here on sees it.
 func caughtUp(f *runningFollower, leader *Service, graph string) bool {
 	lseq, lepoch, ok := leader.GraphPos(graph)
 	if !ok {
 		return false
 	}
-	fseq, fepoch, ok := f.svc.GraphPos(graph)
+	ge, err := f.svc.graphEntry(graph)
+	if err != nil {
+		return false
+	}
+	ge.mu.RLock()
+	fseq, fepoch, indexed := ge.seq, ge.epoch, ge.indexed
+	ge.mu.RUnlock()
 	st := f.rep.Status()
-	return ok && fepoch == lepoch && fseq == lseq && st.State == replica.StateStreaming
+	return fepoch == lepoch && fseq == lseq && indexed == lseq && st.State == replica.StateStreaming
 }
 
 func TestFollowerWriteGate(t *testing.T) {

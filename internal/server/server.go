@@ -12,11 +12,13 @@
 //     (recovery).
 //   - applyBatch takes an edge batch into a graph — lock, registry-identity
 //     re-check, validate, journal write-ahead, intern and add on a fork of
-//     the published edge set, publish it, advance seq — and ends in
-//     patchIndexes, behind AddEdges (the leader's write gate and its
-//     rejection of out-of-range numeric ids) and ApplyReplicatedEdges (the
-//     leader's record kind, seq continuity). A follower therefore interns,
-//     journals and patches exactly as the leader did.
+//     the published edge set, publish it, advance seq — then patchIndexes,
+//     and ends, holding no lock, by folding a WAL the batch took past
+//     -compact-bytes (store.CompactIfDue); behind AddEdges (the leader's
+//     write gate and its rejection of out-of-range numeric ids) and
+//     ApplyReplicatedEdges (the leader's record kind, seq continuity). A
+//     follower therefore interns, journals, patches and folds exactly as
+//     the leader did.
 //   - resolve binds a request's registry names, non-terminal or RPQ
 //     expression (a grammar too: its right-linear lowering has a slot of
 //     its own) and node tokens to the graph entry, the cached handle and a
@@ -87,18 +89,31 @@ import (
 
 	"cfpq"
 	"cfpq/internal/graph"
+	"cfpq/internal/replica"
 	"cfpq/internal/rpq"
 	"cfpq/internal/store"
 )
 
 // ErrNotFound marks lookups of unregistered names — graphs, grammars,
-// non-terminals, nodes. The HTTP layer maps it to 404; every other
-// service error is a client error.
+// non-terminals, nodes. The HTTP layer maps it to 404.
 var ErrNotFound = errors.New("not found")
 
 // notFoundf builds an error wrapping ErrNotFound.
 func notFoundf(format string, args ...any) error {
 	return fmt.Errorf("%s: %w", fmt.Sprintf(format, args...), ErrNotFound)
+}
+
+// errStore marks a durable-store write that failed: the fault is the
+// server's, not the request's, and the HTTP layer maps it to 500.
+var errStore = errors.New("store write failed")
+
+// storeFault wraps a store write's error in errStore. nil stays nil, and so
+// does a token too long for the store's frames: that is the request's fault.
+func storeFault(err error) error {
+	if err == nil || errors.Is(err, store.ErrTooLong) {
+		return err
+	}
+	return fmt.Errorf("%w: %w", errStore, err)
 }
 
 // Service is a concurrent CFPQ query service over named graphs and
@@ -130,11 +145,10 @@ type Service struct {
 	// leader's writes, which are the only writes a follower accepts.
 	readOnly atomic.Bool
 
-	// replication, when non-nil, is the follower's replicator handle
+	// replication, when non-nil, is the follower's replicator
 	// (SetReplication); readinessMaxLag bounds /readyz staleness in
 	// records, 0 = any finite lag.
-	replMu          sync.Mutex
-	replication     ReplicationController
+	replication     atomic.Pointer[replica.Replicator]
 	readinessMaxLag atomic.Uint64
 
 	// Live-query state (subscribe.go): the live subscriptions behind the
@@ -340,6 +354,7 @@ func (s *Service) installGraph(name string, g *graph.Graph, names *graph.Names, 
 				ge.epoch = minted
 			}
 		}
+		err = storeFault(err)
 	}
 	var dropped []*indexEntry
 	s.mu.Lock()
@@ -452,10 +467,10 @@ func (s *Service) registerGrammar(name, text string) error {
 		// indexes that type-check against the new grammar (non-terminal
 		// names often coincide) and silently serve stale relations.
 		if err := s.store.DropGrammarIndexes(name); err != nil {
-			return err
+			return storeFault(err)
 		}
 		if err := s.store.SaveGrammar(name, text); err != nil {
-			return err
+			return storeFault(err)
 		}
 	}
 	s.mu.Lock()
@@ -980,7 +995,8 @@ func (s *Service) AddEdges(ctx context.Context, graphName string, specs []EdgeSp
 // indexes permanently out of sync with it — journals write-ahead, interns
 // and adds the edges on a fork of the published edge set, publishes the
 // fork and advances seq; then patchIndexes brings every cached index on the
-// graph up to date. The callers have already rejected empty tokens.
+// graph up to date, and a WAL the batch took past the store's threshold is
+// folded. The callers have already rejected empty tokens.
 func (s *Service) applyBatch(ctx context.Context, graphName string, kind store.RecordKind, recs []store.EdgeRecord, replicated bool, endSeq uint64) (UpdateResult, error) {
 	ge, err := s.graphEntry(graphName)
 	if err != nil {
@@ -1005,7 +1021,7 @@ func (s *Service) applyBatch(ctx context.Context, graphName string, kind store.R
 		//lint:allow cfpqlint/lockscope write-ahead protocol: the fsynced append MUST happen under the entry lock so no reader sees un-journaled state
 		if err := s.store.AppendReplicated(graphName, kind, recs, start+uint64(len(recs))); err != nil {
 			ge.mu.Unlock()
-			return UpdateResult{}, fmt.Errorf("server: journaling edges: %w", err)
+			return UpdateResult{}, fmt.Errorf("server: journaling edges: %w", storeFault(err))
 		}
 	}
 	next := ge.g.Fork()
@@ -1030,6 +1046,13 @@ func (s *Service) applyBatch(ctx context.Context, graphName string, kind store.R
 	// budget is the only reason an update is abandoned and its handle
 	// dropped.
 	s.patchIndexes(context.WithoutCancel(ctx), graphName, ge, edges, &res)
+	if s.store != nil {
+		// The batch that takes the WAL past -compact-bytes folds it, holding
+		// no lock. Best effort: a failed fold leaves the WAL long but correct.
+		if _, err := s.store.CompactIfDue(graphName); err != nil {
+			s.obs.persistErrors.Inc()
+		}
+	}
 	return res, nil
 }
 

@@ -136,7 +136,7 @@ func (s *Service) subscribeHeartbeat() time.Duration {
 func (s *Service) serveSubscribe(w http.ResponseWriter, r *http.Request) {
 	var req SubscribeRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxDocumentBytes)).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+		writeError(w, statusFor(err), fmt.Errorf("decoding request: %w", err))
 		return
 	}
 	fl, ok := w.(http.Flusher)

@@ -234,33 +234,46 @@ func TestCompactionRetention(t *testing.T) {
 	if err := s.CreateGraph("g", g, names); err != nil {
 		t.Fatal(err)
 	}
-	// A live reservation trailing the head holds background compaction:
-	// the compactor the append arms scans, and leaves the WAL alone. It
-	// stays idle from here on, as the test appends nothing more.
+	// A live reservation trailing the head holds compaction: CompactIfDue
+	// leaves the WAL alone.
 	s.ReserveTail("g", "f1", 0)
-	head, err := s.Append("g", []EdgeRecord{{From: "a", Label: "x", To: "b"}})
-	if err != nil {
-		t.Fatal(err)
+	appendOne := func(label string) uint64 {
+		t.Helper()
+		head, err := s.Append("g", []EdgeRecord{{From: "a", Label: label, To: "b"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return head
 	}
-	compactorCaughtUp(t, s)
+	compactIfDue := func(want bool, why string) {
+		t.Helper()
+		folded, err := s.CompactIfDue("g")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if folded != want {
+			t.Errorf("CompactIfDue %s: folded %v, want %v (%+v)", why, folded, want, s.Stats().Graphs[0])
+		}
+	}
+	head := appendOne("x")
+	compactIfDue(false, "with a live trailing reservation")
 	if st := s.Stats(); st.Compactions != 0 || st.Graphs[0].WALBytes == 0 {
-		t.Fatalf("background compactor folded a tail a live reservation needs: %d compactions, %+v", st.Compactions, st.Graphs[0])
-	}
-	if s.compactEligible("g") {
-		t.Error("compactEligible with a live trailing reservation")
+		t.Fatalf("CompactIfDue folded a tail a live reservation needs: %d compactions, %+v", st.Compactions, st.Graphs[0])
 	}
 	// A caught-up follower never blocks compaction.
 	s.ReserveTail("g", "f1", head)
-	if !s.compactEligible("g") {
-		t.Error("not compactEligible with the reservation at the head")
-	}
+	compactIfDue(true, "with the reservation at the head")
 	// An expired reservation is pruned: a stalled follower holds the WAL
 	// for at most RetainFor.
-	s.ReserveTail("g", "f1", 0)
+	s.ReserveTail("g", "f1", head)
+	head = appendOne("y")
+	compactIfDue(false, "with the reservation one batch behind")
 	time.Sleep(60 * time.Millisecond)
-	if !s.compactEligible("g") {
-		t.Error("not compactEligible after the reservation expired")
+	compactIfDue(true, "after the reservation expired")
+	if st := s.Stats(); st.Compactions != 2 {
+		t.Errorf("%d compactions, want the 2 folds", st.Compactions)
 	}
+	head = appendOne("z")
 
 	// Explicit Compact ignores reservations entirely: the lagging follower
 	// must get "snapshot required" from its old position afterwards.

@@ -75,7 +75,7 @@ func EncodeSnapshot(w io.Writer, g *graph.Graph, names []string, baseSeq uint64)
 	}
 	str := func(s string) {
 		if len(s) > 1<<16-1 && err == nil {
-			err = fmt.Errorf("store: string too long for snapshot: %d bytes", len(s))
+			err = fmt.Errorf("store: string %w for snapshot: %d bytes", ErrTooLong, len(s))
 		}
 		buf = append(binary.LittleEndian.AppendUint16(buf, uint16(len(s))), s...)
 	}

@@ -41,8 +41,12 @@
 // A long WAL makes recovery slow; Compact writes the fold as a fresh
 // snapshot and truncates the log. Index files survive compaction
 // untouched: their seq watermark stays meaningful because the repair path
-// above covers watermarks older than the snapshot base. A background
-// goroutine compacts any graph whose WAL exceeds Options.CompactBytes.
+// above covers watermarks older than the snapshot base. CompactIfDue folds
+// a graph whose WAL exceeds Options.CompactBytes, in the caller's own call:
+// the serving layer makes it after every edge batch, so the batch that
+// takes a WAL past the threshold pays for the fold. The store starts no
+// goroutine, so a program that journals through Append or AppendReplicated
+// and never calls CompactIfDue (or Compact) keeps a growing WAL.
 package store
 
 import (
@@ -70,6 +74,10 @@ import (
 // not hold.
 var ErrNotFound = errors.New("not found in store")
 
+// ErrTooLong marks a token or node name longer than the 65 535 bytes a WAL
+// record or snapshot can frame: the input is at fault, not the disk.
+var ErrTooLong = errors.New("too long")
+
 const (
 	manifestName    = "MANIFEST"
 	manifestContent = "CFPQSTORE v1\n"
@@ -91,17 +99,17 @@ type Options struct {
 	// tests and benchmarks should set it: a crash can then lose
 	// acknowledged records.
 	NoSync bool
-	// CompactBytes is the WAL size above which the background compactor
-	// folds a graph's log into a fresh snapshot. 0 means the 4 MiB
-	// default; negative disables background compaction (Compact can still
-	// be called explicitly).
+	// CompactBytes is the WAL size above which CompactIfDue folds a
+	// graph's log into a fresh snapshot. 0 means the 4 MiB default;
+	// negative turns CompactIfDue off (Compact can still be called
+	// explicitly).
 	CompactBytes int64
 	// RetainFor is how long a follower's tail reservation (ReserveTail)
-	// keeps the background compactor away from WAL records the follower
-	// has not streamed yet. 0 means the 30 s default; a follower that
-	// goes silent longer than this stops holding compaction back and
-	// re-bootstraps from the snapshot instead. Explicit Compact/Snapshot
-	// calls ignore reservations.
+	// keeps CompactIfDue away from WAL records the follower has not
+	// streamed yet. 0 means the 30 s default; a follower that goes silent
+	// longer than this stops holding compaction back and re-bootstraps
+	// from the snapshot instead. Explicit Compact/Snapshot calls ignore
+	// reservations.
 	RetainFor time.Duration
 }
 
@@ -120,23 +128,6 @@ type Store struct {
 	mu     sync.Mutex
 	graphs map[string]*graphLog
 
-	closed    chan struct{}
-	closeOnce sync.Once
-	wg        sync.WaitGroup
-
-	// compactWake wakes the background compactor. It holds at most one
-	// pending wake, so an append never blocks on it and loses none: a wake
-	// that finds one pending is covered by the scan that one starts.
-	// compactArmed counts appends that left a WAL above CompactBytes, each
-	// of which wakes the compactor; compactScanned is compactArmed as of
-	// the start of the compactor's last finished scan. Once compactScanned
-	// reaches a value compactArmed held, every tail the appends up to then
-	// left above CompactBytes has been folded or held back by a follower
-	// reservation — the point tests wait for.
-	compactWake    chan struct{}
-	compactArmed   atomic.Uint64
-	compactScanned atomic.Uint64
-
 	// watchCh is the change-broadcast channel: closed and replaced on
 	// every append and registry change, so replication long-polls wake
 	// without busy-waiting. Guarded by watchMu.
@@ -144,7 +135,7 @@ type Store struct {
 	watchCh chan struct{}
 
 	// reservations tracks follower tail positions per graph (graph name →
-	// follower id → reservation), so background compaction retains WAL
+	// follower id → reservation), so CompactIfDue retains WAL
 	// tails an attached follower still needs. Guarded by resMu.
 	resMu        sync.Mutex
 	reservations map[string]map[string]reservation
@@ -251,8 +242,6 @@ func Open(dir string, opts Options) (*Store, error) {
 		dir:          dir,
 		opts:         opts,
 		graphs:       map[string]*graphLog{},
-		compactWake:  make(chan struct{}, 1),
-		closed:       make(chan struct{}),
 		watchCh:      make(chan struct{}),
 		reservations: map[string]map[string]reservation{},
 	}
@@ -277,8 +266,6 @@ func Open(dir string, opts Options) (*Store, error) {
 		}
 		s.graphs[name] = gl
 	}
-	s.wg.Add(1)
-	go s.compactor()
 	return s, nil
 }
 
@@ -620,17 +607,10 @@ func (s *Store) append(name string, kind byte, recs []EdgeRecord, expectStart in
 			(*obs)(time.Since(syncStart))
 		}
 	}
-	size := gl.walSize.Add(n)
+	gl.walSize.Add(n)
 	gl.apply(walBatch{kind: kind, recs: slices.Clone(recs)}, n)
 	s.appends.Add(1)
 	s.walWritten.Add(n)
-	if s.opts.CompactBytes > 0 && size > s.opts.CompactBytes {
-		s.compactArmed.Add(1)
-		select {
-		case s.compactWake <- struct{}{}:
-		default:
-		}
-	}
 	seq := gl.seq
 	s.changed()
 	return seq, nil
@@ -700,40 +680,51 @@ type IndexData struct {
 // to the graph block for the duration, so the snapshot is consistent: it
 // covers exactly the records the truncation discards.
 func (s *Store) Snapshot(name string, indexes []IndexData) error {
+	_, err := s.snapshot(name, indexes, false)
+	return err
+}
+
+// snapshot is Snapshot, or with ifDue CompactIfDue's fold: that folds
+// only when compaction is due, checked once without the log lock and again
+// under it. folded reports whether a snapshot was written.
+func (s *Store) snapshot(name string, indexes []IndexData, ifDue bool) (folded bool, err error) {
 	gl, err := s.lookup(name)
-	if err != nil {
-		return err
+	if err != nil || ifDue && !s.oversized(gl) {
+		return false, err
 	}
 	gl.mu.Lock()
 	defer gl.mu.Unlock()
+	if ifDue && (!s.oversized(gl) || s.tailNeeded(name, gl.seq, time.Now())) {
+		return false, nil
+	}
 	if gl.wal == nil {
-		return fmt.Errorf("store: graph %q: store closed", name)
+		return false, fmt.Errorf("store: graph %q: store closed", name)
 	}
 	g, f, err := gl.fold()
 	if err != nil {
-		return err
+		return false, err
 	}
 	for _, ix := range indexes {
 		if err := s.saveIndexLocked(gl, ix); err != nil {
-			return err
+			return false, err
 		}
 	}
 	if err := writeFileAtomic(filepath.Join(gl.dir, "snapshot"), !s.opts.NoSync, func(w io.Writer) error {
 		return EncodeSnapshot(w, g, f.Names.ByID(), gl.seq)
 	}); err != nil {
-		return err
+		return false, err
 	}
 	//lint:allow cfpqlint/lockscope compaction swaps the WAL under the per-graph log lock; appends must not interleave with the truncate
 	if err := gl.wal.Truncate(0); err != nil {
-		return err
+		return false, err
 	}
 	if _, err := gl.wal.Seek(0, io.SeekStart); err != nil {
-		return err
+		return false, err
 	}
 	if !s.opts.NoSync {
 		//lint:allow cfpqlint/lockscope compaction fsync, same protocol: the truncated WAL must be durable before new appends are accepted
 		if err := gl.wal.Sync(); err != nil {
-			return err
+			return false, err
 		}
 	}
 	gl.baseSeq = gl.seq
@@ -744,7 +735,7 @@ func (s *Store) Snapshot(name string, indexes []IndexData) error {
 	// Followers parked on the truncated tail wake, see their position fall
 	// behind the new base and re-bootstrap from the fresh snapshot.
 	s.changed()
-	return nil
+	return true, nil
 }
 
 // Compact is Snapshot without fresh index data: the WAL is folded into
@@ -758,51 +749,23 @@ func (s *Store) Compact(name string) error {
 	return err
 }
 
-// compactor is the background goroutine folding oversized WALs: each wake
-// scans every graph and folds the eligible ones, so the tail an append
-// leaves above CompactBytes is folded by the scan its wake starts or by
-// the one already pending.
-func (s *Store) compactor() {
-	defer s.wg.Done()
-	for {
-		select {
-		case <-s.closed:
-			return
-		case <-s.compactWake:
-			armed := s.compactArmed.Load()
-			for _, name := range s.GraphNames() {
-				if s.compactEligible(name) {
-					// Best effort: a failed background compaction leaves the
-					// WAL long but the store correct; the next append re-arms.
-					_ = s.Compact(name)
-				}
-			}
-			s.compactScanned.Store(armed)
-		}
+// CompactIfDue is Compact when compaction is due: the WAL is above
+// Options.CompactBytes AND no live follower reservation trails its head.
+// A reservation not refreshed for Options.RetainFor has expired, and its
+// follower re-bootstraps from the snapshot; Compact and Snapshot ignore
+// reservations. The rule is re-checked under the log lock, so callers that
+// see the same oversized WAL fold it once, and a WAL under the threshold
+// costs no log lock. folded reports whether this call folded the log.
+func (s *Store) CompactIfDue(name string) (folded bool, err error) {
+	if folded, err = s.snapshot(name, nil, true); folded {
+		s.compactions.Add(1)
 	}
+	return folded, err
 }
 
-// compactEligible reports whether the background compactor should fold a
-// graph's WAL now: the log is oversized AND no live follower reservation
-// still needs its tail. A follower that keeps up never blocks compaction
-// (its reservation sits at the head); one that stalls holds it back for at
-// most Options.RetainFor, after which the leader compacts anyway and the
-// follower re-bootstraps from the snapshot. Explicit Compact/Snapshot
-// calls skip this check entirely — they always signal "snapshot required"
-// to lagging followers rather than silently diverge.
-func (s *Store) compactEligible(name string) bool {
-	gl, err := s.lookup(name)
-	if err != nil {
-		return false
-	}
-	gl.mu.Lock()
-	oversized := gl.walSize.Load() > s.opts.CompactBytes
-	seq := gl.seq
-	gl.mu.Unlock()
-	if !oversized {
-		return false
-	}
-	return !s.tailNeeded(name, seq, time.Now())
+// oversized reports whether a graph's WAL has outgrown Options.CompactBytes.
+func (s *Store) oversized(gl *graphLog) bool {
+	return s.opts.CompactBytes > 0 && gl.walSize.Load() > s.opts.CompactBytes
 }
 
 // tailNeeded reports whether a live reservation still trails the head of
@@ -823,8 +786,8 @@ func (s *Store) tailNeeded(name string, headSeq uint64, now time.Time) bool {
 	return needed
 }
 
-// ReserveTail records a follower's replication position on a graph. The
-// background compactor retains WAL records past seq while the reservation
+// ReserveTail records a follower's replication position on a graph.
+// CompactIfDue retains WAL records past seq while the reservation
 // is fresh (Options.RetainFor); followers refresh it with every poll.
 func (s *Store) ReserveTail(name, follower string, seq uint64) {
 	if follower == "" {
@@ -1250,7 +1213,7 @@ type Stats struct {
 	WALWritten int64 `json:"wal_written"`
 	WALFsyncs  int64 `json:"wal_fsyncs"`
 	// Snapshots and Compactions count snapshot writes this session
-	// (compactions are the background/threshold-triggered subset).
+	// (compactions are the Compact and CompactIfDue subset).
 	Snapshots   int64 `json:"snapshots"`
 	Compactions int64 `json:"compactions"`
 	// ReplayedRecords and RecoveredBytes report Open-time recovery work:
@@ -1322,11 +1285,8 @@ func (s *Store) WALBytes() int64 {
 	return total
 }
 
-// Close stops the background compactor and closes every WAL. The store
-// must not be used afterwards.
+// Close closes every WAL. The store must not be used afterwards.
 func (s *Store) Close() error {
-	s.closeOnce.Do(func() { close(s.closed) })
-	s.wg.Wait()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var first error

@@ -13,8 +13,9 @@ import (
 	"reflect"
 	"runtime"
 	"strconv"
+	"sync"
+	"sync/atomic"
 	"testing"
-	"time"
 
 	"cfpq/internal/core"
 	"cfpq/internal/grammar"
@@ -639,28 +640,12 @@ func TestLogIgnoresNumericNames(t *testing.T) {
 	}
 }
 
-// compactorCaughtUp waits until the background compactor has finished a
-// scan started after every append that armed it so far: from then on each
-// WAL those appends left above CompactBytes is folded, or held back by a
-// follower reservation, and the compactor stays idle until the next append
-// arms it again.
-func compactorCaughtUp(t *testing.T, s *Store) {
-	t.Helper()
-	armed := s.compactArmed.Load()
-	deadline := time.Now().Add(5 * time.Second)
-	for s.compactScanned.Load() < armed {
-		if time.Now().After(deadline) {
-			t.Fatalf("background compactor never scanned after append %d (scanned up to %d)", armed, s.compactScanned.Load())
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-// TestBackgroundCompaction: appends to two graphs, the compactor caught up
-// after each — every tail an append left above CompactBytes folds (the
-// WAL is never seen above it), each fold is one compaction, and the
-// folded state is intact.
-func TestBackgroundCompaction(t *testing.T) {
+// TestThresholdCompaction: appends to two graphs, each followed by
+// CompactIfDue as the serving layer calls it — every tail an append leaves
+// above CompactBytes folds in that call (the WAL is never seen above it),
+// each fold is one compaction, a second call right after a fold folds
+// nothing, and the folded state is intact.
+func TestThresholdCompaction(t *testing.T) {
 	dir := t.TempDir()
 	const compactBytes = 64
 	s, err := Open(dir, Options{NoSync: true, CompactBytes: compactBytes})
@@ -682,18 +667,28 @@ func TestBackgroundCompaction(t *testing.T) {
 			if _, err := s.Append(name, []EdgeRecord{{From: "a", Label: "l" + string(rune('0'+i)), To: "b"}}); err != nil {
 				t.Fatal(err)
 			}
-			compactorCaughtUp(t, s)
+			folded, err := s.CompactIfDue(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if folded {
+				if again, err := s.CompactIfDue(name); again || err != nil {
+					t.Errorf("after batch %d to %s: a second CompactIfDue right after a fold answered %v, %v", i, name, again, err)
+				}
+			}
 			st := s.Stats()
 			for _, gs := range st.Graphs {
 				if gs.WALBytes > compactBytes {
 					t.Errorf("after batch %d to %s: %s's WAL holds %d bytes, above CompactBytes %d", i, name, gs.Graph, gs.WALBytes, compactBytes)
 				}
 				if gs.BaseSeq != baseSeq[gs.Graph] {
-					if gs.Graph != name || gs.BaseSeq != gs.Seq || gs.WALBytes != 0 {
-						t.Errorf("after batch %d to %s: %s folded to %+v, want the appended graph folded to its head", i, name, gs.Graph, gs)
+					if gs.Graph != name || !folded || gs.BaseSeq != gs.Seq || gs.WALBytes != 0 {
+						t.Errorf("after batch %d to %s (folded %v): %s folded to %+v, want the appended graph folded to its head", i, name, folded, gs.Graph, gs)
 					}
 					baseSeq[gs.Graph] = gs.BaseSeq
 					folds++
+				} else if gs.Graph == name && folded {
+					t.Errorf("after batch %d to %s: CompactIfDue reported a fold the stats do not show: %+v", i, name, gs)
 				}
 			}
 			if st.Compactions != folds {
@@ -713,6 +708,53 @@ func TestBackgroundCompaction(t *testing.T) {
 		if seq != batches || g2.EdgeCount() != 2+batches {
 			t.Errorf("%s post-compaction state: seq %d, %v", name, seq, g2)
 		}
+	}
+}
+
+// TestCompactIfDueFoldsOnce: callers that see the same oversized WAL
+// together fold it once — the rule is re-checked under the log lock — and
+// a negative CompactBytes turns the call off.
+func TestCompactIfDueFoldsOnce(t *testing.T) {
+	g, names := sampleGraph()
+	for _, tc := range []struct {
+		compactBytes int64
+		folds        int
+	}{{1, 1}, {-1, 0}} {
+		s, err := Open(t.TempDir(), Options{NoSync: true, CompactBytes: tc.compactBytes})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.CreateGraph("g", g, names); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Append("g", []EdgeRecord{{From: "a", Label: "x", To: "b"}}); err != nil {
+			t.Fatal(err)
+		}
+		const callers = 4
+		var wg sync.WaitGroup
+		var folded atomic.Int32
+		for range callers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				ok, err := s.CompactIfDue("g")
+				if err != nil {
+					t.Error(err)
+				}
+				if ok {
+					folded.Add(1)
+				}
+			}()
+		}
+		wg.Wait()
+		st := s.Stats()
+		if int(folded.Load()) != tc.folds || st.Compactions != int64(tc.folds) {
+			t.Errorf("CompactBytes %d: %d of %d callers folded, %d compactions; want %d", tc.compactBytes, folded.Load(), callers, st.Compactions, tc.folds)
+		}
+		if wantWAL := tc.folds == 0; (st.WALBytes > 0) != wantWAL {
+			t.Errorf("CompactBytes %d: WAL holds %d bytes after the calls", tc.compactBytes, st.WALBytes)
+		}
+		s.Close()
 	}
 }
 

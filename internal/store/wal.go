@@ -122,7 +122,7 @@ func encodeFrame(kind byte, recs []EdgeRecord) ([]byte, error) {
 	for _, r := range recs {
 		for _, tok := range []string{r.From, r.Label, r.To} {
 			if len(tok) > 1<<16-1 {
-				return nil, fmt.Errorf("store: token too long for WAL record: %d bytes", len(tok))
+				return nil, fmt.Errorf("store: token %w for WAL record: %d bytes", ErrTooLong, len(tok))
 			}
 			size += 2 + len(tok)
 		}
