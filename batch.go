@@ -1,11 +1,6 @@
 package cfpq
 
-import (
-	"context"
-	"runtime"
-	"sync"
-	"sync/atomic"
-)
+import "context"
 
 // BatchResult is the answer to one Request of a batch: the Result when the
 // request was answered, or the per-request error — one malformed request
@@ -18,25 +13,11 @@ type BatchResult struct {
 	Err error
 }
 
-// batchWorkers sizes the worker pool fanning a batch out: one worker per
-// processor, never more than there are requests.
-func batchWorkers(n int) int {
-	w := runtime.GOMAXPROCS(0)
-	if w > n {
-		w = n
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// QueryBatch answers every Request of the batch from ONE pinned version of
-// the handle's cached index, fanning the work out over a shared pool of one
-// worker per processor with no lock held. All answers come from the same
-// index state: an AddEdges racing the batch is either fully visible to
-// every answer or to none, which per-request pinning cannot guarantee, and
-// it is not held up by the batch either.
+// QueryBatch answers every Request of the batch, in order and on the
+// caller's goroutine, from ONE pinned version of the handle's cached index.
+// All answers come from the same index state: an AddEdges racing the batch
+// is either fully visible to every answer or to none, which per-request
+// pinning cannot guarantee, and it is not held up by the batch either.
 // Each request is planned like Prepared.Do plans it (the cached-read
 // strategy, with the same request restrictions), and every Result streams
 // a snapshot materialised during the batch, so answers stay consistent
@@ -51,40 +32,17 @@ func (p *Prepared) QueryBatch(ctx context.Context, reqs []Request) []BatchResult
 	v := p.pin()
 	p.queries.Add(int64(len(reqs)))
 	results := make([]BatchResult, len(reqs))
-	answer := func(i int) {
-		if err := ctx.Err(); err != nil {
-			results[i] = BatchResult{Err: err}
-			return
+	for i, req := range reqs {
+		err := ctx.Err()
+		if err == nil {
+			err = p.checkRequest(req)
 		}
-		if err := p.checkRequest(reqs[i]); err != nil {
+		if err != nil {
 			results[i] = BatchResult{Err: err}
-			return
+			continue
 		}
-		res, err := p.answer(ctx, v, reqs[i])
+		res, err := p.answer(ctx, v, req)
 		results[i] = BatchResult{Result: res, Err: err}
 	}
-	workers := batchWorkers(len(reqs))
-	if workers == 1 {
-		for i := range reqs {
-			answer(i)
-		}
-		return results
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(reqs) {
-					return
-				}
-				answer(i)
-			}
-		}()
-	}
-	wg.Wait()
 	return results
 }

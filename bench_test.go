@@ -37,7 +37,10 @@ func benchTable(b *testing.B, query int) {
 			b.Run(name, func(b *testing.B) {
 				results := 0
 				for i := 0; i < b.N; i++ {
-					results = impl.Run(g)
+					var err error
+					if results, err = impl.Run(b.Context(), g); err != nil {
+						b.Fatal(err)
+					}
 				}
 				b.ReportMetric(float64(results), "results")
 			})
@@ -97,5 +100,33 @@ func BenchmarkEvaluateTraceOn(b *testing.B) {
 	}
 	if b.N > 0 && events == 0 {
 		b.Fatal("tracer fired no events")
+	}
+}
+
+// BenchmarkPreparedQueryBatch prices QueryBatch on funding under Query 1:
+// batches of 8, 64 and 1000 one-source pairs requests, answered from the
+// cached index of one Prepared handle.
+func BenchmarkPreparedQueryBatch(b *testing.B) {
+	d, _ := dataset.ByName("funding")
+	g := d.Build()
+	p, err := cfpq.NewEngine(cfpq.Sparse).Prepare(context.Background(), g, dataset.Query1())
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, size := range []int{8, 64, 1000} {
+		reqs := make([]cfpq.Request, size)
+		for i := range reqs {
+			reqs[i] = cfpq.Request{Nonterminal: "S", Sources: []int{i % g.Nodes()}}
+		}
+		b.Run(fmt.Sprint(size), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, r := range p.QueryBatch(context.Background(), reqs) {
+					if r.Err != nil {
+						b.Fatal(r.Err)
+					}
+				}
+			}
+		})
 	}
 }

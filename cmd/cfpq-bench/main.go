@@ -9,12 +9,17 @@
 //	cfpq-bench -table 2 -max 1000    # Table 2, only graphs with ≤ 1000 triples
 //	cfpq-bench -ablation             # the ablations only
 //	cfpq-bench -json BENCH_paper.json
+//
+// Ctrl-C (or SIGTERM) stops a run between closure passes.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
+	"os/signal"
+	"syscall"
 
 	"cfpq/internal/bench"
 )
@@ -32,6 +37,8 @@ func main() {
 		os.Exit(2)
 	}
 
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 	report := bench.Report{Environment: bench.CurrentEnvironment(*repeats)}
 	add := func(tables ...bench.Table) {
 		bench.Format(os.Stdout, tables...)
@@ -46,14 +53,18 @@ func main() {
 		if *verbose {
 			cfg.Log = os.Stderr
 		}
-		t, err := bench.RunTable(cfg)
+		t, err := bench.RunTable(ctx, cfg)
 		if err != nil {
 			fatal(err)
 		}
 		add(t)
 	}
 	if everything || *ablation {
-		add(bench.RunAblations(*repeats)...)
+		tables, err := bench.RunAblations(ctx, *repeats)
+		if err != nil {
+			fatal(err)
+		}
+		add(tables...)
 	}
 	if *jsonPath != "" {
 		if err := writeReport(*jsonPath, report); err != nil {

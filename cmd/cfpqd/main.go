@@ -68,8 +68,8 @@
 //
 // Single-source questions restrict the answer to pairs leaving given
 // nodes, and batches coalesce many queries against one (graph, grammar)
-// pair into one cached-index build with answers fanned out over a worker
-// pool:
+// pair into one cached-index build, every answer read from the same index
+// version:
 //
 //	curl -X POST -d '{"graph":"wine","grammar":"samegen","nonterminal":"S","sources":["n1","n2"]}' localhost:8080/v1/query
 //	curl -X POST -d '{"graph":"wine","grammar":"samegen","queries":[

@@ -65,8 +65,8 @@
 //
 // # Batched requests
 //
-// Prepared.QueryBatch answers []Request from the handle's cached index;
-// answers fan out over a worker pool, and all of them read the same index
+// Prepared.QueryBatch answers []Request from the handle's cached index, in
+// order on the caller's goroutine, and all of them read the same index
 // state, so a racing update is visible to the whole batch or none of it.
 // A one-shot batch is Prepare followed by QueryBatch:
 //
@@ -101,9 +101,9 @@
 // read it without a lock. AddEdges calls serialise on a writers-only
 // mutex: fork the current index copy-on-write (sparse matrices share their
 // rows; a matrix's row list is copied when the update first writes it), run
-// the update closure on the fork, and swap the result in under the lock
-// readers pin through — held for the pointer, the statistics and the
-// subscription publish, microseconds. The closure only
+// the update closure on the fork, and store the result under a publish
+// mutex — held for the pointer store and the subscription push,
+// microseconds, and taken by Subscribe too, never by a reader. The closure only
 // ever adds bits, so the version a reader holds stays a sound,
 // self-consistent relation for as long as it holds it. Readers never wait
 // for a closure; a cancelled or over-budget update is abandoned — nothing

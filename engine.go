@@ -131,7 +131,7 @@ func (e *Engine) PrepareCNF(ctx context.Context, g *Graph, cnf *CNF) (*Prepared,
 	if err != nil {
 		return nil, err
 	}
-	return &Prepared{eng: e, cnf: cnf, cur: &version{g: g, ix: ix}, build: build}, nil
+	return newPrepared(e, cnf, g, ix, build), nil
 }
 
 // PrepareFromIndex binds an already-evaluated index to its graph without
@@ -161,5 +161,5 @@ func (e *Engine) PrepareFromIndex(g *Graph, cnf *CNF, ix *Index) (*Prepared, err
 	if g.Nodes() > ix.Nodes() {
 		ix.Grow(g.Nodes())
 	}
-	return &Prepared{eng: e, cnf: cnf, cur: &version{g: g, ix: ix}}, nil
+	return newPrepared(e, cnf, g, ix, Stats{}), nil
 }

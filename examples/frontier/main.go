@@ -3,8 +3,8 @@
 // target-frontier strategy for restricted questions instead of the full
 // n×n closure — Result.Explain records the choice — and batched
 // evaluation (Prepared.QueryBatch), which coalesces many Requests against
-// one (graph, grammar) pair into a single cached index build with answers
-// fanned out over a worker pool.
+// one (graph, grammar) pair into a single cached index build, every answer
+// read from the same index version.
 //
 // The scenario is a security review over a service-dependency graph:
 // `calls` edges between services, and the review asks per-service
@@ -90,8 +90,8 @@ func run(w io.Writer) error {
 	}
 
 	// 2. A review batch: one Prepared handle, one closure build, every
-	// per-service question answered from the same index state by the
-	// shared worker pool. (The handle never writes the graph.)
+	// per-service question answered from the same index state. (The
+	// handle never writes the graph.)
 	prep, err := eng.Prepare(ctx, g, gram)
 	if err != nil {
 		return err

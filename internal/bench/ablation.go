@@ -1,4 +1,3 @@
-//lint:file-allow cfpqlint/ctxflow bench harness: standalone CLI tooling with no caller context; runs on its own root context by design
 package bench
 
 import (
@@ -21,12 +20,23 @@ import (
 //  3. saturated frontier — what the planner's frontier strategies win over
 //     the full closure on a directed grammar, and lose on the paper's
 //     same-generation query, whose frontier reaches every row.
-func RunAblations(repeats int) []Table {
-	return []Table{
-		ablationIterationSchedule(repeats),
-		ablationDenseSparseCrossover(repeats),
-		ablationSaturatedFrontier(repeats),
+//
+// It stops at the first error (ctx's, once ctx is done) and returns it
+// with the tables finished before it.
+func RunAblations(ctx context.Context, repeats int) ([]Table, error) {
+	var tables []Table
+	for _, ablation := range []func(context.Context, int) (Table, error){
+		ablationIterationSchedule,
+		ablationDenseSparseCrossover,
+		ablationSaturatedFrontier,
+	} {
+		t, err := ablation(ctx, repeats)
+		if err != nil {
+			return tables, err
+		}
+		tables = append(tables, t)
 	}
+	return tables, nil
 }
 
 // ablationOntologies are five real ontologies spanning the paper's sizes.
@@ -42,49 +52,46 @@ func buildDataset(name string) *graph.Graph {
 
 // timeClosure times the production closure of Query q — like the table
 // harness, through the public cfpq.Engine — and returns its statistics.
-func timeClosure(repeats int, g *graph.Graph, q int, be cfpq.Backend) (Timing, cfpq.Stats) {
+func timeClosure(ctx context.Context, repeats int, first *error, g *graph.Graph, q int, be cfpq.Backend) (Timing, cfpq.Stats) {
 	cnf := dataset.QueryCNF(q)
 	eng := cfpq.NewEngine(be)
-	return measure(repeats, func() cfpq.Stats {
-		_, s, err := eng.Evaluate(context.Background(), g, cnf)
-		if err != nil {
-			panic(err) // background context: unreachable
-		}
-		return s
+	return measure(ctx, repeats, first, func() (cfpq.Stats, error) {
+		_, s, err := eng.Evaluate(ctx, g, cnf)
+		return s, err
 	})
 }
 
-func ablationIterationSchedule(repeats int) Table {
-	t := Table{
+func ablationIterationSchedule(ctx context.Context, repeats int) (t Table, err error) {
+	t = Table{
 		Title:  "Ablation 1: iteration schedule (Query 1, sparse backend)",
 		Header: []string{"Ontology", "algorithm1", "semi-naive", "algorithm1(ms)", "semi-naive(ms)"},
 	}
 	cnf := dataset.QueryCNF(1)
 	for _, name := range ablationOntologies {
 		g := buildDataset(name)
-		tRef, sRef := measure(repeats, func() cfpq.Stats {
+		tRef, sRef := measure(ctx, repeats, &err, func() (cfpq.Stats, error) {
 			_, s := cfpq.Algorithm1(cfpq.Sparse, g, cnf, nil)
-			return s
+			return s, nil
 		})
-		tSemi, sSemi := timeClosure(repeats, g, 1, cfpq.Sparse)
+		tSemi, sSemi := timeClosure(ctx, repeats, &err, g, 1, cfpq.Sparse)
 		t.Rows = append(t.Rows, []Cell{text(name), num(sRef.Iterations), num(sSemi.Iterations), timed(tRef), timed(tSemi)})
 	}
-	return t
+	return t, err
 }
 
-func ablationDenseSparseCrossover(repeats int) Table {
-	t := Table{
+func ablationDenseSparseCrossover(ctx context.Context, repeats int) (t Table, err error) {
+	t = Table{
 		Title:  "Ablation 2: dense vs sparse with graph size (Query 1, funding × k)",
 		Header: []string{"copies", "nodes", "dense(ms)", "sparse(ms)", "ratio"},
 	}
 	base := buildDataset("funding")
 	for _, k := range []int{1, 2, 4, 8} {
 		g := graph.Repeat(base, k)
-		tDense, _ := timeClosure(repeats, g, 1, cfpq.Dense)
-		tSparse, _ := timeClosure(repeats, g, 1, cfpq.Sparse)
+		tDense, _ := timeClosure(ctx, repeats, &err, g, 1, cfpq.Dense)
+		tSparse, _ := timeClosure(ctx, repeats, &err, g, 1, cfpq.Sparse)
 		t.Rows = append(t.Rows, []Cell{num(k), num(g.Nodes()), timed(tDense), timed(tSparse), ratio(tDense, tSparse)})
 	}
-	return t
+	return t, err
 }
 
 // ablationSaturatedFrontier asks Engine.Do for the pairs leaving a class
@@ -94,18 +101,14 @@ func ablationDenseSparseCrossover(repeats int) Table {
 // and wins; Query 1's inverse edges connect the whole hierarchy, so its
 // frontier ends up being every row ("sat"): the lazily seeded evaluation
 // does the full closure's work with the activation bookkeeping on top.
-func ablationSaturatedFrontier(repeats int) Table {
-	t := Table{
+func ablationSaturatedFrontier(ctx context.Context, repeats int) (t Table, err error) {
+	t = Table{
 		Title:  "Ablation 3: frontier vs full closure for a one-node restriction (sparse backend)",
 		Header: []string{"Ontology", "grammar", "restrict", "strategy", "frontier", "full(ms)", "planned(ms)"},
 	}
 	eng := cfpq.NewEngine(cfpq.Sparse)
-	do := func(req cfpq.Request) *cfpq.Result {
-		res, err := eng.Do(context.Background(), req)
-		if err != nil {
-			panic(err) // background context, in-range node: unreachable
-		}
-		return res
+	do := func(req cfpq.Request) func() (*cfpq.Result, error) {
+		return func() (*cfpq.Result, error) { return eng.Do(ctx, req) }
 	}
 	grammars := map[string]*cfpq.Grammar{
 		"ancestors": cfpq.MustParseGrammar("S -> subClassOf S | subClassOf"),
@@ -117,7 +120,7 @@ func ablationSaturatedFrontier(repeats int) Table {
 		edge := edges[len(edges)-1]
 		for _, gramName := range []string{"ancestors", "query1"} {
 			full := cfpq.Request{Graph: g, Grammar: grammars[gramName], Nonterminal: "S"}
-			tFull, _ := measure(repeats, func() *cfpq.Result { return do(full) })
+			tFull, _ := measure(ctx, repeats, &err, do(full))
 			for _, side := range []string{"sources", "targets"} {
 				req := full
 				if side == "sources" {
@@ -125,7 +128,10 @@ func ablationSaturatedFrontier(repeats int) Table {
 				} else {
 					req.Targets = []int{edge.To}
 				}
-				tPlan, res := measure(repeats, func() *cfpq.Result { return do(req) })
+				tPlan, res := measure(ctx, repeats, &err, do(req))
+				if err != nil {
+					return t, err // res is nil
+				}
 				frontier := num(res.Explain.Frontier)
 				if res.Explain.Saturated {
 					frontier = text("sat")
@@ -135,5 +141,5 @@ func ablationSaturatedFrontier(repeats int) Table {
 			}
 		}
 	}
-	return t
+	return t, err
 }

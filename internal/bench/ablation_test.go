@@ -10,7 +10,10 @@ func TestRunAblationsSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ablations touch the large datasets; skipped with -short")
 	}
-	tables := RunAblations(1)
+	tables, err := RunAblations(t.Context(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
 	Format(&buf, tables...)
 	out := buf.String()

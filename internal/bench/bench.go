@@ -1,5 +1,3 @@
-//lint:file-allow cfpqlint/ctxflow bench harness: standalone CLI tooling with no caller context; runs on its own root context by design
-
 // Package bench is the harness that regenerates the paper's evaluation:
 // Table 1 (Query 1) and Table 2 (Query 2) over the 14 dataset graphs, for
 // three of the four implementations the paper compares —
@@ -34,7 +32,7 @@ type Impl struct {
 	// Name as it appears in the paper's table header.
 	Name string
 	// Run evaluates R_S and returns its size.
-	Run func(g *graph.Graph) int
+	Run func(ctx context.Context, g *graph.Graph) (int, error)
 	// SkipSynthetic omits the implementation on the repeated graphs g1–g3
 	// (the paper omits dGPU there: "a dense matrix representation leads to
 	// a significant performance degradation with the graph size growth").
@@ -48,21 +46,21 @@ type Impl struct {
 func Implementations(q int) []Impl {
 	gram := dataset.Query(q)
 	cnf := grammar.MustCNF(gram)
-	matrixImpl := func(be cfpq.Backend) func(g *graph.Graph) int {
+	matrixImpl := func(be cfpq.Backend) func(context.Context, *graph.Graph) (int, error) {
 		eng := cfpq.NewEngine(be)
-		return func(g *graph.Graph) int {
-			ix, _, err := eng.Evaluate(context.Background(), g, cnf)
+		return func(ctx context.Context, g *graph.Graph) (int, error) {
+			ix, _, err := eng.Evaluate(ctx, g, cnf)
 			if err != nil {
-				panic(err) // background context: unreachable
+				return 0, err
 			}
-			return ix.Count("S")
+			return ix.Count("S"), nil
 		}
 	}
 	return []Impl{
 		{
 			Name: "GLL",
-			Run: func(g *graph.Graph) int {
-				return len(baseline.NewGLL(gram).Relation(g, "S"))
+			Run: func(_ context.Context, g *graph.Graph) (int, error) {
+				return len(baseline.NewGLL(gram).Relation(g, "S")), nil
 			},
 		},
 		{Name: "dGPU", Run: matrixImpl(cfpq.Dense), SkipSynthetic: true},
@@ -87,8 +85,9 @@ type Config struct {
 // returns the requested table in the paper's layout: ontology, #triples,
 // #results, then one timed column per implementation (left empty where the
 // paper omits it). It returns an error if two implementations disagree on
-// #results for any graph.
-func RunTable(cfg Config) (Table, error) {
+// #results for any graph, or ctx's error once it is done: the matrix
+// implementations check it between closure passes, every cell between runs.
+func RunTable(ctx context.Context, cfg Config) (Table, error) {
 	if cfg.Query != 1 && cfg.Query != 2 {
 		return Table{}, fmt.Errorf("bench: query must be 1 or 2, got %d", cfg.Query)
 	}
@@ -111,7 +110,11 @@ func RunTable(cfg Config) (Table, error) {
 			if impl.SkipSynthetic && d.Synthetic {
 				continue
 			}
-			timing, got := measure(cfg.Repeats, func() int { return impl.Run(g) })
+			var err error
+			timing, got := measure(ctx, cfg.Repeats, &err, func() (int, error) { return impl.Run(ctx, g) })
+			if err != nil {
+				return t, err
+			}
 			if results == -1 {
 				results = got
 			} else if got != results {

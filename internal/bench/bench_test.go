@@ -2,7 +2,9 @@ package bench
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"os"
 	"reflect"
 	"slices"
@@ -24,7 +26,7 @@ func column(t *testing.T, tab Table, name string) int {
 func TestRunTableQuick(t *testing.T) {
 	// Small graphs only; one repeat. All implementations must agree on
 	// #results (RunTable errors otherwise).
-	tab, err := RunTable(Config{Query: 1, Repeats: 1, MaxTriples: 300})
+	tab, err := RunTable(t.Context(), Config{Query: 1, Repeats: 1, MaxTriples: 300})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +46,7 @@ func TestRunTableQuick(t *testing.T) {
 }
 
 func TestRunTableQuery2(t *testing.T) {
-	tab, err := RunTable(Config{Query: 2, Repeats: 1, MaxTriples: 280})
+	tab, err := RunTable(t.Context(), Config{Query: 2, Repeats: 1, MaxTriples: 280})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,14 +55,27 @@ func TestRunTableQuery2(t *testing.T) {
 	}
 }
 
+// TestHarnessStopsWhenCancelled: a cancelled context stops the tables and
+// the ablations with its error instead of running them to the end.
+func TestHarnessStopsWhenCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(t.Context())
+	cancel()
+	if _, err := RunTable(ctx, Config{Query: 1, Repeats: 1}); !errors.Is(err, context.Canceled) {
+		t.Errorf("RunTable on a cancelled context: %v, want context.Canceled", err)
+	}
+	if tables, err := RunAblations(ctx, 1); !errors.Is(err, context.Canceled) || len(tables) != 0 {
+		t.Errorf("RunAblations on a cancelled context: %d tables, %v; want none and context.Canceled", len(tables), err)
+	}
+}
+
 func TestRunTableRejectsBadQuery(t *testing.T) {
-	if _, err := RunTable(Config{Query: 3}); err == nil {
+	if _, err := RunTable(t.Context(), Config{Query: 3}); err == nil {
 		t.Error("query 3 should be rejected")
 	}
 }
 
 func TestFormatTable(t *testing.T) {
-	tab, err := RunTable(Config{Query: 1, Repeats: 1, MaxTriples: 260})
+	tab, err := RunTable(t.Context(), Config{Query: 1, Repeats: 1, MaxTriples: 260})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +166,7 @@ func TestCommittedPaperArtifact(t *testing.T) {
 	}
 
 	for q := 1; q <= 2; q++ {
-		fresh, err := RunTable(Config{Query: q, Repeats: 1})
+		fresh, err := RunTable(t.Context(), Config{Query: q, Repeats: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"cmp"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -56,16 +57,24 @@ func (c Cell) String() string {
 }
 
 // measure times run repeats times (fewer than one means three) and returns
-// the summary with the last run's value.
-func measure[T any](repeats int, run func() T) (Timing, T) {
+// the summary with the last run's value. The first error — run's, or ctx's
+// before a run — lands in *first, and nothing runs while it is set, so a
+// table checks it once, at its end.
+func measure[T any](ctx context.Context, repeats int, first *error, run func() (T, error)) (Timing, T) {
 	if repeats < 1 {
 		repeats = 3
 	}
 	ms := make([]float64, repeats)
 	var out T
 	for r := range ms {
+		if *first == nil {
+			*first = ctx.Err()
+		}
+		if *first != nil {
+			return Timing{}, out
+		}
 		start := time.Now()
-		out = run()
+		out, *first = run()
 		ms[r] = float64(time.Since(start).Microseconds()) / 1000
 	}
 	sort.Float64s(ms)

@@ -6,9 +6,8 @@
 //     non-test packages. A library call that manufactures its own root
 //     context swallows the caller's cancellation and deadline — the bug
 //     this repo's Prepared sugar methods shipped with until cfpqlint
-//     caught them. Code with no caller to inherit from (internal/bench's
-//     standalone harness) carries a //lint:file-allow suppression stating
-//     why no caller context exists.
+//     caught them. Only a main package mints a root context; the
+//     harnesses and tools under it take theirs as an argument.
 //
 //  2. An exported function or method that accepts a context.Context must
 //     use it. Accepting ctx and dropping it on the floor is worse than

@@ -2,9 +2,9 @@
 // one of the engine's guarded structs is held.
 //
 // The serving stack's locks (Prepared.mu, Service.mu, the per-graph
-// entry locks, the store's per-graph log locks, the subscription hub)
-// protect hot paths that every query traverses; anything that can park
-// the goroutine while one of them is held — a channel operation, file
+// entry locks, the store's per-graph log locks) protect hot paths that
+// every query traverses; anything that can park the goroutine while one
+// of them is held — a channel operation, file
 // I/O and fsyncs, HTTP round trips, sleeping, or handing control to a
 // caller-supplied callback (including iter.Seq yields, the
 // iterate-under-RLock deadlock this repo once shipped and removed) —
@@ -37,15 +37,14 @@ var Analyzer = &lint.Analyzer{
 // guardedTypes are the structs whose mutexes fence the serving hot paths.
 // Matching is by bare type name so testdata fixtures can declare their
 // own stand-ins; the set mirrors the lock owners in the tree: the
-// Prepared handle, the query Service and its per-graph/per-index entries,
-// the durable Store and its per-graph logs, the read replica, and the
-// Prepared handle's subscription hub.
+// Prepared handle (whose mu also guards its subscription hub), the query
+// Service and its per-graph/per-index entries, the durable Store and its
+// per-graph logs, and the read replica.
 var guardedTypes = map[string]bool{
 	"Prepared":   true,
 	"Service":    true,
 	"Store":      true,
 	"Replicator": true,
-	"subHub":     true,
 	"graphEntry": true,
 	"indexEntry": true,
 	"graphLog":   true,

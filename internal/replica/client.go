@@ -29,8 +29,8 @@ var (
 // layer's 64 MiB document bound with headroom for the binary framing.
 const maxSnapshotBytes = 256 << 20
 
-// Client speaks the leader's replication protocol. The zero value is not
-// usable; set Base.
+// Client speaks the leader's replication protocol over
+// http.DefaultClient. The zero value is not usable; set Base.
 type Client struct {
 	// Base is the leader's root URL, e.g. "http://10.0.0.1:8080".
 	Base string
@@ -38,16 +38,6 @@ type Client struct {
 	// retention (the leader holds WAL tails for followers it has heard
 	// from recently). Optional but strongly recommended.
 	FollowerID string
-	// HTTP is the underlying client; http.DefaultClient when nil. Do not
-	// set a global Timeout shorter than the long-poll wait.
-	HTTP *http.Client
-}
-
-func (c *Client) httpc() *http.Client {
-	if c.HTTP != nil {
-		return c.HTTP
-	}
-	return http.DefaultClient
 }
 
 func (c *Client) get(ctx context.Context, path string, q url.Values) (*http.Response, error) {
@@ -59,7 +49,7 @@ func (c *Client) get(ctx context.Context, path string, q url.Values) (*http.Resp
 	if err != nil {
 		return nil, err
 	}
-	return c.httpc().Do(req)
+	return http.DefaultClient.Do(req)
 }
 
 // statusErr drains resp and converts its status to an error; resp.Body is

@@ -39,9 +39,10 @@ type obsMetrics struct {
 	warmStart  *obs.Histogram
 
 	// indexSwap observes, per incremental patch, how long the handle's
-	// version lock was held to publish the result (UpdateInfo.Swap) — the
-	// only part of an update a reader can wait for; the closure beside it
-	// is in the update stats and the request histogram.
+	// publish mutex was held to store the next version and push its delta
+	// (UpdateInfo.Swap) — readers never wait for it, a subscriber joining
+	// can; the closure beside it is in the update stats and the request
+	// histogram.
 	indexSwap *obs.Histogram
 
 	// queries counts answered query operations (a batch, one per answered
@@ -93,7 +94,7 @@ func newObsMetrics(s *Service) *obsMetrics {
 		warmStart: reg.Histogram("cfpqd_warm_start_duration_seconds",
 			"latency of restoring one saved index as a live handle at startup", obs.DefLatencyBuckets),
 		indexSwap: reg.Histogram("cfpqd_index_swap_duration_seconds",
-			"per incremental patch, how long readers were locked out to publish the new index version", swapBuckets),
+			"per incremental patch, how long the new index version took to publish (readers never wait for it)", swapBuckets),
 
 		queries:          reg.Counter("cfpqd_queries_total", "query operations answered (batch = one per answered spec)"),
 		indexBuilds:      reg.Counter("cfpqd_index_builds_total", "full closure index builds of registry grammars"),

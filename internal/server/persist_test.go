@@ -444,6 +444,47 @@ func TestBatchFoldsOversizedWAL(t *testing.T) {
 	}
 }
 
+// TestKeptUpFollowerReleasesFold: a follower that polls the WAL tail after
+// every write always trails the batch that crosses -compact-bytes, so that
+// batch's fold is skipped; the follower's next poll, from the head, must
+// fold instead of leaving the WAL to grow for as long as the follower
+// keeps up.
+func TestKeptUpFollowerReleasesFold(t *testing.T) {
+	const compactBytes = 64
+	st, err := store.Open(t.TempDir(), store.Options{NoSync: true, CompactBytes: compactBytes})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	s := New()
+	if err := s.AttachStore(ctx, st); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.RegisterGraph("g", graph.Word([]string{"x", "y"}), nil); err != nil {
+		t.Fatal(err)
+	}
+	from, epoch, _ := s.GraphPos("g")
+	for i := range 20 {
+		n := fmt.Sprintf("n%d", i)
+		if _, err := s.AddEdges(ctx, "g", []EdgeSpec{{From: n, Label: "x", To: "0"}}); err != nil {
+			t.Fatal(err)
+		}
+		// One poll for the new batch, one from the head it reached.
+		for range 2 {
+			resp, err := s.ReplicaTail(ctx, "g", "f1", from, epoch, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			from = resp.LeaderSeq
+		}
+	}
+	stats, _ := s.StoreStats()
+	if stats.Compactions == 0 || stats.WALBytes > compactBytes {
+		t.Fatalf("after 20 batches with a follower at the head: %d compactions, WAL %d bytes (CompactBytes %d)",
+			stats.Compactions, stats.WALBytes, compactBytes)
+	}
+}
+
 // TestWarmStartedIndexHonoursMemoryBudget: an index restored from disk is
 // patched under the service's memory budget exactly as a built one is. Both
 // live under a budget equal to the build's peak, which an update joining the

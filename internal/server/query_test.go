@@ -153,16 +153,22 @@ func TestHTTPErrorEnvelope(t *testing.T) {
 	}
 
 	// A failed store write is the server's fault: 500 on every route that
-	// writes the store.
-	broken := brokenStoreServer(t)
-	for _, tc := range []struct{ name, method, path, body string }{
-		{"edges, store broken", http.MethodPost, "/v1/graphs/social/edges", `{"edges":[{"from":"alice","label":"knows","to":"carol"}]}`},
-		{"graph, store broken", http.MethodPut, "/v1/graphs/other?format=edgelist", "x knows y\n"},
-		{"grammar, store broken", http.MethodPut, "/v1/grammars/other", "S -> knows"},
-		{"snapshot, store broken", http.MethodPost, "/v1/snapshot", ""},
-	} {
-		code, body := httpDo(t, broken, tc.method, tc.path, tc.body)
-		check(tc.name, code, body, http.StatusInternalServerError, "")
+	// writes the store, whether the store was closed or lost its directory
+	// too.
+	for _, store := range []struct {
+		what   string
+		broken bool
+	}{{"store closed", false}, {"store closed, directory gone", true}} {
+		srv := closedStoreServer(t, store.broken)
+		for _, tc := range []struct{ name, method, path, body string }{
+			{"edges", http.MethodPost, "/v1/graphs/social/edges", `{"edges":[{"from":"alice","label":"knows","to":"carol"}]}`},
+			{"graph", http.MethodPut, "/v1/graphs/other?format=edgelist", "x knows y\n"},
+			{"grammar", http.MethodPut, "/v1/grammars/other", "S -> knows"},
+			{"snapshot", http.MethodPost, "/v1/snapshot", ""},
+		} {
+			code, body := httpDo(t, srv, tc.method, tc.path, tc.body)
+			check(tc.name+", "+store.what, code, body, http.StatusInternalServerError, "")
+		}
 	}
 
 	// Input the store cannot frame is still the request's fault: 400.
@@ -224,10 +230,10 @@ func (commentLines) Read(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// brokenStoreServer serves the social graph and reach grammar from a
-// persistent service whose store can write nothing: its WALs are closed
-// and a plain file stands where its directory was.
-func brokenStoreServer(t *testing.T) *httptest.Server {
+// closedStoreServer serves the social graph and reach grammar from a
+// persistent service whose store is closed; with broken set, a plain file
+// also stands where the store's directory was.
+func closedStoreServer(t *testing.T, broken bool) *httptest.Server {
 	t.Helper()
 	dir := filepath.Join(t.TempDir(), "data")
 	s := persistentService(t, dir)
@@ -240,11 +246,13 @@ func brokenStoreServer(t *testing.T) *httptest.Server {
 	if err := s.store.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.RemoveAll(dir); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(dir, nil, 0o644); err != nil {
-		t.Fatal(err)
+	if broken {
+		if err := os.RemoveAll(dir); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(dir, nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 	srv := httptest.NewServer(Handler(s))
 	t.Cleanup(srv.Close)

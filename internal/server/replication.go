@@ -187,9 +187,10 @@ func (s *Service) ReplicaGraphSnapshot(name string) (data []byte, seq, epoch uin
 // seq `from` of stream `epoch`, waiting up to `wait` for new writes before
 // answering an empty page. Each poll refreshes the follower's tail
 // reservation, which holds the write path's fold (store.CompactIfDue) away
-// from the records it still needs (Compact/Snapshot called explicitly
-// ignore reservations and lagging followers get ErrSnapshotNeeded
-// instead). An unservable
+// from the records it still needs, and then applies that fold's rule
+// itself, so a follower keeping up does not hold the WAL back forever
+// (Compact/Snapshot called explicitly ignore reservations and lagging
+// followers get ErrSnapshotNeeded instead). An unservable
 // position — compacted away, past the head, a dead epoch — returns
 // ErrSnapshotNeeded; an unknown graph returns ErrNotFound.
 func (s *Service) ReplicaTail(ctx context.Context, graphName, follower string, from, epoch uint64, wait time.Duration) (*replica.TailResponse, error) {
@@ -217,6 +218,11 @@ func (s *Service) ReplicaTail(ctx context.Context, graphName, follower string, f
 				graphName, from, head, ErrSnapshotNeeded)
 		}
 		st.ReserveTail(graphName, follower, from)
+		// The batch that crossed -compact-bytes left the fold to whichever
+		// follower still trailed it: the poll that reaches the head folds.
+		if _, err := st.CompactIfDue(graphName); err != nil {
+			s.obs.persistErrors.Inc()
+		}
 		if len(batches) > 0 || wait <= 0 || !time.Now().Before(deadline) {
 			return &replica.TailResponse{
 				Graph:          graphName,

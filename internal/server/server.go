@@ -41,7 +41,8 @@
 //     the build-once closure, each incremental patch (patchIndexes holds
 //     it through Prepared.AddEdges) and invalidation. Only a query that
 //     finds the slot not ready takes it; the cfpq.Prepared inside has its
-//     own writer mutex, and an RWMutex held just to pin or swap a version.
+//     own writer mutex, pins a version with one atomic load, and holds a
+//     publish mutex only to store the next version and push its delta.
 //   - graphEntry.mu (RWMutex) guards one graph's name table, its stream
 //     position and the pointer to its edge set. It MAY be acquired while
 //     holding an indexEntry.mu (the build path does, to pin the graph),
@@ -175,9 +176,6 @@ var ErrReadOnly = errors.New("server: node is a read-only follower; write to the
 // RegisterGrammar and AddEdges reject with ErrReadOnly while the
 // replication apply path keeps working. Promote flips it back off.
 func (s *Service) SetReadOnly(on bool) { s.readOnly.Store(on) }
-
-// ReadOnly reports whether the follower write gate is on.
-func (s *Service) ReadOnly() bool { return s.readOnly.Load() }
 
 // writable is the gate every locally-originated mutation passes.
 func (s *Service) writable() error {
@@ -851,9 +849,9 @@ type BatchAnswer struct {
 
 // QueryBatch answers a batch of queries against one target from a single
 // cached index build: the Prepared handle is resolved (built on first use)
-// once, every query is answered from the same index state under one read
-// lock, and the answers fan back out through the library's shared worker
-// pool (Prepared.QueryBatch). This is the endpoint for callers that would
+// once, and every query is answered in order from the same pinned index
+// version on the request's goroutine (Prepared.QueryBatch). This is the
+// endpoint for callers that would
 // otherwise issue many POST /v1/query calls against the same (graph,
 // grammar) pair.
 func (s *Service) QueryBatch(ctx context.Context, t Target, specs []BatchQuerySpec) ([]BatchAnswer, error) {

@@ -54,6 +54,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"path/filepath"
 	"slices"
@@ -127,6 +128,8 @@ type Store struct {
 
 	mu     sync.Mutex
 	graphs map[string]*graphLog
+	// closed is set by Close, under mu: the store refuses writes after.
+	closed atomic.Bool
 
 	// watchCh is the change-broadcast channel: closed and replaced on
 	// every append and registry change, so replication long-polls wake
@@ -408,6 +411,9 @@ func (s *Store) CreateGraphAt(name string, g *graph.Graph, names []string, seq, 
 	if name == "" {
 		return fmt.Errorf("store: empty graph name")
 	}
+	if s.closed.Load() {
+		return errClosed
+	}
 	enc := encodeName(name)
 	graphs := filepath.Join(s.dir, graphsDir)
 	gdir := filepath.Join(graphs, enc)
@@ -489,6 +495,12 @@ func (s *Store) CreateGraphAt(name string, g *graph.Graph, names []string, seq, 
 	os.RemoveAll(retired) // best effort: Open removes a leftover
 	gl.wal = wal
 	s.mu.Lock()
+	if s.closed.Load() {
+		// Close has run: its WALs are closed, and so is this one.
+		s.mu.Unlock()
+		wal.Close()
+		return errClosed
+	}
 	s.graphs[name] = gl
 	s.mu.Unlock()
 	s.snapshots.Add(1)
@@ -979,6 +991,9 @@ func (s *Store) SaveIndexFrom(graphName string, ix IndexData) error {
 }
 
 func (s *Store) saveIndexLocked(gl *graphLog, ix IndexData) error {
+	if s.closed.Load() {
+		return errClosed
+	}
 	if ix.Epoch != gl.epoch {
 		return fmt.Errorf("store: graph %q: index %s@%s was built on stream epoch %d, the graph's is %d",
 			gl.name, ix.Grammar, ix.Backend, ix.Epoch, gl.epoch)
@@ -998,6 +1013,9 @@ func (s *Store) saveIndexLocked(gl *graphLog, ix IndexData) error {
 // replaced: the old indexes' relations would otherwise warm-start under
 // the new grammar's name if the non-terminal sets happen to match.
 func (s *Store) DropGrammarIndexes(grammarName string) error {
+	if s.closed.Load() {
+		return errClosed
+	}
 	s.mu.Lock()
 	logs := make([]*graphLog, 0, len(s.graphs))
 	for _, gl := range s.graphs {
@@ -1028,6 +1046,9 @@ func (s *Store) DropGrammarIndexes(grammarName string) error {
 func (s *Store) SaveGrammar(name, text string) error {
 	if name == "" {
 		return fmt.Errorf("store: empty grammar name")
+	}
+	if s.closed.Load() {
+		return errClosed
 	}
 	path := filepath.Join(s.dir, grammarsDir, encodeName(name)+grammarExt)
 	if err := writeFileAtomic(path, !s.opts.NoSync, func(w io.Writer) error {
@@ -1285,12 +1306,21 @@ func (s *Store) WALBytes() int64 {
 	return total
 }
 
-// Close closes every WAL. The store must not be used afterwards.
+// errClosed is what a write to a closed store returns.
+var errClosed = errors.New("store: closed")
+
+// Close closes every WAL and marks the store closed: graph creation,
+// grammar saves, index saves and drops fail from then on (appends already
+// do, their WALs being closed). Reads of what is on disk keep working.
 func (s *Store) Close() error {
+	// The logs are closed outside mu: CreateGraphAt takes a log's lock
+	// before mu, and registers nothing once closed is set.
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.closed.Store(true)
+	logs := slices.Collect(maps.Values(s.graphs))
+	s.mu.Unlock()
 	var first error
-	for _, gl := range s.graphs {
+	for _, gl := range logs {
 		gl.mu.Lock()
 		if gl.wal != nil {
 			if err := gl.wal.Close(); err != nil && first == nil {

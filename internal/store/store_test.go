@@ -515,6 +515,88 @@ func TestDropGrammarIndexes(t *testing.T) {
 	}
 }
 
+// TestClosedStoreRefusesWrites: after Close, creating or replacing a graph,
+// saving a grammar, saving an index and dropping a grammar's indexes all
+// fail and leave the directory as it was; a creation racing Close leaves
+// no WAL open once both have returned.
+func TestClosedStoreRefusesWrites(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir)
+	g, names := sampleGraph()
+	if err := s.CreateGraph("g", g, names); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SaveIndex("g", "q", "sparse", 0, []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	before := treeOf(t, dir)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		call func() error
+	}{
+		{"CreateGraph", func() error { return s.CreateGraph("h", g, names) }},
+		{"CreateGraph (replace)", func() error { return s.CreateGraph("g", g, names) }},
+		{"SaveGrammar", func() error { return s.SaveGrammar("q", "S -> x") }},
+		{"SaveIndex", func() error { return s.SaveIndex("g", "q2", "sparse", 0, []byte("x")) }},
+		{"DropGrammarIndexes", func() error { return s.DropGrammarIndexes("q") }},
+	} {
+		if err := tc.call(); err == nil {
+			t.Errorf("%s on a closed store succeeded", tc.name)
+		}
+	}
+	if after := treeOf(t, dir); !reflect.DeepEqual(after, before) {
+		t.Errorf("a closed store's directory changed:\n before %v\n after  %v", before, after)
+	}
+
+	r := mustOpen(t, t.TempDir())
+	if err := r.CreateGraph("r", g, names); err != nil {
+		t.Fatal(err)
+	}
+	var closed atomic.Bool
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for after := 0; after < 100 && r.CreateGraph("r", g, names) == nil; {
+			if closed.Load() {
+				after++
+			}
+		}
+	}()
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	closed.Store(true)
+	<-done
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for name, gl := range r.graphs {
+		if gl.wal != nil {
+			t.Errorf("graph %q kept an open WAL past Close", name)
+		}
+	}
+}
+
+// treeOf lists the paths under dir, relative to it.
+func treeOf(t *testing.T, dir string) []string {
+	t.Helper()
+	var paths []string
+	err := filepath.WalkDir(dir, func(path string, _ os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(dir, path)
+		paths = append(paths, rel)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return paths
+}
+
 func TestGrammarsRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir)
@@ -964,14 +1046,23 @@ func TestStaleEpochIndexIsRefused(t *testing.T) {
 	}
 }
 
-// allocatedBytes reports the heap bytes f allocates.
+// allocatedBytes reports the heap bytes f allocates. TotalAlloc is
+// process-wide, and the runtime puts a new OS thread's m and g structs
+// (about 5 KiB) on the heap — a start it may make when ReadMemStats
+// restarts the world on a busy machine — so a window in which a thread
+// started is measured again, calling f again.
 func allocatedBytes(f func()) uint64 {
 	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	f()
-	runtime.ReadMemStats(&after)
-	return after.TotalAlloc - before.TotalAlloc
+	for try := 1; ; try++ {
+		runtime.GC()
+		threads, _ := runtime.ThreadCreateProfile(nil)
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		if now, _ := runtime.ThreadCreateProfile(nil); now == threads || try == 10 {
+			return after.TotalAlloc - before.TotalAlloc
+		}
+	}
 }
 
 // TestOpenDecodesNoSnapshot: Open checks a snapshot's CRC and reads the
@@ -1003,7 +1094,12 @@ func TestOpenDecodesNoSnapshot(t *testing.T) {
 		}
 	})
 	var s2 *Store
-	open := allocatedBytes(func() { s2, err = Open(dir, testOpts) })
+	open := allocatedBytes(func() {
+		if s2 != nil {
+			s2.Close() // a window measured again opens the store again
+		}
+		s2, err = Open(dir, testOpts)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,20 +15,21 @@ import (
 // Prepared is a compiled grammar bound to a graph with a cached,
 // incrementally-maintained closure index — the unit a serving layer caches
 // per (graph, grammar, backend). It is safe for concurrent use, and readers
-// never wait for a closure: the handle holds one published version (an
-// edge set and the index that is its closure), immutable once published.
-// A query pins the current version — the read lock is held for the pointer
-// load only — and answers from it without any lock. AddEdges is the one
-// writer at a time: it builds the next version on a copy-on-write
-// fork beside the readers (the closure only ever adds bits, so the version
-// they hold stays a sound, self-consistent relation), and publishes it by a
-// pointer swap under the write lock; edges that enlarge the node set are an
-// ordinary update (the incremental closure grows the matrices itself). This
-// is the same caching/locking discipline cfpqd's query service uses — the
+// never wait: the handle holds one published version (an edge set and the
+// index that is its closure), immutable once published, behind an atomic
+// pointer. A query loads that pointer and answers from the version without
+// any lock. AddEdges is the one writer at a time: it builds the next
+// version on a copy-on-write fork beside the readers (the closure only ever
+// adds bits, so the version they hold stays a sound, self-consistent
+// relation), and publishes it by a pointer store under the publish mutex,
+// which subscribers joining take too; edges that enlarge the node set are
+// an ordinary update (the incremental closure grows the matrices itself).
+// This is the same caching discipline cfpqd's query service uses — the
 // service holds Prepared handles instead of private machinery.
 type Prepared struct {
-	eng *Engine
-	cnf *CNF
+	eng   *Engine
+	cnf   *CNF
+	build Stats // the initial closure
 
 	// writer serialises AddEdges: one call at a time builds the next
 	// version. No reader takes it, so the update closure runs under it
@@ -42,15 +43,14 @@ type Prepared struct {
 	// to — not the one it was given. Guarded by writer.
 	owned bool
 
-	// mu guards the fields below. It is held to pin the current version or
-	// to swap in the next one — never across a closure.
-	mu      sync.RWMutex
-	cur     *version
-	subs    *subHub // live-query fan-out; created on first Subscribe/Close
-	build   Stats   // the initial closure
-	update  Stats   // accumulated incremental updates
-	updates int     // number of AddEdges calls absorbed
+	cur     atomic.Pointer[version]
 	queries atomic.Int64
+
+	// mu orders publishing against subscribing: AddEdges holds it to store
+	// the next version and fan its delta out, Subscribe to join the hub —
+	// never across a closure. It guards hub.
+	mu  sync.Mutex
+	hub subHub
 }
 
 // version is one published state of a handle: immutable, so whoever holds
@@ -58,9 +58,18 @@ type Prepared struct {
 // version is built on Graph.Fork (Clone, see Prepared.owned) and
 // Index.Fork of this one's parts.
 type version struct {
-	g   *Graph // the edge set
-	ix  *Index // the closure of g's edges minus the handle's pending ones
-	num uint64 // indexes published before this one
+	g       *Graph // the edge set
+	ix      *Index // the closure of g's edges minus the handle's pending ones
+	num     uint64 // indexes published before this one
+	update  Stats  // accumulated incremental updates
+	updates int    // number of AddEdges calls absorbed
+}
+
+// newPrepared binds a first version to a handle.
+func newPrepared(e *Engine, cnf *CNF, g *Graph, ix *Index, build Stats) *Prepared {
+	p := &Prepared{eng: e, cnf: cnf, build: build}
+	p.cur.Store(&version{g: g, ix: ix})
+	return p
 }
 
 // CNF returns the compiled grammar the handle was prepared with.
@@ -71,11 +80,7 @@ func (p *Prepared) Backend() Backend { return p.eng.Backend() }
 
 // pin returns the current version. The caller reads it lock-free; an
 // AddEdges publishing meanwhile does not disturb it.
-func (p *Prepared) pin() *version {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return p.cur
-}
+func (p *Prepared) pin() *version { return p.cur.Load() }
 
 // Nodes returns the current node count of the bound graph.
 func (p *Prepared) Nodes() int { return p.pin().g.Nodes() }
@@ -283,9 +288,9 @@ type UpdateInfo struct {
 	// abandoned update's edges reports their pairs too, so the
 	// concatenation of Deltas is always the exact history of the relation.
 	Delta *Delta `json:"-"`
-	// Swap is how long the call held the lock readers pin a version under
-	// — the pointer swap, the statistics and the subscription publish. It
-	// is the only part of an update a reader can wait for.
+	// Swap is how long the call held the publish mutex — the pointer
+	// store and the subscription fan-out. Readers never wait for it;
+	// only a subscriber joining can.
 	Swap time.Duration `json:"-"`
 }
 
@@ -343,7 +348,7 @@ func (p *Prepared) AddEdges(ctx context.Context, edges ...Edge) (UpdateInfo, err
 	}
 	info.Added = len(fresh)
 	info.Delta = core.EmptyDelta(cur.ix)
-	next := &version{g: cur.g, ix: cur.ix, num: cur.num}
+	next := &version{g: cur.g, ix: cur.ix, num: cur.num, update: cur.update, updates: cur.updates + 1}
 	if len(fresh) > 0 {
 		// The given graph's owner may Fork it too: one appender per line.
 		if p.owned {
@@ -371,20 +376,19 @@ func (p *Prepared) AddEdges(ctx context.Context, edges ...Edge) (UpdateInfo, err
 		// not, and seeds stay pending.
 	}
 	p.pending = seeds
-	// Materialise what subscribers are owed ahead of the swap — readers
-	// must not wait for it — whether or not anyone is subscribed yet: the
-	// first subscriber may arrive while the update runs.
+	next.update.Add(info.Stats)
+	// Materialise what subscribers are owed before taking the publish
+	// mutex — a subscriber joining must not wait for it — whether or not
+	// anyone is subscribed yet: the first may arrive while the update runs.
 	var pairs map[string][]Pair
 	if !info.Delta.Empty() {
 		pairs = deltaPairs(info.Delta)
 	}
 	locked := time.Now()
 	p.mu.Lock()
-	p.cur = next
-	p.update.Add(info.Stats)
-	p.updates++
-	if p.subs != nil && pairs != nil {
-		p.subs.publish(pairs)
+	p.cur.Store(next)
+	if pairs != nil {
+		p.hub.publish(pairs)
 	}
 	p.mu.Unlock()
 	info.Swap = time.Since(locked)
@@ -428,9 +432,7 @@ type PreparedStats struct {
 
 // Stats returns a snapshot of the handle's statistics.
 func (p *Prepared) Stats() PreparedStats {
-	p.mu.RLock()
-	v, build, update, updates := p.cur, p.build, p.update, p.updates
-	p.mu.RUnlock()
+	v := p.pin()
 	counts := v.ix.Counts()
 	entries := 0
 	for _, c := range counts {
@@ -440,9 +442,9 @@ func (p *Prepared) Stats() PreparedStats {
 		Nodes:   v.ix.Nodes(),
 		Entries: entries,
 		Counts:  counts,
-		Build:   build,
-		Update:  update,
-		Updates: updates,
+		Build:   p.build,
+		Update:  v.update,
+		Updates: v.updates,
 		Version: v.num,
 		Queries: p.queries.Load(),
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"iter"
-	"sync"
 	"sync/atomic"
 
 	"cfpq/internal/core"
@@ -53,7 +52,7 @@ type PairBatch struct {
 // Obtain one with Prepared.Subscribe; consume Updates (or Batches); Close
 // when done.
 type Subscription struct {
-	hub     *subHub
+	p       *Prepared
 	id      int64
 	nt      string
 	src     map[int]bool // nil = unrestricted
@@ -62,7 +61,7 @@ type Subscription struct {
 	stop    func() bool // cancels the ctx teardown hook
 	dropped atomic.Int64
 
-	// Guarded by hub.mu.
+	// Guarded by p.mu.
 	closed        bool
 	pendingResync bool
 }
@@ -93,21 +92,21 @@ func (s *Subscription) Dropped() int64 { return s.dropped.Load() }
 // Close ends the subscription and closes Updates. Idempotent; also invoked
 // automatically when the Subscribe ctx is cancelled.
 func (s *Subscription) Close() {
-	s.hub.mu.Lock()
+	s.p.mu.Lock()
 	s.closeLocked()
-	s.hub.mu.Unlock()
+	s.p.mu.Unlock()
 	if s.stop != nil {
 		s.stop()
 	}
 }
 
-// closeLocked tears the subscription down; callers hold hub.mu.
+// closeLocked tears the subscription down; callers hold p.mu.
 func (s *Subscription) closeLocked() {
 	if s.closed {
 		return
 	}
 	s.closed = true
-	delete(s.hub.subs, s.id)
+	delete(s.p.hub.subs, s.id)
 	close(s.ch)
 }
 
@@ -118,13 +117,13 @@ type histEntry struct {
 	pairs map[string][]Pair
 }
 
-// subHub fans index-update deltas out to subscribers. One per Prepared,
-// created on first use; publish runs inside the version swap, under the
-// Prepared's write lock, so batch order equals publication order and a
-// query issued after Subscribe returns sees every version whose delta the
-// subscription missed.
+// subHub fans index-update deltas out to subscribers: a Prepared's hub,
+// guarded by its mu. publish runs beside the version store under that
+// mutex, and subscribe under it too, so batch order equals publication
+// order and a query issued after Subscribe returns sees every version
+// whose delta the subscription missed. The hub starts counting at the
+// first subscriber (subs non-nil) and stops at Close.
 type subHub struct {
-	mu     sync.Mutex
 	closed bool
 	seq    uint64
 	nextID int64
@@ -132,18 +131,12 @@ type subHub struct {
 	hist   []histEntry // oldest first, at most subscriptionHistory entries
 }
 
-func newSubHub() *subHub {
-	return &subHub{subs: make(map[int64]*Subscription)}
-}
-
 // publish assigns the next sequence number to a non-empty update delta,
 // records it in the resume window, and offers the filtered batch to every
 // subscriber. Sends never block: a full buffer drops the batch for that
 // subscriber and marks it for an in-band Resync on its next delivery.
 func (h *subHub) publish(pairs map[string][]Pair) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.closed {
+	if h.closed || h.subs == nil {
 		return
 	}
 	h.seq++
@@ -157,7 +150,7 @@ func (h *subHub) publish(pairs map[string][]Pair) {
 }
 
 // offerLocked delivers one batch to a subscriber without blocking; callers
-// hold hub.mu. Empty batches are skipped unless a resync is owed.
+// hold p.mu. Empty batches are skipped unless a resync is owed.
 func (s *Subscription) offerLocked(b PairBatch) {
 	if len(b.Pairs) == 0 && !s.pendingResync {
 		return
@@ -191,8 +184,6 @@ func (s *Subscription) filter(pairs map[string][]Pair) []Pair {
 
 // closeAll ends every subscription and rejects future ones.
 func (h *subHub) closeAll() {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	h.closed = true
 	for _, s := range h.subs {
 		s.closeLocked()
@@ -202,17 +193,25 @@ func (h *subHub) closeAll() {
 // subscribe registers a subscriber. With resume set, retained updates with
 // seq > afterSeq are pre-queued (restriction-filtered); a gap wider than
 // the retained window pre-queues a single Resync marker instead.
-func (h *subHub) subscribe(ctx context.Context, nt string, src, tgt map[int]bool, resume bool, afterSeq uint64) (*Subscription, error) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
+func (p *Prepared) subscribe(ctx context.Context, req Request, resume bool, afterSeq uint64) (*Subscription, error) {
+	if err := p.checkSubscribe(req); err != nil {
+		return nil, err
+	}
+	src, tgt := memberSet(req.Sources), memberSet(req.Targets)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	h := &p.hub
 	if h.closed {
 		return nil, fmt.Errorf("cfpq: subscribe on a closed Prepared handle")
 	}
+	if h.subs == nil {
+		h.subs = make(map[int64]*Subscription)
+	}
 	h.nextID++
 	s := &Subscription{
-		hub: h,
+		p:   p,
 		id:  h.nextID,
-		nt:  nt,
+		nt:  req.Nonterminal,
 		src: src,
 		tgt: tgt,
 		ch:  make(chan PairBatch, subscriptionBuffer),
@@ -234,16 +233,6 @@ func (h *subHub) subscribe(ctx context.Context, nt string, src, tgt map[int]bool
 	h.subs[s.id] = s
 	s.stop = context.AfterFunc(ctx, s.Close)
 	return s, nil
-}
-
-// hub returns the handle's subscription hub, creating it on first use.
-func (p *Prepared) hub() *subHub {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.subs == nil {
-		p.subs = newSubHub()
-	}
-	return p.subs
 }
 
 // Subscribe registers a standing Request and returns a Subscription that
@@ -276,13 +265,6 @@ func (p *Prepared) SubscribeFrom(ctx context.Context, req Request, afterSeq uint
 	return p.subscribe(ctx, req, true, afterSeq)
 }
 
-func (p *Prepared) subscribe(ctx context.Context, req Request, resume bool, afterSeq uint64) (*Subscription, error) {
-	if err := p.checkSubscribe(req); err != nil {
-		return nil, err
-	}
-	return p.hub().subscribe(ctx, req.Nonterminal, memberSet(req.Sources), memberSet(req.Targets), resume, afterSeq)
-}
-
 // checkSubscribe validates a standing request: everything a cached read
 // rejects, plus subscription-specific shape (pairs output, no bounds).
 func (p *Prepared) checkSubscribe(req Request) error {
@@ -311,7 +293,9 @@ func (p *Prepared) checkSubscribe(req Request) error {
 // reliably learn their handle is gone instead of waiting on a stream
 // nothing will ever publish to again. Idempotent.
 func (p *Prepared) Close() {
-	p.hub().closeAll()
+	p.mu.Lock()
+	p.hub.closeAll()
+	p.mu.Unlock()
 }
 
 // deltaPairs materialises an update's delta in the shape the hub retains

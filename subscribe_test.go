@@ -748,3 +748,100 @@ func TestSubscribeRaceUpdates(t *testing.T) {
 		t.Fatalf("consumer union has %d pairs, relation grew by %d", len(received), len(want))
 	}
 }
+
+// TestSubscribeLifecycleRacesWrites: Subscribe, SubscribeFrom,
+// Subscription.Close and Prepared.Close race AddEdges and QueryBatch on
+// one handle. Every subscription sees each delta at most once and in seq
+// order, and nothing deadlocks: subscribers and the publisher share one
+// mutex.
+func TestSubscribeLifecycleRacesWrites(t *testing.T) {
+	ctx := context.Background()
+	const edges = 60
+	g := cfpq.NewGraph(0)
+	g.AddEdge(0, "a", 1)
+	p, err := cfpq.NewEngine(cfpq.Sparse).Prepare(ctx, g, cfpq.MustParseGrammar("S -> a | a S"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	halfway := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() { // writer, growing the chain one node per update
+		defer wg.Done()
+		for i := 1; i <= edges; i++ {
+			if _, err := p.AddEdges(ctx, cfpq.Edge{From: i, Label: "a", To: i + 1}); err != nil {
+				t.Errorf("AddEdges: %v", err)
+				return
+			}
+			if i == edges/2 {
+				close(halfway)
+			}
+		}
+	}()
+	wg.Add(1)
+	go func() { // batches beside the writer
+		defer wg.Done()
+		for i := 0; i < edges; i++ {
+			for _, r := range p.QueryBatch(ctx, []cfpq.Request{
+				{Nonterminal: "S", Output: cfpq.OutputCount},
+				{Nonterminal: "S", Sources: []int{0}},
+			}) {
+				if r.Err != nil {
+					t.Errorf("QueryBatch: %v", r.Err)
+					return
+				}
+			}
+		}
+	}()
+	wg.Add(1)
+	go func() { // the owner closes the handle's live side mid-stream
+		defer wg.Done()
+		<-halfway
+		p.Close()
+	}()
+	for w := 0; w < 3; w++ {
+		wg.Add(1)
+		go func() { // subscribers joining, reading a little and leaving
+			defer wg.Done()
+			var last uint64
+			for {
+				req := cfpq.Request{Nonterminal: "S"}
+				if w == 1 {
+					req.Sources = []int{0}
+				}
+				var s *cfpq.Subscription
+				var err error
+				if w == 2 {
+					s, err = p.SubscribeFrom(ctx, req, last)
+				} else {
+					s, err = p.Subscribe(ctx, req)
+				}
+				if err != nil {
+					return // the handle was closed
+				}
+				tryRecv(s.Updates())
+				s.Close()
+				seq, seen := uint64(0), map[cfpq.Pair]bool{}
+				for b := range s.Updates() {
+					if b.Seq <= seq && seq != 0 {
+						t.Errorf("subscriber %d: seq %d after %d", w, b.Seq, seq)
+					}
+					seq, last = b.Seq, b.Seq
+					for _, pr := range b.Pairs {
+						if seen[pr] {
+							t.Errorf("subscriber %d: pair %v delivered twice", w, pr)
+						}
+						seen[pr] = true
+					}
+				}
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("subscribers, writer and batches did not finish: deadlock")
+	}
+}
