@@ -14,8 +14,10 @@
 package cfpq_test
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"cfpq"
@@ -125,6 +127,57 @@ func BenchmarkPreparedQueryBatch(b *testing.B) {
 					if r.Err != nil {
 						b.Fatal(r.Err)
 					}
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkWarmStartTail prices what a warm start pays for the WAL tail its
+// index file does not cover: LoadIndex, then one Update over a tail of k
+// batches, on g3 under Query 1. Each batch is a seeded random subClassOf
+// edge between two existing nodes plus its inverse, as the serving
+// benchmark's writer sends them. The cost grows faster than k, so a writer
+// that gets more written between folds lengthens a recovery by more than
+// it wrote.
+func BenchmarkWarmStartTail(b *testing.B) {
+	ctx := context.Background()
+	d, _ := dataset.ByName("g3")
+	g := d.Build()
+	cnf, err := cfpq.ToCNF(dataset.Query1())
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng := cfpq.NewEngine(cfpq.Sparse)
+	ix, _, err := eng.Evaluate(ctx, g, cnf)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var file bytes.Buffer
+	if err := cfpq.SaveIndex(&file, ix); err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	seen := g.Clone()
+	var tail []cfpq.Edge
+	for _, k := range []int{250, 500, 1000, 2000} {
+		for len(tail) < 2*k {
+			x, y := rng.Intn(g.Nodes()), rng.Intn(g.Nodes())
+			if x == y || seen.HasEdge(x, "subClassOf", y) {
+				continue
+			}
+			seen.AddEdge(x, "subClassOf", y)
+			tail = append(tail, cfpq.Edge{From: x, Label: "subClassOf", To: y}, cfpq.Edge{From: y, Label: "subClassOf_r", To: x})
+		}
+		b.Run(fmt.Sprint(k), func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				ix, err := eng.LoadIndex(bytes.NewReader(file.Bytes()), cnf)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := eng.Update(ctx, ix, tail[:2*k]...); err != nil {
+					b.Fatal(err)
 				}
 			}
 		})

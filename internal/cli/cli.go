@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"cfpq"
+	"cfpq/internal/core"
 	"cfpq/internal/graph"
 )
 
@@ -36,7 +37,7 @@ type Config struct {
 	CountOnly  bool
 	EmptyPaths bool
 	Names      bool
-	// SaveIndex persists the evaluated closure index (CFPQIDX2) to this
+	// SaveIndex persists the evaluated closure index (CFPQIDX3) to this
 	// path after answering; LoadIndex answers from a previously saved
 	// index instead of running the closure (the warm-start path). Both
 	// are relational-semantics only.
@@ -80,7 +81,7 @@ func ParseArgs(args []string, stderr io.Writer) (*Config, error) {
 	fs.BoolVar(&cfg.Names, "names", false, "print IRIs instead of node ids")
 	fs.StringVar(&cfg.SaveIndex, "save-index", "",
 		"after answering, save the evaluated closure index to this file\n"+
-			"(CFPQIDX2; reload with -load-index to skip the closure)")
+			"(CFPQIDX3; reload with -load-index to skip the closure)")
 	fs.StringVar(&cfg.LoadIndex, "load-index", "",
 		"answer from an index previously saved with -save-index instead of\n"+
 			"running the closure (grammar and graph must match the saved run)")
@@ -323,6 +324,9 @@ func executeWithIndex(ctx context.Context, cfg *Config, g *cfpq.Graph, names *gr
 		}
 		ix, err = eng.LoadIndex(f, cnf)
 		f.Close()
+		if errors.Is(err, core.ErrRetiredIndex) {
+			return fmt.Errorf("cfpq: %s is an index in the retired CFPQIDX2 format — rebuild it with -save-index", cfg.LoadIndex)
+		}
 		if err != nil {
 			return err
 		}

@@ -177,8 +177,8 @@ func coldWideCases(tb testing.TB) []struct {
 }
 
 // BenchmarkColdWide measures, per cold_wide case on the sparse backend, a
-// cold RunContext, the index's CFPQIDX2 encode, and its decode with
-// ReadIndex. The encode streams into io.Discard: a server streams it into
+// cold RunContext, the index's CFPQIDX3 encode, and its in-place decode
+// with DecodeIndex. The encode streams into io.Discard: a server streams it into
 // the index file and buffers none of it, so the encode's own cost is what
 // a cold build adds. Run with -benchmem: the allocation columns are what a
 // cold build costs the server's heap.
@@ -214,7 +214,7 @@ func BenchmarkColdWide(b *testing.B) {
 		b.Run("read/"+c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := ReadIndex(bytes.NewReader(file.Bytes()), c.cnf, nil); err != nil {
+				if _, err := DecodeIndex(file.Bytes(), c.cnf, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

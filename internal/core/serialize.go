@@ -1,10 +1,12 @@
 package core
 
 import (
-	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
+	"math"
+	"math/bits"
 	"slices"
 
 	"cfpq/internal/grammar"
@@ -13,33 +15,51 @@ import (
 
 // Index serialization: a computed closure can be persisted and reloaded so
 // repeated queries over a static graph skip the fixpoint entirely. The
-// format is a compact row-sparse binary encoding; the payload is
-// independent of the backend the index was computed with, but the header
-// records the backend's identity so a reload can materialise the exact
-// same representation without the caller having to remember it out of
-// band. Files that name a retired row-parallel backend load on the backend
-// of the same representation (matrix.BackendByName).
+// payload is independent of the backend the index was computed with, but
+// the header records the backend's identity so a reload can materialise
+// the exact same representation without the caller having to remember it
+// out of band. Files that name a retired row-parallel backend load on the
+// backend of the same representation (matrix.BackendByName).
 //
-// Layout of the current format (all integers little-endian):
+// Layout of the current format (fixed-width integers little-endian):
 //
-//	magic "CFPQIDX2"
+//	magic "CFPQIDX3"
 //	uint16 backendNameLen, backend name bytes
 //	uint32 nodeCount
 //	uint32 nonterminalCount
 //	per non-terminal:
 //	    uint16 nameLen, name bytes
 //	    uint32 nnz
-//	    nnz × (uint32 row, uint32 col)   in row-major order
+//	    uint32 liveRows
+//	    liveRows × (uvarint rowGap, uvarint rowLen)
+//	    nnz × uint32 col
 //
-// Any other magic — the backend-less "CFPQIDX1" of early releases
-// included — is rejected.
+// Each relation is its hypersparse CSR arrays (Buluç & Gilbert's DCSC, as
+// GraphBLAS serialises it): the non-empty rows in increasing order, each
+// as its distance from the one before (the first's from −1, so every gap
+// is at least 1) and its entry count, then the columns of every row, row
+// after row, increasing within a row. A row header takes two bytes while
+// its gap and length are under 128, so a pair costs its four column bytes
+// and its share of its row's header.
+//
+// CFPQIDX2, the pair-list format this one replaced, is refused with
+// ErrRetiredIndex: a saved closure is derived data, rebuilt and saved
+// again rather than converted. Any other magic — the backend-less
+// "CFPQIDX1" of early releases included — is rejected as bad.
 //
 // The grammar itself is NOT serialised (names only): the reader supplies
 // the CNF, and names must match exactly. This keeps the index format
 // stable under grammar-text round-trips and forces the caller to pair the
 // index with the grammar it was built from.
 
-const indexMagic = "CFPQIDX2"
+const (
+	indexMagic   = "CFPQIDX3"
+	retiredMagic = "CFPQIDX2"
+)
+
+// ErrRetiredIndex is the error ReadIndex returns for an index in the
+// retired CFPQIDX2 format.
+var ErrRetiredIndex = errors.New("core: the index is in the retired CFPQIDX2 format; rebuild it and save it again")
 
 // MaxIndexNodes bounds the node count ReadIndex accepts. Matrix
 // allocation is driven by the declared node count before any entry is
@@ -55,13 +75,14 @@ var MaxIndexNodes = 1 << 26
 // streams through it in O(1) memory, whatever it holds.
 const indexChunk = 16 << 10
 
-// WriteTo serialises the index in the CFPQIDX2 format, recording the
-// backend the matrices were allocated from. It encodes a row at a time,
-// straight from the matrices' row storage (matrix.RangeRows), into one
-// indexChunk-sized buffer written out whenever it fills. A destination
-// that can grow (bytes.Buffer) is first grown once, by the exact encoded
-// length (encodedLen).
-func (ix *Index) WriteTo(w io.Writer) (written int64, err error) {
+// WriteTo serialises the index in the CFPQIDX3 format, recording the
+// backend the matrices were allocated from. It encodes each relation
+// straight from the matrices' row storage (matrix.RangeRows) — a pass for
+// the row headers, then one for the columns — into one indexChunk-sized
+// buffer written out whenever it fills. A destination that can grow
+// (bytes.Buffer) is first grown once, by the exact encoded length
+// (encodedLen).
+func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 	long := func(s string) bool { return len(s) > 1<<16-1 }
 	if long(ix.backend.Name()) || slices.ContainsFunc(ix.cnf.Names, long) {
 		return 0, fmt.Errorf("core: a name is too long for the index header (over 65535 bytes)")
@@ -69,118 +90,153 @@ func (ix *Index) WriteTo(w io.Writer) (written int64, err error) {
 	if g, ok := w.(interface{ Grow(int) }); ok {
 		g.Grow(int(ix.encodedLen()))
 	}
-	le := binary.LittleEndian
-	buf := make([]byte, 0, indexChunk)
-	// room writes buf out unless k more bytes fit in it.
-	room := func(k int) error {
-		if len(buf)+k <= cap(buf) {
-			return nil
-		}
-		n, err := w.Write(buf)
-		written, buf = written+int64(n), buf[:0]
-		return err
-	}
-	str := func(b []byte, s string) []byte { return append(le.AppendUint16(b, uint16(len(s))), s...) }
-	buf = str(append(buf, indexMagic...), ix.backend.Name())
-	buf = le.AppendUint32(le.AppendUint32(buf, uint32(ix.n)), uint32(len(ix.mats)))
+	e := &indexWriter{w: w, buf: make([]byte, 0, indexChunk)}
+	e.buf = appendStr(append(e.buf, indexMagic...), ix.backend.Name())
+	e.buf = le.AppendUint32(le.AppendUint32(e.buf, uint32(ix.n)), uint32(len(ix.mats)))
 	for a, m := range ix.mats {
-		if err = room(6 + len(ix.cnf.Names[a])); err != nil {
-			return written, err
+		if e.room(2 + len(ix.cnf.Names[a]) + 8) {
+			e.buf = le.AppendUint32(le.AppendUint32(appendStr(e.buf, ix.cnf.Names[a]), uint32(m.Nnz())), uint32(matrix.LiveRows(m)))
 		}
-		buf = le.AppendUint32(str(buf, ix.cnf.Names[a]), uint32(m.Nnz()))
-		matrix.RangeRows(m, func(i int, cols []int32) bool {
-			for len(cols) > 0 && err == nil {
-				if err = room(8); err == nil {
-					// As many of the row's entries as buf has room for.
-					k := min(len(cols), (cap(buf)-len(buf))/8)
-					out := buf[len(buf) : len(buf)+8*k]
-					for x, j := range cols[:k] {
-						le.PutUint32(out[8*x:], uint32(i))
-						le.PutUint32(out[8*x+4:], uint32(j))
-					}
-					buf, cols = buf[:len(buf)+8*k], cols[k:]
-				}
-			}
-			return err == nil
-		})
-		if err != nil {
-			return written, err
-		}
+		e.prev = -1
+		matrix.RangeRows(m, e.header)
+		matrix.RangeRows(m, e.columns)
 	}
-	n, err := w.Write(buf)
-	return written + int64(n), err
+	e.flush()
+	return e.written, e.err
 }
 
-// encodedLen returns the length of the index's CFPQIDX2 encoding, computed
-// from the header fields and each relation's Nnz: 8 bytes an entry.
+var le = binary.LittleEndian
+
+// indexWriter streams an encoding through one buffer.
+type indexWriter struct {
+	w       io.Writer
+	buf     []byte
+	written int64
+	err     error
+	prev    int // the last row header's row
+}
+
+// room reports whether k more bytes fit in buf, writing it out first if
+// they do not: false once a write has failed.
+func (e *indexWriter) room(k int) bool { return len(e.buf)+k <= cap(e.buf) || e.flush() }
+
+// flush writes buf out, unless a write has failed before, and reports
+// whether every write succeeded.
+func (e *indexWriter) flush() bool {
+	if e.err == nil {
+		n, err := e.w.Write(e.buf)
+		e.written, e.buf, e.err = e.written+int64(n), e.buf[:0], err
+	}
+	return e.err == nil
+}
+
+// appendStr appends s, prefixed by its uint16 length.
+func appendStr(b []byte, s string) []byte { return append(le.AppendUint16(b, uint16(len(s))), s...) }
+
+// header encodes row i's header: its gap from the row before and its length.
+func (e *indexWriter) header(i int, cols []int32) bool {
+	gap, n := i-e.prev, len(cols)
+	e.prev = i
+	switch {
+	case !e.room(2 * binary.MaxVarintLen32):
+		return false
+	case gap|n < 0x80: // two one-byte fields, the common case
+		e.buf = append(e.buf, byte(gap), byte(n))
+	default:
+		e.buf = binary.AppendUvarint(binary.AppendUvarint(e.buf, uint64(gap)), uint64(n))
+	}
+	return true
+}
+
+// columns encodes a row's columns, as many at a time as the buffer holds.
+func (e *indexWriter) columns(_ int, cols []int32) bool {
+	if b := e.buf; len(b)+4*len(cols) <= cap(b) { // the whole row fits, the common case
+		out := b[len(b) : len(b)+4*len(cols)]
+		for x, j := range cols {
+			le.PutUint32(out[4*x:], uint32(j))
+		}
+		e.buf = b[:len(b)+4*len(cols)]
+		return true
+	}
+	for len(cols) > 0 && e.room(4) {
+		b := e.buf
+		k := min(len(cols), (cap(b)-len(b))/4)
+		out := b[len(b) : len(b)+4*k]
+		for x, j := range cols[:k] {
+			le.PutUint32(out[4*x:], uint32(j))
+		}
+		e.buf, cols = b[:len(b)+4*k], cols[k:]
+	}
+	return e.err == nil
+}
+
+// encodedLen returns the length of the index's CFPQIDX3 encoding, computed
+// from the header fields, each relation's row headers and its Nnz: 4 bytes
+// a column.
 func (ix *Index) encodedLen() int64 {
 	size := int64(len(indexMagic) + 2 + len(ix.backend.Name()) + 4 + 4)
 	for a, m := range ix.mats {
-		size += int64(2+len(ix.cnf.Names[a])+4) + 8*int64(m.Nnz())
+		size += int64(2+len(ix.cnf.Names[a])+8+rowHeaders(m)) + 4*int64(m.Nnz())
 	}
 	return size
 }
 
-// readUint32 reads one little-endian uint32 through buf.
-func readUint32(br *bufio.Reader, buf *[8]byte) (uint32, error) {
-	if _, err := io.ReadFull(br, buf[:4]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint32(buf[:4]), nil
+// rowHeaders returns the bytes of m's CFPQIDX3 row headers.
+func rowHeaders(m matrix.Bool) (size int) {
+	prev := -1
+	matrix.RangeRows(m, func(i int, cols []int32) bool {
+		size, prev = size+uvarintLen(i-prev)+uvarintLen(len(cols)), i
+		return true
+	})
+	return size
 }
 
-// readString reads a uint16-length-prefixed string.
-func readString(br *bufio.Reader, buf *[8]byte) (string, error) {
-	if _, err := io.ReadFull(br, buf[:2]); err != nil {
-		return "", err
-	}
-	name := make([]byte, binary.LittleEndian.Uint16(buf[:2]))
-	if _, err := io.ReadFull(br, name); err != nil {
-		return "", err
-	}
-	return string(name), nil
-}
+// uvarintLen is the length of x ≥ 1 as a uvarint: 7 bits a byte.
+func uvarintLen(x int) int { return (bits.Len(uint(x)) + 6) / 7 }
 
-// ReadIndex deserialises an index previously written with WriteTo. The
-// supplied CNF must be the grammar the index was computed for:
-// non-terminal names and count are validated. Matrices are materialised
-// with the given backend; nil means the backend recorded in the file
-// (falling back to sparse for unknown names). Each relation is decoded in
-// one piece (matrix.Load), and entries out of row-major order or repeated
-// — which WriteTo never writes — are rejected. A reader that reports its
-// unread length (bytes.Reader) vouches for each relation's entry count,
-// which is then allocated up front; a count its bytes cannot hold is
-// rejected before anything is allocated for it.
+// ReadIndex reads an index previously written with WriteTo from r, to its
+// end, and decodes it (DecodeIndex).
 func ReadIndex(r io.Reader, cnf *grammar.CNF, be matrix.Backend) (*Index, error) {
-	sized, _ := r.(interface{ Len() int })
-	br := bufio.NewReader(r)
-	magic := make([]byte, len(indexMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("core: reading index magic: %w", err)
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("core: reading index: %w", err)
 	}
-	if string(magic) != indexMagic {
+	return DecodeIndex(data, cnf, be)
+}
+
+// DecodeIndex decodes a CFPQIDX3 index in place. The supplied CNF must be
+// the grammar the index was computed for: non-terminal names and count are
+// validated. Matrices are materialised with the given backend; nil means
+// the backend recorded in the file (falling back to sparse for unknown
+// names). Each relation's declared entry and row counts are checked
+// against the bytes left before anything is allocated for it; its row
+// headers are then decoded into a row list, and its column block, in
+// place, into the one array the matrix adopts (matrix.FromCSR). A payload
+// WriteTo cannot have written is refused: rows out of order, empty or out
+// of range, row lengths that do not sum to the entry count, columns out of
+// order, repeated or out of range within a row, an overlong uvarint, or
+// bytes after the last relation.
+func DecodeIndex(data []byte, cnf *grammar.CNF, be matrix.Backend) (*Index, error) {
+	in := indexReader{b: data}
+	switch magic := in.next(len(indexMagic)); {
+	case in.err != nil:
+		return nil, fmt.Errorf("core: reading index magic: %w", in.err)
+	case string(magic) == retiredMagic:
+		return nil, ErrRetiredIndex
+	case string(magic) != indexMagic:
 		return nil, fmt.Errorf("core: bad index magic %q", magic)
 	}
-	var rec [8]byte // every header integer is decoded through it
-	var raw []byte  // and each chunk of entries through this one buffer
-	recorded, err := readString(br, &rec)
-	if err != nil {
-		return nil, fmt.Errorf("core: reading index backend: %w", err)
+	recorded := in.str()
+	n32, nn32 := in.u32(), in.u32()
+	if in.err != nil {
+		return nil, in.err
 	}
 	if be == nil {
-		if rb, ok := matrix.BackendByName(recorded); ok {
+		if rb, ok := matrix.BackendByName(string(recorded)); ok {
 			be = rb
 		} else {
 			be = matrix.Sparse()
 		}
-	}
-	n32, err := readUint32(br, &rec)
-	if err != nil {
-		return nil, err
-	}
-	nn32, err := readUint32(br, &rec)
-	if err != nil {
-		return nil, err
 	}
 	if int64(n32) > int64(MaxIndexNodes) {
 		return nil, fmt.Errorf("core: index declares %d nodes, above the %d limit (core.MaxIndexNodes)", n32, MaxIndexNodes)
@@ -191,49 +247,112 @@ func ReadIndex(r io.Reader, cnf *grammar.CNF, be matrix.Backend) (*Index, error)
 			nn32, cnf.NonterminalCount())
 	}
 	ix := &Index{cnf: cnf, n: n, backend: be, mats: make([]matrix.Bool, cnf.NonterminalCount())}
-	for k := 0; k < int(nn32); k++ {
-		name, err := readString(br, &rec)
-		if err != nil {
-			return nil, err
+	for range nn32 {
+		name := in.str()
+		nnz, live := in.u32(), in.u32()
+		if in.err != nil {
+			return nil, in.err
 		}
-		a, ok := cnf.Index(name)
+		a, ok := cnf.Index(string(name))
 		if !ok {
 			return nil, fmt.Errorf("core: index non-terminal %q not in grammar", name)
 		}
 		if ix.mats[a] != nil {
 			return nil, fmt.Errorf("core: duplicate non-terminal %q in index", name)
 		}
-		nnz32, err := readUint32(br, &rec)
-		if err != nil {
-			return nil, err
+		// A row header takes at least two bytes and a column four.
+		if live > nnz || nnz > math.MaxInt32 || 2*uint64(live)+4*uint64(nnz) > uint64(in.left()) {
+			return nil, fmt.Errorf("core: %q declares %d entries in %d rows, %d bytes remain", name, nnz, live, in.left())
 		}
-		nnz, reserve := int(nnz32), min(int(nnz32), 1<<16)
-		if sized != nil {
-			if left := sized.Len() + br.Buffered(); nnz > left/8 {
-				return nil, fmt.Errorf("core: %q declares %d entries, %d bytes remain", name, nnz, left)
+		rows, ends, cols := make([]int32, live), make([]int32, live), make([]int32, nnz)
+		row, end, b := -1, 0, in.b
+		for k := range rows {
+			// A header of two one-byte fields, the common case, inline.
+			if p := in.off; p+1 < len(b) && b[p]|b[p+1] < 0x80 && in.err == nil {
+				row, end, in.off = row+int(b[p]), end+int(b[p+1]), p+2
+			} else {
+				row += in.uvarint(n)
+				end += in.uvarint(n)
 			}
-			reserve = nnz
+			if row >= n || end > int(nnz) {
+				return nil, fmt.Errorf("core: %q: row %d ends at entry %d, past %d nodes or %d entries", name, row, end, n, nnz)
+			}
+			rows[k], ends[k] = int32(row), int32(end)
 		}
-		m, err := matrix.Load(be, n, nnz, reserve, func(entries []matrix.Pair) error {
-			raw = slices.Grow(raw[:0], 8*len(entries))[:8*len(entries)]
-			if _, err := io.ReadFull(br, raw); err != nil {
-				return err
-			}
-			for k := range entries {
-				e := raw[8*k : 8*k+8]
-				entries[k] = matrix.Pair{I: int(binary.LittleEndian.Uint32(e)), J: int(binary.LittleEndian.Uint32(e[4:]))}
-			}
-			return nil
-		})
+		block := in.next(4 * int(nnz))
+		if in.err != nil {
+			return nil, fmt.Errorf("core: %q: %w", name, in.err)
+		}
+		for k := range cols {
+			cols[k] = int32(le.Uint32(block[4*k : 4*k+4]))
+		}
+		m, err := matrix.FromCSR(be, n, rows, ends, cols)
 		if err != nil {
 			return nil, fmt.Errorf("core: %q: %w", name, err)
 		}
 		ix.mats[a] = m
 	}
-	for a, m := range ix.mats {
-		if m == nil {
-			return nil, fmt.Errorf("core: non-terminal %q missing from index", cnf.Names[a])
-		}
+	if in.left() > 0 {
+		return nil, fmt.Errorf("core: index has %d bytes after its last relation", in.left())
 	}
-	return ix, nil
+	return ix, nil // as many relations as non-terminals, none twice: every one is in
+}
+
+// indexReader reads an encoded index in place. The first read past its
+// end, or of a malformed row header, sets err; every read after it yields
+// zeros.
+type indexReader struct {
+	b   []byte
+	off int
+	err error
+}
+
+func (r *indexReader) left() int { return len(r.b) - r.off }
+
+// next returns the next k bytes.
+func (r *indexReader) next(k int) []byte {
+	if r.err == nil && k > r.left() {
+		r.err = fmt.Errorf("core: index truncated: %d bytes wanted at byte %d of %d", k, r.off, len(r.b))
+	}
+	if r.err != nil {
+		return nil
+	}
+	r.off += k
+	return r.b[r.off-k : r.off]
+}
+
+func (r *indexReader) u32() uint32 {
+	if b := r.next(4); b != nil {
+		return binary.LittleEndian.Uint32(b)
+	}
+	return 0
+}
+
+// str reads a uint16-length-prefixed string.
+func (r *indexReader) str() []byte {
+	k := 0
+	if b := r.next(2); b != nil {
+		k = int(binary.LittleEndian.Uint16(b))
+	}
+	return r.next(k)
+}
+
+// uvarint reads a row header field: a minimally encoded uvarint of at most
+// limit.
+func (r *indexReader) uvarint(limit int) int {
+	if r.err != nil {
+		return 0
+	}
+	x, k := binary.Uvarint(r.b[r.off:])
+	switch {
+	case k <= 0 || k > 1 && r.b[r.off+k-1] == 0:
+		r.err = fmt.Errorf("core: truncated or overlong uvarint at byte %d", r.off)
+	case x > uint64(limit):
+		r.err = fmt.Errorf("core: row header field %d at byte %d exceeds %d nodes", x, r.off, limit)
+	}
+	if r.err != nil {
+		return 0
+	}
+	r.off += k
+	return int(x)
 }

@@ -13,7 +13,7 @@ package core
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
+	"errors"
 	"testing"
 
 	"cfpq/internal/grammar"
@@ -31,8 +31,10 @@ func FuzzReadIndex(f *testing.F) {
 	// strangling the fuzzer's throughput without exercising anything new.
 	MaxIndexNodes = 1 << 12
 	cnf := grammar.MustParseCNF("S -> a S b | a b")
-	// Seeds: a real CFPQIDX2 image, its truncation, a CFPQIDX1 image
-	// (an unsupported format that must be rejected cleanly), and garbage.
+	// Seeds: real CFPQIDX3 images (recorded sparse and dense), a
+	// truncation, a CFPQIDX1 and a CFPQIDX2 image (formats no longer read,
+	// which must be rejected cleanly), garbage, and images that break one
+	// rule each of the strict decoder.
 	g := graph.New(0)
 	g.AddEdge(0, "a", 1)
 	g.AddEdge(1, "b", 2)
@@ -48,24 +50,43 @@ func FuzzReadIndex(f *testing.F) {
 	f.Add(good[:len(good)-3])
 	legacy := append([]byte("CFPQIDX1"), good[len(indexMagic)+2+len("sparse"):]...)
 	f.Add(legacy)
-	f.Add([]byte("CFPQIDX2 garbage follows the magic"))
-	// An entry out of row-major order, and a repeated one: WriteTo never
-	// writes either, and ReadIndex must refuse both.
-	for name, edit := range map[string]func(rel []byte) []byte{
-		"out of order": func(rel []byte) []byte {
-			return append(append(append([]byte{}, rel[8:16]...), rel[:8]...), rel[16:]...)
-		},
-		"repeated": func(rel []byte) []byte {
-			return append(append(append([]byte{}, rel[:8]...), rel[:8]...), rel[16:]...)
-		},
+	f.Add([]byte("CFPQIDX3 garbage follows the magic"))
+	// A column out of order within a row, and a repeated one: WriteTo
+	// never writes either, and ReadIndex must refuse both.
+	for name, edit := range map[string]func(cols []byte){
+		"out of order": func(cols []byte) { cols[0], cols[4] = cols[4], cols[0] },
+		"repeated":     func(cols []byte) { copy(cols[4:8], cols[:4]) },
 	} {
 		bad := bytes.Clone(good)
-		rel := relationEntries(f, bad, "S")
-		copy(rel, edit(rel))
+		edit(relationColumns(f, bad, "S"))
 		if _, err := ReadIndex(bytes.NewReader(bad), cnf, matrix.Sparse()); err == nil {
-			f.Fatalf("an entry %s was accepted", name)
+			f.Fatalf("a column %s was accepted", name)
 		}
 		f.Add(bad)
+	}
+	v2 := encodeV2(ix)
+	if _, err := ReadIndex(bytes.NewReader(v2), cnf, matrix.Sparse()); !errors.Is(err, ErrRetiredIndex) {
+		f.Fatalf("a CFPQIDX2 image: err = %v, want ErrRetiredIndex", err)
+	}
+	f.Add(v2)
+	dense, _, _ := NewEngine(WithBackend(matrix.Dense())).RunContext(context.Background(), g, cnf)
+	buf.Reset()
+	if _, err := dense.WriteTo(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(bytes.Clone(buf.Bytes()))
+	f.Add(append(bytes.Clone(good), 0))
+	valid := relation{nnz: 3, live: 2, headers: []uint64{1, 2, 2, 1}, cols: []uint32{1, 3, 3}}
+	f.Add(rawIndex(cnf, 5, "S", valid))
+	for _, r := range []relation{
+		{nnz: 3, live: 2, headers: []uint64{1, 2, 0, 1}, cols: []uint32{1, 3, 3}},
+		{nnz: 3, live: 2, headers: []uint64{1, 2, 5, 1}, cols: []uint32{1, 3, 3}},
+		{nnz: 3, live: 2, headers: []uint64{1, 0, 2, 3}, cols: []uint32{1, 3, 3}},
+		{nnz: 3, live: 2, headers: []uint64{1, 2, 2, 1}, cols: []uint32{1, 9, 3}},
+		{nnz: 3, live: 2, headers: []uint64{1, 2, 2}, rawHeaders: []byte{0x81, 0x00}, cols: []uint32{1, 3, 3}},
+		{nnz: 1 << 30, live: 1, headers: []uint64{1, 1}, cols: []uint32{0}},
+	} {
+		f.Add(rawIndex(cnf, 5, "S", r))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Read with an explicit sparse backend: the fuzzer controls the
@@ -90,23 +111,26 @@ func FuzzReadIndex(f *testing.F) {
 	})
 }
 
-// relationEntries returns the entry block of the named relation inside a
-// CFPQIDX2 image, for editing in place.
-func relationEntries(tb testing.TB, raw []byte, nt string) []byte {
+// relationColumns returns the column block of the named relation inside a
+// CFPQIDX3 image, for editing in place.
+func relationColumns(tb testing.TB, raw []byte, nt string) []byte {
 	tb.Helper()
-	off := len(indexMagic)
-	off += 2 + int(binary.LittleEndian.Uint16(raw[off:]))
-	nn := int(binary.LittleEndian.Uint32(raw[off+4:]))
-	off += 8
-	for k := 0; k < nn; k++ {
-		name := string(raw[off+2 : off+2+int(binary.LittleEndian.Uint16(raw[off:]))])
-		off += 2 + len(name)
-		nnz := int(binary.LittleEndian.Uint32(raw[off:]))
-		off += 4
-		if name == nt {
-			return raw[off : off+8*nnz]
+	in := indexReader{b: raw, off: len(indexMagic)}
+	in.str()
+	n, nn := in.u32(), in.u32()
+	for k := uint32(0); k < nn; k++ {
+		name := string(in.str())
+		nnz, live := in.u32(), in.u32()
+		for k := uint32(0); k < 2*live; k++ {
+			in.uvarint(int(n))
 		}
-		off += 8 * nnz
+		cols := in.next(4 * int(nnz))
+		if in.err != nil {
+			tb.Fatal(in.err)
+		}
+		if name == nt {
+			return cols
+		}
 	}
 	tb.Fatalf("no relation %q in the image", nt)
 	return nil

@@ -6,8 +6,11 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"io"
+	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -50,15 +53,15 @@ func TestIndexRoundTrip(t *testing.T) {
 	}
 }
 
-// TestIndexBytesPinned pins the CFPQIDX2 encoding of the paper's Figure 5
+// TestIndexBytesPinned pins the CFPQIDX3 encoding of the paper's Figure 5
 // example, closed on each backend: however the relations are built and
 // held in memory, the bytes on disk do not move. The encoding also reads
 // back, through a reader that reports its length and through one that
 // does not, to an index that encodes to the same bytes.
 func TestIndexBytesPinned(t *testing.T) {
 	pins := map[string]string{
-		"dense":  "272378d27a67777bbb087bace35d6aa50c4eccfbccef9123414587154f9c1b1b",
-		"sparse": "b717781ffa1d313b88cfab433719492bee4e9496b9a573784bd3ab26caca5c5b",
+		"dense":  "77edd2db0b658c6c959647e27bcb604b3c00e3944d7c5b670947d4dfd8bb65e6",
+		"sparse": "1eb5b8b2f92c689a8c530ac05c80edc2f1d213dfd3ba3d1695229b440ced5af9",
 	}
 	cnf := grammar.MustParseCNF(paperCNF)
 	for _, be := range matrix.Backends() {
@@ -73,7 +76,7 @@ func TestIndexBytesPinned(t *testing.T) {
 		}
 		sum := sha256.Sum256(buf.Bytes())
 		if got := hex.EncodeToString(sum[:]); got != pins[be.Name()] {
-			t.Errorf("%s: CFPQIDX2 bytes hash to %s, pinned %s", be.Name(), got, pins[be.Name()])
+			t.Errorf("%s: CFPQIDX3 bytes hash to %s, pinned %s", be.Name(), got, pins[be.Name()])
 		}
 		for name, r := range map[string]io.Reader{
 			"sized":   bytes.NewReader(buf.Bytes()),
@@ -137,6 +140,12 @@ func TestReadIndexErrors(t *testing.T) {
 	if _, err := ReadIndex(bytes.NewReader(v1), cnf, nil); err == nil || !strings.Contains(err.Error(), "bad index magic") {
 		t.Errorf("CFPQIDX1 file: err = %v, want bad index magic", err)
 	}
+	// Nor is the pair-list CFPQIDX2 this format replaced (what
+	// Engine.LoadIndex returns), and the error names it and says to rebuild.
+	if _, err := ReadIndex(bytes.NewReader(encodeV2(ix)), cnf, nil); !errors.Is(err, ErrRetiredIndex) ||
+		!strings.Contains(err.Error(), "CFPQIDX2") || !strings.Contains(err.Error(), "rebuild") {
+		t.Errorf("CFPQIDX2 file: err = %v, want ErrRetiredIndex", err)
+	}
 	// Wrong grammar (different non-terminal set).
 	other := grammar.MustParseCNF("Z -> a\nY -> b")
 	if _, err := ReadIndex(bytes.NewReader(good), other, nil); err == nil {
@@ -145,7 +154,7 @@ func TestReadIndexErrors(t *testing.T) {
 }
 
 func TestIndexRecordsBackend(t *testing.T) {
-	// CFPQIDX2 records the computing backend: reading with a nil backend
+	// CFPQIDX3 records the computing backend: reading with a nil backend
 	// must materialise the exact representation the index was built with.
 	cnf := grammar.MustParseCNF("S -> a S b | a b")
 	g := graph.Cycle(6, "a")
@@ -208,5 +217,170 @@ func TestWriteToReportsBytes(t *testing.T) {
 	}
 	if n != int64(buf.Len()) {
 		t.Errorf("WriteTo reported %d bytes, wrote %d", n, buf.Len())
+	}
+}
+
+// failAfter is a writer that takes left bytes and then fails, counting the
+// writes it is asked for after the first failure.
+type failAfter struct{ left, after int }
+
+var errDiskFull = errors.New("disk full")
+
+func (f *failAfter) Write(p []byte) (int, error) {
+	if f.left < 0 {
+		f.after++
+		return 0, errDiskFull
+	}
+	if len(p) > f.left {
+		n := f.left
+		f.left = -1
+		return n, errDiskFull
+	}
+	f.left -= len(p)
+	return len(p), nil
+}
+
+// TestWriteToStopsAtTheFirstFailedWrite: an index larger than WriteTo's
+// buffer, written into a destination that fails part-way, reports the
+// failure and the bytes the destination took, and writes nothing after it.
+func TestWriteToStopsAtTheFirstFailedWrite(t *testing.T) {
+	cnf := grammar.MustParseCNF("S -> a S b | a b")
+	g := graph.New(0)
+	for i := range 3000 {
+		g.AddEdge(i, "a", i+1)
+		g.AddEdge(i+1, "b", i)
+	}
+	ix, _, err := NewEngine().RunContext(context.Background(), g, cnf)
+	if err != nil || ix.encodedLen() < 3*indexChunk {
+		t.Fatalf("an index of %d bytes (err %v), want one over three buffers", ix.encodedLen(), err)
+	}
+	for _, cut := range []int{0, 100, indexChunk + 7, 2*indexChunk + 1} {
+		w := &failAfter{left: cut}
+		n, err := ix.WriteTo(w)
+		if !errors.Is(err, errDiskFull) || n != int64(cut) || w.after != 0 {
+			t.Errorf("cut at %d: wrote %d bytes, err %v, %d writes after the failure", cut, n, err, w.after)
+		}
+	}
+}
+
+// encodeV2 returns ix in the retired CFPQIDX2 format: each relation's
+// pairs as (uint32 row, uint32 col).
+func encodeV2(ix *Index) []byte {
+	le := binary.LittleEndian
+	str := func(b []byte, s string) []byte { return append(le.AppendUint16(b, uint16(len(s))), s...) }
+	out := str([]byte(retiredMagic), ix.backend.Name())
+	out = le.AppendUint32(le.AppendUint32(out, uint32(ix.n)), uint32(len(ix.mats)))
+	for a, m := range ix.mats {
+		out = le.AppendUint32(str(out, ix.cnf.Names[a]), uint32(m.Nnz()))
+		m.Range(func(i, j int) bool {
+			out = le.AppendUint32(le.AppendUint32(out, uint32(i)), uint32(j))
+			return true
+		})
+	}
+	return out
+}
+
+// relation is a CFPQIDX3 relation body, from nnz on, each field as given:
+// headers alternate gap and length, each an uvarint unless raw bytes are
+// spliced in with rawHeaders.
+type relation struct {
+	nnz, live  uint32
+	headers    []uint64
+	rawHeaders []byte
+	cols       []uint32
+}
+
+func (r relation) bytes() []byte {
+	le := binary.LittleEndian
+	out := le.AppendUint32(le.AppendUint32(nil, r.nnz), r.live)
+	for _, h := range r.headers {
+		out = binary.AppendUvarint(out, h)
+	}
+	out = append(out, r.rawHeaders...)
+	for _, j := range r.cols {
+		out = le.AppendUint32(out, j)
+	}
+	return out
+}
+
+// rawIndex returns a CFPQIDX3 image over n nodes holding cnf's relations,
+// the named one as rel gives it and every other empty.
+func rawIndex(cnf *grammar.CNF, n uint32, nt string, rel relation) []byte {
+	le := binary.LittleEndian
+	out := le.AppendUint16([]byte(indexMagic), uint16(len("sparse")))
+	out = le.AppendUint32(le.AppendUint32(append(out, "sparse"...), n), uint32(len(cnf.Names)))
+	for _, name := range cnf.Names {
+		out = append(le.AppendUint16(out, uint16(len(name))), name...)
+		if name == nt {
+			out = append(out, rel.bytes()...)
+		} else {
+			out = append(out, relation{}.bytes()...)
+		}
+	}
+	return out
+}
+
+// TestDecodeIndexStrict: the decoder refuses every payload WriteTo cannot
+// write, one case a rule, and a count the bytes left cannot hold before it
+// allocates for it. The valid case is the baseline each bad one departs
+// from: S holds (0,1), (0,3) and (2,3) over 4 nodes.
+func TestDecodeIndexStrict(t *testing.T) {
+	cnf := grammar.MustParseCNF("S -> a S b | a b")
+	valid := relation{nnz: 3, live: 2, headers: []uint64{1, 2, 2, 1}, cols: []uint32{1, 3, 3}}
+	ix, err := DecodeIndex(rawIndex(cnf, 4, "S", valid), cnf, nil)
+	if err != nil {
+		t.Fatalf("the valid image: %v", err)
+	}
+	if got := ix.Relation("S"); !slices.Equal(got, []matrix.Pair{{I: 0, J: 1}, {I: 0, J: 3}, {I: 2, J: 3}}) {
+		t.Fatalf("the valid image decodes to %v", got)
+	}
+	with := func(edit func(r *relation)) []byte {
+		r := valid
+		r.headers, r.cols = slices.Clone(valid.headers), slices.Clone(valid.cols)
+		edit(&r)
+		return rawIndex(cnf, 4, "S", r)
+	}
+	for _, c := range []struct {
+		name string
+		data []byte
+		want string
+	}{
+		{"rows not strictly increasing", with(func(r *relation) { r.headers[2] = 0 }), "out of order"},
+		{"first row repeats the one before it", with(func(r *relation) { r.headers[0] = 0 }), "out of order"},
+		{"a row past the nodes", with(func(r *relation) { r.headers[2] = 4 }), "past 4 nodes"},
+		{"a gap past the nodes", with(func(r *relation) { r.headers[0] = 5 }), "past 4 nodes"},
+		{"a long field past the nodes", with(func(r *relation) { r.headers[0] = 300 }), "exceeds 4 nodes"},
+		{"an empty row", with(func(r *relation) { r.headers[1], r.headers[3] = 0, 3 }), "ends at"},
+		{"row lengths short of nnz", with(func(r *relation) { r.headers[1] = 1; r.headers[3] = 1 }), "rows hold 2 entries, 3 columns"},
+		{"row lengths past nnz", with(func(r *relation) { r.headers[3] = 2 }), "4, past"},
+		{"a column past the nodes", with(func(r *relation) { r.cols[1] = 4 }), "out of range"},
+		{"a column past int32", with(func(r *relation) { r.cols[1] = 1 << 31 }), "out of range"},
+		{"columns out of order", with(func(r *relation) { r.cols[0], r.cols[1] = 3, 1 }), "out of order"},
+		{"a repeated column", with(func(r *relation) { r.cols[1] = 1 }), "repeated"},
+		{"bytes after the last relation", append(with(func(*relation) {}), 0), "1 bytes after its last relation"},
+		{"an overlong uvarint", with(func(r *relation) { r.headers = r.headers[1:]; r.rawHeaders = []byte{0x81, 0x00} }), "overlong uvarint"},
+		{"an overflowing uvarint", with(func(r *relation) {
+			r.headers, r.rawHeaders = nil, append(bytes.Repeat([]byte{0xff}, 10), 0x01)
+		}), "overlong uvarint"},
+		{"more rows than entries", with(func(r *relation) { r.live = 4 }), "declares 3 entries in 4 rows"},
+		{"a truncated image", func() []byte { b := with(func(*relation) {}); return b[:len(b)-1] }(), "truncated"},
+		{"a retired CFPQIDX2 image", encodeV2(ix), "retired CFPQIDX2"},
+	} {
+		if _, err := DecodeIndex(c.data, cnf, nil); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want %q", c.name, err, c.want)
+		}
+	}
+	// Counts the bytes left cannot hold are refused before anything is
+	// allocated for them: 2³⁰ entries would take 4 GiB.
+	for _, r := range []relation{
+		{nnz: 1 << 30, live: 1, headers: []uint64{1, 1}, cols: []uint32{0}},
+		{nnz: 1 << 30, live: 1 << 30},
+		{nnz: math.MaxUint32, live: 1},
+	} {
+		data := rawIndex(cnf, 4, "S", r)
+		got, _ := allocated(func() { _, err = DecodeIndex(data, cnf, nil) })
+		if err == nil || !strings.Contains(err.Error(), "bytes remain") || got > 64<<10 {
+			t.Errorf("nnz %d in %d rows: err = %v after %d bytes allocated, want a refusal before allocating", r.nnz, r.live, err, got)
+		}
 	}
 }

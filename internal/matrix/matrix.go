@@ -6,7 +6,7 @@
 //
 //	dst |= a × b   (Boolean semiring: AND for ×, OR for +)
 //	dst |= src, and src \= dst beforehand (Absorb)
-//	nnz, equality, iteration, bulk construction (Build, Load)
+//	nnz, equality, iteration, bulk construction (Build, FromCSR)
 //
 // The Backend/Bool pair lets the query engine stay agnostic of the
 // representation; the two backends stand in for the paper's matrix
@@ -190,6 +190,21 @@ func RangeRows(m Bool, fn func(i int, cols []int32) bool) {
 	}
 }
 
+// LiveRows returns the number of m's non-empty rows: the length of a sparse
+// matrix's live list, or a scan of a dense matrix's rows.
+func LiveRows(m Bool) int {
+	if s, ok := m.(*SparseMatrix); ok {
+		return len(s.live)
+	}
+	live := 0
+	for i := range m.Dim() {
+		if !m.RangeRow(i, func(int) bool { return false }) {
+			live++
+		}
+	}
+	return live
+}
+
 // Build returns an n×n matrix of backend be holding the entries each
 // reports through emit, in any order and with repeats allowed. each runs
 // more than once — a sparse matrix counts its entries before it places
@@ -200,17 +215,16 @@ func Build(be Backend, n int, each func(emit func(i, j int))) Bool {
 	return convert(be, buildSparse(n, each))
 }
 
-// Load returns an n×n matrix of backend be holding nnz entries, which
-// next writes a chunk at a time into the slice it is passed, filling all
-// of it. They must come in row-major order without repeats: an entry out
-// of order, repeated or out of range is an error, as is an error next
-// returns. A sparse matrix stores them in one array, each row a
-// capped window of it, allocated up front for reserve entries (at most
-// nnz) and grown past them as entries arrive: a caller that cannot vouch
-// for nnz — an index file's header, say — reserves less. It is how
-// ReadIndex decodes a relation.
-func Load(be Backend, n, nnz, reserve int, next func(entries []Pair) error) (Bool, error) {
-	m, err := loadSparse(n, nnz, reserve, next)
+// FromCSR returns an n×n matrix of backend be holding the rows live lists,
+// in compressed sparse row form: row live[k] holds the columns
+// cols[ends[k-1]:ends[k]] (from 0 for k = 0). Rows must be strictly
+// increasing and below n, each non-empty, the last ending at len(cols),
+// and each row's columns strictly increasing and below n; any other input
+// is an error. A sparse matrix adopts cols, each row a capped window of
+// it, and live as its live list; ends is not kept. It is how DecodeIndex
+// builds a relation.
+func FromCSR(be Backend, n int, live, ends, cols []int32) (Bool, error) {
+	m, err := csrSparse(n, live, ends, cols)
 	if err != nil {
 		return nil, err
 	}
@@ -237,7 +251,7 @@ func Backends() []Backend {
 }
 
 // BackendByName resolves a backend by its Name() — the form backend
-// identity is recorded in on serialised indexes (CFPQIDX2) and store
+// identity is recorded in on serialised indexes (CFPQIDX3) and store
 // files. The names of the retired row-parallel kernels, "dense-parallel"
 // and "sparse-parallel", resolve to the backend of the same
 // representation, so indexes, store files and clients that carry them

@@ -554,8 +554,7 @@ func (a *SparseMatrix) productRows(b *SparseMatrix) []int32 {
 // lists the rows it reaches, one places them; then each row is sorted and
 // its repeats dropped. Only listed rows are visited after the counting, so
 // the cost past the header allocation is the entries', not n's. The live
-// list, like loadSparse's, is sized for the most rows the entries can
-// fill.
+// list is sized for the most rows the entries can fill.
 func buildSparse(n int, each func(emit func(i, j int))) *SparseMatrix {
 	m := &SparseMatrix{n: n, rows: make([][]int32, n)}
 	total := 0
@@ -588,44 +587,59 @@ func buildSparse(n int, each func(emit func(i, j int))) *SparseMatrix {
 	return m
 }
 
-// loadSparse is Load on the sparse backend: the entries go into one array
-// of reserve capacity, in order, each row closed as a capped window of it
-// when the next begins.
-func loadSparse(n, nnz, reserve int, next func(entries []Pair) error) (*SparseMatrix, error) {
-	m := &SparseMatrix{n: n, rows: make([][]int32, n), live: make([]int32, 0, min(reserve, nnz, n)), nnz: nnz}
-	flat := make([]int32, 0, min(reserve, nnz))
-	chunk := make([]Pair, min(nnz, loadChunk))
-	row, start := -1, 0
-	for left := nnz; left > 0; left -= len(chunk) {
-		chunk = chunk[:min(left, len(chunk))]
-		if err := next(chunk); err != nil {
-			return nil, err
-		}
-		for _, p := range chunk {
-			i, j := p.I, p.J
-			switch {
-			case i < 0 || i >= n || j < 0 || j >= n:
-				return nil, fmt.Errorf("matrix: entry (%d,%d) out of range for %d nodes", i, j, n)
-			case i < row || i == row && int32(j) <= flat[len(flat)-1]:
-				return nil, fmt.Errorf("matrix: entry (%d,%d) out of row-major order or repeated", i, j)
-			case i != row:
-				if row >= 0 {
-					m.rows[row] = flat[start:len(flat):len(flat)]
-				}
-				row, start = i, len(flat)
-				m.live = append(m.live, int32(i))
-			}
-			flat = append(flat, int32(j))
-		}
+// csrSparse is FromCSR on the sparse backend. One flat pass over cols
+// counts columns out of range and places where a column does not exceed
+// the one before; a pass over the rows checks them, cuts each out of cols
+// and discounts the places that are a row's start, so that what is left
+// counts columns out of order within a row. An empty input makes a matrix
+// with no row list, as NewMatrix does.
+func csrSparse(n int, live, ends, cols []int32) (*SparseMatrix, error) {
+	m := &SparseMatrix{n: n, live: live, nnz: len(cols)}
+	switch {
+	case len(live) != len(ends):
+		return nil, fmt.Errorf("matrix: %d rows with %d ends", len(live), len(ends))
+	case len(live) == 0 && len(cols) > 0:
+		return nil, fmt.Errorf("matrix: %d columns in no row", len(cols))
+	case len(live) == 0:
+		return m, nil
+	case int(ends[len(ends)-1]) != len(cols):
+		return nil, fmt.Errorf("matrix: rows hold %d entries, %d columns given", ends[len(ends)-1], len(cols))
 	}
-	if row >= 0 {
-		m.rows[row] = flat[start:len(flat):len(flat)]
+	outside, unordered, last := 0, 0, int32(-1)
+	for _, j := range cols {
+		if uint32(j) >= uint32(n) {
+			outside++
+		}
+		if j <= last {
+			unordered++
+		}
+		last = j
 	}
+	if outside > 0 {
+		return nil, fmt.Errorf("matrix: %d columns out of range for %d nodes", outside, n)
+	}
+	rows := make([][]int32, n)
+	prev, start := int32(-1), int32(0)
+	for k, i := range live {
+		end := ends[k]
+		switch {
+		case i <= prev || int(i) >= n:
+			return nil, fmt.Errorf("matrix: row %d after row %d, out of order or out of range for %d nodes", i, prev, n)
+		case end <= start || int(end) > len(cols):
+			return nil, fmt.Errorf("matrix: row %d ends at %d, from %d of %d columns", i, end, start, len(cols))
+		}
+		if start > 0 && cols[start] <= cols[start-1] {
+			unordered--
+		}
+		rows[i] = cols[start:end:end]
+		prev, start = i, end
+	}
+	if unordered > 0 {
+		return nil, fmt.Errorf("matrix: %d columns out of order or repeated within their row", unordered)
+	}
+	m.rows = rows
 	return m, nil
 }
-
-// loadChunk is the most entries Load asks its source for at once.
-const loadChunk = 1024
 
 // colIndex is a sparse matrix's column → rows companion: cols[j] lists rows
 // that hold column j, unordered, maybe more than once (see

@@ -1,8 +1,6 @@
 package matrix
 
 import (
-	"errors"
-	"io"
 	"math/rand"
 	"strings"
 	"testing"
@@ -21,21 +19,21 @@ func gridEntries(grid [][]bool) []Pair {
 	return out
 }
 
-// loadPairs is Load over a pair list, reserving reserve entries.
-func loadPairs(be Backend, n, reserve int, pairs []Pair) (Bool, error) {
-	return Load(be, n, len(pairs), reserve, func(entries []Pair) error {
-		if len(entries) > len(pairs) {
-			return io.ErrUnexpectedEOF
+// csr returns row-major pairs in FromCSR's form.
+func csr(pairs []Pair) (live, ends, cols []int32) {
+	for k, p := range pairs {
+		if k == 0 || p.I != pairs[k-1].I {
+			live, ends = append(live, int32(p.I)), append(ends, 0)
 		}
-		pairs = pairs[copy(entries, pairs):]
-		return nil
-	})
+		cols = append(cols, int32(p.J))
+		ends[len(ends)-1] = int32(len(cols))
+	}
+	return live, ends, cols
 }
 
 // TestBulkRowsAreCapped: a matrix made in bulk — Build (entries in any
-// order, some repeated), Load (in order, with the array reserved up front
-// or grown past a small reservation) and Clone — keeps its sparse rows as
-// windows of one array. Set on each row in turn, at its end where an
+// order, some repeated), FromCSR (rows adopted from one column array) and
+// Clone — keeps its sparse rows as windows of one array. Set on each row in turn, at its end where an
 // in-place append would run into the next row's window, must change that
 // row only.
 func TestBulkRowsAreCapped(t *testing.T) {
@@ -53,15 +51,12 @@ func TestBulkRowsAreCapped(t *testing.T) {
 					}
 				}
 			})
-			loaded, err := loadPairs(be, n, len(pairs), pairs)
+			live, ends, cols := csr(pairs)
+			adopted, err := FromCSR(be, n, live, ends, cols)
 			if err != nil {
 				t.Fatal(err)
 			}
-			grown, err := loadPairs(be, n, 1, pairs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for name, m := range map[string]Bool{"Build": built, "Load": loaded, "Load (grown)": grown, "Clone": built.Clone()} {
+			for name, m := range map[string]Bool{"Build": built, "FromCSR": adopted, "Clone": built.Clone()} {
 				want := growGrid(grid, n)
 				if !equalGrid(toBool(m), want) || m.Nnz() != len(pairs) {
 					t.Fatalf("%s %s: holds %v (nnz %d), want %v", be.Name(), name, toBool(m), m.Nnz(), want)
@@ -85,32 +80,32 @@ func TestBulkRowsAreCapped(t *testing.T) {
 	}
 }
 
-// TestLoadRejects: Load takes entries in row-major order only, each once,
-// in range, and fails with what next fails with.
-func TestLoadRejects(t *testing.T) {
+// TestFromCSRRejects: FromCSR takes rows in increasing order, each
+// non-empty and in range, ending where the columns do, and columns in
+// increasing order within a row, each in range.
+func TestFromCSRRejects(t *testing.T) {
 	for _, be := range allBackends() {
 		for _, c := range []struct {
-			name  string
-			pairs []Pair
-			want  string
+			name             string
+			live, ends, cols []int32
+			want             string
 		}{
-			{"out of order in a row", []Pair{{0, 2}, {0, 1}}, "order"},
-			{"out of order across rows", []Pair{{1, 0}, {0, 3}}, "order"},
-			{"repeated", []Pair{{0, 1}, {2, 2}, {2, 2}}, "repeated"},
-			{"out of range", []Pair{{0, 1}, {0, 4}}, "out of range"},
+			{"rows out of order", []int32{1, 0}, []int32{1, 2}, []int32{0, 3}, "out of order"},
+			{"row repeated", []int32{2, 2}, []int32{1, 2}, []int32{0, 3}, "out of order"},
+			{"row out of range", []int32{0, 4}, []int32{1, 2}, []int32{0, 3}, "out of range"},
+			{"empty row", []int32{0, 1}, []int32{1, 1}, []int32{0}, "ends at"},
+			{"rows hold fewer entries", []int32{0}, []int32{1}, []int32{0, 1}, "hold 1 entries"},
+			{"rows hold more entries", []int32{0, 1}, []int32{1, 3}, []int32{0, 1}, "hold 3 entries"},
+			{"columns out of order", []int32{0}, []int32{2}, []int32{2, 1}, "out of order"},
+			{"column repeated", []int32{0, 2}, []int32{1, 3}, []int32{1, 2, 2}, "repeated"},
+			{"column out of range", []int32{0}, []int32{2}, []int32{1, 4}, "out of range"},
+			{"negative column", []int32{0}, []int32{1}, []int32{-1}, "out of range"},
+			{"columns in no row", nil, nil, []int32{0}, "no row"},
+			{"ends missing", []int32{0, 1}, []int32{2}, []int32{0, 1}, "2 rows with 1 ends"},
 		} {
-			if _, err := loadPairs(be, 4, len(c.pairs), c.pairs); err == nil || !strings.Contains(err.Error(), c.want) {
+			if _, err := FromCSR(be, 4, c.live, c.ends, c.cols); err == nil || !strings.Contains(err.Error(), c.want) {
 				t.Errorf("%s %s: err = %v, want %q", be.Name(), c.name, err, c.want)
 			}
-		}
-		short := []Pair{{0, 1}}
-		if _, err := Load(be, 4, 2, 2, func(entries []Pair) error {
-			if len(entries) > len(short) {
-				return io.ErrUnexpectedEOF
-			}
-			return nil
-		}); !errors.Is(err, io.ErrUnexpectedEOF) {
-			t.Errorf("%s: short input: err = %v, want io.ErrUnexpectedEOF", be.Name(), err)
 		}
 	}
 }

@@ -214,18 +214,45 @@ func (s *Service) Snapshot(graphName string) error {
 }
 
 func (s *Service) snapshotGraph(name string) error {
+	ge, indexes := s.savedIndexes(name)
+	if ge == nil {
+		return notFoundf("server: unknown graph %q", name)
+	}
+	// A graph replaced since we captured ge would receive index files
+	// from the old graph's node namespace; skip — the replacement was
+	// snapshotted by its own registration (and the store refuses the
+	// indexes of one replaced after this check: the epoch).
+	s.mu.Lock()
+	current := s.graphs[name] == ge
+	s.mu.Unlock()
+	if !current {
+		return nil
+	}
+	return storeFault(s.store.Snapshot(name, indexes))
+}
+
+// foldIndexes is the index list a WAL fold saves beside the snapshot
+// (store.CompactIfDue), so that the fold is a checkpoint: a warm start
+// after it patches only what was written since, not every edge.
+func (s *Service) foldIndexes(name string) func() []store.IndexData {
+	return func() []store.IndexData { _, indexes := s.savedIndexes(name); return indexes }
+}
+
+// savedIndexes returns the named graph's entry and what saves its built
+// grammar slots: the data of each slot with a ready handle. Expr slots
+// are derived data, rebuilt on demand, and never saved.
+func (s *Service) savedIndexes(name string) (*graphEntry, []store.IndexData) {
 	s.mu.Lock()
 	ge := s.graphs[name]
 	var entries []*indexEntry
 	for k, e := range s.indexes {
-		// Expr slots are derived data, rebuilt on demand: never saved.
 		if k.Graph == name && k.Expr == "" && e.ge == ge {
 			entries = append(entries, e)
 		}
 	}
 	s.mu.Unlock()
 	if ge == nil {
-		return notFoundf("server: unknown graph %q", name)
+		return nil, nil
 	}
 
 	// The watermark comes first, and is ge.indexed rather than ge.seq: a
@@ -253,17 +280,7 @@ func (s *Service) snapshotGraph(name string) error {
 			Write:   p.WriteIndex,
 		})
 	}
-	// A graph replaced since we captured ge would receive index files
-	// from the old graph's node namespace; skip — the replacement was
-	// snapshotted by its own registration (and the store refuses the
-	// indexes of one replaced after this check: the epoch).
-	s.mu.Lock()
-	current := s.graphs[name] == ge
-	s.mu.Unlock()
-	if !current {
-		return nil
-	}
-	return storeFault(s.store.Snapshot(name, indexes))
+	return ge, indexes
 }
 
 // StoreStats reports the attached store's statistics; ok is false when

@@ -444,6 +444,161 @@ func TestBatchFoldsOversizedWAL(t *testing.T) {
 	}
 }
 
+// TestFoldCheckpointsIndexes: the batch that folds an oversized WAL saves
+// the graph's built indexes beside the fresh snapshot, at the fold's base,
+// so a warm start after it patches only what was written since the fold —
+// not every edge of the graph, as it must for an index file that kept its
+// build-time watermark — and answers as before without a closure.
+func TestFoldCheckpointsIndexes(t *testing.T) {
+	const compactBytes = 64
+	dir := t.TempDir()
+	open := func(old *Service) (*Service, *store.Store) {
+		t.Helper()
+		if old != nil {
+			old.store.Close()
+		}
+		st, err := store.Open(dir, store.Options{NoSync: true, CompactBytes: compactBytes})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { st.Close() })
+		s := New()
+		if err := s.AttachStore(ctx, st); err != nil {
+			t.Fatal(err)
+		}
+		return s, st
+	}
+	s, st := open(nil)
+	if err := s.RegisterGraph("g", graph.Word([]string{"x", "y"}), nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.RegisterGrammar("q", "S -> x S y | x y | S S"); err != nil {
+		t.Fatal(err)
+	}
+	target := Target{Graph: "g", Grammar: "q"}
+	if _, err := relation(ctx, s, target, "S"); err != nil {
+		t.Fatal(err)
+	}
+	built := st.Indexes("g")
+	for i := range 8 {
+		n := fmt.Sprintf("n%d", i)
+		if _, err := s.AddEdges(ctx, "g", []EdgeSpec{{From: n, Label: "x", To: "0"}, {From: "1", Label: "y", To: n}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stats := st.Stats()
+	if stats.Compactions == 0 || stats.Graphs[0].BaseSeq == 0 {
+		t.Fatalf("test is vacuous: 8 batches past %d bytes folded nothing: %+v", compactBytes, stats)
+	}
+	infos := st.Indexes("g")
+	if len(infos) != 1 || len(built) != 1 {
+		t.Fatalf("index files: %+v after the build, %+v after the folds; want one each", built, infos)
+	}
+	if base := stats.Graphs[0].BaseSeq; infos[0].Seq != base {
+		t.Errorf("the index file covers seq %d (%d at its build); the last fold's base is %d", infos[0].Seq, built[0].Seq, base)
+	}
+	want, err := relation(ctx, s, target, "S")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2, _ := open(s)
+	got, err := relation(ctx, s2, target, "S")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) == 0 || !reflect.DeepEqual(got, want) {
+		t.Errorf("after a restart: %v, want %v", got, want)
+	}
+	if builds := s2.obs.indexBuilds.Value(); builds != 0 {
+		t.Errorf("the restart ran %d full closures", builds)
+	}
+}
+
+// TestRetiredIndexFileIsRebuilt: an index file in the retired CFPQIDX2
+// format is a cache miss, not an error: the warm start skips it, the first
+// query rebuilds the slot once and rewrites the file as CFPQIDX3, answers
+// are those of a fresh build, and the next restart warm-starts from the
+// rewritten file without a closure.
+func TestRetiredIndexFileIsRebuilt(t *testing.T) {
+	const text = "S -> x S y | x y"
+	g := graph.Word([]string{"x", "x", "y", "y"})
+	dir := t.TempDir()
+	s := persistentService(t, dir)
+	if err := s.RegisterGraph("g", g.Clone(), nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.RegisterGrammar("q", text); err != nil {
+		t.Fatal(err)
+	}
+	target := Target{Graph: "g", Grammar: "q", Backend: "sparse"}
+	want, err := relation(ctx, s, target, "S")
+	if err != nil || len(want) == 0 {
+		t.Fatalf("%v, %v", want, err)
+	}
+	cnf, err := cfpq.ToCNF(cfpq.MustParseGrammar(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, _, err := cfpq.NewEngine(cfpq.Sparse).Evaluate(ctx, g, cnf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.store.SaveIndex("g", "q", "sparse", 0, retiredIndex(ix, "sparse")); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := reopen(t, s, dir)
+	if n := s2.obs.warmStarts.Value(); n != 0 {
+		t.Fatalf("a CFPQIDX2 file warm-started %d slots", n)
+	}
+	got, err := relation(ctx, s2, target, "S")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("after the rebuild: %v, want %v", got, want)
+	}
+	if n := s2.obs.indexBuilds.Value(); n != 1 {
+		t.Errorf("the first query ran %d closures, want 1", n)
+	}
+	infos := s2.store.Indexes("g")
+	if len(infos) != 1 {
+		t.Fatalf("index files %+v, want one", infos)
+	}
+	if _, _, err := s2.store.LoadIndex(infos[0], cnf, nil); err != nil {
+		t.Fatalf("the rebuild left an index file that does not load: %v", err)
+	}
+
+	s3 := reopen(t, s2, dir)
+	if n := s3.obs.warmStarts.Value(); n != 1 {
+		t.Fatalf("the rewritten file warm-started %d slots, want 1", n)
+	}
+	if got, err := relation(ctx, s3, target, "S"); err != nil || !reflect.DeepEqual(got, want) {
+		t.Errorf("after the second restart: %v (%v), want %v", got, err, want)
+	}
+	if n := s3.obs.indexBuilds.Value(); n != 0 {
+		t.Errorf("the second restart ran %d closures", n)
+	}
+}
+
+// retiredIndex encodes ix in CFPQIDX2, the pair-list format CFPQIDX3
+// replaced: every pair of every relation as (uint32 row, uint32 col).
+func retiredIndex(ix *cfpq.Index, backend string) []byte {
+	le := binary.LittleEndian
+	str := func(b []byte, s string) []byte { return append(le.AppendUint16(b, uint16(len(s))), s...) }
+	names := ix.CNF().Names
+	out := str([]byte("CFPQIDX2"), backend)
+	out = le.AppendUint32(le.AppendUint32(out, uint32(ix.Nodes())), uint32(len(names)))
+	for _, nt := range names {
+		pairs := ix.Relation(nt)
+		out = le.AppendUint32(str(out, nt), uint32(len(pairs)))
+		for _, p := range pairs {
+			out = le.AppendUint32(le.AppendUint32(out, uint32(p.I)), uint32(p.J))
+		}
+	}
+	return out
+}
+
 // TestKeptUpFollowerReleasesFold: a follower that polls the WAL tail after
 // every write always trails the batch that crosses -compact-bytes, so that
 // batch's fold is skipped; the follower's next poll, from the head, must
@@ -663,7 +818,7 @@ func TestPersistManyGrammarsAndBackends(t *testing.T) {
 
 // TestWarmStartFromLegacyBackendName: a data directory written while
 // "sparse-parallel" named a kernel of its own — the index saved as
-// q@sparse-parallel.idx, its CFPQIDX2 header naming that backend — still
+// q@sparse-parallel.idx, its CFPQIDX3 header naming that backend — still
 // warm-starts without a closure, into the one slot of the sparse kernel:
 // a backend=sparse-parallel query and a backend=sparse one both answer
 // from it, and neither runs a closure.
@@ -687,7 +842,7 @@ func TestWarmStartFromLegacyBackendName(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Restamp the header (magic, uint16 name length, name) with the legacy name.
-	const magic = "CFPQIDX2"
+	const magic = "CFPQIDX3"
 	raw := buf.Bytes()
 	if got := string(raw[len(magic)+2 : len(magic)+2+len("sparse")]); got != "sparse" {
 		t.Fatalf("index header names %q, want sparse", got)

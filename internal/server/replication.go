@@ -220,7 +220,7 @@ func (s *Service) ReplicaTail(ctx context.Context, graphName, follower string, f
 		st.ReserveTail(graphName, follower, from)
 		// The batch that crossed -compact-bytes left the fold to whichever
 		// follower still trailed it: the poll that reaches the head folds.
-		if _, err := st.CompactIfDue(graphName); err != nil {
+		if _, err := st.CompactIfDue(graphName, s.foldIndexes(graphName)); err != nil {
 			s.obs.persistErrors.Inc()
 		}
 		if len(batches) > 0 || wait <= 0 || !time.Now().Before(deadline) {

@@ -1046,8 +1046,9 @@ func (s *Service) applyBatch(ctx context.Context, graphName string, kind store.R
 	s.patchIndexes(context.WithoutCancel(ctx), graphName, ge, edges, &res)
 	if s.store != nil {
 		// The batch that takes the WAL past -compact-bytes folds it, holding
-		// no lock. Best effort: a failed fold leaves the WAL long but correct.
-		if _, err := s.store.CompactIfDue(graphName); err != nil {
+		// no lock, and saves the graph's built indexes beside it. Best
+		// effort: a failed fold leaves the WAL long but correct.
+		if _, err := s.store.CompactIfDue(graphName, s.foldIndexes(graphName)); err != nil {
 			s.obs.persistErrors.Inc()
 		}
 	}

@@ -247,7 +247,7 @@ func TestCompactionRetention(t *testing.T) {
 	}
 	compactIfDue := func(want bool, why string) {
 		t.Helper()
-		folded, err := s.CompactIfDue("g")
+		folded, err := s.CompactIfDue("g", nil)
 		if err != nil {
 			t.Fatal(err)
 		}

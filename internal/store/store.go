@@ -50,7 +50,6 @@
 package store
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -676,7 +675,7 @@ func (l *Log) AppendEdges(edges []graph.Edge) error {
 }
 
 // IndexData is one evaluated index to persist: a closure over the first
-// Seq edges of stream Epoch, whose CFPQIDX2 payload Write streams into the
+// Seq edges of stream Epoch, whose CFPQIDX3 payload Write streams into the
 // index file. It is refused unless Epoch is the graph's: an index of a
 // replaced graph speaks of another node namespace.
 type IndexData struct {
@@ -697,11 +696,11 @@ func (s *Store) Snapshot(name string, indexes []IndexData) error {
 }
 
 // snapshot is Snapshot, or with ifDue CompactIfDue's fold: that folds
-// only when compaction is due, checked once without the log lock and again
-// under it. folded reports whether a snapshot was written.
+// only when compaction is still due under the log lock. folded reports
+// whether a snapshot was written.
 func (s *Store) snapshot(name string, indexes []IndexData, ifDue bool) (folded bool, err error) {
 	gl, err := s.lookup(name)
-	if err != nil || ifDue && !s.oversized(gl) {
+	if err != nil {
 		return false, err
 	}
 	gl.mu.Lock()
@@ -761,15 +760,32 @@ func (s *Store) Compact(name string) error {
 	return err
 }
 
-// CompactIfDue is Compact when compaction is due: the WAL is above
+// CompactIfDue is Snapshot when compaction is due: the WAL is above
 // Options.CompactBytes AND no live follower reservation trails its head.
 // A reservation not refreshed for Options.RetainFor has expired, and its
 // follower re-bootstraps from the snapshot; Compact and Snapshot ignore
-// reservations. The rule is re-checked under the log lock, so callers that
-// see the same oversized WAL fold it once, and a WAL under the threshold
-// costs no log lock. folded reports whether this call folded the log.
-func (s *Store) CompactIfDue(name string) (folded bool, err error) {
-	if folded, err = s.snapshot(name, nil, true); folded {
+// reservations. The rule is checked first outside the fold — a WAL under
+// the threshold costs no log lock and no call of indexes — and again under
+// the fold's log lock, so callers that see the same oversized WAL fold it
+// once. indexes, when not nil, lists the graph's indexes to save beside
+// the fold, as Snapshot's are (a checkpoint: a warm start then patches
+// only what was written since); it is called only once the fold is due,
+// before the log lock is taken, so it may take locks of its own that a
+// writer holds while it appends. folded reports whether this call folded
+// the log.
+func (s *Store) CompactIfDue(name string, indexes func() []IndexData) (folded bool, err error) {
+	gl, err := s.lookup(name)
+	if err != nil || !s.oversized(gl) {
+		return false, err
+	}
+	if head, _, err := s.GraphPos(name); err != nil || s.tailNeeded(name, head, time.Now()) {
+		return false, err
+	}
+	var ixs []IndexData
+	if indexes != nil {
+		ixs = indexes()
+	}
+	if folded, err = s.snapshot(name, ixs, true); folded {
 		s.compactions.Add(1)
 	}
 	return folded, err
@@ -961,7 +977,7 @@ func (s *Store) TailSince(name string, seq uint64, maxBytes int64) (batches []Ta
 	return batches, gl.seq, remainingBytes, true
 }
 
-// SaveIndex is SaveIndexFrom for CFPQIDX2 payload bytes already in memory,
+// SaveIndex is SaveIndexFrom for CFPQIDX3 payload bytes already in memory,
 // saved under the epoch GraphPos reports.
 func (s *Store) SaveIndex(graphName, grammarName, backend string, seq uint64, data []byte) error {
 	_, epoch, err := s.GraphPos(graphName)
@@ -975,7 +991,7 @@ func (s *Store) SaveIndex(graphName, grammarName, backend string, seq uint64, da
 }
 
 // SaveIndexFrom persists one evaluated index of a graph (see IndexData):
-// ix.Write streams its CFPQIDX2 payload (core.Index.WriteTo) into a temp
+// ix.Write streams its CFPQIDX3 payload (core.Index.WriteTo) into a temp
 // file that replaces the previous index file only once complete — a
 // failed write leaves that file as it was. The epoch is checked and the
 // payload written under the graph's log lock, so a replacement cannot land
@@ -1182,8 +1198,9 @@ func indexInfos(gl *graphLog) []IndexInfo {
 
 // LoadIndex reads one saved index, validated against the CNF it was built
 // for and materialised with the given backend (nil means the backend
-// recorded in the CFPQIDX2 payload). The returned seq is the edge-stream
-// position the index covers.
+// recorded in the CFPQIDX3 payload), decoding the payload in place
+// (core.DecodeIndex). The returned seq is the edge-stream position the
+// index covers.
 func (s *Store) LoadIndex(info IndexInfo, cnf *grammar.CNF, be matrix.Backend) (*core.Index, uint64, error) {
 	gl, err := s.lookup(info.Graph)
 	if err != nil {
@@ -1203,7 +1220,7 @@ func (s *Store) LoadIndex(info IndexInfo, cnf *grammar.CNF, be matrix.Backend) (
 	if err != nil {
 		return nil, 0, err
 	}
-	ix, err := core.ReadIndex(bytes.NewReader(payload), cnf, be)
+	ix, err := core.DecodeIndex(payload, cnf, be)
 	if err != nil {
 		return nil, 0, err
 	}

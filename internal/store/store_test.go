@@ -253,7 +253,7 @@ func TestCreateGraphReplacesEverything(t *testing.T) {
 	}
 }
 
-// encoded is the SaveIndexFrom payload writer of an index's CFPQIDX2 encoding.
+// encoded is the SaveIndexFrom payload writer of an index's CFPQIDX3 encoding.
 func encoded(ix *core.Index) func(io.Writer) error {
 	return func(w io.Writer) error {
 		_, err := ix.WriteTo(w)
@@ -262,14 +262,14 @@ func encoded(ix *core.Index) func(io.Writer) error {
 }
 
 // TestIndexFileBytesPinned pins the index file (CFPQSIDX1 framing around
-// the CFPQIDX2 payload) of the paper's Figure 5 example at seq 5, on each
+// the CFPQIDX3 payload) of the paper's Figure 5 example at seq 5, on each
 // backend. The three ways an index file is written — SaveIndexFrom
 // streaming the encoding, SaveIndex with it in memory, and Snapshot — are
 // one save path and write the same bytes.
 func TestIndexFileBytesPinned(t *testing.T) {
 	pins := map[string]string{
-		"dense":  "cbea50406b51ea9c094f2806c00cb68380c80f139450fd4c0ce540048c83f601",
-		"sparse": "4d8c78454f9061d0e332da1305fe76851206e6c39111cf51ccd5f5d66cd52cfd",
+		"dense":  "82b870d1bbd4e39accda8ac4b10d9810bb5e3be5c2a2d8ad98c628da8ff0dc74",
+		"sparse": "5b99f20bd302eea20bcca82a73053486d17fb6e93733964bbcc04385d4d86936",
 	}
 	cnf := grammar.MustParseCNF(`
 S -> S1 S5 | S3 S6 | S1 S2 | S3 S4
@@ -749,12 +749,12 @@ func TestThresholdCompaction(t *testing.T) {
 			if _, err := s.Append(name, []EdgeRecord{{From: "a", Label: "l" + string(rune('0'+i)), To: "b"}}); err != nil {
 				t.Fatal(err)
 			}
-			folded, err := s.CompactIfDue(name)
+			folded, err := s.CompactIfDue(name, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if folded {
-				if again, err := s.CompactIfDue(name); again || err != nil {
+				if again, err := s.CompactIfDue(name, nil); again || err != nil {
 					t.Errorf("after batch %d to %s: a second CompactIfDue right after a fold answered %v, %v", i, name, again, err)
 				}
 			}
@@ -819,7 +819,7 @@ func TestCompactIfDueFoldsOnce(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				ok, err := s.CompactIfDue("g")
+				ok, err := s.CompactIfDue("g", nil)
 				if err != nil {
 					t.Error(err)
 				}
