@@ -119,7 +119,8 @@ func TestClosureAllocatesNothingPerPass(t *testing.T) {
 // 32 KiB — and into a bytes.Buffer it grows the buffer once, at the
 // encoded length; DecodeIndex allocates a fixed number of objects per
 // relation, whatever it holds: a relation's row list, its ends and its
-// column array, the row headers that window it, and the matrix.
+// column array, the row headers that window it, and the matrix; ReadIndex
+// adds one buffer, sized by the reader.
 func TestColdBuildAllocatesWhatItKeeps(t *testing.T) {
 	cnf := grammar.MustCNF(grammar.MustParse("S -> a S b | a b"))
 	for _, c := range []struct {
@@ -181,6 +182,11 @@ func TestColdBuildAllocatesWhatItKeeps(t *testing.T) {
 		_, mallocs = allocated(func() { _, err = DecodeIndex(buf.Bytes(), cnf, nil) })
 		if bound := int64(4 + 6*cnf.NonterminalCount()); err != nil || mallocs > bound {
 			t.Errorf("%s: DecodeIndex made %d mallocs (err %v), want ≤ %d", c.spec.Kind, mallocs, err, bound)
+		}
+		// ReadIndex adds the one buffer it reads a sized reader into.
+		_, mallocs = allocated(func() { _, err = ReadIndex(bytes.NewReader(buf.Bytes()), cnf, nil) })
+		if bound := int64(6 + 6*cnf.NonterminalCount()); err != nil || mallocs > bound {
+			t.Errorf("%s: ReadIndex made %d mallocs (err %v), want ≤ %d", c.spec.Kind, mallocs, err, bound)
 		}
 	}
 }

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"math"
 	"math/bits"
 	"slices"
@@ -195,13 +197,26 @@ func rowHeaders(m matrix.Bool) (size int) {
 func uvarintLen(x int) int { return (bits.Len(uint(x)) + 6) / 7 }
 
 // ReadIndex reads an index previously written with WriteTo from r, to its
-// end, and decodes it (DecodeIndex).
+// end, and decodes it (DecodeIndex). A reader that reports what it holds
+// (Len, as bytes.Reader does, or Stat, as *os.File does) is read into one
+// buffer of that size.
 func ReadIndex(r io.Reader, cnf *grammar.CNF, be matrix.Backend) (*Index, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
+	size := 0
+	switch r := r.(type) {
+	case interface{ Len() int }:
+		size = r.Len()
+	case interface{ Stat() (fs.FileInfo, error) }:
+		if fi, err := r.Stat(); err == nil && fi.Mode().IsRegular() {
+			size = int(fi.Size())
+		}
+	}
+	// bytes.MinRead spare bytes let the read that meets EOF end without
+	// growing the buffer.
+	buf := bytes.NewBuffer(make([]byte, 0, size+bytes.MinRead))
+	if _, err := buf.ReadFrom(r); err != nil {
 		return nil, fmt.Errorf("core: reading index: %w", err)
 	}
-	return DecodeIndex(data, cnf, be)
+	return DecodeIndex(buf.Bytes(), cnf, be)
 }
 
 // DecodeIndex decodes a CFPQIDX3 index in place. The supplied CNF must be

@@ -10,6 +10,8 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -56,8 +58,8 @@ func TestIndexRoundTrip(t *testing.T) {
 // TestIndexBytesPinned pins the CFPQIDX3 encoding of the paper's Figure 5
 // example, closed on each backend: however the relations are built and
 // held in memory, the bytes on disk do not move. The encoding also reads
-// back, through a reader that reports its length and through one that
-// does not, to an index that encodes to the same bytes.
+// back, through a reader that reports its length, through one that does
+// not, and from a file, to an index that encodes to the same bytes.
 func TestIndexBytesPinned(t *testing.T) {
 	pins := map[string]string{
 		"dense":  "77edd2db0b658c6c959647e27bcb604b3c00e3944d7c5b670947d4dfd8bb65e6",
@@ -78,9 +80,23 @@ func TestIndexBytesPinned(t *testing.T) {
 		if got := hex.EncodeToString(sum[:]); got != pins[be.Name()] {
 			t.Errorf("%s: CFPQIDX3 bytes hash to %s, pinned %s", be.Name(), got, pins[be.Name()])
 		}
+		// A file that Stat sizes, read from past its start.
+		path := filepath.Join(t.TempDir(), "index")
+		if err := os.WriteFile(path, append([]byte("prefix"), buf.Bytes()...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		if _, err := f.Seek(int64(len("prefix")), io.SeekStart); err != nil {
+			t.Fatal(err)
+		}
 		for name, r := range map[string]io.Reader{
 			"sized":   bytes.NewReader(buf.Bytes()),
 			"unsized": io.MultiReader(bytes.NewReader(buf.Bytes())),
+			"file":    f,
 		} {
 			got, err := ReadIndex(r, cnf, nil)
 			if err != nil {

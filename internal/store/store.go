@@ -696,8 +696,8 @@ func (s *Store) Snapshot(name string, indexes []IndexData) error {
 }
 
 // snapshot is Snapshot, or with ifDue CompactIfDue's fold: that folds
-// only when compaction is still due under the log lock. folded reports
-// whether a snapshot was written.
+// only when compaction is still due under the log lock, and saves its
+// indexes best effort. folded reports whether a snapshot was written.
 func (s *Store) snapshot(name string, indexes []IndexData, ifDue bool) (folded bool, err error) {
 	gl, err := s.lookup(name)
 	if err != nil {
@@ -715,9 +715,13 @@ func (s *Store) snapshot(name string, indexes []IndexData, ifDue bool) (folded b
 	if err != nil {
 		return false, err
 	}
+	var skipped []error // a fold's index saves are best effort
 	for _, ix := range indexes {
 		if err := s.saveIndexLocked(gl, ix); err != nil {
-			return false, err
+			if !ifDue {
+				return false, err
+			}
+			skipped = append(skipped, err)
 		}
 	}
 	if err := writeFileAtomic(filepath.Join(gl.dir, "snapshot"), !s.opts.NoSync, func(w io.Writer) error {
@@ -746,7 +750,7 @@ func (s *Store) snapshot(name string, indexes []IndexData, ifDue bool) (folded b
 	// Followers parked on the truncated tail wake, see their position fall
 	// behind the new base and re-bootstrap from the fresh snapshot.
 	s.changed()
-	return true, nil
+	return true, errors.Join(skipped...)
 }
 
 // Compact is Snapshot without fresh index data: the WAL is folded into
@@ -771,8 +775,10 @@ func (s *Store) Compact(name string) error {
 // the fold, as Snapshot's are (a checkpoint: a warm start then patches
 // only what was written since); it is called only once the fold is due,
 // before the log lock is taken, so it may take locks of its own that a
-// writer holds while it appends. folded reports whether this call folded
-// the log.
+// writer holds while it appends. Unlike Snapshot's, an index that fails
+// to save is skipped and keeps its previous file: the fold goes on, and
+// its error is returned with folded true. folded reports whether this
+// call folded the log.
 func (s *Store) CompactIfDue(name string, indexes func() []IndexData) (folded bool, err error) {
 	gl, err := s.lookup(name)
 	if err != nil || !s.oversized(gl) {

@@ -840,6 +840,49 @@ func TestCompactIfDueFoldsOnce(t *testing.T) {
 	}
 }
 
+// TestFoldSkipsIndexThatFailsToSave: the indexes a size-triggered fold
+// saves are best effort. One whose payload writer fails keeps its previous
+// file and is reported, while the fold still writes the snapshot,
+// truncates the WAL and saves the other indexes at its base.
+func TestFoldSkipsIndexThatFailsToSave(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Options{NoSync: true, CompactBytes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	g, names := sampleGraph()
+	if err := s.CreateGraph("g", g, names); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SaveIndex("g", "bad", "sparse", 0, []byte("previous")); err != nil {
+		t.Fatal(err)
+	}
+	head, err := s.Append("g", []EdgeRecord{{From: "a", Label: "x", To: "b"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	broken := errors.New("disk gone")
+	_, epoch, _ := s.GraphPos("g")
+	indexes := func() []IndexData {
+		return []IndexData{
+			{Grammar: "bad", Backend: "sparse", Seq: head, Epoch: epoch, Write: func(io.Writer) error { return broken }},
+			{Grammar: "good", Backend: "sparse", Seq: head, Epoch: epoch, Write: func(w io.Writer) error { _, err := w.Write([]byte("payload")); return err }},
+		}
+	}
+	if folded, err := s.CompactIfDue("g", indexes); !folded || !errors.Is(err, broken) {
+		t.Fatalf("CompactIfDue = %v, %v; want a fold that reports the failed save", folded, err)
+	}
+	st := s.Stats()
+	if st.Compactions != 1 || st.WALBytes != 0 || st.Graphs[0].BaseSeq != head {
+		t.Errorf("after the fold: %d compactions, %d WAL bytes, base %d; want 1, 0, %d", st.Compactions, st.WALBytes, st.Graphs[0].BaseSeq, head)
+	}
+	want := []IndexInfo{{Graph: "g", Grammar: "bad", Backend: "sparse", Seq: 0}, {Graph: "g", Grammar: "good", Backend: "sparse", Seq: head}}
+	if got := s.Indexes("g"); !reflect.DeepEqual(got, want) {
+		t.Errorf("Indexes = %+v, want %+v", got, want)
+	}
+}
+
 func TestOpenRejectsForeignDir(t *testing.T) {
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, manifestName), []byte("something else"), 0o644); err != nil {
