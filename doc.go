@@ -204,8 +204,12 @@
 // cmd/cfpqd serves CFPQs over HTTP: it registers named graphs (N-Triples
 // or edge-list documents) and grammars, and caches one Prepared handle per
 // (graph, grammar, backend) combination — an RPQ expression's right-linear
-// grammar included — the HTTP layer is registry and naming only; caching, locking and incremental updates are the public
-// Prepared machinery. A typical session:
+// grammar included — the HTTP layer is registry and naming only; caching,
+// locking and incremental updates are the public Prepared machinery. The
+// registry follows the same discipline as a handle: each graph is one
+// published version that readers load with an atomic pointer, and only
+// its writers take its lock — held across the fsynced WAL append, so no
+// reader waits on a write. A typical session:
 //
 //	cfpqd -addr :8080 &
 //	curl -X PUT --data-binary @wine.nt 'localhost:8080/v1/graphs/wine?format=ntriples'

@@ -4,7 +4,6 @@ import (
 	"io"
 
 	"cfpq/internal/conjunctive"
-	"cfpq/internal/graph"
 )
 
 // This file holds the grammar/graph/index utilities that need no engine.
@@ -25,11 +24,6 @@ type ConjunctiveGrammar = conjunctive.Grammar
 func ParseConjunctive(text string) (*ConjunctiveGrammar, error) {
 	return conjunctive.Parse(text)
 }
-
-// ReverseGraph returns the graph with all edges flipped; together with
-// grammar reversal it transposes every relation (a structural identity the
-// test suite exploits).
-func ReverseGraph(g *Graph) *Graph { return graph.Reverse(g) }
 
 // SaveIndex serialises an evaluated index so later sessions can query it
 // without re-running the closure (Engine.LoadIndex). Pair it with the

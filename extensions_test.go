@@ -162,12 +162,3 @@ func TestUpdateFacade(t *testing.T) {
 		}
 	}
 }
-
-func TestReverseGraphFacade(t *testing.T) {
-	g := NewGraph(2)
-	g.AddEdge(0, "a", 1)
-	r := ReverseGraph(g)
-	if !r.HasEdge(1, "a", 0) {
-		t.Error("edge not reversed")
-	}
-}

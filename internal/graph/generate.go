@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"fmt"
-	"math/rand"
-)
+import "math/rand"
 
 // Chain returns a directed chain 0 → 1 → … → n-1 with every edge labelled
 // label. A chain is exactly Valiant's setting: CFPQ over a chain is
@@ -57,18 +54,6 @@ func TwoCycles(m, n int, a, b string) *Graph {
 	return g
 }
 
-// CompleteBipartite returns edges from each of the first m nodes to each of
-// the last n nodes, labelled label.
-func CompleteBipartite(m, n int, label string) *Graph {
-	g := New(m + n)
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			g.AddEdge(i, label, m+j)
-		}
-	}
-	return g
-}
-
 // Random returns a uniform random labelled graph: n nodes, e edges, labels
 // drawn uniformly from labels. Deterministic for a given rng state.
 func Random(rng *rand.Rand, n, e int, labels []string) *Graph {
@@ -117,65 +102,4 @@ func PreferentialAttachment(rng *rand.Rand, n, m int, labels []string) *Graph {
 		targets = append(targets, v)
 	}
 	return g
-}
-
-// OntologyConfig shapes SyntheticOntology.
-type OntologyConfig struct {
-	// Classes is the number of classes in the subClassOf hierarchy.
-	Classes int
-	// MaxBranch bounds the fan-out when attaching a class to a parent.
-	MaxBranch int
-	// Instances is the number of individuals, each attached to 1..MaxTypes
-	// classes with type edges.
-	Instances int
-	// MaxTypes bounds the number of type edges per instance.
-	MaxTypes int
-	// Seed makes the generator deterministic.
-	Seed int64
-}
-
-// SyntheticOntology generates an RDF-like triple set shaped like the
-// ontologies in the paper's dataset: a subClassOf tree over classes plus
-// type edges from instances to classes. The paper's queries (same-layer and
-// adjacent-layer, Figures 10 and 11) only inspect this structure, so graphs
-// generated here exercise the same code paths as the original RDF files.
-func SyntheticOntology(cfg OntologyConfig) []Triple {
-	if cfg.Classes < 1 {
-		panic("graph: SyntheticOntology requires at least one class")
-	}
-	if cfg.MaxBranch < 1 {
-		cfg.MaxBranch = 3
-	}
-	if cfg.MaxTypes < 1 {
-		cfg.MaxTypes = 2
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	var triples []Triple
-	class := func(i int) string { return fmt.Sprintf("class%d", i) }
-	inst := func(i int) string { return fmt.Sprintf("inst%d", i) }
-	// Class hierarchy: each class i ≥ 1 picks a parent among earlier
-	// classes, biased toward recent ones to get realistic depth.
-	for i := 1; i < cfg.Classes; i++ {
-		lo := i - cfg.MaxBranch*2
-		if lo < 0 {
-			lo = 0
-		}
-		parent := lo + rng.Intn(i-lo)
-		triples = append(triples, Triple{
-			Subject:   class(i),
-			Predicate: "subClassOf",
-			Object:    class(parent),
-		})
-	}
-	for i := 0; i < cfg.Instances; i++ {
-		k := 1 + rng.Intn(cfg.MaxTypes)
-		for j := 0; j < k; j++ {
-			triples = append(triples, Triple{
-				Subject:   inst(i),
-				Predicate: "type",
-				Object:    class(rng.Intn(cfg.Classes)),
-			})
-		}
-	}
-	return triples
 }

@@ -109,21 +109,6 @@ func (g *Graph) HasEdge(from int, label string, to int) bool {
 	return false
 }
 
-// OutEdges returns all edges leaving node v. Cost is O(|E|); CFPQ engines
-// that need fast per-node access should build an adjacency index with
-// NewAdjacency.
-func (g *Graph) OutEdges(v int) []Edge {
-	var out []Edge
-	for _, l := range g.Labels() {
-		for _, e := range g.byLabel[l] {
-			if e.From == v {
-				out = append(out, e)
-			}
-		}
-	}
-	return out
-}
-
 // Clone returns a deep copy.
 func (g *Graph) Clone() *Graph {
 	lists := make([][]Edge, 0, len(g.byLabel))

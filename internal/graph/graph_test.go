@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -147,20 +146,6 @@ func TestTwoCycles(t *testing.T) {
 	}
 }
 
-func TestCompleteBipartite(t *testing.T) {
-	g := CompleteBipartite(2, 3, "e")
-	if g.EdgeCount() != 6 {
-		t.Errorf("EdgeCount = %d, want 6", g.EdgeCount())
-	}
-	for i := 0; i < 2; i++ {
-		for j := 2; j < 5; j++ {
-			if !g.HasEdge(i, "e", j) {
-				t.Errorf("missing edge (%d,e,%d)", i, j)
-			}
-		}
-	}
-}
-
 func TestRandomDeterministic(t *testing.T) {
 	a := Random(rand.New(rand.NewSource(7)), 10, 30, []string{"a", "b"})
 	b := Random(rand.New(rand.NewSource(7)), 10, 30, []string{"a", "b"})
@@ -186,21 +171,6 @@ func TestAdjacency(t *testing.T) {
 	}
 	if got := len(adj.Out(2)); got != 0 {
 		t.Errorf("Out(2) = %d edges, want 0", got)
-	}
-}
-
-func TestOutEdges(t *testing.T) {
-	g := New(3)
-	g.AddEdge(0, "b", 1)
-	g.AddEdge(0, "a", 2)
-	g.AddEdge(1, "a", 0)
-	out := g.OutEdges(0)
-	if len(out) != 2 {
-		t.Fatalf("OutEdges(0) = %v", out)
-	}
-	// Grouped by sorted label: a before b.
-	if out[0].Label != "a" || out[1].Label != "b" {
-		t.Errorf("OutEdges order: %v", out)
 	}
 }
 
@@ -277,46 +247,6 @@ func TestNodeNames(t *testing.T) {
 	names := NodeNames(g.Nodes(), ids)
 	if names[ids["x"]] != "x" || names[ids["y"]] != "y" {
 		t.Errorf("NodeNames = %v", names)
-	}
-}
-
-func TestSyntheticOntologyShape(t *testing.T) {
-	cfg := OntologyConfig{Classes: 20, Instances: 30, MaxBranch: 3, MaxTypes: 2, Seed: 1}
-	triples := SyntheticOntology(cfg)
-	subClass, typ := 0, 0
-	for _, tr := range triples {
-		switch tr.Predicate {
-		case "subClassOf":
-			subClass++
-		case "type":
-			typ++
-		default:
-			t.Errorf("unexpected predicate %q", tr.Predicate)
-		}
-	}
-	if subClass != 19 {
-		t.Errorf("subClassOf count = %d, want Classes-1 = 19", subClass)
-	}
-	if typ < 30 {
-		t.Errorf("type count = %d, want >= Instances", typ)
-	}
-	// Determinism.
-	again := SyntheticOntology(cfg)
-	if !reflect.DeepEqual(triples, again) {
-		t.Error("SyntheticOntology must be deterministic for a fixed seed")
-	}
-	// The subClassOf structure must be acyclic (child points to earlier id).
-	classID := func(s string) int {
-		var id int
-		if _, err := fmt.Sscanf(s, "class%d", &id); err != nil {
-			t.Fatalf("bad class name %q", s)
-		}
-		return id
-	}
-	for _, tr := range triples {
-		if tr.Predicate == "subClassOf" && classID(tr.Subject) <= classID(tr.Object) {
-			t.Errorf("hierarchy edge %v not strictly child→parent", tr)
-		}
 	}
 }
 

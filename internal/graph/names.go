@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
+	"sync"
 )
 
 // Names is a graph's node name table, and the only code that turns a node
@@ -14,9 +15,14 @@ import (
 // at equal seq: the same token stream assigns the same ids everywhere.
 //
 // The table covers node ids [0, len(ByID())), and Intern keeps that equal
-// to g.Nodes(). It has no lock of its own: callers hold whatever guards the
-// graph. Recovery hands the store fold's table (Fold.Names) to the registry.
+// to g.Nodes(). It guards itself, so that readers resolve tokens beside the
+// one writer that interns: mu is held for one map access or one read or
+// update of the byID header, never across I/O or another lock. byID only
+// appends, and no entry below its length is ever rewritten, so a reader
+// that pinned it (ByID) renders names from it with no lock at all.
+// Recovery hands the store fold's table (Fold.Names) to the registry.
 type Names struct {
+	mu   sync.RWMutex
 	byID []string       // node id → name, "" = unnamed
 	ids  map[string]int // name → node id
 }
@@ -49,31 +55,48 @@ func (e *RangeError) Error() string {
 // node *named* "7" beats id 7), then a decimal id inside the node range.
 // A numeral outside the range fails with a *RangeError, anything else with
 // ErrUnknownNode.
-func (t *Names) Lookup(tok string) (int, error) {
-	if id, ok := t.ids[tok]; ok {
+func (t *Names) Lookup(tok string) (int, error) { return t.LookupIn(tok, len(t.ByID())) }
+
+// LookupIn is Lookup against the table's first nodes ids: the node range of
+// a graph version the caller pinned, which a table being interned into may
+// already have outgrown. A name interned beyond it is unknown.
+func (t *Names) LookupIn(tok string, nodes int) (int, error) {
+	t.mu.RLock()
+	id, named := t.ids[tok]
+	t.mu.RUnlock()
+	if named && id < nodes {
 		return id, nil
 	}
 	id, err := strconv.Atoi(tok)
 	if err != nil {
 		return 0, ErrUnknownNode
 	}
-	if id < 0 || id >= len(t.byID) {
-		return 0, &RangeError{ID: id, Nodes: len(t.byID)}
+	if id < 0 || id >= nodes {
+		return 0, &RangeError{ID: id, Nodes: nodes}
 	}
 	return id, nil
 }
 
 // Name renders a node id: its name, else the decimal id.
-func (t *Names) Name(id int) string {
-	if id < len(t.byID) && t.byID[id] != "" {
-		return t.byID[id]
+func (t *Names) Name(id int) string { return NameIn(t.ByID(), id) }
+
+// NameIn renders a node id against a pinned ByID slice: its name, else the
+// decimal id.
+func NameIn(byID []string, id int) string {
+	if id < len(byID) && byID[id] != "" {
+		return byID[id]
 	}
 	return strconv.Itoa(id)
 }
 
-// ByID returns the id → name slice ("" = unnamed). It is the table's own
-// storage: read it under the lock that guards the graph, do not modify it.
-func (t *Names) ByID() []string { return t.byID }
+// ByID returns the id → name slice ("" = unnamed) as it stands. It is the
+// table's own storage, which only appends: read it without a lock for as
+// long as you like, and do not modify it.
+func (t *Names) ByID() []string {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.byID
+}
 
 // Intern resolves one endpoint of an edge being added to g, growing g and
 // the table as needed: a known name, else a non-negative numeral (growing
@@ -81,25 +104,30 @@ func (t *Names) ByID() []string { return t.byID }
 // With idsOnly the token is a canonical decimal id (the WAL's id-addressed
 // frames, validated when the frame is decoded) and the names are never
 // consulted: an id-addressed writer means id 7 even when some node is
-// *named* "7".
+// *named* "7". A table has one interning writer at a time: its callers
+// serialise Intern, as they serialise appends to g.
 func (t *Names) Intern(g *Graph, tok string, idsOnly bool) int {
-	var id int
+	id, known := t.ids[tok] // only the interning writer writes ids
 	fresh := false
-	if idsOnly {
-		id, _ = strconv.Atoi(tok)
-	} else if known, ok := t.ids[tok]; ok {
-		id = known
-	} else if n, err := strconv.Atoi(tok); err == nil && n >= 0 {
-		id = n
-	} else {
-		id, fresh = g.Nodes(), true
+	if idsOnly || !known {
+		if n, err := strconv.Atoi(tok); idsOnly || err == nil && n >= 0 {
+			id = n
+		} else {
+			id, fresh = g.Nodes(), true
+		}
 	}
 	g.EnsureNode(id)
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	for len(t.byID) < g.Nodes() {
-		t.byID = append(t.byID, "")
+		// A fresh node is appended under its name, never renamed in place.
+		name := ""
+		if fresh && len(t.byID) == id {
+			name = tok
+		}
+		t.byID = append(t.byID, name)
 	}
 	if fresh {
-		t.byID[id] = tok
 		t.ids[tok] = id
 	}
 	return id

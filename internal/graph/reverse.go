@@ -1,11 +1,5 @@
 package graph
 
-import (
-	"fmt"
-	"io"
-	"sort"
-)
-
 // Reverse returns the graph with every edge flipped (labels unchanged).
 func Reverse(g *Graph) *Graph {
 	out := New(g.n)
@@ -15,29 +9,4 @@ func Reverse(g *Graph) *Graph {
 		}
 	}
 	return out
-}
-
-// WriteDOT renders the graph in Graphviz DOT syntax for visualisation.
-// Node names are optional; when nil, numeric ids are used.
-func WriteDOT(w io.Writer, g *Graph, names []string) error {
-	name := func(v int) string {
-		if names != nil && v < len(names) && names[v] != "" {
-			return names[v]
-		}
-		return fmt.Sprintf("n%d", v)
-	}
-	if _, err := fmt.Fprintln(w, "digraph G {"); err != nil {
-		return err
-	}
-	labels := g.Labels()
-	sort.Strings(labels)
-	for _, l := range labels {
-		for _, e := range g.byLabel[l] {
-			if _, err := fmt.Fprintf(w, "  %q -> %q [label=%q];\n", name(e.From), name(e.To), l); err != nil {
-				return err
-			}
-		}
-	}
-	_, err := fmt.Fprintln(w, "}")
-	return err
 }

@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 func TestReverse(t *testing.T) {
 	g := New(3)
@@ -23,32 +20,5 @@ func TestReverse(t *testing.T) {
 	rr := Reverse(r)
 	if !rr.HasEdge(0, "a", 1) || !rr.HasEdge(1, "b", 2) || rr.EdgeCount() != 2 {
 		t.Error("double reversal broken")
-	}
-}
-
-func TestWriteDOT(t *testing.T) {
-	g := New(2)
-	g.AddEdge(0, "p", 1)
-	var b strings.Builder
-	if err := WriteDOT(&b, g, nil); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	for _, want := range []string{"digraph G {", `"n0" -> "n1" [label="p"];`, "}"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("DOT output missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestWriteDOTWithNames(t *testing.T) {
-	g := New(2)
-	g.AddEdge(0, "p", 1)
-	var b strings.Builder
-	if err := WriteDOT(&b, g, []string{"alpha", "beta"}); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(b.String(), `"alpha" -> "beta"`) {
-		t.Errorf("named DOT output wrong:\n%s", b.String())
 	}
 }

@@ -1,7 +1,7 @@
 // Package lockscope flags blocking operations reachable while a mutex on
 // one of the engine's guarded structs is held.
 //
-// The serving stack's locks (Prepared.mu, Service.mu, the per-graph
+// The serving stack's locks (Prepared.mu, Service.mu, the per-index
 // entry locks, the store's per-graph log locks) protect hot paths that
 // every query traverses; anything that can park the goroutine while one
 // of them is held — a channel operation, file
@@ -14,9 +14,10 @@
 // Write-ahead journaling is the deliberate exception: where a WAL append
 // and fsync MUST happen under a lock readers share (that ordering is the
 // durability protocol), the site carries a //lint:allow suppression with
-// its justification instead of being special-cased here. Prepared.writer,
-// which only serialises writers — no read path ever takes it — is not such
-// a lock (see mutexCall).
+// its justification instead of being special-cased here. Prepared.writer
+// and the registry's graphEntry.writer, which only serialise writers — no
+// read path ever takes them — are not such locks (see mutexCall; graphEntry
+// holds no other lock and is not guarded).
 package lockscope
 
 import (
@@ -38,14 +39,13 @@ var Analyzer = &lint.Analyzer{
 // Matching is by bare type name so testdata fixtures can declare their
 // own stand-ins; the set mirrors the lock owners in the tree: the
 // Prepared handle (whose mu also guards its subscription hub), the query
-// Service and its per-graph/per-index entries, the durable Store and its
-// per-graph logs, and the read replica.
+// Service and its per-index entries, the durable Store and its per-graph
+// logs, and the read replica.
 var guardedTypes = map[string]bool{
 	"Prepared":   true,
 	"Service":    true,
 	"Store":      true,
 	"Replicator": true,
-	"graphEntry": true,
 	"indexEntry": true,
 	"graphLog":   true,
 }

@@ -55,12 +55,11 @@ func serviceState(t *testing.T, s *Service, name string) streamState {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ge.mu.RLock()
-	defer ge.mu.RUnlock()
-	if len(ge.names.ByID()) != ge.g.Nodes() {
-		t.Fatalf("name table covers %d nodes, graph has %d", len(ge.names.ByID()), ge.g.Nodes())
+	v := ge.cur.Load()
+	if len(ge.names.ByID()) != v.g.Nodes() {
+		t.Fatalf("name table covers %d nodes, graph has %d", len(ge.names.ByID()), v.g.Nodes())
 	}
-	return newStreamState(ge.g, ge.names.ByID(), ge.seq)
+	return newStreamState(v.g, ge.names.ByID(), v.seq)
 }
 
 func storeState(t *testing.T, st *store.Store, name string) streamState {
@@ -167,9 +166,7 @@ func oracleRelation(t *testing.T, s *Service) []matrix.Pair {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ge.mu.RLock()
-	g := ge.g
-	ge.mu.RUnlock()
+	g := ge.cur.Load().g
 	return baseline.Hellings(g, grammar.MustCNF(grammar.MustParse(agreementGrammar)))["S"]
 }
 
@@ -265,8 +262,7 @@ func requireExprs(t *testing.T, what string, leader *Service, nodes []servedInde
 	if err != nil {
 		t.Fatal(err)
 	}
-	ge.mu.RLock()
-	g := ge.g
+	g := ge.cur.Load().g
 	ids := func(tokens []string) map[int]bool {
 		if tokens == nil {
 			return nil
@@ -288,7 +284,6 @@ func requireExprs(t *testing.T, what string, leader *Service, nodes []servedInde
 	for i, r := range exprRestrictions {
 		sets[i] = restricted{ids(r[0]), ids(r[1])}
 	}
-	ge.mu.RUnlock()
 	for _, expr := range agreementExprs {
 		all := rpq.EvaluateBFS(g, rpq.MustParseRegex(expr), rpq.Options{})
 		for i, r := range exprRestrictions {

@@ -127,7 +127,7 @@ func Handler(s *Service, opts ...HandlerOption) http.Handler {
 			writeError(w, http.StatusNotFound, fmt.Errorf("unknown graph %q", name))
 			return
 		}
-		writeJSON(w, http.StatusOK, ge.info(name))
+		writeJSON(w, http.StatusOK, ge.cur.Load().info(name))
 	})
 	mux.HandleFunc("PUT /v1/graphs/{name}", func(w http.ResponseWriter, r *http.Request) {
 		name := r.PathValue("name")

@@ -124,28 +124,29 @@ func (s *Service) warmStartIndex(ctx context.Context, st *store.Store, info stor
 		return
 	}
 	eng := s.engine(be)
-	if seq < ge.seq {
+	v := ge.cur.Load()
+	if seq < v.seq {
 		// The index is behind the recovered edge stream. If the WAL still
 		// holds the tail, patch exactly the missing edges; if compaction
 		// folded them into the snapshot, repair by re-seeding the delta
 		// closure with the full edge set — idempotent for everything the
 		// index already covers, and still no from-scratch closure.
-		tail := ge.g.Edges()
+		tail := v.g.Edges()
 		if seq >= fold.BaseSeq {
 			tail = fold.Tail[seq-fold.BaseSeq:]
 		}
 		if _, err := eng.Update(ctx, ix, tail...); err != nil {
 			return
 		}
-	} else if seq > ge.seq {
+	} else if seq > v.seq {
 		// The index claims edges the recovered stream does not have — a
 		// snapshot/WAL mismatch (e.g. hand-edited files). Unsound to
 		// serve; let the first query rebuild.
 		return
 	}
 	// The handle binds the published version as it is (see the package
-	// comment); nothing serves yet, so no lock is needed to pin it.
-	p, err := eng.PrepareFromIndex(ge.g, re.cnf, ix)
+	// comment).
+	p, err := eng.PrepareFromIndex(v.g, re.cnf, ix)
 	if err != nil {
 		return
 	}
@@ -160,14 +161,14 @@ func (s *Service) warmStartIndex(ctx context.Context, st *store.Store, info stor
 
 // persistIndex saves a freshly built index to the attached store, best
 // effort: persistence is an optimization (the next snapshot retries), so
-// failures only tick a counter. seq is the graph's edge-stream position
-// captured when the build snapshotted the graph; the saved file may
-// contain consequences of later patches, which is sound — recovery
+// failures only tick a counter. v is the graph version the build bound,
+// whose seq the file is saved under; the saved file may contain
+// consequences of later patches, which is sound — recovery
 // re-applies the tail and re-applying present bits is a no-op. An index
 // whose graph or grammar was replaced during the build is not saved, or it
 // would warm-start against the replacement: the registry check skips it,
 // and the store refuses one whose graph was replaced after (the epoch).
-func (s *Service) persistIndex(e *indexEntry, re *grammarEntry, seq uint64, p *cfpq.Prepared) {
+func (s *Service) persistIndex(e *indexEntry, re *grammarEntry, v *graphVersion, p *cfpq.Prepared) {
 	if s.store == nil {
 		return
 	}
@@ -178,7 +179,7 @@ func (s *Service) persistIndex(e *indexEntry, re *grammarEntry, seq uint64, p *c
 	if !current {
 		return
 	}
-	ix := store.IndexData{Grammar: key.Grammar, Backend: key.Backend, Seq: seq, Epoch: e.ge.epoch, Write: p.WriteIndex}
+	ix := store.IndexData{Grammar: key.Grammar, Backend: key.Backend, Seq: v.seq, Epoch: v.epoch, Write: p.WriteIndex}
 	if err := s.store.SaveIndexFrom(key.Graph, ix); err != nil {
 		s.obs.persistErrors.Inc()
 	}
@@ -193,12 +194,11 @@ func (s *Service) Snapshot(graphName string) error {
 	}
 	s.mu.Lock()
 	var names []string
-	if graphName == "" {
-		for n := range s.graphs {
+	for n, e := range s.graphs {
+		// A new name is not snapshotted before its install has returned.
+		if (graphName == "" || n == graphName) && e.cur.Load() != nil {
 			names = append(names, n)
 		}
-	} else if s.graphs[graphName] != nil {
-		names = []string{graphName}
 	}
 	s.mu.Unlock()
 	if graphName != "" && len(names) == 0 {
@@ -251,21 +251,19 @@ func (s *Service) savedIndexes(name string) (*graphEntry, []store.IndexData) {
 		}
 	}
 	s.mu.Unlock()
-	if ge == nil {
+	if ge == nil || ge.cur.Load() == nil {
 		return nil, nil
 	}
 
-	// The watermark comes first, and is ge.indexed rather than ge.seq: a
-	// mutation bumps seq before its patch has run the update closure, and
-	// WriteIndex does not wait for a patch — it serialises the version
+	// The watermark comes first, and is ge.indexed rather than the version's
+	// seq: a batch publishes before its patch has run the update closure,
+	// and WriteIndex does not wait for a patch — it serialises the version
 	// published before it. Saved under seq, such a file would claim edges
 	// its bytes never saw, and a restart would serve it unpatched for good.
 	// Every handle found ready from here on covers at least ge.indexed; what
 	// it holds beyond that is extra consequences under an understated
 	// watermark, which recovery re-applies idempotently.
-	ge.mu.RLock()
-	seq := ge.indexed
-	ge.mu.RUnlock()
+	seq, epoch := ge.indexed.Load(), ge.cur.Load().epoch
 	var indexes []store.IndexData
 	for _, e := range entries {
 		p, key := e.ready.Load(), e.key
@@ -276,7 +274,7 @@ func (s *Service) savedIndexes(name string) (*graphEntry, []store.IndexData) {
 			Grammar: key.Grammar,
 			Backend: key.Backend,
 			Seq:     seq,
-			Epoch:   ge.epoch,
+			Epoch:   epoch,
 			Write:   p.WriteIndex,
 		})
 	}

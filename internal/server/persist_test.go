@@ -267,10 +267,11 @@ func TestPersistTornWALRecovers(t *testing.T) {
 	}
 
 	s2 := reopen(t, s, dir)
-	g2, err := s2.graphEntry("g")
+	ge2, err := s2.graphEntry("g")
 	if err != nil {
 		t.Fatal(err)
 	}
+	g2 := ge2.cur.Load()
 	if g2.g.EdgeCount() != 2+2 {
 		t.Fatalf("recovered %d edges, want 4 (2 base + 2 surviving records)", g2.g.EdgeCount())
 	}
@@ -1038,9 +1039,8 @@ func TestConcurrentRegistrationsAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ge.mu.RLock()
-		nodes, epoch := ge.g.Nodes(), ge.epoch
-		ge.mu.RUnlock()
+		v := ge.cur.Load()
+		nodes, epoch := v.g.Nodes(), v.epoch
 		stored, fold, _, err := s.store.GraphState(name)
 		if err != nil {
 			t.Fatal(err)
@@ -1194,9 +1194,7 @@ func TestPersistConcurrentUpdatesAndSnapshots(t *testing.T) {
 	}
 	wantEdges := 0
 	if ge, err := s.graphEntry("g"); err == nil {
-		ge.mu.RLock()
-		wantEdges = ge.g.EdgeCount()
-		ge.mu.RUnlock()
+		wantEdges = ge.cur.Load().g.EdgeCount()
 	}
 
 	s2 := reopen(t, s, dir)
@@ -1204,8 +1202,8 @@ func TestPersistConcurrentUpdatesAndSnapshots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ge.g.EdgeCount() != wantEdges {
-		t.Fatalf("recovered %d edges, want %d", ge.g.EdgeCount(), wantEdges)
+	if got := ge.cur.Load().g.EdgeCount(); got != wantEdges {
+		t.Fatalf("recovered %d edges, want %d", got, wantEdges)
 	}
 	got, err := relation(ctx, s2, target, "S")
 	if err != nil {

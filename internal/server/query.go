@@ -14,6 +14,7 @@ import (
 	"errors"
 
 	"cfpq"
+	"cfpq/internal/graph"
 )
 
 // QueryRequest is the wire form of one declarative query — the body of
@@ -117,7 +118,7 @@ func (s *Service) Do(ctx context.Context, req QueryRequest) (QueryAnswer, error)
 }
 
 // renderAnswer shapes a planner Result into the wire answer, resolving
-// node names under the graph entry's read lock.
+// node names through the graph's name table, pinned after the answer.
 func renderAnswer(ge *graphEntry, req QueryRequest, res *cfpq.Result) QueryAnswer {
 	out := req.Output
 	if out == "" {
@@ -136,16 +137,15 @@ func renderAnswer(ge *graphEntry, req QueryRequest, res *cfpq.Result) QueryAnswe
 		ans.Count = &count
 		ans.Truncated = res.Truncated
 		paths := res.AllPaths()
-		ge.mu.RLock()
+		byID := ge.names.ByID()
 		ans.Paths = make([][]PathStep, len(paths))
 		for k, path := range paths {
 			steps := make([]PathStep, len(path))
 			for x, e := range path {
-				steps[x] = PathStep{From: ge.names.Name(e.From), Label: e.Label, To: ge.names.Name(e.To)}
+				steps[x] = PathStep{From: graph.NameIn(byID, e.From), Label: e.Label, To: graph.NameIn(byID, e.To)}
 			}
 			ans.Paths[k] = steps
 		}
-		ge.mu.RUnlock()
 	default: // pairs
 		count := res.Count
 		ans.Count = &count

@@ -162,9 +162,9 @@ func (s *Service) ReplicaManifest() (*replica.Manifest, error) {
 }
 
 // ReplicaGraphSnapshot serialises one graph's bootstrap payload at its
-// current stream position from the published version, pinned under the
-// read lock and encoded outside it: the version is immutable, and the
-// name table only appends, so its first g.Nodes() names stay put.
+// current stream position from the published version: the version is
+// immutable, and the name table only appends, so its first g.Nodes()
+// names stay put.
 func (s *Service) ReplicaGraphSnapshot(name string) (data []byte, seq, epoch uint64, err error) {
 	if _, err := s.leaderStore(); err != nil {
 		return nil, 0, 0, err
@@ -173,9 +173,8 @@ func (s *Service) ReplicaGraphSnapshot(name string) (data []byte, seq, epoch uin
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	ge.mu.RLock()
-	g, names, seq, epoch := ge.g, ge.names.ByID()[:ge.g.Nodes()], ge.seq, ge.epoch
-	ge.mu.RUnlock()
+	v := ge.cur.Load()
+	g, names, seq, epoch := v.g, ge.names.ByID()[:v.g.Nodes()], v.seq, v.epoch
 	var buf bytes.Buffer
 	if err := store.EncodeSnapshot(&buf, g, names, seq); err != nil {
 		return nil, 0, 0, err
@@ -272,15 +271,12 @@ func (s *Service) BootstrapGraph(name string, g *graph.Graph, names []string, se
 // GraphPos reports a graph's local stream position and epoch — the pair
 // the replicator resumes tailing from.
 func (s *Service) GraphPos(name string) (seq, epoch uint64, ok bool) {
-	s.mu.Lock()
-	ge := s.graphs[name]
-	s.mu.Unlock()
-	if ge == nil {
+	ge, err := s.graphEntry(name)
+	if err != nil {
 		return 0, 0, false
 	}
-	ge.mu.RLock()
-	defer ge.mu.RUnlock()
-	return ge.seq, ge.epoch, true
+	v := ge.cur.Load()
+	return v.seq, v.epoch, true
 }
 
 // ApplyReplicatedEdges applies one WAL batch from the replication stream

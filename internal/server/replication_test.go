@@ -113,9 +113,8 @@ func caughtUp(f *runningFollower, leader *Service, graph string) bool {
 	if err != nil {
 		return false
 	}
-	ge.mu.RLock()
-	fseq, fepoch, indexed := ge.seq, ge.epoch, ge.indexed
-	ge.mu.RUnlock()
+	v := ge.cur.Load()
+	fseq, fepoch, indexed := v.seq, v.epoch, ge.indexed.Load()
 	st := f.rep.Status()
 	return fepoch == lepoch && fseq == lseq && indexed == lseq && st.State == replica.StateStreaming
 }

@@ -10,15 +10,15 @@
 //   - installGraph builds a graphEntry and swaps it into the registry,
 //     behind RegisterGraph, BootstrapGraph (follower) and AttachStore
 //     (recovery).
-//   - applyBatch takes an edge batch into a graph — lock, registry-identity
-//     re-check, validate, journal write-ahead, intern and add on a fork of
-//     the published edge set, publish it, advance seq — then patchIndexes,
-//     and ends, holding no lock, by folding a WAL the batch took past
-//     -compact-bytes (store.CompactIfDue); behind AddEdges (the leader's
-//     write gate and its rejection of out-of-range numeric ids) and
-//     ApplyReplicatedEdges (the leader's record kind, seq continuity). A
-//     follower therefore interns, journals, patches and folds exactly as
-//     the leader did.
+//   - applyBatch takes an edge batch into a graph — writer lock,
+//     registry-identity re-check, validate, journal write-ahead, intern and
+//     add on a fork of the published edge set, publish it as the next
+//     version — then patchIndexes, and ends, holding no lock, by folding a
+//     WAL the batch took past -compact-bytes (store.CompactIfDue); behind
+//     AddEdges (the leader's write gate and its rejection of out-of-range
+//     numeric ids) and ApplyReplicatedEdges (the leader's record kind, seq
+//     continuity). A follower therefore interns, journals, patches and
+//     folds exactly as the leader did.
 //   - resolve binds a request's registry names, non-terminal or RPQ
 //     expression (a grammar too: its right-linear lowering has a slot of
 //     its own) and node tokens to the graph entry, the cached handle and a
@@ -30,49 +30,54 @@
 //     here is its entry in the live set behind the /metrics gauges, removed
 //     when its request ends.
 //
-// Concurrency design. Readers never wait for a closure: a query resolves a
-// built slot through indexEntry.ready (an atomic pointer, no entry lock)
-// and the Prepared answers it from the version it pins, whatever a writer
-// is building beside it. Three locks with a fixed nesting order:
+// Concurrency design. No reader waits on a write. A query resolves a built
+// slot through indexEntry.ready (an atomic pointer, no entry lock), and the
+// Prepared answers it from the version it pins, whatever a writer is
+// building beside it. Above it, the registry graph works the same way:
+// graphEntry.cur is an atomic pointer to an immutable graphVersion (edge
+// set, seq, version, epoch), which every reader — resolve, QueryBatch,
+// GraphInfo, the index build's pin, savedIndexes, GraphPos and a
+// follower's bootstrap — loads once, taking no registry lock. The name
+// table guards itself (graph.Names) and only appends, so a reader pins it
+// once per answer, after the answer is computed, and renders from it
+// lock-free. The locks are the writers':
 //
 //   - Service.mu (plain Mutex) guards only registry map membership. It is
-//     never held while acquiring an entry lock, or across anything slow.
+//     never held across anything slow, and no writer lock is taken under it.
+//   - graphEntry.writer (Mutex) serialises one graph's writers: applyBatch
+//     holds it across the fsynced journal append, the intern and the
+//     publish, so journal order is apply order, and an install holds the
+//     replaced entry's across the store write and the swap. No reader takes
+//     it: a replaced graph serves its old version until the swap, and a new
+//     name is unknown until its install has published a version.
 //   - indexEntry.mu (Mutex) is a slot's writer-side lock: it serialises
 //     the build-once closure, each incremental patch (patchIndexes holds
 //     it through Prepared.AddEdges) and invalidation. Only a query that
 //     finds the slot not ready takes it; the cfpq.Prepared inside has its
 //     own writer mutex, pins a version with one atomic load, and holds a
 //     publish mutex only to store the next version and push its delta.
-//   - graphEntry.mu (RWMutex) guards one graph's name table, its stream
-//     position and the pointer to its edge set. It MAY be acquired while
-//     holding an indexEntry.mu (the build path does, to pin the graph),
-//     NEVER the other way around. The one slow thing done under it is
-//     applyBatch's fsynced WAL append: the write-ahead protocol needs
-//     journal order to equal apply order.
 //
-// The registry graph is a published version, like everything beneath it:
-// graphEntry.g is never mutated, only replaced — by applyBatch, under the
-// write lock, with a fork of itself that holds the batch (graph.Fork allows
-// one appender per line of versions, and the holder of the write lock is
-// that one). Whoever loads the pointer under the read lock has pinned an
-// immutable edge set and reads it lock-free for as long as it likes:
-// GraphInfo counts it, the cold build and the warm start bind a
-// cfpq.Prepared to it as it is, and a follower's bootstrap is encoded from
-// it: an attached store keeps only the journal. Nothing else may Fork it —
-// a second appender would write into the slots the next batch claims — and
-// a Prepared never does: it never writes a graph it was given, and its
-// first update that adds an edge Clones the version it holds, starting a
-// line of its own. applyBatch patches each cached handle with the same
-// edges it published. A query registers its index entry in
-// the cache *before* pinning the graph, and applyBatch walks
-// the cache *after* publishing; the two orderings together guarantee every
-// cached index either saw the new edges when it was built or is patched by
-// the update — no lost updates (re-applying edges a build already saw is a
-// no-op: the registry graph is a multigraph and keeps parallel edges, but
-// Prepared.AddEdges skips edges its graph holds and the delta seeds only
-// missing bits). Edges that name new nodes are patched like any others: what
-// happens when the node set grows is the engine's decision
-// (core.UpdateContext), not the registry's.
+// A version's edge set is never mutated: applyBatch publishes a fork of it
+// that holds the batch (graph.Fork allows one appender per line of
+// versions, and the holder of the writer lock is that one). Whoever loaded
+// a version reads its graph lock-free for as long as it likes: GraphInfo
+// counts it, the cold build and the warm start bind a cfpq.Prepared to it
+// as it is, and a follower's bootstrap is encoded from it: an attached
+// store keeps only the journal. Nothing else may Fork it — a second
+// appender would write into the slots the next batch claims — and a
+// Prepared never does: it never writes a graph it was given, and its first
+// update that adds an edge Clones the version it holds, starting a line of
+// its own. applyBatch patches each cached handle with the same edges it
+// published. A query registers its index entry in the cache *before*
+// pinning the graph, and applyBatch walks the cache *after* publishing;
+// the two orderings together guarantee every cached index either saw the
+// new edges when it was built or is patched by the update — no lost
+// updates (re-applying edges a build already saw is a no-op: the registry
+// graph is a multigraph and keeps parallel edges, but Prepared.AddEdges
+// skips edges its graph holds and the delta seeds only missing bits).
+// Edges that name new nodes are patched like any others: what happens when
+// the node set grows is the engine's decision (core.UpdateContext), not
+// the registry's.
 package server
 
 import (
@@ -225,22 +230,33 @@ func New() *Service {
 	return s
 }
 
+// graphEntry is one registry graph. Readers load its published version
+// once and take no lock; writer only serialises the writers.
 type graphEntry struct {
-	mu sync.RWMutex
-	// g is the published edge set: immutable, replaced under mu by a fork of
-	// itself (applyBatch) and by nothing else; load it under mu to pin it.
-	g       *graph.Graph
-	names   *graph.Names // which node a token names; all-unnamed for id-only graphs
-	version int          // bumped on every successful mutation
-	seq     uint64       // edge-stream position: edges applied since the stream began
-	epoch   uint64       // edge-stream identity (replication); 0 when untracked
+	// writer is held by applyBatch and by an install replacing the entry,
+	// across the journal write, the intern and the publish, so that journal
+	// order is apply order. No reader takes it.
+	writer sync.Mutex
+	// cur is the published version: nil until the install that created the
+	// entry has returned, then replaced, never mutated, by each batch.
+	cur   atomic.Pointer[graphVersion]
+	names *graph.Names // which node a token names; guards itself
 
-	// patching counts mutations that have bumped seq but whose patchIndexes
-	// has not returned; indexed is seq as of the last moment it was zero —
-	// the position every ready index on this graph is known to cover, and
-	// the watermark a snapshot may save one under (see snapshotGraph).
+	// patching (guarded by writer) counts batches that have published but
+	// whose patchIndexes has not returned; indexed is seq as of the last
+	// moment it was zero — the position every ready index on this graph is
+	// known to cover, and the watermark a snapshot may save one under (see
+	// savedIndexes).
 	patching int
-	indexed  uint64
+	indexed  atomic.Uint64
+}
+
+// graphVersion is one published state of a registry graph: immutable.
+type graphVersion struct {
+	g       *graph.Graph // the edge set; whoever loaded the version reads it lock-free
+	seq     uint64       // edge-stream position: edges applied since the stream began
+	version int          // bumped on every successful mutation
+	epoch   uint64       // edge-stream identity (replication); 0 when untracked
 }
 
 type grammarEntry struct {
@@ -329,16 +345,20 @@ func (s *Service) installGraph(name string, g *graph.Graph, names *graph.Names, 
 	if g == nil {
 		return fmt.Errorf("server: nil graph")
 	}
-	ge := &graphEntry{g: g, names: names, seq: seq, indexed: seq, epoch: epoch}
-	// Installs of one name are serialised: each holds the write lock of the
-	// entry it replaces — or, for a new name, of ge, published locked —
-	// across the store write AND the registry swap, so the order of store
-	// writes is the order of swaps, and a second installer queues on the
-	// entry as a batch does. A batch applied to the replaced entry either
-	// finishes entirely before this (its WAL record lands in the old log,
-	// removed with it) or re-checks registry identity after we are done and
-	// rejects — no batch can be journaled into the replacement's WAL while
-	// its in-memory mutation lands on the orphaned entry.
+	ge := &graphEntry{names: names}
+	ge.indexed.Store(seq)
+	// Installs of one name are serialised: each holds the writer lock of the
+	// entry it replaces — or, for a new name, of ge, entered in the registry
+	// locked and without a version — across the store write AND the
+	// registry swap, so the order of store writes is the order of swaps, and
+	// a second installer queues on the entry as a batch does. A batch
+	// applied to the replaced entry either finishes entirely before this
+	// (its WAL record lands in the old log, removed with it) or re-checks
+	// registry identity after we are done and rejects — no batch can be
+	// journaled into the replacement's WAL while its in-memory mutation
+	// lands on the orphaned entry. Readers wait for none of it: a replaced
+	// graph serves its old version until the swap, and a new name is
+	// unknown until its version is published.
 	old := s.lockInstall(name, ge)
 	var err error
 	if s.store != nil {
@@ -349,10 +369,13 @@ func (s *Service) installGraph(name string, g *graph.Graph, names *graph.Names, 
 			// Mirror the stream epoch (freshly minted when ours was 0) so
 			// followers attached to this node can pin their positions to it.
 			if _, minted, perr := s.store.GraphPos(name); perr == nil {
-				ge.epoch = minted
+				epoch = minted
 			}
 		}
 		err = storeFault(err)
+	}
+	if err == nil {
+		ge.cur.Store(&graphVersion{g: g, seq: seq, epoch: epoch})
 	}
 	var dropped []*indexEntry
 	s.mu.Lock()
@@ -362,27 +385,25 @@ func (s *Service) installGraph(name string, g *graph.Graph, names *graph.Names, 
 		dropped = s.removeIndexesLocked(func(k IndexKey) bool { return k.Graph == name })
 	case err != nil && old == nil: // a new name the store refused: unpublish it
 		delete(s.graphs, name)
-		dropped = s.removeIndexesLocked(func(k IndexKey) bool { return k.Graph == name })
 	}
 	s.mu.Unlock()
-	// Released before markStale: flagging entries takes each
-	// indexEntry.mu, and the documented order is indexEntry.mu →
-	// graphEntry.mu, never the reverse.
-	ge.mu.Unlock()
+	// Released before markStale, which waits for each dropped slot's lock:
+	// a build holds it for a whole closure, and writers need not wait.
+	ge.writer.Unlock()
 	if old != nil {
-		old.mu.Unlock()
+		old.writer.Unlock()
 	}
 	markStale(dropped)
 	return err
 }
 
-// lockInstall write-locks ge, waits for the turn of an install of name and
-// returns the entry it replaces, write-locked — or nil, having published
+// lockInstall locks ge's writer, waits for the turn of an install of name
+// and returns the entry it replaces, writer-locked — or nil, having entered
 // ge under the new name, so that a racing installer queues on it. An entry
 // replaced while this waited for its lock is let go, and its successor
 // waited on instead. The caller releases both locks.
 func (s *Service) lockInstall(name string, ge *graphEntry) *graphEntry {
-	ge.mu.Lock() // unpublished: nobody else can hold it
+	ge.writer.Lock() // unpublished: nobody else can hold it
 	for {
 		s.mu.Lock()
 		cur := s.graphs[name]
@@ -393,14 +414,14 @@ func (s *Service) lockInstall(name string, ge *graphEntry) *graphEntry {
 		if cur == nil {
 			return nil
 		}
-		cur.mu.Lock()
+		cur.writer.Lock()
 		s.mu.Lock()
 		current := s.graphs[name] == cur
 		s.mu.Unlock()
 		if current {
 			return cur
 		}
-		cur.mu.Unlock()
+		cur.writer.Unlock()
 	}
 }
 
@@ -527,25 +548,24 @@ type GraphInfo struct {
 // Graphs lists registered graphs, sorted by name.
 func (s *Service) Graphs() []GraphInfo {
 	s.mu.Lock()
-	entries := make(map[string]*graphEntry, len(s.graphs))
+	pinned := make(map[string]*graphVersion, len(s.graphs))
 	for n, e := range s.graphs {
-		entries[n] = e
+		if v := e.cur.Load(); v != nil {
+			pinned[n] = v
+		}
 	}
 	s.mu.Unlock()
-	out := make([]GraphInfo, 0, len(entries))
-	for n, e := range entries {
-		out = append(out, e.info(n))
+	out := make([]GraphInfo, 0, len(pinned))
+	for n, v := range pinned {
+		out = append(out, v.info(n))
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
 
-func (ge *graphEntry) info(name string) GraphInfo {
-	ge.mu.RLock()
-	g, version := ge.g, ge.version
-	ge.mu.RUnlock()
-	st := g.Stats()
-	return GraphInfo{Name: name, Nodes: st.Nodes, Edges: st.Edges, Labels: st.Labels, Version: version}
+func (v *graphVersion) info(name string) GraphInfo {
+	st := v.g.Stats()
+	return GraphInfo{Name: name, Nodes: st.Nodes, Edges: st.Edges, Labels: st.Labels, Version: v.version}
 }
 
 // GrammarInfo describes one registered grammar.
@@ -619,11 +639,12 @@ func (s *Service) index(ctx context.Context, key IndexKey) (*indexEntry, *cfpq.P
 	s.mu.Lock()
 	ge := s.graphs[key.Graph]
 	re := s.grammars[key.Grammar]
-	if ge == nil || (re == nil && key.Expr == "") {
+	if ge == nil || ge.cur.Load() == nil {
 		s.mu.Unlock()
-		if ge == nil {
-			return nil, nil, notFoundf("server: unknown graph %q", key.Graph)
-		}
+		return nil, nil, notFoundf("server: unknown graph %q", key.Graph)
+	}
+	if re == nil && key.Expr == "" {
+		s.mu.Unlock()
 		return nil, nil, notFoundf("server: unknown grammar %q", key.Grammar)
 	}
 	// Register the entry before pinning the graph (see package comment:
@@ -659,18 +680,14 @@ func (s *Service) index(ctx context.Context, key IndexKey) (*indexEntry, *cfpq.P
 		// Built now, the engine carries the budget in force when the closure
 		// runs (a rejected build retries under a new one) into every patch.
 		eng := s.engine(be)
-		// The graph lock is held only to pin the published version, which
-		// the handle binds as it is (see package comment); the potentially
-		// long closure runs outside it. An applyBatch racing this build
-		// either finds the slot unbuilt and skips it — in which case it
-		// published before our pin and the edges are in the version — or
-		// serialises behind us on e.mu and patches the finished handle (a
-		// no-op for edges the build saw).
-		e.ge.mu.RLock()
-		pinned, seq := e.ge.g, e.ge.seq
-		e.ge.mu.RUnlock()
+		// The handle binds the published version as it is (see package
+		// comment). An applyBatch racing this build either finds the slot
+		// unbuilt and skips it — in which case it published before our pin
+		// and the edges are in the version — or serialises behind us on e.mu
+		// and patches the finished handle (a no-op for edges the build saw).
+		v := e.ge.cur.Load()
 		buildStart := time.Now()
-		p, err := eng.PrepareCNF(ctx, pinned, cnf)
+		p, err := eng.PrepareCNF(ctx, v.g, cnf)
 		if err != nil {
 			return nil, nil, s.noteErr(err)
 		}
@@ -681,7 +698,7 @@ func (s *Service) index(ctx context.Context, key IndexKey) (*indexEntry, *cfpq.P
 			s.obs.exprIndexBuilds.Inc()
 		} else {
 			s.obs.indexBuilds.Inc()
-			s.persistIndex(e, re, seq, p)
+			s.persistIndex(e, re, v, p)
 		}
 	}
 	return e, e.p, nil
@@ -723,11 +740,13 @@ func (s *Service) evictExprLocked() []*indexEntry {
 	return []*indexEntry{lru}
 }
 
+// graphEntry returns the named graph's entry, which has a published
+// version: a new name is unknown until its install has returned.
 func (s *Service) graphEntry(name string) (*graphEntry, error) {
 	s.mu.Lock()
 	ge := s.graphs[name]
 	s.mu.Unlock()
-	if ge == nil {
+	if ge == nil || ge.cur.Load() == nil {
 		return nil, notFoundf("server: unknown graph %q", name)
 	}
 	return ge, nil
@@ -757,40 +776,38 @@ func (s *Service) resolve(ctx context.Context, t Target, nonterminal, expr strin
 	if expr != "" {
 		nonterminal = e.start
 	}
-	e.ge.mu.RLock()
-	defer e.ge.mu.RUnlock()
-	req, err := e.ge.request(p, nonterminal, sources, targets)
+	req, err := e.ge.request(e.ge.cur.Load(), p, nonterminal, sources, targets)
 	return e.ge, p, req, err
 }
 
 // request resolves what a request names inside its target: the non-terminal
 // against the handle's grammar (Prepared answers an unknown one with an
 // empty relation or a plain error; the service contract is 404) and the
-// restriction tokens against the graph's name table — nil stays nil
-// (unrestricted), an empty list stays an empty restriction. Callers hold
-// ge.mu.
-func (ge *graphEntry) request(p *cfpq.Prepared, nonterminal string, sources, targets []string) (cfpq.Request, error) {
+// restriction tokens against the graph's name table, as of version v — nil
+// stays nil (unrestricted), an empty list stays an empty restriction.
+func (ge *graphEntry) request(v *graphVersion, p *cfpq.Prepared, nonterminal string, sources, targets []string) (cfpq.Request, error) {
 	req := cfpq.Request{Nonterminal: nonterminal}
 	if _, ok := p.CNF().Index(nonterminal); !ok {
 		return req, notFoundf("server: unknown non-terminal %q", nonterminal)
 	}
 	var err error
-	if req.Sources, err = ge.nodeIDs(sources); err != nil {
+	if req.Sources, err = ge.nodeIDs(v, sources); err != nil {
 		return req, err
 	}
-	req.Targets, err = ge.nodeIDs(targets)
+	req.Targets, err = ge.nodeIDs(v, targets)
 	return req, err
 }
 
 // nodeIDs maps node tokens to ids through the graph's name table; nil
-// stays nil. Callers hold ge.mu.
-func (ge *graphEntry) nodeIDs(tokens []string) ([]int, error) {
+// stays nil. A node a batch interned but has not yet published in a
+// version after v is unknown.
+func (ge *graphEntry) nodeIDs(v *graphVersion, tokens []string) ([]int, error) {
 	if tokens == nil {
 		return nil, nil
 	}
 	out := make([]int, 0, len(tokens))
 	for _, tok := range tokens {
-		id, err := ge.names.Lookup(tok)
+		id, err := ge.names.LookupIn(tok, v.g.Nodes())
 		if errors.Is(err, graph.ErrUnknownNode) {
 			return nil, notFoundf("server: unknown node %q", tok)
 		} else if err != nil {
@@ -807,14 +824,13 @@ type NamedPair struct {
 	To   string `json:"to"`
 }
 
-// named resolves pairs' node names under the read lock; callers must not
-// hold ge.mu.
+// named resolves pairs' node names. The name table is pinned once, after
+// the pairs were computed, so it covers every id in them.
 func (ge *graphEntry) named(pairs []cfpq.Pair) []NamedPair {
 	out := make([]NamedPair, len(pairs))
-	ge.mu.RLock()
-	defer ge.mu.RUnlock()
+	byID := ge.names.ByID()
 	for i, p := range pairs {
-		out[i] = NamedPair{From: ge.names.Name(p.I), To: ge.names.Name(p.J)}
+		out[i] = NamedPair{From: graph.NameIn(byID, p.I), To: graph.NameIn(byID, p.J)}
 	}
 	return out
 }
@@ -862,14 +878,14 @@ func (s *Service) QueryBatch(ctx context.Context, t Target, specs []BatchQuerySp
 	answers := make([]BatchAnswer, len(specs))
 	reqs := make([]cfpq.Request, 0, len(specs))
 	slot := make([]int, 0, len(specs)) // batch index → specs index
-	e.ge.mu.RLock()
+	v := e.ge.cur.Load()
 	for i, spec := range specs {
 		op := spec.Op
 		if op == "" {
 			op = "relation"
 		}
 		answers[i] = BatchAnswer{Op: op, Nonterminal: spec.Nonterminal}
-		req, err := specRequest(e.ge, p, op, spec)
+		req, err := specRequest(e.ge, v, p, op, spec)
 		if err != nil {
 			answers[i].Error = err.Error()
 			continue
@@ -877,7 +893,6 @@ func (s *Service) QueryBatch(ctx context.Context, t Target, specs []BatchQuerySp
 		reqs = append(reqs, req)
 		slot = append(slot, i)
 	}
-	e.ge.mu.RUnlock()
 
 	results := p.QueryBatch(ctx, reqs)
 	for k, r := range results {
@@ -903,12 +918,11 @@ func (s *Service) QueryBatch(ctx context.Context, t Target, specs []BatchQuerySp
 	return answers, nil
 }
 
-// specRequest translates one batch spec into a declarative
-// Request; callers hold the graph entry's lock for name resolution.
-func specRequest(ge *graphEntry, p *cfpq.Prepared, op string, spec BatchQuerySpec) (cfpq.Request, error) {
+// specRequest translates one batch spec into a declarative Request.
+func specRequest(ge *graphEntry, v *graphVersion, p *cfpq.Prepared, op string, spec BatchQuerySpec) (cfpq.Request, error) {
 	switch op {
 	case "has":
-		req, err := ge.request(p, spec.Nonterminal, []string{spec.From}, []string{spec.To})
+		req, err := ge.request(v, p, spec.Nonterminal, []string{spec.From}, []string{spec.To})
 		req.Output = cfpq.OutputExists
 		return req, err
 	case "count", "relation", "count-from", "relation-from":
@@ -918,7 +932,7 @@ func specRequest(ge *graphEntry, p *cfpq.Prepared, op string, spec BatchQuerySpe
 			// empty answer), not as unrestricted.
 			sources = []string{}
 		}
-		req, err := ge.request(p, spec.Nonterminal, sources, spec.Targets)
+		req, err := ge.request(v, p, spec.Nonterminal, sources, spec.Targets)
 		if op == "count" || op == "count-from" {
 			req.Output = cfpq.OutputCount
 		}
@@ -987,42 +1001,42 @@ func (s *Service) AddEdges(ctx context.Context, graphName string, specs []EdgeSp
 // applyBatch is the one path an edge batch takes into a graph, whoever
 // sent it: AddEdges (a local write: token records that land wherever the
 // stream is) and ApplyReplicatedEdges (replicated: the leader's frame, which
-// must land exactly at endSeq-len(recs)). Under the graph's write lock it
+// must land exactly at endSeq-len(recs)). Under the graph's writer lock it
 // re-checks registry identity, validates the whole batch before the first
 // mutation — a bad batch cannot leave the graph half-updated and cached
 // indexes permanently out of sync with it — journals write-ahead, interns
-// and adds the edges on a fork of the published edge set, publishes the
-// fork and advances seq; then patchIndexes brings every cached index on the
-// graph up to date, and a WAL the batch took past the store's threshold is
-// folded. The callers have already rejected empty tokens.
+// and adds the edges on a fork of the published edge set, and publishes
+// the fork as the next version; then patchIndexes brings every cached index
+// on the graph up to date, and a WAL the batch took past the store's
+// threshold is folded. The callers have already rejected empty tokens.
 func (s *Service) applyBatch(ctx context.Context, graphName string, kind store.RecordKind, recs []store.EdgeRecord, replicated bool, endSeq uint64) (UpdateResult, error) {
 	ge, err := s.graphEntry(graphName)
 	if err != nil {
 		return UpdateResult{}, err
 	}
-	ge.mu.Lock()
-	start := ge.seq
+	ge.writer.Lock()
+	cur := ge.cur.Load()
+	start := cur.seq
 	if replicated {
 		start = endSeq - uint64(len(recs))
 	}
-	if err := s.admitBatch(graphName, ge, recs, replicated, start); err != nil {
-		ge.mu.Unlock()
+	if err := s.admitBatch(graphName, ge, cur, recs, replicated, start); err != nil {
+		ge.writer.Unlock()
 		return UpdateResult{}, err
 	}
 	if s.store != nil {
 		// Write-ahead: the frame lands fsynced in the WAL — with the batch's
 		// record kind, at the position this entry holds — before the first
-		// in-memory mutation, still under the graph lock so the WAL's record
+		// in-memory mutation, under the writer lock so the WAL's record
 		// order matches the order mutations were applied in: the store's
 		// replay re-runs the interning this call performs below and must see
-		// the same starting state.
-		//lint:allow cfpqlint/lockscope write-ahead protocol: the fsynced append MUST happen under the entry lock so no reader sees un-journaled state
+		// the same starting state. Readers keep reading cur meanwhile.
 		if err := s.store.AppendReplicated(graphName, kind, recs, start+uint64(len(recs))); err != nil {
-			ge.mu.Unlock()
+			ge.writer.Unlock()
 			return UpdateResult{}, fmt.Errorf("server: journaling edges: %w", storeFault(err))
 		}
 	}
-	next := ge.g.Fork()
+	next := cur.g.Fork()
 	edges := make([]graph.Edge, len(recs))
 	idsOnly := kind == store.RecordIDs
 	for i, r := range recs {
@@ -1031,12 +1045,10 @@ func (s *Service) applyBatch(ctx context.Context, graphName string, kind store.R
 		next.AddEdge(from, r.Label, to)
 		edges[i] = graph.Edge{From: from, Label: r.Label, To: to}
 	}
-	res := UpdateResult{Added: len(edges), NewNodes: next.Nodes() - ge.g.Nodes()}
-	ge.g = next
-	ge.seq = start + uint64(len(recs))
-	ge.version++
+	res := UpdateResult{Added: len(edges), NewNodes: next.Nodes() - cur.g.Nodes()}
+	ge.cur.Store(&graphVersion{g: next, seq: start + uint64(len(recs)), version: cur.version + 1, epoch: cur.epoch})
 	ge.patching++
-	ge.mu.Unlock()
+	ge.writer.Unlock()
 
 	// The batch is durable and published, whatever becomes of the request
 	// that carried it: the patch runs to the end even if the client has
@@ -1055,15 +1067,15 @@ func (s *Service) applyBatch(ctx context.Context, graphName string, kind store.R
 	return res, nil
 }
 
-// admitBatch is applyBatch's validation, read-only under ge.mu.
-func (s *Service) admitBatch(graphName string, ge *graphEntry, recs []store.EdgeRecord, replicated bool, start uint64) error {
-	// Re-check registry identity under the entry lock: installGraph
-	// replaces entries while holding the old entry's write lock, so once
-	// we own ge.mu either ge is still current or it never will be again —
-	// journaling into the replacement's WAL while mutating the orphaned
-	// entry would permanently diverge durable from live state. (Taking
-	// s.mu under a graphEntry lock is safe: no path acquires graph entry
-	// locks while holding s.mu.)
+// admitBatch is applyBatch's validation of a batch onto cur, read-only
+// under ge.writer.
+func (s *Service) admitBatch(graphName string, ge *graphEntry, cur *graphVersion, recs []store.EdgeRecord, replicated bool, start uint64) error {
+	// Re-check registry identity under the writer lock: installGraph
+	// replaces entries while holding the old entry's writer, so once we own
+	// it either ge is still current or it never will be again — journaling
+	// into the replacement's WAL while mutating the orphaned entry would
+	// permanently diverge durable from live state. (Taking s.mu under a
+	// writer lock is safe: no path takes a writer while holding s.mu.)
 	s.mu.Lock()
 	current := s.graphs[graphName] == ge
 	s.mu.Unlock()
@@ -1071,9 +1083,9 @@ func (s *Service) admitBatch(graphName string, ge *graphEntry, recs []store.Edge
 		return fmt.Errorf("server: graph %q was replaced during the update; retry", graphName)
 	}
 	if replicated {
-		if ge.seq != start {
+		if cur.seq != start {
 			return fmt.Errorf("server: graph %q: replicated batch starts at seq %d but the local stream is at %d: %w",
-				graphName, start, ge.seq, store.ErrSeqMismatch)
+				graphName, start, cur.seq, store.ErrSeqMismatch)
 		}
 		return nil
 	}
@@ -1100,8 +1112,8 @@ func (s *Service) admitBatch(graphName string, ge *graphEntry, recs []store.Edge
 // and re-applying present edges is a no-op, so the closure is confluent.
 // Both AddEdges and the follower's replicated-apply path end here — a
 // follower never runs a cold closure to absorb the stream. The
-// caller counted itself into ge.patching when it mutated the graph;
-// returning counts it out and, when nobody else is between the two, advances
+// caller counted itself into ge.patching when it published; returning
+// counts it out and, when nobody else is between the two, advances
 // ge.indexed to the stream position the indexes now cover.
 func (s *Service) patchIndexes(ctx context.Context, graphName string, ge *graphEntry, edges []graph.Edge, res *UpdateResult) {
 	s.mu.Lock()
@@ -1117,11 +1129,11 @@ func (s *Service) patchIndexes(ctx context.Context, graphName string, ge *graphE
 	}
 	s.mu.Unlock()
 	defer func() {
-		ge.mu.Lock()
+		ge.writer.Lock()
 		if ge.patching--; ge.patching == 0 {
-			ge.indexed = ge.seq
+			ge.indexed.Store(ge.cur.Load().seq)
 		}
-		ge.mu.Unlock()
+		ge.writer.Unlock()
 	}()
 
 	for _, e := range entries {

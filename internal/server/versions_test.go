@@ -243,9 +243,7 @@ func TestSnapshotBesideParkedPatchRecoversEveryEdge(t *testing.T) {
 		t.Fatal(err)
 	}
 	for journaled := uint64(0); journaled < 2; time.Sleep(time.Millisecond) {
-		ge.mu.RLock()
-		journaled = ge.seq
-		ge.mu.RUnlock()
+		journaled = ge.cur.Load().seq
 	}
 	guard := time.AfterFunc(30*time.Second, func() {
 		t.Error("Snapshot is blocked behind a patch parked mid-closure")
