@@ -1,0 +1,249 @@
+// This file is the answer writer: the answers of POST /v1/query and
+// /v1/query/batch and the SSE "pairs" events are appended into one pooled
+// buffer straight from the pinned results' pairs and the graph's name
+// table, with no []NamedPair in between and no reflection over the pairs.
+// The bytes are exactly those encoding/json writes for the typed values
+// (writeJSON of renderAnswer's QueryAnswer and of QueryBatch's answers,
+// json.Marshal of an event's {"seq","resync","pairs"} payload);
+// encoding/json itself still writes what is rare or nested — a string that
+// needs escaping, witness paths and a trace's passes.
+
+package server
+
+import (
+	"encoding/json"
+	"net/http"
+	"strconv"
+	"sync"
+	"unicode/utf8"
+
+	"cfpq"
+	"cfpq/internal/graph"
+)
+
+// jsonBuf appends JSON to b.
+type jsonBuf struct {
+	b []byte
+	// html escapes <, > and & as json.Marshal does; writeJSON's encoder
+	// does not.
+	html bool
+}
+
+// maxPooledBuf bounds the buffer a jsonBuf keeps in the pool: one answer
+// of a whole large relation should not stay resident after it.
+const maxPooledBuf = 256 << 10
+
+var jsonBufs = sync.Pool{New: func() any { return new(jsonBuf) }}
+
+func getJSONBuf(html bool) *jsonBuf {
+	j := jsonBufs.Get().(*jsonBuf)
+	j.b, j.html = j.b[:0], html
+	return j
+}
+
+func (j *jsonBuf) free() {
+	if cap(j.b) <= maxPooledBuf {
+		jsonBufs.Put(j)
+	}
+}
+
+// Write appends p, so that encoding/json can encode into the buffer.
+func (j *jsonBuf) Write(p []byte) (int, error) {
+	j.b = append(j.b, p...)
+	return len(p), nil
+}
+
+// value appends v as encoding/json encodes it.
+func (j *jsonBuf) value(v any) {
+	enc := json.NewEncoder(j)
+	enc.SetEscapeHTML(j.html)
+	if enc.Encode(v) == nil {
+		j.b = j.b[:len(j.b)-1] // Encode's newline
+	}
+}
+
+// str appends s as a JSON string. A string with nothing to escape — valid
+// UTF-8 without control bytes, quotes, backslashes, U+2028 or U+2029, nor
+// <, > and & when j escapes HTML — is copied as it is; any other is
+// encoding/json's to write.
+func (j *jsonBuf) str(s string) {
+	for i := 0; i < len(s); {
+		c := s[i]
+		if c < utf8.RuneSelf {
+			if c < 0x20 || c == '"' || c == '\\' || j.html && (c == '<' || c == '>' || c == '&') {
+				j.value(s)
+				return
+			}
+			i++
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		if r == utf8.RuneError && size == 1 || r == '\u2028' || r == '\u2029' {
+			j.value(s)
+			return
+		}
+		i += size
+	}
+	j.b = append(j.b, '"')
+	j.b = append(j.b, s...)
+	j.b = append(j.b, '"')
+}
+
+func (j *jsonBuf) int(n int64) { j.b = strconv.AppendInt(j.b, n, 10) }
+
+// pairs appends pairs as a JSON array of NamedPair, naming nodes through
+// byID.
+func (j *jsonBuf) pairs(byID []string, pairs []cfpq.Pair) {
+	j.b = append(j.b, '[')
+	for k, p := range pairs {
+		if k > 0 {
+			j.b = append(j.b, ',')
+		}
+		j.b = append(j.b, `{"from":`...)
+		j.str(graph.NameIn(byID, p.I))
+		j.b = append(j.b, `,"to":`...)
+		j.str(graph.NameIn(byID, p.J))
+		j.b = append(j.b, '}')
+	}
+	j.b = append(j.b, ']')
+}
+
+// answer appends the QueryAnswer renderAnswer makes of res for output out,
+// as writeJSON encodes it (its newline included); byID is the graph's name
+// table, pinned after res was computed.
+func (j *jsonBuf) answer(byID []string, out string, res *cfpq.Result) {
+	j.b = append(j.b, `{"output":`...)
+	j.str(out)
+	switch cfpq.Output(out) {
+	case cfpq.OutputExists:
+		j.b = append(j.b, `,"exists":`...)
+		j.b = strconv.AppendBool(j.b, res.Exists)
+	case cfpq.OutputCount:
+		j.b = append(j.b, `,"count":`...)
+		j.int(int64(res.Count))
+	case cfpq.OutputPaths:
+		j.b = append(j.b, `,"count":`...)
+		j.int(int64(res.Count))
+		if paths := res.AllPaths(); len(paths) > 0 {
+			j.b = append(j.b, `,"paths":`...)
+			j.value(namedPaths(byID, paths))
+		}
+		j.truncated(res.Truncated)
+	default: // pairs
+		j.b = append(j.b, `,"count":`...)
+		j.int(int64(res.Count))
+		if pairs := res.AllPairs(); len(pairs) > 0 {
+			j.b = append(j.b, `,"pairs":`...)
+			j.pairs(byID, pairs)
+		}
+		j.truncated(res.Truncated)
+	}
+	e := res.Explain
+	j.b = append(j.b, `,"explain":{"strategy":`...)
+	j.str(string(e.Strategy))
+	j.b = append(j.b, `,"reason":`...)
+	j.str(e.Reason)
+	if e.Frontier != 0 {
+		j.b = append(j.b, `,"frontier":`...)
+		j.int(int64(e.Frontier))
+	}
+	if e.Saturated {
+		j.b = append(j.b, `,"saturated":true`...)
+	}
+	if len(e.Passes) > 0 {
+		j.b = append(j.b, `,"passes":`...)
+		j.value(e.Passes)
+	}
+	st := res.Stats
+	j.b = append(j.b, `},"stats":{"iterations":`...)
+	j.int(int64(st.Iterations))
+	j.b = append(j.b, `,"products":`...)
+	j.int(int64(st.Products))
+	if st.Duration != 0 {
+		j.b = append(j.b, `,"duration_ns":`...)
+		j.int(int64(st.Duration))
+	}
+	if st.PeakBytes != 0 {
+		j.b = append(j.b, `,"peak_bytes":`...)
+		j.int(st.PeakBytes)
+	}
+	j.b = append(j.b, "}}\n"...)
+}
+
+func (j *jsonBuf) truncated(t bool) {
+	if t {
+		j.b = append(j.b, `,"truncated":true`...)
+	}
+}
+
+// event appends the SSE "pairs" event of b: its id, and as its data what
+// json.Marshal writes of {"seq","resync" (omitted when false),"pairs"}.
+func (j *jsonBuf) event(byID []string, b cfpq.PairBatch) {
+	j.b = append(j.b, "id: "...)
+	j.b = strconv.AppendUint(j.b, b.Seq, 10)
+	j.b = append(j.b, "\nevent: pairs\ndata: {\"seq\":"...)
+	j.b = strconv.AppendUint(j.b, b.Seq, 10)
+	if b.Resync {
+		j.b = append(j.b, `,"resync":true`...)
+	}
+	j.b = append(j.b, `,"pairs":`...)
+	j.pairs(byID, b.Pairs)
+	j.b = append(j.b, "}\n\n"...)
+}
+
+// batch appends what writeJSON writes of {"results": answers} once
+// QueryBatch has named pairs[i] into answers[i].
+func (j *jsonBuf) batch(byID []string, answers []BatchAnswer, pairs [][]cfpq.Pair) {
+	j.b = append(j.b, `{"results":[`...)
+	for i, a := range answers {
+		if i > 0 {
+			j.b = append(j.b, ',')
+		}
+		j.b = append(j.b, `{"op":`...)
+		j.str(a.Op)
+		j.b = append(j.b, `,"nonterminal":`...)
+		j.str(a.Nonterminal)
+		if a.Has != nil {
+			j.b = append(j.b, `,"has":`...)
+			j.b = strconv.AppendBool(j.b, *a.Has)
+		}
+		if a.Count != nil {
+			j.b = append(j.b, `,"count":`...)
+			j.int(int64(*a.Count))
+		}
+		if len(pairs[i]) > 0 {
+			j.b = append(j.b, `,"pairs":`...)
+			j.pairs(byID, pairs[i])
+		}
+		if a.Error != "" {
+			j.b = append(j.b, `,"error":`...)
+			j.str(a.Error)
+		}
+		j.b = append(j.b, '}')
+	}
+	j.b = append(j.b, "]}\n"...)
+}
+
+// writeBatch is writeJSON of {"results": answers} with status 200, byte
+// for byte, the pairs named as QueryBatch names them.
+func writeBatch(w http.ResponseWriter, ge *graphEntry, answers []BatchAnswer, pairs [][]cfpq.Pair) {
+	j := getJSONBuf(false)
+	defer j.free()
+	j.batch(ge.names.ByID(), answers, pairs)
+	writeBuf(w, j)
+}
+
+// writeAnswer is writeJSON of renderAnswer(ge, req, res) with status 200,
+// byte for byte, written from res.
+func writeAnswer(w http.ResponseWriter, ge *graphEntry, req QueryRequest, res *cfpq.Result) {
+	j := getJSONBuf(false)
+	defer j.free()
+	j.answer(ge.names.ByID(), answerOutput(req), res)
+	writeBuf(w, j)
+}
+
+func writeBuf(w http.ResponseWriter, j *jsonBuf) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(j.b)
+}

@@ -187,12 +187,12 @@ func Handler(s *Service, opts ...HandlerOption) http.Handler {
 			writeError(w, statusFor(err), fmt.Errorf("decoding request: %w", err))
 			return
 		}
-		ans, err := s.Do(r.Context(), req)
+		ge, res, err := s.do(r.Context(), req)
 		if err != nil {
 			writeError(w, statusFor(err), err)
 			return
 		}
-		writeJSON(w, http.StatusOK, ans)
+		writeAnswer(w, ge, req, res)
 	})
 	mux.HandleFunc("POST /v1/subscribe", func(w http.ResponseWriter, r *http.Request) {
 		s.serveSubscribe(w, r)
@@ -217,12 +217,12 @@ func Handler(s *Service, opts ...HandlerOption) http.Handler {
 			return
 		}
 		t := Target{Graph: req.Graph, Grammar: req.Grammar, Backend: req.Backend}
-		answers, err := s.QueryBatch(r.Context(), t, req.Queries)
+		ge, answers, pairs, err := s.queryBatch(r.Context(), t, req.Queries)
 		if err != nil {
 			writeError(w, statusFor(err), err)
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"results": answers})
+		writeBatch(w, ge, answers, pairs)
 	})
 	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]any{"indexes": s.Stats()})
@@ -382,6 +382,9 @@ func serveDebugVars(w http.ResponseWriter, s *Service) {
 // batches (64 MiB).
 const maxDocumentBytes = 64 << 20
 
+// writeJSON writes v as a JSON response: encoding/json, HTML escaping
+// off, one trailing newline. Query answers do not come through here:
+// writeAnswer writes the same bytes without reflecting over their pairs.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)

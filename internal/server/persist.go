@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"fmt"
+	"io"
 	"sort"
 	"time"
 
@@ -167,7 +168,8 @@ func (s *Service) warmStartIndex(ctx context.Context, st *store.Store, info stor
 // re-applies the tail and re-applying present bits is a no-op. An index
 // whose graph or grammar was replaced during the build is not saved, or it
 // would warm-start against the replacement: the registry check skips it,
-// and the store refuses one whose graph was replaced after (the epoch).
+// the store refuses one whose graph was replaced after (the epoch), and
+// indexData withdraws one whose grammar was.
 func (s *Service) persistIndex(e *indexEntry, re *grammarEntry, v *graphVersion, p *cfpq.Prepared) {
 	if s.store == nil {
 		return
@@ -179,10 +181,23 @@ func (s *Service) persistIndex(e *indexEntry, re *grammarEntry, v *graphVersion,
 	if !current {
 		return
 	}
-	ix := store.IndexData{Grammar: key.Grammar, Backend: key.Backend, Seq: v.seq, Epoch: v.epoch, Write: p.WriteIndex}
-	if err := s.store.SaveIndexFrom(key.Graph, ix); err != nil {
+	if err := s.store.SaveIndexFrom(key.Graph, indexData(key, re, v.seq, v.epoch, p)); err != nil {
 		s.obs.persistErrors.Inc()
 	}
+}
+
+// indexData saves the index p holds of re's slot key at seq and epoch. Its
+// Write withdraws the index once re is retired: it runs under the graph's
+// log lock, which a replacement's drop of the grammar's files takes too, so
+// a save that reaches the lock after the drop writes no file, whatever its
+// caller checked before.
+func indexData(key IndexKey, re *grammarEntry, seq, epoch uint64, p *cfpq.Prepared) store.IndexData {
+	return store.IndexData{Grammar: key.Grammar, Backend: key.Backend, Seq: seq, Epoch: epoch, Write: func(w io.Writer) error {
+		if re.retired.Load() {
+			return store.ErrIndexWithdrawn
+		}
+		return p.WriteIndex(w)
+	}}
 }
 
 // Snapshot folds the named graph's WAL into a fresh snapshot together
@@ -242,12 +257,18 @@ func (s *Service) foldIndexes(name string) func() []store.IndexData {
 // grammar slots: the data of each slot with a ready handle. Expr slots
 // are derived data, rebuilt on demand, and never saved.
 func (s *Service) savedIndexes(name string) (*graphEntry, []store.IndexData) {
+	type slot struct {
+		e  *indexEntry
+		re *grammarEntry
+	}
 	s.mu.Lock()
 	ge := s.graphs[name]
-	var entries []*indexEntry
+	var slots []slot
 	for k, e := range s.indexes {
 		if k.Graph == name && k.Expr == "" && e.ge == ge {
-			entries = append(entries, e)
+			// The registry drops a grammar's slots as it swaps the grammar:
+			// a slot it holds is of the grammar it names.
+			slots = append(slots, slot{e, s.grammars[k.Grammar]})
 		}
 	}
 	s.mu.Unlock()
@@ -265,18 +286,10 @@ func (s *Service) savedIndexes(name string) (*graphEntry, []store.IndexData) {
 	// watermark, which recovery re-applies idempotently.
 	seq, epoch := ge.indexed.Load(), ge.cur.Load().epoch
 	var indexes []store.IndexData
-	for _, e := range entries {
-		p, key := e.ready.Load(), e.key
-		if p == nil {
-			continue // unbuilt or stale
+	for _, sl := range slots {
+		if p := sl.e.ready.Load(); p != nil { // else unbuilt or stale
+			indexes = append(indexes, indexData(sl.e.key, sl.re, seq, epoch, p))
 		}
-		indexes = append(indexes, store.IndexData{
-			Grammar: key.Grammar,
-			Backend: key.Backend,
-			Seq:     seq,
-			Epoch:   epoch,
-			Write:   p.WriteIndex,
-		})
 	}
 	return ge, indexes
 }

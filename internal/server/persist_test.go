@@ -3,13 +3,16 @@ package server
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -1007,6 +1010,79 @@ func TestReplacedGraphGetsNoStaleIndex(t *testing.T) {
 	if n, err := count(ctx, s2, Target{Graph: "g", Grammar: "q"}, "S"); err != nil || n != 1 {
 		t.Fatalf("restarted service counts %d S-pairs (err %v), want 1", n, err)
 	}
+}
+
+// TestReplacedGrammarGetsNoStaleIndex: an index of a grammar that is
+// replaced while the index is being saved leaves no file under the new
+// grammar's text. The test parks an index save of its own in its Write,
+// holding the graph's log lock, so that the replacement's drop of the
+// grammar's files queues on that lock first and the build's save — its
+// grammar still the registered one — second. Released, the drop runs
+// before the save; the save must then write nothing, or a restart
+// warm-starts the old text's relations under the new one.
+func TestReplacedGrammarGetsNoStaleIndex(t *testing.T) {
+	dir := t.TempDir()
+	s := persistentService(t, dir)
+	if err := s.RegisterGraph("g", graph.Word([]string{"x", "x", "y", "y"}), nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.RegisterGrammar("q", "S -> x S y | x y"); err != nil {
+		t.Fatal(err)
+	}
+	_, epoch, err := s.store.GraphPos("g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	parked, release, held := make(chan struct{}), make(chan struct{}), make(chan error, 1)
+	go func() {
+		held <- s.store.SaveIndexFrom("g", store.IndexData{Grammar: "parked", Backend: "sparse", Epoch: epoch, Write: func(io.Writer) error {
+			close(parked)
+			<-release
+			return errors.New("the parked save writes nothing")
+		}})
+	}()
+	<-parked
+	replaced, built := make(chan error, 1), make(chan error, 1)
+	go func() { replaced <- s.RegisterGrammar("q", "S -> y S x | y x") }()
+	waitParked(t, "(*Store).DropGrammarIndexes")
+	go func() {
+		_, _, err := s.index(ctx, Target{Graph: "g", Grammar: "q"}.key())
+		built <- err
+	}()
+	waitParked(t, "(*Store).SaveIndexFrom")
+	close(release)
+	if err := <-held; err == nil {
+		t.Fatal("the parked save succeeded")
+	}
+	if err := errors.Join(<-replaced, <-built); err != nil {
+		t.Fatal(err)
+	}
+	if infos := s.store.Indexes("g"); len(infos) != 0 {
+		t.Fatalf("the replaced grammar left saved indexes %+v, want none", infos)
+	}
+	s2 := reopen(t, s, dir)
+	if n := s2.obs.warmStarts.Value(); n != 0 {
+		t.Fatalf("restart warm-started %d indexes, want none", n)
+	}
+	// x x y y holds no y-then-x path.
+	if n, err := count(ctx, s2, Target{Graph: "g", Grammar: "q"}, "S"); err != nil || n != 0 {
+		t.Fatalf("restarted service counts %d S-pairs (err %v), want 0", n, err)
+	}
+}
+
+// waitParked waits until a goroutine is blocked on a sync.Mutex inside fn,
+// named as stack traces print it.
+func waitParked(t *testing.T, fn string) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	for start := time.Now(); time.Since(start) < 10*time.Second; time.Sleep(time.Millisecond) {
+		for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+			if strings.Contains(g, "[sync.Mutex.Lock") && strings.Contains(g, fn) {
+				return
+			}
+		}
+	}
+	t.Fatalf("no goroutine parked on a mutex in %s", fn)
 }
 
 // TestConcurrentRegistrationsAgree races two registrations of each new

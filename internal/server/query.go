@@ -80,17 +80,27 @@ type QueryAnswer struct {
 // passes of a slot build this request runs (cfpq.WithTraceContext reaches
 // PrepareCNF) and nothing else.
 func (s *Service) Do(ctx context.Context, req QueryRequest) (QueryAnswer, error) {
+	ge, res, err := s.do(ctx, req)
+	if err != nil {
+		return QueryAnswer{}, err
+	}
+	return renderAnswer(ge, req, res), nil
+}
+
+// do is Do up to the Result, with the graph entry that names its nodes:
+// POST /v1/query writes the answer from it (writeAnswer).
+func (s *Service) do(ctx context.Context, req QueryRequest) (*graphEntry, *cfpq.Result, error) {
 	switch {
 	case req.Graph == "":
-		return QueryAnswer{}, errors.New("server: graph is required")
+		return nil, nil, errors.New("server: graph is required")
 	case req.Expr != "":
 		if req.Grammar != "" || req.Nonterminal != "" {
-			return QueryAnswer{}, errors.New("server: expr excludes grammar and nonterminal")
+			return nil, nil, errors.New("server: expr excludes grammar and nonterminal")
 		}
 	case req.Grammar == "":
-		return QueryAnswer{}, errors.New("server: grammar is required for nonterminal queries")
+		return nil, nil, errors.New("server: grammar is required for nonterminal queries")
 	case req.Nonterminal == "":
-		return QueryAnswer{}, errors.New("server: one of nonterminal or expr is required")
+		return nil, nil, errors.New("server: one of nonterminal or expr is required")
 	}
 	var passes []cfpq.PassEvent
 	if req.Trace {
@@ -103,27 +113,25 @@ func (s *Service) Do(ctx context.Context, req QueryRequest) (QueryAnswer, error)
 	t := Target{Graph: req.Graph, Grammar: req.Grammar, Backend: req.Backend}
 	ge, p, creq, err := s.resolve(ctx, t, req.Nonterminal, req.Expr, req.Sources, req.Targets)
 	if err != nil {
-		return QueryAnswer{}, err
+		return nil, nil, err
 	}
 	creq.Output = cfpq.Output(req.Output)
 	creq.Limit = req.Limit
 	creq.MaxPathLength = req.MaxPathLength
 	res, err := p.Do(ctx, creq)
 	if err != nil {
-		return QueryAnswer{}, s.noteErr(err)
+		return nil, nil, s.noteErr(err)
 	}
 	s.obs.queries.Inc()
 	res.Explain.Passes = passes
-	return renderAnswer(ge, req, res), nil
+	return ge, res, nil
 }
 
 // renderAnswer shapes a planner Result into the wire answer, resolving
-// node names through the graph's name table, pinned after the answer.
+// node names through the graph's name table, pinned after the answer. It
+// is the typed form of what writeAnswer writes.
 func renderAnswer(ge *graphEntry, req QueryRequest, res *cfpq.Result) QueryAnswer {
-	out := req.Output
-	if out == "" {
-		out = string(cfpq.OutputPairs)
-	}
+	out := answerOutput(req)
 	ans := QueryAnswer{Output: out, Explain: res.Explain, Stats: res.Stats}
 	switch cfpq.Output(out) {
 	case cfpq.OutputExists:
@@ -136,16 +144,7 @@ func renderAnswer(ge *graphEntry, req QueryRequest, res *cfpq.Result) QueryAnswe
 		count := res.Count
 		ans.Count = &count
 		ans.Truncated = res.Truncated
-		paths := res.AllPaths()
-		byID := ge.names.ByID()
-		ans.Paths = make([][]PathStep, len(paths))
-		for k, path := range paths {
-			steps := make([]PathStep, len(path))
-			for x, e := range path {
-				steps[x] = PathStep{From: graph.NameIn(byID, e.From), Label: e.Label, To: graph.NameIn(byID, e.To)}
-			}
-			ans.Paths[k] = steps
-		}
+		ans.Paths = namedPaths(ge.names.ByID(), res.AllPaths())
 	default: // pairs
 		count := res.Count
 		ans.Count = &count
@@ -153,4 +152,26 @@ func renderAnswer(ge *graphEntry, req QueryRequest, res *cfpq.Result) QueryAnswe
 		ans.Pairs = ge.named(res.AllPairs())
 	}
 	return ans
+}
+
+// answerOutput is the output an answer names: the request's, pairs by
+// default.
+func answerOutput(req QueryRequest) string {
+	if req.Output == "" {
+		return string(cfpq.OutputPairs)
+	}
+	return req.Output
+}
+
+// namedPaths resolves witness paths' node names through byID.
+func namedPaths(byID []string, paths [][]cfpq.Edge) [][]PathStep {
+	out := make([][]PathStep, len(paths))
+	for k, path := range paths {
+		steps := make([]PathStep, len(path))
+		for x, e := range path {
+			steps[x] = PathStep{From: graph.NameIn(byID, e.From), Label: e.Label, To: graph.NameIn(byID, e.To)}
+		}
+		out[k] = steps
+	}
+	return out
 }

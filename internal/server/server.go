@@ -24,11 +24,14 @@
 //     its own) and node tokens to the graph entry, the cached handle and a
 //     cfpq.Request, behind POST /v1/query, /v1/query/batch and
 //     /v1/subscribe. The only closure a request can run is a slot's build.
-//   - graphEntry.named resolves result pairs to node names, for query
-//     answers, batch answers and SSE events alike. A live subscription is
-//     the library's cfpq.Subscription, streamed as it is; its one record
-//     here is its entry in the live set behind the /metrics gauges, removed
-//     when its request ends.
+//   - one answer writer (answer.go) puts result pairs on the wire, for
+//     query answers, batch answers and SSE events alike: it names them
+//     through the name table as it appends their JSON to a pooled buffer,
+//     in the bytes encoding/json writes for the typed answers that
+//     Service.Do and QueryBatch return (graphEntry.named names those). A
+//     live subscription is the library's cfpq.Subscription, streamed as
+//     it is; its one record here is its entry in the live set behind the
+//     /metrics gauges, removed when its request ends.
 //
 // Concurrency design. No reader waits on a write. A query resolves a built
 // slot through indexEntry.ready (an atomic pointer, no entry lock), and the
@@ -263,6 +266,9 @@ type grammarEntry struct {
 	gram *cfpq.Grammar
 	cnf  *cfpq.CNF
 	src  string
+	// retired is set once a replacement is about to drop the grammar's
+	// saved indexes: no index of it is saved after (see indexData).
+	retired atomic.Bool
 }
 
 // IndexKey identifies one cached closure index: a registry grammar's, or
@@ -484,7 +490,17 @@ func (s *Service) registerGrammar(name, text string) error {
 		// warm-start under the new one. In this order a crash between the
 		// two steps costs a rebuild; the reverse order would leave old
 		// indexes that type-check against the new grammar (non-terminal
-		// names often coincide) and silently serve stale relations.
+		// names often coincide) and silently serve stale relations. The
+		// old entry is retired first, so that a save of its index that
+		// reaches the graph's log lock after the drop writes nothing. A
+		// replacement that fails after this leaves the old entry serving,
+		// its indexes unsaved: a restart rebuilds them.
+		s.mu.Lock()
+		old := s.grammars[name]
+		s.mu.Unlock()
+		if old != nil {
+			old.retired.Store(true)
+		}
 		if err := s.store.DropGrammarIndexes(name); err != nil {
 			return storeFault(err)
 		}
@@ -871,11 +887,28 @@ type BatchAnswer struct {
 // otherwise issue many POST /v1/query calls against the same (graph,
 // grammar) pair.
 func (s *Service) QueryBatch(ctx context.Context, t Target, specs []BatchQuerySpec) ([]BatchAnswer, error) {
-	e, p, err := s.index(ctx, t.key())
+	ge, answers, pairs, err := s.queryBatch(ctx, t, specs)
 	if err != nil {
 		return nil, err
 	}
+	for i, a := range answers {
+		if a.Error == "" && (a.Op == "relation" || a.Op == "relation-from") {
+			answers[i].Pairs = ge.named(pairs[i])
+		}
+	}
+	return answers, nil
+}
+
+// queryBatch is QueryBatch with the relation answers' pairs left unnamed:
+// pairs[i] are answers[i]'s, and the graph entry names them. POST
+// /v1/query/batch writes the answers from them (writeBatch).
+func (s *Service) queryBatch(ctx context.Context, t Target, specs []BatchQuerySpec) (*graphEntry, []BatchAnswer, [][]cfpq.Pair, error) {
+	e, p, err := s.index(ctx, t.key())
+	if err != nil {
+		return nil, nil, nil, err
+	}
 	answers := make([]BatchAnswer, len(specs))
+	pairs := make([][]cfpq.Pair, len(specs))
 	reqs := make([]cfpq.Request, 0, len(specs))
 	slot := make([]int, 0, len(specs)) // batch index → specs index
 	v := e.ge.cur.Load()
@@ -912,10 +945,10 @@ func (s *Service) QueryBatch(ctx context.Context, t Target, specs []BatchQuerySp
 		default: // relation, relation-from
 			count := r.Result.Count
 			answers[i].Count = &count
-			answers[i].Pairs = e.ge.named(r.Result.AllPairs())
+			pairs[i] = r.Result.AllPairs()
 		}
 	}
-	return answers, nil
+	return e.ge, answers, pairs, nil
 }
 
 // specRequest translates one batch spec into a declarative Request.

@@ -34,13 +34,6 @@ type SubscribeRequest struct {
 	Targets     []string `json:"targets"`
 }
 
-// wirePairBatch is the data payload of one SSE "pairs" event.
-type wirePairBatch struct {
-	Seq    uint64      `json:"seq"`
-	Resync bool        `json:"resync,omitempty"`
-	Pairs  []NamedPair `json:"pairs"`
-}
-
 // subscribe registers a standing query against the target's cached index
 // (building it on first use, exactly like a query would) and returns the
 // library subscription with the graph entry that names its pairs.
@@ -196,11 +189,10 @@ func (s *Service) serveSubscribe(w http.ResponseWriter, r *http.Request) {
 			if b.Resync {
 				s.obs.subResyncs.Inc()
 			}
-			payload, err := json.Marshal(wirePairBatch{Seq: b.Seq, Resync: b.Resync, Pairs: ge.named(b.Pairs)})
-			if err != nil {
-				return
-			}
-			fmt.Fprintf(w, "id: %d\nevent: pairs\ndata: %s\n\n", b.Seq, payload)
+			j := getJSONBuf(true)
+			j.event(ge.names.ByID(), b)
+			_, _ = w.Write(j.b)
+			j.free()
 			fl.Flush()
 		}
 	}

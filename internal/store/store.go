@@ -677,7 +677,9 @@ func (l *Log) AppendEdges(edges []graph.Edge) error {
 // IndexData is one evaluated index to persist: a closure over the first
 // Seq edges of stream Epoch, whose CFPQIDX3 payload Write streams into the
 // index file. It is refused unless Epoch is the graph's: an index of a
-// replaced graph speaks of another node namespace.
+// replaced graph speaks of another node namespace. Write runs under the
+// graph's log lock, and may withdraw the index by returning
+// ErrIndexWithdrawn: the save then writes nothing and reports no error.
 type IndexData struct {
 	Grammar string
 	Backend string
@@ -685,6 +687,11 @@ type IndexData struct {
 	Epoch   uint64
 	Write   func(io.Writer) error
 }
+
+// ErrIndexWithdrawn is what an IndexData's Write returns to withdraw its
+// index from a save — the serving layer's, when the grammar was replaced
+// while the save waited for the log lock.
+var ErrIndexWithdrawn = errors.New("store: index withdrawn")
 
 // Snapshot folds a graph's WAL into a fresh snapshot (see fold) and
 // truncates the log; the optional indexes are written alongside. Appends
@@ -1025,9 +1032,13 @@ func (s *Store) saveIndexLocked(gl *graphLog, ix IndexData) error {
 		return err
 	}
 	path := filepath.Join(dir, encodeName(ix.Grammar)+"@"+ix.Backend+indexExt)
-	return writeFileAtomic(path, !s.opts.NoSync, func(w io.Writer) error {
+	err := writeFileAtomic(path, !s.opts.NoSync, func(w io.Writer) error {
 		return writeIndexFile(w, ix.Seq, ix.Write)
 	})
+	if errors.Is(err, ErrIndexWithdrawn) {
+		return nil
+	}
+	return err
 }
 
 // DropGrammarIndexes removes every saved index built for the named

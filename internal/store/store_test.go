@@ -883,6 +883,32 @@ func TestFoldSkipsIndexThatFailsToSave(t *testing.T) {
 	}
 }
 
+// TestWithdrawnIndexSavesNothing: an index whose Write withdraws it saves
+// no file and no error, from SaveIndexFrom and from a Snapshot alike, and
+// the snapshot goes on.
+func TestWithdrawnIndexSavesNothing(t *testing.T) {
+	s := mustOpen(t, t.TempDir())
+	defer s.Close()
+	g, names := sampleGraph()
+	if err := s.CreateGraph("g", g, names); err != nil {
+		t.Fatal(err)
+	}
+	_, epoch, _ := s.GraphPos("g")
+	withdrawn := IndexData{Grammar: "q", Backend: "sparse", Epoch: epoch, Write: func(io.Writer) error { return ErrIndexWithdrawn }}
+	if err := s.SaveIndexFrom("g", withdrawn); err != nil {
+		t.Fatalf("SaveIndexFrom of a withdrawn index: %v", err)
+	}
+	if err := s.Snapshot("g", []IndexData{withdrawn}); err != nil {
+		t.Fatalf("Snapshot beside a withdrawn index: %v", err)
+	}
+	if got := s.Indexes("g"); len(got) != 0 {
+		t.Errorf("Indexes = %+v, want none", got)
+	}
+	if s.Stats().Snapshots == 0 {
+		t.Error("the snapshot was not written")
+	}
+}
+
 func TestOpenRejectsForeignDir(t *testing.T) {
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, manifestName), []byte("something else"), 0o644); err != nil {

@@ -190,13 +190,13 @@ func (p *Prepared) answer(ctx context.Context, v *version, req Request) (*Result
 			return res, nil
 		}
 		// Stopping at the first entry is finding one.
-		res.Exists = !scan(v.ix, nt, req.Sources, req.Targets, func(int, int) bool { return false })
+		res.Exists = !scan(v.ix, nt, sourceRows(req.Sources, n), req.Targets, func(int, int) bool { return false })
 	case OutputCount:
 		if req.Sources == nil && req.Targets == nil {
 			res.Count = v.ix.Count(nt)
 			return res, nil
 		}
-		scan(v.ix, nt, req.Sources, req.Targets, func(int, int) bool {
+		scan(v.ix, nt, sourceRows(req.Sources, n), req.Targets, func(int, int) bool {
 			res.Count++
 			return true
 		})
@@ -210,8 +210,12 @@ func (p *Prepared) answer(ctx context.Context, v *version, req Request) (*Result
 		if lookahead > 0 {
 			lookahead++
 		}
+		rows := sourceRows(req.Sources, n)
 		var pairs []Pair
-		scan(v.ix, nt, req.Sources, req.Targets, func(i, j int) bool {
+		if bound := pairsBound(v.ix, nt, rows, req.Targets, lookahead); bound > 0 {
+			pairs = make([]Pair, 0, bound)
+		}
+		scan(v.ix, nt, rows, req.Targets, func(i, j int) bool {
 			pairs = append(pairs, Pair{I: i, J: j})
 			return lookahead == 0 || len(pairs) < lookahead
 		})
@@ -227,12 +231,12 @@ func (p *Prepared) answer(ctx context.Context, v *version, req Request) (*Result
 
 // scan calls visit for the entries of R_nt satisfying the restriction, in
 // row-major order, until visit returns false; it reports whether it ran to
-// the end. A source restriction reads
-// just the rows of its sorted, de-duplicated in-range sources — the cost of
-// "what does this node reach" is that node's row, not the relation; only a
-// read without one ranges over the whole matrix. nil restrictions are
-// unrestricted; out-of-range nodes can have no pairs and are dropped.
-func scan(ix *Index, nt string, sources, targets []int, visit func(i, j int) bool) bool {
+// the end. A source restriction, given as sourceRows, reads just its rows —
+// the cost of "what does this node reach" is that node's row, not the
+// relation; only a read without one (nil rows) ranges over the whole
+// matrix. nil targets are unrestricted; out-of-range targets can have no
+// pairs and are dropped.
+func scan(ix *Index, nt string, rows, targets []int, visit func(i, j int) bool) bool {
 	m := ix.Matrix(nt)
 	n := ix.Nodes()
 	var inTargets []bool // nil = every column
@@ -245,13 +249,28 @@ func scan(ix *Index, nt string, sources, targets []int, visit func(i, j int) boo
 		}
 	}
 	each := func(i, j int) bool { return (inTargets != nil && !inTargets[j]) || visit(i, j) }
-	if sources == nil {
+	if rows == nil {
 		done := true
 		m.Range(func(i, j int) bool {
 			done = each(i, j)
 			return done
 		})
 		return done
+	}
+	for _, i := range rows {
+		if !m.RangeRow(i, func(j int) bool { return each(i, j) }) {
+			return false
+		}
+	}
+	return true
+}
+
+// sourceRows is the rows a source restriction reads: its in-range sources,
+// sorted and de-duplicated. nil (unrestricted) stays nil, and an empty
+// restriction reads no row.
+func sourceRows(sources []int, n int) []int {
+	if sources == nil {
+		return nil
 	}
 	rows := make([]int, 0, len(sources))
 	for _, i := range sources {
@@ -260,12 +279,30 @@ func scan(ix *Index, nt string, sources, targets []int, visit func(i, j int) boo
 		}
 	}
 	slices.Sort(rows)
-	for _, i := range slices.Compact(rows) {
-		if !m.RangeRow(i, func(j int) bool { return each(i, j) }) {
-			return false
-		}
+	return slices.Compact(rows)
+}
+
+// pairsBound is the most pairs a scan of R_nt over rows can visit — the
+// relation's nnz, or the lengths of the rows — capped at limit when limit
+// is positive; the pairs slice of a read is allocated once at that size.
+// It is 0 under a target restriction, which can leave a handful of pairs
+// of a whole relation: such a read grows its slice as it goes.
+func pairsBound(ix *Index, nt string, rows, targets []int, limit int) int {
+	if targets != nil {
+		return 0
 	}
-	return true
+	m := ix.Matrix(nt)
+	bound := 0
+	if rows == nil {
+		bound = m.Nnz()
+	}
+	for _, i := range rows {
+		m.RangeRow(i, func(int) bool { bound++; return true })
+	}
+	if limit > 0 {
+		bound = min(bound, limit)
+	}
+	return bound
 }
 
 // UpdateInfo reports what one AddEdges call did.

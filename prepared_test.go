@@ -109,6 +109,34 @@ func TestPreparedBasics(t *testing.T) {
 // node-growing ones — through AddEdges and checks after every batch that
 // the patched index matches a from-scratch closure of an identically
 // mutated graph.
+// TestPairsAllocatedOnce: a pairs read allocates its slice once, at its
+// final size — the relation's nnz unrestricted, the limit's one-pair
+// lookahead for a page, the sources' rows for a source-restricted read —
+// and a target-restricted read does not size it by the relation.
+func TestPairsAllocatedOnce(t *testing.T) {
+	g := NewGraph(0)
+	for i := range 40 {
+		g.AddEdge(i, "a", i+1)
+	}
+	p := mustPrepare(t, NewEngine(Sparse), g, "S -> a | a S")
+	for _, c := range []struct {
+		req         Request
+		n, capacity int
+	}{
+		{Request{Nonterminal: "S"}, 820, 820},
+		{Request{Nonterminal: "S", Limit: 100}, 100, 101},
+		{Request{Nonterminal: "S", Limit: 1000}, 820, 820},
+		{Request{Nonterminal: "S", Sources: []int{3, 0, 3, 99}}, 77, 77},
+		{Request{Nonterminal: "S", Sources: []int{}}, 0, 0},
+		{Request{Nonterminal: "S", Targets: []int{1}}, 1, 1},
+	} {
+		pairs := read(t, p, c.req).AllPairs()
+		if len(pairs) != c.n || cap(pairs) != c.capacity {
+			t.Errorf("%+v: %d pairs in a slice of capacity %d, want %d in %d", c.req, len(pairs), cap(pairs), c.n, c.capacity)
+		}
+	}
+}
+
 func TestPreparedPatchAgreesWithColdRebuild(t *testing.T) {
 	const text = "S -> a S b | a b"
 	eng := NewEngine(Sparse)
