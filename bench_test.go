@@ -133,41 +133,103 @@ func BenchmarkPreparedQueryBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkWarmStartTail prices what a warm start pays for the WAL tail its
-// index file does not cover: LoadIndex, then one Update over a tail of k
-// batches, on g3 under Query 1. Each batch is a seeded random subClassOf
-// edge between two existing nodes plus its inverse, as the serving
-// benchmark's writer sends them. The cost grows faster than k, so a writer
-// that gets more written between folds lengthens a recovery by more than
-// it wrote.
-func BenchmarkWarmStartTail(b *testing.B) {
-	ctx := context.Background()
+// subClassOfBatches returns next, which yields one batch as the serving
+// benchmark's writer sends it: a seeded random subClassOf edge between two
+// existing nodes of g that no earlier batch drew, plus its inverse.
+func subClassOfBatches(g *cfpq.Graph) (next func() []cfpq.Edge) {
+	rng := rand.New(rand.NewSource(1))
+	seen := g.Clone()
+	return func() []cfpq.Edge {
+		for {
+			x, y := rng.Intn(g.Nodes()), rng.Intn(g.Nodes())
+			if x == y || seen.HasEdge(x, "subClassOf", y) {
+				continue
+			}
+			seen.AddEdge(x, "subClassOf", y)
+			return []cfpq.Edge{{From: x, Label: "subClassOf", To: y}, {From: y, Label: "subClassOf_r", To: x}}
+		}
+	}
+}
+
+// g3Query1 returns g3, Query 1 in CNF, and its index.
+func g3Query1(b *testing.B, eng *cfpq.Engine) (*cfpq.Graph, *cfpq.CNF, *cfpq.Index) {
 	d, _ := dataset.ByName("g3")
 	g := d.Build()
 	cnf, err := cfpq.ToCNF(dataset.Query1())
 	if err != nil {
 		b.Fatal(err)
 	}
-	eng := cfpq.NewEngine(cfpq.Sparse)
-	ix, _, err := eng.Evaluate(ctx, g, cnf)
+	ix, _, err := eng.Evaluate(context.Background(), g, cnf)
 	if err != nil {
 		b.Fatal(err)
 	}
+	return g, cnf, ix
+}
+
+// BenchmarkUpdateOneEdge prices one serving write in process: a
+// subClassOfBatches batch through Prepared.AddEdges on g3 under Query 1,
+// which forks the index, propagates the two edges and hands back the
+// update's Delta. The handle keeps every batch, as a server does.
+func BenchmarkUpdateOneEdge(b *testing.B) {
+	ctx := context.Background()
+	eng := cfpq.NewEngine(cfpq.Sparse)
+	g, cnf, ix := g3Query1(b, eng)
+	p, err := eng.PrepareFromIndex(g, cnf, ix)
+	if err != nil {
+		b.Fatal(err)
+	}
+	next := subClassOfBatches(g)
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := p.AddEdges(ctx, next()...); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkAddEdgesTail prices one large batch with its Delta: a fresh
+// handle over g3's Query 1 index takes 880 subClassOfBatches batches, 1760
+// edges, in one AddEdges (which also copies the graph, as a handle's first
+// write does).
+func BenchmarkAddEdgesTail(b *testing.B) {
+	ctx := context.Background()
+	eng := cfpq.NewEngine(cfpq.Sparse)
+	g, cnf, ix := g3Query1(b, eng)
+	next := subClassOfBatches(g)
+	var tail []cfpq.Edge
+	for len(tail) < 1760 {
+		tail = append(tail, next()...)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		p, err := eng.PrepareFromIndex(g, cnf, ix)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if info, err := p.AddEdges(ctx, tail...); err != nil || info.Delta.Empty() {
+			b.Fatalf("AddEdges: err %v, empty delta %v", err, info.Delta.Empty())
+		}
+	}
+}
+
+// BenchmarkWarmStartTail prices what a warm start pays for the WAL tail its
+// index file does not cover: LoadIndex, then one Update over a tail of k
+// subClassOfBatches batches, on g3 under Query 1. The cost grows faster than
+// k, so a writer that gets more written between folds lengthens a recovery
+// by more than it wrote.
+func BenchmarkWarmStartTail(b *testing.B) {
+	ctx := context.Background()
+	eng := cfpq.NewEngine(cfpq.Sparse)
+	g, cnf, ix := g3Query1(b, eng)
 	var file bytes.Buffer
 	if err := cfpq.SaveIndex(&file, ix); err != nil {
 		b.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(1))
-	seen := g.Clone()
+	next := subClassOfBatches(g)
 	var tail []cfpq.Edge
 	for _, k := range []int{250, 500, 1000, 2000} {
 		for len(tail) < 2*k {
-			x, y := rng.Intn(g.Nodes()), rng.Intn(g.Nodes())
-			if x == y || seen.HasEdge(x, "subClassOf", y) {
-				continue
-			}
-			seen.AddEdge(x, "subClassOf", y)
-			tail = append(tail, cfpq.Edge{From: x, Label: "subClassOf", To: y}, cfpq.Edge{From: y, Label: "subClassOf_r", To: x})
+			tail = append(tail, next()...)
 		}
 		b.Run(fmt.Sprint(k), func(b *testing.B) {
 			b.ReportAllocs()

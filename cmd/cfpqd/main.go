@@ -90,10 +90,10 @@
 //
 // Live queries: POST /v1/subscribe holds the same JSON request open as a
 // Server-Sent Events stream, pushing one "pairs" event per edge batch that
-// derives new matching pairs (computed from the update's delta matrices,
-// never by re-running the query). Events carry sequence ids for
-// Last-Event-ID resume; followers serve the route too, fed by the
-// replicated-apply path:
+// derives new matching pairs (the pairs the update derived, never a
+// re-run of the query). Events carry sequence ids for Last-Event-ID
+// resume; followers serve the route too, fed by the replicated-apply
+// path:
 //
 //	curl -N -X POST -d '{"graph":"wine","grammar":"samegen","nonterminal":"S"}' \
 //	     localhost:8080/v1/subscribe

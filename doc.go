@@ -114,9 +114,9 @@
 //
 // A standing Request can be subscribed instead of polled:
 // Prepared.Subscribe registers it and returns a Subscription delivering
-// one PairBatch per AddEdges that derives new matching pairs — computed
-// from the incremental closure's own delta matrices (what UpdateInfo.Delta
-// exposes), never by diffing full results:
+// one PairBatch per AddEdges that derives new matching pairs — the pairs
+// the incremental closure's passes derived (what UpdateInfo.Delta
+// exposes), never a diff of full results:
 //
 //	sub, _ := p.Subscribe(ctx, cfpq.Request{Nonterminal: "S", Targets: tgts})
 //	for batch := range sub.Batches() { ... } // batch.Pairs: just-derived pairs

@@ -96,10 +96,10 @@ func (e *Engine) AllPaths(ctx context.Context, g *Graph, ix *Index, start string
 // recomputing the closure (dynamic CFPQ): only the consequences of the new
 // edges are propagated. Frontier matrices come from the index's own
 // backend, whatever backend this engine was built with. Edges that grow
-// the node set transparently resize the index in place first.
+// the node set transparently resize the index in place first. It collects
+// no Delta (Prepared.AddEdges does): a warm start replays its WAL this way.
 func (e *Engine) Update(ctx context.Context, ix *Index, edges ...Edge) (Stats, error) {
-	st, _, err := e.newCore().UpdateContext(ctx, ix, edges...)
-	return st, err
+	return e.newCore().ApplyContext(ctx, ix, edges...)
 }
 
 // LoadIndex reads an index previously written by SaveIndex, materialised

@@ -10,60 +10,54 @@ import (
 	"cfpq/internal/matrix"
 )
 
-// Delta is the per-nonterminal relation of newly derived pairs of one
-// index update: exactly the bits the update added that were not in the
-// index before. UpdateContext returns the union of its seed frontier and
-// every propagation pass. A Delta is immutable once returned and safe to
-// read concurrently.
+// Delta is the per-nonterminal list of newly derived pairs of one index
+// update — exactly the bits it added that the index did not hold — each in
+// row-major order. UpdateContext collects it as a coordinate list, like
+// GraphBLAS's pending tuples: each pass appends its frontier's bits as
+// packed keys, which need no merge (a semi-naive pass never derives a bit
+// twice), and one sort on return orders them. A Delta is immutable once
+// returned and safe to read concurrently.
 type Delta struct {
-	cnf  *grammar.CNF
-	n    int
-	mats []matrix.Bool // indexed like Index.mats; nil or empty = nothing new
+	cnf   *grammar.CNF
+	n     int
+	pairs [][]matrix.Pair // indexed like Index.mats; nil = nothing new
 }
 
 // EmptyDelta returns the delta of an update that derived nothing, over the
 // index's current shape — also what a serving layer reports for an update
 // it abandoned before publishing.
 func EmptyDelta(ix *Index) *Delta {
-	return &Delta{cnf: ix.cnf, n: ix.n, mats: make([]matrix.Bool, len(ix.mats))}
+	return &Delta{cnf: ix.cnf, n: ix.n, pairs: make([][]matrix.Pair, len(ix.mats))}
 }
 
 // Nodes returns the node range the delta's pairs index into.
 func (d *Delta) Nodes() int { return d.n }
 
 // Empty reports whether the update derived nothing new.
-func (d *Delta) Empty() bool { return !anySet(d.mats) }
+func (d *Delta) Empty() bool {
+	return !slices.ContainsFunc(d.pairs, func(p []matrix.Pair) bool { return p != nil })
+}
 
 // Pairs returns the newly derived pairs of one non-terminal in row-major
-// order; unknown non-terminals and untouched relations return nil.
+// order; unknown non-terminals and untouched relations return nil. The
+// slice is the Delta's own: callers read it and must not write it.
 func (d *Delta) Pairs(nt string) []matrix.Pair {
-	a, ok := d.cnf.Index(nt)
-	if !ok || d.mats[a] == nil || d.mats[a].Nnz() == 0 {
-		return nil
+	if a, ok := d.cnf.Index(nt); ok {
+		return d.pairs[a]
 	}
-	return matrix.Pairs(d.mats[a])
+	return nil
 }
 
 // Nonterminals returns the names whose relations gained at least one pair,
 // in the grammar's nonterminal order.
 func (d *Delta) Nonterminals() []string {
 	var out []string
-	for a, m := range d.mats {
-		if m != nil && m.Nnz() > 0 {
+	for a, p := range d.pairs {
+		if p != nil {
 			out = append(out, d.cnf.Names[a])
 		}
 	}
 	return out
-}
-
-// or folds src into the accumulated delta. An empty slot takes a copy, not
-// src itself: src is a frontier matrix the coming passes clear and refill.
-func (d *Delta) or(a int, src matrix.Bool) {
-	if d.mats[a] == nil {
-		d.mats[a] = src.Clone()
-		return
-	}
-	d.mats[a].Or(src)
 }
 
 // UpdateContext incorporates newly added graph edges into an already-closed
@@ -87,8 +81,9 @@ func (d *Delta) or(a int, src matrix.Bool) {
 //
 // UpdateContext returns closure statistics for the incremental run (zero
 // iterations means the edges added nothing new) and the update's Delta: the
-// union of every newly derived pair — seed bits plus each propagation pass
-// — which is exactly what a live-query subscriber must be pushed.
+// pairs of the seed and of every propagation pass — which is exactly what a
+// live-query subscriber must be pushed. A caller that reads no delta, such
+// as a warm start replaying its journal, runs ApplyContext instead.
 // Cancellation is cooperative, between passes. On cancellation, or when a
 // pass would outgrow the engine's memory budget (*MemoryBudgetError), the
 // index is sound (every bit justified) but the consequences of the new edges
@@ -98,7 +93,33 @@ func (d *Delta) or(a int, src matrix.Bool) {
 // anything is allocated: the index is untouched, not even grown. Callers that
 // must not serve a partially propagated state run the update on a Fork and
 // publish it only on success (what cfpq.Prepared does), or rebuild.
-func (e *Engine) UpdateContext(ctx context.Context, ix *Index, edges ...graph.Edge) (stats Stats, _ *Delta, err error) {
+func (e *Engine) UpdateContext(ctx context.Context, ix *Index, edges ...graph.Edge) (Stats, *Delta, error) {
+	start := time.Now()
+	keys := make([][]uint64, len(ix.mats))
+	stats, err := e.update(ctx, ix, edges, keys)
+	d := EmptyDelta(ix)
+	for a, k := range keys {
+		if len(k) > 0 {
+			slices.Sort(k)
+			d.pairs[a] = make([]matrix.Pair, len(k))
+			for i, key := range k {
+				d.pairs[a][i] = matrix.Pair{I: int(key >> 32), J: int(uint32(key))}
+			}
+		}
+	}
+	stats.Duration = time.Since(start)
+	return stats, d, err
+}
+
+// ApplyContext is UpdateContext for a caller that reads no Delta: the same
+// closure, leaving the same index, with nothing collected per pass.
+func (e *Engine) ApplyContext(ctx context.Context, ix *Index, edges ...graph.Edge) (Stats, error) {
+	return e.update(ctx, ix, edges, nil)
+}
+
+// update runs the closure; with keys non-nil, one slot per non-terminal,
+// the seed and every pass append their frontier's bits to it, unsorted.
+func (e *Engine) update(ctx context.Context, ix *Index, edges []graph.Edge, keys [][]uint64) (stats Stats, err error) {
 	start := time.Now()
 	defer func() { stats.Duration = time.Since(start) }()
 	maxNode := -1
@@ -107,10 +128,9 @@ func (e *Engine) UpdateContext(ctx context.Context, ix *Index, edges ...graph.Ed
 	}
 	n := max(ix.n, maxNode+1)
 	if err := e.admit(ix, n, &stats); err != nil {
-		return stats, EmptyDelta(ix), err
+		return stats, err
 	}
 	ix.Grow(n)
-	acc := EmptyDelta(ix)
 	f := newFrontier(ix, nil)
 	// The update's event chain starts from the pre-update index, so its
 	// per-pass deltas telescope to exactly the bits this update added.
@@ -126,20 +146,22 @@ func (e *Engine) UpdateContext(ctx context.Context, ix *Index, edges ...graph.Ed
 		}
 	}
 	if !f.any() {
-		return stats, acc, nil
+		return stats, nil
 	}
-	// fold adds the frontier's genuinely-new bits to the returned delta.
-	fold := func() int {
-		for a, m := range f.delta {
-			if f.live[a] {
-				acc.or(a, m)
+	var collect func() int
+	if keys != nil {
+		collect = func() int {
+			for a, m := range f.delta {
+				if f.live[a] {
+					keys[a] = matrix.AppendKeys(keys[a], m)
+				}
 			}
+			return 0
 		}
-		return 0
+		collect()
 	}
-	pt.endPass(0, fold())
-	err = e.closure(ctx, ix, f, pt, &stats, fold)
-	return stats, acc, err
+	pt.endPass(0, 0)
+	return stats, e.closure(ctx, ix, f, pt, &stats, collect)
 }
 
 // frontier is the working state of the fixpoint loop: delta, the bits the
@@ -253,7 +275,8 @@ func (f *frontier) any() bool {
 //	RunContext         the whole initialised index   —
 //	  … with meets     the same; step's meet rule    —
 //	SinglePathContext  the same                      stamp Δ with lengths
-//	UpdateContext      the bits of new edges         fold Δ into the Delta
+//	UpdateContext      the bits of new edges         append Δ's keys to the Delta
+//	ApplyContext       the same                      —
 //	RunFromContext     the rows of an active set     activate Δ's columns
 //
 // Seeded with T₀ it walks exactly the paper's states T₀, T₁, … pass for
@@ -288,7 +311,7 @@ func (e *Engine) closure(ctx context.Context, ix *Index, f *frontier, pt *passTr
 // products, next_A keeps what was new to it), and makes next the coming
 // pass's frontier. The old Δ is cleared, and its storage holds the pass
 // after next's products: nothing outside the frontier keeps a row of it
-// — Absorb, Delta.or and the meet rule copy what they keep. Any new
+// — Absorb, the Delta's keys and the meet rule copy what they keep. Any new
 // entry must involve at least one newly added operand entry, so no product
 // the full T × T would find is missed; a product whose Δ operand is empty
 // is not run, and not counted, and while Δ is the whole index the two
@@ -372,15 +395,4 @@ func (e *Engine) step(ix *Index, f *frontier, stats *Stats) (products int, _ err
 	f.delta, f.next = f.next, f.delta
 	f.live, f.grown, f.whole = f.grown, f.live, false
 	return products, nil
-}
-
-// anySet reports whether any matrix of a working set holds a bit; nil
-// slots count as empty.
-func anySet(mats []matrix.Bool) bool {
-	for _, m := range mats {
-		if m != nil && m.Nnz() > 0 {
-			return true
-		}
-	}
-	return false
 }

@@ -77,7 +77,8 @@ func (ev PassEvent) TotalDelta() int {
 // pointer test and no allocations.
 type Trace struct {
 	// Pass is called after the seeding step and after every fixpoint pass
-	// of RunContext, CloseContext, RunFromContext and UpdateContext.
+	// of RunContext, CloseContext, RunFromContext, UpdateContext and
+	// ApplyContext.
 	Pass func(PassEvent)
 }
 

@@ -30,8 +30,14 @@ type Names struct {
 // NewNames builds the table of an n-node graph from its id → name slice
 // ("" = unnamed; entries at or beyond n are dropped). The slice is copied.
 func NewNames(n int, byID []string) *Names {
-	t := &Names{byID: make([]string, n), ids: map[string]int{}}
-	copy(t.byID, byID)
+	t := &Names{byID: make([]string, n)}
+	named := 0
+	for _, name := range byID[:copy(t.byID, byID)] {
+		if name != "" {
+			named++
+		}
+	}
+	t.ids = make(map[string]int, named)
 	for id, name := range t.byID {
 		if name != "" {
 			t.ids[name] = id

@@ -190,6 +190,27 @@ func RangeRows(m Bool, fn func(i int, cols []int32) bool) {
 	}
 }
 
+// AppendKeys appends m's set entries to dst as packed keys i<<32 | j and
+// returns the extended slice: a sparse matrix's through its live rows, so
+// at the cost of what it holds and in no row order, a dense one's by a
+// scan of its bitmap. It is how an update collects its Delta.
+func AppendKeys(dst []uint64, m Bool) []uint64 {
+	if s, ok := m.(*SparseMatrix); ok {
+		for _, i := range s.live {
+			for _, j := range s.rows[i] {
+				dst = append(dst, uint64(i)<<32|uint64(j))
+			}
+		}
+		return dst
+	}
+	keys := dst // the closure moves keys to the heap, here only, not dst
+	m.Range(func(i, j int) bool {
+		keys = append(keys, uint64(i)<<32|uint64(j))
+		return true
+	})
+	return keys
+}
+
 // LiveRows returns the number of m's non-empty rows: the length of a sparse
 // matrix's live list, or a scan of a dense matrix's rows.
 func LiveRows(m Bool) int {

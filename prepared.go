@@ -316,12 +316,12 @@ type UpdateInfo struct {
 	// Stats is the incremental closure work of the call, whether or not
 	// its result was published.
 	Stats Stats `json:"stats"`
-	// Delta is the per-nonterminal relation of pairs the version this call
-	// published holds beyond the previous one — the incremental closure's
-	// own frontier union, and exactly what subscribers were pushed. A call
-	// that published nothing (every edge a duplicate; or the update was
-	// cancelled or stopped by the memory budget and abandoned) reports an
-	// empty, non-nil Delta; the successful call that later absorbs an
+	// Delta is the per-nonterminal list of pairs the version this call
+	// published holds beyond the previous one — the pairs the incremental
+	// closure's passes derived, exactly what subscribers were pushed. A
+	// call that published nothing (every edge a duplicate; or the update
+	// was cancelled or stopped by the memory budget and abandoned) reports
+	// an empty, non-nil Delta; the successful call that later absorbs an
 	// abandoned update's edges reports their pairs too, so the
 	// concatenation of Deltas is always the exact history of the relation.
 	Delta *Delta `json:"-"`

@@ -9,9 +9,9 @@ import (
 	"cfpq/internal/core"
 )
 
-// Delta is the per-nonterminal relation of newly derived pairs of one
-// index update — what AddEdges exposes on UpdateInfo and what
-// subscriptions are fed from. See Prepared.Subscribe.
+// Delta is the per-nonterminal list of newly derived pairs of one index
+// update — what AddEdges exposes on UpdateInfo and what subscriptions are
+// fed from. See Prepared.Subscribe.
 type Delta = core.Delta
 
 // subscriptionBuffer is the bounded per-subscriber channel capacity. A
@@ -47,8 +47,8 @@ type PairBatch struct {
 }
 
 // Subscription is a standing pairs Request against a Prepared handle: each
-// AddEdges that derives new pairs pushes a PairBatch computed from the
-// incremental closure's delta matrices — never by diffing full results.
+// AddEdges that derives new pairs pushes a PairBatch of the pairs the
+// incremental closure derived — never a diff of full results.
 // Obtain one with Prepared.Subscribe; consume Updates (or Batches); Close
 // when done.
 type Subscription struct {
@@ -298,8 +298,8 @@ func (p *Prepared) Close() {
 	p.mu.Unlock()
 }
 
-// deltaPairs materialises an update's delta in the shape the hub retains
-// and filters: the newly derived pairs per non-terminal.
+// deltaPairs puts an update's delta in the shape the hub retains and
+// filters: the Delta's own read-only pair lists, per non-terminal.
 func deltaPairs(d *Delta) map[string][]Pair {
 	pairs := make(map[string][]Pair)
 	for _, nt := range d.Nonterminals() {
