@@ -215,8 +215,13 @@ func BenchmarkAddEdgesTail(b *testing.B) {
 // BenchmarkWarmStartTail prices what a warm start pays for the WAL tail its
 // index file does not cover: LoadIndex, then one Update over a tail of k
 // subClassOfBatches batches, on g3 under Query 1. The cost grows faster than
-// k, so a writer that gets more written between folds lengthens a recovery
-// by more than it wrote.
+// k, so a writer that gets more written between saves lengthens a recovery
+// by more than it wrote. The checkpointed cases take the same k batches one
+// at a time into a handle whose index is saved again whenever the pairs
+// derived since the last save pass a quarter of the saved file's, as
+// cfpqd's checkpoint does, and price loading the last file and replaying
+// the batches after it: their time follows the index's size (reported as
+// file-pairs), which the k batches grow, not the length of the tail.
 func BenchmarkWarmStartTail(b *testing.B) {
 	ctx := context.Background()
 	eng := cfpq.NewEngine(cfpq.Sparse)
@@ -225,23 +230,64 @@ func BenchmarkWarmStartTail(b *testing.B) {
 	if err := cfpq.SaveIndex(&file, ix); err != nil {
 		b.Fatal(err)
 	}
-	next := subClassOfBatches(g)
-	var tail []cfpq.Edge
-	for _, k := range []int{250, 500, 1000, 2000} {
-		for len(tail) < 2*k {
-			tail = append(tail, next()...)
-		}
-		b.Run(fmt.Sprint(k), func(b *testing.B) {
+	ks := []int{250, 500, 1000, 2000}
+	replay := func(name string, file []byte, pairs int, tail []cfpq.Edge) {
+		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {
-				ix, err := eng.LoadIndex(bytes.NewReader(file.Bytes()), cnf)
+				ix, err := eng.LoadIndex(bytes.NewReader(file), cnf)
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := eng.Update(ctx, ix, tail[:2*k]...); err != nil {
+				if _, err := eng.Update(ctx, ix, tail...); err != nil {
 					b.Fatal(err)
 				}
 			}
+			b.ReportMetric(float64(pairs), "file-pairs")
+			b.ReportMetric(float64(len(tail)/2), "tail-batches")
 		})
+	}
+	built := 0
+	for _, c := range ix.Counts() {
+		built += c
+	}
+	next := subClassOfBatches(g)
+	var tail []cfpq.Edge
+	for _, k := range ks {
+		for len(tail) < 2*k {
+			tail = append(tail, next()...)
+		}
+		replay(fmt.Sprint(k), file.Bytes(), built, tail[:2*k])
+	}
+
+	p, err := eng.PrepareFromIndex(g, cnf, ix)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var saved []byte
+	var since []cfpq.Edge
+	derived, filed := 0, 0
+	save := func() {
+		var buf bytes.Buffer
+		if err := p.WriteIndex(&buf); err != nil {
+			b.Fatal(err)
+		}
+		saved, since, derived, filed = buf.Bytes(), nil, 0, p.Stats().Entries
+	}
+	save()
+	next, batches := subClassOfBatches(g), 0
+	for _, k := range ks {
+		for ; batches < k; batches++ {
+			batch := next()
+			info, err := p.AddEdges(ctx, batch...)
+			if err != nil {
+				b.Fatal(err)
+			}
+			since = append(since, batch...)
+			if derived += info.Delta.Len(); derived > filed/4 {
+				save()
+			}
+		}
+		replay(fmt.Sprintf("checkpointed-%d", k), saved, filed, since)
 	}
 }

@@ -249,7 +249,7 @@
 //
 // Library users compose the same pieces directly:
 //
-//	p.WriteIndex(w)                         // persist a handle's index (CFPQIDX3)
+//	p.WriteIndex(w)                         // persist a handle's index (CFPQIDX4)
 //	ix, _ := eng.LoadIndex(r, cnf)          // reload it (backend recorded in the header)
 //	p, _ := eng.PrepareFromIndex(g, cnf, ix) // serve it — Build stats stay zero
 //	st.Log(name).AppendEdges(edges)         // journal a batch before p.AddEdges

@@ -104,8 +104,8 @@ func (e *Engine) Update(ctx context.Context, ix *Index, edges ...Edge) (Stats, e
 
 // LoadIndex reads an index previously written by SaveIndex, materialised
 // with this engine's backend. The CNF must be the grammar the index was
-// computed for. An index in the retired CFPQIDX2 format is refused with an
-// error that says so: rebuild it and save it again.
+// computed for. An index in a retired format (CFPQIDX3, CFPQIDX2) is
+// refused with an error that names it: rebuild it and save it again.
 func (e *Engine) LoadIndex(r io.Reader, cnf *CNF) (*Index, error) {
 	return core.ReadIndex(r, cnf, e.backend.mat())
 }

@@ -37,7 +37,7 @@ type Config struct {
 	CountOnly  bool
 	EmptyPaths bool
 	Names      bool
-	// SaveIndex persists the evaluated closure index (CFPQIDX3) to this
+	// SaveIndex persists the evaluated closure index (CFPQIDX4) to this
 	// path after answering; LoadIndex answers from a previously saved
 	// index instead of running the closure (the warm-start path). Both
 	// are relational-semantics only.
@@ -81,7 +81,7 @@ func ParseArgs(args []string, stderr io.Writer) (*Config, error) {
 	fs.BoolVar(&cfg.Names, "names", false, "print IRIs instead of node ids")
 	fs.StringVar(&cfg.SaveIndex, "save-index", "",
 		"after answering, save the evaluated closure index to this file\n"+
-			"(CFPQIDX3; reload with -load-index to skip the closure)")
+			"(CFPQIDX4; reload with -load-index to skip the closure)")
 	fs.StringVar(&cfg.LoadIndex, "load-index", "",
 		"answer from an index previously saved with -save-index instead of\n"+
 			"running the closure (grammar and graph must match the saved run)")
@@ -325,7 +325,7 @@ func executeWithIndex(ctx context.Context, cfg *Config, g *cfpq.Graph, names *gr
 		ix, err = eng.LoadIndex(f, cnf)
 		f.Close()
 		if errors.Is(err, core.ErrRetiredIndex) {
-			return fmt.Errorf("cfpq: %s is an index in the retired CFPQIDX2 format — rebuild it with -save-index", cfg.LoadIndex)
+			return fmt.Errorf("cfpq: %s: %w (with -save-index)", cfg.LoadIndex, err)
 		}
 		if err != nil {
 			return err

@@ -328,10 +328,10 @@ func TestSaveLoadIndexRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLoadRetiredIndex: an index file in the retired CFPQIDX2 format is
-// refused with an error that names the format and says how to rebuild it,
-// not as a bad magic. The reader refuses such a file by its magic alone,
-// so a saved file restamped with it stands in for one.
+// TestLoadRetiredIndex: an index file in a retired format, CFPQIDX3 or
+// CFPQIDX2, is refused with an error that names the format and says how to
+// rebuild it, not as a bad magic. The reader refuses such a file by its
+// magic alone, so a saved file restamped with it stands in for one.
 func TestLoadRetiredIndex(t *testing.T) {
 	dir := t.TempDir()
 	gpath := writeFile(t, dir, "g.nt", sampleNT)
@@ -343,17 +343,19 @@ func TestLoadRetiredIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(ixPath)
-	if err != nil || !bytes.HasPrefix(raw, []byte("CFPQIDX3")) {
-		t.Fatalf("saved index starts %q (err %v), want CFPQIDX3", raw[:min(8, len(raw))], err)
+	if err != nil || !bytes.HasPrefix(raw, []byte("CFPQIDX4")) {
+		t.Fatalf("saved index starts %q (err %v), want CFPQIDX4", raw[:min(8, len(raw))], err)
 	}
-	copy(raw, "CFPQIDX2")
-	if err := os.WriteFile(ixPath, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	cfg = &Config{GraphPath: gpath, QueryPath: qpath, Start: "S", Backend: "sparse", Semantics: "relational", LoadIndex: ixPath}
-	err = Run(ctx, cfg, &out)
-	if err == nil || !strings.Contains(err.Error(), "retired CFPQIDX2 format") || !strings.Contains(err.Error(), "-save-index") {
-		t.Errorf("loading a CFPQIDX2 file: err = %v, want one naming the retired format and -save-index", err)
+	for _, magic := range []string{"CFPQIDX3", "CFPQIDX2"} {
+		copy(raw, magic)
+		if err := os.WriteFile(ixPath, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		cfg = &Config{GraphPath: gpath, QueryPath: qpath, Start: "S", Backend: "sparse", Semantics: "relational", LoadIndex: ixPath}
+		err = Run(ctx, cfg, &out)
+		if err == nil || !strings.Contains(err.Error(), "retired "+magic+" format") || !strings.Contains(err.Error(), "-save-index") {
+			t.Errorf("loading a %s file: err = %v, want one naming the retired format and -save-index", magic, err)
+		}
 	}
 }
 

@@ -177,7 +177,7 @@ func coldWideCases(tb testing.TB) []struct {
 }
 
 // BenchmarkColdWide measures, per cold_wide case on the sparse backend, a
-// cold RunContext, the index's CFPQIDX3 encode, and its in-place decode
+// cold RunContext, the index's CFPQIDX4 encode, and its in-place decode
 // with DecodeIndex. The encode streams into io.Discard: a server streams it into
 // the index file and buffers none of it, so the encode's own cost is what
 // a cold build adds. Run with -benchmem: the allocation columns are what a

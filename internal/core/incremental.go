@@ -33,6 +33,14 @@ func EmptyDelta(ix *Index) *Delta {
 // Nodes returns the node range the delta's pairs index into.
 func (d *Delta) Nodes() int { return d.n }
 
+// Len returns the number of pairs the update derived.
+func (d *Delta) Len() (n int) {
+	for _, p := range d.pairs {
+		n += len(p)
+	}
+	return n
+}
+
 // Empty reports whether the update derived nothing new.
 func (d *Delta) Empty() bool {
 	return !slices.ContainsFunc(d.pairs, func(p []matrix.Pair) bool { return p != nil })

@@ -25,7 +25,7 @@ import (
 //
 // Layout of the current format (fixed-width integers little-endian):
 //
-//	magic "CFPQIDX3"
+//	magic "CFPQIDX4"
 //	uint16 backendNameLen, backend name bytes
 //	uint32 nodeCount
 //	uint32 nonterminalCount
@@ -34,34 +34,36 @@ import (
 //	    uint32 nnz
 //	    uint32 liveRows
 //	    liveRows × (uvarint rowGap, uvarint rowLen)
-//	    nnz × uint32 col
+//	    nnz × uvarint colGap
 //
 // Each relation is its hypersparse CSR arrays (Buluç & Gilbert's DCSC, as
 // GraphBLAS serialises it): the non-empty rows in increasing order, each
 // as its distance from the one before (the first's from −1, so every gap
 // is at least 1) and its entry count, then the columns of every row, row
-// after row, increasing within a row. A row header takes two bytes while
-// its gap and length are under 128, so a pair costs its four column bytes
-// and its share of its row's header.
+// after row, each row's gap-coded the same way, as posting lists are
+// (Witten, Moffat & Bell, Managing Gigabytes). A row header takes two
+// bytes while its gap and length are under 128, and a column one byte
+// while it lies within 127 of the one before it.
 //
-// CFPQIDX2, the pair-list format this one replaced, is refused with
-// ErrRetiredIndex: a saved closure is derived data, rebuilt and saved
-// again rather than converted. Any other magic — the backend-less
-// "CFPQIDX1" of early releases included — is rejected as bad.
+// The retired formats — CFPQIDX3, whose columns were uint32s, and
+// CFPQIDX2, a pair list — are refused with ErrRetiredIndex: a saved closure
+// is derived data, rebuilt and saved again rather than converted. Any
+// other magic — the backend-less "CFPQIDX1" of early releases included —
+// is rejected as bad.
 //
 // The grammar itself is NOT serialised (names only): the reader supplies
 // the CNF, and names must match exactly. This keeps the index format
 // stable under grammar-text round-trips and forces the caller to pair the
 // index with the grammar it was built from.
 
-const (
-	indexMagic   = "CFPQIDX3"
-	retiredMagic = "CFPQIDX2"
-)
+const indexMagic = "CFPQIDX4"
 
-// ErrRetiredIndex is the error ReadIndex returns for an index in the
-// retired CFPQIDX2 format.
-var ErrRetiredIndex = errors.New("core: the index is in the retired CFPQIDX2 format; rebuild it and save it again")
+// retiredMagics are the formats ReadIndex refuses with ErrRetiredIndex.
+var retiredMagics = []string{"CFPQIDX3", "CFPQIDX2"}
+
+// ErrRetiredIndex is what the error ReadIndex returns for an index in a
+// retired format wraps; the error names the format.
+var ErrRetiredIndex = errors.New("rebuild it and save it again")
 
 // MaxIndexNodes bounds the node count ReadIndex accepts. Matrix
 // allocation is driven by the declared node count before any entry is
@@ -77,7 +79,7 @@ var MaxIndexNodes = 1 << 26
 // streams through it in O(1) memory, whatever it holds.
 const indexChunk = 16 << 10
 
-// WriteTo serialises the index in the CFPQIDX3 format, recording the
+// WriteTo serialises the index in the CFPQIDX4 format, recording the
 // backend the matrices were allocated from. It encodes each relation
 // straight from the matrices' row storage (matrix.RangeRows) — a pass for
 // the row headers, then one for the columns — into one indexChunk-sized
@@ -150,44 +152,48 @@ func (e *indexWriter) header(i int, cols []int32) bool {
 	return true
 }
 
-// columns encodes a row's columns, as many at a time as the buffer holds.
+// columns encodes a row's columns as gaps, as many at a time as the buffer
+// holds at five bytes a gap.
 func (e *indexWriter) columns(_ int, cols []int32) bool {
-	if b := e.buf; len(b)+4*len(cols) <= cap(b) { // the whole row fits, the common case
-		out := b[len(b) : len(b)+4*len(cols)]
-		for x, j := range cols {
-			le.PutUint32(out[4*x:], uint32(j))
-		}
-		e.buf = b[:len(b)+4*len(cols)]
-		return true
-	}
-	for len(cols) > 0 && e.room(4) {
+	prev := int32(-1)
+	for len(cols) > 0 && e.room(binary.MaxVarintLen32) {
 		b := e.buf
-		k := min(len(cols), (cap(b)-len(b))/4)
-		out := b[len(b) : len(b)+4*k]
-		for x, j := range cols[:k] {
-			le.PutUint32(out[4*x:], uint32(j))
+		k := min(len(cols), (cap(b)-len(b))/binary.MaxVarintLen32)
+		for _, j := range cols[:k] {
+			switch gap := j - prev; {
+			case gap < 1<<7: // the common case
+				b = append(b, byte(gap))
+			case gap < 1<<14:
+				b = append(b, byte(gap)|0x80, byte(gap>>7))
+			default:
+				b = binary.AppendUvarint(b, uint64(gap))
+			}
+			prev = j
 		}
-		e.buf, cols = b[:len(b)+4*k], cols[k:]
+		e.buf, cols = b, cols[k:]
 	}
 	return e.err == nil
 }
 
-// encodedLen returns the length of the index's CFPQIDX3 encoding, computed
-// from the header fields, each relation's row headers and its Nnz: 4 bytes
-// a column.
+// encodedLen returns the length of the index's CFPQIDX4 encoding, computed
+// from the header fields and each relation's rows.
 func (ix *Index) encodedLen() int64 {
 	size := int64(len(indexMagic) + 2 + len(ix.backend.Name()) + 4 + 4)
 	for a, m := range ix.mats {
-		size += int64(2+len(ix.cnf.Names[a])+8+rowHeaders(m)) + 4*int64(m.Nnz())
+		size += int64(2 + len(ix.cnf.Names[a]) + 8 + rowsLen(m))
 	}
 	return size
 }
 
-// rowHeaders returns the bytes of m's CFPQIDX3 row headers.
-func rowHeaders(m matrix.Bool) (size int) {
+// rowsLen returns the bytes of m's CFPQIDX4 row headers and columns.
+func rowsLen(m matrix.Bool) (size int) {
 	prev := -1
 	matrix.RangeRows(m, func(i int, cols []int32) bool {
 		size, prev = size+uvarintLen(i-prev)+uvarintLen(len(cols)), i
+		last := int32(-1)
+		for _, j := range cols {
+			size, last = size+uvarintLen(int(j-last)), j
+		}
 		return true
 	})
 	return size
@@ -219,25 +225,25 @@ func ReadIndex(r io.Reader, cnf *grammar.CNF, be matrix.Backend) (*Index, error)
 	return DecodeIndex(buf.Bytes(), cnf, be)
 }
 
-// DecodeIndex decodes a CFPQIDX3 index in place. The supplied CNF must be
+// DecodeIndex decodes a CFPQIDX4 index in place. The supplied CNF must be
 // the grammar the index was computed for: non-terminal names and count are
 // validated. Matrices are materialised with the given backend; nil means
 // the backend recorded in the file (falling back to sparse for unknown
 // names). Each relation's declared entry and row counts are checked
 // against the bytes left before anything is allocated for it; its row
-// headers are then decoded into a row list, and its column block, in
+// headers are then decoded into a row list, and its column gaps, in
 // place, into the one array the matrix adopts (matrix.FromCSR). A payload
 // WriteTo cannot have written is refused: rows out of order, empty or out
-// of range, row lengths that do not sum to the entry count, columns out of
-// order, repeated or out of range within a row, an overlong uvarint, or
-// bytes after the last relation.
+// of range, row lengths that do not sum to the entry count, a zero column
+// gap (a repeated column), a column out of range, an overlong or
+// overflowing uvarint, or bytes after the last relation.
 func DecodeIndex(data []byte, cnf *grammar.CNF, be matrix.Backend) (*Index, error) {
 	in := indexReader{b: data}
 	switch magic := in.next(len(indexMagic)); {
 	case in.err != nil:
 		return nil, fmt.Errorf("core: reading index magic: %w", in.err)
-	case string(magic) == retiredMagic:
-		return nil, ErrRetiredIndex
+	case slices.Contains(retiredMagics, string(magic)):
+		return nil, fmt.Errorf("core: the index is in the retired %s format; %w", magic, ErrRetiredIndex)
 	case string(magic) != indexMagic:
 		return nil, fmt.Errorf("core: bad index magic %q", magic)
 	}
@@ -275,31 +281,31 @@ func DecodeIndex(data []byte, cnf *grammar.CNF, be matrix.Backend) (*Index, erro
 		if ix.mats[a] != nil {
 			return nil, fmt.Errorf("core: duplicate non-terminal %q in index", name)
 		}
-		// A row header takes at least two bytes and a column four.
-		if live > nnz || nnz > math.MaxInt32 || 2*uint64(live)+4*uint64(nnz) > uint64(in.left()) {
+		// A row header takes at least two bytes and a column one.
+		if live > nnz || nnz > math.MaxInt32 || 2*uint64(live)+uint64(nnz) > uint64(in.left()) {
 			return nil, fmt.Errorf("core: %q declares %d entries in %d rows, %d bytes remain", name, nnz, live, in.left())
 		}
 		rows, ends, cols := make([]int32, live), make([]int32, live), make([]int32, nnz)
 		row, end, b := -1, 0, in.b
 		for k := range rows {
+			start := end
 			// A header of two one-byte fields, the common case, inline.
-			if p := in.off; p+1 < len(b) && b[p]|b[p+1] < 0x80 && in.err == nil {
+			if p := in.off; p+1 < len(b) && b[p]|b[p+1] < 0x80 {
 				row, end, in.off = row+int(b[p]), end+int(b[p+1]), p+2
 			} else {
 				row += in.uvarint(n)
 				end += in.uvarint(n)
 			}
-			if row >= n || end > int(nnz) {
-				return nil, fmt.Errorf("core: %q: row %d ends at entry %d, past %d nodes or %d entries", name, row, end, n, nnz)
+			switch {
+			case in.err != nil:
+				return nil, fmt.Errorf("core: %q: %w", name, in.err)
+			case row >= n || end > int(nnz) || end == start:
+				return nil, fmt.Errorf("core: %q: row %d ends at entry %d, past %d nodes or %d entries, or empty", name, row, end, n, nnz)
 			}
 			rows[k], ends[k] = int32(row), int32(end)
 		}
-		block := in.next(4 * int(nnz))
-		if in.err != nil {
-			return nil, fmt.Errorf("core: %q: %w", name, in.err)
-		}
-		for k := range cols {
-			cols[k] = int32(le.Uint32(block[4*k : 4*k+4]))
+		if err := in.columns(n, ends, cols); err != nil {
+			return nil, fmt.Errorf("core: %q: %w", name, err)
 		}
 		m, err := matrix.FromCSR(be, n, rows, ends, cols)
 		if err != nil {
@@ -314,7 +320,7 @@ func DecodeIndex(data []byte, cnf *grammar.CNF, be matrix.Backend) (*Index, erro
 }
 
 // indexReader reads an encoded index in place. The first read past its
-// end, or of a malformed row header, sets err; every read after it yields
+// end, or of a malformed uvarint, sets err; every read after it yields
 // zeros.
 type indexReader struct {
 	b   []byte
@@ -352,8 +358,49 @@ func (r *indexReader) str() []byte {
 	return r.next(k)
 }
 
-// uvarint reads a row header field: a minimally encoded uvarint of at most
-// limit.
+// columns decodes the gap-coded columns of the rows ending at ends into
+// cols, gaps of up to three bytes inline.
+func (r *indexReader) columns(n int, ends, cols []int32) error {
+	if r.err != nil {
+		return r.err
+	}
+	b, off, k := r.b, r.off, 0
+	for _, end := range ends {
+		for col := -1; k < int(end); k++ {
+			gap := -1
+			if off+2 < len(b) {
+				x0, x1, x2 := int(b[off]), int(b[off+1]), int(b[off+2])
+				switch {
+				case x0 < 0x80:
+					gap, off = x0, off+1
+				case uint(x1-1) < 0x7f: // a last byte of 1 to 127: minimal
+					gap, off = x0&0x7f|x1<<7, off+2
+				case x1 >= 0x80 && uint(x2-1) < 0x7f:
+					gap, off = x0&0x7f|(x1&0x7f)<<7|x2<<14, off+3
+				}
+			}
+			if gap < 0 { // a longer gap, or one among the last bytes
+				r.off = off
+				if gap = r.uvarint(n); r.err != nil {
+					return r.err
+				}
+				off = r.off
+			}
+			switch col += gap; {
+			case gap == 0:
+				return fmt.Errorf("core: a zero column gap before byte %d repeats column %d", off, col)
+			case col >= n:
+				return fmt.Errorf("core: column %d before byte %d is past %d nodes", col, off, n)
+			}
+			cols[k] = int32(col)
+		}
+	}
+	r.off = off
+	return nil
+}
+
+// uvarint reads a row header field or a column gap: a minimally encoded
+// uvarint of at most limit.
 func (r *indexReader) uvarint(limit int) int {
 	if r.err != nil {
 		return 0
@@ -363,7 +410,7 @@ func (r *indexReader) uvarint(limit int) int {
 	case k <= 0 || k > 1 && r.b[r.off+k-1] == 0:
 		r.err = fmt.Errorf("core: truncated or overlong uvarint at byte %d", r.off)
 	case x > uint64(limit):
-		r.err = fmt.Errorf("core: row header field %d at byte %d exceeds %d nodes", x, r.off, limit)
+		r.err = fmt.Errorf("core: field %d at byte %d exceeds %d nodes", x, r.off, limit)
 	}
 	if r.err != nil {
 		return 0

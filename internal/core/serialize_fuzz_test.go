@@ -31,8 +31,8 @@ func FuzzReadIndex(f *testing.F) {
 	// strangling the fuzzer's throughput without exercising anything new.
 	MaxIndexNodes = 1 << 12
 	cnf := grammar.MustParseCNF("S -> a S b | a b")
-	// Seeds: real CFPQIDX3 images (recorded sparse and dense), a
-	// truncation, a CFPQIDX1 and a CFPQIDX2 image (formats no longer read,
+	// Seeds: real CFPQIDX4 images (recorded sparse and dense), truncations,
+	// a CFPQIDX1, a CFPQIDX2 and a CFPQIDX3 image (formats no longer read,
 	// which must be rejected cleanly), garbage, and images that break one
 	// rule each of the strict decoder.
 	g := graph.New(0)
@@ -47,15 +47,17 @@ func FuzzReadIndex(f *testing.F) {
 	}
 	good := buf.Bytes()
 	f.Add(good)
-	f.Add(good[:len(good)-3])
+	for _, cut := range []int{1, 3, len(good) / 2} {
+		f.Add(good[:len(good)-cut])
+	}
 	legacy := append([]byte("CFPQIDX1"), good[len(indexMagic)+2+len("sparse"):]...)
 	f.Add(legacy)
-	f.Add([]byte("CFPQIDX3 garbage follows the magic"))
-	// A column out of order within a row, and a repeated one: WriteTo
-	// never writes either, and ReadIndex must refuse both.
-	for name, edit := range map[string]func(cols []byte){
-		"out of order": func(cols []byte) { cols[0], cols[4] = cols[4], cols[0] },
-		"repeated":     func(cols []byte) { copy(cols[4:8], cols[:4]) },
+	f.Add([]byte("CFPQIDX4 garbage follows the magic"))
+	// A repeated column (a zero gap) and one past the nodes: WriteTo never
+	// writes either, and ReadIndex must refuse both.
+	for name, edit := range map[string]func(gaps []byte){
+		"repeated":       func(gaps []byte) { gaps[1] = 0 },
+		"past the nodes": func(gaps []byte) { gaps[0] = 0x7f },
 	} {
 		bad := bytes.Clone(good)
 		edit(relationColumns(f, bad, "S"))
@@ -64,11 +66,12 @@ func FuzzReadIndex(f *testing.F) {
 		}
 		f.Add(bad)
 	}
-	v2 := encodeV2(ix)
-	if _, err := ReadIndex(bytes.NewReader(v2), cnf, matrix.Sparse()); !errors.Is(err, ErrRetiredIndex) {
-		f.Fatalf("a CFPQIDX2 image: err = %v, want ErrRetiredIndex", err)
+	for _, retired := range [][]byte{encodeV2(ix), encodeV3(ix)} {
+		if _, err := ReadIndex(bytes.NewReader(retired), cnf, matrix.Sparse()); !errors.Is(err, ErrRetiredIndex) {
+			f.Fatalf("a %s image: err = %v, want ErrRetiredIndex", retired[:len(indexMagic)], err)
+		}
+		f.Add(retired)
 	}
-	f.Add(v2)
 	dense, _, _ := NewEngine(WithBackend(matrix.Dense())).RunContext(context.Background(), g, cnf)
 	buf.Reset()
 	if _, err := dense.WriteTo(&buf); err != nil {
@@ -76,15 +79,18 @@ func FuzzReadIndex(f *testing.F) {
 	}
 	f.Add(bytes.Clone(buf.Bytes()))
 	f.Add(append(bytes.Clone(good), 0))
-	valid := relation{nnz: 3, live: 2, headers: []uint64{1, 2, 2, 1}, cols: []uint32{1, 3, 3}}
+	valid := relation{nnz: 3, live: 2, headers: []uint64{1, 2, 2, 1}, gaps: []uint64{2, 2, 4}}
 	f.Add(rawIndex(cnf, 5, "S", valid))
 	for _, r := range []relation{
-		{nnz: 3, live: 2, headers: []uint64{1, 2, 0, 1}, cols: []uint32{1, 3, 3}},
-		{nnz: 3, live: 2, headers: []uint64{1, 2, 5, 1}, cols: []uint32{1, 3, 3}},
-		{nnz: 3, live: 2, headers: []uint64{1, 0, 2, 3}, cols: []uint32{1, 3, 3}},
-		{nnz: 3, live: 2, headers: []uint64{1, 2, 2, 1}, cols: []uint32{1, 9, 3}},
-		{nnz: 3, live: 2, headers: []uint64{1, 2, 2}, rawHeaders: []byte{0x81, 0x00}, cols: []uint32{1, 3, 3}},
-		{nnz: 1 << 30, live: 1, headers: []uint64{1, 1}, cols: []uint32{0}},
+		{nnz: 3, live: 2, headers: []uint64{1, 2, 0, 1}, gaps: []uint64{2, 2, 4}},
+		{nnz: 3, live: 2, headers: []uint64{1, 2, 5, 1}, gaps: []uint64{2, 2, 4}},
+		{nnz: 3, live: 2, headers: []uint64{1, 0, 2, 3}, gaps: []uint64{2, 2, 4}},
+		{nnz: 3, live: 2, headers: []uint64{1, 2, 2, 1}, gaps: []uint64{2, 0, 4}},
+		{nnz: 3, live: 2, headers: []uint64{1, 2, 2, 1}, gaps: []uint64{2, 2, 200}},
+		{nnz: 3, live: 2, headers: []uint64{1, 2, 2}, rawHeaders: []byte{0x81, 0x00}, gaps: []uint64{2, 2, 4}},
+		{nnz: 3, live: 2, headers: []uint64{1, 2, 2, 1}, gaps: []uint64{2, 2}, rawGaps: []byte{0x84, 0x00}},
+		{nnz: 3, live: 2, headers: []uint64{1, 2, 2, 1}, gaps: []uint64{2, 2}},
+		{nnz: 1 << 30, live: 1, headers: []uint64{1, 1}, gaps: []uint64{1}},
 	} {
 		f.Add(rawIndex(cnf, 5, "S", r))
 	}
@@ -112,7 +118,7 @@ func FuzzReadIndex(f *testing.F) {
 }
 
 // relationColumns returns the column block of the named relation inside a
-// CFPQIDX3 image, for editing in place.
+// CFPQIDX4 image, for editing in place.
 func relationColumns(tb testing.TB, raw []byte, nt string) []byte {
 	tb.Helper()
 	in := indexReader{b: raw, off: len(indexMagic)}
@@ -121,15 +127,20 @@ func relationColumns(tb testing.TB, raw []byte, nt string) []byte {
 	for k := uint32(0); k < nn; k++ {
 		name := string(in.str())
 		nnz, live := in.u32(), in.u32()
-		for k := uint32(0); k < 2*live; k++ {
+		ends := make([]int32, live)
+		for k := range ends {
 			in.uvarint(int(n))
+			ends[k] = int32(in.uvarint(int(n)))
+			if k > 0 {
+				ends[k] += ends[k-1]
+			}
 		}
-		cols := in.next(4 * int(nnz))
-		if in.err != nil {
-			tb.Fatal(in.err)
+		start := in.off
+		if err := in.columns(int(n), ends, make([]int32, nnz)); err != nil || in.err != nil {
+			tb.Fatal(err, in.err)
 		}
 		if name == nt {
-			return cols
+			return raw[start:in.off]
 		}
 	}
 	tb.Fatalf("no relation %q in the image", nt)

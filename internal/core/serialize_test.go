@@ -55,15 +55,15 @@ func TestIndexRoundTrip(t *testing.T) {
 	}
 }
 
-// TestIndexBytesPinned pins the CFPQIDX3 encoding of the paper's Figure 5
+// TestIndexBytesPinned pins the CFPQIDX4 encoding of the paper's Figure 5
 // example, closed on each backend: however the relations are built and
 // held in memory, the bytes on disk do not move. The encoding also reads
 // back, through a reader that reports its length, through one that does
 // not, and from a file, to an index that encodes to the same bytes.
 func TestIndexBytesPinned(t *testing.T) {
 	pins := map[string]string{
-		"dense":  "77edd2db0b658c6c959647e27bcb604b3c00e3944d7c5b670947d4dfd8bb65e6",
-		"sparse": "1eb5b8b2f92c689a8c530ac05c80edc2f1d213dfd3ba3d1695229b440ced5af9",
+		"dense":  "105067c13c6ce5b2d69b03e736a3acbaf95eb34b9a22c4004e2ff1c47443c3cf",
+		"sparse": "a728789c31b0ccdc422ad6e3b952f54b3a4f66e05ec42f19b8a7c4b6b61c9ed1",
 	}
 	cnf := grammar.MustParseCNF(paperCNF)
 	for _, be := range matrix.Backends() {
@@ -78,7 +78,7 @@ func TestIndexBytesPinned(t *testing.T) {
 		}
 		sum := sha256.Sum256(buf.Bytes())
 		if got := hex.EncodeToString(sum[:]); got != pins[be.Name()] {
-			t.Errorf("%s: CFPQIDX3 bytes hash to %s, pinned %s", be.Name(), got, pins[be.Name()])
+			t.Errorf("%s: CFPQIDX4 bytes hash to %s, pinned %s", be.Name(), got, pins[be.Name()])
 		}
 		// A file that Stat sizes, read from past its start.
 		path := filepath.Join(t.TempDir(), "index")
@@ -156,11 +156,13 @@ func TestReadIndexErrors(t *testing.T) {
 	if _, err := ReadIndex(bytes.NewReader(v1), cnf, nil); err == nil || !strings.Contains(err.Error(), "bad index magic") {
 		t.Errorf("CFPQIDX1 file: err = %v, want bad index magic", err)
 	}
-	// Nor is the pair-list CFPQIDX2 this format replaced (what
-	// Engine.LoadIndex returns), and the error names it and says to rebuild.
-	if _, err := ReadIndex(bytes.NewReader(encodeV2(ix)), cnf, nil); !errors.Is(err, ErrRetiredIndex) ||
-		!strings.Contains(err.Error(), "CFPQIDX2") || !strings.Contains(err.Error(), "rebuild") {
-		t.Errorf("CFPQIDX2 file: err = %v, want ErrRetiredIndex", err)
+	// Nor are the retired CFPQIDX3 and CFPQIDX2 (what Engine.LoadIndex
+	// returns), and the error names the format found and says to rebuild.
+	for magic, image := range map[string][]byte{"CFPQIDX3": encodeV3(ix), "CFPQIDX2": encodeV2(ix)} {
+		if _, err := ReadIndex(bytes.NewReader(image), cnf, nil); !errors.Is(err, ErrRetiredIndex) ||
+			!strings.Contains(err.Error(), "retired "+magic+" format") || !strings.Contains(err.Error(), "rebuild") {
+			t.Errorf("%s file: err = %v, want ErrRetiredIndex naming it", magic, err)
+		}
 	}
 	// Wrong grammar (different non-terminal set).
 	other := grammar.MustParseCNF("Z -> a\nY -> b")
@@ -170,7 +172,7 @@ func TestReadIndexErrors(t *testing.T) {
 }
 
 func TestIndexRecordsBackend(t *testing.T) {
-	// CFPQIDX3 records the computing backend: reading with a nil backend
+	// CFPQIDX4 records the computing backend: reading with a nil backend
 	// must materialise the exact representation the index was built with.
 	cnf := grammar.MustParseCNF("S -> a S b | a b")
 	g := graph.Cycle(6, "a")
@@ -262,7 +264,7 @@ func (f *failAfter) Write(p []byte) (int, error) {
 func TestWriteToStopsAtTheFirstFailedWrite(t *testing.T) {
 	cnf := grammar.MustParseCNF("S -> a S b | a b")
 	g := graph.New(0)
-	for i := range 3000 {
+	for i := range 4000 {
 		g.AddEdge(i, "a", i+1)
 		g.AddEdge(i+1, "b", i)
 	}
@@ -284,7 +286,7 @@ func TestWriteToStopsAtTheFirstFailedWrite(t *testing.T) {
 func encodeV2(ix *Index) []byte {
 	le := binary.LittleEndian
 	str := func(b []byte, s string) []byte { return append(le.AppendUint16(b, uint16(len(s))), s...) }
-	out := str([]byte(retiredMagic), ix.backend.Name())
+	out := str([]byte("CFPQIDX2"), ix.backend.Name())
 	out = le.AppendUint32(le.AppendUint32(out, uint32(ix.n)), uint32(len(ix.mats)))
 	for a, m := range ix.mats {
 		out = le.AppendUint32(str(out, ix.cnf.Names[a]), uint32(m.Nnz()))
@@ -296,14 +298,35 @@ func encodeV2(ix *Index) []byte {
 	return out
 }
 
-// relation is a CFPQIDX3 relation body, from nnz on, each field as given:
-// headers alternate gap and length, each an uvarint unless raw bytes are
-// spliced in with rawHeaders.
+// encodeV3 returns ix in the retired CFPQIDX3 format: CFPQIDX4 with each
+// column a uint32.
+func encodeV3(ix *Index) []byte {
+	le := binary.LittleEndian
+	str := func(b []byte, s string) []byte { return append(le.AppendUint16(b, uint16(len(s))), s...) }
+	out := str([]byte("CFPQIDX3"), ix.backend.Name())
+	out = le.AppendUint32(le.AppendUint32(out, uint32(ix.n)), uint32(len(ix.mats)))
+	for a, m := range ix.mats {
+		out = le.AppendUint32(le.AppendUint32(str(out, ix.cnf.Names[a]), uint32(m.Nnz())), uint32(matrix.LiveRows(m)))
+		prev := -1
+		matrix.RangeRows(m, func(i int, cols []int32) bool {
+			out, prev = binary.AppendUvarint(binary.AppendUvarint(out, uint64(i-prev)), uint64(len(cols))), i
+			return true
+		})
+		m.Range(func(_, j int) bool { out = le.AppendUint32(out, uint32(j)); return true })
+	}
+	return out
+}
+
+// relation is a CFPQIDX4 relation body, from nnz on, each field as given:
+// headers alternate gap and length, and gaps are the column gaps, each an
+// uvarint unless raw bytes are spliced in after them with rawHeaders and
+// rawGaps.
 type relation struct {
 	nnz, live  uint32
 	headers    []uint64
 	rawHeaders []byte
-	cols       []uint32
+	gaps       []uint64
+	rawGaps    []byte
 }
 
 func (r relation) bytes() []byte {
@@ -313,13 +336,13 @@ func (r relation) bytes() []byte {
 		out = binary.AppendUvarint(out, h)
 	}
 	out = append(out, r.rawHeaders...)
-	for _, j := range r.cols {
-		out = le.AppendUint32(out, j)
+	for _, g := range r.gaps {
+		out = binary.AppendUvarint(out, g)
 	}
-	return out
+	return append(out, r.rawGaps...)
 }
 
-// rawIndex returns a CFPQIDX3 image over n nodes holding cnf's relations,
+// rawIndex returns a CFPQIDX4 image over n nodes holding cnf's relations,
 // the named one as rel gives it and every other empty.
 func rawIndex(cnf *grammar.CNF, n uint32, nt string, rel relation) []byte {
 	le := binary.LittleEndian
@@ -339,10 +362,11 @@ func rawIndex(cnf *grammar.CNF, n uint32, nt string, rel relation) []byte {
 // TestDecodeIndexStrict: the decoder refuses every payload WriteTo cannot
 // write, one case a rule, and a count the bytes left cannot hold before it
 // allocates for it. The valid case is the baseline each bad one departs
-// from: S holds (0,1), (0,3) and (2,3) over 4 nodes.
+// from: S holds (0,1), (0,3) and (2,3) over 4 nodes, its column gaps 2, 2
+// (row 0) and 4 (row 2).
 func TestDecodeIndexStrict(t *testing.T) {
 	cnf := grammar.MustParseCNF("S -> a S b | a b")
-	valid := relation{nnz: 3, live: 2, headers: []uint64{1, 2, 2, 1}, cols: []uint32{1, 3, 3}}
+	valid := relation{nnz: 3, live: 2, headers: []uint64{1, 2, 2, 1}, gaps: []uint64{2, 2, 4}}
 	ix, err := DecodeIndex(rawIndex(cnf, 4, "S", valid), cnf, nil)
 	if err != nil {
 		t.Fatalf("the valid image: %v", err)
@@ -352,7 +376,7 @@ func TestDecodeIndexStrict(t *testing.T) {
 	}
 	with := func(edit func(r *relation)) []byte {
 		r := valid
-		r.headers, r.cols = slices.Clone(valid.headers), slices.Clone(valid.cols)
+		r.headers, r.gaps = slices.Clone(valid.headers), slices.Clone(valid.gaps)
 		edit(&r)
 		return rawIndex(cnf, 4, "S", r)
 	}
@@ -369,10 +393,19 @@ func TestDecodeIndexStrict(t *testing.T) {
 		{"an empty row", with(func(r *relation) { r.headers[1], r.headers[3] = 0, 3 }), "ends at"},
 		{"row lengths short of nnz", with(func(r *relation) { r.headers[1] = 1; r.headers[3] = 1 }), "rows hold 2 entries, 3 columns"},
 		{"row lengths past nnz", with(func(r *relation) { r.headers[3] = 2 }), "4, past"},
-		{"a column past the nodes", with(func(r *relation) { r.cols[1] = 4 }), "out of range"},
-		{"a column past int32", with(func(r *relation) { r.cols[1] = 1 << 31 }), "out of range"},
-		{"columns out of order", with(func(r *relation) { r.cols[0], r.cols[1] = 3, 1 }), "out of order"},
-		{"a repeated column", with(func(r *relation) { r.cols[1] = 1 }), "repeated"},
+		{"a zero gap (a repeated column)", with(func(r *relation) { r.gaps[1] = 0 }), "zero column gap"},
+		{"a first gap of zero", with(func(r *relation) { r.gaps[2] = 0 }), "zero column gap"},
+		{"a column past the nodes", with(func(r *relation) { r.gaps[1] = 3 }), "column 4 before byte"},
+		{"a gap past the nodes", with(func(r *relation) { r.gaps[2] = 5 }), "past 4 nodes"},
+		{"a two-byte gap past the nodes", with(func(r *relation) { r.gaps[2] = 200 }), "column 199 before byte"},
+		{"a three-byte gap past the nodes", with(func(r *relation) { r.gaps[2] = 1 << 20 }), "column 1048575 before byte"},
+		{"a four-byte gap past the nodes", with(func(r *relation) { r.gaps[2] = 1 << 22 }), "exceeds 4 nodes"},
+		{"an overlong column gap", with(func(r *relation) { r.gaps, r.rawGaps = r.gaps[:2], []byte{0x84, 0x00} }), "overlong uvarint"},
+		{"an overflowing column gap", with(func(r *relation) {
+			r.gaps, r.rawGaps = r.gaps[:2], append(bytes.Repeat([]byte{0xff}, 10), 0x01)
+		}), "overlong uvarint"},
+		{"the last column block shorter than its rows", rawIndex(cnf, 300, "T_b#1", relation{nnz: 2, live: 1, headers: []uint64{1, 2}, gaps: []uint64{200}}), "truncated"},
+		{"a column block shorter than its rows, read into the next relation", with(func(r *relation) { r.gaps = r.gaps[:2] }), "truncated"},
 		{"bytes after the last relation", append(with(func(*relation) {}), 0), "1 bytes after its last relation"},
 		{"an overlong uvarint", with(func(r *relation) { r.headers = r.headers[1:]; r.rawHeaders = []byte{0x81, 0x00} }), "overlong uvarint"},
 		{"an overflowing uvarint", with(func(r *relation) {
@@ -380,6 +413,7 @@ func TestDecodeIndexStrict(t *testing.T) {
 		}), "overlong uvarint"},
 		{"more rows than entries", with(func(r *relation) { r.live = 4 }), "declares 3 entries in 4 rows"},
 		{"a truncated image", func() []byte { b := with(func(*relation) {}); return b[:len(b)-1] }(), "truncated"},
+		{"a retired CFPQIDX3 image", encodeV3(ix), "retired CFPQIDX3"},
 		{"a retired CFPQIDX2 image", encodeV2(ix), "retired CFPQIDX2"},
 	} {
 		if _, err := DecodeIndex(c.data, cnf, nil); err == nil || !strings.Contains(err.Error(), c.want) {
@@ -387,13 +421,18 @@ func TestDecodeIndexStrict(t *testing.T) {
 		}
 	}
 	// Counts the bytes left cannot hold are refused before anything is
-	// allocated for them: 2³⁰ entries would take 4 GiB.
-	for _, r := range []relation{
-		{nnz: 1 << 30, live: 1, headers: []uint64{1, 1}, cols: []uint32{0}},
-		{nnz: 1 << 30, live: 1 << 30},
-		{nnz: math.MaxUint32, live: 1},
+	// allocated for them: 2³⁰ entries would take 4 GiB. So is the last
+	// relation's one entry more than its three bytes can hold.
+	for _, c := range []struct {
+		nt string
+		r  relation
+	}{
+		{"S", relation{nnz: 1 << 30, live: 1, headers: []uint64{1, 1}, gaps: []uint64{1}}},
+		{"S", relation{nnz: 1 << 30, live: 1 << 30}},
+		{"S", relation{nnz: math.MaxUint32, live: 1}},
+		{"T_b#1", relation{nnz: 2, live: 1, headers: []uint64{1, 2}, gaps: []uint64{1}}},
 	} {
-		data := rawIndex(cnf, 4, "S", r)
+		r, data := c.r, rawIndex(cnf, 4, c.nt, c.r)
 		got, _ := allocated(func() { _, err = DecodeIndex(data, cnf, nil) })
 		if err == nil || !strings.Contains(err.Error(), "bytes remain") || got > 64<<10 {
 			t.Errorf("nnz %d in %d rows: err = %v after %d bytes allocated, want a refusal before allocating", r.nnz, r.live, err, got)

@@ -272,7 +272,7 @@ func Backends() []Backend {
 }
 
 // BackendByName resolves a backend by its Name() — the form backend
-// identity is recorded in on serialised indexes (CFPQIDX3) and store
+// identity is recorded in on serialised indexes (CFPQIDX4) and store
 // files. The names of the retired row-parallel kernels, "dense-parallel"
 // and "sparse-parallel", resolve to the backend of the same
 // representation, so indexes, store files and clients that carry them

@@ -270,6 +270,11 @@ func (r *Registry) CounterFunc(name, help string, fn func() float64) {
 	r.register(&family{name: name, help: help, kind: KindCounter, fn: fn, fnKind: true})
 }
 
+// CounterVec registers a labeled counter family.
+func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
+	return &CounterVec{r.register(&family{name: name, help: help, kind: KindCounter, labels: labels})}
+}
+
 // GaugeVec registers a labeled gauge family.
 func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
 	return &GaugeVec{r.register(&family{name: name, help: help, kind: KindGauge, labels: labels})}
@@ -361,6 +366,14 @@ func (f *family) sortedChildren() []*child {
 		return labelKey(children[i].labelValues) < labelKey(children[j].labelValues)
 	})
 	return children
+}
+
+// CounterVec is a labeled counter family.
+type CounterVec struct{ f *family }
+
+// With returns the counter of one label-value combination.
+func (v *CounterVec) With(labelValues ...string) *Counter {
+	return v.f.child(labelValues).metric.(*Counter)
 }
 
 // GaugeVec is a labeled gauge family.

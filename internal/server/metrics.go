@@ -56,6 +56,7 @@ type obsMetrics struct {
 	edgesAdded       *obs.Counter
 	budgetRejections *obs.Counter
 	persistErrors    *obs.Counter
+	indexSaves       *obs.CounterVec // by cause: build, checkpoint, fold, snapshot
 	replBatches      *obs.Counter
 	replEdges        *obs.Counter
 
@@ -104,6 +105,7 @@ func newObsMetrics(s *Service) *obsMetrics {
 		edgesAdded:       reg.Counter("cfpqd_edges_added_total", "edges inserted across updates"),
 		budgetRejections: reg.Counter("cfpqd_budget_rejections_total", "evaluations rejected by the memory budget (HTTP 413)"),
 		persistErrors:    reg.Counter("cfpqd_persist_errors_total", "best-effort persistence failures: index saves and WAL folds"),
+		indexSaves:       reg.CounterVec("cfpqd_index_saves_total", "index files saved, by cause: build, checkpoint, fold or snapshot", "cause"),
 		replBatches:      reg.Counter("cfpqd_replicated_batches_total", "replicated WAL batches applied (follower)"),
 		replEdges:        reg.Counter("cfpqd_replicated_edges_total", "edges applied from the replication stream"),
 		subsTotal:        reg.Counter("cfpqd_subscriptions_total", "standing queries ever registered"),
@@ -212,14 +214,15 @@ var debugAliases = map[string]string{
 }
 
 // debugCounters renders the "cfpqd" object of /debug/vars from the
-// registry: every counter under its name minus the cfpqd_ prefix and
-// _total suffix, plus the aliased families above.
+// registry: every unlabeled counter under its name minus the cfpqd_ prefix
+// and _total suffix, plus the aliased families above. A labeled family is
+// read from /metrics only.
 func (s *Service) debugCounters() map[string]any {
 	out := map[string]any{}
 	for _, sm := range s.obs.reg.Samples() {
 		key, aliased := debugAliases[sm.Name]
 		if !aliased {
-			if sm.Kind != obs.KindCounter {
+			if sm.Kind != obs.KindCounter || sm.LabelValues != nil {
 				continue
 			}
 			key = strings.TrimSuffix(strings.TrimPrefix(sm.Name, "cfpqd_"), "_total")

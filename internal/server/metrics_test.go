@@ -245,6 +245,7 @@ func TestMetricNamesAreVetted(t *testing.T) {
 		"cfpqd_edges_added_total",
 		"cfpqd_budget_rejections_total",
 		"cfpqd_persist_errors_total",
+		"cfpqd_index_saves_total",
 		"cfpqd_replicated_batches_total",
 		"cfpqd_replicated_edges_total",
 		"cfpqd_subscriptions_total",

@@ -124,6 +124,7 @@ func (s *Service) warmStartIndex(ctx context.Context, st *store.Store, info stor
 	if err != nil {
 		return
 	}
+	filed := entries(ix.Counts())
 	eng := s.engine(be)
 	v := ge.cur.Load()
 	if seq < v.seq {
@@ -153,6 +154,9 @@ func (s *Service) warmStartIndex(ctx context.Context, st *store.Store, info stor
 	}
 	e := &indexEntry{key: key, ge: ge, p: p}
 	e.ready.Store(p)
+	// What the replay derived counts toward the slot's next checkpoint.
+	e.filed.Store(filed)
+	e.derived.Store(int64(p.Stats().Entries) - filed)
 	s.mu.Lock()
 	s.indexes[key] = e
 	s.mu.Unlock()
@@ -181,23 +185,43 @@ func (s *Service) persistIndex(e *indexEntry, re *grammarEntry, v *graphVersion,
 	if !current {
 		return
 	}
-	if err := s.store.SaveIndexFrom(key.Graph, indexData(key, re, v.seq, v.epoch, p)); err != nil {
+	if err := s.store.SaveIndexFrom(key.Graph, s.indexData(e, re, v.seq, v.epoch, p, "build")); err != nil {
 		s.obs.persistErrors.Inc()
 	}
 }
 
-// indexData saves the index p holds of re's slot key at seq and epoch. Its
-// Write withdraws the index once re is retired: it runs under the graph's
-// log lock, which a replacement's drop of the grammar's files takes too, so
-// a save that reaches the lock after the drop writes no file, whatever its
-// caller checked before.
-func indexData(key IndexKey, re *grammarEntry, seq, epoch uint64, p *cfpq.Prepared) store.IndexData {
-	return store.IndexData{Grammar: key.Grammar, Backend: key.Backend, Seq: seq, Epoch: epoch, Write: func(w io.Writer) error {
-		if re.retired.Load() {
-			return store.ErrIndexWithdrawn
-		}
-		return p.WriteIndex(w)
-	}}
+// indexData saves the index p holds of re's slot e at seq and epoch, for
+// cause (a label of cfpqd_index_saves_total). Its Write withdraws the index
+// once re is retired: it runs under the graph's log lock, which a
+// replacement's drop of the grammar's files takes too, so a save that
+// reaches the lock after the drop writes no file, whatever its caller
+// checked before. A save that lands restarts the slot's count of pairs
+// derived since its file, less those its patches derived while it wrote.
+func (s *Service) indexData(e *indexEntry, re *grammarEntry, seq, epoch uint64, p *cfpq.Prepared, cause string) store.IndexData {
+	var derived, filed int64
+	return store.IndexData{Grammar: e.key.Grammar, Backend: e.key.Backend, Seq: seq, Epoch: epoch,
+		Write: func(w io.Writer) error {
+			if re.retired.Load() {
+				return store.ErrIndexWithdrawn
+			}
+			// Counted before the write pins its version, which holds them.
+			derived, filed = e.derived.Load(), int64(p.Stats().Entries)
+			return p.WriteIndex(w)
+		},
+		Saved: func() {
+			e.derived.Add(-derived)
+			e.filed.Store(filed)
+			s.obs.indexSaves.With(cause).Inc()
+		},
+	}
+}
+
+// entries sums a relation count map (Index.Counts).
+func entries(counts map[string]int) (n int64) {
+	for _, c := range counts {
+		n += int64(c)
+	}
+	return n
 }
 
 // Snapshot folds the named graph's WAL into a fresh snapshot together
@@ -229,7 +253,7 @@ func (s *Service) Snapshot(graphName string) error {
 }
 
 func (s *Service) snapshotGraph(name string) error {
-	ge, indexes := s.savedIndexes(name)
+	ge, indexes := s.savedIndexes(name, "snapshot", nil)
 	if ge == nil {
 		return notFoundf("server: unknown graph %q", name)
 	}
@@ -250,13 +274,31 @@ func (s *Service) snapshotGraph(name string) error {
 // (store.CompactIfDue), so that the fold is a checkpoint: a warm start
 // after it patches only what was written since, not every edge.
 func (s *Service) foldIndexes(name string) func() []store.IndexData {
-	return func() []store.IndexData { _, indexes := s.savedIndexes(name); return indexes }
+	return func() []store.IndexData { _, indexes := s.savedIndexes(name, "fold", nil); return indexes }
+}
+
+// checkpoint saves, at the graph's watermark, every built grammar slot
+// whose pairs derived since its index file exceed a quarter of the pairs
+// in that file, so that a restart replays at most that quarter whatever
+// the writers' pace: a checkpoint by redo work, ARIES's reason to take
+// one (Mohan et al., ACM TODS 1992). It runs after a batch's patch, holding
+// no lock, and is best effort, as a fold's saves are: a failed save ticks
+// persistErrors and keeps the previous file. The WAL is not folded: a warm
+// start replays only the records past a file's watermark.
+func (s *Service) checkpoint(name string) {
+	_, indexes := s.savedIndexes(name, "checkpoint", (*indexEntry).due)
+	for _, ix := range indexes {
+		if err := s.store.SaveIndexFrom(name, ix); err != nil {
+			s.obs.persistErrors.Inc()
+		}
+	}
 }
 
 // savedIndexes returns the named graph's entry and what saves its built
-// grammar slots: the data of each slot with a ready handle. Expr slots
-// are derived data, rebuilt on demand, and never saved.
-func (s *Service) savedIndexes(name string) (*graphEntry, []store.IndexData) {
+// grammar slots for cause: the data of each slot with a ready handle that
+// due, when not nil, accepts. Expr slots are derived data, rebuilt on
+// demand, and never saved.
+func (s *Service) savedIndexes(name, cause string, due func(*indexEntry) bool) (*graphEntry, []store.IndexData) {
 	type slot struct {
 		e  *indexEntry
 		re *grammarEntry
@@ -287,8 +329,8 @@ func (s *Service) savedIndexes(name string) (*graphEntry, []store.IndexData) {
 	seq, epoch := ge.indexed.Load(), ge.cur.Load().epoch
 	var indexes []store.IndexData
 	for _, sl := range slots {
-		if p := sl.e.ready.Load(); p != nil { // else unbuilt or stale
-			indexes = append(indexes, indexData(sl.e.key, sl.re, seq, epoch, p))
+		if p := sl.e.ready.Load(); p != nil && (due == nil || due(sl.e)) { // else unbuilt, stale or not due
+			indexes = append(indexes, s.indexData(sl.e, sl.re, seq, epoch, p, cause))
 		}
 	}
 	return ge, indexes

@@ -501,6 +501,9 @@ func TestFoldCheckpointsIndexes(t *testing.T) {
 	if base := stats.Graphs[0].BaseSeq; infos[0].Seq != base {
 		t.Errorf("the index file covers seq %d (%d at its build); the last fold's base is %d", infos[0].Seq, built[0].Seq, base)
 	}
+	if saves := s.obs.indexSaves.With("fold").Value(); saves != uint64(stats.Compactions) {
+		t.Errorf("cfpqd_index_saves_total{cause=\"fold\"} = %d after %d folds of one index", saves, stats.Compactions)
+	}
 	want, err := relation(ctx, s, target, "S")
 	if err != nil {
 		t.Fatal(err)
@@ -518,27 +521,16 @@ func TestFoldCheckpointsIndexes(t *testing.T) {
 	}
 }
 
-// TestRetiredIndexFileIsRebuilt: an index file in the retired CFPQIDX2
-// format is a cache miss, not an error: the warm start skips it, the first
-// query rebuilds the slot once and rewrites the file as CFPQIDX3, answers
-// are those of a fresh build, and the next restart warm-starts from the
-// rewritten file without a closure.
+// TestRetiredIndexFileIsRebuilt: an index file in a retired format,
+// CFPQIDX3 or CFPQIDX2, is a cache miss, not an error: the warm start
+// skips it, the first query rebuilds the slot once and rewrites the file as
+// CFPQIDX4, answers are those of a fresh build, and the next restart
+// warm-starts from the rewritten file without a closure. The reader refuses
+// a retired file by its magic alone, so a CFPQIDX4 image restamped as
+// CFPQIDX3 stands in for one.
 func TestRetiredIndexFileIsRebuilt(t *testing.T) {
 	const text = "S -> x S y | x y"
 	g := graph.Word([]string{"x", "x", "y", "y"})
-	dir := t.TempDir()
-	s := persistentService(t, dir)
-	if err := s.RegisterGraph("g", g.Clone(), nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.RegisterGrammar("q", text); err != nil {
-		t.Fatal(err)
-	}
-	target := Target{Graph: "g", Grammar: "q", Backend: "sparse"}
-	want, err := relation(ctx, s, target, "S")
-	if err != nil || len(want) == 0 {
-		t.Fatalf("%v, %v", want, err)
-	}
 	cnf, err := cfpq.ToCNF(cfpq.MustParseGrammar(text))
 	if err != nil {
 		t.Fatal(err)
@@ -547,46 +539,72 @@ func TestRetiredIndexFileIsRebuilt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.store.SaveIndex("g", "q", "sparse", 0, retiredIndex(ix, "sparse")); err != nil {
+	var v4 bytes.Buffer
+	if _, err := ix.WriteTo(&v4); err != nil {
 		t.Fatal(err)
 	}
+	v3 := append([]byte("CFPQIDX3"), v4.Bytes()[len("CFPQIDX4"):]...)
+	for magic, image := range map[string][]byte{"CFPQIDX3": v3, "CFPQIDX2": retiredIndex(ix, "sparse")} {
+		t.Run(magic, func(t *testing.T) {
+			dir := t.TempDir()
+			s := persistentService(t, dir)
+			if err := s.RegisterGraph("g", g.Clone(), nil); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.RegisterGrammar("q", text); err != nil {
+				t.Fatal(err)
+			}
+			target := Target{Graph: "g", Grammar: "q", Backend: "sparse"}
+			want, err := relation(ctx, s, target, "S")
+			if err != nil || len(want) == 0 {
+				t.Fatalf("%v, %v", want, err)
+			}
+			if err := s.store.SaveIndex("g", "q", "sparse", 0, image); err != nil {
+				t.Fatal(err)
+			}
 
-	s2 := reopen(t, s, dir)
-	if n := s2.obs.warmStarts.Value(); n != 0 {
-		t.Fatalf("a CFPQIDX2 file warm-started %d slots", n)
-	}
-	got, err := relation(ctx, s2, target, "S")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("after the rebuild: %v, want %v", got, want)
-	}
-	if n := s2.obs.indexBuilds.Value(); n != 1 {
-		t.Errorf("the first query ran %d closures, want 1", n)
-	}
-	infos := s2.store.Indexes("g")
-	if len(infos) != 1 {
-		t.Fatalf("index files %+v, want one", infos)
-	}
-	if _, _, err := s2.store.LoadIndex(infos[0], cnf, nil); err != nil {
-		t.Fatalf("the rebuild left an index file that does not load: %v", err)
-	}
+			s2 := reopen(t, s, dir)
+			if n := s2.obs.warmStarts.Value(); n != 0 {
+				t.Fatalf("a %s file warm-started %d slots", magic, n)
+			}
+			got, err := relation(ctx, s2, target, "S")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("after the rebuild: %v, want %v", got, want)
+			}
+			if n := s2.obs.indexBuilds.Value(); n != 1 {
+				t.Errorf("the first query ran %d closures, want 1", n)
+			}
+			infos := s2.store.Indexes("g")
+			if len(infos) != 1 {
+				t.Fatalf("index files %+v, want one", infos)
+			}
+			if _, _, err := s2.store.LoadIndex(infos[0], cnf, nil); err != nil {
+				t.Fatalf("the rebuild left an index file that does not load: %v", err)
+			}
+			raw, err := os.ReadFile(filepath.Join(dir, "graphs", "g", "indexes", "q@sparse.idx"))
+			if err != nil || !bytes.Contains(raw, []byte("CFPQIDX4")) || bytes.Contains(raw, []byte(magic)) {
+				t.Errorf("the rewritten file is not a CFPQIDX4 index (err %v)", err)
+			}
 
-	s3 := reopen(t, s2, dir)
-	if n := s3.obs.warmStarts.Value(); n != 1 {
-		t.Fatalf("the rewritten file warm-started %d slots, want 1", n)
-	}
-	if got, err := relation(ctx, s3, target, "S"); err != nil || !reflect.DeepEqual(got, want) {
-		t.Errorf("after the second restart: %v (%v), want %v", got, err, want)
-	}
-	if n := s3.obs.indexBuilds.Value(); n != 0 {
-		t.Errorf("the second restart ran %d closures", n)
+			s3 := reopen(t, s2, dir)
+			if n := s3.obs.warmStarts.Value(); n != 1 {
+				t.Fatalf("the rewritten file warm-started %d slots, want 1", n)
+			}
+			if got, err := relation(ctx, s3, target, "S"); err != nil || !reflect.DeepEqual(got, want) {
+				t.Errorf("after the second restart: %v (%v), want %v", got, err, want)
+			}
+			if n := s3.obs.indexBuilds.Value(); n != 0 {
+				t.Errorf("the second restart ran %d closures", n)
+			}
+		})
 	}
 }
 
-// retiredIndex encodes ix in CFPQIDX2, the pair-list format CFPQIDX3
-// replaced: every pair of every relation as (uint32 row, uint32 col).
+// retiredIndex encodes ix in CFPQIDX2, the retired pair-list format:
+// every pair of every relation as (uint32 row, uint32 col).
 func retiredIndex(ix *cfpq.Index, backend string) []byte {
 	le := binary.LittleEndian
 	str := func(b []byte, s string) []byte { return append(le.AppendUint16(b, uint16(len(s))), s...) }
@@ -822,7 +840,7 @@ func TestPersistManyGrammarsAndBackends(t *testing.T) {
 
 // TestWarmStartFromLegacyBackendName: a data directory written while
 // "sparse-parallel" named a kernel of its own — the index saved as
-// q@sparse-parallel.idx, its CFPQIDX3 header naming that backend — still
+// q@sparse-parallel.idx, its CFPQIDX4 header naming that backend — still
 // warm-starts without a closure, into the one slot of the sparse kernel:
 // a backend=sparse-parallel query and a backend=sparse one both answer
 // from it, and neither runs a closure.
@@ -846,7 +864,7 @@ func TestWarmStartFromLegacyBackendName(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Restamp the header (magic, uint16 name length, name) with the legacy name.
-	const magic = "CFPQIDX3"
+	const magic = "CFPQIDX4"
 	raw := buf.Bytes()
 	if got := string(raw[len(magic)+2 : len(magic)+2+len("sparse")]); got != "sparse" {
 		t.Fatalf("index header names %q, want sparse", got)

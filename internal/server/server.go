@@ -303,7 +303,16 @@ type indexEntry struct {
 	// patch holding mu across an update closure stops nobody. Stored by
 	// whoever sets p, cleared by invalidate.
 	ready atomic.Pointer[cfpq.Prepared]
+
+	// derived counts the pairs a grammar slot's patches derived since its
+	// index file was saved, and filed the pairs in that file: the measure of
+	// a restart's replay that checkpoint bounds.
+	derived, filed atomic.Int64
 }
+
+// due reports whether the slot's pairs derived since its index file exceed
+// a quarter of the file's: a checkpoint's rule.
+func (e *indexEntry) due() bool { return e.derived.Load() > e.filed.Load()/4 }
 
 // invalidate marks the slot stale and takes it off the readers' fast path;
 // callers hold e.mu.
@@ -1088,13 +1097,18 @@ func (s *Service) applyBatch(ctx context.Context, graphName string, kind store.R
 	// gone (the request's trace values still ride along), so the memory
 	// budget is the only reason an update is abandoned and its handle
 	// dropped.
-	s.patchIndexes(context.WithoutCancel(ctx), graphName, ge, edges, &res)
+	due := s.patchIndexes(context.WithoutCancel(ctx), graphName, ge, edges, &res)
 	if s.store != nil {
 		// The batch that takes the WAL past -compact-bytes folds it, holding
 		// no lock, and saves the graph's built indexes beside it. Best
-		// effort: a failed fold leaves the WAL long but correct.
+		// effort: a failed fold leaves the WAL long but correct. A fold's
+		// saves restart the slots' counts, so the checkpoint that follows
+		// finds nothing due.
 		if _, err := s.store.CompactIfDue(graphName, s.foldIndexes(graphName)); err != nil {
 			s.obs.persistErrors.Inc()
+		}
+		if due {
+			s.checkpoint(graphName)
 		}
 	}
 	return res, nil
@@ -1147,8 +1161,10 @@ func (s *Service) admitBatch(graphName string, ge *graphEntry, cur *graphVersion
 // follower never runs a cold closure to absorb the stream. The
 // caller counted itself into ge.patching when it published; returning
 // counts it out and, when nobody else is between the two, advances
-// ge.indexed to the stream position the indexes now cover.
-func (s *Service) patchIndexes(ctx context.Context, graphName string, ge *graphEntry, edges []graph.Edge, res *UpdateResult) {
+// ge.indexed to the stream position the indexes now cover. due reports
+// whether a grammar slot's count of pairs derived since its file now
+// calls for a checkpoint.
+func (s *Service) patchIndexes(ctx context.Context, graphName string, ge *graphEntry, edges []graph.Edge, res *UpdateResult) (due bool) {
 	s.mu.Lock()
 	var entries []*indexEntry
 	for k, e := range s.indexes {
@@ -1193,6 +1209,8 @@ func (s *Service) patchIndexes(ctx context.Context, graphName string, ge *graphE
 					res.Invalidated++
 				} else {
 					res.Patched++
+					e.derived.Add(int64(info.Delta.Len()))
+					due = due || e.due()
 				}
 			}
 		}
@@ -1215,6 +1233,7 @@ func (s *Service) patchIndexes(ctx context.Context, graphName string, ge *graphE
 			}
 		}
 	}
+	return due
 }
 
 // --- statistics -------------------------------------------------------

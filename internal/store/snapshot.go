@@ -30,7 +30,7 @@ import (
 //
 //	magic "CFPQSIDX1"
 //	uint64 seq                           edge-stream position the index covers
-//	CFPQIDX3 payload (core.Index.WriteTo)
+//	CFPQIDX4 payload (core.Index.WriteTo)
 //	uint32 crc32 of everything after the magic
 //
 // Both are written atomically (temp file, fsync, rename, directory fsync)
@@ -228,7 +228,7 @@ func (r *bodyReader) str() []byte {
 	return r.b[r.off-n : r.off]
 }
 
-// writeIndexFile wraps the CFPQIDX3 payload that payload writes with the
+// writeIndexFile wraps the CFPQIDX4 payload that payload writes with the
 // store's seq watermark and CRC trailer; the CRC accumulates as the
 // payload streams through.
 func writeIndexFile(w io.Writer, seq uint64, payload func(io.Writer) error) error {

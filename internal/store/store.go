@@ -675,17 +675,20 @@ func (l *Log) AppendEdges(edges []graph.Edge) error {
 }
 
 // IndexData is one evaluated index to persist: a closure over the first
-// Seq edges of stream Epoch, whose CFPQIDX3 payload Write streams into the
+// Seq edges of stream Epoch, whose CFPQIDX4 payload Write streams into the
 // index file. It is refused unless Epoch is the graph's: an index of a
 // replaced graph speaks of another node namespace. Write runs under the
 // graph's log lock, and may withdraw the index by returning
 // ErrIndexWithdrawn: the save then writes nothing and reports no error.
+// Saved, when not nil, is called under the same lock once the file is in
+// place.
 type IndexData struct {
 	Grammar string
 	Backend string
 	Seq     uint64
 	Epoch   uint64
 	Write   func(io.Writer) error
+	Saved   func()
 }
 
 // ErrIndexWithdrawn is what an IndexData's Write returns to withdraw its
@@ -990,7 +993,7 @@ func (s *Store) TailSince(name string, seq uint64, maxBytes int64) (batches []Ta
 	return batches, gl.seq, remainingBytes, true
 }
 
-// SaveIndex is SaveIndexFrom for CFPQIDX3 payload bytes already in memory,
+// SaveIndex is SaveIndexFrom for CFPQIDX4 payload bytes already in memory,
 // saved under the epoch GraphPos reports.
 func (s *Store) SaveIndex(graphName, grammarName, backend string, seq uint64, data []byte) error {
 	_, epoch, err := s.GraphPos(graphName)
@@ -1004,7 +1007,7 @@ func (s *Store) SaveIndex(graphName, grammarName, backend string, seq uint64, da
 }
 
 // SaveIndexFrom persists one evaluated index of a graph (see IndexData):
-// ix.Write streams its CFPQIDX3 payload (core.Index.WriteTo) into a temp
+// ix.Write streams its CFPQIDX4 payload (core.Index.WriteTo) into a temp
 // file that replaces the previous index file only once complete — a
 // failed write leaves that file as it was. The epoch is checked and the
 // payload written under the graph's log lock, so a replacement cannot land
@@ -1035,6 +1038,9 @@ func (s *Store) saveIndexLocked(gl *graphLog, ix IndexData) error {
 	err := writeFileAtomic(path, !s.opts.NoSync, func(w io.Writer) error {
 		return writeIndexFile(w, ix.Seq, ix.Write)
 	})
+	if err == nil && ix.Saved != nil {
+		ix.Saved()
+	}
 	if errors.Is(err, ErrIndexWithdrawn) {
 		return nil
 	}
@@ -1215,7 +1221,7 @@ func indexInfos(gl *graphLog) []IndexInfo {
 
 // LoadIndex reads one saved index, validated against the CNF it was built
 // for and materialised with the given backend (nil means the backend
-// recorded in the CFPQIDX3 payload), decoding the payload in place
+// recorded in the CFPQIDX4 payload), decoding the payload in place
 // (core.DecodeIndex). The returned seq is the edge-stream position the
 // index covers.
 func (s *Store) LoadIndex(info IndexInfo, cnf *grammar.CNF, be matrix.Backend) (*core.Index, uint64, error) {

@@ -253,7 +253,7 @@ func TestCreateGraphReplacesEverything(t *testing.T) {
 	}
 }
 
-// encoded is the SaveIndexFrom payload writer of an index's CFPQIDX3 encoding.
+// encoded is the SaveIndexFrom payload writer of an index's CFPQIDX4 encoding.
 func encoded(ix *core.Index) func(io.Writer) error {
 	return func(w io.Writer) error {
 		_, err := ix.WriteTo(w)
@@ -262,14 +262,14 @@ func encoded(ix *core.Index) func(io.Writer) error {
 }
 
 // TestIndexFileBytesPinned pins the index file (CFPQSIDX1 framing around
-// the CFPQIDX3 payload) of the paper's Figure 5 example at seq 5, on each
+// the CFPQIDX4 payload) of the paper's Figure 5 example at seq 5, on each
 // backend. The three ways an index file is written — SaveIndexFrom
 // streaming the encoding, SaveIndex with it in memory, and Snapshot — are
 // one save path and write the same bytes.
 func TestIndexFileBytesPinned(t *testing.T) {
 	pins := map[string]string{
-		"dense":  "82b870d1bbd4e39accda8ac4b10d9810bb5e3be5c2a2d8ad98c628da8ff0dc74",
-		"sparse": "5b99f20bd302eea20bcca82a73053486d17fb6e93733964bbcc04385d4d86936",
+		"dense":  "1c9c6fedb56d56b8b287c660bafce4eaf907fc11670ea4779cbcf8b637a97189",
+		"sparse": "e7e6fe4843ab30440a05cccd83f2cfce751c8716ea1c1ece1445717a6d0715bb",
 	}
 	cnf := grammar.MustParseCNF(`
 S -> S1 S5 | S3 S6 | S1 S2 | S3 S4

@@ -432,7 +432,7 @@ func (p *Prepared) AddEdges(ctx context.Context, edges ...Edge) (UpdateInfo, err
 	return info, err
 }
 
-// WriteIndex serialises the handle's cached index in the CFPQIDX3 format —
+// WriteIndex serialises the handle's cached index in the CFPQIDX4 format —
 // a consistent image of the version current when it was called, which a
 // store can persist for warm-starting a later session (LoadIndex +
 // PrepareFromIndex). It holds no lock while writing: queries and updates
