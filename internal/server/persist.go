@@ -196,8 +196,8 @@ func (s *Service) persistIndex(e *indexEntry, re *grammarEntry, v *graphVersion,
 // replacement's drop of the grammar's files takes too, so a save that
 // reaches the lock after the drop writes no file, whatever its caller
 // checked before. A save that lands takes what the slot's count held when
-// the save began writing off it: pairs patched in during the write are
-// still to be saved.
+// it began writing off that count: pairs patched in after still count,
+// though the file may hold some of them.
 func (s *Service) indexData(e *indexEntry, re *grammarEntry, seq, epoch uint64, p *cfpq.Prepared, cause string) store.IndexData {
 	var derived, filed int64
 	return store.IndexData{Grammar: e.key.Grammar, Backend: e.key.Backend, Seq: seq, Epoch: epoch,
