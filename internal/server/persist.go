@@ -195,9 +195,8 @@ func (s *Service) persistIndex(e *indexEntry, re *grammarEntry, v *graphVersion,
 // once re is retired: it runs under the graph's log lock, which a
 // replacement's drop of the grammar's files takes too, so a save that
 // reaches the lock after the drop writes no file, whatever its caller
-// checked before. A save that lands takes what the slot's count held when
-// it began writing off that count: pairs patched in after still count,
-// though the file may hold some of them.
+// checked before. A save that lands takes the slot's count as it began off
+// the count; pairs patched in after still count, held in the file or not.
 func (s *Service) indexData(e *indexEntry, re *grammarEntry, seq, epoch uint64, p *cfpq.Prepared, cause string) store.IndexData {
 	var derived, filed int64
 	return store.IndexData{Grammar: e.key.Grammar, Backend: e.key.Backend, Seq: seq, Epoch: epoch,
