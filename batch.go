@@ -19,9 +19,9 @@ type BatchResult struct {
 // is either fully visible to every answer or to none, which per-request
 // pinning cannot guarantee, and it is not held up by the batch either.
 // Each request is planned like Prepared.Do plans it (the cached-read
-// strategy, with the same request restrictions), and every Result streams
-// a snapshot materialised during the batch, so answers stay consistent
-// however late they are consumed.
+// strategy, with the same request restrictions), and every pairs Result
+// walks that one version, so answers stay consistent however late they
+// are consumed.
 //
 // The context is checked between requests; once it fires, the remaining
 // results carry ctx.Err() as their Err.

@@ -242,6 +242,9 @@ func main() {
 		Handler: server.Handler(svc, handlerOpts...),
 		// Slow-client protection: the service accepts large uploads, so
 		// unbounded header/body stalls must not pin goroutines forever.
+		// The handler bounds each write of a response itself (all but the
+		// SSE stream's), so a server-wide WriteTimeout, which would end
+		// that stream, is not set.
 		ReadHeaderTimeout: 10 * time.Second,
 		ReadTimeout:       5 * time.Minute,
 	}

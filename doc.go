@@ -88,7 +88,7 @@
 //
 //	p, _ := eng.Prepare(ctx, g, gram)
 //	res, _ := p.Do(ctx, cfpq.Request{Nonterminal: "S", Sources: []int{0, 1}})
-//	for pair := range res.Pairs() { ... } // iter.Seq snapshot
+//	for pair := range res.Pairs() { ... } // walks the version res pinned
 //	ok, _ := p.Do(ctx, cfpq.Request{
 //		Nonterminal: "S", Sources: []int{0}, Targets: []int{2}, Output: cfpq.OutputExists,
 //	}) // ok.Exists
@@ -226,6 +226,9 @@
 //	curl localhost:8080/v1/stats       # build vs incremental-update products, per-nonterminal counts
 //	curl localhost:8080/debug/vars     # the /metrics counters as JSON, per-strategy included
 //
+// A pairs answer streams: its count comes from the pinned version first,
+// then its pairs are walked from that version's rows to the connection a
+// 32 KiB chunk at a time, so a pairs read holds at most a chunk of its answer.
 // The service itself lives in internal/server and can be embedded
 // in-process; cmd/cfpqd is a thin HTTP shell around it.
 //

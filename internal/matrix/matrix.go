@@ -167,7 +167,8 @@ func Pairs(m Bool) []Pair {
 // row's set columns in ascending order, and stops when fn returns false. A
 // sparse row is passed as the matrix's own storage — fn must neither keep
 // nor write it — and a dense one decoded into a scratch slice reused from
-// row to row. It is how an index is encoded a row at a time.
+// row to row. It is how an index is encoded, and a relation read, a row at
+// a time.
 func RangeRows(m Bool, fn func(i int, cols []int32) bool) {
 	if s, ok := m.(*SparseMatrix); ok {
 		for i, row := range s.rows {
@@ -179,15 +180,31 @@ func RangeRows(m Bool, fn func(i int, cols []int32) bool) {
 	}
 	var cols []int32
 	for i := range m.Dim() {
-		cols = cols[:0]
-		m.RangeRow(i, func(j int) bool {
-			cols = append(cols, int32(j))
-			return true
-		})
-		if len(cols) > 0 && !fn(i, cols) {
+		if cols = denseRow(m, i, cols[:0]); len(cols) > 0 && !fn(i, cols) {
 			return
 		}
 	}
+}
+
+// Row returns the set columns of row i in ascending order, as RangeRows
+// passes them: a sparse row as the matrix's own storage, which the caller
+// must not write, and a dense one decoded into buf.
+func Row(m Bool, i int, buf []int32) []int32 {
+	if s, ok := m.(*SparseMatrix); ok {
+		s.check(i, 0)
+		return s.row(i)
+	}
+	return denseRow(m, i, buf[:0])
+}
+
+// denseRow is Row off the sparse path, whose buf the closure moves to the
+// heap.
+func denseRow(m Bool, i int, buf []int32) []int32 {
+	m.RangeRow(i, func(j int) bool {
+		buf = append(buf, int32(j))
+		return true
+	})
+	return buf
 }
 
 // AppendKeys appends m's set entries to dst as packed keys i<<32 | j and

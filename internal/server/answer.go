@@ -2,6 +2,9 @@
 // /v1/query/batch and the SSE "pairs" events are appended into one pooled
 // buffer straight from the pinned results' pairs and the graph's name
 // table, with no []NamedPair in between and no reflection over the pairs.
+// A query or batch answer walks its pinned version's rows and hands the
+// buffer to the ResponseWriter every answerChunk bytes, so it builds no
+// pair list and never holds the whole answer.
 // The bytes are exactly those encoding/json writes for the typed values
 // (writeJSON of renderAnswer's QueryAnswer and of QueryBatch's answers,
 // json.Marshal of an event's {"seq","resync","pairs"} payload);
@@ -12,7 +15,10 @@ package server
 
 import (
 	"encoding/json"
+	"io"
+	"iter"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"unicode/utf8"
@@ -27,24 +33,45 @@ type jsonBuf struct {
 	// html escapes <, > and & as json.Marshal does; writeJSON's encoder
 	// does not.
 	html bool
+	// w, when set, takes b every answerChunk bytes of pairs; err is its
+	// first failed write, which stops the walk.
+	w   io.Writer
+	err error
+	// from is the opening of the current row's pairs.
+	from []byte
 }
 
-// maxPooledBuf bounds the buffer a jsonBuf keeps in the pool: one answer
-// of a whole large relation should not stay resident after it.
+// answerChunk is how much of a streamed answer's pairs the writer holds
+// before it writes them.
+const answerChunk = 32 << 10
+
+// maxPooledBuf bounds the buffer a jsonBuf keeps in the pool: an answer of
+// many witness paths should not stay resident after it.
 const maxPooledBuf = 256 << 10
 
 var jsonBufs = sync.Pool{New: func() any { return new(jsonBuf) }}
 
 func getJSONBuf(html bool) *jsonBuf {
 	j := jsonBufs.Get().(*jsonBuf)
-	j.b, j.html = j.b[:0], html
+	j.b, j.html, j.err = j.b[:0], html, nil
 	return j
 }
 
 func (j *jsonBuf) free() {
+	j.w = nil
 	if cap(j.b) <= maxPooledBuf {
 		jsonBufs.Put(j)
 	}
+}
+
+// flush writes the buffer to w and empties it; it reports whether every
+// write so far succeeded.
+func (j *jsonBuf) flush() bool {
+	if j.err == nil {
+		_, j.err = j.w.Write(j.b)
+	}
+	j.b = j.b[:0]
+	return j.err == nil
 }
 
 // Write appends p, so that encoding/json can encode into the buffer.
@@ -92,18 +119,31 @@ func (j *jsonBuf) str(s string) {
 func (j *jsonBuf) int(n int64) { j.b = strconv.AppendInt(j.b, n, 10) }
 
 // pairs appends pairs as a JSON array of NamedPair, naming nodes through
-// byID.
-func (j *jsonBuf) pairs(byID []string, pairs []cfpq.Pair) {
+// byID. With a writer set, it writes every answerChunk bytes, and a failed
+// write ends the array.
+func (j *jsonBuf) pairs(byID []string, pairs iter.Seq[cfpq.Pair]) {
 	j.b = append(j.b, '[')
-	for k, p := range pairs {
-		if k > 0 {
+	first, row := true, -1
+	for p := range pairs {
+		if !first {
 			j.b = append(j.b, ',')
 		}
-		j.b = append(j.b, `{"from":`...)
-		j.str(graph.NameIn(byID, p.I))
-		j.b = append(j.b, `,"to":`...)
+		first = false
+		if p.I != row {
+			// A row's pairs share their {"from":..,"to": bytes.
+			start := len(j.b)
+			j.b = append(j.b, `{"from":`...)
+			j.str(graph.NameIn(byID, p.I))
+			j.b = append(j.b, `,"to":`...)
+			j.from, row = append(j.from[:0], j.b[start:]...), p.I
+		} else {
+			j.b = append(j.b, j.from...)
+		}
 		j.str(graph.NameIn(byID, p.J))
 		j.b = append(j.b, '}')
+		if j.w != nil && len(j.b) >= answerChunk && !j.flush() {
+			break
+		}
 	}
 	j.b = append(j.b, ']')
 }
@@ -132,9 +172,9 @@ func (j *jsonBuf) answer(byID []string, out string, res *cfpq.Result) {
 	default: // pairs
 		j.b = append(j.b, `,"count":`...)
 		j.int(int64(res.Count))
-		if pairs := res.AllPairs(); len(pairs) > 0 {
+		if res.Count > 0 {
 			j.b = append(j.b, `,"pairs":`...)
-			j.pairs(byID, pairs)
+			j.pairs(byID, res.Pairs())
 		}
 		j.truncated(res.Truncated)
 	}
@@ -187,13 +227,13 @@ func (j *jsonBuf) event(byID []string, b cfpq.PairBatch) {
 		j.b = append(j.b, `,"resync":true`...)
 	}
 	j.b = append(j.b, `,"pairs":`...)
-	j.pairs(byID, b.Pairs)
+	j.pairs(byID, slices.Values(b.Pairs))
 	j.b = append(j.b, "}\n\n"...)
 }
 
 // batch appends what writeJSON writes of {"results": answers} once
-// QueryBatch has named pairs[i] into answers[i].
-func (j *jsonBuf) batch(byID []string, answers []BatchAnswer, pairs [][]cfpq.Pair) {
+// QueryBatch has named the pairs of pairs[i] into answers[i].
+func (j *jsonBuf) batch(byID []string, answers []BatchAnswer, pairs []*cfpq.Result) {
 	j.b = append(j.b, `{"results":[`...)
 	for i, a := range answers {
 		if i > 0 {
@@ -211,9 +251,9 @@ func (j *jsonBuf) batch(byID []string, answers []BatchAnswer, pairs [][]cfpq.Pai
 			j.b = append(j.b, `,"count":`...)
 			j.int(int64(*a.Count))
 		}
-		if len(pairs[i]) > 0 {
+		if res := pairs[i]; res != nil && res.Count > 0 {
 			j.b = append(j.b, `,"pairs":`...)
-			j.pairs(byID, pairs[i])
+			j.pairs(byID, res.Pairs())
 		}
 		if a.Error != "" {
 			j.b = append(j.b, `,"error":`...)
@@ -226,24 +266,28 @@ func (j *jsonBuf) batch(byID []string, answers []BatchAnswer, pairs [][]cfpq.Pai
 
 // writeBatch is writeJSON of {"results": answers} with status 200, byte
 // for byte, the pairs named as QueryBatch names them.
-func writeBatch(w http.ResponseWriter, ge *graphEntry, answers []BatchAnswer, pairs [][]cfpq.Pair) {
-	j := getJSONBuf(false)
+func writeBatch(w http.ResponseWriter, ge *graphEntry, answers []BatchAnswer, pairs []*cfpq.Result) {
+	j := startAnswer(w)
 	defer j.free()
 	j.batch(ge.names.ByID(), answers, pairs)
-	writeBuf(w, j)
+	j.flush()
 }
 
 // writeAnswer is writeJSON of renderAnswer(ge, req, res) with status 200,
 // byte for byte, written from res.
 func writeAnswer(w http.ResponseWriter, ge *graphEntry, req QueryRequest, res *cfpq.Result) {
-	j := getJSONBuf(false)
+	j := startAnswer(w)
 	defer j.free()
 	j.answer(ge.names.ByID(), answerOutput(req), res)
-	writeBuf(w, j)
+	j.flush()
 }
 
-func writeBuf(w http.ResponseWriter, j *jsonBuf) {
+// startAnswer writes a 200 JSON response's header and returns a buffer
+// that writes its body to w.
+func startAnswer(w http.ResponseWriter) *jsonBuf {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(j.b)
+	j := getJSONBuf(false)
+	j.w = w
+	return j
 }

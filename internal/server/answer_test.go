@@ -2,9 +2,9 @@ package server
 
 // Tests of the answer writer: its bytes against encoding/json's for every
 // output and SSE event shape (a table test and FuzzAnswerJSON over node
-// names), the allocation bounds of a 1000-pair page and of one SSE event
+// names), the allocation bounds of pairs answers and of one SSE event
 // through Handler, and BenchmarkReadClasses, the five serve_read op
-// classes in process.
+// classes and a whole relation in process.
 
 import (
 	"bytes"
@@ -94,12 +94,12 @@ func requireSameEvent(t *testing.T, what string, ge *graphEntry, b cfpq.PairBatc
 // requireSameBatch checks that writeBatch writes exactly what writeJSON
 // writes of {"results": answers} once the relation answers' pairs are
 // named through ge, as QueryBatch names them.
-func requireSameBatch(t *testing.T, what string, ge *graphEntry, answers []BatchAnswer, pairs [][]cfpq.Pair) {
+func requireSameBatch(t *testing.T, what string, ge *graphEntry, answers []BatchAnswer, pairs []*cfpq.Result) {
 	t.Helper()
 	named := append([]BatchAnswer(nil), answers...)
 	for i, a := range named {
 		if a.Error == "" && (a.Op == "relation" || a.Op == "relation-from") {
-			named[i].Pairs = ge.named(pairs[i])
+			named[i].Pairs = ge.named(pairs[i].AllPairs())
 		}
 	}
 	want, got := httptest.NewRecorder(), httptest.NewRecorder()
@@ -278,6 +278,9 @@ func (w *discardWriter) Header() http.Header  { return w.h }
 func (w *discardWriter) WriteHeader(code int) { w.status = code }
 func (w *discardWriter) Flush()               {}
 
+// SetWriteDeadline accepts a deadline, as a connection's writer does.
+func (w *discardWriter) SetWriteDeadline(time.Time) error { return nil }
+
 func (w *discardWriter) Write(p []byte) (int, error) {
 	w.bytes += len(p)
 	if w.onEvent != nil && bytes.Contains(p, []byte("event: pairs")) {
@@ -358,14 +361,15 @@ func fanService(t testing.TB, n int) *Service {
 	return s
 }
 
-// TestReadAllocatesWhatItAnswers bounds what a read allocates beyond the
-// pairs it answers, through Handler with a reused discarding writer: a
-// 1000-pair page keeps one exactly sized []cfpq.Pair (16 B a pair) and
-// its JSON goes through a pooled buffer, so the request allocates that
-// slice and a constant; one SSE event of 1001 pairs, replayed to a
-// resuming subscriber, allocates no copy of its pairs at all. Neither
-// copies the pairs into named pairs or an encoder's buffer (each ~32 KiB
-// here).
+// TestReadAllocatesWhatItAnswers bounds what a read allocates, through
+// Handler with a reused discarding writer: a pairs answer walks the pinned
+// rows into a pooled buffer written every answerChunk bytes, so a
+// 1000-pair page, a whole relation of 20 000 pairs and a target-restricted
+// read of it each allocate a constant, whatever the answer's or the
+// graph's size; one SSE event of 1001 pairs, replayed to a resuming
+// subscriber, allocates no copy of its pairs at all. None copies the
+// pairs into a pair list, named pairs or an encoder's buffer (each
+// ~32 KiB for the page).
 func TestReadAllocatesWhatItAnswers(t *testing.T) {
 	s := fanService(t, 1000)
 	h := Handler(s)
@@ -374,10 +378,28 @@ func TestReadAllocatesWhatItAnswers(t *testing.T) {
 	if page.w.status != http.StatusOK {
 		t.Fatalf("page: status %d", page.w.status)
 	}
-	const pairBytes = 1000 * 16
-	alloc := leastAllocated(func() { page.serve(h) })
-	if alloc > pairBytes+4<<10 {
-		t.Errorf("a 1000-pair page allocated %d bytes: want its %d-byte pair slice and at most 4 KiB more", alloc, pairBytes)
+	if alloc := leastAllocated(func() { page.serve(h) }); alloc > 4<<10 {
+		t.Errorf("a 1000-pair page allocated %d bytes: want at most 4 KiB", alloc)
+	}
+
+	big := Handler(fanService(t, 20000))
+	for _, c := range []struct {
+		what  string
+		req   QueryRequest
+		bytes int
+	}{
+		{"the whole relation", QueryRequest{}, 20000 * len(`{"from":"n0","to":"n1"},`)},
+		{"a target-restricted read", QueryRequest{Targets: []string{"n7", "n19999"}}, 2 * len(`{"from":"n0","to":"n1"},`)},
+	} {
+		c.req.Graph, c.req.Grammar, c.req.Nonterminal = "fan", "reach", "S"
+		rr := newReplayRequest(ctx, "/v1/query", c.req)
+		rr.serve(big)
+		if rr.w.status != http.StatusOK || rr.w.bytes < c.bytes {
+			t.Fatalf("%s: status %d, %d bytes", c.what, rr.w.status, rr.w.bytes)
+		}
+		if alloc := leastAllocated(func() { rr.serve(big) }); alloc > 4<<10 {
+			t.Errorf("%s allocated %d bytes: want at most 4 KiB", c.what, alloc)
+		}
 	}
 
 	// The handle retains updates for resuming once it has had a
@@ -395,7 +417,7 @@ func TestReadAllocatesWhatItAnswers(t *testing.T) {
 	resume := newReplayRequest(ctx, "/v1/subscribe", subReq)
 	resume.r.Header.Set("Last-Event-ID", "0")
 	base := resume.r
-	alloc = leastAllocated(func() {
+	alloc := leastAllocated(func() {
 		// The handler returns once it has written the event.
 		subCtx, cancel := context.WithCancel(ctx)
 		defer cancel()
@@ -414,8 +436,8 @@ func TestReadAllocatesWhatItAnswers(t *testing.T) {
 // POST /v1/query on the paper's g3 with Query 1 (nodes named n<id>, as the
 // benchmark uploads them) through Handler, with a reused discarding writer.
 // The rows: exists and pairs_from at the source of the relation's middle
-// pair, count, a 1000-pair page, and rpq_from (subClassOf+ from that
-// source).
+// pair, count, a 1000-pair page, the whole relation (pairs_all, 71 632
+// pairs), and rpq_from (subClassOf+ from that source).
 //
 //	go test -run='^$' -bench=ReadClasses -benchmem ./internal/server
 func BenchmarkReadClasses(b *testing.B) {
@@ -453,6 +475,7 @@ func BenchmarkReadClasses(b *testing.B) {
 		{"count", q(QueryRequest{Output: "count"})},
 		{"pairs_from", q(QueryRequest{Output: "pairs", Sources: []string{mid.From}})},
 		{"pairs_page", q(QueryRequest{Output: "pairs", Limit: 1000})},
+		{"pairs_all", q(QueryRequest{Output: "pairs"})},
 		{"rpq_from", QueryRequest{Graph: "g3", Expr: "subClassOf+", Sources: []string{mid.From}, Output: "pairs"}},
 	} {
 		b.Run(c.class, func(b *testing.B) {

@@ -9,7 +9,9 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
+	"slices"
 	"strconv"
+	"sync"
 	"time"
 
 	"cfpq"
@@ -145,7 +147,7 @@ func Handler(s *Service, opts ...HandlerOption) http.Handler {
 		var req struct {
 			Edges []EdgeSpec `json:"edges"`
 		}
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxDocumentBytes)).Decode(&req); err != nil {
+		if err := decodeBody(w, r, &req); err != nil {
 			writeError(w, statusFor(err), fmt.Errorf("decoding edges: %w", err))
 			return
 		}
@@ -183,7 +185,7 @@ func Handler(s *Service, opts ...HandlerOption) http.Handler {
 	})
 	mux.HandleFunc("POST /v1/query", func(w http.ResponseWriter, r *http.Request) {
 		var req QueryRequest
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxDocumentBytes)).Decode(&req); err != nil {
+		if err := decodeBody(w, r, &req); err != nil {
 			writeError(w, statusFor(err), fmt.Errorf("decoding request: %w", err))
 			return
 		}
@@ -204,7 +206,7 @@ func Handler(s *Service, opts ...HandlerOption) http.Handler {
 			Backend string           `json:"backend,omitempty"`
 			Queries []BatchQuerySpec `json:"queries"`
 		}
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxDocumentBytes)).Decode(&req); err != nil {
+		if err := decodeBody(w, r, &req); err != nil {
 			writeError(w, statusFor(err), fmt.Errorf("decoding batch: %w", err))
 			return
 		}
@@ -381,6 +383,76 @@ func serveDebugVars(w http.ResponseWriter, s *Service) {
 // maxDocumentBytes bounds uploaded graph/grammar documents and edge
 // batches (64 MiB).
 const maxDocumentBytes = 64 << 20
+
+var bodyBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// decodeBody decodes the first JSON value of r's body into v as
+// json.Decoder.Decode does: the body is read only up to the value's end,
+// what follows it is ignored, and a body past maxDocumentBytes before that
+// fails with *http.MaxBytesError. The bytes go through a pooled buffer
+// (Unmarshal copies what it keeps), so a request allocates no decoder.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	bp := bodyBufs.Get().(*[]byte)
+	b, err := readValue(http.MaxBytesReader(w, r.Body, maxDocumentBytes), (*bp)[:0])
+	if err == nil {
+		err = json.Unmarshal(b, v)
+	}
+	if cap(b) <= maxPooledBuf {
+		*bp = b[:0]
+		bodyBufs.Put(bp)
+	}
+	return err
+}
+
+// readValue appends r's bytes to b until they hold the first JSON value
+// whole, or r ends, and returns them up to that value's end. It finds only
+// the end: Unmarshal judges the value.
+func readValue(r io.Reader, b []byte) ([]byte, error) {
+	var (
+		depth    int  // open objects and arrays
+		str, esc bool // in a string; after a backslash in it
+		end      int  // just past the value, once known
+	)
+	for off := 0; ; {
+		if len(b) == cap(b) {
+			b = slices.Grow(b, 512)
+		}
+		n, err := r.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		for ; end == 0 && off < len(b); off++ {
+			switch c := b[off]; {
+			case str:
+				str, esc = esc || c != '"', !esc && c == '\\'
+				if !str && depth == 0 {
+					end = off + 1
+				}
+			case c == '"':
+				str = true
+			case c == '{' || c == '[':
+				depth++
+			case c == '}' || c == ']':
+				if depth--; depth <= 0 {
+					end = off + 1
+				}
+			case depth > 0 || c == ' ' || c == '\t' || c == '\n' || c == '\r':
+			case c == 'n':
+				// null decodes to the zero value, whatever follows it;
+				// every other top-level scalar is refused at its first byte.
+				end = off + len("null")
+			default:
+				end = off + 1
+			}
+		}
+		switch {
+		case end > 0 && end <= len(b):
+			return b[:end], nil
+		case err == io.EOF:
+			return b, nil
+		case err != nil:
+			return b, err
+		}
+	}
+}
 
 // writeJSON writes v as a JSON response: encoding/json, HTML escaping
 // off, one trailing newline. Query answers do not come through here:

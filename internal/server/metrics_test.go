@@ -224,6 +224,46 @@ func TestRequestHistogramBackendIsCanonical(t *testing.T) {
 	}
 }
 
+// TestRequestHistogramRouteLabels: a request's route label is the pattern
+// of the route that served it, wildcards unexpanded and whatever its
+// status, and "unmatched" for a 404 or 405 the mux answered itself.
+func TestRequestHistogramRouteLabels(t *testing.T) {
+	srv := queryTestServer(t)
+	for _, c := range []struct {
+		method, path string
+		status       int
+	}{
+		{http.MethodGet, "/v1/graphs", http.StatusOK},
+		{http.MethodGet, "/v1/graphs/nobody", http.StatusNotFound},
+		{http.MethodGet, "/v1/nowhere", http.StatusNotFound},
+		{http.MethodDelete, "/v1/graphs", http.StatusMethodNotAllowed},
+	} {
+		req, err := http.NewRequest(c.method, srv.URL+c.path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := srv.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		readAll(t, resp)
+		if resp.StatusCode != c.status {
+			t.Fatalf("%s %s: status %d, want %d", c.method, c.path, resp.StatusCode, c.status)
+		}
+	}
+	samples := scalarSamples(t, scrape(t, srv))
+	for _, series := range []string{
+		`route="GET /v1/graphs",backend="",status="200"`,
+		`route="GET /v1/graphs/{name}",backend="",status="404"`,
+		`route="unmatched",backend="",status="404"`,
+		`route="unmatched",backend="",status="405"`,
+	} {
+		if got := samples["cfpqd_http_request_duration_seconds_count{"+series+"}"]; got != 1 {
+			t.Errorf("requests labelled {%s}: %v, want 1", series, got)
+		}
+	}
+}
+
 // TestMetricNamesAreVetted pins the registered metric catalogue to a golden
 // list, so a renamed, added or dynamically built metric shows up in review
 // as an edit to this test. (Registration already panics on a malformed name

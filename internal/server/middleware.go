@@ -44,11 +44,17 @@ func QueryLabelsFromContext(ctx context.Context) *QueryLabels {
 }
 
 // statusWriter records the response status for the latency labels and the
-// request log. Flush is forwarded so the SSE subscribe route still streams
-// through the wrapper.
+// request log; it fails every write once the request's context is done (a
+// client that went away stops a streamed answer at its next chunk), and
+// gives each write writeTimeout to reach the client unless the handler set
+// its own write deadline. Flush is forwarded so the SSE subscribe route
+// still streams through the wrapper, and Unwrap lets an
+// http.ResponseController reach the connection.
 type statusWriter struct {
 	http.ResponseWriter
 	status int
+	ctx    context.Context
+	own    bool // the handler set the write deadline, or none can be set
 }
 
 func (w *statusWriter) WriteHeader(code int) {
@@ -62,12 +68,33 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 	if w.status == 0 {
 		w.status = http.StatusOK
 	}
+	if err := w.ctx.Err(); err != nil {
+		return 0, err
+	}
+	w.extend()
 	return w.ResponseWriter.Write(b)
 }
 
 func (w *statusWriter) Flush() {
 	if f, ok := w.ResponseWriter.(http.Flusher); ok {
 		f.Flush()
+	}
+}
+
+func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
+
+// SetWriteDeadline hands the response's write deadline to the handler.
+func (w *statusWriter) SetWriteDeadline(d time.Time) error {
+	w.own = true
+	return http.NewResponseController(w.ResponseWriter).SetWriteDeadline(d)
+}
+
+// extend gives the response's next write writeTimeout to reach the client,
+// unless the handler set the deadline itself. A writer that cannot take a
+// deadline (a test recorder) goes without one, and is not asked again.
+func (w *statusWriter) extend() {
+	if !w.own && http.NewResponseController(w.ResponseWriter).SetWriteDeadline(time.Now().Add(writeTimeout)) != nil {
+		w.own = true
 	}
 }
 
@@ -80,17 +107,18 @@ func newRequestID() string {
 	return hex.EncodeToString(b[:])
 }
 
+// writeTimeout is how long each write of a response — a chunk of a
+// streamed answer, or a smaller response whole — has to reach the client,
+// so that a client that stops reading cannot hold a handler. It bounds no
+// handler's work before its first write. The SSE stream, meant to stay
+// open, lifts it.
+const writeTimeout = time.Minute
+
 // instrument wraps the route mux with the observability layer. logger may
 // be nil (no request log); the latency histogram always records.
 func instrument(s *Service, mux *http.ServeMux, logger *slog.Logger) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		// Resolve the route pattern without serving, so the histogram's
-		// route label has bounded cardinality (never the raw path).
-		_, route := mux.Handler(r)
-		if route == "" {
-			route = "unmatched"
-		}
 		reqID := r.Header.Get("X-Request-ID")
 		if reqID == "" {
 			reqID = newRequestID()
@@ -98,8 +126,18 @@ func instrument(s *Service, mux *http.ServeMux, logger *slog.Logger) http.Handle
 		w.Header().Set("X-Request-ID", reqID)
 		ql := &QueryLabels{}
 		r = r.WithContext(context.WithValue(r.Context(), queryLabelsKey{}, ql))
-		sw := &statusWriter{ResponseWriter: w}
+		sw := &statusWriter{ResponseWriter: w, ctx: r.Context()}
 		mux.ServeHTTP(sw, r)
+		// What the handler left buffered, or a response it never wrote,
+		// goes out after it returns: give that write its time too.
+		sw.extend()
+		// The mux sets the pattern of the route it served, so the
+		// histogram's route label has bounded cardinality (never the raw
+		// path); a 404 or 405 has none.
+		route := r.Pattern
+		if route == "" {
+			route = "unmatched"
+		}
 		if sw.status == 0 {
 			// Nothing was written (e.g. a hijacked or abandoned stream);
 			// report what the client saw.

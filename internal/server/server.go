@@ -900,24 +900,30 @@ func (s *Service) QueryBatch(ctx context.Context, t Target, specs []BatchQuerySp
 	if err != nil {
 		return nil, err
 	}
-	for i, a := range answers {
-		if a.Error == "" && (a.Op == "relation" || a.Op == "relation-from") {
-			answers[i].Pairs = ge.named(pairs[i])
+	byID := ge.names.ByID()
+	for i, res := range pairs {
+		if res != nil {
+			named := make([]NamedPair, 0, res.Count)
+			for p := range res.Pairs() {
+				named = append(named, NamedPair{From: graph.NameIn(byID, p.I), To: graph.NameIn(byID, p.J)})
+			}
+			answers[i].Pairs = named
 		}
 	}
 	return answers, nil
 }
 
-// queryBatch is QueryBatch with the relation answers' pairs left unnamed:
-// pairs[i] are answers[i]'s, and the graph entry names them. POST
-// /v1/query/batch writes the answers from them (writeBatch).
-func (s *Service) queryBatch(ctx context.Context, t Target, specs []BatchQuerySpec) (*graphEntry, []BatchAnswer, [][]cfpq.Pair, error) {
+// queryBatch is QueryBatch with the relation answers' pairs left unread:
+// pairs[i] is answers[i]'s pairs Result (nil for other answers), and the
+// graph entry names them. POST /v1/query/batch writes the answers from
+// them (writeBatch).
+func (s *Service) queryBatch(ctx context.Context, t Target, specs []BatchQuerySpec) (*graphEntry, []BatchAnswer, []*cfpq.Result, error) {
 	e, p, err := s.index(ctx, t.key())
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	answers := make([]BatchAnswer, len(specs))
-	pairs := make([][]cfpq.Pair, len(specs))
+	pairs := make([]*cfpq.Result, len(specs))
 	reqs := make([]cfpq.Request, 0, len(specs))
 	slot := make([]int, 0, len(specs)) // batch index → specs index
 	v := e.ge.cur.Load()
@@ -954,7 +960,7 @@ func (s *Service) queryBatch(ctx context.Context, t Target, specs []BatchQuerySp
 		default: // relation, relation-from
 			count := r.Result.Count
 			answers[i].Count = &count
-			pairs[i] = r.Result.AllPairs()
+			pairs[i] = r.Result
 		}
 	}
 	return e.ge, answers, pairs, nil

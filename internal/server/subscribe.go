@@ -11,7 +11,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -128,10 +127,12 @@ func (s *Service) subscribeHeartbeat() time.Duration {
 // "resync":true, meaning re-issue the full query before trusting deltas.
 func (s *Service) serveSubscribe(w http.ResponseWriter, r *http.Request) {
 	var req SubscribeRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxDocumentBytes)).Decode(&req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		writeError(w, statusFor(err), fmt.Errorf("decoding request: %w", err))
 		return
 	}
+	// The stream is meant to outlive writeTimeout.
+	_ = http.NewResponseController(w).SetWriteDeadline(time.Time{})
 	fl, ok := w.(http.Flusher)
 	if !ok {
 		writeError(w, http.StatusInternalServerError, fmt.Errorf("server: response writer cannot stream"))

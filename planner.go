@@ -174,8 +174,7 @@ func (e *Engine) doPaths(ctx context.Context, req Request, gram *Grammar, start 
 		return nil, err
 	}
 	// Look one path past the limit so a clipped enumeration reports
-	// Truncated instead of passing for a complete answer (the pairs
-	// output's lookahead, applied to paths).
+	// Truncated instead of passing for a complete answer.
 	opts := AllPathsOptions{MaxLength: req.MaxPathLength, MaxPaths: req.Limit}
 	if req.Limit > 0 {
 		opts.MaxPaths++

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"cfpq/internal/core"
+	"cfpq/internal/matrix"
 )
 
 // Prepared is a compiled grammar bound to a graph with a cached,
@@ -99,9 +100,9 @@ func (p *Prepared) Nodes() int { return p.pin().g.Nodes() }
 // cancelled context are errors.
 //
 // The answer is read from the version current when Do pinned it: a
-// concurrent AddEdges neither delays it nor shows through it, and the
-// returned Result's Pairs/Paths stream a materialised snapshot of that
-// version, so iterating them needs no lock either.
+// concurrent AddEdges neither delays it nor shows through it. A pairs
+// Result keeps that version and its Pairs walk the version's rows, which
+// no later write changes, so iterating them needs no lock either.
 func (p *Prepared) Do(ctx context.Context, req Request) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -165,9 +166,9 @@ func (p *Prepared) answer(ctx context.Context, v *version, req Request) (*Result
 			return res, nil
 		}
 		// Enumerate one path past the limit so a clipped answer reports
-		// Truncated — the same lookahead the pairs output uses. (Without a
-		// Limit the enumerator's own default cap applies; hitting it is
-		// not reported.)
+		// Truncated: unlike a relation's, an enumeration's size is not
+		// known before it runs. (Without a Limit the enumerator's own
+		// default cap applies; hitting it is not reported.)
 		opts := AllPathsOptions{MaxLength: req.MaxPathLength, MaxPaths: req.Limit}
 		if req.Limit > 0 {
 			opts.MaxPaths++
@@ -190,119 +191,121 @@ func (p *Prepared) answer(ctx context.Context, v *version, req Request) (*Result
 			return res, nil
 		}
 		// Stopping at the first entry is finding one.
-		res.Exists = !scan(v.ix, nt, sourceRows(req.Sources, n), req.Targets, func(int, int) bool { return false })
+		res.Exists = !restrict(v.ix, nt, req).scan(func(int, int) bool { return false })
 	case OutputCount:
-		if req.Sources == nil && req.Targets == nil {
-			res.Count = v.ix.Count(nt)
-			return res, nil
-		}
-		scan(v.ix, nt, sourceRows(req.Sources, n), req.Targets, func(int, int) bool {
-			res.Count++
-			return true
-		})
+		res.Count = restrict(v.ix, nt, req).total()
 	default: // OutputPairs
-		// Materialised from the pinned version: the streamed pairs are a
-		// consistent point-in-time snapshot (batch answers must all read
-		// one index state), and iterating the Result needs no lock.
-		// The scan looks one pair past the limit so a clipped answer can
-		// report Truncated instead of silently passing for a complete one.
-		lookahead := req.Limit
-		if lookahead > 0 {
-			lookahead++
+		// The answer is a walk of the pinned version's rows, which no later
+		// AddEdges writes: it is a consistent point-in-time answer (batch
+		// answers all read one index state) however late it is read, and
+		// it builds no pair list. Its size is known before the walk, so a
+		// clipped answer reports Truncated.
+		w := restrict(v.ix, nt, req)
+		res.Count = w.total()
+		if req.Limit > 0 && res.Count > req.Limit {
+			res.Count, res.Truncated = req.Limit, true
 		}
-		rows := sourceRows(req.Sources, n)
-		var pairs []Pair
-		if bound := pairsBound(v.ix, nt, rows, req.Targets, lookahead); bound > 0 {
-			pairs = make([]Pair, 0, bound)
-		}
-		scan(v.ix, nt, rows, req.Targets, func(i, j int) bool {
-			pairs = append(pairs, Pair{I: i, J: j})
-			return lookahead == 0 || len(pairs) < lookahead
-		})
-		if req.Limit > 0 && len(pairs) > req.Limit {
-			pairs = pairs[:req.Limit]
-			res.Truncated = true
-		}
-		res.Count = len(pairs)
-		res.pairs = pairs
+		w.n = res.Count
+		res.rel = &w
 	}
 	return res, nil
 }
 
-// scan calls visit for the entries of R_nt satisfying the restriction, in
-// row-major order, until visit returns false; it reports whether it ran to
-// the end. A source restriction, given as sourceRows, reads just its rows —
-// the cost of "what does this node reach" is that node's row, not the
-// relation; only a read without one (nil rows) ranges over the whole
-// matrix. nil targets are unrestricted; out-of-range targets can have no
-// pairs and are dropped.
-func scan(ix *Index, nt string, rows, targets []int, visit func(i, j int) bool) bool {
-	m := ix.Matrix(nt)
+// walk is a read of R_nt from a pinned version: the entries in its rows
+// (every row when rows is nil) and columns (every column when cols is nil),
+// in row-major order. A row restriction reads just its rows — the cost of
+// "what does this node reach" is that node's row, not the relation — and a
+// column restriction is merged with each sorted row, so a read costs the
+// rows it reads, never a scratch of the node count. A version is immutable,
+// so a walk reads the same entries however often and on however many
+// goroutines it runs.
+type walk struct {
+	m    matrix.Bool
+	rows []int // sorted, distinct and in range
+	cols []int // sorted, distinct and in range
+	n    int   // the entries a pairs answer yields: its Count
+}
+
+// restrict is the walk of R_nt under req's restriction.
+func restrict(ix *Index, nt string, req Request) walk {
 	n := ix.Nodes()
-	var inTargets []bool // nil = every column
-	if targets != nil {
-		inTargets = make([]bool, n)
-		for _, j := range targets {
-			if j < n {
-				inTargets[j] = true
-			}
+	return walk{m: ix.Matrix(nt), rows: nodeSet(req.Sources, n), cols: nodeSet(req.Targets, n)}
+}
+
+// nodeSet is a restriction's in-range nodes, sorted and de-duplicated. nil
+// (unrestricted) stays nil, and an empty restriction selects nothing.
+func nodeSet(nodes []int, n int) []int {
+	if nodes == nil {
+		return nil
+	}
+	out := make([]int, 0, len(nodes))
+	for _, i := range nodes {
+		if i < n {
+			out = append(out, i)
 		}
 	}
-	each := func(i, j int) bool { return (inTargets != nil && !inTargets[j]) || visit(i, j) }
-	if rows == nil {
-		done := true
-		m.Range(func(i, j int) bool {
-			done = each(i, j)
-			return done
-		})
+	slices.Sort(out)
+	return slices.Compact(out)
+}
+
+// scan calls visit for the walk's entries until visit returns false; it
+// reports whether it ran to the end.
+func (w walk) scan(visit func(i, j int) bool) bool {
+	done := true
+	row := func(i int, cols []int32) bool {
+		want := w.cols
+		for _, j := range cols {
+			if want != nil {
+				// Merge: pass the wanted columns before j, then j unless wanted.
+				for len(want) > 0 && want[0] < int(j) {
+					want = want[1:]
+				}
+				if len(want) == 0 {
+					break
+				}
+				if want[0] != int(j) {
+					continue
+				}
+			}
+			if done = visit(i, int(j)); !done {
+				return false
+			}
+		}
+		return true
+	}
+	if w.rows == nil {
+		matrix.RangeRows(w.m, row)
 		return done
 	}
-	for _, i := range rows {
-		if !m.RangeRow(i, func(j int) bool { return each(i, j) }) {
+	var buf []int32 // a dense row's columns
+	for _, i := range w.rows {
+		if buf = matrix.Row(w.m, i, buf); !row(i, buf) {
 			return false
 		}
 	}
 	return true
 }
 
-// sourceRows is the rows a source restriction reads: its in-range sources,
-// sorted and de-duplicated. nil (unrestricted) stays nil, and an empty
-// restriction reads no row.
-func sourceRows(sources []int, n int) []int {
-	if sources == nil {
-		return nil
+// total is the number of entries the walk visits: the relation's nnz when
+// it is unrestricted, a counting pass over its rows otherwise.
+func (w walk) total() int {
+	if w.rows == nil && w.cols == nil {
+		return w.m.Nnz()
 	}
-	rows := make([]int, 0, len(sources))
-	for _, i := range sources {
-		if i < n {
-			rows = append(rows, i)
-		}
-	}
-	slices.Sort(rows)
-	return slices.Compact(rows)
+	t := 0
+	w.scan(func(int, int) bool { t++; return true })
+	return t
 }
 
-// pairsBound is the most pairs a scan of R_nt over rows can visit — the
-// relation's nnz, or the lengths of the rows — capped at limit when limit
-// is positive; the pairs slice of a read is allocated once at that size.
-// It is 0 under a target restriction, which can leave a handful of pairs
-// of a whole relation: such a read grows its slice as it goes.
-func pairsBound(ix *Index, nt string, rows, targets []int, limit int) int {
-	if targets != nil {
-		return 0
+// pairs yields the walk's first n entries.
+func (w *walk) pairs(yield func(Pair) bool) {
+	left := w.n
+	if left > 0 {
+		w.scan(func(i, j int) bool {
+			left--
+			return yield(Pair{I: i, J: j}) && left > 0
+		})
 	}
-	m := ix.Matrix(nt)
-	bound := 0
-	if rows == nil {
-		bound = m.Nnz()
-	}
-	for _, i := range rows {
-		m.RangeRow(i, func(int) bool { bound++; return true })
-	}
-	if limit > 0 {
-		bound = min(bound, limit)
-	}
-	return bound
 }
 
 // UpdateInfo reports what one AddEdges call did.

@@ -109,10 +109,10 @@ func TestPreparedBasics(t *testing.T) {
 // node-growing ones — through AddEdges and checks after every batch that
 // the patched index matches a from-scratch closure of an identically
 // mutated graph.
-// TestPairsAllocatedOnce: a pairs read allocates its slice once, at its
-// final size — the relation's nnz unrestricted, the limit's one-pair
-// lookahead for a page, the sources' rows for a source-restricted read —
-// and a target-restricted read does not size it by the relation.
+// TestPairsAllocatedOnce: AllPairs allocates its slice once, at its final
+// size — the relation's nnz unrestricted, the limit for a page, the
+// sources' rows for a source-restricted read — and a target-restricted
+// read does not size it by the relation.
 func TestPairsAllocatedOnce(t *testing.T) {
 	g := NewGraph(0)
 	for i := range 40 {
@@ -124,7 +124,7 @@ func TestPairsAllocatedOnce(t *testing.T) {
 		n, capacity int
 	}{
 		{Request{Nonterminal: "S"}, 820, 820},
-		{Request{Nonterminal: "S", Limit: 100}, 100, 101},
+		{Request{Nonterminal: "S", Limit: 100}, 100, 100},
 		{Request{Nonterminal: "S", Limit: 1000}, 820, 820},
 		{Request{Nonterminal: "S", Sources: []int{3, 0, 3, 99}}, 77, 77},
 		{Request{Nonterminal: "S", Sources: []int{}}, 0, 0},
@@ -133,6 +133,56 @@ func TestPairsAllocatedOnce(t *testing.T) {
 		pairs := read(t, p, c.req).AllPairs()
 		if len(pairs) != c.n || cap(pairs) != c.capacity {
 			t.Errorf("%+v: %d pairs in a slice of capacity %d, want %d in %d", c.req, len(pairs), cap(pairs), c.n, c.capacity)
+		}
+	}
+}
+
+// TestResultWalksItsVersion: a pairs Result read before any number of
+// AddEdges yields its own version's pairs — unrestricted, limited and
+// source- or target-restricted, on both backends — when read from several
+// goroutines at once beside the writer that publishes the later versions.
+func TestResultWalksItsVersion(t *testing.T) {
+	for _, be := range []Backend{Sparse, Dense} {
+		g := NewGraph(0)
+		for i := range 30 {
+			g.AddEdge(i, "a", i+1)
+		}
+		p := mustPrepare(t, NewEngine(be), g, "S -> a | a S")
+		var results []*Result
+		var wants [][]Pair
+		for _, req := range []Request{
+			{Nonterminal: "S"},
+			{Nonterminal: "S", Limit: 50},
+			{Nonterminal: "S", Sources: []int{7, 3, 7, 99}},
+			{Nonterminal: "S", Targets: []int{30, 2, 99, 2}, Sources: []int{0, 1, 5}},
+		} {
+			res := read(t, p, req)
+			results, wants = append(results, res), append(wants, res.AllPairs())
+		}
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 20 {
+				if _, err := p.AddEdges(context.Background(), Edge{From: 0, Label: "a", To: 31 + i}, Edge{From: 31 + i, Label: "a", To: 0}); err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+		for range 4 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for k, res := range results {
+					if got := slices.Collect(res.Pairs()); !slices.Equal(got, wants[k]) || len(got) != res.Count {
+						t.Errorf("%s: result %d walked %d pairs after later writes, want its %d", be.Name(), k, len(got), len(wants[k]))
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		if want := []int{465, 50, 50, 5}; len(wants[0]) != want[0] || len(wants[1]) != want[1] || len(wants[2]) != want[2] || len(wants[3]) != want[3] {
+			t.Errorf("%s: answers of %d, %d, %d and %d pairs, want %v", be.Name(), len(wants[0]), len(wants[1]), len(wants[2]), len(wants[3]), want)
 		}
 	}
 }

@@ -1,6 +1,9 @@
 package cfpq
 
-import "iter"
+import (
+	"iter"
+	"slices"
+)
 
 // Strategy names one of the planner's evaluation strategies — the value
 // Result.Explain records.
@@ -51,6 +54,11 @@ type Explain struct {
 // (and the pair/path count for the streaming outputs), Pairs for
 // OutputPairs, Paths for OutputPaths. Stats is the closure work this
 // evaluation performed (zero for cached reads) and Explain names the plan.
+//
+// A Result is safe to read from several goroutines. The pairs of a
+// Prepared answer are not copied out: the Result pins the index version it
+// was read from, and Pairs walks that version's rows, so holding the
+// Result holds that version's relation in memory.
 type Result struct {
 	// Exists answers OutputExists.
 	Exists bool `json:"exists,omitempty"`
@@ -69,24 +77,35 @@ type Result struct {
 	// Explain records the chosen plan.
 	Explain Explain `json:"explain"`
 
-	// The evaluation strategies all materialise before streaming, so the
-	// backing slices are kept for AllPairs/AllPaths to hand out without a
-	// second copy of the relation.
+	// A Prepared pairs answer is rel, a walk of the pinned version; the
+	// evaluation strategies materialise theirs, and the backing slices are
+	// kept for AllPairs/AllPaths to hand out without a second copy.
+	rel   *walk
 	pairs []Pair
 	paths [][]Edge
 }
 
 // Pairs streams the result relation of an OutputPairs request in
-// row-major order — a point-in-time snapshot materialised at evaluation
-// time, so iteration holds no locks. Other outputs stream nothing.
+// row-major order: from the pinned version for a Prepared answer, from the
+// materialised pairs otherwise. Either way iteration holds no lock and
+// yields the same pairs every time. Other outputs stream nothing.
 func (r *Result) Pairs() iter.Seq[Pair] {
+	if r.rel != nil {
+		return r.rel.pairs
+	}
 	return sliceSeq(r.pairs)
 }
 
-// AllPairs returns the result relation as a slice — the same snapshot
-// Pairs streams, with no extra copy.
+// AllPairs returns the pairs Pairs streams as a slice: the materialised
+// one itself, or for a Prepared answer a fresh copy on every call.
 func (r *Result) AllPairs() []Pair {
-	return r.pairs
+	if r.rel == nil {
+		return r.pairs
+	}
+	if r.Count == 0 {
+		return nil
+	}
+	return slices.AppendSeq(make([]Pair, 0, r.Count), r.Pairs())
 }
 
 // Paths streams the witness paths of an OutputPaths request in
