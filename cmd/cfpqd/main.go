@@ -106,10 +106,14 @@
 // age), live subscriptions with their buffer depth and drop counters (the
 // only view of them; there are no per-subscription rows), store sizes, and
 // a build_info gauge. GET /debug/vars renders the same counters as JSON,
-// beside the store statistics that POST /v1/snapshot also answers with. GET /healthz and /readyz report build version/revision
-// and uptime. Every request is logged one structured line to stderr (slog)
-// with an X-Request-ID that is echoed from the client or freshly minted,
-// and set on the response either way.
+// beside the store statistics that POST /v1/snapshot also answers with.
+// GET /healthz and /readyz report build version/revision and uptime.
+// Every request is logged as one line to stderr, in slog's text format
+// (time=.. level=INFO msg=request id=.. method=.. route=.. path=..
+// status=.. duration=.. remote=..), written whole with one write, with
+// an X-Request-ID that is echoed from the client when it is 1 to 64
+// visible ASCII bytes and freshly minted otherwise, and set on the
+// response either way.
 //
 //	cfpqd -pprof                     # also mount /debug/pprof/ (off by default)
 //
@@ -125,7 +129,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"log/slog"
 	"net/http"
 	"os"
 	"os/signal"
@@ -170,7 +173,6 @@ func main() {
 		log.Fatalf("cfpqd: -graph/-grammar preloads cannot be combined with -follow; load data on the leader")
 	}
 
-	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
 	svc := server.New()
 	svc.SetMemoryBudget(*memoryBudget)
 	var st *store.Store
@@ -232,7 +234,7 @@ func main() {
 
 	log.Printf("cfpqd: listening on %s (%d graphs, %d grammars preloaded)",
 		*addr, len(graphs), len(grammars))
-	handlerOpts := []server.HandlerOption{server.WithRequestLog(logger)}
+	handlerOpts := []server.HandlerOption{server.WithRequestLog(os.Stderr)}
 	if *pprofOn {
 		handlerOpts = append(handlerOpts, server.WithPprof())
 		log.Printf("cfpqd: pprof profiling mounted at /debug/pprof/")

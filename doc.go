@@ -178,8 +178,10 @@
 // allocations. Result.Stats reports Duration and PeakBytes on every
 // path, cached reads included. cmd/cfpq prints the pass table with
 // -trace; cmd/cfpqd serves Prometheus metrics at GET /metrics, tags
-// every request with an X-Request-ID, and returns a slot build's pass
-// table to a query that sets "trace".
+// every request with an X-Request-ID (the client's, when it is 1 to 64
+// visible ASCII bytes, else a minted one), logs it as one line in slog's
+// text format, and returns a slot build's pass table to a query that sets
+// "trace".
 //
 // # Memory budgets
 //

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strconv"
 	"sync"
+	"unicode/utf8"
 )
 
 // Names is a graph's node name table, and the only code that turns a node
@@ -19,20 +20,22 @@ import (
 // one writer that interns: mu is held for one map access or one read or
 // update of the byID header, never across I/O or another lock. byID only
 // appends, and no entry below its length is ever rewritten, so a reader
-// that pinned it (ByID) renders names from it with no lock at all.
+// that pinned it (ByID, View) renders names from it with no lock at all.
 // Recovery hands the store fold's table (Fold.Names) to the registry.
 type Names struct {
-	mu   sync.RWMutex
-	byID []string       // node id → name, "" = unnamed
-	ids  map[string]int // name → node id
+	mu    sync.RWMutex
+	byID  []string       // node id → name, "" = unnamed
+	plain []uint8        // node id → Plain(name), appended beside byID
+	ids   map[string]int // name → node id
 }
 
 // NewNames builds the table of an n-node graph from its id → name slice
 // ("" = unnamed; entries at or beyond n are dropped). The slice is copied.
 func NewNames(n int, byID []string) *Names {
-	t := &Names{byID: make([]string, n)}
+	t := &Names{byID: make([]string, n), plain: make([]uint8, n)}
 	named := 0
-	for _, name := range byID[:copy(t.byID, byID)] {
+	for id, name := range byID[:copy(t.byID, byID)] {
+		t.plain[id] = Plain(name)
 		if name != "" {
 			named++
 		}
@@ -104,6 +107,56 @@ func (t *Names) ByID() []string {
 	return t.byID
 }
 
+// View is the table as it stands, pinned for writing names out: ByID as
+// ByID returns it, and Plain[id] the Plain flags of ByID[id], recorded
+// when the table took the name in. Like ByID, it is the table's storage.
+type View struct {
+	ByID  []string
+	Plain []uint8
+}
+
+// View returns the table as it stands.
+func (t *Names) View() View {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return View{t.byID, t.plain}
+}
+
+// Plain flags say which JSON writers can copy a name between quotes as it
+// is, so that one writing many names scans none of them.
+const (
+	// PlainJSON: valid UTF-8 with no control byte, quote, backslash,
+	// U+2028 or U+2029 — encoding/json would escape none of it.
+	PlainJSON uint8 = 1 << iota
+	// PlainHTML: PlainJSON and no <, > or & either, so HTML-escaping JSON
+	// (json.Marshal) would escape none of it.
+	PlainHTML
+)
+
+// Plain returns the Plain flags of s.
+func Plain(s string) uint8 {
+	flags := PlainJSON | PlainHTML
+	for i := 0; i < len(s); {
+		c := s[i]
+		if c < utf8.RuneSelf {
+			switch {
+			case c < 0x20 || c == '"' || c == '\\':
+				return 0
+			case c == '<' || c == '>' || c == '&':
+				flags = PlainJSON
+			}
+			i++
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		if r == utf8.RuneError && size == 1 || r == '\u2028' || r == '\u2029' {
+			return 0
+		}
+		i += size
+	}
+	return flags
+}
+
 // Intern resolves one endpoint of an edge being added to g, growing g and
 // the table as needed: a known name, else a non-negative numeral (growing
 // the node range to cover it), else a fresh node appended under that name.
@@ -132,6 +185,7 @@ func (t *Names) Intern(g *Graph, tok string, idsOnly bool) int {
 			name = tok
 		}
 		t.byID = append(t.byID, name)
+		t.plain = append(t.plain, Plain(name))
 	}
 	if fresh {
 		t.ids[tok] = id

@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"reflect"
@@ -137,5 +139,45 @@ func TestNewNamesSizesItsMapOnce(t *testing.T) {
 	}
 	if id, err := names.Lookup("n99999"); err != nil || id != n-1 {
 		t.Errorf("Lookup(n99999) = %d, %v", id, err)
+	}
+}
+
+// TestPlainMatchesEncodingJSON: a name's Plain flags say exactly when
+// encoding/json writes it as it is between quotes — PlainJSON without
+// HTML escaping, PlainHTML with it — and the table records them for names
+// NewNames and Intern take in, beside ByID.
+func TestPlainMatchesEncodingJSON(t *testing.T) {
+	names := []string{
+		"", "alice", "n123", `q"uote`, `back\slash`, "ctl\x01", "tab\t", "del\x7f", "<tag>", "a&b",
+		"é日本", "🙂", "bad\xffutf8", "\xc3", "line\u2028", "para\u2029", "\ufffd", "nb\u00a0sp",
+	}
+	for _, s := range names {
+		for _, html := range []bool{false, true} {
+			var b bytes.Buffer
+			enc := json.NewEncoder(&b)
+			enc.SetEscapeHTML(html)
+			if err := enc.Encode(s); err != nil {
+				t.Fatal(err)
+			}
+			flag := PlainJSON
+			if html {
+				flag = PlainHTML
+			}
+			if asIs := b.String() == `"`+s+`"`+"\n"; asIs != (Plain(s)&flag != 0) {
+				t.Errorf("%q: encoding/json (HTML escaping %v) writes it as it is: %v; Plain flags %02b", s, html, asIs, Plain(s))
+			}
+		}
+	}
+	g := New(len(names))
+	table := NewNames(g.Nodes(), names)
+	table.Intern(g, "fresh<&>", false)
+	v := table.View()
+	if !reflect.DeepEqual(v.ByID, table.ByID()) || len(v.Plain) != len(v.ByID) {
+		t.Fatalf("View: %d names and %d flags; ByID %d", len(v.ByID), len(v.Plain), len(table.ByID()))
+	}
+	for id, name := range v.ByID {
+		if v.Plain[id] != Plain(name) {
+			t.Errorf("node %d %q: recorded flags %02b, want %02b", id, name, v.Plain[id], Plain(name))
+		}
 	}
 }

@@ -21,7 +21,6 @@ import (
 	"slices"
 	"strconv"
 	"sync"
-	"unicode/utf8"
 
 	"cfpq"
 	"cfpq/internal/graph"
@@ -31,8 +30,10 @@ import (
 type jsonBuf struct {
 	b []byte
 	// html escapes <, > and & as json.Marshal does; writeJSON's encoder
-	// does not.
-	html bool
+	// does not. plain is the graph.Plain flag of the strings it copies as
+	// they are: PlainHTML when it escapes HTML, else PlainJSON.
+	html  bool
+	plain uint8
 	// w, when set, takes b every answerChunk bytes of pairs; err is its
 	// first failed write, which stops the walk.
 	w   io.Writer
@@ -53,7 +54,10 @@ var jsonBufs = sync.Pool{New: func() any { return new(jsonBuf) }}
 
 func getJSONBuf(html bool) *jsonBuf {
 	j := jsonBufs.Get().(*jsonBuf)
-	j.b, j.html, j.err = j.b[:0], html, nil
+	j.b, j.html, j.plain, j.err = j.b[:0], html, graph.PlainJSON, nil
+	if html {
+		j.plain = graph.PlainHTML
+	}
 	return j
 }
 
@@ -91,56 +95,61 @@ func (j *jsonBuf) value(v any) {
 
 // str appends s as a JSON string. A string with nothing to escape — valid
 // UTF-8 without control bytes, quotes, backslashes, U+2028 or U+2029, nor
-// <, > and & when j escapes HTML — is copied as it is; any other is
-// encoding/json's to write.
+// <, > and & when j escapes HTML (graph.Plain) — is copied as it is; any
+// other is encoding/json's to write.
 func (j *jsonBuf) str(s string) {
-	for i := 0; i < len(s); {
-		c := s[i]
-		if c < utf8.RuneSelf {
-			if c < 0x20 || c == '"' || c == '\\' || j.html && (c == '<' || c == '>' || c == '&') {
-				j.value(s)
-				return
-			}
-			i++
-			continue
-		}
-		r, size := utf8.DecodeRuneInString(s[i:])
-		if r == utf8.RuneError && size == 1 || r == '\u2028' || r == '\u2029' {
-			j.value(s)
-			return
-		}
-		i += size
+	if graph.Plain(s)&j.plain == 0 {
+		j.value(s)
+		return
 	}
 	j.b = append(j.b, '"')
 	j.b = append(j.b, s...)
 	j.b = append(j.b, '"')
 }
 
+// name appends node id's name as str(graph.NameIn(names.ByID, id)) does,
+// without scanning it: the table recorded its Plain flags.
+func (j *jsonBuf) name(names graph.View, id int) {
+	if id < len(names.ByID) && names.Plain[id]&j.plain != 0 && names.ByID[id] != "" {
+		j.b = append(j.b, '"')
+		j.b = append(j.b, names.ByID[id]...)
+		j.b = append(j.b, '"')
+		return
+	}
+	j.str(graph.NameIn(names.ByID, id))
+}
+
 func (j *jsonBuf) int(n int64) { j.b = strconv.AppendInt(j.b, n, 10) }
 
 // pairs appends pairs as a JSON array of NamedPair, naming nodes through
-// byID. With a writer set, it writes every answerChunk bytes, and a failed
+// names. With a writer set, it writes every answerChunk bytes, and a failed
 // write ends the array.
-func (j *jsonBuf) pairs(byID []string, pairs iter.Seq[cfpq.Pair]) {
+func (j *jsonBuf) pairs(names graph.View, pairs iter.Seq[cfpq.Pair]) {
 	j.b = append(j.b, '[')
 	first, row := true, -1
 	for p := range pairs {
-		if !first {
-			j.b = append(j.b, ',')
-		}
-		first = false
 		if p.I != row {
-			// A row's pairs share their {"from":..,"to": bytes.
+			// A row's later pairs repeat its ,{"from":..,"to": bytes.
+			if !first {
+				j.b = append(j.b, ',')
+			}
+			first = false
 			start := len(j.b)
 			j.b = append(j.b, `{"from":`...)
-			j.str(graph.NameIn(byID, p.I))
+			j.name(names, p.I)
 			j.b = append(j.b, `,"to":`...)
-			j.from, row = append(j.from[:0], j.b[start:]...), p.I
+			j.from, row = append(append(j.from[:0], ','), j.b[start:]...), p.I
 		} else {
 			j.b = append(j.b, j.from...)
 		}
-		j.str(graph.NameIn(byID, p.J))
-		j.b = append(j.b, '}')
+		// name's plain case, inlined: the call cost about 15 % of a
+		// whole-relation answer (BenchmarkReadClasses/pairs_all).
+		if id := p.J; id < len(names.ByID) && names.Plain[id]&j.plain != 0 && names.ByID[id] != "" {
+			j.b = append(append(append(j.b, '"'), names.ByID[id]...), '"', '}')
+		} else {
+			j.name(names, id)
+			j.b = append(j.b, '}')
+		}
 		if j.w != nil && len(j.b) >= answerChunk && !j.flush() {
 			break
 		}
@@ -149,9 +158,9 @@ func (j *jsonBuf) pairs(byID []string, pairs iter.Seq[cfpq.Pair]) {
 }
 
 // answer appends the QueryAnswer renderAnswer makes of res for output out,
-// as writeJSON encodes it (its newline included); byID is the graph's name
+// as writeJSON encodes it (its newline included); names is the graph's name
 // table, pinned after res was computed.
-func (j *jsonBuf) answer(byID []string, out string, res *cfpq.Result) {
+func (j *jsonBuf) answer(names graph.View, out string, res *cfpq.Result) {
 	j.b = append(j.b, `{"output":`...)
 	j.str(out)
 	switch cfpq.Output(out) {
@@ -166,7 +175,7 @@ func (j *jsonBuf) answer(byID []string, out string, res *cfpq.Result) {
 		j.int(int64(res.Count))
 		if paths := res.AllPaths(); len(paths) > 0 {
 			j.b = append(j.b, `,"paths":`...)
-			j.value(namedPaths(byID, paths))
+			j.value(namedPaths(names.ByID, paths))
 		}
 		j.truncated(res.Truncated)
 	default: // pairs
@@ -174,7 +183,7 @@ func (j *jsonBuf) answer(byID []string, out string, res *cfpq.Result) {
 		j.int(int64(res.Count))
 		if res.Count > 0 {
 			j.b = append(j.b, `,"pairs":`...)
-			j.pairs(byID, res.Pairs())
+			j.pairs(names, res.Pairs())
 		}
 		j.truncated(res.Truncated)
 	}
@@ -218,7 +227,7 @@ func (j *jsonBuf) truncated(t bool) {
 
 // event appends the SSE "pairs" event of b: its id, and as its data what
 // json.Marshal writes of {"seq","resync" (omitted when false),"pairs"}.
-func (j *jsonBuf) event(byID []string, b cfpq.PairBatch) {
+func (j *jsonBuf) event(names graph.View, b cfpq.PairBatch) {
 	j.b = append(j.b, "id: "...)
 	j.b = strconv.AppendUint(j.b, b.Seq, 10)
 	j.b = append(j.b, "\nevent: pairs\ndata: {\"seq\":"...)
@@ -227,13 +236,13 @@ func (j *jsonBuf) event(byID []string, b cfpq.PairBatch) {
 		j.b = append(j.b, `,"resync":true`...)
 	}
 	j.b = append(j.b, `,"pairs":`...)
-	j.pairs(byID, slices.Values(b.Pairs))
+	j.pairs(names, slices.Values(b.Pairs))
 	j.b = append(j.b, "}\n\n"...)
 }
 
 // batch appends what writeJSON writes of {"results": answers} once
 // QueryBatch has named the pairs of pairs[i] into answers[i].
-func (j *jsonBuf) batch(byID []string, answers []BatchAnswer, pairs []*cfpq.Result) {
+func (j *jsonBuf) batch(names graph.View, answers []BatchAnswer, pairs []*cfpq.Result) {
 	j.b = append(j.b, `{"results":[`...)
 	for i, a := range answers {
 		if i > 0 {
@@ -253,7 +262,7 @@ func (j *jsonBuf) batch(byID []string, answers []BatchAnswer, pairs []*cfpq.Resu
 		}
 		if res := pairs[i]; res != nil && res.Count > 0 {
 			j.b = append(j.b, `,"pairs":`...)
-			j.pairs(byID, res.Pairs())
+			j.pairs(names, res.Pairs())
 		}
 		if a.Error != "" {
 			j.b = append(j.b, `,"error":`...)
@@ -269,7 +278,7 @@ func (j *jsonBuf) batch(byID []string, answers []BatchAnswer, pairs []*cfpq.Resu
 func writeBatch(w http.ResponseWriter, ge *graphEntry, answers []BatchAnswer, pairs []*cfpq.Result) {
 	j := startAnswer(w)
 	defer j.free()
-	j.batch(ge.names.ByID(), answers, pairs)
+	j.batch(ge.names.View(), answers, pairs)
 	j.flush()
 }
 
@@ -278,14 +287,14 @@ func writeBatch(w http.ResponseWriter, ge *graphEntry, answers []BatchAnswer, pa
 func writeAnswer(w http.ResponseWriter, ge *graphEntry, req QueryRequest, res *cfpq.Result) {
 	j := startAnswer(w)
 	defer j.free()
-	j.answer(ge.names.ByID(), answerOutput(req), res)
+	j.answer(ge.names.View(), answerOutput(req), res)
 	j.flush()
 }
 
 // startAnswer writes a 200 JSON response's header and returns a buffer
 // that writes its body to w.
 func startAnswer(w http.ResponseWriter) *jsonBuf {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(http.StatusOK)
 	j := getJSONBuf(false)
 	j.w = w

@@ -85,7 +85,7 @@ func requireSameEvent(t *testing.T, what string, ge *graphEntry, b cfpq.PairBatc
 	want := fmt.Sprintf("id: %d\nevent: pairs\ndata: %s\n\n", b.Seq, payload)
 	j := getJSONBuf(true)
 	defer j.free()
-	j.event(ge.names.ByID(), b)
+	j.event(ge.names.View(), b)
 	if string(j.b) != want {
 		t.Fatalf("%s:\n got %q\nwant %q", what, j.b, want)
 	}

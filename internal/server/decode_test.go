@@ -13,14 +13,15 @@ import (
 )
 
 // decodeBoth decodes body into a fresh QueryRequest with json.Decoder and
-// with decodeBody, whose reads come one byte at a time when oneByte is
-// set, and fails unless both accept it with the same value or both refuse
-// it with the same status.
+// with decodeBody, whose reads end in io.EOF with the last bytes, as an
+// HTTP request body's do, and come one byte at a time when oneByte is set;
+// it fails unless both accept it with the same value or both refuse it
+// with the same status.
 func decodeBoth(t *testing.T, body []byte, oneByte bool) {
 	t.Helper()
 	var want QueryRequest
 	wantErr := json.NewDecoder(bytes.NewReader(body)).Decode(&want)
-	var src io.Reader = bytes.NewReader(body)
+	src := iotest.DataErrReader(bytes.NewReader(body))
 	if oneByte {
 		src = iotest.OneByteReader(src)
 	}
@@ -88,5 +89,79 @@ func FuzzDecodeBody(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, body []byte, oneByte bool) {
 		decodeBoth(t, body, oneByte)
+	})
+}
+
+// plainSeeds are bodies of the plain shape decodePlain takes: what
+// json.Marshal writes of a QueryRequest, and every way the shape allows
+// writing its fields.
+var plainSeeds = []string{
+	`{"graph":"g3","grammar":"query1","nonterminal":"S","sources":["n1"],"targets":["n2"],"output":"exists"}`,
+	`{"graph":"g3","grammar":"query1","nonterminal":"S","sources":null,"targets":null,"output":"pairs","limit":1000}`,
+	`{"graph":"g3","expr":"subClassOf+","sources":["n1","n2"],"targets":null,"output":"pairs"}`,
+	" \t\r\n{ \"graph\" : \"g\" , \"sources\" : [ ] , \"trace\" : true , \"limit\" : -0 }\n trailing",
+	`{"graph":"é日本 ","limit":123456789012345678,"max_path_length":0,"trace":false,"backend":"sparse-parallel"}`,
+	`{"graph":"a","graph":"b","graph":null,"sources":["x"],"sources":null,"targets":[],"targets":["y","z"],"trace":null,"limit":null}`,
+	`{}`,
+}
+
+// notPlainSeeds are bodies decodePlain leaves to json.Unmarshal.
+var notPlainSeeds = []string{
+	`{"graph":"a\"b"}`, `{"Graph":"g"}`, `{"graphs":"g"}`, `{"limit":1.5}`, `{"limit":1e3}`,
+	`{"limit":9223372036854775808}`, `{"limit":-}`, `{"limit":+1}`, `{"limit":"3"}`, `{"limit":01}`, `{"graph":3}`, `{"trace":"true"}`,
+	`{"sources":[null]}`, `{"sources":"a"}`, `{"sources":[1]}`, `{"graph":"bad` + "\xff" + `"}`,
+	`{"graph":"tab` + "\t" + `"}`, `{"graph":"g",}`, `{"graph":"g" "x"}`, `{"graph":{}}`, `null`, `[]`,
+}
+
+// TestDecodePlainTakesPlainBodies: decodePlain decodes the plain shape as
+// json.Unmarshal does and declines every other body, so that the bodies
+// clients send skip reflection and no other body is decoded differently.
+func TestDecodePlainTakesPlainBodies(t *testing.T) {
+	for _, seeds := range []struct {
+		bodies []string
+		plain  bool
+	}{{plainSeeds, true}, {notPlainSeeds, false}} {
+		for _, body := range seeds.bodies {
+			b, err := readValue(strings.NewReader(body), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want, got QueryRequest
+			wantErr := json.Unmarshal(b, &want)
+			if plain := decodePlain(b, &got); plain != seeds.plain {
+				t.Errorf("%s: decodePlain says plain %v (json.Unmarshal: %v)", body, plain, wantErr)
+			} else if plain && (wantErr != nil || !reflect.DeepEqual(got, want)) {
+				t.Errorf("%s: decodePlain read %+v, json.Unmarshal %+v (%v)", body, got, want, wantErr)
+			}
+			decodeBoth(t, []byte(body), false)
+		}
+	}
+}
+
+// FuzzQueryRequestDecode: on arbitrary bytes, decodePlain either declines
+// the value readValue reads of them or decodes the QueryRequest
+// json.Unmarshal decodes of it; and decodeBody, which tries it first,
+// accepts and refuses what readValue and json.Unmarshal accept and refuse,
+// with the same request.
+func FuzzQueryRequestDecode(f *testing.F) {
+	for _, seeds := range [][]string{decodeSeeds, plainSeeds, notPlainSeeds} {
+		for _, body := range seeds {
+			f.Add([]byte(body))
+		}
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		b, err := readValue(bytes.NewReader(body), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want, plain, got QueryRequest
+		wantErr := json.Unmarshal(b, &want)
+		if decodePlain(b, &plain) && (wantErr != nil || !reflect.DeepEqual(plain, want)) {
+			t.Fatalf("%q: decodePlain read %+v, json.Unmarshal %+v (%v)", b, plain, want, wantErr)
+		}
+		err = decodeBody(httptest.NewRecorder(), httptest.NewRequest(http.MethodPost, "/v1/query", iotest.DataErrReader(bytes.NewReader(body))), &got)
+		if (err == nil) != (wantErr == nil) || err == nil && !reflect.DeepEqual(got, want) {
+			t.Fatalf("%q: decodeBody read %+v (%v), json.Unmarshal %+v (%v)", body, got, err, want, wantErr)
+		}
 	})
 }

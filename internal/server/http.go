@@ -6,12 +6,9 @@ import (
 	"expvar"
 	"fmt"
 	"io"
-	"log/slog"
 	"net/http"
 	"net/http/pprof"
-	"slices"
 	"strconv"
-	"sync"
 	"time"
 
 	"cfpq"
@@ -21,8 +18,8 @@ import (
 type HandlerOption func(*handlerConfig)
 
 type handlerConfig struct {
-	pprof  bool
-	logger *slog.Logger
+	pprof bool
+	log   *requestLog
 }
 
 // WithPprof mounts the net/http/pprof profiling handlers under
@@ -32,10 +29,24 @@ func WithPprof() HandlerOption {
 	return func(hc *handlerConfig) { hc.pprof = true }
 }
 
-// WithRequestLog emits one structured log line per request (id, method,
-// route, status, duration) to the given logger.
-func WithRequestLog(logger *slog.Logger) HandlerOption {
-	return func(hc *handlerConfig) { hc.logger = logger }
+// WithRequestLog logs one line per request: its time, id, method, route,
+// path, status, duration and remote address. To an io.Writer (cfpqd passes
+// os.Stderr) each line goes whole, in one Write, in the format
+// slog.NewTextHandler writes; a logger with slog's Info method (a
+// *slog.Logger) is given each line's record instead; nil logs nothing.
+// Anything else panics.
+func WithRequestLog(dst any) HandlerOption {
+	var log *requestLog
+	switch d := dst.(type) {
+	case nil:
+	case io.Writer:
+		log = &requestLog{w: d}
+	case infoLogger:
+		log = &requestLog{logger: d}
+	default:
+		panic(fmt.Sprintf("server: WithRequestLog(%T): want an io.Writer or a *slog.Logger", dst))
+	}
+	return func(hc *handlerConfig) { hc.log = log }
 }
 
 // Handler exposes a Service over HTTP/JSON. Routes (all responses JSON):
@@ -108,8 +119,9 @@ func WithRequestLog(logger *slog.Logger) HandlerOption {
 //	GET  /debug/pprof/                   runtime profiles (only with WithPprof / -pprof)
 //
 // Every response carries an X-Request-ID header — echoed from the request
-// when the client sent one, freshly minted otherwise — and every request is
-// recorded in the /metrics latency histogram. Errors are {"error": "..."}
+// when the client sent one of 1 to 64 visible ASCII bytes, freshly minted
+// otherwise — and every request is recorded in the /metrics latency
+// histogram. Errors are {"error": "..."}
 // with a 4xx/5xx status (statusFor): a body over maxDocumentBytes answers
 // 413 on every route that reads one, and a failed store write 500. On a
 // follower every local mutation route answers 403; writes go to the leader.
@@ -190,6 +202,9 @@ func Handler(s *Service, opts ...HandlerOption) http.Handler {
 			return
 		}
 		ge, res, err := s.do(r.Context(), req)
+		if ge != nil {
+			labelBackend(w, Target{Backend: req.Backend})
+		}
 		if err != nil {
 			writeError(w, statusFor(err), err)
 			return
@@ -220,6 +235,9 @@ func Handler(s *Service, opts ...HandlerOption) http.Handler {
 		}
 		t := Target{Graph: req.Graph, Grammar: req.Grammar, Backend: req.Backend}
 		ge, answers, pairs, err := s.queryBatch(r.Context(), t, req.Queries)
+		if ge != nil {
+			labelBackend(w, t)
+		}
 		if err != nil {
 			writeError(w, statusFor(err), err)
 			return
@@ -339,7 +357,7 @@ func Handler(s *Service, opts ...HandlerOption) http.Handler {
 		mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
 		mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
 	}
-	return instrument(s, mux, hc.logger)
+	return instrument(s, mux, hc.log)
 }
 
 // serveDebugVars renders the expvar universe — every published global
@@ -384,81 +402,15 @@ func serveDebugVars(w http.ResponseWriter, s *Service) {
 // batches (64 MiB).
 const maxDocumentBytes = 64 << 20
 
-var bodyBufs = sync.Pool{New: func() any { return new([]byte) }}
-
-// decodeBody decodes the first JSON value of r's body into v as
-// json.Decoder.Decode does: the body is read only up to the value's end,
-// what follows it is ignored, and a body past maxDocumentBytes before that
-// fails with *http.MaxBytesError. The bytes go through a pooled buffer
-// (Unmarshal copies what it keeps), so a request allocates no decoder.
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
-	bp := bodyBufs.Get().(*[]byte)
-	b, err := readValue(http.MaxBytesReader(w, r.Body, maxDocumentBytes), (*bp)[:0])
-	if err == nil {
-		err = json.Unmarshal(b, v)
-	}
-	if cap(b) <= maxPooledBuf {
-		*bp = b[:0]
-		bodyBufs.Put(bp)
-	}
-	return err
-}
-
-// readValue appends r's bytes to b until they hold the first JSON value
-// whole, or r ends, and returns them up to that value's end. It finds only
-// the end: Unmarshal judges the value.
-func readValue(r io.Reader, b []byte) ([]byte, error) {
-	var (
-		depth    int  // open objects and arrays
-		str, esc bool // in a string; after a backslash in it
-		end      int  // just past the value, once known
-	)
-	for off := 0; ; {
-		if len(b) == cap(b) {
-			b = slices.Grow(b, 512)
-		}
-		n, err := r.Read(b[len(b):cap(b)])
-		b = b[:len(b)+n]
-		for ; end == 0 && off < len(b); off++ {
-			switch c := b[off]; {
-			case str:
-				str, esc = esc || c != '"', !esc && c == '\\'
-				if !str && depth == 0 {
-					end = off + 1
-				}
-			case c == '"':
-				str = true
-			case c == '{' || c == '[':
-				depth++
-			case c == '}' || c == ']':
-				if depth--; depth <= 0 {
-					end = off + 1
-				}
-			case depth > 0 || c == ' ' || c == '\t' || c == '\n' || c == '\r':
-			case c == 'n':
-				// null decodes to the zero value, whatever follows it;
-				// every other top-level scalar is refused at its first byte.
-				end = off + len("null")
-			default:
-				end = off + 1
-			}
-		}
-		switch {
-		case end > 0 && end <= len(b):
-			return b[:end], nil
-		case err == io.EOF:
-			return b, nil
-		case err != nil:
-			return b, err
-		}
-	}
-}
+// jsonContentType is the Content-Type header value of a JSON response,
+// shared by every response: net/http only reads it.
+var jsonContentType = []string{"application/json"}
 
 // writeJSON writes v as a JSON response: encoding/json, HTML escaping
 // off, one trailing newline. Query answers do not come through here:
 // writeAnswer writes the same bytes without reflecting over their pairs.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
 	enc.SetEscapeHTML(false)

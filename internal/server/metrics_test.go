@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"slices"
 	"strconv"
 	"strings"
@@ -354,6 +355,35 @@ func TestHealthzCarriesBuildInfoAndRequestID(t *testing.T) {
 	readAll(t, resp2)
 	if resp2.Header.Get("X-Request-ID") == "" {
 		t.Error("no X-Request-ID minted")
+	}
+
+	// An id of 64 visible ASCII bytes is echoed; a longer one, or one
+	// with a byte outside visible ASCII, is replaced by a minted one.
+	minted := regexp.MustCompile(`^[0-9a-f]{16}$`)
+	for _, c := range []struct {
+		id   string
+		echo bool
+	}{
+		{strings.Repeat("~", 64), true},
+		{strings.Repeat("x", 65), false},
+		{strings.Repeat("x", 1<<16), false},
+		{"id-é", false},
+		{"id 7", false},
+	} {
+		req, err := http.NewRequest(http.MethodGet, srv.URL+"/healthz", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("X-Request-ID", c.id)
+		resp, err := srv.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		readAll(t, resp)
+		got := resp.Header.Get("X-Request-ID")
+		if c.echo && got != c.id || !c.echo && !minted.MatchString(got) {
+			t.Errorf("sent a %d-byte X-Request-ID %.20q…, got %.20q (echo %v)", len(c.id), c.id, got, c.echo)
+		}
 	}
 }
 

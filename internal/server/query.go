@@ -88,7 +88,8 @@ func (s *Service) Do(ctx context.Context, req QueryRequest) (QueryAnswer, error)
 }
 
 // do is Do up to the Result, with the graph entry that names its nodes:
-// POST /v1/query writes the answer from it (writeAnswer).
+// POST /v1/query writes the answer from it (writeAnswer). Once the request
+// resolved its slot, the entry comes back beside an error too (resolve).
 func (s *Service) do(ctx context.Context, req QueryRequest) (*graphEntry, *cfpq.Result, error) {
 	switch {
 	case req.Graph == "":
@@ -102,28 +103,31 @@ func (s *Service) do(ctx context.Context, req QueryRequest) (*graphEntry, *cfpq.
 	case req.Nonterminal == "":
 		return nil, nil, errors.New("server: one of nonterminal or expr is required")
 	}
-	var passes []cfpq.PassEvent
+	var passes *[]cfpq.PassEvent // allocated only for a trace
 	if req.Trace {
+		passes = new([]cfpq.PassEvent)
 		ctx = cfpq.WithTraceContext(ctx, &cfpq.Trace{Pass: func(ev cfpq.PassEvent) {
 			// Events' slices are only valid during the hook; copy.
 			ev.NNZ = append([]cfpq.NNZ(nil), ev.NNZ...)
-			passes = append(passes, ev)
+			*passes = append(*passes, ev)
 		}})
 	}
 	t := Target{Graph: req.Graph, Grammar: req.Grammar, Backend: req.Backend}
 	ge, p, creq, err := s.resolve(ctx, t, req.Nonterminal, req.Expr, req.Sources, req.Targets)
 	if err != nil {
-		return nil, nil, err
+		return ge, nil, err
 	}
 	creq.Output = cfpq.Output(req.Output)
 	creq.Limit = req.Limit
 	creq.MaxPathLength = req.MaxPathLength
 	res, err := p.Do(ctx, creq)
 	if err != nil {
-		return nil, nil, s.noteErr(err)
+		return ge, nil, s.noteErr(err)
 	}
 	s.obs.queries.Inc()
-	res.Explain.Passes = passes
+	if passes != nil {
+		res.Explain.Passes = *passes
+	}
 	return ge, res, nil
 }
 

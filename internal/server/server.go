@@ -653,9 +653,9 @@ func (t Target) key() IndexKey {
 // non-stale slot is resolved without its lock, and the handle answers from
 // a pinned version, so queries share an index and wait for neither a build
 // of another slot nor an update of this one. A new expr slot past
-// maxExprSlots evicts the least recently used one. The slot's canonical
-// backend labels the request's latency series (QueryLabels), whichever
-// route resolved it.
+// maxExprSlots evicts the least recently used one. A failed build returns
+// the entry beside its error: the request resolved its slot, and its
+// handler labels the latency series with the slot's backend.
 func (s *Service) index(ctx context.Context, key IndexKey) (*indexEntry, *cfpq.Prepared, error) {
 	be, err := cfpq.BackendByName(key.Backend)
 	if err != nil {
@@ -688,7 +688,6 @@ func (s *Service) index(ctx context.Context, key IndexKey) (*indexEntry, *cfpq.P
 	e.used = s.exprClock
 	s.mu.Unlock()
 	markStale(evicted)
-	QueryLabelsFromContext(ctx).Set(be.Name())
 
 	if p := e.ready.Load(); p != nil {
 		return e, p, nil
@@ -700,7 +699,7 @@ func (s *Service) index(ctx context.Context, key IndexKey) (*indexEntry, *cfpq.P
 		if re != nil {
 			cnf = re.cnf
 		} else if cnf, start, err = exprCNF(key.Expr); err != nil {
-			return nil, nil, err
+			return e, nil, err
 		}
 		// Built now, the engine carries the budget in force when the closure
 		// runs (a rejected build retries under a new one) into every patch.
@@ -714,7 +713,7 @@ func (s *Service) index(ctx context.Context, key IndexKey) (*indexEntry, *cfpq.P
 		buildStart := time.Now()
 		p, err := eng.PrepareCNF(ctx, v.g, cnf)
 		if err != nil {
-			return nil, nil, s.noteErr(err)
+			return e, nil, s.noteErr(err)
 		}
 		s.obs.indexBuild.Observe(time.Since(buildStart).Seconds())
 		e.p, e.start = p, start
@@ -784,7 +783,10 @@ func (s *Service) graphEntry(name string) (*graphEntry, error) {
 // /v1/subscribe go through it, and /v1/query/batch through its two halves
 // (index once, request per spec), so one bad name gets one error whichever
 // route carried it. An expression resolves to the expr slot of its
-// canonical form, and the request to that slot's start non-terminal.
+// canonical form, and the request to that slot's start non-terminal. Once
+// the slot resolved, the graph entry comes back beside an error from its
+// build or from the request's names too, so that the route labels the
+// request with the slot's backend (labelBackend).
 func (s *Service) resolve(ctx context.Context, t Target, nonterminal, expr string, sources, targets []string) (*graphEntry, *cfpq.Prepared, cfpq.Request, error) {
 	key := t.key()
 	if expr != "" {
@@ -796,7 +798,10 @@ func (s *Service) resolve(ctx context.Context, t Target, nonterminal, expr strin
 	}
 	e, p, err := s.index(ctx, key)
 	if err != nil {
-		return nil, nil, cfpq.Request{}, err
+		if e == nil {
+			return nil, nil, cfpq.Request{}, err
+		}
+		return e.ge, nil, cfpq.Request{}, err
 	}
 	if expr != "" {
 		nonterminal = e.start
@@ -916,11 +921,15 @@ func (s *Service) QueryBatch(ctx context.Context, t Target, specs []BatchQuerySp
 // queryBatch is QueryBatch with the relation answers' pairs left unread:
 // pairs[i] is answers[i]'s pairs Result (nil for other answers), and the
 // graph entry names them. POST /v1/query/batch writes the answers from
-// them (writeBatch).
+// them (writeBatch). Once the slot resolved, the entry comes back beside an
+// error too (resolve).
 func (s *Service) queryBatch(ctx context.Context, t Target, specs []BatchQuerySpec) (*graphEntry, []BatchAnswer, []*cfpq.Result, error) {
 	e, p, err := s.index(ctx, t.key())
 	if err != nil {
-		return nil, nil, nil, err
+		if e == nil {
+			return nil, nil, nil, err
+		}
+		return e.ge, nil, nil, err
 	}
 	answers := make([]BatchAnswer, len(specs))
 	pairs := make([]*cfpq.Result, len(specs))

@@ -35,7 +35,8 @@ type SubscribeRequest struct {
 
 // subscribe registers a standing query against the target's cached index
 // (building it on first use, exactly like a query would) and returns the
-// library subscription with the graph entry that names its pairs.
+// library subscription with the graph entry that names its pairs (that
+// entry beside an error too, once the slot resolved: see resolve).
 // Deliveries start strictly after the pairs a query issued now would see.
 // With resume set, updates retained since afterSeq are replayed first; a
 // gap wider than the retained window delivers a single Resync marker
@@ -60,7 +61,7 @@ func (s *Service) subscribe(ctx context.Context, req SubscribeRequest, resume bo
 	t := Target{Graph: req.Graph, Grammar: req.Grammar, Backend: req.Backend}
 	ge, p, creq, err := s.resolve(ctx, t, req.Nonterminal, "", req.Sources, req.Targets)
 	if err != nil {
-		return nil, nil, err
+		return nil, ge, err
 	}
 	var sub *cfpq.Subscription
 	if resume {
@@ -69,7 +70,7 @@ func (s *Service) subscribe(ctx context.Context, req SubscribeRequest, resume bo
 		sub, err = p.Subscribe(ctx, creq)
 	}
 	if err != nil {
-		return nil, nil, err
+		return nil, ge, err
 	}
 	s.subMu.Lock()
 	if s.subsLive == nil {
@@ -151,6 +152,9 @@ func (s *Service) serveSubscribe(w http.ResponseWriter, r *http.Request) {
 	// The request context ends the subscription: it is done once this
 	// handler returns.
 	sub, ge, err := s.subscribe(r.Context(), req, resume, afterSeq)
+	if ge != nil {
+		labelBackend(w, Target{Backend: req.Backend})
+	}
 	if err != nil {
 		writeError(w, statusFor(err), err)
 		return
@@ -191,7 +195,7 @@ func (s *Service) serveSubscribe(w http.ResponseWriter, r *http.Request) {
 				s.obs.subResyncs.Inc()
 			}
 			j := getJSONBuf(true)
-			j.event(ge.names.ByID(), b)
+			j.event(ge.names.View(), b)
 			_, _ = w.Write(j.b)
 			j.free()
 			fl.Flush()
