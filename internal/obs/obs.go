@@ -2,11 +2,11 @@
 // counters, gauges and fixed-bucket histograms (the last two labeled or
 // not), and a Prometheus text-format encoder.
 //
-// The hot paths are lock-free: a Counter or Gauge is one atomic word, a
-// Histogram Observe is two atomic adds (bucket + sum) after a bounds scan,
-// and a Vec's With resolves label sets through a sync.Map. Mutexes appear
-// only on the cold paths — registering a family, first use of a label set,
-// and scraping.
+// The hot paths are lock-free but for one: a Counter or Gauge is one atomic
+// word, a Histogram Observe is two atomic adds (bucket + sum) after a
+// bounds scan, and a Vec's With finds its label set in a map under the
+// family's mutex, without allocating. Other mutexes appear only on the
+// cold paths — registering a family and scraping.
 //
 // Every Registry is self-contained (nothing package-global, unlike expvar),
 // so tests and multi-Service processes can each hold their own without
@@ -21,10 +21,11 @@ package obs
 import (
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"net/http"
 	"regexp"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -192,23 +193,31 @@ type family struct {
 	labels  []string
 	buckets []float64 // histograms only
 
-	children sync.Map // joined label values -> *child
+	mu       sync.Mutex
+	children map[string]*child // by joined label values
 	fn       func() float64
 	fnKind   bool // value read from fn at scrape time
 }
 
-// labelKey joins label values with a separator no valid value contains
-// unescaped ambiguity for (values may contain anything; \xff keeps joins
-// injective enough for practical label sets and the render sorts on it).
-func labelKey(values []string) string { return strings.Join(values, "\xff") }
-
+// child returns the child of one label-value combination, creating it on
+// first use; finding an existing one allocates nothing.
 func (f *family) child(values []string) *child {
 	if len(values) != len(f.labels) {
 		panic(fmt.Sprintf("obs: metric %s wants %d label value(s), got %d", f.name, len(f.labels), len(values)))
 	}
-	key := labelKey(values)
-	if c, ok := f.children.Load(key); ok {
-		return c.(*child)
+	// The values joined with \xff: injective enough for practical labels.
+	var buf [128]byte
+	key := buf[:0]
+	for i, v := range values {
+		if i > 0 {
+			key = append(key, 0xff)
+		}
+		key = append(key, v...)
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if c := f.children[string(key)]; c != nil {
+		return c
 	}
 	c := &child{labelValues: append([]string(nil), values...)}
 	switch f.kind {
@@ -219,8 +228,8 @@ func (f *family) child(values []string) *child {
 	case KindHistogram:
 		c.metric = newHistogram(f.buckets)
 	}
-	actual, _ := f.children.LoadOrStore(key, c)
-	return actual.(*child)
+	f.children[string(key)] = c
+	return c
 }
 
 // Registry holds metric families and renders them in Prometheus text
@@ -252,6 +261,7 @@ func (r *Registry) register(f *family) *family {
 	if _, dup := r.byName[f.name]; dup {
 		panic(fmt.Sprintf("obs: metric %s registered twice", f.name))
 	}
+	f.children = make(map[string]*child)
 	r.families = append(r.families, f)
 	r.byName[f.name] = f
 	return f
@@ -357,14 +367,12 @@ func (r *Registry) snapshot() []*family {
 
 // sortedChildren returns the family's children ordered by label values.
 func (f *family) sortedChildren() []*child {
-	var children []*child
-	f.children.Range(func(_, v any) bool {
-		children = append(children, v.(*child))
-		return true
-	})
-	sort.Slice(children, func(i, j int) bool {
-		return labelKey(children[i].labelValues) < labelKey(children[j].labelValues)
-	})
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	children := make([]*child, 0, len(f.children))
+	for _, key := range slices.Sorted(maps.Keys(f.children)) {
+		children = append(children, f.children[key])
+	}
 	return children
 }
 

@@ -160,6 +160,22 @@ func TestConcurrentObserve(t *testing.T) {
 	}
 }
 
+// TestSeriesLookupAllocatesNothing: observing into a labeled series that
+// exists allocates nothing, whatever strings name it.
+func TestSeriesLookupAllocatesNothing(t *testing.T) {
+	r := NewRegistry()
+	h := r.HistogramVec("request_duration_seconds", "", DefLatencyBuckets, "route", "backend", "status")
+	route, backend, status := "POST /v1/query", "sparse", strconv.Itoa(200)
+	h.With(route, backend, status).Observe(0.001)
+	route = strings.Clone(route) // a fresh string equal to the series' own
+	if n := testing.AllocsPerRun(100, func() { h.With(route, backend, status).Observe(0.002) }); n != 0 {
+		t.Errorf("an observation into an existing series allocated %v times", n)
+	}
+	if got := h.With("POST /v1/query", "sparse", "200").Count(); got != 102 {
+		t.Errorf("the series holds %d observations, want 102", got)
+	}
+}
+
 // assertMonotoneBuckets parses _bucket lines out of an exposition dump and
 // checks each series' cumulative counts never decrease with rising le.
 func assertMonotoneBuckets(t *testing.T, out string) {

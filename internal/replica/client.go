@@ -11,6 +11,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"cfpq/internal/store"
 )
 
 // Sentinel errors a leader signals through HTTP status codes; the tailer
@@ -134,9 +136,19 @@ func (c *Client) Tail(ctx context.Context, graph string, from, epoch uint64, wai
 		return nil, statusErr(resp)
 	}
 	defer resp.Body.Close()
-	var tr TailResponse
-	if err := json.NewDecoder(resp.Body).Decode(&tr); err != nil {
-		return nil, fmt.Errorf("replica: decoding tail response: %w", err)
+	if ct := resp.Header.Get("Content-Type"); ct != "application/octet-stream" {
+		return nil, fmt.Errorf("replica: leader answered the tail as %q, not as WAL frames (application/octet-stream): it speaks another replication protocol", ct)
 	}
-	return &tr, nil
+	h := resp.Header
+	seq, err1 := strconv.ParseUint(h.Get("X-Cfpq-Leader-Seq"), 10, 64)
+	version, err2 := strconv.ParseUint(h.Get("X-Cfpq-Config-Version"), 10, 64)
+	remaining, err3 := strconv.ParseInt(h.Get("X-Cfpq-Remaining-Bytes"), 10, 64)
+	if err := errors.Join(err1, err2, err3); err != nil {
+		return nil, fmt.Errorf("replica: tail response headers: %w", err)
+	}
+	batches, err := store.ReadTailPage(resp.Body, from, TailPageBytes)
+	if err != nil {
+		return nil, fmt.Errorf("replica: reading tail page: %w", err)
+	}
+	return &TailResponse{LeaderSeq: seq, ConfigVersion: version, RemainingBytes: remaining, Batches: batches}, nil
 }

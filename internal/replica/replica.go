@@ -14,9 +14,10 @@
 //     one graph's current state (the store's snapshot format) at the seq
 //     named by the X-Cfpq-Seq response header.
 //   - GET /v1/replica/wal?graph=X&from=N&epoch=E — a long-poll over the
-//     graph's WAL tail: the CRC-framed batches journaled after seq N,
-//     re-encoded as JSON with their original resolution kind, the leader's
-//     head seq, and the bytes still pending beyond the returned page. The
+//     graph's WAL tail: a format byte, then the CRC-framed batches
+//     journaled after seq N as the leader's WAL holds them, with the head
+//     seq, config version and bytes pending beyond the page in X-Cfpq-*
+//     headers; a follower refuses a body of any other format. The
 //     epoch pins the edge stream the seq refers to (a graph replacement
 //     mints a new epoch). When N was compacted away, overshoots the head,
 //     or the epoch no longer matches, the leader answers 410 Gone — the
@@ -78,61 +79,19 @@ type GraphMeta struct {
 	Epoch uint64 `json:"epoch"`
 }
 
-// WireEdge is one journaled edge on the wire, endpoints as the tokens the
-// leader journaled them by.
-type WireEdge struct {
-	From  string `json:"from"`
-	Label string `json:"label"`
-	To    string `json:"to"`
-}
+// TailPageBytes caps a tail page's WAL bytes, but for a single larger
+// batch: a lagging follower pages through its backlog.
+const TailPageBytes int64 = 4 << 20
 
-// WireBatch is one WAL batch on the wire: the records of the seq range
-// (Seq-len(Edges), Seq], the resolution kind replay must use ("tokens" or
-// "ids"), and the frame's size in WAL bytes.
-type WireBatch struct {
-	Seq   uint64     `json:"seq"`
-	Kind  string     `json:"kind"`
-	Bytes int64      `json:"bytes"`
-	Edges []WireEdge `json:"edges"`
-}
-
-// TailResponse is the body of GET /v1/replica/wal: the batches after
-// `from`, plus enough leader state for the follower's staleness math.
+// TailResponse is one poll of GET /v1/replica/wal: the batches after the
+// poll's seq, plus enough leader state for the follower's staleness math.
 type TailResponse struct {
-	Graph         string `json:"graph"`
-	From          uint64 `json:"from"`
-	LeaderSeq     uint64 `json:"leader_seq"`
-	ConfigVersion uint64 `json:"config_version"`
+	LeaderSeq     uint64
+	ConfigVersion uint64
 	// RemainingBytes is the WAL bytes still pending on the leader beyond
 	// the batches in this response (the page was cut by the size cap).
-	RemainingBytes int64       `json:"remaining_bytes"`
-	Batches        []WireBatch `json:"batches"`
-}
-
-// Batch converts one wire batch back to store records.
-func (b WireBatch) Batch() (store.TailBatch, error) {
-	kind, err := store.ParseRecordKind(b.Kind)
-	if err != nil {
-		return store.TailBatch{}, err
-	}
-	recs := make([]store.EdgeRecord, len(b.Edges))
-	for i, e := range b.Edges {
-		recs[i] = store.EdgeRecord{From: e.From, Label: e.Label, To: e.To}
-	}
-	return store.TailBatch{Seq: b.Seq, Kind: kind, Recs: recs, Bytes: b.Bytes}, nil
-}
-
-// WireBatches converts store tail batches to their wire form.
-func WireBatches(batches []store.TailBatch) []WireBatch {
-	out := make([]WireBatch, len(batches))
-	for i, b := range batches {
-		edges := make([]WireEdge, len(b.Recs))
-		for k, r := range b.Recs {
-			edges[k] = WireEdge{From: r.From, Label: r.Label, To: r.To}
-		}
-		out[i] = WireBatch{Seq: b.Seq, Kind: b.Kind.String(), Bytes: b.Bytes, Edges: edges}
-	}
-	return out
+	RemainingBytes int64
+	Batches        []store.TailBatch
 }
 
 // Applier is the local half of replication: the serving layer a follower
@@ -509,13 +468,8 @@ func (r *Replicator) tailGraph(ctx context.Context, name string, resync chan<- s
 		r.noteContact()
 		applied := from
 		var applyErr error
-		for _, wb := range resp.Batches {
-			b, err := wb.Batch()
-			if err == nil {
-				err = r.app.ApplyReplicatedEdges(ctx, name, b.Kind, b.Recs, b.Seq)
-			}
-			if err != nil {
-				applyErr = err
+		for _, b := range resp.Batches {
+			if applyErr = r.app.ApplyReplicatedEdges(ctx, name, b.Kind, b.Recs, b.Seq); applyErr != nil {
 				break
 			}
 			applied = b.Seq

@@ -1,12 +1,14 @@
 package replica
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -37,40 +39,66 @@ func TestStatusReady(t *testing.T) {
 	}
 }
 
-func TestWireBatchRoundTrip(t *testing.T) {
+// tailLeader serves page as the body of every tail poll, with the given
+// content type and leader headers.
+func tailLeader(t *testing.T, contentType string, page []byte) *Client {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", contentType)
+		w.Header().Set("X-Cfpq-Leader-Seq", "12")
+		w.Header().Set("X-Cfpq-Config-Version", "4")
+		w.Header().Set("X-Cfpq-Remaining-Bytes", "77")
+		w.Write(page)
+	}))
+	t.Cleanup(srv.Close)
+	return &Client{Base: srv.URL}
+}
+
+// TestTailPageRoundTrip sends a page of a token frame and an id frame
+// through Client.Tail: the batches come back as written, their end seqs
+// counted from the poll's position and their sizes the frames' own, with
+// the leader's headers beside them.
+func TestTailPageRoundTrip(t *testing.T) {
 	in := []store.TailBatch{
-		{Seq: 2, Kind: store.RecordTokens, Bytes: 40, Recs: []store.EdgeRecord{
+		{Seq: 2, Kind: store.RecordTokens, Bytes: 31, Recs: []store.EdgeRecord{
 			{From: "a", Label: "x", To: "b"},
 			{From: "b", Label: "y", To: "c"},
 		}},
-		{Seq: 3, Kind: store.RecordIDs, Bytes: 21, Recs: []store.EdgeRecord{
+		{Seq: 3, Kind: store.RecordIDs, Bytes: 22, Recs: []store.EdgeRecord{
 			{From: "0", Label: "z", To: "2"},
 		}},
 	}
-	wire := WireBatches(in)
-	if wire[0].Kind != "tokens" || wire[1].Kind != "ids" {
-		t.Fatalf("wire kinds = %q, %q", wire[0].Kind, wire[1].Kind)
+	var page bytes.Buffer
+	if err := store.WriteTailPage(&page, in); err != nil {
+		t.Fatal(err)
 	}
-	// Through JSON, like the HTTP layer ships it.
-	raw, err := json.Marshal(wire)
+	tr, err := tailLeader(t, "application/octet-stream", page.Bytes()).Tail(ctx, "g", 0, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var back []WireBatch
-	if err := json.Unmarshal(raw, &back); err != nil {
-		t.Fatal(err)
+	want := &TailResponse{LeaderSeq: 12, ConfigVersion: 4, RemainingBytes: 77, Batches: in}
+	if !reflect.DeepEqual(tr, want) {
+		t.Errorf("the page read back as %+v, want %+v", tr, want)
 	}
-	for i, wb := range back {
-		b, err := wb.Batch()
-		if err != nil {
-			t.Fatal(err)
+}
+
+// TestTailRefusesOtherFormats: a follower refuses, with an error that says
+// why, the JSON tail of a leader that predates WAL-frame pages, and a page
+// of an unknown format.
+func TestTailRefusesOtherFormats(t *testing.T) {
+	for _, c := range []struct {
+		contentType string
+		body        string
+		want        string
+	}{
+		{"application/json", `{"graph":"g","from":0,"leader_seq":1,"batches":[]}`, "not as WAL frames"},
+		{"application/octet-stream", `{"graph":"g","from":0,"leader_seq":1,"batches":[]}`, "format byte"},
+		{"application/octet-stream", "\x02", "format byte"},
+		{"application/octet-stream", "", "format byte"},
+	} {
+		_, err := tailLeader(t, c.contentType, []byte(c.body)).Tail(ctx, "g", 0, 1, 0)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s %q: err = %v, want one naming %q", c.contentType, c.body, err, c.want)
 		}
-		if !reflect.DeepEqual(b, in[i]) {
-			t.Errorf("batch %d round-tripped to %+v, want %+v", i, b, in[i])
-		}
-	}
-	if _, err := (WireBatch{Kind: "morse"}).Batch(); err == nil {
-		t.Error("unknown kind decoded without error")
 	}
 }
 
@@ -126,7 +154,11 @@ func TestClientRequests(t *testing.T) {
 			for k := range r.URL.Query() {
 				tailQuery[k] = r.URL.Query().Get(k)
 			}
-			json.NewEncoder(w).Encode(TailResponse{Graph: "g", From: 9, LeaderSeq: 9})
+			w.Header().Set("Content-Type", "application/octet-stream")
+			w.Header().Set("X-Cfpq-Leader-Seq", "9")
+			w.Header().Set("X-Cfpq-Config-Version", "7")
+			w.Header().Set("X-Cfpq-Remaining-Bytes", "0")
+			store.WriteTailPage(w, nil)
 		default:
 			http.NotFound(w, r)
 		}
@@ -150,8 +182,12 @@ func TestClientRequests(t *testing.T) {
 		t.Errorf("snapshot = %q seq=%d epoch=%d", raw, seq, epoch)
 	}
 
-	if _, err := c.Tail(ctx, "g", 9, 3, 250*time.Millisecond); err != nil {
+	tr, err := c.Tail(ctx, "g", 9, 3, 250*time.Millisecond)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if tr.LeaderSeq != 9 || tr.ConfigVersion != 7 || len(tr.Batches) != 0 {
+		t.Errorf("tail = %+v, want leader seq 9, config version 7 and no batch", tr)
 	}
 	want := map[string]string{
 		"graph": "g", "from": "9", "epoch": "3", "wait": "250ms", "follower": "f1",

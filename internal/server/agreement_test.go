@@ -1,14 +1,21 @@
 package server
 
 import (
+	"bytes"
 	"cmp"
 	"context"
 	"fmt"
+	"io"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"cfpq"
 	"cfpq/internal/baseline"
@@ -450,5 +457,88 @@ func TestAgreementMixedFrames(t *testing.T) {
 				"follower replay": serviceState(t, reopen(t, durable, followerDir), "g"),
 			})
 		})
+	}
+}
+
+// TestFollowerJournalsTheLeadersBytes: a durable follower tailing a
+// durable leader through Handler and replica.Client ends with the leader's
+// WAL file byte for byte, over the same seq range — through live polls of
+// token batches that intern new names, a backlog the leader pages because
+// it is past replica.TailPageBytes, and an id frame. The page the leader
+// serves is application/octet-stream, and after its format byte it holds
+// the leader's WAL bytes from the poll's position on.
+func TestFollowerJournalsTheLeadersBytes(t *testing.T) {
+	leaderDir, followerDir := t.TempDir(), t.TempDir()
+	leader := persistentService(t, leaderDir)
+	if err := leader.RegisterGraph("g", graph.New(3), map[string]int{"a": 0, "b": 1, "7": 2}); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(Handler(leader))
+	defer srv.Close()
+	fol := persistentService(t, followerDir)
+	wal := func(dir string) []byte {
+		b, err := os.ReadFile(filepath.Join(dir, "graphs", "g", "wal"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	synced := func() bool {
+		lseq, _, err := leader.store.GraphPos("g")
+		fseq, _, ok := fol.GraphPos("g")
+		return err == nil && ok && fseq == lseq
+	}
+
+	f := startFollower(t, fol, srv.URL, "bytes")
+	waitFor(t, 10*time.Second, synced, "the follower to bootstrap at seq 0")
+	for i := range 5 {
+		edges := []EdgeSpec{{From: "a", Label: "k", To: fmt.Sprintf("new%d", i)}, {From: fmt.Sprintf("new%d", i), Label: "k", To: "7"}}
+		if _, err := leader.AddEdges(ctx, "g", edges); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, 10*time.Second, synced, "the follower to apply a live batch")
+	}
+	f.kill()
+
+	// The backlog: five batches of about 1 MiB, their names 60 000 bytes.
+	long := strings.Repeat("x", 60000)
+	for b := range 5 {
+		var edges []EdgeSpec
+		for e := range 8 {
+			edges = append(edges, EdgeSpec{From: fmt.Sprintf("%d.%d.%s", b, e, long), Label: "k", To: fmt.Sprintf("%s.%d.%d", long, b, e)})
+		}
+		if _, err := leader.AddEdges(ctx, "g", edges); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := leader.store.Log("g").AppendEdges([]graph.Edge{{From: 2, Label: "k", To: 90}}); err != nil {
+		t.Fatal(err)
+	}
+
+	from, epoch, _ := fol.GraphPos("g")
+	resp, err := http.Get(fmt.Sprintf("%s/v1/replica/wal?graph=g&from=%d&epoch=%d", srv.URL, from, epoch))
+	if err != nil {
+		t.Fatal(err)
+	}
+	page, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != "application/octet-stream" {
+		t.Fatalf("the tail answered %s", ct)
+	}
+	if resp.Header.Get("X-Cfpq-Remaining-Bytes") == "0" {
+		t.Fatal("the backlog fit one page: it should be cut by the page cap")
+	}
+	lw, fw := wal(leaderDir), wal(followerDir)
+	if !bytes.HasPrefix(lw, fw) || len(page) < 2 || !bytes.Equal(page[1:], lw[len(fw):len(fw)+len(page)-1]) {
+		t.Fatalf("the page's %d bytes after its format byte are not the leader's WAL after the follower's %d", len(page)-1, len(fw))
+	}
+
+	startFollower(t, fol, srv.URL, "bytes")
+	waitFor(t, 30*time.Second, synced, "the follower to page through the backlog")
+	if lw, fw := wal(leaderDir), wal(followerDir); !bytes.Equal(lw, fw) {
+		t.Fatalf("the follower's WAL (%d bytes) is not the leader's (%d bytes)", len(fw), len(lw))
 	}
 }

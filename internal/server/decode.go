@@ -1,14 +1,13 @@
-// This file reads request bodies. decodeBody decodes the first JSON value
-// of a body as json.Decoder.Decode does, through a pooled buffer; a
-// QueryRequest of the plain shape — what clients send to POST /v1/query —
-// is decoded in one pass over the body's bytes without reflection
-// (decodePlain), any other value by json.Unmarshal once readValue found
-// its end. It is the split the answer writer makes for names that need
-// escaping.
+// This file reads request bodies. decodeQuery decodes a POST /v1/query
+// body of the plain shape — what clients send — in one pass over the
+// body's first read, without reflection (decodePlain), and hands any other
+// to json.Decoder; every other route's body goes to json.Decoder whole. It
+// is the split the answer writer makes for names that need escaping.
 
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -18,100 +17,41 @@ import (
 	"unicode/utf8"
 )
 
-// byteBufs pools the buffers of request bodies and of request log lines.
+// byteBufs pools the buffers of query bodies and of request log lines.
 var byteBufs = sync.Pool{New: func() any { return new([]byte) }}
 
-// decodeBody decodes the first JSON value of r's body into v as
-// json.Decoder.Decode does: the body is read only up to the value's end,
-// what follows it is ignored, and a body past maxDocumentBytes before that
-// fails with *http.MaxBytesError. The bytes go through a pooled buffer
-// (decodePlain and Unmarshal copy what they keep), so a request allocates
-// no decoder. One read holds a query body whole, as a rule: a plain one is
-// decoded in one pass over that read, and readValue looks for the end of
-// any other.
+// decodeBody decodes the first JSON value of r's body into v: what follows
+// the value is ignored, and a body past maxDocumentBytes before the value
+// ends fails with *http.MaxBytesError.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	return json.NewDecoder(http.MaxBytesReader(w, r.Body, maxDocumentBytes)).Decode(v)
+}
+
+// decodeQuery decodes a query body as decodeBody does. One read holds a
+// query body whole, as a rule: a plain one is decoded in one pass over
+// that read, into a request on the caller's stack; any other goes to
+// json.Decoder, over that read and the rest of the body.
+func decodeQuery(w http.ResponseWriter, r *http.Request) (QueryRequest, error) {
+	body := http.MaxBytesReader(w, r.Body, maxDocumentBytes)
 	bp := byteBufs.Get().(*[]byte)
-	var body io.Reader = http.MaxBytesReader(w, r.Body, maxDocumentBytes)
-	b, err := (*bp)[:0], error(nil)
-	q, query := v.(*QueryRequest)
-	if query {
-		var n int
-		b = slices.Grow(b, 512)
-		n, err = body.Read(b[:cap(b)])
-		b = b[:n]
-	}
-	if query && decodePlain(b, q) {
+	b := slices.Grow((*bp)[:0], 512)
+	n, err := body.Read(b[:cap(b)])
+	b = b[:n]
+	var q QueryRequest
+	if decodePlain(b, &q) {
 		err = nil // the read's io.EOF, or an error past the value's end
 	} else {
-		if err != nil {
-			body = errReader{err} // what the first read ended with
-		}
-		if b, err = readValue(body, b); err == nil {
-			err = json.Unmarshal(b, v)
-		}
+		// The decoder's own value, so that q stays on the stack; and
+		// MaxBytesReader repeats a failed read's error to it.
+		v := new(QueryRequest)
+		err = json.NewDecoder(io.MultiReader(bytes.NewReader(b), body)).Decode(v)
+		q = *v
 	}
 	if cap(b) <= maxPooledBuf {
 		*bp = b[:0]
 		byteBufs.Put(bp)
 	}
-	return err
-}
-
-// errReader is a reader that fails with err.
-type errReader struct{ err error }
-
-func (e errReader) Read([]byte) (int, error) { return 0, e.err }
-
-// readValue appends r's bytes to b, which may hold some already, until
-// they hold the first JSON value whole, or r ends, and returns them up to
-// that value's end. It finds only the end: the decoder judges the value.
-func readValue(r io.Reader, b []byte) ([]byte, error) {
-	var (
-		depth    int  // open objects and arrays
-		str, esc bool // in a string; after a backslash in it
-		end      int  // just past the value, once known
-		err      error
-	)
-	for off := 0; ; {
-		for ; end == 0 && off < len(b); off++ {
-			switch c := b[off]; {
-			case str:
-				str, esc = esc || c != '"', !esc && c == '\\'
-				if !str && depth == 0 {
-					end = off + 1
-				}
-			case c == '"':
-				str = true
-			case c == '{' || c == '[':
-				depth++
-			case c == '}' || c == ']':
-				if depth--; depth <= 0 {
-					end = off + 1
-				}
-			case depth > 0 || c == ' ' || c == '\t' || c == '\n' || c == '\r':
-			case c == 'n':
-				// null decodes to the zero value, whatever follows it;
-				// every other top-level scalar is refused at its first byte.
-				end = off + len("null")
-			default:
-				end = off + 1
-			}
-		}
-		switch {
-		case end > 0 && end <= len(b):
-			return b[:end], nil
-		case err == io.EOF:
-			return b, nil
-		case err != nil:
-			return b, err
-		}
-		if len(b) == cap(b) {
-			b = slices.Grow(b, 512)
-		}
-		var n int
-		n, err = r.Read(b[len(b):cap(b)])
-		b = b[:len(b)+n]
-	}
+	return q, err
 }
 
 // decodePlain decodes the JSON value at the start of b into q when b

@@ -13,7 +13,7 @@ import (
 )
 
 // decodeBoth decodes body into a fresh QueryRequest with json.Decoder and
-// with decodeBody, whose reads end in io.EOF with the last bytes, as an
+// with decodeQuery, whose reads end in io.EOF with the last bytes, as an
 // HTTP request body's do, and come one byte at a time when oneByte is set;
 // it fails unless both accept it with the same value or both refuse it
 // with the same status.
@@ -26,13 +26,12 @@ func decodeBoth(t *testing.T, body []byte, oneByte bool) {
 		src = iotest.OneByteReader(src)
 	}
 	r := httptest.NewRequest(http.MethodPost, "/v1/query", src)
-	var got QueryRequest
-	err := decodeBody(httptest.NewRecorder(), r, &got)
+	got, err := decodeQuery(httptest.NewRecorder(), r)
 	if (err == nil) != (wantErr == nil) || err != nil && statusFor(err) != statusFor(wantErr) {
-		t.Fatalf("%q: decodeBody says %v, json.Decoder %v", body, err, wantErr)
+		t.Fatalf("%q: decodeQuery says %v, json.Decoder %v", body, err, wantErr)
 	}
 	if err == nil && !reflect.DeepEqual(got, want) {
-		t.Fatalf("%q: decodeBody read %+v, json.Decoder %+v", body, got, want)
+		t.Fatalf("%q: decodeQuery read %+v, json.Decoder %+v", body, got, want)
 	}
 }
 
@@ -49,7 +48,7 @@ var decodeSeeds = []string{
 	`{"graph":"g","limit":"3"}`, `{"graph":"é\ud800"}`,
 }
 
-// TestDecodeBodyMatchesDecoder holds decodeBody to json.Decoder.Decode on
+// TestDecodeBodyMatchesDecoder holds decodeQuery to json.Decoder.Decode on
 // bodies of every shape — trailing bytes, top-level scalars, truncated and
 // malformed values — read whole and one byte at a time; and a body past
 // maxDocumentBytes answers 413 before its value ends, as before, but not
@@ -61,12 +60,11 @@ func TestDecodeBodyMatchesDecoder(t *testing.T) {
 	}
 
 	big := io.MultiReader(strings.NewReader(`{"graph":"`), io.LimitReader(filler('x'), maxDocumentBytes), strings.NewReader(`"}`))
-	var req QueryRequest
-	if err := decodeBody(httptest.NewRecorder(), httptest.NewRequest(http.MethodPost, "/v1/query", big), &req); statusFor(err) != http.StatusRequestEntityTooLarge {
+	if _, err := decodeQuery(httptest.NewRecorder(), httptest.NewRequest(http.MethodPost, "/v1/query", big)); statusFor(err) != http.StatusRequestEntityTooLarge {
 		t.Errorf("a value past the limit: %v, want 413", err)
 	}
 	tail := io.MultiReader(strings.NewReader(`{"graph":"g"}`), io.LimitReader(filler(' '), maxDocumentBytes))
-	if err := decodeBody(httptest.NewRecorder(), httptest.NewRequest(http.MethodPost, "/v1/query", tail), &req); err != nil || req.Graph != "g" {
+	if req, err := decodeQuery(httptest.NewRecorder(), httptest.NewRequest(http.MethodPost, "/v1/query", tail)); err != nil || req.Graph != "g" {
 		t.Errorf("a value before the limit, padding past it: %v, graph %q", err, req.Graph)
 	}
 }
@@ -114,7 +112,7 @@ var notPlainSeeds = []string{
 }
 
 // TestDecodePlainTakesPlainBodies: decodePlain decodes the plain shape as
-// json.Unmarshal does and declines every other body, so that the bodies
+// json.Decoder does and declines every other body, so that the bodies
 // clients send skip reflection and no other body is decoded differently.
 func TestDecodePlainTakesPlainBodies(t *testing.T) {
 	for _, seeds := range []struct {
@@ -122,16 +120,12 @@ func TestDecodePlainTakesPlainBodies(t *testing.T) {
 		plain  bool
 	}{{plainSeeds, true}, {notPlainSeeds, false}} {
 		for _, body := range seeds.bodies {
-			b, err := readValue(strings.NewReader(body), nil)
-			if err != nil {
-				t.Fatal(err)
-			}
 			var want, got QueryRequest
-			wantErr := json.Unmarshal(b, &want)
-			if plain := decodePlain(b, &got); plain != seeds.plain {
-				t.Errorf("%s: decodePlain says plain %v (json.Unmarshal: %v)", body, plain, wantErr)
+			wantErr := json.NewDecoder(strings.NewReader(body)).Decode(&want)
+			if plain := decodePlain([]byte(body), &got); plain != seeds.plain {
+				t.Errorf("%s: decodePlain says plain %v (json.Decoder: %v)", body, plain, wantErr)
 			} else if plain && (wantErr != nil || !reflect.DeepEqual(got, want)) {
-				t.Errorf("%s: decodePlain read %+v, json.Unmarshal %+v (%v)", body, got, want, wantErr)
+				t.Errorf("%s: decodePlain read %+v, json.Decoder %+v (%v)", body, got, want, wantErr)
 			}
 			decodeBoth(t, []byte(body), false)
 		}
@@ -139,10 +133,9 @@ func TestDecodePlainTakesPlainBodies(t *testing.T) {
 }
 
 // FuzzQueryRequestDecode: on arbitrary bytes, decodePlain either declines
-// the value readValue reads of them or decodes the QueryRequest
-// json.Unmarshal decodes of it; and decodeBody, which tries it first,
-// accepts and refuses what readValue and json.Unmarshal accept and refuse,
-// with the same request.
+// them or decodes the QueryRequest json.Decoder decodes of them; and
+// decodeQuery, which tries it first, accepts and refuses what json.Decoder
+// accepts and refuses, with the same request.
 func FuzzQueryRequestDecode(f *testing.F) {
 	for _, seeds := range [][]string{decodeSeeds, plainSeeds, notPlainSeeds} {
 		for _, body := range seeds {
@@ -150,18 +143,14 @@ func FuzzQueryRequestDecode(f *testing.F) {
 		}
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
-		b, err := readValue(bytes.NewReader(body), nil)
-		if err != nil {
-			t.Fatal(err)
+		var want, plain QueryRequest
+		wantErr := json.NewDecoder(bytes.NewReader(body)).Decode(&want)
+		if decodePlain(body, &plain) && (wantErr != nil || !reflect.DeepEqual(plain, want)) {
+			t.Fatalf("%q: decodePlain read %+v, json.Decoder %+v (%v)", body, plain, want, wantErr)
 		}
-		var want, plain, got QueryRequest
-		wantErr := json.Unmarshal(b, &want)
-		if decodePlain(b, &plain) && (wantErr != nil || !reflect.DeepEqual(plain, want)) {
-			t.Fatalf("%q: decodePlain read %+v, json.Unmarshal %+v (%v)", b, plain, want, wantErr)
-		}
-		err = decodeBody(httptest.NewRecorder(), httptest.NewRequest(http.MethodPost, "/v1/query", iotest.DataErrReader(bytes.NewReader(body))), &got)
+		got, err := decodeQuery(httptest.NewRecorder(), httptest.NewRequest(http.MethodPost, "/v1/query", iotest.DataErrReader(bytes.NewReader(body))))
 		if (err == nil) != (wantErr == nil) || err == nil && !reflect.DeepEqual(got, want) {
-			t.Fatalf("%q: decodeBody read %+v (%v), json.Unmarshal %+v (%v)", body, got, err, want, wantErr)
+			t.Fatalf("%q: decodeQuery read %+v (%v), json.Decoder %+v (%v)", body, got, err, want, wantErr)
 		}
 	})
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"expvar"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"cfpq"
+	"cfpq/internal/store"
 )
 
 // HandlerOption configures the HTTP handler returned by Handler.
@@ -94,8 +96,10 @@ func WithRequestLog(dst any) HandlerOption {
 //	                                     returns that graph's binary snapshot with
 //	                                     X-Cfpq-Seq / X-Cfpq-Epoch headers
 //	GET  /v1/replica/wal                 leader: long-poll one graph's WAL tail,
-//	                                     ?graph=&from=&epoch=&follower=&wait=; 410 means
-//	                                     the follower must re-bootstrap from a snapshot
+//	                                     ?graph=&from=&epoch=&follower=&wait=: a format byte
+//	                                     and the WAL's own frames after from, X-Cfpq-* headers
+//	                                     for leader seq, config version and bytes left; 410
+//	                                     means the follower must re-bootstrap from a snapshot
 //	GET  /v1/replication/status          role + stream positions: follower staleness
 //	                                     (applied vs leader seq, lag bytes/age) or the
 //	                                     leader's graphs and attached followers
@@ -196,8 +200,8 @@ func Handler(s *Service, opts ...HandlerOption) http.Handler {
 		writeJSON(w, http.StatusOK, gi)
 	})
 	mux.HandleFunc("POST /v1/query", func(w http.ResponseWriter, r *http.Request) {
-		var req QueryRequest
-		if err := decodeBody(w, r, &req); err != nil {
+		req, err := decodeQuery(w, r)
+		if err != nil {
 			writeError(w, statusFor(err), fmt.Errorf("decoding request: %w", err))
 			return
 		}
@@ -270,7 +274,7 @@ func Handler(s *Service, opts ...HandlerOption) http.Handler {
 			w.Header().Set("Content-Type", "application/octet-stream")
 			w.Header().Set("X-Cfpq-Seq", strconv.FormatUint(seq, 10))
 			w.Header().Set("X-Cfpq-Epoch", strconv.FormatUint(epoch, 10))
-			_, _ = w.Write(data)
+			writeChunks(w, data)
 			return
 		}
 		m, err := s.ReplicaManifest()
@@ -312,7 +316,16 @@ func Handler(s *Service, opts ...HandlerOption) http.Handler {
 			writeError(w, replicationStatusFor(err), err)
 			return
 		}
-		writeJSON(w, http.StatusOK, resp)
+		var page bytes.Buffer
+		if err := store.WriteTailPage(&page, resp.Batches); err != nil {
+			writeError(w, http.StatusInternalServerError, err)
+			return
+		}
+		w.Header().Set("Content-Type", "application/octet-stream")
+		w.Header().Set("X-Cfpq-Leader-Seq", strconv.FormatUint(resp.LeaderSeq, 10))
+		w.Header().Set("X-Cfpq-Config-Version", strconv.FormatUint(resp.ConfigVersion, 10))
+		w.Header().Set("X-Cfpq-Remaining-Bytes", strconv.FormatInt(resp.RemainingBytes, 10))
+		writeChunks(w, page.Bytes())
 	})
 	mux.HandleFunc("GET /v1/replication/status", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, s.ReplicationStatus())
@@ -415,6 +428,18 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	enc := json.NewEncoder(w)
 	enc.SetEscapeHTML(false)
 	_ = enc.Encode(v)
+}
+
+// writeChunks writes body in answerChunk pieces, each of which has its own
+// writeTimeout to reach the client, until a write fails.
+func writeChunks(w io.Writer, body []byte) {
+	for len(body) > 0 {
+		n := min(len(body), answerChunk)
+		if _, err := w.Write(body[:n]); err != nil {
+			return
+		}
+		body = body[n:]
+	}
 }
 
 func writeError(w http.ResponseWriter, status int, err error) {

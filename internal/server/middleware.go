@@ -134,10 +134,10 @@ func newRequestID() string {
 }
 
 // writeTimeout is how long each write of a response — a chunk of a
-// streamed answer, or a smaller response whole — has to reach the client,
-// so that a client that stops reading cannot hold a handler. It bounds no
-// handler's work before its first write. The SSE stream, meant to stay
-// open, lifts it.
+// streamed answer or of a replica body, or a smaller response whole — has
+// to reach the client, so that a client that stops reading cannot hold a
+// handler. It bounds no handler's work before its first write. The SSE
+// stream, meant to stay open, lifts it.
 const writeTimeout = time.Minute
 
 // requestLog writes the request log: one line per request, as

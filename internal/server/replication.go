@@ -24,20 +24,15 @@ import (
 //     replicated writes.
 //
 // A durable follower re-journals every replicated frame into its own WAL
-// with the leader's record kind, which keeps its store byte-compatible
-// with the stream and makes followers chainable.
+// with the leader's record kind, and the journal encodes a batch one way,
+// so its WAL holds the leader's bytes over the same seq range and
+// followers are chainable.
 
 // ErrSnapshotNeeded marks a tail request the leader cannot serve from its
 // WAL — the position was compacted away, overshoots the head, splits a
 // batch, or names a dead epoch. The HTTP layer maps it to 410 Gone and the
 // follower re-bootstraps from a fresh snapshot.
 var ErrSnapshotNeeded = errors.New("server: WAL tail unavailable; bootstrap from a fresh snapshot")
-
-// tailPageBytes caps one ReplicaTail response page. A lagging follower
-// pages through the backlog in chunks instead of receiving one giant
-// response; RemainingBytes tells it (and the staleness math) how much is
-// still pending.
-const tailPageBytes int64 = 4 << 20
 
 // SetReplication attaches the follower's replicator so the HTTP layer can
 // serve /v1/replication/status, /readyz and /v1/promote.
@@ -191,7 +186,8 @@ func (s *Service) ReplicaGraphSnapshot(name string) (data []byte, seq, epoch uin
 // (Compact/Snapshot called explicitly ignore reservations and lagging
 // followers get ErrSnapshotNeeded instead). An unservable
 // position — compacted away, past the head, a dead epoch — returns
-// ErrSnapshotNeeded; an unknown graph returns ErrNotFound.
+// ErrSnapshotNeeded; an unknown graph returns ErrNotFound. The batches are
+// the store's own: read them, do not modify them.
 func (s *Service) ReplicaTail(ctx context.Context, graphName, follower string, from, epoch uint64, wait time.Duration) (*replica.TailResponse, error) {
 	st, err := s.leaderStore()
 	if err != nil {
@@ -211,7 +207,7 @@ func (s *Service) ReplicaTail(ctx context.Context, graphName, follower string, f
 			return nil, fmt.Errorf("server: graph %q stream epoch is %d, not %d: %w",
 				graphName, gotEpoch, epoch, ErrSnapshotNeeded)
 		}
-		batches, head, remaining, ok := st.TailSince(graphName, from, tailPageBytes)
+		batches, head, remaining, ok := st.TailSince(graphName, from, replica.TailPageBytes)
 		if !ok {
 			return nil, fmt.Errorf("server: graph %q has no tail at seq %d (head %d): %w",
 				graphName, from, head, ErrSnapshotNeeded)
@@ -224,12 +220,10 @@ func (s *Service) ReplicaTail(ctx context.Context, graphName, follower string, f
 		}
 		if len(batches) > 0 || wait <= 0 || !time.Now().Before(deadline) {
 			return &replica.TailResponse{
-				Graph:          graphName,
-				From:           from,
 				LeaderSeq:      head,
 				ConfigVersion:  st.ConfigVersion(),
 				RemainingBytes: remaining,
-				Batches:        replica.WireBatches(batches),
+				Batches:        batches,
 			}, nil
 		}
 		timer := time.NewTimer(time.Until(deadline))

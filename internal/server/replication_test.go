@@ -1,15 +1,21 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"cfpq/internal/graph"
 	"cfpq/internal/replica"
 	"cfpq/internal/store"
 )
@@ -103,7 +109,9 @@ func waitFor(t *testing.T, d time.Duration, cond func() bool, msg string) {
 // caughtUp reports whether the follower has applied everything the leader
 // has journaled for the graph, on a live stream, and patched it into its
 // cached indexes: a batch advances seq before its patch runs, and indexed
-// follows once no patch is in flight, so a query from here on sees it.
+// follows once no patch is in flight, so a query from here on sees it. The
+// replicator's status must say so too: it records a poll's progress only
+// after the poll's last batch returned.
 func caughtUp(f *runningFollower, leader *Service, graph string) bool {
 	lseq, lepoch, ok := leader.GraphPos(graph)
 	if !ok {
@@ -116,7 +124,10 @@ func caughtUp(f *runningFollower, leader *Service, graph string) bool {
 	v := ge.cur.Load()
 	fseq, fepoch, indexed := v.seq, v.epoch, ge.indexed.Load()
 	st := f.rep.Status()
-	return fepoch == lepoch && fseq == lseq && indexed == lseq && st.State == replica.StateStreaming
+	recorded := slices.ContainsFunc(st.Graphs, func(g replica.GraphStatus) bool {
+		return g.Graph == graph && g.AppliedSeq == lseq
+	})
+	return fepoch == lepoch && fseq == lseq && indexed == lseq && recorded && st.State == replica.StateStreaming
 }
 
 func TestFollowerWriteGate(t *testing.T) {
@@ -452,6 +463,67 @@ func TestReplicaGraphSnapshotBesideWrites(t *testing.T) {
 			if name == "" {
 				t.Fatalf("payload at seq %d: node %d has no name", seq, id)
 			}
+		}
+	}
+}
+
+// sizeRecorder records the size of every write a handler makes.
+type sizeRecorder struct {
+	*httptest.ResponseRecorder
+	sizes []int
+}
+
+func (w *sizeRecorder) Write(p []byte) (int, error) {
+	w.sizes = append(w.sizes, len(p))
+	return w.ResponseRecorder.Write(p)
+}
+
+// TestReplicaBodiesWriteInChunks: the snapshot and the WAL tail page go
+// out in writes of at most answerChunk bytes, so each write, not the whole
+// body, must reach a follower within writeTimeout; the bodies are the
+// snapshot's bytes and, after the page's format byte, the WAL file's.
+func TestReplicaBodiesWriteInChunks(t *testing.T) {
+	dir := t.TempDir()
+	s := persistentService(t, dir)
+	if err := s.RegisterGraph("g", graph.New(0), nil); err != nil {
+		t.Fatal(err)
+	}
+	for b := range 10 {
+		var edges []EdgeSpec
+		for e := range 300 {
+			edges = append(edges, EdgeSpec{From: fmt.Sprintf("node-%d-%d", b, e), Label: "knows", To: fmt.Sprintf("node-%d-%d", b, e+1)})
+		}
+		if _, err := s.AddEdges(ctx, "g", edges); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap, _, epoch, err := s.ReplicaGraphSnapshot("g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wal, err := os.ReadFile(filepath.Join(dir, "graphs", "g", "wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := Handler(s)
+	for _, c := range []struct {
+		path string
+		body []byte
+	}{
+		{"/v1/replica/snapshot?graph=g", snap},
+		{fmt.Sprintf("/v1/replica/wal?graph=g&from=0&epoch=%d", epoch), wal},
+	} {
+		w := &sizeRecorder{ResponseRecorder: httptest.NewRecorder()}
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, c.path, nil))
+		body := w.Body.Bytes()
+		if strings.Contains(c.path, "/wal") && len(body) > 0 {
+			body = body[1:] // the page's format byte
+		}
+		if w.Code != http.StatusOK || !bytes.Equal(body, c.body) {
+			t.Fatalf("%s: status %d, %d body bytes, want %d", c.path, w.Code, len(body), len(c.body))
+		}
+		if len(w.sizes) < 3 || slices.Max(w.sizes) > answerChunk {
+			t.Errorf("%s: a %d-byte body went out in writes of %v bytes: want several, none past %d", c.path, len(body), w.sizes, answerChunk)
 		}
 	}
 }

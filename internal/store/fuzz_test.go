@@ -6,6 +6,7 @@
 //
 //	go test -fuzz=FuzzWALReplay -fuzztime=30s ./internal/store
 //	go test -fuzz=FuzzSnapshotDecode -fuzztime=30s ./internal/store
+//	go test -fuzz=FuzzTailPage -fuzztime=30s ./internal/store
 
 //go:build go1.18
 
@@ -15,7 +16,13 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"io"
+	"math"
+	"os"
+	"path/filepath"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"cfpq/internal/graph"
@@ -146,4 +153,121 @@ func FuzzSnapshotDecode(f *testing.F) {
 			t.Fatalf("decode → encode changed the encoder's bytes")
 		}
 	})
+}
+
+// tailPages are the pages FuzzTailPage mutates, each the batches after
+// seq 5: none, one token frame, and token frames naming new nodes around
+// an id frame.
+var tailPages = [][]walBatch{
+	nil,
+	{{kind: recTokens, recs: []EdgeRecord{{From: "a", Label: "x", To: "b"}}}},
+	{
+		{kind: recTokens, recs: []EdgeRecord{{From: "a", Label: "x", To: "new"}, {From: "new", Label: "y", To: "7"}}},
+		{kind: recIDs, recs: []EdgeRecord{{From: "0", Label: "x", To: "12"}}},
+		{kind: recTokens, recs: []EdgeRecord{{From: "café", Label: "y", To: "n\n"}}},
+	},
+}
+
+// FuzzTailPage holds ReadTailPage to the pages WriteTailPage writes: a
+// page read whole is exactly its batches, end seqs counted from the poll's
+// position; a byte flipped anywhere in it is an error and no batch (one in
+// the format byte an error that names it); a page cut short is an error
+// and no batch, unless the cut falls between frames, where it reads
+// exactly the batches before the cut. Whatever it accepts, WriteTailPage
+// writes back byte for byte.
+func FuzzTailPage(f *testing.F) {
+	const from = 5
+	whole := uint32(math.MaxUint32)
+	f.Add(uint8(2), uint32(0), byte(0), whole)
+	f.Add(uint8(0), uint32(0), byte(0), whole)
+	f.Add(uint8(2), uint32(0), byte(1^'{'), whole) // a JSON body
+	f.Add(uint8(2), uint32(0), byte(3), whole)     // an unknown format
+	f.Add(uint8(2), uint32(3), byte(0x80), whole)  // a frame's length
+	f.Add(uint8(2), uint32(40), byte(1), whole)    // a payload byte
+	f.Add(uint8(2), uint32(0), byte(0), uint32(41))
+	f.Add(uint8(1), uint32(0), byte(0), uint32(1))
+	f.Add(uint8(1), uint32(0), byte(0), uint32(0))
+	// Each page's batches, and the page offsets at which its frames end;
+	// the page's frames are the ones a store journals of its batches.
+	wants, ends := make([][]TailBatch, len(tailPages)), make([][]int, len(tailPages))
+	for i, batches := range tailPages {
+		ends[i] = []int{1}
+		seq := uint64(from)
+		for _, b := range batches {
+			n, err := appendFrame(io.Discard, b.kind, b.recs)
+			if err != nil {
+				f.Fatal(err)
+			}
+			seq += uint64(len(b.recs))
+			wants[i] = append(wants[i], TailBatch{Seq: seq, Kind: RecordKind(b.kind), Recs: b.recs, Bytes: n})
+			ends[i] = append(ends[i], ends[i][len(ends[i])-1]+int(n))
+		}
+		var page bytes.Buffer
+		if err := WriteTailPage(&page, wants[i]); err != nil {
+			f.Fatal(err)
+		}
+		if !bytes.Equal(page.Bytes()[1:], walBytes(f, from, wants[i])) {
+			f.Fatalf("page %d: its frames are not the WAL's", i)
+		}
+	}
+	f.Fuzz(func(t *testing.T, which uint8, pos uint32, flip byte, cut uint32) {
+		i := int(which) % len(tailPages)
+		want := wants[i]
+		var buf bytes.Buffer
+		if err := WriteTailPage(&buf, want); err != nil {
+			t.Fatal(err)
+		}
+		page := buf.Bytes()
+		at, n := int(pos%uint32(len(page))), min(int(cut), len(page))
+		flipped := flip != 0 && at < n
+		page[at] ^= flip
+		page = page[:n]
+		got, err := ReadTailPage(bytes.NewReader(page), from, 1<<20)
+		if err != nil {
+			if got != nil {
+				t.Fatalf("an error (%v) beside %d batches", err, len(got))
+			}
+		} else {
+			var back bytes.Buffer
+			if err := WriteTailPage(&back, got); err != nil || !bytes.Equal(back.Bytes(), page) {
+				t.Fatalf("the batches read write back as %q (%v), not the page %q", back.Bytes(), err, page)
+			}
+		}
+		k := slices.Index(ends[i], n) // the frames the page holds whole
+		switch {
+		case flipped && err == nil:
+			t.Fatalf("a page with byte %d flipped by %#x read as %d batches", at, flip, len(got))
+		case flipped && at == 0 && !strings.Contains(err.Error(), "format byte"):
+			t.Fatalf("a page of another format: %v", err)
+		case !flipped && k < 0 && err == nil:
+			t.Fatalf("a page cut inside a frame, at %d of %d bytes, read as %d batches", n, buf.Len(), len(got))
+		case !flipped && k >= 0 && (err != nil || len(got) != k || k > 0 && !reflect.DeepEqual(got, want[:k])):
+			t.Fatalf("a page of %d whole frames read as %+v (%v), want %+v", k, got, err, want[:k])
+		}
+	})
+}
+
+// walBytes is the WAL a store journals of batches, the first starting at
+// seq from.
+func walBytes(t testing.TB, from uint64, batches []TailBatch) []byte {
+	t.Helper()
+	dir := t.TempDir()
+	s, err := Open(dir, Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.CreateGraphAt("g", graph.New(0), nil, from, 1); err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range batches {
+		if err := s.AppendReplicated("g", b.Kind, b.Recs, b.Seq); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wal, err := os.ReadFile(filepath.Join(dir, graphsDir, "g", "wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return wal
 }

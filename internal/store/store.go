@@ -208,6 +208,10 @@ type TailBatch struct {
 	Bytes int64
 }
 
+// Batch returns b: ReadTailPage checks a page whole, so a batch taken from
+// it cannot fail, and callers of a per-batch decode step keep working.
+func (b TailBatch) Batch() (TailBatch, error) { return b, nil }
+
 // Open opens (creating if needed) a store rooted at dir and recovers its
 // state: graph replacements a crash cut short are settled, every graph's
 // snapshot is CRC-checked and its WAL read, with torn tails truncated to

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -48,8 +49,8 @@ const (
 )
 
 // RecordKind is the exported form of a frame's resolution kind, carried by
-// the replication tail so a follower re-journals each batch with the exact
-// resolution semantics the leader recorded.
+// every tail batch so a follower re-journals it with the exact resolution
+// semantics the leader recorded.
 type RecordKind byte
 
 // The two record kinds, see the frame format above.
@@ -57,30 +58,6 @@ const (
 	RecordTokens = RecordKind(recTokens)
 	RecordIDs    = RecordKind(recIDs)
 )
-
-// String renders the kind for the replication wire form.
-func (k RecordKind) String() string {
-	switch k {
-	case RecordTokens:
-		return "tokens"
-	case RecordIDs:
-		return "ids"
-	default:
-		return fmt.Sprintf("kind(%d)", byte(k))
-	}
-}
-
-// ParseRecordKind inverts RecordKind.String.
-func ParseRecordKind(s string) (RecordKind, error) {
-	switch s {
-	case "tokens":
-		return RecordTokens, nil
-	case "ids":
-		return RecordIDs, nil
-	default:
-		return 0, fmt.Errorf("store: unknown WAL record kind %q", s)
-	}
-}
 
 // Valid reports whether k is one of the two defined kinds.
 func (k RecordKind) Valid() bool { return k == RecordTokens || k == RecordIDs }
@@ -186,6 +163,53 @@ func decodeFrame(payload []byte) (walBatch, error) {
 		return walBatch{}, fmt.Errorf("store: %d trailing bytes in WAL payload", in.left())
 	}
 	return walBatch{kind: kind, recs: recs}, nil
+}
+
+// tailPageFormat opens a tail page, so that a follower refuses a page of
+// another format instead of misreading it.
+const tailPageFormat byte = 1
+
+// WriteTailPage writes batches as one replication tail page: the format
+// byte, then each batch's frame exactly as the WAL journals it.
+func WriteTailPage(w io.Writer, batches []TailBatch) error {
+	if _, err := w.Write([]byte{tailPageFormat}); err != nil {
+		return err
+	}
+	for _, b := range batches {
+		if _, err := appendFrame(w, byte(b.Kind), b.Recs); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// ReadTailPage decodes a page of the batches after seq from, of at most
+// pageBytes of frames and one frame more (TailSince's bound), counting each
+// batch's Seq from from. Unlike recovery, a page must be whole: a torn or
+// corrupt frame, another format or a page past the bound is an error, and
+// no batch is returned.
+func ReadTailPage(r io.Reader, from uint64, pageBytes int64) ([]TailBatch, error) {
+	limit := 1 + pageBytes + 8 + maxWALPayload
+	page, err := io.ReadAll(io.LimitReader(r, limit+1))
+	switch {
+	case err != nil:
+		return nil, err
+	case int64(len(page)) > limit:
+		return nil, fmt.Errorf("store: tail page longer than %d bytes", limit)
+	case len(page) == 0 || page[0] != tailPageFormat:
+		return nil, fmt.Errorf("store: tail page does not open with format byte %d: %.16q", tailPageFormat, page)
+	}
+	var batches []TailBatch
+	// Over bytes in memory, with an apply that returns nil, replay only stops.
+	good, _ := replayWAL(bytes.NewReader(page[1:]), func(b walBatch, frameBytes int64) error {
+		from += uint64(len(b.recs))
+		batches = append(batches, TailBatch{Seq: from, Kind: RecordKind(b.kind), Recs: b.recs, Bytes: frameBytes})
+		return nil
+	})
+	if good != int64(len(page)-1) {
+		return nil, fmt.Errorf("store: torn or corrupt frame at byte %d of a tail page", 1+good)
+	}
+	return batches, nil
 }
 
 // replayWAL reads frames from r until EOF or the first torn/corrupt frame,
