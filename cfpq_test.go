@@ -110,7 +110,61 @@ func TestLoadNTriplesPublicAPI(t *testing.T) {
 func TestQueryErrors(t *testing.T) {
 	g := NewGraph(1)
 	gram := MustParseGrammar("S -> a")
-	if _, err := testEngine.Do(context.Background(), Request{Graph: g, Grammar: gram, Nonterminal: "Missing"}); err == nil {
-		t.Error("unknown start non-terminal should error")
+	for _, req := range []Request{
+		{Graph: g, Grammar: gram, Nonterminal: "Missing"},
+		{Graph: g, Grammar: gram, Nonterminal: "Missing", Sources: []int{0}},
+		{Graph: g, Grammar: gram, Nonterminal: "Missing", Targets: []int{0}},
+		{Graph: g, Grammar: gram, Nonterminal: "Missing", Sources: []int{0}, Targets: []int{0}, Output: OutputPaths},
+	} {
+		if _, err := testEngine.Do(context.Background(), req); err == nil {
+			t.Errorf("unknown start non-terminal should error (sources %v, targets %v)", req.Sources, req.Targets)
+		}
+	}
+}
+
+// TestQueryIncludeEmptyPaths: EmptyPaths adds exactly the reflexive pairs
+// of a nullable start to its relation, in row-major order.
+func TestQueryIncludeEmptyPaths(t *testing.T) {
+	g := NewGraph(3) // the chain 0 -a-> 1 -a-> 2
+	g.AddEdge(0, "a", 1)
+	g.AddEdge(1, "a", 2)
+	gram := MustParseGrammar("S -> a S | eps")
+	req := Request{Graph: g, Grammar: gram, Nonterminal: "S"}
+	res, err := testEngine.Do(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	without := res.AllPairs()
+	for _, p := range without {
+		if p.I == p.J {
+			t.Errorf("unexpected reflexive pair %v without IncludeEmptyPaths", p)
+		}
+	}
+	req.EmptyPaths = true
+	if res, err = testEngine.Do(context.Background(), req); err != nil {
+		t.Fatal(err)
+	}
+	with := res.AllPairs()
+	want := map[Pair]bool{}
+	for _, p := range without {
+		want[p] = true
+	}
+	for v := 0; v < 3; v++ {
+		want[Pair{I: v, J: v}] = true
+	}
+	if len(with) != len(want) {
+		t.Fatalf("IncludeEmptyPaths: got %v", with)
+	}
+	for _, p := range with {
+		if !want[p] {
+			t.Errorf("unexpected pair %v", p)
+		}
+	}
+	// Sorted output.
+	for i := 1; i < len(with); i++ {
+		a, b := with[i-1], with[i]
+		if a.I > b.I || (a.I == b.I && a.J >= b.J) {
+			t.Errorf("output not sorted at %d: %v, %v", i, a, b)
+		}
 	}
 }

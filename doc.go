@@ -35,6 +35,15 @@
 //     (j,i) ∈ R(rev G, rev D) — answering "what reaches these nodes?";
 //   - cached-read: a Prepared handle's index, no closure work at all.
 //
+// Every strategy ends in one relation matrix, and every exists, count or
+// pairs answer is a walk of it — the restriction's rows, merged with its
+// columns, clipped at the limit — the same walk on every plan: a
+// target-frontier plan transposes the reversed run's target rows into the
+// answer's matrix, and EmptyPaths sets (v, v) in it for a nullable start.
+// A pairs Result holds that one matrix (for a source-frontier plan only
+// the frontier's rows of it, for a target-frontier plan only the targets'
+// columns), not the index it came from.
+//
 // The Result streams pairs/paths as iter.Seq, carries the closure Stats,
 // and records the chosen plan in Explain:
 //

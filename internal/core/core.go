@@ -30,9 +30,7 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"slices"
-	"sort"
 	"time"
 
 	"cfpq/internal/grammar"
@@ -344,59 +342,4 @@ func (e *Engine) run(ctx context.Context, g *graph.Graph, cnf *grammar.CNF, meet
 		return nil, stats, err
 	}
 	return ix, stats, nil
-}
-
-// QueryOptions refine Query.
-type QueryOptions struct {
-	// IncludeEmptyPaths adds the reflexive pairs (v, v) for every node when
-	// the queried non-terminal was nullable in the original grammar. The
-	// paper's CNF omits ε-rules because only empty paths v π v have the
-	// label ε; this switch restores them.
-	IncludeEmptyPaths bool
-}
-
-// QueryContext evaluates R_start on the graph under the relational
-// semantics and returns the sorted pair list together with the closure
-// work — the numbers the public planner surfaces in Result.Stats. It is the
-// one-call convenience API; use RunContext/Index for repeated queries over
-// the same closure.
-func (e *Engine) QueryContext(ctx context.Context, g *graph.Graph, gram *grammar.Grammar, start string, opts QueryOptions) ([]matrix.Pair, Stats, error) {
-	if !gram.HasNonterminal(start) {
-		return nil, Stats{}, fmt.Errorf("core: unknown non-terminal %q", start)
-	}
-	cnf, err := grammar.ToCNF(gram)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	ix, stats, err := e.RunContext(ctx, g, cnf)
-	if err != nil {
-		return nil, stats, err
-	}
-	pairs := ix.Relation(start)
-	if opts.IncludeEmptyPaths && cnf.Nullable[start] {
-		pairs = withEmptyPaths(pairs, g.Nodes(), nil)
-	}
-	return pairs, stats, nil
-}
-
-// withEmptyPaths merges the reflexive pairs (v, v), v < n — only those with
-// in[v] set when in is non-nil — into a pair list and returns it sorted
-// row-major.
-func withEmptyPaths(pairs []matrix.Pair, n int, in []bool) []matrix.Pair {
-	seen := make(map[matrix.Pair]bool, len(pairs))
-	for _, p := range pairs {
-		seen[p] = true
-	}
-	for v := 0; v < n; v++ {
-		if p := (matrix.Pair{I: v, J: v}); (in == nil || in[v]) && !seen[p] {
-			pairs = append(pairs, p)
-		}
-	}
-	sort.Slice(pairs, func(a, b int) bool {
-		if pairs[a].I != pairs[b].I {
-			return pairs[a].I < pairs[b].I
-		}
-		return pairs[a].J < pairs[b].J
-	})
-	return pairs
 }

@@ -101,55 +101,6 @@ func TestBackendsAndIterationModesAgree(t *testing.T) {
 	}
 }
 
-func TestQueryUnknownNonterminal(t *testing.T) {
-	g := graph.Chain(3, "a")
-	gram := grammar.MustParse("S -> a")
-	if _, _, err := NewEngine().QueryContext(context.Background(), g, gram, "Nope", QueryOptions{}); err == nil {
-		t.Error("Query with unknown non-terminal should fail")
-	}
-}
-
-func TestQueryIncludeEmptyPaths(t *testing.T) {
-	g := graph.Chain(3, "a") // nodes 0,1,2
-	gram := grammar.MustParse("S -> a S | eps")
-	e := NewEngine()
-	without, _, err := e.QueryContext(context.Background(), g, gram, "S", QueryOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range without {
-		if p.I == p.J {
-			t.Errorf("unexpected reflexive pair %v without IncludeEmptyPaths", p)
-		}
-	}
-	with, _, err := e.QueryContext(context.Background(), g, gram, "S", QueryOptions{IncludeEmptyPaths: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := map[matrix.Pair]bool{}
-	for _, p := range without {
-		want[p] = true
-	}
-	for v := 0; v < 3; v++ {
-		want[matrix.Pair{I: v, J: v}] = true
-	}
-	if len(with) != len(want) {
-		t.Fatalf("IncludeEmptyPaths: got %v", with)
-	}
-	for _, p := range with {
-		if !want[p] {
-			t.Errorf("unexpected pair %v", p)
-		}
-	}
-	// Sorted output.
-	for i := 1; i < len(with); i++ {
-		a, b := with[i-1], with[i]
-		if a.I > b.I || (a.I == b.I && a.J >= b.J) {
-			t.Errorf("output not sorted at %d: %v, %v", i, a, b)
-		}
-	}
-}
-
 func TestIndexAccessors(t *testing.T) {
 	cnf := balancedCNF(t)
 	g := graph.Word([]string{"a", "b"})

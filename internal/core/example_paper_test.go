@@ -187,10 +187,11 @@ func TestPaperExampleWithMechanicalCNF(t *testing.T) {
 		S -> type_r type
 	`)
 	e := NewEngine()
-	pairs, _, err := e.QueryContext(context.Background(), paperGraph(), g, "S", QueryOptions{})
+	ix, _, err := e.RunContext(context.Background(), paperGraph(), grammar.MustCNF(g))
 	if err != nil {
 		t.Fatal(err)
 	}
+	pairs := ix.Relation("S")
 	want := []matrix.Pair{{I: 0, J: 0}, {I: 0, J: 2}, {I: 1, J: 2}}
 	if !reflect.DeepEqual(pairs, want) {
 		t.Errorf("R_S = %v, want %v", pairs, want)

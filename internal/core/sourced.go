@@ -145,40 +145,3 @@ func (e *Engine) RunFromContext(ctx context.Context, g *graph.Graph, cnf *gramma
 	fs.Saturated = fs.Frontier == n
 	return ix, fs, nil
 }
-
-// QueryFromContext evaluates R_start restricted to the given source nodes:
-// the result is exactly QueryContext's pair list filtered to pairs whose
-// first component is a source, computed without paying for the full n×n
-// closure when the reachable frontier is small. FromStats reports what the
-// restricted closure did (frontier size, saturation, closure work) — the
-// numbers the bench harness tracks.
-func (e *Engine) QueryFromContext(ctx context.Context, g *graph.Graph, gram *grammar.Grammar, start string, sources []int, opts QueryOptions) ([]matrix.Pair, FromStats, error) {
-	if !gram.HasNonterminal(start) {
-		return nil, FromStats{}, fmt.Errorf("core: unknown non-terminal %q", start)
-	}
-	cnf, err := grammar.ToCNF(gram)
-	if err != nil {
-		return nil, FromStats{}, err
-	}
-	ix, fs, err := e.RunFromContext(ctx, g, cnf, sources)
-	if err != nil {
-		return nil, fs, err
-	}
-	inSources := make([]bool, g.Nodes())
-	for _, s := range sources {
-		inSources[s] = true
-	}
-	var pairs []matrix.Pair
-	if m := ix.Matrix(start); m != nil {
-		m.Range(func(i, j int) bool {
-			if inSources[i] {
-				pairs = append(pairs, matrix.Pair{I: i, J: j})
-			}
-			return true
-		})
-	}
-	if opts.IncludeEmptyPaths && cnf.Nullable[start] {
-		pairs = withEmptyPaths(pairs, g.Nodes(), inSources)
-	}
-	return pairs, fs, nil
-}

@@ -24,17 +24,18 @@ func sameGen(t *testing.T) *grammar.Grammar {
 // exactly the full query filtered to source rows — for every backend and
 // for source sets of several sizes (including ones that saturate).
 func TestQueryFromAgreesWithFilteredQuery(t *testing.T) {
-	gram := sameGen(t)
+	cnf := grammar.MustCNF(sameGen(t))
 	rng := rand.New(rand.NewSource(7))
 	for _, be := range matrix.Backends() {
 		e := NewEngine(WithBackend(be))
 		for trial := 0; trial < 8; trial++ {
 			n := 5 + rng.Intn(20)
 			g := graph.Random(rng, n, 3*n, []string{"subClassOf", "subClassOf_r", "type", "type_r"})
-			full, _, err := e.QueryContext(context.Background(), g, gram, "S", QueryOptions{})
+			fullIx, _, err := e.RunContext(context.Background(), g, cnf)
 			if err != nil {
 				t.Fatal(err)
 			}
+			full := fullIx.Relation("S")
 			for _, k := range []int{1, 2, n / 2, n} {
 				if k < 1 {
 					k = 1
@@ -48,10 +49,11 @@ func TestQueryFromAgreesWithFilteredQuery(t *testing.T) {
 						sources = append(sources, s)
 					}
 				}
-				got, _, err := e.QueryFromContext(context.Background(), g, gram, "S", sources, QueryOptions{})
+				ix, _, err := e.RunFromContext(context.Background(), g, cnf, sources)
 				if err != nil {
 					t.Fatal(err)
 				}
+				got := sourceRows(ix.Relation("S"), seen)
 				var want []matrix.Pair
 				for _, p := range full {
 					if seen[p.I] {
@@ -69,6 +71,19 @@ func TestQueryFromAgreesWithFilteredQuery(t *testing.T) {
 			}
 		}
 	}
+}
+
+// sourceRows keeps the pairs leaving a source: the rows of a
+// source-restricted closure that answer the query (the other active rows
+// are the frontier's).
+func sourceRows(pairs []matrix.Pair, sources map[int]bool) []matrix.Pair {
+	var out []matrix.Pair
+	for _, p := range pairs {
+		if sources[p.I] {
+			out = append(out, p)
+		}
+	}
+	return out
 }
 
 // TestRunFromActiveRowsMatchFullClosure checks the stronger invariant the
@@ -141,36 +156,24 @@ func TestRunFromSaturationFallsBack(t *testing.T) {
 	}
 }
 
-// TestQueryFromEdgeCases covers empty source sets, out-of-range sources,
-// unknown non-terminals and empty-path inclusion.
+// TestQueryFromEdgeCases covers empty and out-of-range source sets. (An
+// unknown non-terminal and empty-path inclusion are Engine.Do's: the root
+// package's TestQueryErrors and TestQueryFromEqualsFilteredQueryProperty.)
 func TestQueryFromEdgeCases(t *testing.T) {
 	ctx := context.Background()
 	e := NewEngine()
 	g := graph.Chain(4, "a")
-	gram := grammar.MustParse("S -> a S | a | eps")
+	cnf := grammar.MustCNF(grammar.MustParse("S -> a S | a | eps"))
 
-	if pairs, _, err := e.QueryFromContext(ctx, g, gram, "S", nil, QueryOptions{}); err != nil || len(pairs) != 0 {
-		t.Fatalf("empty sources: got %v, %v", pairs, err)
-	}
-	if _, _, err := e.QueryFromContext(ctx, g, gram, "S", []int{4}, QueryOptions{}); err == nil {
-		t.Fatal("out-of-range source: expected error")
-	}
-	if _, _, err := e.QueryFromContext(ctx, g, gram, "Nope", []int{0}, QueryOptions{}); err == nil {
-		t.Fatal("unknown non-terminal: expected error")
-	}
-	pairs, _, err := e.QueryFromContext(ctx, g, gram, "S", []int{2}, QueryOptions{IncludeEmptyPaths: true})
+	ix, _, err := e.RunFromContext(ctx, g, cnf, nil)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("empty sources: %v", err)
 	}
-	// From node 2: (2,2) by ε, (2,3) by a.
-	want := []matrix.Pair{{I: 2, J: 2}, {I: 2, J: 3}}
-	if len(pairs) != len(want) {
-		t.Fatalf("got %v, want %v", pairs, want)
+	if pairs := ix.Relation("S"); len(pairs) != 0 {
+		t.Fatalf("empty sources: got %v", pairs)
 	}
-	for i := range want {
-		if pairs[i] != want[i] {
-			t.Fatalf("got %v, want %v", pairs, want)
-		}
+	if _, _, err := e.RunFromContext(ctx, g, cnf, []int{4}); err == nil {
+		t.Fatal("out-of-range source: expected error")
 	}
 }
 

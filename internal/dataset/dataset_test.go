@@ -126,10 +126,11 @@ func TestQuery1Semantics(t *testing.T) {
 		{Subject: "i", Predicate: "type", Object: "t1"},
 		{Subject: "i", Predicate: "type", Object: "t2"},
 	})
-	pairs, _, err := core.NewEngine().QueryContext(context.Background(), g, Query1(), "S", core.QueryOptions{})
+	ix, _, err := core.NewEngine().RunContext(context.Background(), g, grammar.MustCNF(Query1()))
 	if err != nil {
 		t.Fatal(err)
 	}
+	pairs := ix.Relation("S")
 	has := func(i, j int) bool {
 		for _, p := range pairs {
 			if p.I == i && p.J == j {
@@ -157,10 +158,11 @@ func TestQuery2Semantics(t *testing.T) {
 		{Subject: "grand", Predicate: "subClassOf", Object: "child"},
 		{Subject: "grand2", Predicate: "subClassOf", Object: "child"},
 	})
-	pairs, _, err := core.NewEngine().QueryContext(context.Background(), g, Query2(), "S", core.QueryOptions{})
+	ix, _, err := core.NewEngine().RunContext(context.Background(), g, grammar.MustCNF(Query2()))
 	if err != nil {
 		t.Fatal(err)
 	}
+	pairs := ix.Relation("S")
 	has := func(i, j int) bool {
 		for _, p := range pairs {
 			if p.I == i && p.J == j {

@@ -3,12 +3,12 @@ package cfpq
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"cfpq/internal/conjunctive"
 	"cfpq/internal/core"
 	"cfpq/internal/grammar"
 	"cfpq/internal/graph"
+	"cfpq/internal/matrix"
 	"cfpq/internal/rpq"
 )
 
@@ -19,7 +19,9 @@ import (
 // reversed graph under the reversed grammar) for a target restriction, and
 // for a pair restriction the frontier of whichever side names fewer nodes
 // — then shapes the answer to the requested Output. Result.Explain records
-// the choice; Result.Stats the closure work performed.
+// the choice; Result.Stats the closure work performed. Every strategy
+// ends in one relation matrix, which the answer walks as Prepared.Do walks
+// its pinned version's: a pairs Result holds that matrix, not the index.
 //
 // Do is the one evaluation entry point of the engine. For repeated
 // requests against one (graph, grammar) pair, Prepare a handle and use
@@ -82,89 +84,113 @@ func (e *Engine) Do(ctx context.Context, req Request) (*Result, error) {
 	if gram == nil {
 		return nil, reqErr("grammar", "a nonterminal request needs a Grammar (or a Prepared handle)")
 	}
+	if !gram.HasNonterminal(start) {
+		return nil, fmt.Errorf("cfpq: unknown non-terminal %q", start)
+	}
 
 	if req.normOutput() == OutputPaths {
 		return finish(e.doPaths(ctx, req, gram, start))
 	}
 
-	pairs, ex, stats, err := e.planRelational(ctx, req, gram, start)
+	w, ex, stats, err := e.planRelational(ctx, req, gram, start)
 	if err != nil {
 		return nil, err
 	}
 	ex.Reason = rpqPrefix + ex.Reason
-	return finish(shapePairs(req, pairs, ex, stats), nil)
+	res := &Result{Stats: stats, Explain: ex}
+	w.answer(res, req)
+	return finish(res, nil)
 }
 
 // planRelational runs the strategy selection for exists/count/pairs
-// outputs and returns the restricted pair relation, sorted row-major.
-func (e *Engine) planRelational(ctx context.Context, req Request, gram *Grammar, start string) ([]Pair, Explain, Stats, error) {
+// outputs and returns the walk of the relation matrix the strategy ends
+// in, restricted to the request's sources and targets.
+func (e *Engine) planRelational(ctx context.Context, req Request, gram *Grammar, start string) (walk, Explain, Stats, error) {
 	g, sources, targets := req.Graph, req.Sources, req.Targets
-	qopts := core.QueryOptions{IncludeEmptyPaths: req.EmptyPaths}
-	switch {
-	case sources == nil && targets == nil:
-		pairs, stats, err := e.newCore().QueryContext(ctx, g, gram, start, qopts)
-		return pairs, Explain{
+	// A restricted request plans a frontier, seeded with the side that
+	// names fewer nodes: the targets seed the source frontier of the
+	// reversed graph under the reversed grammar (CFPQ duality).
+	byTargets := targets != nil && (sources == nil || len(targets) < len(sources))
+	seeds := sources
+	if byTargets {
+		g, gram, seeds = graph.Reverse(g), grammar.Reverse(gram), targets
+	}
+	cnf, err := ToCNF(gram)
+	if err != nil {
+		return walk{}, Explain{}, Stats{}, err
+	}
+	if seeds == nil {
+		ix, stats, err := e.newCore().RunContext(ctx, g, cnf)
+		if err != nil {
+			return walk{}, Explain{}, stats, err
+		}
+		return restrict(answerMatrix(ix, start, req.EmptyPaths, nil), req), Explain{
 			Strategy: StrategyFull,
 			Reason:   "no restriction: every pair is wanted, so the full all-pairs closure is the only plan",
-		}, stats, err
-
-	case targets == nil, sources != nil && len(sources) <= len(targets):
-		pairs, fs, err := e.newCore().QueryFromContext(ctx, g, gram, start, sources, qopts)
-		if err != nil {
-			return nil, Explain{}, fs.Stats, err
-		}
-		reason := fmt.Sprintf("%d source(s) restrict the rows, so the source-frontier closure pays only for reachable rows", len(sources))
-		if targets != nil {
-			pairs = filterPairs(pairs, nil, targets)
-			reason = fmt.Sprintf("both sides restricted; the %d source(s) are the smaller frontier seed, targets filter the result", len(sources))
-		}
-		if fs.Saturated {
-			reason += "; the frontier reached every row, so this was the full closure"
-		}
-		return pairs, Explain{
-			Strategy:  StrategySourceFrontier,
-			Reason:    reason,
-			Frontier:  fs.Frontier,
-			Saturated: fs.Saturated,
-		}, fs.Stats, nil
-
-	default: // targets restrict; sources are nil or the larger side
-		pairs, fs, err := e.newCore().QueryFromContext(ctx, graph.Reverse(g), grammar.Reverse(gram), start, targets, qopts)
-		if err != nil {
-			return nil, Explain{}, fs.Stats, err
-		}
-		for i := range pairs {
-			pairs[i].I, pairs[i].J = pairs[i].J, pairs[i].I
-		}
-		sort.Slice(pairs, func(a, b int) bool {
-			if pairs[a].I != pairs[b].I {
-				return pairs[a].I < pairs[b].I
-			}
-			return pairs[a].J < pairs[b].J
-		})
-		reason := fmt.Sprintf("%d target(s) restrict the columns, so the source-frontier closure runs on the reversed graph and grammar (CFPQ duality)", len(targets))
-		if sources != nil {
-			pairs = filterPairs(pairs, sources, nil)
-			reason = fmt.Sprintf("both sides restricted; the %d target(s) are the smaller frontier seed on the reversed instance, sources filter the result", len(targets))
-		}
-		if fs.Saturated {
-			reason += "; the frontier reached every row, so this was the full closure"
-		}
-		return pairs, Explain{
-			Strategy:  StrategyTargetFrontier,
-			Reason:    reason,
-			Frontier:  fs.Frontier,
-			Saturated: fs.Saturated,
-		}, fs.Stats, nil
+		}, stats, nil
 	}
+	ix, fs, err := e.newCore().RunFromContext(ctx, g, cnf, seeds)
+	if err != nil {
+		return walk{}, Explain{}, fs.Stats, err
+	}
+	m := answerMatrix(ix, start, req.EmptyPaths, seeds)
+	ex := Explain{Strategy: StrategySourceFrontier, Frontier: fs.Frontier, Saturated: fs.Saturated}
+	var w walk
+	if !byTargets {
+		// Rows outside the sources are the frontier's, not the answer's.
+		w = restrict(m, req)
+		ex.Reason = fmt.Sprintf("%d source(s) restrict the rows, so the source-frontier closure pays only for reachable rows", len(sources))
+		if targets != nil {
+			ex.Reason = fmt.Sprintf("both sides restricted; the %d source(s) are the smaller frontier seed, targets filter the result", len(sources))
+		}
+	} else {
+		// The reversed relation's target rows are the answer's columns:
+		// transpose just those rows into the answer's matrix.
+		n := m.Dim()
+		w = walk{m: matrix.Build(ix.Backend(), n, func(emit func(i, j int)) {
+			for _, t := range targets {
+				m.RangeRow(t, func(i int) bool { emit(i, t); return true })
+			}
+		}), rows: nodeSet(sources, n)}
+		ex.Strategy = StrategyTargetFrontier
+		ex.Reason = fmt.Sprintf("%d target(s) restrict the columns, so the source-frontier closure runs on the reversed graph and grammar (CFPQ duality)", len(targets))
+		if sources != nil {
+			ex.Reason = fmt.Sprintf("both sides restricted; the %d target(s) are the smaller frontier seed on the reversed instance, sources filter the result", len(targets))
+		}
+	}
+	if fs.Saturated {
+		ex.Reason += "; the frontier reached every row, so this was the full closure"
+	}
+	return w, ex, fs.Stats, nil
+}
+
+// answerMatrix is R_start of the call's own index ix — an empty matrix
+// when the CNF has no such non-terminal (one deriving only ε) — with (v, v)
+// set for each v in nodes (every node when nodes is nil) when emptyPaths is
+// asked and start derives ε: the paper's CNF drops ε-rules, and only empty
+// paths are labelled ε. The walk's restrictions then keep just the v in
+// both of them.
+func answerMatrix(ix *Index, start string, emptyPaths bool, nodes []int) matrix.Bool {
+	m := ix.Matrix(start)
+	if m == nil {
+		m = ix.Backend().NewMatrix(ix.Nodes())
+	}
+	if emptyPaths && ix.CNF().Nullable[start] {
+		if nodes == nil {
+			for v := range ix.Nodes() {
+				m.Set(v, v)
+			}
+		}
+		for _, v := range nodes {
+			m.Set(v, v)
+		}
+	}
+	return m
 }
 
 // doPaths answers an OutputPaths request: witness enumeration reads the
 // full closure index, so the plan is always the full closure.
 func (e *Engine) doPaths(ctx context.Context, req Request, gram *Grammar, start string) (*Result, error) {
-	if !gram.HasNonterminal(start) {
-		return nil, fmt.Errorf("core: unknown non-terminal %q", start)
-	}
 	cnf, err := ToCNF(gram)
 	if err != nil {
 		return nil, err
@@ -173,31 +199,14 @@ func (e *Engine) doPaths(ctx context.Context, req Request, gram *Grammar, start 
 	if err != nil {
 		return nil, err
 	}
-	// Look one path past the limit so a clipped enumeration reports
-	// Truncated instead of passing for a complete answer.
-	opts := AllPathsOptions{MaxLength: req.MaxPathLength, MaxPaths: req.Limit}
-	if req.Limit > 0 {
-		opts.MaxPaths++
-	}
-	paths, err := ix.AllPathsContext(ctx, req.Graph, start, req.Sources[0], req.Targets[0], opts)
-	if err != nil {
-		return nil, err
-	}
-	truncated := false
-	if req.Limit > 0 && len(paths) > req.Limit {
-		paths = paths[:req.Limit]
-		truncated = true
-	}
-	return &Result{
-		Count:     len(paths),
-		Truncated: truncated,
-		Stats:     stats,
+	res := &Result{
+		Stats: stats,
 		Explain: Explain{
 			Strategy: StrategyFull,
 			Reason:   "path enumeration reads the full closure index as its derivation oracle",
 		},
-		paths: paths,
-	}, nil
+	}
+	return res.readPaths(ctx, ix, req.Graph, start, req)
 }
 
 // doConjunctive answers a conjunctive-grammar request: the request's engine
@@ -209,58 +218,11 @@ func (e *Engine) doConjunctive(ctx context.Context, req Request) (*Result, error
 	if err != nil {
 		return nil, err
 	}
-	pairs := filterPairs(ix.Relation(req.Nonterminal), req.Sources, req.Targets)
-	ex := Explain{
+	res := &Result{Stats: stats, Explain: Explain{
 		Strategy: StrategyFull,
 		Reason:   "conjunctive grammars evaluate only under the full closure; restrictions filter the result",
-	}
-	return shapePairs(req, pairs, ex, stats), nil
-}
-
-// filterPairs keeps the pairs whose endpoints satisfy the (optional)
-// restrictions; a nil side is unrestricted. Order is preserved.
-func filterPairs(pairs []Pair, sources, targets []int) []Pair {
-	if sources == nil && targets == nil {
-		return pairs
-	}
-	inSrc := memberSet(sources)
-	inTgt := memberSet(targets)
-	out := pairs[:0:0]
-	for _, p := range pairs {
-		if (inSrc == nil || inSrc[p.I]) && (inTgt == nil || inTgt[p.J]) {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// memberSet builds a membership set; nil input stays nil (unrestricted).
-func memberSet(nodes []int) map[int]bool {
-	if nodes == nil {
-		return nil
-	}
-	set := make(map[int]bool, len(nodes))
-	for _, v := range nodes {
-		set[v] = true
-	}
-	return set
-}
-
-// shapePairs turns a computed pair relation into the requested output.
-func shapePairs(req Request, pairs []Pair, ex Explain, stats Stats) *Result {
-	res := &Result{Stats: stats, Explain: ex}
-	switch req.normOutput() {
-	case OutputExists:
-		res.Exists = len(pairs) > 0
-	case OutputCount:
-		res.Count = len(pairs)
-	default: // OutputPairs
-		if req.Limit > 0 && len(pairs) > req.Limit {
-			pairs = pairs[:req.Limit]
-			res.Truncated = true
-		}
-		res.Count = len(pairs)
-		res.pairs = pairs
-	}
-	return res
+	}}
+	// A conjunctive CNF derives no ε, so no empty paths are added.
+	restrict(answerMatrix(ix, req.Nonterminal, false, nil), req).answer(res, req)
+	return res, nil
 }

@@ -158,67 +158,61 @@ func (p *Prepared) answer(ctx context.Context, v *version, req Request) (*Result
 		return nil, fmt.Errorf("cfpq: unknown non-terminal %q", nt)
 	}
 	res := &Result{Explain: cachedReadExplain()}
-	n := v.ix.Nodes()
 	switch req.normOutput() {
 	case OutputPaths:
-		i, j := req.Sources[0], req.Targets[0]
-		if i >= n || j >= n {
-			return res, nil
-		}
-		// Enumerate one path past the limit so a clipped answer reports
-		// Truncated: unlike a relation's, an enumeration's size is not
-		// known before it runs. (Without a Limit the enumerator's own
-		// default cap applies; hitting it is not reported.)
-		opts := AllPathsOptions{MaxLength: req.MaxPathLength, MaxPaths: req.Limit}
-		if req.Limit > 0 {
-			opts.MaxPaths++
-		}
-		paths, err := v.ix.AllPathsContext(ctx, v.g, nt, i, j, opts)
-		if err != nil {
-			return nil, err
-		}
-		if req.Limit > 0 && len(paths) > req.Limit {
-			paths = paths[:req.Limit]
-			res.Truncated = true
-		}
-		res.Count = len(paths)
-		res.paths = paths
+		return res.readPaths(ctx, v.ix, v.g, nt, req)
 	case OutputExists:
 		if len(req.Sources) == 1 && len(req.Targets) == 1 {
 			// The point lookup the serving hot path issues; O(1)-ish.
-			i, j := req.Sources[0], req.Targets[0]
+			i, j, n := req.Sources[0], req.Targets[0], v.ix.Nodes()
 			res.Exists = i < n && j < n && v.ix.Has(nt, i, j)
 			return res, nil
 		}
-		// Stopping at the first entry is finding one.
-		res.Exists = !restrict(v.ix, nt, req).scan(func(int, int) bool { return false })
-	case OutputCount:
-		res.Count = restrict(v.ix, nt, req).total()
-	default: // OutputPairs
-		// The answer is a walk of the pinned version's rows, which no later
-		// AddEdges writes: it is a consistent point-in-time answer (batch
-		// answers all read one index state) however late it is read, and
-		// it builds no pair list. Its size is known before the walk, so a
-		// clipped answer reports Truncated.
-		w := restrict(v.ix, nt, req)
-		res.Count = w.total()
-		if req.Limit > 0 && res.Count > req.Limit {
-			res.Count, res.Truncated = req.Limit, true
-		}
-		w.n = res.Count
-		res.rel = &w
 	}
+	// A pairs answer walks the pinned version's rows, which no later
+	// AddEdges writes: it is a consistent point-in-time answer (batch
+	// answers all read one index state) however late it is read.
+	restrict(v.ix.Matrix(nt), req).answer(res, req)
 	return res, nil
 }
 
-// walk is a read of R_nt from a pinned version: the entries in its rows
-// (every row when rows is nil) and columns (every column when cols is nil),
-// in row-major order. A row restriction reads just its rows — the cost of
-// "what does this node reach" is that node's row, not the relation — and a
-// column restriction is merged with each sorted row, so a read costs the
-// rows it reads, never a scratch of the node count. A version is immutable,
-// so a walk reads the same entries however often and on however many
-// goroutines it runs.
+// readPaths answers an OutputPaths request from ix: the witnesses of
+// (Sources[0], nt, Targets[0]), none when either node is outside ix.
+func (res *Result) readPaths(ctx context.Context, ix *Index, g *Graph, nt string, req Request) (*Result, error) {
+	i, j := req.Sources[0], req.Targets[0]
+	if i >= ix.Nodes() || j >= ix.Nodes() {
+		return res, nil
+	}
+	// Enumerate one path past the limit so a clipped answer reports
+	// Truncated: unlike a relation's, an enumeration's size is not known
+	// before it runs. (Without a Limit the enumerator's own default cap
+	// applies; hitting it is not reported.)
+	opts := AllPathsOptions{MaxLength: req.MaxPathLength, MaxPaths: req.Limit}
+	if req.Limit > 0 {
+		opts.MaxPaths++
+	}
+	paths, err := ix.AllPathsContext(ctx, g, nt, i, j, opts)
+	if err != nil {
+		return nil, err
+	}
+	if req.Limit > 0 && len(paths) > req.Limit {
+		paths = paths[:req.Limit]
+		res.Truncated = true
+	}
+	res.Count = len(paths)
+	res.paths = paths
+	return res, nil
+}
+
+// walk is a read of a relation matrix — a pinned version's R_nt, or the
+// one an Engine.Do plan ended in: the entries in its rows (every row when
+// rows is nil) and columns (every column when cols is nil), in row-major
+// order. A row restriction reads just its rows — the cost of "what does
+// this node reach" is that node's row, not the relation — and a column
+// restriction is merged with each sorted row, so a read costs the rows it
+// reads, never a scratch of the node count. Nothing writes the matrix once
+// it is walked, so a walk reads the same entries however often and on
+// however many goroutines it runs.
 type walk struct {
 	m    matrix.Bool
 	rows []int // sorted, distinct and in range
@@ -226,10 +220,32 @@ type walk struct {
 	n    int   // the entries a pairs answer yields: its Count
 }
 
-// restrict is the walk of R_nt under req's restriction.
-func restrict(ix *Index, nt string, req Request) walk {
-	n := ix.Nodes()
-	return walk{m: ix.Matrix(nt), rows: nodeSet(req.Sources, n), cols: nodeSet(req.Targets, n)}
+// restrict is the walk of m under req's restriction.
+func restrict(m matrix.Bool, req Request) walk {
+	n := m.Dim()
+	return walk{m: m, rows: nodeSet(req.Sources, n), cols: nodeSet(req.Targets, n)}
+}
+
+// answer answers an exists, count or pairs request from the walk. A pairs
+// answer is the walk itself: its size is known before it is read, so a
+// clipped answer reports Truncated, and it builds no pair list.
+func (w walk) answer(res *Result, req Request) {
+	switch req.normOutput() {
+	case OutputExists:
+		// Stopping at the first entry is finding one.
+		res.Exists = !w.scan(func(int, int) bool { return false })
+	case OutputCount:
+		res.Count = w.total()
+	default: // OutputPairs
+		res.Count = w.total()
+		if req.Limit > 0 && res.Count > req.Limit {
+			res.Count, res.Truncated = req.Limit, true
+		}
+		// A copy: only a pairs answer moves its walk to the heap.
+		rel := w
+		rel.n = res.Count
+		res.rel = &rel
+	}
 }
 
 // nodeSet is a restriction's in-range nodes, sorted and de-duplicated. nil

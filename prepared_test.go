@@ -105,20 +105,31 @@ func TestPreparedBasics(t *testing.T) {
 	}
 }
 
-// TestPreparedPatchAgreesWithColdRebuild streams edge batches — including
-// node-growing ones — through AddEdges and checks after every batch that
-// the patched index matches a from-scratch closure of an identically
-// mutated graph.
-// TestPairsAllocatedOnce: AllPairs allocates its slice once, at its final
-// size — the relation's nnz unrestricted, the limit for a page, the
+// TestPairsAllocatedOnce: AllPairs makes one allocation, its slice at its
+// final size — the relation's nnz unrestricted, the limit for a page, the
 // sources' rows for a source-restricted read — and a target-restricted
-// read does not size it by the relation.
+// read does not size it by the relation. Engine.Do's answers, walks of the
+// relation matrix their plan ended in, do the same on every plan.
 func TestPairsAllocatedOnce(t *testing.T) {
 	g := NewGraph(0)
 	for i := range 40 {
 		g.AddEdge(i, "a", i+1)
 	}
-	p := mustPrepare(t, NewEngine(Sparse), g, "S -> a | a S")
+	const text = "S -> a | a S"
+	p := mustPrepare(t, NewEngine(Sparse), g, text)
+	check := func(from string, req Request, res *Result, n, capacity int) {
+		t.Helper()
+		pairs := res.AllPairs()
+		if len(pairs) != n || cap(pairs) != capacity {
+			t.Errorf("%s %+v: %d pairs in a slice of capacity %d, want %d in %d", from, req, len(pairs), cap(pairs), n, capacity)
+		}
+		if n == 0 {
+			return
+		}
+		if allocs := testing.AllocsPerRun(10, func() { res.AllPairs() }); allocs != 1 {
+			t.Errorf("%s %+v: AllPairs made %v allocations for %d pairs, want 1", from, req, allocs, n)
+		}
+	}
 	for _, c := range []struct {
 		req         Request
 		n, capacity int
@@ -130,10 +141,29 @@ func TestPairsAllocatedOnce(t *testing.T) {
 		{Request{Nonterminal: "S", Sources: []int{}}, 0, 0},
 		{Request{Nonterminal: "S", Targets: []int{1}}, 1, 1},
 	} {
-		pairs := read(t, p, c.req).AllPairs()
-		if len(pairs) != c.n || cap(pairs) != c.capacity {
-			t.Errorf("%+v: %d pairs in a slice of capacity %d, want %d in %d", c.req, len(pairs), cap(pairs), c.n, c.capacity)
+		check("Prepared.Do", c.req, read(t, p, c.req), c.n, c.capacity)
+	}
+	gram := MustParseGrammar(text)
+	for _, c := range []struct {
+		req         Request
+		n, capacity int
+	}{
+		{Request{Nonterminal: "S"}, 820, 820},
+		{Request{Nonterminal: "S", Limit: 100}, 100, 100},
+		{Request{Nonterminal: "S", Sources: []int{3, 0, 3}}, 77, 77},
+		{Request{Nonterminal: "S", Sources: []int{3, 0, 3}, Limit: 50}, 50, 50},
+		{Request{Nonterminal: "S", Targets: []int{1}}, 1, 1},
+		{Request{Nonterminal: "S", Targets: []int{40, 2}, Limit: 30}, 30, 30},
+		{Request{Nonterminal: "S", Sources: []int{0, 1, 2}, Targets: []int{5, 40}}, 6, 6},
+		{Request{Nonterminal: "S", Sources: []int{0, 1, 2, 3, 4}, Targets: []int{40, 5}}, 10, 10},
+	} {
+		req := c.req
+		req.Graph, req.Grammar = g, gram
+		res, err := NewEngine(Sparse).Do(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
 		}
+		check("Engine.Do", c.req, res, c.n, c.capacity)
 	}
 }
 
@@ -187,6 +217,10 @@ func TestResultWalksItsVersion(t *testing.T) {
 	}
 }
 
+// TestPreparedPatchAgreesWithColdRebuild streams edge batches — including
+// node-growing ones — through AddEdges and checks after every batch that
+// the patched index matches a from-scratch closure of an identically
+// mutated graph.
 func TestPreparedPatchAgreesWithColdRebuild(t *testing.T) {
 	const text = "S -> a S b | a b"
 	eng := NewEngine(Sparse)

@@ -81,7 +81,12 @@ func TestQueryToEqualsFilteredQueryProperty(t *testing.T) {
 
 // TestPairRestrictedDoEqualsFilteredQueryProperty checks the both-sides
 // restriction (the planner picks the smaller frontier seed and filters the
-// other side) against the doubly filtered unrestricted Do.
+// other side) against the doubly filtered closure, with and without
+// empty paths — plus (v, v) for every v on both sides when the start
+// derives ε — for pairs, count and exists, and under a Limit that clips.
+// Each trial asks with its random restriction and again with one side
+// repeated past the other's length, so both frontier strategies answer the
+// same question.
 func TestPairRestrictedDoEqualsFilteredQueryProperty(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(44))
@@ -140,7 +145,118 @@ func TestPairRestrictedDoEqualsFilteredQueryProperty(t *testing.T) {
 			t.Fatalf("trial %d: planned %q for %d sources / %d targets, want %q",
 				trial, res.Explain.Strategy, len(sources), len(targets), wantStrategy)
 		}
+
+		cnf, err := cfpq.ToCNF(gram)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Ask for a nullable start too, when the grammar has one: empty
+		// paths change only its answers. And widen the targets by the
+		// sources, so that they have nodes on both sides to add.
+		starts := []string{start}
+		targets = append(slices.Clone(targets), sources...)
+		for _, v := range sources {
+			inTgt[v] = true
+		}
+		for _, nt := range nts {
+			if cnf.Nullable[nt] && !cnf.Nullable[start] {
+				starts = append(starts, nt)
+				break
+			}
+		}
+		for _, start := range starts {
+			full, err := eng.Do(ctx, cfpq.Request{Graph: g, Grammar: gram, Nonterminal: start})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want []cfpq.Pair
+			for _, p := range full.AllPairs() {
+				if inSrc[p.I] && inTgt[p.J] {
+					want = append(want, p)
+				}
+			}
+			// The empty-path answer: the filtered closure plus (v, v) for v
+			// on both sides, in row-major order.
+			withEmpty := slices.Clone(want)
+			if cnf.Nullable[start] {
+				for v := range n {
+					if p := (cfpq.Pair{I: v, J: v}); inSrc[v] && inTgt[v] && !slices.Contains(want, p) {
+						withEmpty = append(withEmpty, p)
+					}
+				}
+				slices.SortFunc(withEmpty, func(a, b cfpq.Pair) int {
+					if a.I != b.I {
+						return a.I - b.I
+					}
+					return a.J - b.J
+				})
+			}
+			for _, c := range []struct {
+				sources, targets []int
+				strategy         cfpq.Strategy
+			}{
+				{sources, repeatPast(targets, len(sources)), cfpq.StrategySourceFrontier},
+				{repeatPast(sources, len(targets)+1), targets, cfpq.StrategyTargetFrontier},
+			} {
+				for _, empty := range []bool{false, true} {
+					want := want
+					if empty {
+						want = withEmpty
+					}
+					limit := 0
+					if len(want) > 1 {
+						limit = 1 + rng.Intn(len(want)-1) // clips: 1 ≤ limit < len(want)
+					}
+					for _, shape := range []struct {
+						out   cfpq.Output
+						limit int
+					}{{cfpq.OutputPairs, 0}, {cfpq.OutputPairs, limit}, {cfpq.OutputCount, 0}, {cfpq.OutputExists, 0}} {
+						out := shape.out
+						req := cfpq.Request{
+							Graph: g, Grammar: gram, Nonterminal: start,
+							Sources: c.sources, Targets: c.targets, EmptyPaths: empty, Output: out, Limit: shape.limit,
+						}
+						res, err := eng.Do(ctx, req)
+						if err != nil {
+							t.Fatalf("trial %d %s empty=%v %s: %v", trial, c.strategy, empty, out, err)
+						}
+						if res.Explain.Strategy != c.strategy {
+							t.Fatalf("trial %d: planned %q for %d sources / %d targets, want %q",
+								trial, res.Explain.Strategy, len(c.sources), len(c.targets), c.strategy)
+						}
+						page, truncated := want, false
+						if req.Limit > 0 && len(want) > req.Limit {
+							page, truncated = want[:req.Limit], true
+						}
+						var ok bool
+						switch out {
+						case cfpq.OutputCount:
+							ok = res.Count == len(want)
+						case cfpq.OutputExists:
+							ok = res.Exists == (len(want) > 0)
+						default:
+							ok = slices.Equal(res.AllPairs(), page) && res.Count == len(page) && res.Truncated == truncated
+						}
+						if !ok {
+							t.Fatalf("trial %d %s empty=%v %s limit=%d start=%s sources=%v targets=%v:\n got count %d exists %v truncated %v pairs %v\nwant %v\ngrammar:\n%s",
+								trial, c.strategy, empty, out, req.Limit, start, c.sources, c.targets,
+								res.Count, res.Exists, res.Truncated, res.AllPairs(), want, gram)
+						}
+					}
+				}
+			}
+		}
 	}
+}
+
+// repeatPast repeats nodes until the list is at least k long: the same
+// restriction, longer.
+func repeatPast(nodes []int, k int) []int {
+	out := slices.Clone(nodes)
+	for len(out) < k {
+		out = append(out, nodes...)
+	}
+	return out
 }
 
 // TestDoExplainStrategies pins the strategy Explain names for every plan

@@ -55,10 +55,13 @@ type Explain struct {
 // OutputPairs, Paths for OutputPaths. Stats is the closure work this
 // evaluation performed (zero for cached reads) and Explain names the plan.
 //
-// A Result is safe to read from several goroutines. The pairs of a
-// Prepared answer are not copied out: the Result pins the index version it
-// was read from, and Pairs walks that version's rows, so holding the
-// Result holds that version's relation in memory.
+// A Result is safe to read from several goroutines. Every pairs answer is
+// a walk of one relation matrix, not a copied-out list: a Prepared answer
+// walks the index version it pinned, and an Engine.Do answer the relation
+// matrix its plan ended in (for a source-frontier plan only the
+// frontier's rows of it, for a target-frontier plan only the targets'
+// columns). Holding the Result holds that one matrix in memory — not the
+// rest of the index it came from.
 type Result struct {
 	// Exists answers OutputExists.
 	Exists bool `json:"exists,omitempty"`
@@ -77,56 +80,44 @@ type Result struct {
 	// Explain records the chosen plan.
 	Explain Explain `json:"explain"`
 
-	// A Prepared pairs answer is rel, a walk of the pinned version; the
-	// evaluation strategies materialise theirs, and the backing slices are
-	// kept for AllPairs/AllPaths to hand out without a second copy.
+	// A pairs answer is rel, a walk of its relation matrix; a paths answer
+	// keeps its enumeration for AllPaths to hand out without a copy.
 	rel   *walk
-	pairs []Pair
 	paths [][]Edge
 }
 
 // Pairs streams the result relation of an OutputPairs request in
-// row-major order: from the pinned version for a Prepared answer, from the
-// materialised pairs otherwise. Either way iteration holds no lock and
-// yields the same pairs every time. Other outputs stream nothing.
+// row-major order, walking the relation matrix the answer was read from.
+// Iteration holds no lock and yields the same pairs every time. Other
+// outputs stream nothing.
 func (r *Result) Pairs() iter.Seq[Pair] {
-	if r.rel != nil {
-		return r.rel.pairs
+	if r.rel == nil {
+		return func(func(Pair) bool) {}
 	}
-	return sliceSeq(r.pairs)
+	return r.rel.pairs
 }
 
-// AllPairs returns the pairs Pairs streams as a slice: the materialised
-// one itself, or for a Prepared answer a fresh copy on every call.
+// AllPairs returns the pairs Pairs streams as a fresh slice on every call,
+// allocated once at its final size (nil when there are none).
 func (r *Result) AllPairs() []Pair {
-	if r.rel == nil {
-		return r.pairs
-	}
-	if r.Count == 0 {
+	if r.rel == nil || r.Count == 0 {
 		return nil
 	}
-	return slices.AppendSeq(make([]Pair, 0, r.Count), r.Pairs())
+	// Not AppendSeq over Pairs: called directly, the walk's closure stays
+	// on the stack, so the slice is AllPairs' one allocation.
+	out := make([]Pair, 0, r.Count)
+	r.rel.pairs(func(p Pair) bool { out = append(out, p); return true })
+	return out
 }
 
 // Paths streams the witness paths of an OutputPaths request in
 // nondecreasing length order — a snapshot, like Pairs.
 func (r *Result) Paths() iter.Seq[[]Edge] {
-	return sliceSeq(r.paths)
+	return slices.Values(r.paths)
 }
 
 // AllPaths returns the witness paths as a slice — the same snapshot Paths
 // streams, with no extra copy.
 func (r *Result) AllPaths() [][]Edge {
 	return r.paths
-}
-
-// sliceSeq streams a materialised slice.
-func sliceSeq[T any](xs []T) iter.Seq[T] {
-	return func(yield func(T) bool) {
-		for _, x := range xs {
-			if !yield(x) {
-				return
-			}
-		}
-	}
 }

@@ -190,6 +190,18 @@ func (h *subHub) closeAll() {
 	}
 }
 
+// memberSet builds a membership set; nil input stays nil (unrestricted).
+func memberSet(nodes []int) map[int]bool {
+	if nodes == nil {
+		return nil
+	}
+	set := make(map[int]bool, len(nodes))
+	for _, v := range nodes {
+		set[v] = true
+	}
+	return set
+}
+
 // subscribe registers a subscriber. With resume set, retained updates with
 // seq > afterSeq are pre-queued (restriction-filtered); a gap wider than
 // the retained window pre-queues a single Resync marker instead.
