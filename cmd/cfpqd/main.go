@@ -103,7 +103,7 @@
 // GET /metrics serves Prometheus text format: request-latency histograms
 // labeled by (route, backend, status), WAL fsync / index build /
 // warm start latency histograms, replication lag gauges (records, bytes,
-// age), live subscriptions with their buffer depth and drop counters (the
+// age), live subscriptions and the resync markers streamed to them (the
 // only view of them; there are no per-subscription rows), store sizes, and
 // a build_info gauge. GET /debug/vars renders the same counters as JSON,
 // beside the store statistics that POST /v1/snapshot also answers with.
@@ -244,9 +244,9 @@ func main() {
 		Handler: server.Handler(svc, handlerOpts...),
 		// Slow-client protection: the service accepts large uploads, so
 		// unbounded header/body stalls must not pin goroutines forever.
-		// The handler bounds each write of a response itself (all but the
-		// SSE stream's), so a server-wide WriteTimeout, which would end
-		// that stream, is not set.
+		// The handler bounds each write of a response itself, the SSE
+		// stream's events and heartbeats included, so a server-wide
+		// WriteTimeout, which would end that stream, is not set.
 		ReadHeaderTimeout: 10 * time.Second,
 		ReadTimeout:       5 * time.Minute,
 	}

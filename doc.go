@@ -111,8 +111,9 @@
 // mutex: fork the current index copy-on-write (sparse matrices share their
 // rows; a matrix's row list is copied when the update first writes it), run
 // the update closure on the fork, and store the result under a publish
-// mutex — held for the pointer store and the subscription push,
-// microseconds, and taken by Subscribe too, never by a reader. The closure only
+// mutex — held for the pointer store and retaining the delta for
+// subscriptions, microseconds, and taken by Subscribe too, never by a
+// reader. The closure only
 // ever adds bits, so the version a reader holds stays a sound,
 // self-consistent relation for as long as it holds it. Readers never wait
 // for a closure; a cancelled or over-budget update is abandoned — nothing
@@ -122,10 +123,10 @@
 // # Live queries
 //
 // A standing Request can be subscribed instead of polled:
-// Prepared.Subscribe registers it and returns a Subscription delivering
-// one PairBatch per AddEdges that derives new matching pairs — the pairs
-// the incremental closure's passes derived (what UpdateInfo.Delta
-// exposes), never a diff of full results:
+// Prepared.Subscribe registers it and returns a Subscription reading one
+// PairBatch per AddEdges that derives new matching pairs — the pairs the
+// incremental closure's passes derived (what UpdateInfo.Delta exposes),
+// never a diff of full results:
 //
 //	sub, _ := p.Subscribe(ctx, cfpq.Request{Nonterminal: "S", Targets: tgts})
 //	for batch := range sub.Batches() { ... } // batch.Pairs: just-derived pairs
@@ -134,13 +135,14 @@
 // state without a gap, Subscribe first, then run the same Request through
 // Do and union batches on top (an update racing the Do may appear in both
 // — a harmless duplicate under set semantics, never a hole). Slow
-// consumers never block AddEdges: each subscription
-// buffers a bounded number of batches, and one that falls behind has
-// batches dropped with the gap reported in-band (PairBatch.Resync) —
-// drop-with-resync, not backpressure. An abandoned update (cancelled, or
-// over the memory budget) pushes nothing; the AddEdges that absorbs its
-// edges pushes their pairs, so across a cancellation and its retry every
-// pair arrives exactly once.
+// readers never block AddEdges and lose nothing while they are merely
+// slow: the handle retains each update's delta once, in a window of the
+// last 64, and a subscription is a position in it, filtering what it
+// reads by its restriction. A reader the window has passed reads one
+// empty PairBatch.Resync marker at the head and continues from there. An
+// abandoned update (cancelled, or over the memory budget) publishes
+// nothing; the AddEdges that absorbs its edges publishes their pairs, so
+// across a cancellation and its retry every pair arrives exactly once.
 // SubscribeFrom resumes after a known sequence number (the Last-Event-ID
 // contract of cfpqd's POST /v1/subscribe SSE route, which followers serve
 // too — fed by the replicated-apply path, and which streams this

@@ -38,7 +38,8 @@ var Analyzer = &lint.Analyzer{
 // guardedTypes are the structs whose mutexes fence the serving hot paths.
 // Matching is by bare type name so testdata fixtures can declare their
 // own stand-ins; the set mirrors the lock owners in the tree: the
-// Prepared handle (whose mu also guards its subscription hub), the query
+// Prepared handle (whose mu also guards its window of published deltas
+// and its subscriptions' positions), the query
 // Service and its per-index entries, the durable Store and its per-graph
 // logs, and the read replica.
 var guardedTypes = map[string]bool{

@@ -225,15 +225,11 @@ func (n servedIndex) requireServed(t *testing.T, what string, want, grown []Name
 	if !slices.Equal(got, want) {
 		t.Fatalf("%s: %s answers %v, the oracle %v", what, n.who, got, want)
 	}
-	var pushed []NamedPair
-	select {
-	case b, ok := <-n.sub.Updates():
-		if !ok || b.Resync {
-			t.Fatalf("%s: %s's stream lost continuity (open=%v, %+v)", what, n.who, ok, b)
-		}
-		pushed = n.ge.named(b.Pairs)
-	default:
+	b, live := n.sub.Next()
+	if !live || b.Resync {
+		t.Fatalf("%s: %s's stream lost continuity (open=%v, %+v)", what, n.who, live, b)
 	}
+	pushed := n.ge.named(b.Pairs)
 	if !slices.Equal(pushed, grown) {
 		t.Fatalf("%s: %s was pushed %v, the relation grew by %v", what, n.who, pushed, grown)
 	}

@@ -73,11 +73,12 @@ func WithRequestLog(dst any) HandlerOption {
 //	                                     "sources":[..],"targets":[..]}; each index update that
 //	                                     derives new matching pairs pushes one "pairs" event
 //	                                     (id = update seq, data = {"seq","pairs","resync"?}),
-//	                                     computed from the incremental closure's delta. Heartbeat
-//	                                     comments keep idle streams alive; reconnecting with
-//	                                     Last-Event-ID resumes within a bounded window (a wider
-//	                                     gap answers one event with "resync":true); a terminal
-//	                                     "resync" event means the served index was invalidated
+//	                                     computed from the incremental closure's delta, read from
+//	                                     the handle's window of the last 64 updates. Heartbeat
+//	                                     comments keep idle streams alive; each write has
+//	                                     writeTimeout. Last-Event-ID resumes within the window (a
+//	                                     position it has passed reads one "resync":true event); a
+//	                                     terminal "resync" event means the served index was invalidated
 //	                                     (graph or grammar replaced, or an over-budget update;
 //	                                     never a write that merely adds nodes) — re-query and
 //	                                     reconnect. Followers push replicated writes the same way.

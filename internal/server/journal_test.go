@@ -76,14 +76,10 @@ func (f *journalFixture) requireNoTrace(t *testing.T) {
 	if st, ok := f.s.IndexStatsFor(journalTarget); !ok || st.Version != f.version {
 		t.Errorf("index stats = %+v, %v; want the built index at version %d", st.PreparedStats, ok, f.version)
 	}
-	select {
-	case b, ok := <-f.sub.Updates():
-		if ok {
-			t.Errorf("subscription received %+v", b)
-		} else {
-			t.Error("subscription closed")
-		}
-	default:
+	if b, live := f.sub.Next(); !live {
+		t.Error("subscription closed")
+	} else if len(b.Pairs) > 0 || b.Resync {
+		t.Errorf("subscription received %+v", b)
 	}
 	if _, err := has(ctx, f.s, journalTarget, "S", "zed", "alice"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("token first named by the failed call: err = %v, want ErrNotFound", err)

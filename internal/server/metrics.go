@@ -4,8 +4,8 @@
 // registered on it once and incremented there. GET /metrics renders the
 // registry in Prometheus text format and /debug/vars' "cfpqd" object is a
 // walk over the same registry (debugCounters), so the two cannot disagree.
-// Replication lag, store counters and subscription depth/drops are
-// collected at scrape time from the structures that own them.
+// Replication lag and store counters are collected at scrape time from the
+// structures that own them.
 
 package server
 
@@ -80,7 +80,7 @@ var fsyncBuckets = []float64{.0001, .00025, .0005, .001, .0025, .005, .01, .025,
 
 // newObsMetrics builds the Service's registry. The GaugeFunc/CounterFunc
 // closures read s at scrape time, so they must only touch fields that are
-// safe without s.mu (subMu-guarded state, the store pointer).
+// safe without s.mu (atomics, the store pointer).
 func newObsMetrics(s *Service) *obsMetrics {
 	reg := obs.NewRegistry()
 	m := &obsMetrics{
@@ -143,37 +143,8 @@ func newObsMetrics(s *Service) *obsMetrics {
 		"how long the worst graph has been behind the leader",
 		replStatus(func(_ uint64, _ int64, a float64) float64 { return a }))
 
-	// Subscriptions: live count, buffered-but-unconsumed deliveries, and
-	// drops. A closing subscription's drops move into subDropsClosed in
-	// the same subMu critical section that removes it from subsLive, so
-	// the closed+live sum read here is monotone.
 	reg.GaugeFunc("cfpqd_subscriptions_active_entries",
-		"live standing queries", func() float64 {
-			s.subMu.Lock()
-			defer s.subMu.Unlock()
-			return float64(len(s.subsLive))
-		})
-	reg.GaugeFunc("cfpqd_subscription_buffer_entries",
-		"delivered-but-unconsumed pair batches across live subscriptions",
-		func() float64 {
-			s.subMu.Lock()
-			defer s.subMu.Unlock()
-			depth := 0
-			for sub := range s.subsLive {
-				depth += len(sub.Updates())
-			}
-			return float64(depth)
-		})
-	reg.CounterFunc("cfpqd_subscription_dropped_total",
-		"pair batches discarded on slow subscribers", func() float64 {
-			s.subMu.Lock()
-			defer s.subMu.Unlock()
-			total := s.subDropsClosed
-			for sub := range s.subsLive {
-				total += sub.Dropped()
-			}
-			return float64(total)
-		})
+		"live standing queries", func() float64 { return float64(s.subsActive.Load()) })
 
 	// Store size and WAL write counters (zero without an attached store;
 	// the store pointer is written once before serving).
@@ -209,7 +180,6 @@ func (s *Service) MetricsRegistry() *obs.Registry { return s.obs.reg }
 // registry's naming rules to that historic key.
 var debugAliases = map[string]string{
 	"cfpqd_wal_written_bytes_total":      "wal_bytes",
-	"cfpqd_subscription_dropped_total":   "subscription_drops",
 	"cfpqd_subscriptions_active_entries": "subscriptions_active",
 }
 

@@ -174,7 +174,7 @@ func TestMetricsEndpointUnderConcurrentQueries(t *testing.T) {
 		"cfpqd_process_uptime_seconds",
 		"cfpqd_queries_total",
 		"cfpqd_index_build_duration_seconds_bucket{",
-		"cfpqd_subscription_dropped_total",
+		"cfpqd_subscription_resyncs_total",
 		"cfpqd_replication_lag_records",
 	} {
 		if !strings.Contains(final, want) {
@@ -299,8 +299,6 @@ func TestMetricNamesAreVetted(t *testing.T) {
 		"cfpqd_replication_lag_bytes",
 		"cfpqd_replication_lag_age_seconds",
 		"cfpqd_subscriptions_active_entries",
-		"cfpqd_subscription_buffer_entries",
-		"cfpqd_subscription_dropped_total",
 		"cfpqd_store_wal_bytes",
 		"cfpqd_wal_appends_total",
 		"cfpqd_wal_written_bytes_total",
@@ -469,13 +467,13 @@ func scalarSamples(t *testing.T, body string) map[string]float64 {
 // TestDebugVarsAgreesWithMetrics is the instrument-agreement test: after a
 // run that moves every kind of counter — a warm start from a store, a
 // cached read, an expr read (which builds its slot), a 404, a batch with
-// one bad spec, an AddEdges, a subscriber slow enough to have batches
-// dropped while still connected — every number under "cfpqd" in /debug/vars equals the
+// one bad spec, an AddEdges, a subscriber the window has passed while
+// still connected — every number under "cfpqd" in /debug/vars equals the
 // /metrics sample it is rendered from.
 func TestDebugVarsAgreesWithMetrics(t *testing.T) {
 	dir := t.TempDir()
 	var edges strings.Builder
-	const chain = 80 // updates pushed at one subscriber; above its buffer bound (64)
+	const chain = 80 // updates published to one subscriber; past its window (64)
 	for i := 0; i < chain; i++ {
 		fmt.Fprintf(&edges, "n%d spare n%d\n", i, i+1) // declares the nodes; "knows" edges come later
 	}
@@ -514,16 +512,16 @@ func TestDebugVarsAgreesWithMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One update per batch, none consumed: the subscriber's bounded buffer
-	// overflows and the live subscription accumulates drops.
+	// One update per batch, none read: the window passes the live
+	// subscription's position.
 	for i := 0; i < chain; i++ {
 		if code, body := httpDo(t, srv, http.MethodPost, "/v1/graphs/g/edges",
 			fmt.Sprintf(`{"edges":[{"from":"n%d","label":"knows","to":"n%d"}]}`, i, i+1)); code != http.StatusOK {
 			t.Fatalf("POST edges %d: %d %v", i, code, body)
 		}
 	}
-	if sub.Dropped() == 0 {
-		t.Fatal("test is vacuous: the unconsumed subscriber dropped nothing")
+	if b, _ := sub.Next(); !b.Resync {
+		t.Fatalf("test is vacuous: the unread subscriber read %+v, not a Resync marker", b)
 	}
 
 	_, vars := httpDo(t, srv, http.MethodGet, "/debug/vars", "")
@@ -550,7 +548,7 @@ func TestDebugVarsAgreesWithMetrics(t *testing.T) {
 	}
 	for key, want := range map[string]float64{
 		"warm_starts": 1, "index_builds": 0, "wal_appends": chain, "updates": chain,
-		"subscription_drops": float64(sub.Dropped()), "subscriptions_active": 1,
+		"subscription_resyncs": 0, "subscriptions_active": 1,
 	} {
 		if got, _ := cfpqd[key].(float64); got != want {
 			t.Errorf("cfpqd.%s = %v, want %v", key, cfpqd[key], want)
@@ -563,14 +561,9 @@ func TestDebugVarsAgreesWithMetrics(t *testing.T) {
 		t.Errorf("queries = %v, want 3", q)
 	}
 
-	// Ending the subscription moves its drops to the closed-subscription
-	// total: the counter neither loses nor double-counts them.
-	const dropped = "cfpqd_subscription_dropped_total"
+	// Ending the subscription takes it out of the active count.
 	cancel()
 	waitFor(t, 5*time.Second, func() bool {
 		return scalarSamples(t, scrape(t, srv))["cfpqd_subscriptions_active_entries"] == 0
 	}, "subscription deregistration")
-	if after := scalarSamples(t, scrape(t, srv))[dropped]; after != metrics[dropped] {
-		t.Errorf("%s = %v after Close, was %v while live", dropped, after, metrics[dropped])
-	}
 }

@@ -98,7 +98,7 @@ func TestNoReaderWaitsOnAParkedFsync(t *testing.T) {
 			return err
 		},
 		"subscriber": func() error {
-			b := <-sub.Updates()
+			b, _, _ := waitNext(sub, 10*time.Second)
 			if got := ge.named(b.Pairs); !slices.Contains(got, NamedPair{"carol", "dave"}) {
 				return fmt.Errorf("event pairs = %v, want carol → dave among them", got)
 			}

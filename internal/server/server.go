@@ -29,9 +29,10 @@
 //     through the name table as it appends their JSON to a pooled buffer,
 //     in the bytes encoding/json writes for the typed answers that
 //     Service.Do and QueryBatch return (graphEntry.named names those). A
-//     live subscription is the library's cfpq.Subscription, streamed as
-//     it is; its one record here is its entry in the live set behind the
-//     /metrics gauges, removed when its request ends.
+//     live subscription is the library's cfpq.Subscription, a position
+//     in its handle's published deltas, streamed as it is; its one record
+//     here is its place in the active count behind the /metrics gauge,
+//     given up when its request ends.
 //
 // Concurrency design. No reader waits on a write. A query resolves a built
 // slot through indexEntry.ready (an atomic pointer, no entry lock), and the
@@ -160,13 +161,9 @@ type Service struct {
 	replication     atomic.Pointer[replica.Replicator]
 	readinessMaxLag atomic.Uint64
 
-	// Live-query state (subscribe.go): the live subscriptions behind the
-	// /metrics subscription gauges, the drops of subscriptions already
-	// closed (the drop counter is this plus the live subscriptions' own
-	// counts, both read under subMu), and the SSE heartbeat override.
-	subMu          sync.Mutex
-	subsLive       map[*cfpq.Subscription]struct{}
-	subDropsClosed int64
+	// Live-query state (subscribe.go): the count of live subscriptions
+	// behind the /metrics gauge, and the SSE heartbeat override.
+	subsActive     atomic.Int64
 	subHeartbeatNs atomic.Int64
 
 	// obs is the service's one instrument set (metrics.go), behind both

@@ -1,7 +1,7 @@
 package server
 
 // Tests of streamed pairs answers: a client that stops reading releases
-// its handler at the write deadline, a cancelled request stops the walk at
+// its handler at the write deadline — an SSE subscriber's too — a cancelled request stops the walk at
 // its next chunk, and an answer read beside a writer is one version's.
 
 import (
@@ -111,6 +111,57 @@ func TestStalledClientReleasesTheHandler(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("the handler is still writing to a client that stopped reading")
 	}
+}
+
+// flushShortDeadline is shortDeadline for a stream: it forwards Flush, so
+// the SSE route writes each event through to the connection.
+type flushShortDeadline struct{ *shortDeadline }
+
+func (w flushShortDeadline) Flush() { http.NewResponseController(w.ResponseWriter).Flush() }
+
+// TestStalledSubscriberReleasesTheHandler opens an SSE subscription, reads
+// its prelude and stops reading while a writer publishes updates of 2 001
+// pairs each: the first event's write reaches its deadline (writeTimeout,
+// shortened here), which cancels the request, so the handler returns and
+// the subscription leaves the active count.
+func TestStalledSubscriberReleasesTheHandler(t *testing.T) {
+	s := fanService(t, 2000)
+	h := Handler(s)
+	returned := make(chan struct{})
+	l := newPipeListener()
+	srv := &http.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		h.ServeHTTP(flushShortDeadline{&shortDeadline{ResponseWriter: w}}, r)
+		close(returned)
+	})}
+	go srv.Serve(l)
+	defer srv.Close()
+
+	conn := l.dial()
+	defer conn.Close()
+	body := `{"graph":"fan","grammar":"reach","nonterminal":"S"}`
+	go fmt.Fprintf(conn, "POST /v1/subscribe HTTP/1.1\r\nHost: cfpqd\r\nContent-Length: %d\r\n\r\n%s", len(body), body)
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d, want 200", resp.StatusCode)
+	}
+	if line, err := bufio.NewReader(resp.Body).ReadString('\n'); err != nil || line != ": subscribed\n" {
+		t.Fatalf("prelude %q, %v", line, err)
+	}
+	// Stop reading; every update now derives a pair per fan node.
+	for i := 0; i < 4; i++ {
+		if _, err := s.AddEdges(ctx, "fan", []EdgeSpec{{From: fmt.Sprintf("new%d", i), Label: "knows", To: "n0"}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	select {
+	case <-returned:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the subscribe handler is still writing to a client that stopped reading")
+	}
+	waitFor(t, 5*time.Second, func() bool { return s.subsActive.Load() == 0 }, "the stalled subscription's end")
 }
 
 func deref(p *int) int {

@@ -5,7 +5,7 @@
 // pushed comes from the incremental closure's per-update delta — the
 // server never diffs full results. Followers push too, for free: the
 // replicated-apply path (replication.go) lands in the same patchIndexes →
-// Prepared.AddEdges call that feeds the handle's subscription hub.
+// Prepared.AddEdges call that publishes to the handle's subscriptions.
 
 package server
 
@@ -39,15 +39,13 @@ type SubscribeRequest struct {
 // entry beside an error too, once the slot resolved: see resolve).
 // Deliveries start strictly after the pairs a query issued now would see.
 // With resume set, updates retained since afterSeq are replayed first; a
-// gap wider than the retained window delivers a single Resync marker
+// position the handle's window has passed reads a single Resync marker
 // instead (the Last-Event-ID contract of the SSE route). Subscribing is a
 // read: followers serve subscriptions — fed by the replicated apply path —
 // exactly like leaders.
 //
 // The subscription lives as long as ctx: when ctx is done it is closed and
-// deregistered, its drops (final once it is closed) moving to the closed
-// total in the same critical section that removes it from the live set,
-// so a concurrent scrape counts them exactly once.
+// leaves the active count.
 func (s *Service) subscribe(ctx context.Context, req SubscribeRequest, resume bool, afterSeq uint64) (*cfpq.Subscription, *graphEntry, error) {
 	if req.Graph == "" {
 		return nil, nil, fmt.Errorf("server: graph is required")
@@ -72,26 +70,20 @@ func (s *Service) subscribe(ctx context.Context, req SubscribeRequest, resume bo
 	if err != nil {
 		return nil, ge, err
 	}
-	s.subMu.Lock()
-	if s.subsLive == nil {
-		s.subsLive = map[*cfpq.Subscription]struct{}{}
-	}
-	s.subsLive[sub] = struct{}{}
-	s.subMu.Unlock()
+	s.subsActive.Add(1)
 	s.obs.subsTotal.Inc()
 	context.AfterFunc(ctx, func() {
 		sub.Close()
-		s.subMu.Lock()
-		s.subDropsClosed += sub.Dropped()
-		delete(s.subsLive, sub)
-		s.subMu.Unlock()
+		s.subsActive.Add(-1)
 	})
 	return sub, ge, nil
 }
 
 // defaultHeartbeat is the SSE keep-alive comment interval: frequent enough
 // that idle streams survive typical proxy idle timeouts, rare enough to be
-// free.
+// free. It must stay below writeTimeout: a heartbeat, like an event, is a
+// write with writeTimeout to reach the client, so a reader that stalls on
+// an idle stream is found within one heartbeat and one writeTimeout.
 const defaultHeartbeat = 15 * time.Second
 
 // SetSubscribeHeartbeat overrides the SSE heartbeat interval (tests use
@@ -124,16 +116,16 @@ func (s *Service) subscribeHeartbeat() time.Duration {
 //	: hb                            heartbeat comment on an idle stream
 //
 // A reconnect carrying Last-Event-ID resumes within the handle's retained
-// window; a wider gap (or a handle rebuilt since) delivers one batch with
-// "resync":true, meaning re-issue the full query before trusting deltas.
+// window; a position the window has passed (or a handle rebuilt since)
+// reads one batch with "resync":true, meaning re-issue the full query
+// before trusting deltas. A write that misses writeTimeout cancels the
+// request, so a stalled reader's handler returns.
 func (s *Service) serveSubscribe(w http.ResponseWriter, r *http.Request) {
 	var req SubscribeRequest
 	if err := decodeBody(w, r, &req); err != nil {
 		writeError(w, statusFor(err), fmt.Errorf("decoding request: %w", err))
 		return
 	}
-	// The stream is meant to outlive writeTimeout.
-	_ = http.NewResponseController(w).SetWriteDeadline(time.Time{})
 	fl, ok := w.(http.Flusher)
 	if !ok {
 		writeError(w, http.StatusInternalServerError, fmt.Errorf("server: response writer cannot stream"))
@@ -178,27 +170,34 @@ func (s *Service) serveSubscribe(w http.ResponseWriter, r *http.Request) {
 		case <-hb.C:
 			fmt.Fprint(w, ": hb\n\n")
 			fl.Flush()
-		case b, ok := <-sub.Updates():
-			if !ok {
-				// The handle was closed under the subscription — the cache
-				// entry was invalidated (graph or grammar replaced, or an
-				// over-budget update). Resume state died with it: tell the
-				// client to start over rather than trust a Last-Event-ID
-				// replay against a different handle generation.
-				fmt.Fprint(w, "event: resync\ndata: {\"reason\":\"index handle closed; re-query and reconnect\"}\n\n")
+		case <-sub.Updates():
+			for {
+				b, live := sub.Next()
+				if !live {
+					// The handle was closed under the subscription (its
+					// cache entry was invalidated) and resume state with it:
+					// the client starts over, without Last-Event-ID.
+					fmt.Fprint(w, "event: resync\ndata: {\"reason\":\"index handle closed; re-query and reconnect\"}\n\n")
+					fl.Flush()
+					return
+				}
+				if len(b.Pairs) == 0 && !b.Resync {
+					break
+				}
+				s.obs.subEvents.Inc()
+				s.obs.subPairs.Add(uint64(len(b.Pairs)))
+				if b.Resync {
+					s.obs.subResyncs.Inc()
+				}
+				j := getJSONBuf(true)
+				j.event(ge.names.View(), b)
+				_, err := w.Write(j.b)
+				j.free()
+				if err != nil {
+					return
+				}
 				fl.Flush()
-				return
 			}
-			s.obs.subEvents.Inc()
-			s.obs.subPairs.Add(uint64(len(b.Pairs)))
-			if b.Resync {
-				s.obs.subResyncs.Inc()
-			}
-			j := getJSONBuf(true)
-			j.event(ge.names.View(), b)
-			_, _ = w.Write(j.b)
-			j.free()
-			fl.Flush()
 		}
 	}
 }

@@ -4,7 +4,8 @@ package server
 // lifecycle, the SSE wire protocol of POST /v1/subscribe (prelude, pairs
 // events, heartbeats, Last-Event-ID resume, the terminal resync on handle
 // invalidation), the /metrics subscription gauges across a slow client's
-// disconnect, and the acceptance property on a follower — pairs pushed
+// disconnect, a stalled reader releasing its handler, and the acceptance
+// property on a follower — pairs pushed
 // from the replicated-apply path equal the relation growth, exactly once.
 
 import (
@@ -19,6 +20,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"cfpq"
 )
 
 // subTestService is queryTestServer's service exposed directly: the SSE
@@ -47,13 +50,29 @@ func namedPairSet(pairs []NamedPair) map[NamedPair]bool {
 	return out
 }
 
-// subGauges scrapes the three subscription instruments of /metrics: live
-// subscriptions, buffered-but-unconsumed batches, and drops.
-func subGauges(t *testing.T, srv *httptest.Server) (active, buffered, dropped float64) {
+// subGauges scrapes two subscription instruments of /metrics: live
+// subscriptions, and Resync markers streamed.
+func subGauges(t *testing.T, srv *httptest.Server) (active, resyncs float64) {
 	t.Helper()
 	m := scalarSamples(t, scrape(t, srv))
-	return m["cfpqd_subscriptions_active_entries"], m["cfpqd_subscription_buffer_entries"],
-		m["cfpqd_subscription_dropped_total"]
+	return m["cfpqd_subscriptions_active_entries"], m["cfpqd_subscription_resyncs_total"]
+}
+
+// waitNext waits up to d for sub's next batch: got reports a batch, and
+// live is false once the subscription has ended.
+func waitNext(sub *cfpq.Subscription, d time.Duration) (b cfpq.PairBatch, got, live bool) {
+	deadline := time.After(d)
+	for {
+		b, live = sub.Next()
+		if got = len(b.Pairs) > 0 || b.Resync; got || !live {
+			return b, got, live
+		}
+		select {
+		case <-sub.Updates():
+		case <-deadline:
+			return b, false, true
+		}
+	}
 }
 
 // TestServiceSubscribeLifecycle drives a subscription at the Go level: it
@@ -93,33 +112,32 @@ func TestServiceSubscribeLifecycle(t *testing.T) {
 		}
 	}
 
-	select {
-	case batch, ok := <-sub.Updates():
-		if !ok {
-			t.Fatal("subscription closed unexpectedly")
-		}
-		got := namedPairSet(ge.named(batch.Pairs))
-		if len(got) != len(want) {
-			t.Fatalf("pushed %d pairs, relation grew by %d", len(got), len(want))
-		}
-		for p := range want {
-			if !got[p] {
-				t.Fatalf("pushed batch missing %v (got %v)", p, got)
-			}
-		}
-	case <-time.After(2 * time.Second):
+	batch, pushed, live := waitNext(sub, 2*time.Second)
+	if !live {
+		t.Fatal("subscription closed unexpectedly")
+	}
+	if !pushed {
 		t.Fatal("no batch pushed for the leader write")
 	}
+	got := namedPairSet(ge.named(batch.Pairs))
+	if len(got) != len(want) {
+		t.Fatalf("pushed %d pairs, relation grew by %d", len(got), len(want))
+	}
+	for p := range want {
+		if !got[p] {
+			t.Fatalf("pushed batch missing %v (got %v)", p, got)
+		}
+	}
 
-	if active, _, _ := subGauges(t, srv); active != 1 {
+	if active, _ := subGauges(t, srv); active != 1 {
 		t.Fatalf("active subscriptions = %v, want 1", active)
 	}
 
 	cancel()
-	if _, ok := <-sub.Updates(); ok {
+	if _, _, live := waitNext(sub, 5*time.Second); live {
 		t.Fatal("subscription still delivering after its context ended")
 	}
-	waitFor(t, 5*time.Second, func() bool { active, _, _ := subGauges(t, srv); return active == 0 },
+	waitFor(t, 5*time.Second, func() bool { active, _ := subGauges(t, srv); return active == 0 },
 		"subscription deregistration")
 	if m := s.debugCounters(); m["subscriptions"] != 1.0 {
 		t.Fatalf("after teardown: metrics = %+v", m)
@@ -143,14 +161,14 @@ func TestServiceSubscribeErrors(t *testing.T) {
 			t.Errorf("%s: subscribe succeeded", name)
 		}
 	}
-	if active, _, _ := subGauges(t, srv); active != 0 {
+	if active, _ := subGauges(t, srv); active != 0 {
 		t.Errorf("failed subscribes left %v registered", active)
 	}
 }
 
 // TestServiceSubscribeInvalidationCloses: replacing the graph drops the
 // cached index entry, and the registry closes the handle — every
-// subscription's channel closes, telling consumers to re-query.
+// subscription ends, telling consumers to re-query.
 func TestServiceSubscribeInvalidationCloses(t *testing.T) {
 	s, _ := subTestService(t)
 	subCtx, cancel := context.WithCancel(ctx)
@@ -164,12 +182,11 @@ func TestServiceSubscribeInvalidationCloses(t *testing.T) {
 	if _, err := s.LoadGraph("social", "edgelist", strings.NewReader("alice knows bob\n")); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case _, ok := <-sub.Updates():
-		if ok {
-			t.Fatal("replacing the graph pushed a batch instead of invalidating")
-		}
-	case <-time.After(2 * time.Second):
+	_, pushed, live := waitNext(sub, 2*time.Second)
+	if pushed {
+		t.Fatal("replacing the graph pushed a batch instead of invalidating")
+	}
+	if live {
 		t.Fatal("subscription not closed by the invalidated handle")
 	}
 }
@@ -347,7 +364,7 @@ func TestHTTPSubscribeSSE(t *testing.T) {
 		t.Fatal("stream continued past the terminal resync")
 	}
 	// The request context's end closes and deregisters the subscription.
-	waitFor(t, 5*time.Second, func() bool { active, _, _ := subGauges(t, srv); return active == 0 },
+	waitFor(t, 5*time.Second, func() bool { active, _ := subGauges(t, srv); return active == 0 },
 		"subscription deregistration")
 }
 
@@ -492,34 +509,29 @@ func TestFollowerSubscriptionPush(t *testing.T) {
 
 	received := map[NamedPair]bool{}
 	for len(received) < len(want) {
-		select {
-		case b, ok := <-sub.Updates():
-			if !ok {
-				t.Fatal("follower subscription closed mid-stream")
-			}
-			if b.Resync {
-				t.Fatalf("follower consumer fell behind: %+v", b)
-			}
-			for _, p := range ge.named(b.Pairs) {
-				if received[p] {
-					t.Fatalf("pair %+v pushed twice", p)
-				}
-				if !want[p] {
-					t.Fatalf("pushed pair %+v is not part of the relation growth", p)
-				}
-				received[p] = true
-			}
-		case <-time.After(5 * time.Second):
+		b, pushed, live := waitNext(sub, 5*time.Second)
+		if !live {
+			t.Fatal("follower subscription closed mid-stream")
+		}
+		if !pushed {
 			t.Fatalf("follower pushed %d of %d grown pairs", len(received), len(want))
+		}
+		if b.Resync {
+			t.Fatalf("follower consumer fell behind: %+v", b)
+		}
+		for _, p := range ge.named(b.Pairs) {
+			if received[p] {
+				t.Fatalf("pair %+v pushed twice", p)
+			}
+			if !want[p] {
+				t.Fatalf("pushed pair %+v is not part of the relation growth", p)
+			}
+			received[p] = true
 		}
 	}
 	// No trailing over-delivery.
-	select {
-	case b, ok := <-sub.Updates():
-		if ok && len(b.Pairs) > 0 {
-			t.Fatalf("extra batch after full delivery: %+v", b)
-		}
-	case <-time.After(100 * time.Millisecond):
+	if b, pushed, _ := waitNext(sub, 100*time.Millisecond); pushed && len(b.Pairs) > 0 {
+		t.Fatalf("extra batch after full delivery: %+v", b)
 	}
 	// And the follower agrees with the leader, as ever.
 	want2, err := relation(ctx, leader, tgt, "S")
@@ -544,13 +556,12 @@ func (l smallSendBuffers) Accept() (net.Conn, error) {
 	return c, err
 }
 
-// TestHTTPSubscribeTeardown: a subscription's one record is its entry in the
-// live set, and the end of its request removes it. A client that stops
-// reading while far more than the buffer bound (64) of updates land has
-// batches dropped; once it disconnects, the active and buffer gauges read 0
-// again and the drop counter keeps exactly the drops it counted while the
-// subscription was live. Replacing the graph under a stream ends it with
-// the terminal resync event and deregisters it the same way.
+// TestHTTPSubscribeTeardown: a subscription's one record is its place in
+// the active count, and the end of its request removes it. A client that
+// stops reading while far more than the window (64) of updates land still
+// counts as active; once it disconnects, the active gauge reads 0 again.
+// Replacing the graph under a stream ends it with the terminal resync
+// event and deregisters it the same way.
 func TestHTTPSubscribeTeardown(t *testing.T) {
 	// fan sources all reach n0; every update extends the chain n0 → n1 → …
 	// by one edge, so each pushes one pair per node before it: a few
@@ -584,19 +595,15 @@ func TestHTTPSubscribeTeardown(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	active, buffered, dropped := subGauges(t, srv)
-	if active != 1 || buffered == 0 || dropped == 0 {
-		t.Fatalf("stalled client: active %v, buffered %v, dropped %v; want 1 and both > 0", active, buffered, dropped)
+	if active, _ := subGauges(t, srv); active != 1 {
+		t.Fatalf("stalled client: active %v, want 1", active)
 	}
 
 	c.close()
 	waitFor(t, 5*time.Second, func() bool {
-		active, buffered, _ := subGauges(t, srv)
-		return active == 0 && buffered == 0
+		active, _ := subGauges(t, srv)
+		return active == 0
 	}, "the disconnected subscription's deregistration")
-	if _, _, after := subGauges(t, srv); after != dropped {
-		t.Fatalf("cfpqd_subscription_dropped_total = %v after the disconnect, was %v while live", after, dropped)
-	}
 
 	c = dialSSE(t, srv, body, "")
 	if f, ok := c.frame(); !ok || f.comment != "subscribed" {
@@ -608,6 +615,6 @@ func TestHTTPSubscribeTeardown(t *testing.T) {
 	if f, ok := c.event(); !ok || f.event != "resync" {
 		t.Fatalf("after the graph PUT: %+v %v, want the resync event", f, ok)
 	}
-	waitFor(t, 5*time.Second, func() bool { active, _, _ := subGauges(t, srv); return active == 0 },
+	waitFor(t, 5*time.Second, func() bool { active, _ := subGauges(t, srv); return active == 0 },
 		"the resynced subscription's deregistration")
 }

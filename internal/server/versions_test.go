@@ -130,13 +130,12 @@ func TestDisconnectMidPatchKeepsTheIndex(t *testing.T) {
 	if passes < 3 {
 		t.Fatalf("the update ran %d trace events; the cancellation came too late to matter", passes)
 	}
-	select {
-	case b, ok := <-sub.Updates():
-		if want := []NamedPair{{From: "0", To: spare}}; !ok || b.Resync || !reflect.DeepEqual(ge.named(b.Pairs), want) {
-			t.Fatalf("subscriber got %+v (open=%v), want %v pushed", b, ok, want)
-		}
-	default:
+	b, live := sub.Next()
+	if live && len(b.Pairs) == 0 && !b.Resync {
 		t.Fatal("the patch pushed nothing to the subscriber")
+	}
+	if want := []NamedPair{{From: "0", To: spare}}; !live || b.Resync || !reflect.DeepEqual(ge.named(b.Pairs), want) {
+		t.Fatalf("subscriber got %+v (open=%v), want %v pushed", b, live, want)
 	}
 	if ok, err := has(ctx, s, tgt, "S", "0", spare); err != nil || !ok {
 		t.Fatalf("Has(0,%s) = %v, %v after the patch", spare, ok, err)

@@ -48,8 +48,9 @@ type Prepared struct {
 	queries atomic.Int64
 
 	// mu orders publishing against subscribing: AddEdges holds it to store
-	// the next version and fan its delta out, Subscribe to join the hub —
-	// never across a closure. It guards hub.
+	// the next version and retain its delta, Subscribe to take its position
+	// — never across a closure. It guards hub and every subscription's
+	// position.
 	mu  sync.Mutex
 	hub subHub
 }
@@ -433,18 +434,11 @@ func (p *Prepared) AddEdges(ctx context.Context, edges ...Edge) (UpdateInfo, err
 	}
 	p.pending = seeds
 	next.update.Add(info.Stats)
-	// Materialise what subscribers are owed before taking the publish
-	// mutex — a subscriber joining must not wait for it — whether or not
-	// anyone is subscribed yet: the first may arrive while the update runs.
-	var pairs map[string][]Pair
-	if !info.Delta.Empty() {
-		pairs = deltaPairs(info.Delta)
-	}
 	locked := time.Now()
 	p.mu.Lock()
 	p.cur.Store(next)
-	if pairs != nil {
-		p.hub.publish(pairs)
+	if !info.Delta.Empty() {
+		p.hub.publish(info.Delta)
 	}
 	p.mu.Unlock()
 	info.Swap = time.Since(locked)

@@ -94,8 +94,8 @@ lag_zero() {
     grep -q '^cfpqd_replication_lag_records 0$' "$workdir/follower_metrics"
 }
 wait_until 15 lag_zero
-grep -q '^cfpqd_subscription_dropped_total' "$workdir/follower_metrics" ||
-  die "follower /metrics missing subscription drop counter"
+grep -q '^cfpqd_subscription_resyncs_total' "$workdir/follower_metrics" ||
+  die "follower /metrics missing subscription resync counter"
 grep -q '^cfpqd_subscriptions_active_entries 1$' "$workdir/follower_metrics" ||
   die "follower /metrics does not show its one live subscription"
 

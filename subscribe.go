@@ -4,80 +4,127 @@ import (
 	"context"
 	"fmt"
 	"iter"
-	"sync/atomic"
+	"math"
 
 	"cfpq/internal/core"
 )
 
 // Delta is the per-nonterminal list of newly derived pairs of one index
-// update — what AddEdges exposes on UpdateInfo and what subscriptions are
-// fed from. See Prepared.Subscribe.
+// update — what AddEdges exposes on UpdateInfo and what subscriptions
+// read. See Prepared.Subscribe.
 type Delta = core.Delta
 
-// subscriptionBuffer is the bounded per-subscriber channel capacity. A
-// consumer that falls more than this many update batches behind has its
-// oldest pending batch dropped and is handed a Resync marker on the next
-// delivery (see PairBatch.Resync) — publishing never blocks AddEdges.
-const subscriptionBuffer = 64
-
-// subscriptionHistory is how many past update batches the hub retains for
-// Last-Event-ID style resume (SubscribeFrom). A resume gap wider than the
-// window yields a single Resync marker instead of a replay.
-const subscriptionHistory = 64
+// subscriptionWindow is how many published deltas a handle retains (see
+// PairBatch.Resync).
+const subscriptionWindow = 64
 
 // PairBatch is one subscription delivery: the newly derived pairs of one
 // index update (after restriction filtering), stamped with the update's
 // sequence number.
 //
-// Resync set means continuity was lost before this batch: either the
-// consumer was too slow and a previous batch was dropped, or a resume
-// (SubscribeFrom) asked for a sequence number outside the retained window.
-// The pairs of this batch are still exactly the (filtered) delta of update
-// Seq, but earlier pairs may have been missed — re-issue the full Request
-// to resynchronise, then continue consuming.
+// Resync set marks lost continuity: the handle's window of retained
+// updates passed the reader's position — it read too slowly, or resumed
+// (SubscribeFrom) from outside the window. The marker carries no pairs and
+// stands at the head, where reading continues. Re-issue the full Request
+// to resynchronise, then keep reading.
 type PairBatch struct {
 	// Seq is the 1-based sequence number of the index update that derived
 	// these pairs; it increases by one per delta-producing AddEdges.
 	Seq uint64 `json:"seq"`
 	// Pairs are the newly derived pairs, row-major, restriction-filtered.
-	// May be empty on a pure Resync marker.
+	// Empty on a Resync marker.
 	Pairs []Pair `json:"pairs"`
 	// Resync reports lost continuity; see the type comment.
 	Resync bool `json:"resync,omitempty"`
 }
 
-// Subscription is a standing pairs Request against a Prepared handle: each
-// AddEdges that derives new pairs pushes a PairBatch of the pairs the
-// incremental closure derived — never a diff of full results.
-// Obtain one with Prepared.Subscribe; consume Updates (or Batches); Close
-// when done.
+// Subscription is a standing pairs Request against a Prepared handle: a
+// position in the handle's published deltas and a restriction. Obtain one
+// with Prepared.Subscribe; read it with Batches, or with Next and Updates;
+// Close when done.
 type Subscription struct {
-	p       *Prepared
-	id      int64
-	nt      string
-	src     map[int]bool // nil = unrestricted
-	tgt     map[int]bool
-	ch      chan PairBatch
-	stop    func() bool // cancels the ctx teardown hook
-	dropped atomic.Int64
+	p        *Prepared
+	nt       string
+	src, tgt []int       // sorted and distinct; nil = unrestricted
+	stop     func() bool // cancels the ctx teardown hook
 
 	// Guarded by p.mu.
-	closed        bool
-	pendingResync bool
+	pos    uint64 // the last sequence number read
+	closed bool
+	end    uint64 // the hub's head when the subscription closed
 }
 
-// Updates is the delivery channel. It is closed when the subscription ends
-// — Close, ctx cancellation, or the handle shutting down (Prepared.Close);
-// a consumer that sees it close without having cancelled should treat the
-// handle as gone, re-resolve it and resubscribe.
-func (s *Subscription) Updates() <-chan PairBatch { return s.ch }
+// closedWake is the Updates channel of a subscription with something to read.
+var closedWake = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
+
+// Updates returns a channel that is closed once the subscription has an
+// update past its position to read — one Next may still filter to
+// nothing — or has ended. Call it again after each wait: a channel it
+// returned serves one wait.
+func (s *Subscription) Updates() <-chan struct{} {
+	s.p.mu.Lock()
+	defer s.p.mu.Unlock()
+	h := &s.p.hub
+	if s.closed || h.closed || s.pos != h.seq {
+		return closedWake
+	}
+	if h.wake == nil {
+		h.wake = make(chan struct{})
+	}
+	return h.wake
+}
+
+// Next reads the next batch without blocking: the first update past the
+// position that the restriction keeps pairs of, or one Resync marker when
+// the window has passed the position. With nothing to read yet it returns
+// the zero PairBatch: wait on Updates. live is false once the subscription
+// has ended (Close, its ctx, or Prepared.Close) and everything published
+// before has been read; a reader that did not cancel should then
+// re-resolve the handle and resubscribe.
+func (s *Subscription) Next() (b PairBatch, live bool) {
+	for {
+		s.p.mu.Lock()
+		h := &s.p.hub
+		head := h.seq
+		if s.closed {
+			head = s.end
+		}
+		if s.pos == head {
+			live = !s.closed && !h.closed
+			s.p.mu.Unlock()
+			return PairBatch{}, live
+		}
+		if s.pos > head || s.pos+uint64(len(h.win)) < h.seq {
+			s.pos = head
+			s.p.mu.Unlock()
+			return PairBatch{Seq: head, Resync: true}, true
+		}
+		s.pos++
+		seq, d := s.pos, h.win[s.pos%uint64(len(h.win))]
+		s.p.mu.Unlock()
+		// A published delta is immutable: filter it outside the lock.
+		if pairs := s.filter(d.Pairs(s.nt)); len(pairs) > 0 {
+			return PairBatch{Seq: seq, Pairs: pairs}, true
+		}
+	}
+}
 
 // Batches adapts the subscription to a single-use iterator: it yields
 // until the subscription ends, and breaking out of the loop closes it.
 func (s *Subscription) Batches() iter.Seq[PairBatch] {
 	return func(yield func(PairBatch) bool) {
-		for b := range s.ch {
-			if !yield(b) {
+		for {
+			b, live := s.Next()
+			switch {
+			case !live:
+				return
+			case len(b.Pairs) == 0 && !b.Resync:
+				<-s.Updates()
+			case !yield(b):
 				s.Close()
 				return
 			}
@@ -85,194 +132,132 @@ func (s *Subscription) Batches() iter.Seq[PairBatch] {
 	}
 }
 
-// Dropped counts update batches discarded because the consumer's buffer
-// was full (each is also surfaced in-band via PairBatch.Resync).
-func (s *Subscription) Dropped() int64 { return s.dropped.Load() }
-
-// Close ends the subscription and closes Updates. Idempotent; also invoked
-// automatically when the Subscribe ctx is cancelled.
+// Close ends the subscription: Next still reads the updates published
+// before it, then reports the end. Idempotent; ctx cancellation calls it.
 func (s *Subscription) Close() {
 	s.p.mu.Lock()
-	s.closeLocked()
+	if !s.closed {
+		s.closed, s.end = true, s.p.hub.seq
+		s.p.hub.wakeLocked()
+	}
 	s.p.mu.Unlock()
-	if s.stop != nil {
-		s.stop()
-	}
+	s.stop()
 }
 
-// closeLocked tears the subscription down; callers hold p.mu.
-func (s *Subscription) closeLocked() {
-	if s.closed {
-		return
-	}
-	s.closed = true
-	delete(s.p.hub.subs, s.id)
-	close(s.ch)
-}
-
-// histEntry is one retained update: its sequence number and the full
-// (unfiltered) newly-derived pairs per nonterminal.
-type histEntry struct {
-	seq   uint64
-	pairs map[string][]Pair
-}
-
-// subHub fans index-update deltas out to subscribers: a Prepared's hub,
-// guarded by its mu. publish runs beside the version store under that
-// mutex, and subscribe under it too, so batch order equals publication
-// order and a query issued after Subscribe returns sees every version
-// whose delta the subscription missed. The hub starts counting at the
-// first subscriber (subs non-nil) and stops at Close.
-type subHub struct {
-	closed bool
-	seq    uint64
-	nextID int64
-	subs   map[int64]*Subscription
-	hist   []histEntry // oldest first, at most subscriptionHistory entries
-}
-
-// publish assigns the next sequence number to a non-empty update delta,
-// records it in the resume window, and offers the filtered batch to every
-// subscriber. Sends never block: a full buffer drops the batch for that
-// subscriber and marks it for an in-band Resync on its next delivery.
-func (h *subHub) publish(pairs map[string][]Pair) {
-	if h.closed || h.subs == nil {
-		return
-	}
-	h.seq++
-	h.hist = append(h.hist, histEntry{seq: h.seq, pairs: pairs})
-	if len(h.hist) > subscriptionHistory {
-		h.hist = h.hist[1:]
-	}
-	for _, s := range h.subs {
-		s.offerLocked(PairBatch{Seq: h.seq, Pairs: s.filter(pairs)})
-	}
-}
-
-// offerLocked delivers one batch to a subscriber without blocking; callers
-// hold p.mu. Empty batches are skipped unless a resync is owed.
-func (s *Subscription) offerLocked(b PairBatch) {
-	if len(b.Pairs) == 0 && !s.pendingResync {
-		return
-	}
-	b.Resync = b.Resync || s.pendingResync
-	select {
-	case s.ch <- b:
-		s.pendingResync = false
-	default:
-		// Slow consumer: drop, and surface the gap in-band on the next
-		// batch that does fit.
-		s.dropped.Add(1)
-		s.pendingResync = true
-	}
-}
-
-// filter applies the subscription's restriction to one update's pairs.
-func (s *Subscription) filter(pairs map[string][]Pair) []Pair {
-	all := pairs[s.nt]
+// filter keeps the pairs of a row-major delta the restriction selects: a
+// merge of the rows with the sorted sources and, within a row, of the
+// columns with the sorted targets. Unrestricted, it is the delta's own
+// read-only slice.
+func (s *Subscription) filter(pairs []Pair) []Pair {
 	if s.src == nil && s.tgt == nil {
-		return all
+		return pairs
 	}
 	var out []Pair
-	for _, p := range all {
-		if (s.src == nil || s.src[p.I]) && (s.tgt == nil || s.tgt[p.J]) {
-			out = append(out, p)
+	src, tgt := s.src, s.tgt
+	for k, pr := range pairs {
+		if k > 0 && pr.I != pairs[k-1].I {
+			tgt = s.tgt
+		}
+		if (s.src == nil || skipTo(&src, pr.I)) && (s.tgt == nil || skipTo(&tgt, pr.J)) {
+			out = append(out, pr)
 		}
 	}
 	return out
 }
 
-// closeAll ends every subscription and rejects future ones.
-func (h *subHub) closeAll() {
-	h.closed = true
-	for _, s := range h.subs {
-		s.closeLocked()
+// skipTo passes the members of a sorted set below v and reports whether v
+// is the next one.
+func skipTo(set *[]int, v int) bool {
+	for len(*set) > 0 && (*set)[0] < v {
+		*set = (*set)[1:]
+	}
+	return len(*set) > 0 && (*set)[0] == v
+}
+
+// subHub is a Prepared's window of published deltas, guarded by its mu,
+// under which publish stores the version too: a subscription's position
+// and what a query issued after Subscribe returns sees agree. It starts
+// counting at the first subscriber (win non-nil) and stops at Close.
+type subHub struct {
+	closed bool
+	seq    uint64        // the head: the last sequence number published
+	win    []*core.Delta // delta seq at win[seq % len(win)], for the last len(win)
+	wake   chan struct{} // closed at the next publish or end; nil until someone waits
+}
+
+// publish gives a non-empty update delta the next sequence number, retains
+// it in the window, and wakes whoever waits for it.
+func (h *subHub) publish(d *core.Delta) {
+	if h.closed || h.win == nil {
+		return
+	}
+	h.seq++
+	h.win[h.seq%uint64(len(h.win))] = d
+	h.wakeLocked()
+}
+
+// wakeLocked closes the wake channel, if anyone took it.
+func (h *subHub) wakeLocked() {
+	if h.wake != nil {
+		close(h.wake)
+		h.wake = nil
 	}
 }
 
-// memberSet builds a membership set; nil input stays nil (unrestricted).
-func memberSet(nodes []int) map[int]bool {
-	if nodes == nil {
-		return nil
-	}
-	set := make(map[int]bool, len(nodes))
-	for _, v := range nodes {
-		set[v] = true
-	}
-	return set
-}
-
-// subscribe registers a subscriber. With resume set, retained updates with
-// seq > afterSeq are pre-queued (restriction-filtered); a gap wider than
-// the retained window pre-queues a single Resync marker instead.
+// subscribe registers a subscriber at the head or, with resume set, just
+// after afterSeq: a position the window has passed, or one past the head,
+// reads one Resync marker first.
 func (p *Prepared) subscribe(ctx context.Context, req Request, resume bool, afterSeq uint64) (*Subscription, error) {
 	if err := p.checkSubscribe(req); err != nil {
 		return nil, err
 	}
-	src, tgt := memberSet(req.Sources), memberSet(req.Targets)
+	s := &Subscription{
+		p:   p,
+		nt:  req.Nonterminal,
+		src: nodeSet(req.Sources, math.MaxInt),
+		tgt: nodeSet(req.Targets, math.MaxInt),
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	h := &p.hub
 	if h.closed {
 		return nil, fmt.Errorf("cfpq: subscribe on a closed Prepared handle")
 	}
-	if h.subs == nil {
-		h.subs = make(map[int64]*Subscription)
+	if h.win == nil {
+		h.win = make([]*core.Delta, subscriptionWindow)
 	}
-	h.nextID++
-	s := &Subscription{
-		p:   p,
-		id:  h.nextID,
-		nt:  req.Nonterminal,
-		src: src,
-		tgt: tgt,
-		ch:  make(chan PairBatch, subscriptionBuffer),
+	s.pos = h.seq
+	if resume {
+		s.pos = afterSeq
 	}
-	if resume && afterSeq != h.seq {
-		if afterSeq > h.seq || len(h.hist) == 0 || h.hist[0].seq > afterSeq+1 {
-			// Outside the window (or from another handle generation):
-			// nothing trustworthy to replay.
-			s.pendingResync = true
-			s.offerLocked(PairBatch{Seq: h.seq})
-		} else {
-			for _, e := range h.hist {
-				if e.seq > afterSeq {
-					s.offerLocked(PairBatch{Seq: e.seq, Pairs: s.filter(e.pairs)})
-				}
-			}
-		}
-	}
-	h.subs[s.id] = s
 	s.stop = context.AfterFunc(ctx, s.Close)
 	return s, nil
 }
 
 // Subscribe registers a standing Request and returns a Subscription that
-// receives the newly derived pairs of every subsequently published version,
-// computed from the incremental closure's per-update delta — never by
-// diffing full results (an abandoned update pushes nothing; the update
-// that absorbs its edges pushes their pairs). Deliveries start strictly after the pairs
+// reads the newly derived pairs of every subsequently published version,
+// from the incremental closure's per-update delta — never by diffing full
+// results (an abandoned update publishes nothing; the update that absorbs
+// its edges publishes their pairs). Reads start strictly after the pairs
 // visible to a query issued now; to seed state, run the same Request
 // through Do first and then apply batches on top.
 //
 // The request must ask for pairs (the zero Output), carry no Limit and no
 // call-site bindings; Sources/Targets restrict the streamed pairs exactly
-// as they would a query. Slow consumers never block writers: each
-// subscription buffers a bounded number of batches and a consumer that
-// falls behind has batches dropped and learns of the gap in-band
-// (PairBatch.Resync — drop-with-resync, not backpressure). The
-// subscription ends on Close, on ctx cancellation, and when the handle
-// itself is closed (Prepared.Close), all of which close Updates.
+// as they would a query. Readers never block writers: the handle retains
+// each update's delta once, in a window of the last 64, and each
+// subscription reads it at its own pace (see PairBatch.Resync). The
+// subscription ends on Close, on ctx cancellation, and on Prepared.Close.
 func (p *Prepared) Subscribe(ctx context.Context, req Request) (*Subscription, error) {
 	return p.subscribe(ctx, req, false, 0)
 }
 
 // SubscribeFrom is Subscribe resuming after a previously seen sequence
-// number: retained updates with Seq > afterSeq are delivered first
-// (restriction-filtered), then the stream continues live. The hub retains
-// a bounded window of past updates; asking for a sequence number outside
-// it yields a single Resync marker instead of a replay — re-issue the full
-// Request, then consume. This is what serves SSE Last-Event-ID reconnects.
+// number: retained updates with Seq > afterSeq are read first
+// (restriction-filtered), then the stream continues live. A sequence
+// number the window has passed, or one the handle never issued, reads a
+// single Resync marker instead of a replay — re-issue the full Request,
+// then consume. This is what serves SSE Last-Event-ID reconnects.
 func (p *Prepared) SubscribeFrom(ctx context.Context, req Request, afterSeq uint64) (*Subscription, error) {
 	return p.subscribe(ctx, req, true, afterSeq)
 }
@@ -299,23 +284,13 @@ func (p *Prepared) checkSubscribe(req Request) error {
 }
 
 // Close shuts the handle's live-query side down: every subscription ends
-// (its Updates channel closes) and future Subscribe calls fail. Queries
-// and updates on the handle keep working; Close is for owners — cfpqd's
-// registry calls it when a cached entry is invalidated — so subscribers
-// reliably learn their handle is gone instead of waiting on a stream
-// nothing will ever publish to again. Idempotent.
+// once it has read what was published before, and Subscribe fails.
+// Queries and updates keep working. Close is for owners — cfpqd's registry
+// calls it when a cached entry is invalidated — so subscribers learn their
+// handle is gone instead of waiting forever. Idempotent.
 func (p *Prepared) Close() {
 	p.mu.Lock()
-	p.hub.closeAll()
+	p.hub.closed = true
+	p.hub.wakeLocked()
 	p.mu.Unlock()
-}
-
-// deltaPairs puts an update's delta in the shape the hub retains and
-// filters: the Delta's own read-only pair lists, per non-terminal.
-func deltaPairs(d *Delta) map[string][]Pair {
-	pairs := make(map[string][]Pair)
-	for _, nt := range d.Nonterminals() {
-		pairs[nt] = d.Pairs(nt)
-	}
-	return pairs
 }

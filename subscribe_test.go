@@ -5,8 +5,9 @@ package cfpq_test
 // full before/after diff is computed here only as the test oracle; the
 // push path itself never diffs), exactly-once delivery across a cancelled
 // patch and its repairing rebuild, restriction filtering, the
-// drop-with-resync slow-consumer policy, resume (SubscribeFrom), teardown,
-// request validation, and a -race stress of subscribers against writers.
+// window-passed resync of a slow reader, resume (SubscribeFrom), teardown,
+// request validation, a -race stress of subscribers against writers, and
+// the cursor property: restricted readers at random paces beside a writer.
 
 import (
 	"context"
@@ -15,6 +16,7 @@ import (
 	"io"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -44,30 +46,31 @@ func diffPairs(before, after []cfpq.Pair) map[cfpq.Pair]bool {
 	return out
 }
 
-// tryRecv drains one batch without blocking — publish runs synchronously
-// inside AddEdges, so anything published is already buffered.
-func tryRecv(ch <-chan cfpq.PairBatch) (cfpq.PairBatch, bool) {
-	select {
-	case b, ok := <-ch:
-		return b, ok
-	default:
-		return cfpq.PairBatch{}, false
-	}
+// tryNext reads one batch without blocking — publish runs synchronously
+// inside AddEdges, so anything published is already readable. ok reports a
+// batch.
+func tryNext(s *cfpq.Subscription) (cfpq.PairBatch, bool) {
+	b, _ := s.Next()
+	return b, len(b.Pairs) > 0 || b.Resync
 }
 
-// recvClosed waits (briefly) for the channel to close, skipping any
-// still-buffered batches; teardown via context.AfterFunc is asynchronous.
-func recvClosed(t *testing.T, ch <-chan cfpq.PairBatch) {
+// recvClosed waits (briefly) for the subscription to end, skipping any
+// still-readable batches; teardown via context.AfterFunc is asynchronous.
+func recvClosed(t *testing.T, s *cfpq.Subscription) {
 	t.Helper()
 	deadline := time.After(2 * time.Second)
 	for {
+		b, live := s.Next()
+		if !live {
+			return
+		}
+		if len(b.Pairs) > 0 || b.Resync {
+			continue
+		}
 		select {
-		case _, ok := <-ch:
-			if !ok {
-				return
-			}
+		case <-s.Updates():
 		case <-deadline:
-			t.Fatal("subscription channel not closed")
+			t.Fatal("subscription not ended")
 		}
 	}
 }
@@ -149,7 +152,7 @@ func TestSubscribeDeltaMatchesDiffProperty(t *testing.T) {
 					}
 
 					// And so is the pushed batch (at most one per update).
-					b, ok := tryRecv(s.Updates())
+					b, ok := tryNext(s)
 					if !ok {
 						if len(want) != 0 {
 							t.Fatalf("%s trial %d nt=%s: no batch pushed, diff oracle = %v",
@@ -169,7 +172,7 @@ func TestSubscribeDeltaMatchesDiffProperty(t *testing.T) {
 					if b.Seq > lastSeq {
 						lastSeq = b.Seq
 					}
-					if extra, ok := tryRecv(s.Updates()); ok {
+					if extra, ok := tryNext(s); ok {
 						t.Fatalf("%s trial %d nt=%s: second batch %v for one update", be, trial, nt, extra)
 					}
 				}
@@ -280,7 +283,7 @@ func interruptedPatchExactlyOnce(t *testing.T, eng *cfpq.Engine, patchCtx contex
 		if info.Delta == nil || !info.Delta.Empty() {
 			t.Fatalf("%s: Delta = %v, want empty and non-nil", step, info.Delta)
 		}
-		if b, ok := tryRecv(sub.Updates()); ok {
+		if b, ok := tryNext(sub); ok {
 			t.Fatalf("%s pushed %v; an abandoned update publishes nothing", step, b)
 		}
 		if after := ask(); !reflect.DeepEqual(after, before) {
@@ -325,7 +328,7 @@ func interruptedPatchExactlyOnce(t *testing.T, eng *cfpq.Engine, patchCtx contex
 
 	got := map[cfpq.Pair]bool{}
 	for {
-		b, ok := tryRecv(sub.Updates())
+		b, ok := tryNext(sub)
 		if !ok {
 			break
 		}
@@ -369,7 +372,7 @@ func TestSubscribeRestrictionFiltering(t *testing.T) {
 	if _, err := p.AddEdges(ctx, cfpq.Edge{From: 3, Label: "a", To: 4}); err != nil {
 		t.Fatal(err)
 	}
-	b, ok := tryRecv(all.Updates())
+	b, ok := tryNext(all)
 	if !ok {
 		t.Fatal("unrestricted subscription got no batch")
 	}
@@ -378,7 +381,7 @@ func TestSubscribeRestrictionFiltering(t *testing.T) {
 	if got := pairSet(b.Pairs); !equalSets(got, wantAll) {
 		t.Fatalf("unrestricted batch %v, want %v", b.Pairs, setList(wantAll))
 	}
-	rb, ok := tryRecv(restricted.Updates())
+	rb, ok := tryNext(restricted)
 	if !ok {
 		t.Fatal("restricted subscription got no batch")
 	}
@@ -389,19 +392,20 @@ func TestSubscribeRestrictionFiltering(t *testing.T) {
 	if _, err := p.AddEdges(ctx, cfpq.Edge{From: 4, Label: "a", To: 5}); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := tryRecv(all.Updates()); !ok {
+	if _, ok := tryNext(all); !ok {
 		t.Fatal("unrestricted subscription missed the second update")
 	}
-	if extra, ok := tryRecv(restricted.Updates()); ok {
+	if extra, ok := tryNext(restricted); ok {
 		// S(0,5) is in range for source 0 but target 5 ≠ 4 — filtered out.
 		t.Fatalf("restricted subscription got %v for out-of-restriction update", extra)
 	}
 }
 
 // TestSubscribeSlowConsumerDropResync pins the documented slow-consumer
-// policy: publishing never blocks the writer; once the bounded buffer
-// fills, batches are dropped, Dropped() counts them, and the next batch
-// that does fit carries Resync so the gap is visible in-band.
+// policy: publishing never blocks the writer and drops nothing while the
+// reader's position is in the window; once the window (64 updates) has
+// passed it, the reader reads one empty Resync marker at the head and then
+// continues live.
 func TestSubscribeSlowConsumerDropResync(t *testing.T) {
 	ctx := context.Background()
 	g := cfpq.NewGraph(0)
@@ -416,46 +420,28 @@ func TestSubscribeSlowConsumerDropResync(t *testing.T) {
 	}
 	defer sub.Close()
 
-	// 70 delta-producing updates with nothing consuming: the first 64 fill
-	// the buffer, the last 6 drop.
+	// 70 delta-producing updates with nothing reading: the window keeps
+	// the last 64, so the reader's position (0) has been passed.
 	const updates = 70
 	for i := 1; i <= updates; i++ {
 		if _, err := p.AddEdges(ctx, cfpq.Edge{From: i, Label: "a", To: i + 1}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if d := sub.Dropped(); d != 6 {
-		t.Fatalf("Dropped = %d, want 6", d)
+	b, ok := tryNext(sub)
+	if !ok || !b.Resync || b.Seq != updates || len(b.Pairs) != 0 {
+		t.Fatalf("first read after %d unread updates = %+v (ok %v), want an empty Resync marker at seq %d", updates, b, ok, updates)
 	}
-	// Drain the buffered 64; none of them carries Resync (they were all
-	// delivered in order before the overflow).
-	buffered := 0
-	for {
-		b, ok := tryRecv(sub.Updates())
-		if !ok {
-			break
-		}
-		buffered++
-		if b.Resync {
-			t.Fatalf("buffered batch %d carries Resync", b.Seq)
-		}
+	if extra, ok := tryNext(sub); ok {
+		t.Fatalf("a read after the marker returned %+v; the marker stands at the head", extra)
 	}
-	if buffered != 64 {
-		t.Fatalf("drained %d buffered batches, want 64", buffered)
-	}
-	// The next batch that fits surfaces the gap.
+	// From the head the reader is live again.
 	if _, err := p.AddEdges(ctx, cfpq.Edge{From: updates + 1, Label: "a", To: updates + 2}); err != nil {
 		t.Fatal(err)
 	}
-	b, ok := tryRecv(sub.Updates())
-	if !ok {
-		t.Fatal("no batch after draining")
-	}
-	if !b.Resync {
-		t.Fatal("post-drop batch does not carry Resync")
-	}
-	if len(b.Pairs) == 0 {
-		t.Error("resync-carrying batch lost its own pairs")
+	b, ok = tryNext(sub)
+	if !ok || b.Resync || b.Seq != updates+1 || len(b.Pairs) != updates+2 {
+		t.Fatalf("read after the marker = %+v (ok %v), want seq %d's %d pairs, no Resync", b, ok, updates+1, updates+2)
 	}
 }
 
@@ -479,7 +465,7 @@ func TestSubscribeFromResume(t *testing.T) {
 		if _, err := p.AddEdges(ctx, cfpq.Edge{From: i, Label: "a", To: i + 1}); err != nil {
 			t.Fatal(err)
 		}
-		b, ok := tryRecv(live.Updates())
+		b, ok := tryNext(live)
 		if !ok {
 			t.Fatalf("update %d pushed no batch", i)
 		}
@@ -494,7 +480,7 @@ func TestSubscribeFromResume(t *testing.T) {
 	}
 	defer resumed.Close()
 	for _, want := range seen[2:] {
-		b, ok := tryRecv(resumed.Updates())
+		b, ok := tryNext(resumed)
 		if !ok {
 			t.Fatalf("replay missing batch %d", want.Seq)
 		}
@@ -502,14 +488,14 @@ func TestSubscribeFromResume(t *testing.T) {
 			t.Fatalf("replayed %+v, want %+v", b, want)
 		}
 	}
-	if extra, ok := tryRecv(resumed.Updates()); ok {
+	if extra, ok := tryNext(resumed); ok {
 		t.Fatalf("replay over-delivered: %+v", extra)
 	}
 	// And the resumed subscription continues live.
 	if _, err := p.AddEdges(ctx, cfpq.Edge{From: 6, Label: "a", To: 7}); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := tryRecv(resumed.Updates()); !ok {
+	if _, ok := tryNext(resumed); !ok {
 		t.Fatal("resumed subscription not live")
 	}
 
@@ -519,20 +505,20 @@ func TestSubscribeFromResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer gap.Close()
-	b, ok := tryRecv(gap.Updates())
+	b, ok := tryNext(gap)
 	if !ok {
 		t.Fatal("gap resume produced no marker")
 	}
 	if !b.Resync || len(b.Pairs) != 0 {
 		t.Fatalf("gap resume produced %+v, want an empty Resync marker", b)
 	}
-	if extra, ok := tryRecv(gap.Updates()); ok {
+	if extra, ok := tryNext(gap); ok {
 		t.Fatalf("gap resume replayed %+v", extra)
 	}
 }
 
 // TestSubscribeTeardown: ctx cancellation and Close both end the
-// subscription (closing Updates); Prepared.Close ends every subscription
+// subscription (Next reports the end); Prepared.Close ends every subscription
 // and rejects future ones. All are idempotent.
 func TestSubscribeTeardown(t *testing.T) {
 	g := cfpq.NewGraph(0)
@@ -548,7 +534,7 @@ func TestSubscribeTeardown(t *testing.T) {
 		t.Fatal(err)
 	}
 	cancel()
-	recvClosed(t, byCtx.Updates())
+	recvClosed(t, byCtx)
 	byCtx.Close() // idempotent after ctx teardown
 
 	byClose, err := p.Subscribe(context.Background(), cfpq.Request{Nonterminal: "S"})
@@ -557,14 +543,14 @@ func TestSubscribeTeardown(t *testing.T) {
 	}
 	byClose.Close()
 	byClose.Close()
-	recvClosed(t, byClose.Updates())
+	recvClosed(t, byClose)
 
 	survivor, err := p.Subscribe(context.Background(), cfpq.Request{Nonterminal: "S"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	p.Close()
-	recvClosed(t, survivor.Updates())
+	recvClosed(t, survivor)
 	p.Close() // idempotent
 	if _, err := p.Subscribe(context.Background(), cfpq.Request{Nonterminal: "S"}); err == nil {
 		t.Fatal("Subscribe succeeded on a closed handle")
@@ -686,8 +672,11 @@ func TestSubscribeRaceUpdates(t *testing.T) {
 	go func() { // the audited consumer
 		defer close(consumerDone)
 		<-start
-		for b := range sub.Updates() {
+		for b := range sub.Batches() {
 			mu.Lock()
+			if b.Resync {
+				errs <- fmt.Errorf("audited consumer lost continuity at seq %d", b.Seq)
+			}
 			for _, pr := range b.Pairs {
 				if received[pr] {
 					errs <- fmt.Errorf("pair %v delivered twice", pr)
@@ -707,7 +696,7 @@ func TestSubscribeRaceUpdates(t *testing.T) {
 				errs <- fmt.Errorf("churn: %w", err)
 				return
 			}
-			tryRecv(s.Updates())
+			tryNext(s)
 			s.Close()
 		}
 	}()
@@ -726,7 +715,7 @@ func TestSubscribeRaceUpdates(t *testing.T) {
 
 	close(start)
 	// Let the writer and helpers finish, then end the consumer's stream;
-	// the consumer still drains every batch buffered before Close.
+	// the consumer still reads every update published before Close.
 	writers.Wait()
 	sub.Close()
 	select {
@@ -737,9 +726,6 @@ func TestSubscribeRaceUpdates(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
-	}
-	if d := sub.Dropped(); d != 0 {
-		t.Fatalf("audited consumer dropped %d batches", d)
 	}
 	want := diffPairs(before, relationOf(t, p, "S"))
 	mu.Lock()
@@ -819,10 +805,10 @@ func TestSubscribeLifecycleRacesWrites(t *testing.T) {
 				if err != nil {
 					return // the handle was closed
 				}
-				tryRecv(s.Updates())
+				tryNext(s)
 				s.Close()
 				seq, seen := uint64(0), map[cfpq.Pair]bool{}
-				for b := range s.Updates() {
+				for b := range s.Batches() {
 					if b.Seq <= seq && seq != 0 {
 						t.Errorf("subscriber %d: seq %d after %d", w, b.Seq, seq)
 					}
@@ -843,5 +829,178 @@ func TestSubscribeLifecycleRacesWrites(t *testing.T) {
 	case <-done:
 	case <-time.After(30 * time.Second):
 		t.Fatal("subscribers, writer and batches did not finish: deadlock")
+	}
+}
+
+// TestSubscribeCursorProperty: K subscriptions with random restrictions —
+// targets among them that the graph does not hold yet — read at random
+// paces beside a writer. Each one reads exactly the restricted delta of
+// every update from its start, or, where the window (64 updates) passed
+// its position, one empty Resync marker at the head and from there on
+// exactly the restricted deltas again. One reader waits until the writer
+// is well past the window, so the marker is read at least once.
+func TestSubscribeCursorProperty(t *testing.T) {
+	ctx := context.Background()
+	const updates, k, nodes = 150, 8, 200
+	rng := rand.New(rand.NewSource(time.Now().UnixNano()))
+	seed := rng.Int63()
+	rng = rand.New(rand.NewSource(seed))
+	g := cfpq.NewGraph(0)
+	g.AddEdge(0, "a", 1)
+	p, err := cfpq.NewEngine(cfpq.Sparse).Prepare(ctx, g, cfpq.MustParseGrammar("S -> a | a S"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// restriction draws nil (unrestricted), empty, or up to 12 nodes of
+	// [0, nodes): the chain ends at updates+1, so some never appear.
+	restriction := func() []int {
+		switch rng.Intn(3) {
+		case 0:
+			return nil
+		case 1:
+			return []int{}
+		}
+		out := []int{}
+		for range 1 + rng.Intn(12) {
+			out = append(out, rng.Intn(nodes))
+		}
+		return out
+	}
+	type reader struct {
+		req     cfpq.Request
+		sub     *cfpq.Subscription
+		delay   time.Duration
+		batches []cfpq.PairBatch
+	}
+	readers := make([]*reader, k)
+	for i := range readers {
+		r := &reader{req: cfpq.Request{Nonterminal: "S", Sources: restriction(), Targets: restriction()}}
+		if rng.Intn(2) == 0 {
+			r.delay = time.Duration(rng.Intn(300)) * time.Microsecond
+		}
+		if r.sub, err = p.Subscribe(ctx, r.req); err != nil {
+			t.Fatal(err)
+		}
+		readers[i] = r
+	}
+
+	deltas := make([][]cfpq.Pair, 1, updates+1) // by seq
+	late := make(chan struct{})
+	var wg sync.WaitGroup
+	for i, r := range readers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if i == 0 {
+				<-late
+			}
+			for b := range r.sub.Batches() {
+				r.batches = append(r.batches, b)
+				if r.delay > 0 {
+					time.Sleep(r.delay)
+				}
+			}
+		}()
+	}
+	for i := 1; i <= updates; i++ {
+		edges := []cfpq.Edge{{From: i, Label: "a", To: i + 1}}
+		if rng.Intn(4) == 0 { // a back edge: a cycle, and many pairs at once
+			edges = append(edges, cfpq.Edge{From: i + 1, Label: "a", To: rng.Intn(i + 1)})
+		}
+		info, err := p.AddEdges(ctx, edges...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !info.Delta.Empty() {
+			deltas = append(deltas, info.Delta.Pairs("S"))
+		}
+		if i == 100 {
+			close(late)
+		}
+	}
+	for _, r := range readers {
+		r.sub.Close() // what was published before stays readable
+	}
+	wg.Wait()
+
+	head := uint64(len(deltas) - 1)
+	if head <= 100 {
+		t.Fatalf("seed %d: %d updates published; the late reader needs the window passed", seed, head)
+	}
+	resynced := 0
+	for i, r := range readers {
+		keep := func(pr cfpq.Pair) bool {
+			return (r.req.Sources == nil || slices.Contains(r.req.Sources, pr.I)) &&
+				(r.req.Targets == nil || slices.Contains(r.req.Targets, pr.J))
+		}
+		restricted := func(seq uint64) []cfpq.Pair {
+			var out []cfpq.Pair
+			for _, pr := range deltas[seq] {
+				if keep(pr) {
+					out = append(out, pr)
+				}
+			}
+			return out
+		}
+		pos := uint64(0)
+		for _, b := range r.batches {
+			if b.Resync {
+				if len(b.Pairs) != 0 || b.Seq <= pos+64 || b.Seq > head {
+					t.Fatalf("seed %d: reader %d (%+v) read a Resync marker %+v at position %d; want an empty one at a head past the window", seed, i, r.req, b, pos)
+				}
+				resynced++
+				pos = b.Seq
+				continue
+			}
+			for s := pos + 1; s < b.Seq; s++ {
+				if want := restricted(s); len(want) != 0 {
+					t.Fatalf("seed %d: reader %d (%+v) skipped seq %d's %v", seed, i, r.req, s, want)
+				}
+			}
+			if want := restricted(b.Seq); !reflect.DeepEqual(b.Pairs, want) {
+				t.Fatalf("seed %d: reader %d (%+v) read %v at seq %d, want %v", seed, i, r.req, b.Pairs, b.Seq, want)
+			}
+			pos = b.Seq
+		}
+		for s := pos + 1; s <= head; s++ {
+			if want := restricted(s); len(want) != 0 {
+				t.Fatalf("seed %d: reader %d (%+v) never read seq %d's %v", seed, i, r.req, s, want)
+			}
+		}
+	}
+	if resynced == 0 {
+		t.Fatalf("seed %d: no reader read a Resync marker; the late reader should have", seed)
+	}
+}
+
+// TestPublishAllocatesNothingPerSubscriber: an update's delta is retained
+// once for every subscription, so AddEdges beside 16 restricted
+// subscriptions allocates no more than beside one.
+func TestPublishAllocatesNothingPerSubscriber(t *testing.T) {
+	ctx := context.Background()
+	allocs := func(subs int) float64 {
+		g := cfpq.NewGraph(0)
+		g.AddEdge(0, "a", 1)
+		p, err := cfpq.NewEngine(cfpq.Sparse).Prepare(ctx, g, cfpq.MustParseGrammar("S -> a | a S"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range subs {
+			s, err := p.Subscribe(ctx, cfpq.Request{Nonterminal: "S", Sources: []int{0, i}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+		}
+		next := 1
+		return testing.AllocsPerRun(50, func() {
+			if _, err := p.AddEdges(ctx, cfpq.Edge{From: next, Label: "a", To: next + 1}); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		})
+	}
+	if one, many := allocs(1), allocs(16); many > one {
+		t.Fatalf("AddEdges allocated %.1f times an update beside 16 subscriptions, %.1f beside one", many, one)
 	}
 }

@@ -184,7 +184,7 @@ func TestConcurrentVersionsModel(t *testing.T) {
 func runVersionsModel(t *testing.T, seed int64) {
 	const (
 		nodes   = 10
-		steps   = 30 // below the subscription buffer: the subscriber drains at the end
+		steps   = 30 // inside the subscription window: the subscriber reads at the end
 		readers = 2
 	)
 	ctx := context.Background()
@@ -404,10 +404,10 @@ func runVersionsModel(t *testing.T, seed int64) {
 	if view == nil {
 		return
 	}
-	view.sub.Close() // closes Updates; what was buffered stays readable
+	view.sub.Close() // ends the subscription; what was published stays readable
 	have, before, pushed := pairSet(view.seed), pairSet(rel[view.lo]), map[cfpq.Pair]bool{}
 	lastSeq := uint64(0)
-	for b := range view.sub.Updates() {
+	for b := range view.sub.Batches() {
 		// Sequence numbers count every delta-producing update; the ones
 		// that derived no S pair are not delivered, so gaps are expected
 		// and lost continuity shows as a Resync marker.
